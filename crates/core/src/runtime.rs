@@ -17,6 +17,7 @@ use mpisim::{StatsSnapshot, World, WorldCfg};
 use obs::metrics as met;
 use splitproc::journal::{Journal, JournalStep};
 use splitproc::store;
+use splitproc::CkptImage;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -419,10 +420,20 @@ impl ManaRuntime {
             Some(mode) => Some(self.prepare_restart(mode, &reg)?),
             None => None,
         };
-        let (selected, guard) = match prepared {
+        let (mut selected, guard) = match prepared {
             Some((sel, g)) => (Some(sel), Some(g)),
             None => (None, None),
         };
+        // Validation already read and verified the image of every rank in
+        // the restart scope; each restoring rank takes its own from here
+        // (and drops it once restored) instead of loading it again.
+        let verified: Vec<Mutex<Option<CkptImage>>> = selected
+            .as_mut()
+            .map(|sel| std::mem::take(&mut sel.images))
+            .unwrap_or_default()
+            .into_iter()
+            .map(Mutex::new)
+            .collect();
         let restored_round = selected.as_ref().map(|s| s.round);
         let restored_ranks = restart.as_ref().map(|m| match m {
             RestartMode::Full => (0..self.n).collect::<Vec<_>>(),
@@ -603,6 +614,7 @@ impl ManaRuntime {
         let f = &f;
         let handles_ref = &handles;
         let selected_ref = &selected;
+        let verified_ref = &verified;
         let guard_ref = &guard;
         let restored_ranks_ref = &restored_ranks;
         let launched = world.launch(move |proc| -> Result<(AppOutcome<T>, ManaStats)> {
@@ -613,18 +625,27 @@ impl ManaRuntime {
             coord.attach_parker(proc.parker());
             let mut mana = if let Some(sel) = selected_ref {
                 let rank = proc.rank();
-                // Layout-aware load: reads the flat `.mana` file when
-                // present, else reassembles the rank's `.cref` recipe from
-                // the chunk pool with per-chunk hash verification.
-                let image = store::load_image(&sel.dir, rank).map_err(|e| {
-                    let io = match e {
-                        store::StoreError::Io(io) => io,
-                        other => {
-                            std::io::Error::new(std::io::ErrorKind::InvalidData, other.to_string())
-                        }
-                    };
-                    ManaError::Image(splitproc::ImageError::Io(io))
-                })?;
+                let taken = verified_ref.get(rank).and_then(|slot| {
+                    slot.lock()
+                        .expect("verified image slot lock poisoned")
+                        .take()
+                });
+                let image = match taken {
+                    Some(image) => image,
+                    // A survivor of a partial restart: validation
+                    // deliberately did not read its image, so it is loaded
+                    // (and verified) here, flat or chunked.
+                    None => store::load_image(&sel.dir, rank).map_err(|e| {
+                        let io = match e {
+                            store::StoreError::Io(io) => io,
+                            other => std::io::Error::new(
+                                std::io::ErrorKind::InvalidData,
+                                other.to_string(),
+                            ),
+                        };
+                        ManaError::Image(splitproc::ImageError::Io(io))
+                    })?,
+                };
                 let mana = Mana::restore(proc, cfg.clone(), coord, &image)?;
                 if let Some(g) = guard_ref {
                     // Journal this rank's restore (only ranks in the
@@ -846,15 +867,8 @@ impl ManaRuntime {
         let mut sel = None;
         if let Some(g) = resume.as_ref().and_then(|e| e.validated_gen) {
             let dir = store::generation_dir(&self.cfg.ckpt_dir, g);
-            match store::validate_generation_ranks(&dir, g, Some(self.n), only) {
-                Ok(manifest) => {
-                    sel = Some(store::Selected {
-                        round: g,
-                        dir,
-                        manifest,
-                        rejected: Vec::new(),
-                    });
-                }
+            match store::select_generation_at(&dir, g, Some(self.n), only) {
+                Ok(s) => sel = Some(s),
                 Err(rej) => {
                     self.skip_generation(&rec, g, rej.code, &rej.reason);
                     epoch = journal.next_epoch();

@@ -894,6 +894,54 @@ fn restart_falls_back_past_corrupt_newest_generation() {
 }
 
 #[test]
+fn resumed_restart_epoch_restores_from_the_images_it_revalidates() {
+    // A coordinator died after journaling `GenValidated`: the next
+    // restart resumes that epoch, re-validates the generation it vouched
+    // for, and restores every rank from the images that validation read.
+    use splitproc::journal::{self, Journal, JournalStep};
+    let n = 4;
+    let total = 8u64;
+    let reference = ManaRuntime::new(n, cfg("resumed_epoch_ref"))
+        .with_world_cfg(wcfg())
+        .run_fresh(|m| step_workload(m, total))
+        .unwrap()
+        .values();
+    let mut config = cfg("resumed_epoch");
+    config.exit_after_ckpt = true;
+    let dir = config.ckpt_dir.clone();
+    let pass1 = ManaRuntime::new(n, config.clone())
+        .with_world_cfg(wcfg())
+        .run_fresh(|m| step_workload(m, total))
+        .unwrap();
+    assert!(pass1.all_checkpointed(), "{:?}", pass1.outcomes);
+    let mut j = Journal::open(&dir).unwrap();
+    let epoch = j.next_epoch();
+    let intent = JournalStep::RestartIntent {
+        gen: 0,
+        failed: vec![],
+    };
+    j.append(epoch, intent).unwrap();
+    j.append(epoch, JournalStep::GenValidated { gen: 0 })
+        .unwrap();
+    drop(j);
+
+    let pass2 = ManaRuntime::new(n, config)
+        .with_world_cfg(wcfg())
+        .run_restart(|m| step_workload(m, total))
+        .unwrap();
+    assert_eq!(pass2.restored_round, Some(0));
+    assert!(pass2.all_finished());
+    assert_eq!(pass2.values(), reference);
+    // The open epoch was resumed and committed, not superseded.
+    let epochs = journal::replay_epochs(&journal::read_records(&dir).unwrap());
+    assert_eq!(epochs.len(), 1);
+    assert_eq!(epochs[0].epoch, epoch);
+    assert!(epochs[0].committed);
+    assert_eq!(epochs[0].restored.len(), n);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn alloc_mem_survives_checkpoint() {
     let n = 2;
     let mut config = cfg("alloc_mem");

@@ -3,10 +3,11 @@
 //!
 //! The build container has no crates.io access, so the workspace vendors
 //! the API subset its benches use: `Criterion`, `benchmark_group`,
-//! `bench_function` / `bench_with_input`, `BenchmarkId`, `black_box`,
-//! and the `criterion_group!` / `criterion_main!` macros. Measurement is
-//! a simple wall-clock mean over `sample_size` iterations printed as
-//! plain text — no statistics, plots, or comparison baselines.
+//! `bench_function` / `bench_with_input`, `BenchmarkId`, `Throughput`,
+//! `black_box`, and the `criterion_group!` / `criterion_main!` macros.
+//! Measurement is a simple wall-clock mean over `sample_size` iterations
+//! printed as plain text (plus MB/s when a group declares its
+//! throughput) — no statistics, plots, or comparison baselines.
 
 #![forbid(unsafe_code)]
 
@@ -42,6 +43,7 @@ impl Criterion {
             _c: self,
             name,
             sample_size: 10,
+            throughput: None,
         }
     }
 
@@ -55,9 +57,16 @@ impl Criterion {
         } else {
             self.sample_size
         };
-        run_bench(&format!("{name}"), samples, &mut f);
+        run_bench(&format!("{name}"), samples, None, &mut f);
         self
     }
+}
+
+/// How much data one iteration processes, so a rate can be reported.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Throughput {
+    /// Bytes consumed per iteration.
+    Bytes(u64),
 }
 
 /// A named group of benchmarks sharing a sample size.
@@ -65,12 +74,20 @@ pub struct BenchmarkGroup<'a> {
     _c: &'a mut Criterion,
     name: String,
     sample_size: usize,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
     /// Set the number of timed iterations for this group.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(1);
+        self
+    }
+
+    /// Declare what one iteration of the following benchmarks processes;
+    /// their report lines then carry MB/s (10^6 bytes per second).
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
         self
     }
 
@@ -84,7 +101,12 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
-        run_bench(&format!("{}/{id}", self.name), self.sample_size, &mut f);
+        run_bench(
+            &format!("{}/{id}", self.name),
+            self.sample_size,
+            self.throughput,
+            &mut f,
+        );
         self
     }
 
@@ -102,6 +124,7 @@ impl BenchmarkGroup<'_> {
         run_bench(
             &format!("{}/{id}", self.name),
             samples,
+            self.throughput,
             &mut |b: &mut Bencher| f(b, input),
         );
         self
@@ -163,7 +186,7 @@ impl Bencher {
     }
 }
 
-fn run_bench<F>(label: &str, samples: usize, f: &mut F)
+fn run_bench<F>(label: &str, samples: usize, throughput: Option<Throughput>, f: &mut F)
 where
     F: FnMut(&mut Bencher),
 {
@@ -178,7 +201,14 @@ where
         return;
     }
     let per_iter = b.total.as_nanos() / b.iters as u128;
-    eprintln!("  {label}: {} ns/iter ({} iters)", per_iter, b.iters);
+    let rate = match throughput {
+        // bytes per ns × 1000 = 10^6 bytes per second.
+        Some(Throughput::Bytes(n)) if per_iter > 0 => {
+            format!(", {:.1} MB/s", n as f64 * 1e3 / per_iter as f64)
+        }
+        _ => String::new(),
+    };
+    eprintln!("  {label}: {per_iter} ns/iter ({} iters){rate}", b.iters);
 }
 
 /// Declare a benchmark group function, criterion-style.

@@ -277,20 +277,110 @@ impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
     }
 }
 
+/// Reflected IEEE 802.3 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-16 lookup tables. `CRC_TABLES[0]` is the classic
+/// byte-at-a-time table; `CRC_TABLES[k][b]` is the CRC contribution of
+/// byte `b` followed by `k` zero bytes, which is what lets sixteen input
+/// bytes be folded with sixteen independent loads per step.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
+    let mut b = 0;
+    while b < 256 {
+        let mut c = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                (c >> 1) ^ CRC_POLY
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        t[0][b] = c;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// Streaming CRC-32 (IEEE 802.3, reflected): feed a payload piece by
+/// piece with [`update`](Crc32::update) and read the checksum with
+/// [`finish`](Crc32::finish). Any split of the same bytes yields the same
+/// value as one [`crc32`] call over their concatenation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Crc32 {
+    state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
+    }
+}
+
+impl Crc32 {
+    /// Checksum of the empty input so far.
+    pub fn new() -> Crc32 {
+        Crc32 { state: !0 }
+    }
+
+    /// Fold `data` into the checksum.
+    pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.state;
+        let mut blocks = data.chunks_exact(16);
+        for b in &mut blocks {
+            // The running CRC only touches the first four bytes of the
+            // block; the other twelve index their tables directly. Every
+            // index is a `u8`, so the table loads need no bounds checks.
+            let lo = (crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]])).to_le_bytes();
+            crc = t[15][lo[0] as usize]
+                ^ t[14][lo[1] as usize]
+                ^ t[13][lo[2] as usize]
+                ^ t[12][lo[3] as usize]
+                ^ t[11][b[4] as usize]
+                ^ t[10][b[5] as usize]
+                ^ t[9][b[6] as usize]
+                ^ t[8][b[7] as usize]
+                ^ t[7][b[8] as usize]
+                ^ t[6][b[9] as usize]
+                ^ t[5][b[10] as usize]
+                ^ t[4][b[11] as usize]
+                ^ t[3][b[12] as usize]
+                ^ t[2][b[13] as usize]
+                ^ t[1][b[14] as usize]
+                ^ t[0][b[15] as usize];
+        }
+        for &byte in blocks.remainder() {
+            crc = (crc >> 8) ^ t[0][(crc as u8 ^ byte) as usize];
+        }
+        self.state = crc;
+    }
+
+    /// The checksum of everything fed so far.
+    pub fn finish(self) -> u32 {
+        !self.state
+    }
+}
+
 /// CRC-32 (IEEE 802.3, reflected) — integrity check for image payloads.
 pub fn crc32(data: &[u8]) -> u32 {
-    // Nibble-table variant: tiny table, adequate speed for image sizes.
-    const TABLE: [u32; 16] = [
-        0x00000000, 0x1db71064, 0x3b6e20c8, 0x26d930ac, 0x76dc4190, 0x6b6b51f4, 0x4db26158,
-        0x5005713c, 0xedb88320, 0xf00f9344, 0xd6d6a3e8, 0xcb61b38c, 0x9b64c2b0, 0x86d3d2d4,
-        0xa00ae278, 0xbdbdf21c,
-    ];
-    let mut crc: u32 = !0;
-    for &b in data {
-        crc = (crc >> 4) ^ TABLE[((crc ^ (b as u32)) & 0xF) as usize];
-        crc = (crc >> 4) ^ TABLE[((crc ^ ((b as u32) >> 4)) & 0xF) as usize];
-    }
-    !crc
+    let mut c = Crc32::new();
+    c.update(data);
+    c.finish()
 }
 
 #[cfg(test)]
@@ -386,11 +476,30 @@ mod tests {
         ));
     }
 
+    /// Bit-at-a-time CRC-32: the definition the table kernel is checked
+    /// against.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ CRC_POLY
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vector() {
         // CRC-32("123456789") = 0xCBF43926 (classic check value).
         assert_eq!(crc32(b"123456789"), 0xCBF43926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(Crc32::new().finish(), 0);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF43926);
     }
 
     #[test]
@@ -398,5 +507,56 @@ mod tests {
         let a = crc32(b"checkpoint image payload");
         let b = crc32(b"checkpoint image payloae");
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn crc32_matches_reference_at_every_alignment_and_tail() {
+        // Every (start offset mod 16, length) pair up to a few blocks:
+        // all block counts 0..=18 against all 16 tail lengths.
+        let buf: Vec<u8> = (0..16 + 300u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 24) as u8)
+            .collect();
+        for start in 0..16 {
+            for len in 0..=300 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bitwise(s), "start {start} len {len}");
+            }
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn crc32_differential_lengths_and_alignments(
+            buf in proptest::collection::vec(any::<u8>(), 16..=16 + 4096),
+        ) {
+            let len = buf.len() - 16;
+            for start in 0..16 {
+                let s = &buf[start..start + len];
+                prop_assert_eq!(crc32(s), crc32_bitwise(s), "start {} len {}", start, len);
+            }
+        }
+
+        #[test]
+        fn crc32_streaming_equals_one_shot_at_any_split(
+            data in proptest::collection::vec(any::<u8>(), 0..=4096),
+            cuts in proptest::collection::vec(any::<usize>(), 0..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            let mut c = Crc32::new();
+            let mut from = 0;
+            for cut in cuts {
+                c.update(&data[from..cut]);
+                from = cut;
+            }
+            c.update(&data[from..]);
+            let streamed = c.finish();
+            prop_assert_eq!(streamed, crc32(&data));
+            prop_assert_eq!(streamed, crc32_bitwise(&data));
+        }
     }
 }

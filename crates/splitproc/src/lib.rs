@@ -32,9 +32,9 @@ pub mod store;
 mod upperhalf;
 
 pub use chunk::{ChunkId, ChunkParams, ChunkRef, Recipe, RecipeError};
-pub use codec::{crc32, CodecError, Decode, Encode, Reader};
+pub use codec::{crc32, CodecError, Crc32, Decode, Encode, Reader};
 pub use fsreg::{ContextSwitcher, FsMode};
-pub use image::{CkptImage, ImageError};
+pub use image::{CkptImage, ImageError, ImageHeader};
 pub use journal::{EpochState, Journal, JournalRecord, JournalStep};
 pub use lowerhalf::LowerHalf;
 pub use store::{

@@ -35,8 +35,8 @@
 //! garbage-collected ([`gc_generations`]).
 
 use crate::chunk::{self, ChunkId, ChunkParams, ChunkRef, Recipe};
-use crate::codec::crc32;
-use crate::image::{CkptImage, ImageError};
+use crate::codec::{crc32, Crc32};
+use crate::image::{CkptImage, ImageError, ImageHeader};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
@@ -1012,12 +1012,50 @@ pub fn validate_generation(
 /// verified. This is what partial restart needs — the ranks being
 /// replaced must restore from pristine images, while a survivor whose
 /// image has since rotted on disk must not veto the whole restart (it is
-/// not being read).
+/// not being read). Images are verified in place and not kept, so memory
+/// stays bounded by the verifying workers however wide the generation is;
+/// restart, which consumes what it verifies, uses
+/// [`select_generation_at`].
 pub fn validate_generation_ranks(
     dir: &Path,
     round: u64,
     expected_world: Option<usize>,
     only_ranks: Option<&[u64]>,
+) -> Result<Manifest, Rejection> {
+    let manifest = check_manifest(dir, round, expected_world)?;
+    verify_ranks(dir, &manifest, only_ranks, false)?;
+    Ok(manifest)
+}
+
+/// Validate the generation in `dir` exactly as
+/// [`validate_generation_ranks`] does and keep what was verified: the
+/// returned [`Selected`] carries the image of every rank that was read,
+/// so restart restores from the very bytes validation checked instead of
+/// reading and checking them again.
+pub fn select_generation_at(
+    dir: &Path,
+    round: u64,
+    expected_world: Option<usize>,
+    only_ranks: Option<&[u64]>,
+) -> Result<Selected, Rejection> {
+    let manifest = check_manifest(dir, round, expected_world)?;
+    let images = verify_ranks(dir, &manifest, only_ranks, true)?;
+    Ok(Selected {
+        round,
+        dir: dir.to_path_buf(),
+        manifest,
+        rejected: Vec::new(),
+        images,
+    })
+}
+
+/// The manifest-level half of validation: present, self-consistent,
+/// agreeing with the directory's `round` and the runtime's world size,
+/// and listing exactly ranks `0..world_size`.
+fn check_manifest(
+    dir: &Path,
+    round: u64,
+    expected_world: Option<usize>,
 ) -> Result<Manifest, Rejection> {
     use obs::RejectCode as C;
     let manifest = match read_manifest(dir) {
@@ -1065,40 +1103,151 @@ pub fn validate_generation_ranks(
             format!("manifest ranks are not exactly 0..{}", manifest.world_size),
         ));
     }
-    for entry in &manifest.entries {
-        if let Some(only) = only_ranks {
-            if !only.contains(&entry.rank) {
-                continue;
+    Ok(manifest)
+}
+
+/// Verify the manifest's rank images — all of them, or the `only_ranks`
+/// subset — each through [`read_verified`] plus the header-vs-manifest
+/// cross-checks. Returns one slot per world rank; with `keep`, the slot of
+/// every verified rank holds its image.
+///
+/// Ranks are independent, so they are verified on scoped threads bounded
+/// by `available_parallelism()`. Work is handed out in ascending rank
+/// order and the lowest-rank rejection is the one reported, which is the
+/// rejection a serial loop would have stopped at: every rank below a
+/// failing one was handed out before it, so it always runs to completion.
+fn verify_ranks(
+    dir: &Path,
+    manifest: &Manifest,
+    only_ranks: Option<&[u64]>,
+    keep: bool,
+) -> Result<Vec<Option<CkptImage>>, Rejection> {
+    let mut todo: Vec<&ManifestEntry> = manifest
+        .entries
+        .iter()
+        .filter(|e| only_ranks.is_none_or(|only| only.contains(&e.rank)))
+        .collect();
+    todo.sort_unstable_by_key(|e| e.rank);
+    let next = AtomicUsize::new(0);
+    // Early-exit hint only: results travel through the joins below.
+    let first_bad = AtomicUsize::new(usize::MAX);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= todo.len() || i > first_bad.load(Ordering::Relaxed) {
+                return done;
             }
+            let res = verify_rank(dir, manifest, todo[i], keep);
+            if res.is_err() {
+                first_bad.fetch_min(i, Ordering::Relaxed);
+            }
+            done.push((i, res));
         }
-        let flat_path = CkptImage::path_for(dir, entry.rank as usize);
-        let (bytes, chunked) = if flat_path.is_file() {
-            match fs::read(&flat_path) {
-                Ok(b) => (b, false),
-                Err(e) => {
-                    return Err(Rejection::new(
-                        C::MissingImage,
-                        format!("rank {} image unreadable: {e}", entry.rank),
-                    ))
-                }
+    };
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(todo.len());
+    let done = if workers <= 1 {
+        work()
+    } else {
+        std::thread::scope(|s| {
+            let spawned: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+            let mut done = work();
+            for h in spawned {
+                done.extend(h.join().expect("image verify worker panicked"));
             }
-        } else {
-            match fs::read(recipe_path_for(dir, entry.rank as usize)) {
-                Ok(b) => (b, true),
-                Err(e) => {
-                    return Err(Rejection::new(
-                        C::MissingImage,
-                        format!("rank {} image unreadable: {e}", entry.rank),
-                    ))
-                }
-            }
-        };
+            done
+        })
+    };
+    let mut images = vec![None; manifest.entries.len()];
+    let mut bad: Option<(usize, Rejection)> = None;
+    for (i, res) in done {
+        match res {
+            Ok(img) => images[todo[i].rank as usize] = img,
+            Err(rej) if bad.as_ref().is_none_or(|(b, _)| i < *b) => bad = Some((i, rej)),
+            Err(_) => {}
+        }
+    }
+    match bad {
+        Some((_, rej)) => Err(rej),
+        None => Ok(images),
+    }
+}
+
+/// One rank of [`verify_ranks`]: read and verify the image against its
+/// manifest entry, then cross-check its header against the manifest.
+fn verify_rank(
+    dir: &Path,
+    manifest: &Manifest,
+    entry: &ManifestEntry,
+    keep: bool,
+) -> Result<Option<CkptImage>, Rejection> {
+    use obs::RejectCode as C;
+    let (header, image) = read_verified(dir, entry.rank as usize, Some(entry), keep)?;
+    if header.rank as u64 != entry.rank {
+        return Err(Rejection::new(
+            C::BadImage,
+            format!("rank {} image claims rank {}", entry.rank, header.rank),
+        ));
+    }
+    if header.world_size as u64 != manifest.world_size {
+        return Err(Rejection::new(
+            C::BadImage,
+            format!(
+                "rank {} image world size {} != manifest world size {}",
+                entry.rank, header.world_size, manifest.world_size
+            ),
+        ));
+    }
+    if header.round != manifest.round {
+        return Err(Rejection::new(
+            C::BadImage,
+            format!(
+                "rank {} image round {} != manifest round {}",
+                entry.rank, header.round, manifest.round
+            ),
+        ));
+    }
+    Ok(image)
+}
+
+/// Read one rank's image from a generation directory, whatever its
+/// layout, verifying every byte exactly once on the way: the rank's file
+/// (flat `.mana` image, else `.cref` recipe) against its manifest `entry`
+/// when one is given (size, whole-file CRC), then either both section
+/// CRCs of the flat image, or the recipe's own checksum, every chunk's
+/// presence, length and SHA-256, and both reassembled-payload CRCs. This
+/// is the only reader of rank images: validation, selection and
+/// [`load_image`] all go through it. With `keep` the verified image is
+/// returned next to its header; without, payloads are checked in place
+/// and never copied.
+fn read_verified(
+    dir: &Path,
+    rank: usize,
+    entry: Option<&ManifestEntry>,
+    keep: bool,
+) -> Result<(ImageHeader, Option<CkptImage>), Rejection> {
+    use obs::RejectCode as C;
+    let flat_path = CkptImage::path_for(dir, rank);
+    let chunked = !flat_path.is_file();
+    let path = if chunked {
+        recipe_path_for(dir, rank)
+    } else {
+        flat_path
+    };
+    let bytes = fs::read(path).map_err(|e| {
+        Rejection::new(
+            C::MissingImage,
+            format!("rank {rank} image unreadable: {e}"),
+        )
+    })?;
+    if let Some(entry) = entry {
         if bytes.len() as u64 != entry.bytes {
             return Err(Rejection::new(
                 C::TornImage,
                 format!(
-                    "rank {} image is {} bytes, manifest says {} (torn write)",
-                    entry.rank,
+                    "rank {rank} image is {} bytes, manifest says {} (torn write)",
                     bytes.len(),
                     entry.bytes
                 ),
@@ -1107,97 +1256,73 @@ pub fn validate_generation_ranks(
         if crc32(&bytes) != entry.crc {
             return Err(Rejection::new(
                 C::CorruptImage,
-                format!(
-                    "rank {} image CRC mismatch against manifest (corrupt image)",
-                    entry.rank
-                ),
-            ));
-        }
-        let (rank, world_size, round) = if chunked {
-            let recipe = match Recipe::from_bytes(&bytes) {
-                Ok(r) => r,
-                Err(e) => {
-                    return Err(Rejection::new(
-                        C::BadImage,
-                        format!("rank {} recipe invalid: {e}", entry.rank),
-                    ))
-                }
-            };
-            // Every referenced chunk must be present, length-exact, and
-            // hash-clean, and the reassembled payloads must match the
-            // recipe's CRCs — a damaged chunk rejects the generation just
-            // like a damaged flat image would.
-            let root = dir.parent().unwrap_or(dir);
-            assemble_payloads(root, &recipe).map_err(|rej| {
-                Rejection::new(rej.code, format!("rank {}: {}", entry.rank, rej.reason))
-            })?;
-            (recipe.rank, recipe.world_size, recipe.round)
-        } else {
-            let img = match CkptImage::from_bytes(&bytes) {
-                Ok(i) => i,
-                Err(e) => {
-                    return Err(Rejection::new(
-                        C::BadImage,
-                        format!("rank {} image invalid: {e}", entry.rank),
-                    ))
-                }
-            };
-            (img.rank as u64, img.world_size as u64, img.round)
-        };
-        if rank != entry.rank {
-            return Err(Rejection::new(
-                C::BadImage,
-                format!("rank {} image claims rank {}", entry.rank, rank),
-            ));
-        }
-        if world_size != manifest.world_size {
-            return Err(Rejection::new(
-                C::BadImage,
-                format!(
-                    "rank {} image world size {} != manifest world size {}",
-                    entry.rank, world_size, manifest.world_size
-                ),
-            ));
-        }
-        if round != manifest.round {
-            return Err(Rejection::new(
-                C::BadImage,
-                format!(
-                    "rank {} image round {} != manifest round {}",
-                    entry.rank, round, manifest.round
-                ),
+                format!("rank {rank} image CRC mismatch against manifest (corrupt image)"),
             ));
         }
     }
-    Ok(manifest)
+    if !chunked {
+        let header = CkptImage::verify_bytes(&bytes)
+            .map_err(|e| Rejection::new(C::BadImage, format!("rank {rank} image invalid: {e}")))?;
+        let image = keep.then(|| CkptImage::from_verified(&header, &bytes));
+        return Ok((header, image));
+    }
+    let recipe = Recipe::from_bytes(&bytes)
+        .map_err(|e| Rejection::new(C::BadImage, format!("rank {rank} recipe invalid: {e}")))?;
+    // A damaged chunk rejects the image just like a damaged flat file
+    // would.
+    let root = dir.parent().unwrap_or(dir);
+    let (upper, meta) = assemble_payloads(root, &recipe, keep)
+        .map_err(|rej| Rejection::new(rej.code, format!("rank {rank}: {}", rej.reason)))?;
+    let header = ImageHeader {
+        rank: recipe.rank as usize,
+        world_size: recipe.world_size as usize,
+        round: recipe.round,
+        upper_len: recipe.upper_len as usize,
+        meta_len: recipe.meta_len as usize,
+    };
+    let image = keep.then_some(CkptImage {
+        rank: header.rank,
+        world_size: header.world_size,
+        round: header.round,
+        upper,
+        meta,
+    });
+    Ok((header, image))
 }
 
 // ---- chunked reassembly ----------------------------------------------------
 
-/// Read and verify every chunk of one payload list from the pool,
-/// concatenating into the payload. Each chunk is checked for presence,
-/// exact length, and SHA-256 identity against its content address — a
-/// wrong-hash chunk is *never* returned, it rejects the payload.
+/// Read and verify every chunk of one payload list from the pool. Each
+/// chunk is checked for presence, exact length, and SHA-256 identity
+/// against its content address — a wrong-hash chunk is *never* returned,
+/// it rejects the payload — and folded into the payload's CRC while it is
+/// still hot. With `keep` the chunks are concatenated into the returned
+/// payload; without, each is checked in a reused buffer and dropped (the
+/// returned vector is empty).
 fn assemble_one(
     root: &Path,
     refs: &[ChunkRef],
     expected_len: u64,
     expected_crc: u32,
     section: &str,
+    keep: bool,
 ) -> Result<Vec<u8>, Rejection> {
     use obs::RejectCode as C;
-    let mut out = Vec::with_capacity(expected_len.min(1 << 30) as usize);
+    let cap = if keep { expected_len.min(1 << 30) } else { 0 };
+    let mut out = Vec::with_capacity(cap as usize);
+    let mut total = 0u64;
+    let mut crc = Crc32::new();
     for cref in refs {
-        let path = chunk_path(root, cref.id);
-        let data = match fs::read(&path) {
-            Ok(d) => d,
-            Err(e) => {
-                return Err(Rejection::new(
+        let start = out.len();
+        fs::File::open(chunk_path(root, cref.id))
+            .and_then(|mut f| f.read_to_end(&mut out))
+            .map_err(|e| {
+                Rejection::new(
                     C::MissingImage,
                     format!("{section} chunk {} unreadable: {e}", cref.id),
-                ))
-            }
-        };
+                )
+            })?;
+        let data = &out[start..];
         if data.len() as u64 != cref.len {
             return Err(Rejection::new(
                 C::TornImage,
@@ -1209,24 +1334,25 @@ fn assemble_one(
                 ),
             ));
         }
-        if chunk::chunk_id(&data) != cref.id {
+        if chunk::chunk_id(data) != cref.id {
             return Err(Rejection::new(
                 C::CorruptImage,
                 format!("{section} chunk {} content hash mismatch", cref.id),
             ));
         }
-        out.extend_from_slice(&data);
+        crc.update(data);
+        total += cref.len;
+        if !keep {
+            out.clear();
+        }
     }
-    if out.len() as u64 != expected_len {
+    if total != expected_len {
         return Err(Rejection::new(
             C::TornImage,
-            format!(
-                "{section} payload is {} bytes, recipe says {expected_len}",
-                out.len()
-            ),
+            format!("{section} payload is {total} bytes, recipe says {expected_len}"),
         ));
     }
-    if crc32(&out) != expected_crc {
+    if crc.finish() != expected_crc {
         return Err(Rejection::new(
             C::CorruptImage,
             format!("{section} payload CRC mismatch after reassembly"),
@@ -1235,15 +1361,20 @@ fn assemble_one(
     Ok(out)
 }
 
-/// Reassemble both payloads of a recipe from the pool under `root`,
-/// verifying every chunk and both payload CRCs.
-fn assemble_payloads(root: &Path, recipe: &Recipe) -> Result<(Vec<u8>, Vec<u8>), Rejection> {
+/// Verify (and with `keep`, reassemble) both payloads of a recipe from
+/// the pool under `root`: every chunk and both payload CRCs.
+fn assemble_payloads(
+    root: &Path,
+    recipe: &Recipe,
+    keep: bool,
+) -> Result<(Vec<u8>, Vec<u8>), Rejection> {
     let upper = assemble_one(
         root,
         &recipe.upper_chunks,
         recipe.upper_len,
         recipe.upper_crc,
         "upper",
+        keep,
     )?;
     let meta = assemble_one(
         root,
@@ -1251,33 +1382,22 @@ fn assemble_payloads(root: &Path, recipe: &Recipe) -> Result<(Vec<u8>, Vec<u8>),
         recipe.meta_len,
         recipe.meta_crc,
         "meta",
+        keep,
     )?;
     Ok((upper, meta))
 }
 
 /// Load one rank's image from a generation directory, whatever its layout:
 /// a flat `.mana` file is read directly; otherwise the `.cref` recipe is
-/// reassembled from the chunk pool with per-chunk hash verification. This
-/// is the restart path's loader.
+/// reassembled from the chunk pool with per-chunk hash verification. No
+/// manifest is consulted, so this checks everything the image vouches for
+/// itself (section CRCs, chunk hashes) but not the whole-file CRC. Restart
+/// uses it only for ranks validation did not read — the survivors of a
+/// partial restart.
 pub fn load_image(dir: &Path, rank: usize) -> Result<CkptImage, StoreError> {
-    let flat = CkptImage::path_for(dir, rank);
-    if flat.is_file() {
-        return Ok(CkptImage::read_from_dir(dir, rank)?);
-    }
-    let rpath = recipe_path_for(dir, rank);
-    let bytes = fs::read(&rpath)?;
-    let recipe = Recipe::from_bytes(&bytes)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let root = dir.parent().unwrap_or(dir);
-    let (upper, meta) = assemble_payloads(root, &recipe)
+    let (_, image) = read_verified(dir, rank, None, true)
         .map_err(|rej| io::Error::new(io::ErrorKind::InvalidData, rej.reason))?;
-    Ok(CkptImage {
-        rank: recipe.rank as usize,
-        world_size: recipe.world_size as usize,
-        round: recipe.round,
-        upper,
-        meta,
-    })
+    Ok(image.expect("read_verified keeps the image when asked to"))
 }
 
 // ---- chunk GC --------------------------------------------------------------
@@ -1383,6 +1503,11 @@ pub struct Selected {
     pub manifest: Manifest,
     /// Generations that were scanned first and rejected, newest-first.
     pub rejected: Vec<RejectedGeneration>,
+    /// The images validation read and verified, indexed by world rank:
+    /// every rank for a full selection, the `only_ranks` subset for a
+    /// partial one (`None` for ranks that were deliberately not read).
+    /// Restart restores from these instead of loading them a second time.
+    pub images: Vec<Option<CkptImage>>,
 }
 
 /// Scan `root` newest-first and return the newest globally-complete
@@ -1399,7 +1524,8 @@ pub fn select_generation(
 /// [`select_generation`] with image validation scoped to `only_ranks`
 /// (see [`validate_generation_ranks`]) — the selection partial restart
 /// uses: the replaced ranks' images must be pristine, survivors' images
-/// are not read and cannot veto.
+/// are not read and cannot veto (and are absent from
+/// [`Selected::images`]).
 pub fn select_generation_ranks(
     root: &Path,
     expected_world: Option<usize>,
@@ -1408,15 +1534,8 @@ pub fn select_generation_ranks(
     let gens = list_generations(root)?;
     let mut rejected = Vec::new();
     for g in gens.iter().rev() {
-        match validate_generation_ranks(&g.dir, g.round, expected_world, only_ranks) {
-            Ok(manifest) => {
-                return Ok(Selected {
-                    round: g.round,
-                    dir: g.dir.clone(),
-                    manifest,
-                    rejected,
-                });
-            }
+        match select_generation_at(&g.dir, g.round, expected_world, only_ranks) {
+            Ok(sel) => return Ok(Selected { rejected, ..sel }),
             Err(rej) => rejected.push(RejectedGeneration {
                 round: g.round,
                 code: rej.code,
@@ -1473,6 +1592,7 @@ fn select_legacy(
     }
     let round = img0.round;
     let mut entries = Vec::with_capacity(world);
+    let mut images = Vec::with_capacity(world);
     for rank in 0..world {
         let path = CkptImage::path_for(root, rank);
         let bytes = match fs::read(&path) {
@@ -1504,6 +1624,7 @@ fn select_legacy(
             bytes: bytes.len() as u64,
             crc: crc32(&bytes),
         });
+        images.push(Some(img));
     }
     Ok(Some(Selected {
         round,
@@ -1514,6 +1635,7 @@ fn select_legacy(
             entries,
         },
         rejected: std::mem::take(rejected),
+        images,
     }))
 }
 
@@ -1822,6 +1944,15 @@ mod tests {
         assert_eq!(m.world_size, 3);
         let sel = select_generation_ranks(&root, Some(3), Some(&[0, 1])).unwrap();
         assert_eq!(sel.round, 0);
+        // Only the replaced ranks were read and kept; the survivor's slot
+        // is empty, and loading it — which is what a partial restart does
+        // for survivors — still catches the rot.
+        assert_eq!(
+            sel.images[..2],
+            [Some(image(0, 3, 0)), Some(image(1, 3, 0))]
+        );
+        assert_eq!(sel.images[2], None);
+        assert!(load_image(&dir, 2).is_err());
         // If the damaged rank IS being replaced, the veto stands.
         let err = select_generation_ranks(&root, Some(3), Some(&[1, 2])).unwrap_err();
         assert!(matches!(err, StoreError::NoUsableGeneration { .. }));
@@ -2167,6 +2298,119 @@ mod tests {
         }
         fs::remove_dir_all(&flat_root).ok();
         fs::remove_dir_all(&chunk_root).ok();
+    }
+
+    /// Flip one byte in the middle of `path`.
+    fn rot(path: &Path) {
+        let mut bytes = fs::read(path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        fs::write(path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn two_damaged_ranks_report_the_lower_ranks_rejection() {
+        // Ranks are verified concurrently, but the rejection reported must
+        // be the one a rank-by-rank loop stops at: the lowest damaged
+        // rank's, with its exact code and reason — every time.
+        let flat_root = tdir("two_bad_flat");
+        commit_round_with(&flat_root, 6, 0, &StoreConfig::default(), &[]);
+        let dir = generation_dir(&flat_root, 0);
+        rot(&CkptImage::path_for(&dir, 2));
+        let torn = CkptImage::path_for(&dir, 4);
+        let len = fs::metadata(&torn).unwrap().len();
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&torn)
+            .unwrap()
+            .set_len(len - 7)
+            .unwrap();
+        for _ in 0..20 {
+            let rej = validate_generation(&dir, 0, Some(6)).unwrap_err();
+            assert_eq!(rej.code, obs::RejectCode::CorruptImage);
+            assert_eq!(
+                rej.reason,
+                "rank 2 image CRC mismatch against manifest (corrupt image)"
+            );
+            assert_eq!(select_generation_at(&dir, 0, Some(6), None), Err(rej));
+        }
+        // With rank 2 out of scope the next damaged rank is the answer.
+        let rej = validate_generation_ranks(&dir, 0, Some(6), Some(&[5, 4, 0])).unwrap_err();
+        assert_eq!(rej.code, obs::RejectCode::TornImage);
+        assert_eq!(
+            rej.reason,
+            format!(
+                "rank 4 image is {} bytes, manifest says {len} (torn write)",
+                len - 7
+            )
+        );
+        fs::remove_dir_all(&flat_root).ok();
+
+        // Chunked: a rotted pool chunk of rank 1, a missing recipe for 3.
+        let root = tdir("two_bad_chunked");
+        commit_round_with(&root, 6, 0, &chunked_cfg(), &[]);
+        let dir = generation_dir(&root, 0);
+        let recipe = Recipe::from_bytes(&fs::read(recipe_path_for(&dir, 1)).unwrap()).unwrap();
+        let victim = recipe.upper_chunks[recipe.upper_chunks.len() / 2].id;
+        rot(&chunk_path(&root, victim));
+        fs::remove_file(recipe_path_for(&dir, 3)).unwrap();
+        for _ in 0..20 {
+            let rej = validate_generation(&dir, 0, Some(6)).unwrap_err();
+            assert_eq!(rej.code, obs::RejectCode::CorruptImage);
+            assert_eq!(
+                rej.reason,
+                format!("rank 1: upper chunk {victim} content hash mismatch")
+            );
+        }
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn selected_images_equal_load_image_in_both_layouts() {
+        for (name, cfg) in [
+            ("sel_img_flat", StoreConfig::default()),
+            ("sel_img_chunked", chunked_cfg()),
+        ] {
+            let root = tdir(name);
+            commit_round_with(&root, 5, 0, &cfg, &[]);
+            commit_round_with(&root, 5, 1, &cfg, &[]);
+            let sel = select_generation(&root, Some(5)).unwrap();
+            assert_eq!(sel.round, 1);
+            assert_eq!(sel.images.len(), 5);
+            for rank in 0..5 {
+                let loaded = load_image(&sel.dir, rank).unwrap();
+                assert_eq!(sel.images[rank].as_ref(), Some(&loaded));
+                assert_eq!(loaded, slow_image(rank, 5, 1));
+            }
+            // Validating one named generation (what a resumed restart
+            // epoch does) is the same routine with the same result.
+            assert_eq!(select_generation_at(&sel.dir, 1, Some(5), None), Ok(sel));
+            // A partial selection keeps exactly the ranks it verified.
+            let part = select_generation_ranks(&root, Some(5), Some(&[3, 1])).unwrap();
+            for rank in 0..5 {
+                let want = [1, 3].contains(&rank).then(|| slow_image(rank, 5, 1));
+                assert_eq!(part.images[rank], want);
+            }
+            // Validation alone verifies the same bytes but keeps nothing.
+            assert!(validate_generation(&part.dir, 1, Some(5)).is_ok());
+            fs::remove_dir_all(&root).ok();
+        }
+    }
+
+    #[test]
+    fn chunked_survivor_rot_is_caught_at_load_not_at_partial_selection() {
+        let root = tdir("chunked_survivor");
+        commit_round_with(&root, 3, 0, &chunked_cfg(), &[]);
+        let dir = generation_dir(&root, 0);
+        let recipe = Recipe::from_bytes(&fs::read(recipe_path_for(&dir, 2)).unwrap()).unwrap();
+        rot(&chunk_path(&root, recipe.upper_chunks[0].id));
+        let sel = select_generation_ranks(&root, Some(3), Some(&[0, 1])).unwrap();
+        assert!(sel.rejected.is_empty());
+        assert_eq!(sel.images[2], None);
+        assert_eq!(load_image(&dir, 0).unwrap(), slow_image(0, 3, 0));
+        let err = load_image(&dir, 2).unwrap_err().to_string();
+        assert!(err.contains("content hash mismatch"), "{err}");
+        fs::remove_dir_all(&root).ok();
     }
 
     #[test]
