@@ -7,17 +7,17 @@
 //! bcast-heavy loop and an allreduce-heavy loop under both TPC modes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mana_bench::{scratch_dir, world_cfg};
-use mana_core::{ManaConfig, ManaRuntime, TpcMode};
+use mana_bench::{env_or_exit, runtime, scratch_dir};
+use mana_core::{EnvConfig, ManaConfig, TpcMode};
 use mpisim::{MachineProfile, ReduceOp};
 
-fn bcast_loop(tpc: TpcMode, ranks: usize, iters: u64) {
+fn bcast_loop(env: &EnvConfig, tpc: TpcMode, ranks: usize, iters: u64) {
     let cfg = ManaConfig {
         tpc,
         ckpt_dir: scratch_dir("abl_barrier"),
-        ..ManaConfig::default()
+        ..env.mana.clone()
     };
-    let rt = ManaRuntime::new(ranks, cfg).with_world_cfg(world_cfg(MachineProfile::haswell()));
+    let rt = runtime(env, ranks, cfg, MachineProfile::haswell());
     rt.run_fresh(move |m| {
         let w = m.comm_world();
         for i in 0..iters {
@@ -38,13 +38,13 @@ fn bcast_loop(tpc: TpcMode, ranks: usize, iters: u64) {
     .expect("bcast loop");
 }
 
-fn allreduce_loop(tpc: TpcMode, ranks: usize, iters: u64) {
+fn allreduce_loop(env: &EnvConfig, tpc: TpcMode, ranks: usize, iters: u64) {
     let cfg = ManaConfig {
         tpc,
         ckpt_dir: scratch_dir("abl_barrier2"),
-        ..ManaConfig::default()
+        ..env.mana.clone()
     };
-    let rt = ManaRuntime::new(ranks, cfg).with_world_cfg(world_cfg(MachineProfile::haswell()));
+    let rt = runtime(env, ranks, cfg, MachineProfile::haswell());
     rt.run_fresh(move |m| {
         let w = m.comm_world();
         for i in 0..iters {
@@ -56,15 +56,16 @@ fn allreduce_loop(tpc: TpcMode, ranks: usize, iters: u64) {
 }
 
 fn bench(c: &mut Criterion) {
+    let env = &env_or_exit();
     let mut g = c.benchmark_group("ablation_barrier");
     g.sample_size(10);
     let ranks = 4;
     for tpc in [TpcMode::Hybrid, TpcMode::Original] {
         g.bench_function(format!("bcast_{tpc:?}"), |b| {
-            b.iter(|| bcast_loop(tpc, ranks, 20))
+            b.iter(|| bcast_loop(env, tpc, ranks, 20))
         });
         g.bench_function(format!("allreduce_{tpc:?}"), |b| {
-            b.iter(|| allreduce_loop(tpc, ranks, 20))
+            b.iter(|| allreduce_loop(env, tpc, ranks, 20))
         });
     }
     g.finish();

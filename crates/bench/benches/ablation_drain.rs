@@ -5,18 +5,18 @@
 //! with one collective plus purely local work.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mana_bench::{scratch_dir, world_cfg};
-use mana_core::{DrainMode, ManaConfig, ManaRuntime};
+use mana_bench::{env_or_exit, runtime, scratch_dir};
+use mana_core::{DrainMode, EnvConfig, ManaConfig};
 use mpisim::MachineProfile;
 
 /// One checkpoint with in-flight p2p traffic, under the given drain mode.
-fn ckpt_with_traffic(drain: DrainMode, ranks: usize) {
+fn ckpt_with_traffic(env: &EnvConfig, drain: DrainMode, ranks: usize) {
     let cfg = ManaConfig {
         drain,
         ckpt_dir: scratch_dir("abl_drain"),
-        ..ManaConfig::default()
+        ..env.mana.clone()
     };
-    let rt = ManaRuntime::new(ranks, cfg).with_world_cfg(world_cfg(MachineProfile::zero()));
+    let rt = runtime(env, ranks, cfg, MachineProfile::zero());
     rt.run_fresh(move |m| {
         let w = m.comm_world();
         let n = m.world_size();
@@ -39,13 +39,14 @@ fn ckpt_with_traffic(drain: DrainMode, ranks: usize) {
 }
 
 fn bench(c: &mut Criterion) {
+    let env = &env_or_exit();
     let mut g = c.benchmark_group("ablation_drain");
     g.sample_size(10);
     for (name, mode) in [
         ("alltoall", DrainMode::Alltoall),
         ("coordinator", DrainMode::Coordinator),
     ] {
-        g.bench_function(name, |b| b.iter(|| ckpt_with_traffic(mode, 4)));
+        g.bench_function(name, |b| b.iter(|| ckpt_with_traffic(env, mode, 4)));
     }
     g.finish();
 }

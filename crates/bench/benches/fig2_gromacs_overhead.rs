@@ -3,7 +3,7 @@
 //! rank sweep; this bench tracks the fixed-size overhead ratio over time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mana_bench::{gromacs_mana, gromacs_native, scratch_dir};
+use mana_bench::{env_or_exit, gromacs_mana, gromacs_native, scratch_dir};
 use mana_core::ManaConfig;
 use mpisim::MachineProfile;
 use std::hint::black_box;
@@ -22,22 +22,23 @@ fn md() -> GromacsConfig {
 }
 
 fn bench(c: &mut Criterion) {
+    let env = &env_or_exit();
     let mut g = c.benchmark_group("fig2_gromacs");
     g.sample_size(10);
     let ranks = 4;
     for profile in [MachineProfile::haswell(), MachineProfile::knl()] {
         let p1 = profile.clone();
         g.bench_function(format!("native_{}", profile.name), move |b| {
-            b.iter(|| black_box(gromacs_native(ranks, &md(), p1.clone())))
+            b.iter(|| black_box(gromacs_native(env, ranks, &md(), p1.clone())))
         });
         let p2 = profile.clone();
         g.bench_function(format!("mana_{}", profile.name), move |b| {
             b.iter(|| {
                 let cfg = ManaConfig {
                     ckpt_dir: scratch_dir("fig2b"),
-                    ..ManaConfig::default()
+                    ..env.mana.clone()
                 };
-                black_box(gromacs_mana(ranks, &md(), p2.clone(), cfg))
+                black_box(gromacs_mana(env, ranks, &md(), p2.clone(), cfg))
             })
         });
     }

@@ -2,8 +2,8 @@
 //! restart, on the MD workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mana_bench::{scratch_dir, world_cfg};
-use mana_core::{ManaConfig, ManaRuntime};
+use mana_bench::{env_or_exit, runtime, scratch_dir};
+use mana_core::{EnvConfig, ManaConfig};
 use mpisim::MachineProfile;
 use workloads::{gromacs, ManaFace};
 
@@ -19,12 +19,12 @@ fn md(ckpt: Option<u64>) -> gromacs::GromacsConfig {
     }
 }
 
-fn ckpt_round(ranks: usize) {
+fn ckpt_round(env: &EnvConfig, ranks: usize) {
     let cfg = ManaConfig {
         ckpt_dir: scratch_dir("fig3b"),
-        ..ManaConfig::default()
+        ..env.mana.clone()
     };
-    let rt = ManaRuntime::new(ranks, cfg).with_world_cfg(world_cfg(MachineProfile::zero()));
+    let rt = runtime(env, ranks, cfg, MachineProfile::zero());
     let c = md(Some(1));
     rt.run_fresh(move |m| {
         let mut f = ManaFace::new(m);
@@ -33,24 +33,22 @@ fn ckpt_round(ranks: usize) {
     .expect("ckpt round");
 }
 
-fn restart_cycle(ranks: usize) {
+fn restart_cycle(env: &EnvConfig, ranks: usize) {
     let dir = scratch_dir("fig3b_rs");
     let cfg = ManaConfig {
         ckpt_dir: dir.clone(),
         exit_after_ckpt: true,
-        ..ManaConfig::default()
+        ..env.mana.clone()
     };
     let c1 = md(Some(1));
-    ManaRuntime::new(ranks, cfg.clone())
-        .with_world_cfg(world_cfg(MachineProfile::zero()))
+    runtime(env, ranks, cfg.clone(), MachineProfile::zero())
         .run_fresh(move |m| {
             let mut f = ManaFace::new(m);
             gromacs::run(&mut f, &c1).map_err(|e| e.into_mana())
         })
         .expect("pass1");
     let c2 = md(None);
-    ManaRuntime::new(ranks, cfg)
-        .with_world_cfg(world_cfg(MachineProfile::zero()))
+    runtime(env, ranks, cfg, MachineProfile::zero())
         .run_restart(move |m| {
             let mut f = ManaFace::new(m);
             gromacs::run(&mut f, &c2).map_err(|e| e.into_mana())
@@ -60,11 +58,12 @@ fn restart_cycle(ranks: usize) {
 }
 
 fn bench(c: &mut Criterion) {
+    let env = &env_or_exit();
     let mut g = c.benchmark_group("fig3_ckpt_restart");
     g.sample_size(10);
-    g.bench_function("checkpoint_resume_run", |b| b.iter(|| ckpt_round(4)));
+    g.bench_function("checkpoint_resume_run", |b| b.iter(|| ckpt_round(env, 4)));
     g.bench_function("checkpoint_kill_restart_cycle", |b| {
-        b.iter(|| restart_cycle(4))
+        b.iter(|| restart_cycle(env, 4))
     });
     g.finish();
 }

@@ -6,7 +6,7 @@
 //! reduction (Haswell 64%→40%, KNL 99%→46%).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mana_bench::{scratch_dir, vasp_mana, vasp_native};
+use mana_bench::{env_or_exit, scratch_dir, vasp_mana, vasp_native};
 use mana_core::ManaConfig;
 use mpisim::MachineProfile;
 use std::hint::black_box;
@@ -24,22 +24,24 @@ fn capoh() -> vasp::VaspConfig {
 }
 
 fn bench(c: &mut Criterion) {
+    let env = &env_or_exit();
     let mut g = c.benchmark_group("table2_capoh");
     g.sample_size(10);
     let ranks = 4;
     let profile = MachineProfile::haswell();
     let p = profile.clone();
     g.bench_function("native", move |b| {
-        b.iter(|| black_box(vasp_native(ranks, &capoh(), p.clone())))
+        b.iter(|| black_box(vasp_native(env, ranks, &capoh(), p.clone())))
     });
     let p = profile.clone();
     g.bench_function("master_branch", move |b| {
         b.iter(|| {
             let cfg = ManaConfig {
                 ckpt_dir: scratch_dir("t2bm"),
+                store: env.mana.store.clone(),
                 ..ManaConfig::master_branch()
             };
-            black_box(vasp_mana(ranks, &capoh(), p.clone(), cfg))
+            black_box(vasp_mana(env, ranks, &capoh(), p.clone(), cfg))
         })
     });
     let p = profile;
@@ -47,9 +49,11 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             let cfg = ManaConfig {
                 ckpt_dir: scratch_dir("t2bf"),
+                drain: env.mana.drain,
+                store: env.mana.store.clone(),
                 ..ManaConfig::feature_2pc_branch()
             };
-            black_box(vasp_mana(ranks, &capoh(), p.clone(), cfg))
+            black_box(vasp_mana(env, ranks, &capoh(), p.clone(), cfg))
         })
     });
     g.finish();

@@ -10,22 +10,20 @@
 //! experiments drain     # quiesce head-to-head, alltoall vs toposort,
 //!                       # 64→4096 ranks, BENCH_drain_quiesce.json
 //! experiments explore   # schedule-space exploration coverage sweep
-//! experiments metrics   # metrics-plane bench: round/restart latency percentiles,
-//!                       # metrics-on/off overhead, BENCH_round_latency.json
-//! experiments dedup     # flat vs chunked store: physical bytes/round,
-//!                       # dedup factor, restart parity + latency,
-//!                       # BENCH_store_dedup.json
 //! experiments all       # everything except `scale` (minutes at 4096 ranks)
 //! ```
 //!
 //! Environment: `MANA2_RANKS=2,4,8,16` overrides sweeps;
-//! `MANA2_SCALE=0.5` scales workload sizes.
+//! `MANA2_SCALE=0.5` scales workload sizes. Engine, drain, store layout,
+//! trace directory and live metrics export come from `mana_core::from_env`
+//! (read once in `main`; a value that does not parse exits 2 before any
+//! rank starts) wherever an experiment does not pin its own.
 
 use mana_bench::*;
-use mana_core::{obs, DrainMode, ManaConfig, ManaRuntime};
+use mana_core::{obs, DrainMode, EnvConfig, ManaConfig};
 use mpisim::{CoopCfg, EngineKind, MachineProfile, WorldCfg};
 use std::time::Instant;
-use workloads::{gromacs, vasp, ManaFace, MpiFace};
+use workloads::{gromacs, vasp, ManaFace};
 
 fn scale() -> f64 {
     std::env::var("MANA2_SCALE")
@@ -63,7 +61,7 @@ fn capoh_config(steps: u64) -> vasp::VaspConfig {
 
 // -------------------------------------------------------------------------
 
-fn fig2() {
+fn fig2(env: &EnvConfig) {
     println!("== Fig. 2: GROMACS run time, native vs MANA (hybrid 2PC) ==");
     println!("(paper: 32..2048 ranks on Cori; here: scaled sweep, same shape)");
     let md = md_config();
@@ -77,12 +75,12 @@ fn fig2() {
         let mut rows = Vec::new();
         let mut last_stats = None;
         for ranks in rank_sweep() {
-            let nat = gromacs_native(ranks, &md, profile.clone());
+            let nat = gromacs_native(env, ranks, &md, profile.clone());
             let mcfg = ManaConfig {
                 ckpt_dir: scratch_dir("fig2"),
-                ..ManaConfig::default()
+                ..env.mana.clone()
             };
-            let (man, _) = gromacs_mana(ranks, &md, profile.clone(), mcfg);
+            let (man, _) = gromacs_mana(env, ranks, &md, profile.clone(), mcfg);
             assert_eq!(
                 nat.result, man.result,
                 "transparency violated at {ranks} ranks"
@@ -119,7 +117,7 @@ fn fig2() {
     );
 }
 
-fn fig3() {
+fn fig3(env: &EnvConfig) {
     println!("== Fig. 3: checkpoint/restart overhead and image size ==");
     println!("(paper: GROMACS at 2048 ranks, 10 C/R rounds on the burst buffer)");
     let rounds = 10u64;
@@ -132,10 +130,9 @@ fn fig3() {
     let dir = scratch_dir("fig3");
     let mcfg = ManaConfig {
         ckpt_dir: dir.clone(),
-        ..ManaConfig::default()
+        ..env.mana.clone()
     };
-    let rt =
-        ManaRuntime::new(ranks, mcfg.clone()).with_world_cfg(world_cfg(MachineProfile::zero()));
+    let rt = runtime(env, ranks, mcfg.clone(), MachineProfile::zero());
     let mdc = md.clone();
     let report = rt
         .run_fresh(move |m| {
@@ -194,14 +191,13 @@ fn fig3() {
     let mcfg2 = ManaConfig {
         ckpt_dir: dir2.clone(),
         exit_after_ckpt: true,
-        ..ManaConfig::default()
+        ..env.mana.clone()
     };
     let mut md2 = md.clone();
     md2.steps = 4;
     md2.ckpt_at_step = Some(2);
     let c1 = md2.clone();
-    ManaRuntime::new(ranks, mcfg2.clone())
-        .with_world_cfg(world_cfg(MachineProfile::zero()))
+    runtime(env, ranks, mcfg2.clone(), MachineProfile::zero())
         .run_fresh(move |m| {
             let mut f = ManaFace::new(m);
             gromacs::run(&mut f, &c1).map_err(|e| e.into_mana())
@@ -209,8 +205,7 @@ fn fig3() {
         .expect("fig3 ckpt pass");
     let t = Instant::now();
     let c2 = md2.clone();
-    ManaRuntime::new(ranks, mcfg2)
-        .with_world_cfg(world_cfg(MachineProfile::zero()))
+    runtime(env, ranks, mcfg2, MachineProfile::zero())
         .run_restart(move |m| {
             let mut f = ManaFace::new(m);
             gromacs::run(&mut f, &c2).map_err(|e| e.into_mana())
@@ -224,7 +219,7 @@ fn fig3() {
     let _ = std::fs::remove_dir_all(&dir2);
 }
 
-fn fig4() {
+fn fig4(env: &EnvConfig) {
     println!("== Fig. 4: VASP collective calls per second per process ==");
     println!("(paper: roughly logarithmic growth with node count)");
     println!(
@@ -237,7 +232,7 @@ fn fig4() {
     let mut rows = Vec::new();
     for ranks in rank_sweep() {
         let cfg = capoh_config(steps);
-        let t = vasp_native(ranks, &cfg, MachineProfile::haswell());
+        let t = vasp_native(env, ranks, &cfg, MachineProfile::haswell());
         let colls = t.stats.total_collectives();
         let per_step = colls as f64 / ranks as f64 / steps as f64;
         let rate = colls as f64 / t.wall.as_secs_f64() / ranks as f64;
@@ -258,7 +253,7 @@ fn fig4() {
     );
 }
 
-fn table1() {
+fn table1(env: &EnvConfig) {
     println!("== Table I: VASP robustness matrix (C/R transparency) ==");
     println!(
         "{:<12} {:>9} {:>6} {:>10} {:>8} {:>12} {:>6}",
@@ -275,26 +270,24 @@ fn table1() {
         vcfg.scf_steps = 3;
         vcfg.compute_per_sweep = 0;
 
-        let native = vasp_native(ranks, &vcfg, MachineProfile::zero());
+        let native = vasp_native(env, ranks, &vcfg, MachineProfile::zero());
 
         let dir = scratch_dir(&format!("t1_{name}"));
         let mcfg = ManaConfig {
             ckpt_dir: dir.clone(),
             exit_after_ckpt: true,
-            ..ManaConfig::default()
+            ..env.mana.clone()
         };
         let mut vc1 = vcfg.clone();
         vc1.ckpt_at_step = Some(1);
-        let pass1 = ManaRuntime::new(ranks, mcfg.clone())
-            .with_world_cfg(world_cfg(MachineProfile::zero()))
+        let pass1 = runtime(env, ranks, mcfg.clone(), MachineProfile::zero())
             .run_fresh(move |m| {
                 let mut f = ManaFace::new(m);
                 vasp::run(&mut f, &vc1).map_err(|e| e.into_mana())
             })
             .expect("table1 pass1");
         let vc2 = vcfg.clone();
-        let pass2 = ManaRuntime::new(ranks, mcfg)
-            .with_world_cfg(world_cfg(MachineProfile::zero()))
+        let pass2 = runtime(env, ranks, mcfg, MachineProfile::zero())
             .run_restart(move |m| {
                 let mut f = ManaFace::new(m);
                 vasp::run(&mut f, &vc2).map_err(|e| e.into_mana())
@@ -327,7 +320,7 @@ fn table1() {
     );
 }
 
-fn table2() {
+fn table2(env: &EnvConfig) {
     println!("== Table II: CaPOH runtime, native vs MANA branches ==");
     println!("(paper, 128 ranks: Haswell 25s/41s/35s; KNL 69s/137s/101s)");
     let ranks = std::env::var("MANA2_T2_RANKS")
@@ -341,22 +334,27 @@ fn table2() {
     );
     let mut rows = Vec::new();
     for profile in [MachineProfile::haswell(), MachineProfile::knl()] {
-        let nat = vasp_native(ranks, &cfg, profile.clone());
+        let nat = vasp_native(env, ranks, &cfg, profile.clone());
         let master = vasp_mana(
+            env,
             ranks,
             &cfg,
             profile.clone(),
             ManaConfig {
                 ckpt_dir: scratch_dir("t2m"),
+                store: env.mana.store.clone(),
                 ..ManaConfig::master_branch()
             },
         );
         let feat = vasp_mana(
+            env,
             ranks,
             &cfg,
             profile.clone(),
             ManaConfig {
                 ckpt_dir: scratch_dir("t2f"),
+                drain: env.mana.drain,
+                store: env.mana.store.clone(),
                 ..ManaConfig::feature_2pc_branch()
             },
         );
@@ -394,7 +392,7 @@ fn table2() {
 /// tables, measured from real spans (not the coordinator's two coarse
 /// timers). Also dumps the JSONL + Chrome trace for `mana2-trace` /
 /// `chrome://tracing`.
-fn trace() {
+fn trace(env: &EnvConfig) {
     println!("== Checkpoint-window trace: GROMACS, 2 rounds, real spans ==");
     let ranks = 4;
     let rounds = 2u64;
@@ -403,12 +401,13 @@ fn trace() {
     let mcfg = ManaConfig {
         ckpt_dir: dir.clone(),
         trace: Some(sink.clone()),
-        ..ManaConfig::default()
+        ..env.mana.clone()
     };
     let mut md = md_config();
     md.compute_per_step = 0;
     md.steps = rounds * 3 + 2;
-    let rt = ManaRuntime::new(ranks, mcfg).with_world_cfg(world_cfg(MachineProfile::zero()));
+    let config = mcfg.record(&env.world.engine);
+    let rt = runtime(env, ranks, mcfg, MachineProfile::zero());
     let mdc = md.clone();
     rt.run_fresh(move |m| {
         let mut f = ManaFace::new(m);
@@ -432,11 +431,11 @@ fn trace() {
         seed: None,
         dropped: sink.dropped(),
         dropped_by_ring: sink.dropped_by_ring(),
+        config: config.clone(),
     };
     println!("\n{}", obs::analyze::render_summary(&meta, &sink.merged()));
-    let out = obs::default_trace_dir();
     let label = obs::unique_label("experiments_trace");
-    match obs::flight_record(&sink, &out, &label, None) {
+    match obs::flight_record(&sink, &env.outputs.trace_dir, &label, None, &config, None) {
         Ok(d) => println!(
             "dumped {} events: {}\n              {}",
             d.events,
@@ -503,12 +502,8 @@ fn explore_exp() {
             eprintln!("  repro: {}", target.repro_command(&repro_choices));
             // Flight-recorder dump of the failing schedule for the CI
             // artifact (best effort — must never mask the failure).
-            let sink = obs::TraceSink::wall(target.ranks, 16 * 1024);
-            target.run_schedule_traced(&repro_choices, &sink);
-            let label = obs::unique_label("explore_fail");
-            if let Ok(d) = obs::flight_record(&sink, &obs::default_trace_dir(), &label, Some(seed))
-            {
-                eprintln!("  trace dump: {}", d.jsonl.display());
+            if let Some(p) = target.dump_schedule_trace(&repro_choices) {
+                eprintln!("  trace dump: {}", p.display());
             }
         }
         reports.push(report.to_json(&target).trim_end().to_string());
@@ -526,282 +521,6 @@ fn explore_exp() {
     }
 }
 
-/// `experiments metrics`: the perf-trajectory benchmark behind the
-/// always-on metrics plane. Runs the standard 64-rank checkpoint-round
-/// workload (CoopEngine, coordinator drain — the `scale` shape) and emits
-/// `BENCH_round_latency.json` with:
-///
-/// * p50/p95/p99 checkpoint-round latency and restart latency, read from
-///   the run's own metrics histograms (`RunReport::metrics`);
-/// * checkpoint bytes per round;
-/// * the measured wall-clock overhead of metrics-on vs metrics-off
-///   (median of interleaved runs; budget: < 1%).
-///
-/// Regression gate: when `MANA2_BENCH_BASELINE` names a baseline JSON
-/// (CI points it at the checked-in one), a p95 round latency more than
-/// 15% above the baseline exits 1; a missing baseline file is created
-/// from this run (the "first run commits the baseline" path).
-///
-/// Env knobs: `MANA2_METRICS_RANKS` (default 64), `MANA2_METRICS_ROUNDS`
-/// (default 5), `MANA2_METRICS_REPS` (overhead on/off pairs, default 5).
-fn metrics_exp() {
-    use mana_core::RunReport;
-    use workloads::gromacs::GromacsResult;
-
-    let ranks = std::env::var("MANA2_METRICS_RANKS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64usize);
-    let rounds = std::env::var("MANA2_METRICS_ROUNDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5u64);
-    let reps = std::env::var("MANA2_METRICS_REPS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5usize);
-    println!("== Metrics: checkpoint-round latency plane, {ranks} ranks ==");
-
-    let md = gromacs::GromacsConfig {
-        atoms_per_rank: 32,
-        steps: 4,
-        compute_per_step: 0,
-        energy_interval: 2,
-        halo: 8,
-        ckpt_at_step: Some(2),
-        ckpt_round: 0,
-    };
-    let wc = || WorldCfg {
-        engine: EngineKind::Coop(CoopCfg {
-            workers: 0,
-            sched_seed: 0x0B5E_55ED,
-        }),
-        ..world_cfg(MachineProfile::zero())
-    };
-    let mcfg_of = |dir: std::path::PathBuf, exit_after: bool| ManaConfig {
-        drain: DrainMode::Coordinator,
-        exit_after_ckpt: exit_after,
-        ckpt_dir: dir,
-        ..ManaConfig::default()
-    };
-
-    // Leg A — round latency: `rounds` committed checkpoint rounds in one
-    // resume-mode run; the latency histogram collects one sample each.
-    let dir = scratch_dir("metrics_rounds");
-    let mdc = md.clone();
-    let report = ManaRuntime::new(ranks, mcfg_of(dir.clone(), false))
-        .with_world_cfg(wc())
-        .run_fresh(move |m| {
-            let mut f = ManaFace::new(m);
-            let mut cfg = mdc.clone();
-            for r in 0..rounds {
-                cfg.steps = (r + 1) * 3;
-                cfg.ckpt_at_step = Some(r * 3 + 1);
-                cfg.ckpt_round = r;
-                gromacs::run(&mut f, &cfg).map_err(|e| e.into_mana())?;
-            }
-            cfg.steps = rounds * 3 + 2;
-            cfg.ckpt_at_step = None;
-            gromacs::run(&mut f, &cfg).map_err(|e| e.into_mana())
-        })
-        .expect("metrics round leg");
-    let _ = std::fs::remove_dir_all(&dir);
-    let snap = report.metrics.as_ref().expect("run carries metrics");
-    let round_hist = snap
-        .hist("mana2_round_latency_ns")
-        .expect("round latency histogram")
-        .clone();
-    assert_eq!(
-        round_hist.count, rounds,
-        "every committed round must land one latency sample"
-    );
-    let bytes = snap.value("mana2_store_bytes_written_total").unwrap_or(0);
-    let bytes_per_round = bytes / rounds.max(1);
-    let q = |h: &obs::metrics::HistSnapshot, p: f64| h.quantile(p).unwrap_or(0);
-    println!(
-        "round latency over {rounds} round(s): p50 {:.2}ms  p95 {:.2}ms  p99 {:.2}ms  ({bytes_per_round} B/round)",
-        q(&round_hist, 0.50) as f64 / 1e6,
-        q(&round_hist, 0.95) as f64 / 1e6,
-        q(&round_hist, 0.99) as f64 / 1e6,
-    );
-
-    // Leg B — restart latency: checkpoint-and-exit, then a restart leg
-    // whose registry observes the full restart duration.
-    let dir2 = scratch_dir("metrics_restart");
-    let run_leg = |restart: bool| -> RunReport<GromacsResult> {
-        let mdc = md.clone();
-        let rt = ManaRuntime::new(ranks, mcfg_of(dir2.clone(), true)).with_world_cfg(wc());
-        let f = move |m: &mut mana_core::Mana<'_>| {
-            let mut f = ManaFace::new(m);
-            gromacs::run(&mut f, &mdc).map_err(|e| e.into_mana())
-        };
-        if restart {
-            rt.run_restart(f).expect("metrics restart leg")
-        } else {
-            rt.run_fresh(f).expect("metrics checkpoint leg")
-        }
-    };
-    let pass1 = run_leg(false);
-    assert!(pass1.all_checkpointed());
-    let pass2 = run_leg(true);
-    assert!(pass2.all_finished());
-    let restart_hist = pass2
-        .metrics
-        .as_ref()
-        .unwrap()
-        .hist("mana2_restart_full_ns")
-        .expect("restart latency histogram")
-        .clone();
-    assert_eq!(restart_hist.count, 1);
-    println!(
-        "restart latency: p50 {:.2}ms  p95 {:.2}ms  p99 {:.2}ms",
-        q(&restart_hist, 0.50) as f64 / 1e6,
-        q(&restart_hist, 0.95) as f64 / 1e6,
-        q(&restart_hist, 0.99) as f64 / 1e6,
-    );
-    let _ = std::fs::remove_dir_all(&dir2);
-
-    // Overhead — metrics-on vs metrics-off on the same single
-    // checkpoint-round leg, interleaved to cancel drift, medians compared.
-    let time_leg = |off: bool| -> f64 {
-        if off {
-            std::env::set_var("MANA2_METRICS_OFF", "1");
-        } else {
-            std::env::remove_var("MANA2_METRICS_OFF");
-        }
-        let dir = scratch_dir("metrics_ovh");
-        let mdc = md.clone();
-        // Time the same multi-round resume-mode workload as leg A: world
-        // setup/teardown (milliseconds of thread churn) amortizes over
-        // `rounds` checkpoint rounds instead of swamping the measurement.
-        let t = Instant::now();
-        let r = ManaRuntime::new(ranks, mcfg_of(dir.clone(), false))
-            .with_world_cfg(wc())
-            .run_fresh(move |m| {
-                let mut f = ManaFace::new(m);
-                let mut cfg = mdc.clone();
-                for r in 0..rounds {
-                    cfg.steps = (r + 1) * 3;
-                    cfg.ckpt_at_step = Some(r * 3 + 1);
-                    cfg.ckpt_round = r;
-                    gromacs::run(&mut f, &cfg).map_err(|e| e.into_mana())?;
-                }
-                cfg.steps = rounds * 3 + 2;
-                cfg.ckpt_at_step = None;
-                gromacs::run(&mut f, &cfg).map_err(|e| e.into_mana())
-            })
-            .expect("overhead leg");
-        let wall = t.elapsed().as_secs_f64();
-        assert!(r.all_finished());
-        let _ = std::fs::remove_dir_all(&dir);
-        wall
-    };
-    // The comparison is instrumentation cost alone: suspend any armed
-    // live exporter (MANA2_METRICS_DIR) for both sides, else the on-side
-    // alone pays the export thread's disk writes.
-    let series_dir = std::env::var("MANA2_METRICS_DIR").ok();
-    std::env::remove_var("MANA2_METRICS_DIR");
-    let (mut on, mut off, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    time_leg(false); // warmup, discarded
-    for _ in 0..reps {
-        let a = time_leg(false);
-        let b = time_leg(true);
-        on.push(a);
-        off.push(b);
-        ratios.push(a / b);
-    }
-    std::env::remove_var("MANA2_METRICS_OFF");
-    if let Some(d) = series_dir {
-        std::env::set_var("MANA2_METRICS_DIR", d);
-    }
-    // The machine's noise floor drifts (thermal/occupancy), so absolute
-    // times from different moments don't compare. Adjacent on/off pairs
-    // see the same drift; the median of their ratios is the estimator
-    // that survives it.
-    ratios.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = ratios[ratios.len() / 2];
-    let overhead_pct = (median - 1.0) * 100.0;
-    // Median absolute deviation, scaled to a sigma estimate: on a busy
-    // box the per-pair jitter routinely exceeds the 1% budget itself, so
-    // the verdict must compare against the noise, not just the point
-    // estimate. Overhead is over budget only if it clears 1% by more
-    // than the noise.
-    let mut devs: Vec<f64> = ratios.iter().map(|r| (r - median).abs()).collect();
-    devs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let noise_pct = 1.4826 * devs[devs.len() / 2] * 100.0;
-    let best = |v: &[f64]| -> f64 { v.iter().copied().fold(f64::INFINITY, f64::min) };
-    let (on_s, off_s) = (best(&on), best(&off));
-    println!(
-        "metrics overhead: on {on_s:.4}s vs off {off_s:.4}s = {overhead_pct:+.2}% ± {noise_pct:.2}% (budget < 1%)"
-    );
-    if overhead_pct - noise_pct >= 1.0 {
-        eprintln!("WARNING: metrics-plane overhead {overhead_pct:.2}% exceeds the 1% budget");
-    } else if overhead_pct >= 1.0 {
-        println!(
-            "overhead point estimate above 1% but within measurement noise — treating as pass"
-        );
-    }
-
-    let json = format!(
-        "{{\"experiment\":\"metrics\",\"ranks\":{ranks},\"rounds\":{rounds},\
-         \"round_latency_ns\":{{\"p50\":{},\"p95\":{},\"p99\":{}}},\
-         \"restart_latency_ns\":{{\"p50\":{},\"p95\":{},\"p99\":{}}},\
-         \"bytes_per_round\":{bytes_per_round},\
-         \"metrics_on_s\":{on_s:.6},\"metrics_off_s\":{off_s:.6},\
-         \"overhead_pct\":{overhead_pct:.3},\"overhead_noise_pct\":{noise_pct:.3}}}\n",
-        q(&round_hist, 0.50),
-        q(&round_hist, 0.95),
-        q(&round_hist, 0.99),
-        q(&restart_hist, 0.50),
-        q(&restart_hist, 0.95),
-        q(&restart_hist, 0.99),
-    );
-    write_json_artifact("BENCH_round_latency", &json);
-
-    // Perf-regression gate against the checked-in baseline.
-    if let Ok(path) = std::env::var("MANA2_BENCH_BASELINE") {
-        let p95 = q(&round_hist, 0.95);
-        match std::fs::read_to_string(&path) {
-            Ok(text) => match baseline_p95(&text) {
-                Some(base) if base > 0 => {
-                    let ratio = p95 as f64 / base as f64;
-                    println!(
-                        "baseline gate: p95 {p95}ns vs baseline {base}ns = {:+.1}%",
-                        (ratio - 1.0) * 100.0
-                    );
-                    if ratio > 1.15 {
-                        eprintln!(
-                            "FAIL: p95 round latency regressed {:.1}% (> 15%) against {path}",
-                            (ratio - 1.0) * 100.0
-                        );
-                        std::process::exit(1);
-                    }
-                }
-                _ => {
-                    eprintln!("FAIL: baseline {path} is unreadable as a metrics artifact");
-                    std::process::exit(1);
-                }
-            },
-            Err(_) => {
-                // First run: commit this run as the baseline.
-                if let Some(parent) = std::path::Path::new(&path).parent() {
-                    let _ = std::fs::create_dir_all(parent);
-                }
-                match std::fs::write(&path, &json) {
-                    Ok(()) => println!("baseline gate: wrote first baseline to {path}"),
-                    Err(e) => eprintln!("baseline gate: cannot write {path}: {e}"),
-                }
-            }
-        }
-    }
-}
-
-/// Pull `round_latency_ns.p95` out of a `BENCH_round_latency.json` text.
-fn baseline_p95(text: &str) -> Option<u64> {
-    let v = obs::json::parse(text.trim()).ok()?;
-    v.get("round_latency_ns")?.get("p95")?.as_u64()
-}
-
 /// Rank counts for the scale sweep: `MANA2_SCALE_RANKS="64,256"`
 /// overrides the default 64 → 4096 sweep.
 fn scale_ranks() -> Vec<usize> {
@@ -814,7 +533,7 @@ fn scale_ranks() -> Vec<usize> {
     vec![64, 256, 1024, 4096]
 }
 
-fn scale_exp() {
+fn scale_exp(env: &EnvConfig) {
     println!("== Scale: checkpoint-round latency vs rank count (CoopEngine) ==");
     println!("(rank counts past the thread-per-rank ceiling; MANA2_SCALE_RANKS=... overrides)");
     println!(
@@ -838,7 +557,7 @@ fn scale_exp() {
             drain: DrainMode::Coordinator,
             exit_after_ckpt: true,
             ckpt_dir: scratch_dir("scale"),
-            ..ManaConfig::default()
+            ..env.mana.clone()
         };
         let dir = mcfg.ckpt_dir.clone();
         let wc = WorldCfg {
@@ -846,7 +565,7 @@ fn scale_exp() {
                 workers: 0, // auto: one per available core
                 sched_seed: 0x5CA1_E000,
             }),
-            ..world_cfg(MachineProfile::zero())
+            ..world_cfg(env, MachineProfile::zero())
         };
         let work = {
             let mdc = md.clone();
@@ -856,7 +575,8 @@ fn scale_exp() {
             }
         };
 
-        let rt = ManaRuntime::new(ranks, mcfg.clone()).with_world_cfg(wc.clone());
+        let rt =
+            runtime(env, ranks, mcfg.clone(), MachineProfile::zero()).with_world_cfg(wc.clone());
         let t = Instant::now();
         let pass1 = rt.run_fresh(work.clone()).expect("scale checkpoint leg");
         let ckpt_wall = t.elapsed();
@@ -871,7 +591,7 @@ fn scale_exp() {
             .cloned()
             .expect("one committed round");
 
-        let rt2 = ManaRuntime::new(ranks, mcfg).with_world_cfg(wc);
+        let rt2 = runtime(env, ranks, mcfg, MachineProfile::zero()).with_world_cfg(wc);
         let t = Instant::now();
         let pass2 = rt2.run_restart(work).expect("scale restart leg");
         let restart_wall = t.elapsed();
@@ -931,7 +651,7 @@ fn drain_inflight() -> Vec<usize> {
 /// topo-sort protocol replaces it with two coordinator messages per
 /// rank, so its quiesce time should pull ahead as ranks grow. Emits
 /// `BENCH_drain_quiesce.json`.
-fn drain_exp() {
+fn drain_exp(env: &EnvConfig) {
     use mpisim::{SrcSel, TagSel};
     println!("== Drain: quiesce time, alltoall vs toposort (CoopEngine) ==");
     println!("(same workload per cell; MANA2_SCALE_RANKS / MANA2_DRAIN_INFLIGHT override)");
@@ -946,7 +666,7 @@ fn drain_exp() {
                 let mcfg = ManaConfig {
                     drain,
                     ckpt_dir: scratch_dir("drain"),
-                    ..ManaConfig::default()
+                    ..env.mana.clone()
                 };
                 let dir = mcfg.ckpt_dir.clone();
                 let wc = WorldCfg {
@@ -954,7 +674,7 @@ fn drain_exp() {
                         workers: 0, // auto: one per available core
                         sched_seed: 0xD4A1_0000,
                     }),
-                    ..world_cfg(MachineProfile::zero())
+                    ..world_cfg(env, MachineProfile::zero())
                 };
                 let work = move |m: &mut mana_core::Mana<'_>| {
                     let world = m.comm_world();
@@ -975,7 +695,7 @@ fn drain_exp() {
                     }
                     Ok(me as u64)
                 };
-                let rt = ManaRuntime::new(ranks, mcfg).with_world_cfg(wc);
+                let rt = runtime(env, ranks, mcfg, MachineProfile::zero()).with_world_cfg(wc);
                 let pass = rt.run_fresh(work).expect("drain round");
                 assert!(
                     pass.all_finished(),
@@ -1030,246 +750,34 @@ fn drain_exp() {
     );
 }
 
-/// Rank count for the dedup store bench. `MANA2_DEDUP_RANKS=64` overrides
-/// (the acceptance run is 256).
-fn dedup_ranks() -> usize {
-    std::env::var("MANA2_DEDUP_RANKS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(256)
-}
-
-/// Per-rank deterministic "static" payload: a slab of state the workload
-/// carries but never mutates, the part of a real MD image (topology,
-/// force-field tables, neighbor lists) that a content-addressed store
-/// should never write twice.
-fn dedup_static_blob(rank: usize, len: usize) -> Vec<u8> {
-    let mut v = vec![0u8; len];
-    let mut x = (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    for b in v.iter_mut() {
-        x = x
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        *b = (x >> 56) as u8;
-    }
-    v
-}
-
-/// One mode's leg ledger for `dedup`.
-struct DedupRun {
-    /// Per-checkpoint-round physical bytes written to the store.
-    physical: Vec<u64>,
-    /// Per-round logical image bytes (layout-independent).
-    logical: Vec<u64>,
-    /// Wall time of each restart leg (validate + load + rebuild + run).
-    restart_walls: Vec<f64>,
-    /// Final-leg per-rank results, for cross-mode parity.
-    values: Vec<gromacs::GromacsResult>,
-}
-
-/// Run the slowly-mutating GROMACS checkpoint chain under one store
-/// layout: leg 0 checkpoints fresh and exits, each following leg restarts
-/// from the newest generation and checkpoints the next round, and a final
-/// leg restarts and runs to completion. Every leg gets a fresh metrics
-/// registry, so each leg's store counters are exactly that round's bytes.
-fn dedup_run_mode(mode: splitproc::StoreMode, rounds: u64, static_len: usize) -> DedupRun {
-    let ranks = dedup_ranks();
-    let dir = scratch_dir(&format!("dedup_{}", mode.name()));
-    let store = splitproc::StoreConfig {
-        mode,
-        // Finer chunking than the restart-path default: the mutating MD
-        // region is small, and ~4 KiB chunks keep the invalidated
-        // neighborhood proportional to it rather than to the chunk size.
-        chunk: splitproc::chunk::ChunkParams {
-            min_size: 1024,
-            avg_size: 4096,
-            max_size: 16384,
-        },
-        ..splitproc::StoreConfig::default()
-    };
-    let wc = WorldCfg {
-        engine: EngineKind::Coop(CoopCfg {
-            workers: 0,
-            sched_seed: 0xDED0_0DED,
-        }),
-        ..world_cfg(MachineProfile::zero())
-    };
-    let md_steps = 3 * rounds + 2;
-    let leg_cfg = |leg: u64| gromacs::GromacsConfig {
-        atoms_per_rank: 32,
-        steps: md_steps,
-        compute_per_step: 0,
-        energy_interval: 3,
-        halo: 8,
-        ckpt_at_step: (leg < rounds).then_some(3 * leg + 2),
-        ckpt_round: leg,
-    };
-    let mut out = DedupRun {
-        physical: Vec::new(),
-        logical: Vec::new(),
-        restart_walls: Vec::new(),
-        values: Vec::new(),
-    };
-    for leg in 0..=rounds {
-        let mcfg = ManaConfig {
-            ckpt_dir: dir.clone(),
-            store: store.clone(),
-            exit_after_ckpt: leg < rounds,
-            ..ManaConfig::default()
-        };
-        let gcfg = leg_cfg(leg);
-        let work = move |m: &mut mana_core::Mana<'_>| {
-            let mut f = ManaFace::new(m);
-            // Seed the static slab once; restarts find it in the restored
-            // upper half and must not touch it — that is the dedup axis.
-            if f.load("dedup_static").is_none() {
-                let rank = f.rank();
-                f.save("dedup_static", dedup_static_blob(rank, static_len));
-            }
-            gromacs::run(&mut f, &gcfg).map_err(|e| e.into_mana())
-        };
-        let rt = ManaRuntime::new(ranks, mcfg).with_world_cfg(wc.clone());
-        let t = Instant::now();
-        let report = if leg == 0 {
-            rt.run_fresh(work)
-        } else {
-            rt.run_restart(work)
-        }
-        .unwrap_or_else(|e| panic!("dedup {} leg {leg}: {e}", mode.name()));
-        let wall = t.elapsed().as_secs_f64();
-        if leg < rounds {
-            assert!(
-                report.all_checkpointed(),
-                "dedup {} leg {leg}: expected checkpoint-and-exit",
-                mode.name()
-            );
-            let snap = report.metrics.as_ref().expect("run carries metrics");
-            out.physical
-                .push(snap.value("mana2_store_physical_bytes_total").unwrap_or(0));
-            out.logical
-                .push(snap.value("mana2_store_bytes_written_total").unwrap_or(0));
-        } else {
-            assert!(
-                report.all_finished(),
-                "dedup {} final leg must finish",
-                mode.name()
-            );
-            out.values = report.values();
-        }
-        if leg > 0 {
-            out.restart_walls.push(wall);
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    out
-}
-
-/// `experiments dedup`: head-to-head of the flat store vs the
-/// content-addressed chunked store on a slowly-mutating workload. The
-/// interesting numbers: physical bytes per round after round 0 (the
-/// chunked store should rewrite only what changed), the dedup factor,
-/// and the restart-leg wall time (reassembly + per-chunk hashing must
-/// stay within 1.5x of the flat read path). Emits
-/// `BENCH_store_dedup.json` and hard-fails if dedup underdelivers
-/// (< 5x) or restarts diverge between layouts.
-fn dedup_exp() {
-    use splitproc::StoreMode;
-    let ranks = dedup_ranks();
-    let rounds = 4u64;
-    let static_len = 128 * 1024;
-    println!("== Dedup: flat vs chunked checkpoint store (CoopEngine) ==");
-    println!(
-        "({ranks} ranks x {rounds} rounds, {} KiB static + mutating MD state per rank; \
-MANA2_DEDUP_RANKS=... overrides)",
-        static_len / 1024
-    );
-    let flat = dedup_run_mode(StoreMode::Flat, rounds, static_len);
-    let chunked = dedup_run_mode(StoreMode::Chunked, rounds, static_len);
-
-    assert_eq!(
-        flat.values, chunked.values,
-        "restart parity violated: chunked restore diverged from flat"
-    );
-
-    println!(
-        "\n{:>6} {:>16} {:>16} {:>16} {:>8}",
-        "round", "logical B", "flat phys B", "chunked phys B", "dedup"
-    );
-    let mut rows = Vec::new();
-    let mut steady_factors = Vec::new();
-    for r in 0..rounds as usize {
-        let factor = flat.physical[r] as f64 / chunked.physical[r].max(1) as f64;
-        if r > 0 {
-            steady_factors.push(factor);
-        }
-        println!(
-            "{:>6} {:>16} {:>16} {:>16} {:>7.1}x",
-            r, flat.logical[r], flat.physical[r], chunked.physical[r], factor
-        );
-        rows.push(format!(
-            "{{\"round\":{r},\"logical_bytes\":{},\"flat_physical_bytes\":{},\"chunked_physical_bytes\":{},\"dedup_factor\":{factor:.3}}}",
-            flat.logical[r], flat.physical[r], chunked.physical[r]
-        ));
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let steady = mean(&steady_factors);
-    let flat_restart = mean(&flat.restart_walls);
-    let chunked_restart = mean(&chunked.restart_walls);
-    let restart_ratio = chunked_restart / flat_restart.max(1e-9);
-    println!("\nsteady-state dedup: {steady:.1}x physical-byte reduction per round (target >= 5x)");
-    println!(
-        "restart leg: flat {flat_restart:.3}s  chunked {chunked_restart:.3}s  ratio {restart_ratio:.2}x (budget <= 1.5x)"
-    );
-    println!("restart parity: chunked results byte-identical to flat");
-    if restart_ratio > 1.5 {
-        eprintln!("WARNING: chunked restart ratio {restart_ratio:.2}x exceeds the 1.5x budget");
-    }
-    write_json_artifact(
-        "BENCH_store_dedup",
-        &format!(
-            "{{\"experiment\":\"dedup\",\"ranks\":{ranks},\"rounds\":{rounds},\
-\"static_bytes_per_rank\":{static_len},\"rows\":[{}],\
-\"steady_state_dedup_factor\":{steady:.3},\
-\"flat_restart_s\":{flat_restart:.6},\"chunked_restart_s\":{chunked_restart:.6},\
-\"restart_ratio\":{restart_ratio:.3},\"restart_parity\":true}}\n",
-            rows.join(",")
-        ),
-    );
-    assert!(
-        steady >= 5.0,
-        "dedup underdelivered: {steady:.2}x physical-byte reduction per steady-state round, need >= 5x"
-    );
-}
-
 fn main() {
     let what = std::env::args().nth(1).unwrap_or_else(|| "all".into());
+    let env = env_or_exit();
     let t = Instant::now();
     match what.as_str() {
-        "fig2" => fig2(),
-        "fig3" => fig3(),
-        "fig4" => fig4(),
-        "table1" => table1(),
-        "table2" => table2(),
-        "trace" | "--trace" => trace(),
-        "scale" => scale_exp(),
-        "drain" => drain_exp(),
+        "fig2" => fig2(&env),
+        "fig3" => fig3(&env),
+        "fig4" => fig4(&env),
+        "table1" => table1(&env),
+        "table2" => table2(&env),
+        "trace" | "--trace" => trace(&env),
+        "scale" => scale_exp(&env),
+        "drain" => drain_exp(&env),
         "explore" => explore_exp(),
-        "metrics" => metrics_exp(),
-        "dedup" => dedup_exp(),
         "all" => {
-            fig2();
+            fig2(&env);
             println!();
-            fig3();
+            fig3(&env);
             println!();
-            fig4();
+            fig4(&env);
             println!();
-            table1();
+            table1(&env);
             println!();
-            table2();
+            table2(&env);
         }
         other => {
             eprintln!(
-                "unknown experiment '{other}'; use fig2|fig3|fig4|table1|table2|trace|scale|drain|explore|metrics|dedup|all"
+                "unknown experiment '{other}'; use fig2|fig3|fig4|table1|table2|trace|scale|drain|explore|all"
             );
             std::process::exit(2);
         }

@@ -13,7 +13,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mana_core::{ManaConfig, ManaRuntime};
+use mana_core::{EnvConfig, ManaConfig, ManaRuntime};
 use mpisim::{MachineProfile, StatsSnapshot, World, WorldCfg};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -30,14 +30,37 @@ pub struct Timed<T> {
     pub stats: StatsSnapshot,
 }
 
-/// World configuration for a profile (generous watchdog so a wedged bench
-/// fails loudly instead of hanging CI).
-pub fn world_cfg(profile: MachineProfile) -> WorldCfg {
+/// The `MANA2_*` environment of a bench or experiment binary, read once
+/// at its edge and passed down by reference. A variable that does not
+/// parse ends the process (status 2) before anything runs.
+pub fn env_or_exit() -> EnvConfig {
+    mana_core::from_env().unwrap_or_else(|e| {
+        eprintln!("mana2: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// World configuration for a profile under `env`'s engine (generous
+/// watchdog so a wedged bench fails loudly instead of hanging CI).
+pub fn world_cfg(env: &EnvConfig, profile: MachineProfile) -> WorldCfg {
     WorldCfg {
         profile,
         watchdog: Some(Duration::from_secs(600)),
-        ..WorldCfg::default()
+        ..env.world.clone()
     }
+}
+
+/// A MANA runtime for `mana_cfg` on `profile`, under `env`'s engine and
+/// outputs (trace directory, live metrics export).
+pub fn runtime(
+    env: &EnvConfig,
+    ranks: usize,
+    mana_cfg: ManaConfig,
+    profile: MachineProfile,
+) -> ManaRuntime {
+    ManaRuntime::new(ranks, mana_cfg)
+        .with_world_cfg(world_cfg(env, profile))
+        .with_outputs(env.outputs.clone())
 }
 
 /// Scratch checkpoint directory.
@@ -62,11 +85,12 @@ pub fn rank_sweep() -> Vec<usize> {
 
 /// Run the MD workload natively.
 pub fn gromacs_native(
+    env: &EnvConfig,
     ranks: usize,
     cfg: &gromacs::GromacsConfig,
     profile: MachineProfile,
 ) -> Timed<gromacs::GromacsResult> {
-    let w = World::new(ranks, world_cfg(profile));
+    let w = World::new(ranks, world_cfg(env, profile));
     let cfg = cfg.clone();
     let t = Instant::now();
     let out = w
@@ -84,12 +108,13 @@ pub fn gromacs_native(
 
 /// Run the MD workload under MANA.
 pub fn gromacs_mana(
+    env: &EnvConfig,
     ranks: usize,
     cfg: &gromacs::GromacsConfig,
     profile: MachineProfile,
     mana_cfg: ManaConfig,
 ) -> (Timed<gromacs::GromacsResult>, mana_core::CoordReport) {
-    let rt = ManaRuntime::new(ranks, mana_cfg).with_world_cfg(world_cfg(profile));
+    let rt = runtime(env, ranks, mana_cfg, profile);
     let cfg = cfg.clone();
     let t = Instant::now();
     let report = rt
@@ -123,11 +148,12 @@ fn clone_coord(c: &mana_core::CoordReport) -> mana_core::CoordReport {
 
 /// Run the SCF workload natively.
 pub fn vasp_native(
+    env: &EnvConfig,
     ranks: usize,
     cfg: &vasp::VaspConfig,
     profile: MachineProfile,
 ) -> Timed<vasp::VaspResult> {
-    let w = World::new(ranks, world_cfg(profile));
+    let w = World::new(ranks, world_cfg(env, profile));
     let cfg = cfg.clone();
     let t = Instant::now();
     let out = w
@@ -145,12 +171,13 @@ pub fn vasp_native(
 
 /// Run the SCF workload under MANA.
 pub fn vasp_mana(
+    env: &EnvConfig,
     ranks: usize,
     cfg: &vasp::VaspConfig,
     profile: MachineProfile,
     mana_cfg: ManaConfig,
 ) -> Timed<vasp::VaspResult> {
-    let rt = ManaRuntime::new(ranks, mana_cfg).with_world_cfg(world_cfg(profile));
+    let rt = runtime(env, ranks, mana_cfg, profile);
     let cfg = cfg.clone();
     let t = Instant::now();
     let report = rt

@@ -20,7 +20,6 @@ use chaos::explore::{
     ExploreTarget,
 };
 use chaos::Workload;
-use mana_core::obs;
 use mana_core::DrainMode;
 use std::time::Duration;
 
@@ -102,6 +101,12 @@ where
 
 fn main() {
     let a = parse_args();
+    // The target takes its store layout and trace directory from the
+    // environment; a value that does not parse ends the run here.
+    if let Err(e) = mana_core::from_env() {
+        eprintln!("mana2-explore: {e}");
+        std::process::exit(2);
+    }
     let target = ExploreTarget::new(a.seed, a.ranks, a.workers, a.workload, a.drain)
         .unwrap_or_else(|e| {
             eprintln!("mana2-explore: {e}");
@@ -183,23 +188,11 @@ fn main() {
         };
         eprintln!("  repro: {}", target.repro_command(&repro_choices));
         // Flight-recorder dump of the failing schedule for the CI artifact.
-        if let Some(p) = dump_failure_trace(&target, &repro_choices) {
+        if let Some(p) = target.dump_schedule_trace(&repro_choices) {
             eprintln!("  trace dump: {}", p.display());
         }
     }
     if !report.failures.is_empty() {
         std::process::exit(1);
     }
-}
-
-/// Re-run the failing schedule with an externally-owned sink and dump the
-/// flight recorder (JSONL + Chrome trace) for artifact upload.
-fn dump_failure_trace(target: &ExploreTarget, choices: &[u32]) -> Option<std::path::PathBuf> {
-    let sink = obs::TraceSink::wall(target.ranks, 16 * 1024);
-    target.run_schedule_traced(choices, &sink);
-    let dir = obs::default_trace_dir();
-    let label = obs::unique_label("explore_fail");
-    obs::flight_record(&sink, &dir, &label, Some(target.seed))
-        .ok()
-        .map(|d| d.jsonl)
 }

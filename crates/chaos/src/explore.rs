@@ -367,12 +367,31 @@ impl ExploreTarget {
             ckpt_dir: dir.clone(),
             deadlock_timeout: Some(Duration::from_secs(20)),
             trace: Some(sink.clone()),
-            ..ManaConfig::default()
+            ..crate::env().mana
         };
-        let rt = ManaRuntime::new(self.ranks, mcfg).with_world_cfg(wc);
+        let rt = crate::runtime(self.ranks, mcfg, wc);
         let result = self.launch(&rt);
         let _ = std::fs::remove_dir_all(&dir);
         self.judge(choices, result, sink, &script)
+    }
+
+    /// Re-run a (failing) schedule with a fresh sink and dump its flight
+    /// recorder — JSONL + Chrome trace under the environment's trace
+    /// directory — returning the JSONL path. Best effort: a failed dump
+    /// must never mask the failure being reported.
+    pub fn dump_schedule_trace(&self, choices: &[u32]) -> Option<std::path::PathBuf> {
+        let sink = obs::TraceSink::wall(self.ranks, 16 * 1024);
+        self.run_schedule_traced(choices, &sink);
+        let engine = EngineKind::Coop(CoopCfg {
+            workers: self.workers,
+            sched_seed: self.seed,
+        });
+        let config = crate::case_record(self.drain, None, Some(engine));
+        let label = obs::unique_label("explore_fail");
+        let dir = crate::env().outputs.trace_dir;
+        obs::flight_record(&sink, &dir, &label, Some(self.seed), &config, None)
+            .ok()
+            .map(|d| d.jsonl)
     }
 
     /// The same workload under the kernel-scheduled thread engine — the
@@ -391,9 +410,9 @@ impl ExploreTarget {
             ckpt_dir: dir.clone(),
             deadlock_timeout: Some(Duration::from_secs(20)),
             trace: Some(sink.clone()),
-            ..ManaConfig::default()
+            ..crate::env().mana
         };
-        let rt = ManaRuntime::new(self.ranks, mcfg).with_world_cfg(wc);
+        let rt = crate::runtime(self.ranks, mcfg, wc);
         let result = self.launch(&rt);
         let _ = std::fs::remove_dir_all(&dir);
         // The thread engine never consults the schedule policy, so judge

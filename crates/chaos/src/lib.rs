@@ -24,7 +24,9 @@
 #![warn(missing_docs)]
 
 use mana_core::obs;
-use mana_core::{DrainMode, Mana, ManaConfig, ManaRuntime, ManaStats, RunReport, RuntimeError};
+use mana_core::{
+    DrainMode, EnvConfig, Mana, ManaConfig, ManaRuntime, ManaStats, RunReport, RuntimeError,
+};
 use mpisim::{
     EngineKind, FaultPlan, FaultSpec, StorageFaultKind, StorageFaultSpec, World, WorldCfg,
 };
@@ -156,11 +158,43 @@ pub fn repro_command(seed: u64) -> String {
     format!("CHAOS_SEED={seed} cargo test -p chaos --test chaos_suite seed_replay -- --nocapture")
 }
 
+/// The `MANA2_*` environment, read where the harness meets it: engine,
+/// drain and store layout for everything a case does not pin, and the
+/// directory flight dumps land in. A value that does not parse fails the
+/// case instead of running it under some other configuration.
+pub(crate) fn env() -> EnvConfig {
+    mana_core::from_env().unwrap_or_else(|e| panic!("chaos: {e}"))
+}
+
 fn wcfg() -> WorldCfg {
     WorldCfg {
         watchdog: Some(Duration::from_secs(90)),
-        ..WorldCfg::default()
+        ..env().world
     }
+}
+
+/// A runtime under `wc` with the environment's outputs (trace directory,
+/// live metrics export).
+pub(crate) fn runtime(ranks: usize, mcfg: ManaConfig, wc: WorldCfg) -> ManaRuntime {
+    ManaRuntime::new(ranks, mcfg)
+        .with_world_cfg(wc)
+        .with_outputs(env().outputs)
+}
+
+/// What a case ran under, for its flight dump's header: the environment's
+/// configuration with what the case pins.
+pub(crate) fn case_record(
+    drain: DrainMode,
+    store: Option<splitproc::StoreMode>,
+    engine: Option<EngineKind>,
+) -> obs::ConfigRecord {
+    let env = env();
+    let mut mcfg = env.mana;
+    mcfg.drain = drain;
+    if let Some(mode) = store {
+        mcfg.store.mode = mode;
+    }
+    mcfg.record(&engine.unwrap_or(env.world.engine))
 }
 
 fn gromacs_cfg() -> gromacs::GromacsConfig {
@@ -259,17 +293,18 @@ pub fn run_case_with_plan(
     plan: Arc<FaultPlan>,
 ) -> Result<CaseReport, CaseFailure> {
     let sink = obs::TraceSink::wall(case.ranks, 4096);
+    let config = case_record(case.drain, None, None);
     match run_case_traced(case, plan, &sink) {
         Ok(rep) => {
             if std::env::var("MANA2_TRACE").is_ok() {
-                if let Some(p) = dump_case_trace(&sink, case.seed, "chaos_pass") {
+                if let Some(p) = dump_case_trace(&sink, case.seed, "chaos_pass", &config) {
                     eprintln!("mana2: chaos trace dump: {}", p.display());
                 }
             }
             Ok(rep)
         }
         Err(mut f) => {
-            f.trace_dump = dump_case_trace(&sink, case.seed, "chaos_fail");
+            f.trace_dump = dump_case_trace(&sink, case.seed, "chaos_fail", &config);
             Err(f)
         }
     }
@@ -277,10 +312,15 @@ pub fn run_case_with_plan(
 
 /// Dump the case's flight recorder, returning the JSONL path (best
 /// effort — a failed dump must never mask the case result).
-fn dump_case_trace(sink: &obs::TraceSink, seed: u64, label: &str) -> Option<PathBuf> {
-    let dir = obs::default_trace_dir();
+fn dump_case_trace(
+    sink: &obs::TraceSink,
+    seed: u64,
+    label: &str,
+    config: &obs::ConfigRecord,
+) -> Option<PathBuf> {
+    let dir = env().outputs.trace_dir;
     let lbl = obs::unique_label(label);
-    obs::flight_record(sink, &dir, &lbl, Some(seed))
+    obs::flight_record(sink, &dir, &lbl, Some(seed), config, None)
         .ok()
         .map(|d| d.jsonl)
 }
@@ -392,7 +432,7 @@ impl EngineCaseOutcome {
 }
 
 /// [`run_case_traced`] with the execution engine pinned explicitly
-/// (`None` keeps the config/`MANA2_ENGINE` default). The native
+/// (`None` keeps the environment's, `MANA2_ENGINE` or thread). The native
 /// reference, the faulted leg, and the restart leg all run under the
 /// pinned engine, and each MANA leg's per-rank stats come back for
 /// cross-engine comparison.
@@ -424,9 +464,9 @@ pub fn run_case_engine(
         fault: Some(plan),
         deadlock_timeout: Some(Duration::from_secs(30)),
         trace: Some(sink.clone()),
-        ..ManaConfig::default()
+        ..env().mana
     };
-    let rt = ManaRuntime::new(case.ranks, mcfg.clone()).with_world_cfg(wc.clone());
+    let rt = runtime(case.ranks, mcfg.clone(), wc.clone());
     let pass1 = run_workload(&rt, false, case).map_err(|e| fail("faulted run", e))?;
     let rounds = pass1.coord.rounds.len();
     let ckpt_stats = pass1.rank_stats.clone();
@@ -435,7 +475,7 @@ pub fn run_case_engine(
         // Exit-after-checkpoint: rebuild every rank from its image and run
         // to completion — still under the same fault plan (the trigger
         // will not re-fire; delays and stalls stay armed).
-        let rt2 = ManaRuntime::new(case.ranks, mcfg).with_world_cfg(wc);
+        let rt2 = runtime(case.ranks, mcfg, wc);
         let pass2 = run_workload(&rt2, true, case).map_err(|e| fail("restart run", e))?;
         if !pass2.all_finished() {
             let _ = std::fs::remove_dir_all(&dir);
@@ -651,7 +691,7 @@ fn storage_run(
     gcfg: gromacs::GromacsConfig,
     restart: bool,
 ) -> Result<RunReport<gromacs::GromacsResult>, String> {
-    let rt = ManaRuntime::new(ranks, mcfg.clone()).with_world_cfg(wcfg());
+    let rt = runtime(ranks, mcfg.clone(), wcfg());
     let f = move |m: &mut Mana<'_>| -> mana_core::Result<gromacs::GromacsResult> {
         let mut face = ManaFace::new(m);
         gromacs::run(&mut face, &gcfg).map_err(|e| e.into_mana())
@@ -736,21 +776,22 @@ pub fn run_storage_case(case: &StorageCase) -> Result<StorageReport, CaseFailure
             },
             ..Default::default()
         },
-        ..ManaConfig::default()
+        ..env().mana
     };
     let result = storage_case_inner(case, &expected, &dir, &base, fail);
     let _ = std::fs::remove_dir_all(&dir);
+    let config = case_record(case.drain, Some(case.store), None);
     match result {
         Ok(rep) => {
             if std::env::var("MANA2_TRACE").is_ok() {
-                if let Some(p) = dump_case_trace(&sink, case.seed, "chaos_storage_pass") {
+                if let Some(p) = dump_case_trace(&sink, case.seed, "chaos_storage_pass", &config) {
                     eprintln!("mana2: storage chaos trace dump: {}", p.display());
                 }
             }
             Ok(rep)
         }
         Err(mut f) => {
-            f.trace_dump = dump_case_trace(&sink, case.seed, "chaos_storage_fail");
+            f.trace_dump = dump_case_trace(&sink, case.seed, "chaos_storage_fail", &config);
             Err(f)
         }
     }
@@ -1086,7 +1127,7 @@ fn rk_run(
     gcfg: gromacs::GromacsConfig,
     restart: bool,
 ) -> Result<RunReport<gromacs::GromacsResult>, RuntimeError> {
-    let rt = ManaRuntime::new(case.ranks, mcfg.clone()).with_world_cfg(rk_wcfg(case.engine));
+    let rt = runtime(case.ranks, mcfg.clone(), rk_wcfg(case.engine));
     let f = move |m: &mut Mana<'_>| -> mana_core::Result<gromacs::GromacsResult> {
         let mut face = ManaFace::new(m);
         gromacs::run(&mut face, &gcfg).map_err(|e| e.into_mana())
@@ -1132,7 +1173,7 @@ fn rk_prepare(case: &RestartKillCase, base: &ManaConfig) -> Result<(), String> {
         };
         // A *full* restart here regardless of case.partial: the damaged
         // round-1 generation must exist before the killed restarts start.
-        let rt = ManaRuntime::new(case.ranks, mcfg).with_world_cfg(rk_wcfg(case.engine));
+        let rt = runtime(case.ranks, mcfg, rk_wcfg(case.engine));
         let gcfg = storage_gromacs_cfg(Some(5), 1);
         let leg2 = rt
             .run_restart(move |m: &mut Mana<'_>| {
@@ -1225,7 +1266,8 @@ pub fn run_restart_kill_case(case: &RestartKillCase) -> Result<RestartKillReport
         let _ = std::fs::remove_dir_all(&vdir);
     }
     result.map_err(|mut f| {
-        f.trace_dump = dump_case_trace(&sink, case.seed, "chaos_rkill_fail");
+        let config = case_record(case.drain, None, Some(case.engine));
+        f.trace_dump = dump_case_trace(&sink, case.seed, "chaos_rkill_fail", &config);
         f
     })
 }
@@ -1245,7 +1287,7 @@ fn rk_case_inner(
         ckpt_dir: dir.to_path_buf(),
         deadlock_timeout: Some(Duration::from_secs(30)),
         trace: Some(sink.clone()),
-        ..ManaConfig::default()
+        ..env().mana
     };
     rk_prepare(case, &base_of(bdir)).map_err(|e| fail("baseline prepare", e))?;
     rk_prepare(case, &base_of(vdir)).map_err(|e| fail("victim prepare", e))?;

@@ -160,8 +160,9 @@ fn explorer_visits_100_interleavings_in_10s() {
 #[test]
 fn injected_oracle_found_and_minimized() {
     // The "bug": the first two scheduling decisions grant ranks (3, 2) in
-    // that order. Reachable only by steering both decisions, so the
-    // search must chain a second deviation off the first.
+    // that order. The seeded schedule grants rank 0 first, so the search
+    // has to steer the first decision (the seeded pick among the three
+    // ranks left then happens to grant rank 2).
     let oracle: Oracle = Arc::new(|run: &ScheduleRun| {
         let first_two: Vec<usize> = run
             .decisions
@@ -187,25 +188,23 @@ fn injected_oracle_found_and_minimized() {
         baseline.error
     );
 
-    // An idle machine finds this in well under a second, but the suite can
-    // run heavily oversubscribed (the whole workspace testing in parallel
-    // on a small box), starving a wall-clock budget of schedules. Retry
-    // with the budget doubled until the search either finds the bug or has
-    // run enough schedules that coming up empty is meaningful.
-    let mut budget = Duration::from_secs(60);
-    let report = loop {
-        let cfg = ExploreCfg {
-            budget,
-            sterile_pruning: false, // don't let the heuristic starve a tiny search
-            ..ExploreCfg::default()
-        };
-        let report = explore(&target, &cfg);
-        eprintln!("{}", report.summary());
-        if !report.failures.is_empty() || report.schedules_run >= 300 {
-            break report;
-        }
-        budget *= 2;
+    // The search is bounded to the two decisions the oracle looks at. The
+    // explorer draws uniformly from a frontier that gains ~36 prefixes per
+    // expanded run (one per untried choice at each of up to 24 decisions),
+    // and how many decisions a run takes varies from run to run (the
+    // coordinator thread and park timeouts are kernel-scheduled), so the
+    // walk is not a function of its seed: left unbounded, the one-choice
+    // prefix `03` that trips the oracle was simply never drawn in about
+    // half of all 60 s runs, on an idle machine as much as a loaded one.
+    // Bounded, the whole space is a dozen schedules and is exhausted.
+    let cfg = ExploreCfg {
+        budget: Duration::from_secs(60),
+        max_depth: 2,
+        sterile_pruning: false, // don't let the heuristic starve a tiny search
+        ..ExploreCfg::default()
     };
+    let report = explore(&target, &cfg);
+    eprintln!("{}", report.summary());
     assert_eq!(
         report.failures.len(),
         1,

@@ -4,10 +4,10 @@
 //! and the clean rerun's `RunReport` snapshot must agree with its own
 //! `ManaStats`. Exercised on both execution engines.
 
-use mana_core::{obs, Mana, ManaConfig, ManaRuntime, RuntimeError};
+use mana_core::{obs, Mana, ManaConfig, RuntimeError};
 use mpisim::{CoopCfg, EngineKind, FaultPlan, FaultSpec, ReduceOp, WorldCfg};
 use obs::metrics as met;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,9 +34,9 @@ fn step_workload(m: &mut Mana<'_>, total_steps: u64) -> mana_core::Result<u64> {
 }
 
 /// Find this process's `mana2_restart_kill_*` metrics sidecars.
-fn kill_dump_sidecars() -> Vec<PathBuf> {
+fn kill_dump_sidecars(trace_dir: &Path) -> Vec<PathBuf> {
     let prefix = format!("mana2_restart_kill_{}_", std::process::id());
-    let Ok(rd) = std::fs::read_dir(obs::default_trace_dir()) else {
+    let Ok(rd) = std::fs::read_dir(trace_dir) else {
         return Vec::new();
     };
     rd.filter_map(|e| e.ok().map(|e| e.path()))
@@ -50,6 +50,12 @@ fn kill_dump_sidecars() -> Vec<PathBuf> {
 
 fn run_engine(engine: EngineKind, tag: &str) {
     let n = 2;
+    let mut env = mana_core::from_env().expect("MANA2_* environment");
+    // A dump directory of this run's own, passed by value: the two engine
+    // tests share a process and must not pick up each other's sidecars.
+    env.outputs.trace_dir =
+        std::env::temp_dir().join(format!("mana2_mflight_traces_{tag}_{}", std::process::id()));
+    let trace_dir = &env.outputs.trace_dir;
     let sink = obs::TraceSink::wall(n, 4096);
     let dir = std::env::temp_dir().join(format!("mana2_mflight_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -58,17 +64,18 @@ fn run_engine(engine: EngineKind, tag: &str) {
         exit_after_ckpt: true,
         trace: Some(sink.clone()),
         deadlock_timeout: Some(Duration::from_secs(30)),
-        ..ManaConfig::default()
+        ..env.mana.clone()
     };
     let wc = WorldCfg {
         engine,
         watchdog: Some(Duration::from_secs(60)),
-        ..WorldCfg::default()
+        ..env.world.clone()
     };
 
     // Leg 1: checkpoint-and-exit. The report snapshot must agree with the
     // coordinator's round report.
-    let pass1 = ManaRuntime::new(n, cfg.clone())
+    let pass1 = env
+        .runtime(n, cfg.clone())
         .with_world_cfg(wc.clone())
         .run_fresh(|m| step_workload(m, 6))
         .unwrap();
@@ -87,7 +94,7 @@ fn run_engine(engine: EngineKind, tag: &str) {
     // Leg 2: restart killed mid rank-restore (boundary 6 of the
     // 2*(n+4)=12 journal-step boundaries). The failure must dump a
     // flight recording with a metrics sidecar recording the kill.
-    let before = kill_dump_sidecars();
+    let before = kill_dump_sidecars(trace_dir);
     let kcfg = ManaConfig {
         fault: Some(Arc::new(FaultPlan::new(
             0xC0FFEE,
@@ -98,7 +105,8 @@ fn run_engine(engine: EngineKind, tag: &str) {
         ))),
         ..cfg.clone()
     };
-    let err = ManaRuntime::new(n, kcfg)
+    let err = env
+        .runtime(n, kcfg)
         .with_world_cfg(wc.clone())
         .run_restart(|m| step_workload(m, 6))
         .unwrap_err();
@@ -106,13 +114,15 @@ fn run_engine(engine: EngineKind, tag: &str) {
         matches!(err, RuntimeError::RestartKilled { step: 6 }),
         "{err:?}"
     );
-    let sidecar = kill_dump_sidecars()
+    let sidecar = kill_dump_sidecars(trace_dir)
         .into_iter()
         .find(|p| !before.contains(p))
         .expect("RestartKill failure should dump a metrics sidecar");
     let text = std::fs::read_to_string(&sidecar).unwrap();
     met::check_series(&text).expect("kill-dump metrics sidecar is schema-valid");
-    let (_, snaps) = met::parse_series(&text).unwrap();
+    let (smeta, snaps) = met::parse_series(&text).unwrap();
+    // The sidecar carries the same resolved configuration as the dump.
+    assert_eq!(smeta.config, cfg.record(&engine));
     let ksnap = snaps.last().expect("sidecar holds the final snapshot");
     assert_eq!(ksnap.value("mana2_restart_kills_total"), Some(1));
     assert_eq!(
@@ -123,11 +133,12 @@ fn run_engine(engine: EngineKind, tag: &str) {
     assert!(ksnap.value("mana2_faults_fired_total").unwrap() >= 1);
     // Intent + GenValidated were durably appended before the kill.
     assert!(ksnap.value("mana2_journal_appends_total").unwrap() >= 2);
-    let _ = std::fs::remove_file(&sidecar);
+    let _ = std::fs::remove_dir_all(trace_dir);
 
     // Leg 3: clean rerun resumes the journal epoch and completes; its
     // snapshot's restart_* counters must agree with ManaStats/RunReport.
-    let pass3 = ManaRuntime::new(n, cfg)
+    let pass3 = env
+        .runtime(n, cfg)
         .with_world_cfg(wc)
         .run_restart(|m| step_workload(m, 6))
         .unwrap();

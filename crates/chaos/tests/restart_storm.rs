@@ -16,11 +16,16 @@
 //! nightly `restart-storm` job can run fresh seeds at higher volume.
 
 use chaos::{check_restart_kill_case, env_base_seed, env_sweep_count, RestartKillCase};
-use mana_core::{DrainMode, Mana, ManaConfig, ManaRuntime, RuntimeError};
+use mana_core::{DrainMode, Mana, ManaConfig, RuntimeError};
 use mpisim::{CoopCfg, EngineKind, StorageFaultKind};
 use splitproc::{journal, store};
 use std::time::Duration;
 use workloads::{gromacs, ManaFace};
+
+/// The `MANA2_*` environment: the CI matrix steers what a test does not pin.
+fn env() -> mana_core::EnvConfig {
+    mana_core::from_env().expect("MANA2_* environment")
+}
 
 fn engines(seed: u64) -> [EngineKind; 2] {
     [
@@ -182,7 +187,7 @@ fn survivor_manifest_damage_blocks_full_but_not_partial_restart() {
     let base = ManaConfig {
         ckpt_dir: dir.clone(),
         deadlock_timeout: Some(Duration::from_secs(30)),
-        ..ManaConfig::default()
+        ..env().mana
     };
     let gcfg = |ckpt_at: Option<u64>| gromacs::GromacsConfig {
         atoms_per_rank: 96,
@@ -194,7 +199,7 @@ fn survivor_manifest_damage_blocks_full_but_not_partial_restart() {
         ckpt_round: 0,
     };
     let run = |cfg: &ManaConfig, ckpt_at: Option<u64>, mode: Option<&[usize]>| {
-        let rt = ManaRuntime::new(ranks, cfg.clone());
+        let rt = env().runtime(ranks, cfg.clone());
         let g = gcfg(ckpt_at);
         let f = move |m: &mut Mana<'_>| -> mana_core::Result<gromacs::GromacsResult> {
             let mut face = ManaFace::new(m);
@@ -208,7 +213,7 @@ fn survivor_manifest_damage_blocks_full_but_not_partial_restart() {
     // Commit generation 0, then rot the survivor's manifest entry (the
     // image itself stays intact, so a lenient read still succeeds).
     {
-        let rt = ManaRuntime::new(
+        let rt = env().runtime(
             ranks,
             ManaConfig {
                 exit_after_ckpt: true,

@@ -51,19 +51,6 @@ impl DrainMode {
         }
     }
 
-    /// Read the drain override from `MANA2_DRAIN`. Unset yields `None`;
-    /// a set-but-unrecognized value warns once on stderr and also yields
-    /// `None`, so the built-in default still applies (mirrors
-    /// `MANA2_ENGINE` handling).
-    pub fn from_env() -> Option<DrainMode> {
-        let v = std::env::var("MANA2_DRAIN").ok()?;
-        let parsed = DrainMode::parse(&v);
-        if parsed.is_none() {
-            eprintln!("mana2: unrecognized MANA2_DRAIN={v:?}; using alltoall drain");
-        }
-        parsed
-    }
-
     /// Short stable name, used in metrics and artifacts.
     pub fn name(self) -> &'static str {
         match self {
@@ -112,10 +99,9 @@ pub struct ManaConfig {
     /// generations are garbage-collected after each committed round.
     pub retain_generations: usize,
     /// Checkpoint-store policy: retry/backoff plus the on-disk layout
-    /// (`MANA2_STORE=flat|chunked` steers the default; flat when unset).
-    /// Chunked mode splits payloads into a content-addressed `chunks/`
-    /// pool so only bytes that changed since earlier generations are
-    /// physically written.
+    /// (flat by default). Chunked mode splits payloads into a
+    /// content-addressed `chunks/` pool so only bytes that changed since
+    /// earlier generations are physically written.
     pub store: splitproc::StoreConfig,
     /// Ceiling on a single park in MANA's test loops. Wakeups are
     /// event-driven — message deposits and coordinator traffic unpark the
@@ -149,10 +135,13 @@ pub struct ManaConfig {
 }
 
 impl Default for ManaConfig {
+    /// The MANA-2.0 configuration: hybrid 2PC, alltoall drain, flat store.
+    /// A pure value — the environment is read only by
+    /// [`crate::env::from_env`], which starts from this.
     fn default() -> Self {
         ManaConfig {
             tpc: TpcMode::Hybrid,
-            drain: DrainMode::from_env().unwrap_or(DrainMode::Alltoall),
+            drain: DrainMode::Alltoall,
             vtable: VtBackend::FxHash,
             fs_mode: FsMode::Workaround,
             comm_restore: CommRestore::ActiveList,
@@ -160,7 +149,7 @@ impl Default for ManaConfig {
             exit_after_ckpt: false,
             ckpt_dir: std::env::temp_dir().join("mana2_ckpt"),
             retain_generations: 2,
-            store: splitproc::StoreConfig::from_env(),
+            store: splitproc::StoreConfig::default(),
             poll_interval: Duration::from_millis(5),
             deadlock_timeout: None,
             fault: None,
@@ -173,9 +162,9 @@ impl Default for ManaConfig {
 impl ManaConfig {
     /// The configuration matching the paper's "master branch" (used in the
     /// C/R experiments): original 2PC, lambda wrappers, tree-map tables.
-    /// The drain is pinned to alltoall — original 2PC gates collectives on
-    /// that strategy's pre-collective barrier, so a `MANA2_DRAIN` override
-    /// would silently change the semantics this preset exists to model.
+    /// The drain stays alltoall — original 2PC gates collectives on that
+    /// strategy's pre-collective barrier, which this preset exists to
+    /// model.
     pub fn master_branch() -> Self {
         ManaConfig {
             tpc: TpcMode::Original,
@@ -198,6 +187,29 @@ impl ManaConfig {
             ..ManaConfig::default()
         }
     }
+
+    /// The resolved ablation switches of a run under `engine`, for the
+    /// header of every flight dump and metrics series. Values are the
+    /// lower-cased variant names.
+    pub fn record(&self, engine: &mpisim::EngineKind) -> obs::ConfigRecord {
+        let engine = match engine {
+            mpisim::EngineKind::Thread => "thread".to_string(),
+            mpisim::EngineKind::Coop(c) if c.workers == 0 => format!("coop:auto:{}", c.sched_seed),
+            mpisim::EngineKind::Coop(c) => format!("coop:{}:{}", c.workers, c.sched_seed),
+        };
+        let lower = |v: &dyn std::fmt::Debug| format!("{v:?}").to_ascii_lowercase();
+        obs::ConfigRecord::new([
+            ("engine", engine),
+            ("tpc", lower(&self.tpc)),
+            ("drain", self.drain.name().to_string()),
+            ("store", self.store.mode.name().to_string()),
+            ("vtable", lower(&self.vtable)),
+            ("fs_mode", lower(&self.fs_mode)),
+            ("comm_restore", lower(&self.comm_restore)),
+            ("callback_style", lower(&self.callback_style)),
+            ("retain_generations", self.retain_generations.to_string()),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -208,11 +220,30 @@ mod tests {
     fn default_is_the_modern_config() {
         let c = ManaConfig::default();
         assert_eq!(c.tpc, TpcMode::Hybrid);
-        // The drain default honors a MANA2_DRAIN override (the CI matrix
-        // builds on it), falling back to the paper's alltoall protocol.
-        let want = DrainMode::from_env().unwrap_or(DrainMode::Alltoall);
-        assert_eq!(c.drain, want);
+        assert_eq!(c.drain, DrainMode::Alltoall);
+        assert_eq!(c.vtable, VtBackend::FxHash);
+        assert_eq!(c.fs_mode, FsMode::Workaround);
         assert_eq!(c.comm_restore, CommRestore::ActiveList);
+        assert_eq!(c.callback_style, CallbackStyle::Prepared);
+        assert_eq!(c.store, splitproc::StoreConfig::default());
+        assert_eq!(c.store.mode, splitproc::StoreMode::Flat);
+        assert_eq!(c.retain_generations, 2);
+        assert!(!c.exit_after_ckpt);
+    }
+
+    #[test]
+    fn record_names_every_ablation_switch() {
+        let engine = mpisim::EngineKind::Coop(mpisim::CoopCfg {
+            workers: 2,
+            sched_seed: 42,
+        });
+        let rec = ManaConfig::master_branch().record(&engine);
+        assert_eq!(
+            rec.to_string(),
+            "engine=coop:2:42 tpc=original drain=alltoall store=flat vtable=btree \
+             fs_mode=kernelcall comm_restore=activelist callback_style=lambda \
+             retain_generations=2"
+        );
     }
 
     #[test]

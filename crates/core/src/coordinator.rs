@@ -565,9 +565,6 @@ fn coordinator_loop(
                 }
                 // ---- one checkpoint round ----
                 let round = round_ctr.load(Ordering::Acquire);
-                if std::env::var("MANA2_DEBUG").is_ok() {
-                    eprintln!("mana2: coordinator starting round {round}");
-                }
                 let t0 = Instant::now();
                 let mut msgs = 0u64;
                 intent.store(true, Ordering::Release);
@@ -795,9 +792,6 @@ fn coordinator_loop(
                     round_ctr.store(round + 1, Ordering::Release);
                     for port in &ports {
                         port.send(CoordMsg::AbortRound { round });
-                    }
-                    if std::env::var("MANA2_DEBUG").is_ok() {
-                        eprintln!("mana2: coordinator aborted round {round}: {failures:?}");
                     }
                     if let Some(r) = &rec {
                         r.end(round as i64, obs::Phase::AbortRound);

@@ -55,6 +55,7 @@ pub mod comm_mgr;
 pub mod config;
 pub mod coordinator;
 pub mod drain_strategy;
+pub mod env;
 pub mod error;
 pub mod fortran;
 pub mod fxhash;
@@ -84,6 +85,7 @@ pub use coordinator::{
 pub use drain_strategy::{
     strategy_for, AlltoallDrain, CoordinatorDrain, DrainStrategy, TopoSortDrain,
 };
+pub use env::{from_env, ConfigError, EnvConfig};
 pub use error::{ManaError, Result};
 pub use fortran::{FortranConstants, NamedConstant};
 pub use ids::{VComm, VReq, VCOMM_NULL, VCOMM_WORLD, VREQ_NULL};
@@ -93,6 +95,6 @@ pub use mana_ckpt::ManaMeta;
 pub use mana_win::{VWin, WinManager, WinMeta, WinRecord};
 pub use p2p_log::{DrainBuffer, DrainedMsg, P2pLog};
 pub use requests::{Binding, RequestManager, StoredCompletion, VReqEntry, VReqKind};
-pub use runtime::{AppOutcome, ManaRuntime, RestartMode, RunReport, RuntimeError};
+pub use runtime::{AppOutcome, ManaRuntime, Outputs, RestartMode, RunReport, RuntimeError};
 pub use trace_adapter::FabricTraceAdapter;
 pub use vtable::{VirtualTable, VtBackend};

@@ -70,13 +70,6 @@ impl Decode for ManaMeta {
     }
 }
 
-/// `MANA2_DEBUG=1` enables checkpoint-protocol tracing to stderr.
-fn debug_enabled() -> bool {
-    use std::sync::OnceLock;
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("MANA2_DEBUG").is_ok())
-}
-
 impl<'p> Mana<'p> {
     /// The universal safe point. `at_step` marks an application step
     /// boundary ([`Mana::step_commit`]); in `exit_after_ckpt` mode only
@@ -114,12 +107,6 @@ impl<'p> Mana<'p> {
         }
         if self.cfg.exit_after_ckpt && !at_step {
             return Ok(());
-        }
-        if debug_enabled() {
-            eprintln!(
-                "mana2: rank {} entering checkpoint (at_step={at_step})",
-                self.rank()
-            );
         }
         self.enter_checkpoint()
     }
@@ -246,12 +233,6 @@ impl<'p> Mana<'p> {
                     store::WriteFault::BitFlip { offset: f.offset }
                 }
             });
-        if debug_enabled() {
-            eprintln!(
-                "mana2: rank {} writing image for round {round} (fault={write_fault:?})",
-                self.rank()
-            );
-        }
         if write_fault.is_some() {
             self.m_add(met::FAULTS_FIRED, 1);
         }

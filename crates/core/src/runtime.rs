@@ -19,9 +19,10 @@ use splitproc::journal::{Journal, JournalStep};
 use splitproc::store;
 use splitproc::CkptImage;
 use std::fmt;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How one rank's application run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -275,33 +276,68 @@ impl RestartGuard {
     }
 }
 
+/// Where a run's diagnostics land.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Outputs {
+    /// Directory for flight-recorder dumps (written on any
+    /// [`RuntimeError`] when [`ManaConfig::trace`] is armed).
+    pub trace_dir: PathBuf,
+    /// Live metrics export: when set, a background thread appends one
+    /// registry snapshot per [`Outputs::metrics_interval`] to a JSONL
+    /// series (plus a Prometheus text file) in this directory. `None`
+    /// (the default) streams nothing; the registry itself is always on.
+    pub metrics_dir: Option<PathBuf>,
+    /// Time between exported snapshots.
+    pub metrics_interval: Duration,
+}
+
+impl Default for Outputs {
+    /// Dumps under `<tmp>/mana2_traces`, no live export (200 ms if armed).
+    fn default() -> Self {
+        Outputs {
+            trace_dir: std::env::temp_dir().join("mana2_traces"),
+            metrics_dir: None,
+            metrics_interval: Duration::from_millis(200),
+        }
+    }
+}
+
 /// Launch configuration for MANA-wrapped worlds.
 pub struct ManaRuntime {
     n: usize,
     cfg: ManaConfig,
     world_cfg: WorldCfg,
+    outputs: Outputs,
 }
 
 impl ManaRuntime {
-    /// Runtime for `n` ranks with default world settings.
+    /// Runtime for `n` ranks with default world settings and outputs.
     pub fn new(n: usize, cfg: ManaConfig) -> Self {
         ManaRuntime {
             n,
             cfg,
             world_cfg: WorldCfg::default(),
+            outputs: Outputs::default(),
         }
     }
 
-    /// Override the world (machine profile / watchdog) configuration.
+    /// Override the world (machine profile / watchdog / engine)
+    /// configuration.
     pub fn with_world_cfg(mut self, wc: WorldCfg) -> Self {
         self.world_cfg = wc;
         self
     }
 
-    /// Select the execution engine for the world (overrides the
-    /// `MANA2_ENGINE` default picked up by [`WorldCfg::default`]).
+    /// Select the execution engine for the world.
     pub fn with_engine(mut self, engine: mpisim::EngineKind) -> Self {
         self.world_cfg.engine = engine;
+        self
+    }
+
+    /// Override where flight dumps land and whether metrics are exported
+    /// live.
+    pub fn with_outputs(mut self, outputs: Outputs) -> Self {
+        self.outputs = outputs;
         self
     }
 
@@ -408,11 +444,6 @@ impl ManaRuntime {
             .metrics
             .clone()
             .unwrap_or_else(|| met::MetricsRegistry::standard(self.n));
-        // Escape hatch for overhead measurement only (`experiments
-        // metrics` compares on/off): the registry still exists so reports
-        // keep their shape, but no meter is handed out and no sampler or
-        // exporter runs — the hot paths record nothing.
-        let metrics_off = std::env::var("MANA2_METRICS_OFF").is_ok_and(|v| v != "0");
         // Restart: replay the journal and pick the generation *before*
         // spawning anything. Failing here is cheap; failing inside the
         // launched world is a mess.
@@ -483,15 +514,13 @@ impl ManaRuntime {
             // Engine unparkers: the coordinator wakes ranks out of engine
             // parks on every control message and on intent raise.
             Some(world.unparkers()),
-            (!metrics_off).then(|| reg.clone()),
+            Some(reg.clone()),
         );
         // Process-level sampler: pulls engine counters (mpisim stays
         // metrics-agnostic) and the trace rings' drop count into the
         // registry. Runs on every exporter tick and once at run end, so
         // the final snapshot is current even without an exporter.
-        let sample: Arc<dyn Fn(&met::MetricsRegistry) + Send + Sync> = if metrics_off {
-            Arc::new(|_: &met::MetricsRegistry| {})
-        } else {
+        let sample: Arc<dyn Fn(&met::MetricsRegistry) + Send + Sync> = {
             let engine = world.engine_metrics();
             let sink = self.cfg.trace.clone();
             // ENGINE_UNPARKS must stay a monotone counter in the registry,
@@ -515,44 +544,33 @@ impl ManaRuntime {
                 }
             })
         };
-        // Live export is opt-in via MANA2_METRICS_DIR; the registry itself
-        // is always on.
-        let exporter = match std::env::var("MANA2_METRICS_DIR") {
-            Ok(dir) if !dir.is_empty() && !metrics_off => {
-                let interval = std::env::var("MANA2_METRICS_INTERVAL_MS")
-                    .ok()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .unwrap_or(200)
-                    .max(1);
-                let meta = met::SeriesMeta {
-                    label: obs::unique_label(if restart.is_some() {
-                        "mana2_restart"
-                    } else {
-                        "mana2_run"
-                    }),
-                    ranks: self.n,
-                    seed: self.cfg.fault.as_ref().map(|f| f.seed()),
-                };
-                let collect: Vec<met::Collector> = vec![Box::new({
-                    let s = sample.clone();
-                    move |r: &met::MetricsRegistry| s(r)
-                })];
-                match met::MetricsExporter::spawn(
-                    reg.clone(),
-                    std::path::Path::new(&dir),
-                    meta,
-                    std::time::Duration::from_millis(interval),
-                    collect,
-                ) {
-                    Ok(ex) => Some(ex),
-                    Err(e) => {
-                        eprintln!("mana2: metrics exporter failed to start: {e}");
-                        None
-                    }
-                }
-            }
-            _ => None,
-        };
+        // Live export is opt-in (`Outputs::metrics_dir`); the registry
+        // itself is always on.
+        let exporter = self.outputs.metrics_dir.as_ref().and_then(|dir| {
+            let meta = met::SeriesMeta {
+                label: obs::unique_label(if restart.is_some() {
+                    "mana2_restart"
+                } else {
+                    "mana2_run"
+                }),
+                ranks: self.n,
+                seed: self.cfg.fault.as_ref().map(|f| f.seed()),
+                config: self.cfg.record(&self.world_cfg.engine),
+            };
+            let collect: Vec<met::Collector> = vec![Box::new({
+                let s = sample.clone();
+                move |r: &met::MetricsRegistry| s(r)
+            })];
+            met::MetricsExporter::spawn(
+                reg.clone(),
+                dir,
+                meta,
+                self.outputs.metrics_interval,
+                collect,
+            )
+            .map_err(|e| eprintln!("mana2: metrics exporter failed to start: {e}"))
+            .ok()
+        });
         let driver_join = driver.map(|d| {
             let t = trigger.clone();
             std::thread::spawn(move || d(t))
@@ -607,7 +625,7 @@ impl ManaRuntime {
         // registry, so Mana::fresh/restore hand every rank a meter.
         let eff_cfg = {
             let mut c = self.cfg.clone();
-            c.metrics = (!metrics_off).then(|| reg.clone());
+            c.metrics = Some(reg.clone());
             c
         };
         let cfg = &eff_cfg;
@@ -959,10 +977,17 @@ impl ManaRuntime {
         let Some(sink) = &self.cfg.trace else {
             return;
         };
-        let dir = obs::default_trace_dir();
         let label = obs::unique_label(&format!("mana2_{what}"));
         let seed = self.cfg.fault.as_ref().map(|f| f.seed());
-        match obs::flight_record_ext(sink, &dir, &label, seed, metrics) {
+        let config = self.cfg.record(&self.world_cfg.engine);
+        match obs::flight_record(
+            sink,
+            &self.outputs.trace_dir,
+            &label,
+            seed,
+            &config,
+            metrics,
+        ) {
             Ok(d) => eprintln!(
                 "mana2: flight recorder dumped {} events (seed {:?}): {} / {}",
                 d.events,

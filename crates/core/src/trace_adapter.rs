@@ -90,7 +90,7 @@ mod tests {
         let sink = TraceSink::deterministic(2, 64);
         let cfg = mpisim::WorldCfg {
             trace: Some(FabricTraceAdapter::hook(Arc::clone(&sink))),
-            ..mpisim::WorldCfg::default()
+            ..crate::from_env().expect("MANA2_* environment").world
         };
         let (_, _) = mpisim::run(2, cfg, |p| {
             let world = p.comm_world();

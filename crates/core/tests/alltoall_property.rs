@@ -9,6 +9,9 @@
 //! per-message accounting in the §III-B row exchange — and the state
 //! machines finish from their serialized position after the resume.
 
+mod common;
+
+use common::env;
 use mana_core::{ManaConfig, ManaRuntime};
 use mpisim::WorldCfg;
 use proptest::prelude::*;
@@ -26,7 +29,7 @@ fn ckpt_dir(name: &str) -> PathBuf {
 fn wcfg() -> WorldCfg {
     WorldCfg {
         watchdog: Some(Duration::from_secs(60)),
-        ..WorldCfg::default()
+        ..env().world
     }
 }
 
@@ -42,7 +45,7 @@ fn run(chunks: &[Vec<Vec<u8>>], interrupt: bool, name: &str) -> (Vec<TwoRounds>,
         N,
         ManaConfig {
             ckpt_dir: dir.clone(),
-            ..ManaConfig::default()
+            ..env().mana
         },
     )
     .with_world_cfg(wcfg());

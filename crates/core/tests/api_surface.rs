@@ -1,6 +1,9 @@
 //! Coverage of the wider MANA API surface: waitany/testall over virtual
 //! requests, Fortran-shim entry points, iprobe, and table hygiene.
 
+mod common;
+
+use common::env;
 use mana_core::{FortranConstants, ManaConfig, ManaRuntime, NamedConstant};
 use mpisim::{ReduceOp, SrcSel, TagSel, WorldCfg};
 use std::time::Duration;
@@ -10,12 +13,12 @@ fn rt(name: &str, n: usize) -> ManaRuntime {
         n,
         ManaConfig {
             ckpt_dir: std::env::temp_dir().join(format!("mana2_api_{name}_{}", std::process::id())),
-            ..ManaConfig::default()
+            ..env().mana
         },
     )
     .with_world_cfg(WorldCfg {
         watchdog: Some(Duration::from_secs(30)),
-        ..WorldCfg::default()
+        ..env().world
     })
 }
 

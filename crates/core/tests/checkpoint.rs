@@ -1,5 +1,8 @@
 //! End-to-end checkpoint/restart integration tests for the MANA-2.0 layer.
 
+mod common;
+
+use common::env;
 use mana_core::{
     CallbackStyle, CommRestore, DrainMode, ManaConfig, ManaRuntime, RuntimeError, TpcMode, VReq,
     VtBackend,
@@ -18,14 +21,14 @@ fn ckpt_dir(name: &str) -> PathBuf {
 fn cfg(name: &str) -> ManaConfig {
     ManaConfig {
         ckpt_dir: ckpt_dir(name),
-        ..ManaConfig::default()
+        ..env().mana
     }
 }
 
 fn wcfg() -> WorldCfg {
     WorldCfg {
         watchdog: Some(Duration::from_secs(60)),
-        ..WorldCfg::default()
+        ..env().world
     }
 }
 
@@ -195,7 +198,7 @@ fn checkpoint_exit_and_restart_continues() {
     // Reference: uninterrupted run.
     let ref_cfg = ManaConfig {
         ckpt_dir: ckpt_dir("exit_restart_ref"),
-        ..ManaConfig::default()
+        ..env().mana
     };
     let reference = ManaRuntime::new(n, ref_cfg)
         .with_world_cfg(wcfg())
@@ -349,7 +352,7 @@ fn original_tpc_deadlocks_hybrid_does_not() {
 
     let deadline = WorldCfg {
         watchdog: Some(Duration::from_millis(700)),
-        ..WorldCfg::default()
+        ..env().world
     };
 
     // Hybrid: completes.
@@ -651,6 +654,7 @@ fn master_branch_config_smoke() {
     // the paper's "master branch". Collective-only workload (no §III-E
     // pattern), so original 2PC is safe.
     let mut config = ManaConfig::master_branch();
+    config.store = env().mana.store;
     config.ckpt_dir = ckpt_dir("master_smoke");
     assert_eq!(config.vtable, VtBackend::BTree);
     assert_eq!(config.callback_style, CallbackStyle::Lambda);
@@ -792,7 +796,7 @@ fn round1_write_failure_aborts_and_restart_uses_round0() {
         n,
         ManaConfig {
             ckpt_dir: dir.clone(),
-            ..ManaConfig::default()
+            ..env().mana
         },
     )
     .with_world_cfg(wcfg())
@@ -877,7 +881,7 @@ fn restart_falls_back_past_corrupt_newest_generation() {
         n,
         ManaConfig {
             ckpt_dir: dir.clone(),
-            ..ManaConfig::default()
+            ..env().mana
         },
     )
     .with_world_cfg(wcfg())

@@ -2,7 +2,10 @@
 //! "the tools interface also represents an opportunity to provide a
 //! deadlock detector").
 
-use mana_core::{DrainMode, ManaConfig, ManaRuntime, RuntimeError, TpcMode};
+mod common;
+
+use common::env;
+use mana_core::{DrainMode, ManaConfig, RuntimeError, TpcMode};
 use mpisim::{ReduceOp, SrcSel, TagSel};
 use std::time::Duration;
 
@@ -11,7 +14,7 @@ fn cfg(name: &str, tpc: TpcMode) -> ManaConfig {
         tpc,
         deadlock_timeout: Some(Duration::from_millis(400)),
         ckpt_dir: std::env::temp_dir().join(format!("mana2_dd_{name}_{}", std::process::id())),
-        ..ManaConfig::default()
+        ..env().mana
     }
 }
 
@@ -24,7 +27,7 @@ fn detector_names_blocked_ranks_in_iii_e_deadlock() {
     // (e.g. via a MANA2_DRAIN override) removes by design.
     let mut config = cfg("iiie", TpcMode::Original);
     config.drain = DrainMode::Alltoall;
-    let res = ManaRuntime::new(2, config).run_fresh(|m| {
+    let res = env().runtime(2, config).run_fresh(|m| {
         let w = m.comm_world();
         if m.rank() == 0 {
             let mut d = vec![1u64];
@@ -56,7 +59,8 @@ fn detector_names_blocked_ranks_in_iii_e_deadlock() {
 fn detector_quiet_on_healthy_run() {
     // The same detector must not fire on a healthy collective-heavy run
     // (no false positives from ordinary parking).
-    let report = ManaRuntime::new(3, cfg("healthy", TpcMode::Hybrid))
+    let report = env()
+        .runtime(3, cfg("healthy", TpcMode::Hybrid))
         .run_fresh(|m| {
             let w = m.comm_world();
             let mut acc = 0u64;
@@ -74,7 +78,8 @@ fn detector_quiet_during_checkpoints() {
     // Checkpoint quiesce parks every rank briefly — the detector must not
     // misread that as a deadlock (coordinator-parked ranks show as
     // running, breaking the all-blocked condition).
-    let report = ManaRuntime::new(3, cfg("ckpt", TpcMode::Hybrid))
+    let report = env()
+        .runtime(3, cfg("ckpt", TpcMode::Hybrid))
         .run_fresh(|m| {
             let w = m.comm_world();
             for i in 0..6u64 {

@@ -1,6 +1,9 @@
 //! One-sided (`MPI_Win_*`) checkpoint/restart integration tests — the
 //! paper's roadmap item (§II-B) implemented and verified.
 
+mod common;
+
+use common::env;
 use mana_core::{ManaConfig, ManaRuntime, VWin};
 use mpisim::{Datatype, ReduceOp, WorldCfg};
 use std::path::PathBuf;
@@ -15,7 +18,7 @@ fn ckpt_dir(name: &str) -> PathBuf {
 fn wcfg() -> WorldCfg {
     WorldCfg {
         watchdog: Some(Duration::from_secs(60)),
-        ..WorldCfg::default()
+        ..env().world
     }
 }
 
@@ -26,7 +29,7 @@ fn rma_ring_under_mana() {
         n,
         ManaConfig {
             ckpt_dir: ckpt_dir("ring"),
-            ..ManaConfig::default()
+            ..env().mana
         },
     )
     .with_world_cfg(wcfg());
@@ -57,7 +60,7 @@ fn window_contents_survive_resume_checkpoint() {
         n,
         ManaConfig {
             ckpt_dir: dir.clone(),
-            ..ManaConfig::default()
+            ..env().mana
         },
     )
     .with_world_cfg(wcfg());
@@ -102,7 +105,7 @@ fn window_contents_survive_restart() {
     let cfg = ManaConfig {
         ckpt_dir: dir.clone(),
         exit_after_ckpt: true,
-        ..ManaConfig::default()
+        ..env().mana
     };
     let work = |m: &mut mana_core::Mana<'_>| -> mana_core::Result<Vec<u8>> {
         let w = m.comm_world();
@@ -158,7 +161,7 @@ fn rma_out_of_bounds_is_reported() {
         1,
         ManaConfig {
             ckpt_dir: ckpt_dir("oob"),
-            ..ManaConfig::default()
+            ..env().mana
         },
     )
     .with_world_cfg(wcfg());

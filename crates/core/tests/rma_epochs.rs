@@ -1,6 +1,9 @@
 //! Regression: accumulate epochs across checkpoint-kill-restart (mirrors
 //! the onesided_rma example).
 
+mod common;
+
+use common::env;
 use mana_core::{ManaConfig, ManaRuntime, VWin};
 use mpisim::{Datatype, ReduceOp, WorldCfg};
 use std::time::Duration;
@@ -13,11 +16,11 @@ fn accumulate_epochs_across_restart() {
     let cfg = ManaConfig {
         ckpt_dir: dir.clone(),
         exit_after_ckpt: true,
-        ..ManaConfig::default()
+        ..env().mana
     };
     let wcfg = WorldCfg {
         watchdog: Some(Duration::from_secs(10)),
-        ..WorldCfg::default()
+        ..env().world
     };
     let app = |m: &mut mana_core::Mana<'_>| -> mana_core::Result<u64> {
         let w = m.comm_world();

@@ -4,6 +4,9 @@
 //! acceptance round is `#[ignore]`d for routine runs (`--ignored` to
 //! execute; the `experiments scale` bench sweeps the same shape).
 
+mod common;
+
+use common::env;
 use mana_core::{DrainMode, ManaConfig, ManaRuntime};
 use mpisim::{CoopCfg, EngineKind, SrcSel, TagSel, WorldCfg};
 use std::path::PathBuf;
@@ -22,7 +25,7 @@ fn scale_cfg(name: &str) -> ManaConfig {
         drain: DrainMode::Coordinator,
         exit_after_ckpt: true,
         ckpt_dir: ckpt_dir(name),
-        ..ManaConfig::default()
+        ..env().mana
     }
 }
 
@@ -33,7 +36,7 @@ fn coop_wcfg() -> WorldCfg {
             sched_seed: 0x5CA1_E000,
         }),
         watchdog: Some(Duration::from_secs(300)),
-        ..WorldCfg::default()
+        ..env().world
     }
 }
 

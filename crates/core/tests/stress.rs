@@ -1,6 +1,9 @@
 //! Stress and invariant tests: randomized traffic across a checkpoint
 //! (drain conservation), and the §III-A request-table growth regression.
 
+mod common;
+
+use common::env;
 use mana_core::{ManaConfig, ManaRuntime};
 use mpisim::{ReduceOp, SrcSel, TagSel, WorldCfg};
 use rand::rngs::StdRng;
@@ -13,12 +16,12 @@ fn rt(name: &str, n: usize) -> ManaRuntime {
         ManaConfig {
             ckpt_dir: std::env::temp_dir()
                 .join(format!("mana2_stress_{name}_{}", std::process::id())),
-            ..ManaConfig::default()
+            ..env().mana
         },
     )
     .with_world_cfg(WorldCfg {
         watchdog: Some(Duration::from_secs(60)),
-        ..WorldCfg::default()
+        ..env().world
     })
 }
 

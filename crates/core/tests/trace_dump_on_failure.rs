@@ -2,12 +2,13 @@
 //! `RuntimeError` must leave a JSONL + Chrome-trace dump behind, and the
 //! dump must be well-formed and contain the recorded events.
 
-use mana_core::{obs, DrainMode, ManaConfig, ManaRuntime, RuntimeError, TpcMode};
+use mana_core::{obs, DrainMode, ManaConfig, Outputs, RuntimeError, TpcMode};
 use mpisim::{SrcSel, TagSel};
 use std::time::Duration;
 
 #[test]
 fn runtime_failure_dumps_flight_recorder() {
+    let env = mana_core::from_env().expect("MANA2_* environment");
     let sink = obs::TraceSink::wall(2, 4096);
     // Drain pinned to alltoall: the guaranteed deadlock below is the
     // alltoall strategy's pre-collective barrier, which the toposort
@@ -18,10 +19,17 @@ fn runtime_failure_dumps_flight_recorder() {
         deadlock_timeout: Some(Duration::from_millis(400)),
         trace: Some(sink.clone()),
         ckpt_dir: std::env::temp_dir().join(format!("mana2_tdf_{}", std::process::id())),
-        ..ManaConfig::default()
+        ..env.mana.clone()
+    };
+    let want_config = cfg.record(&env.world.engine);
+    // The dump directory reaches the runtime by value.
+    let dir = std::env::temp_dir().join(format!("mana2_tdf_traces_{}", std::process::id()));
+    let outputs = Outputs {
+        trace_dir: dir.clone(),
+        ..env.outputs.clone()
     };
     // The §III-E deadlock pattern — guaranteed RuntimeError::Deadlock.
-    let res = ManaRuntime::new(2, cfg).run_fresh(|m| {
+    let res = env.runtime(2, cfg).with_outputs(outputs).run_fresh(|m| {
         let w = m.comm_world();
         if m.rank() == 0 {
             let mut d = vec![1u64];
@@ -39,7 +47,6 @@ fn runtime_failure_dumps_flight_recorder() {
     // The dump label is `mana2_deadlock_<pid>_<counter>`, so this
     // process's failure is findable without capturing stderr (the CLI
     // user gets the exact path printed in the failure report).
-    let dir = obs::default_trace_dir();
     let prefix = format!("mana2_deadlock_{}_", std::process::id());
     let jsonl = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("trace dir {} missing: {e}", dir.display()))
@@ -59,9 +66,14 @@ fn runtime_failure_dumps_flight_recorder() {
     let text = std::fs::read_to_string(&jsonl).unwrap();
     let report = obs::analyze::check(&text).expect("dump is schema-valid");
     assert!(report.events > 0, "dump should contain the recorded events");
-    let (_, events) = obs::parse_jsonl(&text).unwrap();
+    let (meta, events) = obs::parse_jsonl(&text).unwrap();
     assert_eq!(events.len(), sink.merged().len());
+    // One run, one explanation: the header says what the run resolved to.
+    assert_eq!(meta.config, want_config);
+    assert!(meta
+        .config
+        .to_string()
+        .contains("tpc=original drain=alltoall"));
 
-    let _ = std::fs::remove_file(&jsonl);
-    let _ = std::fs::remove_file(jsonl.with_extension("chrome.json"));
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -310,8 +310,7 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    /// Engine choice from the `MANA2_ENGINE` environment variable, falling
-    /// back to [`EngineKind::Thread`]. Accepted values:
+    /// Parse an engine spec (the `MANA2_ENGINE` syntax). Accepted values:
     ///
     /// * `thread`
     /// * `coop` — auto worker count, schedule seed 0
@@ -319,24 +318,10 @@ impl EngineKind {
     ///   auto with the bare `coop` spec)
     /// * `coop:<workers>:<seed>` — plus an explicit schedule seed
     ///
-    /// An explicit `coop:0` is rejected: zero run tokens could never
-    /// grant, so it must not silently mean "auto" — a worker-count typo
-    /// has to surface, not deadlock or re-interpret itself.
-    ///
-    /// Unrecognized values fall back to `Thread` with a warning on stderr
-    /// (a typo must not silently change the substrate under a test run).
-    pub fn from_env() -> EngineKind {
-        match std::env::var("MANA2_ENGINE") {
-            Ok(v) => Self::parse(&v).unwrap_or_else(|| {
-                eprintln!("mana2: unrecognized MANA2_ENGINE={v:?}; using thread engine");
-                EngineKind::Thread
-            }),
-            Err(_) => EngineKind::Thread,
-        }
-    }
-
-    /// Parse an engine spec (the `MANA2_ENGINE` syntax). `None` when the
-    /// spec is malformed.
+    /// `None` when the spec is malformed. An explicit `coop:0` is
+    /// rejected: zero run tokens could never grant, so it must not
+    /// silently mean "auto" — a worker-count typo has to surface, not
+    /// deadlock or re-interpret itself.
     pub fn parse(spec: &str) -> Option<EngineKind> {
         let spec = spec.trim();
         if spec.eq_ignore_ascii_case("thread") {

@@ -259,12 +259,12 @@ impl Proc {
 mod tests {
     use super::*;
     use crate::encode_slice;
-    use crate::world::{run, WorldCfg};
+    use crate::world::{run, test_cfg};
 
     #[test]
     fn put_get_fence_roundtrip() {
         let n = 4;
-        let (out, _) = run(n, WorldCfg::default(), |p| {
+        let (out, _) = run(n, test_cfg(), |p| {
             let w = p.comm_world();
             let win = p.win_create(w, 16).unwrap();
             p.win_fence(win).unwrap();
@@ -284,7 +284,7 @@ mod tests {
 
     #[test]
     fn get_reads_remote() {
-        let (out, _) = run(2, WorldCfg::default(), |p| {
+        let (out, _) = run(2, test_cfg(), |p| {
             let w = p.comm_world();
             let win = p.win_create(w, 8).unwrap();
             // Each rank publishes its rank*11 in its own region.
@@ -303,7 +303,7 @@ mod tests {
     #[test]
     fn accumulate_sums_concurrently() {
         let n = 4;
-        let (out, _) = run(n, WorldCfg::default(), |p| {
+        let (out, _) = run(n, test_cfg(), |p| {
             let w = p.comm_world();
             let win = p.win_create(w, 8).unwrap();
             p.win_fence(win).unwrap();
@@ -334,7 +334,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_rma_rejected() {
-        run(2, WorldCfg::default(), |p| {
+        run(2, test_cfg(), |p| {
             let w = p.comm_world();
             let win = p.win_create(w, 4).unwrap();
             p.win_fence(win).unwrap();
@@ -353,7 +353,7 @@ mod tests {
 
     #[test]
     fn windows_freed_fully() {
-        let w = crate::world::World::new(2, WorldCfg::default());
+        let w = crate::world::World::new(2, test_cfg());
         w.launch_result(|p| {
             let win = p.win_create(p.comm_world(), 4)?;
             p.win_fence(win)?;
@@ -374,7 +374,7 @@ mod tests {
     #[test]
     fn windows_on_subcommunicator() {
         let n = 4;
-        let (out, _) = run(n, WorldCfg::default(), |p| {
+        let (out, _) = run(n, test_cfg(), |p| {
             let sub = p
                 .comm_split(p.comm_world(), (p.rank() % 2) as i32, 0)
                 .unwrap()

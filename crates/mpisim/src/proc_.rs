@@ -418,7 +418,10 @@ impl Proc {
                 }
                 Some(k) => k,
             };
-            self.check_alive()?;
+            // No liveness check here: `mb` is held, and a watchdog expiry
+            // seen by `check_alive` poisons the fabric, which locks every
+            // mailbox — this rank's included. `wait_on` returns at once on
+            // a poisoned fabric, and the check below runs unlocked.
             self.fabric.tools.set_blocked(self.rank, kind);
             let mb = self
                 .fabric

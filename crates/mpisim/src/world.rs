@@ -33,9 +33,8 @@ pub struct WorldCfg {
     /// so the default is small (512 KiB). **Thread-engine-only**: the coop
     /// engine sizes its own (smaller) stacks and ignores this knob.
     pub stack_size: usize,
-    /// Which execution engine runs the ranks. The default is taken from
-    /// the `MANA2_ENGINE` environment variable ([`EngineKind::from_env`]),
-    /// falling back to [`EngineKind::Thread`].
+    /// Which execution engine runs the ranks ([`EngineKind::Thread`] by
+    /// default).
     pub engine: EngineKind,
     /// How the coop scheduler picks among ready ranks: the seeded default,
     /// a recording run, or an explicit choice-vector replay. Ignored by
@@ -58,7 +57,7 @@ impl Default for WorldCfg {
             profile: MachineProfile::zero(),
             watchdog: None,
             stack_size: 512 * 1024,
-            engine: EngineKind::from_env(),
+            engine: EngineKind::Thread,
             schedule: SchedulePolicy::Seeded,
             seed: 0,
             fault: None,
@@ -300,20 +299,40 @@ where
     Ok((out, w.stats()))
 }
 
+/// World configuration for this crate's unit tests: the CI matrix picks
+/// the engine through `MANA2_ENGINE`. The library never reads the
+/// environment (`mana_core::from_env`, above this crate, is the one
+/// production reader), so the tests parse the variable themselves.
+#[cfg(test)]
+pub(crate) fn test_cfg() -> WorldCfg {
+    let engine = std::env::var("MANA2_ENGINE").map_or(EngineKind::Thread, |v| {
+        EngineKind::parse(&v).unwrap_or_else(|| panic!("bad MANA2_ENGINE={v:?}"))
+    });
+    WorldCfg {
+        engine,
+        ..WorldCfg::default()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
+    fn default_is_the_thread_engine() {
+        assert_eq!(WorldCfg::default().engine, EngineKind::Thread);
+    }
+
+    #[test]
     fn launch_collects_in_rank_order() {
-        let w = World::new(5, WorldCfg::default());
+        let w = World::new(5, test_cfg());
         let out = w.launch(|p| p.rank() * 10).unwrap();
         assert_eq!(out, vec![0, 10, 20, 30, 40]);
     }
 
     #[test]
     fn panic_reports_rank_and_poisons() {
-        let w = World::new(3, WorldCfg::default());
+        let w = World::new(3, test_cfg());
         let r = w.launch(|p| {
             if p.rank() == 1 {
                 panic!("boom");
@@ -328,7 +347,7 @@ mod tests {
 
     #[test]
     fn launch_result_flattens_errors() {
-        let w = World::new(2, WorldCfg::default());
+        let w = World::new(2, test_cfg());
         let r = w.launch_result(|p| {
             if p.rank() == 0 {
                 Err(MpiError::Shutdown)
@@ -346,7 +365,7 @@ mod tests {
 
     #[test]
     fn single_rank_world() {
-        let (out, stats) = run(1, WorldCfg::default(), |p| p.world_size()).unwrap();
+        let (out, stats) = run(1, test_cfg(), |p| p.world_size()).unwrap();
         assert_eq!(out, vec![1]);
         assert_eq!(stats.user_msgs, 0);
     }

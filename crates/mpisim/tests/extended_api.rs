@@ -2,6 +2,9 @@
 //! collectives, reduce_scatter_block, exscan, sendrecv_replace, and a
 //! randomized p2p stress test with a conservation invariant.
 
+mod common;
+
+use common::env_cfg;
 use mpisim::{run, Datatype, ReduceOp, SrcSel, TagSel, World, WorldCfg};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -10,7 +13,7 @@ use std::time::Duration;
 fn cfg() -> WorldCfg {
     WorldCfg {
         watchdog: Some(Duration::from_secs(30)),
-        ..WorldCfg::default()
+        ..env_cfg()
     }
 }
 

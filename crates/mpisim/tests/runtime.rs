@@ -1,5 +1,8 @@
 //! Cross-module integration tests for the simulated MPI runtime.
 
+mod common;
+
+use common::env_cfg;
 use mpisim::{
     run, Comm, Datatype, Group, MpiError, ReduceOp, SrcSel, TagSel, World, WorldCfg, WorldError,
 };
@@ -8,7 +11,7 @@ use std::time::Duration;
 fn cfg() -> WorldCfg {
     WorldCfg {
         watchdog: Some(Duration::from_secs(30)),
-        ..WorldCfg::default()
+        ..env_cfg()
     }
 }
 
@@ -396,7 +399,7 @@ fn watchdog_turns_deadlock_into_timeout() {
     // Classic head-to-head blocking recv deadlock.
     let wcfg = WorldCfg {
         watchdog: Some(Duration::from_millis(300)),
-        ..WorldCfg::default()
+        ..env_cfg()
     };
     let w = World::new(2, wcfg);
     let r = w.launch_result(|p| {

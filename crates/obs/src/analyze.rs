@@ -350,6 +350,9 @@ pub fn render_summary(meta: &DumpMeta, events: &[TraceEvent]) -> String {
             .unwrap_or_else(|| "-".to_string()),
         meta.dropped
     );
+    if !meta.config.0.is_empty() {
+        let _ = writeln!(out, "config: {}", meta.config);
+    }
     if meta.dropped > 0 {
         let _ = writeln!(
             out,
@@ -474,6 +477,7 @@ mod tests {
             seed: None,
             dropped,
             dropped_by_ring: Vec::new(),
+            config: crate::ConfigRecord::default(),
         }
     }
 

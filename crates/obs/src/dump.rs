@@ -4,7 +4,7 @@
 //! A dump is a header line followed by one event per line:
 //!
 //! ```text
-//! {"schema":"mana2-trace/1","label":"chaos_42","ranks":4,"seed":42,"dropped":0}
+//! {"schema":"mana2-trace/1","label":"chaos_42","ranks":4,"seed":42,"dropped":0,"config":{"engine":"thread","drain":"alltoall"}}
 //! {"ts":1200,"actor":-1,"seq":0,"round":0,"ev":"begin","phase":"intent"}
 //! {"ts":3400,"actor":0,"seq":1,"round":0,"ev":"end","phase":"intent"}
 //! ```
@@ -23,6 +23,65 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Schema identifier written in every dump header.
 pub const SCHEMA: &str = "mana2-trace/1";
 
+/// The resolved configuration a run executed under, as ordered
+/// `key → value` pairs (engine, 2PC mode, drain, store layout, …). This
+/// crate carries it verbatim into dump and series headers and prints it;
+/// the layer that owns the configuration decides the keys.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ConfigRecord(pub Vec<(String, String)>);
+
+impl ConfigRecord {
+    /// Build a record from `(key, value)` pairs, keeping their order.
+    pub fn new<K: Into<String>, V: Into<String>>(
+        pairs: impl IntoIterator<Item = (K, V)>,
+    ) -> ConfigRecord {
+        ConfigRecord(
+            pairs
+                .into_iter()
+                .map(|(k, v)| (k.into(), v.into()))
+                .collect(),
+        )
+    }
+
+    /// Append `,"config":{…}` to a header under construction (nothing
+    /// for an empty record, so headers without one stay as they were).
+    pub(crate) fn write_header_field(&self, out: &mut String) {
+        if !self.0.is_empty() {
+            let field = |(k, v): &(String, String)| format!("\"{}\":\"{}\"", escape(k), escape(v));
+            let fields: Vec<String> = self.0.iter().map(field).collect();
+            let _ = write!(out, ",\"config\":{{{}}}", fields.join(","));
+        }
+    }
+
+    /// Read the `config` field of a parsed header. Absent means empty
+    /// (dumps written before the field existed); present must be an
+    /// object whose values are all strings.
+    pub(crate) fn from_header(header: &Json) -> Result<ConfigRecord, String> {
+        let fields = match header.get("config") {
+            None => return Ok(ConfigRecord::default()),
+            Some(Json::Obj(fields)) => fields,
+            Some(_) => return Err("header \"config\" is not an object".to_string()),
+        };
+        let pair = |(k, v): &(String, Json)| match v.as_str() {
+            Some(s) => Ok((k.clone(), s.to_string())),
+            None => Err(format!("header \"config\".{k:?} is not a string")),
+        };
+        fields
+            .iter()
+            .map(pair)
+            .collect::<Result<_, _>>()
+            .map(ConfigRecord)
+    }
+}
+
+impl std::fmt::Display for ConfigRecord {
+    /// `key=value` pairs, space-separated.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let pairs = self.0.iter().map(|(k, v)| format!("{k}={v}"));
+        f.write_str(&pairs.collect::<Vec<_>>().join(" "))
+    }
+}
+
 /// Dump header metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DumpMeta {
@@ -37,6 +96,9 @@ pub struct DumpMeta {
     /// Events overwritten per ring (ranks `0..n`, then the coordinator).
     /// Empty in dumps written before this field existed.
     pub dropped_by_ring: Vec<u64>,
+    /// The configuration the run resolved to. Empty in dumps written
+    /// before this field existed.
+    pub config: ConfigRecord,
 }
 
 /// Serialize `events` (pre-merged, any order preserved) as a JSONL dump.
@@ -66,6 +128,7 @@ pub fn events_to_jsonl(meta: &DumpMeta, events: &[TraceEvent]) -> String {
         }
         out.push(']');
     }
+    meta.config.write_header_field(&mut out);
     out.push_str("}\n");
     for ev in events {
         out.push_str(&ev.to_json_line());
@@ -102,6 +165,7 @@ pub fn parse_jsonl(text: &str) -> Result<(DumpMeta, Vec<TraceEvent>), String> {
             Some(Json::Arr(items)) => items.iter().filter_map(Json::as_u64).collect(),
             _ => Vec::new(),
         },
+        config: ConfigRecord::from_header(&hv)?,
     };
     let mut events = Vec::new();
     for (lineno, line) in lines {
@@ -193,14 +257,6 @@ pub fn chrome_trace(meta: &DumpMeta, events: &[TraceEvent]) -> String {
     out
 }
 
-/// Where dumps land: `$MANA2_TRACE_DIR`, else `<tmp>/mana2_traces`.
-pub fn default_trace_dir() -> PathBuf {
-    match std::env::var_os("MANA2_TRACE_DIR") {
-        Some(d) if !d.is_empty() => PathBuf::from(d),
-        _ => std::env::temp_dir().join("mana2_traces"),
-    }
-}
-
 /// A unique-in-this-process dump label: `<prefix>_<pid>_<counter>`.
 /// (Process id + a process-local counter — no wall-clock involved, so
 /// deterministic runs stay deterministic.)
@@ -228,24 +284,16 @@ pub struct FlightDump {
 }
 
 /// Merge every ring of `sink` and write `<dir>/<label>.jsonl` plus
-/// `<dir>/<label>.chrome.json`. Creates `dir` if needed.
+/// `<dir>/<label>.chrome.json`; the JSONL header carries `config`.
+/// Creates `dir` if needed. When `metrics` is given, the final snapshot is
+/// written next to the dump as `<label>.metrics.json` (single-snapshot
+/// `mana2-metrics/1` series carrying the same `config`).
 pub fn flight_record(
     sink: &TraceSink,
     dir: &Path,
     label: &str,
     seed: Option<u64>,
-) -> io::Result<FlightDump> {
-    flight_record_ext(sink, dir, label, seed, None)
-}
-
-/// [`flight_record`] plus a metrics sidecar: when `metrics` is given,
-/// the final snapshot is written next to the dump as
-/// `<label>.metrics.json` (single-snapshot `mana2-metrics/1` series).
-pub fn flight_record_ext(
-    sink: &TraceSink,
-    dir: &Path,
-    label: &str,
-    seed: Option<u64>,
+    config: &ConfigRecord,
     metrics: Option<&crate::metrics::MetricsSnapshot>,
 ) -> io::Result<FlightDump> {
     std::fs::create_dir_all(dir)?;
@@ -256,6 +304,7 @@ pub fn flight_record_ext(
         seed,
         dropped: sink.dropped(),
         dropped_by_ring: sink.dropped_by_ring(),
+        config: config.clone(),
     };
     let jsonl = dir.join(format!("{label}.jsonl"));
     let chrome = dir.join(format!("{label}.chrome.json"));
@@ -268,6 +317,7 @@ pub fn flight_record_ext(
                 label: label.to_string(),
                 ranks: sink.n_ranks(),
                 seed,
+                config: config.clone(),
             };
             crate::metrics::write_snapshot_file(&p, &smeta, snap)?;
             Some(p)
@@ -373,6 +423,7 @@ mod tests {
             seed: Some(0xC0FF_EE00),
             dropped: 5,
             dropped_by_ring: vec![2, 3, 0, 0],
+            config: ConfigRecord::new([("engine", "coop:2:7"), ("drain", "topo\"sort")]),
         };
         let text = events_to_jsonl(&meta, &events);
         let (meta2, events2) = parse_jsonl(&text).unwrap();
@@ -388,11 +439,21 @@ mod tests {
             seed: None,
             dropped: 0,
             dropped_by_ring: Vec::new(),
+            config: ConfigRecord::default(),
         };
         let text = events_to_jsonl(&meta, &[]);
         let (meta2, events2) = parse_jsonl(&text).unwrap();
         assert_eq!(meta2.seed, None);
         assert!(events2.is_empty());
+    }
+
+    #[test]
+    fn malformed_config_record_is_rejected() {
+        let head = "{\"schema\":\"mana2-trace/1\",\"ranks\":1,\"config\":";
+        let err = parse_jsonl(&format!("{head}{{\"drain\":3}}}}\n")).unwrap_err();
+        assert!(err.contains("not a string"), "{err}");
+        let err = parse_jsonl(&format!("{head}[]}}\n")).unwrap_err();
+        assert!(err.contains("not an object"), "{err}");
     }
 
     #[test]
@@ -410,6 +471,7 @@ mod tests {
             seed: None,
             dropped: 0,
             dropped_by_ring: Vec::new(),
+            config: ConfigRecord::default(),
         };
         let doc = chrome_trace(&meta, &events);
         let v = json::parse(&doc).expect("chrome export must parse as JSON");
@@ -426,11 +488,13 @@ mod tests {
         sink.recorder(0).begin(0, Phase::ImageWrite);
         sink.recorder(0).end(0, Phase::ImageWrite);
         let dir = std::env::temp_dir().join(format!("obs_fr_test_{}", std::process::id()));
-        let dump = flight_record(&sink, &dir, "t1", Some(9)).unwrap();
+        let config = ConfigRecord::new([("drain", "alltoall")]);
+        let dump = flight_record(&sink, &dir, "t1", Some(9), &config, None).unwrap();
         assert_eq!(dump.events, 2);
         let text = std::fs::read_to_string(&dump.jsonl).unwrap();
         let (meta, events) = parse_jsonl(&text).unwrap();
         assert_eq!(meta.seed, Some(9));
+        assert_eq!(meta.config, config);
         assert_eq!(events.len(), 2);
         assert!(dump.chrome.exists());
         let _ = std::fs::remove_dir_all(&dir);

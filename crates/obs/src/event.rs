@@ -141,8 +141,6 @@ pub enum RejectCode {
     CorruptImage,
     /// An image fails to parse or its header disagrees.
     BadImage,
-    /// A legacy bare-image layout failed validation.
-    Legacy,
 }
 
 impl RejectCode {
@@ -157,7 +155,6 @@ impl RejectCode {
             RejectCode::TornImage => "torn_image",
             RejectCode::CorruptImage => "corrupt_image",
             RejectCode::BadImage => "bad_image",
-            RejectCode::Legacy => "legacy",
         }
     }
 
@@ -171,7 +168,6 @@ impl RejectCode {
             "torn_image" => RejectCode::TornImage,
             "corrupt_image" => RejectCode::CorruptImage,
             "bad_image" => RejectCode::BadImage,
-            "legacy" => RejectCode::Legacy,
             _ => return None,
         })
     }

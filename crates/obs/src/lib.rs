@@ -53,8 +53,8 @@ mod sink;
 
 pub use clock::{Clock, TestClock, WallClock};
 pub use dump::{
-    chrome_trace, default_trace_dir, events_to_jsonl, flight_record, flight_record_ext,
-    parse_jsonl, unique_label, DumpMeta, FlightDump, SCHEMA,
+    chrome_trace, events_to_jsonl, flight_record, parse_jsonl, unique_label, ConfigRecord,
+    DumpMeta, FlightDump, SCHEMA,
 };
 pub use event::{
     EventKind, FaultKind, InjectedFault, Phase, RejectCode, RestartStep, TraceEvent, COORD_ACTOR,

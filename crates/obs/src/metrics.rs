@@ -875,6 +875,9 @@ pub struct SeriesMeta {
     pub ranks: usize,
     /// Fault-plan seed, when one was armed.
     pub seed: Option<u64>,
+    /// The configuration the run resolved to (empty in series written
+    /// before this field existed).
+    pub config: crate::ConfigRecord,
 }
 
 fn series_header(meta: &SeriesMeta) -> String {
@@ -890,6 +893,7 @@ fn series_header(meta: &SeriesMeta) -> String {
         }
         None => out.push_str("null"),
     }
+    meta.config.write_header_field(&mut out);
     out.push('}');
     out
 }
@@ -930,6 +934,7 @@ pub fn parse_series(text: &str) -> Result<(SeriesMeta, Vec<MetricsSnapshot>), St
             .to_string(),
         ranks: hv.get("ranks").and_then(Json::as_u64).unwrap_or(0) as usize,
         seed: hv.get("seed").and_then(Json::as_u64),
+        config: crate::ConfigRecord::from_header(&hv)?,
     };
     let mut snaps = Vec::new();
     for (lineno, line) in lines {
@@ -1043,15 +1048,6 @@ pub fn write_snapshot_file(
     snap: &MetricsSnapshot,
 ) -> io::Result<()> {
     std::fs::write(path, series_to_jsonl(meta, std::slice::from_ref(snap)))
-}
-
-/// Where metrics series land: `$MANA2_METRICS_DIR`, else
-/// `<tmp>/mana2_metrics`.
-pub fn default_metrics_dir() -> PathBuf {
-    match std::env::var_os("MANA2_METRICS_DIR") {
-        Some(d) if !d.is_empty() => PathBuf::from(d),
-        _ => std::env::temp_dir().join("mana2_metrics"),
-    }
 }
 
 // ---- periodic exporter -----------------------------------------------------
@@ -1279,6 +1275,7 @@ mod tests {
             label: "t".into(),
             ranks: 1,
             seed: None,
+            config: crate::ConfigRecord::default(),
         };
         let good = series_to_jsonl(&meta, std::slice::from_ref(&a));
         assert!(check_series(&good).is_ok());
@@ -1310,6 +1307,7 @@ mod tests {
             label: "exp1".into(),
             ranks: 1,
             seed: Some(3),
+            config: crate::ConfigRecord::new([("store", "chunked")]),
         };
         let exp = MetricsExporter::spawn(
             reg.clone(),
@@ -1328,7 +1326,8 @@ mod tests {
         let text = std::fs::read_to_string(&jsonl).unwrap();
         let report = check_series(&text).unwrap();
         assert!(report.snapshots >= 1);
-        let (_, snaps) = parse_series(&text).unwrap();
+        let (meta, snaps) = parse_series(&text).unwrap();
+        assert_eq!(meta.config.to_string(), "store=chunked");
         let last = snaps.last().unwrap();
         assert_eq!(last.value("mana2_trace_dropped_events"), Some(1));
         assert!(std::fs::read_to_string(&prom)

@@ -22,6 +22,7 @@ fn fixture_renders_to_golden_summary() {
     assert_eq!(meta.label, "fixture_round");
     assert_eq!(meta.ranks, 2);
     assert_eq!(meta.seed, Some(42));
+    assert_eq!(meta.config.0.len(), 9);
     assert_eq!(events.len(), 40);
 
     // The golden file is the binary's stdout, i.e. the summary plus the

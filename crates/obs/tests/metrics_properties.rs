@@ -151,6 +151,7 @@ fn empty_histogram_series_roundtrip() {
         label: "empty".into(),
         ranks: 2,
         seed: None,
+        config: obs::ConfigRecord::default(),
     };
     let snap = reg.snapshot();
     let text = met::series_to_jsonl(&meta, std::slice::from_ref(&snap));

@@ -435,8 +435,8 @@ fn main() {
         std::process::exit(verify(root, &gens));
     }
     if let Some(rank) = args.get(2).and_then(|s| s.parse().ok()) {
-        // Rank dump: newest committed generation if the store is
-        // generational, the directory itself otherwise.
+        // Rank dump: newest committed generation of a store root, the
+        // directory itself when it holds images directly.
         let dir = gens
             .iter()
             .rev()
@@ -457,7 +457,8 @@ fn main() {
         }
         return;
     }
-    // Pre-generational layout: bare images in the root.
+    // No generations under `root`: dump it as a directory of images (one
+    // `gen_*` directory passed directly, say).
     let dumped = inspect_all(root);
     if dumped == 0 {
         eprintln!("no checkpoint images found under {}", root.display());

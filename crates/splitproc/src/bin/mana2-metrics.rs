@@ -82,6 +82,9 @@ fn render_summary(path: &str, meta: &met::SeriesMeta, snaps: &[MetricsSnapshot])
         meta.seed.map_or("-".into(), |s| s.to_string()),
         snaps.len()
     );
+    if !meta.config.0.is_empty() {
+        out!("   config {}", meta.config);
+    }
     let Some(last) = snaps.last() else {
         out!("   (no snapshots)");
         return;

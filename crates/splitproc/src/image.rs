@@ -21,8 +21,7 @@
 
 use crate::codec::crc32;
 use std::fmt;
-use std::fs;
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"MANA2CKP";
@@ -201,30 +200,6 @@ impl CkptImage {
             meta: meta.to_vec(),
         }
     }
-
-    /// Write this image to its conventional file under `dir` (created if
-    /// needed) via the atomic tmp+rename+dir-fsync path, so a crash
-    /// mid-write never clobbers an existing image. The caller's store
-    /// config governs the retry/backoff policy — this always writes the
-    /// flat layout regardless of `cfg.mode` (bare-image layouts have no
-    /// chunk pool to address into). Returns the bytes written.
-    pub fn write_to_dir(
-        &self,
-        dir: &Path,
-        cfg: &crate::store::StoreConfig,
-    ) -> Result<usize, ImageError> {
-        fs::create_dir_all(dir)?;
-        let bytes = self.to_bytes();
-        crate::store::write_atomic(&Self::path_for(dir, self.rank), &bytes, cfg)?;
-        Ok(bytes.len())
-    }
-
-    /// Read the image for `rank` from `dir`.
-    pub fn read_from_dir(dir: &Path, rank: usize) -> Result<Self, ImageError> {
-        let mut buf = Vec::new();
-        fs::File::open(Self::path_for(dir, rank))?.read_to_end(&mut buf)?;
-        Self::from_bytes(&buf)
-    }
 }
 
 #[cfg(test)]
@@ -318,28 +293,6 @@ mod tests {
         assert!(matches!(
             CkptImage::from_bytes(&bytes),
             Err(ImageError::Truncated)
-        ));
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("mana2_img_test_{}", std::process::id()));
-        let img = sample();
-        let written = img
-            .write_to_dir(&dir, &crate::store::StoreConfig::default())
-            .unwrap();
-        assert!(written > 0);
-        let back = CkptImage::read_from_dir(&dir, 3).unwrap();
-        assert_eq!(back, img);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn missing_file_is_io_error() {
-        let dir = std::env::temp_dir().join("mana2_img_test_missing");
-        assert!(matches!(
-            CkptImage::read_from_dir(&dir, 0),
-            Err(ImageError::Io(_))
         ));
     }
 }

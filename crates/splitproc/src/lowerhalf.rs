@@ -84,7 +84,19 @@ impl<'p> LowerHalf<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpisim::{World, WorldCfg};
+    use mpisim::{EngineKind, World, WorldCfg};
+
+    /// The CI matrix picks the engine through `MANA2_ENGINE`; the library
+    /// never reads the environment, so the tests parse the variable.
+    fn env_cfg() -> WorldCfg {
+        let engine = std::env::var("MANA2_ENGINE").map_or(EngineKind::Thread, |v| {
+            EngineKind::parse(&v).unwrap_or_else(|| panic!("bad MANA2_ENGINE={v:?}"))
+        });
+        WorldCfg {
+            engine,
+            ..WorldCfg::default()
+        }
+    }
 
     #[test]
     fn call_charges_and_counts() {
@@ -92,7 +104,7 @@ mod tests {
         // (the zero profile deliberately makes switching free).
         let cfg = WorldCfg {
             profile: mpisim::MachineProfile::haswell(),
-            ..WorldCfg::default()
+            ..env_cfg()
         };
         let w = World::new(2, cfg);
         w.launch(|p| {
@@ -105,7 +117,7 @@ mod tests {
         .unwrap();
 
         // Zero profile: jumps counted, nothing charged.
-        let w = World::new(1, WorldCfg::default());
+        let w = World::new(1, env_cfg());
         w.launch(|p| {
             let lh = LowerHalf::new(p, FsMode::KernelCall);
             lh.call(|_| ());
@@ -117,7 +129,7 @@ mod tests {
 
     #[test]
     fn identity_is_jump_free() {
-        let w = World::new(3, WorldCfg::default());
+        let w = World::new(3, env_cfg());
         w.launch(|p| {
             let lh = LowerHalf::new(p, FsMode::KernelCall);
             assert_eq!(lh.rank(), p.rank());

@@ -187,19 +187,6 @@ impl StoreMode {
         }
     }
 
-    /// Read the layout override from `MANA2_STORE`. Unset yields `None`;
-    /// a set-but-unrecognized value warns once on stderr and also yields
-    /// `None`, so the flat default still applies (mirrors `MANA2_DRAIN`
-    /// handling).
-    pub fn from_env() -> Option<StoreMode> {
-        let v = std::env::var("MANA2_STORE").ok()?;
-        let parsed = StoreMode::parse(&v);
-        if parsed.is_none() {
-            eprintln!("mana2: unrecognized MANA2_STORE={v:?}; using flat store layout");
-        }
-        parsed
-    }
-
     /// Short stable name, used in metrics and artifacts.
     pub fn name(self) -> &'static str {
         match self {
@@ -233,17 +220,6 @@ impl Default for StoreConfig {
             mode: StoreMode::Flat,
             chunk: ChunkParams::default(),
             chunk_writers: 4,
-        }
-    }
-}
-
-impl StoreConfig {
-    /// Default config with the layout taken from `MANA2_STORE` (flat when
-    /// unset or unrecognized).
-    pub fn from_env() -> StoreConfig {
-        StoreConfig {
-            mode: StoreMode::from_env().unwrap_or_default(),
-            ..StoreConfig::default()
         }
     }
 }
@@ -321,7 +297,7 @@ fn fsync_dir(dir: &Path) -> io::Result<()> {
 /// Transient errors are retried with bounded exponential backoff. Returns
 /// the number of retries that were needed.
 pub fn write_atomic(path: &Path, bytes: &[u8], cfg: &StoreConfig) -> io::Result<u32> {
-    write_atomic_faulted(path, bytes, cfg, None)
+    write_atomic_traced(path, bytes, cfg, None, None, obs::NO_ROUND).map(|c| c.retries)
 }
 
 /// What one atomic write cost: retries needed and fsyncs issued (file
@@ -336,19 +312,10 @@ pub struct AtomicWriteCost {
 
 /// [`write_atomic`] with an optional injected [`WriteFault::Error`]
 /// (`Torn`/`BitFlip` are post-commit faults and are ignored here; apply
-/// them to the final file, as [`write_image`] does).
-pub fn write_atomic_faulted(
-    path: &Path,
-    bytes: &[u8],
-    cfg: &StoreConfig,
-    fault: Option<&WriteFault>,
-) -> io::Result<u32> {
-    write_atomic_traced(path, bytes, cfg, fault, None, obs::NO_ROUND).map(|c| c.retries)
-}
-
-/// [`write_atomic_faulted`] with flight-recorder instrumentation: each
-/// attempt records its write/fsync/rename stage timings, injected
-/// failures record a fault event. `rec`/`round` attribute the events.
+/// them to the final file, as [`write_image`] does) and flight-recorder
+/// instrumentation: each attempt records its write/fsync/rename stage
+/// timings, injected failures record a fault event. `rec`/`round`
+/// attribute the events.
 pub fn write_atomic_traced(
     path: &Path,
     bytes: &[u8],
@@ -1499,7 +1466,7 @@ pub struct Selected {
     pub round: u64,
     /// Directory holding its per-rank images.
     pub dir: PathBuf,
-    /// Its (possibly synthesized, for legacy layouts) manifest.
+    /// Its committed manifest.
     pub manifest: Manifest,
     /// Generations that were scanned first and rejected, newest-first.
     pub rejected: Vec<RejectedGeneration>,
@@ -1512,8 +1479,6 @@ pub struct Selected {
 
 /// Scan `root` newest-first and return the newest globally-complete
 /// generation: committed manifest, every rank image present and valid.
-/// Pre-generational stores (bare `ckpt_rank_*.mana` files in `root`) are
-/// accepted as an implicit single generation for backward compatibility.
 pub fn select_generation(
     root: &Path,
     expected_world: Option<usize>,
@@ -1543,100 +1508,10 @@ pub fn select_generation_ranks(
             }),
         }
     }
-    if gens.is_empty() {
-        if let Some(sel) = select_legacy(root, expected_world, &mut rejected)? {
-            return Ok(sel);
-        }
-    }
     Err(StoreError::NoUsableGeneration {
         root: root.to_path_buf(),
         rejected,
     })
-}
-
-/// Validate a pre-generational layout (images directly under `root`) and
-/// synthesize its manifest.
-fn select_legacy(
-    root: &Path,
-    expected_world: Option<usize>,
-    rejected: &mut Vec<RejectedGeneration>,
-) -> Result<Option<Selected>, StoreError> {
-    if !CkptImage::path_for(root, 0).is_file() {
-        return Ok(None);
-    }
-    let reject = |round: u64, reason: String, rejected: &mut Vec<RejectedGeneration>| {
-        rejected.push(RejectedGeneration {
-            round,
-            code: obs::RejectCode::Legacy,
-            reason: format!("legacy layout: {reason}"),
-        });
-        Ok(None)
-    };
-    let first = match fs::read(CkptImage::path_for(root, 0)) {
-        Ok(b) => b,
-        Err(e) => return reject(0, format!("rank 0 image unreadable: {e}"), rejected),
-    };
-    let img0 = match CkptImage::from_bytes(&first) {
-        Ok(i) => i,
-        Err(e) => return reject(0, format!("rank 0 image invalid: {e}"), rejected),
-    };
-    let world = img0.world_size;
-    if let Some(w) = expected_world {
-        if world != w {
-            return reject(
-                img0.round,
-                format!("image world size {world} != runtime world size {w}"),
-                rejected,
-            );
-        }
-    }
-    let round = img0.round;
-    let mut entries = Vec::with_capacity(world);
-    let mut images = Vec::with_capacity(world);
-    for rank in 0..world {
-        let path = CkptImage::path_for(root, rank);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(e) => {
-                return reject(
-                    round,
-                    format!("rank {rank} image unreadable: {e}"),
-                    rejected,
-                )
-            }
-        };
-        let img = match CkptImage::from_bytes(&bytes) {
-            Ok(i) => i,
-            Err(e) => return reject(round, format!("rank {rank} image invalid: {e}"), rejected),
-        };
-        if img.rank != rank || img.world_size != world || img.round != round {
-            return reject(
-                round,
-                format!(
-                    "rank {rank} image header disagrees (rank {}, world {}, round {})",
-                    img.rank, img.world_size, img.round
-                ),
-                rejected,
-            );
-        }
-        entries.push(ManifestEntry {
-            rank: rank as u64,
-            bytes: bytes.len() as u64,
-            crc: crc32(&bytes),
-        });
-        images.push(Some(img));
-    }
-    Ok(Some(Selected {
-        round,
-        dir: root.to_path_buf(),
-        manifest: Manifest {
-            round,
-            world_size: world as u64,
-            entries,
-        },
-        rejected: std::mem::take(rejected),
-        images,
-    }))
 }
 
 #[cfg(test)]
@@ -1719,7 +1594,7 @@ mod tests {
         assert_eq!(sel.round, 0);
         assert!(sel.rejected.is_empty());
         assert_eq!(sel.manifest.entries.len(), 2);
-        let back = CkptImage::read_from_dir(&sel.dir, 1).unwrap();
+        let back = load_image(&sel.dir, 1).unwrap();
         assert_eq!(back, image(1, 2, 0));
         fs::remove_dir_all(&root).ok();
     }
@@ -1809,7 +1684,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.retries, 2, "first two attempts fail, third lands");
-        let back = CkptImage::read_from_dir(&generation_dir(&root, 0), 0).unwrap();
+        let back = load_image(&generation_dir(&root, 0), 0).unwrap();
         assert_eq!(back, image(0, 1, 0));
         fs::remove_dir_all(&root).ok();
     }
@@ -1976,18 +1851,25 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bare_image_layout_still_selects() {
-        let root = tdir("legacy");
+    fn bare_images_without_a_generation_are_not_a_store() {
+        // The pre-generational layout (images directly under the root, no
+        // `gen_*` directory, no manifest) is no longer read.
+        let root = tdir("bare");
         fs::create_dir_all(&root).unwrap();
         for rank in 0..2usize {
-            image(rank, 2, 7)
-                .write_to_dir(&root, &StoreConfig::default())
-                .unwrap();
+            let path = CkptImage::path_for(&root, rank);
+            write_atomic(
+                &path,
+                &image(rank, 2, 7).to_bytes(),
+                &StoreConfig::default(),
+            )
+            .unwrap();
         }
-        let sel = select_generation(&root, Some(2)).unwrap();
-        assert_eq!(sel.round, 7);
-        assert_eq!(sel.dir, root);
-        assert_eq!(sel.manifest.world_size, 2);
+        let err = select_generation(&root, Some(2)).unwrap_err();
+        assert!(
+            matches!(err, StoreError::NoUsableGeneration { .. }),
+            "{err}"
+        );
         fs::remove_dir_all(&root).ok();
     }
 
@@ -2414,11 +2296,16 @@ mod tests {
     }
 
     #[test]
-    fn store_mode_parses_and_env_default_is_flat() {
+    fn store_mode_parses_and_default_is_flat() {
         assert_eq!(StoreMode::parse("flat"), Some(StoreMode::Flat));
         assert_eq!(StoreMode::parse("CHUNKED"), Some(StoreMode::Chunked));
         assert_eq!(StoreMode::parse("bogus"), None);
-        assert_eq!(StoreMode::default(), StoreMode::Flat);
+        assert_eq!(StoreMode::parse(""), None);
         assert_eq!(StoreMode::Chunked.name(), "chunked");
+        let d = StoreConfig::default();
+        assert_eq!(d.mode, StoreMode::Flat);
+        assert_eq!((d.retry_attempts, d.chunk_writers), (4, 4));
+        assert_eq!(d.retry_backoff, Duration::from_millis(1));
+        assert_eq!(d.chunk, ChunkParams::default());
     }
 }

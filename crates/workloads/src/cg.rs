@@ -187,7 +187,7 @@ pub fn run<M: MpiFace>(m: &mut M, cfg: &CgConfig) -> WlResult<CgResult> {
 mod tests {
     use super::*;
     use crate::face::NativeFace;
-    use mpisim::{run as world_run, WorldCfg};
+    use mpisim::run as world_run;
 
     #[test]
     fn converges_on_poisson() {
@@ -198,7 +198,7 @@ mod tests {
             ckpt_at_iter: None,
             ckpt_round: 0,
         };
-        let (out, _) = world_run(4, WorldCfg::default(), move |p| {
+        let (out, _) = world_run(4, crate::test_world(), move |p| {
             let mut f = NativeFace::new(p);
             run(&mut f, &cfg).unwrap()
         })
@@ -220,7 +220,7 @@ mod tests {
             ckpt_at_iter: None,
             ckpt_round: 0,
         };
-        let (out, _) = world_run(1, WorldCfg::default(), move |p| {
+        let (out, _) = world_run(1, crate::test_world(), move |p| {
             let mut f = NativeFace::new(p);
             run(&mut f, &cfg).unwrap()
         })

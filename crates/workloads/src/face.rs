@@ -352,11 +352,11 @@ impl MpiFace for NativeFace<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpisim::{run, WorldCfg};
+    use mpisim::run;
 
     #[test]
     fn native_face_basics() {
-        let (out, _) = run(3, WorldCfg::default(), |p| {
+        let (out, _) = run(3, crate::test_world(), |p| {
             let mut f = NativeFace::new(p);
             assert_eq!(f.size(), 3);
             let s = f
@@ -374,7 +374,7 @@ mod tests {
 
     #[test]
     fn native_face_p2p_and_split() {
-        let (out, _) = run(4, WorldCfg::default(), |p| {
+        let (out, _) = run(4, crate::test_world(), |p| {
             let mut f = NativeFace::new(p);
             let sub = f
                 .split(COMM_WORLD, (f.rank() % 2) as i32, 0)
@@ -396,7 +396,7 @@ mod tests {
 
     #[test]
     fn bad_handles_error() {
-        run(1, WorldCfg::default(), |p| {
+        run(1, crate::test_world(), |p| {
             let mut f = NativeFace::new(p);
             assert!(f.barrier(CommH(99)).is_err());
             assert!(f.wait(ReqH(7)).is_err());

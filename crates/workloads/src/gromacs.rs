@@ -224,10 +224,10 @@ pub fn run<M: MpiFace>(m: &mut M, cfg: &GromacsConfig) -> WlResult<GromacsResult
 mod tests {
     use super::*;
     use crate::face::NativeFace;
-    use mpisim::{run as world_run, WorldCfg};
+    use mpisim::run as world_run;
 
     fn native(n: usize, cfg: GromacsConfig) -> Vec<GromacsResult> {
-        let (out, _) = world_run(n, WorldCfg::default(), move |p| {
+        let (out, _) = world_run(n, crate::test_world(), move |p| {
             let mut f = NativeFace::new(p);
             run(&mut f, &cfg).unwrap()
         })

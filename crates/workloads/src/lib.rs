@@ -24,3 +24,10 @@ pub mod scenarios;
 pub mod vasp;
 
 pub use face::{CommH, ManaFace, MpiFace, NativeFace, ReqH, WlError, WlResult, COMM_WORLD};
+
+/// World configuration for this crate's unit tests: the CI matrix picks
+/// the engine through `MANA2_ENGINE`.
+#[cfg(test)]
+pub(crate) fn test_world() -> mpisim::WorldCfg {
+    mana_core::from_env().expect("MANA2_* environment").world
+}

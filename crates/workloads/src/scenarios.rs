@@ -68,12 +68,12 @@ pub fn straggler_pattern<M: MpiFace>(
 mod tests {
     use super::*;
     use crate::face::NativeFace;
-    use mpisim::{run as world_run, WorldCfg};
+    use mpisim::run as world_run;
 
     #[test]
     fn deadlock_pattern_is_legal_mpi() {
         // Natively (true MPI semantics) the pattern completes.
-        let (out, _) = world_run(3, WorldCfg::default(), |p| {
+        let (out, _) = world_run(3, crate::test_world(), |p| {
             let mut f = NativeFace::new(p);
             deadlock_pattern(&mut f, 40).unwrap()
         })
@@ -83,7 +83,7 @@ mod tests {
 
     #[test]
     fn straggler_pattern_completes_natively() {
-        let (out, _) = world_run(4, WorldCfg::default(), |p| {
+        let (out, _) = world_run(4, crate::test_world(), |p| {
             let mut f = NativeFace::new(p);
             straggler_pattern(&mut f, 10_000, false).unwrap()
         })

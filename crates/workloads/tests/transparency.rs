@@ -8,6 +8,11 @@ use std::path::PathBuf;
 use std::time::Duration;
 use workloads::{cg, gromacs, scenarios, vasp, ManaFace, NativeFace};
 
+/// The `MANA2_*` environment: the CI matrix steers what a test does not pin.
+fn env() -> mana_core::EnvConfig {
+    mana_core::from_env().expect("MANA2_* environment")
+}
+
 fn ckpt_dir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("mana2_wl_{}_{}", name, std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
@@ -17,7 +22,7 @@ fn ckpt_dir(name: &str) -> PathBuf {
 fn wcfg() -> WorldCfg {
     WorldCfg {
         watchdog: Some(Duration::from_secs(90)),
-        ..WorldCfg::default()
+        ..env().world
     }
 }
 
@@ -51,7 +56,7 @@ fn gromacs_native_equals_mana() {
         n,
         ManaConfig {
             ckpt_dir: ckpt_dir("md_equal"),
-            ..ManaConfig::default()
+            ..env().mana
         },
     )
     .with_world_cfg(wcfg());
@@ -76,7 +81,7 @@ fn gromacs_resume_checkpoint_preserves_results() {
         n,
         ManaConfig {
             ckpt_dir: dir.clone(),
-            ..ManaConfig::default()
+            ..env().mana
         },
     )
     .with_world_cfg(wcfg());
@@ -99,7 +104,7 @@ fn gromacs_restart_preserves_results() {
     let mcfg = ManaConfig {
         ckpt_dir: dir.clone(),
         exit_after_ckpt: true,
-        ..ManaConfig::default()
+        ..env().mana
     };
     let cfg = small_md(Some(4));
     let rt = ManaRuntime::new(n, mcfg.clone()).with_world_cfg(wcfg());
@@ -149,7 +154,7 @@ fn vasp_all_table1_cases_survive_restart() {
         let mcfg = ManaConfig {
             ckpt_dir: dir.clone(),
             exit_after_ckpt: true,
-            ..ManaConfig::default()
+            ..env().mana
         };
         let mut vc1 = vcfg.clone();
         vc1.ckpt_at_step = Some(1);
@@ -197,7 +202,7 @@ fn cg_converges_across_restart() {
     let mcfg = ManaConfig {
         ckpt_dir: dir.clone(),
         exit_after_ckpt: true,
-        ..ManaConfig::default()
+        ..env().mana
     };
     let c1 = ccfg.clone();
     let pass1 = ManaRuntime::new(n, mcfg.clone())
@@ -226,14 +231,14 @@ fn cg_converges_across_restart() {
 fn deadlock_scenario_under_both_tpc_modes() {
     let watchdog = WorldCfg {
         watchdog: Some(Duration::from_millis(800)),
-        ..WorldCfg::default()
+        ..env().world
     };
     // Hybrid: completes with the broadcast value everywhere.
     let hybrid = ManaRuntime::new(
         3,
         ManaConfig {
             ckpt_dir: ckpt_dir("dl_h"),
-            ..ManaConfig::default()
+            ..env().mana
         },
     )
     .with_world_cfg(watchdog.clone())
@@ -253,7 +258,7 @@ fn deadlock_scenario_under_both_tpc_modes() {
             tpc: TpcMode::Original,
             drain: DrainMode::Alltoall,
             ckpt_dir: ckpt_dir("dl_o"),
-            ..ManaConfig::default()
+            ..env().mana
         },
     )
     .with_world_cfg(watchdog)
@@ -275,7 +280,7 @@ fn straggler_scenario_checkpoints_without_waiting() {
         n,
         ManaConfig {
             ckpt_dir: dir.clone(),
-            ..ManaConfig::default()
+            ..env().mana
         },
     )
     .with_world_cfg(wcfg())

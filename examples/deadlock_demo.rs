@@ -7,23 +7,23 @@
 //! cargo run --example deadlock_demo
 //! ```
 
-use mana2::mana_core::{ManaConfig, ManaRuntime, TpcMode};
+use mana2::mana_core::{from_env, ConfigError, EnvConfig, ManaConfig, TpcMode};
 use mana2::mpisim::WorldCfg;
 use mana2::workloads::{scenarios, ManaFace};
 use std::time::Duration;
 
-fn run_mode(tpc: TpcMode) -> Result<Vec<u64>, String> {
+fn run_mode(env: &EnvConfig, tpc: TpcMode) -> Result<Vec<u64>, String> {
     let cfg = ManaConfig {
         tpc,
         ckpt_dir: std::env::temp_dir().join("mana2_deadlock_demo"),
-        ..ManaConfig::default()
+        ..env.mana.clone()
     };
     // The watchdog converts the hang into an error after one second.
     let wcfg = WorldCfg {
         watchdog: Some(Duration::from_secs(1)),
-        ..WorldCfg::default()
+        ..env.world.clone()
     };
-    ManaRuntime::new(2, cfg)
+    env.runtime(2, cfg)
         .with_world_cfg(wcfg)
         .run_fresh(|m| {
             let mut f = ManaFace::new(m);
@@ -33,20 +33,23 @@ fn run_mode(tpc: TpcMode) -> Result<Vec<u64>, String> {
         .map_err(|e| e.to_string())
 }
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
+    // Engine, drain and store layout come from the MANA2_* environment; a
+    // value that does not parse ends the run here, before any rank starts.
+    let env = from_env()?;
     println!("The §III-E pattern:");
     println!("  rank 0: MPI_Bcast(root=0); MPI_Send(->1)");
     println!("  rank 1: MPI_Recv(<-0);     MPI_Bcast");
     println!("Legal MPI: the root does not wait for receivers.\n");
 
     print!("Hybrid 2PC (MANA-2.0) ... ");
-    match run_mode(TpcMode::Hybrid) {
+    match run_mode(&env, TpcMode::Hybrid) {
         Ok(vals) => println!("completed, bcast value everywhere: {vals:?} ✓"),
         Err(e) => println!("UNEXPECTED failure: {e}"),
     }
 
     print!("Original 2PC (barrier before every collective) ... ");
-    match run_mode(TpcMode::Original) {
+    match run_mode(&env, TpcMode::Original) {
         Ok(_) => println!("UNEXPECTEDLY completed"),
         Err(e) => println!("deadlocked as the paper predicts (watchdog: {e}) ✓"),
     }
@@ -55,13 +58,13 @@ fn main() {
     // MPI tools interface. Run the same hang under the detector and show
     // its per-rank report.
     println!("\nSame hang, diagnosed by the tools-interface deadlock detector:");
-    let cfg = mana2::mana_core::ManaConfig {
+    let cfg = ManaConfig {
         tpc: TpcMode::Original,
         deadlock_timeout: Some(Duration::from_millis(500)),
         ckpt_dir: std::env::temp_dir().join("mana2_deadlock_demo2"),
-        ..mana2::mana_core::ManaConfig::default()
+        ..env.mana.clone()
     };
-    let res = mana2::mana_core::ManaRuntime::new(2, cfg).run_fresh(|m| {
+    let res = env.runtime(2, cfg).run_fresh(|m| {
         let mut f = ManaFace::new(m);
         scenarios::deadlock_pattern(&mut f, 123).map_err(|e| e.into_mana())
     });
@@ -74,4 +77,5 @@ fn main() {
         }
         other => println!("UNEXPECTED outcome: {other:?}"),
     }
+    Ok(())
 }

@@ -12,7 +12,7 @@
 //! cargo run --example engine_replay
 //! ```
 
-use mana2::mana_core::{ManaConfig, ManaRuntime};
+use mana2::mana_core::{from_env, ConfigError, EnvConfig, ManaConfig};
 use mana2::mpisim::{CoopCfg, EngineKind, ReduceOp, SrcSel, TagSel, World, WorldCfg};
 use std::sync::{Arc, Mutex};
 
@@ -69,17 +69,22 @@ fn app(m: &mut mana2::mana_core::Mana<'_>) -> mana2::mana_core::Result<u64> {
     Ok(acc)
 }
 
-fn run_app_under(engine: EngineKind, dir: &std::path::Path) -> Vec<[(&'static str, u64); 9]> {
+fn run_app_under(
+    env: &EnvConfig,
+    engine: EngineKind,
+    dir: &std::path::Path,
+) -> Vec<[(&'static str, u64); 9]> {
     let _ = std::fs::remove_dir_all(dir);
     let cfg = ManaConfig {
         ckpt_dir: dir.to_path_buf(),
-        ..ManaConfig::default()
+        ..env.mana.clone()
     };
     let wc = WorldCfg {
         engine,
-        ..WorldCfg::default()
+        ..env.world.clone()
     };
-    let report = ManaRuntime::new(4, cfg)
+    let report = env
+        .runtime(4, cfg)
         .with_world_cfg(wc)
         .run_fresh(app)
         .expect("app run");
@@ -93,7 +98,10 @@ fn run_app_under(engine: EngineKind, dir: &std::path::Path) -> Vec<[(&'static st
     stats
 }
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
+    // Engine, drain and store layout come from the MANA2_* environment; a
+    // value that does not parse ends the run here, before any rank starts.
+    let env = from_env()?;
     println!("-- Part 1: the coop schedule is a function of the seed --");
     let a = schedule_trace(42);
     let b = schedule_trace(42);
@@ -109,8 +117,8 @@ fn main() {
 
     println!("-- Part 2: engines agree on schedule-invariant stats --");
     let dir = std::env::temp_dir().join("mana2_engine_replay");
-    let threads = run_app_under(EngineKind::Thread, &dir);
-    let coops = run_app_under(coop(2, 42), &dir);
+    let threads = run_app_under(&env, EngineKind::Thread, &dir);
+    let coops = run_app_under(&env, coop(2, 42), &dir);
     assert_eq!(
         threads, coops,
         "thread and coop engines must agree on invariant stats"
@@ -125,4 +133,5 @@ fn main() {
     }
     println!("\nboth engines: identical rounds, sends/recvs/collectives, checkpoints.");
     println!("try MANA2_ENGINE=coop:1:123 cargo test --workspace for a seeded full run.");
+    Ok(())
 }

@@ -6,12 +6,15 @@
 //! cargo run --release --example gromacs_halo -- [ranks] [steps]
 //! ```
 
-use mana2::mana_core::{ManaConfig, ManaRuntime};
+use mana2::mana_core::{from_env, ConfigError, ManaConfig};
 use mana2::mpisim::{MachineProfile, World, WorldCfg};
 use mana2::workloads::{gromacs, ManaFace, NativeFace};
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
+    // Engine, drain and store layout come from the MANA2_* environment; a
+    // value that does not parse ends the run here, before any rank starts.
+    let env = from_env()?;
     let args: Vec<String> = std::env::args().collect();
     let ranks: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8);
     let steps: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(30);
@@ -27,7 +30,7 @@ fn main() {
     };
     let wcfg = WorldCfg {
         profile: MachineProfile::haswell(),
-        ..WorldCfg::default()
+        ..env.world.clone()
     };
 
     println!("GROMACS-like MD: {ranks} ranks × {steps} steps, haswell profile");
@@ -55,10 +58,11 @@ fn main() {
     mc.ckpt_at_step = Some(steps / 2);
     let mcfg = ManaConfig {
         ckpt_dir: dir.clone(),
-        ..ManaConfig::default()
+        ..env.mana.clone()
     };
     let t = Instant::now();
-    let report = ManaRuntime::new(ranks, mcfg)
+    let report = env
+        .runtime(ranks, mcfg)
         .with_world_cfg(wcfg)
         .run_fresh(move |m| {
             let mut f = ManaFace::new(m);
@@ -83,4 +87,5 @@ fn main() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
 }

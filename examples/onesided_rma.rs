@@ -8,17 +8,20 @@
 //! cargo run --example onesided_rma
 //! ```
 
-use mana2::mana_core::{ManaConfig, ManaRuntime, VWin};
+use mana2::mana_core::{from_env, ConfigError, ManaConfig, VWin};
 use mana2::mpisim::{Datatype, ReduceOp};
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
+    // Engine, drain and store layout come from the MANA2_* environment; a
+    // value that does not parse ends the run here, before any rank starts.
+    let env = from_env()?;
     let n = 4;
     let dir = std::env::temp_dir().join("mana2_rma_demo");
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = ManaConfig {
         ckpt_dir: dir.clone(),
         exit_after_ckpt: true,
-        ..ManaConfig::default()
+        ..env.mana.clone()
     };
 
     // A one-sided "histogram" app: every rank accumulates into every
@@ -76,7 +79,7 @@ fn main() {
     };
 
     println!("pass 1: accumulate epoch, checkpoint-and-kill between fences");
-    let pass1 = ManaRuntime::new(n, cfg.clone()).run_fresh(app).unwrap();
+    let pass1 = env.runtime(n, cfg.clone()).run_fresh(app).unwrap();
     assert!(pass1.all_checkpointed());
     println!(
         "  all ranks checkpointed; image bytes total: {}",
@@ -84,11 +87,12 @@ fn main() {
     );
 
     println!("pass 2: restart — windows rebuilt, contents restored, epoch 2 runs");
-    let pass2 = ManaRuntime::new(n, cfg).run_restart(app).unwrap();
+    let pass2 = env.runtime(n, cfg).run_restart(app).unwrap();
     let vals = pass2.values();
     // Two epochs of Σ(rank+1) = 2 * (1+2+3+4) = 20 in every counter.
     println!("  per-rank counters: {vals:?}");
     assert_eq!(vals, vec![20, 20, 20, 20]);
     println!("  window contents correct across checkpoint/restart ✓");
     let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
 }

@@ -5,10 +5,13 @@
 //! cargo run --example quickstart
 //! ```
 
-use mana2::mana_core::{ManaConfig, ManaRuntime};
+use mana2::mana_core::{from_env, ConfigError, ManaConfig};
 use mana2::mpisim::{ReduceOp, SrcSel, TagSel};
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
+    // Engine, drain and store layout come from the MANA2_* environment; a
+    // value that does not parse ends the run here, before any rank starts.
+    let env = from_env()?;
     let n = 4;
     let dir = std::env::temp_dir().join("mana2_quickstart");
     let _ = std::fs::remove_dir_all(&dir);
@@ -48,11 +51,11 @@ fn main() {
     let cfg = ManaConfig {
         ckpt_dir: dir.clone(),
         exit_after_ckpt: true,
-        ..ManaConfig::default()
+        ..env.mana.clone()
     };
 
     println!("=== pass 1: run fresh, checkpoint at step 6, exit ===");
-    let pass1 = ManaRuntime::new(n, cfg.clone()).run_fresh(app).unwrap();
+    let pass1 = env.runtime(n, cfg.clone()).run_fresh(app).unwrap();
     println!(
         "  outcomes: {:?}",
         pass1
@@ -69,21 +72,22 @@ fn main() {
     }
 
     println!("=== pass 2: restart from {} ===", dir.display());
-    let pass2 = ManaRuntime::new(n, cfg).run_restart(app).unwrap();
+    let pass2 = env.runtime(n, cfg).run_restart(app).unwrap();
     let values = pass2.values();
     println!("  final per-rank results: {values:?}");
 
     // Sanity: an uninterrupted run must agree.
-    let reference = ManaRuntime::new(
-        n,
-        ManaConfig {
-            ckpt_dir: std::env::temp_dir().join("mana2_quickstart_ref"),
-            ..ManaConfig::default()
-        },
-    )
-    .run_fresh(app)
-    .unwrap()
-    .values();
+    let reference = env
+        .runtime(
+            n,
+            ManaConfig {
+                ckpt_dir: std::env::temp_dir().join("mana2_quickstart_ref"),
+                ..env.mana.clone()
+            },
+        )
+        .run_fresh(app)
+        .unwrap()
+        .values();
     assert_eq!(values, reference, "restart must be transparent");
     println!("  transparent: restart result == uninterrupted result ✓");
     println!(
@@ -91,4 +95,5 @@ fn main() {
         dir.display(),
         dir.display()
     );
+    Ok(())
 }

@@ -8,29 +8,33 @@
 //! cargo run --release --example straggler_ckpt
 //! ```
 
-use mana2::mana_core::{ManaConfig, ManaRuntime};
+use mana2::mana_core::{from_env, ConfigError, ManaConfig};
 use mana2::mpisim::{MachineProfile, WorldCfg};
 use mana2::workloads::{scenarios, ManaFace};
 use std::time::Instant;
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
+    // Engine, drain and store layout come from the MANA2_* environment; a
+    // value that does not parse ends the run here, before any rank starts.
+    let env = from_env()?;
     let n = 4;
     let dir = std::env::temp_dir().join("mana2_straggler_demo");
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = ManaConfig {
         ckpt_dir: dir.clone(),
-        ..ManaConfig::default()
+        ..env.mana.clone()
     };
     let wcfg = WorldCfg {
         profile: MachineProfile::haswell(),
-        ..WorldCfg::default()
+        ..env.world.clone()
     };
 
     println!("{n} ranks; rank 0 computes ~0.5s while ranks 1..{n} wait in an allreduce.");
     println!("A checkpoint is requested at the start of the compute.\n");
 
     let t = Instant::now();
-    let report = ManaRuntime::new(n, cfg)
+    let report = env
+        .runtime(n, cfg)
         .with_world_cfg(wcfg)
         .run_fresh(|m| {
             let mut f = ManaFace::new(m);
@@ -56,4 +60,5 @@ fn main() {
     println!("\nresult correct after resume on all ranks ✓");
     println!("(the checkpoint did NOT wait for the straggler to reach the collective)");
     let _ = std::fs::remove_dir_all(&dir);
+    Ok(())
 }

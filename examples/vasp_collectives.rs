@@ -6,11 +6,14 @@
 //! cargo run --release --example vasp_collectives -- [ranks]
 //! ```
 
-use mana2::mana_core::{ManaConfig, ManaRuntime};
-use mana2::mpisim::{World, WorldCfg};
+use mana2::mana_core::{from_env, ConfigError, ManaConfig};
+use mana2::mpisim::World;
 use mana2::workloads::{vasp, ManaFace, NativeFace};
 
-fn main() {
+fn main() -> Result<(), ConfigError> {
+    // Engine, drain and store layout come from the MANA2_* environment; a
+    // value that does not parse ends the run here, before any rank starts.
+    let env = from_env()?;
     let args: Vec<String> = std::env::args().collect();
     let ranks: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(4);
 
@@ -29,7 +32,7 @@ fn main() {
         vcfg.scf_steps = 4;
 
         // Native reference.
-        let w = World::new(ranks, WorldCfg::default());
+        let w = World::new(ranks, env.world.clone());
         let vc = vcfg.clone();
         let native = w
             .launch(move |p| {
@@ -44,11 +47,12 @@ fn main() {
         let mcfg = ManaConfig {
             ckpt_dir: dir.clone(),
             exit_after_ckpt: true,
-            ..ManaConfig::default()
+            ..env.mana.clone()
         };
         let mut vc1 = vcfg.clone();
         vc1.ckpt_at_step = Some(1);
-        let pass1 = ManaRuntime::new(ranks, mcfg.clone())
+        let pass1 = env
+            .runtime(ranks, mcfg.clone())
             .run_fresh(move |m| {
                 let mut f = ManaFace::new(m);
                 vasp::run(&mut f, &vc1).map_err(|e| e.into_mana())
@@ -56,7 +60,8 @@ fn main() {
             .unwrap();
         let ckpted = pass1.all_checkpointed();
         let vc2 = vcfg.clone();
-        let pass2 = ManaRuntime::new(ranks, mcfg)
+        let pass2 = env
+            .runtime(ranks, mcfg)
             .run_restart(move |m| {
                 let mut f = ManaFace::new(m);
                 vasp::run(&mut f, &vc2).map_err(|e| e.into_mana())
@@ -81,4 +86,5 @@ fn main() {
         assert!(ok, "case {name} failed the C/R transparency check");
     }
     println!("all nine Table I cases checkpoint and restart transparently ✓");
+    Ok(())
 }

@@ -10,6 +10,11 @@ use mana2::workloads::{gromacs, ManaFace};
 use std::path::PathBuf;
 use std::time::Duration;
 
+/// The `MANA2_*` environment: the CI matrix steers what a test does not pin.
+fn env() -> mana_core::EnvConfig {
+    mana_core::from_env().expect("MANA2_* environment")
+}
+
 fn ckpt_dir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("mana2_fs_{}_{}", name, std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
@@ -19,7 +24,7 @@ fn ckpt_dir(name: &str) -> PathBuf {
 fn wcfg() -> WorldCfg {
     WorldCfg {
         watchdog: Some(Duration::from_secs(120)),
-        ..WorldCfg::default()
+        ..env().world
     }
 }
 
@@ -43,7 +48,7 @@ fn ten_checkpoint_rounds_like_fig3() {
     let dir = ckpt_dir("ten_rounds");
     let cfg = ManaConfig {
         ckpt_dir: dir.clone(),
-        ..ManaConfig::default()
+        ..env().mana
     };
     let md = md_cfg(40);
     let report = ManaRuntime::new(n, cfg)
@@ -100,7 +105,7 @@ fn image_size_scales_with_application_state() {
         let dir = ckpt_dir(&format!("size_{atoms}"));
         let cfg = ManaConfig {
             ckpt_dir: dir.clone(),
-            ..ManaConfig::default()
+            ..env().mana
         };
         let md = gromacs::GromacsConfig {
             atoms_per_rank: atoms,
@@ -136,13 +141,14 @@ fn configuration_matrix_smoke() {
             "modern",
             ManaConfig {
                 ckpt_dir: ckpt_dir("cfg_modern"),
-                ..ManaConfig::default()
+                ..env().mana
             },
         ),
         (
             "master",
             ManaConfig {
                 ckpt_dir: ckpt_dir("cfg_master"),
+                store: env().mana.store,
                 ..ManaConfig::master_branch()
             },
         ),
@@ -151,7 +157,7 @@ fn configuration_matrix_smoke() {
             ManaConfig {
                 drain: DrainMode::Coordinator,
                 ckpt_dir: ckpt_dir("cfg_ldrain"),
-                ..ManaConfig::default()
+                ..env().mana
             },
         ),
         (
@@ -160,7 +166,7 @@ fn configuration_matrix_smoke() {
                 vtable: VtBackend::Linear,
                 callback_style: CallbackStyle::Lambda,
                 ckpt_dir: ckpt_dir("cfg_linlam"),
-                ..ManaConfig::default()
+                ..env().mana
             },
         ),
         (
@@ -169,7 +175,7 @@ fn configuration_matrix_smoke() {
                 fs_mode: FsMode::Fsgsbase,
                 comm_restore: CommRestore::ReplayLog,
                 ckpt_dir: ckpt_dir("cfg_fsgr"),
-                ..ManaConfig::default()
+                ..env().mana
             },
         ),
         (
@@ -178,7 +184,7 @@ fn configuration_matrix_smoke() {
                 tpc: TpcMode::Original,
                 vtable: VtBackend::BTree,
                 ckpt_dir: ckpt_dir("cfg_origbt"),
-                ..ManaConfig::default()
+                ..env().mana
             },
         ),
     ];
