@@ -806,6 +806,7 @@ fn storage_case_inner(
 ) -> Result<StorageReport, CaseFailure> {
     use splitproc::store;
     let n = case.ranks;
+    let store = store::Store::open(dir, base.store.clone());
     if !case.restart {
         // Resume mode: the fault lands on the only checkpoint round.
         let mcfg = ManaConfig {
@@ -834,7 +835,7 @@ fn storage_case_inner(
                         format!("expected 1 aborted / 0 committed rounds, got {n_aborted} / {n_committed}"),
                     ));
                 }
-                if store::select_generation(dir, Some(n)).is_ok() {
+                if store.select(Some(n), None).is_ok() {
                     return Err(fail(
                         "store",
                         "aborted round left a selectable generation".into(),
@@ -855,7 +856,7 @@ fn storage_case_inner(
                         format!("expected 1 committed round, got {n_committed}"),
                     ));
                 }
-                match store::select_generation(dir, Some(n)) {
+                match store.select(Some(n), None) {
                     Ok(sel) => Err(fail(
                         "store",
                         format!("damaged generation {} passed validation", sel.round),
@@ -923,7 +924,8 @@ fn storage_case_inner(
                 if leg2.values() != expected {
                     return Err(fail("comparison", "diverged from native reference".into()));
                 }
-                let sel = store::select_generation(dir, Some(n))
+                let sel = store
+                    .select(Some(n), None)
                     .map_err(|e| fail("store", e.to_string()))?;
                 if sel.round != 0 {
                     return Err(fail(
@@ -947,7 +949,8 @@ fn storage_case_inner(
                         format!("did not checkpoint: {:?}", leg2.outcomes),
                     ));
                 }
-                let sel = store::select_generation(dir, Some(n))
+                let sel = store
+                    .select(Some(n), None)
                     .map_err(|e| fail("store", e.to_string()))?;
                 if sel.round != 0 || !sel.rejected.iter().any(|r| r.round == 1) {
                     return Err(fail(

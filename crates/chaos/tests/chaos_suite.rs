@@ -137,6 +137,89 @@ fn storage_bit_flip_restart_seeds() {
     storage_sweep(5_500, 3, StorageFaultKind::BitFlip, true);
 }
 
+/// Chunked layout, static content: a chunk torn after round N committed
+/// must cost round N alone. Round N+1 carries the same bytes, and used to
+/// deduplicate against the torn file — with retention full, every
+/// generation then referenced it and restart found nothing usable, where
+/// the flat layout loses one generation. The job resumes after the
+/// faulted round and commits N+1, and the selection a restart performs
+/// must then pick N+1, rejecting nothing but N. (The oracle stops at the
+/// selection: restarting a *run* from a generation written in resume mode
+/// — not at an agreed `step_commit` cut — is not something the runtime
+/// supports today.)
+#[test]
+fn storage_torn_chunk_costs_only_its_own_generation() {
+    use mana_core::{Mana, ManaConfig};
+    use mpisim::{FaultPlan, FaultSpec, ReduceOp, StorageFaultSpec};
+    use splitproc::{ChunkParams, Store, StoreConfig, StoreMode};
+    let (ranks, victim) = (3, 1);
+    let env = mana_core::from_env().expect("MANA2_* environment");
+    let dir = std::env::temp_dir().join(format!("mana2_torn_chunk_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut spec = FaultSpec::quiet();
+    spec.storage = Some(StorageFaultSpec {
+        rank: victim,
+        round: 0,
+        kind: StorageFaultKind::TornWrite,
+    });
+    let cfg = ManaConfig {
+        ckpt_dir: dir.clone(),
+        store: StoreConfig {
+            mode: StoreMode::Chunked,
+            chunk: ChunkParams {
+                min_size: 64,
+                avg_size: 256,
+                max_size: 1024,
+            },
+            ..StoreConfig::default()
+        },
+        fault: Some(std::sync::Arc::new(FaultPlan::new(5_600, spec))),
+        ..env.mana.clone()
+    };
+    // A step loop over a large segment that never changes (what nearly
+    // every chunk is cut from), checkpointing at steps 2 and 5.
+    let work = |m: &mut Mana<'_>| -> mana_core::Result<u64> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ m.rank() as u64;
+        let bytes = (0..16 * 1024).map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) as u8
+        });
+        m.upper_mut().write_segment("static", bytes.collect());
+        let w = m.comm_world();
+        let mut acc = 0;
+        for step in 0..8u64 {
+            if m.rank() == 0 && [(2, 0), (5, 1)].contains(&(step, m.round())) {
+                m.request_checkpoint()?;
+            }
+            acc += m.allreduce_t(w, ReduceOp::Sum, &[step * 10 + m.rank() as u64])?[0];
+        }
+        Ok(acc)
+    };
+    let run = env
+        .runtime(ranks, cfg.clone())
+        .run_fresh(work)
+        .expect("faulted run");
+    assert!(run.all_finished(), "{:?}", run.outcomes);
+    assert_eq!(run.coord.rounds.len(), 2, "both rounds commit");
+    let store = Store::open(&dir, cfg.store.clone());
+    let sel = store
+        .select(Some(ranks), None)
+        .expect("round 1 must be usable");
+    assert_eq!(sel.round, 1);
+    assert!(
+        sel.rejected.iter().all(|r| r.round == 0),
+        "{:?}",
+        sel.rejected
+    );
+    for rank in 0..ranks {
+        let image = sel.images[rank].as_ref().expect("full selection");
+        assert_eq!((image.rank, image.round), (rank, 1));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// CI fresh-seed storage sweep: like `fresh_sweep`, but cycling through
 /// every (fault kind × mode) cell so each night's window exercises the
 /// whole durability matrix on brand-new seeds.

@@ -16,7 +16,7 @@
 //! nightly `restart-storm` job can run fresh seeds at higher volume.
 
 use chaos::{check_restart_kill_case, env_base_seed, env_sweep_count, RestartKillCase};
-use mana_core::{DrainMode, Mana, ManaConfig, RuntimeError};
+use mana_core::{obs, DrainMode, Mana, ManaConfig, RuntimeError};
 use mpisim::{CoopCfg, EngineKind, StorageFaultKind};
 use splitproc::{journal, store};
 use std::time::Duration;
@@ -229,13 +229,16 @@ fn survivor_manifest_damage_blocks_full_but_not_partial_restart() {
             .expect("checkpoint leg");
         assert!(rep.all_checkpointed());
     }
+    let ckpts = store::Store::open(&dir, base.store.clone());
     let gdir = store::generation_dir(&dir, 0);
-    let mut manifest = store::read_manifest(&gdir).expect("manifest");
+    let mut manifest = ckpts.read_manifest(0).expect("manifest");
     manifest.entries[survivor].crc ^= 0xDEAD_BEEF;
     std::fs::write(gdir.join(store::MANIFEST_FILE), manifest.to_bytes()).expect("rewrite");
     // The survivor's image must still parse — the damage is manifest-only.
     // (Layout-aware load: flat image or chunk-pool reassembly.)
-    store::load_image(&gdir, survivor).expect("survivor image intact");
+    ckpts
+        .load_image(0, survivor)
+        .expect("survivor image intact");
     // Full restart: the damaged entry vetoes the only generation.
     match run(&base, None, None) {
         Err(RuntimeError::Store(e)) => {
@@ -258,5 +261,35 @@ fn survivor_manifest_damage_blocks_full_but_not_partial_restart() {
         last.restored.iter().copied().collect::<Vec<_>>(),
         vec![0, 1]
     );
+    // Now rot the survivor's *image* (one payload byte, flat file or first
+    // upper chunk). Partial validation still does not read it, so the
+    // damage surfaces when the survivor loads its own image — and must
+    // reach the caller typed, with its reject code, not as an I/O error
+    // and not masked by the collateral errors of the aborted peers.
+    let flat = splitproc::CkptImage::path_for(&gdir, survivor);
+    let victim = if flat.is_file() {
+        flat
+    } else {
+        let recipe = std::fs::read(ckpts.recipe_path(0, survivor)).expect("recipe");
+        let recipe = splitproc::Recipe::from_bytes(&recipe).expect("recipe parses");
+        ckpts.chunk_path(recipe.upper_chunks[0].id)
+    };
+    let mut bytes = std::fs::read(&victim).expect("victim");
+    let last_byte = bytes.len() - 1;
+    bytes[last_byte] ^= 0xFF;
+    std::fs::write(&victim, &bytes).expect("rot");
+    match run(&base, None, Some(&[0, 1])) {
+        Err(RuntimeError::Store(store::StoreError::Rejected { rank, code, .. })) => {
+            assert_eq!(rank, survivor);
+            assert!(
+                matches!(
+                    code,
+                    obs::RejectCode::BadImage | obs::RejectCode::CorruptImage
+                ),
+                "{code:?}"
+            );
+        }
+        other => panic!("rotted survivor must be a typed rejection, got {other:?}"),
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

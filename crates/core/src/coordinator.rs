@@ -18,7 +18,6 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender,
 use mpisim::{ParkerRef, UnparkerRef};
 use obs::metrics as met;
 use splitproc::store;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -319,22 +318,6 @@ pub struct CoordReport {
     pub invariant_violations: Vec<String>,
 }
 
-/// The coordinator's view of the generational checkpoint store: where the
-/// generations live and how many committed ones to retain. `None` (unit
-/// tests driving the coordinator directly) skips manifest commits, abort
-/// cleanup, and GC — the two-phase message protocol still runs.
-#[derive(Debug, Clone)]
-pub struct CoordStore {
-    /// Store root (the runtime's `ckpt_dir`).
-    pub root: PathBuf,
-    /// Committed generations to keep (floor 1).
-    pub retain: usize,
-    /// Store policy (retry/backoff + flat-vs-chunked layout) — the same
-    /// config the ranks write images with, so manifest writes share their
-    /// retry semantics and GC knows whether a chunk pool may exist.
-    pub store: splitproc::StoreConfig,
-}
-
 /// A topological plan over the in-flight send→receive dependency graph,
 /// computed by the coordinator from every rank's [`RankMsg::DrainRows`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -466,7 +449,7 @@ pub fn spawn_coordinator_ext(
     exit_after_ckpt: bool,
     fault: Option<Arc<mpisim::FaultPlan>>,
     commit_check: Option<CommitCheck>,
-    ckpt_store: Option<CoordStore>,
+    ckpt_store: Option<(store::Store, usize)>,
     initial_round: u64,
     trace: Option<Arc<obs::TraceSink>>,
     wakers: Option<Vec<UnparkerRef>>,
@@ -537,7 +520,7 @@ fn coordinator_loop(
     from_ranks: Receiver<RankMsg>,
     ports: Vec<RankPort>,
     commit_check: Option<CommitCheck>,
-    ckpt_store: Option<CoordStore>,
+    ckpt_store: Option<(store::Store, usize)>,
     rec: Option<obs::Recorder>,
     meter: Option<met::Meter>,
 ) -> CoordReport {
@@ -760,13 +743,13 @@ fn coordinator_loop(
                     if let Some(r) = &rec {
                         r.begin(round as i64, obs::Phase::Commit);
                     }
-                    if let Some(cs) = &ckpt_store {
+                    if let Some((store, _)) = &ckpt_store {
                         let manifest = store::Manifest {
                             round,
                             world_size: n as u64,
                             entries: images.iter().flatten().copied().collect(),
                         };
-                        if let Err(e) = store::commit_generation(&cs.root, &manifest, &cs.store) {
+                        if let Err(e) = store.commit(&manifest) {
                             // Manifest didn't land: the generation is not
                             // committed. Treat like a rank failure.
                             failures.push((usize::MAX, format!("manifest write failed: {e}")));
@@ -785,8 +768,8 @@ fn coordinator_loop(
                     // rank to discard and resume. Prior committed
                     // generations are untouched — round N's failure never
                     // costs round N−1.
-                    if let Some(cs) = &ckpt_store {
-                        let _ = store::abort_generation(&cs.root, round);
+                    if let Some((store, _)) = &ckpt_store {
+                        let _ = store.abort(round);
                     }
                     intent.store(false, Ordering::Release);
                     round_ctr.store(round + 1, Ordering::Release);
@@ -850,24 +833,13 @@ fn coordinator_loop(
                 // must not fail the job). Generations pinned by an open
                 // restart-journal epoch are exempt — a restart in flight
                 // must never have its source collected out from under it.
-                if let Some(cs) = &ckpt_store {
-                    if let Ok(collected) = store::gc_generations(&cs.root, cs.retain) {
-                        if let Some(m) = &meter {
-                            m.add(met::STORE_GC_GENERATIONS, collected.len() as u64);
-                        }
-                    }
-                    // With generations swept, chunks referenced only by the
-                    // removed rounds are garbage. The sweep runs strictly
-                    // after gc_generations (journal-pinned generations
-                    // survive it, so their chunks stay referenced) and
-                    // never concurrently with image writes — the ranks are
-                    // parked in phase 4 until the verdict fan-out above.
-                    if cs.store.mode == splitproc::StoreMode::Chunked {
-                        if let Ok(swept) = store::gc_chunks(&cs.root) {
-                            if let Some(m) = &meter {
-                                m.add(met::STORE_GC_CHUNKS, swept.removed);
-                            }
-                        }
+                // Chunks only the removed rounds referenced go in the same
+                // pass, which must not overlap image writes: no rank writes
+                // one before this loop has started the next round.
+                if let Some((store, retain)) = &ckpt_store {
+                    if let (Ok(gc), Some(m)) = (store.gc(*retain), &meter) {
+                        m.add(met::STORE_GC_GENERATIONS, gc.generations.len() as u64);
+                        m.add(met::STORE_GC_CHUNKS, gc.chunks.removed);
                     }
                 }
                 if exit_after_ckpt {
@@ -1274,6 +1246,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
         // Pre-write the images the ranks will claim, so the manifest the
         // coordinator commits validates against real files.
+        let ckpts = || store::Store::open(&root, store::StoreConfig::default());
         let mut crcs = Vec::new();
         for rank in 0..n {
             let img = splitproc::CkptImage {
@@ -1283,8 +1256,7 @@ mod tests {
                 upper: vec![7; 32],
                 meta: vec![1; 8],
             };
-            let out =
-                store::write_image(&root, &img, &store::StoreConfig::default(), None).unwrap();
+            let out = ckpts().write_image(&img).unwrap();
             crcs.push((out.bytes as u64, out.crc));
         }
         let (handles, trigger, join) = spawn_coordinator_ext(
@@ -1292,11 +1264,7 @@ mod tests {
             false,
             None,
             None,
-            Some(CoordStore {
-                root: root.clone(),
-                retain: 2,
-                store: store::StoreConfig::default(),
-            }),
+            Some((ckpts(), 2)),
             0,
             None,
             None,
@@ -1336,7 +1304,7 @@ mod tests {
         let report = join.join().unwrap();
         assert_eq!(report.rounds.len(), 1);
         // The generation is now committed and selectable.
-        let sel = store::select_generation(&root, Some(n)).unwrap();
+        let sel = ckpts().select(Some(n), None).unwrap();
         assert_eq!(sel.round, 0);
         std::fs::remove_dir_all(&root).ok();
     }

@@ -80,7 +80,7 @@ pub use comm_mgr::{global_comm_id, CommManager, CommRecord};
 pub use config::{CommRestore, DrainMode, ManaConfig, TpcMode};
 pub use coordinator::{
     spawn_coordinator, spawn_coordinator_ext, topo_order, AbortedRound, CkptRoundStats,
-    CkptTrigger, CommitCheck, CoordHandle, CoordReport, CoordStore, TopoPlan,
+    CkptTrigger, CommitCheck, CoordHandle, CoordReport, TopoPlan,
 };
 pub use drain_strategy::{
     strategy_for, AlltoallDrain, CoordinatorDrain, DrainStrategy, TopoSortDrain,

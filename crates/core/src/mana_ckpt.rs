@@ -213,12 +213,11 @@ impl<'p> Mana<'p> {
             meta: meta.to_bytes(),
         };
         // Durable write into this round's generation directory. A seeded
-        // storage fault (chaos) maps onto the store's injection point:
-        // write errors surface here as CkptFailed; torn writes and bit
-        // flips corrupt the file *after* the apparent success, so the
-        // rank honestly reports Done and only restart-time validation
-        // can catch them — exactly the failure mode the manifest CRCs
-        // exist for.
+        // storage fault (chaos) wraps the store's backend: write errors
+        // surface here as CkptFailed; torn writes and bit flips corrupt
+        // a file *after* the apparent success, so the rank honestly
+        // reports Done and only restart-time validation can catch them —
+        // exactly the failure mode the manifest CRCs exist for.
         let write_fault = self
             .cfg
             .fault
@@ -233,20 +232,23 @@ impl<'p> Mana<'p> {
                     store::WriteFault::BitFlip { offset: f.offset }
                 }
             });
-        if write_fault.is_some() {
+        let mut blobs: Box<dyn store::Blobs> = Box::new(store::LocalFs);
+        if let Some(fault) = write_fault {
             self.m_add(met::FAULTS_FIRED, 1);
+            let trace = self.rec.clone().map(|r| (r, round as i64));
+            blobs = Box::new(store::FaultyBlobs::new(blobs, fault, trace));
         }
+        let store = store::Store::new(
+            &self.cfg.ckpt_dir,
+            self.cfg.store.clone(),
+            self.rec.clone(),
+            blobs,
+        );
         if let Some(r) = &self.rec {
             r.begin(round as i64, Phase::ImageWrite);
         }
         let t_write = std::time::Instant::now();
-        let wrote = store::write_image_traced(
-            &self.cfg.ckpt_dir,
-            &image,
-            &self.cfg.store,
-            write_fault.as_ref(),
-            self.rec.as_ref(),
-        );
+        let wrote = store.write_image(&image);
         self.m_observe(met::STORE_WRITE_NS, t_write.elapsed().as_nanos() as u64);
         if let Some(r) = &self.rec {
             r.end(round as i64, Phase::ImageWrite);

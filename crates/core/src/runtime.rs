@@ -8,9 +8,7 @@
 //! re-entered — it finds its position in upper-half memory and continues.
 
 use crate::config::ManaConfig;
-use crate::coordinator::{
-    spawn_coordinator_ext, CkptTrigger, CommitCheck, CoordReport, CoordStore,
-};
+use crate::coordinator::{spawn_coordinator_ext, CkptTrigger, CommitCheck, CoordReport};
 use crate::error::{ManaError, Result};
 use crate::mana::{Mana, ManaStats};
 use mpisim::{StatsSnapshot, World, WorldCfg};
@@ -455,9 +453,9 @@ impl ManaRuntime {
             Some((sel, g)) => (Some(sel), Some(g)),
             None => (None, None),
         };
-        // Validation already read and verified the image of every rank in
-        // the restart scope; each restoring rank takes its own from here
-        // (and drops it once restored) instead of loading it again.
+        // The restart preamble read and verified every rank's image; each
+        // rank takes its own from here (and drops it once restored)
+        // instead of loading it again.
         let verified: Vec<Mutex<Option<CkptImage>>> = selected
             .as_mut()
             .map(|sel| std::mem::take(&mut sel.images))
@@ -501,11 +499,7 @@ impl ManaRuntime {
             self.cfg.exit_after_ckpt,
             self.cfg.fault.clone(),
             Some(commit_check),
-            Some(CoordStore {
-                root: self.cfg.ckpt_dir.clone(),
-                retain: self.cfg.retain_generations,
-                store: self.cfg.store.clone(),
-            }),
+            Some((self.store(), self.cfg.retain_generations)),
             // Round numbers keep advancing across restarts so a new round
             // never reuses (and on abort, never deletes) the generation
             // directory of a previously committed round.
@@ -631,7 +625,6 @@ impl ManaRuntime {
         let cfg = &eff_cfg;
         let f = &f;
         let handles_ref = &handles;
-        let selected_ref = &selected;
         let verified_ref = &verified;
         let guard_ref = &guard;
         let restored_ranks_ref = &restored_ranks;
@@ -641,29 +634,13 @@ impl ManaRuntime {
             // rank's engine parker: under the coop engine a rank waiting
             // on the coordinator must release its run token.
             coord.attach_parker(proc.parker());
-            let mut mana = if let Some(sel) = selected_ref {
+            let mut mana = if restored_round.is_some() {
                 let rank = proc.rank();
-                let taken = verified_ref.get(rank).and_then(|slot| {
-                    slot.lock()
-                        .expect("verified image slot lock poisoned")
-                        .take()
-                });
-                let image = match taken {
-                    Some(image) => image,
-                    // A survivor of a partial restart: validation
-                    // deliberately did not read its image, so it is loaded
-                    // (and verified) here, flat or chunked.
-                    None => store::load_image(&sel.dir, rank).map_err(|e| {
-                        let io = match e {
-                            store::StoreError::Io(io) => io,
-                            other => std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                other.to_string(),
-                            ),
-                        };
-                        ManaError::Image(splitproc::ImageError::Io(io))
-                    })?,
-                };
+                let image = verified_ref[rank]
+                    .lock()
+                    .expect("verified image slot lock poisoned")
+                    .take()
+                    .expect("every rank's image is loaded before launch");
                 let mana = Mana::restore(proc, cfg.clone(), coord, &image)?;
                 if let Some(g) = guard_ref {
                     // Journal this rank's restore (only ranks in the
@@ -830,6 +807,12 @@ impl ManaRuntime {
         })
     }
 
+    /// A handle on this run's checkpoint store (untraced: the ranks trace
+    /// their own image writes).
+    fn store(&self) -> store::Store {
+        store::Store::open(&self.cfg.ckpt_dir, self.cfg.store.clone())
+    }
+
     /// Restart preamble, run before anything is spawned: replay the
     /// journal, resume the open epoch (or open a fresh one), select and
     /// validate the generation, and journal `RestartIntent` /
@@ -882,10 +865,10 @@ impl ManaRuntime {
             RestartMode::Full => None,
             RestartMode::Partial { .. } => Some(&failed_u64),
         };
+        let store = self.store();
         let mut sel = None;
         if let Some(g) = resume.as_ref().and_then(|e| e.validated_gen) {
-            let dir = store::generation_dir(&self.cfg.ckpt_dir, g);
-            match store::select_generation_at(&dir, g, Some(self.n), only) {
+            match store.select_at(g, Some(self.n), only) {
                 Ok(s) => sel = Some(s),
                 Err(rej) => {
                     self.skip_generation(&rec, g, rej.code, &rej.reason);
@@ -895,8 +878,21 @@ impl ManaRuntime {
         }
         let sel = match sel {
             Some(s) => Ok(s),
-            None => store::select_generation_ranks(&self.cfg.ckpt_dir, Some(self.n), only),
+            None => store.select(Some(self.n), only),
         };
+        // Survivors of a partial restart: validation deliberately did not
+        // read their images, so they are loaded (and verified, flat or
+        // chunked) here, before anything is spawned. One that has rotted
+        // since is a typed rejection now, not a rank dying inside a
+        // running world while its peers block on it.
+        let sel = sel.and_then(|mut sel| {
+            for (rank, slot) in sel.images.iter_mut().enumerate() {
+                if slot.is_none() {
+                    *slot = Some(store.load_image(sel.round, rank)?);
+                }
+            }
+            Ok(sel)
+        });
         if let Some(r) = &rec {
             r.end(obs::NO_ROUND, obs::Phase::RestartValidate);
         }

@@ -870,7 +870,7 @@ fn restart_falls_back_past_corrupt_newest_generation() {
     let victim = if flat.is_file() {
         flat
     } else {
-        splitproc::store::recipe_path_for(&gen1, 0)
+        splitproc::Store::open(&dir, Default::default()).recipe_path(1, 0)
     };
     let mut bytes = std::fs::read(&victim).unwrap();
     let mid = bytes.len() / 2;

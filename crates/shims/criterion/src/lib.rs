@@ -2,9 +2,9 @@
 //! builds.
 //!
 //! The build container has no crates.io access, so the workspace vendors
-//! the API subset its benches use: `Criterion`, `benchmark_group`,
-//! `bench_function` / `bench_with_input`, `BenchmarkId`, `Throughput`,
-//! `black_box`, and the `criterion_group!` / `criterion_main!` macros.
+//! the API subset its one bench (`integrity_kernels`) uses: `Criterion`,
+//! `benchmark_group`, `bench_function`, `Throughput`, and the
+//! `criterion_group!` / `criterion_main!` macros.
 //! Measurement is a simple wall-clock mean over `sample_size` iterations
 //! printed as plain text (plus MB/s when a group declares its
 //! throughput) — no statistics, plots, or comparison baselines.
@@ -12,26 +12,16 @@
 #![forbid(unsafe_code)]
 
 use std::fmt::Display;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Hide a value from the optimizer (re-export of `std::hint::black_box`).
-pub use std::hint::black_box;
 
 /// Top-level benchmark driver.
 #[derive(Debug, Default)]
-pub struct Criterion {
-    sample_size: usize,
-}
+pub struct Criterion;
 
 impl Criterion {
     /// Apply command-line configuration (accepted and ignored).
     pub fn configure_from_args(self) -> Self {
-        self
-    }
-
-    /// Default number of timed iterations per benchmark.
-    pub fn sample_size(mut self, n: usize) -> Self {
-        self.sample_size = n;
         self
     }
 
@@ -45,20 +35,6 @@ impl Criterion {
             sample_size: 10,
             throughput: None,
         }
-    }
-
-    /// Run a single named benchmark.
-    pub fn bench_function<F>(&mut self, name: impl Display, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let samples = if self.sample_size == 0 {
-            10
-        } else {
-            self.sample_size
-        };
-        run_bench(&format!("{name}"), samples, None, &mut f);
-        self
     }
 }
 
@@ -91,11 +67,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Accepted and ignored (the shim has no warm-up phase to bound).
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
     /// Run one benchmark in this group.
     pub fn bench_function<F>(&mut self, id: impl Display, mut f: F) -> &mut Self
     where
@@ -110,56 +81,8 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Run one parameterized benchmark in this group.
-    pub fn bench_with_input<I: ?Sized, F>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        let samples = self.sample_size;
-        run_bench(
-            &format!("{}/{id}", self.name),
-            samples,
-            self.throughput,
-            &mut |b: &mut Bencher| f(b, input),
-        );
-        self
-    }
-
     /// Close the group.
     pub fn finish(self) {}
-}
-
-/// Identifier for a parameterized benchmark.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    text: String,
-}
-
-impl BenchmarkId {
-    /// `function_name/parameter` identifier.
-    pub fn new(function_name: impl Into<String>, parameter: impl Display) -> Self {
-        BenchmarkId {
-            text: format!("{}/{parameter}", function_name.into()),
-        }
-    }
-
-    /// Parameter-only identifier.
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId {
-            text: format!("{parameter}"),
-        }
-    }
-}
-
-impl Display for BenchmarkId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.text)
-    }
 }
 
 /// Timing harness handed to benchmark closures.

@@ -29,7 +29,7 @@
 //! reaches for when a restart misbehaves.
 
 use splitproc::{chunk, journal, store};
-use splitproc::{Decode, UpperHalf};
+use splitproc::{Blobs, Decode, LocalFs, Store, StoreConfig, UpperHalf};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::path::Path;
@@ -41,11 +41,11 @@ macro_rules! out {
     };
 }
 
-fn inspect(dir: &Path, rank: usize) -> Result<(), String> {
+fn inspect(store: &Store, round: u64, rank: usize) -> Result<(), String> {
     // Layout-aware: flat `.mana` images are read directly, `.cref`
     // recipes are reassembled from the chunk pool with per-chunk hash
     // verification.
-    let img = store::load_image(dir, rank).map_err(|e| e.to_string())?;
+    let img = store.load_image(round, rank).map_err(|e| e.to_string())?;
     out!(
         "rank {:>5}: world {:>5}  round {:>3}  upper {:>9} B  meta {:>9} B  total {:>9} B",
         img.rank,
@@ -69,24 +69,23 @@ fn inspect(dir: &Path, rank: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// Walk ranks in `dir` until a missing file. Returns how many were dumped.
-fn inspect_all(dir: &Path) -> usize {
+/// Walk the ranks of generation `round` until a missing file.
+fn inspect_all(store: &Store, round: u64) {
     let mut rank = 0usize;
-    while inspect(dir, rank).is_ok() {
+    while inspect(store, round, rank).is_ok() {
         rank += 1;
     }
-    rank
 }
 
 /// Print the generation table and the manifest of each committed round.
-fn list_store(root: &Path, gens: &[store::GenInfo]) {
+fn list_store(store: &Store, gens: &[store::GenInfo]) {
     out!(
         "checkpoint store {}: {} generation(s)",
-        root.display(),
+        store.root().display(),
         gens.len()
     );
     for g in gens {
-        match store::read_manifest(&g.dir) {
+        match store.read_manifest(g.round) {
             Ok(m) => {
                 out!(
                     "  gen {:>5}  committed  world {:>5}  {:>12} B total",
@@ -119,9 +118,9 @@ fn list_store(root: &Path, gens: &[store::GenInfo]) {
 
 /// `--verify`: validate every generation exactly the way restart would,
 /// newest first, then report which one restart would use.
-fn verify(root: &Path, gens: &[store::GenInfo]) -> i32 {
+fn verify(store: &Store, gens: &[store::GenInfo]) -> i32 {
     for g in gens.iter().rev() {
-        match store::validate_generation(&g.dir, g.round, None) {
+        match store.validate(g.round, None, None) {
             Ok(m) => {
                 out!(
                     "gen {:>5}: OK (world {}, {} rank image(s), {} B)",
@@ -136,7 +135,7 @@ fn verify(root: &Path, gens: &[store::GenInfo]) -> i32 {
             }
         }
     }
-    match store::select_generation(root, None) {
+    match store.select(None, None) {
         Ok(sel) => {
             out!("restart would use generation {}", sel.round);
             0
@@ -154,41 +153,35 @@ fn verify(root: &Path, gens: &[store::GenInfo]) -> i32 {
 /// generation's recipes (journal-pinned generations included; GC never
 /// removes those, so their references must resolve too) must be present
 /// with the right length and hash. Exit 0 iff no damage was found.
-fn chunks_cmd(root: &Path, do_verify: bool) -> i32 {
-    let pool = store::chunks_dir(root);
-    if !pool.is_dir() {
-        out!("no chunk pool at {} (flat store)", pool.display());
-        return 0;
-    }
-    // Pool inventory: id -> on-disk length.
-    let mut on_disk: BTreeMap<chunk::ChunkId, u64> = BTreeMap::new();
-    let mut tmp_litter = 0usize;
-    let mut foreign = 0usize;
-    let shards = match std::fs::read_dir(&pool) {
-        Ok(it) => it,
+fn chunks_cmd(store: &Store, do_verify: bool) -> i32 {
+    let root = store.root();
+    let pool = store.chunks_dir();
+    let shards = match LocalFs.list(&pool) {
+        Ok(shards) if shards.is_empty() => {
+            out!("no chunk pool at {} (flat store)", pool.display());
+            return 0;
+        }
+        Ok(shards) => shards,
         Err(e) => {
             eprintln!("cannot read {}: {e}", pool.display());
             return 1;
         }
     };
-    for shard in shards.flatten() {
-        let sp = shard.path();
-        if !sp.is_dir() {
-            continue;
-        }
-        for ent in std::fs::read_dir(&sp).into_iter().flatten().flatten() {
-            let name = ent.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with(".tmp-") {
-                tmp_litter += 1;
-                continue;
-            }
-            match name
+    // Pool inventory: id -> on-disk length.
+    let mut on_disk: BTreeMap<chunk::ChunkId, u64> = BTreeMap::new();
+    let mut tmp_litter = 0usize;
+    let mut foreign = 0usize;
+    for shard in shards.iter().filter(|s| s.is_dir) {
+        let shard = pool.join(&shard.name);
+        for ent in LocalFs.list(&shard).unwrap_or_default() {
+            let id = ent
+                .name
                 .strip_suffix(".chunk")
-                .and_then(chunk::ChunkId::from_hex)
-            {
+                .and_then(chunk::ChunkId::from_hex);
+            match id {
+                _ if ent.name.starts_with(".tmp-") => tmp_litter += 1,
                 Some(id) => {
-                    let len = ent.metadata().map(|m| m.len()).unwrap_or(0);
+                    let len = LocalFs.get(&shard.join(&ent.name), None).unwrap_or(0);
                     on_disk.insert(id, len);
                 }
                 None => foreign += 1,
@@ -196,7 +189,7 @@ fn chunks_cmd(root: &Path, do_verify: bool) -> i32 {
         }
     }
     // References: every recipe of every surviving generation.
-    let gens = store::list_generations(root).unwrap_or_default();
+    let gens = store.list().unwrap_or_default();
     let pinned = journal::pinned_generations(root);
     let mut refcount: BTreeMap<chunk::ChunkId, u64> = BTreeMap::new();
     let mut ref_len: BTreeMap<chunk::ChunkId, u64> = BTreeMap::new();
@@ -280,7 +273,7 @@ fn chunks_cmd(root: &Path, do_verify: bool) -> i32 {
         // lengths agree with what is on disk.
         let mut corrupt = 0usize;
         for (id, len) in &on_disk {
-            let path = store::chunk_path(root, *id);
+            let path = store.chunk_path(*id);
             match std::fs::read(&path) {
                 Ok(data) => {
                     if chunk::chunk_id(&data) != *id {
@@ -419,50 +412,41 @@ fn main() {
         std::process::exit(2);
     };
     let root = Path::new(dir);
+    let store = Store::open(root, StoreConfig::default());
     if args.get(2).is_some_and(|a| a == "journal") {
         let do_verify = args.iter().any(|a| a == "--verify");
         std::process::exit(journal_cmd(root, do_verify));
     }
     if args.get(2).is_some_and(|a| a == "chunks") {
         let do_verify = args.iter().any(|a| a == "--verify");
-        std::process::exit(chunks_cmd(root, do_verify));
+        std::process::exit(chunks_cmd(&store, do_verify));
     }
-    let gens = store::list_generations(root).unwrap_or_else(|e| {
+    let gens = store.list().unwrap_or_else(|e| {
         eprintln!("cannot read {}: {e}", root.display());
         std::process::exit(1);
     });
     if args.iter().any(|a| a == "--verify") {
-        std::process::exit(verify(root, &gens));
+        std::process::exit(verify(&store, &gens));
     }
+    let newest = gens.iter().rev().find(|g| g.committed).map(|g| g.round);
     if let Some(rank) = args.get(2).and_then(|s| s.parse().ok()) {
-        // Rank dump: newest committed generation of a store root, the
-        // directory itself when it holds images directly.
-        let dir = gens
-            .iter()
-            .rev()
-            .find(|g| g.committed)
-            .map(|g| g.dir.clone())
-            .unwrap_or_else(|| root.to_path_buf());
-        if let Err(e) = inspect(&dir, rank) {
+        // Rank dump, from the newest committed generation.
+        let dumped = newest
+            .ok_or_else(|| "no committed generation".to_string())
+            .and_then(|round| inspect(&store, round, rank));
+        if let Err(e) = dumped {
             eprintln!("rank {rank}: {e}");
             std::process::exit(1);
         }
         return;
     }
-    if !gens.is_empty() {
-        list_store(root, &gens);
-        if let Some(newest) = gens.iter().rev().find(|g| g.committed) {
-            out!("images of newest committed generation ({}):", newest.round);
-            inspect_all(&newest.dir);
-        }
-        return;
-    }
-    // No generations under `root`: dump it as a directory of images (one
-    // `gen_*` directory passed directly, say).
-    let dumped = inspect_all(root);
-    if dumped == 0 {
-        eprintln!("no checkpoint images found under {}", root.display());
+    if gens.is_empty() {
+        eprintln!("no checkpoint generations under {}", root.display());
         std::process::exit(1);
     }
-    out!("{dumped} image(s) inspected, all CRCs valid");
+    list_store(&store, &gens);
+    if let Some(round) = newest {
+        out!("images of newest committed generation ({round}):");
+        inspect_all(&store, round);
+    }
 }

@@ -81,30 +81,6 @@ pub struct CkptImage {
     pub meta: Vec<u8>,
 }
 
-/// The fixed-size header of a serialized image: what identifies it and
-/// where its payloads lie, without the payloads themselves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImageHeader {
-    /// World rank the image belongs to.
-    pub rank: usize,
-    /// World size at checkpoint time.
-    pub world_size: usize,
-    /// Checkpoint round.
-    pub round: u64,
-    /// Length of the upper-half payload in bytes.
-    pub upper_len: usize,
-    /// Length of the metadata payload in bytes.
-    pub meta_len: usize,
-}
-
-impl ImageHeader {
-    /// The `(upper, meta)` payload slices of the serialized image `buf`
-    /// this header was read from.
-    fn payloads<'a>(&self, buf: &'a [u8]) -> (&'a [u8], &'a [u8]) {
-        buf[HEADER_LEN..].split_at(self.upper_len)
-    }
-}
-
 impl CkptImage {
     /// Total serialized size (header + payloads) — the per-rank number that
     /// aggregates into Fig. 3's checkpoint-size line.
@@ -134,12 +110,10 @@ impl CkptImage {
         out
     }
 
-    /// Verify a serialized image in place — magic, version, sizes and both
-    /// section CRCs, all on the borrowed bytes — and return its header.
-    /// Nothing is allocated, so a corrupt image costs only the CRC pass
-    /// that exposes it, and a caller that needs just `rank` / `world_size`
-    /// / `round` never builds a throw-away [`CkptImage`].
-    pub fn verify_bytes(buf: &[u8]) -> Result<ImageHeader, ImageError> {
+    /// Parse from bytes, verifying magic, version, sizes, and CRCs. The
+    /// payloads are copied out only after both CRCs pass, so a corrupt
+    /// image costs only the CRC pass that exposes it.
+    pub fn from_bytes(buf: &[u8]) -> Result<Self, ImageError> {
         if buf.len() < HEADER_LEN {
             return Err(ImageError::Truncated);
         }
@@ -151,54 +125,33 @@ impl CkptImage {
             return Err(ImageError::BadVersion(version));
         }
         let rd_u64 = |off: usize| u64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
-        let header = ImageHeader {
-            rank: rd_u64(12) as usize,
-            world_size: rd_u64(20) as usize,
-            round: rd_u64(28),
-            upper_len: rd_u64(36) as usize,
-            meta_len: rd_u64(44) as usize,
-        };
+        let (upper_len, meta_len) = (rd_u64(36) as usize, rd_u64(44) as usize);
         let upper_crc = u32::from_le_bytes(buf[52..56].try_into().unwrap());
         let meta_crc = u32::from_le_bytes(buf[56..60].try_into().unwrap());
         // checked_add: a corrupt header can claim lengths whose sum wraps
         // usize, which would otherwise pass the size check in release
         // builds and panic (or worse) on the slices below.
         let expected = HEADER_LEN
-            .checked_add(header.upper_len)
-            .and_then(|n| n.checked_add(header.meta_len))
+            .checked_add(upper_len)
+            .and_then(|n| n.checked_add(meta_len))
             .ok_or(ImageError::Truncated)?;
         if buf.len() != expected {
             return Err(ImageError::Truncated);
         }
-        let (upper, meta) = header.payloads(buf);
+        let (upper, meta) = buf[HEADER_LEN..].split_at(upper_len);
         if crc32(upper) != upper_crc {
             return Err(ImageError::BadCrc { section: "upper" });
         }
         if crc32(meta) != meta_crc {
             return Err(ImageError::BadCrc { section: "meta" });
         }
-        Ok(header)
-    }
-
-    /// Parse from bytes, verifying magic, version, sizes, and CRCs. The
-    /// payloads are copied out only after both CRCs pass.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, ImageError> {
-        let header = Self::verify_bytes(buf)?;
-        Ok(Self::from_verified(&header, buf))
-    }
-
-    /// Copy the image out of serialized bytes that
-    /// [`verify_bytes`](Self::verify_bytes) already accepted, yielding
-    /// `header`.
-    pub(crate) fn from_verified(header: &ImageHeader, buf: &[u8]) -> Self {
-        let (upper, meta) = header.payloads(buf);
-        CkptImage {
-            rank: header.rank,
-            world_size: header.world_size,
-            round: header.round,
+        Ok(CkptImage {
+            rank: rd_u64(12) as usize,
+            world_size: rd_u64(20) as usize,
+            round: rd_u64(28),
             upper: upper.to_vec(),
             meta: meta.to_vec(),
-        }
+        })
     }
 }
 
@@ -239,29 +192,6 @@ mod tests {
             CkptImage::from_bytes(&bytes2),
             Err(ImageError::BadCrc { section: "upper" })
         ));
-    }
-
-    #[test]
-    fn verify_bytes_reads_header_and_rejects_like_from_bytes() {
-        let img = sample();
-        let bytes = img.to_bytes();
-        assert_eq!(
-            CkptImage::verify_bytes(&bytes).unwrap(),
-            ImageHeader {
-                rank: 3,
-                world_size: 16,
-                round: 2,
-                upper_len: 5,
-                meta_len: 2,
-            }
-        );
-        for flip in [0, 9, 40, 53, 61, bytes.len() - 1] {
-            let mut bad = bytes.clone();
-            bad[flip] ^= 0xFF;
-            let want = CkptImage::from_bytes(&bad).unwrap_err().to_string();
-            let got = CkptImage::verify_bytes(&bad).unwrap_err().to_string();
-            assert_eq!(got, want, "flip at {flip}");
-        }
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //! * [`codec`] — versioned binary serialization used by all checkpoint
 //!   metadata.
 //! * [`CkptImage`] — per-rank checkpoint image files with CRC'd sections.
-//! * [`store`] — durable generational checkpoint store: atomic image
-//!   writes, committed-round `MANIFEST`s, restart-time fallback selection,
-//!   and retention GC.
+//! * [`store`] — durable generational checkpoint store: one [`Store`]
+//!   handle for atomic image writes, committed-round `MANIFEST`s,
+//!   restart-time fallback selection, and retention GC.
+//! * [`blobs`] — the five storage operations the store is written
+//!   against, the local-filesystem backend, and the fault-injecting
+//!   wrapper.
 //! * [`journal`] — crash-safe restart journal: append-only, fsynced,
 //!   CRC-framed record of every restart step, replayed idempotently so a
 //!   coordinator that dies mid-restart resumes instead of redoing work.
@@ -22,6 +25,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod blobs;
 pub mod chunk;
 pub mod codec;
 mod fsreg;
@@ -34,11 +38,12 @@ mod upperhalf;
 pub use chunk::{ChunkId, ChunkParams, ChunkRef, Recipe, RecipeError};
 pub use codec::{crc32, CodecError, Crc32, Decode, Encode, Reader};
 pub use fsreg::{ContextSwitcher, FsMode};
-pub use image::{CkptImage, ImageError, ImageHeader};
+pub use image::{CkptImage, ImageError};
 pub use journal::{EpochState, Journal, JournalRecord, JournalStep};
 pub use lowerhalf::LowerHalf;
 pub use store::{
-    AtomicWriteCost, ChunkGcOutcome, GenInfo, Manifest, ManifestEntry, RejectedGeneration,
-    Rejection, Selected, StoreConfig, StoreError, StoreMode, WriteFault, WriteOutcome,
+    Blobs, ChunkGcOutcome, FaultyBlobs, GcOutcome, GenInfo, LocalFs, Manifest, ManifestEntry,
+    RejectedGeneration, Rejection, Selected, Store, StoreConfig, StoreError, StoreMode, WriteFault,
+    WriteOutcome,
 };
 pub use upperhalf::UpperHalf;

@@ -14,43 +14,42 @@
 //! <root>/gen_00001/…
 //! ```
 //!
-//! Invariants:
+//! Everything goes through one [`Store`] handle, and every byte it moves
+//! through the five operations of [`Blobs`]: this file never touches the
+//! filesystem itself. Invariants:
 //!
-//! * Every image is written via tmp-file + `write_all` + `sync_all` +
-//!   atomic rename + parent-directory fsync, with bounded-backoff retries
-//!   on transient errors ([`write_atomic`]). A reader never observes a
+//! * Every rank file and manifest lands via [`Blobs::put_atomic`] (tmp
+//!   file, sync, atomic rename, parent-directory sync), retried with
+//!   bounded backoff on transient errors. A reader never observes a
 //!   half-written file under its final name.
 //! * A generation is **committed** only once its `MANIFEST` (round, world
 //!   size, per-rank image sizes and CRCs) is durably on disk — written by
-//!   the coordinator strictly after *every* rank reported a successful
-//!   image write. A generation without a manifest is a failed or
-//!   in-progress round and is never restart material.
-//! * Restart scans generations newest-first ([`select_generation`]),
+//!   the coordinator ([`Store::commit`]) strictly after *every* rank
+//!   reported a successful image write. A generation without a manifest
+//!   is a failed or in-progress round and is never restart material.
+//! * Restart scans generations newest-first ([`Store::select`]),
 //!   validates the manifest and every rank image (whole-file CRC, header
 //!   agreement), and falls back to the newest globally-complete
 //!   generation, reporting exactly what was rejected and why.
 //!
 //! This is the SCR/VeloC-style multi-level retention idea reduced to one
 //! storage tier: `retain` committed generations are kept, older ones are
-//! garbage-collected ([`gc_generations`]).
+//! garbage-collected ([`Store::gc`]).
 
+use crate::blobs::PutMode;
+pub use crate::blobs::{Blobs, FaultyBlobs, LocalFs, WriteFault};
 use crate::chunk::{self, ChunkId, ChunkParams, ChunkRef, Recipe};
 use crate::codec::{crc32, Crc32};
-use crate::image::{CkptImage, ImageError, ImageHeader};
+use crate::image::CkptImage;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::fs;
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Manifest file name inside a generation directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
-
-/// Name of the shared chunk pool directory under a store root.
-pub const CHUNKS_DIR: &str = "chunks";
 
 const MANIFEST_MAGIC: &[u8; 8] = b"MANA2MAN";
 const MANIFEST_VERSION: u32 = 1;
@@ -104,6 +103,16 @@ pub enum StoreError {
         /// What was wrong with it.
         reason: String,
     },
+    /// [`Store::load_image`] refused one rank's image — a survivor of a
+    /// partial restart whose image rotted; validation skipped it.
+    Rejected {
+        /// The rank whose image was refused.
+        rank: usize,
+        /// Coarse machine-readable reason.
+        code: obs::RejectCode,
+        /// Human-readable detail.
+        reason: String,
+    },
     /// No generation under the store root survived validation. Each
     /// candidate is listed with the reason it was rejected.
     NoUsableGeneration {
@@ -121,6 +130,9 @@ impl fmt::Display for StoreError {
             StoreError::Io(e) => write!(f, "checkpoint store I/O error: {e}"),
             StoreError::BadManifest { path, reason } => {
                 write!(f, "bad manifest {}: {reason}", path.display())
+            }
+            StoreError::Rejected { code, reason, .. } => {
+                write!(f, "image rejected ({}): {reason}", code.name())
             }
             StoreError::NoUsableGeneration { root, rejected } => {
                 write!(
@@ -145,18 +157,6 @@ impl std::error::Error for StoreError {}
 impl From<io::Error> for StoreError {
     fn from(e: io::Error) -> Self {
         StoreError::Io(e)
-    }
-}
-
-impl From<ImageError> for StoreError {
-    fn from(e: ImageError) -> Self {
-        match e {
-            ImageError::Io(io) => StoreError::Io(io),
-            other => StoreError::Io(io::Error::new(
-                io::ErrorKind::InvalidData,
-                other.to_string(),
-            )),
-        }
     }
 }
 
@@ -224,184 +224,10 @@ impl Default for StoreConfig {
     }
 }
 
-// ---- fault injection -------------------------------------------------------
-
-/// Injected damage for one image write (driven by the chaos fault plan).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteFault {
-    /// The first `attempts` write attempts fail with an injected I/O
-    /// error. `u32::MAX` models a dead disk (every retry fails); small
-    /// values model transient errors the bounded backoff rides out.
-    Error {
-        /// How many leading attempts fail.
-        attempts: u32,
-    },
-    /// After the apparent commit, the file is truncated at
-    /// `offset % len` bytes — a torn write behind a lying disk cache.
-    Torn {
-        /// Raw seeded offset; reduced modulo the image length.
-        offset: u64,
-    },
-    /// After the apparent commit, one bit of byte `offset % len` is
-    /// flipped — silent media corruption.
-    BitFlip {
-        /// Raw seeded offset; reduced modulo the image length.
-        offset: u64,
-    },
-}
-
-// ---- path helpers ----------------------------------------------------------
-
-/// Directory of generation `round` under `root`.
-pub fn generation_dir(root: &Path, round: u64) -> PathBuf {
-    root.join(format!("gen_{round:05}"))
-}
-
-/// Parse a `gen_<round>` directory name.
-pub fn parse_generation_name(name: &str) -> Option<u64> {
-    name.strip_prefix("gen_")?.parse().ok()
-}
-
-/// The shared chunk pool directory under a store root.
-pub fn chunks_dir(root: &Path) -> PathBuf {
-    root.join(CHUNKS_DIR)
-}
-
-/// Pool path of one chunk: `chunks/<first-two-hex>/<64-hex>.chunk`. The
-/// two-hex shard keeps any one directory from accumulating the whole pool.
-pub fn chunk_path(root: &Path, id: ChunkId) -> PathBuf {
-    let hex = id.to_hex();
-    chunks_dir(root)
-        .join(&hex[..2])
-        .join(format!("{hex}.chunk"))
-}
-
-/// Recipe file (`.cref`) for a rank inside a chunked generation directory.
-pub fn recipe_path_for(dir: &Path, rank: usize) -> PathBuf {
-    dir.join(format!("ckpt_rank_{rank:05}.cref"))
-}
-
-/// Best-effort directory fsync: required for rename durability on POSIX;
-/// silently skipped on platforms where directories cannot be opened.
-fn fsync_dir(dir: &Path) -> io::Result<()> {
-    match fs::File::open(dir) {
-        Ok(d) => d.sync_all(),
-        Err(_) => Ok(()),
-    }
-}
-
-// ---- atomic writes ---------------------------------------------------------
-
-/// Durably write `bytes` to `path`: tmp file in the same directory,
-/// `write_all` + `sync_all`, atomic rename over `path`, parent-dir fsync.
-/// Transient errors are retried with bounded exponential backoff. Returns
-/// the number of retries that were needed.
-pub fn write_atomic(path: &Path, bytes: &[u8], cfg: &StoreConfig) -> io::Result<u32> {
-    write_atomic_traced(path, bytes, cfg, None, None, obs::NO_ROUND).map(|c| c.retries)
-}
-
-/// What one atomic write cost: retries needed and fsyncs issued (file
-/// `sync_all` + parent-directory fsync, across all attempts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AtomicWriteCost {
-    /// Transient-error retries the write needed.
-    pub retries: u32,
-    /// fsync calls issued (successful ones, including failed attempts').
-    pub fsyncs: u32,
-}
-
-/// [`write_atomic`] with an optional injected [`WriteFault::Error`]
-/// (`Torn`/`BitFlip` are post-commit faults and are ignored here; apply
-/// them to the final file, as [`write_image`] does) and flight-recorder
-/// instrumentation: each attempt records its write/fsync/rename stage
-/// timings, injected failures record a fault event. `rec`/`round`
-/// attribute the events.
-pub fn write_atomic_traced(
-    path: &Path,
-    bytes: &[u8],
-    cfg: &StoreConfig,
-    fault: Option<&WriteFault>,
-    rec: Option<&obs::Recorder>,
-    round: i64,
-) -> io::Result<AtomicWriteCost> {
-    let dir = path
-        .parent()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no parent"))?;
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let tmp = dir.join(format!(".tmp-{file_name}"));
-    let attempts = cfg.retry_attempts.max(1);
-    let mut last_err: Option<io::Error> = None;
-    let mut fsyncs = 0u32;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(cfg.retry_backoff * 2u32.saturating_pow(attempt - 1));
-        }
-        let mut write_ns = 0u64;
-        let mut fsync_ns = 0u64;
-        let mut rename_ns = 0u64;
-        let mut injected = false;
-        let res = (|| -> io::Result<()> {
-            if let Some(WriteFault::Error { attempts: n }) = fault {
-                if attempt < *n {
-                    injected = true;
-                    return Err(io::Error::other("injected storage write error"));
-                }
-            }
-            let t = Instant::now();
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(bytes)?;
-            write_ns = t.elapsed().as_nanos() as u64;
-            let t = Instant::now();
-            f.sync_all()?;
-            fsyncs += 1;
-            fsync_ns = t.elapsed().as_nanos() as u64;
-            drop(f);
-            let t = Instant::now();
-            fs::rename(&tmp, path)?;
-            let r = fsync_dir(dir);
-            fsyncs += 1;
-            rename_ns = t.elapsed().as_nanos() as u64;
-            r
-        })();
-        if let Some(r) = rec {
-            if injected {
-                r.event(
-                    round,
-                    obs::EventKind::StoreFault {
-                        fault: obs::InjectedFault::WriteError,
-                    },
-                );
-            }
-            r.event(
-                round,
-                obs::EventKind::StoreAttempt {
-                    attempt: attempt + 1,
-                    write_ns,
-                    fsync_ns,
-                    rename_ns,
-                    ok: res.is_ok(),
-                },
-            );
-        }
-        match res {
-            Ok(()) => {
-                return Ok(AtomicWriteCost {
-                    retries: attempt,
-                    fsyncs,
-                })
-            }
-            Err(e) => last_err = Some(e),
-        }
-    }
-    let _ = fs::remove_file(&tmp);
-    Err(last_err.unwrap_or_else(|| io::Error::other("write failed with no attempts")))
-}
+// ---- what the operations report --------------------------------------------
 
 /// Outcome of a durable image write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WriteOutcome {
     /// Bytes of the rank's file in the generation directory — the flat
     /// image in flat mode, the recipe in chunked mode. This is what the
@@ -411,9 +237,9 @@ pub struct WriteOutcome {
     pub crc: u32,
     /// Transient-error retries the write needed.
     pub retries: u32,
-    /// fsync calls issued while landing the image (file + directory,
-    /// including the root-directory fsync and any post-commit fault
-    /// damage syncs).
+    /// fsync calls issued while landing the image (files + directories,
+    /// including the root-directory fsync and, under an injected fault,
+    /// the damage's own sync).
     pub fsyncs: u32,
     /// Logical image size (header + payloads) regardless of layout — the
     /// per-rank number that aggregates into Fig. 3's checkpoint-size line.
@@ -432,314 +258,49 @@ pub struct WriteOutcome {
     pub fsync_batches: u32,
 }
 
-/// Durably write `image` into its generation directory under `root`
-/// (created if needed). Post-commit faults (`Torn`/`BitFlip`) damage the
-/// final file *after* the writer believes the write succeeded — the
-/// returned outcome still reports the intended bytes and CRC, exactly as
-/// a deceived rank would to the coordinator.
-pub fn write_image(
-    root: &Path,
-    image: &CkptImage,
-    cfg: &StoreConfig,
-    fault: Option<&WriteFault>,
-) -> Result<WriteOutcome, StoreError> {
-    write_image_traced(root, image, cfg, fault, None)
+/// One generation as found on disk.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GenInfo {
+    /// Round number parsed from the directory name.
+    pub round: u64,
+    /// Does a `MANIFEST` exist (i.e. did the round commit)?
+    pub committed: bool,
+    /// The generation directory.
+    pub dir: PathBuf,
 }
 
-/// [`write_image`] with flight-recorder instrumentation: per-attempt
-/// stage timings, injected-fault events, and a final `StoreWrite` record
-/// land in `rec`'s ring, attributed to the image's round. Dispatches on
-/// [`StoreConfig::mode`]: flat writes one self-contained image file,
-/// chunked splits payloads into the content-addressed pool and writes a
-/// recipe.
-pub fn write_image_traced(
-    root: &Path,
-    image: &CkptImage,
-    cfg: &StoreConfig,
-    fault: Option<&WriteFault>,
-    rec: Option<&obs::Recorder>,
-) -> Result<WriteOutcome, StoreError> {
-    match cfg.mode {
-        StoreMode::Flat => write_image_flat(root, image, cfg, fault, rec),
-        StoreMode::Chunked => write_image_chunked(root, image, cfg, fault, rec),
-    }
+/// What a chunk-pool sweep removed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ChunkGcOutcome {
+    /// Unreferenced chunks deleted.
+    pub removed: u64,
 }
 
-/// Post-commit torn-write damage: truncate `path` at `offset % len` after
-/// the writer already believes the write succeeded. Returns fsyncs issued.
-fn apply_torn(
-    path: &Path,
-    offset: u64,
-    rec: Option<&obs::Recorder>,
-    round: i64,
-) -> io::Result<u32> {
-    let len = fs::metadata(path)?.len().max(1);
-    let cut = offset % len;
-    let f = fs::OpenOptions::new().write(true).open(path)?;
-    f.set_len(cut)?;
-    f.sync_all()?;
-    if let Some(r) = rec {
-        r.event(
-            round,
-            obs::EventKind::StoreFault {
-                fault: obs::InjectedFault::Torn,
-            },
-        );
-    }
-    Ok(1)
+/// What one [`Store::gc`] pass removed.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct GcOutcome {
+    /// Rounds of the generations removed.
+    pub generations: Vec<u64>,
+    /// The chunk-pool sweep that followed.
+    pub chunks: ChunkGcOutcome,
 }
 
-/// Post-commit silent media corruption: flip one bit of byte
-/// `offset % len` in `path`. Returns fsyncs issued.
-fn apply_bit_flip(
-    path: &Path,
-    offset: u64,
-    rec: Option<&obs::Recorder>,
-    round: i64,
-) -> io::Result<u32> {
-    let mut data = fs::read(path)?;
-    if data.is_empty() {
-        data.push(0);
-    }
-    let byte = (offset % data.len() as u64) as usize;
-    data[byte] ^= 1 << (offset % 8);
-    let f = fs::File::create(path)?;
-    {
-        let mut w = &f;
-        w.write_all(&data)?;
-    }
-    f.sync_all()?;
-    if let Some(r) = rec {
-        r.event(
-            round,
-            obs::EventKind::StoreFault {
-                fault: obs::InjectedFault::BitFlip,
-            },
-        );
-    }
-    Ok(1)
-}
-
-fn write_image_flat(
-    root: &Path,
-    image: &CkptImage,
-    cfg: &StoreConfig,
-    fault: Option<&WriteFault>,
-    rec: Option<&obs::Recorder>,
-) -> Result<WriteOutcome, StoreError> {
-    let round = image.round as i64;
-    let dir = generation_dir(root, image.round);
-    fs::create_dir_all(&dir)?;
-    fsync_dir(root)?;
-    let mut fsyncs = 1u32;
-    let bytes = image.to_bytes();
-    let crc = crc32(&bytes);
-    let path = CkptImage::path_for(&dir, image.rank);
-    let cost = write_atomic_traced(&path, &bytes, cfg, fault, rec, round)?;
-    let retries = cost.retries;
-    fsyncs += cost.fsyncs;
-    match fault {
-        Some(WriteFault::Torn { offset }) => fsyncs += apply_torn(&path, *offset, rec, round)?,
-        Some(WriteFault::BitFlip { offset }) => {
-            fsyncs += apply_bit_flip(&path, *offset, rec, round)?
-        }
-        _ => {}
-    }
-    if let Some(r) = rec {
-        r.event(
-            round,
-            obs::EventKind::StoreWrite {
-                bytes: bytes.len() as u64,
-                retries,
-                crc,
-            },
-        );
-    }
-    Ok(WriteOutcome {
-        bytes: bytes.len(),
-        crc,
-        retries,
-        fsyncs,
-        logical_bytes: bytes.len(),
-        physical_bytes: bytes.len(),
-        chunks_written: 0,
-        chunks_deduped: 0,
-        fsync_batches: 0,
-    })
-}
-
-/// Write one chunk into the pool: tmp file (named uniquely per writing
-/// rank so concurrent rank threads landing the same content never collide
-/// on the tmp name), `write_all` + `sync_all`, atomic rename to the
-/// content-addressed final name. The *directory* fsync is deliberately
-/// omitted — the caller batches one dir-fsync per touched shard after all
-/// chunks of the image have landed.
-fn write_chunk_file(root: &Path, id: ChunkId, data: &[u8], tmp_tag: usize) -> io::Result<()> {
-    let path = chunk_path(root, id);
-    let dir = path.parent().expect("chunk path has a shard parent");
-    let tmp = dir.join(format!(".tmp-{tmp_tag}-{}", id.to_hex()));
-    let mut f = fs::File::create(&tmp)?;
-    f.write_all(data)?;
-    f.sync_all()?;
-    drop(f);
-    match fs::rename(&tmp, &path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = fs::remove_file(&tmp);
-            Err(e)
-        }
-    }
-}
-
-/// Chunked-mode image write: split payloads at content-defined boundaries,
-/// write only chunks not already in the pool (parallel bounded writers,
-/// batched dir-fsyncs), then durably write the per-rank recipe. The recipe
-/// write is the per-rank commit point, so injected `WriteFault::Error`s
-/// hit it (retries and dead-disk semantics match flat mode); post-commit
-/// `Torn`/`BitFlip` damage lands on a chunk this round actually wrote —
-/// damaging a chunk shared with an older committed generation would
-/// corrupt history no fresh write touches, which the fault model does not
-/// allow — or on the recipe when the round deduped everything.
-fn write_image_chunked(
-    root: &Path,
-    image: &CkptImage,
-    cfg: &StoreConfig,
-    fault: Option<&WriteFault>,
-    rec: Option<&obs::Recorder>,
-) -> Result<WriteOutcome, StoreError> {
-    let round = image.round as i64;
-    let dir = generation_dir(root, image.round);
-    fs::create_dir_all(&dir)?;
-    fsync_dir(root)?;
-    let mut fsyncs = 1u32;
-    let params = cfg.chunk.normalized();
-    let upper_chunks = chunk::chunk_payload(&image.upper, params);
-    let meta_chunks = chunk::chunk_payload(&image.meta, params);
-
-    // Dedup: a chunk already in the pool (from any generation, or from
-    // another rank of this very round) is never rewritten.
-    let mut fresh: BTreeMap<ChunkId, &[u8]> = BTreeMap::new();
-    let mut deduped = 0u32;
-    for (cref, data) in upper_chunks.iter().chain(meta_chunks.iter()) {
-        if fresh.contains_key(&cref.id) || chunk_path(root, cref.id).is_file() {
-            deduped += 1;
-        } else {
-            fresh.insert(cref.id, data);
-        }
-    }
-    let fresh: Vec<(ChunkId, &[u8])> = fresh.into_iter().collect();
-    let chunks_written = fresh.len() as u32;
-    let mut physical = 0usize;
-    let mut fsync_batches = 0u32;
-    let mut new_paths: Vec<PathBuf> = Vec::with_capacity(fresh.len());
-    if !fresh.is_empty() {
-        let mut shards: BTreeSet<PathBuf> = BTreeSet::new();
-        for (id, data) in &fresh {
-            let p = chunk_path(root, *id);
-            shards.insert(p.parent().expect("sharded").to_path_buf());
-            new_paths.push(p);
-            physical += data.len();
-        }
-        for s in &shards {
-            fs::create_dir_all(s)?;
-        }
-        // Bounded worker pipeline: `chunk_writers` threads drain the fresh
-        // chunk list concurrently; each chunk costs one file fsync, no
-        // per-chunk dir fsync.
-        let workers = cfg.chunk_writers.max(1).min(fresh.len());
-        let next = AtomicUsize::new(0);
-        let failure: Mutex<Option<io::Error>> = Mutex::new(None);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= fresh.len() || failure.lock().unwrap().is_some() {
-                        break;
-                    }
-                    let (id, data) = fresh[i];
-                    if let Err(e) = write_chunk_file(root, id, data, image.rank) {
-                        failure.lock().unwrap().get_or_insert(e);
-                        break;
-                    }
-                });
-            }
-        });
-        if let Some(e) = failure.into_inner().unwrap() {
-            return Err(e.into());
-        }
-        fsyncs += chunks_written;
-        // One batched dir-fsync round: each touched shard once, plus the
-        // pool root once (covers freshly created shard dirs).
-        for s in &shards {
-            fsync_dir(s)?;
-            fsyncs += 1;
-        }
-        fsync_dir(&chunks_dir(root))?;
-        fsyncs += 1;
-        fsync_batches = 1;
-    }
-
-    let recipe = Recipe {
-        rank: image.rank as u64,
-        world_size: image.world_size as u64,
-        round: image.round,
-        upper_len: image.upper.len() as u64,
-        meta_len: image.meta.len() as u64,
-        upper_crc: crc32(&image.upper),
-        meta_crc: crc32(&image.meta),
-        upper_chunks: upper_chunks.iter().map(|(c, _)| *c).collect(),
-        meta_chunks: meta_chunks.iter().map(|(c, _)| *c).collect(),
-    };
-    let rbytes = recipe.to_bytes();
-    let crc = crc32(&rbytes);
-    let rpath = recipe_path_for(&dir, image.rank);
-    let cost = write_atomic_traced(&rpath, &rbytes, cfg, fault, rec, round)?;
-    let retries = cost.retries;
-    fsyncs += cost.fsyncs;
-    physical += rbytes.len();
-    match fault {
-        Some(WriteFault::Torn { offset }) => {
-            let target = pick_damage_target(&new_paths, &rpath, *offset);
-            fsyncs += apply_torn(target, *offset, rec, round)?;
-        }
-        Some(WriteFault::BitFlip { offset }) => {
-            let target = pick_damage_target(&new_paths, &rpath, *offset);
-            fsyncs += apply_bit_flip(target, *offset, rec, round)?;
-        }
-        _ => {}
-    }
-    if let Some(r) = rec {
-        r.event(
-            round,
-            obs::EventKind::StoreWrite {
-                bytes: image.size_bytes() as u64,
-                retries,
-                crc,
-            },
-        );
-    }
-    Ok(WriteOutcome {
-        bytes: rbytes.len(),
-        crc,
-        retries,
-        fsyncs,
-        logical_bytes: image.size_bytes(),
-        physical_bytes: physical,
-        chunks_written,
-        chunks_deduped: deduped,
-        fsync_batches,
-    })
-}
-
-/// Seeded choice of the file post-commit damage lands on: one of the
-/// chunks this write actually put in the pool, or the recipe itself when
-/// everything deduped.
-fn pick_damage_target<'a>(new_paths: &'a [PathBuf], recipe: &'a Path, offset: u64) -> &'a Path {
-    if new_paths.is_empty() {
-        recipe
-    } else {
-        &new_paths[(offset % new_paths.len() as u64) as usize]
-    }
+/// The generation chosen for restart.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Selected {
+    /// Round of the chosen generation.
+    pub round: u64,
+    /// Directory holding its per-rank images.
+    pub dir: PathBuf,
+    /// Its committed manifest.
+    pub manifest: Manifest,
+    /// Generations that were scanned first and rejected, newest-first.
+    pub rejected: Vec<RejectedGeneration>,
+    /// The images validation read and verified, indexed by world rank:
+    /// every rank for a full selection, the `only` subset for a partial
+    /// one (`None` for ranks that were deliberately not read). Restart
+    /// restores from these instead of loading them a second time.
+    pub images: Vec<Option<CkptImage>>,
 }
 
 // ---- manifest --------------------------------------------------------------
@@ -841,260 +402,32 @@ impl Manifest {
     }
 }
 
-/// Durably write the manifest of generation `manifest.round`, marking it
-/// committed. The caller (the coordinator) must only do this after every
-/// rank reported a successful image write.
-pub fn commit_generation(
-    root: &Path,
-    manifest: &Manifest,
-    cfg: &StoreConfig,
-) -> Result<(), StoreError> {
-    let dir = generation_dir(root, manifest.round);
-    fs::create_dir_all(&dir)?;
-    write_atomic(&Manifest::path_in(&dir), &manifest.to_bytes(), cfg)?;
-    Ok(())
+// ---- layout ----------------------------------------------------------------
+
+/// Directory of generation `round` under `root`.
+pub fn generation_dir(root: &Path, round: u64) -> PathBuf {
+    root.join(format!("gen_{round:05}"))
 }
 
-/// Remove generation `round` entirely (partial images of an aborted
-/// round). Missing directories are fine.
-pub fn abort_generation(root: &Path, round: u64) -> io::Result<()> {
-    match fs::remove_dir_all(generation_dir(root, round)) {
-        Ok(()) => fsync_dir(root),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(e),
-    }
+fn parse_generation_name(name: &str) -> Option<u64> {
+    name.strip_prefix("gen_")?.parse().ok()
 }
 
-/// Read the manifest of a generation directory.
-pub fn read_manifest(dir: &Path) -> Result<Manifest, StoreError> {
-    let path = Manifest::path_in(dir);
-    let mut buf = Vec::new();
-    fs::File::open(&path)
-        .and_then(|mut f| f.read_to_end(&mut buf))
-        .map_err(StoreError::Io)?;
-    Manifest::from_bytes(&buf).map_err(|reason| StoreError::BadManifest { path, reason })
+fn recipe_path_for(dir: &Path, rank: usize) -> PathBuf {
+    dir.join(format!("ckpt_rank_{rank:05}.cref"))
 }
 
-// ---- listing, GC -----------------------------------------------------------
-
-/// One generation as found on disk.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GenInfo {
-    /// Round number parsed from the directory name.
-    pub round: u64,
-    /// Does a `MANIFEST` exist (i.e. did the round commit)?
-    pub committed: bool,
-    /// The generation directory.
-    pub dir: PathBuf,
-}
-
-/// All generations under `root`, sorted oldest-first. A missing root is
-/// an empty store.
-pub fn list_generations(root: &Path) -> io::Result<Vec<GenInfo>> {
-    let rd = match fs::read_dir(root) {
-        Ok(rd) => rd,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let mut gens = Vec::new();
-    for entry in rd {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(round) = parse_generation_name(name) else {
-            continue;
-        };
-        let dir = entry.path();
-        if !dir.is_dir() {
-            continue;
-        }
-        let committed = Manifest::path_in(&dir).is_file();
-        gens.push(GenInfo {
-            round,
-            committed,
-            dir,
-        });
-    }
-    gens.sort_by_key(|g| g.round);
-    Ok(gens)
-}
-
-/// Garbage-collect old generations: keep the newest `retain` committed
-/// generations (floor 1 — GC never deletes the only good checkpoint) and
-/// drop everything older, including stale uncommitted directories left by
-/// aborted rounds. A generation pinned by an open restart-journal epoch
-/// ([`crate::journal::pinned_generations`]) is never removed, no matter
-/// how old — GC must not collect the generation a restart is reading.
-/// Returns the removed rounds.
-pub fn gc_generations(root: &Path, retain: usize) -> io::Result<Vec<u64>> {
-    let retain = retain.max(1);
-    let gens = list_generations(root)?;
-    let pinned = crate::journal::pinned_generations(root);
-    let committed: Vec<u64> = gens
-        .iter()
-        .filter(|g| g.committed)
-        .map(|g| g.round)
-        .collect();
-    if committed.is_empty() {
-        return Ok(Vec::new());
-    }
-    let newest = *committed.last().unwrap();
-    let cutoff_idx = committed.len().saturating_sub(retain);
-    let keep_from = committed[cutoff_idx]; // oldest committed round we keep
-    let mut removed = Vec::new();
-    for g in &gens {
-        if pinned.contains(&g.round) {
-            continue;
-        }
-        let stale_committed = g.committed && g.round < keep_from;
-        let stale_partial = !g.committed && g.round < newest;
-        if stale_committed || stale_partial {
-            fs::remove_dir_all(&g.dir)?;
-            removed.push(g.round);
-        }
-    }
-    if !removed.is_empty() {
-        fsync_dir(root)?;
-    }
-    Ok(removed)
-}
-
-// ---- validation & selection ------------------------------------------------
-
-/// Fully validate one generation directory: manifest present and
-/// self-consistent, agreeing with `round` (and `expected_world` when
-/// given), exactly one image per rank, every image parseable (magic,
-/// version, section CRCs) with header fields and whole-file CRC matching
-/// the manifest. Returns the manifest on success, a rejection otherwise.
-pub fn validate_generation(
-    dir: &Path,
-    round: u64,
-    expected_world: Option<usize>,
-) -> Result<Manifest, Rejection> {
-    validate_generation_ranks(dir, round, expected_world, None)
-}
-
-/// [`validate_generation`] scoped to a rank subset: manifest-level checks
-/// stay global, but only the listed ranks' images are opened and
-/// verified. This is what partial restart needs — the ranks being
-/// replaced must restore from pristine images, while a survivor whose
-/// image has since rotted on disk must not veto the whole restart (it is
-/// not being read). Images are verified in place and not kept, so memory
-/// stays bounded by the verifying workers however wide the generation is;
-/// restart, which consumes what it verifies, uses
-/// [`select_generation_at`].
-pub fn validate_generation_ranks(
-    dir: &Path,
-    round: u64,
-    expected_world: Option<usize>,
-    only_ranks: Option<&[u64]>,
-) -> Result<Manifest, Rejection> {
-    let manifest = check_manifest(dir, round, expected_world)?;
-    verify_ranks(dir, &manifest, only_ranks, false)?;
-    Ok(manifest)
-}
-
-/// Validate the generation in `dir` exactly as
-/// [`validate_generation_ranks`] does and keep what was verified: the
-/// returned [`Selected`] carries the image of every rank that was read,
-/// so restart restores from the very bytes validation checked instead of
-/// reading and checking them again.
-pub fn select_generation_at(
-    dir: &Path,
-    round: u64,
-    expected_world: Option<usize>,
-    only_ranks: Option<&[u64]>,
-) -> Result<Selected, Rejection> {
-    let manifest = check_manifest(dir, round, expected_world)?;
-    let images = verify_ranks(dir, &manifest, only_ranks, true)?;
-    Ok(Selected {
-        round,
-        dir: dir.to_path_buf(),
-        manifest,
-        rejected: Vec::new(),
-        images,
-    })
-}
-
-/// The manifest-level half of validation: present, self-consistent,
-/// agreeing with the directory's `round` and the runtime's world size,
-/// and listing exactly ranks `0..world_size`.
-fn check_manifest(
-    dir: &Path,
-    round: u64,
-    expected_world: Option<usize>,
-) -> Result<Manifest, Rejection> {
-    use obs::RejectCode as C;
-    let manifest = match read_manifest(dir) {
-        Ok(m) => m,
-        Err(StoreError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
-            return Err(Rejection::new(C::Uncommitted, "uncommitted (no MANIFEST)"));
-        }
-        Err(e) => return Err(Rejection::new(C::BadManifest, e.to_string())),
-    };
-    if manifest.round != round {
-        return Err(Rejection::new(
-            C::RoundMismatch,
-            format!(
-                "manifest round {} disagrees with directory round {round}",
-                manifest.round
-            ),
-        ));
-    }
-    if let Some(w) = expected_world {
-        if manifest.world_size != w as u64 {
-            return Err(Rejection::new(
-                C::WorldMismatch,
-                format!(
-                    "manifest world size {} != runtime world size {w}",
-                    manifest.world_size
-                ),
-            ));
-        }
-    }
-    if manifest.entries.len() as u64 != manifest.world_size {
-        return Err(Rejection::new(
-            C::BadManifest,
-            format!(
-                "manifest has {} entries for world size {}",
-                manifest.entries.len(),
-                manifest.world_size
-            ),
-        ));
-    }
-    let mut ranks: Vec<u64> = manifest.entries.iter().map(|e| e.rank).collect();
-    ranks.sort_unstable();
-    if ranks.iter().enumerate().any(|(i, &r)| r != i as u64) {
-        return Err(Rejection::new(
-            C::BadManifest,
-            format!("manifest ranks are not exactly 0..{}", manifest.world_size),
-        ));
-    }
-    Ok(manifest)
-}
-
-/// Verify the manifest's rank images — all of them, or the `only_ranks`
-/// subset — each through [`read_verified`] plus the header-vs-manifest
-/// cross-checks. Returns one slot per world rank; with `keep`, the slot of
-/// every verified rank holds its image.
-///
-/// Ranks are independent, so they are verified on scoped threads bounded
-/// by `available_parallelism()`. Work is handed out in ascending rank
-/// order and the lowest-rank rejection is the one reported, which is the
-/// rejection a serial loop would have stopped at: every rank below a
-/// failing one was handed out before it, so it always runs to completion.
-fn verify_ranks(
-    dir: &Path,
-    manifest: &Manifest,
-    only_ranks: Option<&[u64]>,
-    keep: bool,
-) -> Result<Vec<Option<CkptImage>>, Rejection> {
-    let mut todo: Vec<&ManifestEntry> = manifest
-        .entries
-        .iter()
-        .filter(|e| only_ranks.is_none_or(|only| only.contains(&e.rank)))
-        .collect();
-    todo.sort_unstable_by_key(|e| e.rank);
+/// Run `job(i)` for every `i in 0..n` on up to `workers` scoped threads,
+/// this one included; all results in index order, or the lowest-index
+/// error. Indices are handed out in ascending order and none above the
+/// lowest failed one is started, so every index below a failure was
+/// handed out before it and runs to completion: the error returned is the
+/// one a serial loop would have stopped at.
+fn fan_out<T: Send, E: Send>(
+    workers: usize,
+    n: usize,
+    job: impl Fn(usize) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
     let next = AtomicUsize::new(0);
     // Early-exit hint only: results travel through the joins below.
     let first_bad = AtomicUsize::new(usize::MAX);
@@ -1102,421 +435,814 @@ fn verify_ranks(
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= todo.len() || i > first_bad.load(Ordering::Relaxed) {
+            if i >= n || i > first_bad.load(Ordering::Relaxed) {
                 return done;
             }
-            let res = verify_rank(dir, manifest, todo[i], keep);
+            let res = job(i);
             if res.is_err() {
                 first_bad.fetch_min(i, Ordering::Relaxed);
             }
             done.push((i, res));
         }
     };
-    let workers = std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(todo.len());
-    let done = if workers <= 1 {
-        work()
-    } else {
-        std::thread::scope(|s| {
-            let spawned: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
-            let mut done = work();
-            for h in spawned {
-                done.extend(h.join().expect("image verify worker panicked"));
-            }
-            done
-        })
-    };
-    let mut images = vec![None; manifest.entries.len()];
-    let mut bad: Option<(usize, Rejection)> = None;
-    for (i, res) in done {
-        match res {
-            Ok(img) => images[todo[i].rank as usize] = img,
-            Err(rej) if bad.as_ref().is_none_or(|(b, _)| i < *b) => bad = Some((i, rej)),
-            Err(_) => {}
+    let mut done = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..workers.min(n)).map(|_| s.spawn(work)).collect();
+        let mut done = work();
+        for h in spawned {
+            done.extend(h.join().expect("store worker panicked"));
         }
-    }
-    match bad {
-        Some((_, rej)) => Err(rej),
-        None => Ok(images),
-    }
-}
-
-/// One rank of [`verify_ranks`]: read and verify the image against its
-/// manifest entry, then cross-check its header against the manifest.
-fn verify_rank(
-    dir: &Path,
-    manifest: &Manifest,
-    entry: &ManifestEntry,
-    keep: bool,
-) -> Result<Option<CkptImage>, Rejection> {
-    use obs::RejectCode as C;
-    let (header, image) = read_verified(dir, entry.rank as usize, Some(entry), keep)?;
-    if header.rank as u64 != entry.rank {
-        return Err(Rejection::new(
-            C::BadImage,
-            format!("rank {} image claims rank {}", entry.rank, header.rank),
-        ));
-    }
-    if header.world_size as u64 != manifest.world_size {
-        return Err(Rejection::new(
-            C::BadImage,
-            format!(
-                "rank {} image world size {} != manifest world size {}",
-                entry.rank, header.world_size, manifest.world_size
-            ),
-        ));
-    }
-    if header.round != manifest.round {
-        return Err(Rejection::new(
-            C::BadImage,
-            format!(
-                "rank {} image round {} != manifest round {}",
-                entry.rank, header.round, manifest.round
-            ),
-        ));
-    }
-    Ok(image)
-}
-
-/// Read one rank's image from a generation directory, whatever its
-/// layout, verifying every byte exactly once on the way: the rank's file
-/// (flat `.mana` image, else `.cref` recipe) against its manifest `entry`
-/// when one is given (size, whole-file CRC), then either both section
-/// CRCs of the flat image, or the recipe's own checksum, every chunk's
-/// presence, length and SHA-256, and both reassembled-payload CRCs. This
-/// is the only reader of rank images: validation, selection and
-/// [`load_image`] all go through it. With `keep` the verified image is
-/// returned next to its header; without, payloads are checked in place
-/// and never copied.
-fn read_verified(
-    dir: &Path,
-    rank: usize,
-    entry: Option<&ManifestEntry>,
-    keep: bool,
-) -> Result<(ImageHeader, Option<CkptImage>), Rejection> {
-    use obs::RejectCode as C;
-    let flat_path = CkptImage::path_for(dir, rank);
-    let chunked = !flat_path.is_file();
-    let path = if chunked {
-        recipe_path_for(dir, rank)
-    } else {
-        flat_path
-    };
-    let bytes = fs::read(path).map_err(|e| {
-        Rejection::new(
-            C::MissingImage,
-            format!("rank {rank} image unreadable: {e}"),
-        )
-    })?;
-    if let Some(entry) = entry {
-        if bytes.len() as u64 != entry.bytes {
-            return Err(Rejection::new(
-                C::TornImage,
-                format!(
-                    "rank {rank} image is {} bytes, manifest says {} (torn write)",
-                    bytes.len(),
-                    entry.bytes
-                ),
-            ));
-        }
-        if crc32(&bytes) != entry.crc {
-            return Err(Rejection::new(
-                C::CorruptImage,
-                format!("rank {rank} image CRC mismatch against manifest (corrupt image)"),
-            ));
-        }
-    }
-    if !chunked {
-        let header = CkptImage::verify_bytes(&bytes)
-            .map_err(|e| Rejection::new(C::BadImage, format!("rank {rank} image invalid: {e}")))?;
-        let image = keep.then(|| CkptImage::from_verified(&header, &bytes));
-        return Ok((header, image));
-    }
-    let recipe = Recipe::from_bytes(&bytes)
-        .map_err(|e| Rejection::new(C::BadImage, format!("rank {rank} recipe invalid: {e}")))?;
-    // A damaged chunk rejects the image just like a damaged flat file
-    // would.
-    let root = dir.parent().unwrap_or(dir);
-    let (upper, meta) = assemble_payloads(root, &recipe, keep)
-        .map_err(|rej| Rejection::new(rej.code, format!("rank {rank}: {}", rej.reason)))?;
-    let header = ImageHeader {
-        rank: recipe.rank as usize,
-        world_size: recipe.world_size as usize,
-        round: recipe.round,
-        upper_len: recipe.upper_len as usize,
-        meta_len: recipe.meta_len as usize,
-    };
-    let image = keep.then_some(CkptImage {
-        rank: header.rank,
-        world_size: header.world_size,
-        round: header.round,
-        upper,
-        meta,
+        done
     });
-    Ok((header, image))
+    done.sort_unstable_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, res)| res).collect()
 }
 
-// ---- chunked reassembly ----------------------------------------------------
+// ---- the handle ------------------------------------------------------------
 
-/// Read and verify every chunk of one payload list from the pool. Each
-/// chunk is checked for presence, exact length, and SHA-256 identity
-/// against its content address — a wrong-hash chunk is *never* returned,
-/// it rejects the payload — and folded into the payload's CRC while it is
-/// still hot. With `keep` the chunks are concatenated into the returned
-/// payload; without, each is checked in a reused buffer and dropped (the
-/// returned vector is empty).
-fn assemble_one(
-    root: &Path,
-    refs: &[ChunkRef],
-    expected_len: u64,
-    expected_crc: u32,
-    section: &str,
-    keep: bool,
-) -> Result<Vec<u8>, Rejection> {
-    use obs::RejectCode as C;
-    let cap = if keep { expected_len.min(1 << 30) } else { 0 };
-    let mut out = Vec::with_capacity(cap as usize);
-    let mut total = 0u64;
-    let mut crc = Crc32::new();
-    for cref in refs {
-        let start = out.len();
-        fs::File::open(chunk_path(root, cref.id))
-            .and_then(|mut f| f.read_to_end(&mut out))
-            .map_err(|e| {
-                Rejection::new(
-                    C::MissingImage,
-                    format!("{section} chunk {} unreadable: {e}", cref.id),
-                )
+/// One checkpoint store: root directory, write policy, optional flight
+/// recorder, and the [`Blobs`] backend every operation goes through.
+/// Cheap to build: ranks build one per image write.
+pub struct Store {
+    root: PathBuf,
+    cfg: StoreConfig,
+    rec: Option<obs::Recorder>,
+    blobs: Box<dyn Blobs>,
+}
+
+impl Store {
+    /// The store under `root` on the local filesystem, untraced.
+    pub fn open(root: impl Into<PathBuf>, cfg: StoreConfig) -> Store {
+        Store::new(root, cfg, None, Box::new(LocalFs))
+    }
+
+    /// The store under `root` over an explicit backend. With `rec`, writes
+    /// record each attempt's stage timings and a final `StoreWrite`.
+    pub fn new(
+        root: impl Into<PathBuf>,
+        cfg: StoreConfig,
+        rec: Option<obs::Recorder>,
+        blobs: Box<dyn Blobs>,
+    ) -> Store {
+        Store {
+            root: root.into(),
+            cfg,
+            rec,
+            blobs,
+        }
+    }
+
+    /// The store root.
+    pub fn root(&self) -> &Path {
+        &self.root
+    }
+
+    /// The shared chunk pool directory.
+    pub fn chunks_dir(&self) -> PathBuf {
+        self.root.join("chunks")
+    }
+
+    /// Pool path of one chunk: `chunks/<first-two-hex>/<64-hex>.chunk`
+    /// (the shard keeps any one directory from holding the whole pool).
+    pub fn chunk_path(&self, id: ChunkId) -> PathBuf {
+        let hex = id.to_hex();
+        self.chunks_dir()
+            .join(&hex[..2])
+            .join(format!("{hex}.chunk"))
+    }
+
+    /// Recipe file (`.cref`) of `rank` in chunked generation `round`.
+    pub fn recipe_path(&self, round: u64, rank: usize) -> PathBuf {
+        recipe_path_for(&generation_dir(&self.root, round), rank)
+    }
+
+    // ---- writes ------------------------------------------------------------
+
+    /// Durably write `image` into its generation directory. Flat mode
+    /// lands one self-contained image file; chunked mode lands the chunks
+    /// the pool does not hold yet, then a recipe. Either way the rank's
+    /// file is its commit point and lands last, and the outcome reports
+    /// that file's intended bytes and CRC — what the coordinator is told.
+    pub fn write_image(&self, image: &CkptImage) -> Result<WriteOutcome, StoreError> {
+        let dir = generation_dir(&self.root, image.round);
+        let mut out = WriteOutcome {
+            logical_bytes: image.size_bytes(),
+            ..WriteOutcome::default()
+        };
+        let (path, bytes) = match self.cfg.mode {
+            StoreMode::Flat => (CkptImage::path_for(&dir, image.rank), image.to_bytes()),
+            StoreMode::Chunked => (
+                recipe_path_for(&dir, image.rank),
+                self.write_chunks(image, &mut out)?.to_bytes(),
+            ),
+        };
+        out.bytes = bytes.len();
+        out.crc = crc32(&bytes);
+        out.physical_bytes += bytes.len();
+        let round = image.round as i64;
+        let (retries, fsyncs) = self.put_commit(&path, &bytes, round)?;
+        out.retries = retries;
+        // The generation directory and the pool are names in the root; a
+        // write that created either is durable only once the root is.
+        self.blobs.sync_dir(&self.root)?;
+        out.fsyncs += fsyncs + 1;
+        if let Some(r) = &self.rec {
+            r.event(
+                round,
+                obs::EventKind::StoreWrite {
+                    bytes: out.logical_bytes as u64,
+                    retries,
+                    crc: out.crc,
+                },
+            );
+        }
+        Ok(out)
+    }
+
+    /// The pool half of a chunked write: split both payloads at
+    /// content-defined boundaries, land the chunks the pool does not hold
+    /// (bounded parallel writers, then one directory sync per touched
+    /// shard and one for the pool), and return the recipe naming them.
+    fn write_chunks(
+        &self,
+        image: &CkptImage,
+        out: &mut WriteOutcome,
+    ) -> Result<Recipe, StoreError> {
+        let params = self.cfg.chunk.normalized();
+        let upper = chunk::chunk_payload(&image.upper, params);
+        let meta = chunk::chunk_payload(&image.meta, params);
+        // Dedup: a chunk already in the pool (from any generation, or
+        // another rank of this round) is not rewritten — if what is there
+        // has the chunk's length. A shorter file is a torn write an
+        // earlier round was lied to about; deduplicating against it would
+        // poison every later generation. Same-length rot would cost a
+        // re-hash to catch here; restart validation catches it.
+        let mut fresh: BTreeMap<ChunkId, (PathBuf, &[u8])> = BTreeMap::new();
+        for (cref, data) in upper.iter().chain(&meta) {
+            let path = self.chunk_path(cref.id);
+            let held = |len: u64| len == cref.len;
+            if fresh.contains_key(&cref.id) || self.blobs.get(&path, None).is_ok_and(held) {
+                out.chunks_deduped += 1;
+            } else {
+                fresh.insert(cref.id, (path, data));
+            }
+        }
+        let fresh: Vec<(PathBuf, &[u8])> = fresh.into_values().collect();
+        if !fresh.is_empty() {
+            out.chunks_written = fresh.len() as u32;
+            out.physical_bytes += fresh.iter().map(|(_, d)| d.len()).sum::<usize>();
+            // Bounded worker pipeline: `chunk_writers` threads drain the
+            // fresh chunk list concurrently; each chunk costs one file
+            // fsync, no per-chunk directory fsync.
+            let mode = PutMode::Pooled { writer: image.rank };
+            fan_out(self.cfg.chunk_writers, fresh.len(), |i| {
+                let (path, data) = &fresh[i];
+                self.blobs.put_atomic(path, data, mode).1
             })?;
-        let data = &out[start..];
-        if data.len() as u64 != cref.len {
+            // One batched sync round: each touched shard once, plus the
+            // pool once (covers freshly created shard directories).
+            let shards: BTreeSet<&Path> = fresh.iter().filter_map(|(p, _)| p.parent()).collect();
+            for shard in &shards {
+                self.blobs.sync_dir(shard)?;
+            }
+            self.blobs.sync_dir(&self.chunks_dir())?;
+            out.fsyncs += out.chunks_written + shards.len() as u32 + 1;
+            out.fsync_batches = 1;
+        }
+        let ids = |chunks: &[(ChunkRef, &[u8])]| chunks.iter().map(|(c, _)| *c).collect();
+        Ok(Recipe {
+            rank: image.rank as u64,
+            world_size: image.world_size as u64,
+            round: image.round,
+            upper_len: image.upper.len() as u64,
+            meta_len: image.meta.len() as u64,
+            upper_crc: crc32(&image.upper),
+            meta_crc: crc32(&image.meta),
+            upper_chunks: ids(&upper),
+            meta_chunks: ids(&meta),
+        })
+    }
+
+    /// Land a rank file or manifest: [`PutMode::Commit`] puts, retried
+    /// with bounded exponential backoff, each attempt's stage timings
+    /// recorded. Returns `(retries needed, fsyncs issued)`.
+    fn put_commit(&self, path: &Path, bytes: &[u8], round: i64) -> io::Result<(u32, u32)> {
+        let mut fsyncs = 0;
+        let mut attempt = 0;
+        loop {
+            if attempt > 0 {
+                std::thread::sleep(self.cfg.retry_backoff * 2u32.saturating_pow(attempt - 1));
+            }
+            let (cost, res) = self.blobs.put_atomic(path, bytes, PutMode::Commit);
+            fsyncs += cost.fsyncs;
+            attempt += 1;
+            if let Some(r) = &self.rec {
+                r.event(
+                    round,
+                    obs::EventKind::StoreAttempt {
+                        attempt,
+                        write_ns: cost.write_ns,
+                        fsync_ns: cost.fsync_ns,
+                        rename_ns: cost.rename_ns,
+                        ok: res.is_ok(),
+                    },
+                );
+            }
+            match res {
+                Ok(()) => return Ok((attempt - 1, fsyncs)),
+                Err(e) if attempt >= self.cfg.retry_attempts => return Err(e),
+                Err(_) => {}
+            }
+        }
+    }
+
+    /// Durably write the manifest of generation `manifest.round`, marking
+    /// it committed. The caller (the coordinator) must only do this after
+    /// every rank reported a successful image write.
+    pub fn commit(&self, manifest: &Manifest) -> Result<(), StoreError> {
+        let path = Manifest::path_in(&generation_dir(&self.root, manifest.round));
+        self.put_commit(&path, &manifest.to_bytes(), manifest.round as i64)?;
+        Ok(())
+    }
+
+    /// Remove generation `round` entirely (partial images of an aborted
+    /// round). A missing generation is fine.
+    pub fn abort(&self, round: u64) -> io::Result<()> {
+        match self.blobs.remove(&generation_dir(&self.root, round)) {
+            Ok(()) => self.blobs.sync_dir(&self.root),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+            Err(e) => Err(e),
+        }
+    }
+
+    // ---- listing, GC -------------------------------------------------------
+
+    /// Read the manifest of generation `round`.
+    pub fn read_manifest(&self, round: u64) -> Result<Manifest, StoreError> {
+        let path = Manifest::path_in(&generation_dir(&self.root, round));
+        let mut buf = Vec::new();
+        self.blobs.get(&path, Some(&mut buf))?;
+        Manifest::from_bytes(&buf).map_err(|reason| StoreError::BadManifest { path, reason })
+    }
+
+    /// All generations, oldest first. A missing root is an empty store.
+    pub fn list(&self) -> io::Result<Vec<GenInfo>> {
+        let mut gens = Vec::new();
+        for entry in self.blobs.list(&self.root)? {
+            let Some(round) = parse_generation_name(&entry.name) else {
+                continue;
+            };
+            if !entry.is_dir {
+                continue;
+            }
+            let dir = self.root.join(&entry.name);
+            gens.push(GenInfo {
+                round,
+                committed: self.blobs.get(&Manifest::path_in(&dir), None).is_ok(),
+                dir,
+            });
+        }
+        gens.sort_by_key(|g| g.round);
+        Ok(gens)
+    }
+
+    /// Garbage-collect: old generations first, then the pool chunks only
+    /// they referenced. Must not run concurrently with image writes; the
+    /// coordinator runs it between rounds.
+    pub fn gc(&self, retain: usize) -> io::Result<GcOutcome> {
+        Ok(GcOutcome {
+            generations: self.gc_generations(retain)?,
+            chunks: self.gc_chunks()?,
+        })
+    }
+
+    /// Keep the newest `retain` committed generations (floor 1 — GC never
+    /// deletes the only good checkpoint) and drop everything older,
+    /// stale uncommitted directories of aborted rounds included. A
+    /// generation pinned by an open restart-journal epoch
+    /// ([`crate::journal::pinned_generations`]) is never removed: GC must
+    /// not collect what a restart is reading. Returns the removed rounds.
+    fn gc_generations(&self, retain: usize) -> io::Result<Vec<u64>> {
+        let gens = self.list()?;
+        let committed: Vec<u64> = gens
+            .iter()
+            .filter(|g| g.committed)
+            .map(|g| g.round)
+            .collect();
+        let Some(&newest) = committed.last() else {
+            return Ok(Vec::new());
+        };
+        // Oldest committed round we keep.
+        let keep_from = committed[committed.len().saturating_sub(retain.max(1))];
+        let pinned = crate::journal::pinned_generations(&self.root);
+        let mut removed = Vec::new();
+        for g in &gens {
+            let stale = if g.committed {
+                g.round < keep_from
+            } else {
+                g.round < newest
+            };
+            if stale && !pinned.contains(&g.round) {
+                self.blobs.remove(&g.dir)?;
+                removed.push(g.round);
+            }
+        }
+        if !removed.is_empty() {
+            self.blobs.sync_dir(&self.root)?;
+        }
+        Ok(removed)
+    }
+
+    /// Mark-and-sweep the shared chunk pool: a chunk survives iff some
+    /// recipe in *any* surviving generation directory references it —
+    /// journal-pinned generations survived [`Store::gc_generations`], so
+    /// their chunks stay referenced. Tmp litter of crashed chunk writes
+    /// (`.tmp-*`) is swept too; a store with no pool is a no-op. A chunk
+    /// landed for a recipe not yet written has no reference, which is why
+    /// GC and image writes must not overlap.
+    fn gc_chunks(&self) -> io::Result<ChunkGcOutcome> {
+        let pool = self.chunks_dir();
+        let shards = self.blobs.list(&pool)?;
+        let mut outcome = ChunkGcOutcome::default();
+        if shards.is_empty() {
+            return Ok(outcome);
+        }
+        let mut referenced: BTreeSet<ChunkId> = BTreeSet::new();
+        let mut bytes = Vec::new();
+        for gen in self.list()? {
+            for entry in self.blobs.list(&gen.dir)? {
+                // An unreadable/corrupt recipe contributes no references:
+                // its generation can never restore anyway, so its
+                // exclusive chunks are garbage.
+                bytes.clear();
+                if !entry.name.ends_with(".cref")
+                    || self
+                        .blobs
+                        .get(&gen.dir.join(&entry.name), Some(&mut bytes))
+                        .is_err()
+                {
+                    continue;
+                }
+                if let Ok(recipe) = Recipe::from_bytes(&bytes) {
+                    let refs = recipe.upper_chunks.iter().chain(&recipe.meta_chunks);
+                    referenced.extend(refs.map(|c| c.id));
+                }
+            }
+        }
+        let mut touched: BTreeSet<PathBuf> = BTreeSet::new();
+        for shard in shards.iter().filter(|s| s.is_dir) {
+            let shard = pool.join(&shard.name);
+            let mut swept = false;
+            for entry in self.blobs.list(&shard)? {
+                let id = entry
+                    .name
+                    .strip_suffix(".chunk")
+                    .and_then(ChunkId::from_hex);
+                let dead = match id {
+                    Some(id) => !referenced.contains(&id),
+                    // Tmp litter from a crashed writer is always dead; any
+                    // other unrecognized file is left alone.
+                    None => entry.name.starts_with(".tmp-"),
+                };
+                if dead {
+                    self.blobs.remove(&shard.join(&entry.name))?;
+                    outcome.removed += u64::from(id.is_some());
+                    swept = true;
+                }
+            }
+            if swept {
+                touched.insert(shard);
+            }
+        }
+        for shard in &touched {
+            self.blobs.sync_dir(shard)?;
+        }
+        if !touched.is_empty() {
+            self.blobs.sync_dir(&pool)?;
+        }
+        Ok(outcome)
+    }
+
+    // ---- validation & selection --------------------------------------------
+
+    /// Fully validate generation `round`: manifest present and
+    /// self-consistent, agreeing with `round` (and `world` when given),
+    /// exactly one image per rank, every image parseable (magic, version,
+    /// section CRCs) with header fields and whole-file CRC matching the
+    /// manifest. Returns the manifest on success, a rejection otherwise.
+    ///
+    /// With `only`, manifest-level checks stay global but only the listed
+    /// ranks' images are opened. This is what partial restart needs: the
+    /// replaced ranks must restore from pristine images, while a survivor
+    /// whose *manifest entry* disagrees must not veto (it is read
+    /// leniently later). Images are dropped as they check out, so memory
+    /// stays bounded by the verifying workers; restart, which consumes
+    /// what it verifies, uses [`Store::select_at`].
+    pub fn validate(
+        &self,
+        round: u64,
+        world: Option<usize>,
+        only: Option<&[u64]>,
+    ) -> Result<Manifest, Rejection> {
+        let manifest = self.check_manifest(round, world)?;
+        self.verify_ranks(&manifest, only, false)?;
+        Ok(manifest)
+    }
+
+    /// [`Store::validate`], keeping what was verified: the [`Selected`]
+    /// carries the image of every rank that was read, so restart restores
+    /// from the very bytes validation checked.
+    pub fn select_at(
+        &self,
+        round: u64,
+        world: Option<usize>,
+        only: Option<&[u64]>,
+    ) -> Result<Selected, Rejection> {
+        let manifest = self.check_manifest(round, world)?;
+        let images = self.verify_ranks(&manifest, only, true)?;
+        Ok(Selected {
+            round,
+            dir: generation_dir(&self.root, round),
+            manifest,
+            rejected: Vec::new(),
+            images,
+        })
+    }
+
+    /// Scan newest-first and return the newest globally-complete
+    /// generation: committed manifest, every rank image (or every `only`
+    /// rank's — see [`Store::validate`]) present and valid. Ranks outside
+    /// `only` cannot veto and are absent from [`Selected::images`].
+    pub fn select(
+        &self,
+        world: Option<usize>,
+        only: Option<&[u64]>,
+    ) -> Result<Selected, StoreError> {
+        let mut rejected = Vec::new();
+        for g in self.list()?.iter().rev() {
+            match self.select_at(g.round, world, only) {
+                Ok(sel) => return Ok(Selected { rejected, ..sel }),
+                Err(rej) => rejected.push(RejectedGeneration {
+                    round: g.round,
+                    code: rej.code,
+                    reason: rej.reason,
+                }),
+            }
+        }
+        Err(StoreError::NoUsableGeneration {
+            root: self.root.clone(),
+            rejected,
+        })
+    }
+
+    /// Load one rank's image of generation `round`, whatever its layout
+    /// (flat `.mana` file, else `.cref` recipe reassembled from the pool).
+    /// No manifest is consulted: everything the image vouches for itself
+    /// (section CRCs, chunk hashes) is checked, the whole-file CRC is
+    /// not. Restart uses it for the survivors of a partial restart.
+    pub fn load_image(&self, round: u64, rank: usize) -> Result<CkptImage, StoreError> {
+        self.load_from(&generation_dir(&self.root, round), rank)
+    }
+
+    fn load_from(&self, dir: &Path, rank: usize) -> Result<CkptImage, StoreError> {
+        self.read_verified(dir, rank, None)
+            .map_err(|Rejection { code, reason }| StoreError::Rejected { rank, code, reason })
+    }
+
+    /// The manifest-level half of validation: present, self-consistent,
+    /// agreeing with the directory's `round` and the runtime's world size,
+    /// and listing exactly ranks `0..world_size`.
+    fn check_manifest(&self, round: u64, world: Option<usize>) -> Result<Manifest, Rejection> {
+        use obs::RejectCode as C;
+        let manifest = match self.read_manifest(round) {
+            Ok(m) => m,
+            Err(StoreError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
+                return Err(Rejection::new(C::Uncommitted, "uncommitted (no MANIFEST)"));
+            }
+            Err(e) => return Err(Rejection::new(C::BadManifest, e.to_string())),
+        };
+        if manifest.round != round {
             return Err(Rejection::new(
-                C::TornImage,
+                C::RoundMismatch,
                 format!(
-                    "{section} chunk {} is {} bytes, recipe says {} (torn chunk)",
-                    cref.id,
-                    data.len(),
-                    cref.len
+                    "manifest round {} disagrees with directory round {round}",
+                    manifest.round
                 ),
             ));
         }
-        if chunk::chunk_id(data) != cref.id {
+        if let Some(w) = world {
+            if manifest.world_size != w as u64 {
+                return Err(Rejection::new(
+                    C::WorldMismatch,
+                    format!(
+                        "manifest world size {} != runtime world size {w}",
+                        manifest.world_size
+                    ),
+                ));
+            }
+        }
+        if manifest.entries.len() as u64 != manifest.world_size {
             return Err(Rejection::new(
-                C::CorruptImage,
-                format!("{section} chunk {} content hash mismatch", cref.id),
+                C::BadManifest,
+                format!(
+                    "manifest has {} entries for world size {}",
+                    manifest.entries.len(),
+                    manifest.world_size
+                ),
             ));
         }
-        crc.update(data);
-        total += cref.len;
-        if !keep {
-            out.clear();
+        let mut ranks: Vec<u64> = manifest.entries.iter().map(|e| e.rank).collect();
+        ranks.sort_unstable();
+        if ranks.iter().enumerate().any(|(i, &r)| r != i as u64) {
+            return Err(Rejection::new(
+                C::BadManifest,
+                format!("manifest ranks are not exactly 0..{}", manifest.world_size),
+            ));
         }
+        Ok(manifest)
     }
-    if total != expected_len {
-        return Err(Rejection::new(
-            C::TornImage,
-            format!("{section} payload is {total} bytes, recipe says {expected_len}"),
-        ));
+
+    /// Verify the manifest's rank images — all of them, or the `only`
+    /// subset — and return one slot per world rank; with `keep`, the slot
+    /// of every verified rank holds its image (without, each image is
+    /// dropped as soon as it checks out, so memory stays bounded by the
+    /// workers). Ranks are independent, so [`fan_out`] verifies them on up
+    /// to `available_parallelism()` threads and reports the lowest-rank
+    /// rejection — the one a serial loop would have stopped at.
+    fn verify_ranks(
+        &self,
+        manifest: &Manifest,
+        only: Option<&[u64]>,
+        keep: bool,
+    ) -> Result<Vec<Option<CkptImage>>, Rejection> {
+        let dir = generation_dir(&self.root, manifest.round);
+        let mut todo: Vec<&ManifestEntry> = manifest
+            .entries
+            .iter()
+            .filter(|e| only.is_none_or(|only| only.contains(&e.rank)))
+            .collect();
+        todo.sort_unstable_by_key(|e| e.rank);
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let verified = fan_out(workers, todo.len(), |i| {
+            self.verify_rank(&dir, manifest, todo[i])
+                .map(|image| keep.then_some(image))
+        })?;
+        let mut images = vec![None; manifest.entries.len()];
+        for (entry, image) in todo.iter().zip(verified) {
+            images[entry.rank as usize] = image;
+        }
+        Ok(images)
     }
-    if crc.finish() != expected_crc {
-        return Err(Rejection::new(
-            C::CorruptImage,
-            format!("{section} payload CRC mismatch after reassembly"),
-        ));
+
+    /// One rank of [`Store::verify_ranks`]: read and verify the image
+    /// against its manifest entry, then cross-check what it says of itself
+    /// against the manifest.
+    fn verify_rank(
+        &self,
+        dir: &Path,
+        manifest: &Manifest,
+        entry: &ManifestEntry,
+    ) -> Result<CkptImage, Rejection> {
+        use obs::RejectCode as C;
+        let image = self.read_verified(dir, entry.rank as usize, Some(entry))?;
+        if image.rank as u64 != entry.rank {
+            return Err(Rejection::new(
+                C::BadImage,
+                format!("rank {} image claims rank {}", entry.rank, image.rank),
+            ));
+        }
+        if image.world_size as u64 != manifest.world_size {
+            return Err(Rejection::new(
+                C::BadImage,
+                format!(
+                    "rank {} image world size {} != manifest world size {}",
+                    entry.rank, image.world_size, manifest.world_size
+                ),
+            ));
+        }
+        if image.round != manifest.round {
+            return Err(Rejection::new(
+                C::BadImage,
+                format!(
+                    "rank {} image round {} != manifest round {}",
+                    entry.rank, image.round, manifest.round
+                ),
+            ));
+        }
+        Ok(image)
     }
-    Ok(out)
-}
 
-/// Verify (and with `keep`, reassemble) both payloads of a recipe from
-/// the pool under `root`: every chunk and both payload CRCs.
-fn assemble_payloads(
-    root: &Path,
-    recipe: &Recipe,
-    keep: bool,
-) -> Result<(Vec<u8>, Vec<u8>), Rejection> {
-    let upper = assemble_one(
-        root,
-        &recipe.upper_chunks,
-        recipe.upper_len,
-        recipe.upper_crc,
-        "upper",
-        keep,
-    )?;
-    let meta = assemble_one(
-        root,
-        &recipe.meta_chunks,
-        recipe.meta_len,
-        recipe.meta_crc,
-        "meta",
-        keep,
-    )?;
-    Ok((upper, meta))
-}
-
-/// Load one rank's image from a generation directory, whatever its layout:
-/// a flat `.mana` file is read directly; otherwise the `.cref` recipe is
-/// reassembled from the chunk pool with per-chunk hash verification. No
-/// manifest is consulted, so this checks everything the image vouches for
-/// itself (section CRCs, chunk hashes) but not the whole-file CRC. Restart
-/// uses it only for ranks validation did not read — the survivors of a
-/// partial restart.
-pub fn load_image(dir: &Path, rank: usize) -> Result<CkptImage, StoreError> {
-    let (_, image) = read_verified(dir, rank, None, true)
-        .map_err(|rej| io::Error::new(io::ErrorKind::InvalidData, rej.reason))?;
-    Ok(image.expect("read_verified keeps the image when asked to"))
-}
-
-// ---- chunk GC --------------------------------------------------------------
-
-/// What a chunk-pool sweep removed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ChunkGcOutcome {
-    /// Unreferenced chunks deleted.
-    pub removed: u64,
-    /// Bytes those chunks occupied.
-    pub removed_bytes: u64,
-}
-
-/// Mark-and-sweep GC of the shared chunk pool: a chunk survives iff some
-/// recipe in *any* surviving generation directory references it. Run this
-/// strictly after [`gc_generations`] — that pass already refuses to remove
-/// generations pinned by an open `RESTART_JOURNAL` epoch, so a pinned
-/// generation's recipes keep its chunks referenced here, and the retained
-/// generations' recipes keep theirs. Tmp litter from crashed chunk writes
-/// (`.tmp-*`) is swept too. A store with no pool is a no-op.
-///
-/// Must not run concurrently with image writes: a chunk landed for a
-/// recipe that has not been written yet has no reference. The coordinator
-/// runs GC synchronously between rounds, which satisfies this.
-pub fn gc_chunks(root: &Path) -> io::Result<ChunkGcOutcome> {
-    let pool = chunks_dir(root);
-    if !pool.is_dir() {
-        return Ok(ChunkGcOutcome::default());
-    }
-    let mut referenced: BTreeSet<ChunkId> = BTreeSet::new();
-    for gen in list_generations(root)? {
-        let rd = match fs::read_dir(&gen.dir) {
-            Ok(rd) => rd,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(e),
+    /// The only reader of rank images. Reads one from generation
+    /// directory `dir`, whatever its layout, verifying every byte exactly
+    /// once: the rank's file (flat `.mana` image, else `.cref` recipe)
+    /// against its manifest `entry` when given (size, whole-file CRC),
+    /// then both section CRCs of the flat image, or the recipe's own
+    /// checksum, every chunk's presence, length and SHA-256, and both
+    /// reassembled-payload CRCs.
+    fn read_verified(
+        &self,
+        dir: &Path,
+        rank: usize,
+        entry: Option<&ManifestEntry>,
+    ) -> Result<CkptImage, Rejection> {
+        use obs::RejectCode as C;
+        let unreadable = |e: io::Error| {
+            Rejection::new(
+                C::MissingImage,
+                format!("rank {rank} image unreadable: {e}"),
+            )
         };
-        for entry in rd {
-            let entry = entry?;
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("cref") {
-                continue;
+        let mut bytes = Vec::new();
+        let flat = self
+            .blobs
+            .get(&CkptImage::path_for(dir, rank), Some(&mut bytes));
+        let chunked = match flat {
+            Ok(_) => false,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                self.blobs
+                    .get(&recipe_path_for(dir, rank), Some(&mut bytes))
+                    .map_err(unreadable)?;
+                true
             }
-            // An unreadable/corrupt recipe contributes no references: its
-            // generation can never restore anyway, so its exclusive chunks
-            // are garbage.
-            let Ok(bytes) = fs::read(&path) else { continue };
-            let Ok(recipe) = Recipe::from_bytes(&bytes) else {
-                continue;
-            };
-            for cref in recipe.upper_chunks.iter().chain(recipe.meta_chunks.iter()) {
-                referenced.insert(cref.id);
+            Err(e) => return Err(unreadable(e)),
+        };
+        if let Some(entry) = entry {
+            if bytes.len() as u64 != entry.bytes {
+                return Err(Rejection::new(
+                    C::TornImage,
+                    format!(
+                        "rank {rank} image is {} bytes, manifest says {} (torn write)",
+                        bytes.len(),
+                        entry.bytes
+                    ),
+                ));
             }
-        }
-    }
-    let mut outcome = ChunkGcOutcome::default();
-    let mut touched: BTreeSet<PathBuf> = BTreeSet::new();
-    for shard in fs::read_dir(&pool)? {
-        let shard = shard?.path();
-        if !shard.is_dir() {
-            continue;
-        }
-        for entry in fs::read_dir(&shard)? {
-            let entry = entry?;
-            let path = entry.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            let id = name.strip_suffix(".chunk").and_then(ChunkId::from_hex);
-            let dead = match id {
-                Some(id) => !referenced.contains(&id),
-                // Tmp litter from a crashed writer is always dead; any
-                // other unrecognized file is left alone.
-                None => name.starts_with(".tmp-"),
-            };
-            if dead {
-                let len = entry.metadata().map(|m| m.len()).unwrap_or(0);
-                fs::remove_file(&path)?;
-                if id.is_some() {
-                    outcome.removed += 1;
-                    outcome.removed_bytes += len;
-                }
-                touched.insert(shard.clone());
+            if crc32(&bytes) != entry.crc {
+                return Err(Rejection::new(
+                    C::CorruptImage,
+                    format!("rank {rank} image CRC mismatch against manifest (corrupt image)"),
+                ));
             }
         }
+        if !chunked {
+            return CkptImage::from_bytes(&bytes).map_err(|e| {
+                Rejection::new(C::BadImage, format!("rank {rank} image invalid: {e}"))
+            });
+        }
+        let recipe = Recipe::from_bytes(&bytes)
+            .map_err(|e| Rejection::new(C::BadImage, format!("rank {rank} recipe invalid: {e}")))?;
+        // A damaged chunk rejects the image just like a damaged flat file
+        // would.
+        let payload = |refs: &[ChunkRef], len: u64, crc: u32, section: &str| {
+            self.assemble(refs, len, crc, section)
+                .map_err(|rej| Rejection::new(rej.code, format!("rank {rank}: {}", rej.reason)))
+        };
+        Ok(CkptImage {
+            rank: recipe.rank as usize,
+            world_size: recipe.world_size as usize,
+            round: recipe.round,
+            upper: payload(
+                &recipe.upper_chunks,
+                recipe.upper_len,
+                recipe.upper_crc,
+                "upper",
+            )?,
+            meta: payload(
+                &recipe.meta_chunks,
+                recipe.meta_len,
+                recipe.meta_crc,
+                "meta",
+            )?,
+        })
     }
-    for shard in &touched {
-        fsync_dir(shard)?;
+
+    /// Read, verify and concatenate every chunk of one payload list from
+    /// the pool: presence, exact length, and SHA-256 identity against its
+    /// content address — a wrong-hash chunk is *never* returned, it
+    /// rejects the payload — folding each into the payload's CRC while
+    /// still hot.
+    fn assemble(
+        &self,
+        refs: &[ChunkRef],
+        expected_len: u64,
+        expected_crc: u32,
+        section: &str,
+    ) -> Result<Vec<u8>, Rejection> {
+        use obs::RejectCode as C;
+        let mut out = Vec::with_capacity(expected_len.min(1 << 30) as usize);
+        let mut crc = Crc32::new();
+        for cref in refs {
+            let start = out.len();
+            self.blobs
+                .get(&self.chunk_path(cref.id), Some(&mut out))
+                .map_err(|e| {
+                    Rejection::new(
+                        C::MissingImage,
+                        format!("{section} chunk {} unreadable: {e}", cref.id),
+                    )
+                })?;
+            let data = &out[start..];
+            if data.len() as u64 != cref.len {
+                return Err(Rejection::new(
+                    C::TornImage,
+                    format!(
+                        "{section} chunk {} is {} bytes, recipe says {} (torn chunk)",
+                        cref.id,
+                        data.len(),
+                        cref.len
+                    ),
+                ));
+            }
+            if chunk::chunk_id(data) != cref.id {
+                return Err(Rejection::new(
+                    C::CorruptImage,
+                    format!("{section} chunk {} content hash mismatch", cref.id),
+                ));
+            }
+            crc.update(data);
+        }
+        if out.len() as u64 != expected_len {
+            return Err(Rejection::new(
+                C::TornImage,
+                format!(
+                    "{section} payload is {} bytes, recipe says {expected_len}",
+                    out.len()
+                ),
+            ));
+        }
+        if crc.finish() != expected_crc {
+            return Err(Rejection::new(
+                C::CorruptImage,
+                format!("{section} payload CRC mismatch after reassembly"),
+            ));
+        }
+        Ok(out)
     }
-    if !touched.is_empty() {
-        fsync_dir(&pool)?;
-    }
-    Ok(outcome)
 }
 
-/// The generation chosen for restart.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Selected {
-    /// Round of the chosen generation.
-    pub round: u64,
-    /// Directory holding its per-rank images.
-    pub dir: PathBuf,
-    /// Its committed manifest.
-    pub manifest: Manifest,
-    /// Generations that were scanned first and rejected, newest-first.
-    pub rejected: Vec<RejectedGeneration>,
-    /// The images validation read and verified, indexed by world rank:
-    /// every rank for a full selection, the `only_ranks` subset for a
-    /// partial one (`None` for ranks that were deliberately not read).
-    /// Restart restores from these instead of loading them a second time.
-    pub images: Vec<Option<CkptImage>>,
+// ---- frozen wrappers -------------------------------------------------------
+//
+// `benchmark/src/layers.rs` compiles against these seven and
+// `generation_dir`, and a program PR may not touch `benchmark/`. Each opens
+// a `Store` and calls one method; a benchmark PR retires them.
+
+/// [`Store::list`] of the store under `root`.
+pub fn list_generations(root: &Path) -> io::Result<Vec<GenInfo>> {
+    Store::open(root, StoreConfig::default()).list()
 }
 
-/// Scan `root` newest-first and return the newest globally-complete
-/// generation: committed manifest, every rank image present and valid.
-pub fn select_generation(
+/// [`Store::select`] over every rank of the store under `root`.
+pub fn select_generation(root: &Path, world: Option<usize>) -> Result<Selected, StoreError> {
+    Store::open(root, StoreConfig::default()).select(world, None)
+}
+
+/// [`Store::load_image`] by generation directory instead of round.
+pub fn load_image(dir: &Path, rank: usize) -> Result<CkptImage, StoreError> {
+    Store::open(dir.parent().unwrap_or(dir), StoreConfig::default()).load_from(dir, rank)
+}
+
+/// [`Store::write_image`] into the store under `root`, over a
+/// [`FaultyBlobs`] when `fault` is given.
+pub fn write_image(
     root: &Path,
-    expected_world: Option<usize>,
-) -> Result<Selected, StoreError> {
-    select_generation_ranks(root, expected_world, None)
+    image: &CkptImage,
+    cfg: &StoreConfig,
+    fault: Option<&WriteFault>,
+) -> Result<WriteOutcome, StoreError> {
+    let blobs: Box<dyn Blobs> = match fault {
+        Some(f) => Box::new(FaultyBlobs::new(Box::new(LocalFs), *f, None)),
+        None => Box::new(LocalFs),
+    };
+    Store::new(root, cfg.clone(), None, blobs).write_image(image)
 }
 
-/// [`select_generation`] with image validation scoped to `only_ranks`
-/// (see [`validate_generation_ranks`]) — the selection partial restart
-/// uses: the replaced ranks' images must be pristine, survivors' images
-/// are not read and cannot veto (and are absent from
-/// [`Selected::images`]).
-pub fn select_generation_ranks(
+/// [`Store::commit`] into the store under `root`.
+pub fn commit_generation(
     root: &Path,
-    expected_world: Option<usize>,
-    only_ranks: Option<&[u64]>,
-) -> Result<Selected, StoreError> {
-    let gens = list_generations(root)?;
-    let mut rejected = Vec::new();
-    for g in gens.iter().rev() {
-        match select_generation_at(&g.dir, g.round, expected_world, only_ranks) {
-            Ok(sel) => return Ok(Selected { rejected, ..sel }),
-            Err(rej) => rejected.push(RejectedGeneration {
-                round: g.round,
-                code: rej.code,
-                reason: rej.reason,
-            }),
-        }
-    }
-    Err(StoreError::NoUsableGeneration {
-        root: root.to_path_buf(),
-        rejected,
-    })
+    manifest: &Manifest,
+    cfg: &StoreConfig,
+) -> Result<(), StoreError> {
+    Store::open(root, cfg.clone()).commit(manifest)
+}
+
+/// The generation half of [`Store::gc`]. Returns the removed rounds.
+pub fn gc_generations(root: &Path, retain: usize) -> io::Result<Vec<u64>> {
+    Store::open(root, StoreConfig::default()).gc_generations(retain)
+}
+
+/// The chunk-pool half of [`Store::gc`].
+pub fn gc_chunks(root: &Path) -> io::Result<ChunkGcOutcome> {
+    Store::open(root, StoreConfig::default()).gc_chunks()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
+
+    /// A read-side handle on the store under `root`.
+    fn at(root: &Path) -> Store {
+        Store::open(root, StoreConfig::default())
+    }
 
     fn tdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("mana2_store_{}_{}", name, std::process::id()));
@@ -1703,8 +1429,9 @@ mod tests {
         assert!(err.to_string().contains("injected"));
         let dir = generation_dir(&root, 0);
         assert!(!CkptImage::path_for(&dir, 0).exists());
-        // No tmp litter either.
-        let leftovers: Vec<_> = fs::read_dir(&dir).unwrap().collect();
+        // No tmp litter either (a missing directory lists as empty: no
+        // put ever reached the disk to create it).
+        let leftovers = LocalFs.list(&dir).unwrap();
         assert!(leftovers.is_empty(), "{leftovers:?}");
         fs::remove_dir_all(&root).ok();
     }
@@ -1730,10 +1457,10 @@ mod tests {
         let cfg = StoreConfig::default();
         write_image(&root, &image(0, 2, 5), &cfg, None).unwrap();
         assert!(generation_dir(&root, 5).exists());
-        abort_generation(&root, 5).unwrap();
+        at(&root).abort(5).unwrap();
         assert!(!generation_dir(&root, 5).exists());
         // Aborting a non-existent round is fine.
-        abort_generation(&root, 99).unwrap();
+        at(&root).abort(99).unwrap();
         fs::remove_dir_all(&root).ok();
     }
 
@@ -1788,7 +1515,7 @@ mod tests {
         let removed = gc_generations(&root, 1).unwrap();
         assert_eq!(removed, vec![1, 2], "pinned gen 0 must not be removed");
         assert!(generation_dir(&root, 0).exists());
-        assert!(validate_generation(&generation_dir(&root, 0), 0, Some(2)).is_ok());
+        assert!(at(&root).validate(0, Some(2), None).is_ok());
         // Once the epoch commits the pin is released and GC may collect.
         let mut j = Journal::open(&root).unwrap();
         j.append(0, JournalStep::RestartCommitted).unwrap();
@@ -1810,14 +1537,14 @@ mod tests {
         bytes[last] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
         // Full validation rejects the generation…
-        let rej = validate_generation(&dir, 0, Some(3)).unwrap_err();
+        let rej = at(&root).validate(0, Some(3), None).unwrap_err();
         assert_eq!(rej.code, obs::RejectCode::CorruptImage);
         assert!(rej.reason.contains("rank 2"), "{}", rej.reason);
         // …but a partial restart replacing only ranks {0, 1} never reads
         // rank 2's image, so the generation is still usable for it.
-        let m = validate_generation_ranks(&dir, 0, Some(3), Some(&[0, 1])).unwrap();
+        let m = at(&root).validate(0, Some(3), Some(&[0, 1])).unwrap();
         assert_eq!(m.world_size, 3);
-        let sel = select_generation_ranks(&root, Some(3), Some(&[0, 1])).unwrap();
+        let sel = at(&root).select(Some(3), Some(&[0, 1])).unwrap();
         assert_eq!(sel.round, 0);
         // Only the replaced ranks were read and kept; the survivor's slot
         // is empty, and loading it — which is what a partial restart does
@@ -1829,7 +1556,7 @@ mod tests {
         assert_eq!(sel.images[2], None);
         assert!(load_image(&dir, 2).is_err());
         // If the damaged rank IS being replaced, the veto stands.
-        let err = select_generation_ranks(&root, Some(3), Some(&[1, 2])).unwrap_err();
+        let err = at(&root).select(Some(3), Some(&[1, 2])).unwrap_err();
         assert!(matches!(err, StoreError::NoUsableGeneration { .. }));
         fs::remove_dir_all(&root).ok();
     }
@@ -1858,12 +1585,7 @@ mod tests {
         fs::create_dir_all(&root).unwrap();
         for rank in 0..2usize {
             let path = CkptImage::path_for(&root, rank);
-            write_atomic(
-                &path,
-                &image(rank, 2, 7).to_bytes(),
-                &StoreConfig::default(),
-            )
-            .unwrap();
+            fs::write(&path, image(rank, 2, 7).to_bytes()).unwrap();
         }
         let err = select_generation(&root, Some(2)).unwrap_err();
         assert!(
@@ -1964,7 +1686,7 @@ mod tests {
         // No flat image files exist; recipes + pool only.
         assert!(!CkptImage::path_for(&sel.dir, 0).exists());
         assert!(recipe_path_for(&sel.dir, 0).is_file());
-        assert!(chunks_dir(&root).is_dir());
+        assert!(at(&root).chunks_dir().is_dir());
         // load_image reassembles byte-identically.
         for rank in 0..2 {
             assert_eq!(load_image(&sel.dir, rank).unwrap(), slow_image(rank, 2, 0));
@@ -2076,6 +1798,110 @@ mod tests {
     }
 
     #[test]
+    fn torn_pool_chunk_is_rewritten_not_deduplicated_against() {
+        // A chunk torn after its round committed (a lying disk cache) must
+        // not be deduplicated against: with static content every later
+        // generation would reference the damaged file and restart would
+        // end with no usable generation, where flat mode loses just one.
+        let root = tdir("chunked_torn_dedup");
+        let cfg = chunked_cfg();
+        let store = at(&root);
+        commit_round_with(&root, 1, 0, &cfg, &[]);
+        let recipe = Recipe::from_bytes(&fs::read(store.recipe_path(0, 0)).unwrap()).unwrap();
+        let victim = store.chunk_path(recipe.upper_chunks[1].id);
+        let len = fs::metadata(&victim).unwrap().len();
+        fs::OpenOptions::new()
+            .write(true)
+            .open(&victim)
+            .unwrap()
+            .set_len(len / 2)
+            .unwrap();
+        assert!(store.validate(0, Some(1), None).is_err());
+        // Round 1 carries byte-identical payloads.
+        let image = CkptImage {
+            round: 1,
+            ..slow_image(0, 1, 0)
+        };
+        let out = write_image(&root, &image, &cfg, None).unwrap();
+        assert_eq!(out.chunks_written, 1, "exactly the torn chunk is rewritten");
+        let manifest = Manifest {
+            round: 1,
+            world_size: 1,
+            entries: vec![ManifestEntry {
+                rank: 0,
+                bytes: out.bytes as u64,
+                crc: out.crc,
+            }],
+        };
+        commit_generation(&root, &manifest, &cfg).unwrap();
+        store.validate(1, Some(1), None).unwrap();
+        assert_eq!(store.load_image(1, 0).unwrap(), image);
+        // The rewrite healed the shared chunk, so generation 0 is whole
+        // again too.
+        let sel = store.select(Some(1), None).unwrap();
+        assert_eq!((sel.round, sel.rejected.len()), (1, 0));
+        store.validate(0, Some(1), None).unwrap();
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn faulty_blobs_fail_the_leading_commit_puts_and_trace_each_attempt() {
+        use obs::{EventKind as E, InjectedFault};
+        let root = tdir("faulty_blobs");
+        let cfg = StoreConfig::default();
+        assert_eq!(cfg.retry_attempts, 4);
+        let sink = obs::TraceSink::wall(1, 64);
+        let rec = sink.recorder(0);
+        let fault = WriteFault::Error { attempts: 2 };
+        let blobs = FaultyBlobs::new(Box::new(LocalFs), fault, Some((rec.clone(), 7)));
+        let store = Store::new(&root, cfg, Some(rec), Box::new(blobs));
+        let out = store.write_image(&image(0, 1, 7)).unwrap();
+        assert_eq!(out.retries, 2);
+        // Two failed attempts issue no fsync; the third: file, generation
+        // directory, root.
+        assert_eq!(out.fsyncs, 3);
+        let events: Vec<String> = sink
+            .ring_events(0)
+            .iter()
+            .map(|ev| {
+                assert_eq!(ev.round, 7);
+                match ev.kind {
+                    E::StoreFault {
+                        fault: InjectedFault::WriteError,
+                    } => "fault".into(),
+                    E::StoreAttempt {
+                        attempt,
+                        ok,
+                        write_ns,
+                        ..
+                    } => {
+                        assert_eq!(write_ns > 0, ok, "only a put that ran has timings");
+                        format!("attempt {attempt} {ok}")
+                    }
+                    E::StoreWrite { retries, crc, .. } => {
+                        assert_eq!(crc, out.crc);
+                        format!("write {retries}")
+                    }
+                    ref other => panic!("unexpected event {other:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(
+            events,
+            [
+                "fault",
+                "attempt 1 false",
+                "fault",
+                "attempt 2 false",
+                "attempt 3 true",
+                "write 2"
+            ]
+        );
+        assert_eq!(store.load_image(7, 0).unwrap(), image(0, 1, 7));
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn chunk_gc_sweeps_only_unreferenced_chunks() {
         let root = tdir("chunk_gc");
         let cfg = chunked_cfg();
@@ -2091,7 +1917,7 @@ mod tests {
         gc_chunks(&root).unwrap();
         for round in [2u64, 3] {
             let dir = generation_dir(&root, round);
-            assert!(validate_generation(&dir, round, Some(2)).is_ok());
+            assert!(at(&root).validate(round, Some(2), None).is_ok());
             assert_eq!(load_image(&dir, 0).unwrap(), slow_image(0, 2, round));
         }
         fs::remove_dir_all(&root).ok();
@@ -2124,7 +1950,7 @@ mod tests {
         let dir = generation_dir(&root, 0);
         assert!(dir.exists(), "pinned generation must survive");
         assert!(
-            validate_generation(&dir, 0, Some(2)).is_ok(),
+            at(&root).validate(0, Some(2), None).is_ok(),
             "pinned generation's chunks must all survive the chunk sweep"
         );
         assert_eq!(load_image(&dir, 1).unwrap(), slow_image(1, 2, 0));
@@ -2136,7 +1962,7 @@ mod tests {
         gc_generations(&root, 1).unwrap();
         let swept = gc_chunks(&root).unwrap();
         assert!(swept.removed > 0, "unpinned old chunks must be collectable");
-        assert!(validate_generation(&generation_dir(&root, 3), 3, Some(2)).is_ok());
+        assert!(at(&root).validate(3, Some(2), None).is_ok());
         fs::remove_dir_all(&root).ok();
     }
 
@@ -2149,13 +1975,13 @@ mod tests {
         let cfg = chunked_cfg();
         commit_round_with(&root, 1, 0, &cfg, &[]);
         // Simulate a crashed chunk writer's tmp litter.
-        let shard = chunks_dir(&root).join("ab");
+        let shard = at(&root).chunks_dir().join("ab");
         fs::create_dir_all(&shard).unwrap();
         let litter = shard.join(".tmp-0-deadbeef");
         fs::write(&litter, b"junk").unwrap();
         gc_chunks(&root).unwrap();
         assert!(!litter.exists(), "tmp litter must be swept");
-        assert!(validate_generation(&generation_dir(&root, 0), 0, Some(1)).is_ok());
+        assert!(at(&root).validate(0, Some(1), None).is_ok());
         fs::remove_dir_all(&root).ok();
     }
 
@@ -2208,16 +2034,18 @@ mod tests {
             .set_len(len - 7)
             .unwrap();
         for _ in 0..20 {
-            let rej = validate_generation(&dir, 0, Some(6)).unwrap_err();
+            let rej = at(&flat_root).validate(0, Some(6), None).unwrap_err();
             assert_eq!(rej.code, obs::RejectCode::CorruptImage);
             assert_eq!(
                 rej.reason,
                 "rank 2 image CRC mismatch against manifest (corrupt image)"
             );
-            assert_eq!(select_generation_at(&dir, 0, Some(6), None), Err(rej));
+            assert_eq!(at(&flat_root).select_at(0, Some(6), None), Err(rej));
         }
         // With rank 2 out of scope the next damaged rank is the answer.
-        let rej = validate_generation_ranks(&dir, 0, Some(6), Some(&[5, 4, 0])).unwrap_err();
+        let rej = at(&flat_root)
+            .validate(0, Some(6), Some(&[5, 4, 0]))
+            .unwrap_err();
         assert_eq!(rej.code, obs::RejectCode::TornImage);
         assert_eq!(
             rej.reason,
@@ -2234,10 +2062,10 @@ mod tests {
         let dir = generation_dir(&root, 0);
         let recipe = Recipe::from_bytes(&fs::read(recipe_path_for(&dir, 1)).unwrap()).unwrap();
         let victim = recipe.upper_chunks[recipe.upper_chunks.len() / 2].id;
-        rot(&chunk_path(&root, victim));
+        rot(&at(&root).chunk_path(victim));
         fs::remove_file(recipe_path_for(&dir, 3)).unwrap();
         for _ in 0..20 {
-            let rej = validate_generation(&dir, 0, Some(6)).unwrap_err();
+            let rej = at(&root).validate(0, Some(6), None).unwrap_err();
             assert_eq!(rej.code, obs::RejectCode::CorruptImage);
             assert_eq!(
                 rej.reason,
@@ -2266,15 +2094,15 @@ mod tests {
             }
             // Validating one named generation (what a resumed restart
             // epoch does) is the same routine with the same result.
-            assert_eq!(select_generation_at(&sel.dir, 1, Some(5), None), Ok(sel));
+            assert_eq!(at(&root).select_at(1, Some(5), None), Ok(sel));
             // A partial selection keeps exactly the ranks it verified.
-            let part = select_generation_ranks(&root, Some(5), Some(&[3, 1])).unwrap();
+            let part = at(&root).select(Some(5), Some(&[3, 1])).unwrap();
             for rank in 0..5 {
                 let want = [1, 3].contains(&rank).then(|| slow_image(rank, 5, 1));
                 assert_eq!(part.images[rank], want);
             }
             // Validation alone verifies the same bytes but keeps nothing.
-            assert!(validate_generation(&part.dir, 1, Some(5)).is_ok());
+            assert!(at(&root).validate(1, Some(5), None).is_ok());
             fs::remove_dir_all(&root).ok();
         }
     }
@@ -2285,8 +2113,8 @@ mod tests {
         commit_round_with(&root, 3, 0, &chunked_cfg(), &[]);
         let dir = generation_dir(&root, 0);
         let recipe = Recipe::from_bytes(&fs::read(recipe_path_for(&dir, 2)).unwrap()).unwrap();
-        rot(&chunk_path(&root, recipe.upper_chunks[0].id));
-        let sel = select_generation_ranks(&root, Some(3), Some(&[0, 1])).unwrap();
+        rot(&at(&root).chunk_path(recipe.upper_chunks[0].id));
+        let sel = at(&root).select(Some(3), Some(&[0, 1])).unwrap();
         assert!(sel.rejected.is_empty());
         assert_eq!(sel.images[2], None);
         assert_eq!(load_image(&dir, 0).unwrap(), slow_image(0, 3, 0));
