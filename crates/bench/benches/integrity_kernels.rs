@@ -1,8 +1,12 @@
 //! Throughput of the integrity kernels a checkpoint and a restart push
 //! every image byte through: `crc32` (section, whole-file and manifest
-//! checks), `chunk::chunk_id` (SHA-256 content address) and
-//! `chunk::split` (gear-hash content-defined chunking), each over one
-//! 2 MiB buffer — the image size of the benchmark's `narrow_*` workloads.
+//! checks), `chunk::chunk_id` (the content address of every chunk the
+//! store writes), `chunk::chunk_id_v1` (SHA-256, the read-side verifier of
+//! version 1 recipes), `chunk::split` (gear-hash content-defined chunking)
+//! and `chunk::chunk_payload` (the write path's one pass: split, key and
+//! payload CRC per chunk), each over one 2 MiB buffer — the image size of
+//! the benchmark's `narrow_*` workloads. `chunk_id` must not read below
+//! `crc32`: the key is meant to be the cheapest pass, not the dearest.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use splitproc::{chunk, crc32, ChunkParams};
@@ -26,8 +30,14 @@ fn bench(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(LEN as u64));
     g.bench_function("crc32", |b| b.iter(|| crc32(black_box(&buf))));
     g.bench_function("chunk_id", |b| b.iter(|| chunk::chunk_id(black_box(&buf))));
+    g.bench_function("chunk_id_v1", |b| {
+        b.iter(|| chunk::chunk_id_v1(black_box(&buf)))
+    });
     g.bench_function("split", |b| {
         b.iter(|| chunk::split(black_box(&buf), params).len())
+    });
+    g.bench_function("chunk_payload", |b| {
+        b.iter(|| chunk::chunk_payload(black_box(&buf), params).1)
     });
     g.finish();
 }

@@ -262,10 +262,18 @@ impl Proc {
         let tag = itag(CollKind::Alltoall, seq);
         let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
         out[me] = chunks[me].clone();
+        // Internal sends are eager (the wait inside `coll_send` never
+        // blocks), so post all n − 1 before the first receive. Interleaving
+        // send k with receive k made every receive wait in lock-step on one
+        // specific peer that had itself only got as far as its own k-th
+        // send: ≈ 0.6 n parks per rank, n² token hand-offs per call on the
+        // coop engine.
         for k in 1..n {
             let dst = (me + k) % n;
-            let src = (me + n - k) % n;
             self.coll_send(comm, &group, dst, tag, &chunks[dst])?;
+        }
+        for k in 1..n {
+            let src = (me + n - k) % n;
             out[src] = self.coll_recv(comm, &group, src, tag)?;
         }
         Ok(out)

@@ -18,7 +18,10 @@
 //!                                     reference counts
 //! mana2-inspect <ckpt_dir> chunks --verify
 //!                                     additionally hash-check every pool
-//!                                     chunk and confirm every chunk any
+//!                                     chunk (with the key function of the
+//!                                     recipes that reference it: SHA-256
+//!                                     for v1, the current key for v2) and
+//!                                     confirm every chunk any
 //!                                     surviving generation (including
 //!                                     journal-pinned ones) references is
 //!                                     present and intact; exit 0 iff so
@@ -149,7 +152,8 @@ fn verify(store: &Store, gens: &[store::GenInfo]) -> i32 {
 
 /// `chunks [--verify]`: chunk-pool statistics and, with `--verify`, a
 /// full integrity pass — every pool chunk is re-hashed against its
-/// content-addressed name and every chunk referenced by any surviving
+/// content-addressed name, with the key function the recipes referencing
+/// it name by their version, and every chunk referenced by any surviving
 /// generation's recipes (journal-pinned generations included; GC never
 /// removes those, so their references must resolve too) must be present
 /// with the right length and hash. Exit 0 iff no damage was found.
@@ -192,12 +196,15 @@ fn chunks_cmd(store: &Store, do_verify: bool) -> i32 {
     let gens = store.list().unwrap_or_default();
     let pinned = journal::pinned_generations(root);
     let mut refcount: BTreeMap<chunk::ChunkId, u64> = BTreeMap::new();
-    let mut ref_len: BTreeMap<chunk::ChunkId, u64> = BTreeMap::new();
+    // What the referencing recipes say of each chunk: its length, and (by
+    // their version) which function keyed it.
+    let mut ref_as: BTreeMap<chunk::ChunkId, (u64, chunk::RecipeVersion)> = BTreeMap::new();
     let mut logical: u64 = 0;
     let mut bad_recipes = 0usize;
     for g in &gens {
         let mut gen_refs = 0u64;
         let mut gen_logical = 0u64;
+        let mut gen_versions = std::collections::BTreeSet::new();
         for ent in std::fs::read_dir(&g.dir).into_iter().flatten().flatten() {
             let path = ent.path();
             if path.extension().is_none_or(|x| x != "cref") {
@@ -214,17 +221,20 @@ fn chunks_cmd(store: &Store, do_verify: bool) -> i32 {
                     continue;
                 }
             };
+            gen_versions.insert(recipe.version.number());
             for r in recipe.upper_chunks.iter().chain(&recipe.meta_chunks) {
                 *refcount.entry(r.id).or_default() += 1;
-                ref_len.insert(r.id, r.len);
+                ref_as.insert(r.id, (r.len, recipe.version));
                 gen_refs += 1;
                 gen_logical += r.len;
             }
         }
         if gen_refs > 0 {
+            let versions: Vec<String> = gen_versions.iter().map(|v| format!("v{v}")).collect();
             out!(
-                "  gen {:>5}  {:>8} chunk ref(s)  {:>12} B logical{}",
+                "  gen {:>5}  recipe {}  {:>8} chunk ref(s)  {:>12} B logical{}",
                 g.round,
+                versions.join("+"),
                 gen_refs,
                 gen_logical,
                 if pinned.contains(&g.round) {
@@ -276,15 +286,20 @@ fn chunks_cmd(store: &Store, do_verify: bool) -> i32 {
             let path = store.chunk_path(*id);
             match std::fs::read(&path) {
                 Ok(data) => {
-                    if chunk::chunk_id(&data) != *id {
+                    let (want, named) = match ref_as.get(id) {
+                        Some((want, version)) => (want, version.chunk_id(&data) == *id),
+                        // An orphan has no recipe to say which function
+                        // named it, so either may vouch for it.
+                        None => {
+                            let either = [chunk::chunk_id(&data), chunk::chunk_id_v1(&data)];
+                            (len, either.contains(id))
+                        }
+                    };
+                    if !named {
                         out!("  CORRUPT chunk {id}: content hash mismatch");
                         corrupt += 1;
-                    } else if ref_len.get(id).is_some_and(|want| want != len) {
-                        out!(
-                            "  TORN chunk {id}: {} B on disk, {} B referenced",
-                            len,
-                            ref_len[id]
-                        );
+                    } else if want != len {
+                        out!("  TORN chunk {id}: {len} B on disk, {want} B referenced");
                         corrupt += 1;
                     }
                 }

@@ -1,8 +1,9 @@
 //! Content-defined chunking and content addressing for the checkpoint store.
 //!
 //! A rank image's `upper`/`meta` payloads are split at rolling-hash
-//! boundaries (gear hash), each chunk is keyed by its SHA-256 digest, and
-//! chunks live in a pool shared by every generation under the store root:
+//! boundaries (gear hash), each chunk is keyed by a 256-bit content hash
+//! ([`chunk_id`]), and chunks live in a pool shared by every generation
+//! under the store root:
 //!
 //! ```text
 //! <root>/chunks/<first-two-hex>/<64-hex>.chunk
@@ -14,14 +15,30 @@
 //! mode store a *recipe* file per rank (`ckpt_rank_%05d.cref`) that lists
 //! the chunk keys needed to reassemble the image; see [`Recipe`].
 //!
-//! Everything here is dependency-free by design: the hash is a hand-rolled
-//! SHA-256 (same spirit as the nibble-table CRC32 in `codec`), and the gear
-//! table is derived at compile time from splitmix64 so boundaries are
+//! The key is **not** cryptographic. Dedup needs two different chunks to
+//! get different names *by accident*, not against an adversary who picks
+//! the bytes, so the key is a four-lane multiply-fold hash that runs at
+//! memory speed instead of a scalar SHA-256 that ran at a ninth of the
+//! CRC's. A key collision would make a write skip a chunk it should have
+//! stored; the chunk length in the ref and the CRC-32 of each reassembled
+//! payload are taken from the true bytes, independently of the key, so the
+//! cost is that generation being rejected at restart validation, never a
+//! silently wrong restore (DESIGN §14).
+//!
+//! The recipe version names the function that keyed its refs
+//! ([`RecipeVersion`]): version 1 recipes were keyed by SHA-256, which
+//! survives here only as their read-side verifier; version 2 is what the
+//! store writes. Chunks of both live in one pool under different names and
+//! age out through ordinary retention GC.
+//!
+//! Everything here is dependency-free and safe Rust by design: both hashes
+//! are hand-rolled (same spirit as the table CRC-32 in `codec`), and the
+//! gear table is derived at compile time from splitmix64 so boundaries are
 //! deterministic across builds and platforms.
 
 use std::fmt;
 
-use crate::codec::{crc32, CodecError, Decode, Reader};
+use crate::codec::{crc32, CodecError, Crc32, Decode, Reader};
 
 /// Errors decoding a recipe file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,7 +75,7 @@ impl From<CodecError> for RecipeError {
 /// 256-bit content hash of a chunk. Displayed as 64 lowercase hex chars.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ChunkId(
-    /// Raw SHA-256 digest bytes.
+    /// Raw digest bytes, as the keying function laid them out.
     pub [u8; 32],
 );
 
@@ -102,8 +119,90 @@ impl fmt::Debug for ChunkId {
 }
 
 // ---------------------------------------------------------------------------
-// SHA-256 (FIPS 180-4), hand-rolled: the container image carries no hashing
-// crates and the store must not grow dependencies.
+// The chunk key: a four-lane multiply-fold hash with a 256-bit digest.
+// ---------------------------------------------------------------------------
+
+/// Lane seeds (`[..4]`) and per-lane multiplier masks (`[4..]`): the first
+/// 512 fractional bits of π. Fixed forever — they are part of the on-disk
+/// name of every version 2 chunk — and never seeded from the process or
+/// the environment, so the same bytes get the same name on every host.
+const KEY_PI: [u64; 8] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+    0x082e_fa98_ec4e_6c89,
+    0x4528_21e6_38d0_1377,
+    0xbe54_66cf_34e9_0c6c,
+    0xc0ac_29b7_c97c_50dd,
+    0x3f84_d5b5_b547_0917,
+];
+
+/// Zero stripes absorbed after the input. Four are what it takes for every
+/// lane to reach every other (each round moves a lane's high half one lane
+/// over) and measure as full avalanche from the last input byte; two more
+/// are margin.
+const KEY_FINAL_ROUNDS: usize = 6;
+
+/// Absorb one 64-byte stripe: lane `i` takes little-endian words `2i` and
+/// `2i + 1`, multiplies one (masked by a constant) with the other (masked
+/// by the lane), keeps the low half of the 128-bit product and hands the
+/// high half to lane `i − 1`. Four independent multiplies per stripe, one
+/// per lane, so the lanes overlap in the pipeline; the hand-over is what
+/// spreads a one-word difference over all 256 bits of state within four
+/// stripes instead of leaving it in one 64-bit lane.
+#[inline(always)]
+fn key_round(acc: &mut [u64; 4], stripe: &[u8; 64]) {
+    let (w, _) = stripe.as_chunks::<8>();
+    let mul = |i: usize| {
+        let a = u64::from_le_bytes(w[2 * i]) ^ KEY_PI[4 + i];
+        let b = u64::from_le_bytes(w[2 * i + 1]) ^ acc[i];
+        u128::from(a) * u128::from(b)
+    };
+    let m = [mul(0), mul(1), mul(2), mul(3)];
+    for i in 0..4 {
+        acc[i] = m[i] as u64 ^ (m[(i + 1) % 4] >> 64) as u64;
+    }
+}
+
+/// Content hash of a chunk — the pool key of everything the store writes
+/// (recipe version 2). Non-cryptographic: see the module docs for what a
+/// collision can and cannot cost.
+///
+/// The length seeds lane 0, whole 64-byte stripes are absorbed by
+/// `key_round`, a partial last stripe is zero-padded (the length already
+/// in the state tells `"a"` from `"a\0"`), and `KEY_FINAL_ROUNDS` zero
+/// stripes finish the mixing. The digest is the four lanes, little-endian,
+/// so every digest bit depends on every input byte and on the length.
+pub fn chunk_id(data: &[u8]) -> ChunkId {
+    let mut acc = [
+        KEY_PI[0] ^ data.len() as u64,
+        KEY_PI[1],
+        KEY_PI[2],
+        KEY_PI[3],
+    ];
+    let (stripes, tail) = data.as_chunks::<64>();
+    for stripe in stripes {
+        key_round(&mut acc, stripe);
+    }
+    if !tail.is_empty() {
+        let mut last = [0u8; 64];
+        last[..tail.len()].copy_from_slice(tail);
+        key_round(&mut acc, &last);
+    }
+    for _ in 0..KEY_FINAL_ROUNDS {
+        key_round(&mut acc, &[0u8; 64]);
+    }
+    let mut out = [0u8; 32];
+    for (slot, lane) in out.as_chunks_mut::<8>().0.iter_mut().zip(acc) {
+        *slot = lane.to_le_bytes();
+    }
+    ChunkId(out)
+}
+
+// ---------------------------------------------------------------------------
+// SHA-256 (FIPS 180-4), hand-rolled: the key of version 1 recipes. Nothing
+// writes with it any more; it is kept to verify the chunks those recipes
+// reference until the last of them has aged out of every pool.
 // ---------------------------------------------------------------------------
 
 const SHA256_K: [u32; 64] = [
@@ -118,22 +217,15 @@ const SHA256_K: [u32; 64] = [
 ];
 
 /// Streaming SHA-256 state.
-pub struct Sha256 {
+struct Sha256 {
     h: [u32; 8],
     buf: [u8; 64],
     buf_len: usize,
     total: u64,
 }
 
-impl Default for Sha256 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Sha256 {
-    /// Fresh hash state.
-    pub fn new() -> Sha256 {
+    fn new() -> Sha256 {
         Sha256 {
             h: [
                 0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
@@ -145,8 +237,7 @@ impl Sha256 {
         }
     }
 
-    /// Absorb more input.
-    pub fn update(&mut self, mut data: &[u8]) {
+    fn update(&mut self, mut data: &[u8]) {
         self.total = self.total.wrapping_add(data.len() as u64);
         if self.buf_len > 0 {
             let take = (64 - self.buf_len).min(data.len());
@@ -173,7 +264,7 @@ impl Sha256 {
     }
 
     /// Pad, finalize, and return the digest.
-    pub fn finish(mut self) -> [u8; 32] {
+    fn finish(mut self) -> [u8; 32] {
         let bit_len = self.total.wrapping_mul(8);
         self.update(&[0x80]);
         while self.buf_len != 56 {
@@ -238,8 +329,10 @@ impl Sha256 {
     }
 }
 
-/// One-shot content hash of a chunk.
-pub fn chunk_id(data: &[u8]) -> ChunkId {
+/// The version 1 chunk key: SHA-256 of the chunk. Read side only — reach
+/// it through [`RecipeVersion::chunk_id`], which is how a recipe says
+/// which function named its chunks.
+pub fn chunk_id_v1(data: &[u8]) -> ChunkId {
     let mut h = Sha256::new();
     h.update(data);
     ChunkId(h.finish())
@@ -287,10 +380,10 @@ impl ChunkParams {
     }
 
     /// Boundary mask: the largest `2^k - 1` not exceeding avg_size - 1, so
-    /// the expected gap between boundary hits is ~avg_size bytes.
+    /// the expected gap between boundary hits is ~avg_size bytes. Call on
+    /// [`normalized`](ChunkParams::normalized) params (avg ≥ 64).
     fn mask(&self) -> u64 {
-        let bits = usize::BITS - 1 - self.avg_size.next_power_of_two().leading_zeros();
-        (1u64 << bits) - 1
+        (1u64 << self.avg_size.ilog2()) - 1
     }
 }
 
@@ -316,46 +409,71 @@ const fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Split `data` at gear-hash boundaries. Returns the byte ranges of each
-/// chunk, in order, covering `data` exactly; empty input yields no chunks.
+/// Borrowing iterator over the content-defined chunks of one payload: the
+/// byte range of each chunk, in order, covering the payload exactly (an
+/// empty payload yields nothing). [`split`] collects it; [`chunk_payload`]
+/// keys and checksums each chunk as it comes out.
 ///
-/// Deterministic: the same bytes always produce the same boundary set, and
-/// because the rolling hash only looks at a 64-byte window, an edit
-/// invalidates at most the chunks overlapping the edit plus a bounded
-/// resynchronization tail.
-pub fn split(data: &[u8], params: ChunkParams) -> Vec<std::ops::Range<usize>> {
-    let p = params.normalized();
-    let mask = p.mask();
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    while start < data.len() {
-        let remaining = data.len() - start;
-        if remaining <= p.min_size {
-            out.push(start..data.len());
-            break;
+/// Deterministic: the same bytes always produce the same boundary set.
+/// With `hash = (hash << 1) + GEAR[b]`, bit `j` of the hash depends on the
+/// last `j + 1` bytes only, so a cut decision under a `k`-bit mask sees the
+/// last `k` bytes (14 at the default sizes): an edit invalidates at most
+/// the chunks overlapping it plus a bounded resynchronization tail.
+struct Chunker<'a> {
+    data: &'a [u8],
+    start: usize,
+    params: ChunkParams,
+    mask: u64,
+}
+
+impl<'a> Chunker<'a> {
+    /// Chunk `data` under `params` (normalized here).
+    fn new(data: &'a [u8], params: ChunkParams) -> Chunker<'a> {
+        let params = params.normalized();
+        Chunker {
+            data,
+            start: 0,
+            mask: params.mask(),
+            params,
+        }
+    }
+}
+
+impl Iterator for Chunker<'_> {
+    type Item = std::ops::Range<usize>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (data, start, p) = (self.data, self.start, self.params);
+        if start >= data.len() {
+            return None;
         }
         let window_end = (start + p.max_size).min(data.len());
-        let mut hash = 0u64;
         let mut cut = window_end;
-        // Skip the hash warm-up inside the min-size prefix: no boundary can
-        // fire before min_size anyway, but the gear state must be rolled so
-        // boundaries are a pure function of content, not of chunk phase...
-        // except gear's shift-out property gives exactly that for free (the
-        // hash only depends on the last 64 bytes), so start rolling 64 bytes
-        // before the first legal cut point.
-        let roll_from = (start + p.min_size).saturating_sub(64).max(start);
-        for (i, &b) in data[roll_from..window_end].iter().enumerate() {
-            hash = (hash << 1).wrapping_add(GEAR[b as usize]);
-            let pos = roll_from + i + 1; // exclusive end of the candidate chunk
-            if pos - start >= p.min_size && (hash & mask) == 0 {
-                cut = pos;
-                break;
+        if data.len() - start > p.min_size {
+            // No boundary can fire before min_size, and the masked bits of
+            // the gear state forget everything older than the mask is wide,
+            // so rolling from 64 bytes before the first legal cut point
+            // gives the same decisions as rolling from the chunk start.
+            let roll_from = (start + p.min_size).saturating_sub(64).max(start);
+            let mut hash = 0u64;
+            for (i, &b) in data[roll_from..window_end].iter().enumerate() {
+                hash = (hash << 1).wrapping_add(GEAR[b as usize]);
+                let pos = roll_from + i + 1; // exclusive end of the candidate chunk
+                if pos - start >= p.min_size && (hash & self.mask) == 0 {
+                    cut = pos;
+                    break;
+                }
             }
         }
-        out.push(start..cut);
-        start = cut;
+        self.start = cut;
+        Some(start..cut)
     }
-    out
+}
+
+/// Split `data` at gear-hash boundaries: the byte range of each chunk, in
+/// order, covering `data` exactly; empty input yields no chunks.
+pub fn split(data: &[u8], params: ChunkParams) -> Vec<std::ops::Range<usize>> {
+    Chunker::new(data, params).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -364,8 +482,43 @@ pub fn split(data: &[u8], params: ChunkParams) -> Vec<std::ops::Range<usize>> {
 
 /// Magic prefixing every recipe file ("MANA2 Chunk ReF").
 pub const RECIPE_MAGIC: &[u8; 8] = b"MANA2CRF";
-/// Recipe format version.
-pub const RECIPE_VERSION: u32 = 1;
+/// The recipe version the store writes.
+pub const RECIPE_VERSION: RecipeVersion = RecipeVersion::V2;
+
+/// A recipe format version this build reads. The two versions share one
+/// byte layout; what the number records is which function keyed the
+/// recipe's chunk refs, so that a restart verifies each chunk with the
+/// function that named it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum RecipeVersion {
+    /// Keyed by SHA-256 ([`chunk_id_v1`]). Read-only: nothing writes it.
+    V1 = 1,
+    /// Keyed by [`chunk_id`].
+    V2 = 2,
+}
+
+impl RecipeVersion {
+    /// The number in the recipe header.
+    pub fn number(self) -> u32 {
+        self as u32
+    }
+
+    fn from_number(n: u32) -> Option<RecipeVersion> {
+        match n {
+            1 => Some(RecipeVersion::V1),
+            2 => Some(RecipeVersion::V2),
+            _ => None,
+        }
+    }
+
+    /// Key `data` the way recipes of this version did.
+    pub fn chunk_id(self, data: &[u8]) -> ChunkId {
+        match self {
+            RecipeVersion::V1 => chunk_id_v1(data),
+            RecipeVersion::V2 => chunk_id(data),
+        }
+    }
+}
 
 /// Reference to one chunk of a payload: its content id plus its length
 /// (the length is redundant with the pool file but lets validation detect
@@ -384,6 +537,8 @@ pub struct ChunkRef {
 /// against the manifest without decoding chunks twice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recipe {
+    /// Format version: which function keyed `upper_chunks`/`meta_chunks`.
+    pub version: RecipeVersion,
     /// World rank this recipe belongs to.
     pub rank: u64,
     /// World size at checkpoint time.
@@ -405,7 +560,7 @@ pub struct Recipe {
 }
 
 impl Recipe {
-    /// Serialize (self-checksummed).
+    /// Serialize (self-checksummed), under the version the recipe carries.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(
             8 + 4
@@ -416,7 +571,7 @@ impl Recipe {
                 + 4,
         );
         out.extend_from_slice(RECIPE_MAGIC);
-        out.extend_from_slice(&RECIPE_VERSION.to_le_bytes());
+        out.extend_from_slice(&self.version.number().to_le_bytes());
         out.extend_from_slice(&self.rank.to_le_bytes());
         out.extend_from_slice(&self.world_size.to_le_bytes());
         out.extend_from_slice(&self.round.to_le_bytes());
@@ -452,9 +607,8 @@ impl Recipe {
             return Err(RecipeError::BadMagic);
         }
         let version = u32::decode(&mut r)?;
-        if version != RECIPE_VERSION {
-            return Err(RecipeError::BadVersion(version));
-        }
+        let version =
+            RecipeVersion::from_number(version).ok_or(RecipeError::BadVersion(version))?;
         let rank = u64::decode(&mut r)?;
         let world_size = u64::decode(&mut r)?;
         let round = u64::decode(&mut r)?;
@@ -485,6 +639,7 @@ impl Recipe {
         r.finish()?;
         let [upper_chunks, meta_chunks] = lists;
         Ok(Recipe {
+            version,
             rank,
             world_size,
             round,
@@ -498,31 +653,34 @@ impl Recipe {
     }
 }
 
-/// Split a payload and return (refs, per-chunk byte slices) without copying.
-pub fn chunk_payload(data: &[u8], params: ChunkParams) -> Vec<(ChunkRef, &[u8])> {
-    split(data, params)
-        .into_iter()
+/// One pass over a payload: cut it as [`split`] does and, for each chunk
+/// while the cut has just pulled it through the cache, key it and fold it
+/// into the payload's CRC-32. Returns each chunk's ref beside its bytes
+/// (borrowed, nothing is copied) and `crc32(data)`.
+pub fn chunk_payload(data: &[u8], params: ChunkParams) -> (Vec<(ChunkRef, &[u8])>, u32) {
+    let mut crc = Crc32::new();
+    let chunks = Chunker::new(data, params)
         .map(|range| {
             let slice = &data[range];
-            (
-                ChunkRef {
-                    id: chunk_id(slice),
-                    len: slice.len() as u64,
-                },
-                slice,
-            )
+            crc.update(slice);
+            let cref = ChunkRef {
+                id: chunk_id(slice),
+                len: slice.len() as u64,
+            };
+            (cref, slice)
         })
-        .collect()
+        .collect();
+    (chunks, crc.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // FIPS 180-4 / NIST vectors.
+    // FIPS 180-4 / NIST vectors: the version 1 verifier must stay SHA-256.
     #[test]
     fn sha256_known_vectors() {
-        let hex = |d: &[u8]| chunk_id(d).to_hex();
+        let hex = |d: &[u8]| chunk_id_v1(d).to_hex();
         assert_eq!(
             hex(b""),
             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -546,7 +704,7 @@ mod tests {
     #[test]
     fn sha256_streaming_matches_oneshot() {
         let data: Vec<u8> = (0..100_000u32).map(|i| (i * 31 + 7) as u8).collect();
-        let oneshot = chunk_id(&data);
+        let oneshot = chunk_id_v1(&data);
         let mut h = Sha256::new();
         for piece in data.chunks(97) {
             h.update(piece);
@@ -644,10 +802,8 @@ mod tests {
         let mut b = a.clone();
         b[70_000] ^= 0xff;
         let ids = |d: &[u8]| -> std::collections::HashSet<ChunkId> {
-            chunk_payload(d, params)
-                .into_iter()
-                .map(|(r, _)| r.id)
-                .collect()
+            let (chunks, _) = chunk_payload(d, params);
+            chunks.into_iter().map(|(r, _)| r.id).collect()
         };
         let ia = ids(&a);
         let ib = ids(&b);
@@ -658,41 +814,36 @@ mod tests {
         assert!(ia.intersection(&ib).count() > ia.len() / 2);
     }
 
-    #[test]
-    fn recipe_round_trips() {
-        let data = pseudo_bytes(40_000, 11);
-        let chunks = chunk_payload(&data, ChunkParams::default());
-        let recipe = Recipe {
+    fn recipe_of(version: RecipeVersion, data: &[u8]) -> Recipe {
+        let (chunks, upper_crc) = chunk_payload(data, ChunkParams::default());
+        Recipe {
+            version,
             rank: 3,
             world_size: 8,
             round: 2,
             upper_len: data.len() as u64,
             meta_len: 0,
-            upper_crc: crc32(&data),
+            upper_crc,
             meta_crc: crc32(&[]),
             upper_chunks: chunks.iter().map(|(r, _)| *r).collect(),
             meta_chunks: Vec::new(),
-        };
-        let bytes = recipe.to_bytes();
-        assert_eq!(Recipe::from_bytes(&bytes).unwrap(), recipe);
+        }
+    }
+
+    #[test]
+    fn recipe_round_trips() {
+        let data = pseudo_bytes(40_000, 11);
+        for version in [RecipeVersion::V1, RecipeVersion::V2] {
+            let recipe = recipe_of(version, &data);
+            let bytes = recipe.to_bytes();
+            assert_eq!(bytes[8..12], version.number().to_le_bytes());
+            assert_eq!(Recipe::from_bytes(&bytes).unwrap(), recipe);
+        }
     }
 
     #[test]
     fn recipe_rejects_corruption() {
-        let recipe = Recipe {
-            rank: 0,
-            world_size: 1,
-            round: 0,
-            upper_len: 5,
-            meta_len: 0,
-            upper_crc: crc32(b"hello"),
-            meta_crc: crc32(&[]),
-            upper_chunks: vec![ChunkRef {
-                id: chunk_id(b"hello"),
-                len: 5,
-            }],
-            meta_chunks: Vec::new(),
-        };
+        let recipe = recipe_of(RECIPE_VERSION, b"hello");
         let mut bytes = recipe.to_bytes();
         bytes[20] ^= 0x40;
         assert!(matches!(
@@ -701,5 +852,232 @@ mod tests {
         ));
         let short = &recipe.to_bytes()[..10];
         assert!(Recipe::from_bytes(short).is_err());
+    }
+
+    #[test]
+    fn recipe_rejects_versions_it_cannot_verify() {
+        // A version is a promise about which function keyed the refs; one
+        // this build does not know must not be read as either.
+        for unknown in [0u32, 3, u32::MAX] {
+            let mut bytes = recipe_of(RECIPE_VERSION, b"hello").to_bytes();
+            let body = bytes.len() - 4;
+            bytes[8..12].copy_from_slice(&unknown.to_le_bytes());
+            let crc = crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                Recipe::from_bytes(&bytes),
+                Err(RecipeError::BadVersion(unknown))
+            );
+        }
+        assert_eq!(RECIPE_VERSION.number(), 2);
+    }
+
+    #[test]
+    fn mask_is_the_largest_power_of_two_not_above_avg() {
+        let mask = |avg_size: usize| {
+            let p = ChunkParams {
+                min_size: 64,
+                avg_size,
+                max_size: 1 << 20,
+            };
+            p.normalized().mask()
+        };
+        // A power of two keeps its own mask (so no existing pool is re-cut)…
+        assert_eq!(mask(16 * 1024), (1 << 14) - 1);
+        assert_eq!(mask(64), 63);
+        // …anything between two powers takes the lower one's, never the
+        // upper's: 24 KiB must not cut on a 32 KiB mask.
+        assert_eq!(mask(24 * 1024), (1 << 14) - 1);
+        assert_eq!(mask(32 * 1024 - 1), (1 << 14) - 1);
+        assert_eq!(mask(32 * 1024), (1 << 15) - 1);
+        assert_eq!(mask(65), 63);
+    }
+
+    // ---- the version 2 key: pinned values and statistical quality ----------
+    //
+    // Nobody else maintains this function, and its output is the on-disk
+    // name of every chunk, so it is pinned twice: by value (a refactor that
+    // changes one bit of one digest orphans every pool) and by behaviour
+    // (the properties dedup relies on are measured, not assumed).
+
+    #[test]
+    fn chunk_id_pinned_digests() {
+        let pattern = |len: usize| -> Vec<u8> { (0..len).map(|i| (i * 7 + 3) as u8).collect() };
+        let hex = |d: &[u8]| chunk_id(d).to_hex();
+        assert_eq!(
+            hex(b""),
+            "e5da2ec6592b2100628cfc915e2c7cdf1518ab2617a9a7485e37e98bc66c50af"
+        );
+        assert_eq!(
+            hex(b"a"),
+            "4147241b0c565430d2f67992868e432859de337bd2bccf59cca5ae80bacf3764"
+        );
+        assert_eq!(
+            hex(&pattern(63)),
+            "75f4c54ddaf32559187c65e38d5ba8f7d47ce5cfceede9f3ab360a214f902491"
+        );
+        assert_eq!(
+            hex(&pattern(64)),
+            "00a1fb5d2675d162bc63aa5cec955a78cce0e925f8d7e5211da251a22633a7c5"
+        );
+        assert_eq!(
+            hex(&pattern(65)),
+            "76a54bf71bc9bb0f6aab124206778918c427249e17498e537685728f97cc3278"
+        );
+        assert_eq!(
+            hex(&pattern(1 << 20)),
+            "1d9eef928a4cbf6b366d9e1a8d7bcd1c2a6313cf8e396890dfe91ae449d43c4a"
+        );
+    }
+
+    /// Fail if any two digests agree in any one 64-bit quarter (one lane)
+    /// alone — which also rules out agreeing in full. A dead or weak lane
+    /// shows in its quarter long before it shows in all 256 bits.
+    fn assert_no_collisions(family: &str, digests: &[ChunkId]) {
+        for quarter in 0..4 {
+            let mut lane: Vec<u64> = digests
+                .iter()
+                .map(|d| u64::from_le_bytes(d.0.as_chunks::<8>().0[quarter]))
+                .collect();
+            lane.sort_unstable();
+            assert!(
+                lane.windows(2).all(|w| w[0] != w[1]),
+                "{family}: two digests agree in quarter {quarter}"
+            );
+        }
+    }
+
+    #[test]
+    fn chunk_id_no_collisions_over_counters() {
+        let digests: Vec<ChunkId> = (0..1u64 << 20)
+            .map(|i| chunk_id(&i.to_le_bytes()))
+            .collect();
+        assert_no_collisions("2^20 little-endian counters", &digests);
+    }
+
+    /// Digest of `block` with the given bits (indexed LSB-first from byte
+    /// 0) flipped; `block` is restored before returning.
+    fn flipped(block: &mut [u8], bits: &[usize]) -> ChunkId {
+        for &b in bits {
+            block[b / 8] ^= 1 << (b % 8);
+        }
+        let id = chunk_id(block);
+        for &b in bits {
+            block[b / 8] ^= 1 << (b % 8);
+        }
+        id
+    }
+
+    #[test]
+    fn chunk_id_no_collisions_over_bit_flips_of_a_zero_block() {
+        // Every 1- and 2-bit flip of two whole stripes, exhaustively…
+        let mut small = [0u8; 128];
+        let nbits = small.len() * 8;
+        let mut digests = vec![chunk_id(&small)];
+        for i in 0..nbits {
+            digests.push(flipped(&mut small, &[i]));
+            for j in i + 1..nbits {
+                digests.push(flipped(&mut small, &[i, j]));
+            }
+        }
+        assert_eq!(digests.len(), 1 + nbits + nbits * (nbits - 1) / 2);
+        assert_no_collisions("1- and 2-bit flips of 128 zero bytes", &digests);
+
+        // …and of a 4 KiB zero block every 1-bit flip, plus every 2-bit
+        // flip at the distances where the structure could cancel: the
+        // neighbouring bit, byte and word (the two operands of one
+        // multiply), the same word one lane over and one stripe on. (All
+        // 5.4 × 10^8 pairs would be 2 TB of hashing.)
+        let mut block = vec![0u8; 4096];
+        let nbits = block.len() * 8;
+        let mut digests = vec![chunk_id(&block)];
+        for i in 0..nbits {
+            digests.push(flipped(&mut block, &[i]));
+            for d in [1, 8, 64, 128, 512] {
+                if i + d < nbits {
+                    digests.push(flipped(&mut block, &[i, i + d]));
+                }
+            }
+        }
+        assert_no_collisions("bit flips of 4 KiB of zeros", &digests);
+    }
+
+    #[test]
+    fn chunk_id_tells_zero_blocks_of_every_length_apart() {
+        // Zero pages force-cut at max_size are the commonest chunk of a
+        // real image: equal ones must dedup, and no two lengths may share a
+        // name although every stripe they absorb is the same.
+        let zeros = vec![0u8; 65_536];
+        let digests: Vec<ChunkId> = (0..=zeros.len()).map(|n| chunk_id(&zeros[..n])).collect();
+        assert_no_collisions("zero blocks of length 0..=65536", &digests);
+        assert_eq!(chunk_id(&vec![0u8; 65_536]), digests[65_536]);
+    }
+
+    #[test]
+    fn chunk_id_avalanche() {
+        // Flipping any one input bit must flip each digest bit with
+        // probability one half. Measured over random bases at lengths from
+        // one byte to a max-size chunk: every input bit of the short
+        // lengths (where a partial stripe and the final rounds do all the
+        // work), 64 spread bits (first and last byte included) of the long
+        // ones. Tolerance: six standard deviations of a fair coin over the
+        // number of trials behind each rate — per (input bit, digest bit)
+        // cell, per digest bit over all input bits, and per input bit over
+        // all digest bits.
+        let within = |flips: u64, trials: u64, what: &str| {
+            let rate = flips as f64 / trials as f64;
+            let tol = 3.0 / (trials as f64).sqrt();
+            assert!(
+                (rate - 0.5).abs() <= tol,
+                "{what}: flip rate {rate:.4} over {trials} trials (tolerance ±{tol:.4})"
+            );
+        };
+        let mut seed = 0x00c0_ffee_u64;
+        let mut next = || {
+            seed = seed.wrapping_add(1);
+            splitmix64(seed)
+        };
+        let lengths = [
+            1usize, 2, 3, 7, 8, 9, 16, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1000, 4096, 16_384,
+            65_536,
+        ];
+        for len in lengths {
+            let nbits = len * 8;
+            let (in_bits, trials): (Vec<usize>, u64) = if len <= 129 {
+                ((0..nbits).collect(), 128)
+            } else {
+                let spread = (0..48).map(|k| 8 + k * (nbits - 16) / 48);
+                ((0..8).chain(spread).chain(nbits - 8..nbits).collect(), 32)
+            };
+            let mut per_out = [0u64; 256];
+            for &bit in &in_bits {
+                let mut cell = [0u64; 256];
+                for _ in 0..trials {
+                    let mut base = vec![0u8; len];
+                    for w in base.chunks_mut(8) {
+                        w.copy_from_slice(&next().to_le_bytes()[..w.len()]);
+                    }
+                    let before = chunk_id(&base);
+                    let after = flipped(&mut base, &[bit]);
+                    for (o, slot) in cell.iter_mut().enumerate() {
+                        *slot += u64::from((before.0[o / 8] ^ after.0[o / 8]) >> (o % 8) & 1);
+                    }
+                }
+                for (o, &flips) in cell.iter().enumerate() {
+                    within(
+                        flips,
+                        trials,
+                        &format!("len {len} in-bit {bit} out-bit {o}"),
+                    );
+                    per_out[o] += flips;
+                }
+                let what = format!("len {len} in-bit {bit} (all digest bits)");
+                within(cell.iter().sum(), 256 * trials, &what);
+            }
+            for (o, &flips) in per_out.iter().enumerate() {
+                let what = format!("len {len} out-bit {o} (all input bits)");
+                within(flips, in_bits.len() as u64 * trials, &what);
+            }
+        }
     }
 }

@@ -35,7 +35,7 @@ mod lowerhalf;
 pub mod store;
 mod upperhalf;
 
-pub use chunk::{ChunkId, ChunkParams, ChunkRef, Recipe, RecipeError};
+pub use chunk::{ChunkId, ChunkParams, ChunkRef, Recipe, RecipeError, RecipeVersion};
 pub use codec::{crc32, CodecError, Crc32, Decode, Encode, Reader};
 pub use fsreg::{ContextSwitcher, FsMode};
 pub use image::{CkptImage, ImageError};

@@ -38,7 +38,7 @@
 
 use crate::blobs::PutMode;
 pub use crate::blobs::{Blobs, FaultyBlobs, LocalFs, WriteFault};
-use crate::chunk::{self, ChunkId, ChunkParams, ChunkRef, Recipe};
+use crate::chunk::{self, ChunkId, ChunkParams, ChunkRef, Recipe, RecipeVersion};
 use crate::codec::{crc32, Crc32};
 use crate::image::CkptImage;
 use std::collections::{BTreeMap, BTreeSet};
@@ -171,7 +171,7 @@ pub enum StoreMode {
     Flat,
     /// Content-addressed chunked layout: payloads are split at
     /// content-defined boundaries into a shared `chunks/` pool keyed by
-    /// SHA-256, and each rank stores a `.cref` recipe instead of a flat
+    /// content hash, and each rank stores a `.cref` recipe instead of a flat
     /// image. A chunk already in the pool is never rewritten, so a
     /// slowly-mutating workload pays only for changed bytes per round.
     Chunked,
@@ -558,18 +558,19 @@ impl Store {
         Ok(out)
     }
 
-    /// The pool half of a chunked write: split both payloads at
-    /// content-defined boundaries, land the chunks the pool does not hold
-    /// (bounded parallel writers, then one directory sync per touched
-    /// shard and one for the pool), and return the recipe naming them.
+    /// The pool half of a chunked write: one pass over each payload cuts
+    /// it at content-defined boundaries, keys each chunk and takes the
+    /// payload's CRC ([`chunk::chunk_payload`]); then land the chunks the
+    /// pool does not hold (bounded parallel writers, then one directory
+    /// sync per touched shard and one for the pool), and return the recipe
+    /// naming them.
     fn write_chunks(
         &self,
         image: &CkptImage,
         out: &mut WriteOutcome,
     ) -> Result<Recipe, StoreError> {
-        let params = self.cfg.chunk.normalized();
-        let upper = chunk::chunk_payload(&image.upper, params);
-        let meta = chunk::chunk_payload(&image.meta, params);
+        let (upper, upper_crc) = chunk::chunk_payload(&image.upper, self.cfg.chunk);
+        let (meta, meta_crc) = chunk::chunk_payload(&image.meta, self.cfg.chunk);
         // Dedup: a chunk already in the pool (from any generation, or
         // another rank of this round) is not rewritten — if what is there
         // has the chunk's length. A shorter file is a torn write an
@@ -610,13 +611,14 @@ impl Store {
         }
         let ids = |chunks: &[(ChunkRef, &[u8])]| chunks.iter().map(|(c, _)| *c).collect();
         Ok(Recipe {
+            version: chunk::RECIPE_VERSION,
             rank: image.rank as u64,
             world_size: image.world_size as u64,
             round: image.round,
             upper_len: image.upper.len() as u64,
             meta_len: image.meta.len() as u64,
-            upper_crc: crc32(&image.upper),
-            meta_crc: crc32(&image.meta),
+            upper_crc,
+            meta_crc,
             upper_chunks: ids(&upper),
             meta_chunks: ids(&meta),
         })
@@ -1036,8 +1038,8 @@ impl Store {
     /// once: the rank's file (flat `.mana` image, else `.cref` recipe)
     /// against its manifest `entry` when given (size, whole-file CRC),
     /// then both section CRCs of the flat image, or the recipe's own
-    /// checksum, every chunk's presence, length and SHA-256, and both
-    /// reassembled-payload CRCs.
+    /// checksum, every chunk's presence, length and content hash (the one
+    /// the recipe's version names), and both reassembled-payload CRCs.
     fn read_verified(
         &self,
         dir: &Path,
@@ -1093,7 +1095,7 @@ impl Store {
         // A damaged chunk rejects the image just like a damaged flat file
         // would.
         let payload = |refs: &[ChunkRef], len: u64, crc: u32, section: &str| {
-            self.assemble(refs, len, crc, section)
+            self.assemble(recipe.version, refs, len, crc, section)
                 .map_err(|rej| Rejection::new(rej.code, format!("rank {rank}: {}", rej.reason)))
         };
         Ok(CkptImage {
@@ -1116,12 +1118,13 @@ impl Store {
     }
 
     /// Read, verify and concatenate every chunk of one payload list from
-    /// the pool: presence, exact length, and SHA-256 identity against its
-    /// content address — a wrong-hash chunk is *never* returned, it
-    /// rejects the payload — folding each into the payload's CRC while
-    /// still hot.
+    /// the pool: presence, exact length, and identity against its content
+    /// address under the key function the referencing recipe's `version`
+    /// names — a wrong-hash chunk is *never* returned, it rejects the
+    /// payload — folding each into the payload's CRC while still hot.
     fn assemble(
         &self,
+        version: RecipeVersion,
         refs: &[ChunkRef],
         expected_len: u64,
         expected_crc: u32,
@@ -1152,7 +1155,7 @@ impl Store {
                     ),
                 ));
             }
-            if chunk::chunk_id(data) != cref.id {
+            if version.chunk_id(data) != cref.id {
                 return Err(Rejection::new(
                     C::CorruptImage,
                     format!("{section} chunk {} content hash mismatch", cref.id),
@@ -2120,6 +2123,108 @@ mod tests {
         assert_eq!(load_image(&dir, 0).unwrap(), slow_image(0, 3, 0));
         let err = load_image(&dir, 2).unwrap_err().to_string();
         assert!(err.contains("content hash mismatch"), "{err}");
+        fs::remove_dir_all(&root).ok();
+    }
+
+    /// Lay generation `image.round` down the way a build before the chunk
+    /// key changed did: a version 1 recipe whose pool chunks are named by
+    /// SHA-256, then the manifest. Returns the recipe.
+    fn commit_v1_generation(root: &Path, image: &CkptImage, cfg: &StoreConfig) -> Recipe {
+        let store = at(root);
+        let refs = |payload: &[u8]| -> Vec<ChunkRef> {
+            chunk::split(payload, cfg.chunk)
+                .into_iter()
+                .map(|range| {
+                    let data = &payload[range];
+                    let id = chunk::chunk_id_v1(data);
+                    let path = store.chunk_path(id);
+                    fs::create_dir_all(path.parent().unwrap()).unwrap();
+                    fs::write(path, data).unwrap();
+                    ChunkRef {
+                        id,
+                        len: data.len() as u64,
+                    }
+                })
+                .collect()
+        };
+        let recipe = Recipe {
+            version: RecipeVersion::V1,
+            rank: image.rank as u64,
+            world_size: image.world_size as u64,
+            round: image.round,
+            upper_len: image.upper.len() as u64,
+            meta_len: image.meta.len() as u64,
+            upper_crc: crc32(&image.upper),
+            meta_crc: crc32(&image.meta),
+            upper_chunks: refs(&image.upper),
+            meta_chunks: refs(&image.meta),
+        };
+        let bytes = recipe.to_bytes();
+        let path = store.recipe_path(image.round, image.rank);
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(path, &bytes).unwrap();
+        let manifest = Manifest {
+            round: image.round,
+            world_size: 1,
+            entries: vec![ManifestEntry {
+                rank: image.rank as u64,
+                bytes: bytes.len() as u64,
+                crc: crc32(&bytes),
+            }],
+        };
+        commit_generation(root, &manifest, cfg).unwrap();
+        recipe
+    }
+
+    #[test]
+    fn v1_and_v2_generations_share_a_pool_and_each_verifies_with_its_own_key() {
+        let root = tdir("mixed_pool");
+        let cfg = chunked_cfg();
+        let store = at(&root);
+        // Generation 0 is SHA-keyed; generation 1, nearly the same bytes,
+        // goes through today's write path into the same root.
+        let v1 = commit_v1_generation(&root, &slow_image(0, 1, 0), &cfg);
+        let out = commit_round_with(&root, 1, 1, &cfg, &[])[0];
+        let v2 = Recipe::from_bytes(&fs::read(store.recipe_path(1, 0)).unwrap()).unwrap();
+        assert_eq!(
+            (v1.version, v2.version),
+            (RecipeVersion::V1, RecipeVersion::V2)
+        );
+        let ids = |r: &Recipe| -> BTreeSet<ChunkId> {
+            let refs = r.upper_chunks.iter().chain(&r.meta_chunks);
+            refs.map(|c| c.id).collect()
+        };
+        let (v1_ids, v2_ids) = (ids(&v1), ids(&v2));
+        // Different functions, different names: no dedup across versions.
+        assert!(v1_ids.is_disjoint(&v2_ids));
+        assert_eq!(out.chunks_written as usize, v2_ids.len());
+        store.validate(0, Some(1), None).unwrap();
+        store.validate(1, Some(1), None).unwrap();
+        assert_eq!(store.load_image(0, 0).unwrap(), slow_image(0, 1, 0));
+        assert_eq!(store.load_image(1, 0).unwrap(), slow_image(0, 1, 1));
+        // Rot in a chunk is caught by the verifier its generation names,
+        // and costs only that generation.
+        for (bad, good, victim) in [(0, 1, v1.upper_chunks[3].id), (1, 0, v2.upper_chunks[3].id)] {
+            let path = store.chunk_path(victim);
+            let pristine = fs::read(&path).unwrap();
+            rot(&path);
+            let rej = store.validate(bad, Some(1), None).unwrap_err();
+            assert_eq!(rej.code, obs::RejectCode::CorruptImage);
+            assert_eq!(
+                rej.reason,
+                format!("rank 0: upper chunk {victim} content hash mismatch")
+            );
+            store.validate(good, Some(1), None).unwrap();
+            fs::write(&path, pristine).unwrap();
+        }
+        // Retention drops generation 0, and with it exactly the chunks
+        // only a version 1 recipe named.
+        let gc = store.gc(1).unwrap();
+        assert_eq!(gc.generations, vec![0]);
+        assert_eq!(gc.chunks.removed as usize, v1_ids.len());
+        assert!(v1_ids.iter().all(|id| !store.chunk_path(*id).exists()));
+        assert!(v2_ids.iter().all(|id| store.chunk_path(*id).exists()));
+        store.validate(1, Some(1), None).unwrap();
         fs::remove_dir_all(&root).ok();
     }
 

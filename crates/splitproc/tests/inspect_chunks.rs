@@ -2,8 +2,8 @@
 //! real chunked store with the library, then drive the operator binary
 //! and check its exit codes against clean, corrupted, and torn pools.
 
-use splitproc::store::{self, StoreConfig, StoreMode};
-use splitproc::{chunk, CkptImage};
+use splitproc::store::{self, Store, StoreConfig, StoreMode};
+use splitproc::{chunk, crc32, ChunkRef, CkptImage, Recipe, RecipeVersion};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -159,6 +159,94 @@ fn chunks_flags_missing_chunk_even_without_verify() {
     let (code, text) = inspect(&root, &["chunks"]);
     assert_ne!(code, 0, "referenced-but-missing chunk must fail: {text}");
     assert!(text.contains("MISSING chunk"), "{text}");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Lay a one-rank generation down the way a build before the chunk key
+/// changed did: version 1 recipe, pool chunks named by SHA-256, manifest.
+/// Returns the pool paths of its chunks.
+fn commit_v1_round(root: &Path, round: u64) -> Vec<PathBuf> {
+    let cfg = chunked_cfg();
+    let handle = Store::open(root, cfg.clone());
+    let image = image(0, 1, round);
+    let mut paths = Vec::new();
+    let mut refs = |payload: &[u8]| -> Vec<ChunkRef> {
+        chunk::split(payload, cfg.chunk)
+            .into_iter()
+            .map(|range| {
+                let data = &payload[range];
+                let id = chunk::chunk_id_v1(data);
+                let path = handle.chunk_path(id);
+                std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+                std::fs::write(&path, data).unwrap();
+                paths.push(path);
+                ChunkRef {
+                    id,
+                    len: data.len() as u64,
+                }
+            })
+            .collect()
+    };
+    let recipe = Recipe {
+        version: RecipeVersion::V1,
+        rank: 0,
+        world_size: 1,
+        round,
+        upper_len: image.upper.len() as u64,
+        meta_len: image.meta.len() as u64,
+        upper_crc: crc32(&image.upper),
+        meta_crc: crc32(&image.meta),
+        upper_chunks: refs(&image.upper),
+        meta_chunks: refs(&image.meta),
+    };
+    let bytes = recipe.to_bytes();
+    let path = handle.recipe_path(round, 0);
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(path, &bytes).unwrap();
+    let manifest = store::Manifest {
+        round,
+        world_size: 1,
+        entries: vec![store::ManifestEntry {
+            rank: 0,
+            bytes: bytes.len() as u64,
+            crc: crc32(&bytes),
+        }],
+    };
+    store::commit_generation(root, &manifest, &cfg).unwrap();
+    paths
+}
+
+#[test]
+fn chunks_verify_checks_each_chunk_with_its_recipes_key_function() {
+    // Generation 0 is SHA-keyed (recipe v1), generation 1 is written today
+    // (v2), both in one pool. Checking every chunk with one function would
+    // flag every chunk of the other generation.
+    let root = temp_store("mixed");
+    let v1_chunks = commit_v1_round(&root, 0);
+    commit_round(&root, 1, 1);
+
+    let (code, text) = inspect(&root, &["chunks", "--verify"]);
+    assert_eq!(code, 0, "clean mixed pool must pass: {text}");
+    assert!(text.contains("0 damaged, 0 missing"), "{text}");
+    let gen_line = |round: u64| -> &str {
+        let tag = format!("gen {round:>5}  recipe ");
+        text.lines()
+            .find(|l| l.contains(&tag))
+            .unwrap_or_else(|| panic!("no line for generation {round}: {text}"))
+    };
+    assert!(gen_line(0).contains("recipe v1 "), "{text}");
+    assert!(gen_line(1).contains("recipe v2 "), "{text}");
+
+    // Rot in a SHA-keyed chunk is still caught — by SHA-256.
+    let victim = &v1_chunks[v1_chunks.len() / 2];
+    let mut bytes = std::fs::read(victim).unwrap();
+    bytes[0] ^= 0x01;
+    std::fs::write(victim, &bytes).unwrap();
+    let (code, text) = inspect(&root, &["chunks", "--verify"]);
+    assert_ne!(code, 0, "{text}");
+    let name = victim.file_stem().unwrap().to_str().unwrap();
+    assert!(text.contains(&format!("CORRUPT chunk {name}")), "{text}");
+    assert!(text.contains("1 damaged, 0 missing"), "{text}");
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -140,6 +140,7 @@ proptest! {
         prop_assert_eq!(pos, data.len());
         // Reassembling the chunk contents reproduces the input exactly.
         let rebuilt: Vec<u8> = chunk::chunk_payload(&data, tiny_params())
+            .0
             .iter()
             .flat_map(|(_, bytes)| bytes.iter().copied())
             .collect();
@@ -176,15 +177,16 @@ proptest! {
         edited[at] ^= xor;
 
         let ids = |d: &[u8]| -> Vec<chunk::ChunkId> {
-            chunk::chunk_payload(d, p).iter().map(|(r, _)| r.id).collect()
+            chunk::chunk_payload(d, p).0.iter().map(|(r, _)| r.id).collect()
         };
         let before = ids(&data);
         let after = ids(&edited);
         let before_set: std::collections::BTreeSet<_> = before.iter().copied().collect();
         let changed = after.iter().filter(|id| !before_set.contains(id)).count();
-        // The gear hash state spans at most 64 bytes, so a single-byte
-        // edit can move boundaries only within the edited chunk and its
-        // immediate successors until the cut sequence resynchronizes.
+        // A cut decision sees only as many trailing bytes as the mask has
+        // bits, so a single-byte edit can move boundaries only within the
+        // edited chunk and its immediate successors until the cut
+        // sequence resynchronizes.
         // With max_size = 256 the damage is confined to a handful of
         // chunks — nothing close to a whole-stream invalidation.
         prop_assert!(
@@ -193,5 +195,27 @@ proptest! {
             changed,
             after.len()
         );
+    }
+
+    #[test]
+    fn fused_chunk_payload_equals_split_then_key_then_crc(
+        data in proptest::collection::vec(any::<u8>(), 0..8192),
+        min_size in 0usize..600,
+        avg_size in 0usize..2000,
+        max_size in 0usize..5000,
+    ) {
+        // Arbitrary (also unordered, also tiny) params: the one pass must
+        // agree with the three it replaced, whatever `normalized` makes of
+        // them.
+        let params = ChunkParams { min_size, avg_size, max_size };
+        let (chunks, crc) = chunk::chunk_payload(&data, params);
+        prop_assert_eq!(crc, crc32(&data));
+        let ranges = chunk::split(&data, params);
+        prop_assert_eq!(chunks.len(), ranges.len());
+        for ((cref, bytes), range) in chunks.iter().zip(ranges) {
+            prop_assert_eq!(*bytes, &data[range]);
+            prop_assert_eq!(cref.len, bytes.len() as u64);
+            prop_assert_eq!(cref.id, chunk::chunk_id(bytes));
+        }
     }
 }
