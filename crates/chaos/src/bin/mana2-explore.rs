@@ -16,8 +16,7 @@
 //! of the repro line). Exit status 1 when any schedule failed.
 
 use chaos::explore::{
-    decode_choices, drain_name, explore, parse_drain, parse_workload, workload_name, ExploreCfg,
-    ExploreTarget,
+    decode_choices, explore, parse_drain, parse_workload, workload_name, ExploreCfg, ExploreTarget,
 };
 use chaos::Workload;
 use mana_core::DrainMode;
@@ -121,7 +120,7 @@ fn main() {
             a.ranks,
             a.workers,
             workload_name(a.workload),
-            drain_name(a.drain),
+            a.drain.name(),
             run.decisions.len(),
             run.fingerprint,
             match &run.divergence {

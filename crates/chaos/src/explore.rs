@@ -110,12 +110,8 @@ pub fn parse_workload(s: &str) -> Result<Workload, String> {
     }
 }
 
-/// Stable name of a drain mode for fixtures, env vars, and JSON.
-pub fn drain_name(d: DrainMode) -> &'static str {
-    d.name()
-}
-
-/// Parse a drain-mode name (inverse of [`drain_name`]).
+/// Parse a drain-mode name ([`DrainMode::parse`], with the error line the
+/// CLI, the env hook and the fixture reader all print).
 pub fn parse_drain(s: &str) -> Result<DrainMode, String> {
     DrainMode::parse(s).ok_or_else(|| {
         format!(
@@ -304,7 +300,7 @@ impl ExploreTarget {
             self.ranks,
             self.workers,
             workload_name(self.workload),
-            drain_name(self.drain),
+            self.drain.name(),
             encode_choices(choices),
         )
     }
@@ -878,7 +874,7 @@ impl ExploreReport {
             self.ranks,
             self.workers,
             workload_name(self.workload),
-            drain_name(self.drain),
+            self.drain.name(),
             self.schedules_run,
             self.schedules_per_sec(),
             self.unique_interleavings,
@@ -907,11 +903,11 @@ impl ExploreReport {
             bugs.push_str(&format!(
                 "{{\"error\":\"{}\",\"choices\":\"{}\",\"minimized\":\"{}\",\
                  \"minimize_tests\":{},\"repro\":\"{}\"}}",
-                json_escape(&f.error),
+                obs::json::escape(&f.error),
                 encode_choices(&f.choices),
                 min_hex,
                 min_tests,
-                json_escape(&target.repro_command(&repro_choices)),
+                obs::json::escape(&target.repro_command(&repro_choices)),
             ));
         }
         bugs.push(']');
@@ -928,7 +924,7 @@ impl ExploreReport {
             self.ranks,
             self.workers,
             workload_name(self.workload),
-            drain_name(self.drain),
+            self.drain.name(),
             self.elapsed.as_secs_f64(),
             self.schedules_run,
             self.schedules_per_sec(),
@@ -946,22 +942,6 @@ impl ExploreReport {
             bugs,
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 const MAX_FRONTIER: usize = 8192;
@@ -1145,7 +1125,7 @@ impl ScheduleFixture {
             self.ranks,
             self.workers,
             workload_name(self.workload),
-            drain_name(self.drain),
+            self.drain.name(),
             encode_choices(&self.choices)
         )
     }
@@ -1265,7 +1245,7 @@ mod tests {
 
     #[test]
     fn json_escape_handles_quotes_and_controls() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        assert_eq!(obs::json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(obs::json::escape("\u{1}"), "\\u0001");
     }
 }

@@ -17,6 +17,7 @@
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use mpisim::{ParkerRef, UnparkerRef};
 use obs::metrics as met;
+use obs::Phase;
 use splitproc::store;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -161,12 +162,8 @@ pub struct CoordHandle {
     fault: Option<Arc<mpisim::FaultPlan>>,
     /// Per-rank counter identifying each sent message to the fault plan.
     sent_msgs: Arc<AtomicU64>,
-    /// Flight recorder for this rank (records fault-plan firings on the
-    /// control channel).
-    rec: Option<obs::Recorder>,
-    /// Metrics-plane handle for this rank (counts control-channel fault
-    /// firings).
-    meter: Option<met::Meter>,
+    /// This rank's telemetry (fault-plan firings on the control channel).
+    tel: obs::Telemetry,
     /// The rank's engine parker, attached by the runtime once the rank's
     /// `Proc` exists. When set, every blocking point on the control
     /// channel (receive waits, injected stalls) parks through the engine
@@ -228,17 +225,8 @@ impl CoordHandle {
         if let Some(fp) = &self.fault {
             let k = self.sent_msgs.fetch_add(1, Ordering::Relaxed);
             if let Some(d) = fp.coord_delay(self.rank, k) {
-                if let Some(m) = &self.meter {
-                    m.add(met::FAULTS_FIRED, 1);
-                }
-                if let Some(r) = &self.rec {
-                    r.event(
-                        obs::NO_ROUND,
-                        obs::EventKind::FaultFired {
-                            fault: obs::FaultKind::CoordDelay,
-                        },
-                    );
-                }
+                self.tel
+                    .fault_fired(obs::NO_ROUND, obs::FaultKind::CoordDelay);
                 self.stall(d);
             }
         }
@@ -481,16 +469,14 @@ pub fn spawn_coordinator_ext(
             from_coord: rx,
             fault: fault.clone(),
             sent_msgs: Arc::new(AtomicU64::new(0)),
-            rec: trace.as_ref().map(|s| s.recorder(rank as i32)),
-            meter: metrics.as_ref().map(|m| m.meter(rank as i32)),
+            tel: obs::Telemetry::new(rank as i32, trace.clone(), metrics.clone()),
             parker: None,
         });
     }
     let trigger = CkptTrigger {
         tx: to_coord.clone(),
     };
-    let coord_rec = trace.as_ref().map(|s| s.recorder(obs::COORD_ACTOR));
-    let coord_meter = metrics.as_ref().map(|m| m.meter(obs::COORD_ACTOR));
+    let tel = obs::Telemetry::new(obs::COORD_ACTOR, trace, metrics);
     let join = std::thread::Builder::new()
         .name("mana-coordinator".into())
         .spawn(move || {
@@ -503,8 +489,7 @@ pub fn spawn_coordinator_ext(
                 ports,
                 commit_check,
                 ckpt_store,
-                coord_rec,
-                coord_meter,
+                tel,
             )
         })
         .expect("spawn coordinator");
@@ -521,8 +506,7 @@ fn coordinator_loop(
     ports: Vec<RankPort>,
     commit_check: Option<CommitCheck>,
     ckpt_store: Option<(store::Store, usize)>,
-    rec: Option<obs::Recorder>,
-    meter: Option<met::Meter>,
+    tel: obs::Telemetry,
 ) -> CoordReport {
     let mut report = CoordReport::default();
     let mut finished = vec![false; n];
@@ -548,7 +532,9 @@ fn coordinator_loop(
                 }
                 // ---- one checkpoint round ----
                 let round = round_ctr.load(Ordering::Acquire);
-                let t0 = Instant::now();
+                let rnd = round as i64;
+                let t_round = Instant::now();
+                let quiescing = tel.begin(rnd, Phase::Intent);
                 let mut msgs = 0u64;
                 intent.store(true, Ordering::Release);
                 // Kick every rank: one parked between wrapper calls would
@@ -558,9 +544,6 @@ fn coordinator_loop(
                     if let Some(w) = &port.waker {
                         w.unpark();
                     }
-                }
-                if let Some(r) = &rec {
-                    r.begin(round as i64, obs::Phase::Intent);
                 }
 
                 // Phase 1: collect Ready from every rank.
@@ -595,14 +578,11 @@ fn coordinator_loop(
                         Err(_) => break 'outer,
                     }
                 }
-                let quiesce = t0.elapsed();
-                if let Some(r) = &rec {
-                    r.end(round as i64, obs::Phase::Intent);
-                    // The coordinator's "write" window opens at Go and
-                    // closes when the last rank reports — it brackets
-                    // every rank's drain + image write.
-                    r.begin(round as i64, obs::Phase::ImageWrite);
-                }
+                let quiesce = tel.end(quiescing);
+                // The coordinator's "write" window opens at Go and closes
+                // when the last rank reports — it brackets every rank's
+                // drain + image write.
+                let writing = tel.begin(rnd, Phase::ImageWrite);
 
                 // Phase 2: release the drain.
                 for port in &ports {
@@ -613,7 +593,6 @@ fn coordinator_loop(
                 // Phase 2b (legacy drain only): totals rounds. The ranks
                 // drive this; we answer every complete set of n reports.
                 // Phase 3: collect Done/Failed from every rank.
-                let t1 = Instant::now();
                 let mut reported = 0usize;
                 let mut total_bytes = 0u64;
                 let mut images: Vec<Option<store::ManifestEntry>> = vec![None; n];
@@ -622,9 +601,9 @@ fn coordinator_loop(
                 // Topo-sort drain: one (sent, recvd) row pair per rank.
                 let mut topo_rows: Vec<Option<(Vec<u64>, Vec<u64>)>> = vec![None; n];
                 let mut topo_count = 0usize;
-                // Fan-in spread: first to last rank report this round.
+                // Fan-in spread: first rank report this round to the last,
+                // which is the one that ends the loop below.
                 let mut first_report: Option<Instant> = None;
-                let mut last_report: Option<Instant> = None;
                 while reported < n {
                     match from_ranks.recv_timeout(Duration::from_secs(120)) {
                         Ok(RankMsg::DrainReport { sent, recvd, .. }) => {
@@ -650,9 +629,7 @@ fn coordinator_loop(
                                 // Plan once all rows are in: order the
                                 // in-flight dependency graph and hand every
                                 // rank its exact expected column.
-                                if let Some(r) = &rec {
-                                    r.begin(round as i64, obs::Phase::DrainPlan);
-                                }
+                                let planning = tel.begin(rnd, Phase::DrainPlan);
                                 let rows: Vec<(Vec<u64>, Vec<u64>)> = topo_rows
                                     .iter_mut()
                                     .map(|r| r.take().expect("all rows present"))
@@ -663,12 +640,10 @@ fn coordinator_loop(
                                 let recvd: Vec<Vec<u64>> =
                                     rows.iter().map(|r| r.1.clone()).collect();
                                 let plan = topo_order(&sent, &recvd);
-                                if let Some(m) = &meter {
-                                    m.add(met::DRAIN_TOPO_PLANS, 1);
-                                    m.add(met::DRAIN_TOPO_EDGES, plan.edges);
-                                    if plan.cyclic {
-                                        m.add(met::DRAIN_TOPO_CYCLES, 1);
-                                    }
+                                tel.add(met::DRAIN_TOPO_PLANS, 1);
+                                tel.add(met::DRAIN_TOPO_EDGES, plan.edges);
+                                if plan.cyclic {
+                                    tel.add(met::DRAIN_TOPO_CYCLES, 1);
                                 }
                                 for (j, port) in ports.iter().enumerate() {
                                     let expected: Vec<u64> = (0..n)
@@ -682,9 +657,7 @@ fn coordinator_loop(
                                     });
                                     msgs += 1;
                                 }
-                                if let Some(r) = &rec {
-                                    r.end(round as i64, obs::Phase::DrainPlan);
-                                }
+                                tel.end(planning);
                             }
                         }
                         Ok(RankMsg::CkptDone {
@@ -695,9 +668,7 @@ fn coordinator_loop(
                         }) => {
                             msgs += 1;
                             reported += 1;
-                            let now = Instant::now();
-                            first_report.get_or_insert(now);
-                            last_report = Some(now);
+                            first_report.get_or_insert_with(Instant::now);
                             total_bytes += logical_bytes;
                             images[rank] = Some(store::ManifestEntry {
                                 rank: rank as u64,
@@ -708,9 +679,7 @@ fn coordinator_loop(
                         Ok(RankMsg::CkptFailed { rank, reason }) => {
                             msgs += 1;
                             reported += 1;
-                            let now = Instant::now();
-                            first_report.get_or_insert(now);
-                            last_report = Some(now);
+                            first_report.get_or_insert_with(Instant::now);
                             failures.push((rank, reason));
                         }
                         Ok(RankMsg::RequestCkpt) => {
@@ -722,27 +691,16 @@ fn coordinator_loop(
                         Err(_) => break 'outer,
                     }
                 }
-                let write = t1.elapsed();
-                if let Some(r) = &rec {
-                    r.end(round as i64, obs::Phase::ImageWrite);
-                }
-                if let Some(m) = &meter {
-                    if let (Some(a), Some(b)) = (first_report, last_report) {
-                        m.observe(
-                            met::COORD_FANIN_NS,
-                            b.saturating_duration_since(a).as_nanos() as u64,
-                        );
-                    }
+                let write = tel.end(writing);
+                if let Some(first) = first_report {
+                    tel.observe(met::COORD_FANIN_NS, first.elapsed());
                 }
 
                 // Commit point: every rank has drained and reported, none
                 // has resumed. The round commits only if *all* ranks wrote
                 // durably — then the manifest makes it restart material.
-                let t_commit = Instant::now();
                 if failures.is_empty() {
-                    if let Some(r) = &rec {
-                        r.begin(round as i64, obs::Phase::Commit);
-                    }
+                    let committing = tel.begin(rnd, Phase::Commit);
                     if let Some((store, _)) = &ckpt_store {
                         let manifest = store::Manifest {
                             round,
@@ -755,15 +713,11 @@ fn coordinator_loop(
                             failures.push((usize::MAX, format!("manifest write failed: {e}")));
                         }
                     }
-                    if let Some(r) = &rec {
-                        r.end(round as i64, obs::Phase::Commit);
-                    }
+                    tel.end(committing);
                 }
 
                 if !failures.is_empty() {
-                    if let Some(r) = &rec {
-                        r.begin(round as i64, obs::Phase::AbortRound);
-                    }
+                    let aborting = tel.begin(rnd, Phase::AbortRound);
                     // Abort path: scrap the partial generation, tell every
                     // rank to discard and resume. Prior committed
                     // generations are untouched — round N's failure never
@@ -776,12 +730,8 @@ fn coordinator_loop(
                     for port in &ports {
                         port.send(CoordMsg::AbortRound { round });
                     }
-                    if let Some(r) = &rec {
-                        r.end(round as i64, obs::Phase::AbortRound);
-                    }
-                    if let Some(m) = &meter {
-                        m.add(met::ROUNDS_ABORTED, 1);
-                    }
+                    tel.end(aborting);
+                    tel.add(met::ROUNDS_ABORTED, 1);
                     report.aborted_rounds.push(AbortedRound { round, failures });
                     continue;
                 }
@@ -813,13 +763,8 @@ fn coordinator_loop(
                     port.send(fin.clone());
                     msgs += 1;
                 }
-                if let Some(m) = &meter {
-                    m.add(met::ROUNDS_COMMITTED, 1);
-                    m.observe(met::ROUND_QUIESCE_NS, quiesce.as_nanos() as u64);
-                    m.observe(met::ROUND_WRITE_NS, write.as_nanos() as u64);
-                    m.observe(met::ROUND_COMMIT_NS, t_commit.elapsed().as_nanos() as u64);
-                    m.observe(met::ROUND_LATENCY_NS, t0.elapsed().as_nanos() as u64);
-                }
+                tel.add(met::ROUNDS_COMMITTED, 1);
+                tel.observe(met::ROUND_LATENCY_NS, t_round.elapsed());
                 report.rounds.push(CkptRoundStats {
                     round,
                     quiesce,
@@ -837,9 +782,9 @@ fn coordinator_loop(
                 // pass, which must not overlap image writes: no rank writes
                 // one before this loop has started the next round.
                 if let Some((store, retain)) = &ckpt_store {
-                    if let (Ok(gc), Some(m)) = (store.gc(*retain), &meter) {
-                        m.add(met::STORE_GC_GENERATIONS, gc.generations.len() as u64);
-                        m.add(met::STORE_GC_CHUNKS, gc.chunks.removed);
+                    if let Ok(gc) = store.gc(*retain) {
+                        tel.add(met::STORE_GC_GENERATIONS, gc.generations.len() as u64);
+                        tel.add(met::STORE_GC_CHUNKS, gc.chunks.removed);
                     }
                 }
                 if exit_after_ckpt {

@@ -85,30 +85,26 @@ pub(crate) fn rounds_counter(mode: DrainMode) -> met::MetricId {
 /// (`u64::MAX` entries model the coordinator drain's "everything
 /// receivable" sweeps).
 fn sweep_until_settled(m: &mut Mana<'_>, expected: &[u64]) -> Result<()> {
-    let round = m.round as i64 - 1;
-    let mut sweep = 0u32;
-    loop {
-        if m.p2p.deficits(expected).iter().all(|&d| d == 0) {
-            return Ok(());
-        }
-        m.stats.drain_sweeps += 1;
-        m.m_add(met::DRAIN_SWEEPS, 1);
+    let mut sweep = 0;
+    while m.p2p.deficits(expected).iter().any(|&d| d != 0) {
         sweep += 1;
-        if let Some(r) = &m.rec {
-            r.begin(round, Phase::Drain { sweep });
-        }
-        let t = std::time::Instant::now();
-        let progress = m.drain_sweep(expected)?;
-        m.m_observe(met::DRAIN_SWEEP_NS, t.elapsed().as_nanos() as u64);
-        if let Some(r) = &m.rec {
-            r.end(round, Phase::Drain { sweep });
-        }
-        if !progress {
-            // Nothing receivable this instant: the bytes are in transit
-            // between another rank's send and our mailbox. Park briefly.
-            m.lh.sched_park(m.cfg.poll_interval)?;
-        }
+        one_sweep(m, sweep, expected)?;
     }
+    Ok(())
+}
+
+/// Sweep number `sweep` of this round's drain, as one `Drain` span.
+fn one_sweep(m: &mut Mana<'_>, sweep: u32, expected: &[u64]) -> Result<()> {
+    m.stats.drain_sweeps += 1;
+    let span = m.tel.begin(m.round as i64 - 1, Phase::Drain { sweep });
+    let progress = m.drain_sweep(expected)?;
+    m.tel.end(span);
+    if !progress {
+        // Nothing receivable this instant: the bytes are in transit
+        // between another rank's send and our mailbox. Park briefly.
+        m.lh.sched_park(m.cfg.poll_interval)?;
+    }
+    Ok(())
 }
 
 /// MANA-2.0 drain: one alltoall of sent rows, then purely local work.
@@ -123,13 +119,9 @@ impl DrainStrategy for AlltoallDrain {
         let round = m.round as i64 - 1;
         let world_real = m.real_comm(VCOMM_WORLD)?;
         let sent_row = m.p2p.sent_row().to_vec();
-        if let Some(r) = &m.rec {
-            r.begin(round, Phase::DrainExchange);
-        }
+        let exchange = m.tel.begin(round, Phase::DrainExchange);
         let expected = m.lh.call(|p| p.alltoall_u64(world_real, &sent_row))?;
-        if let Some(r) = &m.rec {
-            r.end(round, Phase::DrainExchange);
-        }
+        m.tel.end(exchange);
         sweep_until_settled(m, &expected)
     }
 }
@@ -145,41 +137,24 @@ impl DrainStrategy for CoordinatorDrain {
 
     fn quiesce(&self, m: &mut Mana<'_>) -> Result<()> {
         let round = m.round as i64 - 1;
-        let mut sweep = 0u32;
+        // No per-pair information: every sweep takes everything receivable.
+        let all = vec![u64::MAX; m.world_size()];
+        let mut sweep = 0;
         loop {
             let (sent, recvd) = m.p2p.totals();
-            if let Some(r) = &m.rec {
-                r.begin(round, Phase::DrainExchange);
-            }
+            let exchange = m.tel.begin(round, Phase::DrainExchange);
             m.coord.send(RankMsg::DrainReport {
                 rank: m.rank(),
                 sent,
                 recvd,
             })?;
             let verdict = m.coord.recv()?;
-            if let Some(r) = &m.rec {
-                r.end(round, Phase::DrainExchange);
-            }
+            m.tel.end(exchange);
             match verdict {
                 CoordMsg::DrainVerdict { balanced: true } => return Ok(()),
                 CoordMsg::DrainVerdict { balanced: false } => {
-                    m.stats.drain_sweeps += 1;
-                    m.m_add(met::DRAIN_SWEEPS, 1);
                     sweep += 1;
-                    if let Some(r) = &m.rec {
-                        r.begin(round, Phase::Drain { sweep });
-                    }
-                    // No per-pair information: sweep everything receivable.
-                    let all = vec![u64::MAX; m.world_size()];
-                    let t = std::time::Instant::now();
-                    let progress = m.drain_sweep(&all)?;
-                    m.m_observe(met::DRAIN_SWEEP_NS, t.elapsed().as_nanos() as u64);
-                    if let Some(r) = &m.rec {
-                        r.end(round, Phase::Drain { sweep });
-                    }
-                    if !progress {
-                        m.lh.sched_park(m.cfg.poll_interval)?;
-                    }
+                    one_sweep(m, sweep, &all)?;
                 }
                 other => {
                     debug_assert!(false, "unexpected drain reply: {other:?}");
@@ -202,9 +177,7 @@ impl DrainStrategy for TopoSortDrain {
 
     fn quiesce(&self, m: &mut Mana<'_>) -> Result<()> {
         let round = m.round as i64 - 1;
-        if let Some(r) = &m.rec {
-            r.begin(round, Phase::DrainExchange);
-        }
+        let exchange = m.tel.begin(round, Phase::DrainExchange);
         m.coord.send(RankMsg::DrainRows {
             rank: m.rank(),
             sent: m.p2p.sent_row().to_vec(),
@@ -222,17 +195,15 @@ impl DrainStrategy for TopoSortDrain {
                 return Err(ManaError::CoordinatorGone);
             }
         };
-        if let Some(r) = &m.rec {
-            r.end(round, Phase::DrainExchange);
-            r.event(
-                round,
-                EventKind::DrainSchedule {
-                    order,
-                    edges,
-                    cyclic,
-                },
-            );
-        }
+        m.tel.end(exchange);
+        m.tel.event(
+            round,
+            EventKind::DrainSchedule {
+                order,
+                edges,
+                cyclic,
+            },
+        );
         sweep_until_settled(m, &expected)
     }
 

@@ -151,18 +151,15 @@ pub struct Mana<'p> {
     /// (once per process lifetime; restarts reset it but the round guard
     /// keeps the trigger from re-firing).
     pub(crate) fault_triggered: bool,
-    /// Flight-recorder handle for this rank (from `cfg.trace`).
-    pub(crate) rec: Option<obs::Recorder>,
-    /// Metrics-plane handle for this rank (from `cfg.metrics`).
-    pub(crate) meter: Option<obs::metrics::Meter>,
+    /// This rank's telemetry: its trace ring (from `cfg.trace`) and its
+    /// metrics shard (from `cfg.metrics`).
+    pub(crate) tel: obs::Telemetry,
 }
 
 impl<'p> Mana<'p> {
     /// Fresh start (no checkpoint image).
     pub fn fresh(proc: &'p Proc, cfg: ManaConfig, coord: CoordHandle) -> Self {
         let n = proc.world_size();
-        let rec = cfg.trace.as_ref().map(|s| s.recorder(proc.rank() as i32));
-        let meter = cfg.metrics.as_ref().map(|m| m.meter(proc.rank() as i32));
         Mana {
             lh: LowerHalf::new(proc, cfg.fs_mode),
             comms: CommManager::new(cfg.vtable, n),
@@ -180,27 +177,14 @@ impl<'p> Mana<'p> {
             round: 0,
             stats: ManaStats::default(),
             fault_triggered: false,
-            rec,
-            meter,
+            tel: Self::telemetry(proc, &cfg),
             cfg,
         }
     }
 
-    /// Bump a metrics-plane counter for this rank (no-op without a
-    /// registry; one branch on the hot path).
-    #[inline]
-    pub(crate) fn m_add(&self, id: obs::metrics::MetricId, delta: u64) {
-        if let Some(m) = &self.meter {
-            m.add(id, delta);
-        }
-    }
-
-    /// Record a metrics-plane latency observation for this rank.
-    #[inline]
-    pub(crate) fn m_observe(&self, id: obs::metrics::MetricId, ns: u64) {
-        if let Some(m) = &self.meter {
-            m.observe(id, ns);
-        }
+    /// The telemetry handle of `proc`'s rank under `cfg`.
+    pub(crate) fn telemetry(proc: &Proc, cfg: &ManaConfig) -> obs::Telemetry {
+        obs::Telemetry::new(proc.rank() as i32, cfg.trace.clone(), cfg.metrics.clone())
     }
 
     // ---- identity & state access ---------------------------------------
@@ -237,11 +221,6 @@ impl<'p> Mana<'p> {
         self.round
     }
 
-    /// Is checkpoint intent currently raised (a round in progress)?
-    pub fn ckpt_pending(&self) -> bool {
-        self.coord.intent()
-    }
-
     /// Snapshot of runtime statistics (merges lower-half counters).
     pub fn stats(&self) -> ManaStats {
         let mut s = self.stats.clone();
@@ -258,11 +237,6 @@ impl<'p> Mana<'p> {
     /// Live communicator bindings.
     pub fn live_comms(&self) -> usize {
         self.comms.live_bindings()
-    }
-
-    /// Buffered drained messages not yet delivered.
-    pub fn drain_buffer_len(&self) -> usize {
-        self.drain_buf.len()
     }
 
     /// The active configuration.
@@ -301,11 +275,6 @@ impl<'p> Mana<'p> {
             .ok_or(ManaError::InvalidVComm(vc.0))?
             .world_ranks
             .len())
-    }
-
-    /// `MPI_Comm_group` (as world ranks — the translate_group_ranks image).
-    pub fn comm_group(&self, vc: VComm) -> Result<Vec<usize>> {
-        self.ranks_of(vc)
     }
 
     /// The globally-unique communicator ID of §III-K.

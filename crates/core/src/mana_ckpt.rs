@@ -90,15 +90,7 @@ impl<'p> Mana<'p> {
                 && fp.should_trigger(self.rank(), self.stats.wrapper_calls)
             {
                 self.fault_triggered = true;
-                self.m_add(met::FAULTS_FIRED, 1);
-                if let Some(r) = &self.rec {
-                    r.event(
-                        self.round as i64,
-                        EventKind::FaultFired {
-                            fault: FaultKind::Trigger,
-                        },
-                    );
-                }
+                self.tel.fault_fired(self.round as i64, FaultKind::Trigger);
                 self.coord.request_checkpoint()?;
             }
         }
@@ -123,9 +115,7 @@ impl<'p> Mana<'p> {
         // so during the intent window `coord.round()` is the round about
         // to run — the right label for the Intent span.
         let intent_round = self.coord.round() as i64;
-        if let Some(r) = &self.rec {
-            r.begin(intent_round, Phase::Intent);
-        }
+        let intent = self.tel.begin(intent_round, Phase::Intent);
         let res = (|| {
             // Fault-plan ready stall: the chosen straggler stalls inside
             // the intent window, stretching the coordinator's quiesce the
@@ -138,15 +128,7 @@ impl<'p> Mana<'p> {
                 .as_ref()
                 .and_then(|fp| fp.ready_stall(self.rank()))
             {
-                self.m_add(met::FAULTS_FIRED, 1);
-                if let Some(r) = &self.rec {
-                    r.event(
-                        intent_round,
-                        EventKind::FaultFired {
-                            fault: FaultKind::ReadyStall,
-                        },
-                    );
-                }
+                self.tel.fault_fired(intent_round, FaultKind::ReadyStall);
                 self.coord.stall(d);
             }
             self.coord.send(RankMsg::Ready {
@@ -161,9 +143,7 @@ impl<'p> Mana<'p> {
                     }
                 }
             };
-            if let Some(r) = &self.rec {
-                r.end(round as i64, Phase::Intent);
-            }
+            self.tel.end(intent);
             self.checkpoint_body(round)
         })();
         self.in_ckpt = false;
@@ -177,18 +157,18 @@ impl<'p> Mana<'p> {
         // also "which pass is this" after a restart).
         self.round = round + 1;
         let sweeps_before = self.stats.drain_sweeps;
-        // The quiesce protocol is pluggable: resolve the configured
-        // strategy and time its whole quiesce (exchange + sweeps) into
-        // the per-strategy histogram, so the protocols are directly
-        // comparable from one metrics series.
-        let strat = crate::drain_strategy::strategy_for(self.cfg.drain);
+        // The quiesce protocol is pluggable: its whole quiesce (exchange
+        // + sweeps) is timed into a per-strategy histogram, so the
+        // protocols are directly comparable from one metrics series.
+        let drain = self.cfg.drain;
         let t_quiesce = std::time::Instant::now();
-        strat.quiesce(self)?;
-        self.m_observe(
-            crate::drain_strategy::quiesce_hist(self.cfg.drain),
-            t_quiesce.elapsed().as_nanos() as u64,
+        crate::drain_strategy::strategy_for(drain).quiesce(self)?;
+        self.tel.observe(
+            crate::drain_strategy::quiesce_hist(drain),
+            t_quiesce.elapsed(),
         );
-        self.m_add(crate::drain_strategy::rounds_counter(self.cfg.drain), 1);
+        self.tel
+            .add(crate::drain_strategy::rounds_counter(drain), 1);
         self.stats
             .drain_sweeps_by_round
             .push((round, self.stats.drain_sweeps - sweeps_before));
@@ -232,42 +212,24 @@ impl<'p> Mana<'p> {
                     store::WriteFault::BitFlip { offset: f.offset }
                 }
             });
+        let r = round as i64;
         let mut blobs: Box<dyn store::Blobs> = Box::new(store::LocalFs);
         if let Some(fault) = write_fault {
-            self.m_add(met::FAULTS_FIRED, 1);
-            let trace = self.rec.clone().map(|r| (r, round as i64));
-            blobs = Box::new(store::FaultyBlobs::new(blobs, fault, trace));
+            blobs = Box::new(store::FaultyBlobs::new(blobs, fault, self.tel.clone(), r));
         }
         let store = store::Store::new(
             &self.cfg.ckpt_dir,
             self.cfg.store.clone(),
-            self.rec.clone(),
+            self.tel.clone(),
             blobs,
         );
-        if let Some(r) = &self.rec {
-            r.begin(round as i64, Phase::ImageWrite);
-        }
-        let t_write = std::time::Instant::now();
+        let write = self.tel.begin(r, Phase::ImageWrite);
         let wrote = store.write_image(&image);
-        self.m_observe(met::STORE_WRITE_NS, t_write.elapsed().as_nanos() as u64);
-        if let Some(r) = &self.rec {
-            r.end(round as i64, Phase::ImageWrite);
-        }
-        let mut committing = false;
+        self.tel.end(write);
+        let mut commit = None;
         match wrote {
             Ok(out) => {
                 self.stats.ckpts += 1;
-                // Logical vs physical: logical_bytes is layout-independent
-                // (flat and chunked runs report identical image sizes);
-                // physical_bytes is what actually hit the disk, so the gap
-                // between the two counters is the dedup win.
-                self.m_add(met::STORE_BYTES_WRITTEN, out.logical_bytes as u64);
-                self.m_add(met::STORE_PHYSICAL_BYTES, out.physical_bytes as u64);
-                self.m_add(met::STORE_WRITE_RETRIES, out.retries as u64);
-                self.m_add(met::STORE_FSYNCS, out.fsyncs as u64);
-                self.m_add(met::STORE_CHUNKS_WRITTEN, out.chunks_written as u64);
-                self.m_add(met::STORE_CHUNKS_DEDUP, out.chunks_deduped as u64);
-                self.m_add(met::STORE_FSYNC_BATCHES, out.fsync_batches as u64);
                 self.coord.send(RankMsg::CkptDone {
                     rank: self.rank(),
                     image_bytes: out.bytes as u64,
@@ -276,10 +238,7 @@ impl<'p> Mana<'p> {
                 })?;
                 // The rank's half of the 2PC vote is in: everything from
                 // here to the coordinator's verdict is commit latency.
-                committing = true;
-                if let Some(r) = &self.rec {
-                    r.begin(round as i64, Phase::Commit);
-                }
+                commit = Some(self.tel.begin(r, Phase::Commit));
             }
             Err(e) => {
                 self.coord.send(RankMsg::CkptFailed {
@@ -289,10 +248,8 @@ impl<'p> Mana<'p> {
             }
         }
         let verdict = self.coord.recv()?;
-        if committing {
-            if let Some(r) = &self.rec {
-                r.end(round as i64, Phase::Commit);
-            }
+        if let Some(span) = commit {
+            self.tel.end(span);
         }
         match verdict {
             CoordMsg::Resume => {
@@ -311,10 +268,8 @@ impl<'p> Mana<'p> {
                 // generation. State is exactly as after Resume — the
                 // drain completed globally before any rank reported, so
                 // resetting p2p counters stays consistent on every rank.
-                if let Some(r) = &self.rec {
-                    r.begin(round as i64, Phase::AbortRound);
-                    r.end(round as i64, Phase::AbortRound);
-                }
+                let abort = self.tel.begin(r, Phase::AbortRound);
+                self.tel.end(abort);
                 self.stats.ckpt_aborts += 1;
                 self.p2p.reset();
                 Ok(())
@@ -342,7 +297,6 @@ impl<'p> Mana<'p> {
     /// earlier sweep) immediately retires the peer's claim and cannot be
     /// drained twice.
     pub(crate) fn drain_sweep(&mut self, expected: &[u64]) -> Result<bool> {
-        let round = self.round as i64 - 1;
         let mut progress = false;
         // (a) Unmatched messages in the network.
         let active: Vec<(u64, Vec<usize>)> = self
@@ -375,12 +329,7 @@ impl<'p> Mana<'p> {
                     let (st2, data) = self
                         .lh
                         .call(|p| p.recv(real, SrcSel::Rank(local), TagSel::Tag(st.tag)))?;
-                    self.p2p
-                        .count_drained(w, data.len(), self.rec.as_ref(), round);
-                    self.stats.drained_msgs += 1;
-                    self.stats.drained_bytes += data.len() as u64;
-                    self.m_add(met::DRAINED_MSGS, 1);
-                    self.m_add(met::DRAINED_BYTES, data.len() as u64);
+                    self.count_drained(w, data.len());
                     self.drain_buf.push(DrainedMsg {
                         vcomm: vc,
                         src_world: w,
@@ -405,12 +354,7 @@ impl<'p> Mana<'p> {
                 let src_world = *ranks
                     .get(c.status.source)
                     .ok_or(ManaError::InvalidVComm(vcomm.0))?;
-                self.p2p
-                    .count_drained(src_world, c.data.len(), self.rec.as_ref(), round);
-                self.stats.drained_msgs += 1;
-                self.stats.drained_bytes += c.data.len() as u64;
-                self.m_add(met::DRAINED_MSGS, 1);
-                self.m_add(met::DRAINED_BYTES, c.data.len() as u64);
+                self.count_drained(src_world, c.data.len());
                 // Step one of two-step retirement: the user's address for
                 // this request is unknown here, so park the completion.
                 self.reqs.mark_null(
@@ -443,12 +387,7 @@ impl<'p> Mana<'p> {
                 };
                 if let Some(c) = self.lh.call(|p| p.test(RReq::from_raw(raw)))? {
                     let src_world = ranks[slot.src_local];
-                    self.p2p
-                        .count_drained(src_world, c.data.len(), self.rec.as_ref(), round);
-                    self.stats.drained_msgs += 1;
-                    self.stats.drained_bytes += c.data.len() as u64;
-                    self.m_add(met::DRAINED_MSGS, 1);
-                    self.m_add(met::DRAINED_BYTES, c.data.len() as u64);
+                    self.count_drained(src_world, c.data.len());
                     slot.real = None;
                     slot.data = Some(c.data);
                     progress = true;
@@ -457,6 +396,25 @@ impl<'p> Mana<'p> {
             self.collops.insert(op);
         }
         Ok(progress)
+    }
+
+    /// A drain sweep pulled one message from `src_world` out of the
+    /// network: charge it to the [`P2pLog`] like any completed receive
+    /// (so the peer's deficit retires at once), and account for it in the
+    /// stats, the metrics plane and the trace of the draining round.
+    fn count_drained(&mut self, src_world: usize, bytes: usize) {
+        self.p2p.count_recv(src_world, bytes);
+        self.stats.drained_msgs += 1;
+        self.stats.drained_bytes += bytes as u64;
+        self.tel.add(met::DRAINED_MSGS, 1);
+        self.tel.add(met::DRAINED_BYTES, bytes as u64);
+        self.tel.event(
+            self.round as i64 - 1,
+            EventKind::DrainCapture {
+                src: src_world as u32,
+                bytes: bytes as u64,
+            },
+        );
     }
 
     // ---- finalize -----------------------------------------------------------
@@ -532,11 +490,8 @@ impl<'p> Mana<'p> {
         let lh = LowerHalf::new(proc, cfg.fs_mode);
         let mut comms = CommManager::from_meta(&meta.comm, cfg.vtable);
         let mut stats = crate::mana::ManaStats::default();
-        let rec = cfg.trace.as_ref().map(|s| s.recorder(proc.rank() as i32));
-        let meter = cfg.metrics.as_ref().map(|m| m.meter(proc.rank() as i32));
-        if let Some(r) = &rec {
-            r.begin(image.round as i64, Phase::RestoreComms);
-        }
+        let tel = Self::telemetry(proc, &cfg);
+        let restoring = tel.begin(image.round as i64, Phase::RestoreComms);
 
         // World first.
         comms.rebind(VCOMM_WORLD.0, Comm::WORLD);
@@ -584,9 +539,7 @@ impl<'p> Mana<'p> {
             }
         }
 
-        if let Some(r) = &rec {
-            r.end(image.round as i64, Phase::RestoreComms);
-        }
+        tel.end(restoring);
 
         let mut mana = Mana {
             lh,
@@ -605,8 +558,7 @@ impl<'p> Mana<'p> {
             round: image.round + 1,
             stats,
             fault_triggered: false,
-            rec,
-            meter,
+            tel,
             cfg,
         };
         mana.restore_wins(&meta.wins)?;

@@ -52,25 +52,22 @@ impl Mana<'_> {
     /// instead of blocking inside the lower half.
     pub(crate) fn tpc_barrier(&mut self, vc: VComm) -> Result<()> {
         self.stats.tpc_barriers += 1;
-        self.m_add(met::TPC_BARRIERS, 1);
+        self.tel.add(met::TPC_BARRIERS, 1);
         let seq = self.comms.next_emu_seq(vc);
-        if let Some(r) = &self.rec {
+        if self.tel.tracing() {
             // Arrival marker first: cross-rank skew on the same
             // (gid, coll_seq) key is the §III-J straggler signal the
             // analyzer's barrier table measures.
             let gid = self.comms.record(vc).map(|rc| rc.gid).unwrap_or(0);
-            r.event(NO_ROUND, EventKind::BarrierArrive { gid, coll_seq: seq });
-            r.begin(NO_ROUND, Phase::TpcBarrier);
+            self.tel
+                .event(NO_ROUND, EventKind::BarrierArrive { gid, coll_seq: seq });
         }
+        let wait = self.tel.begin(NO_ROUND, Phase::TpcBarrier);
         let id = self.collops.next_id();
         self.collops.insert(CollOp::barrier(id, vc, seq));
-        let t = std::time::Instant::now();
         let res = self.drive_collop(id);
-        self.m_observe(met::TPC_BARRIER_WAIT_NS, t.elapsed().as_nanos() as u64);
         self.collops.remove(id);
-        if let Some(r) = &self.rec {
-            r.end(NO_ROUND, Phase::TpcBarrier);
-        }
+        self.tel.end(wait);
         res.map(|_| ())
     }
 
@@ -86,9 +83,7 @@ impl Mana<'_> {
             .and_then(|op| self.comms.record(op.vcomm))
             .map(|r| r.gid);
         self.cur_collective_gid = gid;
-        if let Some(r) = &self.rec {
-            r.begin(NO_ROUND, Phase::EmuCollective);
-        }
+        let driving = self.tel.begin(NO_ROUND, Phase::EmuCollective);
         let res = loop {
             match self.poll_collop(id) {
                 Err(e) => break Err(e),
@@ -108,9 +103,7 @@ impl Mana<'_> {
                 break Err(e.into());
             }
         };
-        if let Some(r) = &self.rec {
-            r.end(NO_ROUND, Phase::EmuCollective);
-        }
+        self.tel.end(driving);
         self.cur_collective_gid = None;
         res
     }
@@ -126,7 +119,7 @@ impl Mana<'_> {
 
     fn emu_record(&mut self, kind: CollKind) {
         self.stats.emu_collectives += 1;
-        self.m_add(met::EMU_COLLECTIVES, 1);
+        self.tel.add(met::EMU_COLLECTIVES, 1);
         self.lh.call(|p| p.record_collective_public(kind));
     }
 
@@ -270,7 +263,7 @@ impl Mana<'_> {
     fn nb_collective(&mut self, op: CollOp) -> Result<VReq> {
         self.stats.wrapper_calls += 1;
         self.stats.emu_collectives += 1;
-        self.m_add(met::EMU_COLLECTIVES, 1);
+        self.tel.add(met::EMU_COLLECTIVES, 1);
         self.maybe_checkpoint(false)?;
         let id = op.id;
         self.collops.insert(op);

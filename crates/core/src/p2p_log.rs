@@ -54,28 +54,6 @@ impl P2pLog {
         self.msgs_recvd += 1;
     }
 
-    /// [`P2pLog::count_recv`] for a message pulled out of the network by a
-    /// drain sweep, with a flight-recorder capture event when tracing is
-    /// armed (`round` is the checkpoint round doing the draining).
-    pub fn count_drained(
-        &mut self,
-        src_world: usize,
-        bytes: usize,
-        rec: Option<&obs::Recorder>,
-        round: i64,
-    ) {
-        self.count_recv(src_world, bytes);
-        if let Some(r) = rec {
-            r.event(
-                round,
-                obs::EventKind::DrainCapture {
-                    src: src_world as u32,
-                    bytes: bytes as u64,
-                },
-            );
-        }
-    }
-
     /// The row exchanged by the drain's alltoall: bytes sent to each peer.
     pub fn sent_row(&self) -> &[u64] {
         &self.sent
@@ -292,13 +270,13 @@ mod tests {
         // testing a posted receive, or a prior probe iteration) left the
         // stale snapshot claiming bytes were still owed, so the sweep kept
         // pulling — double-counting the peer's traffic. The live query
-        // must reflect every count_drained immediately.
+        // must reflect every drained message immediately.
         let mut log = P2pLog::new(2);
         let expected = vec![0, 31];
         assert_eq!(log.deficit_from(&expected, 1), 31);
         let stale = log.deficits(&expected);
         // One 30-byte message (charged 31) is matched mid-sweep.
-        log.count_drained(1, 30, None, 0);
+        log.count_recv(1, 30);
         // The snapshot still claims 31 bytes owed…
         assert_eq!(stale[1], 31);
         // …but the live view knows the peer is settled.

@@ -8,7 +8,7 @@
 //! re-entered — it finds its position in upper-half memory and continues.
 
 use crate::config::ManaConfig;
-use crate::coordinator::{spawn_coordinator_ext, CkptTrigger, CommitCheck, CoordReport};
+use crate::coordinator::{spawn_coordinator_ext, CommitCheck, CoordReport};
 use crate::error::{ManaError, Result};
 use crate::mana::{Mana, ManaStats};
 use mpisim::{StatsSnapshot, World, WorldCfg};
@@ -18,7 +18,7 @@ use splitproc::store;
 use splitproc::CkptImage;
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -190,8 +190,6 @@ struct RestartGuard {
     /// Ranks still restoring; the last one to finish journals the
     /// world-level `CommsRebuilt` and `RestartCommitted` steps.
     remaining: AtomicUsize,
-    trace: Option<Arc<obs::TraceSink>>,
-    metrics: Arc<met::MetricsRegistry>,
     /// Partial (survivor-preserving) restart? Picks which restart
     /// counter/histogram the committed epoch lands in.
     partial: bool,
@@ -201,33 +199,25 @@ struct RestartGuard {
 }
 
 impl RestartGuard {
-    fn kill_point(&self, actor: i32) -> Result<()> {
+    fn kill_point(&self, tel: &obs::Telemetry) -> Result<()> {
         let Some(k) = self.kill_at else {
             return Ok(());
         };
         if self.boundary.fetch_add(1, Ordering::SeqCst) == k {
-            self.metrics.add(actor, met::FAULTS_FIRED, 1);
-            self.metrics.add(actor, met::RESTART_KILLS, 1);
-            if let Some(s) = &self.trace {
-                s.record(
-                    actor,
-                    obs::NO_ROUND,
-                    obs::EventKind::FaultFired {
-                        fault: obs::FaultKind::RestartKill,
-                    },
-                );
-            }
+            tel.fault_fired(obs::NO_ROUND, obs::FaultKind::RestartKill);
+            tel.add(met::RESTART_KILLS, 1);
             return Err(ManaError::RestartKilled { step: k });
         }
         Ok(())
     }
 
-    /// Drive one protocol step: kill point, durable idempotent append,
-    /// trace event, kill point. Returns whether the record was freshly
-    /// written (`false` means a resumed restart found it already durable
-    /// and skipped it — the step is never redone).
-    fn step(&self, actor: i32, step: JournalStep) -> Result<bool> {
-        self.kill_point(actor)?;
+    /// Drive one protocol step as the actor behind `tel`: kill point,
+    /// durable idempotent append, trace event, kill point. Returns whether
+    /// the record was freshly written (`false` means a resumed restart
+    /// found it already durable and skipped it — the step is never
+    /// redone).
+    fn step(&self, tel: &obs::Telemetry, step: JournalStep) -> Result<bool> {
+        self.kill_point(tel)?;
         let fresh = self
             .journal
             .lock()
@@ -235,41 +225,37 @@ impl RestartGuard {
             .append(self.epoch, step.clone())
             .map_err(|e| ManaError::Image(splitproc::ImageError::Io(e)))?;
         if fresh {
-            self.metrics.add(actor, met::JOURNAL_APPENDS, 1);
+            tel.add(met::JOURNAL_APPENDS, 1);
         }
         match &step {
             // A resumed restart re-restores the rank even when the record
             // was already durable, so the counter tracks work done this
             // run, not fresh journal records.
             JournalStep::RankRestored { .. } => {
-                self.metrics.add(actor, met::RESTART_RANKS_RESTORED, 1);
+                tel.add(met::RESTART_RANKS_RESTORED, 1);
             }
             JournalStep::RestartCommitted => {
-                let ns = self.started.elapsed().as_nanos() as u64;
-                if self.partial {
-                    self.metrics.add(actor, met::RESTARTS_PARTIAL, 1);
-                    self.metrics.observe(actor, met::RESTART_PARTIAL_NS, ns);
+                let (count, latency) = if self.partial {
+                    (met::RESTARTS_PARTIAL, met::RESTART_PARTIAL_NS)
                 } else {
-                    self.metrics.add(actor, met::RESTARTS_FULL, 1);
-                    self.metrics.observe(actor, met::RESTART_FULL_NS, ns);
-                }
+                    (met::RESTARTS_FULL, met::RESTART_FULL_NS)
+                };
+                tel.add(count, 1);
+                tel.observe(latency, self.started.elapsed());
             }
             _ => {}
         }
-        if let Some(s) = &self.trace {
-            let (st, rank) = obs_step(&step);
-            s.record(
-                actor,
-                obs::NO_ROUND,
-                obs::EventKind::JournalAppend {
-                    epoch: self.epoch,
-                    step: st,
-                    rank,
-                    fresh,
-                },
-            );
-        }
-        self.kill_point(actor)?;
+        let (st, rank) = obs_step(&step);
+        tel.event(
+            obs::NO_ROUND,
+            obs::EventKind::JournalAppend {
+                epoch: self.epoch,
+                step: st,
+                rank,
+                fresh,
+            },
+        );
+        self.kill_point(tel)?;
         Ok(fresh)
     }
 }
@@ -355,22 +341,7 @@ impl ManaRuntime {
         T: Send + 'static,
         F: Fn(&mut Mana<'_>) -> Result<T> + Send + Sync,
     {
-        self.run_inner(None, f, None::<fn(CkptTrigger)>)
-    }
-
-    /// Fresh run with an external driver thread holding the checkpoint
-    /// trigger (for time-based checkpoints, Fig. 3 style).
-    pub fn run_fresh_driven<T, F, G>(
-        &self,
-        f: F,
-        driver: G,
-    ) -> std::result::Result<RunReport<T>, RuntimeError>
-    where
-        T: Send + 'static,
-        F: Fn(&mut Mana<'_>) -> Result<T> + Send + Sync,
-        G: FnOnce(CkptTrigger) + Send + 'static,
-    {
-        self.run_inner(None, f, Some(driver))
+        self.run_inner(None, f)
     }
 
     /// Restart run: each rank is rebuilt from its image in
@@ -384,7 +355,7 @@ impl ManaRuntime {
         T: Send + 'static,
         F: Fn(&mut Mana<'_>) -> Result<T> + Send + Sync,
     {
-        self.run_inner(Some(RestartMode::Full), f, None::<fn(CkptTrigger)>)
+        self.run_inner(Some(RestartMode::Full), f)
     }
 
     /// Partial (survivor-preserving) restart: only `failed` ranks must
@@ -415,23 +386,17 @@ impl ManaRuntime {
                 self.n
             )));
         }
-        self.run_inner(
-            Some(RestartMode::Partial { failed }),
-            f,
-            None::<fn(CkptTrigger)>,
-        )
+        self.run_inner(Some(RestartMode::Partial { failed }), f)
     }
 
-    fn run_inner<T, F, G>(
+    fn run_inner<T, F>(
         &self,
         restart: Option<RestartMode>,
         f: F,
-        driver: Option<G>,
     ) -> std::result::Result<RunReport<T>, RuntimeError>
     where
         T: Send + 'static,
         F: Fn(&mut Mana<'_>) -> Result<T> + Send + Sync,
-        G: FnOnce(CkptTrigger) + Send + 'static,
     {
         // The run's metrics registry: the always-on plane every layer
         // below records into. A caller-supplied registry (cfg.metrics)
@@ -445,29 +410,12 @@ impl ManaRuntime {
         // Restart: replay the journal and pick the generation *before*
         // spawning anything. Failing here is cheap; failing inside the
         // launched world is a mess.
-        let prepared = match &restart {
-            Some(mode) => Some(self.prepare_restart(mode, &reg)?),
-            None => None,
-        };
-        let (mut selected, guard) = match prepared {
-            Some((sel, g)) => (Some(sel), Some(g)),
-            None => (None, None),
-        };
-        // The restart preamble read and verified every rank's image; each
-        // rank takes its own from here (and drops it once restored)
-        // instead of loading it again.
-        let verified: Vec<Mutex<Option<CkptImage>>> = selected
-            .as_mut()
-            .map(|sel| std::mem::take(&mut sel.images))
-            .unwrap_or_default()
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        let restored_round = selected.as_ref().map(|s| s.round);
-        let restored_ranks = restart.as_ref().map(|m| match m {
-            RestartMode::Full => (0..self.n).collect::<Vec<_>>(),
-            RestartMode::Partial { failed } => failed.clone(),
-        });
+        let tel = obs::Telemetry::new(obs::COORD_ACTOR, self.cfg.trace.clone(), Some(reg.clone()));
+        let prepared = restart
+            .as_ref()
+            .map(|mode| self.prepare_restart(mode, &tel))
+            .transpose()
+            .map_err(|e| self.failed(e, &reg.snapshot()))?;
         // The world must exist before the coordinator: the commit-time
         // invariant checker captures an introspection handle over it.
         let mut world_cfg = self.world_cfg.clone();
@@ -481,35 +429,6 @@ impl ManaRuntime {
             }
         }
         let world = World::new(self.n, world_cfg);
-        let commit_check: CommitCheck = {
-            let intro = world.introspect();
-            Box::new(move |round| {
-                let (msgs, bytes) = intro.user_in_flight();
-                if msgs != 0 || bytes != 0 {
-                    return Err(format!(
-                        "round {round} committed with user traffic in flight: \
-                         {msgs} message(s) / {bytes} byte(s)"
-                    ));
-                }
-                Ok(())
-            })
-        };
-        let (handles, trigger, coord_join) = spawn_coordinator_ext(
-            self.n,
-            self.cfg.exit_after_ckpt,
-            self.cfg.fault.clone(),
-            Some(commit_check),
-            Some((self.store(), self.cfg.retain_generations)),
-            // Round numbers keep advancing across restarts so a new round
-            // never reuses (and on abort, never deletes) the generation
-            // directory of a previously committed round.
-            restored_round.map(|r| r + 1).unwrap_or(0),
-            self.cfg.trace.clone(),
-            // Engine unparkers: the coordinator wakes ranks out of engine
-            // parks on every control message and on intent raise.
-            Some(world.unparkers()),
-            Some(reg.clone()),
-        );
         // Process-level sampler: pulls engine counters (mpisim stays
         // metrics-agnostic) and the trace rings' drop count into the
         // registry. Runs on every exporter tick and once at run end, so
@@ -565,58 +484,102 @@ impl ManaRuntime {
             .map_err(|e| eprintln!("mana2: metrics exporter failed to start: {e}"))
             .ok()
         });
-        let driver_join = driver.map(|d| {
-            let t = trigger.clone();
-            std::thread::spawn(move || d(t))
+        let result = self.run_world(&world, restart, prepared, f, &reg);
+        // One teardown, however the run ended: a last sample, the
+        // exporter drained, one merged snapshot — which rides out in the
+        // report, or beside the flight dump of the failure.
+        sample(&reg);
+        if let Some(ex) = exporter {
+            if let Err(e) = ex.finish() {
+                eprintln!("mana2: metrics exporter finish failed: {e}");
+            }
+        }
+        let snap = reg.snapshot();
+        match result {
+            Ok(mut report) => {
+                report.metrics = Some(snap);
+                Ok(report)
+            }
+            Err(e) => Err(self.failed(e, &snap)),
+        }
+    }
+
+    /// Launch `world` with its coordinator and deadlock detector, run `f`
+    /// on every rank (restored from `prepared` on a restart), and join
+    /// everything. The report comes back without its metrics snapshot;
+    /// [`ManaRuntime::run_inner`] takes that once, for success and failure
+    /// alike.
+    fn run_world<T, F>(
+        &self,
+        world: &World,
+        restart: Option<RestartMode>,
+        prepared: Option<(store::Selected, Arc<RestartGuard>)>,
+        f: F,
+        reg: &Arc<met::MetricsRegistry>,
+    ) -> std::result::Result<RunReport<T>, RuntimeError>
+    where
+        T: Send + 'static,
+        F: Fn(&mut Mana<'_>) -> Result<T> + Send + Sync,
+    {
+        let (mut selected, guard) = match prepared {
+            Some((sel, g)) => (Some(sel), Some(g)),
+            None => (None, None),
+        };
+        // The restart preamble read and verified every rank's image; each
+        // rank takes its own from here (and drops it once restored)
+        // instead of loading it again.
+        let verified: Vec<Mutex<Option<CkptImage>>> = selected
+            .as_mut()
+            .map(|sel| std::mem::take(&mut sel.images))
+            .unwrap_or_default()
+            .into_iter()
+            .map(Mutex::new)
+            .collect();
+        let restored_round = selected.as_ref().map(|s| s.round);
+        let restored_ranks = restart.as_ref().map(|m| match m {
+            RestartMode::Full => (0..self.n).collect::<Vec<_>>(),
+            RestartMode::Partial { failed } => failed.clone(),
         });
+        let commit_check: CommitCheck = {
+            let intro = world.introspect();
+            Box::new(move |round| {
+                let (msgs, bytes) = intro.user_in_flight();
+                if msgs != 0 || bytes != 0 {
+                    return Err(format!(
+                        "round {round} committed with user traffic in flight: \
+                         {msgs} message(s) / {bytes} byte(s)"
+                    ));
+                }
+                Ok(())
+            })
+        };
+        let (handles, trigger, coord_join) = spawn_coordinator_ext(
+            self.n,
+            self.cfg.exit_after_ckpt,
+            self.cfg.fault.clone(),
+            Some(commit_check),
+            Some((self.store(), self.cfg.retain_generations)),
+            // Round numbers keep advancing across restarts so a new round
+            // never reuses (and on abort, never deletes) the generation
+            // directory of a previously committed round.
+            restored_round.map(|r| r + 1).unwrap_or(0),
+            self.cfg.trace.clone(),
+            // Engine unparkers: the coordinator wakes ranks out of engine
+            // parks on every control message and on intent raise.
+            Some(world.unparkers()),
+            Some(reg.clone()),
+        );
         // Optional tools-interface deadlock detector (paper conclusion).
         let detector = self.cfg.deadlock_timeout.map(|window| {
             let intro = world.introspect();
-            let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let stop = Arc::new(AtomicBool::new(false));
             let stop2 = stop.clone();
-            let handle = std::thread::spawn(move || -> Option<String> {
-                use std::sync::atomic::Ordering;
-                let slice = (window / 4).max(std::time::Duration::from_millis(10));
-                let mut stuck_since: Option<std::time::Instant> = None;
-                let mut last: Option<Vec<mpisim::RankActivity>> = None;
-                loop {
-                    // Sleep one sampling slice, but in small chunks: the
-                    // teardown path joins this thread, so a coarse sleep
-                    // would stall every run's shutdown by up to a slice.
-                    let mut slept = std::time::Duration::ZERO;
-                    while slept < slice {
-                        if stop2.load(Ordering::Relaxed) {
-                            return None;
-                        }
-                        let step = std::time::Duration::from_millis(20).min(slice - slept);
-                        std::thread::sleep(step);
-                        slept += step;
-                    }
-                    let snap = intro.activity();
-                    let all_blocked = snap.iter().all(|a| a.blocked.is_some());
-                    let unchanged = last.as_ref() == Some(&snap);
-                    last = Some(snap.clone());
-                    if all_blocked && unchanged {
-                        let since = *stuck_since.get_or_insert_with(std::time::Instant::now);
-                        if since.elapsed() >= window {
-                            let report = snap
-                                .iter()
-                                .enumerate()
-                                .map(|(r, a)| mpisim::describe(r, a))
-                                .collect::<Vec<_>>()
-                                .join("\n");
-                            intro.poison();
-                            return Some(report);
-                        }
-                    } else {
-                        stuck_since = None;
-                    }
-                }
-            });
+            let handle = std::thread::spawn(move || watch_for_deadlock(&intro, window, &stop2));
             (stop, handle)
         });
         // The effective config the rank closures see always carries the
-        // registry, so Mana::fresh/restore hand every rank a meter.
+        // registry, so Mana::fresh/restore hand every rank a metered
+        // telemetry handle.
         let eff_cfg = {
             let mut c = self.cfg.clone();
             c.metrics = Some(reg.clone());
@@ -655,11 +618,11 @@ impl ManaRuntime {
                         .is_some_and(|v| v.contains(&rank));
                     let res = (|| -> Result<()> {
                         if journaled {
-                            g.step(rank as i32, JournalStep::RankRestored { rank: rank as u64 })?;
+                            g.step(&mana.tel, JournalStep::RankRestored { rank: rank as u64 })?;
                         }
                         if g.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                            g.step(rank as i32, JournalStep::CommsRebuilt)?;
-                            g.step(rank as i32, JournalStep::RestartCommitted)?;
+                            g.step(&mana.tel, JournalStep::CommsRebuilt)?;
+                            g.step(&mana.tel, JournalStep::RestartCommitted)?;
                         }
                         Ok(())
                     })();
@@ -702,83 +665,36 @@ impl ManaRuntime {
             };
             Ok((outcome, mana.stats()))
         });
-        // One final sample + exporter drain + merged snapshot, shared by
-        // every exit path below (each path consumes the exporter once).
-        fn final_snapshot(
-            reg: &Arc<met::MetricsRegistry>,
-            sample: &Arc<dyn Fn(&met::MetricsRegistry) + Send + Sync>,
-            exporter: Option<met::MetricsExporter>,
-        ) -> met::MetricsSnapshot {
-            sample(reg);
-            if let Some(ex) = exporter {
-                if let Err(e) = ex.finish() {
-                    eprintln!("mana2: metrics exporter finish failed: {e}");
-                }
-            }
-            reg.snapshot()
-        }
         let world_stats = world.stats();
         // Drop our coordinator senders so the coordinator unblocks even if
         // ranks errored before saying goodbye.
         drop(handles);
         drop(trigger);
-        if let Some(j) = driver_join {
-            let _ = j.join();
-        }
         let deadlock_report = detector.and_then(|(stop, handle)| {
-            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            stop.store(true, Ordering::Relaxed);
             handle.join().ok().flatten()
         });
+        let coord = coordinator_report(coord_join.join());
         if let Some(report) = deadlock_report {
-            let _ = coord_join.join();
-            let snap = final_snapshot(&reg, &sample, exporter);
-            self.dump_trace("deadlock", Some(&snap));
             return Err(RuntimeError::Deadlock(report));
         }
-        let results = match launched {
-            Ok(r) => r,
-            Err(e) => {
-                let _ = coord_join.join();
-                let snap = final_snapshot(&reg, &sample, exporter);
-                self.dump_trace("world_fail", Some(&snap));
-                return Err(RuntimeError::World(e.to_string()));
-            }
-        };
-        let coord = match coord_join.join() {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("mana coordinator thread panicked: {e:?}");
-                CoordReport::default()
-            }
-        };
+        let results = launched.map_err(|e| RuntimeError::World(e.to_string()))?;
+        let coord = coord?;
         // An injected restart kill poisons the world, so peer ranks die of
         // secondary (fabric/coordinator) errors. Scan for the kill first
-        // and report it, not the collateral. The kill only exists under an
-        // armed chaos plan, but the flight dump (with its metrics sidecar)
-        // is exactly what the chaos harness inspects afterwards, so it is
-        // dumped like any other failure.
+        // and report it, not the collateral.
         if let Some(step) = results.iter().find_map(|r| match r {
             Err(ManaError::RestartKilled { step }) => Some(*step),
             _ => None,
         }) {
-            let snap = final_snapshot(&reg, &sample, exporter);
-            self.dump_trace("restart_kill", Some(&snap));
             return Err(RuntimeError::RestartKilled { step });
         }
         let mut outcomes = Vec::with_capacity(self.n);
         let mut rank_stats = Vec::with_capacity(self.n);
         for (rank, r) in results.into_iter().enumerate() {
-            match r {
-                Ok((o, s)) => {
-                    outcomes.push(o);
-                    rank_stats.push(s);
-                }
-                Err(e) => {
-                    let snap = final_snapshot(&reg, &sample, exporter);
-                    self.dump_trace("rank_fail", Some(&snap));
-                    return Err(RuntimeError::Rank(rank, e));
-                }
-            }
+            let (o, s) = r.map_err(|e| RuntimeError::Rank(rank, e))?;
+            outcomes.push(o);
+            rank_stats.push(s);
         }
         // World-level restart roll-ups: comm restoration and call replay
         // happen per rank, but the counters read best as run totals.
@@ -789,13 +705,10 @@ impl ManaRuntime {
             reg.add(met::PROCESS_ACTOR, met::RESTART_REPLAYED_CALLS, replayed);
         }
         if !coord.invariant_violations.is_empty() {
-            let snap = final_snapshot(&reg, &sample, exporter);
-            self.dump_trace("invariant", Some(&snap));
             return Err(RuntimeError::Invariant(
                 coord.invariant_violations.join("; "),
             ));
         }
-        let metrics = Some(final_snapshot(&reg, &sample, exporter));
         Ok(RunReport {
             outcomes,
             world_stats,
@@ -803,7 +716,7 @@ impl ManaRuntime {
             coord,
             restored_round,
             restored_ranks,
-            metrics,
+            metrics: None,
         })
     }
 
@@ -816,27 +729,20 @@ impl ManaRuntime {
     /// Restart preamble, run before anything is spawned: replay the
     /// journal, resume the open epoch (or open a fresh one), select and
     /// validate the generation, and journal `RestartIntent` /
-    /// `GenValidated`.
+    /// `GenValidated` — all on the coordinator's timeline, `tel`.
     fn prepare_restart(
         &self,
         mode: &RestartMode,
-        reg: &Arc<met::MetricsRegistry>,
+        tel: &obs::Telemetry,
     ) -> std::result::Result<(store::Selected, Arc<RestartGuard>), RuntimeError> {
-        let rec = self
-            .cfg
-            .trace
-            .as_ref()
-            .map(|s| s.recorder(obs::COORD_ACTOR));
-        // Journal replay is its own phase on the coordinator's timeline: a
-        // crash during a previous attempt leaves an open epoch that this
-        // attempt resumes instead of redoing completed steps.
-        if let Some(r) = &rec {
-            r.begin(obs::NO_ROUND, obs::Phase::JournalReplay);
-        }
+        // Journal replay is its own phase: a crash during a previous
+        // attempt leaves an open epoch that this attempt resumes instead
+        // of redoing completed steps.
+        let replay = tel.begin(obs::NO_ROUND, obs::Phase::JournalReplay);
         let journal = Journal::open(&self.cfg.ckpt_dir)
             .map_err(|e| RuntimeError::Store(store::StoreError::Io(e)))?;
         if journal.truncated_tail() > 0 {
-            reg.add(obs::COORD_ACTOR, met::JOURNAL_TRUNCATIONS, 1);
+            tel.add(met::JOURNAL_TRUNCATIONS, 1);
         }
         let failed_u64: Vec<u64> = match mode {
             RestartMode::Full => Vec::new(),
@@ -849,18 +755,14 @@ impl ManaRuntime {
             .as_ref()
             .map(|e| e.epoch)
             .unwrap_or_else(|| journal.next_epoch());
-        if let Some(r) = &rec {
-            r.end(obs::NO_ROUND, obs::Phase::JournalReplay);
-        }
+        tel.end(replay);
         // Generation scanning + manifest/CRC validation is its own restart
         // phase. A resumed epoch that already journaled `GenValidated`
         // re-validates that same generation (the open epoch pins it
         // against GC); if it has rotted anyway, the epoch is abandoned for
         // a fresh one rather than silently restoring a different
         // generation under an epoch that vouched for this one.
-        if let Some(r) = &rec {
-            r.begin(obs::NO_ROUND, obs::Phase::RestartValidate);
-        }
+        let validate = tel.begin(obs::NO_ROUND, obs::Phase::RestartValidate);
         let only: Option<&[u64]> = match mode {
             RestartMode::Full => None,
             RestartMode::Partial { .. } => Some(&failed_u64),
@@ -871,7 +773,7 @@ impl ManaRuntime {
             match store.select_at(g, Some(self.n), only) {
                 Ok(s) => sel = Some(s),
                 Err(rej) => {
-                    self.skip_generation(&rec, g, rej.code, &rej.reason);
+                    skip_generation(tel, g, rej.code, &rej.reason);
                     epoch = journal.next_epoch();
                 }
             }
@@ -893,29 +795,17 @@ impl ManaRuntime {
             }
             Ok(sel)
         });
-        if let Some(r) = &rec {
-            r.end(obs::NO_ROUND, obs::Phase::RestartValidate);
+        tel.end(validate);
+        let sel = sel.map_err(RuntimeError::Store)?;
+        for rej in &sel.rejected {
+            skip_generation(tel, rej.round, rej.code, &rej.reason);
         }
-        let sel = match sel {
-            Ok(sel) => {
-                for rej in &sel.rejected {
-                    self.skip_generation(&rec, rej.round, rej.code, &rej.reason);
-                }
-                sel
-            }
-            Err(e) => {
-                self.dump_trace("store_fail", Some(&reg.snapshot()));
-                return Err(RuntimeError::Store(e));
-            }
-        };
         let guard = Arc::new(RestartGuard {
             journal: Mutex::new(journal),
             epoch,
             kill_at: self.cfg.fault.as_ref().and_then(|p| p.restart_kill()),
             boundary: AtomicU64::new(0),
             remaining: AtomicUsize::new(self.n),
-            trace: self.cfg.trace.clone(),
-            metrics: reg.clone(),
             partial: matches!(mode, RestartMode::Partial { .. }),
             started: Instant::now(),
         });
@@ -926,52 +816,34 @@ impl ManaRuntime {
             },
             JournalStep::GenValidated { gen: sel.round },
         ] {
-            if let Err(e) = guard.step(obs::COORD_ACTOR, step) {
-                let err = self.map_restart_err(e);
-                if matches!(err, RuntimeError::RestartKilled { .. }) {
-                    self.dump_trace("restart_kill", Some(&reg.snapshot()));
+            guard.step(tel, step).map_err(|e| match e {
+                ManaError::RestartKilled { step } => RuntimeError::RestartKilled { step },
+                ManaError::Image(splitproc::ImageError::Io(io)) => {
+                    RuntimeError::Store(store::StoreError::Io(io))
                 }
-                return Err(err);
-            }
+                other => RuntimeError::Rank(0, other),
+            })?;
         }
         Ok((sel, guard))
     }
 
-    /// A generation was rejected during restart validation. Not silent:
-    /// it lands on stderr *and* as a `restart_skip` trace event so the
-    /// fallback shows up in `mana2-trace` output.
-    fn skip_generation(
-        &self,
-        rec: &Option<obs::Recorder>,
-        gen: u64,
-        code: obs::RejectCode,
-        reason: &str,
-    ) {
-        eprintln!("mana2: restart skipping generation {gen}: {reason}");
-        if let Some(r) = rec {
-            r.event(obs::NO_ROUND, obs::EventKind::RestartSkip { gen, code });
-        }
-    }
-
-    /// Map a pre-launch restart-step failure onto the runtime error space.
-    fn map_restart_err(&self, e: ManaError) -> RuntimeError {
-        match e {
-            ManaError::RestartKilled { step } => RuntimeError::RestartKilled { step },
-            ManaError::Image(splitproc::ImageError::Io(io)) => {
-                RuntimeError::Store(store::StoreError::Io(io))
-            }
-            other => RuntimeError::Rank(0, other),
-        }
-    }
-
-    /// Dump the flight recorder (JSONL + Chrome trace) on a runtime
-    /// failure. Best-effort: the dump is diagnostic material, never a
-    /// reason to mask the original error. The paths — and the fault-plan
-    /// seed, recorded in the dump header — are printed to stderr so a
-    /// failure report always says where its trace went.
-    fn dump_trace(&self, what: &str, metrics: Option<&met::MetricsSnapshot>) {
+    /// The run failed with `e`: dump the flight recorder (JSONL + Chrome
+    /// trace, `metrics` as the sidecar) under the label of the failure,
+    /// and hand `e` back. Best-effort: the dump is diagnostic material,
+    /// never a reason to mask the original error. The paths — and the
+    /// fault-plan seed, recorded in the dump header — are printed to
+    /// stderr so a failure report always says where its trace went.
+    fn failed(&self, e: RuntimeError, metrics: &met::MetricsSnapshot) -> RuntimeError {
         let Some(sink) = &self.cfg.trace else {
-            return;
+            return e;
+        };
+        let what = match &e {
+            RuntimeError::Deadlock(_) => "deadlock",
+            RuntimeError::World(_) => "world_fail",
+            RuntimeError::RestartKilled { .. } => "restart_kill",
+            RuntimeError::Rank(..) => "rank_fail",
+            RuntimeError::Invariant(_) => "invariant",
+            RuntimeError::Store(_) => "store_fail",
         };
         let label = obs::unique_label(&format!("mana2_{what}"));
         let seed = self.cfg.fault.as_ref().map(|f| f.seed());
@@ -982,7 +854,7 @@ impl ManaRuntime {
             &label,
             seed,
             &config,
-            metrics,
+            Some(metrics),
         ) {
             Ok(d) => eprintln!(
                 "mana2: flight recorder dumped {} events (seed {:?}): {} / {}",
@@ -993,5 +865,97 @@ impl ManaRuntime {
             ),
             Err(e) => eprintln!("mana2: flight recorder dump failed: {e}"),
         }
+        e
+    }
+}
+
+/// A generation was rejected during restart validation. Not silent: it
+/// lands on stderr *and* as a `restart_skip` trace event so the fallback
+/// shows up in `mana2-trace` output.
+fn skip_generation(tel: &obs::Telemetry, gen: u64, code: obs::RejectCode, reason: &str) {
+    eprintln!("mana2: restart skipping generation {gen}: {reason}");
+    tel.event(obs::NO_ROUND, obs::EventKind::RestartSkip { gen, code });
+}
+
+/// What the coordinator thread's join means for the run. A coordinator
+/// that panicked — even after the last `Resume`, in the manifest commit,
+/// GC or the commit-time invariant closure — fails the run: its rounds
+/// never reached the report, so the run must not read as a success.
+fn coordinator_report(
+    joined: std::thread::Result<CoordReport>,
+) -> std::result::Result<CoordReport, RuntimeError> {
+    joined.map_err(|panic| {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "(non-string panic payload)".into());
+        RuntimeError::World(format!("coordinator thread panicked: {msg}"))
+    })
+}
+
+/// The tools-interface deadlock detector (paper conclusion): sample every
+/// rank's activity until `stop`; once all ranks have been blocked in an
+/// unchanged state for `window`, poison the world and return the per-rank
+/// report.
+fn watch_for_deadlock(
+    intro: &mpisim::Introspect,
+    window: Duration,
+    stop: &AtomicBool,
+) -> Option<String> {
+    let slice = (window / 4).max(Duration::from_millis(10));
+    let mut stuck_since: Option<Instant> = None;
+    let mut last: Option<Vec<mpisim::RankActivity>> = None;
+    loop {
+        // Sleep one sampling slice, but in small chunks: the teardown
+        // path joins this thread, so a coarse sleep would stall every
+        // run's shutdown by up to a slice.
+        let mut slept = Duration::ZERO;
+        while slept < slice {
+            if stop.load(Ordering::Relaxed) {
+                return None;
+            }
+            let step = Duration::from_millis(20).min(slice - slept);
+            std::thread::sleep(step);
+            slept += step;
+        }
+        let snap = intro.activity();
+        let all_blocked = snap.iter().all(|a| a.blocked.is_some());
+        let unchanged = last.as_ref() == Some(&snap);
+        last = Some(snap.clone());
+        if all_blocked && unchanged {
+            let since = *stuck_since.get_or_insert_with(Instant::now);
+            if since.elapsed() >= window {
+                let report = snap
+                    .iter()
+                    .enumerate()
+                    .map(|(r, a)| mpisim::describe(r, a))
+                    .collect::<Vec<_>>()
+                    .join("\n");
+                intro.poison();
+                return Some(report);
+            }
+        } else {
+            stuck_since = None;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn panicked_coordinator_fails_the_run() {
+        let joined = std::thread::spawn(|| -> CoordReport { panic!("manifest commit blew up") });
+        match coordinator_report(joined.join()) {
+            Err(RuntimeError::World(msg)) => {
+                assert!(msg.contains("coordinator thread panicked"), "{msg}");
+                assert!(msg.contains("manifest commit blew up"), "{msg}");
+            }
+            other => panic!("expected a World error, got {other:?}"),
+        }
+        let report = coordinator_report(std::thread::spawn(CoordReport::default).join());
+        assert!(report.unwrap().rounds.is_empty());
     }
 }

@@ -244,6 +244,8 @@ fn restart_rebuilds_subcommunicators_from_active_list() {
             m.comm_free(dup)?;
             let sub = m.comm_split(w, (m.rank() % 2) as i32, 0)?.unwrap();
             m.upper_mut().write_value("sub_vid", &sub.0);
+            let gid = m.comm_gid(sub)?;
+            m.upper_mut().write_value("sub_gid", &gid);
             m.upper_mut().write_value("phase", &1u64);
             if m.rank() == 0 {
                 m.request_checkpoint()?;
@@ -257,6 +259,15 @@ fn restart_rebuilds_subcommunicators_from_active_list() {
                 .transpose()?
                 .expect("sub_vid saved"),
         );
+        // §III-K: the communicator's global id is a function of its
+        // membership — the rebuilt communicator has the id the original
+        // had, every member computes the same one, and it is not the
+        // world's.
+        let gid = m.comm_gid(sub)?;
+        let saved = m.upper().read_value::<u64>("sub_gid").transpose()?;
+        assert_eq!(saved, Some(gid));
+        assert_eq!(m.allreduce_t(sub, ReduceOp::Max, &[gid])?, vec![gid]);
+        assert_ne!(gid, m.comm_gid(w)?);
         let sum = m.allreduce_t(sub, ReduceOp::Sum, &[m.rank() as u64])?;
         Ok(sum[0])
     };
@@ -438,43 +449,107 @@ fn nonblocking_collective_across_resume() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn nonblocking_collective_across_restart() {
-    // The §III-A log-and-replay showcase: an iallreduce is in flight at
-    // checkpoint-and-exit; after restart the stored *virtual request id*
-    // (kept in upper-half memory) is still valid and completes.
+/// The non-blocking collectives the paper lists (§III-A log-and-replay).
+#[derive(Clone, Copy, Debug)]
+enum NbColl {
+    Allreduce,
+    Barrier,
+    Bcast,
+    Allgather,
+}
+
+const NB_COLLS: [NbColl; 4] = [
+    NbColl::Allreduce,
+    NbColl::Barrier,
+    NbColl::Bcast,
+    NbColl::Allgather,
+];
+
+impl NbColl {
+    fn contribution(rank: usize) -> Vec<u8> {
+        mpisim::encode_slice(&[(rank as u64 + 1) * 100])
+    }
+
+    /// Post the collective on MANA's world communicator.
+    fn post(self, m: &mut mana_core::Mana<'_>) -> mana_core::Result<VReq> {
+        let w = m.comm_world();
+        let mine = Self::contribution(m.rank());
+        match self {
+            NbColl::Allreduce => m.iallreduce(w, mpisim::Datatype::U64, ReduceOp::Sum, &mine),
+            NbColl::Barrier => m.ibarrier(w),
+            NbColl::Bcast => m.ibcast(w, 1, mine),
+            NbColl::Allgather => m.iallgather(w, &mine),
+        }
+    }
+
+    /// What a completed request of this collective delivered.
+    fn delivered(self, c: mpisim::Completion) -> Vec<Vec<u8>> {
+        match self {
+            NbColl::Allgather => mpisim::unframe_chunks(&c.data).unwrap(),
+            _ => vec![c.data],
+        }
+    }
+
+    /// The same collective, blocking, on the bare simulator.
+    fn native(self, p: &mpisim::Proc) -> mpisim::Result<Vec<Vec<u8>>> {
+        let w = mpisim::Comm::WORLD;
+        let mut mine = Self::contribution(p.rank());
+        match self {
+            NbColl::Allreduce => p
+                .allreduce(w, mpisim::Datatype::U64, ReduceOp::Sum, &mine)
+                .map(|v| vec![v]),
+            NbColl::Barrier => p.barrier(w).map(|()| vec![Vec::new()]),
+            NbColl::Bcast => p.bcast(w, 1, &mut mine).map(|()| vec![mine]),
+            NbColl::Allgather => p.allgather(w, &mine),
+        }
+    }
+}
+
+/// The §III-A log-and-replay showcase: one request of every non-blocking
+/// collective is in flight at checkpoint-and-exit; after restart the
+/// stored *virtual request ids* (kept in upper-half memory) are still
+/// valid and complete — one `wait` each, or one `waitall` — with what the
+/// bare simulator computes for the same collectives.
+fn nonblocking_collectives_across_restart(name: &str, tpc: TpcMode, waitall: bool) {
     let n = 3;
-    let mut config = cfg("nb_restart");
+    let mut config = cfg(name);
     config.exit_after_ckpt = true;
+    config.tpc = tpc;
     let dir = config.ckpt_dir.clone();
 
-    let work = |m: &mut mana_core::Mana<'_>| -> mana_core::Result<u64> {
-        let w = m.comm_world();
-        let phase = m
-            .upper()
-            .read_value::<u64>("phase")
-            .transpose()?
-            .unwrap_or(0);
-        if phase == 0 {
-            let contrib = mpisim::encode_slice(&[(m.rank() as u64 + 1) * 100]);
-            let req = m.iallreduce(w, mpisim::Datatype::U64, ReduceOp::Sum, &contrib)?;
-            m.upper_mut().write_value("req", &req.0);
-            m.upper_mut().write_value("phase", &1u64);
+    let work = move |m: &mut mana_core::Mana<'_>| -> mana_core::Result<Vec<Vec<Vec<u8>>>> {
+        if m.upper().segment("reqs").is_none() {
+            let mut ids = Vec::new();
+            for coll in NB_COLLS {
+                ids.push(coll.post(m)?.0);
+            }
+            m.upper_mut().write_value("reqs", &ids);
             if m.rank() == 0 {
                 m.request_checkpoint()?;
             }
             m.step_commit()?; // checkpoint-and-exit happens here
         }
-        let mut req = VReq(
-            m.upper()
-                .read_value::<u64>("req")
-                .transpose()?
-                .expect("saved request id"),
-        );
-        let c = m.wait(&mut req)?;
-        assert!(req.is_null());
-        let v = mpisim::decode_slice::<u64>(&c.data).unwrap();
-        Ok(v[0])
+        let ids = m
+            .upper()
+            .read_value::<Vec<u64>>("reqs")
+            .transpose()?
+            .expect("saved request ids");
+        let mut reqs: Vec<VReq> = ids.into_iter().map(VReq).collect();
+        let done = if waitall {
+            m.waitall(&mut reqs)?
+        } else {
+            let mut done = Vec::new();
+            for req in &mut reqs {
+                done.push(m.wait(req)?);
+            }
+            done
+        };
+        assert!(reqs.iter().all(|r| r.is_null()));
+        Ok(NB_COLLS
+            .iter()
+            .zip(done)
+            .map(|(coll, c)| coll.delivered(c))
+            .collect())
     };
 
     let pass1 = ManaRuntime::new(n, config.clone())
@@ -482,13 +557,41 @@ fn nonblocking_collective_across_restart() {
         .run_fresh(work)
         .unwrap();
     assert!(pass1.all_checkpointed());
+    assert_eq!(pass1.coord.rounds.len(), 1);
 
     let pass2 = ManaRuntime::new(n, config)
         .with_world_cfg(wcfg())
         .run_restart(work)
         .unwrap();
-    assert_eq!(pass2.values(), vec![600, 600, 600]); // 100+200+300
+    let native: Vec<Vec<Vec<Vec<u8>>>> = mpisim::World::new(n, wcfg())
+        .launch_result(|p| NB_COLLS.iter().map(|coll| coll.native(p)).collect())
+        .unwrap();
+    let got = pass2.values();
+    assert_eq!(got, native, "{tpc:?}, waitall = {waitall}");
+    // 100+200+300, and rank 1's contribution from the broadcast.
+    assert_eq!(got[0][0], vec![mpisim::encode_slice(&[600u64])]);
+    assert_eq!(got[2][2], vec![NbColl::contribution(1)]);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn nonblocking_collective_across_restart() {
+    nonblocking_collectives_across_restart("nb_restart", TpcMode::Hybrid, false);
+}
+
+#[test]
+fn nonblocking_collective_across_restart_original_2pc() {
+    nonblocking_collectives_across_restart("nb_restart_orig", TpcMode::Original, false);
+}
+
+#[test]
+fn nonblocking_collectives_complete_by_waitall_across_restart() {
+    nonblocking_collectives_across_restart("nb_waitall", TpcMode::Hybrid, true);
+}
+
+#[test]
+fn nonblocking_collectives_complete_by_waitall_across_restart_original_2pc() {
+    nonblocking_collectives_across_restart("nb_waitall_orig", TpcMode::Original, true);
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Property-based tests for MANA's pure components: virtual tables,
-//! request metadata, drain buffers, and serialization invariants.
+//! request metadata, drain buffers, the topological drain planner, and
+//! serialization invariants.
 
 use mana_core::{
-    Binding, CollOp, DrainBuffer, DrainedMsg, RequestManager, StoredCompletion, VComm, VReqEntry,
-    VReqKind, VirtualTable, VtBackend,
+    topo_order, Binding, CollOp, DrainBuffer, DrainedMsg, RequestManager, StoredCompletion, VComm,
+    VReqEntry, VReqKind, VirtualTable, VtBackend,
 };
 use mpisim::TagSel;
 use proptest::prelude::*;
@@ -197,6 +198,57 @@ proptest! {
         prop_assert_eq!(&back.acc, &op.acc);
         prop_assert_eq!(back.slots[0].real, None, "real handles must not serialize");
         prop_assert_eq!(back.slots[0].src_local, 2);
+    }
+    #[test]
+    fn topo_order_is_a_topological_plan_of_the_in_flight_graph(
+        n in 0usize..=12,
+        cells in proptest::collection::vec((0u64..4, 0u64..4), 144),
+        forward_only in any::<bool>(),
+    ) {
+        // Traffic i → j is `sent[i][j]` against `recvd[j][i]`; the generator
+        // also produces over-received pairs (no edge). `forward_only`
+        // settles every i > j pair, and forward edges alone cannot cycle.
+        let mut sent = vec![vec![0u64; n]; n];
+        let mut recvd = vec![vec![0u64; n]; n];
+        for i in 0..n {
+            for j in 0..n {
+                let (s, r) = cells[i * 12 + j];
+                sent[i][j] = s;
+                recvd[j][i] = if forward_only && i > j { r.max(s) } else { r };
+            }
+        }
+        let edge = |i: usize, j: usize| i != j && sent[i][j] > recvd[j][i];
+        let plan = topo_order(&sent, &recvd);
+        prop_assert_eq!(&plan, &topo_order(&sent, &recvd), "plan is a pure function");
+
+        let mut seen = plan.order.clone();
+        seen.sort_unstable();
+        prop_assert_eq!(seen, (0..n as u32).collect::<Vec<_>>(), "order is a permutation");
+        let pairs = (0..n).flat_map(|i| (0..n).map(move |j| (i, j)));
+        prop_assert_eq!(plan.edges, pairs.clone().filter(|&(i, j)| edge(i, j)).count() as u64);
+
+        // Independent cycle check: some rank reaches itself in the
+        // transitive closure.
+        let mut reach: Vec<Vec<bool>> =
+            (0..n).map(|i| (0..n).map(|j| edge(i, j)).collect()).collect();
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    reach[i][j] |= reach[i][k] && reach[k][j];
+                }
+            }
+        }
+        let cyclic = (0..n).any(|i| reach[i][i]);
+        prop_assert_eq!(plan.cyclic, cyclic);
+        prop_assert!(!(forward_only && cyclic));
+        if !cyclic {
+            for (i, j) in pairs.filter(|&(i, j)| edge(i, j)) {
+                prop_assert!(
+                    plan.order[i] < plan.order[j],
+                    "in-flight {} → {} but order {:?}", i, j, plan.order
+                );
+            }
+        }
     }
 }
 

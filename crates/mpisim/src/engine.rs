@@ -373,9 +373,6 @@ impl EngineKind {
 /// [`World`](crate::World); a [`CoopEngine`] instance owns that world's
 /// scheduler state.
 pub(crate) trait Engine: Send + Sync {
-    /// Engine name for diagnostics.
-    fn name(&self) -> &'static str;
-
     /// Build the per-rank `(Parker, Unparker)` pairs the world's network
     /// will route every wait through.
     fn parkers(&self, n: usize) -> Vec<(ParkerRef, UnparkerRef)>;
@@ -451,10 +448,6 @@ pub(crate) fn default_parkers(n: usize) -> Vec<(ParkerRef, UnparkerRef)> {
 }
 
 impl Engine for ThreadEngine {
-    fn name(&self) -> &'static str {
-        "thread"
-    }
-
     fn parkers(&self, n: usize) -> Vec<(ParkerRef, UnparkerRef)> {
         (0..n)
             .map(|_| {
@@ -750,10 +743,6 @@ impl CoopEngine {
 }
 
 impl Engine for CoopEngine {
-    fn name(&self) -> &'static str {
-        "coop"
-    }
-
     fn parkers(&self, n: usize) -> Vec<(ParkerRef, UnparkerRef)> {
         assert_eq!(n, self.shared.n, "engine built for a different world size");
         (0..n)

@@ -15,7 +15,6 @@ use crate::envelope::{Envelope, MatchSpec, MsgClass, SrcSel, TagSel, MAX_USER_TA
 use crate::error::{MpiError, Result};
 use crate::group::Group;
 use crate::request::{Completion, RReq, ReqSlab, ReqState, Status};
-use crate::stats::StatsSnapshot;
 use crate::tools::BlockKind;
 use crate::world::Fabric;
 use std::cell::RefCell;
@@ -565,11 +564,6 @@ impl Proc {
 
     pub(crate) fn win_registry(&self) -> &crate::onesided::WinRegistry {
         &self.fabric.wins
-    }
-
-    /// Snapshot of world statistics.
-    pub fn stats_snapshot(&self) -> StatsSnapshot {
-        self.fabric.stats.snapshot()
     }
 
     /// (messages, bytes) currently in the network, world-wide.

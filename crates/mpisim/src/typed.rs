@@ -90,10 +90,4 @@ impl Proc {
             })
             .collect()
     }
-
-    /// Typed `MPI_Allgather` of a single scalar per rank.
-    pub fn allgather_one_t<T: Scalar>(&self, comm: Comm, val: T) -> Result<Vec<T>> {
-        let out = self.allgather(comm, &encode_slice(&[val]))?;
-        out.into_iter().map(|c| Ok(T::read_le(&c))).collect()
-    }
 }

@@ -131,11 +131,6 @@ impl World {
         }
     }
 
-    /// Name of the engine executing this world's ranks.
-    pub fn engine_name(&self) -> &'static str {
-        self.engine.name()
-    }
-
     /// The engine's shared activity counters (unparks, ready-queue
     /// depth), for the MANA layer's metrics plane to sample.
     pub fn engine_metrics(&self) -> Arc<crate::engine::EngineMetrics> {

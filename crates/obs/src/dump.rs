@@ -485,8 +485,8 @@ mod tests {
     #[test]
     fn flight_record_writes_both_files() {
         let sink = TraceSink::deterministic(2, 16);
-        sink.recorder(0).begin(0, Phase::ImageWrite);
-        sink.recorder(0).end(0, Phase::ImageWrite);
+        sink.record(0, 0, EventKind::Begin(Phase::ImageWrite));
+        sink.record(0, 0, EventKind::End(Phase::ImageWrite));
         let dir = std::env::temp_dir().join(format!("obs_fr_test_{}", std::process::id()));
         let config = ConfigRecord::new([("drain", "alltoall")]);
         let dump = flight_record(&sink, &dir, "t1", Some(9), &config, None).unwrap();

@@ -612,13 +612,4 @@ impl TraceEvent {
             kind,
         })
     }
-
-    /// Human label of the actor (`"coord"` or `"rank N"`).
-    pub fn actor_label(&self) -> String {
-        if self.actor == COORD_ACTOR {
-            "coord".to_string()
-        } else {
-            format!("rank {}", self.actor)
-        }
-    }
 }

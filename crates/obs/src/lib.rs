@@ -8,9 +8,12 @@
 //! * a bounded, per-actor **event ring buffer** ([`Ring`]) — fixed
 //!   capacity, overwrite-oldest, zero allocation on the hot path after
 //!   setup;
-//! * a **span API** over the checkpoint phases ([`Phase`]): `Intent`,
-//!   `TpcBarrier`, `EmuCollective`, `Drain { sweep }`, `ImageWrite`,
-//!   `Commit`/`AbortRound`, `RestartValidate`, `RestoreComms`;
+//! * one recording handle per actor ([`Telemetry`]) with a **span API**
+//!   over the checkpoint phases ([`Phase`]): `Intent`, `TpcBarrier`,
+//!   `EmuCollective`, `Drain { sweep }`, `ImageWrite`,
+//!   `Commit`/`AbortRound`, `RestartValidate`, `RestoreComms` — a span
+//!   emits the `Begin`/`End` pair, feeds the phase's latency histogram
+//!   in the [`metrics`] plane and returns the duration;
 //! * point events ([`EventKind`]) for network sends/matches, drain
 //!   captures, store write attempts (per-attempt write/fsync/rename
 //!   timings), retries, and injected faults;
@@ -29,13 +32,13 @@
 //! ## Example
 //!
 //! ```
-//! use obs::{EventKind, Phase, TraceSink};
+//! use obs::{EventKind, Phase, Telemetry, TraceSink};
 //!
 //! let sink = TraceSink::deterministic(2, 64);
-//! let rec = sink.recorder(0);
-//! rec.begin(0, Phase::ImageWrite);
-//! rec.event(0, EventKind::StoreWrite { bytes: 4096, retries: 0, crc: 0xDEAD });
-//! rec.end(0, Phase::ImageWrite);
+//! let tel = Telemetry::new(0, Some(sink.clone()), None);
+//! let span = tel.begin(0, Phase::ImageWrite);
+//! tel.event(0, EventKind::StoreWrite { bytes: 4096, retries: 0, crc: 0xDEAD });
+//! tel.end(span);
 //! assert_eq!(sink.ring_events(0).len(), 3);
 //! ```
 
@@ -50,6 +53,7 @@ pub mod json;
 pub mod metrics;
 mod ring;
 mod sink;
+mod telemetry;
 
 pub use clock::{Clock, TestClock, WallClock};
 pub use dump::{
@@ -61,4 +65,5 @@ pub use event::{
     NO_ROUND,
 };
 pub use ring::Ring;
-pub use sink::{Recorder, TraceSink};
+pub use sink::TraceSink;
+pub use telemetry::{Span, Telemetry};

@@ -40,7 +40,7 @@ use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Schema identifier written in every metrics series header.
@@ -203,7 +203,8 @@ std_set! {
     /// Image-write leg of the round.
     ROUND_WRITE_NS = "mana2_round_write_ns", Histogram,
         "Checkpoint round image-write phase latency";
-    /// Commit leg of the round (manifest write + resume fan-out).
+    /// Commit leg of the round: the coordinator's `Commit` span, i.e. the
+    /// manifest write (the resume fan-out follows it).
     ROUND_COMMIT_NS = "mana2_round_commit_ns", Histogram,
         "Checkpoint round commit phase latency";
     /// Coordinator fan-in spread (first to last CkptDone per round).
@@ -466,7 +467,10 @@ enum Slot {
 
 struct Shard {
     scalars: Box<[AtomicU64]>,
-    hists: Box<[HistShard]>,
+    /// A histogram's bucket array is allocated by its first `observe`:
+    /// most (actor, histogram) pairs never see a sample — the `ROUND_*`
+    /// set is the coordinator's alone — and a bucket array is 8 KiB.
+    hists: Box<[OnceLock<HistShard>]>,
 }
 
 /// The always-on metrics registry for one world: named metrics, one
@@ -513,7 +517,7 @@ impl MetricsRegistry {
         let shards = (0..n_ranks + 2)
             .map(|_| Shard {
                 scalars: (0..n_scalar).map(|_| AtomicU64::new(0)).collect(),
-                hists: (0..n_hist).map(|_| HistShard::new()).collect(),
+                hists: (0..n_hist).map(|_| OnceLock::new()).collect(),
             })
             .collect();
         Arc::new(MetricsRegistry {
@@ -552,11 +556,6 @@ impl MetricsRegistry {
         self.defs.iter().position(|d| d.name == name).map(MetricId)
     }
 
-    /// Now, per the registry's own clock.
-    pub fn now_ns(&self) -> u64 {
-        self.clock.now_ns()
-    }
-
     fn shard_index(&self, actor: i32) -> usize {
         match actor {
             crate::event::COORD_ACTOR => self.n,
@@ -588,20 +587,14 @@ impl MetricsRegistry {
         }
     }
 
-    /// Record `v` into a histogram. Relaxed atomic adds; no lock.
+    /// Record `v` into a histogram. Relaxed atomic adds; no lock once
+    /// the shard's bucket array exists (its first sample allocates it).
     pub fn observe(&self, actor: i32, id: MetricId, v: u64) {
         debug_assert!(matches!(self.defs[id.0].kind, MetricKind::Histogram));
         if let Slot::Hist(k) = self.slots[id.0] {
-            self.shards[self.shard_index(actor)].hists[k].observe(v);
-        }
-    }
-
-    /// A cheap per-actor handle, mirroring [`crate::Recorder`].
-    pub fn meter(self: &Arc<Self>, actor: i32) -> Meter {
-        let _ = self.shard_index(actor); // validate early
-        Meter {
-            reg: Arc::clone(self),
-            actor,
+            self.shards[self.shard_index(actor)].hists[k]
+                .get_or_init(HistShard::new)
+                .observe(v);
         }
     }
 
@@ -621,7 +614,7 @@ impl MetricsRegistry {
                             .sum(),
                     ),
                     Slot::Hist(k) => MetricValue::Hist(HistSnapshot::from_shards(
-                        self.shards.iter().map(|s| &s.hists[k]),
+                        self.shards.iter().filter_map(|s| s.hists[k].get()),
                     )),
                 };
                 MetricEntry {
@@ -635,51 +628,6 @@ impl MetricsRegistry {
             ts_ns: self.clock.now_ns(),
             entries,
         }
-    }
-}
-
-/// A per-actor recording handle: registry reference plus actor id.
-#[derive(Clone)]
-pub struct Meter {
-    reg: Arc<MetricsRegistry>,
-    actor: i32,
-}
-
-impl fmt::Debug for Meter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Meter").field("actor", &self.actor).finish()
-    }
-}
-
-impl Meter {
-    /// Add `delta` to a counter.
-    pub fn add(&self, id: MetricId, delta: u64) {
-        self.reg.add(self.actor, id, delta);
-    }
-
-    /// Set a gauge in this actor's shard.
-    pub fn gauge_set(&self, id: MetricId, v: u64) {
-        self.reg.gauge_set(self.actor, id, v);
-    }
-
-    /// Record a histogram value.
-    pub fn observe(&self, id: MetricId, v: u64) {
-        self.reg.observe(self.actor, id, v);
-    }
-
-    /// Now, per the registry's clock (for start/stop duration pairs).
-    pub fn now_ns(&self) -> u64 {
-        self.reg.now_ns()
-    }
-
-    /// The actor this meter records as.
-    pub fn actor(&self) -> i32 {
-        self.actor
-    }
-
-    /// The registry behind this meter.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.reg
     }
 }
 
@@ -1139,11 +1087,6 @@ impl MetricsExporter {
         })
     }
 
-    /// Path of the JSONL series being appended to.
-    pub fn jsonl_path(&self) -> &Path {
-        &self.jsonl
-    }
-
     /// Path of the Prometheus exposition file.
     pub fn prom_path(&self) -> &Path {
         &self.prom
@@ -1337,12 +1280,24 @@ mod tests {
     }
 
     #[test]
-    fn meter_records_as_its_actor() {
-        let reg = MetricsRegistry::deterministic(2);
-        let m = reg.meter(1);
-        m.add(EMU_COLLECTIVES, 2);
-        m.observe(TPC_BARRIER_WAIT_NS, 40);
-        assert_eq!(reg.snapshot().value("mana2_emu_collectives_total"), Some(2));
+    fn histograms_are_allocated_by_their_first_sample() {
+        let held = |reg: &MetricsRegistry| {
+            reg.shards
+                .iter()
+                .flat_map(|s| s.hists.iter())
+                .filter(|h| h.get().is_some())
+                .count()
+        };
+        let reg = MetricsRegistry::deterministic(1024);
+        let empty = reg.snapshot();
+        assert_eq!(held(&reg), 0, "a fresh registry holds no bucket array");
+        assert_eq!(empty.hist("mana2_round_latency_ns").unwrap().count, 0);
+        reg.observe(7, DRAIN_SWEEP_NS, 99);
+        assert_eq!(held(&reg), 1, "one sample on one actor: one bucket array");
+        let snap = reg.snapshot();
+        assert_eq!(held(&reg), 1, "a snapshot allocates nothing");
+        assert_eq!(snap.hist("mana2_drain_sweep_ns").unwrap().buckets.len(), 1);
+        assert_eq!(snap.entries.len(), empty.entries.len());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! another thread; they are uncontended in steady state.
 
 use crate::clock::{Clock, TestClock, WallClock};
-use crate::event::{EventKind, Phase, TraceEvent, COORD_ACTOR};
+use crate::event::{EventKind, TraceEvent, COORD_ACTOR};
 use crate::ring::Ring;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,15 +103,6 @@ impl TraceSink {
         self.lock_ring(self.ring_index(actor)).push(ev);
     }
 
-    /// A cheap per-actor handle (use [`COORD_ACTOR`] for the coordinator).
-    pub fn recorder(self: &Arc<Self>, actor: i32) -> Recorder {
-        let _ = self.ring_index(actor); // validate early
-        Recorder {
-            sink: Arc::clone(self),
-            actor,
-        }
-    }
-
     /// All events of one actor's ring, oldest first.
     pub fn ring_events(&self, actor: i32) -> Vec<TraceEvent> {
         self.lock_ring(self.ring_index(actor)).to_vec()
@@ -143,58 +134,17 @@ impl TraceSink {
     }
 }
 
-/// A per-actor recording handle: a sink reference plus the actor id.
-#[derive(Clone)]
-pub struct Recorder {
-    sink: Arc<TraceSink>,
-    actor: i32,
-}
-
-impl fmt::Debug for Recorder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Recorder")
-            .field("actor", &self.actor)
-            .finish()
-    }
-}
-
-impl Recorder {
-    /// Record a point event.
-    pub fn event(&self, round: i64, kind: EventKind) {
-        self.sink.record(self.actor, round, kind);
-    }
-
-    /// Open a phase span.
-    pub fn begin(&self, round: i64, phase: Phase) {
-        self.sink.record(self.actor, round, EventKind::Begin(phase));
-    }
-
-    /// Close the innermost open span of `phase`.
-    pub fn end(&self, round: i64, phase: Phase) {
-        self.sink.record(self.actor, round, EventKind::End(phase));
-    }
-
-    /// The actor this recorder writes as.
-    pub fn actor(&self) -> i32 {
-        self.actor
-    }
-
-    /// The sink behind this recorder.
-    pub fn sink(&self) -> &Arc<TraceSink> {
-        &self.sink
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Phase;
 
     #[test]
     fn events_land_in_their_actors_ring() {
         let sink = TraceSink::deterministic(2, 8);
-        sink.recorder(0).begin(0, Phase::Intent);
-        sink.recorder(1).begin(0, Phase::Intent);
-        sink.recorder(COORD_ACTOR).begin(0, Phase::Commit);
+        sink.record(0, 0, EventKind::Begin(Phase::Intent));
+        sink.record(1, 0, EventKind::Begin(Phase::Intent));
+        sink.record(COORD_ACTOR, 0, EventKind::Begin(Phase::Commit));
         assert_eq!(sink.ring_events(0).len(), 1);
         assert_eq!(sink.ring_events(1).len(), 1);
         assert_eq!(sink.ring_events(COORD_ACTOR).len(), 1);

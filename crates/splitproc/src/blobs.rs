@@ -212,7 +212,8 @@ pub struct FaultyBlobs {
     inner: Box<dyn Blobs>,
     fault: WriteFault,
     /// Where `StoreFault` events go, and the round they are attributed to.
-    trace: Option<(obs::Recorder, i64)>,
+    tel: obs::Telemetry,
+    round: i64,
     /// `Error`: commit puts seen so far.
     commit_puts: AtomicU32,
     /// `Torn` / `BitFlip`: pool chunks this write created.
@@ -220,25 +221,29 @@ pub struct FaultyBlobs {
 }
 
 impl FaultyBlobs {
-    /// Arm `fault` over `inner`.
+    /// Arm `fault` over `inner` for one image write of `round`. Arming is
+    /// the fault plan firing, counted once on `tel`; every injected error
+    /// or damaged file is a `StoreFault` event of its own.
     pub fn new(
         inner: Box<dyn Blobs>,
         fault: WriteFault,
-        trace: Option<(obs::Recorder, i64)>,
+        tel: obs::Telemetry,
+        round: i64,
     ) -> FaultyBlobs {
+        tel.add(obs::metrics::FAULTS_FIRED, 1);
         FaultyBlobs {
             inner,
             fault,
-            trace,
+            tel,
+            round,
             commit_puts: AtomicU32::new(0),
             fresh: Mutex::new(Vec::new()),
         }
     }
 
     fn fired(&self, fault: obs::InjectedFault) {
-        if let Some((rec, round)) = &self.trace {
-            rec.event(*round, obs::EventKind::StoreFault { fault });
-        }
+        self.tel
+            .event(self.round, obs::EventKind::StoreFault { fault });
     }
 
     /// Damage `target` in place; the fsync that takes is added to `cost`.

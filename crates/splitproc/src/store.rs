@@ -41,6 +41,7 @@ pub use crate::blobs::{Blobs, FaultyBlobs, LocalFs, WriteFault};
 use crate::chunk::{self, ChunkId, ChunkParams, ChunkRef, Recipe, RecipeVersion};
 use crate::codec::{crc32, Crc32};
 use crate::image::CkptImage;
+use obs::metrics as met;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
@@ -459,34 +460,36 @@ fn fan_out<T: Send, E: Send>(
 
 // ---- the handle ------------------------------------------------------------
 
-/// One checkpoint store: root directory, write policy, optional flight
-/// recorder, and the [`Blobs`] backend every operation goes through.
+/// One checkpoint store: root directory, write policy, the writing
+/// actor's telemetry, and the [`Blobs`] backend every operation goes
+/// through.
 /// Cheap to build: ranks build one per image write.
 pub struct Store {
     root: PathBuf,
     cfg: StoreConfig,
-    rec: Option<obs::Recorder>,
+    tel: obs::Telemetry,
     blobs: Box<dyn Blobs>,
 }
 
 impl Store {
     /// The store under `root` on the local filesystem, untraced.
     pub fn open(root: impl Into<PathBuf>, cfg: StoreConfig) -> Store {
-        Store::new(root, cfg, None, Box::new(LocalFs))
+        Store::new(root, cfg, obs::Telemetry::off(), Box::new(LocalFs))
     }
 
-    /// The store under `root` over an explicit backend. With `rec`, writes
-    /// record each attempt's stage timings and a final `StoreWrite`.
+    /// The store under `root` over an explicit backend. Writes record
+    /// each attempt's stage timings, a final `StoreWrite` and the
+    /// `mana2_store_*` counters on `tel`.
     pub fn new(
         root: impl Into<PathBuf>,
         cfg: StoreConfig,
-        rec: Option<obs::Recorder>,
+        tel: obs::Telemetry,
         blobs: Box<dyn Blobs>,
     ) -> Store {
         Store {
             root: root.into(),
             cfg,
-            rec,
+            tel,
             blobs,
         }
     }
@@ -545,16 +548,30 @@ impl Store {
         // write that created either is durable only once the root is.
         self.blobs.sync_dir(&self.root)?;
         out.fsyncs += fsyncs + 1;
-        if let Some(r) = &self.rec {
-            r.event(
-                round,
-                obs::EventKind::StoreWrite {
-                    bytes: out.logical_bytes as u64,
-                    retries,
-                    crc: out.crc,
-                },
-            );
-        }
+        self.tel.event(
+            round,
+            obs::EventKind::StoreWrite {
+                bytes: out.logical_bytes as u64,
+                retries,
+                crc: out.crc,
+            },
+        );
+        // Logical vs physical: logical bytes are layout-independent (flat
+        // and chunked runs report identical image sizes); physical bytes
+        // are what hit the disk, so the gap between the two counters is
+        // the dedup win.
+        self.tel
+            .add(met::STORE_BYTES_WRITTEN, out.logical_bytes as u64);
+        self.tel
+            .add(met::STORE_PHYSICAL_BYTES, out.physical_bytes as u64);
+        self.tel.add(met::STORE_WRITE_RETRIES, out.retries as u64);
+        self.tel.add(met::STORE_FSYNCS, out.fsyncs as u64);
+        self.tel
+            .add(met::STORE_CHUNKS_WRITTEN, out.chunks_written as u64);
+        self.tel
+            .add(met::STORE_CHUNKS_DEDUP, out.chunks_deduped as u64);
+        self.tel
+            .add(met::STORE_FSYNC_BATCHES, out.fsync_batches as u64);
         Ok(out)
     }
 
@@ -637,18 +654,16 @@ impl Store {
             let (cost, res) = self.blobs.put_atomic(path, bytes, PutMode::Commit);
             fsyncs += cost.fsyncs;
             attempt += 1;
-            if let Some(r) = &self.rec {
-                r.event(
-                    round,
-                    obs::EventKind::StoreAttempt {
-                        attempt,
-                        write_ns: cost.write_ns,
-                        fsync_ns: cost.fsync_ns,
-                        rename_ns: cost.rename_ns,
-                        ok: res.is_ok(),
-                    },
-                );
-            }
+            self.tel.event(
+                round,
+                obs::EventKind::StoreAttempt {
+                    attempt,
+                    write_ns: cost.write_ns,
+                    fsync_ns: cost.fsync_ns,
+                    rename_ns: cost.rename_ns,
+                    ok: res.is_ok(),
+                },
+            );
             match res {
                 Ok(()) => return Ok((attempt - 1, fsyncs)),
                 Err(e) if attempt >= self.cfg.retry_attempts => return Err(e),
@@ -1212,10 +1227,15 @@ pub fn write_image(
     fault: Option<&WriteFault>,
 ) -> Result<WriteOutcome, StoreError> {
     let blobs: Box<dyn Blobs> = match fault {
-        Some(f) => Box::new(FaultyBlobs::new(Box::new(LocalFs), *f, None)),
+        Some(f) => Box::new(FaultyBlobs::new(
+            Box::new(LocalFs),
+            *f,
+            obs::Telemetry::off(),
+            image.round as i64,
+        )),
         None => Box::new(LocalFs),
     };
-    Store::new(root, cfg.clone(), None, blobs).write_image(image)
+    Store::new(root, cfg.clone(), obs::Telemetry::off(), blobs).write_image(image)
 }
 
 /// [`Store::commit`] into the store under `root`.
@@ -1854,15 +1874,21 @@ mod tests {
         let cfg = StoreConfig::default();
         assert_eq!(cfg.retry_attempts, 4);
         let sink = obs::TraceSink::wall(1, 64);
-        let rec = sink.recorder(0);
+        let reg = obs::metrics::MetricsRegistry::deterministic(1);
+        let tel = obs::Telemetry::new(0, Some(sink.clone()), Some(reg.clone()));
         let fault = WriteFault::Error { attempts: 2 };
-        let blobs = FaultyBlobs::new(Box::new(LocalFs), fault, Some((rec.clone(), 7)));
-        let store = Store::new(&root, cfg, Some(rec), Box::new(blobs));
+        let blobs = FaultyBlobs::new(Box::new(LocalFs), fault, tel.clone(), 7);
+        let store = Store::new(&root, cfg, tel, Box::new(blobs));
         let out = store.write_image(&image(0, 1, 7)).unwrap();
         assert_eq!(out.retries, 2);
         // Two failed attempts issue no fsync; the third: file, generation
         // directory, root.
         assert_eq!(out.fsyncs, 3);
+        // One armed fault is one firing, however often it injects.
+        let snap = reg.snapshot();
+        assert_eq!(snap.value("mana2_faults_fired_total"), Some(1));
+        assert_eq!(snap.value("mana2_store_write_retries_total"), Some(2));
+        assert_eq!(snap.value("mana2_store_fsyncs_total"), Some(3));
         let events: Vec<String> = sink
             .ring_events(0)
             .iter()
