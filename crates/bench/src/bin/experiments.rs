@@ -23,13 +23,10 @@ use mana_bench::*;
 use mana_core::{obs, DrainMode, EnvConfig, ManaConfig};
 use mpisim::{CoopCfg, EngineKind, MachineProfile, WorldCfg};
 use std::time::Instant;
-use workloads::{gromacs, vasp, ManaFace};
+use workloads::{gromacs, under_mana, vasp, Launch};
 
 fn scale() -> f64 {
-    std::env::var("MANA2_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1.0)
+    env_num("MANA2_SCALE", 1.0)
 }
 
 fn md_config() -> gromacs::GromacsConfig {
@@ -75,12 +72,12 @@ fn fig2(env: &EnvConfig) {
         let mut rows = Vec::new();
         let mut last_stats = None;
         for ranks in rank_sweep() {
-            let nat = gromacs_native(env, ranks, &md, profile.clone());
+            let nat = timed_native(env, ranks, &md, profile.clone());
             let mcfg = ManaConfig {
                 ckpt_dir: scratch_dir("fig2"),
                 ..env.mana.clone()
             };
-            let (man, _) = gromacs_mana(env, ranks, &md, profile.clone(), mcfg);
+            let man = timed_mana(env, ranks, &md, profile.clone(), mcfg);
             assert_eq!(
                 nat.result, man.result,
                 "transparency violated at {ranks} ranks"
@@ -132,25 +129,14 @@ fn fig3(env: &EnvConfig) {
         ckpt_dir: dir.clone(),
         ..env.mana.clone()
     };
-    let rt = runtime(env, ranks, mcfg.clone(), MachineProfile::zero());
-    let mdc = md.clone();
-    let report = rt
-        .run_fresh(move |m| {
-            let mut f = ManaFace::new(m);
-            // Request one checkpoint every 3 steps from rank 0 by running
-            // the (resumable) workload in chunks with a ckpt request each.
-            let mut cfg = mdc.clone();
-            for r in 0..rounds {
-                cfg.steps = (r + 1) * 3;
-                cfg.ckpt_at_step = Some(r * 3 + 1);
-                cfg.ckpt_round = r;
-                gromacs::run(&mut f, &cfg).map_err(|e| e.into_mana())?;
-            }
-            cfg.steps = mdc.steps;
-            cfg.ckpt_at_step = None;
-            gromacs::run(&mut f, &cfg).map_err(|e| e.into_mana())
-        })
-        .expect("fig3 run");
+    let rt = runtime(env, ranks, mcfg, MachineProfile::zero());
+    // Rank 0 requests one checkpoint every 3 steps.
+    let periodic = gromacs::Periodic {
+        md: md.clone(),
+        rounds,
+        stride: 3,
+    };
+    let report = under_mana(&rt, Launch::Fresh, &periodic).expect("fig3 run");
     println!("\n{ranks} ranks, {rounds} checkpoint rounds (resume mode):");
     println!(
         "{:>6} {:>12} {:>12} {:>14}",
@@ -196,21 +182,10 @@ fn fig3(env: &EnvConfig) {
     let mut md2 = md.clone();
     md2.steps = 4;
     md2.ckpt_at_step = Some(2);
-    let c1 = md2.clone();
-    runtime(env, ranks, mcfg2.clone(), MachineProfile::zero())
-        .run_fresh(move |m| {
-            let mut f = ManaFace::new(m);
-            gromacs::run(&mut f, &c1).map_err(|e| e.into_mana())
-        })
-        .expect("fig3 ckpt pass");
+    let rt = runtime(env, ranks, mcfg2, MachineProfile::zero());
+    under_mana(&rt, Launch::Fresh, &md2).expect("fig3 ckpt pass");
     let t = Instant::now();
-    let c2 = md2.clone();
-    runtime(env, ranks, mcfg2, MachineProfile::zero())
-        .run_restart(move |m| {
-            let mut f = ManaFace::new(m);
-            gromacs::run(&mut f, &c2).map_err(|e| e.into_mana())
-        })
-        .expect("fig3 restart pass");
+    under_mana(&rt, Launch::Restart, &md2).expect("fig3 restart pass");
     println!(
         "\nrestart (read images + rebuild lower half + rebind + finish run): {:.2?}",
         t.elapsed()
@@ -232,7 +207,7 @@ fn fig4(env: &EnvConfig) {
     let mut rows = Vec::new();
     for ranks in rank_sweep() {
         let cfg = capoh_config(steps);
-        let t = vasp_native(env, ranks, &cfg, MachineProfile::haswell());
+        let t = timed_native(env, ranks, &cfg, MachineProfile::haswell());
         let colls = t.stats.total_collectives();
         let per_step = colls as f64 / ranks as f64 / steps as f64;
         let rate = colls as f64 / t.wall.as_secs_f64() / ranks as f64;
@@ -270,7 +245,7 @@ fn table1(env: &EnvConfig) {
         vcfg.scf_steps = 3;
         vcfg.compute_per_sweep = 0;
 
-        let native = vasp_native(env, ranks, &vcfg, MachineProfile::zero());
+        let native = timed_native(env, ranks, &vcfg, MachineProfile::zero());
 
         let dir = scratch_dir(&format!("t1_{name}"));
         let mcfg = ManaConfig {
@@ -280,19 +255,9 @@ fn table1(env: &EnvConfig) {
         };
         let mut vc1 = vcfg.clone();
         vc1.ckpt_at_step = Some(1);
-        let pass1 = runtime(env, ranks, mcfg.clone(), MachineProfile::zero())
-            .run_fresh(move |m| {
-                let mut f = ManaFace::new(m);
-                vasp::run(&mut f, &vc1).map_err(|e| e.into_mana())
-            })
-            .expect("table1 pass1");
-        let vc2 = vcfg.clone();
-        let pass2 = runtime(env, ranks, mcfg, MachineProfile::zero())
-            .run_restart(move |m| {
-                let mut f = ManaFace::new(m);
-                vasp::run(&mut f, &vc2).map_err(|e| e.into_mana())
-            })
-            .expect("table1 pass2");
+        let rt = runtime(env, ranks, mcfg, MachineProfile::zero());
+        let pass1 = under_mana(&rt, Launch::Fresh, &vc1).expect("table1 pass1");
+        let pass2 = under_mana(&rt, Launch::Restart, &vcfg).expect("table1 pass2");
         let restored = pass2.values();
         let ok = pass1.all_checkpointed() && restored[0].energy == native.result.energy;
         println!(
@@ -323,10 +288,7 @@ fn table1(env: &EnvConfig) {
 fn table2(env: &EnvConfig) {
     println!("== Table II: CaPOH runtime, native vs MANA branches ==");
     println!("(paper, 128 ranks: Haswell 25s/41s/35s; KNL 69s/137s/101s)");
-    let ranks = std::env::var("MANA2_T2_RANKS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
+    let ranks = env_num("MANA2_T2_RANKS", 8);
     let cfg = capoh_config(6);
     println!(
         "\n{:<9} {:>12} {:>16} {:>20} {:>10} {:>10}",
@@ -334,8 +296,8 @@ fn table2(env: &EnvConfig) {
     );
     let mut rows = Vec::new();
     for profile in [MachineProfile::haswell(), MachineProfile::knl()] {
-        let nat = vasp_native(env, ranks, &cfg, profile.clone());
-        let master = vasp_mana(
+        let nat = timed_native(env, ranks, &cfg, profile.clone());
+        let master = timed_mana(
             env,
             ranks,
             &cfg,
@@ -346,7 +308,7 @@ fn table2(env: &EnvConfig) {
                 ..ManaConfig::master_branch()
             },
         );
-        let feat = vasp_mana(
+        let feat = timed_mana(
             env,
             ranks,
             &cfg,
@@ -408,21 +370,12 @@ fn trace(env: &EnvConfig) {
     md.steps = rounds * 3 + 2;
     let config = mcfg.record(&env.world.engine);
     let rt = runtime(env, ranks, mcfg, MachineProfile::zero());
-    let mdc = md.clone();
-    rt.run_fresh(move |m| {
-        let mut f = ManaFace::new(m);
-        let mut cfg = mdc.clone();
-        for r in 0..rounds {
-            cfg.steps = (r + 1) * 3;
-            cfg.ckpt_at_step = Some(r * 3 + 1);
-            cfg.ckpt_round = r;
-            gromacs::run(&mut f, &cfg).map_err(|e| e.into_mana())?;
-        }
-        cfg.steps = mdc.steps;
-        cfg.ckpt_at_step = None;
-        gromacs::run(&mut f, &cfg).map_err(|e| e.into_mana())
-    })
-    .expect("trace run");
+    let periodic = gromacs::Periodic {
+        md,
+        rounds,
+        stride: 3,
+    };
+    under_mana(&rt, Launch::Fresh, &periodic).expect("trace run");
     let _ = std::fs::remove_dir_all(&dir);
 
     let meta = obs::DumpMeta {
@@ -452,27 +405,17 @@ fn trace(env: &EnvConfig) {
 /// `MANA2_EXPLORE_SECS` (budget per workload, default 10),
 /// `MANA2_EXPLORE_SEED` (default 20260807). The JSON artifact carries
 /// schedules/sec, unique interleavings visited, the pruning ratio, and
-/// any bugs found (with minimized `CHAOS_SCHEDULE` repro lines); the
+/// any bugs found (with minimized `CHAOS_CASE='schedule …'` repro lines); the
 /// process exits 1 if any workload's search found a failure.
 fn explore_exp() {
     use chaos::explore::{explore, ExploreCfg, ExploreTarget};
     println!("== Explore: schedule-space search over the coop engine ==");
-    let secs = std::env::var("MANA2_EXPLORE_SECS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10u64);
-    let seed = std::env::var("MANA2_EXPLORE_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20260807u64);
+    let secs = env_num("MANA2_EXPLORE_SECS", 10u64);
+    let seed = env_num("MANA2_EXPLORE_SEED", 20260807u64);
     let cfg = ExploreCfg {
         budget: std::time::Duration::from_secs(secs),
         ..ExploreCfg::default()
     };
-    println!(
-        "{:>8} {:>11} {:>12} {:>8} {:>12} {:>7} {:>6}",
-        "workload", "schedules", "sched/s", "unique", "equivclass", "prune", "bugs"
-    );
     let mut reports = Vec::new();
     let mut bugs_found = 0usize;
     for (workload, drain) in [
@@ -481,32 +424,12 @@ fn explore_exp() {
     ] {
         let target = ExploreTarget::new(seed, 4, 1, workload, drain).expect("explore target");
         let report = explore(&target, &cfg);
-        println!(
-            "{:>8} {:>11} {:>12.1} {:>8} {:>12} {:>7.2} {:>6}",
-            chaos::explore::workload_name(workload),
-            report.schedules_run,
-            report.schedules_per_sec(),
-            report.unique_interleavings,
-            report.unique_equiv_classes,
-            report.prune.ratio(),
-            report.failures.len()
-        );
+        println!("{}", report.summary());
         for f in &report.failures {
             bugs_found += 1;
-            eprintln!("FAIL: {}", f.error);
-            let repro_choices = f
-                .minimized
-                .as_ref()
-                .map(|m| m.choices.clone())
-                .unwrap_or_else(|| f.choices.clone());
-            eprintln!("  repro: {}", target.repro_command(&repro_choices));
-            // Flight-recorder dump of the failing schedule for the CI
-            // artifact (best effort — must never mask the failure).
-            if let Some(p) = target.dump_schedule_trace(&repro_choices) {
-                eprintln!("  trace dump: {}", p.display());
-            }
+            target.report_failure(f);
         }
-        reports.push(report.to_json(&target).trim_end().to_string());
+        reports.push(report.to_json().trim_end().to_string());
     }
     write_json_artifact(
         "explore",
@@ -524,13 +447,7 @@ fn explore_exp() {
 /// Rank counts for the scale sweep: `MANA2_SCALE_RANKS="64,256"`
 /// overrides the default 64 → 4096 sweep.
 fn scale_ranks() -> Vec<usize> {
-    if let Ok(s) = std::env::var("MANA2_SCALE_RANKS") {
-        let v: Vec<usize> = s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
-        if !v.is_empty() {
-            return v;
-        }
-    }
-    vec![64, 256, 1024, 4096]
+    env_list("MANA2_SCALE_RANKS", &[64, 256, 1024, 4096])
 }
 
 fn scale_exp(env: &EnvConfig) {
@@ -567,18 +484,9 @@ fn scale_exp(env: &EnvConfig) {
             }),
             ..world_cfg(env, MachineProfile::zero())
         };
-        let work = {
-            let mdc = md.clone();
-            move |m: &mut mana_core::Mana<'_>| {
-                let mut f = ManaFace::new(m);
-                gromacs::run(&mut f, &mdc).map_err(|e| e.into_mana())
-            }
-        };
-
-        let rt =
-            runtime(env, ranks, mcfg.clone(), MachineProfile::zero()).with_world_cfg(wc.clone());
+        let rt = runtime(env, ranks, mcfg, MachineProfile::zero()).with_world_cfg(wc);
         let t = Instant::now();
-        let pass1 = rt.run_fresh(work.clone()).expect("scale checkpoint leg");
+        let pass1 = under_mana(&rt, Launch::Fresh, &md).expect("scale checkpoint leg");
         let ckpt_wall = t.elapsed();
         assert!(
             pass1.all_checkpointed(),
@@ -591,9 +499,8 @@ fn scale_exp(env: &EnvConfig) {
             .cloned()
             .expect("one committed round");
 
-        let rt2 = runtime(env, ranks, mcfg, MachineProfile::zero()).with_world_cfg(wc);
         let t = Instant::now();
-        let pass2 = rt2.run_restart(work).expect("scale restart leg");
+        let pass2 = under_mana(&rt, Launch::Restart, &md).expect("scale restart leg");
         let restart_wall = t.elapsed();
         assert!(
             pass2.all_finished(),
@@ -631,18 +538,12 @@ fn scale_exp(env: &EnvConfig) {
 /// Per-rank in-flight message counts for the drain head-to-head.
 /// `MANA2_DRAIN_INFLIGHT="4,16,64"` overrides.
 fn drain_inflight() -> Vec<usize> {
-    if let Ok(s) = std::env::var("MANA2_DRAIN_INFLIGHT") {
-        let v: Vec<usize> = s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
-        if !v.is_empty() {
-            return v;
-        }
-    }
-    vec![4, 64]
+    env_list("MANA2_DRAIN_INFLIGHT", &[4, 64])
 }
 
 /// Head-to-head drain-protocol sweep: the identical checkpoint round
-/// quiesced by [`mana_core::AlltoallDrain`] vs
-/// [`mana_core::TopoSortDrain`] at each rank count, at low and high
+/// quiesced by `DrainMode::Alltoall` vs `DrainMode::TopoSort` at each
+/// rank count, at low and high
 /// in-flight message counts. Each rank fires a burst of eager sends at
 /// its right neighbor and only posts the receives *after* the checkpoint
 /// window, so the drain must capture exactly `ranks × burst` unexpected

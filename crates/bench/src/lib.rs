@@ -17,7 +17,7 @@ use mana_core::{EnvConfig, ManaConfig, ManaRuntime};
 use mpisim::{MachineProfile, StatsSnapshot, World, WorldCfg};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use workloads::{gromacs, vasp, ManaFace, NativeFace};
+use workloads::{Kernel, Launch};
 
 /// A timed run's outcome.
 #[derive(Debug, Clone)]
@@ -70,35 +70,43 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
     d
 }
 
+/// Environment variable `var` parsed as a `T`, or `default` when it is
+/// unset or does not parse.
+pub fn env_num<T: std::str::FromStr>(var: &str, default: T) -> T {
+    let parsed = std::env::var(var).ok().and_then(|s| s.trim().parse().ok());
+    parsed.unwrap_or(default)
+}
+
+/// A comma-separated `usize` list from environment variable `var`, or
+/// `default` when it is unset or holds no number.
+pub fn env_list(var: &str, default: &[usize]) -> Vec<usize> {
+    let parsed: Vec<usize> = std::env::var(var)
+        .map(|s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect())
+        .unwrap_or_default();
+    if parsed.is_empty() {
+        default.to_vec()
+    } else {
+        parsed
+    }
+}
+
 /// Rank counts for sweeps: `MANA2_RANKS="2,4,8"` overrides; the default is
 /// sized for a small container (the paper sweeps 32…2048 on Cori — shapes,
 /// not absolute scale, are reproduced; see EXPERIMENTS.md).
 pub fn rank_sweep() -> Vec<usize> {
-    if let Ok(s) = std::env::var("MANA2_RANKS") {
-        let v: Vec<usize> = s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
-        if !v.is_empty() {
-            return v;
-        }
-    }
-    vec![2, 4, 8, 16, 32]
+    env_list("MANA2_RANKS", &[2, 4, 8, 16, 32])
 }
 
-/// Run the MD workload natively.
-pub fn gromacs_native(
+/// Run `k` natively, timed.
+pub fn timed_native<K: Kernel>(
     env: &EnvConfig,
     ranks: usize,
-    cfg: &gromacs::GromacsConfig,
+    k: &K,
     profile: MachineProfile,
-) -> Timed<gromacs::GromacsResult> {
+) -> Timed<K::Out> {
     let w = World::new(ranks, world_cfg(env, profile));
-    let cfg = cfg.clone();
     let t = Instant::now();
-    let out = w
-        .launch(move |p| {
-            let mut f = NativeFace::new(p);
-            gromacs::run(&mut f, &cfg).expect("native gromacs")
-        })
-        .expect("native world");
+    let out = workloads::native(&w, k).expect("native run");
     Timed {
         wall: t.elapsed(),
         result: out.into_iter().next().unwrap(),
@@ -106,86 +114,17 @@ pub fn gromacs_native(
     }
 }
 
-/// Run the MD workload under MANA.
-pub fn gromacs_mana(
+/// Run `k` under MANA (fresh), timed.
+pub fn timed_mana<K: Kernel>(
     env: &EnvConfig,
     ranks: usize,
-    cfg: &gromacs::GromacsConfig,
+    k: &K,
     profile: MachineProfile,
     mana_cfg: ManaConfig,
-) -> (Timed<gromacs::GromacsResult>, mana_core::CoordReport) {
+) -> Timed<K::Out> {
     let rt = runtime(env, ranks, mana_cfg, profile);
-    let cfg = cfg.clone();
     let t = Instant::now();
-    let report = rt
-        .run_fresh(move |m| {
-            let mut f = ManaFace::new(m);
-            gromacs::run(&mut f, &cfg).map_err(|e| e.into_mana())
-        })
-        .expect("mana gromacs");
-    let wall = t.elapsed();
-    let stats = report.world_stats.clone();
-    let coord = clone_coord(&report.coord);
-    let result = report.values().into_iter().next().unwrap();
-    (
-        Timed {
-            wall,
-            result,
-            stats,
-        },
-        coord,
-    )
-}
-
-fn clone_coord(c: &mana_core::CoordReport) -> mana_core::CoordReport {
-    mana_core::CoordReport {
-        rounds: c.rounds.clone(),
-        aborted_rounds: c.aborted_rounds.clone(),
-        skipped_requests: c.skipped_requests,
-        invariant_violations: c.invariant_violations.clone(),
-    }
-}
-
-/// Run the SCF workload natively.
-pub fn vasp_native(
-    env: &EnvConfig,
-    ranks: usize,
-    cfg: &vasp::VaspConfig,
-    profile: MachineProfile,
-) -> Timed<vasp::VaspResult> {
-    let w = World::new(ranks, world_cfg(env, profile));
-    let cfg = cfg.clone();
-    let t = Instant::now();
-    let out = w
-        .launch(move |p| {
-            let mut f = NativeFace::new(p);
-            vasp::run(&mut f, &cfg).expect("native vasp")
-        })
-        .expect("native world");
-    Timed {
-        wall: t.elapsed(),
-        result: out.into_iter().next().unwrap(),
-        stats: w.stats(),
-    }
-}
-
-/// Run the SCF workload under MANA.
-pub fn vasp_mana(
-    env: &EnvConfig,
-    ranks: usize,
-    cfg: &vasp::VaspConfig,
-    profile: MachineProfile,
-    mana_cfg: ManaConfig,
-) -> Timed<vasp::VaspResult> {
-    let rt = runtime(env, ranks, mana_cfg, profile);
-    let cfg = cfg.clone();
-    let t = Instant::now();
-    let report = rt
-        .run_fresh(move |m| {
-            let mut f = ManaFace::new(m);
-            vasp::run(&mut f, &cfg).map_err(|e| e.into_mana())
-        })
-        .expect("mana vasp");
+    let report = workloads::under_mana(&rt, Launch::Fresh, k).expect("mana run");
     let wall = t.elapsed();
     let stats = report.world_stats.clone();
     let result = report.values().into_iter().next().unwrap();

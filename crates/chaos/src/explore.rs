@@ -28,29 +28,28 @@
 //! 3. **Minimization** ([`minimize_choices`]): delta debugging (ddmin)
 //!    over the failing choice vector, followed by prefix truncation, so
 //!    the repro is prefix-minimal: dropping its last choice passes.
-//! 4. **Repro**: every failure prints a one-line
-//!    `CHAOS_SCHEDULE=<hex choices>` command (alongside the existing
-//!    `CHAOS_SEED` hook) that replays the exact interleaving through the
-//!    `explore_suite::schedule_replay` test.
+//! 4. **Repro**: every failure prints the one-line
+//!    `CHAOS_CASE='schedule … choices=<hex>'` command
+//!    ([`crate::Scenario::repro`]) that replays the exact interleaving
+//!    through the `chaos_suite::case_replay` test.
 
-use crate::{case_token_rings, splitmix64, WlValue, Workload};
+use crate::legs::{ensure, flight_dump, leg, run_scenario, Leg, Scratch};
+use crate::{case_token_rings, kernel, parse_drain, splitmix64, Scenario, WlValue, Workload};
 use mana_core::obs;
-use mana_core::{DrainMode, Mana, ManaConfig, ManaRuntime, RunReport};
+use mana_core::DrainMode;
 use mpisim::{
-    CoopCfg, EngineKind, SchedDecision, ScheduleDivergence, SchedulePolicy, ScheduleScript, World,
-    WorldCfg,
+    EngineKind, SchedDecision, ScheduleDivergence, SchedulePolicy, ScheduleScript, World, WorldCfg,
 };
 use std::collections::HashSet;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use workloads::{cg, gromacs, ManaFace, NativeFace};
+use workloads::Launch;
 
 // ---- choice-vector codecs ---------------------------------------------------
 
-/// Encode a choice vector as the `CHAOS_SCHEDULE` hex string: two hex
-/// digits per choice. Ready queues are tiny (≤ world size), so a byte per
+/// Encode a choice vector as the hex string of a spec's `choices=` field
+/// and of a corpus line: two hex digits per choice. Ready queues are tiny (≤ world size), so a byte per
 /// decision is plenty; choices above 255 are a usage error.
 pub fn encode_choices(choices: &[u32]) -> String {
     let mut s = String::with_capacity(choices.len() * 2);
@@ -61,12 +60,12 @@ pub fn encode_choices(choices: &[u32]) -> String {
     s
 }
 
-/// Decode a `CHAOS_SCHEDULE` hex string back into a choice vector.
+/// Decode a hex choice string back into a choice vector.
 pub fn decode_choices(hex: &str) -> Result<Vec<u32>, String> {
     let hex = hex.trim();
     if !hex.len().is_multiple_of(2) {
         return Err(format!(
-            "CHAOS_SCHEDULE must have an even number of hex digits, got {}",
+            "a choice string must have an even number of hex digits, got {}",
             hex.len()
         ));
     }
@@ -79,47 +78,7 @@ pub fn decode_choices(hex: &str) -> Result<Vec<u32>, String> {
         .collect()
 }
 
-/// `CHAOS_SCHEDULE` env var, decoded (the schedule-replay hook).
-pub fn env_schedule() -> Option<Vec<u32>> {
-    let raw = std::env::var("CHAOS_SCHEDULE").ok()?;
-    match decode_choices(&raw) {
-        Ok(v) => Some(v),
-        Err(e) => {
-            eprintln!("mana2: ignoring malformed CHAOS_SCHEDULE: {e}");
-            None
-        }
-    }
-}
-
 // ---- target description -----------------------------------------------------
-
-/// Stable name of a workload for fixtures, env vars, and JSON.
-pub fn workload_name(w: Workload) -> &'static str {
-    match w {
-        Workload::Gromacs => "gromacs",
-        Workload::Cg => "cg",
-    }
-}
-
-/// Parse a workload name (inverse of [`workload_name`]).
-pub fn parse_workload(s: &str) -> Result<Workload, String> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "gromacs" => Ok(Workload::Gromacs),
-        "cg" => Ok(Workload::Cg),
-        other => Err(format!("unknown workload {other:?} (want gromacs|cg)")),
-    }
-}
-
-/// Parse a drain-mode name ([`DrainMode::parse`], with the error line the
-/// CLI, the env hook and the fixture reader all print).
-pub fn parse_drain(s: &str) -> Result<DrainMode, String> {
-    DrainMode::parse(s).ok_or_else(|| {
-        format!(
-            "unknown drain mode {:?} (want alltoall|coordinator|toposort)",
-            s.trim()
-        )
-    })
-}
 
 /// Extra failure oracle run over each completed schedule (after the
 /// built-in transparency/protocol checks pass). Tests inject
@@ -130,49 +89,18 @@ pub type Oracle = Arc<dyn Fn(&ScheduleRun) -> Result<(), String> + Send + Sync>;
 /// checkpoint round (rank 0 requests at a fixed step) with the native
 /// thread-engine reference cached up front.
 pub struct ExploreTarget {
-    /// Seed: both the coop scheduler's `sched_seed` (the seeded completion
-    /// beyond a scripted prefix) and the derivation seed in
-    /// [`ExploreTarget::from_seed`].
-    pub seed: u64,
-    /// World size.
-    pub ranks: usize,
-    /// Coop worker-token count. Exploration wants 1 (fully deterministic
-    /// interleavings); higher counts still replay prefixes best-effort.
-    pub workers: usize,
-    /// Application kernel.
-    pub workload: Workload,
-    /// Drain algorithm under test.
-    pub drain: DrainMode,
+    /// What every schedule of this target runs as (`choices` empty). Its
+    /// seed is both the coop scheduler's `sched_seed` (the seeded
+    /// completion beyond a scripted prefix) and the search's randomness;
+    /// exploration wants `workers` = 1 (fully deterministic
+    /// interleavings), higher counts still replay prefixes best-effort.
+    pub shape: ScheduleFixture,
     expected: Vec<WlValue>,
     oracle: Option<Oracle>,
-    run_counter: AtomicU64,
-}
-
-fn explore_gromacs_cfg(ckpt: bool) -> gromacs::GromacsConfig {
-    gromacs::GromacsConfig {
-        atoms_per_rank: 48,
-        steps: 6,
-        compute_per_step: 0,
-        energy_interval: 2,
-        halo: 8,
-        ckpt_at_step: if ckpt { Some(3) } else { None },
-        ckpt_round: 0,
-    }
-}
-
-fn explore_cg_cfg(ckpt: bool) -> cg::CgConfig {
-    cg::CgConfig {
-        local_n: 24,
-        max_iters: 16,
-        tol: 1e-10,
-        ckpt_at_iter: if ckpt { Some(5) } else { None },
-        ckpt_round: 0,
-    }
 }
 
 impl ExploreTarget {
-    /// Build a target, running the fault-free native reference (thread
-    /// engine, no checkpoint) once to cache the expected results.
+    /// [`ScheduleFixture::target`] of the shape with these fields.
     pub fn new(
         seed: u64,
         ranks: usize,
@@ -180,108 +108,16 @@ impl ExploreTarget {
         workload: Workload,
         drain: DrainMode,
     ) -> Result<ExploreTarget, String> {
-        if !(1..=8).contains(&ranks) {
-            return Err(format!("ranks must be 1..=8, got {ranks}"));
-        }
-        if workers == 0 {
-            return Err("workers must be >= 1".into());
-        }
-        let wc = WorldCfg {
-            watchdog: Some(Duration::from_secs(60)),
-            engine: EngineKind::Thread,
-            ..WorldCfg::default()
-        };
-        let w = World::new(ranks, wc);
-        let expected = match workload {
-            Workload::Gromacs => {
-                let cfg = explore_gromacs_cfg(false);
-                w.launch(move |p| {
-                    let mut f = NativeFace::new(p);
-                    gromacs::run(&mut f, &cfg).map(WlValue::G)
-                })
-            }
-            Workload::Cg => {
-                let cfg = explore_cg_cfg(false);
-                w.launch(move |p| {
-                    let mut f = NativeFace::new(p);
-                    cg::run(&mut f, &cfg).map(WlValue::C)
-                })
-            }
-        }
-        .map_err(|e| format!("native reference: {e}"))?
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| format!("native reference: {e}"))?;
-        Ok(ExploreTarget {
+        let choices = Vec::new();
+        ScheduleFixture {
             seed,
             ranks,
             workers,
             workload,
             drain,
-            expected,
-            oracle: None,
-            run_counter: AtomicU64::new(0),
-        })
-    }
-
-    /// Derive the whole shape from a seed (same splitmix derivation style
-    /// as [`crate::ChaosCase::from_seed`]), at workers=1.
-    pub fn from_seed(seed: u64) -> Result<ExploreTarget, String> {
-        let h = |salt: u64| splitmix64(seed ^ splitmix64(salt));
-        let ranks = 2 + (h(0x5C4E) % 3) as usize;
-        let workload = if h(0x3017) % 2 == 0 {
-            Workload::Gromacs
-        } else {
-            Workload::Cg
-        };
-        let drain = match h(0xD2A1) % 3 {
-            0 => DrainMode::Alltoall,
-            1 => DrainMode::Coordinator,
-            _ => DrainMode::TopoSort,
-        };
-        ExploreTarget::new(seed, ranks, 1, workload, drain)
-    }
-
-    /// Like [`ExploreTarget::from_seed`], but any `CHAOS_EXPLORE_RANKS` /
-    /// `CHAOS_EXPLORE_WORKERS` / `CHAOS_EXPLORE_WORKLOAD` /
-    /// `CHAOS_EXPLORE_DRAIN` env vars override the derived shape — the
-    /// repro line for a non-derived target sets them explicitly.
-    pub fn from_env_or_seed(seed: u64) -> Result<ExploreTarget, String> {
-        let h = |salt: u64| splitmix64(seed ^ splitmix64(salt));
-        let envp = |k: &str| std::env::var(k).ok();
-        let ranks = match envp("CHAOS_EXPLORE_RANKS") {
-            Some(v) => v
-                .trim()
-                .parse::<usize>()
-                .map_err(|e| format!("CHAOS_EXPLORE_RANKS: {e}"))?,
-            None => 2 + (h(0x5C4E) % 3) as usize,
-        };
-        let workers = match envp("CHAOS_EXPLORE_WORKERS") {
-            Some(v) => v
-                .trim()
-                .parse::<usize>()
-                .map_err(|e| format!("CHAOS_EXPLORE_WORKERS: {e}"))?,
-            None => 1,
-        };
-        let workload = match envp("CHAOS_EXPLORE_WORKLOAD") {
-            Some(v) => parse_workload(&v)?,
-            None => {
-                if h(0x3017) % 2 == 0 {
-                    Workload::Gromacs
-                } else {
-                    Workload::Cg
-                }
-            }
-        };
-        let drain = match envp("CHAOS_EXPLORE_DRAIN") {
-            Some(v) => parse_drain(&v)?,
-            None => match h(0xD2A1) % 3 {
-                0 => DrainMode::Alltoall,
-                1 => DrainMode::Coordinator,
-                _ => DrainMode::TopoSort,
-            },
-        };
-        ExploreTarget::new(seed, ranks, workers, workload, drain)
+            choices,
+        }
+        .target()
     }
 
     /// Attach an extra failure oracle (ordering-sensitive assertions).
@@ -290,47 +126,36 @@ impl ExploreTarget {
         self
     }
 
+    /// This target with `choices`, as the fixture (and scenario) that
+    /// replays it.
+    pub fn fixture(&self, choices: &[u32]) -> ScheduleFixture {
+        ScheduleFixture {
+            choices: choices.to_vec(),
+            ..self.shape.clone()
+        }
+    }
+
     /// The one-line command that replays `choices` against this target.
     pub fn repro_command(&self, choices: &[u32]) -> String {
-        format!(
-            "CHAOS_SEED={} CHAOS_EXPLORE_RANKS={} CHAOS_EXPLORE_WORKERS={} \
-             CHAOS_EXPLORE_WORKLOAD={} CHAOS_EXPLORE_DRAIN={} CHAOS_SCHEDULE={} \
-             cargo test -p chaos --test explore_suite schedule_replay -- --nocapture",
-            self.seed,
-            self.ranks,
-            self.workers,
-            workload_name(self.workload),
-            self.drain.name(),
-            encode_choices(choices),
-        )
+        Scenario::Schedule(self.fixture(choices)).repro()
     }
 
-    fn scratch_dir(&self) -> PathBuf {
-        let run = self.run_counter.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!(
-            "mana2_explore_{}_{}_{}",
-            self.seed,
-            std::process::id(),
-            run
-        ))
-    }
-
-    fn launch(&self, rt: &ManaRuntime) -> Result<RunReport<WlValue>, String> {
-        let workload = self.workload;
-        let g = explore_gromacs_cfg(true);
-        let c = explore_cg_cfg(true);
-        rt.run_fresh(move |m: &mut Mana<'_>| -> mana_core::Result<WlValue> {
-            let mut face = ManaFace::new(m);
-            match workload {
-                Workload::Gromacs => gromacs::run(&mut face, &g)
-                    .map(WlValue::G)
-                    .map_err(|e| e.into_mana()),
-                Workload::Cg => cg::run(&mut face, &c)
-                    .map(WlValue::C)
-                    .map_err(|e| e.into_mana()),
-            }
-        })
-        .map_err(|e| e.to_string())
+    /// One resume-mode checkpoint round (rank 0 requests it at a fixed
+    /// step) under `wc`, checkpointing into `dir`.
+    fn launch(
+        &self,
+        wc: WorldCfg,
+        dir: &Path,
+        sink: &Arc<obs::TraceSink>,
+    ) -> Result<Leg<WlValue>, String> {
+        let shape = &self.shape;
+        let at = match shape.workload {
+            Workload::Gromacs => 3,
+            Workload::Cg => 5,
+        };
+        let rt = crate::runtime(shape.ranks, crate::mana_cfg(shape.drain, dir, sink), wc);
+        let md = kernel(shape.workload, true, Some((at, 0)));
+        leg("run", &rt, Launch::Fresh, &md)
     }
 
     /// Execute one schedule: replay `choices` as the decision prefix (the
@@ -339,78 +164,48 @@ impl ExploreTarget {
     /// fingerprint, schedule-invariant equivalence key, and the verdict of
     /// the oracle stack.
     pub fn run_schedule(&self, choices: &[u32]) -> ScheduleRun {
-        let sink = obs::TraceSink::wall(self.ranks, 16 * 1024);
-        self.run_schedule_traced(choices, &sink)
+        let sink = obs::TraceSink::wall(self.shape.ranks, 16 * 1024);
+        let scratch = Scratch::new("schedule", self.shape.seed);
+        self.run_in(&scratch.0, choices, &sink)
     }
 
-    /// [`ExploreTarget::run_schedule`] recording into the caller's sink —
-    /// the flight-recorder dump path for failing schedules.
-    pub fn run_schedule_traced(&self, choices: &[u32], sink: &Arc<obs::TraceSink>) -> ScheduleRun {
+    fn run_in(&self, dir: &Path, choices: &[u32], sink: &Arc<obs::TraceSink>) -> ScheduleRun {
         let script = ScheduleScript::new(choices.to_vec());
-        let wc = WorldCfg {
-            watchdog: Some(Duration::from_secs(60)),
-            engine: EngineKind::Coop(CoopCfg {
-                workers: self.workers,
-                sched_seed: self.seed,
-            }),
-            schedule: SchedulePolicy::Replay(Arc::clone(&script)),
-            ..WorldCfg::default()
-        };
-        let dir = self.scratch_dir();
-        let _ = std::fs::remove_dir_all(&dir);
-        let mcfg = ManaConfig {
-            drain: self.drain,
-            ckpt_dir: dir.clone(),
-            deadlock_timeout: Some(Duration::from_secs(20)),
-            trace: Some(sink.clone()),
-            ..crate::env().mana
-        };
-        let rt = crate::runtime(self.ranks, mcfg, wc);
-        let result = self.launch(&rt);
-        let _ = std::fs::remove_dir_all(&dir);
-        self.judge(choices, result, sink, &script)
+        let wc = world_cfg(
+            self.shape.engine(),
+            SchedulePolicy::Replay(Arc::clone(&script)),
+        );
+        self.judge(choices, self.launch(wc, dir, sink), sink, &script)
     }
 
-    /// Re-run a (failing) schedule with a fresh sink and dump its flight
-    /// recorder — JSONL + Chrome trace under the environment's trace
-    /// directory — returning the JSONL path. Best effort: a failed dump
-    /// must never mask the failure being reported.
-    pub fn dump_schedule_trace(&self, choices: &[u32]) -> Option<std::path::PathBuf> {
-        let sink = obs::TraceSink::wall(self.ranks, 16 * 1024);
-        self.run_schedule_traced(choices, &sink);
-        let engine = EngineKind::Coop(CoopCfg {
-            workers: self.workers,
-            sched_seed: self.seed,
-        });
-        let config = crate::case_record(self.drain, None, Some(engine));
-        let label = obs::unique_label("explore_fail");
-        let dir = crate::env().outputs.trace_dir;
-        obs::flight_record(&sink, &dir, &label, Some(self.seed), &config, None)
-            .ok()
-            .map(|d| d.jsonl)
+    /// Print one search failure to stderr — error, choice vectors, the
+    /// repro line of its shortest known reproduction — and dump that
+    /// schedule's flight recorder for the CI artifact (best effort: a
+    /// failed dump must never mask the failure).
+    pub fn report_failure(&self, f: &ExploreFailure) {
+        eprintln!("FAIL: {}", f.error);
+        eprintln!("  choices: {}", encode_choices(&f.choices));
+        if let Some(m) = &f.minimized {
+            let hex = encode_choices(&m.choices);
+            eprintln!("  minimized ({} tests): {hex}", m.tests);
+        }
+        eprintln!("  repro: {}", self.repro_command(f.repro_choices()));
+        let sink = obs::TraceSink::wall(self.shape.ranks, 16 * 1024);
+        let scratch = Scratch::new("schedule", self.shape.seed);
+        self.run_in(&scratch.0, f.repro_choices(), &sink);
+        let scenario = Scenario::Schedule(self.fixture(f.repro_choices()));
+        if let Some(p) = flight_dump(&scenario, &sink, "fail") {
+            eprintln!("  trace dump: {}", p.display());
+        }
     }
 
     /// The same workload under the kernel-scheduled thread engine — the
     /// cross-engine leg of the fixture-replay equivalence test.
     pub fn run_thread_reference(&self) -> ScheduleRun {
-        let sink = obs::TraceSink::wall(self.ranks, 16 * 1024);
-        let wc = WorldCfg {
-            watchdog: Some(Duration::from_secs(60)),
-            engine: EngineKind::Thread,
-            ..WorldCfg::default()
-        };
-        let dir = self.scratch_dir();
-        let _ = std::fs::remove_dir_all(&dir);
-        let mcfg = ManaConfig {
-            drain: self.drain,
-            ckpt_dir: dir.clone(),
-            deadlock_timeout: Some(Duration::from_secs(20)),
-            trace: Some(sink.clone()),
-            ..crate::env().mana
-        };
-        let rt = crate::runtime(self.ranks, mcfg, wc);
-        let result = self.launch(&rt);
-        let _ = std::fs::remove_dir_all(&dir);
+        let sink = obs::TraceSink::wall(self.shape.ranks, 16 * 1024);
+        let scratch = Scratch::new("schedule", self.shape.seed);
+        let wc = world_cfg(EngineKind::Thread, SchedulePolicy::default());
+        let result = self.launch(wc, &scratch.0, &sink);
         // The thread engine never consults the schedule policy, so judge
         // against an empty script: decision log and divergence stay empty.
         self.judge(&[], result, &sink, &ScheduleScript::new(Vec::new()))
@@ -419,46 +214,28 @@ impl ExploreTarget {
     fn judge(
         &self,
         scripted: &[u32],
-        result: Result<RunReport<WlValue>, String>,
+        result: Result<Leg<WlValue>, String>,
         sink: &Arc<obs::TraceSink>,
         script: &ScheduleScript,
     ) -> ScheduleRun {
-        let mut error = None;
         let mut rounds = 0;
         let mut invariant = Vec::new();
-        match result {
-            Err(e) => error = Some(format!("run: {e}")),
-            Ok(rep) => {
-                rounds = rep.coord.rounds.len();
-                invariant = rep
-                    .rank_stats
-                    .iter()
-                    .map(|s| s.schedule_invariant().to_vec())
-                    .collect();
-                if !rep.all_finished() {
-                    error = Some(format!(
-                        "protocol: not all ranks finished: {:?}",
-                        rep.outcomes
-                    ));
-                } else if rounds != 1 {
-                    error = Some(format!(
-                        "protocol: expected exactly 1 committed checkpoint round, got {rounds}"
-                    ));
-                } else if rep.values() != self.expected {
-                    error = Some("transparency: results diverged from native reference".into());
-                }
-            }
-        }
-        let det_rings = case_token_rings(sink, self.ranks);
-        let fingerprint = hash_rings(&interleaving_rings(sink, self.ranks));
+        let verdict = result.and_then(|run| {
+            rounds = run.report.coord.rounds.len();
+            let stats = run.report.rank_stats.iter();
+            invariant = stats.map(|s| s.schedule_invariant().to_vec()).collect();
+            run.expect_finished()?;
+            ensure!(
+                rounds == 1,
+                "protocol: expected exactly 1 committed checkpoint round, got {rounds}"
+            );
+            run.expect_values(&self.expected)
+        });
+        let error = verdict.err();
+        let det_rings = case_token_rings(sink, self.shape.ranks);
+        let fingerprint = Fnv::of_rings(&interleaving_rings(sink, self.shape.ranks)).finish();
         let equiv_key = {
-            let mut h = Fnv::new();
-            for (actor, ring) in &det_rings {
-                h.write_i64(*actor as i64);
-                for t in ring {
-                    h.write_bytes(t.as_bytes());
-                }
-            }
+            let mut h = Fnv::of_rings(&det_rings);
             for rank in &invariant {
                 for (name, v) in rank {
                     h.write_bytes(name.as_bytes());
@@ -488,6 +265,44 @@ impl ExploreTarget {
         }
         run
     }
+}
+
+/// The explorer's world: a default world (never the environment's — a
+/// schedule is only replayable under the engine it names) with a watchdog.
+fn world_cfg(engine: EngineKind, schedule: SchedulePolicy) -> WorldCfg {
+    WorldCfg {
+        watchdog: Some(Duration::from_secs(60)),
+        engine,
+        schedule,
+        ..WorldCfg::default()
+    }
+}
+
+/// Replay one fixture under the built-in oracle stack (the schedule family
+/// of [`Scenario::check`]): a one-line summary, or the failure report.
+pub fn check_schedule(fixture: &ScheduleFixture) -> Result<String, String> {
+    let sink = obs::TraceSink::wall(fixture.ranks, 16 * 1024);
+    let scenario = Scenario::Schedule(fixture.clone());
+    let run = run_scenario(&scenario, &sink, true, |dir| {
+        let run = fixture.target()?.run_in(dir, &fixture.choices, &sink);
+        match &run.error {
+            Some(e) => Err(e.clone()),
+            None => Ok(run),
+        }
+    });
+    let run = run.map_err(|f| f.to_string())?;
+    let mut summary = format!(
+        "{} decisions, fingerprint {:016x}",
+        run.decisions.len(),
+        run.fingerprint
+    );
+    if let Some(d) = &run.divergence {
+        summary.push_str(&format!(
+            " (replay diverged at decision {}: choice {} vs ready set of {})",
+            d.index, d.choice, d.ready_len
+        ));
+    }
+    Ok(summary)
 }
 
 // ---- one executed schedule --------------------------------------------------
@@ -575,18 +390,7 @@ pub fn interleaving_token(ev: &obs::TraceEvent) -> String {
 
 /// Every actor's full interleaving-token sequence, coordinator first.
 pub fn interleaving_rings(sink: &obs::TraceSink, ranks: usize) -> Vec<(i32, Vec<String>)> {
-    std::iter::once(obs::COORD_ACTOR)
-        .chain(0..ranks as i32)
-        .map(|actor| {
-            (
-                actor,
-                sink.ring_events(actor)
-                    .iter()
-                    .map(interleaving_token)
-                    .collect(),
-            )
-        })
-        .collect()
+    crate::token_rings(sink, ranks, |ev| Some(interleaving_token(ev)))
 }
 
 /// FNV-1a over explicitly-fed bytes: a stable, dependency-free hash for
@@ -597,6 +401,16 @@ struct Fnv(u64);
 impl Fnv {
     fn new() -> Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn of_rings(rings: &[(i32, Vec<String>)]) -> Fnv {
+        let mut h = Fnv::new();
+        for (actor, ring) in rings {
+            h.write_u64(*actor as u64);
+            for t in ring {
+                h.write_bytes(t.as_bytes());
+            }
+        }
+        h
     }
     fn write_bytes(&mut self, b: &[u8]) {
         for &x in b {
@@ -610,23 +424,9 @@ impl Fnv {
     fn write_u64(&mut self, v: u64) {
         self.write_bytes(&v.to_le_bytes());
     }
-    fn write_i64(&mut self, v: i64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
     fn finish(&self) -> u64 {
         self.0
     }
-}
-
-fn hash_rings(rings: &[(i32, Vec<String>)]) -> u64 {
-    let mut h = Fnv::new();
-    for (actor, ring) in rings {
-        h.write_i64(*actor as i64);
-        for t in ring {
-            h.write_bytes(t.as_bytes());
-        }
-    }
-    h.finish()
 }
 
 /// The sterile-context key: a deviation is `(ready set, chosen rank)`;
@@ -818,19 +618,21 @@ pub struct ExploreFailure {
     pub minimized: Option<MinimizedSchedule>,
 }
 
+impl ExploreFailure {
+    /// The shortest choice vector known to reproduce this failure.
+    pub fn repro_choices(&self) -> &[u32] {
+        match &self.minimized {
+            Some(m) => &m.choices,
+            None => &self.choices,
+        }
+    }
+}
+
 /// What a search visited and found.
 #[derive(Debug)]
 pub struct ExploreReport {
-    /// Seed the target and search randomness derive from.
-    pub seed: u64,
-    /// World size.
-    pub ranks: usize,
-    /// Coop worker tokens.
-    pub workers: usize,
-    /// Application kernel.
-    pub workload: Workload,
-    /// Drain mode.
-    pub drain: DrainMode,
+    /// The target's shape (its seed also drove the search's randomness).
+    pub shape: ScheduleFixture,
     /// Schedules executed.
     pub schedules_run: u64,
     /// Distinct interleaving fingerprints visited.
@@ -867,14 +669,15 @@ impl ExploreReport {
 
     /// One-line human summary.
     pub fn summary(&self) -> String {
+        let shape = &self.shape;
         format!(
             "explore seed={} {}x{} {}/{}: {} schedules ({:.1}/s), {} unique interleavings, \
              {} equiv classes, prune ratio {:.2}, {} failure(s)",
-            self.seed,
-            self.ranks,
-            self.workers,
-            workload_name(self.workload),
-            self.drain.name(),
+            shape.seed,
+            shape.ranks,
+            shape.workers,
+            shape.workload,
+            shape.drain.name(),
             self.schedules_run,
             self.schedules_per_sec(),
             self.unique_interleavings,
@@ -885,7 +688,8 @@ impl ExploreReport {
     }
 
     /// The JSON artifact (hand-rolled like every artifact in this repo).
-    pub fn to_json(&self, target: &ExploreTarget) -> String {
+    pub fn to_json(&self) -> String {
+        let shape = &self.shape;
         let mut bugs = String::from("[");
         for (i, f) in self.failures.iter().enumerate() {
             if i > 0 {
@@ -895,11 +699,10 @@ impl ExploreReport {
                 Some(m) => (encode_choices(&m.choices), m.tests),
                 None => (String::new(), 0),
             };
-            let repro_choices = f
-                .minimized
-                .as_ref()
-                .map(|m| m.choices.clone())
-                .unwrap_or_else(|| f.choices.clone());
+            let repro = Scenario::Schedule(ScheduleFixture {
+                choices: f.repro_choices().to_vec(),
+                ..shape.clone()
+            });
             bugs.push_str(&format!(
                 "{{\"error\":\"{}\",\"choices\":\"{}\",\"minimized\":\"{}\",\
                  \"minimize_tests\":{},\"repro\":\"{}\"}}",
@@ -907,7 +710,7 @@ impl ExploreReport {
                 encode_choices(&f.choices),
                 min_hex,
                 min_tests,
-                obs::json::escape(&target.repro_command(&repro_choices)),
+                obs::json::escape(&repro.repro()),
             ));
         }
         bugs.push(']');
@@ -920,11 +723,11 @@ impl ExploreReport {
              \"pruning\": {{\"candidates\": {}, \"pruned_duplicate\": {}, \
              \"pruned_sterile\": {}, \"frontier_dropped\": {}, \"equivalent_runs\": {}, \
              \"ratio\": {:.4}}},\n  \"bugs_found\": {},\n  \"bugs\": {}\n}}\n",
-            self.seed,
-            self.ranks,
-            self.workers,
-            workload_name(self.workload),
-            self.drain.name(),
+            shape.seed,
+            shape.ranks,
+            shape.workers,
+            shape.workload,
+            shape.drain.name(),
             self.elapsed.as_secs_f64(),
             self.schedules_run,
             self.schedules_per_sec(),
@@ -958,7 +761,7 @@ pub const CORPUS_CAP: usize = 64;
 /// frontier prefixes. See the module docs for the pruning rules.
 pub fn explore(target: &ExploreTarget, cfg: &ExploreCfg) -> ExploreReport {
     let start = Instant::now();
-    let mut rng = splitmix64(target.seed ^ 0xE590_12D7_33AA_41C6);
+    let mut rng = splitmix64(target.shape.seed ^ 0xE590_12D7_33AA_41C6);
     let mut frontier: Vec<Vec<u32>> = vec![Vec::new()];
     let mut seen_prefix: HashSet<Vec<u32>> = HashSet::new();
     seen_prefix.insert(Vec::new());
@@ -1058,11 +861,7 @@ pub fn explore(target: &ExploreTarget, cfg: &ExploreCfg) -> ExploreReport {
     }
 
     ExploreReport {
-        seed: target.seed,
-        ranks: target.ranks,
-        workers: target.workers,
-        workload: target.workload,
-        drain: target.drain,
+        shape: target.shape.clone(),
         schedules_run,
         unique_interleavings: seen_fp.len() as u64,
         unique_equiv_classes: seen_equiv.len() as u64,
@@ -1111,7 +910,7 @@ impl ScheduleFixture {
             seed: f[0].parse().map_err(|e| format!("seed: {e}"))?,
             ranks: f[1].parse().map_err(|e| format!("ranks: {e}"))?,
             workers: f[2].parse().map_err(|e| format!("workers: {e}"))?,
-            workload: parse_workload(f[3])?,
+            workload: f[3].parse()?,
             drain: parse_drain(f[4])?,
             choices: decode_choices(f[5])?,
         }))
@@ -1124,21 +923,34 @@ impl ScheduleFixture {
             self.seed,
             self.ranks,
             self.workers,
-            workload_name(self.workload),
+            self.workload,
             self.drain.name(),
             encode_choices(&self.choices)
         )
     }
 
-    /// Build the live target this fixture replays against.
+    /// Build the live target this fixture replays against, running the
+    /// fault-free native reference (thread engine, no checkpoint) once to
+    /// cache the expected results.
     pub fn target(&self) -> Result<ExploreTarget, String> {
-        ExploreTarget::new(
-            self.seed,
-            self.ranks,
-            self.workers,
-            self.workload,
-            self.drain,
-        )
+        if !(1..=8).contains(&self.ranks) {
+            return Err(format!("ranks must be 1..=8, got {}", self.ranks));
+        }
+        if self.workers == 0 {
+            return Err("workers must be >= 1".into());
+        }
+        let wc = world_cfg(EngineKind::Thread, SchedulePolicy::default());
+        let md = kernel(self.workload, true, None);
+        let expected = workloads::native(&World::new(self.ranks, wc), &md)
+            .map_err(|e| format!("native reference: {e}"))?;
+        Ok(ExploreTarget {
+            shape: ScheduleFixture {
+                choices: Vec::new(),
+                ..self.clone()
+            },
+            expected,
+            oracle: None,
+        })
     }
 }
 

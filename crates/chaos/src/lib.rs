@@ -1,41 +1,49 @@
 //! Seeded chaos harness for the MANA-2.0 reproduction.
 //!
-//! One `u64` seed describes a complete failure scenario: a
-//! [`mpisim::FaultPlan`] (message delays, cross-pair reordering, ready
-//! stalls, coordinator latency, and an adversarial checkpoint trigger)
-//! plus the shape of the run it is applied to (world size, workload,
-//! drain mode, exit-and-restart vs resume). The harness runs the workload
-//! natively as a reference, runs it again under MANA with the fault plan
-//! armed, and demands bit-identical results — the transparency oracle
-//! under adversarial scheduling.
+//! A [`Scenario`] describes a complete failure scenario of one of four
+//! families — message faults (a [`mpisim::FaultPlan`]: message delays,
+//! cross-pair reordering, ready stalls, coordinator latency, and an
+//! adversarial checkpoint trigger), storage faults, killed restarts, and
+//! explicit coop schedules ([`explore`]) — plus the shape of the run it is
+//! applied to. Every family runs the kernel natively as a reference through
+//! the shared `workloads` runner, runs it again under MANA with the fault
+//! armed, and states what each leg must have done in the one vocabulary of
+//! [`Leg`]: `expect_finished`, `expect_checkpointed`, `expect_restored`,
+//! `expect_values` — the transparency oracle under adversarial scheduling.
 //!
-//! Every decision inside a plan is a pure function of the seed and the
-//! message/rank identity, so a failing seed is a complete reproducer:
+//! Every decision inside a scenario is a pure function of its one-line
+//! spec, so a failure's report ends in a complete reproducer:
 //!
 //! ```text
-//! CHAOS_SEED=<seed> cargo test -p chaos --test chaos_suite seed_replay -- --nocapture
+//! CHAOS_CASE='<spec>' cargo test -p chaos --test chaos_suite case_replay -- --exact --nocapture
 //! ```
 //!
-//! When a case fails, [`check_case`] shrinks it by disarming one fault
-//! feature at a time and keeping each disarm that still fails, producing
-//! the minimal [`FaultSpec`] that reproduces the failure.
+//! (`CHAOS_SEED=<seed> … seed_replay` derives a whole message-fault case
+//! from a seed instead.) When a message-fault case fails, [`check_case`]
+//! also shrinks it by disarming one fault feature at a time and keeping
+//! each disarm that still fails, producing the minimal [`FaultSpec`] that
+//! reproduces the failure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use mana_core::obs;
-use mana_core::{
-    DrainMode, EnvConfig, Mana, ManaConfig, ManaRuntime, ManaStats, RunReport, RuntimeError,
-};
+use mana_core::{DrainMode, EnvConfig, ManaConfig, ManaRuntime, ManaStats, RuntimeError};
 use mpisim::{
     EngineKind, FaultPlan, FaultSpec, StorageFaultKind, StorageFaultSpec, World, WorldCfg,
 };
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
-use workloads::{cg, gromacs, ManaFace, NativeFace};
+use workloads::{cg, gromacs, under_mana, Kernel, Launch, MpiFace, WlResult};
 
 pub mod explore;
+mod legs;
+mod scenario;
+
+use legs::{ensure, run_scenario};
+pub use legs::{leg, CaseFailure, Leg};
+pub use scenario::{parse_drain, ChaosCase, RestartKillCase, Scenario, StorageCase, Workload};
 
 /// splitmix64 — the same keyed hash the fault plan uses, so case
 /// derivation is deterministic and seed-sensitive.
@@ -44,65 +52,6 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Which application kernel a chaos case drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Workload {
-    /// Halo exchange + periodic energy allreduce (p2p-heavy).
-    Gromacs,
-    /// Conjugate gradient (halo exchange + dot-product allreduces; the
-    /// residual is a strong end-to-end corruption detector).
-    Cg,
-}
-
-/// One fully-described chaos scenario.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChaosCase {
-    /// The seed — drives the fault plan and the derived shape fields.
-    pub seed: u64,
-    /// World size (derived: 2–4 ranks).
-    pub ranks: usize,
-    /// Application kernel.
-    pub workload: Workload,
-    /// Drain algorithm under test.
-    pub drain: DrainMode,
-    /// `true`: checkpoint-and-exit, then restart from the image and run to
-    /// completion. `false`: checkpoint while running (resume mode).
-    pub restart: bool,
-}
-
-impl ChaosCase {
-    /// Derive the seed-dependent shape (ranks, restart-vs-resume) for an
-    /// explicitly chosen workload and drain mode. This is what the sweep
-    /// matrix uses so every (workload, drain) cell is exercised.
-    pub fn derive(seed: u64, workload: Workload, drain: DrainMode) -> Self {
-        let h = |salt: u64| splitmix64(seed ^ splitmix64(salt));
-        ChaosCase {
-            seed,
-            ranks: 2 + (h(0xA11C) % 3) as usize,
-            workload,
-            drain,
-            restart: h(0xE517) % 2 == 0,
-        }
-    }
-
-    /// Derive *everything* from the seed, workload and drain included.
-    /// Used by `CHAOS_SEED` replay and the CI fresh sweep.
-    pub fn from_seed(seed: u64) -> Self {
-        let h = |salt: u64| splitmix64(seed ^ splitmix64(salt));
-        let workload = if h(0x3017) % 2 == 0 {
-            Workload::Gromacs
-        } else {
-            Workload::Cg
-        };
-        let drain = match h(0xD2A1) % 3 {
-            0 => DrainMode::Alltoall,
-            1 => DrainMode::Coordinator,
-            _ => DrainMode::TopoSort,
-        };
-        ChaosCase::derive(seed, workload, drain)
-    }
 }
 
 /// Per-rank workload result, unified across kernels so reference and
@@ -115,6 +64,48 @@ pub enum WlValue {
     C(cg::CgResult),
 }
 
+/// The kernel of a scenario: either workload, one result type.
+pub(crate) enum AnyKernel {
+    G(gromacs::GromacsConfig),
+    C(cg::CgConfig),
+}
+
+impl Kernel for AnyKernel {
+    type Out = WlValue;
+    fn run<F: MpiFace>(&self, f: &mut F) -> WlResult<WlValue> {
+        match self {
+            AnyKernel::G(cfg) => gromacs::run(f, cfg).map(WlValue::G),
+            AnyKernel::C(cfg) => cg::run(f, cfg).map(WlValue::C),
+        }
+    }
+}
+
+/// The kernel a scenario drives: `workload`, at the fault families' size
+/// or the schedule explorer's `small` one (its checkpoint window must
+/// close within a few dozen scheduling decisions), with rank 0 requesting
+/// checkpoint round `ckpt.1` at step `ckpt.0`.
+pub(crate) fn kernel(workload: Workload, small: bool, ckpt: Option<(u64, u64)>) -> AnyKernel {
+    let (at, ckpt_round) = ckpt.map_or((None, 0), |(step, round)| (Some(step), round));
+    match workload {
+        Workload::Gromacs => AnyKernel::G(gromacs::GromacsConfig {
+            atoms_per_rank: if small { 48 } else { 96 },
+            steps: if small { 6 } else { 8 },
+            compute_per_step: 0,
+            energy_interval: 2,
+            halo: 8,
+            ckpt_at_step: at,
+            ckpt_round,
+        }),
+        Workload::Cg => AnyKernel::C(cg::CgConfig {
+            local_n: if small { 24 } else { 32 },
+            max_iters: if small { 16 } else { 40 },
+            tol: 1e-10,
+            ckpt_at_iter: at,
+            ckpt_round,
+        }),
+    }
+}
+
 /// What a passing case looked like.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CaseReport {
@@ -122,40 +113,6 @@ pub struct CaseReport {
     pub rounds: usize,
     /// Did the case go through a full exit-and-restart cycle?
     pub restarted: bool,
-}
-
-/// A failing case: everything needed to reproduce it.
-#[derive(Debug, Clone)]
-pub struct CaseFailure {
-    /// The scenario that failed.
-    pub case: ChaosCase,
-    /// What went wrong (stage-prefixed).
-    pub error: String,
-    /// Flight-recorder dump (JSONL) written when the case failed, if the
-    /// dump itself succeeded. Feed it to `mana2-trace` to see the
-    /// checkpoint window's phase timeline.
-    pub trace_dump: Option<PathBuf>,
-}
-
-impl CaseFailure {
-    /// The one-line command that replays exactly this scenario.
-    pub fn repro(&self) -> String {
-        repro_command(self.case.seed)
-    }
-
-    /// The trace-dump line for failure reports ("none" when the dump
-    /// could not be written).
-    pub fn trace_dump_line(&self) -> String {
-        match &self.trace_dump {
-            Some(p) => p.display().to_string(),
-            None => "none".into(),
-        }
-    }
-}
-
-/// The command line that replays a seed through the `seed_replay` test.
-pub fn repro_command(seed: u64) -> String {
-    format!("CHAOS_SEED={seed} cargo test -p chaos --test chaos_suite seed_replay -- --nocapture")
 }
 
 /// The `MANA2_*` environment, read where the harness meets it: engine,
@@ -166,10 +123,13 @@ pub(crate) fn env() -> EnvConfig {
     mana_core::from_env().unwrap_or_else(|e| panic!("chaos: {e}"))
 }
 
-fn wcfg() -> WorldCfg {
+/// The environment's world under a watchdog, with `engine` pinned if given.
+fn wcfg(engine: Option<EngineKind>) -> WorldCfg {
+    let world = env().world;
     WorldCfg {
         watchdog: Some(Duration::from_secs(90)),
-        ..env().world
+        engine: engine.unwrap_or(world.engine),
+        ..world
     }
 }
 
@@ -181,148 +141,24 @@ pub(crate) fn runtime(ranks: usize, mcfg: ManaConfig, wc: WorldCfg) -> ManaRunti
         .with_outputs(env().outputs)
 }
 
-/// What a case ran under, for its flight dump's header: the environment's
-/// configuration with what the case pins.
-pub(crate) fn case_record(
-    drain: DrainMode,
-    store: Option<splitproc::StoreMode>,
-    engine: Option<EngineKind>,
-) -> obs::ConfigRecord {
-    let env = env();
-    let mut mcfg = env.mana;
-    mcfg.drain = drain;
-    if let Some(mode) = store {
-        mcfg.store.mode = mode;
-    }
-    mcfg.record(&engine.unwrap_or(env.world.engine))
-}
-
-fn gromacs_cfg() -> gromacs::GromacsConfig {
-    gromacs::GromacsConfig {
-        atoms_per_rank: 96,
-        steps: 8,
-        compute_per_step: 0,
-        energy_interval: 2,
-        halo: 8,
-        ckpt_at_step: None,
-        ckpt_round: 0,
+/// The environment's MANA configuration, checkpointing into `dir` under
+/// `drain` and recording into `sink`, with the deadlock detector armed.
+pub(crate) fn mana_cfg(drain: DrainMode, dir: &Path, sink: &Arc<obs::TraceSink>) -> ManaConfig {
+    ManaConfig {
+        drain,
+        ckpt_dir: dir.to_path_buf(),
+        deadlock_timeout: Some(Duration::from_secs(30)),
+        trace: Some(sink.clone()),
+        ..env().mana
     }
 }
 
-fn cg_cfg() -> cg::CgConfig {
-    cg::CgConfig {
-        local_n: 32,
-        max_iters: 40,
-        tol: 1e-10,
-        ckpt_at_iter: None,
-        ckpt_round: 0,
-    }
-}
-
-fn ckpt_dir(seed: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("mana2_chaos_{}_{}", seed, std::process::id()))
-}
-
-/// The fault-free native reference: the answer MANA must reproduce.
-/// Runs under the caller's world config so an engine-pinned case checks
-/// the reference under the same engine.
-fn native_reference(case: &ChaosCase, wc: WorldCfg) -> Result<Vec<WlValue>, String> {
-    let w = World::new(case.ranks, wc);
-    match case.workload {
-        Workload::Gromacs => {
-            let cfg = gromacs_cfg();
-            w.launch(move |p| {
-                let mut f = NativeFace::new(p);
-                gromacs::run(&mut f, &cfg).map(WlValue::G)
-            })
-        }
-        Workload::Cg => {
-            let cfg = cg_cfg();
-            w.launch(move |p| {
-                let mut f = NativeFace::new(p);
-                cg::run(&mut f, &cfg).map(WlValue::C)
-            })
-        }
-    }
-    .map_err(|e| e.to_string())?
-    .into_iter()
-    .collect::<Result<Vec<_>, _>>()
-    .map_err(|e| e.to_string())
-}
-
-fn run_workload(
-    rt: &ManaRuntime,
-    restart: bool,
-    case: &ChaosCase,
-) -> Result<RunReport<WlValue>, String> {
-    let workload = case.workload;
-    let g = gromacs_cfg();
-    let c = cg_cfg();
-    let f = move |m: &mut Mana<'_>| -> mana_core::Result<WlValue> {
-        let mut face = ManaFace::new(m);
-        match workload {
-            Workload::Gromacs => gromacs::run(&mut face, &g)
-                .map(WlValue::G)
-                .map_err(|e| e.into_mana()),
-            Workload::Cg => cg::run(&mut face, &c)
-                .map(WlValue::C)
-                .map_err(|e| e.into_mana()),
-        }
-    };
-    if restart {
-        rt.run_restart(f)
-    } else {
-        rt.run_fresh(f)
-    }
-    .map_err(|e| e.to_string())
-}
-
-/// Run one case under the plan derived from its seed.
-pub fn run_case(case: &ChaosCase) -> Result<CaseReport, CaseFailure> {
-    run_case_with_plan(case, FaultPlan::from_seed(case.seed, case.ranks))
-}
-
-/// Run one case under an explicit plan (the shrinker substitutes reduced
-/// specs here). Tracing is always armed — one sink shared across the
-/// faulted and restart legs so a single dump shows the whole story. On
-/// failure the flight recorder is dumped and the JSONL path attached to
-/// the [`CaseFailure`]; on success a dump is written only when
-/// `MANA2_TRACE=1` (CI's artifact hook).
-pub fn run_case_with_plan(
-    case: &ChaosCase,
-    plan: Arc<FaultPlan>,
-) -> Result<CaseReport, CaseFailure> {
-    let sink = obs::TraceSink::wall(case.ranks, 4096);
-    let config = case_record(case.drain, None, None);
-    match run_case_traced(case, plan, &sink) {
-        Ok(rep) => {
-            if std::env::var("MANA2_TRACE").is_ok() {
-                if let Some(p) = dump_case_trace(&sink, case.seed, "chaos_pass", &config) {
-                    eprintln!("mana2: chaos trace dump: {}", p.display());
-                }
-            }
-            Ok(rep)
-        }
-        Err(mut f) => {
-            f.trace_dump = dump_case_trace(&sink, case.seed, "chaos_fail", &config);
-            Err(f)
-        }
-    }
-}
-
-/// Dump the case's flight recorder, returning the JSONL path (best
-/// effort — a failed dump must never mask the case result).
-fn dump_case_trace(
-    sink: &obs::TraceSink,
-    seed: u64,
-    label: &str,
-    config: &obs::ConfigRecord,
-) -> Option<PathBuf> {
-    let dir = env().outputs.trace_dir;
-    let lbl = obs::unique_label(label);
-    obs::flight_record(sink, &dir, &lbl, Some(seed), config, None)
-        .ok()
-        .map(|d| d.jsonl)
+/// The fault-free native reference: the answer MANA must reproduce. Runs
+/// under the case's world config, so an engine-pinned case checks the
+/// reference under the same engine.
+fn native_reference<K: Kernel>(ranks: usize, wc: &WorldCfg, k: &K) -> Result<Vec<K::Out>, String> {
+    workloads::native(&World::new(ranks, wc.clone()), k)
+        .map_err(|e| format!("native reference: {e}"))
 }
 
 /// Project one trace event to its determinism token; `None` drops it
@@ -370,31 +206,28 @@ pub fn determinism_token(ev: &obs::TraceEvent) -> Option<String> {
     }
 }
 
-/// One ring's events → its determinism-token sequence.
-pub fn ring_tokens(events: &[obs::TraceEvent]) -> Vec<String> {
-    events.iter().filter_map(determinism_token).collect()
-}
-
-/// Every actor's token sequence — coordinator first, then ranks in order
-/// — so two runs of the same seed diff with one `==`.
-pub fn case_token_rings(sink: &obs::TraceSink, ranks: usize) -> Vec<(i32, Vec<String>)> {
+/// Every actor's sequence of `token`s — coordinator first, then ranks in
+/// order — so two runs diff with one `==`.
+pub(crate) fn token_rings(
+    sink: &obs::TraceSink,
+    ranks: usize,
+    token: impl Fn(&obs::TraceEvent) -> Option<String>,
+) -> Vec<(i32, Vec<String>)> {
     std::iter::once(obs::COORD_ACTOR)
         .chain(0..ranks as i32)
-        .map(|actor| (actor, ring_tokens(&sink.ring_events(actor))))
+        .map(|actor| {
+            let events = sink.ring_events(actor);
+            (actor, events.iter().filter_map(&token).collect())
+        })
         .collect()
 }
 
-/// Run one case with the caller's own trace sink instead of the
-/// auto-dumping one [`run_case_with_plan`] creates. The determinism suite
-/// uses this to run the same seed twice and diff the recorded event
-/// sequences.
-pub fn run_case_traced(
-    case: &ChaosCase,
-    plan: Arc<FaultPlan>,
-    sink: &Arc<obs::TraceSink>,
-) -> Result<CaseReport, CaseFailure> {
-    run_case_engine(case, plan, sink, None).map(|o| o.report)
+/// Every actor's [`determinism_token`] sequence.
+pub fn case_token_rings(sink: &obs::TraceSink, ranks: usize) -> Vec<(i32, Vec<String>)> {
+    token_rings(sink, ranks, determinism_token)
 }
+
+// ---- message-fault chaos ---------------------------------------------------
 
 /// What an engine-pinned case run produced beyond the pass/fail summary:
 /// the per-rank [`ManaStats`] of each MANA leg, so the dual-engine
@@ -431,91 +264,114 @@ impl EngineCaseOutcome {
     }
 }
 
-/// [`run_case_traced`] with the execution engine pinned explicitly
-/// (`None` keeps the environment's, `MANA2_ENGINE` or thread). The native
-/// reference, the faulted leg, and the restart leg all run under the
-/// pinned engine, and each MANA leg's per-rank stats come back for
-/// cross-engine comparison.
-pub fn run_case_engine(
+/// One run as the determinism and equivalence suites compare it: its
+/// outcome and every actor's determinism-token ring.
+pub type Compared = (EngineCaseOutcome, Vec<(i32, Vec<String>)>);
+
+/// Run one case with the execution engine pinned explicitly (`None` keeps
+/// the environment's, `MANA2_ENGINE` or thread) — native reference,
+/// faulted leg and restart leg alike — and no automatic dump, into a sink
+/// generous enough never to wrap (an overwrite boundary would itself be
+/// timing-dependent and invalidate any comparison). Panics with the
+/// failure report if the case fails.
+pub fn run_compared(
+    case: &ChaosCase,
+    plan: &Arc<FaultPlan>,
+    engine: Option<EngineKind>,
+) -> Compared {
+    let sink = obs::TraceSink::wall(case.ranks, 16384);
+    let out =
+        run_faults(case, plan.clone(), &sink, engine, false).unwrap_or_else(|f| panic!("{f}"));
+    assert_eq!(sink.dropped(), 0, "ring overwrote events; raise capacity");
+    (out, case_token_rings(&sink, case.ranks))
+}
+
+/// Demand that two runs agree on everything the engine and the drain
+/// protocol must not change: the case report, the per-rank
+/// schedule-invariant `ManaStats` totals, and every actor's token ring.
+pub fn assert_equivalent(what: &str, a: &Compared, b: &Compared) {
+    assert_eq!(a.0.report, b.0.report, "{what} disagree on rounds/restart");
+    assert_eq!(
+        a.0.invariant_totals(),
+        b.0.invariant_totals(),
+        "{what}: schedule-invariant ManaStats diverged"
+    );
+    for ((actor_a, toks_a), (actor_b, toks_b)) in a.1.iter().zip(&b.1) {
+        assert_eq!(actor_a, actor_b);
+        assert_eq!(
+            toks_a, toks_b,
+            "{what}, actor {actor_a}: checkpoint-window sequence diverged"
+        );
+    }
+}
+
+/// A quiet plan with only the adversarial checkpoint trigger armed at
+/// `rank`'s `call`-th wrapper call: injected delays would only shift
+/// timing, but the trigger is what opens the checkpoint window the
+/// compared runs must agree inside.
+pub fn trigger_plan(seed: u64, rank: usize, call: u64) -> Arc<FaultPlan> {
+    let mut spec = FaultSpec::quiet();
+    spec.trigger_at_call = Some((rank, call));
+    Arc::new(FaultPlan::new(seed, spec))
+}
+
+/// Run one case under an explicit plan (the shrinker substitutes reduced
+/// specs here) with a sink of its own: dumped on failure, and on success
+/// when `MANA2_TRACE=1`.
+pub fn run_case_with_plan(
+    case: &ChaosCase,
+    plan: Arc<FaultPlan>,
+    engine: Option<EngineKind>,
+) -> Result<CaseReport, CaseFailure> {
+    let sink = obs::TraceSink::wall(case.ranks, 4096);
+    run_faults(case, plan, &sink, engine, true).map(|o| o.report)
+}
+
+fn run_faults(
     case: &ChaosCase,
     plan: Arc<FaultPlan>,
     sink: &Arc<obs::TraceSink>,
     engine: Option<EngineKind>,
+    dump: bool,
 ) -> Result<EngineCaseOutcome, CaseFailure> {
-    let fail = |stage: &str, e: String| CaseFailure {
+    let scenario = Scenario::Faults {
         case: case.clone(),
-        error: format!("{stage}: {e}"),
-        trace_dump: None,
+        engine,
     };
-    let wc = match engine {
-        Some(e) => WorldCfg {
-            engine: e,
-            ..wcfg()
-        },
-        None => wcfg(),
-    };
-    let expected = native_reference(case, wc.clone()).map_err(|e| fail("native reference", e))?;
-    let dir = ckpt_dir(case.seed);
-    let _ = std::fs::remove_dir_all(&dir);
-    let mcfg = ManaConfig {
-        drain: case.drain,
-        exit_after_ckpt: case.restart,
-        ckpt_dir: dir.clone(),
-        fault: Some(plan),
-        deadlock_timeout: Some(Duration::from_secs(30)),
-        trace: Some(sink.clone()),
-        ..env().mana
-    };
-    let rt = runtime(case.ranks, mcfg.clone(), wc.clone());
-    let pass1 = run_workload(&rt, false, case).map_err(|e| fail("faulted run", e))?;
-    let rounds = pass1.coord.rounds.len();
-    let ckpt_stats = pass1.rank_stats.clone();
-    let mut restart_stats = None;
-    let (values, restarted) = if pass1.all_checkpointed() {
+    run_scenario(&scenario, sink, dump, |dir| {
+        let wc = wcfg(engine);
+        let k = kernel(case.workload, false, None);
+        let native = native_reference(case.ranks, &wc, &k)?;
+        let mcfg = ManaConfig {
+            exit_after_ckpt: case.restart,
+            fault: Some(plan),
+            ..mana_cfg(case.drain, dir, sink)
+        };
+        let rt = runtime(case.ranks, mcfg, wc);
+        let faulted = leg("faulted run", &rt, Launch::Fresh, &k)?;
+        let rounds = faulted.report.coord.rounds.len();
         // Exit-after-checkpoint: rebuild every rank from its image and run
         // to completion — still under the same fault plan (the trigger
-        // will not re-fire; delays and stalls stay armed).
-        let rt2 = runtime(case.ranks, mcfg, wc);
-        let pass2 = run_workload(&rt2, true, case).map_err(|e| fail("restart run", e))?;
-        if !pass2.all_finished() {
-            let _ = std::fs::remove_dir_all(&dir);
-            return Err(fail(
-                "restart run",
-                "checkpointed again instead of finishing".into(),
-            ));
-        }
-        restart_stats = Some(pass2.rank_stats.clone());
-        (pass2.values(), true)
-    } else if pass1.all_finished() {
-        (pass1.values(), false)
-    } else {
-        let _ = std::fs::remove_dir_all(&dir);
-        return Err(fail(
-            "faulted run",
-            "mixed outcomes: some ranks finished, some checkpointed".into(),
-        ));
-    };
-    let _ = std::fs::remove_dir_all(&dir);
-    if values != expected {
-        return Err(fail(
-            "comparison",
-            format!("results diverged from native reference\n  native: {expected:?}\n  mana:   {values:?}"),
-        ));
-    }
-    let report = if case.restart && rounds == 0 {
-        // The trigger never fired, so the restart leg was never exercised.
-        // Not a correctness failure, but worth distinguishing in reports.
-        CaseReport {
-            rounds,
-            restarted: false,
-        }
-    } else {
-        CaseReport { rounds, restarted }
-    };
-    Ok(EngineCaseOutcome {
-        report,
-        ckpt_stats,
-        restart_stats,
+        // will not re-fire; delays and stalls stay armed). With no round
+        // committed the trigger never fired, nothing exits, and the
+        // restart leg is not exercised: not a correctness failure, but
+        // `restarted` tells the two apart in reports.
+        let restart = if faulted.report.all_checkpointed() {
+            Some(leg("restart run", &rt, Launch::Restart, &k)?)
+        } else {
+            None
+        };
+        let last = restart.as_ref().unwrap_or(&faulted);
+        last.expect_finished()?;
+        last.expect_values(&native)?;
+        Ok(EngineCaseOutcome {
+            report: CaseReport {
+                rounds,
+                restarted: restart.is_some(),
+            },
+            ckpt_stats: faulted.report.rank_stats,
+            restart_stats: restart.map(|l| l.report.rank_stats),
+        })
     })
 }
 
@@ -536,7 +392,7 @@ type Disarm = (&'static str, fn(&mut FaultSpec));
 /// Shrink a failing case: try disarming each fault feature in turn, keep
 /// every disarm under which the case still fails. `original_error` seeds
 /// the report in case no disarm succeeds.
-pub fn shrink(case: &ChaosCase, original_error: String) -> Shrunk {
+pub fn shrink(case: &ChaosCase, engine: Option<EngineKind>, original_error: String) -> Shrunk {
     let full = FaultPlan::from_seed(case.seed, case.ranks);
     let mut spec = full.spec().clone();
     let mut disabled = Vec::new();
@@ -563,7 +419,7 @@ pub fn shrink(case: &ChaosCase, original_error: String) -> Shrunk {
             continue;
         }
         let plan = Arc::new(FaultPlan::new(case.seed, candidate.clone()));
-        if let Err(f) = run_case_with_plan(case, plan) {
+        if let Err(f) = run_case_with_plan(case, plan, engine) {
             spec = candidate;
             disabled.push(name);
             error = f.error;
@@ -576,142 +432,78 @@ pub fn shrink(case: &ChaosCase, original_error: String) -> Shrunk {
     }
 }
 
-/// Run a case; on failure, shrink it and return a ready-to-panic report
-/// ending in the single-seed repro command.
-pub fn check_case(case: &ChaosCase) -> Result<CaseReport, String> {
-    run_case(case).map_err(|f| {
-        let shrunk = shrink(&f.case, f.error.clone());
+/// Run a case under the plan derived from its seed; on failure, shrink it
+/// and return a ready-to-panic report ending in the repro command.
+pub fn check_case(case: &ChaosCase, engine: Option<EngineKind>) -> Result<CaseReport, String> {
+    let plan = FaultPlan::from_seed(case.seed, case.ranks);
+    run_case_with_plan(case, plan, engine).map_err(|f| {
+        let shrunk = shrink(case, engine, f.error.clone());
         format!(
-            "chaos case failed\n  seed: {}\n  case: {:?}\n  error: {}\n  \
-             minimal failing spec (disarmed: {:?}): {:?}\n  shrunk error: {}\n  \
-             trace dump: {}\n  repro: {}",
-            f.case.seed,
-            f.case,
-            f.error,
-            shrunk.disabled,
-            shrunk.minimal,
-            shrunk.error,
-            f.trace_dump_line(),
-            f.repro()
+            "{f}\n  minimal failing spec (disarmed: {:?}): {:?}\n  shrunk error: {}",
+            shrunk.disabled, shrunk.minimal, shrunk.error
         )
     })
 }
 
 // ---- storage-fault chaos ---------------------------------------------------
 
-/// One storage-fault chaos scenario: a seeded checkpoint-write fault lands
-/// in the checkpoint window and the generational store protocol must never
-/// lose a previously committed generation or silently restore a damaged
-/// one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StorageCase {
-    /// The seed — drives the derived shape and the fault's byte offset.
-    pub seed: u64,
-    /// World size (derived: 2–4 ranks).
-    pub ranks: usize,
-    /// What happens to the victim's image write.
-    pub kind: StorageFaultKind,
-    /// `true`: exercise exit-and-restart around the fault. `false`: the
-    /// fault lands during a resume-mode checkpoint.
-    pub restart: bool,
-    /// Rank whose image write is damaged (derived).
-    pub victim: usize,
-    /// Quiesce protocol the checkpoint windows run under (derived), so
-    /// the storage matrix crosses every strategy with every fault kind.
-    pub drain: DrainMode,
-    /// On-disk layout the checkpoint store writes (derived; pinnable via
-    /// `CHAOS_STORE=flat|chunked`). In chunked mode the same fault kinds
-    /// land on individual chunk files (or the recipe when every chunk
-    /// deduped), so the durability contract is exercised at chunk
-    /// granularity: a wrong-hash chunk must never be restored, and shared
-    /// chunks of older generations must survive the damage.
-    pub store: splitproc::StoreMode,
+/// Torn writes and bit flips go unnoticed at commit time.
+fn is_silent(kind: StorageFaultKind) -> bool {
+    kind != StorageFaultKind::WriteError
 }
 
-impl StorageCase {
-    /// Derive the seed-dependent shape for an explicitly chosen fault kind
-    /// and mode — the sweep matrix exercises every (kind, mode) cell.
-    pub fn derive(seed: u64, kind: StorageFaultKind, restart: bool) -> Self {
-        let h = |salt: u64| splitmix64(seed ^ splitmix64(salt));
-        let ranks = 2 + (h(0x57A6) % 3) as usize;
-        // CHAOS_STORE pins the layout for a whole sweep (the nightly runs
-        // a dedicated chunked leg); otherwise the seed picks it, so the
-        // default matrix interleaves both layouts.
-        let store = std::env::var("CHAOS_STORE")
-            .ok()
-            .and_then(|v| splitproc::StoreMode::parse(&v))
-            .unwrap_or(if h(0xC4B2) % 2 == 0 {
-                splitproc::StoreMode::Flat
-            } else {
-                splitproc::StoreMode::Chunked
-            });
-        StorageCase {
-            seed,
-            ranks,
-            kind,
-            restart,
-            victim: (h(0x71C7) % ranks as u64) as usize,
-            drain: match h(0xD2A1) % 3 {
-                0 => DrainMode::Alltoall,
-                1 => DrainMode::Coordinator,
-                _ => DrainMode::TopoSort,
-            },
-            store,
-        }
-    }
-}
-
-/// What a passing storage case demonstrated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StorageReport {
-    /// Rounds committed across all legs.
-    pub committed: usize,
-    /// Rounds aborted across all legs.
-    pub aborted: usize,
-    /// Did a restart reject a damaged generation and fall back to an
-    /// older committed one?
-    pub fell_back: bool,
-}
-
-fn storage_gromacs_cfg(ckpt_at_step: Option<u64>, ckpt_round: u64) -> gromacs::GromacsConfig {
-    gromacs::GromacsConfig {
-        atoms_per_rank: 96,
-        steps: 8,
-        compute_per_step: 0,
-        energy_interval: 2,
-        halo: 8,
-        ckpt_at_step,
-        ckpt_round,
-    }
-}
-
-fn storage_run(
-    ranks: usize,
-    mcfg: &ManaConfig,
-    gcfg: gromacs::GromacsConfig,
-    restart: bool,
-) -> Result<RunReport<gromacs::GromacsResult>, String> {
-    let rt = runtime(ranks, mcfg.clone(), wcfg());
-    let f = move |m: &mut Mana<'_>| -> mana_core::Result<gromacs::GromacsResult> {
-        let mut face = ManaFace::new(m);
-        gromacs::run(&mut face, &gcfg).map_err(|e| e.into_mana())
-    };
-    if restart {
-        rt.run_restart(f)
-    } else {
-        rt.run_fresh(f)
-    }
-    .map_err(|e| e.to_string())
-}
-
-fn storage_plan(case: &StorageCase, round: u64) -> Arc<FaultPlan> {
+/// A quiet plan whose one fault damages `rank`'s image write of `round`.
+fn storage_plan(seed: u64, rank: usize, round: u64, kind: StorageFaultKind) -> Arc<FaultPlan> {
     let mut spec = FaultSpec::quiet();
-    spec.storage = Some(StorageFaultSpec {
-        rank: case.victim,
-        round,
-        kind: case.kind,
-    });
-    Arc::new(FaultPlan::new(case.seed, spec))
+    spec.storage = Some(StorageFaultSpec { rank, round, kind });
+    Arc::new(FaultPlan::new(seed, spec))
+}
+
+/// Generation 0 of a restart-mode store: the gromacs kernel checkpoints at
+/// step 2, commits cleanly, and every rank exits.
+fn clean_generation(
+    stage: &str,
+    ranks: usize,
+    base: &ManaConfig,
+    wc: &WorldCfg,
+) -> Result<(), String> {
+    let exit_cfg = ManaConfig {
+        exit_after_ckpt: true,
+        ..base.clone()
+    };
+    let rt = runtime(ranks, exit_cfg, wc.clone());
+    let md = kernel(Workload::Gromacs, false, Some((2, 0)));
+    leg(format!("{stage}leg 1"), &rt, Launch::Fresh, &md)?.expect_checkpointed()
+}
+
+/// Round 1 on top of [`clean_generation`]: a full restart from generation
+/// 0 whose round-1 checkpoint (requested at step 5) is damaged by `plan`.
+/// A write error aborts the round, so the job runs on to completion and
+/// generation 0 stays the only one; silent damage commits and the job
+/// exits again, leaving a generation that must never be restored.
+fn damaged_generation(
+    stage: &str,
+    ranks: usize,
+    base: &ManaConfig,
+    wc: &WorldCfg,
+    kind: StorageFaultKind,
+    plan: Arc<FaultPlan>,
+) -> Result<Leg<WlValue>, String> {
+    let mcfg = ManaConfig {
+        fault: Some(plan),
+        exit_after_ckpt: true,
+        ..base.clone()
+    };
+    let rt = runtime(ranks, mcfg, wc.clone());
+    let md = kernel(Workload::Gromacs, false, Some((5, 1)));
+    let leg2 = leg(format!("{stage}leg 2"), &rt, Launch::Restart, &md)?;
+    leg2.expect_restored(0)?;
+    if is_silent(kind) {
+        leg2.expect_checkpointed()?;
+    } else {
+        leg2.expect_finished()?;
+    }
+    Ok(leg2)
 }
 
 /// Run one storage-fault scenario end to end and check the durability
@@ -724,49 +516,28 @@ fn storage_plan(case: &StorageCase, round: u64) -> Arc<FaultPlan> {
 ///   round commits; restart-time validation must reject the damaged
 ///   generation, falling back to the older committed one when there is
 ///   one.
-pub fn run_storage_case(case: &StorageCase) -> Result<StorageReport, CaseFailure> {
+///
+/// `Ok` says what the passing cell demonstrated.
+pub fn run_storage_case(case: &StorageCase) -> Result<&'static str, CaseFailure> {
     let sink = obs::TraceSink::wall(case.ranks, 4096);
-    let fail = |stage: &str, e: String| CaseFailure {
-        case: ChaosCase {
-            seed: case.seed,
-            ranks: case.ranks,
-            workload: Workload::Gromacs,
-            drain: case.drain,
-            restart: case.restart,
-        },
-        error: format!("storage[{:?}] {stage}: {e}", case.kind),
-        trace_dump: None,
-    };
-    // Native reference: same kernel, no checkpoints.
-    let expected = {
-        let cfg = storage_gromacs_cfg(None, 0);
-        let w = World::new(case.ranks, wcfg());
-        w.launch(move |p| {
-            let mut f = NativeFace::new(p);
-            gromacs::run(&mut f, &cfg)
-        })
-        .map_err(|e| e.to_string())
-        .and_then(|outs| {
-            outs.into_iter()
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| e.to_string())
-        })
-        .map_err(|e| fail("native reference", e))?
-    };
-    let dir = std::env::temp_dir().join(format!(
-        "mana2_chaos_storage_{}_{}",
-        case.seed,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    run_scenario(&Scenario::Storage(case.clone()), &sink, true, |dir| {
+        storage_legs(case, dir, &sink)
+    })
+}
+
+fn storage_legs(
+    case: &StorageCase,
+    dir: &Path,
+    sink: &Arc<obs::TraceSink>,
+) -> Result<&'static str, String> {
+    use splitproc::store::{Store, StoreError};
+    let n = case.ranks;
+    let wc = wcfg(None);
+    let native = native_reference(n, &wc, &kernel(Workload::Gromacs, false, None))?;
     // Tiny chunk bounds relative to the ~KB GROMACS images, so chunked
     // cases split each payload into many chunks and the injected damage
     // really lands on an individual chunk file.
     let base = ManaConfig {
-        drain: case.drain,
-        ckpt_dir: dir.clone(),
-        deadlock_timeout: Some(Duration::from_secs(30)),
-        trace: Some(sink.clone()),
         store: splitproc::StoreConfig {
             mode: case.store,
             chunk: splitproc::ChunkParams {
@@ -776,439 +547,103 @@ pub fn run_storage_case(case: &StorageCase) -> Result<StorageReport, CaseFailure
             },
             ..Default::default()
         },
-        ..env().mana
+        ..mana_cfg(case.drain, dir, sink)
     };
-    let result = storage_case_inner(case, &expected, &dir, &base, fail);
-    let _ = std::fs::remove_dir_all(&dir);
-    let config = case_record(case.drain, Some(case.store), None);
-    match result {
-        Ok(rep) => {
-            if std::env::var("MANA2_TRACE").is_ok() {
-                if let Some(p) = dump_case_trace(&sink, case.seed, "chaos_storage_pass", &config) {
-                    eprintln!("mana2: storage chaos trace dump: {}", p.display());
-                }
-            }
-            Ok(rep)
-        }
-        Err(mut f) => {
-            f.trace_dump = dump_case_trace(&sink, case.seed, "chaos_storage_fail", &config);
-            Err(f)
-        }
-    }
-}
-
-fn storage_case_inner(
-    case: &StorageCase,
-    expected: &[gromacs::GromacsResult],
-    dir: &std::path::Path,
-    base: &ManaConfig,
-    fail: impl Fn(&str, String) -> CaseFailure,
-) -> Result<StorageReport, CaseFailure> {
-    use splitproc::store;
-    let n = case.ranks;
-    let store = store::Store::open(dir, base.store.clone());
+    let store = Store::open(dir, base.store.clone());
+    let plan = |round| storage_plan(case.seed, case.victim, round, case.kind);
     if !case.restart {
         // Resume mode: the fault lands on the only checkpoint round.
         let mcfg = ManaConfig {
-            fault: Some(storage_plan(case, 0)),
+            fault: Some(plan(0)),
             ..base.clone()
         };
-        let pass = storage_run(n, &mcfg, storage_gromacs_cfg(Some(3), 0), false)
-            .map_err(|e| fail("faulted run", e))?;
-        if !pass.all_finished() {
-            return Err(fail(
-                "faulted run",
-                format!("did not finish: {:?}", pass.outcomes),
-            ));
+        let md = kernel(Workload::Gromacs, false, Some((3, 0)));
+        let pass = leg("faulted run", &runtime(n, mcfg, wc), Launch::Fresh, &md)?;
+        pass.expect_finished()?;
+        pass.expect_values(&native)?;
+        let coord = &pass.report.coord;
+        let (aborted, committed) = (coord.aborted_rounds.len(), coord.rounds.len());
+        if !is_silent(case.kind) {
+            // The round must have aborted; nothing durable may remain.
+            ensure!(
+                aborted == 1 && committed == 0,
+                "protocol: expected 1 aborted / 0 committed rounds, got {aborted} / {committed}"
+            );
+            ensure!(
+                store.select(Some(n), None).is_err(),
+                "store: aborted round left a selectable generation"
+            );
+            return Ok("the round aborted and left nothing durable");
         }
-        let n_aborted = pass.coord.aborted_rounds.len();
-        let n_committed = pass.coord.rounds.len();
-        if pass.values() != expected {
-            return Err(fail("comparison", "diverged from native reference".into()));
-        }
-        match case.kind {
-            StorageFaultKind::WriteError => {
-                // The round must have aborted; nothing durable may remain.
-                if n_aborted != 1 || n_committed != 0 {
-                    return Err(fail(
-                        "protocol",
-                        format!("expected 1 aborted / 0 committed rounds, got {n_aborted} / {n_committed}"),
-                    ));
-                }
-                if store.select(Some(n), None).is_ok() {
-                    return Err(fail(
-                        "store",
-                        "aborted round left a selectable generation".into(),
-                    ));
-                }
-                Ok(StorageReport {
-                    committed: 0,
-                    aborted: 1,
-                    fell_back: false,
-                })
+        // Silent damage: the round commits, but restart-time validation
+        // must refuse to ever restore it.
+        ensure!(
+            committed == 1,
+            "protocol: expected 1 committed round, got {committed}"
+        );
+        return match store.select(Some(n), None) {
+            Ok(sel) => Err(format!(
+                "store: damaged generation {} passed validation",
+                sel.round
+            )),
+            Err(StoreError::NoUsableGeneration { rejected, .. })
+                if rejected.iter().any(|r| r.round == 0) =>
+            {
+                Ok("the round committed; selection rejects the damaged generation")
             }
-            StorageFaultKind::TornWrite | StorageFaultKind::BitFlip => {
-                // Silent damage: the round commits, but restart-time
-                // validation must refuse to ever restore it.
-                if n_committed != 1 {
-                    return Err(fail(
-                        "protocol",
-                        format!("expected 1 committed round, got {n_committed}"),
-                    ));
-                }
-                match store.select(Some(n), None) {
-                    Ok(sel) => Err(fail(
-                        "store",
-                        format!("damaged generation {} passed validation", sel.round),
-                    )),
-                    Err(store::StoreError::NoUsableGeneration { rejected, .. })
-                        if rejected.iter().any(|r| r.round == 0) =>
-                    {
-                        Ok(StorageReport {
-                            committed: 1,
-                            aborted: 0,
-                            fell_back: false,
-                        })
-                    }
-                    Err(e) => Err(fail("store", format!("unexpected store error: {e}"))),
-                }
-            }
-        }
-    } else {
-        // Exit-and-restart: gen_0 commits cleanly, then the fault lands on
-        // round 1 after a restart.
-        let exit_cfg = ManaConfig {
-            exit_after_ckpt: true,
-            ..base.clone()
+            Err(e) => Err(format!("store: unexpected store error: {e}")),
         };
-        let leg1 = storage_run(n, &exit_cfg, storage_gromacs_cfg(Some(2), 0), false)
-            .map_err(|e| fail("leg 1", e))?;
-        if !leg1.all_checkpointed() {
-            return Err(fail(
-                "leg 1",
-                format!("did not checkpoint: {:?}", leg1.outcomes),
-            ));
-        }
-        let mcfg = ManaConfig {
-            fault: Some(storage_plan(case, 1)),
-            exit_after_ckpt: true,
-            ..base.clone()
-        };
-        let leg2 = storage_run(n, &mcfg, storage_gromacs_cfg(Some(5), 1), true)
-            .map_err(|e| fail("leg 2", e))?;
-        if leg2.restored_round != Some(0) {
-            return Err(fail(
-                "leg 2",
-                format!("restored {:?}, want round 0", leg2.restored_round),
-            ));
-        }
-        match case.kind {
-            StorageFaultKind::WriteError => {
-                // Round 1 aborts; ranks must resume and run to completion,
-                // and round 0 must survive the failed round untouched.
-                if !leg2.all_finished() {
-                    return Err(fail(
-                        "leg 2",
-                        format!("did not finish: {:?}", leg2.outcomes),
-                    ));
-                }
-                if leg2.coord.aborted_rounds.len() != 1 || !leg2.coord.rounds.is_empty() {
-                    return Err(fail(
-                        "protocol",
-                        "round 1 should abort, round 0 stay".into(),
-                    ));
-                }
-                if leg2.rank_stats.iter().any(|s| s.ckpt_aborts != 1) {
-                    return Err(fail("protocol", "every rank must observe the abort".into()));
-                }
-                if leg2.values() != expected {
-                    return Err(fail("comparison", "diverged from native reference".into()));
-                }
-                let sel = store
-                    .select(Some(n), None)
-                    .map_err(|e| fail("store", e.to_string()))?;
-                if sel.round != 0 {
-                    return Err(fail(
-                        "store",
-                        format!("expected round 0 to survive, got {}", sel.round),
-                    ));
-                }
-                Ok(StorageReport {
-                    committed: 1,
-                    aborted: 1,
-                    fell_back: false,
-                })
-            }
-            StorageFaultKind::TornWrite | StorageFaultKind::BitFlip => {
-                // Round 1 commits over a damaged image and the job exits;
-                // the next restart must reject gen_1 and fall back to
-                // gen_0, then finish with native-identical results.
-                if !leg2.all_checkpointed() {
-                    return Err(fail(
-                        "leg 2",
-                        format!("did not checkpoint: {:?}", leg2.outcomes),
-                    ));
-                }
-                let sel = store
-                    .select(Some(n), None)
-                    .map_err(|e| fail("store", e.to_string()))?;
-                if sel.round != 0 || !sel.rejected.iter().any(|r| r.round == 1) {
-                    return Err(fail(
-                        "store",
-                        format!(
-                            "expected fallback 1→0, got round {} (rejected {:?})",
-                            sel.round, sel.rejected
-                        ),
-                    ));
-                }
-                let leg3 = storage_run(n, base, storage_gromacs_cfg(None, 0), true)
-                    .map_err(|e| fail("leg 3", e))?;
-                if leg3.restored_round != Some(0) {
-                    return Err(fail(
-                        "leg 3",
-                        format!("restored {:?}, want round 0", leg3.restored_round),
-                    ));
-                }
-                if !leg3.all_finished() {
-                    return Err(fail(
-                        "leg 3",
-                        format!("did not finish: {:?}", leg3.outcomes),
-                    ));
-                }
-                if leg3.values() != expected {
-                    return Err(fail("comparison", "diverged from native reference".into()));
-                }
-                Ok(StorageReport {
-                    committed: 2,
-                    aborted: 0,
-                    fell_back: true,
-                })
-            }
-        }
     }
-}
-
-/// Run a storage case, formatting failures with the case description.
-pub fn check_storage_case(case: &StorageCase) -> Result<StorageReport, String> {
-    run_storage_case(case).map_err(|f| {
-        format!(
-            "storage chaos case failed\n  seed: {}\n  case: {case:?}\n  error: {}\n  \
-             trace dump: {}\n  repro: {}",
-            case.seed,
-            f.error,
-            f.trace_dump_line(),
-            f.repro()
-        )
-    })
+    // Exit-and-restart: gen_0 commits cleanly, then the fault lands on
+    // round 1 after a restart.
+    clean_generation("", n, &base, &wc)?;
+    let leg2 = damaged_generation("", n, &base, &wc, case.kind, plan(1))?;
+    let sel = store
+        .select(Some(n), None)
+        .map_err(|e| format!("store: {e}"))?;
+    if !is_silent(case.kind) {
+        // Round 1 aborted and the ranks ran on to completion; round 0
+        // must survive the failed round untouched.
+        let coord = &leg2.report.coord;
+        ensure!(
+            coord.aborted_rounds.len() == 1 && coord.rounds.is_empty(),
+            "protocol: round 1 should abort, round 0 stay"
+        );
+        ensure!(
+            leg2.report.rank_stats.iter().all(|s| s.ckpt_aborts == 1),
+            "protocol: every rank must observe the abort"
+        );
+        leg2.expect_values(&native)?;
+        let got = sel.round;
+        ensure!(got == 0, "store: expected round 0 to survive, got {got}");
+        return Ok("round 1 aborted; round 0 survived untouched");
+    }
+    // Round 1 committed over a damaged image and the job exited; the next
+    // restart must reject gen_1 and fall back to gen_0, then finish with
+    // native-identical results.
+    ensure!(
+        sel.round == 0 && sel.rejected.iter().any(|r| r.round == 1),
+        "store: expected fallback 1→0, got round {} (rejected {:?})",
+        sel.round,
+        sel.rejected
+    );
+    let md = kernel(Workload::Gromacs, false, None);
+    let leg3 = leg("leg 3", &runtime(n, base, wc), Launch::Restart, &md)?;
+    leg3.expect_restored(0)?;
+    leg3.expect_finished()?;
+    leg3.expect_values(&native)?;
+    Ok("round 1 committed damaged; the restart fell back to round 0")
 }
 
 // ---- reentrant-restart (restart-kill) chaos --------------------------------
 
-/// One reentrant-restart chaos scenario: a committed checkpoint store, a
-/// sequence of restart attempts each killed at a seeded journal-step
-/// boundary (`FaultSpec::restart_kill`), then a clean restart that must
-/// converge — same final state as an uncrashed restart, journal
-/// idempotent, no restored rank lost.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RestartKillCase {
-    /// The seed — drives the derived shape and kill boundaries.
-    pub seed: u64,
-    /// World size (derived: 2–4 ranks).
-    pub ranks: usize,
-    /// Journal-step boundaries at which successive restart attempts die.
-    /// One entry = single crash; two = a double crash (crash during the
-    /// crash recovery), and so on.
-    pub kills: Vec<u64>,
-    /// `Some(failed)`: partial restart replacing only these ranks.
-    /// `None`: full restart of every rank.
-    pub partial: Option<Vec<usize>>,
-    /// Optional storage-fault cross: the newest generation is silently
-    /// damaged before the killed restarts, so recovery must *also* fall
-    /// back to the older committed generation while surviving crashes.
-    pub storage: Option<StorageFaultKind>,
-    /// Execution engine for every leg.
-    pub engine: EngineKind,
-    /// Quiesce protocol for every checkpoint window (derived), so crash
-    /// storms cross the restart journal with every strategy.
-    pub drain: DrainMode,
-}
-
-impl RestartKillCase {
-    /// How many ranks this case's restarts journal (`RankRestored`).
-    pub fn scope(&self) -> u64 {
-        self.partial
-            .as_ref()
-            .map(|f| f.len() as u64)
-            .unwrap_or(self.ranks as u64)
-    }
-
-    /// Journal-step boundaries one restart attempt passes: two per step
-    /// (just before and just after the durable append), over intent,
-    /// validation, one `rank_restored` per replaced rank, `comms_rebuilt`
-    /// and `restart_committed`. Kills at `0..boundaries()` cover crashing
-    /// the restart around every record it writes.
-    pub fn boundaries(&self) -> u64 {
-        2 * (self.scope() + 4)
-    }
-
-    /// Derive the seed-dependent shape for a chosen (storage, partial,
-    /// engine) cell of the sweep matrix.
-    pub fn derive(
-        seed: u64,
-        storage: Option<StorageFaultKind>,
-        partial: bool,
-        engine: EngineKind,
-    ) -> Self {
-        let h = |salt: u64| splitmix64(seed ^ splitmix64(salt));
-        let ranks = 2 + (h(0xF00D) % 3) as usize;
-        let partial = partial.then(|| {
-            // 1..ranks replaced ranks, contiguous from a seeded start, so
-            // at least one survivor remains. For a storage cross the
-            // start is the storage victim: a survivor keeps its state in
-            // a real partial restart and never reads its image, but this
-            // in-process simulation rebuilds survivors from their images
-            // too — so the damaged rank must be in the replaced set for
-            // subset validation to see (and reject) the damage.
-            let k = 1 + (h(0xFA11) % (ranks as u64 - 1)) as usize;
-            let start = if storage.is_some() {
-                (h(0x71C7) % ranks as u64) as usize
-            } else {
-                (h(0x57A7) % ranks as u64) as usize
-            };
-            let mut failed: Vec<usize> = (0..k).map(|i| (start + i) % ranks).collect();
-            failed.sort_unstable();
-            failed
-        });
-        let scope = partial.as_ref().map(|f| f.len()).unwrap_or(ranks) as u64;
-        let total = 2 * (scope + 4);
-        let n_kills = 1 + (h(0x2CA5) % 2) as usize;
-        let kills = (0..n_kills as u64)
-            .map(|i| h(0x517E ^ (i << 8)) % total)
-            .collect();
-        RestartKillCase {
-            seed,
-            ranks,
-            kills,
-            partial,
-            storage,
-            engine,
-            drain: match h(0xD2A1) % 3 {
-                0 => DrainMode::Alltoall,
-                1 => DrainMode::Coordinator,
-                _ => DrainMode::TopoSort,
-            },
-        }
-    }
-}
-
-/// What a passing restart-kill case demonstrated.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RestartKillReport {
-    /// Killed restart attempts observed before convergence.
-    pub attempts: usize,
-    /// Did recovery fall back past a damaged generation?
-    pub fell_back: bool,
-    /// Journal records on disk after convergence.
-    pub journal_records: usize,
-}
-
-fn restart_kill_plan(seed: u64, kill: u64) -> Arc<FaultPlan> {
-    let spec = FaultSpec {
-        restart_kill: Some(kill),
-        ..FaultSpec::quiet()
-    };
-    Arc::new(FaultPlan::new(seed, spec))
-}
-
-fn rk_wcfg(engine: EngineKind) -> WorldCfg {
-    WorldCfg { engine, ..wcfg() }
-}
-
-fn rk_run(
-    case: &RestartKillCase,
-    mcfg: &ManaConfig,
-    gcfg: gromacs::GromacsConfig,
-    restart: bool,
-) -> Result<RunReport<gromacs::GromacsResult>, RuntimeError> {
-    let rt = runtime(case.ranks, mcfg.clone(), rk_wcfg(case.engine));
-    let f = move |m: &mut Mana<'_>| -> mana_core::Result<gromacs::GromacsResult> {
-        let mut face = ManaFace::new(m);
-        gromacs::run(&mut face, &gcfg).map_err(|e| e.into_mana())
-    };
-    match (&case.partial, restart) {
-        (_, false) => rt.run_fresh(f),
-        (None, true) => rt.run_restart(f),
-        (Some(failed), true) => rt.run_restart_partial(failed, f),
-    }
-}
-
-/// Build the checkpoint store a restart-kill case recovers from: a clean
-/// committed generation 0, plus — for the storage cross — a silently
-/// damaged generation 1 that restart validation must reject.
-fn rk_prepare(case: &RestartKillCase, base: &ManaConfig) -> Result<(), String> {
-    let exit_cfg = ManaConfig {
-        exit_after_ckpt: true,
-        ..base.clone()
-    };
-    let leg = rk_run(case, &exit_cfg, storage_gromacs_cfg(Some(2), 0), false)
-        .map_err(|e| format!("prepare leg 1: {e}"))?;
-    if !leg.all_checkpointed() {
-        return Err(format!(
-            "prepare leg 1 did not checkpoint: {:?}",
-            leg.outcomes
-        ));
-    }
-    if let Some(kind) = case.storage {
-        let h = |salt: u64| splitmix64(case.seed ^ splitmix64(salt));
-        let victim = (h(0x71C7) % case.ranks as u64) as usize;
-        let spec = FaultSpec {
-            storage: Some(StorageFaultSpec {
-                rank: victim,
-                round: 1,
-                kind,
-            }),
-            ..FaultSpec::quiet()
-        };
-        let mcfg = ManaConfig {
-            fault: Some(Arc::new(FaultPlan::new(case.seed, spec))),
-            exit_after_ckpt: true,
-            ..base.clone()
-        };
-        // A *full* restart here regardless of case.partial: the damaged
-        // round-1 generation must exist before the killed restarts start.
-        let rt = runtime(case.ranks, mcfg, rk_wcfg(case.engine));
-        let gcfg = storage_gromacs_cfg(Some(5), 1);
-        let leg2 = rt
-            .run_restart(move |m: &mut Mana<'_>| {
-                let mut face = ManaFace::new(m);
-                gromacs::run(&mut face, &gcfg).map_err(|e| e.into_mana())
-            })
-            .map_err(|e| format!("prepare leg 2: {e}"))?;
-        match kind {
-            // The write error aborts round 1, so the job finishes instead
-            // of exiting; gen 0 remains the only (clean) generation.
-            StorageFaultKind::WriteError => {
-                if !leg2.all_finished() {
-                    return Err(format!("prepare leg 2 did not finish: {:?}", leg2.outcomes));
-                }
-            }
-            // Silent damage commits; the killed restarts must skip it.
-            StorageFaultKind::TornWrite | StorageFaultKind::BitFlip => {
-                if !leg2.all_checkpointed() {
-                    return Err(format!(
-                        "prepare leg 2 did not checkpoint: {:?}",
-                        leg2.outcomes
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Run one restart-kill scenario end to end:
 ///
-/// 1. Build identical stores in a baseline dir and a victim dir.
+/// 1. Build identical stores in a baseline dir and a victim dir: a clean
+///    committed generation 0, plus — for the storage cross — a damaged
+///    round 1 that restart validation must reject. (That round runs as a
+///    *full* restart regardless of `case.partial`: the damaged generation
+///    must exist before the killed restarts start.)
 /// 2. Baseline: one clean (uncrashed) restart to completion.
 /// 3. Victim: one restart attempt per kill boundary in `case.kills`, each
 ///    of which must die with `RuntimeError::RestartKilled`, then a clean
@@ -1218,237 +653,170 @@ fn rk_prepare(case: &RestartKillCase, base: &ManaConfig) -> Result<(), String> {
 ///    [`mana_core::check_journal`], its final epoch is committed, and the
 ///    set of journaled `RankRestored` ranks is exactly the restart scope —
 ///    no step duplicated, no rank lost, no matter where the crashes hit.
-pub fn run_restart_kill_case(case: &RestartKillCase) -> Result<RestartKillReport, CaseFailure> {
+///
+/// `Ok` says what the passing case demonstrated.
+pub fn run_restart_kill_case(case: &RestartKillCase) -> Result<String, CaseFailure> {
     let sink = obs::TraceSink::wall(case.ranks, 4096);
-    let fail = |stage: &str, e: String| CaseFailure {
-        case: ChaosCase {
-            seed: case.seed,
-            ranks: case.ranks,
-            workload: Workload::Gromacs,
-            drain: case.drain,
-            restart: true,
-        },
-        error: format!("restart_kill{:?} {stage}: {e}", case.kills),
-        trace_dump: None,
-    };
-    // Native reference: same kernel, no checkpoints.
-    let expected = {
-        let cfg = storage_gromacs_cfg(None, 0);
-        let w = World::new(case.ranks, rk_wcfg(case.engine));
-        w.launch(move |p| {
-            let mut f = NativeFace::new(p);
-            gromacs::run(&mut f, &cfg)
-        })
-        .map_err(|e| e.to_string())
-        .and_then(|outs| {
-            outs.into_iter()
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| e.to_string())
-        })
-        .map_err(|e| fail("native reference", e))?
-    };
-    let mk_dir = |tag: &str| {
-        std::env::temp_dir().join(format!(
-            "mana2_chaos_rkill_{tag}_{}_{}",
-            case.seed,
-            std::process::id()
-        ))
-    };
-    let (bdir, vdir) = (mk_dir("base"), mk_dir("victim"));
-    let _ = std::fs::remove_dir_all(&bdir);
-    let _ = std::fs::remove_dir_all(&vdir);
-    let result = rk_case_inner(case, &expected, &bdir, &vdir, &sink, &fail);
-    // `CHAOS_KEEP_STORES` leaves the stormed stores (and their restart
-    // journals) on disk so CI can point `mana2-inspect journal --verify`
-    // at the real artifact of a storm instead of a synthetic fixture.
-    let keep = std::env::var("CHAOS_KEEP_STORES").is_ok_and(|v| v != "0");
-    if keep {
-        eprintln!("chaos: keeping stormed stores: {}", vdir.display());
-    } else {
-        let _ = std::fs::remove_dir_all(&bdir);
-        let _ = std::fs::remove_dir_all(&vdir);
-    }
-    result.map_err(|mut f| {
-        let config = case_record(case.drain, None, Some(case.engine));
-        f.trace_dump = dump_case_trace(&sink, case.seed, "chaos_rkill_fail", &config);
-        f
+    run_scenario(&Scenario::RestartKill(case.clone()), &sink, true, |root| {
+        restart_kill_legs(case, root, &sink)
     })
 }
 
-fn rk_case_inner(
+fn restart_kill_legs(
     case: &RestartKillCase,
-    expected: &[gromacs::GromacsResult],
-    bdir: &std::path::Path,
-    vdir: &std::path::Path,
+    root: &Path,
     sink: &Arc<obs::TraceSink>,
-    fail: &impl Fn(&str, String) -> CaseFailure,
-) -> Result<RestartKillReport, CaseFailure> {
+) -> Result<String, String> {
     use splitproc::journal;
-    let final_gcfg = storage_gromacs_cfg(None, 0);
-    let base_of = |dir: &std::path::Path| ManaConfig {
-        drain: case.drain,
-        ckpt_dir: dir.to_path_buf(),
-        deadlock_timeout: Some(Duration::from_secs(30)),
-        trace: Some(sink.clone()),
-        ..env().mana
+    let n = case.ranks;
+    let wc = wcfg(Some(case.engine));
+    let md = kernel(Workload::Gromacs, false, None);
+    let native = native_reference(n, &wc, &md)?;
+    let base_of = |dir: &Path| mana_cfg(case.drain, dir, sink);
+    let restart = |mcfg: ManaConfig| {
+        let how = match &case.partial {
+            None => Launch::Restart,
+            Some(failed) => Launch::Partial(failed),
+        };
+        (runtime(n, mcfg, wc.clone()), how)
     };
-    rk_prepare(case, &base_of(bdir)).map_err(|e| fail("baseline prepare", e))?;
-    rk_prepare(case, &base_of(vdir)).map_err(|e| fail("victim prepare", e))?;
+    let (bdir, vdir) = (root.join("base"), root.join("victim"));
+    for (who, dir) in [("baseline prepare ", &bdir), ("victim prepare ", &vdir)] {
+        clean_generation(who, n, &base_of(dir), &wc)?;
+        if let Some(kind) = case.storage {
+            let victim = scenario::Derive(case.seed).victim(n);
+            let plan = storage_plan(case.seed, victim, 1, kind);
+            damaged_generation(who, n, &base_of(dir), &wc, kind, plan)?;
+        }
+    }
     // Baseline: the uncrashed restart this case's crashed one must match.
-    let baseline = rk_run(case, &base_of(bdir), final_gcfg.clone(), true)
-        .map_err(|e| fail("baseline restart", e.to_string()))?;
-    if !baseline.all_finished() {
-        return Err(fail(
-            "baseline restart",
-            format!("did not finish: {:?}", baseline.outcomes),
-        ));
-    }
-    let baseline_restored = baseline.restored_round;
-    if baseline.values() != expected {
-        return Err(fail(
-            "baseline restart",
-            "baseline diverged from native reference".into(),
-        ));
-    }
+    let (rt, how) = restart(base_of(&bdir));
+    let baseline = leg("baseline restart", &rt, how, &md)?;
+    baseline.expect_finished()?;
+    baseline.expect_values(&native)?;
     // Victim: killed attempts...
     for (i, &k) in case.kills.iter().enumerate() {
-        let mcfg = ManaConfig {
-            fault: Some(restart_kill_plan(case.seed, k)),
-            ..base_of(vdir)
+        let spec = FaultSpec {
+            restart_kill: Some(k),
+            ..FaultSpec::quiet()
         };
-        match rk_run(case, &mcfg, final_gcfg.clone(), true) {
+        let (rt, how) = restart(ManaConfig {
+            fault: Some(Arc::new(FaultPlan::new(case.seed, spec))),
+            ..base_of(&vdir)
+        });
+        match under_mana(&rt, how, &md) {
             Err(RuntimeError::RestartKilled { step }) if step == k => {}
             Err(RuntimeError::RestartKilled { step }) => {
-                return Err(fail(
-                    "kill",
-                    format!("attempt {i} killed at boundary {step}, armed {k}"),
+                return Err(format!(
+                    "kill: attempt {i} killed at boundary {step}, armed {k}"
                 ));
             }
             Ok(_) => {
-                return Err(fail(
-                    "kill",
-                    format!("attempt {i} survived an armed kill at boundary {k}"),
+                return Err(format!(
+                    "kill: attempt {i} survived an armed kill at boundary {k}"
                 ));
             }
             Err(e) => {
-                return Err(fail(
-                    "kill",
-                    format!("attempt {i} (boundary {k}) died of the wrong error: {e}"),
+                return Err(format!(
+                    "kill: attempt {i} (boundary {k}) died of the wrong error: {e}"
                 ));
             }
         }
     }
     // ...then the clean restart that must converge.
-    let report = rk_run(case, &base_of(vdir), final_gcfg, true)
-        .map_err(|e| fail("final restart", e.to_string()))?;
-    if !report.all_finished() {
-        return Err(fail(
-            "final restart",
-            format!("did not finish: {:?}", report.outcomes),
-        ));
-    }
-    if report.restored_round != baseline_restored {
-        return Err(fail(
-            "oracle",
-            format!(
-                "restored generation {:?} differs from baseline {:?}",
-                report.restored_round, baseline_restored
-            ),
-        ));
-    }
-    let fell_back = report.restored_round == Some(0)
-        && matches!(
-            case.storage,
-            Some(StorageFaultKind::TornWrite | StorageFaultKind::BitFlip)
-        );
-    let scope: Vec<u64> = case
-        .partial
-        .clone()
-        .map(|f| f.into_iter().map(|r| r as u64).collect())
-        .unwrap_or_else(|| (0..case.ranks as u64).collect());
-    if report.restored_ranks
-        != Some(
-            case.partial
-                .clone()
-                .unwrap_or_else(|| (0..case.ranks).collect()),
-        )
-    {
-        return Err(fail(
-            "oracle",
-            format!("restored_ranks {:?} != scope", report.restored_ranks),
-        ));
-    }
-    if report.values() != expected {
-        return Err(fail(
-            "oracle",
-            "final state diverged from the uncrashed baseline".into(),
-        ));
-    }
+    let (rt, how) = restart(base_of(&vdir));
+    let last = leg("final restart", &rt, how, &md)?;
+    last.expect_finished()?;
+    let (restored, want) = (last.report.restored_round, baseline.report.restored_round);
+    ensure!(
+        restored == want,
+        "oracle: restored generation {restored:?} differs from baseline {want:?}"
+    );
+    let (scope, got) = (case.scope(), &last.report.restored_ranks);
+    ensure!(
+        got.as_ref() == Some(&scope),
+        "oracle: restored_ranks {got:?} != scope {scope:?}"
+    );
+    // The baseline equalled the native reference, so this is also "the
+    // final state equals the uncrashed baseline's".
+    last.expect_values(&native)?;
     // Journal oracle: protocol invariants hold over everything the crash
     // storm wrote, and the final epoch committed with the full scope.
-    let records = journal::read_records(vdir).map_err(|e| fail("journal", e.to_string()))?;
+    let records = journal::read_records(&vdir).map_err(|e| format!("journal: {e}"))?;
     let violations = mana_core::check_journal(&records);
-    if !violations.is_empty() {
-        return Err(fail("journal", violations.join("; ")));
-    }
+    ensure!(violations.is_empty(), "journal: {}", violations.join("; "));
     let epochs = journal::replay_epochs(&records);
-    let Some(last) = epochs.last() else {
-        return Err(fail("journal", "no epochs journaled".into()));
+    let Some(epoch) = epochs.last() else {
+        return Err("journal: no epochs journaled".into());
     };
-    if !last.committed {
-        return Err(fail(
-            "journal",
-            format!("final epoch {} never committed", last.epoch),
-        ));
-    }
-    let restored: Vec<u64> = last.restored.iter().copied().collect();
-    if restored != scope {
-        return Err(fail(
-            "journal",
-            format!("epoch {} restored {restored:?}, want {scope:?}", last.epoch),
-        ));
-    }
-    Ok(RestartKillReport {
-        attempts: case.kills.len(),
-        fell_back,
-        journal_records: records.len(),
-    })
+    let at = epoch.epoch;
+    ensure!(epoch.committed, "journal: final epoch {at} never committed");
+    let journaled: Vec<usize> = epoch.restored.iter().map(|&r| r as usize).collect();
+    ensure!(
+        journaled == scope,
+        "journal: epoch {at} restored {journaled:?}, want {scope:?}"
+    );
+    let fell_back = restored == Some(0) && case.storage.is_some_and(is_silent);
+    Ok(format!(
+        "converged after {} killed attempt(s), {} journal records{}",
+        case.kills.len(),
+        records.len(),
+        if fell_back {
+            ", past a damaged generation"
+        } else {
+            ""
+        }
+    ))
 }
 
-/// Run a restart-kill case, formatting failures with the case description.
-pub fn check_restart_kill_case(case: &RestartKillCase) -> Result<RestartKillReport, String> {
-    run_restart_kill_case(case).map_err(|f| {
-        format!(
-            "restart-kill chaos case failed\n  seed: {}\n  case: {case:?}\n  error: {}\n  \
-             trace dump: {}",
-            case.seed,
-            f.error,
-            f.trace_dump_line(),
-        )
-    })
+// ---- replay hooks -----------------------------------------------------------
+
+impl Scenario {
+    /// Run the scenario under its family's oracle: a one-line summary of
+    /// what it demonstrated, or the failure report.
+    pub fn check(&self) -> Result<String, String> {
+        match self {
+            Scenario::Faults { case, engine } => {
+                check_case(case, *engine).map(|r| format!("{r:?}"))
+            }
+            Scenario::Storage(case) => run_storage_case(case)
+                .map(String::from)
+                .map_err(|f| f.to_string()),
+            Scenario::RestartKill(case) => run_restart_kill_case(case).map_err(|f| f.to_string()),
+            Scenario::Schedule(fixture) => explore::check_schedule(fixture),
+        }
+    }
 }
 
-/// `CHAOS_SEED` env var, if set (the replay hook).
+/// `CHAOS_CASE` env var, if set, parsed (the replay hook of every failure
+/// report). A spec that does not parse is an error, never some other case.
+pub fn env_case() -> Option<Result<Scenario, String>> {
+    let spec = std::env::var("CHAOS_CASE").ok()?;
+    Some(
+        spec.parse()
+            .map_err(|e| format!("CHAOS_CASE={spec:?}: {e}")),
+    )
+}
+
+fn env_u64(var: &str) -> Option<u64> {
+    std::env::var(var).ok()?.trim().parse().ok()
+}
+
+/// `CHAOS_SEED` env var, if set (derive a whole message-fault case).
 pub fn env_seed() -> Option<u64> {
-    std::env::var("CHAOS_SEED").ok()?.trim().parse().ok()
+    env_u64("CHAOS_SEED")
 }
 
 /// `CHAOS_BASE_SEED` env var, or a fixed default. CI's nightly job passes
 /// its run id here so every night sweeps fresh seeds.
 pub fn env_base_seed() -> u64 {
-    std::env::var("CHAOS_BASE_SEED")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0xC0FF_EE00)
+    env_u64("CHAOS_BASE_SEED").unwrap_or(0xC0FF_EE00)
 }
 
 /// `CHAOS_SWEEP_COUNT` env var, or a small default so routine test runs
 /// stay fast while CI can ask for 32+.
 pub fn env_sweep_count() -> u64 {
-    std::env::var("CHAOS_SWEEP_COUNT")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(2)
+    env_u64("CHAOS_SWEEP_COUNT").unwrap_or(2)
 }
 
 #[cfg(test)]
@@ -1478,9 +846,13 @@ mod tests {
 
     #[test]
     fn repro_command_names_the_seed() {
-        let cmd = repro_command(12345);
-        assert!(cmd.contains("CHAOS_SEED=12345"));
-        assert!(cmd.contains("seed_replay"));
+        let scenario = Scenario::Faults {
+            case: ChaosCase::from_seed(12345),
+            engine: None,
+        };
+        let cmd = scenario.repro();
+        assert!(cmd.starts_with("CHAOS_CASE='faults seed=12345 "), "{cmd}");
+        assert!(cmd.contains("case_replay"));
     }
 
     #[test]

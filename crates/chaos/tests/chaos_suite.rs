@@ -4,30 +4,37 @@
 //!
 //! Each sweep uses a disjoint seed range, so the six matrix tests cover
 //! 54 distinct seeds. A failure shrinks itself to a minimal fault spec
-//! and prints a one-line repro:
+//! and prints a one-line repro of exactly the scenario that failed:
 //!
 //! ```text
-//! CHAOS_SEED=<seed> cargo test -p chaos --test chaos_suite seed_replay -- --nocapture
+//! CHAOS_CASE='<spec>' cargo test -p chaos --test chaos_suite case_replay -- --exact --nocapture
 //! ```
 
 use chaos::{
-    check_case, check_storage_case, env_base_seed, env_seed, env_sweep_count, ChaosCase,
+    check_case, env_base_seed, env_case, env_seed, env_sweep_count, ChaosCase, Scenario,
     StorageCase, Workload,
 };
 use mana_core::DrainMode;
 use mpisim::StorageFaultKind;
+use splitproc::StoreMode;
+
+const KINDS: [StorageFaultKind; 3] = [
+    StorageFaultKind::WriteError,
+    StorageFaultKind::TornWrite,
+    StorageFaultKind::BitFlip,
+];
+
+/// The case passes under the plan derived from its seed, or the test dies
+/// with the failure report.
+fn check(case: &ChaosCase) -> chaos::CaseReport {
+    check_case(case, None).unwrap_or_else(|msg| panic!("{msg}"))
+}
 
 fn sweep(base: u64, count: u64, workload: Workload, drain: DrainMode) {
     let mut triggered = 0usize;
     for seed in base..base + count {
-        let case = ChaosCase::derive(seed, workload, drain);
-        match check_case(&case) {
-            Ok(report) => {
-                if report.rounds > 0 {
-                    triggered += 1;
-                }
-            }
-            Err(msg) => panic!("{msg}"),
+        if check(&ChaosCase::derive(seed, workload, drain)).rounds > 0 {
+            triggered += 1;
         }
     }
     // The sweep is only meaningful if the adversarial trigger actually
@@ -76,23 +83,21 @@ fn cg_toposort_seeds() {
 /// dedicated `engine_equivalence` suite checks cross-engine determinism.
 #[test]
 fn coop_engine_seed_matrix() {
-    use mpisim::{CoopCfg, EngineKind, FaultPlan};
+    use mpisim::{CoopCfg, EngineKind};
     for (i, seed) in (6_000u64..6_006).enumerate() {
-        let case = ChaosCase::from_seed(seed);
         let engine = EngineKind::Coop(CoopCfg {
             workers: 1 + (i % 3),
             sched_seed: seed,
         });
-        let sink = mana_core::obs::TraceSink::wall(case.ranks, 4096);
-        let plan = FaultPlan::from_seed(seed, case.ranks);
-        if let Err(f) = chaos::run_case_engine(&case, plan, &sink, Some(engine)) {
-            panic!(
-                "coop matrix seed {seed} (workers {}): {} (repro: {})",
-                1 + (i % 3),
-                f.error,
-                f.repro()
-            );
+        if let Err(msg) = check_case(&ChaosCase::from_seed(seed), Some(engine)) {
+            panic!("{msg}");
         }
+    }
+}
+
+fn check_storage(case: &StorageCase) {
+    if let Err(failure) = chaos::run_storage_case(case) {
+        panic!("{failure}");
     }
 }
 
@@ -100,10 +105,7 @@ fn coop_engine_seed_matrix() {
 /// varies world size, victim rank, and the damaged byte offset.
 fn storage_sweep(base: u64, count: u64, kind: StorageFaultKind, restart: bool) {
     for seed in base..base + count {
-        let case = StorageCase::derive(seed, kind, restart);
-        if let Err(msg) = check_storage_case(&case) {
-            panic!("{msg}");
-        }
+        check_storage(&StorageCase::derive(seed, kind, restart));
     }
 }
 
@@ -221,75 +223,78 @@ fn storage_torn_chunk_costs_only_its_own_generation() {
 }
 
 /// CI fresh-seed storage sweep: like `fresh_sweep`, but cycling through
-/// every (fault kind × mode) cell so each night's window exercises the
-/// whole durability matrix on brand-new seeds.
+/// every (fault kind × mode) cell, each seed under both store layouts, so
+/// each night's window exercises the whole durability matrix — every
+/// fault kind landing on whole images *and* on chunk files — on brand-new
+/// seeds.
 #[test]
 fn fresh_storage_sweep() {
     let base = env_base_seed() ^ 0x57A6_57A6;
-    let count = env_sweep_count();
-    let kinds = [
-        StorageFaultKind::WriteError,
-        StorageFaultKind::TornWrite,
-        StorageFaultKind::BitFlip,
-    ];
-    for i in 0..count {
-        let seed = base.wrapping_add(i);
-        let kind = kinds[(i % 3) as usize];
-        let restart = (i / 3) % 2 == 0;
-        let case = StorageCase::derive(seed, kind, restart);
-        if let Err(msg) = check_storage_case(&case) {
-            panic!("{msg}");
+    for i in 0..env_sweep_count() {
+        let kind = KINDS[(i % 3) as usize];
+        let mut case = StorageCase::derive(base.wrapping_add(i), kind, (i / 3) % 2 == 0);
+        for store in [StoreMode::Flat, StoreMode::Chunked] {
+            case.store = store;
+            check_storage(&case);
         }
     }
 }
 
-/// Nightly drain crossing: force a single quiesce strategy (`CHAOS_DRAIN`,
-/// default toposort so routine runs still touch the new protocol) across a
-/// window of fresh fault *and* storage seeds. The regular fresh sweeps
-/// derive the strategy from the seed, so each covers only ~1/3 of any one
-/// protocol per night; this test pins it, and CI runs it once per strategy.
+/// Nightly drain crossing: every quiesce protocol across the same window
+/// of fresh fault *and* storage seeds. The regular fresh sweeps derive the
+/// protocol from the seed, so each covers only ~1/3 of any one protocol
+/// per night; this test pins each in turn.
 #[test]
 fn fresh_drain_sweep() {
-    let drain = std::env::var("CHAOS_DRAIN")
-        .ok()
-        .and_then(|v| DrainMode::parse(&v))
-        .unwrap_or(DrainMode::TopoSort);
     let base = env_base_seed() ^ 0xD4A1_D4A1;
-    let count = env_sweep_count();
-    let kinds = [
-        StorageFaultKind::WriteError,
-        StorageFaultKind::TornWrite,
-        StorageFaultKind::BitFlip,
-    ];
-    for i in 0..count {
+    for i in 0..env_sweep_count() {
         let seed = base.wrapping_add(i);
         let workload = if i % 2 == 0 {
             Workload::Gromacs
         } else {
             Workload::Cg
         };
-        let case = ChaosCase::derive(seed, workload, drain);
-        if let Err(msg) = check_case(&case) {
-            panic!("{msg}");
-        }
-        let mut storage = StorageCase::derive(seed, kinds[(i % 3) as usize], i % 2 == 0);
-        storage.drain = drain;
-        if let Err(msg) = check_storage_case(&storage) {
-            panic!("{msg}");
+        let mut storage = StorageCase::derive(seed, KINDS[(i % 3) as usize], i % 2 == 0);
+        for drain in [
+            DrainMode::Alltoall,
+            DrainMode::Coordinator,
+            DrainMode::TopoSort,
+        ] {
+            check(&ChaosCase::derive(seed, workload, drain));
+            storage.drain = drain;
+            check_storage(&storage);
         }
     }
 }
 
-/// Replay hook: `CHAOS_SEED=<seed>` reruns exactly one failing scenario
+/// `CHAOS_SEED=<seed>` derives a whole message-fault case from the seed
 /// (workload, drain mode, world size, restart mode, and every per-message
-/// decision are all functions of the seed).
+/// decision are all functions of it) and runs it — what `fresh_sweep` does
+/// per seed.
 #[test]
 fn seed_replay() {
     let seed = env_seed().unwrap_or(0x00C0_FFEE);
     let case = ChaosCase::from_seed(seed);
     eprintln!("seed_replay: {case:?}");
-    if let Err(msg) = check_case(&case) {
-        panic!("{msg}");
+    check(&case);
+}
+
+/// Replay hook: `CHAOS_CASE='<spec>'` reruns exactly the scenario a
+/// failure report named, of any family. A spec that does not parse fails
+/// the test; unset, one fixed schedule replays as a smoke test so the
+/// hook itself stays exercised.
+#[test]
+fn case_replay() {
+    let smoke = "schedule seed=13655789 ranks=4 drain=alltoall workers=1 workload=gromacs \
+                 choices=020001";
+    let scenario: Scenario = match env_case() {
+        Some(parsed) => parsed.unwrap_or_else(|e| panic!("{e}")),
+        None => smoke.parse().expect("smoke spec"),
+    };
+    eprintln!("case_replay: {scenario}");
+    match scenario.check() {
+        Ok(summary) => eprintln!("case_replay: {summary}"),
+        Err(msg) => panic!("{msg}"),
     }
 }
 
@@ -299,11 +304,7 @@ fn seed_replay() {
 #[test]
 fn fresh_sweep() {
     let base = env_base_seed();
-    let count = env_sweep_count();
-    for i in 0..count {
-        let case = ChaosCase::from_seed(base.wrapping_add(i));
-        if let Err(msg) = check_case(&case) {
-            panic!("{msg}");
-        }
+    for i in 0..env_sweep_count() {
+        check(&ChaosCase::from_seed(base.wrapping_add(i)));
     }
 }

@@ -17,47 +17,17 @@
 //!   meaningful.
 //!
 //! Result correctness against the fault-free native reference is already
-//! asserted inside [`chaos::run_case_engine`] for every leg.
+//! asserted inside [`chaos::run_compared`] for every leg.
 
-use chaos::{case_token_rings, run_case_engine, ChaosCase, EngineCaseOutcome, Workload};
-use mana_core::obs;
+use chaos::{assert_equivalent, run_compared, trigger_plan, ChaosCase, Workload};
 use mana_core::DrainMode;
-use mpisim::{CoopCfg, EngineKind, FaultPlan, FaultSpec};
-use std::sync::Arc;
-
-fn run_under(
-    case: &ChaosCase,
-    plan: &Arc<FaultPlan>,
-    engine: EngineKind,
-) -> (EngineCaseOutcome, Vec<(i32, Vec<String>)>) {
-    let sink = obs::TraceSink::wall(case.ranks, 16384);
-    let out = run_case_engine(case, plan.clone(), &sink, Some(engine)).unwrap_or_else(|f| {
-        panic!(
-            "seed {:#x} ({} drain) failed under {}: {}",
-            case.seed,
-            case.drain.name(),
-            engine.name(),
-            f.error
-        )
-    });
-    assert_eq!(sink.dropped(), 0, "ring overwrote events; raise capacity");
-    (out, case_token_rings(&sink, case.ranks))
-}
-
-/// A quiet plan with only the adversarial checkpoint trigger armed — the
-/// trigger is what opens the checkpoint window the strategies must agree
-/// inside.
-fn trigger_spec(rank: usize, call: u64) -> FaultSpec {
-    let mut spec = FaultSpec::quiet();
-    spec.trigger_at_call = Some((rank, call));
-    spec
-}
+use mpisim::{CoopCfg, EngineKind};
 
 /// Run `case` under both drain strategies on both engines and demand the
 /// observable checkpoint-window behavior is strategy-invariant.
-fn check_drain_equivalence(case: &ChaosCase, spec: FaultSpec) {
+fn check_drain_equivalence(case: &ChaosCase, trigger: (usize, u64)) {
     let seed = case.seed;
-    let plan = Arc::new(FaultPlan::new(seed, spec));
+    let plan = trigger_plan(seed, trigger.0, trigger.1);
     let engines = [
         EngineKind::Thread,
         EngineKind::Coop(CoopCfg {
@@ -66,38 +36,15 @@ fn check_drain_equivalence(case: &ChaosCase, spec: FaultSpec) {
         }),
     ];
     for engine in engines {
-        let alltoall = ChaosCase {
-            drain: DrainMode::Alltoall,
-            ..case.clone()
-        };
-        let toposort = ChaosCase {
-            drain: DrainMode::TopoSort,
-            ..case.clone()
-        };
-        let (out_a, rings_a) = run_under(&alltoall, &plan, engine);
-        let (out_t, rings_t) = run_under(&toposort, &plan, engine);
-        assert_eq!(
-            out_a.report,
-            out_t.report,
-            "seed {seed:#x} under {}: strategies disagree on rounds/restart",
-            engine.name()
-        );
-        assert_eq!(
-            out_a.invariant_totals(),
-            out_t.invariant_totals(),
-            "seed {seed:#x} under {}: schedule-invariant ManaStats diverged between strategies",
-            engine.name()
-        );
-        for ((actor_a, toks_a), (actor_t, toks_t)) in rings_a.iter().zip(rings_t.iter()) {
-            assert_eq!(actor_a, actor_t);
-            assert_eq!(
-                toks_a,
-                toks_t,
-                "seed {seed:#x}, actor {actor_a} under {}: checkpoint-window sequence \
-                 diverged between strategies",
-                engine.name()
-            );
-        }
+        let [alltoall, toposort] = [DrainMode::Alltoall, DrainMode::TopoSort].map(|drain| {
+            let case = ChaosCase {
+                drain,
+                ..case.clone()
+            };
+            run_compared(&case, &plan, Some(engine))
+        });
+        let what = format!("seed {seed:#x} under {}: strategies", engine.name());
+        assert_equivalent(&what, &alltoall, &toposort);
     }
 }
 
@@ -110,7 +57,7 @@ fn drain_equivalent_seed1_cg_restart() {
         drain: DrainMode::Alltoall,
         restart: true,
     };
-    check_drain_equivalence(&case, trigger_spec(1, 12));
+    check_drain_equivalence(&case, (1, 12));
 }
 
 #[test]
@@ -122,7 +69,7 @@ fn drain_equivalent_seed2_gromacs_restart() {
         drain: DrainMode::Alltoall,
         restart: true,
     };
-    check_drain_equivalence(&case, trigger_spec(2, 9));
+    check_drain_equivalence(&case, (2, 9));
 }
 
 #[test]
@@ -134,7 +81,7 @@ fn drain_equivalent_seed3_cg_resume() {
         drain: DrainMode::Alltoall,
         restart: false,
     };
-    check_drain_equivalence(&case, trigger_spec(0, 17));
+    check_drain_equivalence(&case, (0, 17));
 }
 
 #[test]
@@ -146,7 +93,7 @@ fn drain_equivalent_seed4_gromacs_resume() {
         drain: DrainMode::Alltoall,
         restart: false,
     };
-    check_drain_equivalence(&case, trigger_spec(1, 14));
+    check_drain_equivalence(&case, (1, 14));
 }
 
 /// The restart leg actually ran under the topo-sort drain: with the
@@ -155,8 +102,6 @@ fn drain_equivalent_seed4_gromacs_resume() {
 /// (checkpoint-free) executions.
 #[test]
 fn toposort_cases_exercise_restart() {
-    // Distinct seed from the equivalence tests: the per-seed checkpoint
-    // directory is shared within one process, and tests run in parallel.
     let case = ChaosCase {
         seed: 0xD4_0005,
         ranks: 3,
@@ -164,8 +109,8 @@ fn toposort_cases_exercise_restart() {
         drain: DrainMode::TopoSort,
         restart: true,
     };
-    let plan = Arc::new(FaultPlan::new(case.seed, trigger_spec(1, 12)));
-    let (out, _) = run_under(&case, &plan, EngineKind::Thread);
+    let plan = trigger_plan(case.seed, 1, 12);
+    let (out, _) = run_compared(&case, &plan, Some(EngineKind::Thread));
     assert!(
         out.report.restarted,
         "trigger never fired: {:?}",

@@ -15,67 +15,22 @@
 //!   determinism suite uses).
 //!
 //! Result correctness against the fault-free native reference is already
-//! asserted inside [`chaos::run_case_engine`] for every leg.
+//! asserted inside [`chaos::run_compared`] for every leg.
 
-use chaos::{case_token_rings, run_case_engine, ChaosCase, EngineCaseOutcome, Workload};
-use mana_core::obs;
+use chaos::{assert_equivalent, run_compared, trigger_plan, ChaosCase, Workload};
 use mana_core::DrainMode;
-use mpisim::{CoopCfg, EngineKind, FaultPlan, FaultSpec};
-use std::sync::Arc;
+use mpisim::{CoopCfg, EngineKind};
 
-fn run_under(
-    case: &ChaosCase,
-    plan: &Arc<FaultPlan>,
-    engine: EngineKind,
-) -> (EngineCaseOutcome, Vec<(i32, Vec<String>)>) {
-    let sink = obs::TraceSink::wall(case.ranks, 16384);
-    let out = run_case_engine(case, plan.clone(), &sink, Some(engine)).unwrap_or_else(|f| {
-        panic!(
-            "seed {:#x} failed under {}: {}",
-            case.seed,
-            engine.name(),
-            f.error
-        )
-    });
-    assert_eq!(sink.dropped(), 0, "ring overwrote events; raise capacity");
-    (out, case_token_rings(&sink, case.ranks))
-}
-
-fn check_equivalence(case: &ChaosCase, spec: FaultSpec) {
+fn check_equivalence(case: &ChaosCase, trigger: (usize, u64)) {
     let seed = case.seed;
-    let plan = Arc::new(FaultPlan::new(seed, spec));
+    let plan = trigger_plan(seed, trigger.0, trigger.1);
     let coop = EngineKind::Coop(CoopCfg {
         workers: 2,
         sched_seed: seed,
     });
-    let (out_t, rings_t) = run_under(case, &plan, EngineKind::Thread);
-    let (out_c, rings_c) = run_under(case, &plan, coop);
-
-    assert_eq!(
-        out_t.report, out_c.report,
-        "seed {seed:#x}: engines disagree on rounds/restart"
-    );
-    assert_eq!(
-        out_t.invariant_totals(),
-        out_c.invariant_totals(),
-        "seed {seed:#x}: schedule-invariant ManaStats diverged between engines"
-    );
-    for ((actor_t, toks_t), (actor_c, toks_c)) in rings_t.iter().zip(rings_c.iter()) {
-        assert_eq!(actor_t, actor_c);
-        assert_eq!(
-            toks_t, toks_c,
-            "seed {seed:#x}, actor {actor_t}: checkpoint-window sequence diverged between engines"
-        );
-    }
-}
-
-/// A quiet plan with only the adversarial checkpoint trigger armed:
-/// injected delays would change *timing* identically-seeded under both
-/// engines anyway, but the trigger is what opens the checkpoint window.
-fn trigger_spec(rank: usize, call: u64) -> FaultSpec {
-    let mut spec = FaultSpec::quiet();
-    spec.trigger_at_call = Some((rank, call));
-    spec
+    let thread = run_compared(case, &plan, Some(EngineKind::Thread));
+    let coop = run_compared(case, &plan, Some(coop));
+    assert_equivalent(&format!("seed {seed:#x}: engines"), &thread, &coop);
 }
 
 #[test]
@@ -87,7 +42,7 @@ fn checkpoint_restart_equivalent_across_engines_seed1() {
         drain: DrainMode::Alltoall,
         restart: true,
     };
-    check_equivalence(&case, trigger_spec(1, 12));
+    check_equivalence(&case, (1, 12));
 }
 
 #[test]
@@ -99,7 +54,7 @@ fn checkpoint_restart_equivalent_across_engines_seed2() {
         drain: DrainMode::Coordinator,
         restart: true,
     };
-    check_equivalence(&case, trigger_spec(2, 9));
+    check_equivalence(&case, (2, 9));
 }
 
 #[test]
@@ -111,7 +66,7 @@ fn checkpoint_restart_equivalent_across_engines_seed3() {
         drain: DrainMode::Coordinator,
         restart: true,
     };
-    check_equivalence(&case, trigger_spec(0, 17));
+    check_equivalence(&case, (0, 17));
 }
 
 /// Resume-mode coverage: no restart leg, so the invariant totals compare
@@ -125,7 +80,7 @@ fn resume_mode_equivalent_across_engines() {
         drain: DrainMode::Alltoall,
         restart: false,
     };
-    check_equivalence(&case, trigger_spec(1, 14));
+    check_equivalence(&case, (1, 14));
 }
 
 /// The restart legs actually ran: with the trigger armed the case must
@@ -133,8 +88,6 @@ fn resume_mode_equivalent_across_engines() {
 /// above compared two trivial (checkpoint-free) executions.
 #[test]
 fn equivalence_cases_exercise_restart() {
-    // Distinct seed from the equivalence tests: the per-seed checkpoint
-    // directory is shared within one process, and tests run in parallel.
     let case = ChaosCase {
         seed: 0xE9_0005,
         ranks: 3,
@@ -142,15 +95,12 @@ fn equivalence_cases_exercise_restart() {
         drain: DrainMode::Alltoall,
         restart: true,
     };
-    let plan = Arc::new(FaultPlan::new(case.seed, trigger_spec(1, 12)));
-    let (out, _) = run_under(
-        &case,
-        &plan,
-        EngineKind::Coop(CoopCfg {
-            workers: 2,
-            sched_seed: case.seed,
-        }),
-    );
+    let plan = trigger_plan(case.seed, 1, 12);
+    let coop = EngineKind::Coop(CoopCfg {
+        workers: 2,
+        sched_seed: case.seed,
+    });
+    let (out, _) = run_compared(&case, &plan, Some(coop));
     assert!(
         out.report.restarted,
         "trigger never fired: {:?}",

@@ -1,55 +1,13 @@
-//! Schedule-space exploration suite: the `CHAOS_SCHEDULE` replay hook,
-//! the Record→Replay round trip, the exploration coverage bar, and the
-//! injected-oracle find-and-minimize smoke test.
+//! Schedule-space exploration suite: the Record→Replay round trip, the
+//! exploration coverage bar, and the injected-oracle find-and-minimize
+//! smoke test. (One explicit schedule replays through
+//! `chaos_suite::case_replay` with a `CHAOS_CASE='schedule …'` spec.)
 
-use chaos::explore::{
-    encode_choices, env_schedule, explore, ExploreCfg, ExploreTarget, Oracle, ScheduleRun,
-};
-use chaos::{env_seed, Workload};
+use chaos::explore::{encode_choices, explore, ExploreCfg, ExploreTarget, Oracle, ScheduleRun};
+use chaos::Workload;
 use mana_core::DrainMode;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Replay one explicit schedule:
-///
-/// ```text
-/// CHAOS_SEED=<seed> CHAOS_SCHEDULE=<hex choices> \
-///   cargo test -p chaos --test explore_suite schedule_replay -- --nocapture
-/// ```
-///
-/// The target shape derives from the seed; `CHAOS_EXPLORE_RANKS` /
-/// `CHAOS_EXPLORE_WORKERS` / `CHAOS_EXPLORE_WORKLOAD` /
-/// `CHAOS_EXPLORE_DRAIN` override it (the explorer's repro lines set all
-/// four). Without `CHAOS_SEED` this replays one fixed schedule as a smoke
-/// test so the hook itself stays exercised.
-#[test]
-fn schedule_replay() {
-    let (seed, choices) = match env_seed() {
-        Some(s) => (s, env_schedule().unwrap_or_default()),
-        None => (0xD0_5EED, vec![2, 0, 1]),
-    };
-    let target = ExploreTarget::from_env_or_seed(seed).expect("target construction");
-    let run = target.run_schedule(&choices);
-    eprintln!(
-        "schedule_replay seed={} choices={} -> {} decisions, fingerprint {:016x}",
-        seed,
-        encode_choices(&choices),
-        run.decisions.len(),
-        run.fingerprint,
-    );
-    if let Some(d) = &run.divergence {
-        eprintln!(
-            "  note: replay diverged at decision {} (choice {} vs ready set of {})",
-            d.index, d.choice, d.ready_len
-        );
-    }
-    if let Some(e) = &run.error {
-        panic!(
-            "schedule failed: {e}\n  repro: {}",
-            target.repro_command(&choices)
-        );
-    }
-}
 
 /// Satellite: choices recorded from a seeded run replay to byte-identical
 /// trace-token rings across 6 seeds × worker counts 1–3.
@@ -85,36 +43,34 @@ fn record_replay_round_trip() {
             DrainMode::Coordinator
         };
         for workers in 1..=3usize {
-            let target = ExploreTarget::new(seed, ranks, workers, workload, drain)
-                .unwrap_or_else(|e| panic!("target seed={seed} workers={workers}: {e}"));
+            // Every message ends in the spec that replays the run: it
+            // names the seed, the shape and the choices.
+            let target = ExploreTarget::new(seed, ranks, workers, workload, drain).expect("target");
             let rec = target.run_schedule(&[]);
+            let seeded = target.repro_command(&[]);
             assert!(
                 rec.error.is_none(),
-                "seeded run failed (seed={seed} ranks={ranks} workers={workers}): {:?}",
+                "seeded run failed: {:?}\n  repro: {seeded}",
                 rec.error
             );
             assert!(
                 !rec.taken.is_empty(),
-                "seeded run recorded no decisions (seed={seed} workers={workers})"
+                "seeded run recorded no decisions\n  repro: {seeded}"
             );
             let rep = target.run_schedule(&rec.taken);
+            let repro = target.repro_command(&rec.taken);
             assert!(
                 rep.error.is_none(),
-                "replay failed (seed={seed} ranks={ranks} workers={workers}): {:?}\n  repro: {}",
-                rep.error,
-                target.repro_command(&rec.taken)
+                "replay failed: {:?}\n  repro: {repro}",
+                rep.error
             );
             assert_eq!(
-                rec.det_rings,
-                rep.det_rings,
-                "trace-token rings diverged across record→replay \
-                 (seed={seed} ranks={ranks} workers={workers})\n  repro: {}",
-                target.repro_command(&rec.taken)
+                rec.det_rings, rep.det_rings,
+                "trace-token rings diverged across record→replay\n  repro: {repro}"
             );
             assert_eq!(
                 rec.invariant, rep.invariant,
-                "schedule-invariant stats diverged across record→replay \
-                 (seed={seed} ranks={ranks} workers={workers})"
+                "schedule-invariant stats diverged across record→replay\n  repro: {repro}"
             );
         }
     }

@@ -1,26 +1,20 @@
 //! Restart-storm chaos: crash the restart at journal-step boundaries —
 //! singly, in sequences, and crossed with storage faults — and demand
-//! convergence. The oracle for every case (see
-//! `chaos::run_restart_kill_case`):
-//!
-//! - every armed kill fires as `RuntimeError::RestartKilled`;
-//! - the clean restart after the storm finishes with values identical to
-//!   both the native reference and an uncrashed baseline restart;
-//! - the on-disk journal passes `mana_core::check_journal` (no duplicate
-//!   idempotency key — a resume never redoes a completed step — and steps
-//!   in protocol order);
-//! - the final epoch commits with exactly the restart scope restored (no
-//!   rank lost), and partial restarts journal only the failed ranks.
+//! convergence. `chaos::run_restart_kill_case` documents the oracle every
+//! case is held to (each armed kill fires; the clean restart equals the
+//! native reference and an uncrashed baseline; `mana_core::check_journal`
+//! passes — a resume never redoes a completed step; the final epoch
+//! commits with exactly the restart scope).
 //!
 //! Sweep sizes respect `CHAOS_BASE_SEED` / `CHAOS_SWEEP_COUNT` so the
 //! nightly `restart-storm` job can run fresh seeds at higher volume.
 
-use chaos::{check_restart_kill_case, env_base_seed, env_sweep_count, RestartKillCase};
-use mana_core::{obs, DrainMode, Mana, ManaConfig, RuntimeError};
+use chaos::{env_base_seed, env_sweep_count, run_restart_kill_case, RestartKillCase};
+use mana_core::{obs, DrainMode, ManaConfig, RuntimeError};
 use mpisim::{CoopCfg, EngineKind, StorageFaultKind};
 use splitproc::{journal, store};
 use std::time::Duration;
-use workloads::{gromacs, ManaFace};
+use workloads::{gromacs, under_mana, Launch};
 
 /// The `MANA2_*` environment: the CI matrix steers what a test does not pin.
 fn env() -> mana_core::EnvConfig {
@@ -38,8 +32,8 @@ fn engines(seed: u64) -> [EngineKind; 2] {
 }
 
 fn check(case: &RestartKillCase) {
-    if let Err(msg) = check_restart_kill_case(case) {
-        panic!("{msg}");
+    if let Err(failure) = run_restart_kill_case(case) {
+        panic!("{failure}");
     }
 }
 
@@ -48,14 +42,17 @@ fn check(case: &RestartKillCase) {
 /// and so on through the final boundary, before the converging clean
 /// restart. Besides covering each kill point, consecutive attempts form
 /// every adjacent double-crash pair.
-#[test]
-fn storm_through_every_boundary_converges() {
-    for (i, engine) in engines(7_000).into_iter().enumerate() {
-        let seed = 7_000 + i as u64;
-        let mut case = RestartKillCase::derive(seed, None, false, engine);
+fn storm_through_every_boundary(base_seed: u64, partial: bool) {
+    for (i, engine) in engines(base_seed).into_iter().enumerate() {
+        let mut case = RestartKillCase::derive(base_seed + i as u64, None, partial, engine);
         case.kills = (0..case.boundaries()).collect();
         check(&case);
     }
+}
+
+#[test]
+fn storm_through_every_boundary_converges() {
+    storm_through_every_boundary(7_000, false);
 }
 
 /// Same storm, but for a partial restart: only the failed ranks' restores
@@ -63,12 +60,7 @@ fn storm_through_every_boundary_converges() {
 /// epoch must list exactly the failed set.
 #[test]
 fn partial_restart_storm_through_every_boundary() {
-    for (i, engine) in engines(7_100).into_iter().enumerate() {
-        let seed = 7_100 + i as u64;
-        let mut case = RestartKillCase::derive(seed, None, true, engine);
-        case.kills = (0..case.boundaries()).collect();
-        check(&case);
-    }
+    storm_through_every_boundary(7_100, true);
 }
 
 /// Single crash against a fresh journal at each boundary — unlike the
@@ -198,35 +190,16 @@ fn survivor_manifest_damage_blocks_full_but_not_partial_restart() {
         ckpt_at_step: ckpt_at,
         ckpt_round: 0,
     };
-    let run = |cfg: &ManaConfig, ckpt_at: Option<u64>, mode: Option<&[usize]>| {
-        let rt = env().runtime(ranks, cfg.clone());
-        let g = gcfg(ckpt_at);
-        let f = move |m: &mut Mana<'_>| -> mana_core::Result<gromacs::GromacsResult> {
-            let mut face = ManaFace::new(m);
-            gromacs::run(&mut face, &g).map_err(|e| e.into_mana())
-        };
-        match mode {
-            None => rt.run_restart(f),
-            Some(failed) => rt.run_restart_partial(failed, f),
-        }
-    };
+    let run = |how: Launch<'_>| under_mana(&env().runtime(ranks, base.clone()), how, &gcfg(None));
     // Commit generation 0, then rot the survivor's manifest entry (the
     // image itself stays intact, so a lenient read still succeeds).
     {
-        let rt = env().runtime(
-            ranks,
-            ManaConfig {
-                exit_after_ckpt: true,
-                ..base.clone()
-            },
-        );
-        let g = gcfg(Some(2));
-        let rep = rt
-            .run_fresh(move |m: &mut Mana<'_>| {
-                let mut face = ManaFace::new(m);
-                gromacs::run(&mut face, &g).map_err(|e| e.into_mana())
-            })
-            .expect("checkpoint leg");
+        let exit_cfg = ManaConfig {
+            exit_after_ckpt: true,
+            ..base.clone()
+        };
+        let rt = env().runtime(ranks, exit_cfg);
+        let rep = under_mana(&rt, Launch::Fresh, &gcfg(Some(2))).expect("checkpoint leg");
         assert!(rep.all_checkpointed());
     }
     let ckpts = store::Store::open(&dir, base.store.clone());
@@ -240,14 +213,14 @@ fn survivor_manifest_damage_blocks_full_but_not_partial_restart() {
         .load_image(0, survivor)
         .expect("survivor image intact");
     // Full restart: the damaged entry vetoes the only generation.
-    match run(&base, None, None) {
+    match run(Launch::Restart) {
         Err(RuntimeError::Store(e)) => {
             assert!(e.to_string().contains("rank 2"), "{e}");
         }
         other => panic!("full restart should fail on the store, got {other:?}"),
     }
     // Partial restart replacing ranks {0, 1}: survivors cannot veto.
-    let rep = run(&base, None, Some(&[0, 1])).expect("partial restart");
+    let rep = run(Launch::Partial(&[0, 1])).expect("partial restart");
     assert!(rep.all_finished());
     assert_eq!(rep.restored_round, Some(0));
     assert_eq!(rep.restored_ranks, Some(vec![0, 1]));
@@ -278,7 +251,7 @@ fn survivor_manifest_damage_blocks_full_but_not_partial_restart() {
     let last_byte = bytes.len() - 1;
     bytes[last_byte] ^= 0xFF;
     std::fs::write(&victim, &bytes).expect("rot");
-    match run(&base, None, Some(&[0, 1])) {
+    match run(Launch::Partial(&[0, 1])) {
         Err(RuntimeError::Store(store::StoreError::Rejected { rank, code, .. })) => {
             assert_eq!(rank, survivor);
             assert!(

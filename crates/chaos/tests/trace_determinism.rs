@@ -6,20 +6,8 @@
 //! same seed (intent landing position, drain window) and is shared with
 //! the dual-engine equivalence suite.
 
-use chaos::{case_token_rings, run_case_traced, ChaosCase, Workload};
-use mana_core::obs;
+use chaos::{run_compared, trigger_plan, ChaosCase, Workload};
 use mana_core::DrainMode;
-use mpisim::{FaultPlan, FaultSpec};
-use std::sync::Arc;
-
-fn run_once(case: &ChaosCase, plan: &Arc<FaultPlan>) -> Vec<(i32, Vec<String>)> {
-    // Generous capacity: an overwrite boundary would itself be
-    // timing-dependent and invalidate the comparison.
-    let sink = obs::TraceSink::wall(case.ranks, 16384);
-    run_case_traced(case, plan.clone(), &sink).expect("quiet-plan case passes");
-    assert_eq!(sink.dropped(), 0, "ring overwrote events; raise capacity");
-    case_token_rings(&sink, case.ranks)
-}
 
 #[test]
 fn fixed_seed_records_identical_checkpoint_sequences() {
@@ -33,12 +21,10 @@ fn fixed_seed_records_identical_checkpoint_sequences() {
     };
     // Quiet except for the checkpoint trigger: delays and reorders only
     // shift timing, but the trigger is what makes the trace interesting.
-    let mut spec = FaultSpec::quiet();
-    spec.trigger_at_call = Some((1, 12));
-    let plan = Arc::new(FaultPlan::new(seed, spec));
+    let plan = trigger_plan(seed, 1, 12);
 
-    let a = run_once(&case, &plan);
-    let b = run_once(&case, &plan);
+    let (_, a) = run_compared(&case, &plan, None);
+    let (_, b) = run_compared(&case, &plan, None);
     for ((actor_a, toks_a), (actor_b, toks_b)) in a.iter().zip(b.iter()) {
         assert_eq!(actor_a, actor_b);
         assert_eq!(

@@ -161,10 +161,8 @@ impl Default for ManaConfig {
 
 impl ManaConfig {
     /// The configuration matching the paper's "master branch" (used in the
-    /// C/R experiments): original 2PC, lambda wrappers, tree-map tables.
-    /// The drain stays alltoall — original 2PC gates collectives on that
-    /// strategy's pre-collective barrier, which this preset exists to
-    /// model.
+    /// C/R experiments): original 2PC, lambda wrappers, tree-map tables,
+    /// and the alltoall drain that branch shipped with.
     pub fn master_branch() -> Self {
         ManaConfig {
             tpc: TpcMode::Original,

@@ -267,19 +267,6 @@ impl CoordHandle {
     }
 }
 
-/// External trigger for checkpoints (held by the driving test/benchmark).
-#[derive(Clone)]
-pub struct CkptTrigger {
-    tx: Sender<RankMsg>,
-}
-
-impl CkptTrigger {
-    /// Request a checkpoint round.
-    pub fn checkpoint(&self) {
-        let _ = self.tx.send(RankMsg::RequestCkpt);
-    }
-}
-
 /// One checkpoint round that failed to commit and was aborted.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbortedRound {
@@ -379,21 +366,6 @@ pub fn topo_order(sent: &[Vec<u64>], recvd: &[Vec<u64>]) -> TopoPlan {
 /// of the violation if the committed global state is inconsistent.
 pub type CommitCheck = Box<dyn Fn(u64) -> std::result::Result<(), String> + Send>;
 
-/// Spawn the coordinator thread for a world of `n` ranks.
-///
-/// Returns per-rank handles, the external trigger, and a join handle whose
-/// result is the coordinator's report.
-pub fn spawn_coordinator(
-    n: usize,
-    exit_after_ckpt: bool,
-) -> (
-    Vec<CoordHandle>,
-    CkptTrigger,
-    std::thread::JoinHandle<CoordReport>,
-) {
-    spawn_coordinator_ext(n, exit_after_ckpt, None, None, None, 0, None, None, None)
-}
-
 /// The coordinator's outbound port to one rank: a bounded channel plus the
 /// rank's engine unparker. Every send is followed by an unpark so a rank
 /// parked in [`CoordHandle::recv`] (or in a scheduling park between
@@ -412,7 +384,9 @@ impl RankPort {
     }
 }
 
-/// [`spawn_coordinator`] with fault injection, a commit-time invariant
+/// Spawn the coordinator thread for a world of `n` ranks; returns the
+/// per-rank handles and a join handle whose result is the coordinator's
+/// report. Takes fault injection, a commit-time invariant
 /// checker, a generational store for two-phase round commit, the first
 /// round number, and an optional flight-recorder sink. A restarted world
 /// passes `restored_round + 1` so round numbers — and therefore
@@ -432,7 +406,7 @@ impl RankPort {
 /// [`obs::COORD_ACTOR`] shard, and each handle counts control-channel
 /// fault firings under its rank.
 #[allow(clippy::too_many_arguments)]
-pub fn spawn_coordinator_ext(
+pub fn spawn_coordinator(
     n: usize,
     exit_after_ckpt: bool,
     fault: Option<Arc<mpisim::FaultPlan>>,
@@ -442,11 +416,7 @@ pub fn spawn_coordinator_ext(
     trace: Option<Arc<obs::TraceSink>>,
     wakers: Option<Vec<UnparkerRef>>,
     metrics: Option<Arc<met::MetricsRegistry>>,
-) -> (
-    Vec<CoordHandle>,
-    CkptTrigger,
-    std::thread::JoinHandle<CoordReport>,
-) {
+) -> (Vec<CoordHandle>, std::thread::JoinHandle<CoordReport>) {
     if let Some(w) = &wakers {
         assert_eq!(w.len(), n, "need one waker per rank");
     }
@@ -473,9 +443,6 @@ pub fn spawn_coordinator_ext(
             parker: None,
         });
     }
-    let trigger = CkptTrigger {
-        tx: to_coord.clone(),
-    };
     let tel = obs::Telemetry::new(obs::COORD_ACTOR, trace, metrics);
     let join = std::thread::Builder::new()
         .name("mana-coordinator".into())
@@ -493,7 +460,7 @@ pub fn spawn_coordinator_ext(
             )
         })
         .expect("spawn coordinator");
-    (handles, trigger, join)
+    (handles, join)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -807,10 +774,18 @@ fn coordinator_loop(
 mod tests {
     use super::*;
 
+    /// A bare coordinator: no faults, no store, no telemetry.
+    fn spawn(
+        n: usize,
+        exit_after_ckpt: bool,
+    ) -> (Vec<CoordHandle>, std::thread::JoinHandle<CoordReport>) {
+        spawn_coordinator(n, exit_after_ckpt, None, None, None, 0, None, None, None)
+    }
+
     #[test]
     fn finishing_without_checkpoints() {
         let n = 3;
-        let (handles, _trigger, join) = spawn_coordinator(n, false);
+        let (handles, join) = spawn(n, false);
         let threads: Vec<_> = handles
             .into_iter()
             .map(|h| {
@@ -830,8 +805,8 @@ mod tests {
     #[test]
     fn one_full_round_resume() {
         let n = 4;
-        let (handles, trigger, join) = spawn_coordinator(n, false);
-        trigger.checkpoint();
+        let (handles, join) = spawn(n, false);
+        handles[0].request_checkpoint().unwrap();
         let threads: Vec<_> = handles
             .into_iter()
             .map(|h| {
@@ -875,8 +850,8 @@ mod tests {
     #[test]
     fn exit_after_ckpt_sends_exit() {
         let n = 2;
-        let (handles, trigger, join) = spawn_coordinator(n, true);
-        trigger.checkpoint();
+        let (handles, join) = spawn(n, true);
+        handles[0].request_checkpoint().unwrap();
         let threads: Vec<_> = handles
             .into_iter()
             .map(|h| {
@@ -915,8 +890,8 @@ mod tests {
     #[test]
     fn legacy_drain_rounds_answered() {
         let n = 2;
-        let (handles, trigger, join) = spawn_coordinator(n, false);
-        trigger.checkpoint();
+        let (handles, join) = spawn(n, false);
+        handles[0].request_checkpoint().unwrap();
         let threads: Vec<_> = handles
             .into_iter()
             .map(|h| {
@@ -1008,8 +983,8 @@ mod tests {
     #[test]
     fn toposort_rows_answered_with_exact_columns() {
         let n = 2;
-        let (handles, trigger, join) = spawn_coordinator(n, false);
-        trigger.checkpoint();
+        let (handles, join) = spawn(n, false);
+        handles[0].request_checkpoint().unwrap();
         let threads: Vec<_> = handles
             .into_iter()
             .map(|h| {
@@ -1083,9 +1058,9 @@ mod tests {
         let n = 2;
         let check: CommitCheck =
             Box::new(|round| Err(format!("synthetic violation in round {round}")));
-        let (handles, trigger, join) =
-            spawn_coordinator_ext(n, false, None, Some(check), None, 0, None, None, None);
-        trigger.checkpoint();
+        let (handles, join) =
+            spawn_coordinator(n, false, None, Some(check), None, 0, None, None, None);
+        handles[0].request_checkpoint().unwrap();
         let threads: Vec<_> = handles
             .into_iter()
             .map(|h| {
@@ -1126,8 +1101,8 @@ mod tests {
         let n = 3;
         // Even in exit-after-checkpoint mode, a failed round must NOT
         // exit: the job resumes and may checkpoint again later.
-        let (handles, trigger, join) = spawn_coordinator(n, true);
-        trigger.checkpoint();
+        let (handles, join) = spawn(n, true);
+        handles[0].request_checkpoint().unwrap();
         let threads: Vec<_> = handles
             .into_iter()
             .map(|h| {
@@ -1204,7 +1179,7 @@ mod tests {
             let out = ckpts().write_image(&img).unwrap();
             crcs.push((out.bytes as u64, out.crc));
         }
-        let (handles, trigger, join) = spawn_coordinator_ext(
+        let (handles, join) = spawn_coordinator(
             n,
             false,
             None,
@@ -1215,7 +1190,7 @@ mod tests {
             None,
             None,
         );
-        trigger.checkpoint();
+        handles[0].request_checkpoint().unwrap();
         let threads: Vec<_> = handles
             .into_iter()
             .map(|h| {
@@ -1257,11 +1232,12 @@ mod tests {
     #[test]
     fn request_after_finish_is_skipped() {
         let n = 1;
-        let (handles, trigger, join) = spawn_coordinator(n, false);
+        let (handles, join) = spawn(n, false);
         let h = &handles[0];
         h.send(RankMsg::Finishing { rank: 0 }).unwrap();
         assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-        trigger.checkpoint();
+        // The coordinator may already be gone: the send's result is moot.
+        let _ = h.request_checkpoint();
         // Coordinator exits since all finished; request may land before or
         // after the loop ends — either way no round ran.
         let report = join.join().unwrap();

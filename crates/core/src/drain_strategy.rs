@@ -1,89 +1,82 @@
-//! Pluggable quiesce protocols for the checkpoint window.
+//! The checkpoint window's quiesce protocols.
 //!
 //! The checkpoint drain — the step that pulls every in-flight message out
-//! of the network before an image is written (paper §III-B) — used to be
-//! hard-wired into `mana_ckpt`/`mana_coll`. It is now a [`DrainStrategy`]
-//! with three implementations:
+//! of the network before an image is written (paper §III-B) — is one
+//! `match` on [`DrainMode`] over three protocols:
 //!
-//! * [`AlltoallDrain`] — MANA-2.0's protocol: one `MPI_Alltoall` of
-//!   per-pair sent-byte rows, then purely local sweeps until the deficits
-//!   reach zero.
-//! * [`CoordinatorDrain`] — the original MANA baseline: global totals
+//! * `Alltoall` — MANA-2.0's protocol: one `MPI_Alltoall` of per-pair
+//!   sent-byte rows, then purely local sweeps until the deficits reach
+//!   zero.
+//! * `Coordinator` — the original MANA baseline: global totals
 //!   round-tripped through the centralized coordinator until they balance.
-//! * [`TopoSortDrain`] — the 2024 follow-up (arXiv 2408.02218): each rank
-//!   ships its sent/received rows to the coordinator once; the
-//!   coordinator topologically orders the in-flight send→receive
-//!   dependency graph and answers with each rank's exact expected-bytes
-//!   column. The count exchange costs two coordinator messages per rank
-//!   instead of the alltoall's O(n²) fabric traffic, and — because the
-//!   quiesce never runs a collective — no collective-emulation machinery
-//!   or pre-collective 2PC barrier is needed at all.
+//! * `TopoSort` — the 2024 follow-up (arXiv 2408.02218): each rank ships
+//!   its sent/received rows to the coordinator once; the coordinator
+//!   topologically orders the in-flight send→receive dependency graph and
+//!   answers with each rank's exact expected-bytes column. The count
+//!   exchange costs two coordinator messages per rank instead of the
+//!   alltoall's O(n²) fabric traffic, and the quiesce never runs a
+//!   collective.
 //!
-//! Strategy selection is [`crate::config::ManaConfig::drain`], overridable
-//! with `MANA2_DRAIN=alltoall|toposort|coordinator`.
+//! The protocol decides how in-flight traffic is counted, nothing else:
+//! whether a barrier precedes every collective is
+//! [`crate::config::TpcMode`]'s decision alone, so the two axes are
+//! orthogonal. Selection is [`crate::config::ManaConfig::drain`].
 
-use crate::config::{DrainMode, TpcMode};
+use crate::config::DrainMode;
 use crate::coordinator::{CoordMsg, RankMsg};
 use crate::error::{ManaError, Result};
-use crate::ids::{VComm, VCOMM_WORLD};
+use crate::ids::VCOMM_WORLD;
 use crate::mana::Mana;
 use obs::metrics as met;
 use obs::{EventKind, Phase};
 
-/// A checkpoint-window quiesce protocol. `quiesce` runs after `Go` and
-/// must return only when this rank's share of the network is empty (every
-/// in-flight message addressed to it captured); `pre_collective` is the
-/// strategy's hook in front of every blocking collective, where the
-/// alltoall-family protocols place their `TpcMode::Original` barrier.
-pub trait DrainStrategy: Sync {
-    /// Stable short name (metrics/artifact label).
-    fn name(&self) -> &'static str;
+/// The one place a [`DrainMode`] is resolved: its quiesce routine, its
+/// quiesce-latency histogram and its completed-quiesce counter.
+type Protocol = (
+    fn(&mut Mana<'_>) -> Result<()>,
+    met::MetricId,
+    met::MetricId,
+);
 
-    /// Drain the network for this rank (called with every rank parked).
-    fn quiesce(&self, m: &mut Mana<'_>) -> Result<()>;
+fn protocol(mode: DrainMode) -> Protocol {
+    match mode {
+        DrainMode::Alltoall => (
+            quiesce_alltoall,
+            met::DRAIN_ALLTOALL_QUIESCE_NS,
+            met::DRAIN_ROUNDS_ALLTOALL,
+        ),
+        DrainMode::Coordinator => (
+            quiesce_coordinator,
+            met::DRAIN_COORDINATOR_QUIESCE_NS,
+            met::DRAIN_ROUNDS_COORDINATOR,
+        ),
+        DrainMode::TopoSort => (
+            quiesce_toposort,
+            met::DRAIN_TOPOSORT_QUIESCE_NS,
+            met::DRAIN_ROUNDS_TOPOSORT,
+        ),
+    }
+}
 
-    /// Hook before every blocking collective. The default honors the
-    /// configured two-phase-commit mode: `TpcMode::Original` prepends the
-    /// interruptible barrier, `Hybrid` does nothing.
-    fn pre_collective(&self, m: &mut Mana<'_>, vc: VComm) -> Result<()> {
-        if m.cfg.tpc == TpcMode::Original {
-            m.tpc_barrier(vc)?;
-        }
+impl Mana<'_> {
+    /// Drain the network for this rank under the configured protocol
+    /// (called after `Go`, with every rank parked). Returns only when
+    /// this rank's share of the network is empty — every in-flight
+    /// message addressed to it captured. The whole quiesce (exchange +
+    /// sweeps) is timed into a per-protocol histogram and counted, so
+    /// the protocols are directly comparable from one metrics series.
+    pub(crate) fn quiesce(&mut self) -> Result<()> {
+        let (run, hist, rounds) = protocol(self.cfg.drain);
+        let t = std::time::Instant::now();
+        run(self)?;
+        self.tel.observe(hist, t.elapsed());
+        self.tel.add(rounds, 1);
         Ok(())
     }
 }
 
-/// Resolve the configured [`DrainMode`] to its strategy implementation.
-pub fn strategy_for(mode: DrainMode) -> &'static dyn DrainStrategy {
-    match mode {
-        DrainMode::Alltoall => &AlltoallDrain,
-        DrainMode::Coordinator => &CoordinatorDrain,
-        DrainMode::TopoSort => &TopoSortDrain,
-    }
-}
-
-/// The per-strategy quiesce-latency histogram.
-pub(crate) fn quiesce_hist(mode: DrainMode) -> met::MetricId {
-    match mode {
-        DrainMode::Alltoall => met::DRAIN_ALLTOALL_QUIESCE_NS,
-        DrainMode::Coordinator => met::DRAIN_COORDINATOR_QUIESCE_NS,
-        DrainMode::TopoSort => met::DRAIN_TOPOSORT_QUIESCE_NS,
-    }
-}
-
-/// The per-strategy completed-quiesce counter.
-pub(crate) fn rounds_counter(mode: DrainMode) -> met::MetricId {
-    match mode {
-        DrainMode::Alltoall => met::DRAIN_ROUNDS_ALLTOALL,
-        DrainMode::Coordinator => met::DRAIN_ROUNDS_COORDINATOR,
-        DrainMode::TopoSort => met::DRAIN_ROUNDS_TOPOSORT,
-    }
-}
-
 /// Sweep until every per-peer deficit against `expected` reaches zero.
-/// Shared by every strategy that knows its exact expected column
-/// (`u64::MAX` entries model the coordinator drain's "everything
-/// receivable" sweeps).
+/// Shared by the protocols that know their exact expected column.
 fn sweep_until_settled(m: &mut Mana<'_>, expected: &[u64]) -> Result<()> {
     let mut sweep = 0;
     while m.p2p.deficits(expected).iter().any(|&d| d != 0) {
@@ -108,129 +101,86 @@ fn one_sweep(m: &mut Mana<'_>, sweep: u32, expected: &[u64]) -> Result<()> {
 }
 
 /// MANA-2.0 drain: one alltoall of sent rows, then purely local work.
-pub struct AlltoallDrain;
-
-impl DrainStrategy for AlltoallDrain {
-    fn name(&self) -> &'static str {
-        "alltoall"
-    }
-
-    fn quiesce(&self, m: &mut Mana<'_>) -> Result<()> {
-        let round = m.round as i64 - 1;
-        let world_real = m.real_comm(VCOMM_WORLD)?;
-        let sent_row = m.p2p.sent_row().to_vec();
-        let exchange = m.tel.begin(round, Phase::DrainExchange);
-        let expected = m.lh.call(|p| p.alltoall_u64(world_real, &sent_row))?;
-        m.tel.end(exchange);
-        sweep_until_settled(m, &expected)
-    }
+fn quiesce_alltoall(m: &mut Mana<'_>) -> Result<()> {
+    let round = m.round as i64 - 1;
+    let world_real = m.real_comm(VCOMM_WORLD)?;
+    let sent_row = m.p2p.sent_row().to_vec();
+    let exchange = m.tel.begin(round, Phase::DrainExchange);
+    let expected = m.lh.call(|p| p.alltoall_u64(world_real, &sent_row))?;
+    m.tel.end(exchange);
+    sweep_until_settled(m, &expected)
 }
 
-/// Original MANA drain: totals through the coordinator, iterated until
-/// global sent equals global received.
-pub struct CoordinatorDrain;
-
-impl DrainStrategy for CoordinatorDrain {
-    fn name(&self) -> &'static str {
-        "coordinator"
-    }
-
-    fn quiesce(&self, m: &mut Mana<'_>) -> Result<()> {
-        let round = m.round as i64 - 1;
-        // No per-pair information: every sweep takes everything receivable.
-        let all = vec![u64::MAX; m.world_size()];
-        let mut sweep = 0;
-        loop {
-            let (sent, recvd) = m.p2p.totals();
-            let exchange = m.tel.begin(round, Phase::DrainExchange);
-            m.coord.send(RankMsg::DrainReport {
-                rank: m.rank(),
-                sent,
-                recvd,
-            })?;
-            let verdict = m.coord.recv()?;
-            m.tel.end(exchange);
-            match verdict {
-                CoordMsg::DrainVerdict { balanced: true } => return Ok(()),
-                CoordMsg::DrainVerdict { balanced: false } => {
-                    sweep += 1;
-                    one_sweep(m, sweep, &all)?;
-                }
-                other => {
-                    debug_assert!(false, "unexpected drain reply: {other:?}");
-                    return Err(ManaError::CoordinatorGone);
-                }
+/// Original MANA drain: totals through the coordinator, iterated
+/// until global sent equals global received.
+fn quiesce_coordinator(m: &mut Mana<'_>) -> Result<()> {
+    let round = m.round as i64 - 1;
+    // No per-pair information: every sweep takes everything
+    // receivable (`u64::MAX` claims).
+    let all = vec![u64::MAX; m.world_size()];
+    let mut sweep = 0;
+    loop {
+        let (sent, recvd) = m.p2p.totals();
+        let exchange = m.tel.begin(round, Phase::DrainExchange);
+        m.coord.send(RankMsg::DrainReport {
+            rank: m.rank(),
+            sent,
+            recvd,
+        })?;
+        let verdict = m.coord.recv()?;
+        m.tel.end(exchange);
+        match verdict {
+            CoordMsg::DrainVerdict { balanced: true } => return Ok(()),
+            CoordMsg::DrainVerdict { balanced: false } => {
+                sweep += 1;
+                one_sweep(m, sweep, &all)?;
+            }
+            other => {
+                debug_assert!(false, "unexpected drain reply: {other:?}");
+                return Err(ManaError::CoordinatorGone);
             }
         }
     }
 }
 
 /// Topological-sort drain (arXiv 2408.02218): one rows→schedule round
-/// trip through the coordinator, then the same local deficit sweeps as
-/// the alltoall protocol against the exact expected column.
-pub struct TopoSortDrain;
-
-impl DrainStrategy for TopoSortDrain {
-    fn name(&self) -> &'static str {
-        "toposort"
-    }
-
-    fn quiesce(&self, m: &mut Mana<'_>) -> Result<()> {
-        let round = m.round as i64 - 1;
-        let exchange = m.tel.begin(round, Phase::DrainExchange);
-        m.coord.send(RankMsg::DrainRows {
-            rank: m.rank(),
-            sent: m.p2p.sent_row().to_vec(),
-            recvd: m.p2p.recvd_row().to_vec(),
-        })?;
-        let (expected, order, edges, cyclic) = match m.coord.recv()? {
-            CoordMsg::DrainSchedule {
-                expected,
-                order,
-                edges,
-                cyclic,
-            } => (expected, order, edges, cyclic),
-            other => {
-                debug_assert!(false, "unexpected while awaiting schedule: {other:?}");
-                return Err(ManaError::CoordinatorGone);
-            }
-        };
-        m.tel.end(exchange);
-        m.tel.event(
-            round,
-            EventKind::DrainSchedule {
-                order,
-                edges,
-                cyclic,
-            },
-        );
-        sweep_until_settled(m, &expected)
-    }
-
-    /// Never a barrier: the topo-sort quiesce orders in-flight traffic
-    /// from the `P2pLog` rows alone, so there is nothing for a phase-1
-    /// barrier to synchronize — this is exactly the collective-emulation
-    /// machinery the protocol exists to avoid, even under
-    /// `TpcMode::Original`.
-    fn pre_collective(&self, _m: &mut Mana<'_>, _vc: VComm) -> Result<()> {
-        Ok(())
-    }
+/// trip through the coordinator, then the same local deficit sweeps
+/// as the alltoall protocol against the exact expected column.
+fn quiesce_toposort(m: &mut Mana<'_>) -> Result<()> {
+    let round = m.round as i64 - 1;
+    let exchange = m.tel.begin(round, Phase::DrainExchange);
+    m.coord.send(RankMsg::DrainRows {
+        rank: m.rank(),
+        sent: m.p2p.sent_row().to_vec(),
+        recvd: m.p2p.recvd_row().to_vec(),
+    })?;
+    let (expected, order, edges, cyclic) = match m.coord.recv()? {
+        CoordMsg::DrainSchedule {
+            expected,
+            order,
+            edges,
+            cyclic,
+        } => (expected, order, edges, cyclic),
+        other => {
+            debug_assert!(false, "unexpected while awaiting schedule: {other:?}");
+            return Err(ManaError::CoordinatorGone);
+        }
+    };
+    m.tel.end(exchange);
+    m.tel.event(
+        round,
+        EventKind::DrainSchedule {
+            order,
+            edges,
+            cyclic,
+        },
+    );
+    sweep_until_settled(m, &expected)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn strategy_names_match_modes() {
-        for mode in [
-            DrainMode::Alltoall,
-            DrainMode::Coordinator,
-            DrainMode::TopoSort,
-        ] {
-            assert_eq!(strategy_for(mode).name(), mode.name());
-        }
-    }
 
     #[test]
     fn per_strategy_metrics_are_distinct() {
@@ -242,8 +192,8 @@ mod tests {
         for a in modes {
             for b in modes {
                 if a != b {
-                    assert_ne!(quiesce_hist(a), quiesce_hist(b));
-                    assert_ne!(rounds_counter(a), rounds_counter(b));
+                    assert_ne!(protocol(a).1, protocol(b).1);
+                    assert_ne!(protocol(a).2, protocol(b).2);
                 }
             }
         }

@@ -54,7 +54,7 @@ pub mod collective_emu;
 pub mod comm_mgr;
 pub mod config;
 pub mod coordinator;
-pub mod drain_strategy;
+mod drain_strategy;
 pub mod env;
 pub mod error;
 pub mod fortran;
@@ -79,11 +79,8 @@ pub use collective_emu::{emu_tag, CollOp, CollOpTable, EmuIo, EmuKind, IRecvSlot
 pub use comm_mgr::{global_comm_id, CommManager, CommRecord};
 pub use config::{CommRestore, DrainMode, ManaConfig, TpcMode};
 pub use coordinator::{
-    spawn_coordinator, spawn_coordinator_ext, topo_order, AbortedRound, CkptRoundStats,
-    CkptTrigger, CommitCheck, CoordHandle, CoordReport, TopoPlan,
-};
-pub use drain_strategy::{
-    strategy_for, AlltoallDrain, CoordinatorDrain, DrainStrategy, TopoSortDrain,
+    spawn_coordinator, topo_order, AbortedRound, CkptRoundStats, CommitCheck, CoordHandle,
+    CoordReport, TopoPlan,
 };
 pub use env::{from_env, ConfigError, EnvConfig};
 pub use error::{ManaError, Result};

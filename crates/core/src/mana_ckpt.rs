@@ -157,18 +157,7 @@ impl<'p> Mana<'p> {
         // also "which pass is this" after a restart).
         self.round = round + 1;
         let sweeps_before = self.stats.drain_sweeps;
-        // The quiesce protocol is pluggable: its whole quiesce (exchange
-        // + sweeps) is timed into a per-strategy histogram, so the
-        // protocols are directly comparable from one metrics series.
-        let drain = self.cfg.drain;
-        let t_quiesce = std::time::Instant::now();
-        crate::drain_strategy::strategy_for(drain).quiesce(self)?;
-        self.tel.observe(
-            crate::drain_strategy::quiesce_hist(drain),
-            t_quiesce.elapsed(),
-        );
-        self.tel
-            .add(crate::drain_strategy::rounds_counter(drain), 1);
+        self.quiesce()?;
         self.stats
             .drain_sweeps_by_round
             .push((round, self.stats.drain_sweeps - sweeps_before));
@@ -287,9 +276,9 @@ impl<'p> Mana<'p> {
     /// each peer still owing bytes, (a) iprobe+recv unmatched messages on
     /// every active communicator, (b) test recorded pending `irecv`s (the
     /// message may already be claimed — §III-B), on both user requests
-    /// and emulated-collective slots. Shared by every
-    /// [`crate::drain_strategy::DrainStrategy`]; the coordinator strategy
-    /// passes `u64::MAX` claims to sweep everything receivable.
+    /// and emulated-collective slots. Shared by every drain protocol; the
+    /// coordinator protocol passes `u64::MAX` claims to sweep everything
+    /// receivable.
     ///
     /// Deficits are recomputed *live* from the [`P2pLog`] before every
     /// probe — never trusted from a snapshot — so a message matched

@@ -25,6 +25,7 @@
 //! restart resumes incomplete ones from their serialized state.
 
 use crate::collective_emu::CollOp;
+use crate::config::TpcMode;
 use crate::error::{ManaError, Result};
 use crate::ids::{VComm, VReq};
 use crate::mana::Mana;
@@ -34,23 +35,24 @@ use obs::metrics as met;
 use obs::{EventKind, Phase, NO_ROUND};
 
 impl Mana<'_> {
-    /// Collective prologue: accounting plus the drain strategy's
-    /// pre-collective hook (where the alltoall-family protocols place
-    /// their `TpcMode::Original` barrier; the topo-sort strategy never
-    /// barriers — its quiesce doesn't touch the collective machinery).
+    /// Collective prologue: accounting plus, under `TpcMode::Original`
+    /// and whatever the drain protocol, the phase-1 barrier.
     fn collective_prologue(&mut self, vc: VComm, kind: CollKind) -> Result<()> {
         self.stats.wrapper_calls += 1;
         self.stats.collectives += 1;
         self.maybe_checkpoint(false)?;
         self.emu_record(kind);
-        crate::drain_strategy::strategy_for(self.cfg.drain).pre_collective(self, vc)
+        if self.cfg.tpc == TpcMode::Original {
+            self.tpc_barrier(vc)?;
+        }
+        Ok(())
     }
 
     /// The interruptible 2PC phase-1 barrier (Original mode): an emulated
     /// dissemination barrier whose poll loop services checkpoints, so a
     /// rank waiting for a straggler (§III-J) parks in checkpointable state
     /// instead of blocking inside the lower half.
-    pub(crate) fn tpc_barrier(&mut self, vc: VComm) -> Result<()> {
+    fn tpc_barrier(&mut self, vc: VComm) -> Result<()> {
         self.stats.tpc_barriers += 1;
         self.tel.add(met::TPC_BARRIERS, 1);
         let seq = self.comms.next_emu_seq(vc);

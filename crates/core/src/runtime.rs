@@ -8,7 +8,7 @@
 //! re-entered — it finds its position in upper-half memory and continues.
 
 use crate::config::ManaConfig;
-use crate::coordinator::{spawn_coordinator_ext, CommitCheck, CoordReport};
+use crate::coordinator::{spawn_coordinator, CommitCheck, CoordReport};
 use crate::error::{ManaError, Result};
 use crate::mana::{Mana, ManaStats};
 use mpisim::{StatsSnapshot, World, WorldCfg};
@@ -553,7 +553,7 @@ impl ManaRuntime {
                 Ok(())
             })
         };
-        let (handles, trigger, coord_join) = spawn_coordinator_ext(
+        let (handles, coord_join) = spawn_coordinator(
             self.n,
             self.cfg.exit_after_ckpt,
             self.cfg.fault.clone(),
@@ -669,7 +669,6 @@ impl ManaRuntime {
         // Drop our coordinator senders so the coordinator unblocks even if
         // ranks errored before saying goodbye.
         drop(handles);
-        drop(trigger);
         let deadlock_report = detector.and_then(|(stop, handle)| {
             stop.store(true, Ordering::Relaxed);
             handle.join().ok().flatten()

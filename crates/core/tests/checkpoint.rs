@@ -221,6 +221,51 @@ fn checkpoint_exit_and_restart_continues() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// tpc × drain are orthogonal axes: `TpcMode::Original` barriers before
+/// every collective whatever protocol quiesces the checkpoint window, the
+/// config record names what ran, and the round still checkpoints and
+/// restarts transparently.
+#[test]
+fn original_tpc_barriers_under_toposort_drain() {
+    let n = 3;
+    let mut config = cfg("orig_toposort");
+    config.tpc = TpcMode::Original;
+    config.drain = DrainMode::TopoSort;
+    config.exit_after_ckpt = true;
+    let dir = config.ckpt_dir.clone();
+    let total = 8u64;
+    let record = config.record(&wcfg().engine).0;
+    for pair in [("tpc", "original"), ("drain", "toposort")] {
+        assert!(
+            record.contains(&(pair.0.into(), pair.1.into())),
+            "{record:?}"
+        );
+    }
+
+    let reference = ManaRuntime::new(n, cfg("orig_toposort_ref"))
+        .with_world_cfg(wcfg())
+        .run_fresh(|m| step_workload(m, total))
+        .unwrap()
+        .values();
+
+    let pass1 = ManaRuntime::new(n, config.clone())
+        .with_world_cfg(wcfg())
+        .run_fresh(|m| step_workload(m, total))
+        .unwrap();
+    assert!(pass1.all_checkpointed(), "{:?}", pass1.outcomes);
+    let pass2 = ManaRuntime::new(n, config)
+        .with_world_cfg(wcfg())
+        .run_restart(|m| step_workload(m, total))
+        .unwrap();
+    for leg in [&pass1, &pass2] {
+        for (rank, s) in leg.rank_stats.iter().enumerate() {
+            assert!(s.tpc_barriers > 0, "rank {rank} ran no phase-1 barrier");
+        }
+    }
+    assert_eq!(pass2.values(), reference);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn restart_rebuilds_subcommunicators_from_active_list() {
     let n = 4;
@@ -374,12 +419,9 @@ fn original_tpc_deadlocks_hybrid_does_not() {
     assert_eq!(hybrid.values(), vec![0, 5]);
 
     // Original: the injected barrier deadlocks; the watchdog converts the
-    // hang into an error. The drain is pinned because the barrier under
-    // test is the alltoall strategy's pre-collective gate — the toposort
-    // drain (e.g. via a MANA2_DRAIN override) removes it by design.
+    // hang into an error.
     let mut oc = cfg("deadlock_original");
     oc.tpc = TpcMode::Original;
-    oc.drain = DrainMode::Alltoall;
     let res = ManaRuntime::new(2, oc)
         .with_world_cfg(deadline)
         .run_fresh(scenario);

@@ -5,7 +5,7 @@
 mod common;
 
 use common::env;
-use mana_core::{DrainMode, ManaConfig, RuntimeError, TpcMode};
+use mana_core::{ManaConfig, RuntimeError, TpcMode};
 use mpisim::{ReduceOp, SrcSel, TagSel};
 use std::time::Duration;
 
@@ -22,24 +22,22 @@ fn cfg(name: &str, tpc: TpcMode) -> ManaConfig {
 fn detector_names_blocked_ranks_in_iii_e_deadlock() {
     // The §III-E pattern under Original 2PC deadlocks; with the detector
     // enabled (and NO watchdog), the run fails with a structured report
-    // instead of hanging. The drain is pinned: the deadlock comes from the
-    // alltoall strategy's pre-collective barrier, which the toposort drain
-    // (e.g. via a MANA2_DRAIN override) removes by design.
-    let mut config = cfg("iiie", TpcMode::Original);
-    config.drain = DrainMode::Alltoall;
-    let res = env().runtime(2, config).run_fresh(|m| {
-        let w = m.comm_world();
-        if m.rank() == 0 {
-            let mut d = vec![1u64];
-            m.bcast_t(w, 0, &mut d)?; // Original 2PC: blocks in the barrier
-            m.send_t(w, 1, 1, &[2u64])?;
-        } else {
-            let _ = m.recv_t::<u64>(w, SrcSel::Rank(0), TagSel::Tag(1))?;
-            let mut d: Vec<u64> = vec![];
-            m.bcast_t(w, 0, &mut d)?;
-        }
-        Ok(())
-    });
+    // instead of hanging.
+    let res = env()
+        .runtime(2, cfg("iiie", TpcMode::Original))
+        .run_fresh(|m| {
+            let w = m.comm_world();
+            if m.rank() == 0 {
+                let mut d = vec![1u64];
+                m.bcast_t(w, 0, &mut d)?; // Original 2PC: blocks in the barrier
+                m.send_t(w, 1, 1, &[2u64])?;
+            } else {
+                let _ = m.recv_t::<u64>(w, SrcSel::Rank(0), TagSel::Tag(1))?;
+                let mut d: Vec<u64> = vec![];
+                m.bcast_t(w, 0, &mut d)?;
+            }
+            Ok(())
+        });
     match res {
         Err(RuntimeError::Deadlock(report)) => {
             assert!(report.contains("rank 0"), "{report}");

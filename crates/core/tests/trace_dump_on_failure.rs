@@ -2,7 +2,7 @@
 //! `RuntimeError` must leave a JSONL + Chrome-trace dump behind, and the
 //! dump must be well-formed and contain the recorded events.
 
-use mana_core::{obs, DrainMode, ManaConfig, Outputs, RuntimeError, TpcMode};
+use mana_core::{obs, ManaConfig, Outputs, RuntimeError, TpcMode};
 use mpisim::{SrcSel, TagSel};
 use std::time::Duration;
 
@@ -10,12 +10,8 @@ use std::time::Duration;
 fn runtime_failure_dumps_flight_recorder() {
     let env = mana_core::from_env().expect("MANA2_* environment");
     let sink = obs::TraceSink::wall(2, 4096);
-    // Drain pinned to alltoall: the guaranteed deadlock below is the
-    // alltoall strategy's pre-collective barrier, which the toposort
-    // drain (e.g. via a MANA2_DRAIN override) removes by design.
     let cfg = ManaConfig {
         tpc: TpcMode::Original,
-        drain: DrainMode::Alltoall,
         deadlock_timeout: Some(Duration::from_millis(400)),
         trace: Some(sink.clone()),
         ckpt_dir: std::env::temp_dir().join(format!("mana2_tdf_{}", std::process::id())),
@@ -70,10 +66,8 @@ fn runtime_failure_dumps_flight_recorder() {
     assert_eq!(events.len(), sink.merged().len());
     // One run, one explanation: the header says what the run resolved to.
     assert_eq!(meta.config, want_config);
-    assert!(meta
-        .config
-        .to_string()
-        .contains("tpc=original drain=alltoall"));
+    let ran = format!("tpc=original drain={}", env.mana.drain.name());
+    assert!(meta.config.to_string().contains(&ran));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

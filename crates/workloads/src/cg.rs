@@ -186,8 +186,10 @@ pub fn run<M: MpiFace>(m: &mut M, cfg: &CgConfig) -> WlResult<CgResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::face::NativeFace;
-    use mpisim::run as world_run;
+
+    fn native(n: usize, cfg: CgConfig) -> Vec<CgResult> {
+        crate::native(&mpisim::World::new(n, crate::test_world()), &cfg).unwrap()
+    }
 
     #[test]
     fn converges_on_poisson() {
@@ -198,11 +200,7 @@ mod tests {
             ckpt_at_iter: None,
             ckpt_round: 0,
         };
-        let (out, _) = world_run(4, crate::test_world(), move |p| {
-            let mut f = NativeFace::new(p);
-            run(&mut f, &cfg).unwrap()
-        })
-        .unwrap();
+        let out = native(4, cfg);
         // CG on an SPD tridiagonal of dimension 64 converges in ≤ 64 iters.
         for r in &out {
             assert!(r.converged, "rnorm2={}", r.rnorm2);
@@ -220,11 +218,7 @@ mod tests {
             ckpt_at_iter: None,
             ckpt_round: 0,
         };
-        let (out, _) = world_run(1, crate::test_world(), move |p| {
-            let mut f = NativeFace::new(p);
-            run(&mut f, &cfg).unwrap()
-        })
-        .unwrap();
+        let out = native(1, cfg);
         assert!(out[0].converged);
         // Known solution of tridiag(-1,2,-1) x = 1: x_i = i(n+1-i)/2,
         // 1-indexed. Spot-check via the residual instead (already ~0).

@@ -220,19 +220,42 @@ pub fn run<M: MpiFace>(m: &mut M, cfg: &GromacsConfig) -> WlResult<GromacsResult
     })
 }
 
+/// The Fig. 3 shape: `md` run through `rounds` checkpoint rounds, rank 0
+/// requesting round `r` one step into the `r`-th stretch of `stride`
+/// steps, then on to `md.steps`. Built from resumable [`run`] calls, so it
+/// is itself resumable.
+#[derive(Debug, Clone)]
+pub struct Periodic {
+    /// The underlying MD run (its own `ckpt_*` fields are ignored).
+    pub md: GromacsConfig,
+    /// Checkpoint rounds to request.
+    pub rounds: u64,
+    /// Steps between requests.
+    pub stride: u64,
+}
+
+impl crate::Kernel for Periodic {
+    type Out = GromacsResult;
+    fn run<F: MpiFace>(&self, f: &mut F) -> WlResult<GromacsResult> {
+        let mut cfg = self.md.clone();
+        for r in 0..self.rounds {
+            cfg.steps = (r + 1) * self.stride;
+            cfg.ckpt_at_step = Some(r * self.stride + 1);
+            cfg.ckpt_round = r;
+            run(f, &cfg)?;
+        }
+        cfg.steps = self.md.steps;
+        cfg.ckpt_at_step = None;
+        run(f, &cfg)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::face::NativeFace;
-    use mpisim::run as world_run;
 
     fn native(n: usize, cfg: GromacsConfig) -> Vec<GromacsResult> {
-        let (out, _) = world_run(n, crate::test_world(), move |p| {
-            let mut f = NativeFace::new(p);
-            run(&mut f, &cfg).unwrap()
-        })
-        .unwrap();
-        out
+        crate::native(&mpisim::World::new(n, crate::test_world()), &cfg).unwrap()
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! * [`cg`] — a conjugate-gradient solver whose numerical convergence is
 //!   an end-to-end correctness oracle across checkpoint/restart.
 //! * [`scenarios`] — the §III-E deadlock pattern and the §III-J straggler.
+//! * [`runner`] — the [`Kernel`] trait the three kernels implement, and
+//!   the one [`native`] / [`under_mana`] pair everything runs them with.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,10 +22,12 @@
 pub mod cg;
 pub mod face;
 pub mod gromacs;
+pub mod runner;
 pub mod scenarios;
 pub mod vasp;
 
 pub use face::{CommH, ManaFace, MpiFace, NativeFace, ReqH, WlError, WlResult, COMM_WORLD};
+pub use runner::{native, under_mana, Kernel, Launch};
 
 /// World configuration for this crate's unit tests: the CI matrix picks
 /// the engine through `MANA2_ENGINE`.

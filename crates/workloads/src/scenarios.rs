@@ -2,7 +2,33 @@
 //! the §III-J straggler.
 
 use crate::face::{MpiFace, WlResult, COMM_WORLD};
+use crate::Kernel;
 use mpisim::ReduceOp;
+
+/// [`deadlock_pattern`] with this payload, as a kernel.
+pub struct Deadlock(pub u64);
+
+impl Kernel for Deadlock {
+    type Out = u64;
+    fn run<F: MpiFace>(&self, f: &mut F) -> WlResult<u64> {
+        deadlock_pattern(f, self.0)
+    }
+}
+
+/// [`straggler_pattern`] as a kernel.
+pub struct Straggler {
+    /// Compute units rank 0 spends before joining the collective.
+    pub units: u64,
+    /// Does rank 0 request a checkpoint before computing?
+    pub request_ckpt: bool,
+}
+
+impl Kernel for Straggler {
+    type Out = u64;
+    fn run<F: MpiFace>(&self, f: &mut F) -> WlResult<u64> {
+        straggler_pattern(f, self.units, self.request_ckpt)
+    }
+}
 
 /// The §III-E deadlock pattern. Rank 0 broadcasts (as root) and *then*
 /// sends the message rank 1 needs before rank 1 can enter the broadcast:
@@ -67,27 +93,22 @@ pub fn straggler_pattern<M: MpiFace>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::face::NativeFace;
-    use mpisim::run as world_run;
+    use mpisim::World;
 
     #[test]
     fn deadlock_pattern_is_legal_mpi() {
         // Natively (true MPI semantics) the pattern completes.
-        let (out, _) = world_run(3, crate::test_world(), |p| {
-            let mut f = NativeFace::new(p);
-            deadlock_pattern(&mut f, 40).unwrap()
-        })
-        .unwrap();
-        assert_eq!(out, vec![40, 40, 40]);
+        let out = crate::native(&World::new(3, crate::test_world()), &Deadlock(40));
+        assert_eq!(out.unwrap(), vec![40, 40, 40]);
     }
 
     #[test]
     fn straggler_pattern_completes_natively() {
-        let (out, _) = world_run(4, crate::test_world(), |p| {
-            let mut f = NativeFace::new(p);
-            straggler_pattern(&mut f, 10_000, false).unwrap()
-        })
-        .unwrap();
-        assert_eq!(out, vec![10, 10, 10, 10]);
+        let kernel = Straggler {
+            units: 10_000,
+            request_ckpt: false,
+        };
+        let out = crate::native(&World::new(4, crate::test_world()), &kernel);
+        assert_eq!(out.unwrap(), vec![10, 10, 10, 10]);
     }
 }

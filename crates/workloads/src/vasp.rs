@@ -381,16 +381,9 @@ pub fn run<M: MpiFace>(m: &mut M, cfg: &VaspConfig) -> WlResult<VaspResult> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::face::NativeFace;
-    use mpisim::run as world_run;
 
     fn native(n: usize, cfg: VaspConfig) -> Vec<VaspResult> {
-        let (out, _) = world_run(n, crate::test_world(), move |p| {
-            let mut f = NativeFace::new(p);
-            run(&mut f, &cfg).unwrap()
-        })
-        .unwrap();
-        out
+        crate::native(&mpisim::World::new(n, crate::test_world()), &cfg).unwrap()
     }
 
     #[test]

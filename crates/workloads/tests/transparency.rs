@@ -2,11 +2,11 @@
 //! results natively, under MANA, and across checkpoint/restart cycles.
 //! This is the observable definition of "transparent checkpointing".
 
-use mana_core::{DrainMode, ManaConfig, ManaRuntime, RuntimeError, TpcMode};
+use mana_core::{ManaConfig, ManaRuntime, RuntimeError, TpcMode};
 use mpisim::{World, WorldCfg};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
-use workloads::{cg, gromacs, scenarios, vasp, ManaFace, NativeFace};
+use workloads::{cg, gromacs, native, scenarios, under_mana, vasp, Launch};
 
 /// The `MANA2_*` environment: the CI matrix steers what a test does not pin.
 fn env() -> mana_core::EnvConfig {
@@ -26,14 +26,17 @@ fn wcfg() -> WorldCfg {
     }
 }
 
-fn native_gromacs(n: usize, cfg: &gromacs::GromacsConfig) -> Vec<gromacs::GromacsResult> {
-    let w = World::new(n, wcfg());
-    let cfg = cfg.clone();
-    w.launch(move |p| {
-        let mut f = NativeFace::new(p);
-        gromacs::run(&mut f, &cfg).unwrap()
-    })
-    .unwrap()
+/// A runtime for `cfg` under the test world.
+fn rt(n: usize, cfg: ManaConfig) -> ManaRuntime {
+    ManaRuntime::new(n, cfg).with_world_cfg(wcfg())
+}
+
+fn cfg_in(dir: &Path, exit_after_ckpt: bool) -> ManaConfig {
+    ManaConfig {
+        ckpt_dir: dir.to_path_buf(),
+        exit_after_ckpt,
+        ..env().mana
+    }
 }
 
 fn small_md(ckpt_at: Option<u64>) -> gromacs::GromacsConfig {
@@ -48,83 +51,43 @@ fn small_md(ckpt_at: Option<u64>) -> gromacs::GromacsConfig {
     }
 }
 
+fn native_md(n: usize) -> Vec<gromacs::GromacsResult> {
+    native(&World::new(n, wcfg()), &small_md(None)).unwrap()
+}
+
 #[test]
 fn gromacs_native_equals_mana() {
     let n = 4;
-    let native = native_gromacs(n, &small_md(None));
-    let rt = ManaRuntime::new(
-        n,
-        ManaConfig {
-            ckpt_dir: ckpt_dir("md_equal"),
-            ..env().mana
-        },
-    )
-    .with_world_cfg(wcfg());
-    let cfg = small_md(None);
-    let mana = rt
-        .run_fresh(move |m| {
-            let mut f = ManaFace::new(m);
-            gromacs::run(&mut f, &cfg).map_err(|e| e.into_mana())
-        })
-        .unwrap()
-        .values();
-    assert_eq!(native, mana);
+    let dir = ckpt_dir("md_equal");
+    let mana = under_mana(&rt(n, cfg_in(&dir, false)), Launch::Fresh, &small_md(None)).unwrap();
+    assert_eq!(native_md(n), mana.values());
 }
 
 #[test]
 fn gromacs_resume_checkpoint_preserves_results() {
     let n = 4;
-    let native = native_gromacs(n, &small_md(None));
-    let cfg = small_md(Some(3)); // checkpoint mid-run, resume
     let dir = ckpt_dir("md_resume");
-    let rt = ManaRuntime::new(
-        n,
-        ManaConfig {
-            ckpt_dir: dir.clone(),
-            ..env().mana
-        },
+    // Checkpoint mid-run, resume.
+    let report = under_mana(
+        &rt(n, cfg_in(&dir, false)),
+        Launch::Fresh,
+        &small_md(Some(3)),
     )
-    .with_world_cfg(wcfg());
-    let report = rt
-        .run_fresh(move |m| {
-            let mut f = ManaFace::new(m);
-            gromacs::run(&mut f, &cfg).map_err(|e| e.into_mana())
-        })
-        .unwrap();
+    .unwrap();
     assert_eq!(report.coord.rounds.len(), 1);
-    assert_eq!(native, report.values());
+    assert_eq!(native_md(n), report.values());
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn gromacs_restart_preserves_results() {
     let n = 4;
-    let native = native_gromacs(n, &small_md(None));
     let dir = ckpt_dir("md_restart");
-    let mcfg = ManaConfig {
-        ckpt_dir: dir.clone(),
-        exit_after_ckpt: true,
-        ..env().mana
-    };
-    let cfg = small_md(Some(4));
-    let rt = ManaRuntime::new(n, mcfg.clone()).with_world_cfg(wcfg());
-    let c2 = cfg.clone();
-    let pass1 = rt
-        .run_fresh(move |m| {
-            let mut f = ManaFace::new(m);
-            gromacs::run(&mut f, &c2).map_err(|e| e.into_mana())
-        })
-        .unwrap();
+    let md = small_md(Some(4));
+    let pass1 = under_mana(&rt(n, cfg_in(&dir, true)), Launch::Fresh, &md).unwrap();
     assert!(pass1.all_checkpointed(), "{:?}", pass1.outcomes);
-
-    let rt2 = ManaRuntime::new(n, mcfg).with_world_cfg(wcfg());
-    let pass2 = rt2
-        .run_restart(move |m| {
-            let mut f = ManaFace::new(m);
-            gromacs::run(&mut f, &cfg).map_err(|e| e.into_mana())
-        })
-        .unwrap();
-    assert_eq!(native, pass2.values());
+    let pass2 = under_mana(&rt(n, cfg_in(&dir, true)), Launch::Restart, &md).unwrap();
+    assert_eq!(native_md(n), pass2.values());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -138,49 +101,20 @@ fn vasp_all_table1_cases_survive_restart() {
         let mut vcfg = vasp::VaspConfig::small(case);
         vcfg.scf_steps = 3;
         vcfg.compute_per_sweep = 0;
-
-        // Native reference.
-        let w = World::new(n, wcfg());
-        let vc = vcfg.clone();
-        let native = w
-            .launch(move |p| {
-                let mut f = NativeFace::new(p);
-                vasp::run(&mut f, &vc).unwrap()
-            })
-            .unwrap();
+        let reference = native(&World::new(n, wcfg()), &vcfg).unwrap();
 
         // MANA with checkpoint-and-kill at step 1, then restart.
         let dir = ckpt_dir(&format!("vasp_{name}"));
-        let mcfg = ManaConfig {
-            ckpt_dir: dir.clone(),
-            exit_after_ckpt: true,
-            ..env().mana
-        };
         let mut vc1 = vcfg.clone();
         vc1.ckpt_at_step = Some(1);
-        let pass1 = ManaRuntime::new(n, mcfg.clone())
-            .with_world_cfg(wcfg())
-            .run_fresh(move |m| {
-                let mut f = ManaFace::new(m);
-                vasp::run(&mut f, &vc1).map_err(|e| e.into_mana())
-            })
-            .unwrap();
+        let pass1 = under_mana(&rt(n, cfg_in(&dir, true)), Launch::Fresh, &vc1).unwrap();
         assert!(
             pass1.all_checkpointed(),
             "case {name}: {:?}",
             pass1.outcomes
         );
-
-        let vc2 = vcfg.clone();
-        let pass2 = ManaRuntime::new(n, mcfg)
-            .with_world_cfg(wcfg())
-            .run_restart(move |m| {
-                let mut f = ManaFace::new(m);
-                vasp::run(&mut f, &vc2).map_err(|e| e.into_mana())
-            })
-            .unwrap();
-        let restored = pass2.values();
-        for (a, b) in native.iter().zip(restored.iter()) {
+        let pass2 = under_mana(&rt(n, cfg_in(&dir, true)), Launch::Restart, &vcfg).unwrap();
+        for (a, b) in reference.iter().zip(pass2.values().iter()) {
             assert_eq!(a.energy, b.energy, "case {name} energy mismatch");
             assert_eq!(a.steps_done, b.steps_done, "case {name} steps");
         }
@@ -199,28 +133,9 @@ fn cg_converges_across_restart() {
         ckpt_round: 0,
     };
     let dir = ckpt_dir("cg_restart");
-    let mcfg = ManaConfig {
-        ckpt_dir: dir.clone(),
-        exit_after_ckpt: true,
-        ..env().mana
-    };
-    let c1 = ccfg.clone();
-    let pass1 = ManaRuntime::new(n, mcfg.clone())
-        .with_world_cfg(wcfg())
-        .run_fresh(move |m| {
-            let mut f = ManaFace::new(m);
-            cg::run(&mut f, &c1).map_err(|e| e.into_mana())
-        })
-        .unwrap();
+    let pass1 = under_mana(&rt(n, cfg_in(&dir, true)), Launch::Fresh, &ccfg).unwrap();
     assert!(pass1.all_checkpointed());
-
-    let pass2 = ManaRuntime::new(n, mcfg)
-        .with_world_cfg(wcfg())
-        .run_restart(move |m| {
-            let mut f = ManaFace::new(m);
-            cg::run(&mut f, &ccfg).map_err(|e| e.into_mana())
-        })
-        .unwrap();
+    let pass2 = under_mana(&rt(n, cfg_in(&dir, true)), Launch::Restart, &ccfg).unwrap();
     for r in pass2.values() {
         assert!(r.converged, "CG must converge through a restart: {r:?}");
     }
@@ -233,41 +148,22 @@ fn deadlock_scenario_under_both_tpc_modes() {
         watchdog: Some(Duration::from_millis(800)),
         ..env().world
     };
+    let run = |name: &str, tpc: TpcMode| {
+        let cfg = ManaConfig {
+            tpc,
+            ..cfg_in(&ckpt_dir(name), false)
+        };
+        let rt = ManaRuntime::new(3, cfg).with_world_cfg(watchdog.clone());
+        under_mana(&rt, Launch::Fresh, &scenarios::Deadlock(7))
+    };
     // Hybrid: completes with the broadcast value everywhere.
-    let hybrid = ManaRuntime::new(
-        3,
-        ManaConfig {
-            ckpt_dir: ckpt_dir("dl_h"),
-            ..env().mana
-        },
-    )
-    .with_world_cfg(watchdog.clone())
-    .run_fresh(|m| {
-        let mut f = ManaFace::new(m);
-        scenarios::deadlock_pattern(&mut f, 7).map_err(|e| e.into_mana())
-    })
-    .unwrap();
-    assert_eq!(hybrid.values(), vec![7, 7, 7]);
-
-    // Original: deadlock → watchdog error. The drain is pinned because
-    // the deadlock is the alltoall strategy's pre-collective barrier,
-    // which the toposort drain (e.g. via MANA2_DRAIN) removes by design.
-    let res = ManaRuntime::new(
-        3,
-        ManaConfig {
-            tpc: TpcMode::Original,
-            drain: DrainMode::Alltoall,
-            ckpt_dir: ckpt_dir("dl_o"),
-            ..env().mana
-        },
-    )
-    .with_world_cfg(watchdog)
-    .run_fresh(|m| {
-        let mut f = ManaFace::new(m);
-        scenarios::deadlock_pattern(&mut f, 7).map_err(|e| e.into_mana())
-    });
+    assert_eq!(
+        run("dl_h", TpcMode::Hybrid).unwrap().values(),
+        vec![7, 7, 7]
+    );
+    // Original: deadlock → watchdog error.
     assert!(matches!(
-        res,
+        run("dl_o", TpcMode::Original),
         Err(RuntimeError::Rank(_, _)) | Err(RuntimeError::World(_))
     ));
 }
@@ -276,19 +172,11 @@ fn deadlock_scenario_under_both_tpc_modes() {
 fn straggler_scenario_checkpoints_without_waiting() {
     let n = 4;
     let dir = ckpt_dir("straggler_wl");
-    let report = ManaRuntime::new(
-        n,
-        ManaConfig {
-            ckpt_dir: dir.clone(),
-            ..env().mana
-        },
-    )
-    .with_world_cfg(wcfg())
-    .run_fresh(|m| {
-        let mut f = ManaFace::new(m);
-        scenarios::straggler_pattern(&mut f, 500_000, true).map_err(|e| e.into_mana())
-    })
-    .unwrap();
+    let straggler = scenarios::Straggler {
+        units: 500_000,
+        request_ckpt: true,
+    };
+    let report = under_mana(&rt(n, cfg_in(&dir, false)), Launch::Fresh, &straggler).unwrap();
     assert_eq!(report.coord.rounds.len(), 1);
     assert_eq!(report.values(), vec![10, 10, 10, 10]);
     std::fs::remove_dir_all(&dir).ok();

@@ -9,7 +9,7 @@
 
 use mana2::mana_core::{from_env, ConfigError, EnvConfig, ManaConfig, TpcMode};
 use mana2::mpisim::WorldCfg;
-use mana2::workloads::{scenarios, ManaFace};
+use mana2::workloads::{scenarios, under_mana, Launch};
 use std::time::Duration;
 
 fn run_mode(env: &EnvConfig, tpc: TpcMode) -> Result<Vec<u64>, String> {
@@ -23,12 +23,8 @@ fn run_mode(env: &EnvConfig, tpc: TpcMode) -> Result<Vec<u64>, String> {
         watchdog: Some(Duration::from_secs(1)),
         ..env.world.clone()
     };
-    env.runtime(2, cfg)
-        .with_world_cfg(wcfg)
-        .run_fresh(|m| {
-            let mut f = ManaFace::new(m);
-            scenarios::deadlock_pattern(&mut f, 123).map_err(|e| e.into_mana())
-        })
+    let rt = env.runtime(2, cfg).with_world_cfg(wcfg);
+    under_mana(&rt, Launch::Fresh, &scenarios::Deadlock(123))
         .map(|r| r.values())
         .map_err(|e| e.to_string())
 }
@@ -64,10 +60,8 @@ fn main() -> Result<(), ConfigError> {
         ckpt_dir: std::env::temp_dir().join("mana2_deadlock_demo2"),
         ..env.mana.clone()
     };
-    let res = env.runtime(2, cfg).run_fresh(|m| {
-        let mut f = ManaFace::new(m);
-        scenarios::deadlock_pattern(&mut f, 123).map_err(|e| e.into_mana())
-    });
+    let rt = env.runtime(2, cfg);
+    let res = under_mana(&rt, Launch::Fresh, &scenarios::Deadlock(123));
     match res {
         Err(mana2::mana_core::RuntimeError::Deadlock(report)) => {
             for line in report.lines() {

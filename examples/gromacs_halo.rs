@@ -8,7 +8,7 @@
 
 use mana2::mana_core::{from_env, ConfigError, ManaConfig};
 use mana2::mpisim::{MachineProfile, World, WorldCfg};
-use mana2::workloads::{gromacs, ManaFace, NativeFace};
+use mana2::workloads::{gromacs, native, under_mana, Launch};
 use std::time::Instant;
 
 fn main() -> Result<(), ConfigError> {
@@ -37,18 +37,11 @@ fn main() -> Result<(), ConfigError> {
 
     // Native baseline.
     let t = Instant::now();
-    let world = World::new(ranks, wcfg.clone());
-    let c = cfg.clone();
-    let native = world
-        .launch(move |p| {
-            let mut f = NativeFace::new(p);
-            gromacs::run(&mut f, &c).unwrap()
-        })
-        .unwrap();
+    let reference = native(&World::new(ranks, wcfg.clone()), &cfg).unwrap();
     let native_time = t.elapsed();
     println!(
         "  native : {:>9.1?}  energy={:.6}",
-        native_time, native[0].energy
+        native_time, reference[0].energy
     );
 
     // Under MANA (hybrid 2PC), with one checkpoint mid-run.
@@ -61,14 +54,8 @@ fn main() -> Result<(), ConfigError> {
         ..env.mana.clone()
     };
     let t = Instant::now();
-    let report = env
-        .runtime(ranks, mcfg)
-        .with_world_cfg(wcfg)
-        .run_fresh(move |m| {
-            let mut f = ManaFace::new(m);
-            gromacs::run(&mut f, &mc).map_err(|e| e.into_mana())
-        })
-        .unwrap();
+    let rt = env.runtime(ranks, mcfg).with_world_cfg(wcfg);
+    let report = under_mana(&rt, Launch::Fresh, &mc).unwrap();
     let mana_time = t.elapsed();
     let rounds = report.coord.rounds.clone();
     let mana_res = report.values();
@@ -78,7 +65,7 @@ fn main() -> Result<(), ConfigError> {
         mana_res[0].energy,
         mana_time.as_secs_f64() / native_time.as_secs_f64()
     );
-    assert_eq!(native, mana_res, "MANA must be transparent");
+    assert_eq!(reference, mana_res, "MANA must be transparent");
     println!("  results identical native vs MANA ✓");
     for r in &rounds {
         println!(

@@ -10,7 +10,7 @@
 
 use mana2::mana_core::{from_env, ConfigError, ManaConfig};
 use mana2::mpisim::{MachineProfile, WorldCfg};
-use mana2::workloads::{scenarios, ManaFace};
+use mana2::workloads::{scenarios, under_mana, Launch};
 use std::time::Instant;
 
 fn main() -> Result<(), ConfigError> {
@@ -33,14 +33,12 @@ fn main() -> Result<(), ConfigError> {
     println!("A checkpoint is requested at the start of the compute.\n");
 
     let t = Instant::now();
-    let report = env
-        .runtime(n, cfg)
-        .with_world_cfg(wcfg)
-        .run_fresh(|m| {
-            let mut f = ManaFace::new(m);
-            scenarios::straggler_pattern(&mut f, 50_000_000, true).map_err(|e| e.into_mana())
-        })
-        .unwrap();
+    let straggler = scenarios::Straggler {
+        units: 50_000_000,
+        request_ckpt: true,
+    };
+    let rt = env.runtime(n, cfg).with_world_cfg(wcfg);
+    let report = under_mana(&rt, Launch::Fresh, &straggler).unwrap();
     let total = t.elapsed();
 
     let round = &report.coord.rounds[0];

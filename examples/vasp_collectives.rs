@@ -8,7 +8,7 @@
 
 use mana2::mana_core::{from_env, ConfigError, ManaConfig};
 use mana2::mpisim::World;
-use mana2::workloads::{vasp, ManaFace, NativeFace};
+use mana2::workloads::{native, under_mana, vasp, Launch};
 
 fn main() -> Result<(), ConfigError> {
     // Engine, drain and store layout come from the MANA2_* environment; a
@@ -32,14 +32,7 @@ fn main() -> Result<(), ConfigError> {
         vcfg.scf_steps = 4;
 
         // Native reference.
-        let w = World::new(ranks, env.world.clone());
-        let vc = vcfg.clone();
-        let native = w
-            .launch(move |p| {
-                let mut f = NativeFace::new(p);
-                vasp::run(&mut f, &vc).unwrap()
-            })
-            .unwrap();
+        let reference = native(&World::new(ranks, env.world.clone()), &vcfg).unwrap();
 
         // Checkpoint-and-kill at step 1, restart, compare.
         let dir = std::env::temp_dir().join(format!("mana2_vasp_{name}"));
@@ -51,25 +44,13 @@ fn main() -> Result<(), ConfigError> {
         };
         let mut vc1 = vcfg.clone();
         vc1.ckpt_at_step = Some(1);
-        let pass1 = env
-            .runtime(ranks, mcfg.clone())
-            .run_fresh(move |m| {
-                let mut f = ManaFace::new(m);
-                vasp::run(&mut f, &vc1).map_err(|e| e.into_mana())
-            })
-            .unwrap();
-        let ckpted = pass1.all_checkpointed();
-        let vc2 = vcfg.clone();
-        let pass2 = env
-            .runtime(ranks, mcfg)
-            .run_restart(move |m| {
-                let mut f = ManaFace::new(m);
-                vasp::run(&mut f, &vc2).map_err(|e| e.into_mana())
-            })
-            .unwrap();
-        let restored = pass2.values();
+        let rt = env.runtime(ranks, mcfg);
+        let ckpted = under_mana(&rt, Launch::Fresh, &vc1)
+            .unwrap()
+            .all_checkpointed();
+        let restored = under_mana(&rt, Launch::Restart, &vcfg).unwrap().values();
         let ok = ckpted
-            && native
+            && reference
                 .iter()
                 .zip(restored.iter())
                 .all(|(a, b)| a.energy == b.energy && a.steps_done == b.steps_done);

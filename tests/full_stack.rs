@@ -6,7 +6,7 @@ use mana2::mana_core::{
 };
 use mana2::mpisim::WorldCfg;
 use mana2::splitproc::FsMode;
-use mana2::workloads::{gromacs, ManaFace};
+use mana2::workloads::{gromacs, under_mana, Launch};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -50,25 +50,14 @@ fn ten_checkpoint_rounds_like_fig3() {
         ckpt_dir: dir.clone(),
         ..env().mana
     };
-    let md = md_cfg(40);
-    let report = ManaRuntime::new(n, cfg)
-        .with_world_cfg(wcfg())
-        .run_fresh(move |m| {
-            let world = m.comm_world();
-            let mut f = ManaFace::new(m);
-            // Interleave: request a checkpoint every 4 steps from inside
-            // the workload by running it in 10 chunks.
-            let mut cfg = md.clone();
-            for chunk in 0..10u64 {
-                cfg.steps = (chunk + 1) * 4;
-                cfg.ckpt_at_step = Some(chunk * 4 + 1);
-                cfg.ckpt_round = chunk;
-                gromacs::run(&mut f, &cfg).map_err(|e| e.into_mana())?;
-            }
-            let _ = world;
-            gromacs::run(&mut f, &md_cfg(40)).map_err(|e| e.into_mana())
-        })
-        .unwrap();
+    // Rank 0 requests a checkpoint every 4 steps from inside the workload.
+    let periodic = gromacs::Periodic {
+        md: md_cfg(40),
+        rounds: 10,
+        stride: 4,
+    };
+    let rt = ManaRuntime::new(n, cfg).with_world_cfg(wcfg());
+    let report = under_mana(&rt, Launch::Fresh, &periodic).unwrap();
     assert_eq!(report.coord.rounds.len(), 10, "ten checkpoint rounds");
     // Every round produced images; sizes are stable across rounds (state
     // size does not change). Stability is judged against the median, not
@@ -109,20 +98,12 @@ fn image_size_scales_with_application_state() {
         };
         let md = gromacs::GromacsConfig {
             atoms_per_rank: atoms,
-            steps: 4,
-            compute_per_step: 0,
             energy_interval: 2,
-            halo: 8,
             ckpt_at_step: Some(1),
-            ckpt_round: 0,
+            ..md_cfg(4)
         };
-        let report = ManaRuntime::new(n, cfg)
-            .with_world_cfg(wcfg())
-            .run_fresh(move |m| {
-                let mut f = ManaFace::new(m);
-                gromacs::run(&mut f, &md).map_err(|e| e.into_mana())
-            })
-            .unwrap();
+        let rt = ManaRuntime::new(n, cfg).with_world_cfg(wcfg());
+        let report = under_mana(&rt, Launch::Fresh, &md).unwrap();
         sizes.push(report.coord.rounds[0].total_image_bytes);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -195,12 +176,8 @@ fn configuration_matrix_smoke() {
             ckpt_at_step: Some(2),
             ..md_cfg(6)
         };
-        let report = ManaRuntime::new(3, cfg)
-            .with_world_cfg(wcfg())
-            .run_fresh(move |m| {
-                let mut f = ManaFace::new(m);
-                gromacs::run(&mut f, &md).map_err(|e| e.into_mana())
-            })
+        let rt = ManaRuntime::new(3, cfg).with_world_cfg(wcfg());
+        let report = under_mana(&rt, Launch::Fresh, &md)
             .unwrap_or_else(|e| panic!("config {name} failed: {e}"));
         let vals = report.values();
         energies.push((name, vals[0].energy));
