@@ -385,10 +385,19 @@ fn trace(env: &EnvConfig) {
         dropped: sink.dropped(),
         dropped_by_ring: sink.dropped_by_ring(),
         config: config.clone(),
+        rank_errors: Vec::new(),
     };
     println!("\n{}", obs::analyze::render_summary(&meta, &sink.merged()));
     let label = obs::unique_label("experiments_trace");
-    match obs::flight_record(&sink, &env.outputs.trace_dir, &label, None, &config, None) {
+    match obs::flight_record(
+        &sink,
+        &env.outputs.trace_dir,
+        &label,
+        None,
+        &config,
+        None,
+        &[],
+    ) {
         Ok(d) => println!(
             "dumped {} events: {}\n              {}",
             d.events,

@@ -169,7 +169,7 @@ pub(crate) fn flight_dump(
     let config = mcfg.record(&engine.unwrap_or(env.world.engine));
     let label = obs::unique_label(&format!("chaos_{family}_{outcome}"));
     let dir = env.outputs.trace_dir;
-    obs::flight_record(sink, &dir, &label, Some(seed), &config, None)
+    obs::flight_record(sink, &dir, &label, Some(seed), &config, None, &[])
         .ok()
         .map(|d| d.jsonl)
 }

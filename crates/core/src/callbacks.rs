@@ -4,11 +4,13 @@
 //! compiler turned each into several extra call frames, a measurable cost
 //! at VASP's collective rates. MANA-2.0 decomposed them into dedicated
 //! `prepare`/`finish` functions. Both styles are implemented here behind
-//! one dispatch point so the `ablation_callbacks` bench can measure the
-//! difference: [`CallbackStyle::Lambda`] heap-allocates two boxed closures
-//! per wrapper call and invokes them through fat pointers (the dynamic
-//! dispatch + allocation analog of the extra frames);
-//! [`CallbackStyle::Prepared`] calls static functions directly.
+//! one dispatch point, [`CommitState::with_commit`], which every MANA
+//! wrapper enters through `Mana::wrapper` — so the `callback_style`
+//! ablation switch prices exactly the Fig. 1 bracket:
+//! [`CallbackStyle::Lambda`] heap-allocates two boxed closures per wrapper
+//! call and invokes them through fat pointers (the dynamic dispatch +
+//! allocation analog of the extra frames); [`CallbackStyle::Prepared`]
+//! calls static functions directly.
 
 use std::cell::Cell;
 
@@ -64,49 +66,35 @@ impl CommitState {
         self.finished.set(self.finished.get() + 1);
     }
 
-    /// Wrapper entry (`commit_begin` + `DMTCP_PLUGIN_DISABLE_CKPT` of the
-    /// Fig. 1 skeleton), dispatched by style. Must be paired with
-    /// [`CommitState::exit`].
-    pub fn enter(&self, style: CallbackStyle) {
-        match style {
-            CallbackStyle::Prepared => self.prepare(),
-            CallbackStyle::Lambda => {
-                let pre: Box<dyn Fn() + '_> = Box::new(|| self.prepare());
-                pre();
-            }
-        }
-    }
-
-    /// Wrapper exit (`DMTCP_PLUGIN_ENABLE_CKPT` + `commit_finish`).
-    pub fn exit(&self, style: CallbackStyle) {
-        match style {
-            CallbackStyle::Prepared => self.finish(),
-            CallbackStyle::Lambda => {
-                let post: Box<dyn Fn() + '_> = Box::new(|| self.finish());
-                post();
-            }
-        }
-    }
-
-    /// Run `body` bracketed by prepare/finish using the given style. This
-    /// is the single dispatch point every MANA wrapper goes through.
-    pub fn with_commit<R>(&self, style: CallbackStyle, body: impl FnOnce() -> R) -> R {
+    /// Run `body` on `ctx` inside the Fig. 1 bracket — `commit_begin` +
+    /// `DMTCP_PLUGIN_DISABLE_CKPT` before, `DMTCP_PLUGIN_ENABLE_CKPT` +
+    /// `commit_finish` after — dispatched by `style`. `state` projects the
+    /// bracket's bookkeeping out of `ctx` (the body needs all of `ctx`
+    /// mutably, bookkeeping included). The bracket closes whatever `body`
+    /// returns, so an `Err` can never leave checkpointing disabled. This is
+    /// the single dispatch point every MANA wrapper goes through.
+    pub fn with_commit<C, R>(
+        ctx: &mut C,
+        state: fn(&C) -> &CommitState,
+        style: CallbackStyle,
+        body: impl FnOnce(&mut C) -> R,
+    ) -> R {
         match style {
             CallbackStyle::Prepared => {
-                self.prepare();
-                let r = body();
-                self.finish();
+                state(ctx).prepare();
+                let r = body(ctx);
+                state(ctx).finish();
                 r
             }
             CallbackStyle::Lambda => {
                 // Deliberately costly: two boxed closures per call, invoked
                 // through dyn pointers — the frame/allocation overhead the
                 // paper removed.
-                let pre: Box<dyn Fn()> = Box::new(|| self.prepare());
-                let post: Box<dyn Fn()> = Box::new(|| self.finish());
-                pre();
-                let r = body();
-                post();
+                let pre: Box<dyn Fn(&C) + '_> = Box::new(move |c| state(c).prepare());
+                let post: Box<dyn Fn(&C) + '_> = Box::new(move |c| state(c).finish());
+                pre(ctx);
+                let r = body(ctx);
+                post(ctx);
                 r
             }
         }
@@ -117,11 +105,19 @@ impl CommitState {
 mod tests {
     use super::*;
 
+    fn bracket<R>(
+        cs: &mut CommitState,
+        style: CallbackStyle,
+        body: impl FnOnce(&mut CommitState) -> R,
+    ) -> R {
+        CommitState::with_commit(cs, |c| c, style, body)
+    }
+
     #[test]
     fn both_styles_balance() {
         for style in [CallbackStyle::Lambda, CallbackStyle::Prepared] {
-            let cs = CommitState::new();
-            let out = cs.with_commit(style, || {
+            let mut cs = CommitState::new();
+            let out = bracket(&mut cs, style, |cs| {
                 assert!(cs.ckpt_disabled(), "ckpt must be disabled inside body");
                 7
             });
@@ -133,10 +129,21 @@ mod tests {
     }
 
     #[test]
+    fn a_failing_body_still_closes_the_bracket() {
+        for style in [CallbackStyle::Lambda, CallbackStyle::Prepared] {
+            let mut cs = CommitState::new();
+            let out: Result<(), &str> = bracket(&mut cs, style, |_| Err("stale handle"));
+            assert_eq!(out, Err("stale handle"));
+            assert!(!cs.ckpt_disabled(), "{style:?} left checkpointing disabled");
+            assert_eq!((cs.begun(), cs.finished()), (1, 1));
+        }
+    }
+
+    #[test]
     fn nesting_tracks_depth() {
-        let cs = CommitState::new();
-        cs.with_commit(CallbackStyle::Prepared, || {
-            cs.with_commit(CallbackStyle::Prepared, || {
+        let mut cs = CommitState::new();
+        bracket(&mut cs, CallbackStyle::Prepared, |cs| {
+            bracket(cs, CallbackStyle::Prepared, |cs| {
                 assert!(cs.ckpt_disabled());
             });
             assert!(cs.ckpt_disabled());
@@ -148,11 +155,11 @@ mod tests {
     #[test]
     fn lambda_style_is_not_cheaper() {
         // Sanity: both styles do the same bookkeeping.
-        let a = CommitState::new();
-        let b = CommitState::new();
+        let mut a = CommitState::new();
+        let mut b = CommitState::new();
         for _ in 0..100 {
-            a.with_commit(CallbackStyle::Lambda, || ());
-            b.with_commit(CallbackStyle::Prepared, || ());
+            bracket(&mut a, CallbackStyle::Lambda, |_| ());
+            bracket(&mut b, CallbackStyle::Prepared, |_| ());
         }
         assert_eq!(a.begun(), b.begun());
         assert_eq!(a.finished(), b.finished());

@@ -42,6 +42,18 @@ pub struct CommRecord {
     pub freed: bool,
 }
 
+impl CommRecord {
+    /// Communicator-local rank → world rank (`None`: out of range).
+    pub fn world_of(&self, local: usize) -> Option<usize> {
+        self.world_ranks.get(local).copied()
+    }
+
+    /// World rank → communicator-local rank (`None`: not a member).
+    pub fn local_of(&self, world: usize) -> Option<usize> {
+        self.world_ranks.iter().position(|&w| w == world)
+    }
+}
+
 impl Encode for CommRecord {
     fn encode(&self, out: &mut Vec<u8>) {
         self.vid.encode(out);
@@ -160,7 +172,6 @@ impl Decode for CommMeta {
 /// Per-rank communicator manager.
 pub struct CommManager {
     table: VirtualTable<Comm>,
-    by_ctx: HashMap<u64, u64>, // real ctx → vid (reverse map for drain)
     records: HashMap<u64, CommRecord>,
     replay_log: Vec<CommCall>,
     emu_seq: HashMap<u64, u64>,
@@ -171,14 +182,12 @@ impl CommManager {
     pub fn new(backend: VtBackend, world_size: usize) -> Self {
         let mut m = CommManager {
             table: VirtualTable::new(backend, 2),
-            by_ctx: HashMap::new(),
             records: HashMap::new(),
             replay_log: Vec::new(),
             emu_seq: HashMap::new(),
         };
         let world_ranks: Vec<usize> = (0..world_size).collect();
         m.table.bind(VCOMM_WORLD.0, Comm::WORLD);
-        m.by_ctx.insert(Comm::WORLD.ctx(), VCOMM_WORLD.0);
         m.records.insert(
             VCOMM_WORLD.0,
             CommRecord {
@@ -196,7 +205,6 @@ impl CommManager {
     pub fn register(&mut self, world_ranks: Vec<usize>, real: Comm) -> VComm {
         let gid = global_comm_id(&world_ranks);
         let vid = self.table.insert(real);
-        self.by_ctx.insert(real.ctx(), vid);
         self.replay_log.push(CommCall::Create {
             vid,
             world_ranks: world_ranks.clone(),
@@ -218,11 +226,6 @@ impl CommManager {
         self.table.lookup(vc.0).copied()
     }
 
-    /// Reverse translation for drain: which vcomm owns this real context?
-    pub fn vcomm_of_ctx(&self, ctx: u64) -> Option<VComm> {
-        self.by_ctx.get(&ctx).copied().map(VComm)
-    }
-
     /// The record for a virtual communicator.
     pub fn record(&self, vc: VComm) -> Option<&CommRecord> {
         self.records.get(&vc.0)
@@ -232,9 +235,6 @@ impl CommManager {
     /// appends to the replay log.
     pub fn free(&mut self, vc: VComm) -> Option<Comm> {
         let real = self.table.remove(vc.0);
-        if let Some(r) = real {
-            self.by_ctx.remove(&r.ctx());
-        }
         if let Some(rec) = self.records.get_mut(&vc.0) {
             rec.freed = true;
         }
@@ -326,15 +326,14 @@ impl CommManager {
     pub fn from_meta(meta: &CommMeta, backend: VtBackend) -> Self {
         let mut m = CommManager {
             table: VirtualTable::new(backend, 2),
-            by_ctx: HashMap::new(),
             records: meta.records.iter().map(|r| (r.vid, r.clone())).collect(),
             replay_log: meta.replay_log.clone(),
             emu_seq: meta.emu_seqs.iter().copied().collect(),
         };
-        // Keep the vid allocator past the highest saved vid.
+        // Records outlive `comm_free`, so the highest saved vid is the
+        // highest ever issued.
         if let Some(max) = meta.records.iter().map(|r| r.vid).max() {
-            m.table.bind(max, Comm::WORLD); // temporary, to bump allocator
-            m.table.remove(max);
+            m.table.reserve_through(max);
         }
         m
     }
@@ -342,7 +341,6 @@ impl CommManager {
     /// Bind a saved vid to a freshly-created real communicator (restart).
     pub fn rebind(&mut self, vid: u64, real: Comm) {
         self.table.bind(vid, real);
-        self.by_ctx.insert(real.ctx(), vid);
     }
 }
 
@@ -358,10 +356,20 @@ mod tests {
     fn world_is_prebound() {
         let m = mgr();
         assert_eq!(m.real(VCOMM_WORLD), Some(Comm::WORLD));
-        assert_eq!(m.vcomm_of_ctx(Comm::WORLD.ctx()), Some(VCOMM_WORLD));
         let rec = m.record(VCOMM_WORLD).unwrap();
         assert_eq!(rec.world_ranks, vec![0, 1, 2, 3]);
         assert!(!rec.freed);
+    }
+
+    #[test]
+    fn record_translates_ranks_both_ways() {
+        let mut m = mgr();
+        let vc = m.register(vec![3, 0, 2], Comm::from_ctx(5));
+        let rec = m.record(vc).unwrap();
+        assert_eq!(rec.world_of(0), Some(3));
+        assert_eq!(rec.world_of(3), None);
+        assert_eq!(rec.local_of(2), Some(2));
+        assert_eq!(rec.local_of(1), None, "world rank 1 is not a member");
     }
 
     #[test]
@@ -388,13 +396,11 @@ mod tests {
         let mut m = mgr();
         let vc = m.register(vec![0, 2], Comm::from_ctx(5));
         assert_eq!(m.real(vc), Some(Comm::from_ctx(5)));
-        assert_eq!(m.vcomm_of_ctx(5), Some(vc));
         assert_eq!(m.active_records().len(), 2);
         assert_eq!(m.replay_log_len(), 1);
 
         m.free(vc);
         assert_eq!(m.real(vc), None);
-        assert_eq!(m.vcomm_of_ctx(5), None);
         assert_eq!(m.active_records().len(), 1, "freed comm leaves active list");
         assert_eq!(m.replay_log_len(), 2, "free is logged");
         assert!(m.record(vc).unwrap().freed);
@@ -446,7 +452,6 @@ mod tests {
         r.rebind(VCOMM_WORLD.0, Comm::WORLD);
         r.rebind(vc.0, Comm::from_ctx(42));
         assert_eq!(r.real(vc), Some(Comm::from_ctx(42)));
-        assert_eq!(r.vcomm_of_ctx(42), Some(vc));
         // Fresh registrations keep allocating past the saved vids.
         let fresh = r.register(vec![0], Comm::from_ctx(50));
         assert!(fresh.0 > vc.0);

@@ -1,16 +1,17 @@
 //! The `Mana` handle: the "stub MPI library" each rank links against
 //! (paper §II-A, Fig. 1).
 //!
-//! Every public method is a MANA wrapper with the Fig. 1 skeleton:
-//! commit-begin (callback style dispatch, checkpoint-disable), virtual→real
-//! translation, `JUMP_TO_LOWER_HALF`, the real MPI call, return, re-enable,
+//! Every MANA wrapper enters through one skeleton, [`Mana::wrapper`], which
+//! is Fig. 1: count the call, reach a safe point, commit-begin (callback
+//! style dispatch, checkpoint-disable), virtual→real translation,
+//! `JUMP_TO_LOWER_HALF`, the real MPI call, return, re-enable,
 //! commit-finish. Blocking point-to-point calls decompose into
 //! non-blocking post + test loop (§III challenge 1) so a checkpoint can
 //! never land inside a blocking lower-half call.
 
 use crate::callbacks::CommitState;
 use crate::collective_emu::{CollOpTable, EmuIo, IRecvSlot, MANA_TAG_BASE};
-use crate::comm_mgr::CommManager;
+use crate::comm_mgr::{CommManager, CommRecord};
 use crate::config::ManaConfig;
 use crate::coordinator::CoordHandle;
 use crate::error::{ManaError, Result};
@@ -126,6 +127,16 @@ impl ManaStats {
         s.push_str("]}");
         s
     }
+}
+
+/// Whether a wrapper polls checkpoint intent on its way in (Fig. 1's "reach
+/// a safe point"). DESIGN.md §5 gives the reason for every `No`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SafePoint {
+    /// A checkpoint may cut here, before the call touches any state.
+    Here,
+    /// The call is not a cut point.
+    No,
 }
 
 /// The per-rank MANA handle. `'p` is the lifetime of the lower-half MPI
@@ -244,98 +255,96 @@ impl<'p> Mana<'p> {
         &self.cfg
     }
 
-    // ---- communicator wrappers ------------------------------------------
+    // ---- the wrapper skeleton (Fig. 1) -----------------------------------
+
+    /// The one shape every MANA wrapper has: charge the call, reach the
+    /// safe point *before* any state is touched, then run `body` —
+    /// virtual→real translation and the lower-half jumps — inside the
+    /// `commit_begin` + `DISABLE_CKPT` … `ENABLE_CKPT` + `commit_finish`
+    /// bracket, which closes on `Err` as on `Ok`.
+    pub(crate) fn wrapper<T>(
+        &mut self,
+        safe: SafePoint,
+        body: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<T> {
+        self.stats.wrapper_calls += 1;
+        if safe == SafePoint::Here {
+            self.maybe_checkpoint(false)?;
+        }
+        let style = self.cfg.callback_style;
+        CommitState::with_commit(self, |m| &m.commit, style, body)
+    }
+
+    // ---- virtual→real translation ----------------------------------------
+
+    pub(crate) fn comm(&self, vc: VComm) -> Result<&CommRecord> {
+        self.comms.record(vc).ok_or(ManaError::InvalidVComm(vc.0))
+    }
 
     pub(crate) fn real_comm(&self, vc: VComm) -> Result<Comm> {
         self.comms.real(vc).ok_or(ManaError::InvalidVComm(vc.0))
     }
 
-    pub(crate) fn ranks_of(&self, vc: VComm) -> Result<Vec<usize>> {
-        self.comms
-            .record(vc)
-            .map(|r| r.world_ranks.clone())
-            .ok_or(ManaError::InvalidVComm(vc.0))
+    /// World rank of `vc`'s local rank `local`.
+    pub(crate) fn world_in(&self, vc: VComm, local: usize) -> Result<usize> {
+        let world = self.comm(vc)?.world_of(local);
+        world.ok_or(ManaError::InvalidVComm(vc.0))
     }
+
+    /// Rank within `vc` of world rank `world`.
+    pub(crate) fn local_in(&self, vc: VComm, world: usize) -> Result<usize> {
+        let local = self.comm(vc)?.local_of(world);
+        local.ok_or(ManaError::InvalidVComm(vc.0))
+    }
+
+    // ---- communicator wrappers ------------------------------------------
 
     /// `MPI_Comm_rank` — resolved from MANA's own record, no lower-half
     /// jump needed (a §III-I.3-style "answer locally" optimization).
     pub fn comm_rank(&self, vc: VComm) -> Result<usize> {
-        let rec = self.comms.record(vc).ok_or(ManaError::InvalidVComm(vc.0))?;
-        rec.world_ranks
-            .iter()
-            .position(|&w| w == self.rank())
-            .ok_or(ManaError::InvalidVComm(vc.0))
+        self.local_in(vc, self.rank())
     }
 
     /// `MPI_Comm_size` — likewise local.
     pub fn comm_size(&self, vc: VComm) -> Result<usize> {
-        Ok(self
-            .comms
-            .record(vc)
-            .ok_or(ManaError::InvalidVComm(vc.0))?
-            .world_ranks
-            .len())
+        Ok(self.comm(vc)?.world_ranks.len())
     }
 
     /// The globally-unique communicator ID of §III-K.
     pub fn comm_gid(&self, vc: VComm) -> Result<u64> {
-        Ok(self
-            .comms
-            .record(vc)
-            .ok_or(ManaError::InvalidVComm(vc.0))?
-            .gid)
+        Ok(self.comm(vc)?.gid)
     }
 
     /// `MPI_Comm_dup`.
     pub fn comm_dup(&mut self, vc: VComm) -> Result<VComm> {
-        self.stats.wrapper_calls += 1;
-        self.maybe_checkpoint(false)?;
-        let style = self.cfg.callback_style;
-        self.commit.enter(style);
-        let real = self.real_comm(vc)?;
-        let out = (|| {
-            let new_real = self.lh.call(|p| p.comm_dup(real))?;
-            let ranks = self.ranks_of(vc)?;
-            Ok(self.comms.register(ranks, new_real))
-        })();
-        self.commit.exit(style);
-        out
+        self.wrapper(SafePoint::Here, |m| {
+            let real = m.real_comm(vc)?;
+            let new_real = m.lh.call(|p| p.comm_dup(real))?;
+            let ranks = m.comm(vc)?.world_ranks.clone();
+            Ok(m.comms.register(ranks, new_real))
+        })
     }
 
     /// `MPI_Comm_split`. Color < 0 acts as `MPI_UNDEFINED`.
     pub fn comm_split(&mut self, vc: VComm, color: i32, key: i32) -> Result<Option<VComm>> {
-        self.stats.wrapper_calls += 1;
-        self.maybe_checkpoint(false)?;
-        let style = self.cfg.callback_style;
-        self.commit.enter(style);
-        let real = self.real_comm(vc)?;
-        let out = (|| match self.lh.call(|p| p.comm_split(real, color, key))? {
-            None => Ok(None),
-            Some(new_real) => {
-                let ranks = self
-                    .lh
-                    .call(|p| p.group_of(new_real))?
-                    .translate_all()
-                    .to_vec();
-                Ok(Some(self.comms.register(ranks, new_real)))
-            }
-        })();
-        self.commit.exit(style);
-        out
+        self.wrapper(SafePoint::Here, |m| {
+            let real = m.real_comm(vc)?;
+            let Some(new_real) = m.lh.call(|p| p.comm_split(real, color, key))? else {
+                return Ok(None);
+            };
+            let group = m.lh.call(|p| p.group_of(new_real))?;
+            let ranks = group.translate_all().to_vec();
+            Ok(Some(m.comms.register(ranks, new_real)))
+        })
     }
 
     /// `MPI_Comm_free`: retires the virtual communicator (active-list
     /// removal, §III-C) and frees the real one.
     pub fn comm_free(&mut self, vc: VComm) -> Result<()> {
-        self.stats.wrapper_calls += 1;
-        let style = self.cfg.callback_style;
-        self.commit.enter(style);
-        let out = match self.comms.free(vc) {
-            None => Err(ManaError::InvalidVComm(vc.0)),
-            Some(real) => self.lh.call(|p| p.comm_free(real)).map_err(ManaError::Mpi),
-        };
-        self.commit.exit(style);
-        out
+        self.wrapper(SafePoint::No, |m| {
+            let real = m.comms.free(vc).ok_or(ManaError::InvalidVComm(vc.0))?;
+            Ok(m.lh.call(|p| p.comm_free(real))?)
+        })
     }
 
     // ---- point-to-point wrappers -----------------------------------------
@@ -358,19 +367,14 @@ impl<'p> Mana<'p> {
 
     /// `MPI_Isend`.
     pub fn isend(&mut self, vc: VComm, dst: usize, tag: i32, data: &[u8]) -> Result<VReq> {
-        self.stats.wrapper_calls += 1;
-        self.stats.sends += 1;
-        Self::check_user_tag(tag)?;
-        self.maybe_checkpoint(false)?;
-        let style = self.cfg.callback_style;
-        self.commit.enter(style);
-        let out = (|| {
-            let ranks = self.ranks_of(vc)?;
-            let dst_world = *ranks.get(dst).ok_or(ManaError::InvalidVComm(vc.0))?;
-            let real = self.real_comm(vc)?;
-            self.p2p.count_send(dst_world, data.len());
-            let rreq = self.lh.call(|p| p.isend(real, dst, tag, data))?;
-            Ok(self.reqs.create(
+        self.wrapper(SafePoint::Here, |m| {
+            m.stats.sends += 1;
+            Self::check_user_tag(tag)?;
+            let dst_world = m.world_in(vc, dst)?;
+            let real = m.real_comm(vc)?;
+            m.p2p.count_send(dst_world, data.len());
+            let rreq = m.lh.call(|p| p.isend(real, dst, tag, data))?;
+            Ok(m.reqs.create(
                 VReqKind::SendP2p {
                     dst_world,
                     tag,
@@ -378,9 +382,7 @@ impl<'p> Mana<'p> {
                 },
                 Binding::Real(rreq.raw()),
             ))
-        })();
-        self.commit.exit(style);
-        out
+        })
     }
 
     /// `MPI_Send`, decomposed into `MPI_Isend` + test loop (§III ch. 1).
@@ -389,46 +391,48 @@ impl<'p> Mana<'p> {
         self.wait(&mut r).map(|_| ())
     }
 
-    /// `MPI_Irecv`. The drain buffer is consulted before the lower half:
-    /// a message captured at the last checkpoint must be delivered before
-    /// any live-network message from the same source (non-overtaking).
-    pub fn irecv(&mut self, vc: VComm, src: SrcSel, tag: TagSel) -> Result<VReq> {
-        self.stats.wrapper_calls += 1;
-        if let TagSel::Tag(t) = tag {
-            Self::check_user_tag(t)?;
+    /// Post the receive `(vc, src, tag)` and say what its request is bound
+    /// to. The drain buffer is consulted before the lower half: a message
+    /// captured at the last checkpoint must be delivered before any
+    /// live-network message from the same source (non-overtaking), and the
+    /// request it satisfies is born retired (step one already done by the
+    /// drain). `src_world` is `src` in world ranks.
+    fn post_recv(
+        &mut self,
+        vc: VComm,
+        src: SrcSel,
+        src_world: Option<usize>,
+        tag: TagSel,
+    ) -> Result<Binding> {
+        let lower_tag = Self::lower_tagsel(tag);
+        if let Some(m) = self.drain_buf.take_match(vc, src_world, lower_tag) {
+            return Ok(Binding::NullPending(Some(StoredCompletion {
+                src_world: m.src_world,
+                tag: m.tag,
+                payload: m.payload,
+            })));
         }
-        self.maybe_checkpoint(false)?;
-        let style = self.cfg.callback_style;
-        self.commit.enter(style);
-        let out = (|| {
-            let ranks = self.ranks_of(vc)?;
-            let src_world = src_to_world(&ranks, src).ok_or(ManaError::InvalidVComm(vc.0))?;
+        let real = self.real_comm(vc)?;
+        let rreq = self.lh.call(|p| p.irecv(real, src, lower_tag))?;
+        Ok(Binding::Real(rreq.raw()))
+    }
+
+    /// `MPI_Irecv`.
+    pub fn irecv(&mut self, vc: VComm, src: SrcSel, tag: TagSel) -> Result<VReq> {
+        self.wrapper(SafePoint::Here, |m| {
+            if let TagSel::Tag(t) = tag {
+                Self::check_user_tag(t)?;
+            }
+            let src_world =
+                src_to_world(&m.comm(vc)?.world_ranks, src).ok_or(ManaError::InvalidVComm(vc.0))?;
+            let binding = m.post_recv(vc, src, src_world, tag)?;
             let kind = VReqKind::RecvP2p {
                 vcomm: vc,
                 src_world,
                 tag,
             };
-            if let Some(m) = self
-                .drain_buf
-                .take_match(vc, src_world, Self::lower_tagsel(tag))
-            {
-                // Born retired (step one already done by the drain).
-                return Ok(self.reqs.create(
-                    kind,
-                    Binding::NullPending(Some(StoredCompletion {
-                        src_world: m.src_world,
-                        tag: m.tag,
-                        payload: m.payload,
-                    })),
-                ));
-            }
-            let real = self.real_comm(vc)?;
-            let lower_tag = Self::lower_tagsel(tag);
-            let rreq = self.lh.call(|p| p.irecv(real, src, lower_tag))?;
-            Ok(self.reqs.create(kind, Binding::Real(rreq.raw())))
-        })();
-        self.commit.exit(style);
-        out
+            Ok(m.reqs.create(kind, binding))
+        })
     }
 
     /// `MPI_Recv` = `MPI_Irecv` + test loop.
@@ -444,23 +448,10 @@ impl<'p> Mana<'p> {
     pub fn test(&mut self, req: &mut VReq) -> Result<Option<Completion>> {
         if req.is_null() {
             // MPI semantics: testing MPI_REQUEST_NULL succeeds with an
-            // empty status.
-            return Ok(Some(Completion {
-                status: Status {
-                    source: usize::MAX,
-                    tag: 0,
-                    len: 0,
-                },
-                data: Vec::new(),
-            }));
+            // empty status. Nothing is translated, so nothing is charged.
+            return Ok(Some(completion(usize::MAX, 0, Vec::new())));
         }
-        self.stats.wrapper_calls += 1;
-        self.maybe_checkpoint(false)?;
-        let style = self.cfg.callback_style;
-        self.commit.enter(style);
-        let out = self.test_inner(req);
-        self.commit.exit(style);
-        out
+        self.wrapper(SafePoint::Here, |m| m.test_inner(req))
     }
 
     fn test_inner(&mut self, req: &mut VReq) -> Result<Option<Completion>> {
@@ -475,32 +466,17 @@ impl<'p> Mana<'p> {
                 if matches!(kind, VReqKind::RecvP2p { .. }) {
                     self.stats.recvs += 1;
                 }
-                let c = match stored {
-                    None => Completion {
-                        status: Status {
-                            source: match kind {
-                                VReqKind::SendP2p { dst_world, .. } => dst_world,
-                                _ => usize::MAX,
-                            },
-                            tag: 0,
-                            len: 0,
-                        },
-                        data: Vec::new(),
-                    },
-                    Some(sc) => {
-                        let source = self.local_of(&kind, sc.src_world)?;
-                        Completion {
-                            status: Status {
-                                source,
-                                tag: sc.tag,
-                                len: sc.payload.len(),
-                            },
-                            data: sc.payload,
-                        }
+                let source = match (&kind, &stored) {
+                    (VReqKind::RecvP2p { vcomm, .. }, Some(sc)) => {
+                        self.local_in(*vcomm, sc.src_world)?
                     }
+                    (_, Some(sc)) => sc.src_world,
+                    (VReqKind::SendP2p { dst_world, .. }, None) => *dst_world,
+                    (_, None) => usize::MAX,
                 };
                 *req = VREQ_NULL;
-                Ok(Some(c))
+                let (tag, data) = stored.map_or((0, Vec::new()), |sc| (sc.tag, sc.payload));
+                Ok(Some(completion(source, tag, data)))
             }
             (
                 VReqKind::SendP2p {
@@ -515,23 +491,15 @@ impl<'p> Mana<'p> {
                 debug_assert!(res.is_some(), "eager send must be complete");
                 self.reqs.retire(*req);
                 *req = VREQ_NULL;
-                Ok(Some(Completion {
-                    status: Status {
-                        source: dst_world,
-                        tag,
-                        len,
-                    },
-                    data: Vec::new(),
-                }))
+                let mut c = completion(dst_world, tag, Vec::new());
+                c.status.len = len;
+                Ok(Some(c))
             }
             (VReqKind::RecvP2p { vcomm, .. }, Binding::Real(raw)) => {
                 match self.lh.call(|p| p.test(RReq::from_raw(raw)))? {
                     None => Ok(None),
                     Some(c) => {
-                        let ranks = self.ranks_of(vcomm)?;
-                        let src_world = *ranks
-                            .get(c.status.source)
-                            .ok_or(ManaError::InvalidVComm(vcomm.0))?;
+                        let src_world = self.world_in(vcomm, c.status.source)?;
                         self.p2p.count_recv(src_world, c.data.len());
                         self.stats.recvs += 1;
                         self.reqs.retire(*req);
@@ -540,8 +508,8 @@ impl<'p> Mana<'p> {
                     }
                 }
             }
-            // After restart: the receive has no real request yet. Check the
-            // drain buffer, else (re)post to the new lower half.
+            // After restart: the receive has no real request yet, so it is
+            // posted now — and handed over at once if the drain had it.
             (
                 VReqKind::RecvP2p {
                     vcomm,
@@ -550,38 +518,18 @@ impl<'p> Mana<'p> {
                 },
                 Binding::Unbound,
             ) => {
-                if let Some(m) =
-                    self.drain_buf
-                        .take_match(vcomm, src_world, Self::lower_tagsel(tag))
-                {
-                    self.reqs.retire(*req);
-                    let source = self.local_in(vcomm, m.src_world)?;
-                    *req = VREQ_NULL;
-                    self.stats.recvs += 1;
-                    return Ok(Some(Completion {
-                        status: Status {
-                            source,
-                            tag: m.tag,
-                            len: m.payload.len(),
-                        },
-                        data: m.payload,
-                    }));
-                }
-                let real = self.real_comm(vcomm)?;
-                let ranks = self.ranks_of(vcomm)?;
-                let src_sel = match src_world {
+                let src = match src_world {
                     None => SrcSel::Any,
-                    Some(w) => SrcSel::Rank(
-                        ranks
-                            .iter()
-                            .position(|&x| x == w)
-                            .ok_or(ManaError::InvalidVComm(vcomm.0))?,
-                    ),
+                    Some(w) => SrcSel::Rank(self.local_in(vcomm, w)?),
                 };
-                let lower_tag = Self::lower_tagsel(tag);
-                let rreq = self.lh.call(|p| p.irecv(real, src_sel, lower_tag))?;
-                self.reqs.entry_mut(*req).expect("live").binding = Binding::Real(rreq.raw());
-                Ok(None)
+                let binding = self.post_recv(vcomm, src, src_world, tag)?;
+                let drained = matches!(binding, Binding::NullPending(_));
+                self.reqs.entry_mut(*req).expect("live").binding = binding;
+                if drained {
+                    self.test_inner(req)
+                } else {
+                    Ok(None)
+                }
             }
             (VReqKind::Coll { op_id }, _) => {
                 if self.poll_collop(op_id)? {
@@ -589,14 +537,7 @@ impl<'p> Mana<'p> {
                     // Log-and-replay case: retire immediately (§III-A).
                     self.reqs.retire(*req);
                     *req = VREQ_NULL;
-                    Ok(Some(Completion {
-                        status: Status {
-                            source: usize::MAX,
-                            tag: 0,
-                            len: op.out.len(),
-                        },
-                        data: op.out,
-                    }))
+                    Ok(Some(completion(usize::MAX, 0, op.out)))
                 } else {
                     Ok(None)
                 }
@@ -605,21 +546,6 @@ impl<'p> Mana<'p> {
                 unreachable!("sends are never unbound")
             }
         }
-    }
-
-    fn local_of(&self, kind: &VReqKind, src_world: usize) -> Result<usize> {
-        match kind {
-            VReqKind::RecvP2p { vcomm, .. } => self.local_in(*vcomm, src_world),
-            _ => Ok(src_world),
-        }
-    }
-
-    pub(crate) fn local_in(&self, vc: VComm, world: usize) -> Result<usize> {
-        let rec = self.comms.record(vc).ok_or(ManaError::InvalidVComm(vc.0))?;
-        rec.world_ranks
-            .iter()
-            .position(|&w| w == world)
-            .ok_or(ManaError::InvalidVComm(vc.0))
     }
 
     /// `MPI_Wait`, decomposed into a loop around `MPI_Test` (§III ch. 1).
@@ -643,33 +569,22 @@ impl<'p> Mana<'p> {
 
     /// `MPI_Iprobe`: drain buffer first, then the live network.
     pub fn iprobe(&mut self, vc: VComm, src: SrcSel, tag: TagSel) -> Result<Option<Status>> {
-        self.stats.wrapper_calls += 1;
-        self.maybe_checkpoint(false)?;
-        let style = self.cfg.callback_style;
-        self.commit.enter(style);
-        let out = (|| {
-            let ranks = self.ranks_of(vc)?;
-            let src_world = src_to_world(&ranks, src).ok_or(ManaError::InvalidVComm(vc.0))?;
-            if let Some(m) = self
-                .drain_buf
-                .peek_match(vc, src_world, Self::lower_tagsel(tag))
-            {
-                let source = ranks
-                    .iter()
-                    .position(|&w| w == m.src_world)
-                    .ok_or(ManaError::InvalidVComm(vc.0))?;
+        self.wrapper(SafePoint::Here, |m| {
+            let rec = m.comm(vc)?;
+            let src_world =
+                src_to_world(&rec.world_ranks, src).ok_or(ManaError::InvalidVComm(vc.0))?;
+            let lower_tag = Self::lower_tagsel(tag);
+            if let Some(d) = m.drain_buf.peek_match(vc, src_world, lower_tag) {
+                let source = rec.local_of(d.src_world);
                 return Ok(Some(Status {
-                    source,
-                    tag: m.tag,
-                    len: m.payload.len(),
+                    source: source.ok_or(ManaError::InvalidVComm(vc.0))?,
+                    tag: d.tag,
+                    len: d.payload.len(),
                 }));
             }
-            let real = self.real_comm(vc)?;
-            let lower_tag = Self::lower_tagsel(tag);
-            Ok(self.lh.call(|p| p.iprobe(real, src, lower_tag))?)
-        })();
-        self.commit.exit(style);
-        out
+            let real = m.real_comm(vc)?;
+            Ok(m.lh.call(|p| p.iprobe(real, src, lower_tag))?)
+        })
     }
 
     // ---- memory wrappers (MPI_Alloc_mem → malloc, §III item 2) -----------
@@ -679,11 +594,13 @@ impl<'p> Mana<'p> {
     /// memory in the MPI library; MANA converts it to plain (checkpointed)
     /// allocation.
     pub fn alloc_mem(&mut self, len: usize) -> u64 {
-        self.stats.wrapper_calls += 1;
-        let id = self.collops.next_id() | (1 << 62); // distinct id space
-        self.upper
-            .write_segment(&format!("mana_mem_{id:016x}"), vec![0u8; len]);
-        id
+        self.wrapper(SafePoint::No, |m| {
+            let id = m.collops.next_id() | (1 << 62); // distinct id space
+            m.upper
+                .write_segment(&format!("mana_mem_{id:016x}"), vec![0u8; len]);
+            Ok(id)
+        })
+        .expect("no safe point, infallible body")
     }
 
     /// Access an `alloc_mem` region.
@@ -698,9 +615,10 @@ impl<'p> Mana<'p> {
 
     /// `MPI_Free_mem`.
     pub fn free_mem(&mut self, handle: u64) -> bool {
-        self.stats.wrapper_calls += 1;
-        self.upper
-            .remove_segment(&format!("mana_mem_{handle:016x}"))
+        self.wrapper(SafePoint::No, |m| {
+            Ok(m.upper.remove_segment(&format!("mana_mem_{handle:016x}")))
+        })
+        .expect("no safe point, infallible body")
     }
 
     // ---- compute & lifecycle ---------------------------------------------
@@ -735,14 +653,13 @@ impl<'p> Mana<'p> {
     /// therefore runs a one-word allreduce-OR of each rank's local intent
     /// observation: all ranks checkpoint at this boundary, or none do.
     pub fn step_commit(&mut self) -> Result<()> {
-        self.stats.wrapper_calls += 1;
-        if !self.cfg.exit_after_ckpt {
-            return self.maybe_checkpoint(false);
-        }
-        if self.exited {
+        // Resume mode cuts at this safe point; exit mode declines here (not
+        // yet an agreed boundary) and votes below.
+        self.wrapper(SafePoint::Here, |_| Ok(()))?;
+        if !self.cfg.exit_after_ckpt || self.exited {
             return Ok(());
         }
-        let bit = (self.coord.intent() && !self.in_ckpt && !self.commit.ckpt_disabled()) as u64;
+        let bit = (self.coord.intent() && !self.in_ckpt) as u64;
         let agreed = self.allreduce_t(crate::ids::VCOMM_WORLD, mpisim::ReduceOp::Lor, &[bit])?;
         if agreed[0] != 0 {
             self.enter_checkpoint()
@@ -783,30 +700,37 @@ impl<'p> Mana<'p> {
 
     /// Advance a collective state machine by one step; true when done.
     pub(crate) fn poll_collop(&mut self, op_id: u64) -> Result<bool> {
-        let mut op = match self.collops.remove_for_poll(op_id) {
-            Some(op) => op,
-            None => return Err(ManaError::InvalidVReq(op_id)),
-        };
-        let ranks = self.ranks_of(op.vcomm)?;
-        let me = self
-            .local_in(op.vcomm, self.rank())
-            .map_err(|_| ManaError::InvalidVComm(op.vcomm.0))?;
-        let mut io = ManaEmuIo {
-            mana: self,
-            vcomm: op.vcomm,
-            ranks: &ranks,
-            me,
-        };
-        let res = op.advance(&mut io);
-        let done = match res {
-            Ok(d) => d,
-            Err(e) => {
-                self.collops.insert(op);
-                return Err(e);
-            }
-        };
+        let mut op = self
+            .collops
+            .remove_for_poll(op_id)
+            .ok_or(ManaError::InvalidVReq(op_id))?;
+        let res = self.emu_io(op.vcomm).and_then(|mut io| op.advance(&mut io));
         self.collops.insert(op);
-        Ok(done)
+        res
+    }
+
+    fn emu_io(&mut self, vcomm: VComm) -> Result<ManaEmuIo<'_, 'p>> {
+        let rec = self.comm(vcomm)?;
+        let size = rec.world_ranks.len();
+        let me = rec.local_of(self.rank());
+        Ok(ManaEmuIo {
+            me: me.ok_or(ManaError::InvalidVComm(vcomm.0))?,
+            mana: self,
+            vcomm,
+            size,
+        })
+    }
+}
+
+/// One completed operation's `(status, data)`; `len` is the payload's.
+fn completion(source: usize, tag: i32, data: Vec<u8>) -> Completion {
+    Completion {
+        status: Status {
+            source,
+            tag,
+            len: data.len(),
+        },
+        data,
     }
 }
 
@@ -814,7 +738,7 @@ impl<'p> Mana<'p> {
 struct ManaEmuIo<'a, 'p> {
     mana: &'a mut Mana<'p>,
     vcomm: VComm,
-    ranks: &'a [usize],
+    size: usize,
     me: usize,
 }
 
@@ -824,11 +748,11 @@ impl EmuIo for ManaEmuIo<'_, '_> {
     }
 
     fn size(&self) -> usize {
-        self.ranks.len()
+        self.size
     }
 
     fn send(&mut self, dst_local: usize, tag: i32, data: &[u8]) -> Result<()> {
-        let dst_world = self.ranks[dst_local];
+        let dst_world = self.mana.world_in(self.vcomm, dst_local)?;
         let real = self.mana.real_comm(self.vcomm)?;
         self.mana.p2p.count_send(dst_world, data.len());
         self.mana.lh.call(|p| -> mpisim::Result<()> {
@@ -843,7 +767,7 @@ impl EmuIo for ManaEmuIo<'_, '_> {
         if slot.data.is_some() {
             return Ok(true);
         }
-        let src_world = self.ranks[slot.src_local];
+        let src_world = self.mana.world_in(self.vcomm, slot.src_local)?;
         // Drain buffer first: pre-checkpoint bytes live there.
         if let Some(m) =
             self.mana
@@ -933,5 +857,64 @@ impl Mana<'_> {
             out.push(self.wait(r)?); // completes immediately
         }
         Ok(Some(out))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mana_win::VWin;
+    use crate::{CallbackStyle, ManaRuntime};
+    use mpisim::{Datatype, ReduceOp};
+
+    type Failing = (&'static str, fn(&mut Mana<'_>) -> bool);
+
+    /// Every wrapper, called so that it fails after its bracket opened.
+    const FAILING: [Failing; 14] = [
+        ("comm_dup", |m| m.comm_dup(STALE).is_err()),
+        ("comm_split", |m| m.comm_split(STALE, 0, 0).is_err()),
+        ("comm_free", |m| m.comm_free(STALE).is_err()),
+        ("isend", |m| m.isend(STALE, 0, 1, b"x").is_err()),
+        ("isend tag", |m| m.isend(VCOMM_WORLD, 0, -1, b"x").is_err()),
+        ("irecv", |m| {
+            m.irecv(STALE, SrcSel::Any, TagSel::Any).is_err()
+        }),
+        ("test", |m| m.test(&mut VReq(9999)).is_err()),
+        ("iprobe", |m| {
+            m.iprobe(STALE, SrcSel::Any, TagSel::Any).is_err()
+        }),
+        ("ibarrier", |m| m.ibarrier(STALE).is_err()),
+        ("win_create", |m| m.win_create(STALE, 8).is_err()),
+        ("win_put", |m| m.win_put(VWin(9999), 0, 0, &[1]).is_err()),
+        ("win_get", |m| m.win_get(VWin(9999), 0, 0, 1).is_err()),
+        ("win_accumulate", |m| {
+            m.win_accumulate(VWin(9999), 0, 0, Datatype::U8, ReduceOp::Sum, &[1])
+                .is_err()
+        }),
+        ("win_free", |m| m.win_free(VWin(9999)).is_err()),
+    ];
+    const STALE: VComm = VComm(9999);
+
+    #[test]
+    fn a_failed_wrapper_leaves_checkpointing_enabled() {
+        for style in [CallbackStyle::Prepared, CallbackStyle::Lambda] {
+            let cfg = ManaConfig {
+                callback_style: style,
+                ckpt_dir: std::env::temp_dir()
+                    .join(format!("mana2_unit_bracket_{}", std::process::id())),
+                ..ManaConfig::default()
+            };
+            let run = ManaRuntime::new(1, cfg).run_fresh(|m| {
+                for (name, fails) in FAILING {
+                    let before = m.stats.wrapper_calls;
+                    assert!(fails(m), "{name} accepted a stale handle");
+                    assert_eq!(m.stats.wrapper_calls, before + 1, "{name}");
+                    assert!(!m.commit.ckpt_disabled(), "{name} leaked DISABLE_CKPT");
+                    assert_eq!(m.commit.begun(), m.commit.finished(), "{name}");
+                }
+                Ok(())
+            });
+            run.unwrap_or_else(|e| panic!("{style:?}: {e}"));
+        }
     }
 }

@@ -287,26 +287,28 @@ impl<'p> Mana<'p> {
     /// drained twice.
     pub(crate) fn drain_sweep(&mut self, expected: &[u64]) -> Result<bool> {
         let mut progress = false;
-        // (a) Unmatched messages in the network.
-        let active: Vec<(u64, Vec<usize>)> = self
-            .comms
-            .active_records()
-            .iter()
-            .map(|r| (r.vid, r.world_ranks.clone()))
+        // (a) Unmatched messages in the network, from the peers that still
+        // owe bytes (deficits only shrink during a sweep, so this snapshot
+        // is a superset of the live set the probe loop re-checks).
+        let me = self.rank();
+        let owing: Vec<usize> = (0..self.world_size())
+            .filter(|&w| w != me && self.p2p.deficit_from(expected, w) != 0)
             .collect();
-        for (vid, ranks) in &active {
-            let vc = VComm(*vid);
+        let active = self.comms.active_records();
+        let active: Vec<VComm> = active.iter().map(|r| VComm(r.vid)).collect();
+        for vc in active {
             let real = match self.comms.real(vc) {
                 Some(r) => r,
                 None => continue,
             };
-            if !ranks.contains(&self.rank()) {
-                continue;
-            }
-            for (local, &w) in ranks.iter().enumerate() {
-                if w == self.rank() {
-                    continue;
-                }
+            // Probe in communicator-rank order.
+            let rec = self.comm(vc)?;
+            let mut peers: Vec<(usize, usize)> = owing
+                .iter()
+                .filter_map(|&w| Some((rec.local_of(w)?, w)))
+                .collect();
+            peers.sort_unstable();
+            for (local, w) in peers {
                 while self.p2p.deficit_from(expected, w) != 0 {
                     let st = self
                         .lh
@@ -339,10 +341,7 @@ impl<'p> Mana<'p> {
                 None => continue,
             };
             if let Some(c) = self.lh.call(|p| p.test(RReq::from_raw(raw)))? {
-                let ranks = self.ranks_of(vcomm)?;
-                let src_world = *ranks
-                    .get(c.status.source)
-                    .ok_or(ManaError::InvalidVComm(vcomm.0))?;
+                let src_world = self.world_in(vcomm, c.status.source)?;
                 self.count_drained(src_world, c.data.len());
                 // Step one of two-step retirement: the user's address for
                 // this request is unknown here, so park the completion.
@@ -365,7 +364,6 @@ impl<'p> Mana<'p> {
                 Some(op) => op,
                 None => continue,
             };
-            let ranks = self.ranks_of(op.vcomm)?;
             for slot in &mut op.slots {
                 if slot.data.is_some() {
                     continue;
@@ -375,7 +373,7 @@ impl<'p> Mana<'p> {
                     None => continue,
                 };
                 if let Some(c) = self.lh.call(|p| p.test(RReq::from_raw(raw)))? {
-                    let src_world = ranks[slot.src_local];
+                    let src_world = self.world_in(op.vcomm, slot.src_local)?;
                     self.count_drained(src_world, c.data.len());
                     slot.real = None;
                     slot.data = Some(c.data);

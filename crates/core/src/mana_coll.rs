@@ -28,24 +28,50 @@ use crate::collective_emu::CollOp;
 use crate::config::TpcMode;
 use crate::error::{ManaError, Result};
 use crate::ids::{VComm, VReq};
-use crate::mana::Mana;
+use crate::mana::{Mana, SafePoint};
 use crate::requests::{Binding, VReqKind};
 use mpisim::{CollKind, Datatype, ReduceOp};
 use obs::metrics as met;
 use obs::{EventKind, Phase, NO_ROUND};
 
 impl Mana<'_> {
-    /// Collective prologue: accounting plus, under `TpcMode::Original`
-    /// and whatever the drain protocol, the phase-1 barrier.
-    fn collective_prologue(&mut self, vc: VComm, kind: CollKind) -> Result<()> {
-        self.stats.wrapper_calls += 1;
-        self.stats.collectives += 1;
-        self.maybe_checkpoint(false)?;
-        self.emu_record(kind);
+    /// The id and the sequence number (tag space) of the next emulated
+    /// collective on `vc`, blocking or not. Only ever called past the
+    /// call's safe point, so no image carries one without its op.
+    fn next_coll(&mut self, vc: VComm) -> (u64, u64) {
+        (self.collops.next_id(), self.comms.next_emu_seq(vc))
+    }
+
+    /// One blocking collective: the wrapper skeleton around the lower
+    /// half's collective record; under `TpcMode::Original` (whatever the
+    /// drain protocol) the phase-1 barrier; then the op `make(id, seq)`
+    /// driven to completion *outside* the bracket, where its poll loop can
+    /// service checkpoints.
+    fn collective(
+        &mut self,
+        vc: VComm,
+        kind: CollKind,
+        make: impl FnOnce(u64, u64) -> CollOp,
+    ) -> Result<Vec<u8>> {
+        self.wrapper(SafePoint::Here, |m| {
+            m.stats.collectives += 1;
+            m.emu_record(kind);
+            Ok(())
+        })?;
         if self.cfg.tpc == TpcMode::Original {
             self.tpc_barrier(vc)?;
         }
-        Ok(())
+        let (id, seq) = self.next_coll(vc);
+        self.run_collective(make(id, seq))
+    }
+
+    /// Run one blocking collective through the state-machine path.
+    fn run_collective(&mut self, op: CollOp) -> Result<Vec<u8>> {
+        let id = op.id;
+        self.collops.insert(op);
+        let out = self.drive_collop(id);
+        self.collops.remove(id);
+        out
     }
 
     /// The interruptible 2PC phase-1 barrier (Original mode): an emulated
@@ -55,7 +81,7 @@ impl Mana<'_> {
     fn tpc_barrier(&mut self, vc: VComm) -> Result<()> {
         self.stats.tpc_barriers += 1;
         self.tel.add(met::TPC_BARRIERS, 1);
-        let seq = self.comms.next_emu_seq(vc);
+        let (id, seq) = self.next_coll(vc);
         if self.tel.tracing() {
             // Arrival marker first: cross-rank skew on the same
             // (gid, coll_seq) key is the §III-J straggler signal the
@@ -65,10 +91,7 @@ impl Mana<'_> {
                 .event(NO_ROUND, EventKind::BarrierArrive { gid, coll_seq: seq });
         }
         let wait = self.tel.begin(NO_ROUND, Phase::TpcBarrier);
-        let id = self.collops.next_id();
-        self.collops.insert(CollOp::barrier(id, vc, seq));
-        let res = self.drive_collop(id);
-        self.collops.remove(id);
+        let res = self.run_collective(CollOp::barrier(id, vc, seq));
         self.tel.end(wait);
         res.map(|_| ())
     }
@@ -110,15 +133,6 @@ impl Mana<'_> {
         res
     }
 
-    /// Run one blocking collective through the state-machine path.
-    fn run_collective(&mut self, op: CollOp) -> Result<Vec<u8>> {
-        let id = op.id;
-        self.collops.insert(op);
-        let out = self.drive_collop(id);
-        self.collops.remove(id);
-        out
-    }
-
     fn emu_record(&mut self, kind: CollKind) {
         self.stats.emu_collectives += 1;
         self.tel.add(met::EMU_COLLECTIVES, 1);
@@ -127,10 +141,9 @@ impl Mana<'_> {
 
     /// `MPI_Barrier`.
     pub fn barrier(&mut self, vc: VComm) -> Result<()> {
-        self.collective_prologue(vc, CollKind::Barrier)?;
-        let seq = self.comms.next_emu_seq(vc);
-        let id = self.collops.next_id();
-        self.run_collective(CollOp::barrier(id, vc, seq))?;
+        self.collective(vc, CollKind::Barrier, |id, seq| {
+            CollOp::barrier(id, vc, seq)
+        })?;
         Ok(())
     }
 
@@ -138,13 +151,14 @@ impl Mana<'_> {
     /// replaced. The root returns as soon as its tree sends are deposited
     /// (MPI-3.1 semantics — unless Original 2PC prepends its barrier).
     pub fn bcast(&mut self, vc: VComm, root: usize, data: &mut Vec<u8>) -> Result<()> {
-        self.collective_prologue(vc, CollKind::Bcast)?;
-        let me = self.comm_rank(vc)?;
-        let seq = self.comms.next_emu_seq(vc);
-        let id = self.collops.next_id();
-        let payload = if me == root { data.clone() } else { Vec::new() };
-        let out = self.run_collective(CollOp::bcast(id, vc, seq, root, payload))?;
-        *data = out;
+        let payload = if self.comm_rank(vc)? == root {
+            data.clone()
+        } else {
+            Vec::new()
+        };
+        *data = self.collective(vc, CollKind::Bcast, |id, seq| {
+            CollOp::bcast(id, vc, seq, root, payload)
+        })?;
         Ok(())
     }
 
@@ -157,12 +171,10 @@ impl Mana<'_> {
         op: ReduceOp,
         contrib: &[u8],
     ) -> Result<Option<Vec<u8>>> {
-        self.collective_prologue(vc, CollKind::Reduce)?;
         let me = self.comm_rank(vc)?;
-        let seq = self.comms.next_emu_seq(vc);
-        let id = self.collops.next_id();
-        let out =
-            self.run_collective(CollOp::reduce(id, vc, seq, root, dt, op, contrib.to_vec()))?;
+        let out = self.collective(vc, CollKind::Reduce, |id, seq| {
+            CollOp::reduce(id, vc, seq, root, dt, op, contrib.to_vec())
+        })?;
         Ok((me == root).then_some(out))
     }
 
@@ -174,28 +186,25 @@ impl Mana<'_> {
         op: ReduceOp,
         contrib: &[u8],
     ) -> Result<Vec<u8>> {
-        self.collective_prologue(vc, CollKind::Allreduce)?;
-        let seq = self.comms.next_emu_seq(vc);
-        let id = self.collops.next_id();
-        self.run_collective(CollOp::allreduce(id, vc, seq, dt, op, contrib.to_vec()))
+        self.collective(vc, CollKind::Allreduce, |id, seq| {
+            CollOp::allreduce(id, vc, seq, dt, op, contrib.to_vec())
+        })
     }
 
     /// `MPI_Alltoall` (per-destination chunks).
     pub fn alltoall(&mut self, vc: VComm, chunks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        self.collective_prologue(vc, CollKind::Alltoall)?;
-        let seq = self.comms.next_emu_seq(vc);
-        let id = self.collops.next_id();
-        let out = self.run_collective(CollOp::alltoall(id, vc, seq, chunks.to_vec()))?;
+        let out = self.collective(vc, CollKind::Alltoall, |id, seq| {
+            CollOp::alltoall(id, vc, seq, chunks.to_vec())
+        })?;
         Ok(mpisim::unframe_chunks(&out)?)
     }
 
     /// `MPI_Gather`: `Some(per-rank chunks)` on the root.
     pub fn gather(&mut self, vc: VComm, root: usize, data: &[u8]) -> Result<Option<Vec<Vec<u8>>>> {
-        self.collective_prologue(vc, CollKind::Gather)?;
         let me = self.comm_rank(vc)?;
-        let seq = self.comms.next_emu_seq(vc);
-        let id = self.collops.next_id();
-        let out = self.run_collective(CollOp::gather(id, vc, seq, root, data.to_vec()))?;
+        let out = self.collective(vc, CollKind::Gather, |id, seq| {
+            CollOp::gather(id, vc, seq, root, data.to_vec())
+        })?;
         if me == root {
             Ok(Some(mpisim::unframe_chunks(&out)?))
         } else {
@@ -205,10 +214,9 @@ impl Mana<'_> {
 
     /// `MPI_Allgather`.
     pub fn allgather(&mut self, vc: VComm, data: &[u8]) -> Result<Vec<Vec<u8>>> {
-        self.collective_prologue(vc, CollKind::Allgather)?;
-        let seq = self.comms.next_emu_seq(vc);
-        let id = self.collops.next_id();
-        let out = self.run_collective(CollOp::allgather(id, vc, seq, data.to_vec()))?;
+        let out = self.collective(vc, CollKind::Allgather, |id, seq| {
+            CollOp::allgather(id, vc, seq, data.to_vec())
+        })?;
         Ok(mpisim::unframe_chunks(&out)?)
     }
 
@@ -262,39 +270,43 @@ impl Mana<'_> {
 
     // ---- non-blocking collectives (log-and-replay; §III-A) ----------------
 
-    fn nb_collective(&mut self, op: CollOp) -> Result<VReq> {
-        self.stats.wrapper_calls += 1;
-        self.stats.emu_collectives += 1;
-        self.tel.add(met::EMU_COLLECTIVES, 1);
-        self.maybe_checkpoint(false)?;
-        let id = op.id;
-        self.collops.insert(op);
-        // Kick the state machine once so initial sends go out eagerly.
-        let _ = self.poll_collop(id)?;
-        Ok(self
-            .reqs
-            .create(VReqKind::Coll { op_id: id }, Binding::Unbound))
+    /// One non-blocking collective, all of it inside the wrapper skeleton:
+    /// allocate the op `make(id, seq)`, kick it once so its initial sends
+    /// go out eagerly, bind a request to it.
+    fn nb_collective(
+        &mut self,
+        vc: VComm,
+        kind: CollKind,
+        make: impl FnOnce(u64, u64) -> CollOp,
+    ) -> Result<VReq> {
+        self.wrapper(SafePoint::Here, |m| {
+            m.emu_record(kind);
+            let (id, seq) = m.next_coll(vc);
+            m.collops.insert(make(id, seq));
+            let _ = m.poll_collop(id)?;
+            Ok(m.reqs
+                .create(VReqKind::Coll { op_id: id }, Binding::Unbound))
+        })
     }
 
     /// `MPI_Ibarrier`.
     pub fn ibarrier(&mut self, vc: VComm) -> Result<VReq> {
-        self.lh
-            .call(|p| p.record_collective_public(CollKind::Barrier));
-        let seq = self.comms.next_emu_seq(vc);
-        let id = self.collops.next_id();
-        self.nb_collective(CollOp::barrier(id, vc, seq))
+        self.nb_collective(vc, CollKind::Barrier, |id, seq| {
+            CollOp::barrier(id, vc, seq)
+        })
     }
 
     /// `MPI_Ibcast`; the payload arrives in the completion's `data` on
     /// every rank.
     pub fn ibcast(&mut self, vc: VComm, root: usize, data: Vec<u8>) -> Result<VReq> {
-        self.lh
-            .call(|p| p.record_collective_public(CollKind::Bcast));
-        let me = self.comm_rank(vc)?;
-        let seq = self.comms.next_emu_seq(vc);
-        let id = self.collops.next_id();
-        let payload = if me == root { data } else { Vec::new() };
-        self.nb_collective(CollOp::bcast(id, vc, seq, root, payload))
+        let payload = if self.comm_rank(vc)? == root {
+            data
+        } else {
+            Vec::new()
+        };
+        self.nb_collective(vc, CollKind::Bcast, |id, seq| {
+            CollOp::bcast(id, vc, seq, root, payload)
+        })
     }
 
     /// `MPI_Iallreduce`; the result arrives in the completion's `data`.
@@ -305,21 +317,17 @@ impl Mana<'_> {
         op: ReduceOp,
         contrib: &[u8],
     ) -> Result<VReq> {
-        self.lh
-            .call(|p| p.record_collective_public(CollKind::Allreduce));
-        let seq = self.comms.next_emu_seq(vc);
-        let id = self.collops.next_id();
-        self.nb_collective(CollOp::allreduce(id, vc, seq, dt, op, contrib.to_vec()))
+        self.nb_collective(vc, CollKind::Allreduce, |id, seq| {
+            CollOp::allreduce(id, vc, seq, dt, op, contrib.to_vec())
+        })
     }
 
     /// `MPI_Iallgather`; framed per-rank chunks arrive in the completion's
     /// `data` (decode with [`mpisim::unframe_chunks`]).
     pub fn iallgather(&mut self, vc: VComm, data: &[u8]) -> Result<VReq> {
-        self.lh
-            .call(|p| p.record_collective_public(CollKind::Allgather));
-        let seq = self.comms.next_emu_seq(vc);
-        let id = self.collops.next_id();
-        self.nb_collective(CollOp::allgather(id, vc, seq, data.to_vec()))
+        self.nb_collective(vc, CollKind::Allgather, |id, seq| {
+            CollOp::allgather(id, vc, seq, data.to_vec())
+        })
     }
 
     /// Live emulated-collective count (replay metric, §III-I.4).

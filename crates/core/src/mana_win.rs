@@ -17,7 +17,7 @@
 
 use crate::error::{ManaError, Result};
 use crate::ids::VComm;
-use crate::mana::Mana;
+use crate::mana::{Mana, SafePoint};
 use crate::vtable::{VirtualTable, VtBackend};
 use mpisim::{Datatype, ReduceOp, Win};
 use splitproc::{CodecError, Decode, Encode, Reader};
@@ -163,8 +163,7 @@ impl WinManager {
             records: meta.records.iter().map(|r| (r.vid, r.clone())).collect(),
         };
         if let Some(max) = meta.records.iter().map(|r| r.vid).max() {
-            m.table.bind(max, Win::from_id(0));
-            m.table.remove(max);
+            m.table.reserve_through(max);
         }
         m
     }
@@ -182,30 +181,19 @@ impl Mana<'_> {
 
     /// `MPI_Win_create`: collective over `vc`; exposes `local_size` bytes.
     pub fn win_create(&mut self, vc: VComm, local_size: usize) -> Result<VWin> {
-        self.stats.wrapper_calls += 1;
-        self.maybe_checkpoint(false)?;
-        let style = self.cfg.callback_style;
-        self.commit.enter(style);
-        let out = (|| {
-            let real_comm = self.real_comm(vc)?;
-            let real = self.lh.call(|p| p.win_create(real_comm, local_size))?;
-            Ok(self.wins.register(vc, local_size, real))
-        })();
-        self.commit.exit(style);
-        out
+        self.wrapper(SafePoint::Here, |m| {
+            let real_comm = m.real_comm(vc)?;
+            let real = m.lh.call(|p| p.win_create(real_comm, local_size))?;
+            Ok(m.wins.register(vc, local_size, real))
+        })
     }
 
     /// `MPI_Put`.
     pub fn win_put(&mut self, vw: VWin, target: usize, offset: usize, data: &[u8]) -> Result<()> {
-        self.stats.wrapper_calls += 1;
-        let style = self.cfg.callback_style;
-        self.commit.enter(style);
-        let out = (|| {
-            let real = self.real_win(vw)?;
-            Ok(self.lh.call(|p| p.win_put(real, target, offset, data))?)
-        })();
-        self.commit.exit(style);
-        out
+        self.wrapper(SafePoint::No, |m| {
+            let real = m.real_win(vw)?;
+            Ok(m.lh.call(|p| p.win_put(real, target, offset, data))?)
+        })
     }
 
     /// `MPI_Get`.
@@ -216,15 +204,10 @@ impl Mana<'_> {
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>> {
-        self.stats.wrapper_calls += 1;
-        let style = self.cfg.callback_style;
-        self.commit.enter(style);
-        let out = (|| {
-            let real = self.real_win(vw)?;
-            Ok(self.lh.call(|p| p.win_get(real, target, offset, len))?)
-        })();
-        self.commit.exit(style);
-        out
+        self.wrapper(SafePoint::No, |m| {
+            let real = m.real_win(vw)?;
+            Ok(m.lh.call(|p| p.win_get(real, target, offset, len))?)
+        })
     }
 
     /// `MPI_Accumulate`.
@@ -237,17 +220,10 @@ impl Mana<'_> {
         op: ReduceOp,
         data: &[u8],
     ) -> Result<()> {
-        self.stats.wrapper_calls += 1;
-        let style = self.cfg.callback_style;
-        self.commit.enter(style);
-        let out = (|| {
-            let real = self.real_win(vw)?;
-            Ok(self
-                .lh
-                .call(|p| p.win_accumulate(real, target, offset, dt, op, data))?)
-        })();
-        self.commit.exit(style);
-        out
+        self.wrapper(SafePoint::No, |m| {
+            let real = m.real_win(vw)?;
+            Ok(m.lh.call(|p| p.win_accumulate(real, target, offset, dt, op, data))?)
+        })
     }
 
     /// `MPI_Win_fence`: epoch boundary, via MANA's interruptible barrier
@@ -265,15 +241,10 @@ impl Mana<'_> {
 
     /// `MPI_Win_free`.
     pub fn win_free(&mut self, vw: VWin) -> Result<()> {
-        self.stats.wrapper_calls += 1;
-        let style = self.cfg.callback_style;
-        self.commit.enter(style);
-        let out = match self.wins.free(vw) {
-            None => Err(ManaError::InvalidVComm(vw.0)),
-            Some(real) => self.lh.call(|p| p.win_free(real)).map_err(ManaError::Mpi),
-        };
-        self.commit.exit(style);
-        out
+        self.wrapper(SafePoint::No, |m| {
+            let real = m.wins.free(vw).ok_or(ManaError::InvalidVComm(vw.0))?;
+            Ok(m.lh.call(|p| p.win_free(real))?)
+        })
     }
 
     /// Live window bindings (leak metric).

@@ -255,6 +255,9 @@ impl RequestManager {
         for (vid, e) in &meta.entries {
             m.table.bind(*vid, e.clone());
         }
+        // Vids are issued 1, 2, … so `created` is the highest ever issued,
+        // live or retired: none of them may come back after the restart.
+        m.table.reserve_through(meta.created);
         m
     }
 }
@@ -536,6 +539,21 @@ mod tests {
         let mut restored = restored;
         let fresh = restored.create(recv_kind(), Binding::Unbound);
         assert!(fresh.0 > nulled.0);
+    }
+
+    #[test]
+    fn restart_never_reissues_a_retired_vid() {
+        let mut m = RequestManager::new(VtBackend::FxHash);
+        let live = m.create(recv_kind(), Binding::Unbound);
+        let retired = m.create(recv_kind(), Binding::Real(7));
+        m.retire(retired);
+        // The image holds only `live`; the application may still hold a
+        // stale copy of `retired`.
+        let mut restored = RequestManager::from_meta(&m.to_meta(), VtBackend::FxHash);
+        let fresh = restored.create(recv_kind(), Binding::Unbound);
+        assert!(fresh.0 > retired.0, "{fresh:?} re-issues {retired:?}");
+        assert!(restored.entry(retired).is_none());
+        assert!(restored.entry(live).is_some());
     }
 
     #[test]

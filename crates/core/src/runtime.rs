@@ -415,7 +415,7 @@ impl ManaRuntime {
             .as_ref()
             .map(|mode| self.prepare_restart(mode, &tel))
             .transpose()
-            .map_err(|e| self.failed(e, &reg.snapshot()))?;
+            .map_err(|e| self.failed(e, &reg.snapshot(), &[]))?;
         // The world must exist before the coordinator: the commit-time
         // invariant checker captures an introspection handle over it.
         let mut world_cfg = self.world_cfg.clone();
@@ -484,7 +484,8 @@ impl ManaRuntime {
             .map_err(|e| eprintln!("mana2: metrics exporter failed to start: {e}"))
             .ok()
         });
-        let result = self.run_world(&world, restart, prepared, f, &reg);
+        let mut collateral = Vec::new();
+        let result = self.run_world(&world, restart, prepared, f, &reg, &mut collateral);
         // One teardown, however the run ended: a last sample, the
         // exporter drained, one merged snapshot — which rides out in the
         // report, or beside the flight dump of the failure.
@@ -500,7 +501,7 @@ impl ManaRuntime {
                 report.metrics = Some(snap);
                 Ok(report)
             }
-            Err(e) => Err(self.failed(e, &snap)),
+            Err(e) => Err(self.failed(e, &snap, &collateral)),
         }
     }
 
@@ -508,7 +509,8 @@ impl ManaRuntime {
     /// on every rank (restored from `prepared` on a restart), and join
     /// everything. The report comes back without its metrics snapshot;
     /// [`ManaRuntime::run_inner`] takes that once, for success and failure
-    /// alike.
+    /// alike. When ranks fail, the error names the culprit and
+    /// `collateral` receives every other rank's `(rank, error)`.
     fn run_world<T, F>(
         &self,
         world: &World,
@@ -516,6 +518,7 @@ impl ManaRuntime {
         prepared: Option<(store::Selected, Arc<RestartGuard>)>,
         f: F,
         reg: &Arc<met::MetricsRegistry>,
+        collateral: &mut Vec<(usize, String)>,
     ) -> std::result::Result<RunReport<T>, RuntimeError>
     where
         T: Send + 'static,
@@ -690,10 +693,30 @@ impl ManaRuntime {
         }
         let mut outcomes = Vec::with_capacity(self.n);
         let mut rank_stats = Vec::with_capacity(self.n);
+        let mut errors = Vec::new();
         for (rank, r) in results.into_iter().enumerate() {
-            let (o, s) = r.map_err(|e| RuntimeError::Rank(rank, e))?;
-            outcomes.push(o);
-            rank_stats.push(s);
+            match r {
+                Ok((o, s)) => {
+                    outcomes.push(o);
+                    rank_stats.push(s);
+                }
+                Err(e) => errors.push((rank, e)),
+            }
+        }
+        if !errors.is_empty() {
+            // Likewise a rank that fails aborts the world, and its peers
+            // die of the poison or of the coordinator it took down: report
+            // the first error that is not such collateral.
+            let victim = |e: &ManaError| {
+                matches!(
+                    e,
+                    ManaError::Mpi(mpisim::MpiError::Poisoned) | ManaError::CoordinatorGone
+                )
+            };
+            let culprit = errors.iter().position(|(_, e)| !victim(e)).unwrap_or(0);
+            let (rank, e) = errors.remove(culprit);
+            collateral.extend(errors.into_iter().map(|(r, e)| (r, e.to_string())));
+            return Err(RuntimeError::Rank(rank, e));
         }
         // World-level restart roll-ups: comm restoration and call replay
         // happen per rank, but the counters read best as run totals.
@@ -832,7 +855,14 @@ impl ManaRuntime {
     /// never a reason to mask the original error. The paths — and the
     /// fault-plan seed, recorded in the dump header — are printed to
     /// stderr so a failure report always says where its trace went.
-    fn failed(&self, e: RuntimeError, metrics: &met::MetricsSnapshot) -> RuntimeError {
+    /// `collateral` — the other ranks' errors when `e` names one rank —
+    /// goes into the dump header.
+    fn failed(
+        &self,
+        e: RuntimeError,
+        metrics: &met::MetricsSnapshot,
+        collateral: &[(usize, String)],
+    ) -> RuntimeError {
         let Some(sink) = &self.cfg.trace else {
             return e;
         };
@@ -854,6 +884,7 @@ impl ManaRuntime {
             seed,
             &config,
             Some(metrics),
+            collateral,
         ) {
             Ok(d) => eprintln!(
                 "mana2: flight recorder dumped {} events (seed {:?}): {} / {}",

@@ -96,6 +96,14 @@ impl<R> VirtualTable<R> {
         }
     }
 
+    /// Never allocate `vid` or anything below it: every virtual ID a
+    /// restarted rank's image says was once issued stays retired, so a
+    /// stale handle in application memory fails its lookup instead of
+    /// aliasing a new object.
+    pub fn reserve_through(&mut self, vid: u64) {
+        self.next_id = self.next_id.max(vid + 1);
+    }
+
     /// Translate a virtual ID to its real object.
     pub fn lookup(&self, vid: u64) -> Option<&R> {
         self.lookups.set(self.lookups.get() + 1);
@@ -204,6 +212,19 @@ mod tests {
             // Allocator must not re-issue 10.
             let fresh = t.insert(300);
             assert_eq!(fresh, 11);
+        }
+    }
+
+    #[test]
+    fn reserve_through_retires_ids_without_binding_them() {
+        for b in backends() {
+            let mut t: VirtualTable<u64> = VirtualTable::new(b, 1);
+            t.reserve_through(7);
+            assert!(t.is_empty());
+            assert_eq!(t.op_counts(), (0, 0, 0), "no placeholder bind/remove");
+            assert_eq!(t.insert(1), 8);
+            t.reserve_through(3); // never moves the allocator backwards
+            assert_eq!(t.insert(2), 9);
         }
     }
 

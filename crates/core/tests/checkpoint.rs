@@ -1090,6 +1090,56 @@ fn resumed_restart_epoch_restores_from_the_images_it_revalidates() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A request id the application saw retired before the cut stays dead
+/// after the restart: new requests are numbered past it, so a stale copy
+/// fails its lookup instead of aliasing a live request.
+#[test]
+fn restart_never_reissues_a_retired_request_id() {
+    let n = 2;
+    let mut config = cfg("vreq_reissue");
+    config.exit_after_ckpt = true;
+    let dir = config.ckpt_dir.clone();
+    let work = |m: &mut mana_core::Mana<'_>| -> mana_core::Result<()> {
+        let w = m.comm_world();
+        let peer = 1 - m.rank();
+        let Some(stale) = m.upper().read_value::<u64>("stale").transpose()? else {
+            let mut retired = VReq(0);
+            for tag in 0..3 {
+                m.send(w, peer, tag, &[7])?;
+                let mut r = m.irecv(w, SrcSel::Rank(peer), TagSel::Tag(tag))?;
+                retired = r;
+                m.wait(&mut r)?;
+            }
+            assert_eq!(m.live_requests(), 0);
+            m.upper_mut().write_value("stale", &retired.0);
+            if m.rank() == 0 {
+                m.request_checkpoint()?;
+            }
+            return m.step_commit();
+        };
+        let mut fresh = m.irecv(w, SrcSel::Rank(peer), TagSel::Tag(9))?;
+        assert!(fresh.0 > stale, "{fresh:?} re-issues retired id {stale}");
+        match m.test(&mut VReq(stale)) {
+            Err(mana_core::ManaError::InvalidVReq(v)) => assert_eq!(v, stale),
+            other => panic!("stale request {stale} resolved: {other:?}"),
+        }
+        m.send(w, peer, 9, &[1])?;
+        m.wait(&mut fresh)?;
+        Ok(())
+    };
+    let pass1 = ManaRuntime::new(n, config.clone())
+        .with_world_cfg(wcfg())
+        .run_fresh(work)
+        .unwrap();
+    assert!(pass1.all_checkpointed());
+    let pass2 = ManaRuntime::new(n, config)
+        .with_world_cfg(wcfg())
+        .run_restart(work)
+        .unwrap();
+    assert!(pass2.all_finished());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn alloc_mem_survives_checkpoint() {
     let n = 2;

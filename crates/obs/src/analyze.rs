@@ -353,6 +353,9 @@ pub fn render_summary(meta: &DumpMeta, events: &[TraceEvent]) -> String {
     if !meta.config.0.is_empty() {
         let _ = writeln!(out, "config: {}", meta.config);
     }
+    for (rank, error) in &meta.rank_errors {
+        let _ = writeln!(out, "rank {rank} also failed: {error}");
+    }
     if meta.dropped > 0 {
         let _ = writeln!(
             out,
@@ -478,6 +481,7 @@ mod tests {
             dropped,
             dropped_by_ring: Vec::new(),
             config: crate::ConfigRecord::default(),
+            rank_errors: Vec::new(),
         }
     }
 

@@ -99,6 +99,10 @@ pub struct DumpMeta {
     /// The configuration the run resolved to. Empty in dumps written
     /// before this field existed.
     pub config: ConfigRecord,
+    /// `(rank, error)` for every rank that failed *besides* the one the
+    /// run's error names: the collateral of a poisoned world. Empty for
+    /// dumps of runs that did not fail that way.
+    pub rank_errors: Vec<(usize, String)>,
 }
 
 /// Serialize `events` (pre-merged, any order preserved) as a JSONL dump.
@@ -129,6 +133,12 @@ pub fn events_to_jsonl(meta: &DumpMeta, events: &[TraceEvent]) -> String {
         out.push(']');
     }
     meta.config.write_header_field(&mut out);
+    if !meta.rank_errors.is_empty() {
+        let one =
+            |(r, e): &(usize, String)| format!("{{\"rank\":{r},\"error\":\"{}\"}}", escape(e));
+        let all: Vec<String> = meta.rank_errors.iter().map(one).collect();
+        let _ = write!(out, ",\"rank_errors\":[{}]", all.join(","));
+    }
     out.push_str("}\n");
     for ev in events {
         out.push_str(&ev.to_json_line());
@@ -166,6 +176,16 @@ pub fn parse_jsonl(text: &str) -> Result<(DumpMeta, Vec<TraceEvent>), String> {
             _ => Vec::new(),
         },
         config: ConfigRecord::from_header(&hv)?,
+        rank_errors: match hv.get("rank_errors") {
+            Some(Json::Arr(items)) => items
+                .iter()
+                .filter_map(|it| {
+                    let rank = it.get("rank").and_then(Json::as_u64)? as usize;
+                    Some((rank, it.get("error").and_then(Json::as_str)?.to_string()))
+                })
+                .collect(),
+            _ => Vec::new(),
+        },
     };
     let mut events = Vec::new();
     for (lineno, line) in lines {
@@ -287,7 +307,8 @@ pub struct FlightDump {
 /// `<dir>/<label>.chrome.json`; the JSONL header carries `config`.
 /// Creates `dir` if needed. When `metrics` is given, the final snapshot is
 /// written next to the dump as `<label>.metrics.json` (single-snapshot
-/// `mana2-metrics/1` series carrying the same `config`).
+/// `mana2-metrics/1` series carrying the same `config`). `rank_errors`
+/// goes into the header as [`DumpMeta::rank_errors`].
 pub fn flight_record(
     sink: &TraceSink,
     dir: &Path,
@@ -295,6 +316,7 @@ pub fn flight_record(
     seed: Option<u64>,
     config: &ConfigRecord,
     metrics: Option<&crate::metrics::MetricsSnapshot>,
+    rank_errors: &[(usize, String)],
 ) -> io::Result<FlightDump> {
     std::fs::create_dir_all(dir)?;
     let events = sink.merged();
@@ -305,6 +327,7 @@ pub fn flight_record(
         dropped: sink.dropped(),
         dropped_by_ring: sink.dropped_by_ring(),
         config: config.clone(),
+        rank_errors: rank_errors.to_vec(),
     };
     let jsonl = dir.join(format!("{label}.jsonl"));
     let chrome = dir.join(format!("{label}.chrome.json"));
@@ -424,6 +447,10 @@ mod tests {
             dropped: 5,
             dropped_by_ring: vec![2, 3, 0, 0],
             config: ConfigRecord::new([("engine", "coop:2:7"), ("drain", "topo\"sort")]),
+            rank_errors: vec![
+                (0, "world \"poisoned\"".to_string()),
+                (3, "gone".to_string()),
+            ],
         };
         let text = events_to_jsonl(&meta, &events);
         let (meta2, events2) = parse_jsonl(&text).unwrap();
@@ -440,6 +467,7 @@ mod tests {
             dropped: 0,
             dropped_by_ring: Vec::new(),
             config: ConfigRecord::default(),
+            rank_errors: Vec::new(),
         };
         let text = events_to_jsonl(&meta, &[]);
         let (meta2, events2) = parse_jsonl(&text).unwrap();
@@ -472,6 +500,7 @@ mod tests {
             dropped: 0,
             dropped_by_ring: Vec::new(),
             config: ConfigRecord::default(),
+            rank_errors: Vec::new(),
         };
         let doc = chrome_trace(&meta, &events);
         let v = json::parse(&doc).expect("chrome export must parse as JSON");
@@ -489,7 +518,7 @@ mod tests {
         sink.record(0, 0, EventKind::End(Phase::ImageWrite));
         let dir = std::env::temp_dir().join(format!("obs_fr_test_{}", std::process::id()));
         let config = ConfigRecord::new([("drain", "alltoall")]);
-        let dump = flight_record(&sink, &dir, "t1", Some(9), &config, None).unwrap();
+        let dump = flight_record(&sink, &dir, "t1", Some(9), &config, None, &[]).unwrap();
         assert_eq!(dump.events, 2);
         let text = std::fs::read_to_string(&dump.jsonl).unwrap();
         let (meta, events) = parse_jsonl(&text).unwrap();
