@@ -378,26 +378,10 @@ fn trace(env: &EnvConfig) {
     under_mana(&rt, Launch::Fresh, &periodic).expect("trace run");
     let _ = std::fs::remove_dir_all(&dir);
 
-    let meta = obs::DumpMeta {
-        label: "experiments_trace".into(),
-        ranks,
-        seed: None,
-        dropped: sink.dropped(),
-        dropped_by_ring: sink.dropped_by_ring(),
-        config: config.clone(),
-        rank_errors: Vec::new(),
-    };
-    println!("\n{}", obs::analyze::render_summary(&meta, &sink.merged()));
     let label = obs::unique_label("experiments_trace");
-    match obs::flight_record(
-        &sink,
-        &env.outputs.trace_dir,
-        &label,
-        None,
-        &config,
-        None,
-        &[],
-    ) {
+    let meta = obs::DumpMeta::of(&sink, &label, None, &config);
+    println!("\n{}", obs::analyze::render_summary(&meta, &sink.merged()));
+    match obs::flight_record(&sink, &env.outputs.trace_dir, &meta, None) {
         Ok(d) => println!(
             "dumped {} events: {}\n              {}",
             d.events,

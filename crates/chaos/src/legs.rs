@@ -169,7 +169,8 @@ pub(crate) fn flight_dump(
     let config = mcfg.record(&engine.unwrap_or(env.world.engine));
     let label = obs::unique_label(&format!("chaos_{family}_{outcome}"));
     let dir = env.outputs.trace_dir;
-    obs::flight_record(sink, &dir, &label, Some(seed), &config, None, &[])
+    let meta = obs::DumpMeta::of(sink, &label, Some(seed), &config);
+    obs::flight_record(sink, &dir, &meta, None)
         .ok()
         .map(|d| d.jsonl)
 }

@@ -653,9 +653,14 @@ impl<'p> Mana<'p> {
     /// therefore runs a one-word allreduce-OR of each rank's local intent
     /// observation: all ranks checkpoint at this boundary, or none do.
     pub fn step_commit(&mut self) -> Result<()> {
-        // Resume mode cuts at this safe point; exit mode declines here (not
-        // yet an agreed boundary) and votes below.
-        self.wrapper(SafePoint::Here, |_| Ok(()))?;
+        // Resume mode cuts at this safe point. Exit mode cuts only where
+        // the vote below agrees, so its first safe point (where a seeded
+        // fault trigger fires) is inside the voting allreduce.
+        let safe = match self.cfg.exit_after_ckpt {
+            false => SafePoint::Here,
+            true => SafePoint::No,
+        };
+        self.wrapper(safe, |_| Ok(()))?;
         if !self.cfg.exit_after_ckpt || self.exited {
             return Ok(());
         }

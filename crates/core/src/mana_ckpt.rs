@@ -287,13 +287,8 @@ impl<'p> Mana<'p> {
     /// drained twice.
     pub(crate) fn drain_sweep(&mut self, expected: &[u64]) -> Result<bool> {
         let mut progress = false;
-        // (a) Unmatched messages in the network, from the peers that still
-        // owe bytes (deficits only shrink during a sweep, so this snapshot
-        // is a superset of the live set the probe loop re-checks).
+        // (a) Unmatched messages in the network.
         let me = self.rank();
-        let owing: Vec<usize> = (0..self.world_size())
-            .filter(|&w| w != me && self.p2p.deficit_from(expected, w) != 0)
-            .collect();
         let active = self.comms.active_records();
         let active: Vec<VComm> = active.iter().map(|r| VComm(r.vid)).collect();
         for vc in active {
@@ -301,14 +296,15 @@ impl<'p> Mana<'p> {
                 Some(r) => r,
                 None => continue,
             };
-            // Probe in communicator-rank order.
             let rec = self.comm(vc)?;
-            let mut peers: Vec<(usize, usize)> = owing
-                .iter()
-                .filter_map(|&w| Some((rec.local_of(w)?, w)))
-                .collect();
-            peers.sort_unstable();
-            for (local, w) in peers {
+            if rec.local_of(me).is_none() {
+                continue;
+            }
+            for local in 0..rec.world_ranks.len() {
+                let w = self.world_in(vc, local)?;
+                if w == me {
+                    continue;
+                }
                 while self.p2p.deficit_from(expected, w) != 0 {
                     let st = self
                         .lh

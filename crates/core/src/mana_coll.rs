@@ -272,7 +272,9 @@ impl Mana<'_> {
 
     /// One non-blocking collective, all of it inside the wrapper skeleton:
     /// allocate the op `make(id, seq)`, kick it once so its initial sends
-    /// go out eagerly, bind a request to it.
+    /// go out eagerly, bind a request to it. A call that fails leaves no op
+    /// behind: no request would point at it, and the checkpoint invariants
+    /// reject an in-flight op on a communicator that is not live.
     fn nb_collective(
         &mut self,
         vc: VComm,
@@ -280,10 +282,14 @@ impl Mana<'_> {
         make: impl FnOnce(u64, u64) -> CollOp,
     ) -> Result<VReq> {
         self.wrapper(SafePoint::Here, |m| {
+            m.real_comm(vc)?; // a stale or freed handle allocates nothing
             m.emu_record(kind);
             let (id, seq) = m.next_coll(vc);
             m.collops.insert(make(id, seq));
-            let _ = m.poll_collop(id)?;
+            if let Err(e) = m.poll_collop(id) {
+                m.collops.remove_for_poll(id);
+                return Err(e);
+            }
             Ok(m.reqs
                 .create(VReqKind::Coll { op_id: id }, Binding::Unbound))
         })

@@ -162,6 +162,22 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
+/// Why a run failed and, when `error` names one rank, what the other
+/// failed ranks died of: `(rank, error)`, the flight dump's `rank_errors`.
+struct Failure {
+    error: RuntimeError,
+    collateral: Vec<(usize, String)>,
+}
+
+impl From<RuntimeError> for Failure {
+    fn from(error: RuntimeError) -> Self {
+        Failure {
+            error,
+            collateral: Vec::new(),
+        }
+    }
+}
+
 /// Map a [`JournalStep`] to its flight-recorder payload.
 fn obs_step(step: &JournalStep) -> (obs::RestartStep, i64) {
     match step {
@@ -415,7 +431,7 @@ impl ManaRuntime {
             .as_ref()
             .map(|mode| self.prepare_restart(mode, &tel))
             .transpose()
-            .map_err(|e| self.failed(e, &reg.snapshot(), &[]))?;
+            .map_err(|e| self.failed(e.into(), &reg.snapshot()))?;
         // The world must exist before the coordinator: the commit-time
         // invariant checker captures an introspection handle over it.
         let mut world_cfg = self.world_cfg.clone();
@@ -484,8 +500,7 @@ impl ManaRuntime {
             .map_err(|e| eprintln!("mana2: metrics exporter failed to start: {e}"))
             .ok()
         });
-        let mut collateral = Vec::new();
-        let result = self.run_world(&world, restart, prepared, f, &reg, &mut collateral);
+        let result = self.run_world(&world, restart, prepared, f, &reg);
         // One teardown, however the run ended: a last sample, the
         // exporter drained, one merged snapshot — which rides out in the
         // report, or beside the flight dump of the failure.
@@ -501,7 +516,7 @@ impl ManaRuntime {
                 report.metrics = Some(snap);
                 Ok(report)
             }
-            Err(e) => Err(self.failed(e, &snap, &collateral)),
+            Err(failure) => Err(self.failed(failure, &snap)),
         }
     }
 
@@ -509,8 +524,7 @@ impl ManaRuntime {
     /// on every rank (restored from `prepared` on a restart), and join
     /// everything. The report comes back without its metrics snapshot;
     /// [`ManaRuntime::run_inner`] takes that once, for success and failure
-    /// alike. When ranks fail, the error names the culprit and
-    /// `collateral` receives every other rank's `(rank, error)`.
+    /// alike.
     fn run_world<T, F>(
         &self,
         world: &World,
@@ -518,8 +532,7 @@ impl ManaRuntime {
         prepared: Option<(store::Selected, Arc<RestartGuard>)>,
         f: F,
         reg: &Arc<met::MetricsRegistry>,
-        collateral: &mut Vec<(usize, String)>,
-    ) -> std::result::Result<RunReport<T>, RuntimeError>
+    ) -> std::result::Result<RunReport<T>, Failure>
     where
         T: Send + 'static,
         F: Fn(&mut Mana<'_>) -> Result<T> + Send + Sync,
@@ -678,7 +691,7 @@ impl ManaRuntime {
         });
         let coord = coordinator_report(coord_join.join());
         if let Some(report) = deadlock_report {
-            return Err(RuntimeError::Deadlock(report));
+            return Err(RuntimeError::Deadlock(report).into());
         }
         let results = launched.map_err(|e| RuntimeError::World(e.to_string()))?;
         let coord = coord?;
@@ -689,7 +702,7 @@ impl ManaRuntime {
             Err(ManaError::RestartKilled { step }) => Some(*step),
             _ => None,
         }) {
-            return Err(RuntimeError::RestartKilled { step });
+            return Err(RuntimeError::RestartKilled { step }.into());
         }
         let mut outcomes = Vec::with_capacity(self.n);
         let mut rank_stats = Vec::with_capacity(self.n);
@@ -715,8 +728,13 @@ impl ManaRuntime {
             };
             let culprit = errors.iter().position(|(_, e)| !victim(e)).unwrap_or(0);
             let (rank, e) = errors.remove(culprit);
-            collateral.extend(errors.into_iter().map(|(r, e)| (r, e.to_string())));
-            return Err(RuntimeError::Rank(rank, e));
+            return Err(Failure {
+                error: RuntimeError::Rank(rank, e),
+                collateral: errors
+                    .into_iter()
+                    .map(|(r, e)| (r, e.to_string()))
+                    .collect(),
+            });
         }
         // World-level restart roll-ups: comm restoration and call replay
         // happen per rank, but the counters read best as run totals.
@@ -727,9 +745,7 @@ impl ManaRuntime {
             reg.add(met::PROCESS_ACTOR, met::RESTART_REPLAYED_CALLS, replayed);
         }
         if !coord.invariant_violations.is_empty() {
-            return Err(RuntimeError::Invariant(
-                coord.invariant_violations.join("; "),
-            ));
+            return Err(RuntimeError::Invariant(coord.invariant_violations.join("; ")).into());
         }
         Ok(RunReport {
             outcomes,
@@ -849,20 +865,18 @@ impl ManaRuntime {
         Ok((sel, guard))
     }
 
-    /// The run failed with `e`: dump the flight recorder (JSONL + Chrome
-    /// trace, `metrics` as the sidecar) under the label of the failure,
-    /// and hand `e` back. Best-effort: the dump is diagnostic material,
-    /// never a reason to mask the original error. The paths — and the
-    /// fault-plan seed, recorded in the dump header — are printed to
-    /// stderr so a failure report always says where its trace went.
-    /// `collateral` — the other ranks' errors when `e` names one rank —
-    /// goes into the dump header.
-    fn failed(
-        &self,
-        e: RuntimeError,
-        metrics: &met::MetricsSnapshot,
-        collateral: &[(usize, String)],
-    ) -> RuntimeError {
+    /// The run failed: dump the flight recorder (JSONL + Chrome trace,
+    /// `metrics` as the sidecar, the collateral as the header's
+    /// `rank_errors`) under the label of the failure, and hand the error
+    /// back. Best-effort: the dump is diagnostic material, never a reason
+    /// to mask the original error. The paths — and the fault-plan seed,
+    /// recorded in the dump header — are printed to stderr so a failure
+    /// report always says where its trace went.
+    fn failed(&self, failure: Failure, metrics: &met::MetricsSnapshot) -> RuntimeError {
+        let Failure {
+            error: e,
+            collateral,
+        } = failure;
         let Some(sink) = &self.cfg.trace else {
             return e;
         };
@@ -877,15 +891,9 @@ impl ManaRuntime {
         let label = obs::unique_label(&format!("mana2_{what}"));
         let seed = self.cfg.fault.as_ref().map(|f| f.seed());
         let config = self.cfg.record(&self.world_cfg.engine);
-        match obs::flight_record(
-            sink,
-            &self.outputs.trace_dir,
-            &label,
-            seed,
-            &config,
-            Some(metrics),
-            collateral,
-        ) {
+        let mut meta = obs::DumpMeta::of(sink, &label, seed, &config);
+        meta.rank_errors = collateral;
+        match obs::flight_record(sink, &self.outputs.trace_dir, &meta, Some(metrics)) {
             Ok(d) => eprintln!(
                 "mana2: flight recorder dumped {} events (seed {:?}): {} / {}",
                 d.events,

@@ -65,6 +65,46 @@ fn failed_comm_split_does_not_disable_checkpointing() {
     checkpoint_after_failed_call("split", |m| m.comm_split(VComm(9999), 0, 0).is_err());
 }
 
+/// A refused non-blocking collective must not leave an op in the table: no
+/// request points at it and the image-write invariants reject it, so the
+/// checkpoint after it would abort.
+#[test]
+fn failed_ibarrier_leaves_nothing_in_flight() {
+    checkpoint_after_failed_call("ibarrier", |m| {
+        m.ibarrier(VComm(9999)).is_err() && m.live_collops() == 0
+    });
+}
+
+/// The same on a handle that was live once: a freed communicator keeps its
+/// record, so it gets as far as the op's first send before it is refused.
+#[test]
+fn failed_iallreduce_on_freed_comm_leaves_nothing_in_flight() {
+    let config = cfg("freed");
+    let dir = config.ckpt_dir.clone();
+    let report = env()
+        .runtime(1, config)
+        .run_fresh(|m| {
+            let w = m.comm_world();
+            let dup = m.comm_dup(w)?;
+            m.comm_free(dup)?;
+            let refused = m.iallreduce(dup, Datatype::U8, ReduceOp::Sum, &[1]);
+            assert!(refused.is_err(), "the freed handle must be refused");
+            assert_eq!(m.live_collops(), 0);
+            m.request_checkpoint()?;
+            m.barrier(w)
+        })
+        .expect("the checkpoint after the refused call goes through");
+    assert_eq!(report.rank_stats[0].ckpts, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn failed_blocking_barrier_leaves_nothing_in_flight() {
+    checkpoint_after_failed_call("barrier", |m| {
+        m.barrier(VComm(9999)).is_err() && m.live_collops() == 0
+    });
+}
+
 /// One table row: wrapper, `wrapper_calls` charged, lower-half jumps made.
 type Row = (&'static str, u64, u64);
 

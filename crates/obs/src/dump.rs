@@ -303,44 +303,48 @@ pub struct FlightDump {
     pub events: usize,
 }
 
+impl DumpMeta {
+    /// The header of a dump of `sink` as it stands: ring count and drop
+    /// counters read now, no `rank_errors`.
+    pub fn of(sink: &TraceSink, label: &str, seed: Option<u64>, config: &ConfigRecord) -> Self {
+        DumpMeta {
+            label: label.to_string(),
+            ranks: sink.n_ranks(),
+            seed,
+            dropped: sink.dropped(),
+            dropped_by_ring: sink.dropped_by_ring(),
+            config: config.clone(),
+            rank_errors: Vec::new(),
+        }
+    }
+}
+
 /// Merge every ring of `sink` and write `<dir>/<label>.jsonl` plus
-/// `<dir>/<label>.chrome.json`; the JSONL header carries `config`.
-/// Creates `dir` if needed. When `metrics` is given, the final snapshot is
-/// written next to the dump as `<label>.metrics.json` (single-snapshot
-/// `mana2-metrics/1` series carrying the same `config`). `rank_errors`
-/// goes into the header as [`DumpMeta::rank_errors`].
+/// `<dir>/<label>.chrome.json` under `meta` (its `label` names the
+/// files). Creates `dir` if needed. When `metrics` is given, the final
+/// snapshot is written next to the dump as `<label>.metrics.json`
+/// (single-snapshot `mana2-metrics/1` series carrying the same `config`).
 pub fn flight_record(
     sink: &TraceSink,
     dir: &Path,
-    label: &str,
-    seed: Option<u64>,
-    config: &ConfigRecord,
+    meta: &DumpMeta,
     metrics: Option<&crate::metrics::MetricsSnapshot>,
-    rank_errors: &[(usize, String)],
 ) -> io::Result<FlightDump> {
     std::fs::create_dir_all(dir)?;
     let events = sink.merged();
-    let meta = DumpMeta {
-        label: label.to_string(),
-        ranks: sink.n_ranks(),
-        seed,
-        dropped: sink.dropped(),
-        dropped_by_ring: sink.dropped_by_ring(),
-        config: config.clone(),
-        rank_errors: rank_errors.to_vec(),
-    };
+    let label = &meta.label;
     let jsonl = dir.join(format!("{label}.jsonl"));
     let chrome = dir.join(format!("{label}.chrome.json"));
-    std::fs::write(&jsonl, events_to_jsonl(&meta, &events))?;
-    std::fs::write(&chrome, chrome_trace(&meta, &events))?;
+    std::fs::write(&jsonl, events_to_jsonl(meta, &events))?;
+    std::fs::write(&chrome, chrome_trace(meta, &events))?;
     let metrics_path = match metrics {
         Some(snap) => {
             let p = dir.join(format!("{label}.metrics.json"));
             let smeta = crate::metrics::SeriesMeta {
-                label: label.to_string(),
-                ranks: sink.n_ranks(),
-                seed,
-                config: config.clone(),
+                label: label.clone(),
+                ranks: meta.ranks,
+                seed: meta.seed,
+                config: meta.config.clone(),
             };
             crate::metrics::write_snapshot_file(&p, &smeta, snap)?;
             Some(p)
@@ -518,7 +522,8 @@ mod tests {
         sink.record(0, 0, EventKind::End(Phase::ImageWrite));
         let dir = std::env::temp_dir().join(format!("obs_fr_test_{}", std::process::id()));
         let config = ConfigRecord::new([("drain", "alltoall")]);
-        let dump = flight_record(&sink, &dir, "t1", Some(9), &config, None, &[]).unwrap();
+        let meta = DumpMeta::of(&sink, "t1", Some(9), &config);
+        let dump = flight_record(&sink, &dir, &meta, None).unwrap();
         assert_eq!(dump.events, 2);
         let text = std::fs::read_to_string(&dump.jsonl).unwrap();
         let (meta, events) = parse_jsonl(&text).unwrap();
