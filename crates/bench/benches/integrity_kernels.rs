@@ -1,15 +1,29 @@
-//! Throughput of the integrity kernels a checkpoint and a restart push
-//! every image byte through: `crc32` (section, whole-file and manifest
-//! checks), `chunk::chunk_id` (the content address of every chunk the
-//! store writes), `chunk::chunk_id_v1` (SHA-256, the read-side verifier of
-//! version 1 recipes), `chunk::split` (gear-hash content-defined chunking)
-//! and `chunk::chunk_payload` (the write path's one pass: split, key and
-//! payload CRC per chunk), each over one 2 MiB buffer — the image size of
-//! the benchmark's `narrow_*` workloads. `chunk_id` must not read below
-//! `crc32`: the key is meant to be the cheapest pass, not the dearest.
+//! Throughput of the kernels a checkpoint and a restart push every image
+//! byte through, each over one 2 MiB buffer — the image size of the
+//! benchmark's `narrow_*` workloads:
+//!
+//! * `crc32` — section and manifest checks;
+//! * `chunk::chunk_id` (the content address of every chunk the store
+//!   writes), `chunk::chunk_id_v1` (SHA-256, the read-side verifier of
+//!   version 1 recipes), `chunk::split` (gear-hash content-defined
+//!   chunking) and `chunk::chunk_payload` (the chunked write path's one
+//!   pass: split, key and payload CRC per chunk);
+//! * `upper_encode` / `upper_decode` — an `UpperHalf` of one 2 MiB segment
+//!   through the codec's byte path (a copy);
+//! * `image_to_bytes` / `image_from_bytes` — the flat image file built and
+//!   parsed with its whole-file CRC (one CRC pass and one copy each).
+//!
+//! `crc32_combine` is reported as time per call, at 1 KiB and 2 MiB: it is
+//! what the whole-file CRC costs now that no pass is made for it.
+//!
+//! Rules of thumb: `chunk_id` must not read below `crc32` (the key is
+//! meant to be the cheapest pass, not the dearest); `upper_encode` and
+//! `upper_decode` must read above `crc32` (they only copy); and
+//! `image_to_bytes` must stay within 1.5 × of `crc32` plus one copy
+//! (`upper_encode`) — beyond that a second pass has crept back in.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use splitproc::{chunk, crc32, ChunkParams};
+use splitproc::{chunk, crc32, crc32_combine, ChunkParams, CkptImage, Decode, Encode, UpperHalf};
 use std::hint::black_box;
 
 const LEN: usize = 2 << 20;
@@ -39,6 +53,43 @@ fn bench(c: &mut Criterion) {
     g.bench_function("chunk_payload", |b| {
         b.iter(|| chunk::chunk_payload(black_box(&buf), params).1)
     });
+    let mut upper = UpperHalf::new();
+    upper.write_segment("state", buf.clone());
+    let encoded = upper.to_bytes();
+    g.bench_function("upper_encode", |b| {
+        b.iter(|| black_box(&upper).to_bytes().len())
+    });
+    g.bench_function("upper_decode", |b| {
+        b.iter(|| UpperHalf::from_bytes(black_box(&encoded)).map(|u| u.len()))
+    });
+    let image = CkptImage {
+        rank: 0,
+        world_size: 8,
+        round: 1,
+        upper: encoded,
+        meta: buf[..1024].to_vec(),
+    };
+    let file = image.to_bytes();
+    g.bench_function("image_to_bytes", |b| {
+        b.iter(|| black_box(&image).to_bytes_with_crc().1)
+    });
+    g.bench_function("image_from_bytes", |b| {
+        b.iter(|| CkptImage::from_bytes_with_crc(black_box(&file)).map(|(_, crc)| crc))
+    });
+    g.finish();
+
+    let mut g = c.benchmark_group("crc32_combine");
+    for (name, len) in [("1KiB", 1u64 << 10), ("2MiB", 2 << 20)] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                crc32_combine(
+                    black_box(0xDEAD_BEEF),
+                    black_box(0x1234_5678),
+                    black_box(len),
+                )
+            })
+        });
+    }
     g.finish();
 }
 

@@ -166,13 +166,22 @@ impl<'p> Mana<'p> {
         // image is written, so a protocol bug fails the checkpoint instead
         // of poisoning the image.
         self.check_ckpt_invariants()?;
-        // Serialize and write the image.
+        // Window regions are read through the lower half, which can fail;
+        // everything after is infallible up to the write, so the
+        // ImageWrite span opens here and covers serializing the image
+        // (upper half and metadata) as well as landing it.
+        let r = round as i64;
+        let wins = self.wins_to_meta()?;
+        let write = self.tel.begin(r, Phase::ImageWrite);
+        // The drain buffer is lent to the metadata for the encode and
+        // handed straight back (nothing between can fail): drained
+        // payloads are not copied just to be serialized.
         let meta = ManaMeta {
             comm: self.comms.to_meta(),
             reqs: self.reqs.to_meta(),
             collops: self.collops.to_meta(),
-            drain_buf: self.drain_buf.clone(),
-            wins: self.wins_to_meta()?,
+            drain_buf: std::mem::take(&mut self.drain_buf),
+            wins,
         };
         let image = CkptImage {
             rank: self.rank(),
@@ -181,6 +190,7 @@ impl<'p> Mana<'p> {
             upper: self.upper.to_bytes(),
             meta: meta.to_bytes(),
         };
+        self.drain_buf = meta.drain_buf;
         // Durable write into this round's generation directory. A seeded
         // storage fault (chaos) wraps the store's backend: write errors
         // surface here as CkptFailed; torn writes and bit flips corrupt
@@ -201,7 +211,6 @@ impl<'p> Mana<'p> {
                     store::WriteFault::BitFlip { offset: f.offset }
                 }
             });
-        let r = round as i64;
         let mut blobs: Box<dyn store::Blobs> = Box::new(store::LocalFs);
         if let Some(fault) = write_fault {
             blobs = Box::new(store::FaultyBlobs::new(blobs, fault, self.tel.clone(), r));
@@ -212,7 +221,6 @@ impl<'p> Mana<'p> {
             self.tel.clone(),
             blobs,
         );
-        let write = self.tel.begin(r, Phase::ImageWrite);
         let wrote = store.write_image(&image);
         self.tel.end(write);
         let mut commit = None;

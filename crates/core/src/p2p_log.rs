@@ -221,7 +221,12 @@ impl DrainBuffer {
 
 impl Encode for DrainBuffer {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.msgs.iter().cloned().collect::<Vec<_>>().encode(out);
+        // A `Vec<DrainedMsg>` on the wire, straight from the ring's two
+        // halves: no message is cloned to be serialized.
+        (self.msgs.len() as u64).encode(out);
+        let (front, back) = self.msgs.as_slices();
+        DrainedMsg::encode_slice(front, out);
+        DrainedMsg::encode_slice(back, out);
     }
 }
 
@@ -352,6 +357,27 @@ mod tests {
             payload: vec![1, 2, 3],
         });
         let bytes = buf.to_bytes();
+        assert_eq!(DrainBuffer::from_bytes(&bytes).unwrap(), buf);
+        // Rotate until the ring wraps: the encoding is still that of a
+        // `Vec` of the messages in FIFO order.
+        for i in 0..64u8 {
+            if !buf.msgs.as_slices().1.is_empty() {
+                break;
+            }
+            buf.push(DrainedMsg {
+                vcomm: VComm(3),
+                src_world: i as usize,
+                tag: 9,
+                payload: vec![i; i as usize],
+            });
+            if buf.len() > 3 {
+                buf.take_match(VComm(3), None, TagSel::Any).unwrap();
+            }
+        }
+        assert!(!buf.msgs.as_slices().1.is_empty(), "ring never wrapped");
+        let in_order: Vec<DrainedMsg> = buf.msgs.iter().cloned().collect();
+        let bytes = buf.to_bytes();
+        assert_eq!(bytes, in_order.to_bytes());
         assert_eq!(DrainBuffer::from_bytes(&bytes).unwrap(), buf);
     }
 

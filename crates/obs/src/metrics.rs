@@ -216,7 +216,8 @@ std_set! {
     /// One drain sweep, per rank.
     DRAIN_SWEEP_NS = "mana2_drain_sweep_ns", Histogram,
         "Per-rank drain sweep latency";
-    /// One durable image write, per rank.
+    /// One image serialized and durably written, per rank (a rank's
+    /// `ImageWrite` span).
     STORE_WRITE_NS = "mana2_store_write_ns", Histogram,
         "Per-rank durable image write latency";
     /// Full-restart duration (validate + restore + replay).

@@ -92,6 +92,19 @@ pub trait Encode {
     /// Append this value's encoding to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
+    /// Append the encodings of `items`, in order and with no length
+    /// prefix (in the style of `Hash::hash_slice`): what `Vec<T>` calls
+    /// for its elements. The default encodes them one by one; a type whose
+    /// encoding is its memory (`u8`) overrides it with one bulk copy.
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for v in items {
+            v.encode(out);
+        }
+    }
+
     /// Convenience: encode into a fresh buffer.
     fn to_bytes(&self) -> Vec<u8> {
         let mut v = Vec::new();
@@ -104,6 +117,17 @@ pub trait Encode {
 pub trait Decode: Sized {
     /// Read one value from the cursor.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+
+    /// Read `len` consecutive values: the counterpart of
+    /// [`Encode::encode_slice`], what `Vec<T>` calls after it has read and
+    /// bounded its length prefix. The default decodes them one by one.
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, CodecError> {
+        let mut out = Vec::with_capacity(len.min(1 << 20));
+        for _ in 0..len {
+            out.push(Self::decode(r)?);
+        }
+        Ok(out)
+    }
 
     /// Convenience: decode a whole buffer, requiring full consumption.
     fn from_bytes(buf: &[u8]) -> Result<Self, CodecError> {
@@ -131,13 +155,34 @@ macro_rules! impl_codec_int {
     };
 }
 
-impl_codec_int!(u8);
 impl_codec_int!(u16);
 impl_codec_int!(u32);
 impl_codec_int!(u64);
 impl_codec_int!(i32);
 impl_codec_int!(i64);
 impl_codec_int!(f64);
+
+/// A byte is its own encoding, so a run of them moves as one copy: the
+/// byte path every `Vec<u8>` payload (upper-half segments, drained
+/// messages, window regions) takes through `Vec<T>`.
+impl Encode for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn encode_slice(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+}
+impl Decode for u8 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(r.take(1)?[0])
+    }
+
+    fn decode_vec(r: &mut Reader<'_>, len: usize) -> Result<Vec<u8>, CodecError> {
+        Ok(r.take(len)?.to_vec())
+    }
+}
 
 impl Encode for usize {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -186,9 +231,7 @@ impl Decode for String {
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u64).encode(out);
-        for v in self {
-            v.encode(out);
-        }
+        T::encode_slice(self, out);
     }
 }
 impl<T: Decode> Decode for Vec<T> {
@@ -198,11 +241,7 @@ impl<T: Decode> Decode for Vec<T> {
         if len as usize > r.remaining() && len > 0 {
             return Err(CodecError::BadLength(len));
         }
-        let mut out = Vec::with_capacity(len.min(1 << 20) as usize);
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        T::decode_vec(r, len as usize)
     }
 }
 
@@ -383,6 +422,59 @@ pub fn crc32(data: &[u8]) -> u32 {
     c.finish()
 }
 
+/// `a · b mod P` over GF(2), both operands and the result in the CRC's
+/// reflected bit order (bit 31 is the coefficient of x^0).
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 1u32 << 31;
+    while bit != 0 {
+        if a & bit != 0 {
+            product ^= b;
+        }
+        bit >>= 1;
+        b = if b & 1 != 0 {
+            (b >> 1) ^ CRC_POLY
+        } else {
+            b >> 1
+        };
+    }
+    product
+}
+
+/// `X_POW_2K[k]` is x^(2^k) mod P. x has odd order modulo P, so
+/// x^(2^32) = x and the table is used cyclically (`k & 31`).
+static X_POW_2K: [u32; 32] = {
+    let mut t = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        t[k] = p;
+        p = mul_mod_p(p, p);
+        k += 1;
+    }
+    t
+};
+
+/// The CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b.len()`,
+/// reading neither. Appending `len_b` bytes multiplies `a`'s checksum by
+/// x^(8·`len_b`) mod P (the pre- and post-inversions cancel against
+/// `crc_b`'s), and that power is the product of the `X_POW_2K` entries the
+/// set bits of `len_b` select: one carry-less 32-bit multiply per set bit
+/// plus one, a few dozen nanoseconds at any length — which is what lets an
+/// image's whole-file checksum fall out of its section checksums.
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    let mut shift = 1u32 << 31; // x^0
+    let (mut n, mut k) = (len_b, 3); // bytes → bits: start at x^(2^3)
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = mul_mod_p(X_POW_2K[k & 31], shift);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    mul_mod_p(shift, crc_a) ^ crc_b
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,6 +550,52 @@ mod tests {
     }
 
     #[test]
+    fn hostile_byte_vector_lengths_rejected_before_any_copy() {
+        // The bulk path takes `len` bytes in one go; a length the input
+        // cannot hold must be refused first, not handed to an allocator.
+        let mut bytes = Vec::new();
+        u64::MAX.encode(&mut bytes);
+        bytes.extend_from_slice(&[1, 2, 3]);
+        assert_eq!(
+            Vec::<u8>::from_bytes(&bytes),
+            Err(CodecError::BadLength(u64::MAX))
+        );
+        let mut bytes = Vec::new();
+        4u64.encode(&mut bytes); // remaining + 1
+        bytes.extend_from_slice(&[1, 2, 3]);
+        assert_eq!(Vec::<u8>::from_bytes(&bytes), Err(CodecError::BadLength(4)));
+        // The hook itself is bounded by the reader, whoever calls it.
+        let mut r = Reader::new(&[1, 2, 3]);
+        assert_eq!(
+            u8::decode_vec(&mut r, usize::MAX),
+            Err(CodecError::UnexpectedEof {
+                needed: usize::MAX,
+                remaining: 3
+            })
+        );
+    }
+
+    /// A byte that keeps the trait's default slice hooks: `Vec<Byte>` is
+    /// encoded and decoded by the per-element loop, the reference the
+    /// bulk `u8` path must agree with byte for byte.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Byte(u8);
+    impl Encode for Byte {
+        fn encode(&self, out: &mut Vec<u8>) {
+            out.push(self.0);
+        }
+    }
+    impl Decode for Byte {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+            Ok(Byte(r.take(1)?[0]))
+        }
+    }
+
+    fn looped(v: &[u8]) -> Vec<Byte> {
+        v.iter().copied().map(Byte).collect()
+    }
+
+    #[test]
     fn invalid_bool_tag() {
         assert!(matches!(
             bool::from_bytes(&[7]),
@@ -524,10 +662,86 @@ mod tests {
         }
     }
 
+    #[test]
+    fn crc32_combine_across_power_of_two_lengths() {
+        let buf: Vec<u8> = (0..61 + (1u32 << 21) + 1)
+            .map(|i| (i.wrapping_mul(2654435761) >> 11) as u8)
+            .collect();
+        let head = crc32(&buf[..61]);
+        assert_eq!(crc32_combine(head, 0, 0), head);
+        assert_eq!(crc32_combine(0, head, 61), head);
+        for k in 0..=21 {
+            for len in [(1usize << k) - 1, 1 << k, (1 << k) + 1] {
+                let tail = &buf[61..61 + len];
+                assert_eq!(
+                    crc32_combine(head, crc32(tail), len as u64),
+                    crc32(&buf[..61 + len]),
+                    "len {len}"
+                );
+            }
+        }
+        // Lengths beyond the table's 32 entries wrap around it: 2^32
+        // zero bytes, checked against 2^16 appends of 2^16.
+        let zeros = vec![0u8; 1 << 16];
+        let z16 = crc32(&zeros);
+        let mut stepped = head;
+        for _ in 0..1 << 16 {
+            stepped = crc32_combine(stepped, z16, 1 << 16);
+        }
+        let mut z32 = 0;
+        for _ in 0..1 << 16 {
+            z32 = crc32_combine(z32, z16, 1 << 16);
+        }
+        assert_eq!(crc32_combine(head, z32, 1 << 32), stepped);
+    }
+
     use proptest::prelude::*;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn crc32_combine_equals_crc_of_concatenation(
+            a in proptest::collection::vec(any::<u8>(), 0..=2048),
+            b in proptest::collection::vec(any::<u8>(), 0..=2048),
+            c in proptest::collection::vec(any::<u8>(), 0..=64),
+        ) {
+            let ab = [&a[..], &b[..]].concat();
+            let abc = [&ab[..], &c[..]].concat();
+            let combined = crc32_combine(crc32(&a), crc32(&b), b.len() as u64);
+            prop_assert_eq!(combined, crc32(&ab));
+            // Associative: the image combines header, upper, meta in turn.
+            prop_assert_eq!(crc32_combine(combined, crc32(&c), c.len() as u64), crc32(&abc));
+            let bc = crc32_combine(crc32(&b), crc32(&c), c.len() as u64);
+            prop_assert_eq!(
+                crc32_combine(crc32(&a), bc, (b.len() + c.len()) as u64),
+                crc32(&abc)
+            );
+        }
+
+        #[test]
+        fn byte_vectors_encode_exactly_as_the_per_element_loop(
+            v in proptest::collection::vec(any::<u8>(), 0..=600),
+            m in proptest::collection::btree_map(
+                ".{0,6}", proptest::collection::vec(any::<u8>(), 0..=80), 0..6),
+        ) {
+            let bytes = v.to_bytes();
+            prop_assert_eq!(&bytes, &looped(&v).to_bytes());
+            prop_assert_eq!(Vec::<u8>::from_bytes(&bytes).unwrap(), v.clone());
+            prop_assert_eq!(Vec::<Byte>::from_bytes(&bytes).unwrap(), looped(&v));
+            let reference: BTreeMap<String, Vec<Byte>> =
+                m.iter().map(|(k, v)| (k.clone(), looped(v))).collect();
+            let bytes = m.to_bytes();
+            prop_assert_eq!(&bytes, &reference.to_bytes());
+            prop_assert_eq!(BTreeMap::<String, Vec<u8>>::from_bytes(&bytes).unwrap(), m);
+            // Truncated anywhere, both paths fail the same way.
+            for cut in 0..bytes.len().min(40) {
+                prop_assert_eq!(
+                    BTreeMap::<String, Vec<u8>>::from_bytes(&bytes[..cut]).err(),
+                    BTreeMap::<String, Vec<Byte>>::from_bytes(&bytes[..cut]).err()
+                );
+            }
+        }
 
         #[test]
         fn crc32_differential_lengths_and_alignments(

@@ -19,14 +19,14 @@
 //!                           drain buffers)
 //! ```
 
-use crate::codec::crc32;
+use crate::codec::{crc32, crc32_combine};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"MANA2CKP";
 const VERSION: u32 = 2;
-const HEADER_LEN: usize = 8 + 4 + 8 * 5 + 4 * 2;
+pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 * 5 + 4 * 2;
 
 /// Errors reading or writing checkpoint images.
 #[derive(Debug)]
@@ -95,6 +95,15 @@ impl CkptImage {
 
     /// Serialize to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.to_bytes_with_crc().0
+    }
+
+    /// Serialize to bytes, and return the file's CRC-32 with them. The
+    /// section checksums the header stores anyway are combined with the
+    /// header's own ([`crc32_combine`]), so no payload byte is read a
+    /// second time for it.
+    pub fn to_bytes_with_crc(&self) -> (Vec<u8>, u32) {
+        let (upper_crc, meta_crc) = (crc32(&self.upper), crc32(&self.meta));
         let mut out = Vec::with_capacity(self.size_bytes());
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
@@ -103,17 +112,30 @@ impl CkptImage {
         out.extend_from_slice(&self.round.to_le_bytes());
         out.extend_from_slice(&(self.upper.len() as u64).to_le_bytes());
         out.extend_from_slice(&(self.meta.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(&self.upper).to_le_bytes());
-        out.extend_from_slice(&crc32(&self.meta).to_le_bytes());
+        out.extend_from_slice(&upper_crc.to_le_bytes());
+        out.extend_from_slice(&meta_crc.to_le_bytes());
+        let file_crc = file_crc(
+            &out,
+            (upper_crc, self.upper.len()),
+            (meta_crc, self.meta.len()),
+        );
         out.extend_from_slice(&self.upper);
         out.extend_from_slice(&self.meta);
-        out
+        (out, file_crc)
     }
 
-    /// Parse from bytes, verifying magic, version, sizes, and CRCs. The
-    /// payloads are copied out only after both CRCs pass, so a corrupt
-    /// image costs only the CRC pass that exposes it.
+    /// Parse from bytes, verifying magic, version, sizes, and CRCs.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, ImageError> {
+        Self::from_bytes_with_crc(buf).map(|(image, _)| image)
+    }
+
+    /// Parse from bytes, verifying magic, version, sizes, and CRCs, and
+    /// return the CRC-32 of all of `buf` with the image: combined from the
+    /// section checksums just verified, so a caller holding the file's
+    /// expected checksum (the store, from the manifest) need not read the
+    /// payloads again. The payloads are copied out only after both CRCs
+    /// pass, so a corrupt image costs only the CRC pass that exposes it.
+    pub fn from_bytes_with_crc(buf: &[u8]) -> Result<(Self, u32), ImageError> {
         if buf.len() < HEADER_LEN {
             return Err(ImageError::Truncated);
         }
@@ -145,14 +167,24 @@ impl CkptImage {
         if crc32(meta) != meta_crc {
             return Err(ImageError::BadCrc { section: "meta" });
         }
-        Ok(CkptImage {
+        let image = CkptImage {
             rank: rd_u64(12) as usize,
             world_size: rd_u64(20) as usize,
             round: rd_u64(28),
             upper: upper.to_vec(),
             meta: meta.to_vec(),
-        })
+        };
+        let header = &buf[..HEADER_LEN];
+        let file_crc = file_crc(header, (upper_crc, upper_len), (meta_crc, meta_len));
+        Ok((image, file_crc))
     }
+}
+
+/// CRC-32 of the file `header ‖ upper ‖ meta`, from the header's bytes and
+/// each section's `(checksum, length)`.
+fn file_crc(header: &[u8], upper: (u32, usize), meta: (u32, usize)) -> u32 {
+    let crc = crc32_combine(crc32(header), upper.0, upper.1 as u64);
+    crc32_combine(crc, meta.0, meta.1 as u64)
 }
 
 #[cfg(test)]
@@ -175,6 +207,33 @@ mod tests {
         let bytes = img.to_bytes();
         assert_eq!(bytes.len(), img.size_bytes());
         assert_eq!(CkptImage::from_bytes(&bytes).unwrap(), img);
+    }
+
+    #[test]
+    fn returned_file_crc_is_the_crc_of_the_file() {
+        // Payload sizes from nothing to 1 MiB, across block and
+        // power-of-two boundaries, in both sections.
+        let sizes = [0, 1, 15, 16, 17, 4095, 4096, 65_537, 1 << 20];
+        let fill = |n: usize, salt: u32| -> Vec<u8> {
+            (0..n as u32)
+                .map(|i| (i.wrapping_mul(2654435761).wrapping_add(salt) >> 13) as u8)
+                .collect()
+        };
+        for (i, &upper_len) in sizes.iter().enumerate() {
+            let img = CkptImage {
+                rank: i,
+                world_size: 16,
+                round: 7,
+                upper: fill(upper_len, 1),
+                meta: fill(sizes[sizes.len() - 1 - i], 2),
+            };
+            let (bytes, crc) = img.to_bytes_with_crc();
+            assert_eq!(crc, crc32(&bytes), "write side, upper {upper_len}");
+            assert_eq!(bytes, img.to_bytes());
+            let (back, read_crc) = CkptImage::from_bytes_with_crc(&bytes).unwrap();
+            assert_eq!(read_crc, crc, "read side, upper {upper_len}");
+            assert_eq!(back, img);
+        }
     }
 
     #[test]

@@ -531,15 +531,22 @@ impl Store {
             logical_bytes: image.size_bytes(),
             ..WriteOutcome::default()
         };
+        // The flat file's checksum comes with its bytes, combined from the
+        // section checksums its header carries; a recipe is a few hundred
+        // bytes and is simply read.
         let (path, bytes) = match self.cfg.mode {
-            StoreMode::Flat => (CkptImage::path_for(&dir, image.rank), image.to_bytes()),
-            StoreMode::Chunked => (
-                recipe_path_for(&dir, image.rank),
-                self.write_chunks(image, &mut out)?.to_bytes(),
-            ),
+            StoreMode::Flat => {
+                let (bytes, crc) = image.to_bytes_with_crc();
+                out.crc = crc;
+                (CkptImage::path_for(&dir, image.rank), bytes)
+            }
+            StoreMode::Chunked => {
+                let bytes = self.write_chunks(image, &mut out)?.to_bytes();
+                out.crc = crc32(&bytes);
+                (recipe_path_for(&dir, image.rank), bytes)
+            }
         };
         out.bytes = bytes.len();
-        out.crc = crc32(&bytes);
         out.physical_bytes += bytes.len();
         let round = image.round as i64;
         let (retries, fsyncs) = self.put_commit(&path, &bytes, round)?;
@@ -1049,12 +1056,25 @@ impl Store {
     }
 
     /// The only reader of rank images. Reads one from generation
-    /// directory `dir`, whatever its layout, verifying every byte exactly
-    /// once: the rank's file (flat `.mana` image, else `.cref` recipe)
-    /// against its manifest `entry` when given (size, whole-file CRC),
-    /// then both section CRCs of the flat image, or the recipe's own
-    /// checksum, every chunk's presence, length and content hash (the one
-    /// the recipe's version names), and both reassembled-payload CRCs.
+    /// directory `dir`, whatever its layout, and checks the rank's file
+    /// (flat `.mana` image, else `.cref` recipe) against its manifest
+    /// `entry` when given (size, whole-file CRC) and against itself.
+    ///
+    /// A flat image's payload bytes are read exactly once: the pass that
+    /// verifies both section CRCs also yields the whole-file CRC
+    /// ([`CkptImage::from_bytes_with_crc`]), which is then held against
+    /// the manifest's. A damaged file is a [`CorruptImage`] if its bytes
+    /// are not the ones the manifest vouches for and a [`BadImage`] only
+    /// if they are; telling the two apart when the image does not parse
+    /// costs one more read, on that failure path alone.
+    ///
+    /// A chunked image is the recipe (whole-file CRC against the manifest,
+    /// then its own checksum), every chunk's presence, length and content
+    /// hash (the one the recipe's version names), and both
+    /// reassembled-payload CRCs, each folded in as its chunk is read.
+    ///
+    /// [`CorruptImage`]: obs::RejectCode::CorruptImage
+    /// [`BadImage`]: obs::RejectCode::BadImage
     fn read_verified(
         &self,
         dir: &Path,
@@ -1093,17 +1113,31 @@ impl Store {
                     ),
                 ));
             }
-            if crc32(&bytes) != entry.crc {
-                return Err(Rejection::new(
-                    C::CorruptImage,
-                    format!("rank {rank} image CRC mismatch against manifest (corrupt image)"),
-                ));
-            }
         }
+        let corrupt = || {
+            Rejection::new(
+                C::CorruptImage,
+                format!("rank {rank} image CRC mismatch against manifest (corrupt image)"),
+            )
+        };
         if !chunked {
-            return CkptImage::from_bytes(&bytes).map_err(|e| {
+            let parsed = CkptImage::from_bytes_with_crc(&bytes);
+            // An image that does not parse has no verified section CRCs
+            // to combine; whether the manifest vouches for these bytes
+            // then takes a read of its own.
+            let file_crc = || match &parsed {
+                Ok((_, crc)) => *crc,
+                Err(_) => crc32(&bytes),
+            };
+            if entry.is_some_and(|entry| file_crc() != entry.crc) {
+                return Err(corrupt());
+            }
+            return parsed.map(|(image, _)| image).map_err(|e| {
                 Rejection::new(C::BadImage, format!("rank {rank} image invalid: {e}"))
             });
+        }
+        if entry.is_some_and(|entry| crc32(&bytes) != entry.crc) {
+            return Err(corrupt());
         }
         let recipe = Recipe::from_bytes(&bytes)
             .map_err(|e| Rejection::new(C::BadImage, format!("rank {rank} recipe invalid: {e}")))?;
@@ -1260,6 +1294,7 @@ pub fn gc_chunks(root: &Path) -> io::Result<ChunkGcOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::image::HEADER_LEN;
     use std::fs;
 
     /// A read-side handle on the store under `root`.
@@ -1343,6 +1378,12 @@ mod tests {
         assert_eq!(sel.round, 0);
         assert!(sel.rejected.is_empty());
         assert_eq!(sel.manifest.entries.len(), 2);
+        // What the writer reported (combined from section CRCs) is the
+        // CRC of the file as it sits on disk.
+        for entry in &sel.manifest.entries {
+            let file = fs::read(CkptImage::path_for(&sel.dir, entry.rank as usize)).unwrap();
+            assert_eq!((entry.bytes, entry.crc), (file.len() as u64, crc32(&file)));
+        }
         let back = load_image(&sel.dir, 1).unwrap();
         assert_eq!(back, image(1, 2, 0));
         fs::remove_dir_all(&root).ok();
@@ -1581,6 +1622,76 @@ mod tests {
         // If the damaged rank IS being replaced, the veto stands.
         let err = at(&root).select(Some(3), Some(&[1, 2])).unwrap_err();
         assert!(matches!(err, StoreError::NoUsableGeneration { .. }));
+        fs::remove_dir_all(&root).ok();
+    }
+
+    /// A flat image is verified in one pass, so which check trips first
+    /// depends on where the damage is (a payload flip trips a section CRC
+    /// before any whole-file CRC exists). The reject code must not: it is
+    /// decided by size, then by whether the manifest vouches for the
+    /// bytes, and only then by whether they parse.
+    #[test]
+    fn flat_damage_keeps_its_reject_code() {
+        use obs::RejectCode as C;
+        let root = tdir("flat_codes");
+        commit_round(&root, 1, 0);
+        let path = CkptImage::path_for(&generation_dir(&root, 0), 0);
+        let good = fs::read(&path).unwrap();
+        let flip = |at: usize| {
+            let mut b = good.clone();
+            b[at] ^= 0x01;
+            b
+        };
+        // Same size, every section CRC right, but not the image the
+        // manifest was told about.
+        let mut other = image(0, 1, 0);
+        other.upper[7] ^= 0x55;
+        let garbage = vec![0x5A; good.len()];
+        let cases: [(&str, Vec<u8>, C); 7] = [
+            ("upper payload flip", flip(HEADER_LEN + 3), C::CorruptImage),
+            ("meta payload flip", flip(good.len() - 1), C::CorruptImage),
+            ("rank field flip (still parses)", flip(12), C::CorruptImage),
+            ("magic flip (does not parse)", flip(0), C::CorruptImage),
+            (
+                "length field flip (does not parse)",
+                flip(36),
+                C::CorruptImage,
+            ),
+            ("truncation", good[..good.len() - 1].to_vec(), C::TornImage),
+            ("another valid image", other.to_bytes(), C::CorruptImage),
+        ];
+        for (what, bytes, want) in cases {
+            fs::write(&path, &bytes).unwrap();
+            let rej = at(&root).validate(0, Some(1), None).unwrap_err();
+            assert_eq!(rej.code, want, "{what}: {}", rej.reason);
+        }
+        // Bytes the manifest does vouch for that are not an image: the
+        // only way to BadImage past a manifest.
+        fs::write(&path, &garbage).unwrap();
+        let vouching = Manifest {
+            round: 0,
+            world_size: 1,
+            entries: vec![ManifestEntry {
+                rank: 0,
+                bytes: garbage.len() as u64,
+                crc: crc32(&garbage),
+            }],
+        };
+        commit_generation(&root, &vouching, &StoreConfig::default()).unwrap();
+        let rej = at(&root).validate(0, Some(1), None).unwrap_err();
+        assert_eq!(rej.code, C::BadImage, "{}", rej.reason);
+        // Without a manifest entry there is no whole-file CRC to miss:
+        // header damage is a BadImage, payload damage a BadImage too (the
+        // section CRC is the image's own word against itself).
+        for at_byte in [0, 36, HEADER_LEN + 3] {
+            fs::write(&path, flip(at_byte)).unwrap();
+            match at(&root).load_image(0, 0) {
+                Err(StoreError::Rejected { code, .. }) => assert_eq!(code, C::BadImage),
+                other => panic!("byte {at_byte}: expected a rejection, got {other:?}"),
+            }
+        }
+        fs::write(&path, &good).unwrap();
+        assert_eq!(at(&root).load_image(0, 0).unwrap(), image(0, 1, 0));
         fs::remove_dir_all(&root).ok();
     }
 

@@ -78,6 +78,12 @@ impl UpperHalf {
 
 impl Encode for UpperHalf {
     fn encode(&self, out: &mut Vec<u8>) {
+        // Exactly what the map encodes to (a count, then a length-prefixed
+        // name and a length-prefixed payload per segment), reserved up
+        // front: one allocation instead of doubling through megabytes.
+        let framing = 8 + 16 * self.segments.len();
+        let names: usize = self.segments.keys().map(|k| k.len()).sum();
+        out.reserve(framing + names + self.total_bytes());
         self.segments.encode(out);
     }
 }
@@ -106,6 +112,35 @@ mod tests {
         assert_eq!(back.segment("particles"), Some(&[1u8, 2, 3][..]));
         assert_eq!(back.read_value::<u64>("step").unwrap().unwrap(), 42);
         assert_eq!(back.segment("log"), Some(&b"hello"[..]));
+    }
+
+    #[test]
+    fn encodes_in_one_allocation_to_the_per_byte_reference() {
+        let mut uh = UpperHalf::new();
+        assert_eq!(uh.to_bytes(), 0u64.to_bytes());
+        uh.write_segment("grid", (0..=255u8).cycle().take(70_001).collect());
+        uh.write_segment("", vec![]);
+        uh.write_value("step", &42u64);
+        // The format, spelt out one byte at a time.
+        let mut reference = Vec::new();
+        (uh.len() as u64).encode(&mut reference);
+        for name in uh.names() {
+            (name.len() as u64).encode(&mut reference);
+            reference.extend_from_slice(name.as_bytes());
+            let payload = uh.segment(name).unwrap();
+            (payload.len() as u64).encode(&mut reference);
+            for byte in payload {
+                reference.push(*byte);
+            }
+        }
+        let bytes = uh.to_bytes();
+        assert_eq!(bytes, reference);
+        assert_eq!(
+            bytes.capacity(),
+            bytes.len(),
+            "the exact length is reserved up front: one allocation, no slack"
+        );
+        assert_eq!(UpperHalf::from_bytes(&bytes).unwrap(), uh);
     }
 
     #[test]

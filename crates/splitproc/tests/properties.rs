@@ -75,8 +75,14 @@ proptest! {
         meta in proptest::collection::vec(any::<u8>(), 0..128),
     ) {
         let img = CkptImage { rank, world_size: world, round, upper, meta };
-        let back = CkptImage::from_bytes(&img.to_bytes()).unwrap();
-        prop_assert_eq!(back, img);
+        let (file, crc) = img.to_bytes_with_crc();
+        prop_assert_eq!(&file, &img.to_bytes());
+        // The combined checksum is the one a pass over the file gives.
+        prop_assert_eq!(crc, crc32(&file));
+        let (back, read_crc) = CkptImage::from_bytes_with_crc(&file).unwrap();
+        prop_assert_eq!(read_crc, crc);
+        prop_assert_eq!(&back, &img);
+        prop_assert_eq!(CkptImage::from_bytes(&file).unwrap(), img);
     }
 
     #[test]
