@@ -147,9 +147,10 @@ fn injected_oracle_found_and_minimized() {
     // The search is bounded to the two decisions the oracle looks at. The
     // explorer draws uniformly from a frontier that gains ~36 prefixes per
     // expanded run (one per untried choice at each of up to 24 decisions),
-    // and how many decisions a run takes varies from run to run (the
-    // coordinator thread and park timeouts are kernel-scheduled), so the
-    // walk is not a function of its seed: left unbounded, the one-choice
+    // and how many decisions a run takes can vary from run to run (park
+    // caps expire on the wall clock; DESIGN §10 lists what else is left
+    // outside the schedule), so the walk is not guaranteed to be a
+    // function of its seed: left unbounded, the one-choice
     // prefix `03` that trips the oracle was simply never drawn in about
     // half of all 60 s runs, on an idle machine as much as a loaded one.
     // Bounded, the whole space is a dozen schedules and is exhausted.

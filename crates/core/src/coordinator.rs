@@ -7,20 +7,28 @@
 //! side-channel traffic of the *legacy* drain algorithm (global totals,
 //! §III-B baseline) so the ablation bench can measure how chatty it is.
 //!
+//! It is a state machine, not an actor: every step it takes is "a rank
+//! message arrived", so [`CoordHandle::send`] runs the one transition
+//! function [`Coordinator::on`] in place, on the sending rank's thread,
+//! under one mutex. The transition pushes the replies into per-rank inboxes
+//! and unparks their owners; [`CoordHandle::recv`] is the only place
+//! anything waits. DESIGN.md §5.9 has the phase × message table.
+//!
 //! MANA-2.0's lesson §III-M — "additional communication by MANA should be
 //! minimized … use MPI calls instead of the centralized coordinator" — is
 //! visible in the message counters: with `DrainMode::Alltoall`, the
-//! coordinator exchanges exactly 3 messages per rank per checkpoint
+//! coordinator exchanges exactly 4 messages per rank per checkpoint
 //! (Ready/Go, Done/Resume), while `DrainMode::Coordinator` adds rounds of
 //! count reports.
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crate::error::{ManaError, Result};
 use mpisim::{ParkerRef, UnparkerRef};
 use obs::metrics as met;
 use obs::Phase;
 use splitproc::store;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Rank → coordinator messages.
@@ -150,26 +158,37 @@ pub struct CkptRoundStats {
     pub coord_msgs: u64,
 }
 
+/// One rank's inbox: the coordinator's replies to it, in order.
+type Inbox = Mutex<VecDeque<CoordMsg>>;
+
+/// Longest a rank waits in [`CoordHandle::recv`] for the coordinator's next
+/// message. Nothing else in the protocol waits, so this is its one
+/// liveness cap: a peer that never reports (deaf to intent, wedged in
+/// application code) costs the waiting ranks this long, then a typed
+/// [`ManaError::CoordinatorTimeout`] — which aborts the world — not a hang.
+const RECV_CAP: Duration = Duration::from_secs(120);
+
 /// Handle held by each rank.
 #[derive(Clone)]
 pub struct CoordHandle {
     rank: usize,
     intent: Arc<AtomicBool>,
     round: Arc<AtomicU64>,
-    to_coord: Sender<RankMsg>,
-    from_coord: Receiver<CoordMsg>,
+    coord: Arc<Mutex<Coordinator>>,
+    inboxes: Arc<[Inbox]>,
     /// Fault plan injecting latency into rank→coordinator messages.
     fault: Option<Arc<mpisim::FaultPlan>>,
     /// Per-rank counter identifying each sent message to the fault plan.
     sent_msgs: Arc<AtomicU64>,
     /// This rank's telemetry (fault-plan firings on the control channel).
     tel: obs::Telemetry,
-    /// The rank's engine parker, attached by the runtime once the rank's
-    /// `Proc` exists. When set, every blocking point on the control
+    /// The rank's engine parker: every blocking point on the control
     /// channel (receive waits, injected stalls) parks through the engine
     /// instead of sleeping — under the coop engine this releases the run
     /// token so other ranks make progress during a quiesce.
-    parker: Option<ParkerRef>,
+    parker: ParkerRef,
+    /// Tells a waiting rank that the world was aborted under it.
+    world: mpisim::Introspect,
 }
 
 impl CoordHandle {
@@ -184,44 +203,39 @@ impl CoordHandle {
         self.round.load(Ordering::Acquire)
     }
 
-    /// My rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Route this handle's blocking points through the rank's engine
-    /// parker. Called by the runtime as soon as the rank's `Proc` exists.
-    pub fn attach_parker(&mut self, parker: ParkerRef) {
-        self.parker = Some(parker);
-    }
-
     /// Block this rank for `d` of wall time without holding its run token:
     /// parks on the engine parker in a deadline loop (early wakes from
-    /// banked unparks just re-park), falling back to a plain sleep when no
-    /// parker is attached. Used for injected stalls (coordinator-channel
-    /// delay, ready-stall) so fault injection cannot wedge the coop
-    /// engine's worker pool.
+    /// banked unparks just re-park). Used for injected stalls
+    /// (coordinator-channel delay, ready-stall) so fault injection cannot
+    /// wedge the coop engine's worker pool.
     pub fn stall(&self, d: Duration) {
-        let Some(p) = &self.parker else {
-            std::thread::sleep(d);
-            return;
-        };
-        let deadline = Instant::now() + d;
+        self.park_until(d, d, || None::<()>);
+    }
+
+    /// Park on the engine parker, at most `slice` at a time, until `ready`
+    /// yields or `cap` of wall time has passed.
+    fn park_until<T>(
+        &self,
+        cap: Duration,
+        slice: Duration,
+        mut ready: impl FnMut() -> Option<T>,
+    ) -> Option<T> {
+        let deadline = Instant::now() + cap;
         loop {
             let now = Instant::now();
-            if now >= deadline {
-                return;
+            match ready() {
+                None if now < deadline => self.parker.park((deadline - now).min(slice)),
+                done => return done,
             }
-            p.park(deadline - now);
         }
     }
 
-    /// Send a message to the coordinator. Under a fault plan, a seeded
-    /// subset of messages is delayed first — modelling a slow control
-    /// network between a rank and the DMTCP-style coordinator, which
-    /// widens the window between a rank parking and the coordinator
-    /// noticing.
-    pub fn send(&self, msg: RankMsg) -> crate::error::Result<()> {
+    /// Send a message to the coordinator: run its transition for `msg`
+    /// here, on this rank's thread. Under a fault plan, a seeded subset of
+    /// messages is delayed first — modelling a slow control network between
+    /// a rank and the DMTCP-style coordinator, which widens the window
+    /// between a rank parking and the coordinator noticing.
+    pub fn send(&self, msg: RankMsg) -> Result<()> {
         if let Some(fp) = &self.fault {
             let k = self.sent_msgs.fetch_add(1, Ordering::Relaxed);
             if let Some(d) = fp.coord_delay(self.rank, k) {
@@ -230,39 +244,47 @@ impl CoordHandle {
                 self.stall(d);
             }
         }
-        self.to_coord
-            .send(msg)
-            .map_err(|_| crate::error::ManaError::CoordinatorGone)
+        // Poisoned: a peer panicked inside a transition (commit check,
+        // manifest commit). Its panic fails the run; this rank is collateral.
+        let mut coord = self.coord.lock().map_err(|_| ManaError::CoordinatorGone)?;
+        coord.on(msg);
+        Ok(())
     }
 
-    /// Blocking receive of the next coordinator message. With a parker
-    /// attached the wait is event-driven: the coordinator unparks the rank
-    /// after every message it sends, and the 50 ms cap is only a safety
-    /// net. Without one (unit tests driving the protocol on bare OS
-    /// threads) it degrades to a plain timeout loop.
-    pub fn recv(&self) -> crate::error::Result<CoordMsg> {
-        loop {
-            match &self.parker {
-                Some(p) => match self.from_coord.try_recv() {
-                    Ok(m) => return Ok(m),
-                    Err(TryRecvError::Empty) => p.park(Duration::from_millis(50)),
-                    Err(TryRecvError::Disconnected) => {
-                        return Err(crate::error::ManaError::CoordinatorGone)
-                    }
-                },
-                None => match self.from_coord.recv_timeout(Duration::from_millis(50)) {
-                    Ok(m) => return Ok(m),
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(crate::error::ManaError::CoordinatorGone)
-                    }
-                },
-            }
-        }
+    /// Blocking receive of the next coordinator message. The wait is
+    /// event-driven — a transition unparks the rank after every message it
+    /// queues, and aborting the world unparks everyone — so the 50 ms park
+    /// slice is only a safety net. Ends with [`ManaError::CoordinatorGone`]
+    /// as soon as the world is poisoned, and with
+    /// [`ManaError::CoordinatorTimeout`] after [`RECV_CAP`].
+    pub fn recv(&self) -> Result<CoordMsg> {
+        self.recv_within(RECV_CAP)
     }
 
-    /// Ask for a checkpoint.
-    pub fn request_checkpoint(&self) -> crate::error::Result<()> {
+    fn recv_within(&self, cap: Duration) -> Result<CoordMsg> {
+        let inbox = &self.inboxes[self.rank];
+        let next = || match inbox.lock().expect("inbox lock").pop_front() {
+            Some(m) => Some(Ok(m)),
+            None => (self.world.is_poisoned()).then_some(Err(ManaError::CoordinatorGone)),
+        };
+        self.park_until(cap, Duration::from_millis(50), next)
+            .unwrap_or(Err(ManaError::CoordinatorTimeout(cap)))
+    }
+
+    /// Receive the reply this rank is `awaiting`: `pick` takes it out of
+    /// the message, and hands back anything the protocol does not allow
+    /// here, which becomes [`ManaError::Protocol`].
+    pub fn await_reply<T>(
+        &self,
+        awaiting: &'static str,
+        pick: impl FnOnce(CoordMsg) -> std::result::Result<T, CoordMsg>,
+    ) -> Result<T> {
+        pick(self.recv()?).map_err(|got| ManaError::Protocol { awaiting, got })
+    }
+
+    /// Ask for a checkpoint. When this starts a round, intent is raised
+    /// before the call returns.
+    pub fn request_checkpoint(&self) -> Result<()> {
         self.send(RankMsg::RequestCkpt)
     }
 }
@@ -366,585 +388,1117 @@ pub fn topo_order(sent: &[Vec<u64>], recvd: &[Vec<u64>]) -> TopoPlan {
 /// of the violation if the committed global state is inconsistent.
 pub type CommitCheck = Box<dyn Fn(u64) -> std::result::Result<(), String> + Send>;
 
-/// The coordinator's outbound port to one rank: a bounded channel plus the
-/// rank's engine unparker. Every send is followed by an unpark so a rank
-/// parked in [`CoordHandle::recv`] (or in a scheduling park between
-/// wrapper calls) wakes promptly instead of waiting out its timeout.
-struct RankPort {
-    tx: Sender<CoordMsg>,
-    waker: Option<UnparkerRef>,
+/// What a coordinator is built from.
+pub struct CoordSetup {
+    /// Checkpoint-and-kill: a committed round ends in `Exit`, not `Resume`.
+    pub exit_after_ckpt: bool,
+    /// The first round number. A restarted world passes `restored_round +
+    /// 1` so round numbers — and therefore generation directories — keep
+    /// advancing across restarts instead of colliding with committed
+    /// generations.
+    pub initial_round: u64,
+    /// Run at the commit point of every round.
+    pub commit_check: CommitCheck,
+    /// The generational store rounds are committed to, and how many
+    /// committed generations GC retains.
+    pub ckpt_store: Option<(Arc<store::Store>, usize)>,
+    /// Fault plan delaying rank→coordinator messages.
+    pub fault: Option<Arc<mpisim::FaultPlan>>,
+    /// Flight-recorder sink: the transitions record quiesce/write/commit
+    /// spans into the coordinator ring ([`obs::COORD_ACTOR`]) and each
+    /// handle records control-channel fault firings into its rank's ring.
+    pub trace: Option<Arc<obs::TraceSink>>,
+    /// Metrics registry: round counters and quiesce/write/commit/fan-in
+    /// latency histograms land in the [`obs::COORD_ACTOR`] shard, fault
+    /// firings under the sending rank.
+    pub metrics: Option<Arc<met::MetricsRegistry>>,
 }
 
-impl RankPort {
-    fn send(&self, msg: CoordMsg) {
-        let _ = self.tx.send(msg);
-        if let Some(w) = &self.waker {
-            w.unpark();
+/// One checkpoint round in progress.
+struct Round {
+    round: u64,
+    started: Instant,
+    /// The open span: `Intent` while quiescing, `ImageWrite` — Go to the
+    /// last report, bracketing every rank's drain + image write — after.
+    span: obs::Span,
+    tally: Tally,
+}
+
+/// What a round has counted so far.
+#[derive(Default)]
+struct Tally {
+    /// Ranks the current phase has heard from: `Ready` (or `Finishing`)
+    /// while quiescing, `CkptDone` / `CkptFailed` while writing.
+    heard: usize,
+    /// Coordinator messages exchanged.
+    msgs: u64,
+    gids: Vec<u64>,
+    quiesce: Duration,
+    total_bytes: u64,
+    images: Vec<store::ManifestEntry>,
+    failures: Vec<(usize, String)>,
+    /// Legacy drain: the totals reported since the last verdict.
+    totals: Vec<(u64, u64)>,
+    /// Topo-sort drain: `(rank, sent, recvd)` rows, in arrival order.
+    rows: Vec<(usize, Vec<u64>, Vec<u64>)>,
+    /// Fan-in spread: first rank report this round to the last.
+    first_report: Option<Instant>,
+}
+
+impl Tally {
+    /// Count one rank's report for the current phase; true when it was the
+    /// last of `n`, which also opens the next phase's count.
+    fn hear(&mut self, n: usize) -> bool {
+        self.msgs += 1;
+        self.heard = (self.heard + 1) % n;
+        self.heard == 0
+    }
+}
+
+/// Where the protocol stands between two rank messages.
+enum Stage {
+    /// No round in progress.
+    Idle,
+    /// Intent raised; collecting `Ready` from every rank.
+    Quiesce(Round),
+    /// `Go` sent; collecting `CkptDone` / `CkptFailed` from every rank and
+    /// answering the drain sub-exchanges.
+    Write(Round),
+}
+
+/// The coordinator: protocol state plus one total transition,
+/// [`Coordinator::on`]. It owns no thread and never waits.
+pub struct Coordinator {
+    setup: CoordSetup,
+    tel: obs::Telemetry,
+    intent: Arc<AtomicBool>,
+    round_ctr: Arc<AtomicU64>,
+    inboxes: Arc<[Inbox]>,
+    /// One engine unparker per rank: a rank is unparked after every
+    /// message queued for it, and all ranks when intent is raised, so a
+    /// rank parked in [`CoordHandle::recv`] (or in a scheduling park
+    /// between wrapper calls) notices control traffic promptly instead of
+    /// waiting out its timeout.
+    wakers: Vec<UnparkerRef>,
+    stage: Stage,
+    /// Ranks whose `Finishing` was acknowledged.
+    finished: usize,
+    /// An `Exit` verdict went out: no further round can run.
+    exited: bool,
+    /// Generation + chunk GC of the last committed round, in flight.
+    gc: Option<std::thread::JoinHandle<Option<store::GcOutcome>>>,
+    report: CoordReport,
+}
+
+impl Coordinator {
+    /// An idle coordinator for `wakers.len()` ranks (one engine unparker
+    /// each, from [`mpisim::World::unparkers`]).
+    pub fn new(setup: CoordSetup, wakers: Vec<UnparkerRef>) -> Coordinator {
+        Coordinator {
+            tel: obs::Telemetry::new(obs::COORD_ACTOR, setup.trace.clone(), setup.metrics.clone()),
+            intent: Arc::new(AtomicBool::new(false)),
+            round_ctr: Arc::new(AtomicU64::new(setup.initial_round)),
+            inboxes: wakers.iter().map(|_| Inbox::default()).collect(),
+            stage: Stage::Idle,
+            finished: 0,
+            exited: false,
+            gc: None,
+            report: CoordReport::default(),
+            setup,
+            wakers,
+        }
+    }
+
+    fn tell(&self, rank: usize, msg: CoordMsg) {
+        self.inboxes[rank]
+            .lock()
+            .expect("inbox lock")
+            .push_back(msg);
+        self.wakers[rank].unpark();
+    }
+
+    /// Tell every rank; returns the number of messages that took.
+    fn tell_all(&self, msg: CoordMsg) -> u64 {
+        (0..self.wakers.len()).for_each(|rank| self.tell(rank, msg.clone()));
+        self.wakers.len() as u64
+    }
+
+    /// The transition function: advance the protocol by one rank message.
+    /// Total — a `(stage, message)` pair the protocol does not allow
+    /// changes nothing and is recorded in
+    /// [`CoordReport::invariant_violations`], which fails the run.
+    pub fn on(&mut self, msg: RankMsg) {
+        use {RankMsg::*, Stage::*};
+        self.stage = match (std::mem::replace(&mut self.stage, Idle), msg) {
+            (Idle, RequestCkpt) if !self.exited && self.finished == 0 => {
+                Quiesce(self.raise_intent())
+            }
+            // Coalesced into the running round, or too late: ranks have
+            // already finished.
+            (stage, RequestCkpt) => {
+                self.report.skipped_requests += 1;
+                stage
+            }
+            (Idle, Finishing { rank }) => {
+                self.finished += 1;
+                self.tell(rank, CoordMsg::FinishAck);
+                Idle
+            }
+            (Quiesce(r), Ready { in_collective, .. }) => self.parked(r, in_collective),
+            // A rank announcing Finishing is at a safe point: count it
+            // Ready. Its finalize loop handles the Go it receives instead
+            // of FinishAck, runs the checkpoint, and re-announces Finishing
+            // afterwards.
+            (Quiesce(r), Finishing { .. }) => self.parked(r, None),
+            (Write(r), DrainReport { sent, recvd, .. }) => Write(self.drain_totals(r, sent, recvd)),
+            (Write(r), DrainRows { rank, sent, recvd }) => {
+                Write(self.drain_rows(r, rank, sent, recvd))
+            }
+            (Write(mut r), CkptFailed { rank, reason }) => {
+                r.tally.failures.push((rank, reason));
+                self.reported(r)
+            }
+            (
+                Write(mut r),
+                CkptDone {
+                    rank,
+                    image_bytes: bytes,
+                    image_crc: crc,
+                    logical_bytes,
+                },
+            ) => {
+                r.tally.total_bytes += logical_bytes;
+                r.tally.images.push(store::ManifestEntry {
+                    rank: rank as u64,
+                    bytes,
+                    crc,
+                });
+                self.reported(r)
+            }
+            (stage, msg) => {
+                let at = match stage {
+                    Idle => "outside a round",
+                    Quiesce(_) => "during quiesce",
+                    Write(_) => "during write",
+                };
+                let round = self.round_ctr.load(Ordering::Acquire);
+                let violation = format!("round {round}: protocol violation: {msg:?} {at}");
+                self.report.invariant_violations.push(violation);
+                stage
+            }
+        };
+    }
+
+    /// `RequestCkpt` while idle: one checkpoint round begins.
+    fn raise_intent(&mut self) -> Round {
+        // GC of the previous round must not overlap this round's image
+        // writes, and no rank writes one before it has seen intent.
+        self.join_gc();
+        let round = self.round_ctr.load(Ordering::Acquire);
+        let r = Round {
+            round,
+            started: Instant::now(),
+            span: self.tel.begin(round as i64, Phase::Intent),
+            tally: Tally::default(),
+        };
+        self.intent.store(true, Ordering::Release);
+        // Kick every rank: one parked between wrapper calls would
+        // otherwise only notice the raised intent when its park timeout
+        // expires.
+        self.wakers.iter().for_each(|w| w.unpark());
+        r
+    }
+
+    /// A rank parked at a safe point; the last one in releases the drain.
+    fn parked(&mut self, mut r: Round, gid: Option<u64>) -> Stage {
+        if let Some(g) = gid.filter(|g| !r.tally.gids.contains(g)) {
+            r.tally.gids.push(g);
+        }
+        if !r.tally.hear(self.wakers.len()) {
+            return Stage::Quiesce(r);
+        }
+        r.tally.quiesce = self.tel.end(r.span);
+        r.span = self.tel.begin(r.round as i64, Phase::ImageWrite);
+        r.tally.msgs += self.tell_all(CoordMsg::Go { round: r.round });
+        Stage::Write(r)
+    }
+
+    /// Legacy drain: the ranks drive totals rounds; every complete set of
+    /// n reports is answered with a verdict.
+    fn drain_totals(&mut self, mut r: Round, sent: u64, recvd: u64) -> Round {
+        r.tally.msgs += 1;
+        r.tally.totals.push((sent, recvd));
+        if r.tally.totals.len() == self.wakers.len() {
+            let sent: u64 = r.tally.totals.iter().map(|t| t.0).sum();
+            let recvd: u64 = r.tally.totals.iter().map(|t| t.1).sum();
+            let balanced = sent == recvd;
+            r.tally.msgs += self.tell_all(CoordMsg::DrainVerdict { balanced });
+            r.tally.totals.clear();
+        }
+        r
+    }
+
+    /// Topo-sort drain: plan once all rows are in — order the in-flight
+    /// dependency graph and hand every rank its exact expected column.
+    fn drain_rows(&mut self, mut r: Round, rank: usize, sent: Vec<u64>, recvd: Vec<u64>) -> Round {
+        r.tally.msgs += 1;
+        r.tally.rows.push((rank, sent, recvd));
+        if r.tally.rows.len() < self.wakers.len() {
+            return r;
+        }
+        let planning = self.tel.begin(r.round as i64, Phase::DrainPlan);
+        r.tally.rows.sort_by_key(|row| row.0);
+        let (sent, recvd): (Vec<_>, Vec<_>) = r.tally.rows.drain(..).map(|t| (t.1, t.2)).unzip();
+        let plan = topo_order(&sent, &recvd);
+        self.tel.add(met::DRAIN_TOPO_PLANS, 1);
+        self.tel.add(met::DRAIN_TOPO_EDGES, plan.edges);
+        if plan.cyclic {
+            self.tel.add(met::DRAIN_TOPO_CYCLES, 1);
+        }
+        for (j, &order) in plan.order.iter().enumerate() {
+            let expected = sent.iter().map(|row| row.get(j).copied().unwrap_or(0));
+            let schedule = CoordMsg::DrainSchedule {
+                expected: expected.collect(),
+                order,
+                edges: plan.edges,
+                cyclic: plan.cyclic,
+            };
+            self.tell(j, schedule);
+            r.tally.msgs += 1;
+        }
+        self.tel.end(planning);
+        r
+    }
+
+    /// A rank reported its image written or failed; the last report
+    /// concludes the round.
+    fn reported(&mut self, mut r: Round) -> Stage {
+        r.tally.first_report.get_or_insert_with(Instant::now);
+        if !r.tally.hear(self.wakers.len()) {
+            return Stage::Write(r);
+        }
+        self.conclude(r);
+        Stage::Idle
+    }
+
+    /// Commit point: every rank has drained and reported, none has
+    /// resumed. The round commits only if *all* ranks wrote durably — then
+    /// the manifest makes it restart material.
+    fn conclude(&mut self, r: Round) {
+        let (round, rnd, mut t) = (r.round, r.round as i64, r.tally);
+        let write = self.tel.end(r.span);
+        if let Some(first) = t.first_report {
+            self.tel.observe(met::COORD_FANIN_NS, first.elapsed());
+        }
+        if t.failures.is_empty() {
+            let committing = self.tel.begin(rnd, Phase::Commit);
+            if let Some((store, _)) = &self.setup.ckpt_store {
+                t.images.sort_by_key(|e| e.rank);
+                let manifest = store::Manifest {
+                    round,
+                    world_size: self.wakers.len() as u64,
+                    entries: t.images,
+                };
+                if let Err(e) = store.commit(&manifest) {
+                    // Manifest didn't land: the generation is not
+                    // committed. Treat like a rank failure.
+                    let failure = format!("manifest write failed: {e}");
+                    t.failures.push((usize::MAX, failure));
+                }
+            }
+            self.tel.end(committing);
+        }
+        if !t.failures.is_empty() {
+            let aborting = self.tel.begin(rnd, Phase::AbortRound);
+            // Abort path: scrap the partial generation, tell every rank to
+            // discard and resume. Prior committed generations are
+            // untouched — round N's failure never costs round N−1.
+            if let Some((store, _)) = &self.setup.ckpt_store {
+                let _ = store.abort(round);
+            }
+            self.intent.store(false, Ordering::Release);
+            self.round_ctr.store(round + 1, Ordering::Release);
+            self.tell_all(CoordMsg::AbortRound { round });
+            self.tel.end(aborting);
+            self.tel.add(met::ROUNDS_ABORTED, 1);
+            let failures = t.failures;
+            self.report
+                .aborted_rounds
+                .push(AbortedRound { round, failures });
+            return;
+        }
+        // This is the only instant where the global quiesced state is
+        // observable — run the invariant checker here, before intent drops.
+        if let Err(v) = (self.setup.commit_check)(round) {
+            let violation = format!("round {round}: {v}");
+            self.report.invariant_violations.push(violation);
+        }
+        // Resume or kill. Intent must drop *before* the broadcast: popping
+        // the verdict from the inbox synchronizes-with its push, so a
+        // resuming rank is guaranteed to read intent == false and cannot
+        // emit a spurious Ready into the idle coordinator.
+        self.intent.store(false, Ordering::Release);
+        self.round_ctr.store(round + 1, Ordering::Release);
+        self.exited = self.setup.exit_after_ckpt;
+        t.msgs += self.tell_all(match self.exited {
+            true => CoordMsg::Exit,
+            false => CoordMsg::Resume,
+        });
+        self.tel.add(met::ROUNDS_COMMITTED, 1);
+        self.tel.observe(met::ROUND_LATENCY_NS, r.started.elapsed());
+        self.report.rounds.push(CkptRoundStats {
+            round,
+            quiesce: t.quiesce,
+            write,
+            total_image_bytes: t.total_bytes,
+            gids_in_flight: t.gids,
+            coord_msgs: t.msgs,
+        });
+        // The committed round supersedes older generations: sweep beyond
+        // the retention window (best-effort; GC failure must not fail the
+        // job). Generations pinned by an open restart-journal epoch are
+        // exempt — a restart in flight must never have its source
+        // collected out from under it. Chunks only the removed rounds
+        // referenced go in the same pass. The sweep takes milliseconds on
+        // a churning chunk pool and this thread is a rank on its way out
+        // of the checkpoint window, so a helper does it, concurrent with
+        // the resumed application.
+        if let Some((store, retain)) = self.setup.ckpt_store.clone() {
+            self.gc = Some(std::thread::spawn(move || store.gc(retain).ok()));
+        }
+    }
+
+    /// Wait out the GC helper, if one is running, and account for what it
+    /// swept. Called before the next round raises intent and at teardown.
+    fn join_gc(&mut self) {
+        match self.gc.take().map(std::thread::JoinHandle::join) {
+            Some(Ok(Some(gc))) => {
+                let generations = gc.generations.len() as u64;
+                self.tel.add(met::STORE_GC_GENERATIONS, generations);
+                self.tel.add(met::STORE_GC_CHUNKS, gc.chunks.removed);
+            }
+            Some(Ok(None)) | None => {}
+            // A GC that blew up (the panic hook has printed why) fails the
+            // run like any broken invariant: it must not read as a success.
+            Some(Err(_)) => {
+                let violation = "generation GC panicked".to_string();
+                self.report.invariant_violations.push(violation);
+            }
         }
     }
 }
 
-/// Spawn the coordinator thread for a world of `n` ranks; returns the
-/// per-rank handles and a join handle whose result is the coordinator's
-/// report. Takes fault injection, a commit-time invariant
-/// checker, a generational store for two-phase round commit, the first
-/// round number, and an optional flight-recorder sink. A restarted world
-/// passes `restored_round + 1` so round numbers — and therefore
-/// generation directories — keep advancing across restarts instead of
-/// colliding with committed generations. When `trace` is set, the
-/// coordinator records its own quiesce/write/commit spans into the
-/// sink's coordinator ring ([`obs::COORD_ACTOR`]) and each handle
-/// records control-channel fault firings into its rank's ring.
-///
-/// `wakers` carries one engine unparker per rank (from
-/// [`mpisim::World::unparkers`]); the coordinator unparks a rank after
-/// every message to it and unparks all ranks when it raises checkpoint
-/// intent, so engine-parked ranks notice control traffic promptly.
-///
-/// When `metrics` is set, the coordinator records round counters and
-/// quiesce/write/commit/fan-in latency histograms into its
-/// [`obs::COORD_ACTOR`] shard, and each handle counts control-channel
-/// fault firings under its rank.
-#[allow(clippy::too_many_arguments)]
-pub fn spawn_coordinator(
-    n: usize,
-    exit_after_ckpt: bool,
-    fault: Option<Arc<mpisim::FaultPlan>>,
-    commit_check: Option<CommitCheck>,
-    ckpt_store: Option<(store::Store, usize)>,
-    initial_round: u64,
-    trace: Option<Arc<obs::TraceSink>>,
-    wakers: Option<Vec<UnparkerRef>>,
-    metrics: Option<Arc<met::MetricsRegistry>>,
-) -> (Vec<CoordHandle>, std::thread::JoinHandle<CoordReport>) {
-    if let Some(w) = &wakers {
-        assert_eq!(w.len(), n, "need one waker per rank");
-    }
-    let (to_coord, from_ranks) = unbounded::<RankMsg>();
-    let intent = Arc::new(AtomicBool::new(false));
-    let round = Arc::new(AtomicU64::new(initial_round));
-    let mut handles = Vec::with_capacity(n);
-    let mut ports = Vec::with_capacity(n);
-    for rank in 0..n {
-        let (tx, rx) = bounded::<CoordMsg>(8);
-        ports.push(RankPort {
-            tx,
-            waker: wakers.as_ref().map(|w| w[rank].clone()),
-        });
-        handles.push(CoordHandle {
+/// Build the coordinator of `world` and hand out its per-rank handles.
+/// Each handle blocks on its rank's engine parker and stops waiting once
+/// the world is poisoned.
+pub fn connect(world: &mpisim::World, setup: CoordSetup) -> Vec<CoordHandle> {
+    let (fault, trace, reg) = (
+        setup.fault.clone(),
+        setup.trace.clone(),
+        setup.metrics.clone(),
+    );
+    let coord = Coordinator::new(setup, world.unparkers());
+    let (intent, round, inboxes) = (
+        coord.intent.clone(),
+        coord.round_ctr.clone(),
+        coord.inboxes.clone(),
+    );
+    let coord = Arc::new(Mutex::new(coord));
+    (0..world.size())
+        .map(|rank| CoordHandle {
             rank,
             intent: intent.clone(),
             round: round.clone(),
-            to_coord: to_coord.clone(),
-            from_coord: rx,
+            coord: coord.clone(),
+            inboxes: inboxes.clone(),
             fault: fault.clone(),
             sent_msgs: Arc::new(AtomicU64::new(0)),
-            tel: obs::Telemetry::new(rank as i32, trace.clone(), metrics.clone()),
-            parker: None,
-        });
-    }
-    let tel = obs::Telemetry::new(obs::COORD_ACTOR, trace, metrics);
-    let join = std::thread::Builder::new()
-        .name("mana-coordinator".into())
-        .spawn(move || {
-            coordinator_loop(
-                n,
-                exit_after_ckpt,
-                intent,
-                round,
-                from_ranks,
-                ports,
-                commit_check,
-                ckpt_store,
-                tel,
-            )
+            tel: obs::Telemetry::new(rank as i32, trace.clone(), reg.clone()),
+            parker: world.parker(rank),
+            world: world.introspect(),
         })
-        .expect("spawn coordinator");
-    (handles, join)
+        .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn coordinator_loop(
-    n: usize,
-    exit_after_ckpt: bool,
-    intent: Arc<AtomicBool>,
-    round_ctr: Arc<AtomicU64>,
-    from_ranks: Receiver<RankMsg>,
-    ports: Vec<RankPort>,
-    commit_check: Option<CommitCheck>,
-    ckpt_store: Option<(store::Store, usize)>,
-    tel: obs::Telemetry,
-) -> CoordReport {
-    let mut report = CoordReport::default();
-    let mut finished = vec![false; n];
-    let mut finished_count = 0usize;
-    let mut exited = false;
-
-    'outer: while finished_count < n {
-        let msg = match from_ranks.recv_timeout(Duration::from_secs(120)) {
-            Ok(m) => m,
-            Err(RecvTimeoutError::Timeout) => break,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        match msg {
-            RankMsg::Finishing { rank } => {
-                finished[rank] = true;
-                finished_count += 1;
-                ports[rank].send(CoordMsg::FinishAck);
-            }
-            RankMsg::RequestCkpt => {
-                if finished_count > 0 || exited {
-                    report.skipped_requests += 1;
-                    continue;
-                }
-                // ---- one checkpoint round ----
-                let round = round_ctr.load(Ordering::Acquire);
-                let rnd = round as i64;
-                let t_round = Instant::now();
-                let quiescing = tel.begin(rnd, Phase::Intent);
-                let mut msgs = 0u64;
-                intent.store(true, Ordering::Release);
-                // Kick every rank: one parked between wrapper calls would
-                // otherwise only notice the raised intent when its park
-                // timeout expires.
-                for port in &ports {
-                    if let Some(w) = &port.waker {
-                        w.unpark();
-                    }
-                }
-
-                // Phase 1: collect Ready from every rank.
-                let mut ready = 0usize;
-                let mut gids = Vec::new();
-                while ready < n {
-                    match from_ranks.recv_timeout(Duration::from_secs(120)) {
-                        Ok(RankMsg::Ready { in_collective, .. }) => {
-                            msgs += 1;
-                            ready += 1;
-                            if let Some(g) = in_collective {
-                                if !gids.contains(&g) {
-                                    gids.push(g);
-                                }
-                            }
-                        }
-                        // A rank announcing Finishing is at a safe point:
-                        // count it Ready. Its finalize loop handles the Go
-                        // it receives instead of FinishAck, runs the
-                        // checkpoint, and re-announces Finishing afterwards.
-                        Ok(RankMsg::Finishing { .. }) => {
-                            msgs += 1;
-                            ready += 1;
-                        }
-                        Ok(RankMsg::RequestCkpt) => {
-                            // Coalesce concurrent requests into this round.
-                            report.skipped_requests += 1;
-                        }
-                        Ok(other) => {
-                            debug_assert!(false, "unexpected during quiesce: {other:?}");
-                        }
-                        Err(_) => break 'outer,
-                    }
-                }
-                let quiesce = tel.end(quiescing);
-                // The coordinator's "write" window opens at Go and closes
-                // when the last rank reports — it brackets every rank's
-                // drain + image write.
-                let writing = tel.begin(rnd, Phase::ImageWrite);
-
-                // Phase 2: release the drain.
-                for port in &ports {
-                    port.send(CoordMsg::Go { round });
-                    msgs += 1;
-                }
-
-                // Phase 2b (legacy drain only): totals rounds. The ranks
-                // drive this; we answer every complete set of n reports.
-                // Phase 3: collect Done/Failed from every rank.
-                let mut reported = 0usize;
-                let mut total_bytes = 0u64;
-                let mut images: Vec<Option<store::ManifestEntry>> = vec![None; n];
-                let mut failures: Vec<(usize, String)> = Vec::new();
-                let mut drain_reports: Vec<(u64, u64)> = Vec::new();
-                // Topo-sort drain: one (sent, recvd) row pair per rank.
-                let mut topo_rows: Vec<Option<(Vec<u64>, Vec<u64>)>> = vec![None; n];
-                let mut topo_count = 0usize;
-                // Fan-in spread: first rank report this round to the last,
-                // which is the one that ends the loop below.
-                let mut first_report: Option<Instant> = None;
-                while reported < n {
-                    match from_ranks.recv_timeout(Duration::from_secs(120)) {
-                        Ok(RankMsg::DrainReport { sent, recvd, .. }) => {
-                            msgs += 1;
-                            drain_reports.push((sent, recvd));
-                            if drain_reports.len() == n {
-                                let s: u64 = drain_reports.iter().map(|r| r.0).sum();
-                                let r: u64 = drain_reports.iter().map(|r| r.1).sum();
-                                let balanced = s == r;
-                                for port in &ports {
-                                    port.send(CoordMsg::DrainVerdict { balanced });
-                                    msgs += 1;
-                                }
-                                drain_reports.clear();
-                            }
-                        }
-                        Ok(RankMsg::DrainRows { rank, sent, recvd }) => {
-                            msgs += 1;
-                            if topo_rows[rank].replace((sent, recvd)).is_none() {
-                                topo_count += 1;
-                            }
-                            if topo_count == n {
-                                // Plan once all rows are in: order the
-                                // in-flight dependency graph and hand every
-                                // rank its exact expected column.
-                                let planning = tel.begin(rnd, Phase::DrainPlan);
-                                let rows: Vec<(Vec<u64>, Vec<u64>)> = topo_rows
-                                    .iter_mut()
-                                    .map(|r| r.take().expect("all rows present"))
-                                    .collect();
-                                topo_count = 0;
-                                let sent: Vec<Vec<u64>> =
-                                    rows.iter().map(|r| r.0.clone()).collect();
-                                let recvd: Vec<Vec<u64>> =
-                                    rows.iter().map(|r| r.1.clone()).collect();
-                                let plan = topo_order(&sent, &recvd);
-                                tel.add(met::DRAIN_TOPO_PLANS, 1);
-                                tel.add(met::DRAIN_TOPO_EDGES, plan.edges);
-                                if plan.cyclic {
-                                    tel.add(met::DRAIN_TOPO_CYCLES, 1);
-                                }
-                                for (j, port) in ports.iter().enumerate() {
-                                    let expected: Vec<u64> = (0..n)
-                                        .map(|i| sent[i].get(j).copied().unwrap_or(0))
-                                        .collect();
-                                    port.send(CoordMsg::DrainSchedule {
-                                        expected,
-                                        order: plan.order[j],
-                                        edges: plan.edges,
-                                        cyclic: plan.cyclic,
-                                    });
-                                    msgs += 1;
-                                }
-                                tel.end(planning);
-                            }
-                        }
-                        Ok(RankMsg::CkptDone {
-                            rank,
-                            image_bytes,
-                            image_crc,
-                            logical_bytes,
-                        }) => {
-                            msgs += 1;
-                            reported += 1;
-                            first_report.get_or_insert_with(Instant::now);
-                            total_bytes += logical_bytes;
-                            images[rank] = Some(store::ManifestEntry {
-                                rank: rank as u64,
-                                bytes: image_bytes,
-                                crc: image_crc,
-                            });
-                        }
-                        Ok(RankMsg::CkptFailed { rank, reason }) => {
-                            msgs += 1;
-                            reported += 1;
-                            first_report.get_or_insert_with(Instant::now);
-                            failures.push((rank, reason));
-                        }
-                        Ok(RankMsg::RequestCkpt) => {
-                            report.skipped_requests += 1;
-                        }
-                        Ok(other) => {
-                            debug_assert!(false, "unexpected during write: {other:?}");
-                        }
-                        Err(_) => break 'outer,
-                    }
-                }
-                let write = tel.end(writing);
-                if let Some(first) = first_report {
-                    tel.observe(met::COORD_FANIN_NS, first.elapsed());
-                }
-
-                // Commit point: every rank has drained and reported, none
-                // has resumed. The round commits only if *all* ranks wrote
-                // durably — then the manifest makes it restart material.
-                if failures.is_empty() {
-                    let committing = tel.begin(rnd, Phase::Commit);
-                    if let Some((store, _)) = &ckpt_store {
-                        let manifest = store::Manifest {
-                            round,
-                            world_size: n as u64,
-                            entries: images.iter().flatten().copied().collect(),
-                        };
-                        if let Err(e) = store.commit(&manifest) {
-                            // Manifest didn't land: the generation is not
-                            // committed. Treat like a rank failure.
-                            failures.push((usize::MAX, format!("manifest write failed: {e}")));
-                        }
-                    }
-                    tel.end(committing);
-                }
-
-                if !failures.is_empty() {
-                    let aborting = tel.begin(rnd, Phase::AbortRound);
-                    // Abort path: scrap the partial generation, tell every
-                    // rank to discard and resume. Prior committed
-                    // generations are untouched — round N's failure never
-                    // costs round N−1.
-                    if let Some((store, _)) = &ckpt_store {
-                        let _ = store.abort(round);
-                    }
-                    intent.store(false, Ordering::Release);
-                    round_ctr.store(round + 1, Ordering::Release);
-                    for port in &ports {
-                        port.send(CoordMsg::AbortRound { round });
-                    }
-                    tel.end(aborting);
-                    tel.add(met::ROUNDS_ABORTED, 1);
-                    report.aborted_rounds.push(AbortedRound { round, failures });
-                    continue;
-                }
-
-                // This is the only instant where the global quiesced state
-                // is observable — run the invariant checker here, before
-                // intent drops.
-                if let Some(check) = &commit_check {
-                    if let Err(v) = check(round) {
-                        report
-                            .invariant_violations
-                            .push(format!("round {round}: {v}"));
-                    }
-                }
-
-                // Phase 4: resume or kill. Intent must drop *before* the
-                // broadcast: the channel receive synchronizes-with the
-                // send, so a resuming rank is guaranteed to read intent ==
-                // false and cannot emit a spurious Ready into the main
-                // loop.
-                intent.store(false, Ordering::Release);
-                round_ctr.store(round + 1, Ordering::Release);
-                let fin = if exit_after_ckpt {
-                    CoordMsg::Exit
-                } else {
-                    CoordMsg::Resume
-                };
-                for port in &ports {
-                    port.send(fin.clone());
-                    msgs += 1;
-                }
-                tel.add(met::ROUNDS_COMMITTED, 1);
-                tel.observe(met::ROUND_LATENCY_NS, t_round.elapsed());
-                report.rounds.push(CkptRoundStats {
-                    round,
-                    quiesce,
-                    write,
-                    total_image_bytes: total_bytes,
-                    gids_in_flight: gids,
-                    coord_msgs: msgs,
-                });
-                // The committed round supersedes older generations: sweep
-                // beyond the retention window (best-effort; GC failure
-                // must not fail the job). Generations pinned by an open
-                // restart-journal epoch are exempt — a restart in flight
-                // must never have its source collected out from under it.
-                // Chunks only the removed rounds referenced go in the same
-                // pass, which must not overlap image writes: no rank writes
-                // one before this loop has started the next round.
-                if let Some((store, retain)) = &ckpt_store {
-                    if let Ok(gc) = store.gc(*retain) {
-                        tel.add(met::STORE_GC_GENERATIONS, gc.generations.len() as u64);
-                        tel.add(met::STORE_GC_CHUNKS, gc.chunks.removed);
-                    }
-                }
-                if exit_after_ckpt {
-                    exited = true;
-                }
-            }
-            RankMsg::Ready { .. }
-            | RankMsg::DrainReport { .. }
-            | RankMsg::DrainRows { .. }
-            | RankMsg::CkptDone { .. }
-            | RankMsg::CkptFailed { .. } => {
-                debug_assert!(false, "stray message outside a round: {msg:?}");
-            }
-        }
-    }
-    report
+/// Teardown, once every rank is done with its handle: join the GC helper
+/// and take the coordinator's report.
+pub fn finish(handles: Vec<CoordHandle>) -> CoordReport {
+    // A poisoned lock means a rank panicked inside a transition; the
+    // launch already failed on that panic, and the helper still needs
+    // joining. Report pushes are each complete, so what is there is valid.
+    let mut coord = (handles[0].coord.lock()).unwrap_or_else(PoisonError::into_inner);
+    coord.join_gc();
+    std::mem::take(&mut coord.report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use splitproc::blobs::{BlobEntry, PutCost, PutMode};
+    use std::io;
+    use std::path::Path;
 
-    /// A bare coordinator: no faults, no store, no telemetry.
-    fn spawn(
-        n: usize,
-        exit_after_ckpt: bool,
-    ) -> (Vec<CoordHandle>, std::thread::JoinHandle<CoordReport>) {
-        spawn_coordinator(n, exit_after_ckpt, None, None, None, 0, None, None, None)
+    /// Resume mode from round 0: nothing checked, stored, injected or
+    /// recorded.
+    fn bare() -> CoordSetup {
+        CoordSetup {
+            exit_after_ckpt: false,
+            initial_round: 0,
+            commit_check: Box::new(|_| Ok(())),
+            ckpt_store: None,
+            fault: None,
+            trace: None,
+            metrics: None,
+        }
+    }
+
+    /// The test's unparker. A transition unparks a rank right after it
+    /// queues a message for it — the first instant the rank could see it —
+    /// so this is where "intent is down before a verdict is observable" is
+    /// checked, not after the transition has returned.
+    struct Probe {
+        rank: usize,
+        wire: std::sync::OnceLock<(Arc<AtomicBool>, Arc<[Inbox]>)>,
+    }
+
+    impl mpisim::Unparker for Probe {
+        fn unpark(&self) {
+            let Some((intent, inboxes)) = self.wire.get() else {
+                return;
+            };
+            let verdict = matches!(
+                inboxes[self.rank].lock().unwrap().back(),
+                Some(CoordMsg::Resume | CoordMsg::Exit | CoordMsg::AbortRound { .. })
+            );
+            assert!(
+                !verdict || !intent.load(Ordering::Acquire),
+                "rank {}: verdict observable with intent still up",
+                self.rank
+            );
+        }
+    }
+
+    /// An in-memory blob backend that only keeps the ledger of what the
+    /// coordinator's store did: `put <path>` / `rm <path>`.
+    #[derive(Clone, Default)]
+    struct Ledger(Arc<Mutex<Vec<String>>>);
+
+    impl Ledger {
+        fn has(&self, op: &str, name: &str) -> bool {
+            let log = self.0.lock().unwrap();
+            log.iter().any(|l| l.starts_with(op) && l.contains(name))
+        }
+    }
+
+    impl store::Blobs for Ledger {
+        fn put_atomic(&self, path: &Path, _: &[u8], _: PutMode) -> (PutCost, io::Result<()>) {
+            self.0
+                .lock()
+                .unwrap()
+                .push(format!("put {}", path.display()));
+            (PutCost::default(), Ok(()))
+        }
+        fn get(&self, _: &Path, _: Option<&mut Vec<u8>>) -> io::Result<u64> {
+            Err(io::ErrorKind::NotFound.into())
+        }
+        fn list(&self, _: &Path) -> io::Result<Vec<BlobEntry>> {
+            Ok(Vec::new())
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            self.0
+                .lock()
+                .unwrap()
+                .push(format!("rm {}", path.display()));
+            Ok(())
+        }
+        fn sync_dir(&self, _: &Path) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A coordinator driven directly — no threads, no handles, no waiting —
+    /// that checks on every transition what must hold on every transition.
+    struct Sim {
+        c: Coordinator,
+        /// Ranks whose `Finishing` was acknowledged: told nothing since.
+        acked: Vec<bool>,
+    }
+
+    impl Sim {
+        fn new(n: usize, setup: CoordSetup) -> Sim {
+            let wire = std::sync::OnceLock::new;
+            let probes: Vec<_> = (0..n)
+                .map(|rank| Arc::new(Probe { rank, wire: wire() }))
+                .collect();
+            let wakers = probes.iter().map(|p| p.clone() as UnparkerRef).collect();
+            let c = Coordinator::new(setup, wakers);
+            for p in probes {
+                let _ = p.wire.set((c.intent.clone(), c.inboxes.clone()));
+            }
+            Sim {
+                c,
+                acked: vec![false; n],
+            }
+        }
+
+        fn intent(&self) -> bool {
+            self.c.intent.load(Ordering::Acquire)
+        }
+
+        fn round(&self) -> u64 {
+            self.c.round_ctr.load(Ordering::Acquire)
+        }
+
+        /// One transition; returns what it told each rank.
+        fn on(&mut self, msg: RankMsg) -> Vec<Vec<CoordMsg>> {
+            let what = format!("{msg:?}");
+            self.c.on(msg);
+            let told: Vec<Vec<CoordMsg>> = (self.c.inboxes.iter())
+                .map(|q| q.lock().unwrap().drain(..).collect())
+                .collect();
+            for (rank, msgs) in told.iter().enumerate() {
+                assert!(
+                    msgs.is_empty() || !self.acked[rank],
+                    "{what}: finished rank {rank} told {msgs:?}"
+                );
+                if msgs.contains(&CoordMsg::FinishAck) {
+                    self.acked[rank] = true;
+                }
+            }
+            told
+        }
+
+        /// A transition that tells nobody anything.
+        fn quiet(&mut self, msg: RankMsg) {
+            let told = self.on(msg);
+            assert!(told.iter().all(Vec::is_empty), "unexpected {told:?}");
+        }
+
+        /// A transition that tells every rank exactly `msg(rank)`.
+        fn tells_all(&mut self, sent: RankMsg, msg: impl Fn(usize) -> CoordMsg) {
+            for (rank, told) in self.on(sent).into_iter().enumerate() {
+                assert_eq!(told, vec![msg(rank)], "rank {rank}");
+            }
+        }
+    }
+
+    /// How the ranks count in-flight traffic between `Go` and their reports.
+    #[derive(Clone)]
+    enum Drain {
+        /// Among themselves (alltoall): the coordinator hears nothing.
+        Alltoall,
+        /// Legacy totals: one arrival order per totals round; only the last
+        /// round balances.
+        Totals(Vec<Vec<usize>>),
+        /// Topo-sort: the arrival order of the rows.
+        Rows(Vec<usize>),
+    }
+
+    /// One round, as the coordinator sees it: who arrives when with what.
+    /// Rank 0 has 10 bytes in flight to rank 1; even ranks park inside
+    /// collective 42.
+    #[derive(Clone)]
+    struct Script {
+        exit: bool,
+        /// Park order, and (by rank) who parks with `Finishing`.
+        parks: Vec<usize>,
+        finishing: Vec<bool>,
+        drain: Drain,
+        /// Report order, and (by rank) who reports `CkptFailed`.
+        reports: Vec<usize>,
+        failed: Vec<bool>,
+        /// A second `RequestCkpt` before event number `i` (parks, drain
+        /// reports and image reports, in order); `len` is after the round.
+        second: Option<usize>,
+    }
+
+    impl Script {
+        /// Everyone `Ready`, then everyone `CkptDone`, in rank order.
+        fn plain(n: usize) -> Script {
+            Script {
+                exit: false,
+                parks: (0..n).collect(),
+                finishing: vec![false; n],
+                drain: Drain::Alltoall,
+                reports: (0..n).collect(),
+                failed: vec![false; n],
+                second: None,
+            }
+        }
+    }
+
+    enum Ev {
+        Park(usize),
+        Totals {
+            rank: usize,
+            balanced: bool,
+            last: bool,
+        },
+        Rows {
+            rank: usize,
+            last: bool,
+        },
+        Report {
+            rank: usize,
+            last: bool,
+        },
+    }
+
+    struct Played {
+        report: CoordReport,
+        ledger: Ledger,
+    }
+
+    /// Drive one scripted round through a fresh coordinator, asserting the
+    /// round's contract, then retire every rank.
+    fn play(s: &Script, setup: CoordSetup) -> Played {
+        let n = s.parks.len();
+        let ledger = Ledger::default();
+        let ckpts = store::Store::new(
+            "/mana2_sim",
+            store::StoreConfig::default(),
+            obs::Telemetry::off(),
+            Box::new(ledger.clone()),
+        );
+        let mut sim = Sim::new(
+            n,
+            CoordSetup {
+                exit_after_ckpt: s.exit,
+                ckpt_store: Some((Arc::new(ckpts), 2)),
+                ..setup
+            },
+        );
+        let r0 = sim.round();
+        let mut events: Vec<Ev> = s.parks.iter().map(|&r| Ev::Park(r)).collect();
+        let mut sub_msgs = 0;
+        match &s.drain {
+            Drain::Alltoall => {}
+            Drain::Totals(rounds) => {
+                for (k, order) in rounds.iter().enumerate() {
+                    events.extend(order.iter().enumerate().map(|(i, &rank)| Ev::Totals {
+                        rank,
+                        balanced: k + 1 == rounds.len(),
+                        last: i + 1 == n,
+                    }));
+                    sub_msgs += 2 * n as u64;
+                }
+            }
+            Drain::Rows(order) => {
+                events.extend(order.iter().enumerate().map(|(i, &rank)| Ev::Rows {
+                    rank,
+                    last: i + 1 == n,
+                }));
+                sub_msgs += 2 * n as u64;
+            }
+        }
+        events.extend(s.reports.iter().enumerate().map(|(i, &rank)| Ev::Report {
+            rank,
+            last: i + 1 == n,
+        }));
+        let aborted = s.failed.contains(&true);
+        let mut skipped = 0;
+
+        sim.quiet(RankMsg::RequestCkpt);
+        assert!(sim.intent(), "intent is raised inside the request");
+        let mut parked = 0;
+        for (i, ev) in events.iter().enumerate() {
+            if s.second == Some(i) {
+                sim.quiet(RankMsg::RequestCkpt);
+                skipped += 1;
+            }
+            match *ev {
+                Ev::Park(rank) => {
+                    let msg = match s.finishing[rank] {
+                        true => RankMsg::Finishing { rank },
+                        false => RankMsg::Ready {
+                            rank,
+                            in_collective: (rank % 2 == 0).then_some(42),
+                        },
+                    };
+                    parked += 1;
+                    match parked == n {
+                        true => sim.tells_all(msg, |_| CoordMsg::Go { round: r0 }),
+                        false => sim.quiet(msg),
+                    }
+                }
+                Ev::Totals {
+                    rank,
+                    balanced,
+                    last,
+                } => {
+                    let msg = RankMsg::DrainReport {
+                        rank,
+                        sent: if rank == 0 { 10 } else { 0 },
+                        recvd: if rank == 1 && balanced { 10 } else { 0 },
+                    };
+                    match last {
+                        true => sim.tells_all(msg, |_| CoordMsg::DrainVerdict { balanced }),
+                        false => sim.quiet(msg),
+                    }
+                }
+                Ev::Rows { rank, last } => {
+                    let mut sent = vec![0; n];
+                    if rank == 0 {
+                        sent[1] = 10;
+                    }
+                    let msg = RankMsg::DrainRows {
+                        rank,
+                        sent,
+                        recvd: vec![0; n],
+                    };
+                    // Each rank gets its own column of the sent matrix,
+                    // and the sender precedes the receiver.
+                    let schedule = |to: usize| CoordMsg::DrainSchedule {
+                        expected: (0..n)
+                            .map(|i| if (i, to) == (0, 1) { 10 } else { 0 })
+                            .collect(),
+                        order: to as u32,
+                        edges: 1,
+                        cyclic: false,
+                    };
+                    match last {
+                        true => sim.tells_all(msg, schedule),
+                        false => sim.quiet(msg),
+                    }
+                }
+                Ev::Report { rank, last } => {
+                    let msg = match s.failed[rank] {
+                        true => RankMsg::CkptFailed {
+                            rank,
+                            reason: format!("rank {rank}: injected storage write error"),
+                        },
+                        false => RankMsg::CkptDone {
+                            rank,
+                            image_bytes: 100 + rank as u64,
+                            image_crc: rank as u32,
+                            logical_bytes: 100,
+                        },
+                    };
+                    if !last {
+                        sim.quiet(msg);
+                        assert!(sim.intent() && sim.round() == r0);
+                        continue;
+                    }
+                    // Even in exit-after-checkpoint mode, a failed round
+                    // must NOT exit: the job resumes and may checkpoint
+                    // again later.
+                    sim.tells_all(msg, |_| match (aborted, s.exit) {
+                        (true, _) => CoordMsg::AbortRound { round: r0 },
+                        (false, true) => CoordMsg::Exit,
+                        (false, false) => CoordMsg::Resume,
+                    });
+                    assert!(!sim.intent(), "intent cleared by the verdict");
+                    assert_eq!(sim.round(), r0 + 1, "one round, one count");
+                }
+            }
+        }
+        if s.second == Some(events.len()) {
+            sim.quiet(RankMsg::RequestCkpt);
+            match s.exit && !aborted {
+                // Checkpoint-and-kill already happened: nothing to start.
+                true => skipped += 1,
+                false => {
+                    assert!(sim.intent(), "a request after the round starts the next");
+                    assert!(matches!(&sim.c.stage, Stage::Quiesce(r) if r.round == r0 + 1));
+                    assert_eq!(sim.round(), r0 + 1);
+                }
+            }
+        }
+        // Goodbye — unless that second request just started another round.
+        if matches!(sim.c.stage, Stage::Idle) {
+            for rank in 0..n {
+                let told = sim.on(RankMsg::Finishing { rank });
+                for (to, msgs) in told.iter().enumerate() {
+                    let want = if to == rank {
+                        vec![CoordMsg::FinishAck]
+                    } else {
+                        vec![]
+                    };
+                    assert_eq!(msgs, &want);
+                }
+            }
+            sim.quiet(RankMsg::RequestCkpt);
+            skipped += 1;
+            assert!(!sim.intent(), "nobody left to checkpoint");
+        }
+        sim.c.join_gc();
+        let report = std::mem::take(&mut sim.c.report);
+        assert_eq!(report.skipped_requests, skipped);
+        let manifest = format!("gen_{r0:05}/MANIFEST");
+        assert_eq!(
+            ledger.has("put", &manifest),
+            !aborted,
+            "manifest iff committed"
+        );
+        assert_eq!(ledger.has("rm", &format!("gen_{r0:05}")), aborted);
+        match aborted {
+            true => {
+                assert!(
+                    report.rounds.is_empty(),
+                    "an aborted round is not a completed one"
+                );
+                let failures: Vec<usize> = (s.reports.iter().copied())
+                    .filter(|&r| s.failed[r])
+                    .collect();
+                assert_eq!(report.aborted_rounds.len(), 1);
+                assert_eq!(report.aborted_rounds[0].round, r0);
+                let got: Vec<usize> = (report.aborted_rounds[0].failures.iter())
+                    .map(|f| f.0)
+                    .collect();
+                assert_eq!(got, failures);
+            }
+            false => {
+                assert!(report.aborted_rounds.is_empty());
+                assert_eq!(report.rounds.len(), 1);
+                let r = &report.rounds[0];
+                assert_eq!(r.round, r0);
+                assert_eq!(r.total_image_bytes, 100 * n as u64);
+                assert_eq!(r.coord_msgs, 4 * n as u64 + sub_msgs);
+                let in_coll = (0..n).any(|r| r % 2 == 0 && !s.finishing[r]);
+                assert_eq!(r.gids_in_flight, if in_coll { vec![42] } else { vec![] });
+            }
+        }
+        Played { report, ledger }
+    }
+
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![vec![]];
+        }
+        let mut out = Vec::new();
+        for p in permutations(n - 1) {
+            for at in 0..n {
+                let mut q = p.clone();
+                q.insert(at, n - 1);
+                out.push(q);
+            }
+        }
+        out
+    }
+
+    fn flags(n: usize) -> Vec<Vec<bool>> {
+        (0..1usize << n)
+            .map(|bits| (0..n).map(|i| bits >> i & 1 == 1).collect())
+            .collect()
+    }
+
+    /// Every order in which one round's messages can arrive at n = 3. A
+    /// rank's own messages are ordered by the protocol — it reports after
+    /// `Go`, and again only after the reply to its previous drain report —
+    /// which makes a round a sequence of all-rank waves: every permutation
+    /// within every wave is an order, and there are no others.
+    #[test]
+    fn every_arrival_order_of_one_round_at_n3() {
+        let n = 3;
+        let perms = permutations(n);
+        let mut orders = 0u64;
+        let mut run = |s: &Script, events: usize, first_second: usize| {
+            let seconds = std::iter::once(None).chain((first_second..=events).map(Some));
+            for exit in [false, true] {
+                for second in seconds.clone() {
+                    let s = Script {
+                        exit,
+                        second,
+                        ..s.clone()
+                    };
+                    let played = play(&s, bare());
+                    assert_eq!(played.report.invariant_violations, Vec::<String>::new());
+                    orders += 1;
+                }
+            }
+        };
+        for reports in &perms {
+            for failed in flags(n) {
+                let base = Script {
+                    reports: reports.clone(),
+                    failed,
+                    ..Script::plain(n)
+                };
+                // The plain round: park order × who is finishing.
+                for parks in &perms {
+                    for finishing in flags(n) {
+                        let s = Script {
+                            parks: parks.clone(),
+                            finishing,
+                            ..base.clone()
+                        };
+                        run(&s, 2 * n, 0);
+                    }
+                }
+                // The drain sub-exchanges sit between Go and the reports:
+                // the park wave is as above, so it is held fixed here.
+                for rows in &perms {
+                    let s = Script {
+                        drain: Drain::Rows(rows.clone()),
+                        ..base.clone()
+                    };
+                    run(&s, 3 * n, n);
+                    for totals in &perms {
+                        let s = Script {
+                            drain: Drain::Totals(vec![rows.clone(), totals.clone()]),
+                            ..base.clone()
+                        };
+                        run(&s, 4 * n, n);
+                    }
+                }
+            }
+        }
+        assert_eq!(orders, 36_864 + 4_608 + 38_016);
     }
 
     #[test]
     fn finishing_without_checkpoints() {
-        let n = 3;
-        let (handles, join) = spawn(n, false);
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                std::thread::spawn(move || {
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
+        let mut sim = Sim::new(3, bare());
+        for rank in 0..3 {
+            assert_eq!(
+                sim.on(RankMsg::Finishing { rank })[rank],
+                vec![CoordMsg::FinishAck]
+            );
         }
-        let report = join.join().unwrap();
-        assert!(report.rounds.is_empty());
+        assert!(sim.c.report.rounds.is_empty());
     }
 
     #[test]
     fn one_full_round_resume() {
         let n = 4;
-        let (handles, join) = spawn(n, false);
-        handles[0].request_checkpoint().unwrap();
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                std::thread::spawn(move || {
-                    // Wait for intent like a wrapper would.
-                    while !h.intent() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    h.send(RankMsg::Ready {
-                        rank: h.rank(),
-                        in_collective: (h.rank() % 2 == 0).then_some(42),
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::Go { round: 0 });
-                    h.send(RankMsg::CkptDone {
-                        rank: h.rank(),
-                        image_bytes: 100,
-                        image_crc: 0,
-                        logical_bytes: 100,
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::Resume);
-                    assert!(!h.intent(), "intent cleared after resume");
-                    assert_eq!(h.round(), 1);
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = join.join().unwrap();
-        assert_eq!(report.rounds.len(), 1);
-        let r = &report.rounds[0];
+        let played = play(&Script::plain(n), bare());
+        let r = &played.report.rounds[0];
         assert_eq!(r.total_image_bytes, 400);
         assert_eq!(r.gids_in_flight, vec![42]);
-        assert!(r.coord_msgs >= 3 * n as u64);
+        assert_eq!(r.coord_msgs, 4 * n as u64);
     }
 
     #[test]
     fn exit_after_ckpt_sends_exit() {
-        let n = 2;
-        let (handles, join) = spawn(n, true);
-        handles[0].request_checkpoint().unwrap();
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                std::thread::spawn(move || {
-                    while !h.intent() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    h.send(RankMsg::Ready {
-                        rank: h.rank(),
-                        in_collective: None,
-                    })
-                    .unwrap();
-                    assert!(matches!(h.recv().unwrap(), CoordMsg::Go { .. }));
-                    h.send(RankMsg::CkptDone {
-                        rank: h.rank(),
-                        image_bytes: 10,
-                        image_crc: 0,
-                        logical_bytes: 10,
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::Exit);
-                    // Exiting ranks still announce Finishing so the
-                    // coordinator can wind down.
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = join.join().unwrap();
-        assert_eq!(report.rounds.len(), 1);
+        // Exiting ranks still announce Finishing (play's goodbye).
+        let s = Script {
+            exit: true,
+            ..Script::plain(2)
+        };
+        assert_eq!(play(&s, bare()).report.rounds.len(), 1);
     }
 
     #[test]
     fn legacy_drain_rounds_answered() {
         let n = 2;
-        let (handles, join) = spawn(n, false);
-        handles[0].request_checkpoint().unwrap();
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                std::thread::spawn(move || {
-                    while !h.intent() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    h.send(RankMsg::Ready {
-                        rank: h.rank(),
-                        in_collective: None,
-                    })
-                    .unwrap();
-                    assert!(matches!(h.recv().unwrap(), CoordMsg::Go { .. }));
-                    // Round 1: unbalanced (rank 0 sent 10, nobody received).
-                    h.send(RankMsg::DrainReport {
-                        rank: h.rank(),
-                        sent: if h.rank() == 0 { 10 } else { 0 },
-                        recvd: 0,
-                    })
-                    .unwrap();
-                    assert_eq!(
-                        h.recv().unwrap(),
-                        CoordMsg::DrainVerdict { balanced: false }
-                    );
-                    // Round 2: balanced.
-                    h.send(RankMsg::DrainReport {
-                        rank: h.rank(),
-                        sent: if h.rank() == 0 { 10 } else { 0 },
-                        recvd: if h.rank() == 1 { 10 } else { 0 },
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::DrainVerdict { balanced: true });
-                    h.send(RankMsg::CkptDone {
-                        rank: h.rank(),
-                        image_bytes: 1,
-                        image_crc: 0,
-                        logical_bytes: 1,
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::Resume);
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = join.join().unwrap();
-        assert_eq!(report.rounds.len(), 1);
+        let s = Script {
+            drain: Drain::Totals(vec![vec![0, 1], vec![1, 0]]),
+            ..Script::plain(n)
+        };
+        let played = play(&s, bare());
         // Legacy drain cost shows up in the message counter: 2 reports + 2
-        // verdicts per round × 2 rounds on top of the base 3-per-rank.
-        assert!(report.rounds[0].coord_msgs > 3 * n as u64);
+        // verdicts per totals round × 2 rounds on top of the base four per
+        // rank.
+        assert_eq!(played.report.rounds[0].coord_msgs, (4 + 2 * 2) * n as u64);
+    }
+
+    #[test]
+    fn toposort_rows_answered_with_exact_columns() {
+        let n = 2;
+        let s = Script {
+            drain: Drain::Rows(vec![1, 0]),
+            ..Script::plain(n)
+        };
+        let played = play(&s, bare());
+        // Topo drain costs exactly 2 extra messages per rank on top of
+        // the base Ready/Go/Done/Resume four.
+        assert_eq!(played.report.rounds[0].coord_msgs, 6 * n as u64);
+    }
+
+    #[test]
+    fn commit_check_failure_is_recorded() {
+        let setup = CoordSetup {
+            commit_check: Box::new(|round| Err(format!("synthetic violation in round {round}"))),
+            ..bare()
+        };
+        let report = play(&Script::plain(2), setup).report;
+        assert_eq!(report.rounds.len(), 1, "the round still committed");
+        assert_eq!(report.invariant_violations.len(), 1);
+        assert!(report.invariant_violations[0].contains("round 0"));
+    }
+
+    #[test]
+    fn ckpt_failed_aborts_round_and_all_ranks_resume() {
+        let s = Script {
+            exit: true,
+            failed: vec![false, true, false],
+            ..Script::plain(3)
+        };
+        let played = play(&s, bare());
+        let aborted = &played.report.aborted_rounds[0];
+        assert_eq!(aborted.failures.len(), 1);
+        assert!(aborted.failures[0]
+            .1
+            .contains("injected storage write error"));
+        assert!(!played.ledger.has("put", "MANIFEST"));
+    }
+
+    #[test]
+    fn rounds_keep_counting_from_the_initial_round() {
+        let setup = CoordSetup {
+            initial_round: 7,
+            ..bare()
+        };
+        let played = play(&Script::plain(2), setup);
+        assert_eq!(played.report.rounds[0].round, 7);
+        assert!(played.ledger.has("put", "gen_00007/MANIFEST"));
+    }
+
+    #[test]
+    fn request_after_finish_is_skipped() {
+        let mut sim = Sim::new(2, bare());
+        assert_eq!(
+            sim.on(RankMsg::Finishing { rank: 0 })[0],
+            vec![CoordMsg::FinishAck]
+        );
+        // Rank 1 is still running, but rank 0 can no longer take part.
+        sim.quiet(RankMsg::RequestCkpt);
+        assert!(!sim.intent());
+        assert_eq!(sim.c.report.skipped_requests, 1);
+        assert!(sim.c.report.rounds.is_empty());
+    }
+
+    #[test]
+    fn disallowed_messages_change_nothing_and_are_reported() {
+        let done = |rank| RankMsg::CkptDone {
+            rank,
+            image_bytes: 1,
+            image_crc: 0,
+            logical_bytes: 1,
+        };
+        let ready = |rank| RankMsg::Ready {
+            rank,
+            in_collective: None,
+        };
+        let mut sim = Sim::new(2, bare());
+        // Outside a round.
+        sim.quiet(ready(0));
+        sim.quiet(done(0));
+        sim.quiet(RankMsg::RequestCkpt);
+        // During quiesce: a report, a drain exchange.
+        sim.quiet(done(0));
+        sim.quiet(RankMsg::DrainReport {
+            rank: 0,
+            sent: 0,
+            recvd: 0,
+        });
+        sim.quiet(ready(0));
+        sim.tells_all(ready(1), |_| CoordMsg::Go { round: 0 });
+        // During write: a park, a goodbye.
+        sim.quiet(ready(1));
+        sim.quiet(RankMsg::Finishing { rank: 1 });
+        sim.quiet(done(0));
+        sim.tells_all(done(1), |_| CoordMsg::Resume);
+        let report = &sim.c.report;
+        assert_eq!(
+            report.rounds[0].coord_msgs, 8,
+            "refused messages are not counted"
+        );
+        let v = &report.invariant_violations;
+        assert_eq!(v.len(), 6, "{v:#?}");
+        assert!(v[0].contains("Ready") && v[0].contains("outside a round"));
+        assert!(v[2].contains("CkptDone") && v[2].contains("during quiesce"));
+        assert!(v[5].contains("Finishing") && v[5].contains("during write"));
     }
 
     #[test]
@@ -981,185 +1535,6 @@ mod tests {
     }
 
     #[test]
-    fn toposort_rows_answered_with_exact_columns() {
-        let n = 2;
-        let (handles, join) = spawn(n, false);
-        handles[0].request_checkpoint().unwrap();
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                std::thread::spawn(move || {
-                    while !h.intent() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    h.send(RankMsg::Ready {
-                        rank: h.rank(),
-                        in_collective: None,
-                    })
-                    .unwrap();
-                    assert!(matches!(h.recv().unwrap(), CoordMsg::Go { .. }));
-                    // Rank 0 has 10 bytes in flight to rank 1; nothing else.
-                    h.send(RankMsg::DrainRows {
-                        rank: h.rank(),
-                        sent: if h.rank() == 0 {
-                            vec![0, 10]
-                        } else {
-                            vec![0, 0]
-                        },
-                        recvd: vec![0, 0],
-                    })
-                    .unwrap();
-                    match h.recv().unwrap() {
-                        CoordMsg::DrainSchedule {
-                            expected,
-                            order,
-                            edges,
-                            cyclic,
-                        } => {
-                            // Each rank gets its own column of the sent
-                            // matrix, and the sender precedes the receiver.
-                            if h.rank() == 0 {
-                                assert_eq!(expected, vec![0, 0]);
-                                assert_eq!(order, 0);
-                            } else {
-                                assert_eq!(expected, vec![10, 0]);
-                                assert_eq!(order, 1);
-                            }
-                            assert_eq!(edges, 1);
-                            assert!(!cyclic);
-                        }
-                        other => panic!("expected DrainSchedule, got {other:?}"),
-                    }
-                    h.send(RankMsg::CkptDone {
-                        rank: h.rank(),
-                        image_bytes: 1,
-                        image_crc: 0,
-                        logical_bytes: 1,
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::Resume);
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = join.join().unwrap();
-        assert_eq!(report.rounds.len(), 1);
-        // Topo drain costs exactly 2 extra messages per rank on top of
-        // the base Ready/Go/Done/Resume four.
-        assert_eq!(report.rounds[0].coord_msgs, 6 * n as u64);
-    }
-
-    #[test]
-    fn commit_check_failure_is_recorded() {
-        let n = 2;
-        let check: CommitCheck =
-            Box::new(|round| Err(format!("synthetic violation in round {round}")));
-        let (handles, join) =
-            spawn_coordinator(n, false, None, Some(check), None, 0, None, None, None);
-        handles[0].request_checkpoint().unwrap();
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                std::thread::spawn(move || {
-                    while !h.intent() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    h.send(RankMsg::Ready {
-                        rank: h.rank(),
-                        in_collective: None,
-                    })
-                    .unwrap();
-                    assert!(matches!(h.recv().unwrap(), CoordMsg::Go { .. }));
-                    h.send(RankMsg::CkptDone {
-                        rank: h.rank(),
-                        image_bytes: 1,
-                        image_crc: 0,
-                        logical_bytes: 1,
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::Resume);
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = join.join().unwrap();
-        assert_eq!(report.rounds.len(), 1);
-        assert_eq!(report.invariant_violations.len(), 1);
-        assert!(report.invariant_violations[0].contains("round 0"));
-    }
-
-    #[test]
-    fn ckpt_failed_aborts_round_and_all_ranks_resume() {
-        let n = 3;
-        // Even in exit-after-checkpoint mode, a failed round must NOT
-        // exit: the job resumes and may checkpoint again later.
-        let (handles, join) = spawn(n, true);
-        handles[0].request_checkpoint().unwrap();
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                std::thread::spawn(move || {
-                    while !h.intent() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    h.send(RankMsg::Ready {
-                        rank: h.rank(),
-                        in_collective: None,
-                    })
-                    .unwrap();
-                    assert!(matches!(h.recv().unwrap(), CoordMsg::Go { .. }));
-                    if h.rank() == 1 {
-                        h.send(RankMsg::CkptFailed {
-                            rank: 1,
-                            reason: "injected storage write error".into(),
-                        })
-                        .unwrap();
-                    } else {
-                        h.send(RankMsg::CkptDone {
-                            rank: h.rank(),
-                            image_bytes: 10,
-                            image_crc: 0,
-                            logical_bytes: 10,
-                        })
-                        .unwrap();
-                    }
-                    // Every rank — including the successful ones — gets
-                    // AbortRound, not Exit, and resumes.
-                    assert_eq!(h.recv().unwrap(), CoordMsg::AbortRound { round: 0 });
-                    assert!(!h.intent(), "intent cleared after abort");
-                    assert_eq!(
-                        h.round(),
-                        1,
-                        "round counter advances past the aborted round"
-                    );
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = join.join().unwrap();
-        assert!(
-            report.rounds.is_empty(),
-            "aborted round is not a completed round"
-        );
-        assert_eq!(report.aborted_rounds.len(), 1);
-        assert_eq!(report.aborted_rounds[0].round, 0);
-        assert_eq!(report.aborted_rounds[0].failures.len(), 1);
-        assert_eq!(report.aborted_rounds[0].failures[0].0, 1);
-    }
-
-    #[test]
     fn committed_round_writes_manifest_and_gc_runs() {
         let n = 2;
         let root = std::env::temp_dir().join(format!("mana2_coord_store_{}", std::process::id()));
@@ -1167,7 +1542,18 @@ mod tests {
         // Pre-write the images the ranks will claim, so the manifest the
         // coordinator commits validates against real files.
         let ckpts = || store::Store::open(&root, store::StoreConfig::default());
-        let mut crcs = Vec::new();
+        let setup = CoordSetup {
+            ckpt_store: Some((Arc::new(ckpts()), 2)),
+            ..bare()
+        };
+        let mut sim = Sim::new(n, setup);
+        sim.quiet(RankMsg::RequestCkpt);
+        for rank in 0..n {
+            sim.on(RankMsg::Ready {
+                rank,
+                in_collective: None,
+            });
+        }
         for rank in 0..n {
             let img = splitproc::CkptImage {
                 rank,
@@ -1177,70 +1563,130 @@ mod tests {
                 meta: vec![1; 8],
             };
             let out = ckpts().write_image(&img).unwrap();
-            crcs.push((out.bytes as u64, out.crc));
+            sim.on(RankMsg::CkptDone {
+                rank,
+                image_bytes: out.bytes as u64,
+                image_crc: out.crc,
+                logical_bytes: out.bytes as u64,
+            });
         }
-        let (handles, join) = spawn_coordinator(
-            n,
-            false,
-            None,
-            None,
-            Some((ckpts(), 2)),
-            0,
-            None,
-            None,
-            None,
-        );
-        handles[0].request_checkpoint().unwrap();
-        let threads: Vec<_> = handles
-            .into_iter()
-            .map(|h| {
-                let (bytes, crc) = crcs[h.rank()];
-                std::thread::spawn(move || {
-                    while !h.intent() {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    h.send(RankMsg::Ready {
-                        rank: h.rank(),
-                        in_collective: None,
-                    })
-                    .unwrap();
-                    assert!(matches!(h.recv().unwrap(), CoordMsg::Go { .. }));
-                    h.send(RankMsg::CkptDone {
-                        rank: h.rank(),
-                        image_bytes: bytes,
-                        image_crc: crc,
-                        logical_bytes: bytes,
-                    })
-                    .unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::Resume);
-                    h.send(RankMsg::Finishing { rank: h.rank() }).unwrap();
-                    assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let report = join.join().unwrap();
-        assert_eq!(report.rounds.len(), 1);
+        assert!(sim.c.gc.is_some(), "GC is handed to a helper");
+        sim.c.join_gc();
+        assert_eq!(sim.c.report.rounds.len(), 1);
+        assert!(sim.c.report.invariant_violations.is_empty());
         // The generation is now committed and selectable.
         let sel = ckpts().select(Some(n), None).unwrap();
         assert_eq!(sel.round, 0);
         std::fs::remove_dir_all(&root).ok();
     }
 
+    fn world(n: usize, engine: &str) -> mpisim::World {
+        let cfg = mpisim::WorldCfg {
+            engine: mpisim::EngineKind::parse(engine).expect("engine spec"),
+            ..mpisim::WorldCfg::default()
+        };
+        mpisim::World::new(n, cfg)
+    }
+
+    /// One round through real handles, each rank on its engine thread.
     #[test]
-    fn request_after_finish_is_skipped() {
-        let n = 1;
-        let (handles, join) = spawn(n, false);
-        let h = &handles[0];
-        h.send(RankMsg::Finishing { rank: 0 }).unwrap();
-        assert_eq!(h.recv().unwrap(), CoordMsg::FinishAck);
-        // The coordinator may already be gone: the send's result is moot.
-        let _ = h.request_checkpoint();
-        // Coordinator exits since all finished; request may land before or
-        // after the loop ends — either way no round ran.
-        let report = join.join().unwrap();
-        assert!(report.rounds.is_empty());
+    fn one_round_through_real_handles_on_both_engines() {
+        for engine in ["thread", "coop:2:7"] {
+            let n = 3;
+            let world = world(n, engine);
+            let handles = connect(&world, bare());
+            let ranks = world.launch(|proc| -> Result<()> {
+                let h = handles[proc.rank()].clone();
+                if proc.rank() == 0 {
+                    h.request_checkpoint()?;
+                }
+                // Wait for intent like a wrapper would.
+                while !h.intent() {
+                    proc.park(Duration::from_millis(1))?;
+                }
+                h.send(RankMsg::Ready {
+                    rank: proc.rank(),
+                    in_collective: None,
+                })?;
+                assert_eq!(h.recv()?, CoordMsg::Go { round: 0 });
+                h.send(RankMsg::CkptDone {
+                    rank: proc.rank(),
+                    image_bytes: 10,
+                    image_crc: 0,
+                    logical_bytes: 10,
+                })?;
+                assert_eq!(h.recv()?, CoordMsg::Resume);
+                assert!(!h.intent(), "intent cleared after resume");
+                assert_eq!(h.round(), 1);
+                h.send(RankMsg::Finishing { rank: proc.rank() })?;
+                h.await_reply("FinishAck", |m| match m {
+                    CoordMsg::FinishAck => Ok(()),
+                    other => Err(other),
+                })
+            });
+            for r in ranks.expect("no rank panicked") {
+                r.unwrap_or_else(|e| panic!("{engine}: {e}"));
+            }
+            let report = finish(handles);
+            assert_eq!(report.rounds.len(), 1, "{engine}");
+            assert_eq!(report.rounds[0].coord_msgs, 4 * n as u64, "{engine}");
+        }
+    }
+
+    /// A rank deaf to intent never parks, so `Go` never comes: the waiting
+    /// rank gets a typed timeout at the cap, and whoever else waits on the
+    /// coordinator is released the moment the world is aborted.
+    #[test]
+    fn recv_gives_up_at_its_cap_and_when_the_world_is_aborted() {
+        for engine in ["thread", "coop:2:7"] {
+            let world = world(2, engine);
+            let handles = connect(&world, bare());
+            let cap = Duration::from_millis(60);
+            let t = Instant::now();
+            let ranks = world.launch(|proc| {
+                let h = handles[proc.rank()].clone();
+                if proc.rank() == 1 {
+                    return h.recv();
+                }
+                h.request_checkpoint().unwrap();
+                h.send(RankMsg::Ready {
+                    rank: 0,
+                    in_collective: None,
+                })
+                .unwrap();
+                let gave_up = h.recv_within(cap);
+                proc.abort_world();
+                gave_up
+            });
+            let ranks = ranks.expect("no rank panicked");
+            assert!(
+                matches!(&ranks[0], Err(ManaError::CoordinatorTimeout(d)) if *d == cap),
+                "{engine}: {:?}",
+                ranks[0]
+            );
+            assert!(
+                matches!(&ranks[1], Err(ManaError::CoordinatorGone)),
+                "{engine}: {:?}",
+                ranks[1]
+            );
+            assert!(t.elapsed() < Duration::from_secs(5), "{engine}");
+            // An unexpected reply is a typed error too, naming both sides.
+            let h = &handles[0];
+            h.inboxes[0].lock().unwrap().push_back(CoordMsg::Resume);
+            let got = h.await_reply("Go", |m| match m {
+                CoordMsg::Go { round } => Ok(round),
+                other => Err(other),
+            });
+            assert!(
+                matches!(
+                    &got,
+                    Err(ManaError::Protocol {
+                        awaiting: "Go",
+                        got: CoordMsg::Resume
+                    })
+                ),
+                "{engine}: {got:?}"
+            );
+        }
     }
 }

@@ -24,7 +24,7 @@
 
 use crate::config::DrainMode;
 use crate::coordinator::{CoordMsg, RankMsg};
-use crate::error::{ManaError, Result};
+use crate::error::Result;
 use crate::ids::VCOMM_WORLD;
 use crate::mana::Mana;
 use obs::metrics as met;
@@ -127,19 +127,16 @@ fn quiesce_coordinator(m: &mut Mana<'_>) -> Result<()> {
             sent,
             recvd,
         })?;
-        let verdict = m.coord.recv()?;
+        let balanced = m.coord.await_reply("DrainVerdict", |v| match v {
+            CoordMsg::DrainVerdict { balanced } => Ok(balanced),
+            other => Err(other),
+        });
         m.tel.end(exchange);
-        match verdict {
-            CoordMsg::DrainVerdict { balanced: true } => return Ok(()),
-            CoordMsg::DrainVerdict { balanced: false } => {
-                sweep += 1;
-                one_sweep(m, sweep, &all)?;
-            }
-            other => {
-                debug_assert!(false, "unexpected drain reply: {other:?}");
-                return Err(ManaError::CoordinatorGone);
-            }
+        if balanced? {
+            return Ok(());
         }
+        sweep += 1;
+        one_sweep(m, sweep, &all)?;
     }
 }
 
@@ -154,18 +151,15 @@ fn quiesce_toposort(m: &mut Mana<'_>) -> Result<()> {
         sent: m.p2p.sent_row().to_vec(),
         recvd: m.p2p.recvd_row().to_vec(),
     })?;
-    let (expected, order, edges, cyclic) = match m.coord.recv()? {
+    let (expected, order, edges, cyclic) = m.coord.await_reply("DrainSchedule", |s| match s {
         CoordMsg::DrainSchedule {
             expected,
             order,
             edges,
             cyclic,
-        } => (expected, order, edges, cyclic),
-        other => {
-            debug_assert!(false, "unexpected while awaiting schedule: {other:?}");
-            return Err(ManaError::CoordinatorGone);
-        }
-    };
+        } => Ok((expected, order, edges, cyclic)),
+        other => Err(other),
+    })?;
     m.tel.end(exchange);
     m.tel.event(
         round,

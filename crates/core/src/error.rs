@@ -24,8 +24,22 @@ pub enum ManaError {
     /// before a restart). Not a failure: the runtime converts it into
     /// [`crate::runtime::AppOutcome::Checkpointed`].
     CkptExit,
-    /// The coordinator channel closed unexpectedly.
+    /// The world was aborted while this rank was talking to the
+    /// coordinator (or a peer panicked inside a coordinator transition):
+    /// collateral of another rank's failure, never the cause.
     CoordinatorGone,
+    /// A rank waited this long for the coordinator's next message and none
+    /// came: some peer never reached the protocol step everyone else is
+    /// waiting on (deaf to checkpoint intent, wedged in application code).
+    CoordinatorTimeout(std::time::Duration),
+    /// The coordinator answered with a message the protocol does not allow
+    /// at this point. Always a bug in the checkpoint protocol.
+    Protocol {
+        /// The reply the rank was waiting for.
+        awaiting: &'static str,
+        /// What arrived instead.
+        got: crate::coordinator::CoordMsg,
+    },
     /// Restart-time inconsistency (e.g. image world size mismatch).
     RestartMismatch(String),
     /// An injected `RestartKill` fault killed the restart at journal-step
@@ -58,6 +72,12 @@ impl fmt::Display for ManaError {
             }
             ManaError::CkptExit => write!(f, "checkpoint written; exiting as configured"),
             ManaError::CoordinatorGone => write!(f, "checkpoint coordinator disappeared"),
+            ManaError::CoordinatorTimeout(d) => {
+                write!(f, "no message from the checkpoint coordinator in {d:?}")
+            }
+            ManaError::Protocol { awaiting, got } => {
+                write!(f, "coordinator protocol: awaiting {awaiting}, got {got:?}")
+            }
             ManaError::RestartMismatch(s) => write!(f, "restart mismatch: {s}"),
             ManaError::RestartKilled { step } => {
                 write!(

@@ -79,8 +79,8 @@ pub use collective_emu::{emu_tag, CollOp, CollOpTable, EmuIo, EmuKind, IRecvSlot
 pub use comm_mgr::{global_comm_id, CommManager, CommRecord};
 pub use config::{CommRestore, DrainMode, ManaConfig, TpcMode};
 pub use coordinator::{
-    spawn_coordinator, topo_order, AbortedRound, CkptRoundStats, CommitCheck, CoordHandle,
-    CoordReport, TopoPlan,
+    topo_order, AbortedRound, CkptRoundStats, CommitCheck, CoordHandle, CoordReport, CoordSetup,
+    Coordinator, TopoPlan,
 };
 pub use env::{from_env, ConfigError, EnvConfig};
 pub use error::{ManaError, Result};

@@ -673,19 +673,14 @@ impl<'p> Mana<'p> {
         }
     }
 
-    /// Ask the coordinator for a checkpoint (`dmtcp_command -c` analog)
-    /// and wait (bounded) until the intent flag is visible, so the
-    /// requesting rank cannot race past its own request. The checkpoint
-    /// itself still happens at the next safe point.
+    /// Ask the coordinator for a checkpoint (`dmtcp_command -c` analog).
+    /// When the request starts a round, intent is raised before this
+    /// returns, so the requesting rank cannot race past its own request; one
+    /// coalesced into a running round or skipped because ranks have
+    /// finished returns at once too. The checkpoint itself still happens at
+    /// the next safe point.
     pub fn request_checkpoint(&mut self) -> Result<()> {
-        self.coord.request_checkpoint()?;
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while !self.coord.intent() && std::time::Instant::now() < deadline {
-            // The coordinator unparks every rank when it raises intent, so
-            // this park is event-driven, not a fixed-cadence poll.
-            self.lh.sched_park(self.cfg.poll_interval)?;
-        }
-        Ok(())
+        self.coord.request_checkpoint()
     }
 
     /// Park briefly (used by application-level poll loops).

@@ -135,14 +135,10 @@ impl<'p> Mana<'p> {
                 rank: self.rank(),
                 in_collective: self.cur_collective_gid,
             })?;
-            let round = loop {
-                match self.coord.recv()? {
-                    CoordMsg::Go { round } => break round,
-                    other => {
-                        debug_assert!(false, "unexpected while awaiting Go: {other:?}");
-                    }
-                }
-            };
+            let round = self.coord.await_reply("Go", |m| match m {
+                CoordMsg::Go { round } => Ok(round),
+                other => Err(other),
+            })?;
             self.tel.end(intent);
             self.checkpoint_body(round)
         })();
@@ -244,11 +240,16 @@ impl<'p> Mana<'p> {
                 })?;
             }
         }
-        let verdict = self.coord.recv()?;
+        let verdict = self
+            .coord
+            .await_reply("Resume, Exit or AbortRound", |m| match m {
+                CoordMsg::Resume | CoordMsg::Exit | CoordMsg::AbortRound { .. } => Ok(m),
+                other => Err(other),
+            });
         if let Some(span) = commit {
             self.tel.end(span);
         }
-        match verdict {
+        match verdict? {
             CoordMsg::Resume => {
                 // Network empty + both sides agreed: counters restart from
                 // zero consistently on every rank.
@@ -271,10 +272,7 @@ impl<'p> Mana<'p> {
                 self.p2p.reset();
                 Ok(())
             }
-            other => {
-                debug_assert!(false, "unexpected after CkptDone: {other:?}");
-                Err(ManaError::CoordinatorGone)
-            }
+            other => unreachable!("await_reply let {other:?} through as a verdict"),
         }
     }
 
@@ -426,29 +424,23 @@ impl<'p> Mana<'p> {
         }
         loop {
             self.coord.send(RankMsg::Finishing { rank: self.rank() })?;
-            match self.coord.recv()? {
-                CoordMsg::FinishAck => {
-                    return if ckpt_exit {
-                        Err(ManaError::CkptExit)
-                    } else {
-                        Ok(())
-                    }
-                }
-                CoordMsg::Go { round } => {
-                    // A round started concurrently; we were counted Ready.
-                    match self.checkpoint_body(round) {
-                        Ok(()) => continue,
-                        Err(ManaError::CkptExit) => {
-                            ckpt_exit = true;
-                            continue; // still say goodbye
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                other => {
-                    debug_assert!(false, "unexpected in finalize: {other:?}");
-                    return Err(ManaError::CoordinatorGone);
-                }
+            let go = self.coord.await_reply("FinishAck or Go", |m| match m {
+                CoordMsg::FinishAck => Ok(None),
+                CoordMsg::Go { round } => Ok(Some(round)),
+                other => Err(other),
+            })?;
+            let Some(round) = go else {
+                return if ckpt_exit {
+                    Err(ManaError::CkptExit)
+                } else {
+                    Ok(())
+                };
+            };
+            // A round started concurrently; we were counted Ready.
+            match self.checkpoint_body(round) {
+                Ok(()) => {}
+                Err(ManaError::CkptExit) => ckpt_exit = true, // still say goodbye
+                Err(e) => return Err(e),
             }
         }
     }

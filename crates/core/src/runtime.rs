@@ -8,7 +8,7 @@
 //! re-entered — it finds its position in upper-half memory and continues.
 
 use crate::config::ManaConfig;
-use crate::coordinator::{spawn_coordinator, CommitCheck, CoordReport};
+use crate::coordinator::{self, CommitCheck, CoordReport, CoordSetup};
 use crate::error::{ManaError, Result};
 use crate::mana::{Mana, ManaStats};
 use mpisim::{StatsSnapshot, World, WorldCfg};
@@ -432,8 +432,6 @@ impl ManaRuntime {
             .map(|mode| self.prepare_restart(mode, &tel))
             .transpose()
             .map_err(|e| self.failed(e.into(), &reg.snapshot()))?;
-        // The world must exist before the coordinator: the commit-time
-        // invariant checker captures an introspection handle over it.
         let mut world_cfg = self.world_cfg.clone();
         if world_cfg.fault.is_none() {
             world_cfg.fault = self.cfg.fault.clone();
@@ -500,7 +498,23 @@ impl ManaRuntime {
             .map_err(|e| eprintln!("mana2: metrics exporter failed to start: {e}"))
             .ok()
         });
-        let result = self.run_world(&world, restart, prepared, f, &reg);
+        // The commit-time invariant checker reads the world through an
+        // introspection handle: a round must not commit with user traffic
+        // still in flight.
+        let commit_check: CommitCheck = {
+            let intro = world.introspect();
+            Box::new(move |round| {
+                let (msgs, bytes) = intro.user_in_flight();
+                if msgs != 0 || bytes != 0 {
+                    return Err(format!(
+                        "round {round} committed with user traffic in flight: \
+                         {msgs} message(s) / {bytes} byte(s)"
+                    ));
+                }
+                Ok(())
+            })
+        };
+        let result = self.run_world(&world, restart, prepared, commit_check, f, &reg);
         // One teardown, however the run ended: a last sample, the
         // exporter drained, one merged snapshot — which rides out in the
         // report, or beside the flight dump of the failure.
@@ -530,6 +544,7 @@ impl ManaRuntime {
         world: &World,
         restart: Option<RestartMode>,
         prepared: Option<(store::Selected, Arc<RestartGuard>)>,
+        commit_check: CommitCheck,
         f: F,
         reg: &Arc<met::MetricsRegistry>,
     ) -> std::result::Result<RunReport<T>, Failure>
@@ -556,34 +571,20 @@ impl ManaRuntime {
             RestartMode::Full => (0..self.n).collect::<Vec<_>>(),
             RestartMode::Partial { failed } => failed.clone(),
         });
-        let commit_check: CommitCheck = {
-            let intro = world.introspect();
-            Box::new(move |round| {
-                let (msgs, bytes) = intro.user_in_flight();
-                if msgs != 0 || bytes != 0 {
-                    return Err(format!(
-                        "round {round} committed with user traffic in flight: \
-                         {msgs} message(s) / {bytes} byte(s)"
-                    ));
-                }
-                Ok(())
-            })
-        };
-        let (handles, coord_join) = spawn_coordinator(
-            self.n,
-            self.cfg.exit_after_ckpt,
-            self.cfg.fault.clone(),
-            Some(commit_check),
-            Some((self.store(), self.cfg.retain_generations)),
-            // Round numbers keep advancing across restarts so a new round
-            // never reuses (and on abort, never deletes) the generation
-            // directory of a previously committed round.
-            restored_round.map(|r| r + 1).unwrap_or(0),
-            self.cfg.trace.clone(),
-            // Engine unparkers: the coordinator wakes ranks out of engine
-            // parks on every control message and on intent raise.
-            Some(world.unparkers()),
-            Some(reg.clone()),
+        let handles = coordinator::connect(
+            world,
+            CoordSetup {
+                exit_after_ckpt: self.cfg.exit_after_ckpt,
+                // Round numbers keep advancing across restarts so a new
+                // round never reuses (and on abort, never deletes) the
+                // generation directory of a previously committed round.
+                initial_round: restored_round.map(|r| r + 1).unwrap_or(0),
+                commit_check,
+                ckpt_store: Some((Arc::new(self.store()), self.cfg.retain_generations)),
+                fault: self.cfg.fault.clone(),
+                trace: self.cfg.trace.clone(),
+                metrics: Some(reg.clone()),
+            },
         );
         // Optional tools-interface deadlock detector (paper conclusion).
         let detector = self.cfg.deadlock_timeout.map(|window| {
@@ -608,11 +609,7 @@ impl ManaRuntime {
         let guard_ref = &guard;
         let restored_ranks_ref = &restored_ranks;
         let launched = world.launch(move |proc| -> Result<(AppOutcome<T>, ManaStats)> {
-            let mut coord = handles_ref[proc.rank()].clone();
-            // Route the control channel's blocking points through the
-            // rank's engine parker: under the coop engine a rank waiting
-            // on the coordinator must release its run token.
-            coord.attach_parker(proc.parker());
+            let coord = handles_ref[proc.rank()].clone();
             let mut mana = if restored_round.is_some() {
                 let rank = proc.rank();
                 let image = verified_ref[rank]
@@ -682,19 +679,15 @@ impl ManaRuntime {
             Ok((outcome, mana.stats()))
         });
         let world_stats = world.stats();
-        // Drop our coordinator senders so the coordinator unblocks even if
-        // ranks errored before saying goodbye.
-        drop(handles);
+        let coord = coordinator::finish(handles);
         let deadlock_report = detector.and_then(|(stop, handle)| {
             stop.store(true, Ordering::Relaxed);
             handle.join().ok().flatten()
         });
-        let coord = coordinator_report(coord_join.join());
         if let Some(report) = deadlock_report {
             return Err(RuntimeError::Deadlock(report).into());
         }
         let results = launched.map_err(|e| RuntimeError::World(e.to_string()))?;
-        let coord = coord?;
         // An injected restart kill poisons the world, so peer ranks die of
         // secondary (fabric/coordinator) errors. Scan for the kill first
         // and report it, not the collateral.
@@ -915,23 +908,6 @@ fn skip_generation(tel: &obs::Telemetry, gen: u64, code: obs::RejectCode, reason
     tel.event(obs::NO_ROUND, obs::EventKind::RestartSkip { gen, code });
 }
 
-/// What the coordinator thread's join means for the run. A coordinator
-/// that panicked — even after the last `Resume`, in the manifest commit,
-/// GC or the commit-time invariant closure — fails the run: its rounds
-/// never reached the report, so the run must not read as a success.
-fn coordinator_report(
-    joined: std::thread::Result<CoordReport>,
-) -> std::result::Result<CoordReport, RuntimeError> {
-    joined.map_err(|panic| {
-        let msg = panic
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "(non-string panic payload)".into());
-        RuntimeError::World(format!("coordinator thread panicked: {msg}"))
-    })
-}
-
 /// The tools-interface deadlock detector (paper conclusion): sample every
 /// rank's activity until `stop`; once all ranks have been blocked in an
 /// unchanged state for `window`, poison the world and return the per-rank
@@ -983,17 +959,99 @@ fn watch_for_deadlock(
 mod tests {
     use super::*;
 
-    #[test]
-    fn panicked_coordinator_fails_the_run() {
-        let joined = std::thread::spawn(|| -> CoordReport { panic!("manifest commit blew up") });
-        match coordinator_report(joined.join()) {
-            Err(RuntimeError::World(msg)) => {
-                assert!(msg.contains("coordinator thread panicked"), "{msg}");
-                assert!(msg.contains("manifest commit blew up"), "{msg}");
+    /// `body` on three fresh ranks through [`ManaRuntime::run_world`], once
+    /// per engine, with `check` at the commit point. Each run gets two
+    /// seconds on a thread of its own, so ranks left waiting on the
+    /// coordinator read "still running", not a 120 s test.
+    fn failures(
+        name: &str,
+        check: fn() -> CommitCheck,
+        body: fn(&mut Mana<'_>) -> Result<()>,
+    ) -> Vec<Failure> {
+        let engines = ["thread", "coop:2:7"].into_iter();
+        let runs = engines.map(|engine| {
+            let cfg = ManaConfig {
+                ckpt_dir: std::env::temp_dir()
+                    .join(format!("mana2_unit_{name}_{}", std::process::id())),
+                ..ManaConfig::default()
+            };
+            let dir = cfg.ckpt_dir.clone();
+            let world_cfg = WorldCfg {
+                engine: mpisim::EngineKind::parse(engine).expect("engine spec"),
+                ..WorldCfg::default()
+            };
+            let run = std::thread::spawn(move || {
+                let rt = ManaRuntime::new(3, cfg);
+                let world = World::new(3, world_cfg);
+                let reg = met::MetricsRegistry::standard(3);
+                rt.run_world(&world, None, None, check(), body, &reg)
+            });
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while !run.is_finished() {
+                assert!(
+                    Instant::now() < deadline,
+                    "{name} on {engine}: still running after 2 s"
+                );
+                std::thread::sleep(Duration::from_millis(5));
             }
-            other => panic!("expected a World error, got {other:?}"),
+            let failure = run
+                .join()
+                .expect("the runtime itself does not panic")
+                .expect_err("the run must fail");
+            std::fs::remove_dir_all(&dir).ok();
+            failure
+        });
+        runs.collect()
+    }
+
+    /// Ranks 0 and 2 sit in a checkpoint window awaiting `Go` when rank 1,
+    /// which never parked, dies: the window ends at once.
+    #[test]
+    fn a_rank_dying_outside_the_window_releases_the_ranks_inside_it() {
+        let runs = failures(
+            "hang",
+            || Box::new(|_| Ok(())),
+            |m| {
+                if m.rank() == 1 {
+                    std::thread::sleep(Duration::from_millis(300));
+                    return Err(ManaError::RestartMismatch("boom".into()));
+                }
+                if m.rank() == 0 {
+                    m.request_checkpoint()?;
+                }
+                m.barrier(m.comm_world())
+            },
+        );
+        for Failure { error, collateral } in runs {
+            assert!(
+                matches!(&error, RuntimeError::Rank(1, ManaError::RestartMismatch(s)) if s == "boom"),
+                "{error}"
+            );
+            let gone = ManaError::CoordinatorGone.to_string();
+            assert_eq!(collateral, vec![(0, gone.clone()), (2, gone)]);
         }
-        let report = coordinator_report(std::thread::spawn(CoordReport::default).join());
-        assert!(report.unwrap().rounds.is_empty());
+    }
+
+    /// The commit check runs inside the last reporter's transition, so its
+    /// panic is that rank's: the run fails on it, and the peers waiting for
+    /// the verdict are released rather than left to the receive cap.
+    #[test]
+    fn panicking_commit_check_fails_the_run_and_releases_the_peers() {
+        let runs = failures(
+            "commit_panic",
+            || Box::new(|round| panic!("commit check blew up in round {round}")),
+            |m| {
+                if m.rank() == 0 {
+                    m.request_checkpoint()?;
+                }
+                m.barrier(m.comm_world())
+            },
+        );
+        for Failure { error, .. } in runs {
+            assert!(
+                matches!(&error, RuntimeError::World(msg) if msg.contains("panicked")),
+                "{error}"
+            );
+        }
     }
 }

@@ -281,6 +281,13 @@ impl Introspect {
     pub fn poison(&self) {
         self.fabric.net.poison();
     }
+
+    /// Is the world poisoned (rank panic, abort, watchdog or supervisor)?
+    /// Poisoning unparks every rank, so a component that blocks a rank
+    /// outside the fabric re-checks this after each park.
+    pub fn is_poisoned(&self) -> bool {
+        self.fabric.net.is_poisoned()
+    }
 }
 
 /// Convenience: build a world, launch `f`, return results and stats.
