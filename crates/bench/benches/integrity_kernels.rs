@@ -2,7 +2,9 @@
 //! byte through, each over one 2 MiB buffer — the image size of the
 //! benchmark's `narrow_*` workloads:
 //!
-//! * `crc32` — section and manifest checks;
+//! * `crc32` — section and manifest checks — and the same kernel on the
+//!   `wide_small` image size (`crc32_1k`, under the four-lane threshold,
+//!   so the single-lane loop) and the average chunk size (`crc32_16k`);
 //! * `chunk::chunk_id` (the content address of every chunk the store
 //!   writes), `chunk::chunk_id_v1` (SHA-256, the read-side verifier of
 //!   version 1 recipes), `chunk::split` (gear-hash content-defined
@@ -20,7 +22,9 @@
 //! meant to be the cheapest pass, not the dearest); `upper_encode` and
 //! `upper_decode` must read above `crc32` (they only copy); and
 //! `image_to_bytes` must stay within 1.5 × of `crc32` plus one copy
-//! (`upper_encode`) — beyond that a second pass has crept back in.
+//! (`upper_encode`) — beyond that a second pass has crept back in; and
+//! `crc32` at 2 MiB reading under 1.8 × `crc32_1k` means the lanes are
+//! gone (one lane is latency-bound at the `crc32_1k` rate, four overlap).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use splitproc::{chunk, crc32, crc32_combine, ChunkParams, CkptImage, Decode, Encode, UpperHalf};
@@ -43,6 +47,15 @@ fn bench(c: &mut Criterion) {
     g.sample_size(20);
     g.throughput(Throughput::Bytes(LEN as u64));
     g.bench_function("crc32", |b| b.iter(|| crc32(black_box(&buf))));
+    for (name, len) in [("crc32_1k", 1usize << 10), ("crc32_16k", 16 << 10)] {
+        // As many bytes per sample as the 2 MiB cases, so timer overhead
+        // does not show.
+        g.sample_size(20 * LEN / len);
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(name, |b| b.iter(|| crc32(black_box(&buf[..len]))));
+    }
+    g.sample_size(20);
+    g.throughput(Throughput::Bytes(LEN as u64));
     g.bench_function("chunk_id", |b| b.iter(|| chunk::chunk_id(black_box(&buf))));
     g.bench_function("chunk_id_v1", |b| {
         b.iter(|| chunk::chunk_id_v1(black_box(&buf)))

@@ -484,6 +484,8 @@ pub fn split(data: &[u8], params: ChunkParams) -> Vec<std::ops::Range<usize>> {
 pub const RECIPE_MAGIC: &[u8; 8] = b"MANA2CRF";
 /// The recipe version the store writes.
 pub const RECIPE_VERSION: RecipeVersion = RecipeVersion::V2;
+/// On-disk size of one chunk ref: a 32-byte id and a `u64` length.
+const REF_BYTES: usize = 32 + 8;
 
 /// A recipe format version this build reads. The two versions share one
 /// byte layout; what the number records is which function keyed the
@@ -567,7 +569,7 @@ impl Recipe {
                 + 8 * 5
                 + 4 * 2
                 + 8 * 2
-                + 40 * (self.upper_chunks.len() + self.meta_chunks.len())
+                + REF_BYTES * (self.upper_chunks.len() + self.meta_chunks.len())
                 + 4,
         );
         out.extend_from_slice(RECIPE_MAGIC);
@@ -619,8 +621,9 @@ impl Recipe {
         let mut lists = [Vec::new(), Vec::new()];
         for list in lists.iter_mut() {
             let n = u64::decode(&mut r)?;
-            // A recipe cannot reference more chunks than bytes remain.
-            if n > body.len() as u64 {
+            // Each ref is an id and a length on disk: a count the remaining
+            // bytes cannot hold is refused before anything is reserved.
+            if n > (r.remaining() / REF_BYTES) as u64 {
                 return Err(RecipeError::Truncated);
             }
             let mut v = Vec::with_capacity(n as usize);
@@ -852,6 +855,30 @@ mod tests {
         ));
         let short = &recipe.to_bytes()[..10];
         assert!(Recipe::from_bytes(short).is_err());
+    }
+
+    #[test]
+    fn recipe_ref_count_is_bounded_by_the_bytes_left() {
+        // The upper list's count sits after the fixed header; the bytes
+        // after it hold `n` refs and the meta list's 8-byte count. Counts
+        // up to the whole body's length used to pass the bound and reserve
+        // 40 bytes per claimed ref before the first missing one failed.
+        let recipe = recipe_of(RECIPE_VERSION, &pseudo_bytes(40_000, 5));
+        let n = recipe.upper_chunks.len() as u64;
+        let bytes = recipe.to_bytes();
+        let body = bytes.len() - 4;
+        for claim in [n + 1, body as u64, u64::MAX] {
+            let mut forged = bytes.clone();
+            forged[60..68].copy_from_slice(&claim.to_le_bytes());
+            let crc = crc32(&forged[..body]);
+            forged[body..].copy_from_slice(&crc.to_le_bytes());
+            assert_eq!(
+                Recipe::from_bytes(&forged),
+                Err(RecipeError::Truncated),
+                "claim {claim}"
+            );
+        }
+        assert_eq!((body - 68 - 8) as u64 / REF_BYTES as u64, n);
     }
 
     #[test]

@@ -355,10 +355,43 @@ const fn crc_tables() -> [[u32; 256]; 16] {
     t
 }
 
+/// Buffers at least this long are folded as [`LANES`] interleaved lanes.
+/// Joining them costs a fixed ≈ 0.1 µs (the power of x and three
+/// carry-less multiplies, about one `crc32_combine`), which the lanes only
+/// repay from ≈ 512 bytes; at 4 KiB they take 1.2 µs against the single
+/// lane's 2.5. 4 KiB is also the smallest chunk, so every payload-sized
+/// checksum clears it, while manifests, recipes, journal frames and 1 KiB
+/// images keep the loop they always had.
+const LANE_MIN: usize = 4096;
+
+/// Lanes in flight. Each lane is one serial chain of table loads: two
+/// chains read ≈ 2.9 GB/s on 2 MiB, three or four ≈ 3.6, eight ≈ 2.6 (the
+/// sixteen-load steps of eight chains no longer fit in registers).
+const LANES: usize = 4;
+
 /// Streaming CRC-32 (IEEE 802.3, reflected): feed a payload piece by
 /// piece with [`update`](Crc32::update) and read the checksum with
 /// [`finish`](Crc32::finish). Any split of the same bytes yields the same
 /// value as one [`crc32`] call over their concatenation.
+///
+/// The kernel is slicing-by-16: one table load per input byte. One lane
+/// of it is latency-bound — every 16-byte step waits on the previous
+/// step's CRC — and reads ≈ 1.7–1.9 GB/s. A buffer of at least `LANE_MIN`
+/// bytes is therefore cut into four contiguous lanes of equal length (a
+/// multiple of 16) that advance in lockstep, so four dependency chains
+/// overlap, and a tail of fewer than 64 bytes that follows on one lane.
+/// The first lane starts from the running state and the others from zero;
+/// a CRC register is linear, so lane `i + 1` is joined by multiplying the
+/// running register by x^(8·lane length) mod P and adding the lane's
+/// register — the power is computed once per call, then one multiply per
+/// lane. That reads ≈ 3.8 GB/s on a 2 MiB buffer (2-vCPU x86-64 host,
+/// `integrity_kernels`), close to what one table load per byte allows;
+/// memcpy runs at ≈ 10–14 GB/s on the same core.
+///
+/// Neither hardware CRC is used: SSE4.2's `crc32` instruction computes
+/// CRC-32C (Castagnoli), a different polynomial, so adopting it changes
+/// every checksum on disk; PCLMULQDQ folding needs `unsafe` intrinsics and
+/// runtime feature dispatch, and every crate forbids `unsafe`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Crc32 {
     state: u32,
@@ -378,35 +411,28 @@ impl Crc32 {
 
     /// Fold `data` into the checksum.
     pub fn update(&mut self, data: &[u8]) {
-        let t = &CRC_TABLES;
-        let mut crc = self.state;
-        let mut blocks = data.chunks_exact(16);
-        for b in &mut blocks {
-            // The running CRC only touches the first four bytes of the
-            // block; the other twelve index their tables directly. Every
-            // index is a `u8`, so the table loads need no bounds checks.
-            let lo = (crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]])).to_le_bytes();
-            crc = t[15][lo[0] as usize]
-                ^ t[14][lo[1] as usize]
-                ^ t[13][lo[2] as usize]
-                ^ t[12][lo[3] as usize]
-                ^ t[11][b[4] as usize]
-                ^ t[10][b[5] as usize]
-                ^ t[9][b[6] as usize]
-                ^ t[8][b[7] as usize]
-                ^ t[7][b[8] as usize]
-                ^ t[6][b[9] as usize]
-                ^ t[5][b[10] as usize]
-                ^ t[4][b[11] as usize]
-                ^ t[3][b[12] as usize]
-                ^ t[2][b[13] as usize]
-                ^ t[1][b[14] as usize]
-                ^ t[0][b[15] as usize];
+        if data.len() < LANE_MIN {
+            self.state = fold(self.state, data);
+            return;
         }
-        for &byte in blocks.remainder() {
-            crc = (crc >> 8) ^ t[0][(crc as u8 ^ byte) as usize];
+        let lane = data.len() / (16 * LANES) * 16;
+        let (lanes, tail) = data.split_at(LANES * lane);
+        let (blocks, _) = lanes.as_chunks::<16>();
+        let (b0, rest) = blocks.split_at(lane / 16);
+        let (b1, rest) = rest.split_at(lane / 16);
+        let (b2, b3) = rest.split_at(lane / 16);
+        let mut c = [self.state, 0, 0, 0];
+        for (((x0, x1), x2), x3) in b0.iter().zip(b1).zip(b2).zip(b3) {
+            c[0] = fold16(c[0], x0);
+            c[1] = fold16(c[1], x1);
+            c[2] = fold16(c[2], x2);
+            c[3] = fold16(c[3], x3);
         }
-        self.state = crc;
+        let shift = x_pow_8n(lane as u64);
+        let joined = c[1..]
+            .iter()
+            .fold(c[0], |acc, &lane_crc| mul_mod_p(shift, acc) ^ lane_crc);
+        self.state = fold(joined, tail);
     }
 
     /// The checksum of everything fed so far.
@@ -415,7 +441,46 @@ impl Crc32 {
     }
 }
 
+/// One slicing-by-16 step: the register after `crc` has absorbed `b`.
+#[inline(always)]
+fn fold16(crc: u32, b: &[u8; 16]) -> u32 {
+    let t = &CRC_TABLES;
+    // The running CRC only touches the first four bytes of the block; the
+    // other twelve index their tables directly. Every index is a `u8`, so
+    // the table loads need no bounds checks.
+    let lo = (crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]])).to_le_bytes();
+    t[15][lo[0] as usize]
+        ^ t[14][lo[1] as usize]
+        ^ t[13][lo[2] as usize]
+        ^ t[12][lo[3] as usize]
+        ^ t[11][b[4] as usize]
+        ^ t[10][b[5] as usize]
+        ^ t[9][b[6] as usize]
+        ^ t[8][b[7] as usize]
+        ^ t[7][b[8] as usize]
+        ^ t[6][b[9] as usize]
+        ^ t[5][b[10] as usize]
+        ^ t[4][b[11] as usize]
+        ^ t[3][b[12] as usize]
+        ^ t[2][b[13] as usize]
+        ^ t[1][b[14] as usize]
+        ^ t[0][b[15] as usize]
+}
+
+/// The single-lane loop: 16-byte steps, then the tail a byte at a time.
+fn fold(mut crc: u32, data: &[u8]) -> u32 {
+    let (blocks, tail) = data.as_chunks::<16>();
+    for b in blocks {
+        crc = fold16(crc, b);
+    }
+    for &byte in tail {
+        crc = (crc >> 8) ^ CRC_TABLES[0][(crc as u8 ^ byte) as usize];
+    }
+    crc
+}
+
 /// CRC-32 (IEEE 802.3, reflected) — integrity check for image payloads.
+/// Payload-sized inputs take the four-lane path described on [`Crc32`].
 pub fn crc32(data: &[u8]) -> u32 {
     let mut c = Crc32::new();
     c.update(data);
@@ -463,8 +528,13 @@ static X_POW_2K: [u32; 32] = {
 /// plus one, a few dozen nanoseconds at any length — which is what lets an
 /// image's whole-file checksum fall out of its section checksums.
 pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    mul_mod_p(x_pow_8n(len_b), crc_a) ^ crc_b
+}
+
+/// x^(8·`n`) mod P: the shift that appending `n` bytes applies to a CRC.
+fn x_pow_8n(n: u64) -> u32 {
     let mut shift = 1u32 << 31; // x^0
-    let (mut n, mut k) = (len_b, 3); // bytes → bits: start at x^(2^3)
+    let (mut n, mut k) = (n, 3); // bytes → bits: start at x^(2^3)
     while n != 0 {
         if n & 1 != 0 {
             shift = mul_mod_p(X_POW_2K[k & 31], shift);
@@ -472,7 +542,7 @@ pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
         n >>= 1;
         k += 1;
     }
-    mul_mod_p(shift, crc_a) ^ crc_b
+    shift
 }
 
 #[cfg(test)]
@@ -617,18 +687,25 @@ mod tests {
     /// Bit-at-a-time CRC-32: the definition the table kernel is checked
     /// against.
     fn crc32_bitwise(data: &[u8]) -> u32 {
-        let mut crc = !0u32;
-        for &b in data {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ CRC_POLY
-                } else {
-                    crc >> 1
-                };
-            }
+        !data.iter().fold(!0u32, |crc, &b| bitwise_step(crc, b))
+    }
+
+    fn bitwise_step(mut crc: u32, b: u8) -> u32 {
+        crc ^= b as u32;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ CRC_POLY
+            } else {
+                crc >> 1
+            };
         }
-        !crc
+        crc
+    }
+
+    fn mixed(len: usize) -> Vec<u8> {
+        (0..len as u32)
+            .map(|i| (i.wrapping_mul(2654435761) >> 19) as u8)
+            .collect()
     }
 
     #[test]
@@ -660,6 +737,32 @@ mod tests {
                 assert_eq!(crc32(s), crc32_bitwise(s), "start {start} len {len}");
             }
         }
+    }
+
+    #[test]
+    fn crc32_matches_reference_across_the_lane_threshold() {
+        // Every length from just under the threshold to just past four
+        // times it — every lane length and tail around the cut-over — at
+        // all 16 start offsets. The reference for one start is a single
+        // bitwise pass, read off after each prefix length.
+        let (lo, hi) = (LANE_MIN - 64, 4 * LANE_MIN + 64);
+        let buf = mixed(16 + hi);
+        for start in 0..16 {
+            let mut reg = !0u32;
+            for (len, &b) in (1..=hi).zip(&buf[start..]) {
+                reg = bitwise_step(reg, b);
+                if len >= lo {
+                    let s = &buf[start..start + len];
+                    assert_eq!(crc32(s), !reg, "start {start} len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_reference_on_a_two_mib_buffer() {
+        let buf = mixed((2 << 20) + 37);
+        assert_eq!(crc32(&buf), crc32_bitwise(&buf));
     }
 
     #[test]
@@ -743,9 +846,10 @@ mod tests {
             }
         }
 
+        // Three quarters of the lengths below take the four-lane path.
         #[test]
         fn crc32_differential_lengths_and_alignments(
-            buf in proptest::collection::vec(any::<u8>(), 16..=16 + 4096),
+            buf in proptest::collection::vec(any::<u8>(), 16..=16 + 4 * LANE_MIN),
         ) {
             let len = buf.len() - 16;
             for start in 0..16 {
@@ -756,10 +860,22 @@ mod tests {
 
         #[test]
         fn crc32_streaming_equals_one_shot_at_any_split(
-            data in proptest::collection::vec(any::<u8>(), 0..=4096),
-            cuts in proptest::collection::vec(any::<usize>(), 0..8),
+            data in proptest::collection::vec(any::<u8>(), 0..=4 * LANE_MIN),
+            cuts in proptest::collection::vec((any::<usize>(), any::<bool>()), 0..8),
         ) {
-            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+            // A cut lands anywhere — usually inside a lane of the one-shot
+            // layout — or exactly on one of that layout's lane boundaries.
+            let lane = data.len() / (16 * LANES) * 16;
+            let mut cuts: Vec<usize> = cuts
+                .iter()
+                .map(|&(c, on_boundary)| {
+                    if on_boundary {
+                        c % (LANES + 1) * lane
+                    } else {
+                        c % (data.len() + 1)
+                    }
+                })
+                .collect();
             cuts.sort_unstable();
             let mut c = Crc32::new();
             let mut from = 0;
