@@ -13,7 +13,10 @@
 //! * `upper_encode` / `upper_decode` — an `UpperHalf` of one 2 MiB segment
 //!   through the codec's byte path (a copy);
 //! * `image_to_bytes` / `image_from_bytes` — the flat image file built and
-//!   parsed with its whole-file CRC (one CRC pass and one copy each).
+//!   parsed with its whole-file CRC (one CRC pass and one copy each);
+//! * `image_encode_into` — what a rank does instead of `image_to_bytes`:
+//!   the `UpperHalf` and a metadata value encoded straight into a file
+//!   buffer kept across iterations and sealed there.
 //!
 //! `crc32_combine` is reported as time per call, at 1 KiB and 2 MiB: it is
 //! what the whole-file CRC costs now that no pass is made for it.
@@ -24,7 +27,9 @@
 //! `image_to_bytes` must stay within 1.5 × of `crc32` plus one copy
 //! (`upper_encode`) — beyond that a second pass has crept back in; and
 //! `crc32` at 2 MiB reading under 1.8 × `crc32_1k` means the lanes are
-//! gone (one lane is latency-bound at the `crc32_1k` rate, four overlap).
+//! gone (one lane is latency-bound at the `crc32_1k` rate, four overlap);
+//! and `image_encode_into` within 1.1 × of `image_to_bytes` — the rank's
+//! path is one copy and one CRC.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use splitproc::{chunk, crc32, crc32_combine, ChunkParams, CkptImage, Decode, Encode, UpperHalf};
@@ -88,6 +93,16 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("image_from_bytes", |b| {
         b.iter(|| CkptImage::from_bytes_with_crc(black_box(&file)).map(|(_, crc)| crc))
+    });
+    let meta = buf[..1024].to_vec();
+    let mut kept = Vec::new();
+    g.bench_function("image_encode_into", |b| {
+        b.iter(|| {
+            let encoded = image
+                .head()
+                .encode_into(&mut kept, black_box(&upper), &meta);
+            encoded.seal().1
+        })
     });
     g.finish();
 

@@ -145,6 +145,11 @@ pub struct Mana<'p> {
     pub(crate) lh: LowerHalf<'p>,
     pub(crate) cfg: ManaConfig,
     pub(crate) upper: UpperHalf,
+    /// This rank's image file buffer, kept for its lifetime: every
+    /// checkpoint encodes into it ([`splitproc::ImageHead::encode_into`])
+    /// and the store seals and writes it in place, so a round after the
+    /// first allocates no payload-sized memory.
+    pub(crate) image_buf: Vec<u8>,
     pub(crate) comms: CommManager,
     pub(crate) wins: WinManager,
     pub(crate) reqs: RequestManager,
@@ -180,6 +185,7 @@ impl<'p> Mana<'p> {
             p2p: P2pLog::new(n),
             drain_buf: DrainBuffer::new(),
             upper: UpperHalf::new(),
+            image_buf: Vec::new(),
             coord,
             commit: CommitState::new(),
             in_ckpt: false,

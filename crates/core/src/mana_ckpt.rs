@@ -31,7 +31,7 @@ use mpisim::{fnv1a_usizes, Comm, Group, Proc, RReq, SrcSel, TagSel};
 use obs::metrics as met;
 use obs::{EventKind, FaultKind, Phase};
 use splitproc::store;
-use splitproc::{CkptImage, Decode, Encode, LowerHalf, Reader, UpperHalf};
+use splitproc::{CkptImage, Decode, Encode, ImageHead, LowerHalf, Reader, UpperHalf};
 
 /// Everything MANA saves alongside the upper half.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -164,29 +164,12 @@ impl<'p> Mana<'p> {
         self.check_ckpt_invariants()?;
         // Window regions are read through the lower half, which can fail;
         // everything after is infallible up to the write, so the
-        // ImageWrite span opens here and covers serializing the image
-        // (upper half and metadata) as well as landing it.
+        // ImageWrite span opens here and covers encoding the image (upper
+        // half and metadata, into this rank's kept buffer) as well as
+        // landing it.
         let r = round as i64;
         let wins = self.wins_to_meta()?;
         let write = self.tel.begin(r, Phase::ImageWrite);
-        // The drain buffer is lent to the metadata for the encode and
-        // handed straight back (nothing between can fail): drained
-        // payloads are not copied just to be serialized.
-        let meta = ManaMeta {
-            comm: self.comms.to_meta(),
-            reqs: self.reqs.to_meta(),
-            collops: self.collops.to_meta(),
-            drain_buf: std::mem::take(&mut self.drain_buf),
-            wins,
-        };
-        let image = CkptImage {
-            rank: self.rank(),
-            world_size: self.world_size(),
-            round,
-            upper: self.upper.to_bytes(),
-            meta: meta.to_bytes(),
-        };
-        self.drain_buf = meta.drain_buf;
         // Durable write into this round's generation directory. A seeded
         // storage fault (chaos) wraps the store's backend: write errors
         // surface here as CkptFailed; torn writes and bit flips corrupt
@@ -217,7 +200,24 @@ impl<'p> Mana<'p> {
             self.tel.clone(),
             blobs,
         );
-        let wrote = store.write_image(&image);
+        let head = ImageHead {
+            rank: self.rank(),
+            world_size: self.world_size(),
+            round,
+        };
+        // The drain buffer is lent to the metadata for the encode and
+        // handed straight back (nothing between can fail): drained
+        // payloads are not copied just to be serialized.
+        let meta = ManaMeta {
+            comm: self.comms.to_meta(),
+            reqs: self.reqs.to_meta(),
+            collops: self.collops.to_meta(),
+            drain_buf: std::mem::take(&mut self.drain_buf),
+            wins,
+        };
+        let image = head.encode_into(&mut self.image_buf, &self.upper, &meta);
+        self.drain_buf = meta.drain_buf;
+        let wrote = store.write_encoded(image);
         self.tel.end(write);
         let mut commit = None;
         match wrote {
@@ -469,9 +469,17 @@ impl<'p> Mana<'p> {
             )));
         }
         let upper = UpperHalf::from_bytes(&image.upper)?;
-        let meta = ManaMeta::from_bytes(&image.meta)?;
+        // Taken apart so the drained payloads move into the rank rather
+        // than being copied out of the decoded metadata.
+        let ManaMeta {
+            comm,
+            reqs,
+            collops,
+            drain_buf,
+            wins,
+        } = ManaMeta::from_bytes(&image.meta)?;
         let lh = LowerHalf::new(proc, cfg.fs_mode);
-        let mut comms = CommManager::from_meta(&meta.comm, cfg.vtable);
+        let mut comms = CommManager::from_meta(&comm, cfg.vtable);
         let mut stats = crate::mana::ManaStats::default();
         let tel = Self::telemetry(proc, &cfg);
         let restoring = tel.begin(image.round as i64, Phase::RestoreComms);
@@ -484,7 +492,7 @@ impl<'p> Mana<'p> {
                 // §III-C: only live communicators, straight from their
                 // groups. vid order is creation order, consistent among
                 // shared members.
-                for rec in meta.comm.records.iter().filter(|r| !r.freed) {
+                for rec in comm.records.iter().filter(|r| !r.freed) {
                     if rec.vid == VCOMM_WORLD.0 || !rec.world_ranks.contains(&me) {
                         continue;
                     }
@@ -499,7 +507,7 @@ impl<'p> Mana<'p> {
             CommRestore::ReplayLog => {
                 // Original MANA baseline: replay every constructor, freed
                 // or not (freed ones are wasted work + table bloat).
-                for call in &meta.comm.replay_log {
+                for call in &comm.replay_log {
                     match call {
                         crate::comm_mgr::CommCall::Create { vid, world_ranks } => {
                             if !world_ranks.contains(&me) {
@@ -527,12 +535,13 @@ impl<'p> Mana<'p> {
         let mut mana = Mana {
             lh,
             comms,
-            wins: crate::mana_win::WinManager::from_meta(&meta.wins, cfg.vtable),
-            reqs: RequestManager::from_meta(&meta.reqs, cfg.vtable),
-            collops: crate::collective_emu::CollOpTable::from_meta(&meta.collops),
+            wins: crate::mana_win::WinManager::from_meta(&wins, cfg.vtable),
+            reqs: RequestManager::from_meta(&reqs, cfg.vtable),
+            collops: crate::collective_emu::CollOpTable::from_meta(&collops),
             p2p: P2pLog::new(proc.world_size()),
-            drain_buf: meta.drain_buf.clone(),
+            drain_buf,
             upper,
+            image_buf: Vec::new(),
             coord,
             commit: crate::callbacks::CommitState::new(),
             in_ckpt: false,
@@ -544,7 +553,7 @@ impl<'p> Mana<'p> {
             tel,
             cfg,
         };
-        mana.restore_wins(&meta.wins)?;
+        mana.restore_wins(&wins)?;
         Ok(mana)
     }
 }

@@ -856,6 +856,67 @@ fn repeated_checkpoint_rounds() {
 }
 
 #[test]
+fn kept_image_buffer_writes_what_a_fresh_encoding_would() {
+    // Each rank encodes every round into one buffer it keeps. Two
+    // resume-mode rounds, the second image smaller than the first, must
+    // leave on disk exactly the files a fresh `CkptImage` encoding of the
+    // same upper half and metadata gives, in both layouts.
+    use splitproc::store::{generation_dir, Store, StoreMode};
+    use splitproc::{CkptImage, Decode, Encode, UpperHalf};
+    let n = 2;
+    for mode in [StoreMode::Flat, StoreMode::Chunked] {
+        let mut config = cfg(&format!("kept_buf_{}", mode.name()));
+        config.store.mode = mode;
+        let dir = config.ckpt_dir.clone();
+        let report = ManaRuntime::new(n, config.clone())
+            .with_world_cfg(wcfg())
+            .run_fresh(|m| {
+                let w = m.comm_world();
+                for step in 0..6u64 {
+                    if step % 3 == 0 {
+                        let len = (3 - step as usize / 3) * 40_000 + 7 * m.rank();
+                        m.upper_mut()
+                            .write_segment("state", vec![step as u8 + 1; len]);
+                        if m.rank() == 0 && m.round() == step / 3 {
+                            m.request_checkpoint()?;
+                        }
+                    }
+                    m.allreduce_t(w, ReduceOp::Sum, &[step])?;
+                }
+                Ok(m.round())
+            })
+            .unwrap();
+        assert_eq!(report.coord.rounds.len(), 2, "{}", mode.name());
+        let store = Store::open(&dir, config.store.clone());
+        let mut lens = Vec::new();
+        for round in 0..2u64 {
+            let manifest = store.read_manifest(round).unwrap();
+            for rank in 0..n {
+                let image = store.load_image(round, rank).unwrap();
+                let upper = UpperHalf::from_bytes(&image.upper).unwrap();
+                lens.push(upper.segment("state").unwrap().len());
+                let fresh = CkptImage {
+                    upper: upper.to_bytes(),
+                    meta: mana_core::ManaMeta::from_bytes(&image.meta)
+                        .unwrap()
+                        .to_bytes(),
+                    ..image.clone()
+                };
+                assert_eq!(image, fresh, "{} round {round} rank {rank}", mode.name());
+                if mode == StoreMode::Flat {
+                    let path = CkptImage::path_for(&generation_dir(&dir, round), rank);
+                    let (file, crc) = fresh.to_bytes_with_crc();
+                    assert_eq!(std::fs::read(path).unwrap(), file);
+                    assert_eq!(manifest.entries[rank].crc, crc);
+                }
+            }
+        }
+        assert_eq!(lens, [120_000, 120_007, 80_000, 80_007]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
 fn round1_write_failure_aborts_and_restart_uses_round0() {
     // The tentpole robustness scenario: round 0 commits and the job
     // exits; after restart, rank 1's image write fails during round 1

@@ -18,8 +18,17 @@
 //!                           active communicator list, pending requests,
 //!                           drain buffers)
 //! ```
+//!
+//! The format has one writer and one reader. [`ImageHead::encode_into`]
+//! encodes the two sections into a caller's buffer behind a header gap and
+//! [`EncodedImage::seal`] fills the gap in; a rank keeps that buffer across
+//! rounds, and [`CkptImage::to_bytes_with_crc`] is the same encoder on a
+//! fresh one. `verify` checks a file, and the sections it vouches for are
+//! then copied out ([`CkptImage::from_bytes_with_crc`]) or, by the store's
+//! reader, carved out of the file buffer itself (`Verified::carve`).
 
-use crate::codec::{crc32, crc32_combine};
+use crate::codec::{crc32, crc32_combine, Encode};
+use std::borrow::Cow;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -66,6 +75,140 @@ impl From<io::Error> for ImageError {
     }
 }
 
+/// The header fields of an image that are not about its payloads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ImageHead {
+    /// World rank the image belongs to.
+    pub rank: usize,
+    /// World size at checkpoint time.
+    pub world_size: usize,
+    /// Checkpoint round.
+    pub round: u64,
+}
+
+impl ImageHead {
+    /// The one encoder of the image format: clear `buf` (its capacity is
+    /// kept), leave a header-sized gap, and append the encodings of
+    /// `upper` and `meta` behind it — straight from the values, so a
+    /// buffer a rank keeps across rounds allocates nothing once it has
+    /// grown. The header is written by [`EncodedImage::seal`].
+    ///
+    /// The buffer never keeps more than twice what it holds: an image that
+    /// fills less than half the capacity shrinks the buffer to fit.
+    pub fn encode_into<'a>(
+        self,
+        buf: &'a mut Vec<u8>,
+        upper: &impl Encode,
+        meta: &impl Encode,
+    ) -> EncodedImage<'a> {
+        buf.clear();
+        buf.resize(HEADER_LEN, 0);
+        upper.encode(buf);
+        let upper_len = buf.len() - HEADER_LEN;
+        meta.encode(buf);
+        if buf.len() < buf.capacity() / 2 {
+            buf.shrink_to_fit();
+        }
+        EncodedImage {
+            head: self,
+            sections: Sections::InBuffer { buf, upper_len },
+        }
+    }
+}
+
+/// An encoded image not yet sealed: its header fields and its two
+/// sections, either in a buffer behind a header gap
+/// ([`ImageHead::encode_into`]) or borrowed from a [`CkptImage`]
+/// ([`CkptImage::encoded`]). It is what the store's one write routine
+/// takes: a flat write seals it, a chunked write reads its sections where
+/// they lie.
+pub struct EncodedImage<'a> {
+    head: ImageHead,
+    sections: Sections<'a>,
+}
+
+enum Sections<'a> {
+    InBuffer {
+        buf: &'a mut Vec<u8>,
+        upper_len: usize,
+    },
+    Borrowed {
+        upper: &'a [u8],
+        meta: &'a [u8],
+    },
+}
+
+/// Raw section bytes, appended as they are (a `Vec<u8>`'s encoding would
+/// prefix the length).
+struct Raw<'a>(&'a [u8]);
+
+impl Encode for Raw<'_> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.0);
+    }
+}
+
+impl<'a> EncodedImage<'a> {
+    /// The image's header fields.
+    pub(crate) fn head(&self) -> ImageHead {
+        self.head
+    }
+
+    /// The serialized upper half and MANA metadata.
+    pub(crate) fn sections(&self) -> (&[u8], &[u8]) {
+        match &self.sections {
+            Sections::InBuffer { buf, upper_len } => buf[HEADER_LEN..].split_at(*upper_len),
+            Sections::Borrowed { upper, meta } => (*upper, *meta),
+        }
+    }
+
+    /// Size of the image file (header + payloads).
+    pub(crate) fn size_bytes(&self) -> usize {
+        let (upper, meta) = self.sections();
+        HEADER_LEN + upper.len() + meta.len()
+    }
+
+    /// The image file and its CRC-32. A buffered image is sealed in
+    /// place: one CRC pass per section, then the header (which stores
+    /// both) into the gap; the file's CRC is combined from the header's
+    /// and the sections' ([`crc32_combine`]), so no payload byte is read
+    /// for it. Borrowed sections are first encoded into a fresh buffer.
+    pub fn seal(self) -> (Cow<'a, [u8]>, u32) {
+        let (buf, upper_len) = match self.sections {
+            Sections::InBuffer { buf, upper_len } => (buf, upper_len),
+            Sections::Borrowed { upper, meta } => {
+                let mut file = Vec::with_capacity(HEADER_LEN + upper.len() + meta.len());
+                let crc = self
+                    .head
+                    .encode_into(&mut file, &Raw(upper), &Raw(meta))
+                    .seal()
+                    .1;
+                return (Cow::Owned(file), crc);
+            }
+        };
+        let (upper, meta) = buf[HEADER_LEN..].split_at(upper_len);
+        let upper = (crc32(upper), upper.len());
+        let meta = (crc32(meta), meta.len());
+        let head = self.head;
+        let mut at = 0;
+        let mut put = |field: &[u8]| {
+            buf[at..at + field.len()].copy_from_slice(field);
+            at += field.len();
+        };
+        put(MAGIC);
+        put(&VERSION.to_le_bytes());
+        put(&(head.rank as u64).to_le_bytes());
+        put(&(head.world_size as u64).to_le_bytes());
+        put(&head.round.to_le_bytes());
+        put(&(upper.1 as u64).to_le_bytes());
+        put(&(meta.1 as u64).to_le_bytes());
+        put(&upper.0.to_le_bytes());
+        put(&meta.0.to_le_bytes());
+        let crc = file_crc(&buf[..HEADER_LEN], upper, meta);
+        (Cow::Borrowed(buf), crc)
+    }
+}
+
 /// One rank's checkpoint image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CkptImage {
@@ -93,35 +236,38 @@ impl CkptImage {
         dir.join(format!("ckpt_rank_{rank:05}.mana"))
     }
 
+    /// The image's header fields.
+    pub fn head(&self) -> ImageHead {
+        ImageHead {
+            rank: self.rank,
+            world_size: self.world_size,
+            round: self.round,
+        }
+    }
+
+    /// This image as the store's write routine takes it, its sections
+    /// borrowed where they lie.
+    pub(crate) fn encoded(&self) -> EncodedImage<'_> {
+        EncodedImage {
+            head: self.head(),
+            sections: Sections::Borrowed {
+                upper: &self.upper,
+                meta: &self.meta,
+            },
+        }
+    }
+
     /// Serialize to bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.to_bytes_with_crc().0
     }
 
-    /// Serialize to bytes, and return the file's CRC-32 with them. The
-    /// section checksums the header stores anyway are combined with the
-    /// header's own ([`crc32_combine`]), so no payload byte is read a
-    /// second time for it.
+    /// Serialize to bytes, and return the file's CRC-32 with them: the
+    /// one encoder ([`ImageHead::encode_into`]) writing into a fresh
+    /// buffer, sealed ([`EncodedImage::seal`]).
     pub fn to_bytes_with_crc(&self) -> (Vec<u8>, u32) {
-        let (upper_crc, meta_crc) = (crc32(&self.upper), crc32(&self.meta));
-        let mut out = Vec::with_capacity(self.size_bytes());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.rank as u64).to_le_bytes());
-        out.extend_from_slice(&(self.world_size as u64).to_le_bytes());
-        out.extend_from_slice(&self.round.to_le_bytes());
-        out.extend_from_slice(&(self.upper.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(self.meta.len() as u64).to_le_bytes());
-        out.extend_from_slice(&upper_crc.to_le_bytes());
-        out.extend_from_slice(&meta_crc.to_le_bytes());
-        let file_crc = file_crc(
-            &out,
-            (upper_crc, self.upper.len()),
-            (meta_crc, self.meta.len()),
-        );
-        out.extend_from_slice(&self.upper);
-        out.extend_from_slice(&self.meta);
-        (out, file_crc)
+        let (file, crc) = self.encoded().seal();
+        (file.into_owned(), crc)
     }
 
     /// Parse from bytes, verifying magic, version, sizes, and CRCs.
@@ -136,48 +282,87 @@ impl CkptImage {
     /// payloads again. The payloads are copied out only after both CRCs
     /// pass, so a corrupt image costs only the CRC pass that exposes it.
     pub fn from_bytes_with_crc(buf: &[u8]) -> Result<(Self, u32), ImageError> {
-        if buf.len() < HEADER_LEN {
-            return Err(ImageError::Truncated);
+        let file = verify(buf)?;
+        let (upper, meta) = buf[HEADER_LEN..].split_at(file.upper_len);
+        Ok((file.image(upper.to_vec(), meta.to_vec()), file.crc))
+    }
+}
+
+/// What [`verify`] found in a file whose magic, version, sizes and section
+/// CRCs all check out.
+pub(crate) struct Verified {
+    head: ImageHead,
+    upper_len: usize,
+    /// CRC-32 of the whole file, combined from the verified sections'.
+    pub(crate) crc: u32,
+}
+
+impl Verified {
+    fn image(&self, upper: Vec<u8>, meta: Vec<u8>) -> CkptImage {
+        CkptImage {
+            rank: self.head.rank,
+            world_size: self.head.world_size,
+            round: self.head.round,
+            upper,
+            meta,
         }
-        if &buf[0..8] != MAGIC {
-            return Err(ImageError::BadMagic);
-        }
-        let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-        if version != VERSION {
-            return Err(ImageError::BadVersion(version));
-        }
-        let rd_u64 = |off: usize| u64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
-        let (upper_len, meta_len) = (rd_u64(36) as usize, rd_u64(44) as usize);
-        let upper_crc = u32::from_le_bytes(buf[52..56].try_into().unwrap());
-        let meta_crc = u32::from_le_bytes(buf[56..60].try_into().unwrap());
-        // checked_add: a corrupt header can claim lengths whose sum wraps
-        // usize, which would otherwise pass the size check in release
-        // builds and panic (or worse) on the slices below.
-        let expected = HEADER_LEN
-            .checked_add(upper_len)
-            .and_then(|n| n.checked_add(meta_len))
-            .ok_or(ImageError::Truncated)?;
-        if buf.len() != expected {
-            return Err(ImageError::Truncated);
-        }
-        let (upper, meta) = buf[HEADER_LEN..].split_at(upper_len);
-        if crc32(upper) != upper_crc {
-            return Err(ImageError::BadCrc { section: "upper" });
-        }
-        if crc32(meta) != meta_crc {
-            return Err(ImageError::BadCrc { section: "meta" });
-        }
-        let image = CkptImage {
+    }
+
+    /// The image, carved out of the verified file `buf` instead of copied
+    /// out of it: the meta section is split off and the header moved out
+    /// in place, so what is left of the buffer is the upper section and
+    /// it needs no allocation of its own.
+    pub(crate) fn carve(self, mut buf: Vec<u8>) -> CkptImage {
+        let meta = buf.split_off(HEADER_LEN + self.upper_len);
+        buf.drain(..HEADER_LEN);
+        self.image(buf, meta)
+    }
+}
+
+/// The one parser of the image format: check magic, version, sizes and
+/// both section CRCs of the file `buf`, reading each payload byte once.
+pub(crate) fn verify(buf: &[u8]) -> Result<Verified, ImageError> {
+    if buf.len() < HEADER_LEN {
+        return Err(ImageError::Truncated);
+    }
+    if &buf[0..8] != MAGIC {
+        return Err(ImageError::BadMagic);
+    }
+    let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
+    if version != VERSION {
+        return Err(ImageError::BadVersion(version));
+    }
+    let rd_u64 = |off: usize| u64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
+    let (upper_len, meta_len) = (rd_u64(36) as usize, rd_u64(44) as usize);
+    let upper_crc = u32::from_le_bytes(buf[52..56].try_into().unwrap());
+    let meta_crc = u32::from_le_bytes(buf[56..60].try_into().unwrap());
+    // checked_add: a corrupt header can claim lengths whose sum wraps
+    // usize, which would otherwise pass the size check in release
+    // builds and panic (or worse) on the slices below.
+    let expected = HEADER_LEN
+        .checked_add(upper_len)
+        .and_then(|n| n.checked_add(meta_len))
+        .ok_or(ImageError::Truncated)?;
+    if buf.len() != expected {
+        return Err(ImageError::Truncated);
+    }
+    let (upper, meta) = buf[HEADER_LEN..].split_at(upper_len);
+    if crc32(upper) != upper_crc {
+        return Err(ImageError::BadCrc { section: "upper" });
+    }
+    if crc32(meta) != meta_crc {
+        return Err(ImageError::BadCrc { section: "meta" });
+    }
+    let header = &buf[..HEADER_LEN];
+    Ok(Verified {
+        head: ImageHead {
             rank: rd_u64(12) as usize,
             world_size: rd_u64(20) as usize,
             round: rd_u64(28),
-            upper: upper.to_vec(),
-            meta: meta.to_vec(),
-        };
-        let header = &buf[..HEADER_LEN];
-        let file_crc = file_crc(header, (upper_crc, upper_len), (meta_crc, meta_len));
-        Ok((image, file_crc))
-    }
+        },
+        upper_len,
+        crc: file_crc(header, (upper_crc, upper_len), (meta_crc, meta_len)),
+    })
 }
 
 /// CRC-32 of the file `header ‖ upper ‖ meta`, from the header's bytes and
@@ -190,6 +375,7 @@ fn file_crc(header: &[u8], upper: (u32, usize), meta: (u32, usize)) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::UpperHalf;
 
     fn sample() -> CkptImage {
         CkptImage {
@@ -233,6 +419,90 @@ mod tests {
             let (back, read_crc) = CkptImage::from_bytes_with_crc(&bytes).unwrap();
             assert_eq!(read_crc, crc, "read side, upper {upper_len}");
             assert_eq!(back, img);
+        }
+    }
+
+    /// An upper half of one `len`-byte segment and a metadata value, and
+    /// the image a fresh encoding of them gives.
+    fn state(len: usize, round: u64) -> (UpperHalf, (Vec<u8>, u64), CkptImage) {
+        let mut upper = UpperHalf::new();
+        let bytes = (0..len as u32).map(|i| (i.wrapping_mul(2654435761) >> 11) as u8);
+        upper.write_segment("state", bytes.collect());
+        let meta = (vec![round as u8; 33], round);
+        let image = CkptImage {
+            rank: 5,
+            world_size: 8,
+            round,
+            upper: upper.to_bytes(),
+            meta: meta.to_bytes(),
+        };
+        (upper, meta, image)
+    }
+
+    #[test]
+    fn encode_into_is_the_fresh_encoding_in_a_fresh_or_reused_buffer() {
+        let sizes = [0, 1 << 10, (2 << 20) + 37];
+        let mut kept = Vec::new();
+        // Largest first, so every later encode reuses a buffer with room
+        // to spare (and must leave none of the earlier image behind).
+        for (round, &len) in sizes.iter().rev().enumerate() {
+            let (upper, meta, want) = state(len, round as u64);
+            let (want_file, want_crc) = want.to_bytes_with_crc();
+            for reused in [false, true] {
+                let mut fresh = Vec::new();
+                let buf = if reused { &mut kept } else { &mut fresh };
+                let encoded = want.head().encode_into(buf, &upper, &meta);
+                assert_eq!(encoded.sections(), (&want.upper[..], &want.meta[..]));
+                assert_eq!(encoded.size_bytes(), want.size_bytes());
+                let (file, crc) = encoded.seal();
+                assert_eq!((&file[..], crc), (&want_file[..], want_crc), "{len} B");
+                assert_eq!(crc, crc32(&file));
+            }
+            assert_eq!(kept, want_file, "no stale tail after {len} B");
+        }
+    }
+
+    #[test]
+    fn a_same_size_encode_reuses_the_buffer_in_place() {
+        let (upper, meta, image) = state((2 << 20) + 37, 1);
+        let mut buf = Vec::new();
+        image.head().encode_into(&mut buf, &upper, &meta).seal();
+        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        let (file, _) = image.head().encode_into(&mut buf, &upper, &meta).seal();
+        assert_eq!(file, image.to_bytes());
+        assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap));
+    }
+
+    #[test]
+    fn an_image_under_half_the_capacity_shrinks_the_buffer() {
+        let (big_upper, big_meta, big) = state(64 << 10, 0);
+        let mut buf = Vec::new();
+        big.head().encode_into(&mut buf, &big_upper, &big_meta);
+        let cap = buf.capacity();
+        // Above half the capacity: kept as it is.
+        let (upper, meta, image) = state(cap / 2 + 100, 1);
+        image.head().encode_into(&mut buf, &upper, &meta);
+        assert_eq!(buf.capacity(), cap);
+        assert!(buf.len() >= cap / 2);
+        // Just below half: shrunk to what the image needs.
+        let (upper, meta, image) = state(cap / 2 - 200, 2);
+        assert!(image.size_bytes() < cap / 2);
+        let (file, _) = image.head().encode_into(&mut buf, &upper, &meta).seal();
+        assert_eq!(file, image.to_bytes());
+        assert!(buf.capacity() < cap / 2, "{} of {cap}", buf.capacity());
+        assert!(buf.len() >= buf.capacity() / 2);
+    }
+
+    #[test]
+    fn carving_gives_what_the_copying_parse_gives() {
+        for len in [0, 1 << 10, (2 << 20) + 37] {
+            let (_, _, image) = state(len, 3);
+            let (file, crc) = image.to_bytes_with_crc();
+            let copied = CkptImage::from_bytes_with_crc(&file).unwrap();
+            let verified = verify(&file).unwrap();
+            let carved = (verified.crc, verified.carve(file));
+            assert_eq!((carved.1, carved.0), copied);
+            assert_eq!(copied, (image, crc));
         }
     }
 

@@ -38,7 +38,7 @@ mod upperhalf;
 pub use chunk::{ChunkId, ChunkParams, ChunkRef, Recipe, RecipeError, RecipeVersion};
 pub use codec::{crc32, crc32_combine, CodecError, Crc32, Decode, Encode, Reader};
 pub use fsreg::{ContextSwitcher, FsMode};
-pub use image::{CkptImage, ImageError};
+pub use image::{CkptImage, EncodedImage, ImageError, ImageHead};
 pub use journal::{EpochState, Journal, JournalRecord, JournalStep};
 pub use lowerhalf::LowerHalf;
 pub use store::{

@@ -40,8 +40,9 @@ use crate::blobs::PutMode;
 pub use crate::blobs::{Blobs, FaultyBlobs, LocalFs, WriteFault};
 use crate::chunk::{self, ChunkId, ChunkParams, ChunkRef, Recipe, RecipeVersion};
 use crate::codec::{crc32, Crc32};
-use crate::image::CkptImage;
+use crate::image::{self, CkptImage, EncodedImage, ImageHead};
 use obs::metrics as met;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
@@ -520,13 +521,17 @@ impl Store {
 
     // ---- writes ------------------------------------------------------------
 
-    /// Durably write `image` into its generation directory. Flat mode
-    /// lands one self-contained image file; chunked mode lands the chunks
-    /// the pool does not hold yet, then a recipe. Either way the rank's
-    /// file is its commit point and lands last, and the outcome reports
-    /// that file's intended bytes and CRC — what the coordinator is told.
-    pub fn write_image(&self, image: &CkptImage) -> Result<WriteOutcome, StoreError> {
-        let dir = generation_dir(&self.root, image.round);
+    /// Durably write `image` into its generation directory: the store's
+    /// one rank-write routine. Flat mode seals the image
+    /// ([`EncodedImage::seal`] — in place when it was encoded into a
+    /// rank's buffer) and lands it as one self-contained file; chunked
+    /// mode cuts its two sections where they lie, lands the chunks the
+    /// pool does not hold yet, then a recipe. Either way the rank's file
+    /// is its commit point and lands last, and the outcome reports that
+    /// file's intended bytes and CRC — what the coordinator is told.
+    pub fn write_encoded(&self, image: EncodedImage<'_>) -> Result<WriteOutcome, StoreError> {
+        let head = image.head();
+        let dir = generation_dir(&self.root, head.round);
         let mut out = WriteOutcome {
             logical_bytes: image.size_bytes(),
             ..WriteOutcome::default()
@@ -536,19 +541,21 @@ impl Store {
         // bytes and is simply read.
         let (path, bytes) = match self.cfg.mode {
             StoreMode::Flat => {
-                let (bytes, crc) = image.to_bytes_with_crc();
+                let (bytes, crc) = image.seal();
                 out.crc = crc;
-                (CkptImage::path_for(&dir, image.rank), bytes)
+                (CkptImage::path_for(&dir, head.rank), bytes)
             }
             StoreMode::Chunked => {
-                let bytes = self.write_chunks(image, &mut out)?.to_bytes();
+                let bytes = self
+                    .write_chunks(head, image.sections(), &mut out)?
+                    .to_bytes();
                 out.crc = crc32(&bytes);
-                (recipe_path_for(&dir, image.rank), bytes)
+                (recipe_path_for(&dir, head.rank), Cow::Owned(bytes))
             }
         };
         out.bytes = bytes.len();
         out.physical_bytes += bytes.len();
-        let round = image.round as i64;
+        let round = head.round as i64;
         let (retries, fsyncs) = self.put_commit(&path, &bytes, round)?;
         out.retries = retries;
         // The generation directory and the pool are names in the root; a
@@ -582,19 +589,29 @@ impl Store {
         Ok(out)
     }
 
-    /// The pool half of a chunked write: one pass over each payload cuts
+    /// [`Store::write_encoded`] of a decoded image, its sections borrowed
+    /// ([`CkptImage::encoded`]): a flat write encodes them into a fresh
+    /// file buffer (the one copy a flat file needs), a chunked write
+    /// reads them where they lie.
+    pub fn write_image(&self, image: &CkptImage) -> Result<WriteOutcome, StoreError> {
+        self.write_encoded(image.encoded())
+    }
+
+    /// The pool half of a chunked write: one pass over each section cuts
     /// it at content-defined boundaries, keys each chunk and takes the
-    /// payload's CRC ([`chunk::chunk_payload`]); then land the chunks the
+    /// section's CRC ([`chunk::chunk_payload`]); then land the chunks the
     /// pool does not hold (bounded parallel writers, then one directory
     /// sync per touched shard and one for the pool), and return the recipe
     /// naming them.
     fn write_chunks(
         &self,
-        image: &CkptImage,
+        head: ImageHead,
+        (upper, meta): (&[u8], &[u8]),
         out: &mut WriteOutcome,
     ) -> Result<Recipe, StoreError> {
-        let (upper, upper_crc) = chunk::chunk_payload(&image.upper, self.cfg.chunk);
-        let (meta, meta_crc) = chunk::chunk_payload(&image.meta, self.cfg.chunk);
+        let (upper_len, meta_len) = (upper.len() as u64, meta.len() as u64);
+        let (upper, upper_crc) = chunk::chunk_payload(upper, self.cfg.chunk);
+        let (meta, meta_crc) = chunk::chunk_payload(meta, self.cfg.chunk);
         // Dedup: a chunk already in the pool (from any generation, or
         // another rank of this round) is not rewritten — if what is there
         // has the chunk's length. A shorter file is a torn write an
@@ -618,7 +635,7 @@ impl Store {
             // Bounded worker pipeline: `chunk_writers` threads drain the
             // fresh chunk list concurrently; each chunk costs one file
             // fsync, no per-chunk directory fsync.
-            let mode = PutMode::Pooled { writer: image.rank };
+            let mode = PutMode::Pooled { writer: head.rank };
             fan_out(self.cfg.chunk_writers, fresh.len(), |i| {
                 let (path, data) = &fresh[i];
                 self.blobs.put_atomic(path, data, mode).1
@@ -636,11 +653,11 @@ impl Store {
         let ids = |chunks: &[(ChunkRef, &[u8])]| chunks.iter().map(|(c, _)| *c).collect();
         Ok(Recipe {
             version: chunk::RECIPE_VERSION,
-            rank: image.rank as u64,
-            world_size: image.world_size as u64,
-            round: image.round,
-            upper_len: image.upper.len() as u64,
-            meta_len: image.meta.len() as u64,
+            rank: head.rank as u64,
+            world_size: head.world_size as u64,
+            round: head.round,
+            upper_len,
+            meta_len,
             upper_crc,
             meta_crc,
             upper_chunks: ids(&upper),
@@ -1062,11 +1079,12 @@ impl Store {
     ///
     /// A flat image's payload bytes are read exactly once: the pass that
     /// verifies both section CRCs also yields the whole-file CRC
-    /// ([`CkptImage::from_bytes_with_crc`]), which is then held against
-    /// the manifest's. A damaged file is a [`CorruptImage`] if its bytes
-    /// are not the ones the manifest vouches for and a [`BadImage`] only
-    /// if they are; telling the two apart when the image does not parse
-    /// costs one more read, on that failure path alone.
+    /// (`image::verify`), which is then held against the manifest's, and
+    /// the image is carved out of the buffer it was read into. A damaged
+    /// file is a [`CorruptImage`] if its bytes are not the ones the
+    /// manifest vouches for and a [`BadImage`] only if they are; telling
+    /// the two apart when the image does not parse costs one more read, on
+    /// that failure path alone.
     ///
     /// A chunked image is the recipe (whole-file CRC against the manifest,
     /// then its own checksum), every chunk's presence, length and content
@@ -1121,18 +1139,20 @@ impl Store {
             )
         };
         if !chunked {
-            let parsed = CkptImage::from_bytes_with_crc(&bytes);
+            let parsed = image::verify(&bytes);
             // An image that does not parse has no verified section CRCs
             // to combine; whether the manifest vouches for these bytes
             // then takes a read of its own.
             let file_crc = || match &parsed {
-                Ok((_, crc)) => *crc,
+                Ok(file) => file.crc,
                 Err(_) => crc32(&bytes),
             };
             if entry.is_some_and(|entry| file_crc() != entry.crc) {
                 return Err(corrupt());
             }
-            return parsed.map(|(image, _)| image).map_err(|e| {
+            // The verified sections are carved out of the buffer just
+            // read, not copied out of it.
+            return parsed.map(|file| file.carve(bytes)).map_err(|e| {
                 Rejection::new(C::BadImage, format!("rank {rank} image invalid: {e}"))
             });
         }
@@ -1692,6 +1712,70 @@ mod tests {
         }
         fs::write(&path, &good).unwrap();
         assert_eq!(at(&root).load_image(0, 0).unwrap(), image(0, 1, 0));
+        fs::remove_dir_all(&root).ok();
+    }
+
+    /// `read_verified` carves a flat image out of the buffer it read. On
+    /// every damage case of `flat_damage_keeps_its_reject_code`, with the
+    /// manifest entry and without, it must decide exactly as the copying
+    /// parse (`from_bytes_with_crc`) does, and the carving parse must
+    /// return what the copying one returns.
+    #[test]
+    fn the_carving_read_decides_every_flat_damage_case_as_the_copying_parse() {
+        use obs::RejectCode as C;
+        let root = tdir("flat_carve");
+        commit_round(&root, 1, 0);
+        let dir = generation_dir(&root, 0);
+        let path = CkptImage::path_for(&dir, 0);
+        let good = fs::read(&path).unwrap();
+        let entry = at(&root).read_manifest(0).unwrap().entries[0];
+        let flip = |at: usize| {
+            let mut b = good.clone();
+            b[at] ^= 0x01;
+            b
+        };
+        let mut other = image(0, 1, 0);
+        other.upper[7] ^= 0x55;
+        let garbage = vec![0x5A; good.len()];
+        let vouching = ManifestEntry {
+            crc: crc32(&garbage),
+            ..entry
+        };
+        let cases = [
+            (good.clone(), entry),
+            (flip(HEADER_LEN + 3), entry),
+            (flip(good.len() - 1), entry),
+            (flip(12), entry),
+            (flip(0), entry),
+            (flip(36), entry),
+            (good[..good.len() - 1].to_vec(), entry),
+            (other.to_bytes(), entry),
+            (garbage.clone(), vouching),
+        ];
+        // The decision as the copying parse makes it.
+        let copying = |bytes: &[u8], entry: Option<&ManifestEntry>| {
+            if entry.is_some_and(|e| bytes.len() as u64 != e.bytes) {
+                return Err(C::TornImage);
+            }
+            let parsed = CkptImage::from_bytes_with_crc(bytes);
+            let crc = parsed
+                .as_ref()
+                .map_or_else(|_| crc32(bytes), |(_, crc)| *crc);
+            if entry.is_some_and(|e| crc != e.crc) {
+                return Err(C::CorruptImage);
+            }
+            parsed.map(|(image, _)| image).map_err(|_| C::BadImage)
+        };
+        for (i, (bytes, entry)) in cases.iter().enumerate() {
+            let carved = image::verify(bytes).map(|file| (file.crc, file.carve(bytes.clone())));
+            let copied = CkptImage::from_bytes_with_crc(bytes).map(|(image, crc)| (crc, image));
+            assert_eq!(format!("{carved:?}"), format!("{copied:?}"), "case {i}");
+            fs::write(&path, bytes).unwrap();
+            for entry in [Some(entry), None] {
+                let got = at(&root).read_verified(&dir, 0, entry);
+                assert_eq!(got.map_err(|r| r.code), copying(bytes, entry), "case {i}");
+            }
+        }
         fs::remove_dir_all(&root).ok();
     }
 
