@@ -87,7 +87,7 @@ pub type Oracle = Arc<dyn Fn(&ScheduleRun) -> Result<(), String> + Send + Sync>;
 
 /// One workload shape the explorer drives schedules through: a resume-mode
 /// checkpoint round (rank 0 requests at a fixed step) with the native
-/// thread-engine reference cached up front.
+/// reference cached up front.
 pub struct ExploreTarget {
     /// What every schedule of this target runs as (`choices` empty). Its
     /// seed is both the coop scheduler's `sched_seed` (the seeded
@@ -199,15 +199,20 @@ impl ExploreTarget {
         }
     }
 
-    /// The same workload under the kernel-scheduled thread engine — the
-    /// cross-engine leg of the fixture-replay equivalence test.
-    pub fn run_thread_reference(&self) -> ScheduleRun {
+    /// The same workload with a run token per rank (`workers = ranks`: the
+    /// gate never contended, the kernel preempting the ranks) — the
+    /// ungated leg of the fixture-replay equivalence test.
+    pub fn run_ungated_reference(&self) -> ScheduleRun {
         let sink = obs::TraceSink::wall(self.shape.ranks, 16 * 1024);
         let scratch = Scratch::new("schedule", self.shape.seed);
-        let wc = world_cfg(EngineKind::Thread, SchedulePolicy::default());
+        let ungated = ScheduleFixture {
+            workers: self.shape.ranks,
+            ..self.shape.clone()
+        };
+        let wc = world_cfg(ungated.engine(), SchedulePolicy::default());
         let result = self.launch(wc, &scratch.0, &sink);
-        // The thread engine never consults the schedule policy, so judge
-        // against an empty script: decision log and divergence stay empty.
+        // The seeded policy logs no decisions, so judge against an empty
+        // script: decision log and divergence stay empty.
         self.judge(&[], result, &sink, &ScheduleScript::new(Vec::new()))
     }
 
@@ -321,7 +326,7 @@ pub struct ScheduleRun {
     /// followed (an out-of-range choice).
     pub divergence: Option<ScheduleDivergence>,
     /// Determinism-token rings (schedule-invariant projection) — the
-    /// cross-run/cross-engine comparison key.
+    /// cross-run/cross-gating comparison key.
     pub det_rings: Vec<(i32, Vec<String>)>,
     /// Per-rank schedule-invariant stats totals.
     pub invariant: Vec<Vec<(&'static str, u64)>>,
@@ -930,7 +935,7 @@ impl ScheduleFixture {
     }
 
     /// Build the live target this fixture replays against, running the
-    /// fault-free native reference (thread engine, no checkpoint) once to
+    /// fault-free native reference (default engine, no checkpoint) once to
     /// cache the expected results.
     pub fn target(&self) -> Result<ExploreTarget, String> {
         if !(1..=8).contains(&self.ranks) {
@@ -939,7 +944,7 @@ impl ScheduleFixture {
         if self.workers == 0 {
             return Err("workers must be >= 1".into());
         }
-        let wc = world_cfg(EngineKind::Thread, SchedulePolicy::default());
+        let wc = world_cfg(WorldCfg::default().engine, SchedulePolicy::default());
         let md = kernel(self.workload, true, None);
         let expected = workloads::native(&World::new(self.ranks, wc), &md)
             .map_err(|e| format!("native reference: {e}"))?;

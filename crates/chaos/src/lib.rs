@@ -162,10 +162,10 @@ fn native_reference<K: Kernel>(ranks: usize, wc: &WorldCfg, k: &K) -> Result<Vec
 }
 
 /// Project one trace event to its determinism token; `None` drops it
-/// from cross-run and cross-engine comparisons.
+/// from cross-run and cross-gating comparisons.
 ///
-/// Two things legitimately vary between runs of the same seed — under one
-/// engine or across engines — and are excluded:
+/// Two things legitimately vary between runs of the same seed — at one
+/// worker count or across worker counts — and are excluded:
 ///
 /// - *where* the intent lands in a rank's user-traffic stream — a
 ///   non-trigger rank notices the checkpoint request at its next wrapper
@@ -230,9 +230,9 @@ pub fn case_token_rings(sink: &obs::TraceSink, ranks: usize) -> Vec<(i32, Vec<St
 // ---- message-fault chaos ---------------------------------------------------
 
 /// What an engine-pinned case run produced beyond the pass/fail summary:
-/// the per-rank [`ManaStats`] of each MANA leg, so the dual-engine
+/// the per-rank [`ManaStats`] of each MANA leg, so the gating
 /// equivalence suite can compare their schedule-invariant projection
-/// across engines.
+/// across worker counts.
 #[derive(Debug)]
 pub struct EngineCaseOutcome {
     /// The usual case summary.
@@ -269,7 +269,7 @@ impl EngineCaseOutcome {
 pub type Compared = (EngineCaseOutcome, Vec<(i32, Vec<String>)>);
 
 /// Run one case with the execution engine pinned explicitly (`None` keeps
-/// the environment's, `MANA2_ENGINE` or thread) — native reference,
+/// the environment's, `MANA2_ENGINE` or the default) — native reference,
 /// faulted leg and restart leg alike — and no automatic dump, into a sink
 /// generous enough never to wrap (an overwrite boundary would itself be
 /// timing-dependent and invalidate any comparison). Panics with the

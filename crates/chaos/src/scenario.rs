@@ -305,15 +305,6 @@ fn parse_kind(s: &str) -> Option<StorageFaultKind> {
         .find(|kind| format!("{kind:?}") == s)
 }
 
-/// `thread` or `coop:<workers>:<seed>` — the `MANA2_ENGINE` syntax, so
-/// [`EngineKind::parse`] reads it back.
-fn engine_spec(engine: &EngineKind) -> String {
-    match engine {
-        EngineKind::Thread => "thread".into(),
-        EngineKind::Coop(c) => format!("coop:{}:{}", c.workers, c.sched_seed),
-    }
-}
-
 fn join<T: ToString>(items: &[T]) -> String {
     let items: Vec<String> = items.iter().map(T::to_string).collect();
     items.join(",")
@@ -372,7 +363,7 @@ impl fmt::Display for Scenario {
             Scenario::Faults { case: c, engine } => {
                 write!(f, " workload={} restart={}", c.workload, c.restart)?;
                 if let Some(e) = engine {
-                    write!(f, " engine={}", engine_spec(e))?;
+                    write!(f, " engine={e}")?;
                 }
             }
             Scenario::Storage(c) => write!(
@@ -384,7 +375,7 @@ impl fmt::Display for Scenario {
                 c.victim
             )?,
             Scenario::RestartKill(c) => {
-                write!(f, " engine={}", engine_spec(&c.engine))?;
+                write!(f, " engine={}", c.engine)?;
                 if !c.kills.is_empty() {
                     write!(f, " kills={}", join(&c.kills))?;
                 }
@@ -462,7 +453,7 @@ impl FromStr for Scenario {
                 return Err(format!("{key}= given twice"));
             }
         }
-        let engine = named(EngineKind::parse, "thread|coop:<workers>:<seed>");
+        let engine = named(EngineKind::parse, EngineKind::SPELLINGS);
         let kind = named(parse_kind, "WriteError|TornWrite|BitFlip");
         let seed = fields.req("seed", num)?;
         let ranks = fields.req("ranks", num)?;

@@ -76,11 +76,11 @@ fn cg_toposort_seeds() {
     sweep(8_000, 9, Workload::Cg, DrainMode::TopoSort);
 }
 
-/// Engine × seed matrix: fully-derived chaos cases must pass under the
-/// cooperative engine too, across worker counts of 1, 2, and 3 (1 is the
-/// strongest schedule: every blocking point must release its run token or
-/// the world wedges). The sweeps above run under the default engine; the
-/// dedicated `engine_equivalence` suite checks cross-engine determinism.
+/// Worker count × seed matrix: fully-derived chaos cases must pass
+/// across worker counts of 1, 2, and 3 (1 is the strongest schedule:
+/// every blocking point must release its run token or the world wedges).
+/// The sweeps above run under the default engine; the dedicated
+/// `engine_equivalence` suite checks gating equivalence.
 #[test]
 fn coop_engine_seed_matrix() {
     use mpisim::{CoopCfg, EngineKind};

@@ -4,8 +4,8 @@
 //!
 //! The quiesce protocol decides *how* in-flight traffic is counted and
 //! captured, never *what* state survives the checkpoint. So for each seed
-//! the full checkpoint-and-restart case runs once per strategy — on both
-//! execution engines — and the suite demands:
+//! the full checkpoint-and-restart case runs once per strategy — ungated
+//! and gated to two run tokens — and the suite demands:
 //!
 //! - identical [`chaos::CaseReport`]s (committed rounds, restart taken);
 //! - identical per-rank schedule-invariant `ManaStats` totals (summed
@@ -23,19 +23,20 @@ use chaos::{assert_equivalent, run_compared, trigger_plan, ChaosCase, Workload};
 use mana_core::DrainMode;
 use mpisim::{CoopCfg, EngineKind};
 
-/// Run `case` under both drain strategies on both engines and demand the
-/// observable checkpoint-window behavior is strategy-invariant.
+fn coop(workers: usize, sched_seed: u64) -> EngineKind {
+    EngineKind::Coop(CoopCfg {
+        workers,
+        sched_seed,
+    })
+}
+
+/// Run `case` under both drain strategies, ungated (a run token per rank)
+/// and gated to two tokens, and demand the observable checkpoint-window
+/// behavior is strategy-invariant.
 fn check_drain_equivalence(case: &ChaosCase, trigger: (usize, u64)) {
     let seed = case.seed;
     let plan = trigger_plan(seed, trigger.0, trigger.1);
-    let engines = [
-        EngineKind::Thread,
-        EngineKind::Coop(CoopCfg {
-            workers: 2,
-            sched_seed: seed,
-        }),
-    ];
-    for engine in engines {
+    for engine in [coop(case.ranks, 0), coop(2, seed)] {
         let [alltoall, toposort] = [DrainMode::Alltoall, DrainMode::TopoSort].map(|drain| {
             let case = ChaosCase {
                 drain,
@@ -43,7 +44,7 @@ fn check_drain_equivalence(case: &ChaosCase, trigger: (usize, u64)) {
             };
             run_compared(&case, &plan, Some(engine))
         });
-        let what = format!("seed {seed:#x} under {}: strategies", engine.name());
+        let what = format!("seed {seed:#x} under {engine}: strategies");
         assert_equivalent(&what, &alltoall, &toposort);
     }
 }
@@ -110,7 +111,7 @@ fn toposort_cases_exercise_restart() {
         restart: true,
     };
     let plan = trigger_plan(case.seed, 1, 12);
-    let (out, _) = run_compared(&case, &plan, Some(EngineKind::Thread));
+    let (out, _) = run_compared(&case, &plan, Some(coop(case.ranks, 0)));
     assert!(
         out.report.restarted,
         "trigger never fired: {:?}",

@@ -1,8 +1,11 @@
-//! Satellite check (pluggable engines): a fixed `(seed, schedule)` pair
-//! must behave identically under `ThreadEngine` and `CoopEngine`.
+//! Gating equivalence: a fixed `(seed, schedule)` case must behave
+//! identically at the engine's two gating extremes — `workers = 1`, one
+//! run token, every interleaving chosen by the seeded scheduler, and
+//! `workers = ranks`, a token per rank, the gate never contended and the
+//! kernel preempting the ranks.
 //!
 //! For each seed the same full checkpoint-and-restart chaos case runs
-//! once per engine, and the suite demands:
+//! once at each extreme, and the suite demands:
 //!
 //! - identical [`chaos::CaseReport`]s (committed rounds, restart taken);
 //! - identical per-rank schedule-invariant `ManaStats` totals (summed
@@ -21,16 +24,23 @@ use chaos::{assert_equivalent, run_compared, trigger_plan, ChaosCase, Workload};
 use mana_core::DrainMode;
 use mpisim::{CoopCfg, EngineKind};
 
+fn coop(workers: usize, sched_seed: u64) -> EngineKind {
+    EngineKind::Coop(CoopCfg {
+        workers,
+        sched_seed,
+    })
+}
+
 fn check_equivalence(case: &ChaosCase, trigger: (usize, u64)) {
     let seed = case.seed;
     let plan = trigger_plan(seed, trigger.0, trigger.1);
-    let coop = EngineKind::Coop(CoopCfg {
-        workers: 2,
-        sched_seed: seed,
-    });
-    let thread = run_compared(case, &plan, Some(EngineKind::Thread));
-    let coop = run_compared(case, &plan, Some(coop));
-    assert_equivalent(&format!("seed {seed:#x}: engines"), &thread, &coop);
+    let serial = run_compared(case, &plan, Some(coop(1, seed)));
+    let ungated = run_compared(case, &plan, Some(coop(case.ranks, seed)));
+    assert_equivalent(
+        &format!("seed {seed:#x}: workers 1 and {}", case.ranks),
+        &serial,
+        &ungated,
+    );
 }
 
 #[test]
@@ -96,11 +106,7 @@ fn equivalence_cases_exercise_restart() {
         restart: true,
     };
     let plan = trigger_plan(case.seed, 1, 12);
-    let coop = EngineKind::Coop(CoopCfg {
-        workers: 2,
-        sched_seed: case.seed,
-    });
-    let (out, _) = run_compared(&case, &plan, Some(coop));
+    let (out, _) = run_compared(&case, &plan, Some(coop(2, case.seed)));
     assert!(
         out.report.restarted,
         "trigger never fired: {:?}",
@@ -112,9 +118,9 @@ fn equivalence_cases_exercise_restart() {
 
 /// Satellite (schedule exploration): the checked-in corpus of
 /// explorer-found adversarial choice vectors replays clean, and for every
-/// vector the Coop+Replay run agrees with a Thread-engine run of the same
-/// workload on the schedule-invariant stats and the determinism-token
-/// rings. Each corpus schedule also carries its own built-in oracle stack
+/// vector the scripted run agrees with an ungated (`workers = ranks`) run
+/// of the same workload on the schedule-invariant stats and the
+/// determinism-token rings. Each corpus schedule also carries its own built-in oracle stack
 /// (native-reference transparency, exactly one committed round) inside
 /// [`chaos::explore::ExploreTarget::run_schedule`].
 #[test]
@@ -127,31 +133,31 @@ fn adversarial_schedule_corpus_equivalent_across_engines() {
         let target = fx
             .target()
             .unwrap_or_else(|e| panic!("fixture {}: {e}", fx.to_line()));
-        let coop = target.run_schedule(&fx.choices);
+        let scripted = target.run_schedule(&fx.choices);
         assert!(
-            coop.error.is_none(),
-            "fixture {} failed under coop replay: {:?}\n  repro: {}",
+            scripted.error.is_none(),
+            "fixture {} failed under replay: {:?}\n  repro: {}",
             fx.to_line(),
-            coop.error,
+            scripted.error,
             target.repro_command(&fx.choices)
         );
-        let thread = target.run_thread_reference();
+        let ungated = target.run_ungated_reference();
         assert!(
-            thread.error.is_none(),
-            "fixture {} failed under thread engine: {:?}",
+            ungated.error.is_none(),
+            "fixture {} failed ungated: {:?}",
             fx.to_line(),
-            thread.error
+            ungated.error
         );
         assert_eq!(
-            coop.invariant,
-            thread.invariant,
-            "fixture {}: schedule-invariant ManaStats diverged between engines",
+            scripted.invariant,
+            ungated.invariant,
+            "fixture {}: schedule-invariant ManaStats diverged from the ungated run",
             fx.to_line()
         );
         assert_eq!(
-            coop.det_rings,
-            thread.det_rings,
-            "fixture {}: determinism-token rings diverged between engines",
+            scripted.det_rings,
+            ungated.det_rings,
+            "fixture {}: determinism-token rings diverged from the ungated run",
             fx.to_line()
         );
     }

@@ -48,7 +48,7 @@ fn one_of_each() -> Vec<Scenario> {
             7_200,
             None,
             false,
-            EngineKind::Thread,
+            WorldCfg::default().engine,
         )),
         Scenario::Schedule(ScheduleFixture {
             choices: vec![2, 0, 0, 1, 255],
@@ -80,6 +80,11 @@ fn malformed_specs_are_errors_naming_the_field() {
         (format!("{good} victim=2"), "victim"),
         (format!("{good} workload=cg"), "workload"),
         (format!("{good} chunked"), "key=value"),
+        // The retired thread engine is refused with the accepted forms.
+        (
+            "restart_kill seed=7 ranks=3 drain=alltoall engine=thread".into(),
+            "engine: \"thread\" (want coop | coop:<workers> |",
+        ),
     ] {
         let err = bad.parse::<Scenario>().expect_err(&bad);
         assert!(err.contains(names), "{bad:?} -> {err}");
@@ -178,7 +183,7 @@ fn repro_lines_replay_what_failed() {
     assert_faithful(failure, Scenario::Storage(case), "protocol: ");
 
     // Restart kills: a boundary past the last one never fires.
-    let mut case = RestartKillCase::derive(0xFA_19, None, true, EngineKind::Thread);
+    let mut case = RestartKillCase::derive(0xFA_19, None, true, WorldCfg::default().engine);
     case.kills = vec![case.boundaries() + 7];
     let failure = run_restart_kill_case(&case).expect_err("kill cannot fire");
     assert_faithful(failure, Scenario::RestartKill(case), "survived an armed");

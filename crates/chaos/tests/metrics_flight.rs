@@ -2,7 +2,8 @@
 //! leave a flight dump whose metrics sidecar (the final registry
 //! snapshot) is schema-valid and agrees with what the run actually did —
 //! and the clean rerun's `RunReport` snapshot must agree with its own
-//! `ManaStats`. Exercised on both execution engines.
+//! `ManaStats`. Exercised ungated (a run token per rank) and under the
+//! auto worker count.
 
 use mana_core::{obs, Mana, ManaConfig, RuntimeError};
 use mpisim::{CoopCfg, EngineKind, FaultPlan, FaultSpec, ReduceOp, WorldCfg};
@@ -52,7 +53,7 @@ fn run_engine(engine: EngineKind, tag: &str) {
     let n = 2;
     let mut env = mana_core::from_env().expect("MANA2_* environment");
     // A dump directory of this run's own, passed by value: the two engine
-    // tests share a process and must not pick up each other's sidecars.
+    // configurations share a process and must not pick up each other's sidecars.
     env.outputs.trace_dir =
         std::env::temp_dir().join(format!("mana2_mflight_traces_{tag}_{}", std::process::id()));
     let trace_dir = &env.outputs.trace_dir;
@@ -168,8 +169,14 @@ fn run_engine(engine: EngineKind, tag: &str) {
 }
 
 #[test]
-fn restart_kill_dump_metrics_agree_thread_engine() {
-    run_engine(EngineKind::Thread, "thread");
+fn restart_kill_dump_metrics_agree_ungated_engine() {
+    run_engine(
+        EngineKind::Coop(CoopCfg {
+            workers: 2,
+            sched_seed: 0,
+        }),
+        "ungated",
+    );
 }
 
 #[test]

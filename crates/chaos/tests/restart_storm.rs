@@ -11,7 +11,7 @@
 
 use chaos::{env_base_seed, env_sweep_count, run_restart_kill_case, RestartKillCase};
 use mana_core::{obs, DrainMode, ManaConfig, RuntimeError};
-use mpisim::{CoopCfg, EngineKind, StorageFaultKind};
+use mpisim::{CoopCfg, EngineKind, StorageFaultKind, WorldCfg};
 use splitproc::{journal, store};
 use std::time::Duration;
 use workloads::{gromacs, under_mana, Launch};
@@ -21,9 +21,11 @@ fn env() -> mana_core::EnvConfig {
     mana_core::from_env().expect("MANA2_* environment")
 }
 
+/// The default engine (auto workers) and two tokens under a seeded
+/// schedule.
 fn engines(seed: u64) -> [EngineKind; 2] {
     [
-        EngineKind::Thread,
+        WorldCfg::default().engine,
         EngineKind::Coop(CoopCfg {
             workers: 2,
             sched_seed: seed,
@@ -37,7 +39,7 @@ fn check(case: &RestartKillCase) {
     }
 }
 
-/// One storm per engine that dies at *every* journal-step boundary in
+/// One storm per gating that dies at *every* journal-step boundary in
 /// sequence: attempt 0 is killed at boundary 0, its resume at boundary 1,
 /// and so on through the final boundary, before the converging clean
 /// restart. Besides covering each kill point, consecutive attempts form
@@ -68,7 +70,7 @@ fn partial_restart_storm_through_every_boundary() {
 /// covers "first crash at step k" for every k.
 #[test]
 fn single_kill_at_each_boundary_full_restart() {
-    let case0 = RestartKillCase::derive(7_200, None, false, EngineKind::Thread);
+    let case0 = RestartKillCase::derive(7_200, None, false, WorldCfg::default().engine);
     for k in 0..case0.boundaries() {
         let mut case = case0.clone();
         case.kills = vec![k];
@@ -80,7 +82,7 @@ fn single_kill_at_each_boundary_full_restart() {
 /// all adjacent ones): first, middle, and last boundary in all orders.
 #[test]
 fn double_crash_pairs_converge() {
-    let case0 = RestartKillCase::derive(7_300, None, false, EngineKind::Thread);
+    let case0 = RestartKillCase::derive(7_300, None, false, WorldCfg::default().engine);
     let last = case0.boundaries() - 1;
     let mid = case0.boundaries() / 2;
     for &(a, b) in &[
@@ -100,7 +102,7 @@ fn double_crash_pairs_converge() {
 /// Restart kills crossed with the storage-fault matrix: the newest
 /// generation is damaged (torn / bit-flipped / its round aborted by a
 /// write error) before the storm, so recovery must fall back past it *and*
-/// survive the kills, on both engines, full and partial.
+/// survive the kills, under both gatings, full and partial.
 #[test]
 fn restart_kill_storage_cross_matrix() {
     let kinds = [
@@ -156,7 +158,11 @@ fn partial_restart_of_64_ranks_restores_only_failed() {
         kills: vec![],
         partial: Some(vec![3, 17, 40, 41, 63]),
         storage: None,
-        engine: EngineKind::Thread,
+        // A run token per rank: 64 kernel-preempted rank threads.
+        engine: EngineKind::Coop(CoopCfg {
+            workers: 64,
+            sched_seed: 0,
+        }),
         drain: DrainMode::Alltoall,
     };
     check(&case);

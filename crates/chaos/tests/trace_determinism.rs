@@ -4,7 +4,7 @@
 //! The comparison projects each ring through [`chaos::determinism_token`],
 //! which documents exactly what may legitimately vary between runs of the
 //! same seed (intent landing position, drain window) and is shared with
-//! the dual-engine equivalence suite.
+//! the gating equivalence suite.
 
 use chaos::{run_compared, trigger_plan, ChaosCase, Workload};
 use mana_core::DrainMode;

@@ -190,14 +190,9 @@ impl ManaConfig {
     /// header of every flight dump and metrics series. Values are the
     /// lower-cased variant names.
     pub fn record(&self, engine: &mpisim::EngineKind) -> obs::ConfigRecord {
-        let engine = match engine {
-            mpisim::EngineKind::Thread => "thread".to_string(),
-            mpisim::EngineKind::Coop(c) if c.workers == 0 => format!("coop:auto:{}", c.sched_seed),
-            mpisim::EngineKind::Coop(c) => format!("coop:{}:{}", c.workers, c.sched_seed),
-        };
         let lower = |v: &dyn std::fmt::Debug| format!("{v:?}").to_ascii_lowercase();
         obs::ConfigRecord::new([
-            ("engine", engine),
+            ("engine", engine.to_string()),
             ("tpc", lower(&self.tpc)),
             ("drain", self.drain.name().to_string()),
             ("store", self.store.mode.name().to_string()),

@@ -22,7 +22,7 @@
 //! count reports.
 
 use crate::error::{ManaError, Result};
-use mpisim::{ParkerRef, UnparkerRef};
+use mpisim::{Parker, UnparkerRef};
 use obs::metrics as met;
 use obs::Phase;
 use splitproc::store;
@@ -184,9 +184,9 @@ pub struct CoordHandle {
     tel: obs::Telemetry,
     /// The rank's engine parker: every blocking point on the control
     /// channel (receive waits, injected stalls) parks through the engine
-    /// instead of sleeping — under the coop engine this releases the run
-    /// token so other ranks make progress during a quiesce.
-    parker: ParkerRef,
+    /// instead of sleeping, which releases the run token so other ranks
+    /// make progress during a quiesce.
+    parker: Parker,
     /// Tells a waiting rank that the world was aborted under it.
     world: mpisim::Introspect,
 }
@@ -207,7 +207,7 @@ impl CoordHandle {
     /// parks on the engine parker in a deadline loop (early wakes from
     /// banked unparks just re-park). Used for injected stalls
     /// (coordinator-channel delay, ready-stall) so fault injection cannot
-    /// wedge the coop engine's worker pool.
+    /// wedge the engine's run tokens.
     pub fn stall(&self, d: Duration) {
         self.park_until(d, d, || None::<()>);
     }
@@ -1588,10 +1588,11 @@ mod tests {
         mpisim::World::new(n, cfg)
     }
 
-    /// One round through real handles, each rank on its engine thread.
+    /// One round through real handles, each rank on its engine thread,
+    /// ungated (a token per rank) and gated to two tokens.
     #[test]
     fn one_round_through_real_handles_on_both_engines() {
-        for engine in ["thread", "coop:2:7"] {
+        for engine in ["coop:3", "coop:2:7"] {
             let n = 3;
             let world = world(n, engine);
             let handles = connect(&world, bare());
@@ -1638,7 +1639,7 @@ mod tests {
     /// coordinator is released the moment the world is aborted.
     #[test]
     fn recv_gives_up_at_its_cap_and_when_the_world_is_aborted() {
-        for engine in ["thread", "coop:2:7"] {
+        for engine in ["coop:1", "coop:2:7"] {
             let world = world(2, engine);
             let handles = connect(&world, bare());
             let cap = Duration::from_millis(60);

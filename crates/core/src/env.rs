@@ -92,7 +92,7 @@ pub fn from_lookup<V: Into<OsString>>(
     if let Some(engine) = knob(
         get("MANA2_ENGINE"),
         "MANA2_ENGINE",
-        "thread | coop | coop:<workers> | coop:<workers>:<seed> (workers >= 1)",
+        EngineKind::SPELLINGS,
         EngineKind::parse,
     )? {
         world.engine = engine;
@@ -175,7 +175,7 @@ mod tests {
         assert_eq!(dbg(&env.mana), dbg(&ManaConfig::default()));
         assert_eq!(dbg(&env.world), dbg(&WorldCfg::default()));
         assert_eq!(env.outputs, Outputs::default());
-        assert_eq!(env.world.engine, EngineKind::Thread);
+        assert_eq!(env.world.engine, EngineKind::Coop(CoopCfg::default()));
         assert_eq!(env.mana.drain, DrainMode::Alltoall);
         assert_eq!(env.mana.store.mode, StoreMode::Flat);
     }
@@ -189,9 +189,9 @@ mod tests {
             })
         };
         for (spec, want) in [
-            ("thread", EngineKind::Thread),
-            (" Thread ", EngineKind::Thread),
             ("coop", coop(0, 0)),
+            (" Coop:auto ", coop(0, 0)),
+            ("coop:auto:7", coop(0, 7)),
             ("COOP:4", coop(4, 0)),
             ("coop:2:20260806", coop(2, 20260806)),
         ] {
@@ -242,6 +242,7 @@ mod tests {
             ("MANA2_DRAIN", ""),
             ("MANA2_STORE", "chunk"),
             ("MANA2_ENGINE", "coop:0"),
+            ("MANA2_ENGINE", "thread"),
             ("MANA2_ENGINE", "fiber"),
             ("MANA2_ENGINE", "coop:2:x"),
             ("MANA2_METRICS_INTERVAL_MS", "abc"),
@@ -257,6 +258,9 @@ mod tests {
                 "{msg}"
             );
         }
+        // The retired thread engine is refused with the accepted forms.
+        let err = with(&[("MANA2_ENGINE", "thread")]).unwrap_err();
+        assert!(err.to_string().contains("coop:<workers>:<seed>"), "{err}");
     }
 
     #[cfg(unix)]

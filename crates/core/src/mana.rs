@@ -66,8 +66,8 @@ pub struct ManaStats {
 impl ManaStats {
     /// The schedule-invariant projection of these stats: counters that are
     /// a pure function of the program and the seeded fault plan, not of
-    /// thread interleaving or wall-clock timing. The dual-engine
-    /// equivalence suite demands these match across execution engines.
+    /// thread interleaving or wall-clock timing. The gating equivalence
+    /// suite demands these match across engine worker counts.
     ///
     /// Excluded as timing-coupled: `wrapper_calls` (poll-style wrappers
     /// such as `test`/`probe` may run a timing-dependent number of times),

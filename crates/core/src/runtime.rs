@@ -959,8 +959,9 @@ fn watch_for_deadlock(
 mod tests {
     use super::*;
 
-    /// `body` on three fresh ranks through [`ManaRuntime::run_world`], once
-    /// per engine, with `check` at the commit point. Each run gets two
+    /// `body` on three fresh ranks through [`ManaRuntime::run_world`],
+    /// ungated (a token per rank) and gated to two tokens, with `check` at
+    /// the commit point. Each run gets two
     /// seconds on a thread of its own, so ranks left waiting on the
     /// coordinator read "still running", not a 120 s test.
     fn failures(
@@ -968,7 +969,7 @@ mod tests {
         check: fn() -> CommitCheck,
         body: fn(&mut Mana<'_>) -> Result<()>,
     ) -> Vec<Failure> {
-        let engines = ["thread", "coop:2:7"].into_iter();
+        let engines = ["coop:3", "coop:2:7"].into_iter();
         let runs = engines.map(|engine| {
             let cfg = ManaConfig {
                 ckpt_dir: std::env::temp_dir()

@@ -11,9 +11,10 @@
 
 use crate::error::{MpiError, Result};
 use crate::group::Group;
-use parking_lot::Mutex;
+use crate::unpoisoned;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// A communicator handle: cheap to copy, resolved against the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -69,8 +70,7 @@ impl CommRegistry {
 
     /// Resolve a handle to its group.
     pub fn group_of(&self, comm: Comm) -> Result<Group> {
-        self.map
-            .lock()
+        unpoisoned(self.map.lock())
             .get(&comm.ctx)
             .map(|(g, _)| g.clone())
             .ok_or(MpiError::InvalidComm(comm.ctx))
@@ -78,12 +78,12 @@ impl CommRegistry {
 
     /// Is the context live?
     pub fn is_live(&self, ctx: u64) -> bool {
-        self.map.lock().contains_key(&ctx)
+        unpoisoned(self.map.lock()).contains_key(&ctx)
     }
 
     /// Number of live communicators (including the world).
     pub fn live_count(&self) -> usize {
-        self.map.lock().len()
+        unpoisoned(self.map.lock()).len()
     }
 
     /// Create (or join the creation of) a communicator over `group`.
@@ -104,7 +104,7 @@ impl CommRegistry {
             });
         }
         let key = (group.fingerprint(), tag);
-        let mut pending = self.pending.lock();
+        let mut pending = unpoisoned(self.pending.lock());
         let queue = pending.entry(key).or_default();
         // Join the first entry we have not joined yet (k-th call → k-th entry).
         let mut chosen: Option<usize> = None;
@@ -119,7 +119,7 @@ impl CommRegistry {
             None => {
                 let ctx = self.next_ctx.fetch_add(1, Ordering::Relaxed);
                 // Register eagerly so early joiners can use the comm at once.
-                self.map.lock().insert(ctx, (group.clone(), group.size()));
+                unpoisoned(self.map.lock()).insert(ctx, (group.clone(), group.size()));
                 queue.push_back(PendingCreate {
                     ctx,
                     joined: Vec::with_capacity(group.size()),
@@ -145,7 +145,7 @@ impl CommRegistry {
         if comm.ctx == 0 {
             return Ok(()); // freeing the world is a no-op
         }
-        let mut map = self.map.lock();
+        let mut map = unpoisoned(self.map.lock());
         match map.get_mut(&comm.ctx) {
             None => Err(MpiError::InvalidComm(comm.ctx)),
             Some((_, cnt)) => {

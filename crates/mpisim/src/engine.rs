@@ -1,26 +1,17 @@
-//! Pluggable rank-execution engines.
+//! The rank-execution engine.
 //!
-//! A [`World`](crate::World) no longer hard-codes "one OS thread per rank
-//! with per-rank condvars". Instead it asks an [`Engine`] for two things:
-//!
-//! 1. a per-rank blocking primitive — a [`Parker`]/[`Unparker`] pair that
-//!    every wait site in the workspace routes through (mailbox waits,
-//!    collective barriers, one-sided fences, coordinator receives,
-//!    scheduling parks), and
-//! 2. an execution strategy — how the `n` rank bodies are actually run.
-//!
-//! Two engines exist:
-//!
-//! * [`ThreadEngine`] — the classic substrate: one OS thread per rank,
-//!   each parker a private token+condvar. Behaviour-preserving default.
-//! * [`CoopEngine`] — gated concurrency: `n` rank threads still exist
-//!   (safe Rust cannot swap stacks), but at most `workers` of them hold a
-//!   *run token* at any instant. Every park releases the holder's token
-//!   and a seeded, deterministic run-queue policy decides which runnable
-//!   rank gets it next — so the schedule is chosen by the engine, not the
-//!   kernel, and a fixed `(seed, workers)` pair replays the same
-//!   state-relevant interleaving. Parked ranks cost only their (small)
-//!   stack, which lifts the practical rank ceiling to 4096+.
+//! A [`World`](crate::World) runs its ranks on one [`CoopEngine`]: gated
+//! concurrency. All `n` rank threads exist (safe Rust cannot swap
+//! stacks), but at most `workers` of them hold a *run token* at any
+//! instant. Every park releases the holder's token and a seeded,
+//! deterministic run-queue policy decides which runnable rank gets it
+//! next — so the schedule is chosen by the engine, not the kernel, and a
+//! fixed `(seed, workers)` pair replays the same state-relevant
+//! interleaving. With `workers = n` every rank holds a token of its own,
+//! the gate is never contended, and the kernel schedules the ranks
+//! preemptively. Parked ranks cost only their stack
+//! ([`WorldCfg::stack_size`](crate::WorldCfg::stack_size)), which lifts
+//! the practical rank ceiling to 4096+.
 //!
 //! # The parking protocol
 //!
@@ -39,23 +30,23 @@
 //! park returns instantly and the waiter re-checks. Spurious wakeups are
 //! allowed; every caller re-checks its predicate in a loop.
 
-use parking_lot::{Condvar, Mutex};
+use crate::unpoisoned;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Shared scheduler-activity counters, one set per engine instance.
 ///
 /// `mpisim` depends on nothing, so it cannot feed the repo's metrics
-/// registry directly; instead each engine maintains these relaxed
-/// atomics and the MANA layer samples them into its own metrics plane
-/// (the same arms-length pattern as [`crate::TraceHook`]).
+/// registry directly; instead the engine maintains these relaxed atomics
+/// and the MANA layer samples them into its own metrics plane (the same
+/// arms-length pattern as [`crate::TraceHook`]).
 #[derive(Debug, Default)]
 pub struct EngineMetrics {
     /// Unpark calls delivered through the engine's [`Unparker`]s.
     pub unparks: AtomicU64,
-    /// Current ready-queue depth (coop engine; always 0 under threads,
-    /// whose ready set is kernel-owned).
+    /// Current ready-queue depth.
     pub ready_depth: AtomicU64,
     /// High-water mark of `ready_depth`.
     pub ready_depth_max: AtomicU64,
@@ -69,16 +60,25 @@ impl EngineMetrics {
     }
 }
 
-/// One rank's blocking primitive, supplied by the engine.
+/// One rank's blocking primitive, handed out by the engine.
 ///
 /// `park` blocks the calling rank until a matching [`Unparker::unpark`]
 /// arrives or `timeout` elapses. An unpark delivered since the previous
 /// `park` returned is banked: the next `park` consumes it and returns
 /// immediately. Spurious returns are permitted — callers must re-check
-/// their predicate in a loop.
-pub trait Parker: Send + Sync {
-    /// Block until unparked or `timeout` elapses (token semantics).
-    fn park(&self, timeout: Duration);
+/// their predicate in a loop. Only the rank's own thread may park on it.
+#[derive(Clone)]
+pub struct Parker {
+    rank: usize,
+    engine: Arc<CoopEngine>,
+}
+
+impl Parker {
+    /// Release the run token and block until unparked or `timeout`
+    /// elapses (token semantics), then run again once a token is granted.
+    pub fn park(&self, timeout: Duration) {
+        self.engine.park(self.rank, timeout);
+    }
 }
 
 /// The waker half of a [`Parker`], usable from any thread.
@@ -87,10 +87,20 @@ pub trait Unparker: Send + Sync {
     fn unpark(&self);
 }
 
-/// Shared handle to a rank's [`Parker`].
-pub type ParkerRef = Arc<dyn Parker>;
 /// Shared handle to a rank's [`Unparker`].
 pub type UnparkerRef = Arc<dyn Unparker>;
+
+/// The engine's [`Unparker`] for one rank.
+struct RankWaker {
+    rank: usize,
+    engine: Arc<CoopEngine>,
+}
+
+impl Unparker for RankWaker {
+    fn unpark(&self) {
+        self.engine.unpark(self.rank);
+    }
+}
 
 // ---- schedule policies ------------------------------------------------------
 
@@ -124,33 +134,36 @@ impl ScheduleRecorder {
     }
 
     fn record(&self, d: SchedDecision) {
-        self.decisions.lock().push(d);
+        unpoisoned(self.decisions.lock()).push(d);
     }
 
     /// Copy of the decision log so far.
     pub fn decisions(&self) -> Vec<SchedDecision> {
-        self.decisions.lock().clone()
+        unpoisoned(self.decisions.lock()).clone()
     }
 
     /// The decision log projected to its choice vector (one index per
     /// decision) — the form [`ScheduleScript`] replays.
     pub fn choices(&self) -> Vec<u32> {
-        self.decisions.lock().iter().map(|d| d.chosen_idx).collect()
+        unpoisoned(self.decisions.lock())
+            .iter()
+            .map(|d| d.chosen_idx)
+            .collect()
     }
 
     /// Number of decisions recorded.
     pub fn len(&self) -> usize {
-        self.decisions.lock().len()
+        unpoisoned(self.decisions.lock()).len()
     }
 
     /// Whether no decision has been recorded yet.
     pub fn is_empty(&self) -> bool {
-        self.decisions.lock().is_empty()
+        unpoisoned(self.decisions.lock()).is_empty()
     }
 
     /// Drop all recorded decisions (reuse across runs).
     pub fn clear(&self) {
-        self.decisions.lock().clear();
+        unpoisoned(self.decisions.lock()).clear();
     }
 }
 
@@ -212,7 +225,7 @@ impl ScheduleScript {
 
     /// First divergence between the script and the run, if any.
     pub fn divergence(&self) -> Option<ScheduleDivergence> {
-        *self.divergence.lock()
+        *unpoisoned(self.divergence.lock())
     }
 
     /// Whether the run consumed every scripted choice. A run that ended
@@ -226,7 +239,7 @@ impl ScheduleScript {
         match self.choices.get(index as usize) {
             Some(&c) if (c as usize) < ready_len => c as usize,
             Some(&c) => {
-                let mut div = self.divergence.lock();
+                let mut div = unpoisoned(self.divergence.lock());
                 if div.is_none() {
                     *div = Some(ScheduleDivergence {
                         index,
@@ -241,12 +254,11 @@ impl ScheduleScript {
     }
 }
 
-/// How a [`CoopEngine`] picks which ready rank gets a freed run token.
+/// How the [`CoopEngine`] picks which ready rank gets a freed run token.
 ///
 /// The policy only *selects among ready ranks*; liveness (every parked
 /// rank eventually reconsidered) is the scheduler's own contract and
-/// holds under every policy. The thread engine ignores this knob — its
-/// interleavings are kernel-owned.
+/// holds under every policy.
 #[derive(Debug, Clone, Default)]
 pub enum SchedulePolicy {
     /// The seeded splitmix64 pick keyed by `CoopCfg::sched_seed` (the
@@ -287,12 +299,13 @@ impl PartialEq for SchedulePolicy {
 
 impl Eq for SchedulePolicy {}
 
-/// Configuration of a [`CoopEngine`].
+/// Configuration of the [`CoopEngine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CoopCfg {
     /// Maximum ranks runnable at once (run tokens). `0` = auto (the
     /// machine's available parallelism). `1` fully serializes rank
-    /// execution, which is the strongest determinism setting.
+    /// execution, which is the strongest determinism setting; the world
+    /// size gives every rank its own token.
     pub workers: usize,
     /// Seed of the run-queue policy: which ready rank is granted a freed
     /// token. The same `(sched_seed, workers)` pair replays the same
@@ -300,45 +313,40 @@ pub struct CoopCfg {
     pub sched_seed: u64,
 }
 
-/// Which engine executes a world's ranks.
+/// How a world's ranks are executed. There is one engine, the
+/// token-gated [`CoopEngine`]; this value is its configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// One OS thread per rank, kernel-scheduled (the default).
-    Thread,
     /// Token-gated cooperative scheduling over per-rank threads.
     Coop(CoopCfg),
 }
 
 impl EngineKind {
+    /// Every spelling [`EngineKind::parse`] accepts, for error messages.
+    pub const SPELLINGS: &'static str =
+        "coop | coop:<workers> | coop:<workers>:<seed> (workers: auto or >= 1)";
+
     /// Parse an engine spec (the `MANA2_ENGINE` syntax). Accepted values:
     ///
-    /// * `thread`
     /// * `coop` — auto worker count, schedule seed 0
-    /// * `coop:<workers>` — explicit worker count (must be ≥ 1; ask for
-    ///   auto with the bare `coop` spec)
+    /// * `coop:<workers>` — a worker count ≥ 1, or `auto`
     /// * `coop:<workers>:<seed>` — plus an explicit schedule seed
     ///
-    /// `None` when the spec is malformed. An explicit `coop:0` is
-    /// rejected: zero run tokens could never grant, so it must not
-    /// silently mean "auto" — a worker-count typo has to surface, not
+    /// Every [`Display`](fmt::Display) form reads back. `None` when the
+    /// spec is malformed, including the retired `thread`. An explicit
+    /// `coop:0` is rejected: zero run tokens could never grant, so it must
+    /// not silently mean "auto" — a worker-count typo has to surface, not
     /// deadlock or re-interpret itself.
     pub fn parse(spec: &str) -> Option<EngineKind> {
-        let spec = spec.trim();
-        if spec.eq_ignore_ascii_case("thread") {
-            return Some(EngineKind::Thread);
-        }
-        let mut parts = spec.split(':');
+        let mut parts = spec.trim().split(':');
         if !parts.next()?.eq_ignore_ascii_case("coop") {
             return None;
         }
         let mut cfg = CoopCfg::default();
         if let Some(w) = parts.next() {
-            cfg.workers = w.trim().parse().ok()?;
-            // `CoopCfg::workers == 0` means auto internally, but an
-            // *explicit* zero in a spec is a malformed worker count: a
-            // token-less engine could never run a rank.
-            if cfg.workers == 0 {
-                return None;
+            let w = w.trim();
+            if !w.eq_ignore_ascii_case("auto") {
+                cfg.workers = w.parse().ok().filter(|&w| w >= 1)?;
             }
         }
         if let Some(s) = parts.next() {
@@ -349,142 +357,22 @@ impl EngineKind {
         }
         Some(EngineKind::Coop(cfg))
     }
+}
 
-    /// Short name for logs and reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EngineKind::Thread => "thread",
-            EngineKind::Coop(_) => "coop",
-        }
-    }
-
-    /// Instantiate the engine for an `n`-rank world. `policy` selects the
-    /// coop scheduler's pick strategy (the thread engine ignores it — the
-    /// kernel owns its interleavings).
-    pub(crate) fn build(&self, n: usize, policy: SchedulePolicy) -> Arc<dyn Engine> {
-        match *self {
-            EngineKind::Thread => Arc::new(ThreadEngine::new()),
-            EngineKind::Coop(cfg) => Arc::new(CoopEngine::new(n, cfg, policy)),
+impl fmt::Display for EngineKind {
+    /// `coop:<workers>:<seed>`, with `auto` for the machine-sized worker
+    /// count — the one spelling of an engine in dump headers, metrics
+    /// series and chaos specs.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let EngineKind::Coop(c) = self;
+        match c.workers {
+            0 => write!(f, "coop:auto:{}", c.sched_seed),
+            w => write!(f, "coop:{w}:{}", c.sched_seed),
         }
     }
 }
 
-/// An execution substrate for a world's ranks. One instance per
-/// [`World`](crate::World); a [`CoopEngine`] instance owns that world's
-/// scheduler state.
-pub(crate) trait Engine: Send + Sync {
-    /// Build the per-rank `(Parker, Unparker)` pairs the world's network
-    /// will route every wait through.
-    fn parkers(&self, n: usize) -> Vec<(ParkerRef, UnparkerRef)>;
-
-    /// Run `body(rank)` once per rank and return when every rank has
-    /// finished. `stack_size` is the thread-engine stack request; the
-    /// coop engine sizes its own (small) stacks.
-    fn run(&self, n: usize, stack_size: usize, body: &(dyn Fn(usize) + Sync));
-
-    /// The engine's shared activity counters.
-    fn metrics(&self) -> Arc<EngineMetrics>;
-}
-
-// ---- thread engine ---------------------------------------------------------
-
-/// The classic substrate: one kernel-scheduled OS thread per rank; each
-/// parker is an independent token+condvar pair.
-pub(crate) struct ThreadEngine {
-    metrics: Arc<EngineMetrics>,
-}
-
-impl ThreadEngine {
-    fn new() -> ThreadEngine {
-        ThreadEngine {
-            metrics: Arc::new(EngineMetrics::default()),
-        }
-    }
-}
-
-/// Token + condvar parker (the [`ThreadEngine`] primitive, also the
-/// default for a bare [`Network`](crate::Network) built without a world).
-struct ThreadParker {
-    /// The banked-wake token.
-    token: Mutex<bool>,
-    cv: Condvar,
-    metrics: Arc<EngineMetrics>,
-}
-
-impl ThreadParker {
-    fn new(metrics: Arc<EngineMetrics>) -> Self {
-        ThreadParker {
-            token: Mutex::new(false),
-            cv: Condvar::new(),
-            metrics,
-        }
-    }
-}
-
-impl Parker for ThreadParker {
-    fn park(&self, timeout: Duration) {
-        let mut token = self.token.lock();
-        if !*token {
-            self.cv.wait_for(&mut token, timeout);
-        }
-        *token = false;
-    }
-}
-
-impl Unparker for ThreadParker {
-    fn unpark(&self) {
-        self.metrics.unparks.fetch_add(1, Ordering::Relaxed);
-        let mut token = self.token.lock();
-        *token = true;
-        drop(token);
-        self.cv.notify_all();
-    }
-}
-
-/// Default parker pairs for a fabric constructed without an engine (unit
-/// tests building a bare [`Network`](crate::Network)).
-pub(crate) fn default_parkers(n: usize) -> Vec<(ParkerRef, UnparkerRef)> {
-    ThreadEngine::new().parkers(n)
-}
-
-impl Engine for ThreadEngine {
-    fn parkers(&self, n: usize) -> Vec<(ParkerRef, UnparkerRef)> {
-        (0..n)
-            .map(|_| {
-                let p = Arc::new(ThreadParker::new(self.metrics.clone()));
-                (p.clone() as ParkerRef, p as UnparkerRef)
-            })
-            .collect()
-    }
-
-    fn run(&self, n: usize, stack_size: usize, body: &(dyn Fn(usize) + Sync)) {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|rank| {
-                    std::thread::Builder::new()
-                        .name(format!("rank-{rank}"))
-                        .stack_size(stack_size)
-                        .spawn_scoped(s, move || body(rank))
-                        .expect("failed to spawn rank thread")
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("rank thread join failed");
-            }
-        });
-    }
-
-    fn metrics(&self) -> Arc<EngineMetrics> {
-        self.metrics.clone()
-    }
-}
-
-// ---- coop engine -----------------------------------------------------------
-
-/// Stack per coop rank thread. Ranks are plentiful and mostly parked;
-/// their stacks are the dominant per-rank cost, so keep them small. (The
-/// `WorldCfg::stack_size` knob is thread-engine-only.)
-const COOP_STACK: usize = 256 * 1024;
+// ---- the engine --------------------------------------------------------------
 
 /// splitmix64 — the run-queue policy hash (same mixer the fault plan
 /// uses, so a schedule seed is as well-dispersed as a fault seed).
@@ -527,8 +415,11 @@ struct CoopState {
     decisions: u64,
 }
 
-/// The scheduler shared by a coop world's parkers and its `run` loop.
-struct CoopShared {
+/// Token-gated cooperative engine: `n` rank threads, at most `workers`
+/// runnable at once, scheduling decided by a seeded deterministic policy.
+/// One per [`World`](crate::World); its fabric and every [`Parker`] share
+/// it.
+pub(crate) struct CoopEngine {
     n: usize,
     seed: u64,
     workers: usize,
@@ -537,51 +428,112 @@ struct CoopShared {
     state: Mutex<CoopState>,
     /// Per-rank wake channels, all paired with `state`'s mutex.
     cvs: Vec<Condvar>,
-    metrics: Arc<EngineMetrics>,
+    pub(crate) metrics: Arc<EngineMetrics>,
 }
 
-impl CoopShared {
-    /// Rearm the scheduler for a fresh launch. A [`World`](crate::World)
-    /// may be launched more than once; each launch re-runs the start
-    /// barrier from zero. Banked unparks survive (a wake delivered between
-    /// launches is still owed to its rank).
-    fn reset(&self) {
-        let mut st = self.state.lock();
-        debug_assert!(
-            st.status
-                .iter()
-                .all(|s| matches!(s, RankState::Starting | RankState::Done)),
-            "reset while ranks still active"
-        );
-        st.status.fill(RankState::Starting);
-        st.ready.clear();
-        st.free = self.workers;
-        st.started = 0;
+impl CoopEngine {
+    pub(crate) fn new(n: usize, cfg: CoopCfg, policy: SchedulePolicy) -> Arc<CoopEngine> {
+        let workers = match cfg.workers {
+            0 => std::thread::available_parallelism()
+                .map(|p| p.get())
+                .unwrap_or(4),
+            w => w,
+        }
+        .min(n.max(1));
+        Arc::new(CoopEngine {
+            n,
+            seed: cfg.sched_seed,
+            workers,
+            policy,
+            state: Mutex::new(CoopState {
+                status: vec![RankState::Starting; n],
+                ready: Vec::with_capacity(n),
+                pending: vec![false; n],
+                free: workers,
+                started: 0,
+                decisions: 0,
+            }),
+            cvs: (0..n).map(|_| Condvar::new()).collect(),
+            metrics: Arc::new(EngineMetrics::default()),
+        })
     }
+
+    /// Rank `rank`'s [`Parker`].
+    pub(crate) fn parker(self: &Arc<Self>, rank: usize) -> Parker {
+        Parker {
+            rank,
+            engine: self.clone(),
+        }
+    }
+
+    /// The handle that wakes rank `rank`, from any thread.
+    pub(crate) fn unparker(self: &Arc<Self>, rank: usize) -> UnparkerRef {
+        Arc::new(RankWaker {
+            rank,
+            engine: self.clone(),
+        })
+    }
+
+    /// Run `body(rank)` once per rank, each on its own `stack_size`
+    /// thread, and return when every rank has finished. A world may be
+    /// launched more than once; each launch re-runs the start barrier from
+    /// zero. Banked unparks survive (a wake delivered between launches is
+    /// still owed to its rank).
+    pub(crate) fn run(&self, stack_size: usize, body: &(dyn Fn(usize) + Sync)) {
+        {
+            let mut st = unpoisoned(self.state.lock());
+            debug_assert!(
+                st.status
+                    .iter()
+                    .all(|s| matches!(s, RankState::Starting | RankState::Done)),
+                "relaunch while ranks still active"
+            );
+            st.status.fill(RankState::Starting);
+            st.ready.clear();
+            st.free = self.workers;
+            st.started = 0;
+        }
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..self.n)
+                .map(|rank| {
+                    std::thread::Builder::new()
+                        .name(format!("rank-{rank}"))
+                        .stack_size(stack_size)
+                        .spawn_scoped(s, move || {
+                            self.start(rank);
+                            body(rank);
+                            self.retire(rank);
+                        })
+                        .expect("failed to spawn rank thread")
+                })
+                .collect();
+            for h in handles {
+                h.join().expect("rank thread join failed");
+            }
+        });
+    }
+
     /// Grant free tokens to ready ranks, one policy pick per token. Held
     /// back until the start barrier completes.
     fn grant(&self, st: &mut CoopState) {
         while st.free > 0 && !st.ready.is_empty() && st.started == self.n {
             let k = st.decisions;
             let seeded = (splitmix64(self.seed ^ k) as usize) % st.ready.len();
-            let idx = match &self.policy {
-                SchedulePolicy::Seeded | SchedulePolicy::Record(_) => seeded,
-                SchedulePolicy::Replay(script) => script.pick(k, st.ready.len(), seeded),
+            let (idx, log) = match &self.policy {
+                SchedulePolicy::Seeded => (seeded, None),
+                SchedulePolicy::Record(rec) => (seeded, Some(&**rec)),
+                SchedulePolicy::Replay(script) => (
+                    script.pick(k, st.ready.len(), seeded),
+                    Some(&script.recorder),
+                ),
             };
-            match &self.policy {
-                SchedulePolicy::Seeded => {}
-                SchedulePolicy::Record(rec) => rec.record(SchedDecision {
+            if let Some(log) = log {
+                log.record(SchedDecision {
                     index: k,
                     ready: st.ready.clone(),
                     chosen_idx: idx as u32,
                     chosen_rank: st.ready[idx],
-                }),
-                SchedulePolicy::Replay(script) => script.recorder.record(SchedDecision {
-                    index: k,
-                    ready: st.ready.clone(),
-                    chosen_idx: idx as u32,
-                    chosen_rank: st.ready[idx],
-                }),
+                });
             }
             st.decisions = st.decisions.wrapping_add(1);
             let rank = st.ready.remove(idx);
@@ -602,7 +554,7 @@ impl CoopShared {
     /// arrival order. (Every later enqueue is ordered by unpark calls,
     /// which the running ranks' actions determine.)
     fn start(&self, rank: usize) {
-        let mut st = self.state.lock();
+        let mut st = unpoisoned(self.state.lock());
         st.started += 1;
         st.status[rank] = RankState::Ready;
         st.ready.push(rank);
@@ -611,24 +563,23 @@ impl CoopShared {
         }
         self.grant(&mut st);
         while st.status[rank] != RankState::Running {
-            self.cvs[rank].wait(&mut st);
+            st = unpoisoned(self.cvs[rank].wait(st));
         }
     }
 
     /// Retire a finished rank's token.
     fn retire(&self, rank: usize) {
-        let mut st = self.state.lock();
+        let mut st = unpoisoned(self.state.lock());
         st.status[rank] = RankState::Done;
         st.free += 1;
         self.grant(&mut st);
     }
 
-    /// The coop park: consume a banked wake, or release the token, wait
-    /// for an unpark/timeout, then run again once the policy grants a
-    /// token back.
-    fn park(&self, rank: usize, timeout: Duration) {
+    /// The park: consume a banked wake, or release the token, wait for an
+    /// unpark/timeout, then run again once the policy grants a token back.
+    pub(crate) fn park(&self, rank: usize, timeout: Duration) {
         let deadline = Instant::now().checked_add(timeout);
-        let mut st = self.state.lock();
+        let mut st = unpoisoned(self.state.lock());
         if st.pending[rank] {
             // Banked wake: keep the token, return immediately.
             st.pending[rank] = false;
@@ -644,7 +595,7 @@ impl CoopShared {
         while st.status[rank] != RankState::Running {
             if st.status[rank] == RankState::Parked {
                 let Some(dl) = deadline else {
-                    self.cvs[rank].wait(&mut st);
+                    st = unpoisoned(self.cvs[rank].wait(st));
                     continue;
                 };
                 let now = Instant::now();
@@ -653,18 +604,18 @@ impl CoopShared {
                     st.ready.push(rank);
                     self.grant(&mut st);
                 } else {
-                    self.cvs[rank].wait_for(&mut st, dl - now);
+                    st = unpoisoned(self.cvs[rank].wait_timeout(st, dl - now)).0;
                 }
             } else {
                 // Ready: queued for a token; only a grant ends the wait.
-                self.cvs[rank].wait(&mut st);
+                st = unpoisoned(self.cvs[rank].wait(st));
             }
         }
     }
 
-    fn unpark(&self, rank: usize) {
+    pub(crate) fn unpark(&self, rank: usize) {
         self.metrics.unparks.fetch_add(1, Ordering::Relaxed);
-        let mut st = self.state.lock();
+        let mut st = unpoisoned(self.state.lock());
         match st.status[rank] {
             RankState::Done => {}
             RankState::Parked => {
@@ -684,147 +635,52 @@ impl CoopShared {
     }
 }
 
-struct CoopParker {
-    rank: usize,
-    shared: Arc<CoopShared>,
-}
-
-impl Parker for CoopParker {
-    fn park(&self, timeout: Duration) {
-        self.shared.park(self.rank, timeout);
-    }
-}
-
-struct CoopUnparker {
-    rank: usize,
-    shared: Arc<CoopShared>,
-}
-
-impl Unparker for CoopUnparker {
-    fn unpark(&self) {
-        self.shared.unpark(self.rank);
-    }
-}
-
-/// Token-gated cooperative engine: `n` rank threads, at most `workers`
-/// runnable at once, scheduling decided by a seeded deterministic policy.
-pub(crate) struct CoopEngine {
-    shared: Arc<CoopShared>,
-}
-
-impl CoopEngine {
-    fn new(n: usize, cfg: CoopCfg, policy: SchedulePolicy) -> Self {
-        let workers = match cfg.workers {
-            0 => std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4),
-            w => w,
-        }
-        .min(n.max(1));
-        CoopEngine {
-            shared: Arc::new(CoopShared {
-                n,
-                seed: cfg.sched_seed,
-                workers,
-                policy,
-                state: Mutex::new(CoopState {
-                    status: vec![RankState::Starting; n],
-                    ready: Vec::with_capacity(n),
-                    pending: vec![false; n],
-                    free: workers,
-                    started: 0,
-                    decisions: 0,
-                }),
-                cvs: (0..n).map(|_| Condvar::new()).collect(),
-                metrics: Arc::new(EngineMetrics::default()),
-            }),
-        }
-    }
-}
-
-impl Engine for CoopEngine {
-    fn parkers(&self, n: usize) -> Vec<(ParkerRef, UnparkerRef)> {
-        assert_eq!(n, self.shared.n, "engine built for a different world size");
-        (0..n)
-            .map(|rank| {
-                (
-                    Arc::new(CoopParker {
-                        rank,
-                        shared: self.shared.clone(),
-                    }) as ParkerRef,
-                    Arc::new(CoopUnparker {
-                        rank,
-                        shared: self.shared.clone(),
-                    }) as UnparkerRef,
-                )
-            })
-            .collect()
-    }
-
-    fn run(&self, n: usize, _stack_size: usize, body: &(dyn Fn(usize) + Sync)) {
-        assert_eq!(n, self.shared.n, "engine built for a different world size");
-        self.shared.reset();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|rank| {
-                    let shared = self.shared.clone();
-                    std::thread::Builder::new()
-                        .name(format!("rank-{rank}"))
-                        .stack_size(COOP_STACK)
-                        .spawn_scoped(s, move || {
-                            shared.start(rank);
-                            body(rank);
-                            shared.retire(rank);
-                        })
-                        .expect("failed to spawn rank thread")
-                })
-                .collect();
-            for h in handles {
-                h.join().expect("rank thread join failed");
-            }
-        });
-    }
-
-    fn metrics(&self) -> Arc<EngineMetrics> {
-        self.shared.metrics.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    fn coop(workers: usize, sched_seed: u64) -> EngineKind {
+        EngineKind::Coop(CoopCfg {
+            workers,
+            sched_seed,
+        })
+    }
+
+    fn engine(n: usize, workers: usize, seed: u64, policy: SchedulePolicy) -> Arc<CoopEngine> {
+        CoopEngine::new(
+            n,
+            CoopCfg {
+                workers,
+                sched_seed: seed,
+            },
+            policy,
+        )
+    }
+
+    fn run(eng: &CoopEngine, body: &(dyn Fn(usize) + Sync)) {
+        eng.run(crate::WorldCfg::default().stack_size, body);
+    }
 
     #[test]
     fn parse_engine_specs() {
-        assert_eq!(EngineKind::parse("thread"), Some(EngineKind::Thread));
-        assert_eq!(EngineKind::parse("Thread"), Some(EngineKind::Thread));
-        assert_eq!(
-            EngineKind::parse("coop"),
-            Some(EngineKind::Coop(CoopCfg::default()))
-        );
-        assert_eq!(
-            EngineKind::parse("coop:4"),
-            Some(EngineKind::Coop(CoopCfg {
-                workers: 4,
-                sched_seed: 0
-            }))
-        );
-        assert_eq!(
-            EngineKind::parse("coop:1:42"),
-            Some(EngineKind::Coop(CoopCfg {
-                workers: 1,
-                sched_seed: 42
-            }))
-        );
+        assert_eq!(EngineKind::parse("coop"), Some(coop(0, 0)));
+        assert_eq!(EngineKind::parse("coop:4"), Some(coop(4, 0)));
+        assert_eq!(EngineKind::parse("coop:1:42"), Some(coop(1, 42)));
+        assert_eq!(EngineKind::parse("coop:auto"), Some(coop(0, 0)));
+        assert_eq!(EngineKind::parse("coop:AUTO:7"), Some(coop(0, 7)));
         assert_eq!(EngineKind::parse("fiber"), None);
         assert_eq!(EngineKind::parse("coop:x"), None);
         assert_eq!(EngineKind::parse("coop:1:2:3"), None);
+        // The retired thread engine is refused, never reinterpreted.
+        assert_eq!(EngineKind::parse("thread"), None);
+        assert_eq!(EngineKind::parse("Thread"), None);
     }
 
     #[test]
     fn parse_rejects_explicit_zero_workers() {
-        // `coop` (bare) means auto, but an explicit zero is a malformed
-        // worker count: zero run tokens could never grant a rank.
+        // `coop` (bare) and `coop:auto` mean auto, but an explicit zero is
+        // a malformed worker count: zero run tokens could never grant.
         assert_eq!(EngineKind::parse("coop:0"), None);
         assert_eq!(EngineKind::parse("coop:0:42"), None);
         assert_eq!(EngineKind::parse("coop: 0 "), None);
@@ -833,18 +689,9 @@ mod tests {
     #[test]
     fn parse_edge_cases() {
         // Whitespace and case are forgiven.
-        assert_eq!(EngineKind::parse("  thread  "), Some(EngineKind::Thread));
-        assert_eq!(
-            EngineKind::parse("COOP"),
-            Some(EngineKind::Coop(CoopCfg::default()))
-        );
-        assert_eq!(
-            EngineKind::parse("coop: 3 : 9 "),
-            Some(EngineKind::Coop(CoopCfg {
-                workers: 3,
-                sched_seed: 9
-            }))
-        );
+        assert_eq!(EngineKind::parse("  coop  "), Some(coop(0, 0)));
+        assert_eq!(EngineKind::parse("COOP"), Some(coop(0, 0)));
+        assert_eq!(EngineKind::parse("coop: 3 : 9 "), Some(coop(3, 9)));
         // Malformed specs are rejected, never reinterpreted.
         assert_eq!(EngineKind::parse(""), None);
         assert_eq!(EngineKind::parse("coop:"), None);
@@ -853,72 +700,87 @@ mod tests {
         assert_eq!(EngineKind::parse("coop:-1"), None);
         assert_eq!(EngineKind::parse("coop:1:-2"), None);
         assert_eq!(EngineKind::parse("coop:1:0x10"), None);
+        assert_eq!(EngineKind::parse("coop:auto:"), None);
         assert_eq!(EngineKind::parse("thread:1"), None);
         assert_eq!(EngineKind::parse("coop:2:3:"), None);
         assert_eq!(EngineKind::parse("coop,2"), None);
         // Saturating-large values still parse as plain integers.
-        assert_eq!(
-            EngineKind::parse(&format!("coop:1:{}", u64::MAX)),
-            Some(EngineKind::Coop(CoopCfg {
-                workers: 1,
-                sched_seed: u64::MAX
-            }))
-        );
+        let max = format!("coop:1:{}", u64::MAX);
+        assert_eq!(EngineKind::parse(&max), Some(coop(1, u64::MAX)));
         assert_eq!(EngineKind::parse(&format!("coop:1:{}0", u64::MAX)), None);
     }
 
     #[test]
-    fn thread_parker_banks_unpark() {
-        let p = Arc::new(ThreadParker::new(Arc::new(EngineMetrics::default())));
-        let start = Instant::now();
-        Unparker::unpark(&*p);
-        Parker::park(&*p, Duration::from_secs(10));
-        assert!(
-            start.elapsed() < Duration::from_secs(2),
-            "banked unpark was not consumed"
-        );
-        // Token consumed: the next park must time out.
-        let t = Instant::now();
-        Parker::park(&*p, Duration::from_millis(20));
-        assert!(t.elapsed() >= Duration::from_millis(10));
+    fn every_engine_spelling_parses_back() {
+        let default = crate::WorldCfg::default().engine;
+        assert_eq!(default.to_string(), "coop:auto:0");
+        for (kind, text) in [
+            (default, "coop:auto:0"),
+            (coop(0, 7), "coop:auto:7"),
+            (coop(1, 0), "coop:1:0"),
+            (coop(3, 9), "coop:3:9"),
+        ] {
+            assert_eq!(kind.to_string(), text);
+            assert_eq!(EngineKind::parse(text), Some(kind), "{text}");
+        }
     }
 
     #[test]
-    fn thread_parker_cross_thread_wake() {
-        let p = Arc::new(ThreadParker::new(Arc::new(EngineMetrics::default())));
-        let p2 = p.clone();
-        let h = std::thread::spawn(move || {
+    fn parker_banks_unpark() {
+        let eng = engine(1, 1, 0, SchedulePolicy::Seeded);
+        let (banked, drained) = (Mutex::new(None), Mutex::new(None));
+        run(&eng, &|rank| {
+            let start = Instant::now();
+            eng.unpark(rank);
+            eng.parker(rank).park(Duration::from_secs(10));
+            *banked.lock().unwrap() = Some(start.elapsed());
+            // Token consumed: the next park must time out.
             let t = Instant::now();
-            Parker::park(&*p2, Duration::from_secs(30));
-            t.elapsed()
+            eng.parker(rank).park(Duration::from_millis(20));
+            *drained.lock().unwrap() = Some(t.elapsed());
         });
-        std::thread::sleep(Duration::from_millis(30));
-        Unparker::unpark(&*p);
-        assert!(h.join().unwrap() < Duration::from_secs(5));
+        let banked = banked.into_inner().unwrap().unwrap();
+        assert!(
+            banked < Duration::from_secs(2),
+            "banked unpark was not consumed"
+        );
+        assert!(drained.into_inner().unwrap().unwrap() >= Duration::from_millis(10));
+    }
+
+    #[test]
+    fn parker_wakes_on_unpark_from_a_foreign_thread() {
+        // The deadlock monitor and the GC helper are not ranks; their
+        // unparks must still reach a parked rank.
+        let eng = engine(1, 1, 0, SchedulePolicy::Seeded);
+        let waker = eng.unparker(0);
+        let waited = Mutex::new(None);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(30));
+                waker.unpark();
+            });
+            run(&eng, &|rank| {
+                let t = Instant::now();
+                eng.parker(rank).park(Duration::from_secs(30));
+                *waited.lock().unwrap() = Some(t.elapsed());
+            });
+        });
+        assert!(waited.into_inner().unwrap().unwrap() < Duration::from_secs(5));
     }
 
     #[test]
     fn coop_runs_all_ranks_gated() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let n = 16;
-        let eng = CoopEngine::new(
-            n,
-            CoopCfg {
-                workers: 2,
-                sched_seed: 7,
-            },
-            SchedulePolicy::Seeded,
-        );
-        let pairs = eng.parkers(n);
+        let eng = engine(n, 2, 7, SchedulePolicy::Seeded);
         let running = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
-        eng.run(n, 0, &|rank| {
+        run(&eng, &|rank| {
             let cur = running.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(cur, Ordering::SeqCst);
             // Park with a banked self-wake: exercises release/re-acquire.
-            pairs[rank].1.unpark();
-            pairs[rank].0.park(Duration::from_secs(5));
+            eng.unpark(rank);
+            eng.park(rank, Duration::from_secs(5));
             running.fetch_sub(1, Ordering::SeqCst);
             done.fetch_add(1, Ordering::SeqCst);
         });
@@ -932,50 +794,32 @@ mod tests {
 
     #[test]
     fn coop_park_wakes_on_cross_thread_unpark() {
-        let n = 2;
-        let eng = CoopEngine::new(
-            n,
-            CoopCfg {
-                workers: 1,
-                sched_seed: 0,
-            },
-            SchedulePolicy::Seeded,
-        );
-        let pairs = eng.parkers(n);
-        let unparker0 = pairs[0].1.clone();
+        let eng = engine(2, 1, 0, SchedulePolicy::Seeded);
         // Rank 1 wakes rank 0, which parks with a long timeout. With one
         // token, rank 0's park must release it so rank 1 can run at all.
-        eng.run(n, 0, &|rank| {
+        run(&eng, &|rank| {
             if rank == 0 {
                 let t = Instant::now();
-                pairs[rank].0.park(Duration::from_secs(30));
+                eng.park(rank, Duration::from_secs(30));
                 assert!(
                     t.elapsed() < Duration::from_secs(10),
                     "unpark never delivered"
                 );
             } else {
                 std::thread::sleep(Duration::from_millis(20));
-                unparker0.unpark();
+                eng.unpark(0);
             }
         });
     }
 
-    /// Run an `n`-rank do-nothing body under the given policy and return
-    /// (for Record) the recorder. Every rank just parks once with a banked
-    /// self-wake, so the decision log is short but non-trivial.
+    /// Run an `n`-rank do-nothing body under the given policy. Every rank
+    /// just parks once with a banked self-wake, so the decision log is
+    /// short but non-trivial.
     fn run_policy(n: usize, seed: u64, policy: SchedulePolicy) {
-        let eng = CoopEngine::new(
-            n,
-            CoopCfg {
-                workers: 1,
-                sched_seed: seed,
-            },
-            policy,
-        );
-        let pairs = eng.parkers(n);
-        eng.run(n, 0, &|rank| {
-            pairs[rank].1.unpark();
-            pairs[rank].0.park(Duration::from_secs(5));
+        let eng = engine(n, 1, seed, policy);
+        run(&eng, &|rank| {
+            eng.unpark(rank);
+            eng.park(rank, Duration::from_secs(5));
         });
     }
 

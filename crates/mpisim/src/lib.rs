@@ -76,8 +76,8 @@ pub use comm::{Comm, CommRegistry};
 pub use costmodel::{spin_ns, MachineProfile};
 pub use datatype::{decode_slice, encode_slice, Datatype, Scalar};
 pub use engine::{
-    CoopCfg, EngineKind, EngineMetrics, Parker, ParkerRef, SchedDecision, ScheduleDivergence,
-    SchedulePolicy, ScheduleRecorder, ScheduleScript, Unparker, UnparkerRef,
+    CoopCfg, EngineKind, EngineMetrics, Parker, SchedDecision, ScheduleDivergence, SchedulePolicy,
+    ScheduleRecorder, ScheduleScript, Unparker, UnparkerRef,
 };
 pub use envelope::{Envelope, MatchSpec, MsgClass, SrcSel, TagSel, INTERNAL_TAG_BIT, MAX_USER_TAG};
 pub use error::{MpiError, Result};
@@ -92,3 +92,10 @@ pub use stats::{CollKind, StatsSnapshot, WorldStats, COLL_KIND_NAMES, N_COLL_KIN
 pub use tools::{describe, BlockKind, RankActivity, ToolsState};
 pub use trace::{TraceHook, TraceHookRef};
 pub use world::{run, Introspect, World, WorldCfg, WorldError};
+
+/// The guard of a lock result, even when a panicking rank poisoned the
+/// lock: that rank poisons the *world* ([`Network::poison`]), and its
+/// peers must see the poison as an error, not as a cascade of panics.
+fn unpoisoned<G>(r: std::sync::LockResult<G>) -> G {
+    r.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

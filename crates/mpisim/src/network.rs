@@ -1,5 +1,5 @@
-//! The simulated network fabric: per-rank mailboxes with engine-supplied
-//! parker wakeups and explicit in-flight accounting.
+//! The simulated network fabric: per-rank mailboxes with engine parker
+//! wakeups and explicit in-flight accounting.
 //!
 //! A message deposited by a send stays in its destination mailbox until a
 //! matching receive removes it. [`Network::in_flight`] therefore reports
@@ -7,7 +7,7 @@
 //!
 //! # Fault injection
 //!
-//! When built with [`Network::with_fault`], user-class envelopes may be
+//! When built with a fault plan, user-class envelopes may be
 //! parked in a per-destination *limbo* buffer instead of being queued
 //! immediately. Limbo'd envelopes are still in flight (the drain algorithm
 //! must account for them) but are invisible to matching until released.
@@ -22,13 +22,13 @@
 //! always held behind it, and the release scan walks entries in insertion
 //! order, skipping every source that still has an earlier held entry.
 
-use crate::engine::{self, ParkerRef, UnparkerRef};
+use crate::engine::{CoopEngine, Parker};
 use crate::envelope::{Envelope, MsgClass};
 use crate::fault::{FaultPlan, Perturb};
 use crate::trace::TraceHookRef;
-use parking_lot::{Mutex, MutexGuard};
+use crate::unpoisoned;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Upper bound on any single park while a fault plan is active. Limbo
@@ -66,11 +66,8 @@ struct LimboEntry {
 /// The fabric shared by all ranks of a world.
 pub struct Network {
     boxes: Vec<Mutex<Mailbox>>,
-    /// Per-rank blocking primitives, supplied by the execution engine.
-    /// `parkers[dst]` is only ever used by rank `dst` itself; any thread
-    /// may call `unparkers[dst]`.
-    parkers: Vec<ParkerRef>,
-    unparkers: Vec<UnparkerRef>,
+    /// The world's engine: rank `dst` parks on it, any thread unparks.
+    engine: Arc<CoopEngine>,
     /// Per-destination limbo for fault-held envelopes. Lock order is
     /// always mailbox → limbo.
     limbo: Vec<Mutex<Vec<LimboEntry>>>,
@@ -83,40 +80,17 @@ pub struct Network {
 }
 
 impl Network {
-    /// Fabric for `n` ranks with no fault injection.
-    pub fn new(n: usize) -> Self {
-        Self::with_fault(n, None)
-    }
-
-    /// Fabric for `n` ranks, perturbed by `fault` when given.
-    pub fn with_fault(n: usize, fault: Option<Arc<FaultPlan>>) -> Self {
-        Self::with_fault_and_trace(n, fault, None)
-    }
-
-    /// Fabric for `n` ranks with a fault plan and/or a trace hook, using
-    /// standalone per-rank parkers (equivalent to the thread engine's).
-    pub fn with_fault_and_trace(
+    /// Fabric for `n` ranks whose waits park on `engine`, perturbed by
+    /// `fault` and observed by `trace` when given.
+    pub(crate) fn new(
         n: usize,
         fault: Option<Arc<FaultPlan>>,
         trace: Option<TraceHookRef>,
+        engine: Arc<CoopEngine>,
     ) -> Self {
-        Self::with_engine(n, fault, trace, engine::default_parkers(n))
-    }
-
-    /// Fabric for `n` ranks whose blocking primitives are supplied by an
-    /// execution engine — one `(Parker, Unparker)` pair per rank.
-    pub fn with_engine(
-        n: usize,
-        fault: Option<Arc<FaultPlan>>,
-        trace: Option<TraceHookRef>,
-        pairs: Vec<(ParkerRef, UnparkerRef)>,
-    ) -> Self {
-        assert_eq!(pairs.len(), n, "engine must supply one parker per rank");
-        let (parkers, unparkers) = pairs.into_iter().unzip();
         Network {
             boxes: (0..n).map(|_| Mutex::new(Mailbox::default())).collect(),
-            parkers,
-            unparkers,
+            engine,
             limbo: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
             fault,
             trace,
@@ -139,15 +113,8 @@ impl Network {
 
     /// Rank `rank`'s parker — the handle that rank blocks on. Only the
     /// rank's own thread of execution may park on it.
-    pub fn parker(&self, rank: usize) -> ParkerRef {
-        self.parkers[rank].clone()
-    }
-
-    /// The handle that wakes rank `rank` out of a park. Safe to call from
-    /// any thread; an unpark with no parked waiter is banked for the next
-    /// park.
-    pub fn unparker(&self, rank: usize) -> UnparkerRef {
-        self.unparkers[rank].clone()
+    pub fn parker(&self, rank: usize) -> Parker {
+        self.engine.parker(rank)
     }
 
     /// Deposit a message into its destination mailbox and wake the receiver.
@@ -165,12 +132,12 @@ impl Network {
             t.hook()
                 .on_send(env.src, dst, env.payload.len(), env.class == MsgClass::User);
         }
-        let mut mb = self.boxes[dst].lock();
+        let mut mb = unpoisoned(self.boxes[dst].lock());
         let mut released_held = false;
         if let Some(fp) = self.fault.clone() {
             released_held = self.flush_limbo_locked(dst, &mut mb, false);
             if env.class == MsgClass::User {
-                let mut limbo = self.limbo[dst].lock();
+                let mut limbo = unpoisoned(self.limbo[dst].lock());
                 let behind_held_pred = limbo.iter().any(|h| h.env.src == env.src);
                 let hold = match fp.perturb(env.src, env.dst, env.seq) {
                     Perturb::None if !behind_held_pred => None,
@@ -196,7 +163,7 @@ impl Network {
                     drop(limbo);
                     drop(mb);
                     if released_held {
-                        self.unparkers[dst].unpark();
+                        self.engine.unpark(dst);
                     }
                     return;
                 }
@@ -207,7 +174,7 @@ impl Network {
         mb.arrivals += 1;
         drop(mb);
         let _ = released_held;
-        self.unparkers[dst].unpark();
+        self.engine.unpark(dst);
     }
 
     /// Lock rank `dst`'s mailbox for matching. Under a fault plan this is
@@ -215,7 +182,7 @@ impl Network {
     /// the queue before the guard is returned, so every matching attempt
     /// sees the freshest legal queue.
     pub fn lock_box(&self, dst: usize) -> MutexGuard<'_, Mailbox> {
-        let mut mb = self.boxes[dst].lock();
+        let mut mb = unpoisoned(self.boxes[dst].lock());
         if self.fault.is_some() {
             self.flush_limbo_locked(dst, &mut mb, false);
         }
@@ -229,7 +196,7 @@ impl Network {
     /// entry is only released if no earlier entry of the same source is
     /// still held.
     fn flush_limbo_locked(&self, dst: usize, mb: &mut Mailbox, force: bool) -> bool {
-        let mut limbo = self.limbo[dst].lock();
+        let mut limbo = unpoisoned(self.limbo[dst].lock());
         if limbo.is_empty() {
             return false;
         }
@@ -303,7 +270,7 @@ impl Network {
             timeout
         };
         drop(guard);
-        self.parkers[dst].park(timeout);
+        self.engine.park(dst, timeout);
         self.lock_box(dst)
     }
 
@@ -325,12 +292,12 @@ impl Network {
         let mut msgs = 0;
         let mut bytes = 0;
         for dst in 0..self.boxes.len() {
-            let mb = self.boxes[dst].lock();
+            let mb = unpoisoned(self.boxes[dst].lock());
             for e in mb.queue.iter().filter(|e| e.class == MsgClass::User) {
                 msgs += 1;
                 bytes += e.payload.len();
             }
-            let limbo = self.limbo[dst].lock();
+            let limbo = unpoisoned(self.limbo[dst].lock());
             for e in limbo.iter().filter(|e| e.env.class == MsgClass::User) {
                 msgs += 1;
                 bytes += e.env.payload.len();
@@ -344,7 +311,7 @@ impl Network {
     /// Fault-held envelopes count: they are owed to `dst` even though
     /// matching cannot see them yet.
     pub fn queued_for(&self, dst: usize, class: Option<MsgClass>) -> usize {
-        let mut mb = self.boxes[dst].lock();
+        let mut mb = unpoisoned(self.boxes[dst].lock());
         if self.fault.is_some() {
             self.flush_limbo_locked(dst, &mut mb, false);
         }
@@ -353,8 +320,7 @@ impl Network {
             .iter()
             .filter(|e| class.is_none_or(|c| e.class == c))
             .count();
-        let held = self.limbo[dst]
-            .lock()
+        let held = unpoisoned(self.limbo[dst].lock())
             .iter()
             .filter(|e| class.is_none_or(|c| e.env.class == c))
             .count();
@@ -370,10 +336,10 @@ impl Network {
     pub fn poison(&self) {
         self.poisoned.store(true, Ordering::SeqCst);
         for dst in 0..self.boxes.len() {
-            let mut mb = self.boxes[dst].lock();
+            let mut mb = unpoisoned(self.boxes[dst].lock());
             self.flush_limbo_locked(dst, &mut mb, true);
             drop(mb);
-            self.unparkers[dst].unpark();
+            self.engine.unpark(dst);
         }
     }
 
@@ -397,7 +363,18 @@ impl std::fmt::Debug for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{CoopCfg, SchedulePolicy};
     use crate::fault::FaultSpec;
+
+    fn fabric(n: usize, fault: Option<Arc<FaultPlan>>) -> Network {
+        let engine = CoopEngine::new(n, CoopCfg::default(), SchedulePolicy::Seeded);
+        Network::new(n, fault, None, engine)
+    }
+
+    /// Run `body(rank)` as the ranks of `net`'s engine.
+    fn run(net: &Network, body: &(dyn Fn(usize) + Sync)) {
+        net.engine.run(crate::WorldCfg::default().stack_size, body);
+    }
 
     fn env(src: usize, dst: usize, tag: i32, len: usize) -> Envelope {
         env_seq(src, dst, tag, 0, len)
@@ -418,7 +395,7 @@ mod tests {
 
     #[test]
     fn deposit_and_inflight_accounting() {
-        let net = Network::new(2);
+        let net = fabric(2, None);
         assert_eq!(net.in_flight(), (0, 0));
         net.deposit(env(0, 1, 5, 10));
         net.deposit(env(0, 1, 6, 20));
@@ -435,7 +412,7 @@ mod tests {
 
     #[test]
     fn arrival_stamps_monotonic() {
-        let net = Network::new(1);
+        let net = fabric(1, None);
         net.deposit(env(0, 0, 1, 0));
         net.deposit(env(0, 0, 2, 0));
         let mb = net.lock_box(0);
@@ -444,7 +421,7 @@ mod tests {
 
     #[test]
     fn poison_flags() {
-        let net = Network::new(1);
+        let net = fabric(1, None);
         assert!(!net.is_poisoned());
         net.poison();
         assert!(net.is_poisoned());
@@ -452,43 +429,49 @@ mod tests {
 
     #[test]
     fn deposit_wakes_waiter() {
-        use std::sync::Arc;
-        let net = Arc::new(Network::new(2));
-        let n2 = net.clone();
-        let h = std::thread::spawn(move || {
-            let mut guard = n2.lock_box(1);
-            let mut spins = 0;
-            while guard.queue.is_empty() {
-                guard = n2.wait_on(1, guard, Duration::from_millis(500));
-                spins += 1;
-                if spins > 20 {
-                    panic!("never woken");
-                }
+        let net = fabric(2, None);
+        let got = Mutex::new(None);
+        run(&net, &|rank| {
+            if rank == 0 {
+                std::thread::sleep(Duration::from_millis(30));
+                net.deposit(env(0, 1, 9, 4));
+                return;
             }
-            guard.queue.len()
+            let mut guard = net.lock_box(1);
+            for _ in 0..20 {
+                if !guard.queue.is_empty() {
+                    break;
+                }
+                guard = net.wait_on(1, guard, Duration::from_millis(500));
+            }
+            *got.lock().unwrap() = Some(guard.queue.len());
         });
-        std::thread::sleep(Duration::from_millis(30));
-        net.deposit(env(0, 1, 9, 4));
-        assert_eq!(h.join().unwrap(), 1);
+        assert_eq!(got.into_inner().unwrap(), Some(1), "never woken");
     }
 
     /// Regression: a rank parked in `wait_on` with a long timeout must
     /// observe `poison()` promptly instead of sleeping the timeout out.
     #[test]
     fn poison_wakes_parked_waiter_promptly() {
-        let net = Arc::new(Network::new(1));
-        let n2 = net.clone();
-        let h = std::thread::spawn(move || {
-            let start = Instant::now();
-            let mut guard = n2.lock_box(0);
-            while guard.queue.is_empty() && !n2.is_poisoned() {
-                guard = n2.wait_on(0, guard, Duration::from_secs(30));
-            }
-            start.elapsed()
+        let net = fabric(1, None);
+        let waited = Mutex::new(Duration::MAX);
+        std::thread::scope(|s| {
+            // The poisoner is a supervisor, not a rank (the deadlock
+            // monitor's case).
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                net.poison();
+            });
+            run(&net, &|rank| {
+                let start = Instant::now();
+                let mut guard = net.lock_box(rank);
+                while guard.queue.is_empty() && !net.is_poisoned() {
+                    guard = net.wait_on(rank, guard, Duration::from_secs(30));
+                }
+                *waited.lock().unwrap() = start.elapsed();
+            });
         });
-        std::thread::sleep(Duration::from_millis(50));
-        net.poison();
-        let waited = h.join().unwrap();
+        let waited = waited.into_inner().unwrap();
         assert!(
             waited < Duration::from_secs(5),
             "waiter slept {waited:?} after poison instead of waking promptly"
@@ -499,7 +482,7 @@ mod tests {
     /// notification pending.
     #[test]
     fn wait_on_after_poison_returns_immediately() {
-        let net = Network::new(1);
+        let net = fabric(1, None);
         net.poison();
         let guard = net.lock_box(0);
         let start = Instant::now();
@@ -520,7 +503,7 @@ mod tests {
 
     #[test]
     fn delayed_envelope_counts_in_flight_and_delivers_after_deadline() {
-        let net = Network::with_fault(2, Some(delay_all_plan()));
+        let net = fabric(2, Some(delay_all_plan()));
         net.deposit(env(0, 1, 7, 16));
         // Held in limbo: in flight and owed to rank 1, but invisible to
         // matching.
@@ -557,7 +540,7 @@ mod tests {
                 ..FaultSpec::quiet()
             },
         ));
-        let net = Network::with_fault(2, Some(plan));
+        let net = fabric(2, Some(plan));
         for seq in 0..32u64 {
             net.deposit(env_seq(0, 1, seq as i32, seq, 1));
         }
@@ -580,7 +563,7 @@ mod tests {
     /// user in-flight count.
     #[test]
     fn internal_class_bypasses_faults() {
-        let net = Network::with_fault(2, Some(delay_all_plan()));
+        let net = fabric(2, Some(delay_all_plan()));
         let mut e = env(0, 1, 3, 8);
         e.class = MsgClass::Internal;
         net.deposit(e);
@@ -595,7 +578,7 @@ mod tests {
     /// envelope.
     #[test]
     fn poison_force_flushes_limbo() {
-        let net = Network::with_fault(
+        let net = fabric(
             2,
             Some(Arc::new(FaultPlan::new(
                 5,
@@ -608,11 +591,11 @@ mod tests {
         );
         net.deposit(env(0, 1, 1, 4));
         {
-            let mb = net.boxes[1].lock();
+            let mb = net.boxes[1].lock().unwrap();
             assert!(mb.queue.is_empty(), "envelope should still be in limbo");
         }
         net.poison();
-        let mb = net.boxes[1].lock();
+        let mb = net.boxes[1].lock().unwrap();
         assert_eq!(mb.queue.len(), 1);
     }
 }

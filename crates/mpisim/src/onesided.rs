@@ -19,9 +19,10 @@ use crate::datatype::Datatype;
 use crate::error::{MpiError, Result};
 use crate::op::{reduce_bytes, ReduceOp};
 use crate::proc_::Proc;
-use parking_lot::Mutex;
+use crate::unpoisoned;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// A window handle (cheap copy). Like [`Comm`], the raw id is the "real
 /// object" MANA virtualizes.
@@ -78,11 +79,11 @@ impl WinRegistry {
         my_local: usize,
         my_size: usize,
     ) -> Win {
-        let mut pending = self.pending.lock();
+        let mut pending = unpoisoned(self.pending.lock());
         let (id, joined) = {
             let entry = pending.entry((comm_ctx, seq)).or_insert_with(|| {
                 let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-                let mut wins = self.wins.lock();
+                let mut wins = unpoisoned(self.wins.lock());
                 wins.insert(
                     id,
                     WinState {
@@ -101,9 +102,9 @@ impl WinRegistry {
         }
         drop(pending);
         // Size (or resize) my region.
-        let wins = self.wins.lock();
+        let wins = unpoisoned(self.wins.lock());
         let st = wins.get(&id).expect("window just created");
-        *st.regions[my_local].lock() = vec![0u8; my_size];
+        *unpoisoned(st.regions[my_local].lock()) = vec![0u8; my_size];
         Win { id }
     }
 
@@ -113,25 +114,25 @@ impl WinRegistry {
         local: usize,
         f: impl FnOnce(&mut Vec<u8>) -> Result<R>,
     ) -> Result<R> {
-        let wins = self.wins.lock();
+        let wins = unpoisoned(self.wins.lock());
         let st = wins.get(&win.id).ok_or(MpiError::InvalidComm(win.id))?;
         let region = st.regions.get(local).ok_or(MpiError::InvalidRank {
             rank: local,
             size: st.regions.len(),
         })?;
-        let mut guard = region.lock();
+        let mut guard = unpoisoned(region.lock());
         f(&mut guard)
     }
 
     pub(crate) fn ctx_of(&self, win: Win) -> Result<u64> {
-        let wins = self.wins.lock();
+        let wins = unpoisoned(self.wins.lock());
         wins.get(&win.id)
             .map(|s| s.ctx)
             .ok_or(MpiError::InvalidComm(win.id))
     }
 
     pub(crate) fn free(&self, win: Win) -> Result<()> {
-        let mut wins = self.wins.lock();
+        let mut wins = unpoisoned(self.wins.lock());
         match wins.get_mut(&win.id) {
             None => Err(MpiError::InvalidComm(win.id)),
             Some(st) => {
@@ -146,7 +147,7 @@ impl WinRegistry {
 
     /// Number of live windows (leak checks).
     pub fn live(&self) -> usize {
-        self.wins.lock().len()
+        unpoisoned(self.wins.lock()).len()
     }
 }
 

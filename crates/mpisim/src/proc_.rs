@@ -538,9 +538,9 @@ impl Proc {
 
     /// This rank's engine parker. Components that block a rank outside the
     /// fabric (MANA's coordinator channel) park on this instead of
-    /// sleeping, so the engine sees the block site and — under the coop
-    /// engine — can hand the run token to another rank meanwhile.
-    pub fn parker(&self) -> crate::engine::ParkerRef {
+    /// sleeping, so the engine sees the block site and can hand the run
+    /// token to another rank meanwhile.
+    pub fn parker(&self) -> crate::engine::Parker {
         self.fabric.net.parker(self.rank)
     }
 

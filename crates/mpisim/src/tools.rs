@@ -10,8 +10,9 @@
 //! world and infers a deadlock when nothing progresses while real message
 //! dependencies are outstanding.
 
-use parking_lot::Mutex;
+use crate::unpoisoned;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// What a rank is currently blocked on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,12 +59,12 @@ impl ToolsState {
 
     /// Mark `rank` blocked.
     pub fn set_blocked(&self, rank: usize, kind: BlockKind) {
-        *self.blocked[rank].lock() = Some(kind);
+        *unpoisoned(self.blocked[rank].lock()) = Some(kind);
     }
 
     /// Mark `rank` running.
     pub fn clear_blocked(&self, rank: usize) {
-        *self.blocked[rank].lock() = None;
+        *unpoisoned(self.blocked[rank].lock()) = None;
     }
 
     /// Bump `rank`'s progress counter.
@@ -77,7 +78,7 @@ impl ToolsState {
             .iter()
             .zip(&self.progress)
             .map(|(b, p)| RankActivity {
-                blocked: *b.lock(),
+                blocked: *unpoisoned(b.lock()),
                 progress: p.load(Ordering::Relaxed),
             })
             .collect()

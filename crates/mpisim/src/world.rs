@@ -1,4 +1,4 @@
-//! World lifecycle: spawn one thread per rank, run an SPMD closure, join.
+//! World lifecycle: run an SPMD closure as every rank on the engine, join.
 //!
 //! A [`World`] is disposable by design: MANA-2.0's restart path tears the
 //! whole lower half down and builds a fresh one (split-process model,
@@ -7,16 +7,16 @@
 
 use crate::comm::CommRegistry;
 use crate::costmodel::MachineProfile;
-use crate::engine::{Engine, EngineKind, ParkerRef, SchedulePolicy, UnparkerRef};
+use crate::engine::{CoopCfg, CoopEngine, EngineKind, Parker, SchedulePolicy, UnparkerRef};
 use crate::error::MpiError;
 use crate::network::Network;
 use crate::onesided::WinRegistry;
 use crate::proc_::Proc;
 use crate::stats::{StatsSnapshot, WorldStats};
 use crate::tools::{RankActivity, ToolsState};
-use parking_lot::Mutex;
+use crate::unpoisoned;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Configuration for a world run.
@@ -29,16 +29,15 @@ pub struct WorldCfg {
     /// launch. `None` disables the watchdog (production default); tests of
     /// deadlock scenarios set it.
     pub watchdog: Option<Duration>,
-    /// Stack size per rank thread. Ranks are plentiful and mostly blocked,
-    /// so the default is small (512 KiB). **Thread-engine-only**: the coop
-    /// engine sizes its own (smaller) stacks and ignores this knob.
+    /// Stack size per rank thread. Ranks are plentiful and mostly parked,
+    /// and their stacks are the dominant per-rank cost, so the default is
+    /// small (256 KiB).
     pub stack_size: usize,
-    /// Which execution engine runs the ranks ([`EngineKind::Thread`] by
-    /// default).
+    /// How the engine runs the ranks: its worker count and schedule seed
+    /// (auto workers, seed 0 by default).
     pub engine: EngineKind,
-    /// How the coop scheduler picks among ready ranks: the seeded default,
-    /// a recording run, or an explicit choice-vector replay. Ignored by
-    /// the thread engine, whose interleavings are kernel-owned.
+    /// How the scheduler picks among ready ranks: the seeded default, a
+    /// recording run, or an explicit choice-vector replay.
     pub schedule: SchedulePolicy,
     /// Seed for any randomized behaviour in workloads (plumbed through,
     /// unused by the runtime itself).
@@ -56,8 +55,8 @@ impl Default for WorldCfg {
         WorldCfg {
             profile: MachineProfile::zero(),
             watchdog: None,
-            stack_size: 512 * 1024,
-            engine: EngineKind::Thread,
+            stack_size: 256 * 1024,
+            engine: EngineKind::Coop(CoopCfg::default()),
             schedule: SchedulePolicy::Seeded,
             seed: 0,
             fault: None,
@@ -102,7 +101,7 @@ impl std::error::Error for WorldError {}
 /// A simulated MPI world.
 pub struct World {
     fabric: Arc<Fabric>,
-    engine: Arc<dyn Engine>,
+    engine: Arc<CoopEngine>,
 }
 
 impl World {
@@ -110,16 +109,12 @@ impl World {
     pub fn new(n: usize, cfg: WorldCfg) -> World {
         assert!(n > 0, "world must have at least one rank");
         let deadline = cfg.watchdog.map(|d| Instant::now() + d);
-        let engine = cfg.engine.build(n, cfg.schedule.clone());
+        let EngineKind::Coop(coop) = cfg.engine;
+        let engine = CoopEngine::new(n, coop, cfg.schedule.clone());
         World {
             fabric: Arc::new(Fabric {
                 n,
-                net: Network::with_engine(
-                    n,
-                    cfg.fault.clone(),
-                    cfg.trace.clone(),
-                    engine.parkers(n),
-                ),
+                net: Network::new(n, cfg.fault.clone(), cfg.trace.clone(), engine.clone()),
                 comms: CommRegistry::new(n),
                 wins: WinRegistry::new(),
                 stats: WorldStats::new(n),
@@ -134,21 +129,21 @@ impl World {
     /// The engine's shared activity counters (unparks, ready-queue
     /// depth), for the MANA layer's metrics plane to sample.
     pub fn engine_metrics(&self) -> Arc<crate::engine::EngineMetrics> {
-        self.engine.metrics()
+        self.engine.metrics.clone()
     }
 
     /// Rank `rank`'s parker — the blocking primitive its own thread of
     /// execution uses. External components (the MANA coordinator) hand
     /// this to the rank so *all* its waits route through the engine.
-    pub fn parker(&self, rank: usize) -> ParkerRef {
-        self.fabric.net.parker(rank)
+    pub fn parker(&self, rank: usize) -> Parker {
+        self.engine.parker(rank)
     }
 
     /// One unparker per rank, for external components that need to wake
     /// ranks out of parks (the coordinator on message delivery / intent).
     pub fn unparkers(&self) -> Vec<UnparkerRef> {
         (0..self.fabric.n)
-            .map(|r| self.fabric.net.unparker(r))
+            .map(|r| self.engine.unparker(r))
             .collect()
     }
 
@@ -157,8 +152,8 @@ impl World {
         self.fabric.n
     }
 
-    /// Run `f` as rank `r` on `n` threads and join. Each rank's return value
-    /// is collected in rank order.
+    /// Run `f` as every rank on the engine and join. Each rank's return
+    /// value is collected in rank order.
     ///
     /// If any rank panics, the world is poisoned (so blocked peers unblock
     /// with [`MpiError::Poisoned`]) and `Err(WorldError::Panicked)` is
@@ -169,8 +164,8 @@ impl World {
         F: Fn(&mut Proc) -> T + Send + Sync,
     {
         let fabric = &self.fabric;
-        // Engines run plain `Fn(usize)` bodies; per-rank results come back
-        // through slots so the same body shape works for both substrates.
+        // The engine runs a plain `Fn(usize)` body; per-rank results come
+        // back through slots.
         let slots: Vec<Mutex<Option<std::thread::Result<T>>>> =
             (0..fabric.n).map(|_| Mutex::new(None)).collect();
         let body = |rank: usize| {
@@ -179,13 +174,13 @@ impl World {
             if out.is_err() {
                 fabric.net.poison();
             }
-            *slots[rank].lock() = Some(out);
+            *unpoisoned(slots[rank].lock()) = Some(out);
         };
-        self.engine.run(fabric.n, fabric.cfg.stack_size, &body);
+        self.engine.run(fabric.cfg.stack_size, &body);
         let mut panicked = Vec::new();
         let mut out = Vec::with_capacity(fabric.n);
         for (rank, slot) in slots.into_iter().enumerate() {
-            match slot.into_inner().expect("rank body never ran") {
+            match unpoisoned(slot.into_inner()).expect("rank body never ran") {
                 Ok(v) => out.push(v),
                 Err(_) => panicked.push(rank),
             }
@@ -307,13 +302,11 @@ where
 /// production reader), so the tests parse the variable themselves.
 #[cfg(test)]
 pub(crate) fn test_cfg() -> WorldCfg {
-    let engine = std::env::var("MANA2_ENGINE").map_or(EngineKind::Thread, |v| {
+    let cfg = WorldCfg::default();
+    let engine = std::env::var("MANA2_ENGINE").map_or(cfg.engine, |v| {
         EngineKind::parse(&v).unwrap_or_else(|| panic!("bad MANA2_ENGINE={v:?}"))
     });
-    WorldCfg {
-        engine,
-        ..WorldCfg::default()
-    }
+    WorldCfg { engine, ..cfg }
 }
 
 #[cfg(test)]
@@ -321,8 +314,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_the_thread_engine() {
-        assert_eq!(WorldCfg::default().engine, EngineKind::Thread);
+    fn default_is_auto_workers_on_small_stacks() {
+        let cfg = WorldCfg::default();
+        assert_eq!(cfg.engine, EngineKind::Coop(CoopCfg::default()));
+        assert_eq!(cfg.stack_size, 256 * 1024);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! A dump is a header line followed by one event per line:
 //!
 //! ```text
-//! {"schema":"mana2-trace/1","label":"chaos_42","ranks":4,"seed":42,"dropped":0,"config":{"engine":"thread","drain":"alltoall"}}
+//! {"schema":"mana2-trace/1","label":"chaos_42","ranks":4,"seed":42,"dropped":0,"config":{"engine":"coop:auto:0","drain":"alltoall"}}
 //! {"ts":1200,"actor":-1,"seq":0,"round":0,"ev":"begin","phase":"intent"}
 //! {"ts":3400,"actor":0,"seq":1,"round":0,"ev":"end","phase":"intent"}
 //! ```

@@ -188,7 +188,7 @@ std_set! {
     /// Wrapper calls replayed from restored state.
     RESTART_REPLAYED_CALLS = "mana2_restart_replayed_calls_total", Counter,
         "Wrapper calls replayed from restored checkpoint state";
-    /// Current engine ready-queue depth (coop engine; 0 under threads).
+    /// Current engine ready-queue depth.
     ENGINE_READY_RANKS = "mana2_engine_ready_ranks", Gauge,
         "Ranks currently runnable in the engine ready queue";
     /// Trace-ring events overwritten (lost) so far.

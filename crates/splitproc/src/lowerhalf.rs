@@ -89,13 +89,11 @@ mod tests {
     /// The CI matrix picks the engine through `MANA2_ENGINE`; the library
     /// never reads the environment, so the tests parse the variable.
     fn env_cfg() -> WorldCfg {
-        let engine = std::env::var("MANA2_ENGINE").map_or(EngineKind::Thread, |v| {
+        let cfg = WorldCfg::default();
+        let engine = std::env::var("MANA2_ENGINE").map_or(cfg.engine, |v| {
             EngineKind::parse(&v).unwrap_or_else(|| panic!("bad MANA2_ENGINE={v:?}"))
         });
-        WorldCfg {
-            engine,
-            ..WorldCfg::default()
-        }
+        WorldCfg { engine, ..cfg }
     }
 
     #[test]

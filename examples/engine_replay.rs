@@ -1,12 +1,14 @@
-//! Engine selection and deterministic replay.
+//! Engine gating and deterministic replay.
 //!
 //! Part 1 runs the same world twice under the cooperative engine with one
 //! worker and a fixed schedule seed: the rank interleaving is a pure
 //! function of the seed, so the two observed execution orders are
 //! identical — and a different seed picks a different order.
 //!
-//! Part 2 runs a checkpoint-and-restart round under both engines and
-//! shows the schedule-invariant per-rank stats agree.
+//! Part 2 runs a checkpoint-and-resume round ungated (`coop:4`, a run
+//! token per rank, kernel-preempted) and serialized under a seeded
+//! schedule (`coop:1:42`), and shows the schedule-invariant per-rank
+//! stats agree.
 //!
 //! ```text
 //! cargo run --example engine_replay
@@ -115,15 +117,15 @@ fn main() -> Result<(), ConfigError> {
         if a == c { "did not differ" } else { "differs" }
     );
 
-    println!("-- Part 2: engines agree on schedule-invariant stats --");
+    println!("-- Part 2: gatings agree on schedule-invariant stats --");
     let dir = std::env::temp_dir().join("mana2_engine_replay");
-    let threads = run_app_under(&env, EngineKind::Thread, &dir);
-    let coops = run_app_under(&env, coop(2, 42), &dir);
+    let ungated = run_app_under(&env, coop(4, 0), &dir);
+    let serial = run_app_under(&env, coop(1, 42), &dir);
     assert_eq!(
-        threads, coops,
-        "thread and coop engines must agree on invariant stats"
+        ungated, serial,
+        "coop:4 and coop:1:42 must agree on invariant stats"
     );
-    for (rank, stats) in threads.iter().enumerate() {
+    for (rank, stats) in ungated.iter().enumerate() {
         let line: Vec<String> = stats
             .iter()
             .filter(|(_, v)| *v > 0)
@@ -131,7 +133,7 @@ fn main() -> Result<(), ConfigError> {
             .collect();
         println!("rank {rank}: {}", line.join(" "));
     }
-    println!("\nboth engines: identical rounds, sends/recvs/collectives, checkpoints.");
+    println!("\nboth gatings: identical rounds, sends/recvs/collectives, checkpoints.");
     println!("try MANA2_ENGINE=coop:1:123 cargo test --workspace for a seeded full run.");
     Ok(())
 }
