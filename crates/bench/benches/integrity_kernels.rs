@@ -9,7 +9,10 @@
 //!   writes), `chunk::chunk_id_v1` (SHA-256, the read-side verifier of
 //!   version 1 recipes), `chunk::split` (gear-hash content-defined
 //!   chunking) and `chunk::chunk_payload` (the chunked write path's one
-//!   pass: split, key and payload CRC per chunk);
+//!   pass: split, key and payload CRC per chunk), unguided and — as
+//!   `chunk_payload_guided` — with 2 % of the buffer rewritten and the
+//!   unedited buffer's refs as the guide, which is what a `narrow_static`
+//!   round does;
 //! * `upper_encode` / `upper_decode` — an `UpperHalf` of one 2 MiB segment
 //!   through the codec's byte path (a copy);
 //! * `image_to_bytes` / `image_from_bytes` — the flat image file built and
@@ -29,7 +32,9 @@
 //! `crc32` at 2 MiB reading under 1.8 × `crc32_1k` means the lanes are
 //! gone (one lane is latency-bound at the `crc32_1k` rate, four overlap);
 //! and `image_encode_into` within 1.1 × of `image_to_bytes` — the rank's
-//! path is one copy and one CRC.
+//! path is one copy and one CRC; and `chunk_payload_guided` at least
+//! 2.5 × `chunk_payload` — a guided pass gear-hashes only the changed
+//! chunks, below that the guide is being missed.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use splitproc::{chunk, crc32, crc32_combine, ChunkParams, CkptImage, Decode, Encode, UpperHalf};
@@ -69,7 +74,21 @@ fn bench(c: &mut Criterion) {
         b.iter(|| chunk::split(black_box(&buf), params).len())
     });
     g.bench_function("chunk_payload", |b| {
-        b.iter(|| chunk::chunk_payload(black_box(&buf), params).1)
+        b.iter(|| chunk::chunk_payload(black_box(&buf), params, &[]).crc)
+    });
+    // A `narrow_static` round: 2 % of the buffer rewritten, the previous
+    // recipe's refs as the guide.
+    let guide: Vec<chunk::ChunkRef> = chunk::chunk_payload(&buf, params, &[])
+        .chunks
+        .iter()
+        .map(|(cref, _)| *cref)
+        .collect();
+    let mut edited = buf.clone();
+    for b in &mut edited[LEN / 2..LEN / 2 + LEN / 50] {
+        *b ^= 0x5a;
+    }
+    g.bench_function("chunk_payload_guided", |b| {
+        b.iter(|| chunk::chunk_payload(black_box(&edited), params, &guide).crc)
     });
     let mut upper = UpperHalf::new();
     upper.write_segment("state", buf.clone());

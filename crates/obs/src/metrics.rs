@@ -264,6 +264,10 @@ std_set! {
     /// Chunk references satisfied by a chunk already in the pool.
     STORE_CHUNKS_DEDUP = "mana2_store_chunks_dedup_total", Counter,
         "Chunk references deduplicated against the existing pool";
+    /// Chunk cuts reused from the rank's previous recipe (the gear hash
+    /// skipped). 0 across a slow chunked round means it ran unguided.
+    STORE_CHUNKS_GUIDED = "mana2_store_chunks_guided_total", Counter,
+        "Chunk cuts taken from the previous recipe instead of the gear hash";
     /// Batched directory-fsync rounds issued for the chunk pool.
     STORE_FSYNC_BATCHES = "mana2_store_fsync_batches_total", Counter,
         "Batched chunk-pool directory fsync rounds";

@@ -15,6 +15,16 @@
 //! mode store a *recipe* file per rank (`ckpt_rank_%05d.cref`) that lists
 //! the chunk keys needed to reassemble the image; see [`Recipe`].
 //!
+//! Finding cut points is the dearest pass (the gear hash costs 3–4 × the
+//! CRC per byte and ≈ 15 × the key), and in a slowly-mutating image almost
+//! every cut is where it was last round. So [`chunk_payload`] takes the
+//! previous recipe's refs as a *guide*: where an old chunk starts at the
+//! current offset and the same-length span keys to the old id, the bytes
+//! are the old chunk's and the cut is reused; elsewhere the gear hash cuts
+//! and the walk resynchronizes at the next cut that lands on an old
+//! boundary. Under the same [`ChunkParams`] a guided pass returns exactly
+//! the unguided pass's refs, so the guide changes no byte on disk.
+//!
 //! The key is **not** cryptographic. Dedup needs two different chunks to
 //! get different names *by accident*, not against an adversary who picks
 //! the bytes, so the key is a four-lane multiply-fold hash that runs at
@@ -409,10 +419,9 @@ const fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Borrowing iterator over the content-defined chunks of one payload: the
-/// byte range of each chunk, in order, covering the payload exactly (an
-/// empty payload yields nothing). [`split`] collects it; [`chunk_payload`]
-/// keys and checksums each chunk as it comes out.
+/// The content-defined cutter of one payload: where the chunk starting at
+/// a given offset ends. [`split`] walks it from offset 0; [`chunk_payload`]
+/// asks it only where the previous recipe's cut points cannot be reused.
 ///
 /// Deterministic: the same bytes always produce the same boundary set.
 /// With `hash = (hash << 1) + GEAR[b]`, bit `j` of the hash depends on the
@@ -421,7 +430,6 @@ const fn splitmix64(mut x: u64) -> u64 {
 /// the chunks overlapping it plus a bounded resynchronization tail.
 struct Chunker<'a> {
     data: &'a [u8],
-    start: usize,
     params: ChunkParams,
     mask: u64,
 }
@@ -432,23 +440,18 @@ impl<'a> Chunker<'a> {
         let params = params.normalized();
         Chunker {
             data,
-            start: 0,
             mask: params.mask(),
             params,
         }
     }
-}
 
-impl Iterator for Chunker<'_> {
-    type Item = std::ops::Range<usize>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let (data, start, p) = (self.data, self.start, self.params);
-        if start >= data.len() {
-            return None;
-        }
+    /// Exclusive end of the chunk that starts at `start` (< `data.len()`).
+    /// A function of `data[start..end]` and of whether the payload ends
+    /// at `end` alone: nothing before `start` and nothing after the cut
+    /// is read.
+    fn cut(&self, start: usize) -> usize {
+        let (data, p) = (self.data, self.params);
         let window_end = (start + p.max_size).min(data.len());
-        let mut cut = window_end;
         if data.len() - start > p.min_size {
             // No boundary can fire before min_size, and the masked bits of
             // the gear state forget everything older than the mask is wide,
@@ -460,20 +463,25 @@ impl Iterator for Chunker<'_> {
                 hash = (hash << 1).wrapping_add(GEAR[b as usize]);
                 let pos = roll_from + i + 1; // exclusive end of the candidate chunk
                 if pos - start >= p.min_size && (hash & self.mask) == 0 {
-                    cut = pos;
-                    break;
+                    return pos;
                 }
             }
         }
-        self.start = cut;
-        Some(start..cut)
+        window_end
     }
 }
 
 /// Split `data` at gear-hash boundaries: the byte range of each chunk, in
 /// order, covering `data` exactly; empty input yields no chunks.
 pub fn split(data: &[u8], params: ChunkParams) -> Vec<std::ops::Range<usize>> {
-    Chunker::new(data, params).collect()
+    let chunker = Chunker::new(data, params);
+    let (mut ranges, mut start) = (Vec::new(), 0);
+    while start < data.len() {
+        let end = chunker.cut(start);
+        ranges.push(start..end);
+        start = end;
+    }
+    ranges
 }
 
 // ---------------------------------------------------------------------------
@@ -656,24 +664,83 @@ impl Recipe {
     }
 }
 
+/// What [`chunk_payload`] made of one payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Chunked<'a> {
+    /// Each chunk's ref beside its bytes (borrowed, nothing is copied),
+    /// in order, covering the payload exactly.
+    pub chunks: Vec<(ChunkRef, &'a [u8])>,
+    /// `crc32` of the whole payload.
+    pub crc: u32,
+    /// Cuts taken from the guide instead of the gear hash.
+    pub guided: usize,
+}
+
 /// One pass over a payload: cut it as [`split`] does and, for each chunk
 /// while the cut has just pulled it through the cache, key it and fold it
-/// into the payload's CRC-32. Returns each chunk's ref beside its bytes
-/// (borrowed, nothing is copied) and `crc32(data)`.
-pub fn chunk_payload(data: &[u8], params: ChunkParams) -> (Vec<(ChunkRef, &[u8])>, u32) {
-    let mut crc = Crc32::new();
-    let chunks = Chunker::new(data, params)
-        .map(|range| {
-            let slice = &data[range];
-            crc.update(slice);
-            let cref = ChunkRef {
-                id: chunk_id(slice),
-                len: slice.len() as u64,
-            };
-            (cref, slice)
-        })
-        .collect();
-    (chunks, crc.finish())
+/// into the payload's CRC-32.
+///
+/// `guide` is the same section's refs in an earlier recipe (empty: no
+/// guide). Where one of its chunks starts at the current offset, the
+/// same-length span of `data` is keyed first; if the key is that chunk's
+/// id the bytes are the ones the chunker cut there before, so it cuts them
+/// there again and the gear hash is skipped. The guide's last chunk ended
+/// its section, a cut a longer payload would not make, so it is reused
+/// only if `data` ends with it. Anywhere else the gear hash cuts, and the
+/// walk picks the guide up again at the next cut that lands on one of its
+/// boundaries. Ids, lengths and the CRC always come from `data` itself: a
+/// guide from other bytes or other params can cost speed or give valid
+/// but differently placed cuts, never a wrong ref.
+pub fn chunk_payload<'a>(data: &'a [u8], params: ChunkParams, guide: &[ChunkRef]) -> Chunked<'a> {
+    let chunker = Chunker::new(data, params);
+    let p = chunker.params;
+    let guide_end = guide.iter().fold(0u64, |end, r| end.saturating_add(r.len));
+    let (mut chunks, mut crc, mut guided) = (Vec::new(), Crc32::new(), 0);
+    // `old` is where `guide[g]` starts in the guide's payload.
+    let (mut start, mut g, mut old) = (0usize, 0usize, 0u64);
+    while start < data.len() {
+        while g < guide.len() && old < start as u64 {
+            old = old.saturating_add(guide[g].len);
+            g += 1;
+        }
+        // The span the guide's chunk would cover here, keyed, if it is one
+        // the chunker could have cut.
+        let guess = guide.get(g).filter(|_| old == start as u64).and_then(|r| {
+            let len = usize::try_from(r.len).ok()?;
+            let end = start.checked_add(len).filter(|&end| end <= data.len())?;
+            let shaped =
+                (1..=p.max_size).contains(&len) && (len >= p.min_size || end == data.len());
+            let ended_guide = end as u64 == guide_end && end != data.len();
+            (shaped && !ended_guide).then_some((end, r.id, chunk_id(&data[start..end])))
+        });
+        let (end, id) = match guess {
+            Some((end, want, id)) if id == want => {
+                guided += 1;
+                (end, id)
+            }
+            // The span just keyed is reused when the gear hash cuts it too.
+            missed => {
+                let end = chunker.cut(start);
+                match missed {
+                    Some((keyed_end, _, id)) if keyed_end == end => (end, id),
+                    _ => (end, chunk_id(&data[start..end])),
+                }
+            }
+        };
+        let slice = &data[start..end];
+        crc.update(slice);
+        let cref = ChunkRef {
+            id,
+            len: slice.len() as u64,
+        };
+        chunks.push((cref, slice));
+        start = end;
+    }
+    Chunked {
+        chunks,
+        crc: crc.finish(),
+        guided,
+    }
 }
 
 #[cfg(test)]
@@ -805,7 +872,7 @@ mod tests {
         let mut b = a.clone();
         b[70_000] ^= 0xff;
         let ids = |d: &[u8]| -> std::collections::HashSet<ChunkId> {
-            let (chunks, _) = chunk_payload(d, params);
+            let chunks = chunk_payload(d, params, &[]).chunks;
             chunks.into_iter().map(|(r, _)| r.id).collect()
         };
         let ia = ids(&a);
@@ -818,7 +885,7 @@ mod tests {
     }
 
     fn recipe_of(version: RecipeVersion, data: &[u8]) -> Recipe {
-        let (chunks, upper_crc) = chunk_payload(data, ChunkParams::default());
+        let Chunked { chunks, crc, .. } = chunk_payload(data, ChunkParams::default(), &[]);
         Recipe {
             version,
             rank: 3,
@@ -826,7 +893,7 @@ mod tests {
             round: 2,
             upper_len: data.len() as u64,
             meta_len: 0,
-            upper_crc,
+            upper_crc: crc,
             meta_crc: crc32(&[]),
             upper_chunks: chunks.iter().map(|(r, _)| *r).collect(),
             meta_chunks: Vec::new(),

@@ -255,6 +255,10 @@ pub struct WriteOutcome {
     /// Chunk references satisfied by a chunk already on disk (0 in flat
     /// mode).
     pub chunks_deduped: u32,
+    /// Cuts taken from the rank's previous recipe instead of the gear
+    /// hash (0 in flat mode, and when generation `round − 1` holds no
+    /// readable recipe of the rank).
+    pub chunks_guided: u32,
     /// Batched directory-fsync rounds for the chunk pool (0 or 1 per
     /// image write; 0 in flat mode).
     pub fsync_batches: u32,
@@ -585,6 +589,8 @@ impl Store {
         self.tel
             .add(met::STORE_CHUNKS_DEDUP, out.chunks_deduped as u64);
         self.tel
+            .add(met::STORE_CHUNKS_GUIDED, out.chunks_guided as u64);
+        self.tel
             .add(met::STORE_FSYNC_BATCHES, out.fsync_batches as u64);
         Ok(out)
     }
@@ -599,7 +605,8 @@ impl Store {
 
     /// The pool half of a chunked write: one pass over each section cuts
     /// it at content-defined boundaries, keys each chunk and takes the
-    /// section's CRC ([`chunk::chunk_payload`]); then land the chunks the
+    /// section's CRC ([`chunk::chunk_payload`], guided by the rank's
+    /// previous recipe — [`Store::guide`]); then land the chunks the
     /// pool does not hold (bounded parallel writers, then one directory
     /// sync per touched shard and one for the pool), and return the recipe
     /// naming them.
@@ -610,8 +617,13 @@ impl Store {
         out: &mut WriteOutcome,
     ) -> Result<Recipe, StoreError> {
         let (upper_len, meta_len) = (upper.len() as u64, meta.len() as u64);
-        let (upper, upper_crc) = chunk::chunk_payload(upper, self.cfg.chunk);
-        let (meta, meta_crc) = chunk::chunk_payload(meta, self.cfg.chunk);
+        let guide = self.guide(head);
+        let (old_upper, old_meta) = guide.as_ref().map_or((&[][..], &[][..]), |r| {
+            (&r.upper_chunks[..], &r.meta_chunks[..])
+        });
+        let upper = chunk::chunk_payload(upper, self.cfg.chunk, old_upper);
+        let meta = chunk::chunk_payload(meta, self.cfg.chunk, old_meta);
+        out.chunks_guided = (upper.guided + meta.guided) as u32;
         // Dedup: a chunk already in the pool (from any generation, or
         // another rank of this round) is not rewritten — if what is there
         // has the chunk's length. A shorter file is a torn write an
@@ -619,7 +631,7 @@ impl Store {
         // poison every later generation. Same-length rot would cost a
         // re-hash to catch here; restart validation catches it.
         let mut fresh: BTreeMap<ChunkId, (PathBuf, &[u8])> = BTreeMap::new();
-        for (cref, data) in upper.iter().chain(&meta) {
+        for (cref, data) in upper.chunks.iter().chain(&meta.chunks) {
             let path = self.chunk_path(cref.id);
             let held = |len: u64| len == cref.len;
             if fresh.contains_key(&cref.id) || self.blobs.get(&path, None).is_ok_and(held) {
@@ -658,11 +670,27 @@ impl Store {
             round: head.round,
             upper_len,
             meta_len,
-            upper_crc,
-            meta_crc,
-            upper_chunks: ids(&upper),
-            meta_chunks: ids(&meta),
+            upper_crc: upper.crc,
+            meta_crc: meta.crc,
+            upper_chunks: ids(&upper.chunks),
+            meta_chunks: ids(&meta.chunks),
         })
+    }
+
+    /// The cut points a chunked write of `head` starts from: the rank's
+    /// recipe in generation `round − 1`, if one is there, parses, and was
+    /// keyed by the function the store keys with. Anything else — a first
+    /// round, an aborted predecessor, a torn or foreign recipe — is no
+    /// guide, which costs the write the gear hash and nothing else.
+    fn guide(&self, head: ImageHead) -> Option<Recipe> {
+        let round = head.round.checked_sub(1)?;
+        let mut bytes = Vec::new();
+        self.blobs
+            .get(&self.recipe_path(round, head.rank), Some(&mut bytes))
+            .ok()?;
+        Recipe::from_bytes(&bytes)
+            .ok()
+            .filter(|r| r.version == chunk::RECIPE_VERSION)
     }
 
     /// Land a rank file or manifest: [`PutMode::Commit`] puts, retried
@@ -2042,6 +2070,10 @@ mod tests {
         };
         let out = write_image(&root, &image, &cfg, None).unwrap();
         assert_eq!(out.chunks_written, 1, "exactly the torn chunk is rewritten");
+        // Cut from round 0's recipe: the guide names cuts, never what the
+        // pool holds.
+        let refs = recipe.upper_chunks.len() + recipe.meta_chunks.len();
+        assert_eq!(out.chunks_guided as usize, refs);
         let manifest = Manifest {
             round: 1,
             world_size: 1,
@@ -2059,6 +2091,203 @@ mod tests {
         let sel = store.select(Some(1), None).unwrap();
         assert_eq!((sel.round, sel.rejected.len()), (1, 0));
         store.validate(0, Some(1), None).unwrap();
+        fs::remove_dir_all(&root).ok();
+    }
+
+    /// `image` as round `round` writes it: one 300-byte window of the
+    /// upper half rewritten where the round says, and the first meta byte.
+    fn next_round(image: &CkptImage, round: u64) -> CkptImage {
+        let mut next = CkptImage {
+            round,
+            ..image.clone()
+        };
+        let at = (round as usize * 7_919) % next.upper.len();
+        let end = (at + 300).min(next.upper.len());
+        for b in &mut next.upper[at..end] {
+            *b ^= round as u8 | 1;
+        }
+        next.meta[0] ^= 0x40;
+        next
+    }
+
+    /// The `.cref` bytes an unguided chunked write of `image` lands.
+    fn unguided_recipe(image: &CkptImage, cfg: &StoreConfig) -> Vec<u8> {
+        let upper = chunk::chunk_payload(&image.upper, cfg.chunk, &[]);
+        let meta = chunk::chunk_payload(&image.meta, cfg.chunk, &[]);
+        let refs = |c: &chunk::Chunked<'_>| c.chunks.iter().map(|(r, _)| *r).collect();
+        Recipe {
+            version: chunk::RECIPE_VERSION,
+            rank: image.rank as u64,
+            world_size: image.world_size as u64,
+            round: image.round,
+            upper_len: image.upper.len() as u64,
+            meta_len: image.meta.len() as u64,
+            upper_crc: upper.crc,
+            meta_crc: meta.crc,
+            upper_chunks: refs(&upper),
+            meta_chunks: refs(&meta),
+        }
+        .to_bytes()
+    }
+
+    /// Cuts of `new` a walk guided by `old` takes from it: refs that start
+    /// where one of `old`'s starts and carry its id — unless that old ref
+    /// ended its section and the section changed length.
+    fn reusable_cuts(old: &Recipe, new: &Recipe) -> u32 {
+        let section = |old: &[ChunkRef], old_len: u64, new: &[ChunkRef], new_len: u64| {
+            let starts = |refs: &[ChunkRef]| -> BTreeMap<u64, ChunkRef> {
+                let mut at = 0;
+                refs.iter()
+                    .map(|r| {
+                        at += r.len;
+                        (at - r.len, *r)
+                    })
+                    .collect()
+            };
+            let old = starts(old);
+            let reusable = |(&at, r): (&u64, &ChunkRef)| {
+                old.get(&at)
+                    .is_some_and(|o| o.id == r.id && (at + o.len != old_len || old_len == new_len))
+            };
+            starts(new).iter().filter(|&e| reusable(e)).count() as u32
+        };
+        section(
+            &old.upper_chunks,
+            old.upper_len,
+            &new.upper_chunks,
+            new.upper_len,
+        ) + section(
+            &old.meta_chunks,
+            old.meta_len,
+            &new.meta_chunks,
+            new.meta_len,
+        )
+    }
+
+    /// Resume-mode chunked rounds with window edits, an aborted round, a
+    /// torn predecessor recipe and a restart in between: every write is
+    /// guided by whatever generation `round − 1` holds, every generation's
+    /// recipes are byte for byte what an unguided write lands, and the
+    /// guided-cut counter says which writes had a guide.
+    #[test]
+    fn guided_rounds_land_the_recipes_an_unguided_write_would() {
+        let root = tdir("guided_rounds");
+        let cfg = chunked_cfg();
+        let world = 2;
+        let reg = obs::metrics::MetricsRegistry::deterministic(world);
+        let guided_total = || {
+            reg.snapshot()
+                .value("mana2_store_chunks_guided_total")
+                .unwrap()
+        };
+        let store = |rank: usize| {
+            let tel = obs::Telemetry::new(rank as i32, None, Some(reg.clone()));
+            Store::new(&root, cfg.clone(), tel, Box::new(LocalFs))
+        };
+        let recipe = |round: u64, rank: usize| {
+            Recipe::from_bytes(&fs::read(at(&root).recipe_path(round, rank)).unwrap()).unwrap()
+        };
+        // Write `images` as one round; commit it unless told to abort.
+        let round_of = |images: &[CkptImage], commit: bool| -> Vec<WriteOutcome> {
+            let outs: Vec<WriteOutcome> = images
+                .iter()
+                .map(|image| store(image.rank).write_image(image).unwrap())
+                .collect();
+            let round = images[0].round;
+            if commit {
+                let entries = outs
+                    .iter()
+                    .enumerate()
+                    .map(|(rank, out)| ManifestEntry {
+                        rank: rank as u64,
+                        bytes: out.bytes as u64,
+                        crc: out.crc,
+                    })
+                    .collect();
+                at(&root)
+                    .commit(&Manifest {
+                        round,
+                        world_size: world as u64,
+                        entries,
+                    })
+                    .unwrap();
+            } else {
+                at(&root).abort(round).unwrap();
+            }
+            outs
+        };
+        let advance = |images: &[CkptImage], round: u64| -> Vec<CkptImage> {
+            images.iter().map(|i| next_round(i, round)).collect()
+        };
+        // Every write of `round` was guided by generation `round − 1`:
+        // each took exactly the cuts that generation's recipe could give.
+        let assert_guided = |round: u64, outs: &[WriteOutcome]| {
+            for (rank, out) in outs.iter().enumerate() {
+                let new = recipe(round, rank);
+                let refs = (new.upper_chunks.len() + new.meta_chunks.len()) as u32;
+                let fresh = refs - reusable_cuts(&recipe(round - 1, rank), &new);
+                assert!(
+                    fresh > 0,
+                    "round {round} rank {rank}: the edits re-cut nothing"
+                );
+                assert_eq!(out.chunks_guided, refs - fresh, "round {round} rank {rank}");
+            }
+        };
+
+        let mut images: Vec<CkptImage> = (0..world).map(|r| slow_image(r, world, 0)).collect();
+        let outs = round_of(&images, true);
+        assert!(
+            outs.iter().all(|o| o.chunks_guided == 0),
+            "round 0 has no predecessor"
+        );
+        let mut total = 0;
+        for round in 1..=2 {
+            images = advance(&images, round);
+            let outs = round_of(&images, true);
+            assert_guided(round, &outs);
+            total += outs.iter().map(|o| u64::from(o.chunks_guided)).sum::<u64>();
+            assert_eq!(guided_total(), total);
+        }
+        // Round 3 is written (guided by round 2) and aborted: its
+        // generation is gone, so round 4 has no guide.
+        let outs = round_of(&advance(&images, 3), false);
+        total += outs.iter().map(|o| u64::from(o.chunks_guided)).sum::<u64>();
+        assert_eq!(guided_total(), total);
+        images = advance(&images, 4);
+        let outs = round_of(&images, true);
+        assert!(outs.iter().all(|o| o.chunks_guided == 0), "{outs:?}");
+        assert_eq!(guided_total(), total, "nothing is guided after an abort");
+        // Rank 1's round-4 recipe is torn: round 5 rank 1 cuts unguided,
+        // rank 0 is guided as ever.
+        let torn = at(&root).recipe_path(4, 1);
+        let pristine = fs::read(&torn).unwrap();
+        fs::write(&torn, &pristine[..pristine.len() / 2]).unwrap();
+        images = advance(&images, 5);
+        let outs = round_of(&images, true);
+        assert_eq!(outs[1].chunks_guided, 0);
+        assert_guided(5, &outs[..1]);
+        fs::write(&torn, &pristine).unwrap();
+        // A restart between rounds: the restored generation is the guide.
+        let sel = at(&root).select(Some(world), None).unwrap();
+        assert_eq!(sel.round, 5);
+        let restored: Vec<CkptImage> = sel.images.into_iter().map(Option::unwrap).collect();
+        assert_eq!(restored, images);
+        let outs = round_of(&advance(&restored, 6), true);
+        assert_guided(6, &outs);
+        // Whatever guided them, the generations hold the recipes an
+        // unguided write of their images lands, and restore those images.
+        for round in [0, 1, 2, 4, 5, 6] {
+            for rank in 0..world {
+                let image = at(&root).load_image(round, rank).unwrap();
+                let cref = fs::read(at(&root).recipe_path(round, rank)).unwrap();
+                assert_eq!(
+                    cref,
+                    unguided_recipe(&image, &cfg),
+                    "round {round} rank {rank}"
+                );
+            }
+            at(&root).validate(round, Some(world), None).unwrap();
+        }
         fs::remove_dir_all(&root).ok();
     }
 

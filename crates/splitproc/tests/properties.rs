@@ -117,7 +117,7 @@ proptest! {
 
 // ---- content-defined chunker properties ------------------------------------
 
-use splitproc::chunk::{self, ChunkParams};
+use splitproc::chunk::{self, ChunkParams, ChunkRef};
 
 /// Small bounds so even modest random payloads produce several chunks.
 fn tiny_params() -> ChunkParams {
@@ -145,8 +145,8 @@ proptest! {
         }
         prop_assert_eq!(pos, data.len());
         // Reassembling the chunk contents reproduces the input exactly.
-        let rebuilt: Vec<u8> = chunk::chunk_payload(&data, tiny_params())
-            .0
+        let rebuilt: Vec<u8> = chunk::chunk_payload(&data, tiny_params(), &[])
+            .chunks
             .iter()
             .flat_map(|(_, bytes)| bytes.iter().copied())
             .collect();
@@ -183,7 +183,7 @@ proptest! {
         edited[at] ^= xor;
 
         let ids = |d: &[u8]| -> Vec<chunk::ChunkId> {
-            chunk::chunk_payload(d, p).0.iter().map(|(r, _)| r.id).collect()
+            chunk::chunk_payload(d, p, &[]).chunks.iter().map(|(r, _)| r.id).collect()
         };
         let before = ids(&data);
         let after = ids(&edited);
@@ -214,7 +214,8 @@ proptest! {
         // agree with the three it replaced, whatever `normalized` makes of
         // them.
         let params = ChunkParams { min_size, avg_size, max_size };
-        let (chunks, crc) = chunk::chunk_payload(&data, params);
+        let chunk::Chunked { chunks, crc, guided } = chunk::chunk_payload(&data, params, &[]);
+        prop_assert_eq!(guided, 0);
         prop_assert_eq!(crc, crc32(&data));
         let ranges = chunk::split(&data, params);
         prop_assert_eq!(chunks.len(), ranges.len());
@@ -223,5 +224,146 @@ proptest! {
             prop_assert_eq!(cref.len, bytes.len() as u64);
             prop_assert_eq!(cref.id, chunk::chunk_id(bytes));
         }
+    }
+}
+
+// ---- guided chunking: the previous recipe's cut points ---------------------
+
+/// The refs of `data` as an unguided pass cuts them: what a recipe holds.
+fn refs_of(data: &[u8], params: ChunkParams) -> Vec<ChunkRef> {
+    let chunks = chunk::chunk_payload(data, params, &[]).chunks;
+    chunks.iter().map(|(cref, _)| *cref).collect()
+}
+
+/// Params from three raw sizes, small enough that a few KiB cut many times.
+fn params_from((min_size, avg_size, max_size): (usize, usize, usize)) -> ChunkParams {
+    ChunkParams {
+        min_size,
+        avg_size,
+        max_size,
+    }
+}
+
+/// What any chunking of `data` must be, guided or not: refs in order that
+/// cover `data` exactly, each the id and length of its own bytes, shaped
+/// as the chunker shapes them, and the CRC of the whole payload.
+fn assert_recipe_of(
+    data: &[u8],
+    params: ChunkParams,
+    out: &chunk::Chunked<'_>,
+) -> Result<(), TestCaseError> {
+    let p = params.normalized();
+    let mut pos = 0usize;
+    for (i, (cref, bytes)) in out.chunks.iter().enumerate() {
+        let len = bytes.len();
+        prop_assert_eq!(*bytes, &data[pos..pos + len]);
+        prop_assert_eq!(cref.len, len as u64);
+        prop_assert_eq!(cref.id, chunk::chunk_id(bytes));
+        prop_assert!(
+            (1..=p.max_size).contains(&len),
+            "chunk {} is {} bytes",
+            i,
+            len
+        );
+        prop_assert!(
+            len >= p.min_size || pos + len == data.len(),
+            "short chunk {}",
+            i
+        );
+        pos += len;
+    }
+    prop_assert_eq!(pos, data.len());
+    prop_assert_eq!(out.crc, crc32(data));
+    prop_assert!(out.guided <= out.chunks.len());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// (a) Same params, same length, 0–3 rewritten windows plus optional
+    /// edits of the first and the last byte: the guided pass is the
+    /// unguided pass, ref for ref and CRC for CRC — only faster.
+    #[test]
+    fn guided_chunking_equals_unguided_after_window_edits(
+        old in proptest::collection::vec(any::<u8>(), 1..6000),
+        sizes in (0usize..300, 0usize..1000, 0usize..3000),
+        windows in proptest::collection::vec((any::<usize>(), 1usize..400, 1u8..=255), 0..=3),
+        first in any::<bool>(),
+        last in any::<bool>(),
+    ) {
+        let params = params_from(sizes);
+        let guide = refs_of(&old, params);
+        let mut new = old.clone();
+        let n = new.len();
+        for &(at, width, xor) in &windows {
+            let at = at % n;
+            for b in &mut new[at..(at + width).min(n)] {
+                *b ^= xor;
+            }
+        }
+        if first {
+            new[0] ^= 0x80;
+        }
+        if last {
+            new[n - 1] ^= 0x01;
+        }
+        let guided = chunk::chunk_payload(&new, params, &guide);
+        let unguided = chunk::chunk_payload(&new, params, &[]);
+        prop_assert_eq!(&guided.chunks, &unguided.chunks);
+        prop_assert_eq!(guided.crc, unguided.crc);
+        assert_recipe_of(&new, params, &guided)?;
+        if new == old {
+            prop_assert_eq!(guided.guided, guided.chunks.len(), "an unchanged payload re-cuts nothing");
+        }
+    }
+
+    /// (b) Whatever the guide — made-up refs, refs of spans of this very
+    /// payload at arbitrary offsets, another payload's, other params',
+    /// truncated, longer than the data, or this section before it grew or
+    /// shrank — the result is a valid recipe of `data`.
+    #[test]
+    fn any_guide_gives_a_valid_recipe(
+        data in proptest::collection::vec(any::<u8>(), 0..5000),
+        other in proptest::collection::vec(any::<u8>(), 0..5000),
+        sizes in (0usize..300, 0usize..1000, 0usize..3000),
+        other_sizes in (0usize..300, 0usize..1000, 0usize..3000),
+        made_up in proptest::collection::vec((any::<u64>(), 0u64..4000), 0..40),
+        cuts in proptest::collection::vec(any::<usize>(), 0..24),
+        at in any::<usize>(),
+        kind in 0usize..8,
+    ) {
+        let params = params_from(sizes);
+        let at = at % (data.len() + 1);
+        let guide: Vec<ChunkRef> = match kind {
+            // Ids that name no span of `data`.
+            0 => made_up.iter().map(|&(seed, len)| ChunkRef {
+                id: chunk::chunk_id(&seed.to_le_bytes()),
+                len,
+            }).collect(),
+            1 => {
+                // True ids at cut points no chunker chose.
+                let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+                cuts.extend([0, data.len()]);
+                cuts.sort_unstable();
+                cuts.dedup();
+                cuts.windows(2).map(|w| ChunkRef {
+                    id: chunk::chunk_id(&data[w[0]..w[1]]),
+                    len: (w[1] - w[0]) as u64,
+                }).collect()
+            }
+            2 => refs_of(&other, params),
+            3 => refs_of(&data, params_from(other_sizes)),
+            4 => {
+                let mut refs = refs_of(&data, params);
+                refs.truncate(at % (refs.len() + 1));
+                refs
+            }
+            5 => refs_of(&[&data[..], &other[..]].concat(), params),
+            6 => refs_of(&data[..at], params),
+            _ => refs_of(&[&data[..at], &other[..], &data[at..]].concat(), params),
+        };
+        let out = chunk::chunk_payload(&data, params, &guide);
+        assert_recipe_of(&data, params, &out)?;
     }
 }
