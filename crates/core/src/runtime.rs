@@ -772,8 +772,8 @@ impl ManaRuntime {
         let replay = tel.begin(obs::NO_ROUND, obs::Phase::JournalReplay);
         let journal = Journal::open(&self.cfg.ckpt_dir)
             .map_err(|e| RuntimeError::Store(store::StoreError::Io(e)))?;
-        if journal.truncated_tail() > 0 {
-            tel.add(met::JOURNAL_TRUNCATIONS, 1);
+        if journal.unreadable_epoch().is_some() {
+            tel.add(met::JOURNAL_UNREADABLE, 1);
         }
         let failed_u64: Vec<u64> = match mode {
             RestartMode::Full => Vec::new(),
@@ -1054,5 +1054,45 @@ mod tests {
                 "{error}"
             );
         }
+    }
+
+    /// A journal step the store cannot make durable fails the restart as
+    /// a store I/O error, before any rank is spawned.
+    #[test]
+    fn unwritable_journal_step_fails_restart_as_store_io() {
+        let cfg = ManaConfig {
+            ckpt_dir: std::env::temp_dir()
+                .join(format!("mana2_unit_journal_io_{}", std::process::id())),
+            exit_after_ckpt: true,
+            ..ManaConfig::default()
+        };
+        let dir = cfg.ckpt_dir.clone();
+        std::fs::remove_dir_all(&dir).ok();
+        let body = |m: &mut Mana<'_>| -> Result<()> {
+            let step = m.upper().read_value::<u64>("step").transpose()?;
+            for step in step.unwrap_or(0)..3 {
+                if step == 1 && m.rank() == 0 {
+                    m.request_checkpoint()?;
+                }
+                m.barrier(m.comm_world())?;
+                m.upper_mut().write_value("step", &(step + 1));
+                m.step_commit()?;
+            }
+            Ok(())
+        };
+        let rt = ManaRuntime::new(2, cfg);
+        assert!(rt
+            .run_fresh(body)
+            .expect("checkpoint run")
+            .all_checkpointed());
+        // Epoch 0's first record lands under `restart/e00000/`: a file in
+        // that directory's place fails the put.
+        std::fs::create_dir_all(dir.join("restart")).unwrap();
+        std::fs::write(dir.join("restart").join("e00000"), b"").unwrap();
+        match rt.run_restart(body) {
+            Err(RuntimeError::Store(store::StoreError::Io(_))) => {}
+            other => panic!("want a store I/O error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

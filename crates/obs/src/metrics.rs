@@ -161,9 +161,9 @@ std_set! {
     /// Fresh (non-duplicate) restart-journal appends.
     JOURNAL_APPENDS = "mana2_journal_appends_total", Counter,
         "Fresh restart-journal records appended";
-    /// Torn/corrupt journal tail bytes truncated on open.
-    JOURNAL_TRUNCATIONS = "mana2_journal_truncations_total", Counter,
-        "Restart-journal opens that truncated a torn tail";
+    /// Journal epochs not resumed because a record failed its CRC.
+    JOURNAL_UNREADABLE = "mana2_journal_unreadable_total", Counter,
+        "Restart-journal epochs not resumed because a record failed its CRC";
     /// Engine unpark calls (sampled from the engine's own counters).
     ENGINE_UNPARKS = "mana2_engine_unparks_total", Counter,
         "Rank unpark calls through the execution engine";

@@ -9,9 +9,9 @@
 //! mana2-inspect <ckpt_dir> journal    list restart-journal epochs and
 //!                                     steps, flag pinned generations
 //! mana2-inspect <ckpt_dir> journal --verify
-//!                                     CRC-check every frame and report
-//!                                     what open() would truncate (dry
-//!                                     run); exit 0 iff the tail is clean
+//!                                     CRC-check every record blob; exit
+//!                                     0 iff all are intact, else name
+//!                                     each bad one's epoch and seq
 //! mana2-inspect <ckpt_dir> chunks     chunk-pool stats: chunk count,
 //!                                     physical vs logical bytes, dedup
 //!                                     ratio, orphans, per-generation
@@ -321,10 +321,8 @@ fn chunks_cmd(store: &Store, do_verify: bool) -> i32 {
     i32::from(damage > 0)
 }
 
-/// `journal`: list restart-journal epochs and steps (read-only — the
-/// torn-tail truncation that `Journal::open` performs is only *reported*
-/// here, never applied). With `do_verify`, also exit non-zero when the
-/// tail is damaged.
+/// `journal`: list restart-journal epochs and steps (read-only). With
+/// `do_verify`, exit non-zero when a record blob fails its CRC.
 fn journal_cmd(root: &Path, do_verify: bool) -> i32 {
     let report = match journal::verify(root) {
         Ok(r) => r,
@@ -333,30 +331,31 @@ fn journal_cmd(root: &Path, do_verify: bool) -> i32 {
             return 1;
         }
     };
-    if !report.exists {
-        out!("no restart journal at {}", report.path.display());
+    if report.legacy {
+        out!(
+            "legacy {} present: ignored, removed by GC once an epoch commits",
+            journal::LEGACY_JOURNAL_FILE
+        );
+    }
+    if report.records.is_empty() && report.unreadable.is_empty() {
+        out!("no restart journal at {}", report.dir.display());
         return 0;
     }
+    let epochs = journal::replay_epochs(&report.records);
     out!(
-        "restart journal {}: {} record(s), {} B ({} B clean)",
-        report.path.display(),
-        report.records,
-        report.file_len,
-        report.good_len
+        "restart journal {}: {} record(s) in {} epoch(s)",
+        report.dir.display(),
+        report.records.len(),
+        epochs.len()
     );
-    let records = match journal::read_records(root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("journal: {e}");
-            return 1;
-        }
-    };
     let pinned = journal::pinned_generations(root);
-    for ep in journal::replay_epochs(&records) {
+    for ep in epochs {
         let status = if ep.committed {
             "committed"
         } else if ep.superseded {
             "superseded"
+        } else if report.unreadable.iter().any(|b| b.epoch == ep.epoch) {
+            "UNREADABLE"
         } else {
             "OPEN"
         };
@@ -379,26 +378,25 @@ fn journal_cmd(root: &Path, do_verify: bool) -> i32 {
                 ""
             }
         );
-        for rec in records.iter().filter(|r| r.epoch == ep.epoch) {
+        for rec in report.records.iter().filter(|r| r.epoch == ep.epoch) {
             out!("      {}", describe_step(rec));
         }
     }
-    match &report.tail_error {
-        None => {
-            if do_verify {
-                out!("verify: clean (no tail to truncate)");
-            }
-            0
-        }
-        Some(err) => {
-            let torn = report.file_len - report.good_len;
-            out!(
-                "TAIL DAMAGE after byte {}: {err} — open() would truncate {torn} B",
-                report.good_len
-            );
-            i32::from(do_verify)
-        }
+    for bad in &report.unreadable {
+        out!(
+            "UNREADABLE record: epoch {} seq {}: {}",
+            bad.epoch,
+            bad.seq,
+            bad.reason
+        );
     }
+    if do_verify && report.unreadable.is_empty() {
+        out!(
+            "verify: clean ({} record(s) CRC-checked)",
+            report.records.len()
+        );
+    }
+    i32::from(do_verify && !report.unreadable.is_empty())
 }
 
 /// One human line per journal record.

@@ -12,9 +12,12 @@
 //!                                       iff every series is well-formed
 //! mana2-metrics --prom <series.jsonl>   render the last snapshot in
 //!                                       Prometheus text exposition
-//! mana2-metrics --watch <series.jsonl>  live-tail a series being written
+//! mana2-metrics --watch [--interval-ms <n>] [--ticks <n>] <series.jsonl>
+//!                                       live-tail a series being written
 //!                                       by a running world (exporter
-//!                                       armed via MANA2_METRICS_DIR)
+//!                                       armed via MANA2_METRICS_DIR),
+//!                                       polling every n ms (default 500)
+//!                                       for n polls (default: forever)
 //! ```
 //!
 //! Series come from the periodic exporter (`MANA2_METRICS_DIR`), from
@@ -238,19 +241,11 @@ fn prom(path: &str) -> i32 {
     }
 }
 
-/// Live tail: poll the series file and re-render the summary whenever a
-/// new snapshot lands. `MANA2_WATCH_INTERVAL_MS` sets the poll cadence
-/// (default 500); `MANA2_WATCH_TICKS` bounds the loop (default: forever),
-/// so tests and scripts can watch a fixed window instead of Ctrl-C'ing.
-fn watch(path: &str) -> i32 {
-    let interval = std::env::var("MANA2_WATCH_INTERVAL_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(500)
-        .max(10);
-    let max_ticks = std::env::var("MANA2_WATCH_TICKS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok());
+/// Live tail: poll the series file every `interval` ms and re-render the
+/// summary whenever a new snapshot lands; `max_ticks` bounds the loop, so
+/// tests and scripts can watch a fixed window instead of Ctrl-C'ing.
+fn watch(path: &str, interval: u64, max_ticks: Option<u64>) -> i32 {
+    let interval = interval.max(10);
     let mut seen = 0usize;
     let mut ticks = 0u64;
     loop {
@@ -277,7 +272,9 @@ fn watch(path: &str) -> i32 {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: mana2-metrics [--check|--prom|--watch] <series.jsonl>...");
+    eprintln!(
+        "usage: mana2-metrics [--check | --prom | --watch [--interval-ms <n>] [--ticks <n>]] <series.jsonl>..."
+    );
     std::process::exit(2);
 }
 
@@ -300,10 +297,25 @@ fn main() {
             std::process::exit(prom(&args[1]));
         }
         "--watch" => {
-            if args.len() != 2 {
-                usage();
+            let (mut interval, mut ticks, mut rest) = (500, None, &args[1..]);
+            while let [flag, tail @ ..] = rest {
+                if flag != "--interval-ms" && flag != "--ticks" {
+                    break;
+                }
+                let value = tail.first().map_or("", String::as_str);
+                let n = value.parse::<u64>().unwrap_or_else(|_| {
+                    eprintln!("mana2-metrics: {flag} {value:?} is not a non-negative integer");
+                    std::process::exit(2)
+                });
+                if flag == "--ticks" {
+                    ticks = Some(n);
+                } else {
+                    interval = n;
+                }
+                rest = &tail[1..];
             }
-            std::process::exit(watch(&args[1]));
+            let [path] = rest else { usage() };
+            std::process::exit(watch(path, interval, ticks));
         }
         flag if flag.starts_with("--") => usage(),
         _ => {

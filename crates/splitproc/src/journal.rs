@@ -2,71 +2,52 @@
 //!
 //! Restart is the one window where a second failure used to be fatal: a
 //! coordinator that dies mid-restart left half-restored state and no
-//! record of how far it got. This module makes restart itself
-//! checkpointed — an append-only, fsynced, CRC-framed journal under the
-//! store root records every restart step, so a coordinator that dies at
-//! *any* point resumes by replaying the journal prefix instead of
-//! redoing (or corrupting) completed steps.
-//!
-//! Layout (`<root>/RESTART_JOURNAL`):
+//! record of how far it got. Every restart step is therefore a durable
+//! record under the store root, and a coordinator that dies at *any*
+//! point resumes by replaying the records instead of redoing (or
+//! corrupting) completed steps. One blob per step, named by its
+//! idempotency key and landed by one [`Blobs::put_atomic`] in
+//! [`PutMode::Commit`], so a step is durable before it is reported and a
+//! record is never observable half-written:
 //!
 //! ```text
-//! [8B magic "MANA2JNL"][4B version]
-//! [4B len][4B crc32(payload)][payload]    ← one framed record
-//! [4B len][4B crc32(payload)][payload]
-//! …
+//! <root>/restart/e<epoch>/<seq>-<kind>-<rank>    [record][crc32(record) u32]
 //! ```
 //!
-//! Records and their meaning, in protocol order within one **epoch**
-//! (one logical restart attempt; crashes resume the same epoch):
+//! * Appending a key `(epoch, kind, rank)` already present is a no-op: a
+//!   resumed coordinator re-drives the protocol ([`JournalStep`], in
+//!   order within one **epoch**, one logical restart attempt) and
+//!   completed steps are skipped, never duplicated. `seq` keeps append
+//!   order.
+//! * A committed epoch is recognised by the *name* of its
+//!   `restart_committed` blob: [`Journal::open`] reads only the epochs
+//!   newer than the newest committed one, and `Store::gc` removes the
+//!   older.
+//! * Only the newest epoch can be open; an older uncommitted one is
+//!   superseded. An epoch holding a record that fails its CRC is never
+//!   resumed: the next restart opens a fresh epoch, which re-validates.
+//! * The single-file `RESTART_JOURNAL` of earlier releases is never read
+//!   or written; `Store::gc` removes it once an epoch of this layout
+//!   commits.
 //!
-//! * [`JournalStep::RestartIntent`] — a restart of generation `gen` has
-//!   begun; `failed` lists the ranks being replaced (empty = full
-//!   restart of every rank).
-//! * [`JournalStep::GenValidated`] — the generation passed validation
-//!   and is now pinned against GC until the epoch commits.
-//! * [`JournalStep::RankRestored`] — one rank's image was restored.
-//! * [`JournalStep::CommsRebuilt`] — communicators were rebuilt around
-//!   the restored ranks.
-//! * [`JournalStep::RestartCommitted`] — the epoch is complete; its
-//!   generation pin is released.
-//!
-//! Invariants:
-//!
-//! * Every append is `write_all` + `fdatasync` before it is reported
-//!   durable; a reader never trusts an unsynced record.
-//! * Each record carries an **idempotency key** `(epoch, kind, rank)`.
-//!   Appending a key that is already present is a no-op — a resumed
-//!   coordinator can blindly re-drive the protocol and completed steps
-//!   are skipped, never duplicated.
-//! * A torn or corrupt tail (partial frame, CRC mismatch — the write
-//!   that was in flight when the coordinator died) is truncated on
-//!   [`Journal::open`]; the intact prefix is the authoritative history.
-//! * A new `RestartIntent` **supersedes** any older uncommitted epoch:
-//!   only the newest epoch can be open, so abandoned attempts (e.g.
-//!   whose generation vanished) do not pin storage forever.
-//!
-//! `store::gc` consults [`pinned_generations`] so a generation
-//! referenced by the open epoch is never collected out from under the
-//! restart reading it.
+//! `Store::gc` consults the open epoch's [`pinned_generations`], so a
+//! generation it names is never collected out from under the restart
+//! reading it.
 
+use crate::blobs::{Blobs, LocalFs, PutMode};
 use crate::codec::crc32;
-use std::collections::BTreeSet;
-use std::fs;
-use std::io::{self, Write};
+use std::collections::{BTreeMap, BTreeSet};
+use std::io;
 use std::path::{Path, PathBuf};
 
-/// Journal file name under a store root.
-pub const JOURNAL_FILE: &str = "RESTART_JOURNAL";
+/// Journal directory under a store root.
+const JOURNAL_DIR: &str = "restart";
 
-const JOURNAL_MAGIC: &[u8; 8] = b"MANA2JNL";
-const JOURNAL_VERSION: u32 = 1;
-const HEADER_LEN: usize = 12;
-/// Sanity bound on one frame's payload — a corrupt length field must not
-/// make the parser swallow the rest of the file as "one giant record".
-const MAX_RECORD_LEN: u32 = 1 << 20;
+/// The single-file journal of earlier releases: ignored, and removed by
+/// `Store::gc` once an epoch of the blob layout commits.
+pub const LEGACY_JOURNAL_FILE: &str = "RESTART_JOURNAL";
 
-/// One restart step as recorded in the journal.
+/// One restart step as recorded in the journal, in protocol order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JournalStep {
     /// A restart has begun against generation `gen`. `failed` lists the
@@ -77,7 +58,8 @@ pub enum JournalStep {
         /// Ranks being replaced (sorted); empty = full restart.
         failed: Vec<u64>,
     },
-    /// Generation `gen` passed validation for this epoch.
+    /// Generation `gen` passed validation for this epoch and is pinned
+    /// against GC until the epoch commits.
     GenValidated {
         /// Round of the validated generation.
         gen: u64,
@@ -105,7 +87,8 @@ impl JournalStep {
         }
     }
 
-    /// Stable lowercase name (used by `mana2-inspect` and traces).
+    /// Stable lowercase name (used in blob names, by `mana2-inspect` and
+    /// traces).
     pub fn name(&self) -> &'static str {
         match self {
             JournalStep::RestartIntent { .. } => "restart_intent",
@@ -143,9 +126,9 @@ impl JournalRecord {
         (self.epoch, self.step.kind(), self.step.key_arg())
     }
 
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        out.push(self.step.kind());
+    /// The record blob's bytes: the encoded record, then its CRC-32.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = vec![self.step.kind()];
         out.extend_from_slice(&self.epoch.to_le_bytes());
         match &self.step {
             JournalStep::RestartIntent { gen, failed } => {
@@ -159,64 +142,62 @@ impl JournalRecord {
             JournalStep::RankRestored { rank } => out.extend_from_slice(&rank.to_le_bytes()),
             JournalStep::CommsRebuilt | JournalStep::RestartCommitted => {}
         }
+        let crc = crc32(&out);
+        out.extend_from_slice(&crc.to_le_bytes());
         out
     }
 
-    fn decode(buf: &[u8]) -> Result<Self, String> {
-        if buf.len() < 9 {
-            return Err("record payload truncated".into());
+    /// Parse a record blob: its CRC must hold and its bytes must be
+    /// exactly what [`JournalRecord::to_bytes`] makes of the record.
+    fn from_bytes(blob: &[u8]) -> Result<Self, String> {
+        let Some((buf, crc)) = blob.split_last_chunk::<4>() else {
+            return Err("record blob truncated".into());
+        };
+        if crc32(buf) != u32::from_le_bytes(*crc) {
+            return Err("record CRC mismatch".into());
         }
-        let kind = buf[0];
         let rd = |off: usize| -> Result<u64, String> {
             buf.get(off..off + 8)
                 .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
                 .ok_or_else(|| "record payload truncated".into())
         };
-        let epoch = rd(1)?;
-        let exact = |want: usize| -> Result<(), String> {
-            if buf.len() == want {
-                Ok(())
-            } else {
-                Err(format!("record has {} bytes, expected {want}", buf.len()))
-            }
+        let step = match buf.first() {
+            Some(1) => JournalStep::RestartIntent {
+                gen: rd(9)?,
+                failed: (0..rd(17)? as usize)
+                    .map(|i| rd(25 + i * 8))
+                    .collect::<Result<_, _>>()?,
+            },
+            Some(2) => JournalStep::GenValidated { gen: rd(9)? },
+            Some(3) => JournalStep::RankRestored { rank: rd(9)? },
+            Some(4) => JournalStep::CommsRebuilt,
+            Some(5) => JournalStep::RestartCommitted,
+            other => return Err(format!("unknown record kind {other:?}")),
         };
-        let step = match kind {
-            1 => {
-                let gen = rd(9)?;
-                let n = rd(17)? as usize;
-                exact(25 + n.checked_mul(8).ok_or("rank count overflows")?)?;
-                let failed = (0..n).map(|i| rd(25 + i * 8)).collect::<Result<_, _>>()?;
-                JournalStep::RestartIntent { gen, failed }
-            }
-            2 => {
-                exact(17)?;
-                JournalStep::GenValidated { gen: rd(9)? }
-            }
-            3 => {
-                exact(17)?;
-                JournalStep::RankRestored { rank: rd(9)? }
-            }
-            4 => {
-                exact(9)?;
-                JournalStep::CommsRebuilt
-            }
-            5 => {
-                exact(9)?;
-                JournalStep::RestartCommitted
-            }
-            other => return Err(format!("unknown record kind {other}")),
+        let rec = JournalRecord {
+            epoch: rd(1)?,
+            step,
         };
-        Ok(JournalRecord { epoch, step })
+        match rec.to_bytes().len() {
+            n if n == blob.len() => Ok(rec),
+            n => Err(format!("record has {} bytes, expected {n}", blob.len())),
+        }
+    }
+
+    /// The record's blob under a store root: `restart/e<epoch>/<seq>-<kind>-<rank>`.
+    fn path_in(&self, root: &Path, seq: u64) -> PathBuf {
+        let (kind, rank) = (self.step.name(), self.step.key_arg());
+        epoch_dir(root, self.epoch).join(format!("{seq:05}-{kind}-{rank}"))
     }
 }
 
 /// The replayed state of one restart epoch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EpochState {
     /// Epoch number.
     pub epoch: u64,
     /// Generation named by the intent (None if the intent record itself
-    /// is missing — possible only for malformed hand-edited journals).
+    /// is missing or unreadable).
     pub gen: Option<u64>,
     /// Ranks being replaced; empty = full restart.
     pub failed: Vec<u64>,
@@ -236,93 +217,15 @@ pub struct EpochState {
     pub superseded: bool,
 }
 
-/// Result of scanning raw journal bytes (shared by open / verify /
-/// read-only consumers).
-struct Scan {
-    records: Vec<JournalRecord>,
-    /// Byte length of the clean prefix (header + intact frames).
-    good_len: u64,
-    /// Why the tail after `good_len` was rejected, if any.
-    tail_error: Option<String>,
-}
-
-fn scan(bytes: &[u8]) -> Result<Scan, String> {
-    if bytes.len() < HEADER_LEN {
-        // A torn header is a journal that never got its first durable
-        // byte pattern down; treat the whole file as tail.
-        return Ok(Scan {
-            records: Vec::new(),
-            good_len: 0,
-            tail_error: Some("torn header".into()),
-        });
-    }
-    if &bytes[0..8] != JOURNAL_MAGIC {
-        return Err("not a MANA-2.0 restart journal (bad magic)".into());
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != JOURNAL_VERSION {
-        return Err(format!("unsupported journal version {version}"));
-    }
-    let mut records = Vec::new();
-    let mut off = HEADER_LEN;
-    let mut tail_error = None;
-    while off < bytes.len() {
-        let Some(frame) = bytes.get(off..off + 8) else {
-            tail_error = Some("torn frame header".into());
-            break;
-        };
-        let len = u32::from_le_bytes(frame[0..4].try_into().unwrap());
-        if len > MAX_RECORD_LEN {
-            tail_error = Some(format!("frame length {len} exceeds sanity bound"));
-            break;
-        }
-        let stored_crc = u32::from_le_bytes(frame[4..8].try_into().unwrap());
-        let Some(payload) = bytes.get(off + 8..off + 8 + len as usize) else {
-            tail_error = Some("torn record payload".into());
-            break;
-        };
-        if crc32(payload) != stored_crc {
-            tail_error = Some("record CRC mismatch".into());
-            break;
-        }
-        match JournalRecord::decode(payload) {
-            Ok(rec) => records.push(rec),
-            Err(e) => {
-                tail_error = Some(format!("undecodable record: {e}"));
-                break;
-            }
-        }
-        off += 8 + len as usize;
-    }
-    Ok(Scan {
-        records,
-        good_len: off as u64,
-        tail_error,
-    })
-}
-
 /// Replay records into per-epoch state, ascending by epoch. Every
 /// uncommitted epoch other than the newest is marked superseded.
 pub fn replay_epochs(records: &[JournalRecord]) -> Vec<EpochState> {
-    let mut epochs: Vec<EpochState> = Vec::new();
+    let mut epochs: BTreeMap<u64, EpochState> = BTreeMap::new();
     for rec in records {
-        let state = match epochs.iter_mut().find(|e| e.epoch == rec.epoch) {
-            Some(s) => s,
-            None => {
-                epochs.push(EpochState {
-                    epoch: rec.epoch,
-                    gen: None,
-                    failed: Vec::new(),
-                    validated: false,
-                    validated_gen: None,
-                    restored: BTreeSet::new(),
-                    comms_rebuilt: false,
-                    committed: false,
-                    superseded: false,
-                });
-                epochs.last_mut().unwrap()
-            }
-        };
+        let state = epochs.entry(rec.epoch).or_insert_with(|| EpochState {
+            epoch: rec.epoch,
+            ..EpochState::default()
+        });
         match &rec.step {
             JournalStep::RestartIntent { gen, failed } => {
                 state.gen = Some(*gen);
@@ -331,9 +234,7 @@ pub fn replay_epochs(records: &[JournalRecord]) -> Vec<EpochState> {
             JournalStep::GenValidated { gen } => {
                 state.validated = true;
                 state.validated_gen = Some(*gen);
-                if state.gen.is_none() {
-                    state.gen = Some(*gen);
-                }
+                state.gen.get_or_insert(*gen);
             }
             JournalStep::RankRestored { rank } => {
                 state.restored.insert(*rank);
@@ -342,224 +243,318 @@ pub fn replay_epochs(records: &[JournalRecord]) -> Vec<EpochState> {
             JournalStep::RestartCommitted => state.committed = true,
         }
     }
-    epochs.sort_by_key(|e| e.epoch);
-    if let Some(newest) = epochs.last().map(|e| e.epoch) {
-        for e in &mut epochs {
-            e.superseded = !e.committed && e.epoch != newest;
-        }
+    let newest = epochs.keys().next_back().copied();
+    let mut epochs: Vec<EpochState> = epochs.into_values().collect();
+    for e in &mut epochs {
+        e.superseded = !e.committed && Some(e.epoch) != newest;
     }
     epochs
 }
 
-/// An open restart journal: the replayed history plus an append handle.
-#[derive(Debug)]
-pub struct Journal {
-    path: PathBuf,
-    file: fs::File,
+// ---- reading the layout ----------------------------------------------------
+
+fn journal_dir(root: &Path) -> PathBuf {
+    root.join(JOURNAL_DIR)
+}
+
+fn epoch_dir(root: &Path, epoch: u64) -> PathBuf {
+    journal_dir(root).join(format!("e{epoch:05}"))
+}
+
+/// Epoch numbers of the journal under `root`, newest first.
+fn list_epochs(blobs: &dyn Blobs, root: &Path) -> io::Result<Vec<u64>> {
+    let mut epochs: Vec<u64> = (blobs.list(&journal_dir(root))?.into_iter())
+        .filter(|e| e.is_dir)
+        .filter_map(|e| e.name.strip_prefix('e')?.parse().ok())
+        .collect();
+    epochs.sort_unstable_by(|a, b| b.cmp(a));
+    Ok(epochs)
+}
+
+/// A record blob's parsed name, `<seq>-<kind>-<rank>`.
+struct BlobName {
+    seq: u64,
+    name: String,
+    committed: bool,
+}
+
+/// The record blobs of one epoch, in `seq` order. Names that do not
+/// parse (a crashed put's tmp file) are not records.
+fn list_records(blobs: &dyn Blobs, root: &Path, epoch: u64) -> io::Result<Vec<BlobName>> {
+    let mut names: Vec<BlobName> = (blobs.list(&epoch_dir(root, epoch))?.into_iter())
+        .filter_map(|e| {
+            let mut parts = e.name.splitn(3, '-');
+            let seq = parts.next()?.parse().ok()?;
+            let committed = parts.next()? == JournalStep::RestartCommitted.name();
+            parts.next()?.parse::<u64>().ok()?;
+            let name = e.name;
+            Some(BlobName {
+                seq,
+                name,
+                committed,
+            })
+        })
+        .collect();
+    names.sort_unstable_by_key(|n| n.seq);
+    Ok(names)
+}
+
+/// Read one record blob, which must be the record its name says.
+fn read_record(
+    blobs: &dyn Blobs,
+    root: &Path,
+    epoch: u64,
+    b: &BlobName,
+) -> Result<JournalRecord, String> {
+    let path = epoch_dir(root, epoch).join(&b.name);
+    let mut bytes = Vec::new();
+    blobs
+        .get(&path, Some(&mut bytes))
+        .map_err(|e| e.to_string())?;
+    let rec = JournalRecord::from_bytes(&bytes)?;
+    let named = rec.path_in(root, b.seq) == path;
+    named
+        .then_some(rec)
+        .ok_or_else(|| "record is not the step its name says".into())
+}
+
+/// A record blob that cannot be used.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BadRecord {
+    /// Its epoch.
+    pub epoch: u64,
+    /// Its `seq` within the epoch.
+    pub seq: u64,
+    /// Why it is unusable (CRC mismatch, undecodable, unreadable).
+    pub reason: String,
+}
+
+/// The epochs newer than the newest committed one, as replayed.
+struct Live {
+    /// Their readable records, in epoch then `seq` order.
     records: Vec<JournalRecord>,
+    /// Next `seq` of each (every epoch holding a record blob).
+    next_seq: BTreeMap<u64, u64>,
+    /// Those holding a record that failed its CRC.
+    unreadable: BTreeSet<u64>,
+    /// The newest committed epoch.
+    committed: Option<u64>,
+    /// One past the newest epoch directory.
+    next_epoch: u64,
+}
+
+/// Walk back from the newest epoch to the newest committed one, reading
+/// the records of every epoch in between.
+fn load_live(blobs: &dyn Blobs, root: &Path) -> io::Result<Live> {
+    let epochs = list_epochs(blobs, root)?;
+    let mut live = Live {
+        records: Vec::new(),
+        next_seq: BTreeMap::new(),
+        unreadable: BTreeSet::new(),
+        committed: None,
+        next_epoch: epochs.first().map_or(0, |e| e + 1),
+    };
+    for epoch in epochs {
+        let names = list_records(blobs, root, epoch)?;
+        if names.iter().any(|n| n.committed) {
+            live.committed = Some(epoch);
+            break;
+        }
+        let mut records = Vec::new();
+        for b in &names {
+            match read_record(blobs, root, epoch, b) {
+                Ok(rec) => records.push(rec),
+                Err(_) => _ = live.unreadable.insert(epoch),
+            }
+            live.next_seq.insert(epoch, b.seq + 1);
+        }
+        live.records.splice(0..0, records);
+    }
+    Ok(live)
+}
+
+impl Live {
+    /// The newest epoch's replayed state, if it has not committed.
+    fn newest_uncommitted(&self) -> Option<EpochState> {
+        let newest = *self.next_seq.keys().next_back()?;
+        let state = replay_epochs(&self.records).pop()?;
+        (state.epoch == newest && !state.committed).then_some(state)
+    }
+}
+
+// ---- the journal -----------------------------------------------------------
+
+/// An open restart journal: the replayed live epochs plus the backend
+/// appends go through.
+pub struct Journal {
+    root: PathBuf,
+    blobs: Box<dyn Blobs>,
+    live: Live,
     keys: BTreeSet<StepKey>,
-    truncated_tail: u64,
 }
 
 impl Journal {
-    /// Journal path under a store root.
-    pub fn path_in(root: &Path) -> PathBuf {
-        root.join(JOURNAL_FILE)
+    /// Open the journal under `root` on the local filesystem.
+    pub fn open(root: &Path) -> io::Result<Journal> {
+        Journal::new(root, Box::new(LocalFs))
     }
 
-    /// Open (creating if absent) the journal under `root`, replaying
-    /// existing records and truncating any torn/corrupt tail left by a
-    /// crash mid-append.
-    pub fn open(root: &Path) -> io::Result<Journal> {
-        fs::create_dir_all(root)?;
-        let path = Self::path_in(root);
-        let mut truncated_tail = 0u64;
-        let records = match fs::read(&path) {
-            Ok(bytes) => {
-                let s = scan(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                if s.tail_error.is_some() {
-                    truncated_tail = bytes.len() as u64 - s.good_len;
-                    let f = fs::OpenOptions::new().write(true).open(&path)?;
-                    if s.good_len < HEADER_LEN as u64 {
-                        // Torn header: rewrite a fresh one.
-                        f.set_len(0)?;
-                        let mut w = &f;
-                        w.write_all(JOURNAL_MAGIC)?;
-                        w.write_all(&JOURNAL_VERSION.to_le_bytes())?;
-                    } else {
-                        f.set_len(s.good_len)?;
-                    }
-                    f.sync_all()?;
-                }
-                s.records
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                let f = fs::File::create(&path)?;
-                {
-                    let mut w = &f;
-                    w.write_all(JOURNAL_MAGIC)?;
-                    w.write_all(&JOURNAL_VERSION.to_le_bytes())?;
-                }
-                f.sync_all()?;
-                Vec::new()
-            }
-            Err(e) => return Err(e),
-        };
-        let file = fs::OpenOptions::new().append(true).open(&path)?;
-        let keys = records.iter().map(|r| r.key()).collect();
+    /// Open the journal under `root` over an explicit backend, replaying
+    /// the epochs newer than the newest committed one.
+    pub fn new(root: &Path, blobs: Box<dyn Blobs>) -> io::Result<Journal> {
+        let live = load_live(blobs.as_ref(), root)?;
         Ok(Journal {
-            path,
-            file,
-            records,
-            keys,
-            truncated_tail,
+            root: root.to_path_buf(),
+            keys: live.records.iter().map(|r| r.key()).collect(),
+            blobs,
+            live,
         })
     }
 
-    /// The journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// All replayed records, in append order.
-    pub fn records(&self) -> &[JournalRecord] {
-        &self.records
-    }
-
-    /// Bytes of torn/corrupt tail dropped by [`Journal::open`].
-    pub fn truncated_tail(&self) -> u64 {
-        self.truncated_tail
-    }
-
-    /// Is this step already journaled (same idempotency key)?
-    pub fn contains(&self, epoch: u64, step: &JournalStep) -> bool {
-        self.keys.contains(&(epoch, step.kind(), step.key_arg()))
-    }
-
     /// Durably append one step. Returns `false` without touching the
-    /// file when the step's idempotency key is already present — replay
-    /// after a crash never duplicates a completed step.
+    /// store when the step's idempotency key is already present — replay
+    /// after a crash never duplicates a completed step. An epoch at or
+    /// below the newest committed one is closed.
     pub fn append(&mut self, epoch: u64, step: JournalStep) -> io::Result<bool> {
+        if self.live.committed.is_some_and(|c| epoch <= c) {
+            let e = format!("restart epoch {epoch} is closed: a newer or equal epoch committed");
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, e));
+        }
         let rec = JournalRecord { epoch, step };
-        let key = rec.key();
-        if self.keys.contains(&key) {
+        if self.keys.contains(&rec.key()) {
             return Ok(false);
         }
-        let payload = rec.encode();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.file.write_all(&frame)?;
-        self.file.sync_data()?;
-        self.keys.insert(key);
-        self.records.push(rec);
+        let seq = self.live.next_seq.get(&epoch).copied().unwrap_or(0);
+        let path = rec.path_in(&self.root, seq);
+        self.blobs
+            .put_atomic(&path, &rec.to_bytes(), PutMode::Commit)
+            .1?;
+        if seq == 0 {
+            // The put may have created the epoch directory and `restart/`,
+            // whose names the Commit contract leaves to the caller.
+            self.blobs.sync_dir(&journal_dir(&self.root))?;
+            self.blobs.sync_dir(&self.root)?;
+        }
+        self.live.next_seq.insert(epoch, seq + 1);
+        self.live.next_epoch = self.live.next_epoch.max(epoch + 1);
+        self.keys.insert(rec.key());
+        self.live.records.push(rec);
         Ok(true)
     }
 
-    /// Replayed per-epoch state, ascending by epoch.
+    /// Replayed per-epoch state of the live epochs, ascending by epoch.
     pub fn epochs(&self) -> Vec<EpochState> {
-        replay_epochs(&self.records)
+        replay_epochs(&self.live.records)
     }
 
-    /// The open epoch, if any: the newest epoch when it has not
-    /// committed. Older uncommitted epochs are superseded, not open.
+    /// The open epoch, if any: the newest epoch when it has not committed
+    /// and every record of it is readable.
     pub fn open_epoch(&self) -> Option<EpochState> {
-        self.epochs().into_iter().last().filter(|e| !e.committed)
+        let open = self.live.newest_uncommitted();
+        open.filter(|e| !self.live.unreadable.contains(&e.epoch))
+    }
+
+    /// The newest epoch when a record of it failed its CRC: it is not
+    /// resumed, and a restart opens [`Journal::next_epoch`] instead.
+    pub fn unreadable_epoch(&self) -> Option<u64> {
+        let newest = *self.live.next_seq.keys().next_back()?;
+        self.live.unreadable.contains(&newest).then_some(newest)
     }
 
     /// The epoch number a brand-new restart attempt should use.
     pub fn next_epoch(&self) -> u64 {
-        self.records.iter().map(|r| r.epoch + 1).max().unwrap_or(0)
+        self.live.next_epoch
     }
 }
 
-/// Generations pinned by the open journal epoch under `root` — these
-/// must never be garbage-collected. A missing or unreadable journal
-/// pins nothing (read-only: never truncates or repairs the file).
+/// Generations pinned by the newest epoch under `root` while it has not
+/// committed — what its readable records name. These must never be
+/// garbage-collected. An unreadable journal pins nothing.
+pub(crate) fn pinned_in(blobs: &dyn Blobs, root: &Path) -> BTreeSet<u64> {
+    let open = load_live(blobs, root)
+        .ok()
+        .and_then(|l| l.newest_uncommitted());
+    open.into_iter()
+        .flat_map(|e| e.gen.into_iter().chain(e.validated_gen))
+        .collect()
+}
+
+/// The generations the open epoch pins, on the local filesystem.
 pub fn pinned_generations(root: &Path) -> BTreeSet<u64> {
-    let mut pinned = BTreeSet::new();
-    let Ok(bytes) = fs::read(Journal::path_in(root)) else {
-        return pinned;
-    };
-    let Ok(s) = scan(&bytes) else {
-        return pinned;
-    };
-    if let Some(open) = replay_epochs(&s.records)
-        .into_iter()
-        .last()
-        .filter(|e| !e.committed)
-    {
-        pinned.extend(open.gen);
-        pinned.extend(open.validated_gen);
-    }
-    pinned
+    pinned_in(&LocalFs, root)
 }
 
-/// Read-only verification report for `mana2-inspect journal --verify`.
+/// Collect the journal under `root`: once an epoch has committed, remove
+/// every older epoch and the legacy journal file. Returns the removed
+/// epochs. Never touches an epoch a restart could resume.
+pub(crate) fn gc(blobs: &dyn Blobs, root: &Path) -> io::Result<Vec<u64>> {
+    let Some(committed) = load_live(blobs, root)?.committed else {
+        return Ok(Vec::new());
+    };
+    let mut removed = list_epochs(blobs, root)?;
+    removed.retain(|&e| e < committed);
+    removed.reverse();
+    for &epoch in &removed {
+        blobs.remove(&epoch_dir(root, epoch))?;
+    }
+    if !removed.is_empty() {
+        blobs.sync_dir(&journal_dir(root))?;
+    }
+    match blobs.remove(&root.join(LEGACY_JOURNAL_FILE)) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(removed),
+        res => res.and_then(|()| blobs.sync_dir(root)).map(|()| removed),
+    }
+}
+
+/// Read-only report of every record blob, for `mana2-inspect journal`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyReport {
-    /// The journal path.
-    pub path: PathBuf,
-    /// Does the file exist?
-    pub exists: bool,
-    /// Intact records in the clean prefix.
-    pub records: usize,
-    /// On-disk file length.
-    pub file_len: u64,
-    /// Length of the clean prefix (what open would keep).
-    pub good_len: u64,
-    /// Why the tail past `good_len` is rejected (what open would
-    /// truncate), if anything.
-    pub tail_error: Option<String>,
+    /// The journal directory.
+    pub dir: PathBuf,
+    /// Readable records of every epoch, in epoch then `seq` order.
+    pub records: Vec<JournalRecord>,
+    /// Record blobs that failed their CRC or do not decode.
+    pub unreadable: Vec<BadRecord>,
+    /// Is a legacy single-file journal present (ignored)?
+    pub legacy: bool,
 }
 
-/// Read the journal's clean prefix under `root` without modifying it —
-/// exactly the records [`Journal::open`] would keep, with any torn or
-/// corrupt tail ignored instead of truncated. A missing journal is an
-/// empty record list. Errors only on unreadable files or a foreign magic.
-pub fn read_records(root: &Path) -> io::Result<Vec<JournalRecord>> {
-    let bytes = match fs::read(Journal::path_in(root)) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let s = scan(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    Ok(s.records)
-}
-
-/// Verify the journal under `root` without modifying it: CRC-check every
-/// frame and report what [`Journal::open`] would truncate (the dry run).
+/// Read every record blob of every epoch under `root` without modifying
+/// anything. A missing journal is an empty report.
 pub fn verify(root: &Path) -> io::Result<VerifyReport> {
-    let path = Journal::path_in(root);
-    let bytes = match fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            return Ok(VerifyReport {
-                path,
-                exists: false,
-                records: 0,
-                file_len: 0,
-                good_len: 0,
-                tail_error: None,
-            });
-        }
-        Err(e) => return Err(e),
+    let mut report = VerifyReport {
+        dir: journal_dir(root),
+        records: Vec::new(),
+        unreadable: Vec::new(),
+        legacy: LocalFs.get(&root.join(LEGACY_JOURNAL_FILE), None).is_ok(),
     };
-    let s = scan(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    Ok(VerifyReport {
-        path,
-        exists: true,
-        records: s.records.len(),
-        file_len: bytes.len() as u64,
-        good_len: s.good_len,
-        tail_error: s.tail_error,
-    })
+    for epoch in list_epochs(&LocalFs, root)?.into_iter().rev() {
+        for b in list_records(&LocalFs, root, epoch)? {
+            match read_record(&LocalFs, root, epoch, &b) {
+                Ok(rec) => report.records.push(rec),
+                Err(reason) => report.unreadable.push(BadRecord {
+                    epoch,
+                    seq: b.seq,
+                    reason,
+                }),
+            }
+        }
+    }
+    Ok(report)
+}
+
+/// Every readable record under `root` that GC has not collected, in
+/// epoch then `seq` order. A record that fails its CRC is left out;
+/// [`verify`] names it. A missing journal is an empty record list.
+pub fn read_records(root: &Path) -> io::Result<Vec<JournalRecord>> {
+    Ok(verify(root)?.records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blobs::{FaultyBlobs, WriteFault};
+    use std::fs;
 
     fn tdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("mana2_jnl_{}_{}", name, std::process::id()));
@@ -584,24 +579,32 @@ mod tests {
         j.append(epoch, JournalStep::RestartCommitted).unwrap();
     }
 
+    fn epoch_dirs(root: &Path) -> usize {
+        fs::read_dir(journal_dir(root)).unwrap().count()
+    }
+
     #[test]
     fn append_replay_roundtrip() {
         let root = tdir("roundtrip");
         let mut j = Journal::open(&root).unwrap();
         assert_eq!(j.next_epoch(), 0);
         full_epoch(&mut j, 0, 4, 3);
-        drop(j);
-        let j = Journal::open(&root).unwrap();
-        assert_eq!(j.records().len(), 7);
-        assert_eq!(j.truncated_tail(), 0);
+        assert_eq!(j.live.records.len(), 7);
         let epochs = j.epochs();
         assert_eq!(epochs.len(), 1);
         let e = &epochs[0];
         assert_eq!(e.gen, Some(4));
         assert!(e.validated && e.comms_rebuilt && e.committed);
         assert_eq!(e.restored.len(), 3);
+        drop(j);
+        // Reopened, the committed epoch is known by name alone.
+        let j = Journal::open(&root).unwrap();
+        assert!(j.live.records.is_empty());
         assert!(j.open_epoch().is_none());
         assert_eq!(j.next_epoch(), 1);
+        let all = read_records(&root).unwrap();
+        assert_eq!(all.len(), 7);
+        assert_eq!(replay_epochs(&all), epochs);
         fs::remove_dir_all(&root).ok();
     }
 
@@ -614,100 +617,97 @@ mod tests {
         assert!(j.append(0, JournalStep::RankRestored { rank: 3 }).unwrap());
         // Same step kind in a different epoch is a different key.
         assert!(j.append(1, JournalStep::RankRestored { rank: 2 }).unwrap());
-        assert_eq!(j.records().len(), 3);
+        assert_eq!(j.live.records.len(), 3);
+        // Reopened, the keys come back from the blobs.
+        drop(j);
+        let mut j = Journal::open(&root).unwrap();
+        assert!(!j.append(0, JournalStep::RankRestored { rank: 3 }).unwrap());
+        assert_eq!(read_records(&root).unwrap().len(), 3);
         fs::remove_dir_all(&root).ok();
     }
 
     #[test]
-    fn torn_tail_is_truncated_on_open() {
-        let root = tdir("torn");
+    fn record_blob_names_its_key_and_keeps_append_order() {
+        let root = tdir("names");
         let mut j = Journal::open(&root).unwrap();
         j.append(
-            0,
-            JournalStep::RestartIntent {
-                gen: 7,
-                failed: vec![],
-            },
-        )
-        .unwrap();
-        j.append(0, JournalStep::GenValidated { gen: 7 }).unwrap();
-        drop(j);
-        // Simulate a crash mid-append: chop the last record in half.
-        let path = Journal::path_in(&root);
-        let len = fs::metadata(&path).unwrap().len();
-        let f = fs::OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(len - 5).unwrap();
-        drop(f);
-        let report = verify(&root).unwrap();
-        assert_eq!(report.records, 1);
-        assert!(report.tail_error.is_some());
-        assert!(report.good_len < report.file_len);
-        let j = Journal::open(&root).unwrap();
-        assert_eq!(j.records().len(), 1);
-        assert!(j.truncated_tail() > 0);
-        // The file is now clean again and the lost step can re-append.
-        drop(j);
-        let mut j = Journal::open(&root).unwrap();
-        assert_eq!(j.truncated_tail(), 0);
-        assert!(j.append(0, JournalStep::GenValidated { gen: 7 }).unwrap());
-        fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn corrupt_record_crc_truncates_from_there() {
-        let root = tdir("crc");
-        let mut j = Journal::open(&root).unwrap();
-        j.append(
-            0,
+            2,
             JournalStep::RestartIntent {
                 gen: 1,
                 failed: vec![],
             },
         )
         .unwrap();
-        let good_len = fs::metadata(j.path()).unwrap().len();
-        j.append(0, JournalStep::GenValidated { gen: 1 }).unwrap();
-        j.append(0, JournalStep::RankRestored { rank: 0 }).unwrap();
-        drop(j);
-        // Flip a payload byte of the second record.
-        let path = Journal::path_in(&root);
-        let mut bytes = fs::read(&path).unwrap();
-        bytes[good_len as usize + 9] ^= 0xFF;
-        fs::write(&path, &bytes).unwrap();
-        let j = Journal::open(&root).unwrap();
-        assert_eq!(j.records().len(), 1, "everything after the bad CRC goes");
-        assert_eq!(fs::metadata(&path).unwrap().len(), good_len);
-        fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn torn_header_resets_to_empty_journal() {
-        let root = tdir("hdr");
-        fs::create_dir_all(&root).unwrap();
-        fs::write(Journal::path_in(&root), b"MANA2").unwrap();
-        let j = Journal::open(&root).unwrap();
-        assert!(j.records().is_empty());
-        assert_eq!(j.truncated_tail(), 5);
-        drop(j);
+        j.append(2, JournalStep::GenValidated { gen: 1 }).unwrap();
+        j.append(2, JournalStep::RankRestored { rank: 7 }).unwrap();
+        let mut names: Vec<String> = fs::read_dir(epoch_dir(&root, 2))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
         assert_eq!(
-            fs::metadata(Journal::path_in(&root)).unwrap().len(),
-            HEADER_LEN as u64
+            names,
+            [
+                "00000-restart_intent-0",
+                "00001-gen_validated-0",
+                "00002-rank_restored-7"
+            ]
         );
         fs::remove_dir_all(&root).ok();
     }
 
     #[test]
-    fn foreign_file_is_rejected_not_destroyed() {
+    fn committed_epoch_is_closed_to_appends() {
+        let root = tdir("closed");
+        let mut j = Journal::open(&root).unwrap();
+        full_epoch(&mut j, 0, 1, 1);
+        drop(j);
+        let mut j = Journal::open(&root).unwrap();
+        let err = j.append(0, JournalStep::CommsRebuilt).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(j.append(1, JournalStep::CommsRebuilt).unwrap());
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn failed_put_leaves_no_record_and_the_step_redrives() {
+        let root = tdir("faulty");
+        let faulty = FaultyBlobs::new(
+            Box::new(LocalFs),
+            WriteFault::Error { attempts: 1 },
+            obs::Telemetry::off(),
+            0,
+        );
+        let mut j = Journal::new(&root, Box::new(faulty)).unwrap();
+        let intent = JournalStep::RestartIntent {
+            gen: 3,
+            failed: vec![],
+        };
+        assert!(j.append(0, intent.clone()).is_err());
+        assert!(!j.keys.contains(&(0, intent.kind(), 0)));
+        assert!(read_records(&root).unwrap().is_empty());
+        assert!(!epoch_dir(&root, 0).join("00000-restart_intent-0").exists());
+        // Re-driving the same step lands it under the same name.
+        assert!(j.append(0, intent.clone()).unwrap());
+        assert!(j.keys.contains(&(0, intent.kind(), 0)));
+        assert!(epoch_dir(&root, 0).join("00000-restart_intent-0").exists());
+        assert_eq!(read_records(&root).unwrap().len(), 1);
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn foreign_journal_file_is_ignored_not_destroyed() {
         let root = tdir("foreign");
         fs::create_dir_all(&root).unwrap();
-        fs::write(Journal::path_in(&root), b"definitely not a journal").unwrap();
-        let err = Journal::open(&root).unwrap_err();
-        assert!(err.to_string().contains("magic"), "{err}");
-        // The file is untouched.
-        assert_eq!(
-            fs::read(Journal::path_in(&root)).unwrap(),
-            b"definitely not a journal"
-        );
+        let legacy = root.join(LEGACY_JOURNAL_FILE);
+        fs::write(&legacy, b"definitely not a journal").unwrap();
+        let mut j = Journal::open(&root).unwrap();
+        assert_eq!(j.next_epoch(), 0);
+        assert!(j.append(0, JournalStep::CommsRebuilt).unwrap());
+        assert!(verify(&root).unwrap().legacy);
+        // No epoch committed yet: GC leaves the file as it was.
+        assert!(gc(&LocalFs, &root).unwrap().is_empty());
+        assert_eq!(fs::read(&legacy).unwrap(), b"definitely not a journal");
         fs::remove_dir_all(&root).ok();
     }
 
@@ -780,11 +780,89 @@ mod tests {
     }
 
     #[test]
+    fn unreadable_epoch_is_never_resumed() {
+        let root = tdir("unreadable");
+        let mut j = Journal::open(&root).unwrap();
+        j.append(
+            0,
+            JournalStep::RestartIntent {
+                gen: 1,
+                failed: vec![],
+            },
+        )
+        .unwrap();
+        j.append(0, JournalStep::GenValidated { gen: 1 }).unwrap();
+        drop(j);
+        let path = epoch_dir(&root, 0).join("00001-gen_validated-0");
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[9] ^= 0xFF;
+        fs::write(&path, &bytes).unwrap();
+        let j = Journal::open(&root).unwrap();
+        assert_eq!(j.unreadable_epoch(), Some(0));
+        assert!(j.open_epoch().is_none());
+        assert_eq!(j.next_epoch(), 1);
+        let report = verify(&root).unwrap();
+        assert_eq!(report.records.len(), 1);
+        assert_eq!(
+            (report.unreadable[0].epoch, report.unreadable[0].seq),
+            (0, 1)
+        );
+        assert!(report.unreadable[0].reason.contains("CRC"));
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn bounded_history_open_and_gc() {
+        let root = tdir("bounded");
+        for epoch in 0..50 {
+            let mut j = Journal::open(&root).unwrap();
+            assert_eq!(j.next_epoch(), epoch);
+            full_epoch(&mut j, epoch, 0, 2);
+        }
+        let j = Journal::open(&root).unwrap();
+        assert!(j.open_epoch().is_none());
+        assert_eq!(j.next_epoch(), 50);
+        assert!(j.live.records.is_empty(), "committed history is not read");
+        assert_eq!(epoch_dirs(&root), 50);
+        let store = crate::store::Store::open(&root, crate::store::StoreConfig::default());
+        let removed = store.gc(1).unwrap().journal_epochs;
+        assert_eq!(removed, (0..49).collect::<Vec<_>>());
+        assert_eq!(epoch_dirs(&root), 1);
+        assert_eq!(Journal::open(&root).unwrap().next_epoch(), 50);
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn gc_keeps_the_open_epoch_and_the_newest_committed() {
+        let root = tdir("gc_open");
+        let mut j = Journal::open(&root).unwrap();
+        full_epoch(&mut j, 0, 1, 1);
+        full_epoch(&mut j, 1, 1, 1);
+        j.append(
+            2,
+            JournalStep::RestartIntent {
+                gen: 3,
+                failed: vec![],
+            },
+        )
+        .unwrap();
+        assert_eq!(gc(&LocalFs, &root).unwrap(), vec![0]);
+        let j = Journal::open(&root).unwrap();
+        assert_eq!(j.open_epoch().unwrap().epoch, 2);
+        assert_eq!(
+            pinned_generations(&root).into_iter().collect::<Vec<_>>(),
+            vec![3]
+        );
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn missing_journal_pins_nothing_and_verifies_clean() {
         let root = tdir("missing");
         assert!(pinned_generations(&root).is_empty());
         let report = verify(&root).unwrap();
-        assert!(!report.exists);
-        assert_eq!(report.records, 0);
+        assert!(report.records.is_empty() && report.unreadable.is_empty());
+        assert!(!report.legacy);
+        assert_eq!(gc(&LocalFs, &root).unwrap(), Vec::<u64>::new());
     }
 }

@@ -18,9 +18,10 @@
 //! * [`blobs`] — the five storage operations the store is written
 //!   against, the local-filesystem backend, and the fault-injecting
 //!   wrapper.
-//! * [`journal`] — crash-safe restart journal: append-only, fsynced,
-//!   CRC-framed record of every restart step, replayed idempotently so a
-//!   coordinator that dies mid-restart resumes instead of redoing work.
+//! * [`journal`] — crash-safe restart journal: one CRC-checked blob per
+//!   restart step, landed atomically through [`blobs`] and replayed
+//!   idempotently so a coordinator that dies mid-restart resumes instead
+//!   of redoing work.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -289,6 +289,8 @@ pub struct GcOutcome {
     pub generations: Vec<u64>,
     /// The chunk-pool sweep that followed.
     pub chunks: ChunkGcOutcome,
+    /// Restart-journal epochs removed (older than the newest committed).
+    pub journal_epochs: Vec<u64>,
 }
 
 /// The generation chosen for restart.
@@ -775,12 +777,15 @@ impl Store {
     }
 
     /// Garbage-collect: old generations first, then the pool chunks only
-    /// they referenced. Must not run concurrently with image writes; the
+    /// they referenced, then the restart-journal epochs older than the
+    /// newest committed one (and a legacy journal file, once one has
+    /// committed). Must not run concurrently with image writes; the
     /// coordinator runs it between rounds.
     pub fn gc(&self, retain: usize) -> io::Result<GcOutcome> {
         Ok(GcOutcome {
             generations: self.gc_generations(retain)?,
             chunks: self.gc_chunks()?,
+            journal_epochs: crate::journal::gc(self.blobs.as_ref(), &self.root)?,
         })
     }
 
@@ -788,7 +793,7 @@ impl Store {
     /// deletes the only good checkpoint) and drop everything older,
     /// stale uncommitted directories of aborted rounds included. A
     /// generation pinned by an open restart-journal epoch
-    /// ([`crate::journal::pinned_generations`]) is never removed: GC must
+    /// ([`crate::journal::pinned_in`]) is never removed: GC must
     /// not collect what a restart is reading. Returns the removed rounds.
     fn gc_generations(&self, retain: usize) -> io::Result<Vec<u64>> {
         let gens = self.list()?;
@@ -802,7 +807,7 @@ impl Store {
         };
         // Oldest committed round we keep.
         let keep_from = committed[committed.len().saturating_sub(retain.max(1))];
-        let pinned = crate::journal::pinned_generations(&self.root);
+        let pinned = crate::journal::pinned_in(self.blobs.as_ref(), &self.root);
         let mut removed = Vec::new();
         for g in &gens {
             let stale = if g.committed {

@@ -1,10 +1,14 @@
 //! Format stability: bytes written by the commit *before* the CRC kernel
-//! was replaced must still parse and validate. Each literal below was
-//! produced by that commit's `write_image` / `commit_generation` /
-//! `Journal::append` (one rank, round 2; upper 48 B, meta 5 B — small
-//! enough that each payload is a single chunk in the chunked layout). A
-//! change to the CRC polynomial, a table, a frame layout or a header
-//! field breaks these.
+//! was replaced must still parse and validate. Each image literal below
+//! was produced by that commit's `write_image` / `commit_generation` (one
+//! rank, round 2; upper 48 B, meta 5 B — small enough that each payload
+//! is a single chunk in the chunked layout). A change to the CRC
+//! polynomial, a table, a record layout or a header field breaks these.
+//!
+//! `JOURNAL` is the single-file restart journal of the same commit (three
+//! framed records of an open epoch 3). The blob layout that replaced it
+//! must ignore it, never misread it, and collect it; `JOURNAL_BLOB` is
+//! the first of those records as one record blob of that layout.
 //!
 //! The chunked fixture of that commit is recipe version 1: its two pool
 //! chunks are named by SHA-256, and it must restore for as long as such
@@ -81,6 +85,14 @@ const JOURNAL: &[u8] = &[
     0x00, 0xf5, 0xd2, 0x3e, 0x76, 0x02, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00,
     0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x11, 0x00, 0x00, 0x00, 0x55, 0x1e, 0x17, 0x7f, 0x03, 0x03,
     0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+];
+
+/// Where `Journal::append` lands epoch 3's first step, and its bytes.
+const JOURNAL_BLOB_NAME: &str = "restart/e00003/00000-restart_intent-0";
+const JOURNAL_BLOB: &[u8] = &[
+    0x01, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x6c, 0xfe, 0x50, 0xab,
 ];
 
 fn expected_image() -> CkptImage {
@@ -202,28 +214,79 @@ fn golden_stores_validate_and_select_in_both_layouts() {
 }
 
 #[test]
-fn golden_journal_frames_replay() {
-    let root = tdir("journal");
-    fs::create_dir_all(&root).unwrap();
-    fs::write(Journal::path_in(&root), JOURNAL).unwrap();
-    let report = journal::verify(&root).unwrap();
-    assert_eq!(report.tail_error, None);
-    assert_eq!(report.good_len, JOURNAL.len() as u64);
-    let want = |step| JournalRecord { epoch: 3, step };
-    assert_eq!(
-        journal::read_records(&root).unwrap(),
-        vec![
-            want(JournalStep::RestartIntent {
-                gen: 2,
-                failed: vec![1, 5],
-            }),
-            want(JournalStep::GenValidated { gen: 2 }),
-            want(JournalStep::RankRestored { rank: 1 }),
-        ]
-    );
-    // Opening must keep every frame (nothing is truncated as corrupt).
+fn golden_journal_record_blob_replays() {
+    let intent = JournalStep::RestartIntent {
+        gen: 2,
+        failed: vec![1, 5],
+    };
+    let rec = JournalRecord {
+        epoch: 3,
+        step: intent.clone(),
+    };
+    // Read: the fixture blob under its name replays as that record, and
+    // its epoch is the open one.
+    let root = tdir("journal_blob");
+    let path = root.join(JOURNAL_BLOB_NAME);
+    fs::create_dir_all(path.parent().unwrap()).unwrap();
+    fs::write(&path, JOURNAL_BLOB).unwrap();
+    assert_eq!(journal::read_records(&root).unwrap(), vec![rec.clone()]);
     let j = Journal::open(&root).unwrap();
-    assert_eq!((j.records().len(), j.truncated_tail()), (3, 0));
+    let open = j.open_epoch().unwrap();
+    assert_eq!(
+        (open.epoch, open.gen, open.failed),
+        (3, Some(2), vec![1, 5])
+    );
+    assert_eq!(j.next_epoch(), 4);
+    fs::remove_dir_all(&root).ok();
+    // Write: appending the step lands exactly these bytes under this name.
+    let mut j = Journal::open(&root).unwrap();
+    assert!(j.append(3, intent).unwrap());
+    assert_eq!(
+        fs::read(root.join(JOURNAL_BLOB_NAME)).unwrap(),
+        JOURNAL_BLOB
+    );
+    assert_eq!(rec.to_bytes(), JOURNAL_BLOB);
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn legacy_journal_file_is_ignored_then_collected() {
+    let root = tdir("journal_legacy");
+    fs::create_dir_all(&root).unwrap();
+    let legacy = root.join(journal::LEGACY_JOURNAL_FILE);
+    fs::write(&legacy, JOURNAL).unwrap();
+    // Its open epoch 3 is not resumed: a restart opens epoch 0 of the
+    // blob layout.
+    let mut j = Journal::open(&root).unwrap();
+    assert!(j.open_epoch().is_none());
+    assert_eq!(j.next_epoch(), 0);
+    assert!(journal::verify(&root).unwrap().legacy);
+    let steps = [
+        JournalStep::RestartIntent {
+            gen: 2,
+            failed: vec![],
+        },
+        JournalStep::GenValidated { gen: 2 },
+        JournalStep::RankRestored { rank: 0 },
+        JournalStep::CommsRebuilt,
+    ];
+    for step in steps {
+        assert!(j.append(0, step).unwrap());
+    }
+    // GC leaves the file alone while no epoch of the new layout has
+    // committed...
+    let store = Store::open(&root, StoreConfig::default());
+    store.gc(1).unwrap();
+    assert_eq!(fs::read(&legacy).unwrap(), JOURNAL);
+    // ...and removes it once one has.
+    assert!(j.append(0, JournalStep::RestartCommitted).unwrap());
+    store.gc(1).unwrap();
+    assert!(!legacy.exists());
+    assert!(!journal::verify(&root).unwrap().legacy);
+    assert_eq!(
+        journal::replay_epochs(&journal::read_records(&root).unwrap()).len(),
+        1
+    );
     fs::remove_dir_all(&root).ok();
 }
 

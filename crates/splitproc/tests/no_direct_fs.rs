@@ -10,10 +10,6 @@ const DIRECT_FS: &[&str] = &[
     // `LocalFs`, the one real `Blobs` backend (and `FaultyBlobs`, which
     // damages files through its inner backend, not through `fs`).
     "blobs.rs",
-    // The restart journal still opens, appends to and truncates its own
-    // file. It is the one remaining direct user; the crash-point
-    // enumeration PR moves it onto `Blobs`.
-    "journal.rs",
 ];
 
 #[test]
