@@ -6,8 +6,7 @@
 //!   `wide_small` image size (`crc32_1k`, under the four-lane threshold,
 //!   so the single-lane loop) and the average chunk size (`crc32_16k`);
 //! * `chunk::chunk_id` (the content address of every chunk the store
-//!   writes), `chunk::chunk_id_v1` (SHA-256, the read-side verifier of
-//!   version 1 recipes), `chunk::split` (gear-hash content-defined
+//!   writes and verifies), `chunk::split` (gear-hash content-defined
 //!   chunking) and `chunk::chunk_payload` (the chunked write path's one
 //!   pass: split, key and payload CRC per chunk), unguided and — as
 //!   `chunk_payload_guided` — with 2 % of the buffer rewritten and the
@@ -67,9 +66,6 @@ fn bench(c: &mut Criterion) {
     g.sample_size(20);
     g.throughput(Throughput::Bytes(LEN as u64));
     g.bench_function("chunk_id", |b| b.iter(|| chunk::chunk_id(black_box(&buf))));
-    g.bench_function("chunk_id_v1", |b| {
-        b.iter(|| chunk::chunk_id_v1(black_box(&buf)))
-    });
     g.bench_function("split", |b| {
         b.iter(|| chunk::split(black_box(&buf), params).len())
     });

@@ -9,15 +9,15 @@
 //! experiments scale     # checkpoint-round latency, 64→4096 ranks, CoopEngine
 //! experiments drain     # quiesce head-to-head, alltoall vs toposort,
 //!                       # 64→4096 ranks, BENCH_drain_quiesce.json
-//! experiments explore   # schedule-space exploration coverage sweep
 //! experiments all       # everything except `scale` (minutes at 4096 ranks)
 //! ```
 //!
 //! Environment: `MANA2_RANKS=2,4,8,16` overrides sweeps;
-//! `MANA2_SCALE=0.5` scales workload sizes. Engine, drain, store layout,
-//! trace directory and live metrics export come from `mana_core::from_env`
-//! (read once in `main`; a value that does not parse exits 2 before any
-//! rank starts) wherever an experiment does not pin its own.
+//! `MANA2_SCALE=0.5` scales workload sizes ([`Knobs`]). Engine, drain,
+//! store layout, trace directory and live metrics export come from
+//! `mana_core::from_env` wherever an experiment does not pin its own. Both
+//! are read once in `main`: a value that does not parse exits 2 before
+//! any rank starts.
 
 use mana_bench::*;
 use mana_core::{obs, DrainMode, EnvConfig, ManaConfig};
@@ -25,15 +25,14 @@ use mpisim::{CoopCfg, EngineKind, MachineProfile, WorldCfg};
 use std::time::Instant;
 use workloads::{gromacs, under_mana, vasp, Launch};
 
-fn scale() -> f64 {
-    env_num("MANA2_SCALE", 1.0)
-}
+/// Table II's rank count (the paper's is 128).
+const T2_RANKS: usize = 8;
 
-fn md_config() -> gromacs::GromacsConfig {
+fn md_config(scale: f64) -> gromacs::GromacsConfig {
     gromacs::GromacsConfig {
-        atoms_per_rank: ((1024.0 * scale()) as usize).max(64),
-        steps: ((20.0 * scale()) as u64).max(5),
-        compute_per_step: (8_000.0 * scale()) as u64,
+        atoms_per_rank: ((1024.0 * scale) as usize).max(64),
+        steps: ((20.0 * scale) as u64).max(5),
+        compute_per_step: (8_000.0 * scale) as u64,
         energy_interval: 5,
         halo: 32,
         ckpt_at_step: None,
@@ -41,7 +40,7 @@ fn md_config() -> gromacs::GromacsConfig {
     }
 }
 
-fn capoh_config(steps: u64) -> vasp::VaspConfig {
+fn capoh_config(steps: u64, scale: f64) -> vasp::VaspConfig {
     let capoh = vasp::table1_cases()
         .into_iter()
         .find(|c| c.name == "CaPOH")
@@ -49,8 +48,8 @@ fn capoh_config(steps: u64) -> vasp::VaspConfig {
     vasp::VaspConfig {
         case: capoh,
         scf_steps: steps,
-        state_scale: 0.2 * scale(),
-        compute_per_sweep: (2_000.0 * scale()) as u64,
+        state_scale: 0.2 * scale,
+        compute_per_sweep: (2_000.0 * scale) as u64,
         ckpt_at_step: None,
         ckpt_round: 0,
     }
@@ -58,10 +57,10 @@ fn capoh_config(steps: u64) -> vasp::VaspConfig {
 
 // -------------------------------------------------------------------------
 
-fn fig2(env: &EnvConfig) {
+fn fig2(env: &EnvConfig, k: &Knobs) {
     println!("== Fig. 2: GROMACS run time, native vs MANA (hybrid 2PC) ==");
     println!("(paper: 32..2048 ranks on Cori; here: scaled sweep, same shape)");
-    let md = md_config();
+    let md = md_config(k.scale);
     let mut panels = Vec::new();
     for profile in [MachineProfile::haswell(), MachineProfile::knl()] {
         println!("\n-- {} panel --", profile.name);
@@ -71,7 +70,7 @@ fn fig2(env: &EnvConfig) {
         );
         let mut rows = Vec::new();
         let mut last_stats = None;
-        for ranks in rank_sweep() {
+        for &ranks in &k.ranks {
             let nat = timed_native(env, ranks, &md, profile.clone());
             let mcfg = ManaConfig {
                 ckpt_dir: scratch_dir("fig2"),
@@ -114,12 +113,12 @@ fn fig2(env: &EnvConfig) {
     );
 }
 
-fn fig3(env: &EnvConfig) {
+fn fig3(env: &EnvConfig, k: &Knobs) {
     println!("== Fig. 3: checkpoint/restart overhead and image size ==");
     println!("(paper: GROMACS at 2048 ranks, 10 C/R rounds on the burst buffer)");
     let rounds = 10u64;
-    let ranks = *rank_sweep().last().unwrap();
-    let mut md = md_config();
+    let ranks = *k.ranks.last().unwrap();
+    let mut md = md_config(k.scale);
     md.compute_per_step = 0;
     md.steps = rounds * 3 + 2;
 
@@ -194,7 +193,7 @@ fn fig3(env: &EnvConfig) {
     let _ = std::fs::remove_dir_all(&dir2);
 }
 
-fn fig4(env: &EnvConfig) {
+fn fig4(env: &EnvConfig, k: &Knobs) {
     println!("== Fig. 4: VASP collective calls per second per process ==");
     println!("(paper: roughly logarithmic growth with node count)");
     println!(
@@ -205,8 +204,8 @@ fn fig4(env: &EnvConfig) {
     println!(" serialized by the 1-core host and underestimates large rank counts)");
     let steps = 4u64;
     let mut rows = Vec::new();
-    for ranks in rank_sweep() {
-        let cfg = capoh_config(steps);
+    for &ranks in &k.ranks {
+        let cfg = capoh_config(steps, k.scale);
         let t = timed_native(env, ranks, &cfg, MachineProfile::haswell());
         let colls = t.stats.total_collectives();
         let per_step = colls as f64 / ranks as f64 / steps as f64;
@@ -285,11 +284,11 @@ fn table1(env: &EnvConfig) {
     );
 }
 
-fn table2(env: &EnvConfig) {
+fn table2(env: &EnvConfig, k: &Knobs) {
     println!("== Table II: CaPOH runtime, native vs MANA branches ==");
     println!("(paper, 128 ranks: Haswell 25s/41s/35s; KNL 69s/137s/101s)");
-    let ranks = env_num("MANA2_T2_RANKS", 8);
-    let cfg = capoh_config(6);
+    let ranks = T2_RANKS;
+    let cfg = capoh_config(6, k.scale);
     println!(
         "\n{:<9} {:>12} {:>16} {:>20} {:>10} {:>10}",
         "profile", "native", "master(orig 2pc)", "feature/2pc(hybrid)", "ovh-master", "ovh-2pc"
@@ -354,7 +353,7 @@ fn table2(env: &EnvConfig) {
 /// tables, measured from real spans (not the coordinator's two coarse
 /// timers). Also dumps the JSONL + Chrome trace for `mana2-trace` /
 /// `chrome://tracing`.
-fn trace(env: &EnvConfig) {
+fn trace(env: &EnvConfig, k: &Knobs) {
     println!("== Checkpoint-window trace: GROMACS, 2 rounds, real spans ==");
     let ranks = 4;
     let rounds = 2u64;
@@ -365,7 +364,7 @@ fn trace(env: &EnvConfig) {
         trace: Some(sink.clone()),
         ..env.mana.clone()
     };
-    let mut md = md_config();
+    let mut md = md_config(k.scale);
     md.compute_per_step = 0;
     md.steps = rounds * 3 + 2;
     let config = mcfg.record(&env.world.engine);
@@ -392,58 +391,7 @@ fn trace(env: &EnvConfig) {
     }
 }
 
-/// `experiments explore`: time-budgeted schedule-space exploration of a
-/// 4-rank checkpoint round per workload (the coverage experiment behind
-/// the schedule-exploration subsystem). Env knobs:
-/// `MANA2_EXPLORE_SECS` (budget per workload, default 10),
-/// `MANA2_EXPLORE_SEED` (default 20260807). The JSON artifact carries
-/// schedules/sec, unique interleavings visited, the pruning ratio, and
-/// any bugs found (with minimized `CHAOS_CASE='schedule …'` repro lines); the
-/// process exits 1 if any workload's search found a failure.
-fn explore_exp() {
-    use chaos::explore::{explore, ExploreCfg, ExploreTarget};
-    println!("== Explore: schedule-space search over the coop engine ==");
-    let secs = env_num("MANA2_EXPLORE_SECS", 10u64);
-    let seed = env_num("MANA2_EXPLORE_SEED", 20260807u64);
-    let cfg = ExploreCfg {
-        budget: std::time::Duration::from_secs(secs),
-        ..ExploreCfg::default()
-    };
-    let mut reports = Vec::new();
-    let mut bugs_found = 0usize;
-    for (workload, drain) in [
-        (chaos::Workload::Gromacs, mana_core::DrainMode::Alltoall),
-        (chaos::Workload::Cg, mana_core::DrainMode::Coordinator),
-    ] {
-        let target = ExploreTarget::new(seed, 4, 1, workload, drain).expect("explore target");
-        let report = explore(&target, &cfg);
-        println!("{}", report.summary());
-        for f in &report.failures {
-            bugs_found += 1;
-            target.report_failure(f);
-        }
-        reports.push(report.to_json().trim_end().to_string());
-    }
-    write_json_artifact(
-        "explore",
-        &format!(
-            "{{\"experiment\":\"explore\",\"budget_s\":{secs},\"sweeps\":[{}]}}\n",
-            reports.join(",")
-        ),
-    );
-    if bugs_found > 0 {
-        eprintln!("\n{bugs_found} schedule bug(s) found");
-        std::process::exit(1);
-    }
-}
-
-/// Rank counts for the scale sweep: `MANA2_SCALE_RANKS="64,256"`
-/// overrides the default 64 → 4096 sweep.
-fn scale_ranks() -> Vec<usize> {
-    env_list("MANA2_SCALE_RANKS", &[64, 256, 1024, 4096])
-}
-
-fn scale_exp(env: &EnvConfig) {
+fn scale_exp(env: &EnvConfig, k: &Knobs) {
     println!("== Scale: checkpoint-round latency vs rank count (CoopEngine) ==");
     println!("(rank counts past the thread-per-rank ceiling; MANA2_SCALE_RANKS=... overrides)");
     println!(
@@ -460,7 +408,7 @@ fn scale_exp(env: &EnvConfig) {
         ckpt_round: 0,
     };
     let mut rows = Vec::new();
-    for ranks in scale_ranks() {
+    for &ranks in &k.scale_ranks {
         let mcfg = ManaConfig {
             // Coordinator drain is O(n) in coordination traffic; the
             // Alltoall counts matrix is O(n²) and the wrong tool here.
@@ -528,12 +476,6 @@ fn scale_exp(env: &EnvConfig) {
     );
 }
 
-/// Per-rank in-flight message counts for the drain head-to-head.
-/// `MANA2_DRAIN_INFLIGHT="4,16,64"` overrides.
-fn drain_inflight() -> Vec<usize> {
-    env_list("MANA2_DRAIN_INFLIGHT", &[4, 64])
-}
-
 /// Head-to-head drain-protocol sweep: the identical checkpoint round
 /// quiesced by `DrainMode::Alltoall` vs `DrainMode::TopoSort` at each
 /// rank count, at low and high
@@ -545,7 +487,7 @@ fn drain_inflight() -> Vec<usize> {
 /// topo-sort protocol replaces it with two coordinator messages per
 /// rank, so its quiesce time should pull ahead as ranks grow. Emits
 /// `BENCH_drain_quiesce.json`.
-fn drain_exp(env: &EnvConfig) {
+fn drain_exp(env: &EnvConfig, k: &Knobs) {
     use mpisim::{SrcSel, TagSel};
     println!("== Drain: quiesce time, alltoall vs toposort (CoopEngine) ==");
     println!("(same workload per cell; MANA2_SCALE_RANKS / MANA2_DRAIN_INFLIGHT override)");
@@ -554,8 +496,8 @@ fn drain_exp(env: &EnvConfig) {
         "ranks", "burst", "strategy", "quiesce", "in-flight msgs", "in-flight MB", "coord msgs"
     );
     let mut rows = Vec::new();
-    for ranks in scale_ranks() {
-        for burst in drain_inflight() {
+    for &ranks in &k.scale_ranks {
+        for &burst in &k.drain_inflight {
             for drain in [DrainMode::Alltoall, DrainMode::TopoSort] {
                 let mcfg = ManaConfig {
                     drain,
@@ -646,32 +588,31 @@ fn drain_exp(env: &EnvConfig) {
 
 fn main() {
     let what = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let env = env_or_exit();
+    let (env, k) = (env_or_exit(), knobs_or_exit());
     let t = Instant::now();
     match what.as_str() {
-        "fig2" => fig2(&env),
-        "fig3" => fig3(&env),
-        "fig4" => fig4(&env),
+        "fig2" => fig2(&env, &k),
+        "fig3" => fig3(&env, &k),
+        "fig4" => fig4(&env, &k),
         "table1" => table1(&env),
-        "table2" => table2(&env),
-        "trace" | "--trace" => trace(&env),
-        "scale" => scale_exp(&env),
-        "drain" => drain_exp(&env),
-        "explore" => explore_exp(),
+        "table2" => table2(&env, &k),
+        "trace" | "--trace" => trace(&env, &k),
+        "scale" => scale_exp(&env, &k),
+        "drain" => drain_exp(&env, &k),
         "all" => {
-            fig2(&env);
+            fig2(&env, &k);
             println!();
-            fig3(&env);
+            fig3(&env, &k);
             println!();
-            fig4(&env);
+            fig4(&env, &k);
             println!();
             table1(&env);
             println!();
-            table2(&env);
+            table2(&env, &k);
         }
         other => {
             eprintln!(
-                "unknown experiment '{other}'; use fig2|fig3|fig4|table1|table2|trace|scale|drain|explore|all"
+                "unknown experiment '{other}'; use fig2|fig3|fig4|table1|table2|trace|scale|drain|all"
             );
             std::process::exit(2);
         }

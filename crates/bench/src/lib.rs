@@ -13,8 +13,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use mana_core::{EnvConfig, ManaConfig, ManaRuntime};
+use mana_core::{ConfigError, EnvConfig, ManaConfig, ManaRuntime};
 use mpisim::{MachineProfile, StatsSnapshot, World, WorldCfg};
+use std::ffi::OsString;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use workloads::{Kernel, Launch};
@@ -70,31 +71,81 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// Environment variable `var` parsed as a `T`, or `default` when it is
-/// unset or does not parse.
-pub fn env_num<T: std::str::FromStr>(var: &str, default: T) -> T {
-    let parsed = std::env::var(var).ok().and_then(|s| s.trim().parse().ok());
-    parsed.unwrap_or(default)
+/// The `experiments` binary's sizing variables, read once at its edge
+/// beside [`env_or_exit`]. Unset means the default; a value that does not
+/// parse is a [`ConfigError`], never the default in disguise.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Knobs {
+    /// `MANA2_SCALE`: workload-size multiplier.
+    pub scale: f64,
+    /// `MANA2_RANKS`: rank counts of the `fig2` / `fig3` / `fig4` sweeps,
+    /// sized for a small container (the paper sweeps 32…2048 on Cori —
+    /// shapes, not absolute scale, are reproduced; see EXPERIMENTS.md).
+    pub ranks: Vec<usize>,
+    /// `MANA2_SCALE_RANKS`: rank counts of `scale` and `drain`.
+    pub scale_ranks: Vec<usize>,
+    /// `MANA2_DRAIN_INFLIGHT`: per-rank in-flight message counts of
+    /// `drain`.
+    pub drain_inflight: Vec<usize>,
 }
 
-/// A comma-separated `usize` list from environment variable `var`, or
-/// `default` when it is unset or holds no number.
-pub fn env_list(var: &str, default: &[usize]) -> Vec<usize> {
-    let parsed: Vec<usize> = std::env::var(var)
-        .map(|s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect())
-        .unwrap_or_default();
-    if parsed.is_empty() {
-        default.to_vec()
-    } else {
-        parsed
+impl Default for Knobs {
+    fn default() -> Self {
+        Knobs {
+            scale: 1.0,
+            ranks: vec![2, 4, 8, 16, 32],
+            scale_ranks: vec![64, 256, 1024, 4096],
+            drain_inflight: vec![4, 64],
+        }
     }
 }
 
-/// Rank counts for sweeps: `MANA2_RANKS="2,4,8"` overrides; the default is
-/// sized for a small container (the paper sweeps 32…2048 on Cori — shapes,
-/// not absolute scale, are reproduced; see EXPERIMENTS.md).
-pub fn rank_sweep() -> Vec<usize> {
-    env_list("MANA2_RANKS", &[2, 4, 8, 16, 32])
+/// [`Knobs`] from the process environment; a malformed value ends the
+/// process (status 2) before anything runs.
+pub fn knobs_or_exit() -> Knobs {
+    knobs_from_lookup(|var| std::env::var_os(var)).unwrap_or_else(|e| {
+        eprintln!("mana2: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// [`Knobs`] over an injected lookup, as `mana_core`'s `from_lookup`
+/// reads the run configuration.
+pub fn knobs_from_lookup(get: impl Fn(&str) -> Option<OsString>) -> Result<Knobs, ConfigError> {
+    let bad = |var, value, expected| ConfigError {
+        var,
+        value,
+        expected,
+    };
+    // The value as found, if set (a non-UTF-8 one is already wrong).
+    let raw = |var: &'static str, expected| match get(var).map(OsString::into_string) {
+        None => Ok(None),
+        Some(Ok(s)) => Ok(Some(s)),
+        Some(Err(os)) => Err(bad(var, os.to_string_lossy().into_owned(), expected)),
+    };
+    let mut k = Knobs::default();
+    const SCALE: &str = "a positive number";
+    if let Some(s) = raw("MANA2_SCALE", SCALE)? {
+        match s.trim().parse::<f64>() {
+            Ok(x) if x.is_finite() && x > 0.0 => k.scale = x,
+            _ => return Err(bad("MANA2_SCALE", s, SCALE)),
+        }
+    }
+    const LIST: &str = "a comma-separated list of positive integers";
+    for (var, slot) in [
+        ("MANA2_RANKS", &mut k.ranks),
+        ("MANA2_SCALE_RANKS", &mut k.scale_ranks),
+        ("MANA2_DRAIN_INFLIGHT", &mut k.drain_inflight),
+    ] {
+        if let Some(s) = raw(var, LIST)? {
+            let list: Option<Vec<usize>> = s
+                .split(',')
+                .map(|x| x.trim().parse().ok().filter(|&n| n > 0))
+                .collect();
+            *slot = list.ok_or_else(|| bad(var, s, LIST))?;
+        }
+    }
+    Ok(k)
 }
 
 /// Run `k` natively, timed.
@@ -187,10 +238,43 @@ mod tests {
         assert!(overhead_pct(base, base).abs() < 1e-9);
     }
 
+    fn knobs(vars: &[(&str, &str)]) -> Result<Knobs, ConfigError> {
+        knobs_from_lookup(|k| {
+            let found = vars.iter().find(|(name, _)| *name == k);
+            found.map(|(_, v)| OsString::from(v))
+        })
+    }
+
     #[test]
     fn rank_sweep_default_ascending() {
-        let v = rank_sweep();
-        assert!(!v.is_empty());
-        assert!(v.windows(2).all(|w| w[0] < w[1]));
+        let k = knobs(&[]).unwrap();
+        assert_eq!(k, Knobs::default());
+        for v in [&k.ranks, &k.scale_ranks, &k.drain_inflight] {
+            assert!(!v.is_empty());
+            assert!(v.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    #[test]
+    fn knobs_parse_or_name_the_variable_and_value() {
+        let k = knobs(&[("MANA2_SCALE", "0.5"), ("MANA2_SCALE_RANKS", " 64, 128 ")]).unwrap();
+        assert_eq!((k.scale, k.scale_ranks), (0.5, vec![64, 128]));
+        // A typo used to run the default sweep (4096 ranks for this one).
+        let cases = [
+            ("MANA2_SCALE_RANKS", "64;256"),
+            ("MANA2_SCALE_RANKS", "64x"),
+            ("MANA2_RANKS", ""),
+            ("MANA2_RANKS", "2,,4"),
+            ("MANA2_DRAIN_INFLIGHT", "0"),
+            ("MANA2_SCALE", "half"),
+            ("MANA2_SCALE", "-1"),
+        ];
+        for (var, value) in cases {
+            let e = knobs(&[(var, value)]).unwrap_err();
+            assert_eq!((e.var, e.value.as_str()), (var, value));
+            let shown = e.to_string();
+            assert!(shown.starts_with(&format!("{var}=")), "{shown}");
+            assert!(shown.contains("expected"), "{shown}");
+        }
     }
 }

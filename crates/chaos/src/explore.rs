@@ -34,11 +34,12 @@
 //!    through the `chaos_suite::case_replay` test.
 
 use crate::legs::{ensure, flight_dump, leg, run_scenario, Leg, Scratch};
-use crate::{case_token_rings, kernel, parse_drain, splitmix64, Scenario, WlValue, Workload};
+use crate::{case_token_rings, kernel, parse_drain, Scenario, WlValue, Workload};
 use mana_core::obs;
 use mana_core::DrainMode;
 use mpisim::{
-    EngineKind, SchedDecision, ScheduleDivergence, SchedulePolicy, ScheduleScript, World, WorldCfg,
+    splitmix64, EngineKind, SchedDecision, ScheduleDivergence, SchedulePolicy, ScheduleScript,
+    World, WorldCfg,
 };
 use std::collections::HashSet;
 use std::path::Path;

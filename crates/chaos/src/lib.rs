@@ -45,15 +45,6 @@ use legs::{ensure, run_scenario};
 pub use legs::{leg, CaseFailure, Leg};
 pub use scenario::{parse_drain, ChaosCase, RestartKillCase, Scenario, StorageCase, Workload};
 
-/// splitmix64 — the same keyed hash the fault plan uses, so case
-/// derivation is deterministic and seed-sensitive.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Per-rank workload result, unified across kernels so reference and
 /// faulted runs compare with one `==`.
 #[derive(Debug, Clone, PartialEq)]

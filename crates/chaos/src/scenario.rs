@@ -3,9 +3,8 @@
 //! any of them — the value of `CHAOS_CASE` in every failure's repro line.
 
 use crate::explore::{decode_choices, encode_choices, ScheduleFixture};
-use crate::splitmix64;
 use mana_core::DrainMode;
-use mpisim::{CoopCfg, EngineKind, StorageFaultKind};
+use mpisim::{splitmix64, CoopCfg, EngineKind, StorageFaultKind};
 use splitproc::StoreMode;
 use std::collections::BTreeMap;
 use std::fmt;

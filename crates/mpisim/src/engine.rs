@@ -30,7 +30,7 @@
 //! park returns instantly and the waiter re-checks. Spurious wakeups are
 //! allowed; every caller re-checks its predicate in a loop.
 
-use crate::unpoisoned;
+use crate::{splitmix64, unpoisoned};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -373,15 +373,6 @@ impl fmt::Display for EngineKind {
 }
 
 // ---- the engine --------------------------------------------------------------
-
-/// splitmix64 — the run-queue policy hash (same mixer the fault plan
-/// uses, so a schedule seed is as well-dispersed as a fault seed).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RankState {

@@ -38,8 +38,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-/// splitmix64: the standard 64-bit finalizer used as a keyed hash.
-fn splitmix64(mut x: u64) -> u64 {
+/// splitmix64: the standard 64-bit finalizer used as a keyed hash. Fault
+/// plans, the engine's seeded schedule, chaos case derivation and the
+/// chunker's gear table all derive from this one definition, so a
+/// committed seed or chunk boundary stays where it is only while it does.
+/// `const` so tables can be built at compile time.
+pub const fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -309,6 +313,15 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_is_pinned() {
+        // The first output of the reference SplitMix64 seeded with 0, and
+        // one more: every committed seed and chunk boundary rests on these.
+        const ZERO: u64 = splitmix64(0);
+        assert_eq!(ZERO, 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(1), 0x910a_2dec_8902_5cc1);
+    }
 
     #[test]
     fn decisions_are_deterministic() {

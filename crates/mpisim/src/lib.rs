@@ -81,7 +81,9 @@ pub use engine::{
 };
 pub use envelope::{Envelope, MatchSpec, MsgClass, SrcSel, TagSel, INTERNAL_TAG_BIT, MAX_USER_TAG};
 pub use error::{MpiError, Result};
-pub use fault::{FaultPlan, FaultSpec, Perturb, StorageFault, StorageFaultKind, StorageFaultSpec};
+pub use fault::{
+    splitmix64, FaultPlan, FaultSpec, Perturb, StorageFault, StorageFaultKind, StorageFaultSpec,
+};
 pub use group::{fnv1a_usizes, Group, GroupRelation};
 pub use network::{Mailbox, Network};
 pub use onesided::{Win, WinRegistry};

@@ -18,13 +18,11 @@
 //!                                     reference counts
 //! mana2-inspect <ckpt_dir> chunks --verify
 //!                                     additionally hash-check every pool
-//!                                     chunk (with the key function of the
-//!                                     recipes that reference it: SHA-256
-//!                                     for v1, the current key for v2) and
-//!                                     confirm every chunk any
-//!                                     surviving generation (including
-//!                                     journal-pinned ones) references is
-//!                                     present and intact; exit 0 iff so
+//!                                     chunk against its name and confirm
+//!                                     every chunk any surviving
+//!                                     generation (including journal-
+//!                                     pinned ones) references is present
+//!                                     and intact; exit 0 iff so
 //! ```
 //!
 //! Prints, per image: header fields, CRC status, upper-half segment names
@@ -35,7 +33,7 @@ use splitproc::{chunk, journal, store};
 use splitproc::{Blobs, Decode, LocalFs, Store, StoreConfig, UpperHalf};
 use std::collections::BTreeMap;
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Print, ignoring broken pipes (`mana2-inspect … | head` must not panic).
 macro_rules! out {
@@ -105,8 +103,7 @@ fn list_store(store: &Store, gens: &[store::GenInfo]) {
                     );
                 }
             }
-            Err(e) if !g.committed => {
-                let _ = e;
+            Err(_) if !g.committed => {
                 out!(
                     "  gen {:>5}  PARTIAL (no MANIFEST — aborted or in flight)",
                     g.round
@@ -150,94 +147,62 @@ fn verify(store: &Store, gens: &[store::GenInfo]) -> i32 {
     }
 }
 
-/// `chunks [--verify]`: chunk-pool statistics and, with `--verify`, a
-/// full integrity pass — every pool chunk is re-hashed against its
-/// content-addressed name, with the key function the recipes referencing
-/// it name by their version, and every chunk referenced by any surviving
-/// generation's recipes (journal-pinned generations included; GC never
-/// removes those, so their references must resolve too) must be present
-/// with the right length and hash. Exit 0 iff no damage was found.
+/// `chunks [--verify]`: chunk-pool statistics from the two halves of GC
+/// (`Store::pool_inventory`, `Store::recipes`) and, with `--verify`, every
+/// pool chunk re-hashed with [`chunk::chunk_id`] against its name (a chunk
+/// a version 1 recipe named is damaged until GC removes it). Every chunk a
+/// surviving generation references, journal-pinned ones included, must be
+/// present at the referenced length. Exit 0 iff no damage was found.
 fn chunks_cmd(store: &Store, do_verify: bool) -> i32 {
-    let root = store.root();
-    let pool = store.chunks_dir();
-    let shards = match LocalFs.list(&pool) {
-        Ok(shards) if shards.is_empty() => {
-            out!("no chunk pool at {} (flat store)", pool.display());
+    let pool_dir = store.chunks_dir();
+    let (shards, gens) = match (store.pool_inventory(), store.recipes()) {
+        (Ok(shards), _) if shards.is_empty() => {
+            out!("no chunk pool at {} (flat store)", pool_dir.display());
             return 0;
         }
-        Ok(shards) => shards,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", pool.display());
+        (Ok(shards), Ok(gens)) => (shards, gens),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("cannot read {}: {e}", store.root().display());
             return 1;
         }
     };
-    // Pool inventory: id -> on-disk length.
-    let mut on_disk: BTreeMap<chunk::ChunkId, u64> = BTreeMap::new();
-    let mut tmp_litter = 0usize;
-    let mut foreign = 0usize;
-    for shard in shards.iter().filter(|s| s.is_dir) {
-        let shard = pool.join(&shard.name);
-        for ent in LocalFs.list(&shard).unwrap_or_default() {
-            let id = ent
-                .name
-                .strip_suffix(".chunk")
-                .and_then(chunk::ChunkId::from_hex);
-            match id {
-                _ if ent.name.starts_with(".tmp-") => tmp_litter += 1,
-                Some(id) => {
-                    let len = LocalFs.get(&shard.join(&ent.name), None).unwrap_or(0);
-                    on_disk.insert(id, len);
-                }
-                None => foreign += 1,
-            }
+    // Pool inventory: id -> (path, on-disk length).
+    let mut on_disk: BTreeMap<chunk::ChunkId, (PathBuf, u64)> = BTreeMap::new();
+    for shard in &shards {
+        for (id, name) in &shard.chunks {
+            let path = shard.dir.join(name);
+            let len = LocalFs.get(&path, None).unwrap_or(0);
+            on_disk.insert(*id, (path, len));
         }
     }
-    // References: every recipe of every surviving generation.
-    let gens = store.list().unwrap_or_default();
-    let pinned = journal::pinned_generations(root);
-    let mut refcount: BTreeMap<chunk::ChunkId, u64> = BTreeMap::new();
-    // What the referencing recipes say of each chunk: its length, and (by
-    // their version) which function keyed it.
-    let mut ref_as: BTreeMap<chunk::ChunkId, (u64, chunk::RecipeVersion)> = BTreeMap::new();
+    // References: every recipe of every surviving generation, and the
+    // length those recipes give each chunk.
+    let pinned = journal::pinned_generations(store.root());
+    let mut ref_len: BTreeMap<chunk::ChunkId, u64> = BTreeMap::new();
     let mut logical: u64 = 0;
     let mut bad_recipes = 0usize;
     for g in &gens {
-        let mut gen_refs = 0u64;
-        let mut gen_logical = 0u64;
-        let mut gen_versions = std::collections::BTreeSet::new();
-        for ent in std::fs::read_dir(&g.dir).into_iter().flatten().flatten() {
-            let path = ent.path();
-            if path.extension().is_none_or(|x| x != "cref") {
-                continue;
-            }
-            let recipe = std::fs::read(&path)
-                .map_err(|e| e.to_string())
-                .and_then(|b| chunk::Recipe::from_bytes(&b).map_err(|e| e.to_string()));
-            let recipe = match recipe {
-                Ok(r) => r,
-                Err(e) => {
-                    out!("  gen {:>5}  BAD RECIPE {}: {e}", g.round, path.display());
-                    bad_recipes += 1;
-                    continue;
-                }
-            };
-            gen_versions.insert(recipe.version.number());
-            for r in recipe.upper_chunks.iter().chain(&recipe.meta_chunks) {
-                *refcount.entry(r.id).or_default() += 1;
-                ref_as.insert(r.id, (r.len, recipe.version));
-                gen_refs += 1;
-                gen_logical += r.len;
+        for (path, recipe) in &g.recipes {
+            if let Err(e) = recipe {
+                out!(
+                    "  gen {:>5}  BAD RECIPE {}: {e}",
+                    g.gen.round,
+                    path.display()
+                );
+                bad_recipes += 1;
             }
         }
+        ref_len.extend(g.refs().map(|r| (r.id, r.len)));
+        let gen_refs = g.refs().count();
+        let gen_logical: u64 = g.refs().map(|r| r.len).sum();
         if gen_refs > 0 {
-            let versions: Vec<String> = gen_versions.iter().map(|v| format!("v{v}")).collect();
             out!(
-                "  gen {:>5}  recipe {}  {:>8} chunk ref(s)  {:>12} B logical{}",
-                g.round,
-                versions.join("+"),
+                "  gen {:>5}  recipe v{}  {:>8} chunk ref(s)  {:>12} B logical{}",
+                g.gen.round,
+                chunk::RECIPE_VERSION,
                 gen_refs,
                 gen_logical,
-                if pinned.contains(&g.round) {
+                if pinned.contains(&g.gen.round) {
                     "  [journal-pinned]"
                 } else {
                     ""
@@ -246,24 +211,24 @@ fn chunks_cmd(store: &Store, do_verify: bool) -> i32 {
         }
         logical += gen_logical;
     }
-    let physical: u64 = on_disk.values().sum();
+    let physical: u64 = on_disk.values().map(|(_, len)| len).sum();
     let orphans = on_disk
         .keys()
-        .filter(|id| !refcount.contains_key(*id))
+        .filter(|id| !ref_len.contains_key(id))
         .count();
-    let missing: Vec<_> = refcount
+    let missing: Vec<_> = ref_len
         .keys()
-        .filter(|id| !on_disk.contains_key(*id))
+        .filter(|id| !on_disk.contains_key(id))
         .collect();
     out!(
         "chunk pool {}: {} chunk(s), {} B physical",
-        pool.display(),
+        pool_dir.display(),
         on_disk.len(),
         physical
     );
     out!(
         "  referenced: {} unique chunk(s), {} B logical across {} generation(s)",
-        refcount.len(),
+        ref_len.len(),
         logical,
         gens.len()
     );
@@ -273,6 +238,8 @@ fn chunks_cmd(store: &Store, do_verify: bool) -> i32 {
             logical as f64 / physical as f64
         );
     }
+    let tmp_litter: usize = shards.iter().map(|s| s.tmp.len()).sum();
+    let foreign: usize = shards.iter().map(|s| s.foreign).sum();
     out!("  orphans: {orphans}  tmp litter: {tmp_litter}  foreign files: {foreign}");
     let mut damage = bad_recipes + missing.len();
     for id in &missing {
@@ -282,32 +249,21 @@ fn chunks_cmd(store: &Store, do_verify: bool) -> i32 {
         // Re-hash every pool chunk against its name, and check referenced
         // lengths agree with what is on disk.
         let mut corrupt = 0usize;
-        for (id, len) in &on_disk {
-            let path = store.chunk_path(*id);
-            match std::fs::read(&path) {
-                Ok(data) => {
-                    let (want, named) = match ref_as.get(id) {
-                        Some((want, version)) => (want, version.chunk_id(&data) == *id),
-                        // An orphan has no recipe to say which function
-                        // named it, so either may vouch for it.
-                        None => {
-                            let either = [chunk::chunk_id(&data), chunk::chunk_id_v1(&data)];
-                            (len, either.contains(id))
-                        }
-                    };
-                    if !named {
-                        out!("  CORRUPT chunk {id}: content hash mismatch");
-                        corrupt += 1;
-                    } else if want != len {
-                        out!("  TORN chunk {id}: {len} B on disk, {want} B referenced");
-                        corrupt += 1;
-                    }
+        let mut data = Vec::new();
+        for (id, (path, len)) in &on_disk {
+            data.clear();
+            let problem = match (LocalFs.get(path, Some(&mut data)), ref_len.get(id)) {
+                (Err(e), _) => format!("UNREADABLE chunk {id}: {e}"),
+                _ if chunk::chunk_id(&data) != *id => {
+                    format!("CORRUPT chunk {id}: content hash mismatch")
                 }
-                Err(e) => {
-                    out!("  UNREADABLE chunk {id}: {e}");
-                    corrupt += 1;
+                (_, Some(want)) if want != len => {
+                    format!("TORN chunk {id}: {len} B on disk, {want} B referenced")
                 }
-            }
+                _ => continue,
+            };
+            out!("  {problem}");
+            corrupt += 1;
         }
         damage += corrupt;
         out!(

@@ -36,7 +36,7 @@ mod lowerhalf;
 pub mod store;
 mod upperhalf;
 
-pub use chunk::{ChunkId, ChunkParams, ChunkRef, Recipe, RecipeError, RecipeVersion};
+pub use chunk::{ChunkId, ChunkParams, ChunkRef, Recipe, RecipeError};
 pub use codec::{crc32, crc32_combine, CodecError, Crc32, Decode, Encode, Reader};
 pub use fsreg::{ContextSwitcher, FsMode};
 pub use image::{CkptImage, EncodedImage, ImageError, ImageHead};

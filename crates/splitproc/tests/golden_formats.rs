@@ -11,14 +11,15 @@
 //! the first of those records as one record blob of that layout.
 //!
 //! The chunked fixture of that commit is recipe version 1: its two pool
-//! chunks are named by SHA-256, and it must restore for as long as such
-//! pools exist. `CHUNKED_V2_RANK_FILE` is the same image as the commit
-//! that replaced the chunk key wrote it (recipe version 2); a change to
-//! the key function's constants, rounds or byte order breaks it.
+//! chunks are named by SHA-256, which this build no longer carries, so it
+//! must be refused — never misread — and its generation passed over.
+//! `CHUNKED_V2_RANK_FILE` is the same image as the commit that replaced
+//! the chunk key wrote it (recipe version 2); a change to the key
+//! function's constants, rounds or byte order breaks it.
 
 use splitproc::journal::{self, Journal, JournalRecord, JournalStep};
-use splitproc::store::{self, Manifest, Store, StoreConfig, StoreMode};
-use splitproc::{chunk, crc32, CkptImage, Recipe, RecipeVersion};
+use splitproc::store::{self, Manifest, Store, StoreConfig, StoreError, StoreMode};
+use splitproc::{chunk, crc32, ChunkId, CkptImage, Recipe, RecipeError};
 use std::fs;
 use std::path::PathBuf;
 
@@ -95,6 +96,16 @@ const JOURNAL_BLOB: &[u8] = &[
     0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x6c, 0xfe, 0x50, 0xab,
 ];
 
+/// The pool names `CHUNKED_RANK_FILE` gives `UPPER` and `META`: their
+/// SHA-256, as the version 1 key named them.
+fn v1_chunk_ids() -> [ChunkId; 2] {
+    [
+        "a6250da1e7ca144af7fdac8fd737c2e88e87cc08e232b16b53452227a56d5dde",
+        "22d85f93a0e2d94e96662482e5b77ec14c1197ae488c452f9e2789026cc2c468",
+    ]
+    .map(|hex| ChunkId::from_hex(hex).unwrap())
+}
+
 fn expected_image() -> CkptImage {
     CkptImage {
         rank: 0,
@@ -127,20 +138,24 @@ fn golden_flat_image_and_manifest_parse() {
 
 #[test]
 fn golden_recipe_parses() {
-    for (file, version) in [
-        (CHUNKED_RANK_FILE, RecipeVersion::V1),
-        (CHUNKED_V2_RANK_FILE, RecipeVersion::V2),
-    ] {
-        let r = Recipe::from_bytes(file).unwrap();
-        assert_eq!(r.version, version);
-        assert_eq!((r.rank, r.world_size, r.round), (0, 1, 2));
-        assert_eq!((r.upper_len, r.meta_len), (48, 5));
-        assert_eq!((r.upper_crc, r.meta_crc), (crc32(UPPER), crc32(META)));
-        assert_eq!((r.upper_chunks.len(), r.meta_chunks.len()), (1, 1));
-        assert_eq!(r.upper_chunks[0].id, version.chunk_id(UPPER));
-        assert_eq!(r.meta_chunks[0].id, version.chunk_id(META));
-        // A recipe re-serializes under the version it was read with.
-        assert_eq!(r.to_bytes(), file);
+    let r = Recipe::from_bytes(CHUNKED_V2_RANK_FILE).unwrap();
+    assert_eq!((r.rank, r.world_size, r.round), (0, 1, 2));
+    assert_eq!((r.upper_len, r.meta_len), (48, 5));
+    assert_eq!((r.upper_crc, r.meta_crc), (crc32(UPPER), crc32(META)));
+    assert_eq!((r.upper_chunks.len(), r.meta_chunks.len()), (1, 1));
+    assert_eq!(r.upper_chunks[0].id, chunk::chunk_id(UPPER));
+    assert_eq!(r.meta_chunks[0].id, chunk::chunk_id(META));
+    assert_eq!(r.to_bytes(), CHUNKED_V2_RANK_FILE);
+    // The version 1 recipe is intact (its own CRC holds, and it names its
+    // chunks by SHA-256) but no longer read.
+    assert_eq!(
+        Recipe::from_bytes(CHUNKED_RANK_FILE),
+        Err(RecipeError::BadVersion(1))
+    );
+    for (id, at) in v1_chunk_ids().into_iter().zip([68, 116]) {
+        assert_eq!(id.0, CHUNKED_RANK_FILE[at..at + 32]);
+    }
+    for file in [CHUNKED_RANK_FILE, CHUNKED_V2_RANK_FILE] {
         let m = Manifest::from_bytes(CHUNKED_MANIFEST).unwrap();
         assert_eq!(m.entries[0].bytes, file.len() as u64);
         assert_eq!(m.entries[0].crc, crc32(file));
@@ -176,32 +191,43 @@ fn golden_stores_validate_and_select_in_both_layouts() {
     fs::create_dir_all(&dir).unwrap();
     fs::write(CkptImage::path_for(&dir, 0), FLAT_RANK_FILE).unwrap();
     fs::write(Manifest::path_in(&dir), FLAT_MANIFEST).unwrap();
-    let mut roots = vec![flat];
     // Chunked, once per recipe version: recipe + manifest, plus the two
     // pool chunks under the content addresses that version's key function
     // gave them (for version 1, the old commit's SHA-256).
-    for (name, file) in [
-        ("chunked_v1", CHUNKED_RANK_FILE),
-        ("chunked_v2", CHUNKED_V2_RANK_FILE),
-    ] {
+    let chunked = |name: &str, file: &[u8], ids: [ChunkId; 2]| {
         let chunked = tdir(name);
         let handle = Store::open(&chunked, StoreConfig::default());
         let dir = store::generation_dir(&chunked, 2);
         fs::create_dir_all(&dir).unwrap();
         fs::write(handle.recipe_path(2, 0), file).unwrap();
         fs::write(Manifest::path_in(&dir), CHUNKED_MANIFEST).unwrap();
-        let recipe = Recipe::from_bytes(file).unwrap();
-        for (cref, data) in [
-            (recipe.upper_chunks[0], UPPER),
-            (recipe.meta_chunks[0], META),
-        ] {
-            let path = handle.chunk_path(cref.id);
+        for (id, data) in ids.into_iter().zip([UPPER, META]) {
+            let path = handle.chunk_path(id);
             fs::create_dir_all(path.parent().unwrap()).unwrap();
             fs::write(path, data).unwrap();
         }
-        roots.push(chunked);
+        chunked
+    };
+    let v1 = chunked("chunked_v1", CHUNKED_RANK_FILE, v1_chunk_ids());
+    let v2_ids = [chunk::chunk_id(UPPER), chunk::chunk_id(META)];
+    let v2 = chunked("chunked_v2", CHUNKED_V2_RANK_FILE, v2_ids);
+    // The version 1 generation is refused as a bad image naming its
+    // version; with nothing older to fall back to, restart has nothing.
+    let handle = Store::open(&v1, StoreConfig::default());
+    match handle.select(Some(1), None) {
+        Err(StoreError::NoUsableGeneration { rejected, .. }) => {
+            assert_eq!(rejected.len(), 1);
+            assert_eq!(rejected[0].round, 2);
+            assert_eq!(rejected[0].code.name(), "bad_image");
+            assert_eq!(
+                rejected[0].reason,
+                "rank 0 recipe invalid: unsupported recipe version 1"
+            );
+        }
+        other => panic!("a version 1 generation was selected: {other:?}"),
     }
-    for root in &roots {
+    fs::remove_dir_all(&v1).ok();
+    for root in &[flat, v2] {
         let handle = Store::open(root, StoreConfig::default());
         handle.validate(2, Some(1), None).unwrap();
         let sel = handle.select(Some(1), None).unwrap();

@@ -3,7 +3,8 @@
 //! and check its exit codes against clean, corrupted, and torn pools.
 
 use splitproc::store::{self, Store, StoreConfig, StoreMode};
-use splitproc::{chunk, crc32, ChunkRef, CkptImage, Recipe, RecipeVersion};
+use splitproc::{chunk, crc32, ChunkId, CkptImage};
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -162,91 +163,119 @@ fn chunks_flags_missing_chunk_even_without_verify() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Lay a one-rank generation down the way a build before the chunk key
-/// changed did: version 1 recipe, pool chunks named by SHA-256, manifest.
-/// Returns the pool paths of its chunks.
-fn commit_v1_round(root: &Path, round: u64) -> Vec<PathBuf> {
-    let cfg = chunked_cfg();
-    let handle = Store::open(root, cfg.clone());
-    let image = image(0, 1, round);
-    let mut paths = Vec::new();
-    let mut refs = |payload: &[u8]| -> Vec<ChunkRef> {
-        chunk::split(payload, cfg.chunk)
-            .into_iter()
-            .map(|range| {
-                let data = &payload[range];
-                let id = chunk::chunk_id_v1(data);
-                let path = handle.chunk_path(id);
-                std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-                std::fs::write(&path, data).unwrap();
-                paths.push(path);
-                ChunkRef {
-                    id,
-                    len: data.len() as u64,
-                }
-            })
-            .collect()
-    };
-    let recipe = Recipe {
-        version: RecipeVersion::V1,
-        rank: 0,
-        world_size: 1,
-        round,
-        upper_len: image.upper.len() as u64,
-        meta_len: image.meta.len() as u64,
-        upper_crc: crc32(&image.upper),
-        meta_crc: crc32(&image.meta),
-        upper_chunks: refs(&image.upper),
-        meta_chunks: refs(&image.meta),
-    };
-    let bytes = recipe.to_bytes();
-    let path = handle.recipe_path(round, 0);
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    std::fs::write(path, &bytes).unwrap();
-    let manifest = store::Manifest {
-        round,
-        world_size: 1,
-        entries: vec![store::ManifestEntry {
-            rank: 0,
-            bytes: bytes.len() as u64,
-            crc: crc32(&bytes),
-        }],
-    };
-    store::commit_generation(root, &manifest, &cfg).unwrap();
-    paths
+/// Recipe version 1 of a one-rank round-2 image (`golden_formats.rs`'s
+/// `CHUNKED_RANK_FILE`): its two chunks, `V1_UPPER` and `V1_META`, are
+/// named by their SHA-256, `V1_CHUNK_IDS`.
+const V1_RECIPE: &[u8] = &[
+    0x4d, 0x41, 0x4e, 0x41, 0x32, 0x43, 0x52, 0x46, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0xa2, 0x82, 0x66, 0xff, 0xf3, 0xd5, 0xa3, 0xd1, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0xa6, 0x25, 0x0d, 0xa1, 0xe7, 0xca, 0x14, 0x4a, 0xf7, 0xfd, 0xac, 0x8f,
+    0xd7, 0x37, 0xc2, 0xe8, 0x8e, 0x87, 0xcc, 0x08, 0xe2, 0x32, 0xb1, 0x6b, 0x53, 0x45, 0x22, 0x27,
+    0xa5, 0x6d, 0x5d, 0xde, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x22, 0xd8, 0x5f, 0x93, 0xa0, 0xe2, 0xd9, 0x4e, 0x96, 0x66, 0x24, 0x82,
+    0xe5, 0xb7, 0x7e, 0xc1, 0x4c, 0x11, 0x97, 0xae, 0x48, 0x8c, 0x45, 0x2f, 0x9e, 0x27, 0x89, 0x02,
+    0x6c, 0xc2, 0xc4, 0x68, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4b, 0xaa, 0x27, 0x40,
+];
+const V1_UPPER: &[u8] = &[
+    0x0b, 0x30, 0x55, 0x7a, 0x9f, 0xc4, 0xe9, 0x0e, 0x33, 0x58, 0x7d, 0xa2, 0xc7, 0xec, 0x11, 0x36,
+    0x5b, 0x80, 0xa5, 0xca, 0xef, 0x14, 0x39, 0x5e, 0x83, 0xa8, 0xcd, 0xf2, 0x17, 0x3c, 0x61, 0x86,
+    0xab, 0xd0, 0xf5, 0x1a, 0x3f, 0x64, 0x89, 0xae, 0xd3, 0xf8, 0x1d, 0x42, 0x67, 0x8c, 0xb1, 0xd6,
+];
+const V1_META: &[u8] = &[0xa5, 0x5a, 0x00, 0xff, 0x42];
+const V1_CHUNK_IDS: [&str; 2] = [
+    "a6250da1e7ca144af7fdac8fd737c2e88e87cc08e232b16b53452227a56d5dde",
+    "22d85f93a0e2d94e96662482e5b77ec14c1197ae488c452f9e2789026cc2c468",
+];
+
+/// Every chunk in the pool, by hex name.
+fn pool_chunks(root: &Path) -> BTreeSet<String> {
+    let shards = Store::open(root, chunked_cfg()).pool_inventory().unwrap();
+    let chunks = shards.iter().flat_map(|s| &s.chunks);
+    chunks.map(|(id, _)| id.to_hex()).collect()
 }
 
 #[test]
 fn chunks_verify_checks_each_chunk_with_its_recipes_key_function() {
-    // Generation 0 is SHA-keyed (recipe v1), generation 1 is written today
-    // (v2), both in one pool. Checking every chunk with one function would
-    // flag every chunk of the other generation.
+    // Generation 1 is written today (recipe v2); generation 2 is a round
+    // a build with the SHA-256 key left behind (v1), in the same pool.
+    // This build has one key: the v1 recipe is refused, its chunks are
+    // damage nothing vouches for, and GC collects them.
     let root = temp_store("mixed");
-    let v1_chunks = commit_v1_round(&root, 0);
     commit_round(&root, 1, 1);
-
-    let (code, text) = inspect(&root, &["chunks", "--verify"]);
-    assert_eq!(code, 0, "clean mixed pool must pass: {text}");
-    assert!(text.contains("0 damaged, 0 missing"), "{text}");
-    let gen_line = |round: u64| -> &str {
-        let tag = format!("gen {round:>5}  recipe ");
-        text.lines()
-            .find(|l| l.contains(&tag))
-            .unwrap_or_else(|| panic!("no line for generation {round}: {text}"))
+    let handle = Store::open(&root, chunked_cfg());
+    let gen1_chunks = pool_chunks(&root);
+    for (id, data) in V1_CHUNK_IDS.iter().zip([V1_UPPER, V1_META]) {
+        let path = handle.chunk_path(ChunkId::from_hex(id).unwrap());
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(path, data).unwrap();
+    }
+    let path = handle.recipe_path(2, 0);
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(path, V1_RECIPE).unwrap();
+    let manifest = store::Manifest {
+        round: 2,
+        world_size: 1,
+        entries: vec![store::ManifestEntry {
+            rank: 0,
+            bytes: V1_RECIPE.len() as u64,
+            crc: crc32(V1_RECIPE),
+        }],
     };
-    assert!(gen_line(0).contains("recipe v1 "), "{text}");
-    assert!(gen_line(1).contains("recipe v2 "), "{text}");
+    handle.commit(&manifest).unwrap();
 
-    // Rot in a SHA-keyed chunk is still caught — by SHA-256.
-    let victim = &v1_chunks[v1_chunks.len() / 2];
-    let mut bytes = std::fs::read(victim).unwrap();
-    bytes[0] ^= 0x01;
-    std::fs::write(victim, &bytes).unwrap();
+    // Restart passes over generation 2 to generation 1.
+    let sel = handle.select(Some(1), None).unwrap();
+    assert_eq!(sel.round, 1);
+    let rejected: Vec<_> = sel
+        .rejected
+        .iter()
+        .map(|r| (r.round, r.code.name()))
+        .collect();
+    assert_eq!(rejected, [(2, "bad_image")]);
+    assert!(
+        sel.rejected[0]
+            .reason
+            .contains("unsupported recipe version 1"),
+        "{:?}",
+        sel.rejected
+    );
+
     let (code, text) = inspect(&root, &["chunks", "--verify"]);
-    assert_ne!(code, 0, "{text}");
-    let name = victim.file_stem().unwrap().to_str().unwrap();
-    assert!(text.contains(&format!("CORRUPT chunk {name}")), "{text}");
-    assert!(text.contains("1 damaged, 0 missing"), "{text}");
+    assert_eq!(code, 1, "{text}");
+    assert_eq!(text.matches("BAD RECIPE").count(), 1, "{text}");
+    assert!(text.contains("unsupported recipe version 1"), "{text}");
+    for id in V1_CHUNK_IDS {
+        assert!(text.contains(&format!("CORRUPT chunk {id}")), "{text}");
+    }
+    assert!(
+        text.contains("2 damaged, 0 missing, 1 bad recipe(s)"),
+        "{text}"
+    );
+
+    // GC keeps both generations (the refused one is the newest committed)
+    // but nothing references generation 2's chunks: exactly those go.
+    let gc = handle.gc(2).unwrap();
+    assert!(gc.generations.is_empty());
+    assert_eq!(gc.chunks.removed, 2);
+    assert_eq!(pool_chunks(&root), gen1_chunks);
+    let (code, text) = inspect(&root, &["chunks", "--verify"]);
+    assert_eq!(code, 1, "the refused recipe is still there: {text}");
+    assert!(
+        text.contains("0 damaged, 0 missing, 1 bad recipe(s)"),
+        "{text}"
+    );
+
+    // Once retention passes generation 2, the store is clean.
+    commit_round(&root, 1, 3);
+    handle.gc(1).unwrap();
+    let (code, text) = inspect(&root, &["chunks", "--verify"]);
+    assert_eq!(code, 0, "{text}");
+    assert!(
+        text.contains("0 damaged, 0 missing, 0 bad recipe(s)"),
+        "{text}"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 
