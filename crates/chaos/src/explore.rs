@@ -376,6 +376,8 @@ pub fn interleaving_token(ev: &obs::TraceEvent) -> String {
             crc,
         } => s.push_str(&format!(":{bytes}:{retries}:{crc}")),
         EventKind::StoreFault { fault } => s.push_str(&format!(":{}", fault.name())),
+        EventKind::FlushRank { rank } => s.push_str(&format!(":{rank}")),
+        EventKind::StoreGcFailed => {}
         EventKind::NetSend { dst, bytes, user } => s.push_str(&format!(":{dst}:{bytes}:{user}")),
         EventKind::NetMatch { src, bytes } => s.push_str(&format!(":{src}:{bytes}")),
         EventKind::NetHold { src, reorder } => s.push_str(&format!(":{src}:{reorder}")),

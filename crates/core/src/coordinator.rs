@@ -2,10 +2,11 @@
 //!
 //! The coordinator raises checkpoint *intent*, waits until every rank has
 //! parked at a safe point (collecting each rank's in-collective status and
-//! globally-unique communicator ID, §III-K), releases the drain, gathers
-//! per-rank image sizes, and resumes or kills the job. It also carries the
-//! side-channel traffic of the *legacy* drain algorithm (global totals,
-//! §III-B baseline) so the ablation bench can measure how chatty it is.
+//! globally-unique communicator ID, §III-K), releases the drain, takes
+//! every rank's frozen image, and resumes or kills the job. It also
+//! carries the side-channel traffic of the *legacy* drain algorithm
+//! (global totals, §III-B baseline) so the ablation bench can measure how
+//! chatty it is.
 //!
 //! It is a state machine, not an actor: every step it takes is "a rank
 //! message arrived", so [`CoordHandle::send`] runs the one transition
@@ -14,22 +15,54 @@
 //! and unparks their owners; [`CoordHandle::recv`] is the only place
 //! anything waits. DESIGN.md §5.9 has the phase × message table.
 //!
+//! Ranks pay for the snapshot, not the write. A rank drains, encodes its
+//! image into the buffer it keeps and lends that buffer to the
+//! coordinator ([`RankMsg::Frozen`]); the last image in releases every
+//! rank, and the coordinator's one helper thread — the *flush* — lands
+//! every image, commits the manifest, collects the store and hands each
+//! buffer back, behind the running application. The next round's intent
+//! joins that helper first, so generations never interleave. Exit mode
+//! runs the same flush inline, before the verdict: a rank must not exit
+//! before its image is durable.
+//!
 //! MANA-2.0's lesson §III-M — "additional communication by MANA should be
 //! minimized … use MPI calls instead of the centralized coordinator" — is
 //! visible in the message counters: with `DrainMode::Alltoall`, the
 //! coordinator exchanges exactly 4 messages per rank per checkpoint
-//! (Ready/Go, Done/Resume), while `DrainMode::Coordinator` adds rounds of
+//! (Ready/Go, Frozen/Resume), while `DrainMode::Coordinator` adds rounds of
 //! count reports.
 
 use crate::error::{ManaError, Result};
 use mpisim::{Parker, UnparkerRef};
 use obs::metrics as met;
-use obs::Phase;
-use splitproc::store;
+use obs::{EventKind, Phase};
+use splitproc::store::{self, Store, StoreError, WriteOutcome};
+use splitproc::{EncodedImage, ImageHead};
 use std::collections::VecDeque;
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// A rank's image, frozen: encoded into the buffer the rank keeps, behind
+/// the header gap ([`ImageHead::encode_into`]), and lent to the
+/// coordinator until the flush has landed it and handed the buffer back.
+pub struct FrozenImage {
+    /// Header gap, serialized upper half, serialized MANA metadata.
+    pub buf: Vec<u8>,
+    /// Length of the upper-half section.
+    pub upper_len: usize,
+}
+
+impl fmt::Debug for FrozenImage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FrozenImage")
+            .field("bytes", &self.buf.len())
+            .field("upper_len", &self.upper_len)
+            .finish()
+    }
+}
 
 /// Rank → coordinator messages.
 #[derive(Debug)]
@@ -66,28 +99,13 @@ pub enum RankMsg {
         /// Bytes received from each peer (world-rank indexed).
         recvd: Vec<u64>,
     },
-    /// Image durably written.
-    CkptDone {
+    /// Drained and encoded: the rank lends its frozen image to the
+    /// coordinator and waits only for the verdict.
+    Frozen {
         /// Reporting rank.
         rank: usize,
-        /// Bytes of the written rank file — the flat image, or the recipe
-        /// in chunked mode. Recorded in the generation manifest, so
-        /// restart's whole-file size/CRC check matches what is on disk.
-        image_bytes: u64,
-        /// CRC32 of the written rank file (same manifest-facing rule).
-        image_crc: u32,
-        /// Logical image payload bytes, layout-independent — what the
-        /// round report sums, so "image bytes per round" means the same
-        /// thing under flat and chunked stores.
-        logical_bytes: u64,
-    },
-    /// Image write failed (even after bounded retries). The round cannot
-    /// commit; the coordinator aborts the generation.
-    CkptFailed {
-        /// Reporting rank.
-        rank: usize,
-        /// What went wrong.
-        reason: String,
+        /// The image, in the rank's kept buffer.
+        image: FrozenImage,
     },
     /// The application closure wants to finish; the rank blocks until the
     /// coordinator acknowledges (so a concurrent checkpoint round cannot
@@ -126,13 +144,16 @@ pub enum CoordMsg {
         /// expected columns are exact).
         cyclic: bool,
     },
-    /// Images written everywhere; continue executing.
+    /// Every image frozen; continue executing. The flush lands the
+    /// images behind the application, and a failure there is recorded in
+    /// [`CoordReport::aborted_rounds`] — no rank is told.
     Resume,
-    /// Images written everywhere; exit (checkpoint-and-kill).
+    /// Every image landed and the round committed; exit
+    /// (checkpoint-and-kill).
     Exit,
-    /// Some rank failed to write its image: the round did not commit.
-    /// Every rank discards its partial image state and resumes; prior
-    /// committed generations are untouched.
+    /// Exit mode only: an image or the manifest failed to land, so the
+    /// round did not commit. Every rank discards its partial image state
+    /// and resumes; prior committed generations are untouched.
     AbortRound {
         /// The round that failed to commit.
         round: u64,
@@ -148,8 +169,13 @@ pub struct CkptRoundStats {
     pub round: u64,
     /// Wall time from intent to all-parked.
     pub quiesce: Duration,
-    /// Wall time from Go to all images written.
+    /// Wall time from Go to the last image frozen (every rank drained and
+    /// encoded).
     pub write: Duration,
+    /// Wall time of the flush: every image landed, the manifest committed
+    /// and the store collected — behind the running application, except
+    /// in exit mode.
+    pub flush: Duration,
     /// Sum of image sizes across ranks.
     pub total_image_bytes: u64,
     /// Distinct in-collective gids reported at park time.
@@ -160,6 +186,17 @@ pub struct CkptRoundStats {
 
 /// One rank's inbox: the coordinator's replies to it, in order.
 type Inbox = Mutex<VecDeque<CoordMsg>>;
+
+/// One rank's image buffer between checkpoints: the flush puts it back
+/// here once the image it holds has landed, and the rank takes it again
+/// for its next encode.
+type Slot = Mutex<Vec<u8>>;
+
+/// Writer threads a flush splits the ranks' images over, its own thread
+/// being one. The flush competes with the resumed ranks for the cores and
+/// the next request waits for it: on two cores one writer left that wait
+/// longer than the write it replaced, and eight did no better than four.
+const FLUSH_WRITERS: usize = 4;
 
 /// Longest a rank waits in [`CoordHandle::recv`] for the coordinator's next
 /// message. Nothing else in the protocol waits, so this is its one
@@ -176,6 +213,7 @@ pub struct CoordHandle {
     round: Arc<AtomicU64>,
     coord: Arc<Mutex<Coordinator>>,
     inboxes: Arc<[Inbox]>,
+    buffers: Arc<[Slot]>,
     /// Fault plan injecting latency into rank→coordinator messages.
     fault: Option<Arc<mpisim::FaultPlan>>,
     /// Per-rank counter identifying each sent message to the fault plan.
@@ -287,6 +325,18 @@ impl CoordHandle {
     pub fn request_checkpoint(&self) -> Result<()> {
         self.send(RankMsg::RequestCkpt)
     }
+
+    /// Take this rank's image buffer for an encode: empty before its
+    /// first checkpoint, afterwards the buffer its last image was frozen
+    /// in. Taken after `Go`, it is always back: the round's intent joined
+    /// the previous flush.
+    pub fn image_buf(&self) -> Vec<u8> {
+        std::mem::take(
+            &mut *self.buffers[self.rank]
+                .lock()
+                .expect("buffer slot poisoned by a panic"),
+        )
+    }
 }
 
 /// One checkpoint round that failed to commit and was aborted.
@@ -294,8 +344,8 @@ impl CoordHandle {
 pub struct AbortedRound {
     /// The round that was aborted.
     pub round: u64,
-    /// Per-rank failure reasons (usually one; coordinator-side manifest
-    /// write failures are recorded under `usize::MAX`).
+    /// Per-rank failure reasons in rank order (usually one; a manifest
+    /// write failure is recorded under `usize::MAX`).
     pub failures: Vec<(usize, String)>,
 }
 
@@ -383,9 +433,10 @@ pub fn topo_order(sent: &[Vec<u64>], recvd: &[Vec<u64>]) -> TopoPlan {
 }
 
 /// Global invariant checker run by the coordinator at the commit point of
-/// every round — after all `CkptDone`, before intent drops and `Resume`/
-/// `Exit` is broadcast. Receives the round number; returns a description
-/// of the violation if the committed global state is inconsistent.
+/// every round — after every image is frozen, before intent drops and
+/// `Resume`/`Exit` is broadcast. Receives the round number; returns a
+/// description of the violation if the committed global state is
+/// inconsistent.
 pub type CommitCheck = Box<dyn Fn(u64) -> std::result::Result<(), String> + Send>;
 
 /// What a coordinator is built from.
@@ -401,12 +452,14 @@ pub struct CoordSetup {
     pub commit_check: CommitCheck,
     /// The generational store rounds are committed to, and how many
     /// committed generations GC retains.
-    pub ckpt_store: Option<(Arc<store::Store>, usize)>,
-    /// Fault plan delaying rank→coordinator messages.
+    pub ckpt_store: Option<(Arc<Store>, usize)>,
+    /// Fault plan delaying rank→coordinator messages and damaging the
+    /// image writes of the flush.
     pub fault: Option<Arc<mpisim::FaultPlan>>,
-    /// Flight-recorder sink: the transitions record quiesce/write/commit
-    /// spans into the coordinator ring ([`obs::COORD_ACTOR`]) and each
-    /// handle records control-channel fault firings into its rank's ring.
+    /// Flight-recorder sink: the transitions and the flush record their
+    /// spans and store events into the coordinator ring
+    /// ([`obs::COORD_ACTOR`]) and each handle records control-channel
+    /// fault firings into its rank's ring.
     pub trace: Option<Arc<obs::TraceSink>>,
     /// Metrics registry: round counters and quiesce/write/commit/fan-in
     /// latency histograms land in the [`obs::COORD_ACTOR`] shard, fault
@@ -419,7 +472,7 @@ struct Round {
     round: u64,
     started: Instant,
     /// The open span: `Intent` while quiescing, `ImageWrite` — Go to the
-    /// last report, bracketing every rank's drain + image write — after.
+    /// last image frozen, bracketing every rank's drain + encode — after.
     span: obs::Span,
     tally: Tally,
 }
@@ -428,15 +481,14 @@ struct Round {
 #[derive(Default)]
 struct Tally {
     /// Ranks the current phase has heard from: `Ready` (or `Finishing`)
-    /// while quiescing, `CkptDone` / `CkptFailed` while writing.
+    /// while quiescing, `Frozen` while writing.
     heard: usize,
     /// Coordinator messages exchanged.
     msgs: u64,
     gids: Vec<u64>,
     quiesce: Duration,
     total_bytes: u64,
-    images: Vec<store::ManifestEntry>,
-    failures: Vec<(usize, String)>,
+    images: Vec<(usize, FrozenImage)>,
     /// Legacy drain: the totals reported since the last verdict.
     totals: Vec<(u64, u64)>,
     /// Topo-sort drain: `(rank, sent, recvd)` rows, in arrival order.
@@ -461,8 +513,8 @@ enum Stage {
     Idle,
     /// Intent raised; collecting `Ready` from every rank.
     Quiesce(Round),
-    /// `Go` sent; collecting `CkptDone` / `CkptFailed` from every rank and
-    /// answering the drain sub-exchanges.
+    /// `Go` sent; collecting `Frozen` from every rank and answering the
+    /// drain sub-exchanges.
     Write(Round),
 }
 
@@ -474,6 +526,7 @@ pub struct Coordinator {
     intent: Arc<AtomicBool>,
     round_ctr: Arc<AtomicU64>,
     inboxes: Arc<[Inbox]>,
+    buffers: Arc<[Slot]>,
     /// One engine unparker per rank: a rank is unparked after every
     /// message queued for it, and all ranks when intent is raised, so a
     /// rank parked in [`CoordHandle::recv`] (or in a scheduling park
@@ -485,8 +538,8 @@ pub struct Coordinator {
     finished: usize,
     /// An `Exit` verdict went out: no further round can run.
     exited: bool,
-    /// Generation + chunk GC of the last committed round, in flight.
-    gc: Option<std::thread::JoinHandle<Option<store::GcOutcome>>>,
+    /// The flush of the last released round, in flight on its helper.
+    flush: Option<JoinHandle<Flushed>>,
     report: CoordReport,
 }
 
@@ -499,10 +552,11 @@ impl Coordinator {
             intent: Arc::new(AtomicBool::new(false)),
             round_ctr: Arc::new(AtomicU64::new(setup.initial_round)),
             inboxes: wakers.iter().map(|_| Inbox::default()).collect(),
+            buffers: wakers.iter().map(|_| Slot::default()).collect(),
             stage: Stage::Idle,
             finished: 0,
             exited: false,
-            gc: None,
+            flush: None,
             report: CoordReport::default(),
             setup,
             wakers,
@@ -554,26 +608,10 @@ impl Coordinator {
             (Write(r), DrainRows { rank, sent, recvd }) => {
                 Write(self.drain_rows(r, rank, sent, recvd))
             }
-            (Write(mut r), CkptFailed { rank, reason }) => {
-                r.tally.failures.push((rank, reason));
-                self.reported(r)
-            }
-            (
-                Write(mut r),
-                CkptDone {
-                    rank,
-                    image_bytes: bytes,
-                    image_crc: crc,
-                    logical_bytes,
-                },
-            ) => {
-                r.tally.total_bytes += logical_bytes;
-                r.tally.images.push(store::ManifestEntry {
-                    rank: rank as u64,
-                    bytes,
-                    crc,
-                });
-                self.reported(r)
+            (Write(mut r), Frozen { rank, image }) => {
+                r.tally.total_bytes += image.buf.len() as u64;
+                r.tally.images.push((rank, image));
+                self.frozen(r)
             }
             (stage, msg) => {
                 let at = match stage {
@@ -591,9 +629,16 @@ impl Coordinator {
 
     /// `RequestCkpt` while idle: one checkpoint round begins.
     fn raise_intent(&mut self) -> Round {
-        // GC of the previous round must not overlap this round's image
-        // writes, and no rank writes one before it has seen intent.
-        self.join_gc();
+        // The previous round's flush lands before this round freezes
+        // anything: generations never interleave, GC never overlaps an
+        // image write, a chunked write finds the previous recipe to guide
+        // it, and every rank's buffer is back in its slot before `Go`.
+        // This wait is the back-pressure of a closed checkpoint loop.
+        if self.flush.is_some() {
+            let waited = Instant::now();
+            self.join_flush();
+            self.tel.observe(met::CKPT_FLUSH_WAIT_NS, waited.elapsed());
+        }
         let round = self.round_ctr.load(Ordering::Acquire);
         let r = Round {
             round,
@@ -670,9 +715,8 @@ impl Coordinator {
         r
     }
 
-    /// A rank reported its image written or failed; the last report
-    /// concludes the round.
-    fn reported(&mut self, mut r: Round) -> Stage {
+    /// A rank's image is frozen; the last one concludes the round.
+    fn frozen(&mut self, mut r: Round) -> Stage {
         r.tally.first_report.get_or_insert_with(Instant::now);
         if !r.tally.hear(self.wakers.len()) {
             return Stage::Write(r);
@@ -681,110 +725,253 @@ impl Coordinator {
         Stage::Idle
     }
 
-    /// Commit point: every rank has drained and reported, none has
-    /// resumed. The round commits only if *all* ranks wrote durably — then
-    /// the manifest makes it restart material.
+    /// Every rank has drained and frozen its image, none has resumed.
+    /// Resume mode releases the ranks now and hands the images to the
+    /// flush helper; exit mode flushes inline and exits only a committed
+    /// round — a rank must not exit before its image is durable.
     fn conclude(&mut self, r: Round) {
-        let (round, rnd, mut t) = (r.round, r.round as i64, r.tally);
+        let (round, mut t) = (r.round, r.tally);
         let write = self.tel.end(r.span);
         if let Some(first) = t.first_report {
             self.tel.observe(met::COORD_FANIN_NS, first.elapsed());
         }
-        if t.failures.is_empty() {
-            let committing = self.tel.begin(rnd, Phase::Commit);
-            if let Some((store, _)) = &self.setup.ckpt_store {
-                t.images.sort_by_key(|e| e.rank);
-                let manifest = store::Manifest {
-                    round,
-                    world_size: self.wakers.len() as u64,
-                    entries: t.images,
-                };
-                if let Err(e) = store.commit(&manifest) {
-                    // Manifest didn't land: the generation is not
-                    // committed. Treat like a rank failure.
-                    let failure = format!("manifest write failed: {e}");
-                    t.failures.push((usize::MAX, failure));
-                }
-            }
-            self.tel.end(committing);
-        }
-        if !t.failures.is_empty() {
-            let aborting = self.tel.begin(rnd, Phase::AbortRound);
-            // Abort path: scrap the partial generation, tell every rank to
-            // discard and resume. Prior committed generations are
-            // untouched — round N's failure never costs round N−1.
-            if let Some((store, _)) = &self.setup.ckpt_store {
-                let _ = store.abort(round);
-            }
-            self.intent.store(false, Ordering::Release);
-            self.round_ctr.store(round + 1, Ordering::Release);
-            self.tell_all(CoordMsg::AbortRound { round });
-            self.tel.end(aborting);
-            self.tel.add(met::ROUNDS_ABORTED, 1);
-            let failures = t.failures;
-            self.report
-                .aborted_rounds
-                .push(AbortedRound { round, failures });
+        t.images.sort_by_key(|(rank, _)| *rank);
+        let exit = self.setup.exit_after_ckpt;
+        let flush = Flush {
+            images: t.images,
+            stats: CkptRoundStats {
+                round,
+                quiesce: t.quiesce,
+                write,
+                flush: Duration::ZERO,
+                total_image_bytes: t.total_bytes,
+                gids_in_flight: t.gids,
+                coord_msgs: t.msgs + self.wakers.len() as u64,
+            },
+            started: r.started,
+            store: self.setup.ckpt_store.clone(),
+            fault: self.setup.fault.clone(),
+            tel: self.tel.clone(),
+            buffers: self.buffers.clone(),
+        };
+        if !exit {
+            self.check(round);
+            self.release(round, CoordMsg::Resume);
+            self.flush = Some(std::thread::spawn(move || flush.run()));
             return;
         }
-        // This is the only instant where the global quiesced state is
-        // observable — run the invariant checker here, before intent drops.
+        match flush.run() {
+            Err(aborted) => {
+                self.release(round, CoordMsg::AbortRound { round });
+                self.report.aborted_rounds.push(aborted);
+            }
+            Ok(stats) => {
+                self.check(round);
+                self.exited = true;
+                self.release(round, CoordMsg::Exit);
+                self.report.rounds.push(stats);
+            }
+        }
+    }
+
+    /// Run the commit-time invariant checker. Before any rank is released
+    /// is the only instant the global quiesced state is observable.
+    fn check(&mut self, round: u64) {
         if let Err(v) = (self.setup.commit_check)(round) {
             let violation = format!("round {round}: {v}");
             self.report.invariant_violations.push(violation);
         }
-        // Resume or kill. Intent must drop *before* the broadcast: popping
-        // the verdict from the inbox synchronizes-with its push, so a
-        // resuming rank is guaranteed to read intent == false and cannot
-        // emit a spurious Ready into the idle coordinator.
-        self.intent.store(false, Ordering::Release);
-        self.round_ctr.store(round + 1, Ordering::Release);
-        self.exited = self.setup.exit_after_ckpt;
-        t.msgs += self.tell_all(match self.exited {
-            true => CoordMsg::Exit,
-            false => CoordMsg::Resume,
-        });
-        self.tel.add(met::ROUNDS_COMMITTED, 1);
-        self.tel.observe(met::ROUND_LATENCY_NS, r.started.elapsed());
-        self.report.rounds.push(CkptRoundStats {
-            round,
-            quiesce: t.quiesce,
-            write,
-            total_image_bytes: t.total_bytes,
-            gids_in_flight: t.gids,
-            coord_msgs: t.msgs,
-        });
-        // The committed round supersedes older generations: sweep beyond
-        // the retention window (best-effort; GC failure must not fail the
-        // job). Generations pinned by an open restart-journal epoch are
-        // exempt — a restart in flight must never have its source
-        // collected out from under it. Chunks only the removed rounds
-        // referenced go in the same pass. The sweep takes milliseconds on
-        // a churning chunk pool and this thread is a rank on its way out
-        // of the checkpoint window, so a helper does it, concurrent with
-        // the resumed application.
-        if let Some((store, retain)) = self.setup.ckpt_store.clone() {
-            self.gc = Some(std::thread::spawn(move || store.gc(retain).ok()));
-        }
     }
 
-    /// Wait out the GC helper, if one is running, and account for what it
-    /// swept. Called before the next round raises intent and at teardown.
-    fn join_gc(&mut self) {
-        match self.gc.take().map(std::thread::JoinHandle::join) {
-            Some(Ok(Some(gc))) => {
-                let generations = gc.generations.len() as u64;
-                self.tel.add(met::STORE_GC_GENERATIONS, generations);
-                self.tel.add(met::STORE_GC_CHUNKS, gc.chunks.removed);
-            }
-            Some(Ok(None)) | None => {}
-            // A GC that blew up (the panic hook has printed why) fails the
-            // run like any broken invariant: it must not read as a success.
+    /// End the round with `verdict` to every rank. Intent must drop
+    /// *before* the broadcast: popping the verdict from the inbox
+    /// synchronizes-with its push, so a resuming rank is guaranteed to
+    /// read intent == false and cannot emit a spurious Ready into the idle
+    /// coordinator.
+    fn release(&mut self, round: u64, verdict: CoordMsg) {
+        self.intent.store(false, Ordering::Release);
+        self.round_ctr.store(round + 1, Ordering::Release);
+        self.tell_all(verdict);
+    }
+
+    /// Wait out the flush helper, if one is running, and account for its
+    /// round. Called before the next round raises intent and at teardown.
+    fn join_flush(&mut self) {
+        match self.flush.take().map(JoinHandle::join) {
+            Some(Ok(Ok(stats))) => self.report.rounds.push(stats),
+            Some(Ok(Err(aborted))) => self.report.aborted_rounds.push(aborted),
+            None => {}
+            // A flush that blew up (the panic hook has printed why) fails
+            // the run like any broken invariant: it must not read as a
+            // success.
             Some(Err(_)) => {
-                let violation = "generation GC panicked".to_string();
+                let violation = "checkpoint flush panicked".to_string();
                 self.report.invariant_violations.push(violation);
             }
         }
+    }
+}
+
+/// How a flush ended: the committed round's final stats, or — when
+/// something failed to land and the generation was scrapped — why.
+type Flushed = std::result::Result<CkptRoundStats, AbortedRound>;
+
+/// A concluded round's frozen images on their way to the store, and what
+/// landing them takes. [`Flush::run`] is the one place images are written.
+struct Flush {
+    /// `(rank, image)`, in rank order.
+    images: Vec<(usize, FrozenImage)>,
+    /// The round's stats but the flush's own duration.
+    stats: CkptRoundStats,
+    /// When the round raised intent.
+    started: Instant,
+    store: Option<(Arc<Store>, usize)>,
+    fault: Option<Arc<mpisim::FaultPlan>>,
+    /// The coordinator's telemetry: the flush records as the coordinator.
+    tel: obs::Telemetry,
+    /// Every rank's buffer slot (one per rank of the world).
+    buffers: Arc<[Slot]>,
+}
+
+impl Flush {
+    /// Land every image, then commit the manifest and collect the store,
+    /// or — if anything failed to land — scrap the generation; either way
+    /// hand every buffer back to its rank's slot.
+    fn run(mut self) -> Flushed {
+        let flushing = Instant::now();
+        let (round, rnd) = (self.stats.round, self.stats.round as i64);
+        let span = self.tel.begin(rnd, Phase::Flush);
+        let mut failures = Vec::new();
+        if let Some((store, retain)) = self.store.clone() {
+            let mut entries = Vec::with_capacity(self.images.len());
+            for (rank, landed) in self.land(&store) {
+                match landed {
+                    Ok(out) => entries.push(store::ManifestEntry {
+                        rank: rank as u64,
+                        bytes: out.bytes as u64,
+                        crc: out.crc,
+                    }),
+                    Err(e) => failures.push((rank, e.to_string())),
+                }
+            }
+            if failures.is_empty() {
+                let committing = self.tel.begin(rnd, Phase::Commit);
+                let manifest = store::Manifest {
+                    round,
+                    world_size: self.buffers.len() as u64,
+                    entries,
+                };
+                if let Err(e) = store.commit(&manifest) {
+                    let failure = format!("manifest write failed: {e}");
+                    failures.push((usize::MAX, failure));
+                }
+                self.tel.end(committing);
+            }
+            match failures.is_empty() {
+                true => self.collect(&store, retain),
+                // Scrap the partial generation. Prior committed
+                // generations are untouched — round N's failure never
+                // costs round N−1.
+                false => {
+                    let aborting = self.tel.begin(rnd, Phase::AbortRound);
+                    let _ = store.abort(round);
+                    self.tel.end(aborting);
+                }
+            }
+        }
+        for (rank, image) in self.images.drain(..) {
+            *self.buffers[rank]
+                .lock()
+                .expect("buffer slot poisoned by a panic") = image.buf;
+        }
+        self.tel.end(span);
+        if !failures.is_empty() {
+            self.tel.add(met::ROUNDS_ABORTED, 1);
+            return Err(AbortedRound { round, failures });
+        }
+        self.tel.add(met::ROUNDS_COMMITTED, 1);
+        self.tel
+            .observe(met::ROUND_LATENCY_NS, self.started.elapsed());
+        self.stats.flush = flushing.elapsed();
+        Ok(self.stats)
+    }
+
+    /// Write every rank's image, split over at most [`FLUSH_WRITERS`]
+    /// threads; each rank's seeded storage fault, if any, is armed over
+    /// its write alone. Every image is written whatever happens to the
+    /// others, and each write records on a deferred handle that is
+    /// replayed here in rank order, behind a `FlushRank` naming the rank,
+    /// once all have joined — so what the coordinator's ring holds does
+    /// not depend on which writer finished first. Returns `(rank,
+    /// outcome)` in rank order.
+    fn land(
+        &mut self,
+        store: &Store,
+    ) -> Vec<(usize, std::result::Result<WriteOutcome, StoreError>)> {
+        let (round, world_size) = (self.stats.round, self.buffers.len());
+        let (tel, fault) = (&self.tel, &self.fault);
+        let write = |(rank, image): &mut (usize, FrozenImage)| {
+            let deferred = tel.deferred();
+            let fault = fault.as_ref().and_then(|fp| fp.storage_fault(*rank, round));
+            let store = store.for_write(round, deferred.clone(), fault.map(write_fault));
+            let head = ImageHead {
+                rank: *rank,
+                world_size,
+                round,
+            };
+            let image = EncodedImage::in_buffer(head, &mut image.buf, image.upper_len);
+            (*rank, deferred, store.write_encoded(image))
+        };
+        let write_all = |part: &mut [(usize, FrozenImage)]| part.iter_mut().map(write).collect();
+        let per_writer = self.images.len().div_ceil(FLUSH_WRITERS).max(1);
+        let mut parts = self.images.chunks_mut(per_writer);
+        let first = parts.next();
+        let landed: Vec<_> = std::thread::scope(|s| {
+            let spawned: Vec<_> = parts.map(|part| s.spawn(|| write_all(part))).collect();
+            let mut landed: Vec<_> = first.map_or_else(Vec::new, write_all);
+            for h in spawned {
+                landed.extend(h.join().expect("image writer panicked"));
+            }
+            landed
+        });
+        (landed.into_iter())
+            .map(|(rank, deferred, outcome)| {
+                let flush_rank = EventKind::FlushRank { rank: rank as u32 };
+                self.tel.event(round as i64, flush_rank);
+                self.tel.replay(&deferred);
+                (rank, outcome)
+            })
+            .collect()
+    }
+
+    /// GC after a commit: generations beyond the retention window, the
+    /// chunks only they referenced, finished restart-journal epochs.
+    /// Generations pinned by an open restart-journal epoch are exempt — a
+    /// restart in flight must never have its source collected out from
+    /// under it. Best-effort: a failed pass is counted and traced, leaves
+    /// the store for the next round's pass, and never fails the job.
+    fn collect(&self, store: &Store, retain: usize) {
+        match store.gc(retain) {
+            Ok(gc) => {
+                self.tel
+                    .add(met::STORE_GC_GENERATIONS, gc.generations.len() as u64);
+                self.tel.add(met::STORE_GC_CHUNKS, gc.chunks.removed);
+            }
+            Err(_) => {
+                self.tel.add(met::STORE_GC_FAILURES, 1);
+                let round = self.stats.round as i64;
+                self.tel.event(round, EventKind::StoreGcFailed);
+            }
+        }
+    }
+}
+
+/// The store-level damage a seeded storage fault does to one image write.
+fn write_fault(f: mpisim::StorageFault) -> store::WriteFault {
+    match f.kind {
+        mpisim::StorageFaultKind::WriteError => store::WriteFault::Error { attempts: u32::MAX },
+        mpisim::StorageFaultKind::TornWrite => store::WriteFault::Torn { offset: f.offset },
+        mpisim::StorageFaultKind::BitFlip => store::WriteFault::BitFlip { offset: f.offset },
     }
 }
 
@@ -798,10 +985,11 @@ pub fn connect(world: &mpisim::World, setup: CoordSetup) -> Vec<CoordHandle> {
         setup.metrics.clone(),
     );
     let coord = Coordinator::new(setup, world.unparkers());
-    let (intent, round, inboxes) = (
+    let (intent, round, inboxes, buffers) = (
         coord.intent.clone(),
         coord.round_ctr.clone(),
         coord.inboxes.clone(),
+        coord.buffers.clone(),
     );
     let coord = Arc::new(Mutex::new(coord));
     (0..world.size())
@@ -811,6 +999,7 @@ pub fn connect(world: &mpisim::World, setup: CoordSetup) -> Vec<CoordHandle> {
             round: round.clone(),
             coord: coord.clone(),
             inboxes: inboxes.clone(),
+            buffers: buffers.clone(),
             fault: fault.clone(),
             sent_msgs: Arc::new(AtomicU64::new(0)),
             tel: obs::Telemetry::new(rank as i32, trace.clone(), reg.clone()),
@@ -820,14 +1009,14 @@ pub fn connect(world: &mpisim::World, setup: CoordSetup) -> Vec<CoordHandle> {
         .collect()
 }
 
-/// Teardown, once every rank is done with its handle: join the GC helper
-/// and take the coordinator's report.
+/// Teardown, once every rank is done with its handle: join the flush
+/// helper and take the coordinator's report.
 pub fn finish(handles: Vec<CoordHandle>) -> CoordReport {
     // A poisoned lock means a rank panicked inside a transition; the
     // launch already failed on that panic, and the helper still needs
     // joining. Report pushes are each complete, so what is there is valid.
     let mut coord = (handles[0].coord.lock()).unwrap_or_else(PoisonError::into_inner);
-    coord.join_gc();
+    coord.join_flush();
     std::mem::take(&mut coord.report)
 }
 
@@ -879,24 +1068,38 @@ mod tests {
     }
 
     /// An in-memory blob backend that only keeps the ledger of what the
-    /// coordinator's store did: `put <path>` / `rm <path>`.
+    /// coordinator's store did: `put <path>` / `rm <path>`. A put whose
+    /// path contains one of `fail` fails.
     #[derive(Clone, Default)]
-    struct Ledger(Arc<Mutex<Vec<String>>>);
+    struct Ledger {
+        log: Arc<Mutex<Vec<String>>>,
+        fail: Arc<Vec<String>>,
+    }
 
     impl Ledger {
+        fn failing(fail: Vec<String>) -> Ledger {
+            Ledger {
+                fail: Arc::new(fail),
+                ..Ledger::default()
+            }
+        }
+
         fn has(&self, op: &str, name: &str) -> bool {
-            let log = self.0.lock().unwrap();
+            let log = self.log.lock().unwrap();
             log.iter().any(|l| l.starts_with(op) && l.contains(name))
         }
     }
 
     impl store::Blobs for Ledger {
         fn put_atomic(&self, path: &Path, _: &[u8], _: PutMode) -> (PutCost, io::Result<()>) {
-            self.0
-                .lock()
-                .unwrap()
-                .push(format!("put {}", path.display()));
-            (PutCost::default(), Ok(()))
+            let path = path.display().to_string();
+            let failed = self.fail.iter().any(|f| path.contains(f.as_str()));
+            self.log.lock().unwrap().push(format!("put {path}"));
+            let res = match failed {
+                true => Err(io::Error::other("injected put failure")),
+                false => Ok(()),
+            };
+            (PutCost::default(), res)
         }
         fn get(&self, _: &Path, _: Option<&mut Vec<u8>>) -> io::Result<u64> {
             Err(io::ErrorKind::NotFound.into())
@@ -905,7 +1108,7 @@ mod tests {
             Ok(Vec::new())
         }
         fn remove(&self, path: &Path) -> io::Result<()> {
-            self.0
+            self.log
                 .lock()
                 .unwrap()
                 .push(format!("rm {}", path.display()));
@@ -913,6 +1116,43 @@ mod tests {
         }
         fn sync_dir(&self, _: &Path) -> io::Result<()> {
             Ok(())
+        }
+    }
+
+    /// The store of a simulated coordinator: flat, over `blobs`, one
+    /// attempt per put.
+    fn sim_store(root: &Path, blobs: impl store::Blobs + 'static) -> Arc<Store> {
+        let cfg = store::StoreConfig {
+            retry_attempts: 1,
+            retry_backoff: Duration::ZERO,
+            ..store::StoreConfig::default()
+        };
+        Arc::new(Store::new(
+            root,
+            cfg,
+            obs::Telemetry::off(),
+            Box::new(blobs),
+        ))
+    }
+
+    /// A rank's frozen image: `upper` bytes of upper half and 8 of
+    /// metadata, encoded for real into `buf`.
+    fn freeze(mut buf: Vec<u8>, rank: usize, round: u64, upper: usize) -> FrozenImage {
+        let head = ImageHead {
+            rank,
+            world_size: 2,
+            round,
+        };
+        let meta = vec![rank as u8; 8];
+        let upper_len = (head.encode_into(&mut buf, &vec![7u8; upper], &meta)).upper_len();
+        FrozenImage { buf, upper_len }
+    }
+
+    /// A frozen image of `bytes` bytes in all, its sections never read.
+    fn frozen(bytes: usize) -> FrozenImage {
+        FrozenImage {
+            buf: vec![0; bytes],
+            upper_len: 10,
         }
     }
 
@@ -1004,7 +1244,7 @@ mod tests {
         parks: Vec<usize>,
         finishing: Vec<bool>,
         drain: Drain,
-        /// Report order, and (by rank) who reports `CkptFailed`.
+        /// Report order, and (by rank) whose image fails to land.
         reports: Vec<usize>,
         failed: Vec<bool>,
         /// A second `RequestCkpt` before event number `i` (parks, drain
@@ -1013,7 +1253,7 @@ mod tests {
     }
 
     impl Script {
-        /// Everyone `Ready`, then everyone `CkptDone`, in rank order.
+        /// Everyone `Ready`, then everyone `Frozen`, in rank order.
         fn plain(n: usize) -> Script {
             Script {
                 exit: false,
@@ -1053,18 +1293,13 @@ mod tests {
     /// round's contract, then retire every rank.
     fn play(s: &Script, setup: CoordSetup) -> Played {
         let n = s.parks.len();
-        let ledger = Ledger::default();
-        let ckpts = store::Store::new(
-            "/mana2_sim",
-            store::StoreConfig::default(),
-            obs::Telemetry::off(),
-            Box::new(ledger.clone()),
-        );
+        let failing = (0..n).filter(|&r| s.failed[r]);
+        let ledger = Ledger::failing(failing.map(|r| format!("ckpt_rank_{r:05}")).collect());
         let mut sim = Sim::new(
             n,
             CoordSetup {
                 exit_after_ckpt: s.exit,
-                ckpt_store: Some((Arc::new(ckpts), 2)),
+                ckpt_store: Some((sim_store(Path::new("/mana2_sim"), ledger.clone()), 2)),
                 ..setup
             },
         );
@@ -1162,30 +1397,21 @@ mod tests {
                     }
                 }
                 Ev::Report { rank, last } => {
-                    let msg = match s.failed[rank] {
-                        true => RankMsg::CkptFailed {
-                            rank,
-                            reason: format!("rank {rank}: injected storage write error"),
-                        },
-                        false => RankMsg::CkptDone {
-                            rank,
-                            image_bytes: 100 + rank as u64,
-                            image_crc: rank as u32,
-                            logical_bytes: 100,
-                        },
-                    };
+                    let image = frozen(100);
+                    let msg = RankMsg::Frozen { rank, image };
                     if !last {
                         sim.quiet(msg);
                         assert!(sim.intent() && sim.round() == r0);
                         continue;
                     }
-                    // Even in exit-after-checkpoint mode, a failed round
-                    // must NOT exit: the job resumes and may checkpoint
-                    // again later.
-                    sim.tells_all(msg, |_| match (aborted, s.exit) {
-                        (true, _) => CoordMsg::AbortRound { round: r0 },
-                        (false, true) => CoordMsg::Exit,
-                        (false, false) => CoordMsg::Resume,
+                    // Resume mode releases every rank before any image
+                    // lands. Exit mode lands them first, and a failed
+                    // round must NOT exit: the job resumes and may
+                    // checkpoint again later.
+                    sim.tells_all(msg, |_| match (s.exit, aborted) {
+                        (false, _) => CoordMsg::Resume,
+                        (true, true) => CoordMsg::AbortRound { round: r0 },
+                        (true, false) => CoordMsg::Exit,
                     });
                     assert!(!sim.intent(), "intent cleared by the verdict");
                     assert_eq!(sim.round(), r0 + 1, "one round, one count");
@@ -1221,7 +1447,7 @@ mod tests {
             skipped += 1;
             assert!(!sim.intent(), "nobody left to checkpoint");
         }
-        sim.c.join_gc();
+        sim.c.join_flush();
         let report = std::mem::take(&mut sim.c.report);
         assert_eq!(report.skipped_requests, skipped);
         let manifest = format!("gen_{r0:05}/MANIFEST");
@@ -1237,9 +1463,7 @@ mod tests {
                     report.rounds.is_empty(),
                     "an aborted round is not a completed one"
                 );
-                let failures: Vec<usize> = (s.reports.iter().copied())
-                    .filter(|&r| s.failed[r])
-                    .collect();
+                let failures: Vec<usize> = (0..n).filter(|&r| s.failed[r]).collect();
                 assert_eq!(report.aborted_rounds.len(), 1);
                 assert_eq!(report.aborted_rounds[0].round, r0);
                 let got: Vec<usize> = (report.aborted_rounds[0].failures.iter())
@@ -1282,10 +1506,11 @@ mod tests {
             .collect()
     }
 
-    /// Every order in which one round's messages can arrive at n = 3. A
-    /// rank's own messages are ordered by the protocol — it reports after
-    /// `Go`, and again only after the reply to its previous drain report —
-    /// which makes a round a sequence of all-rank waves: every permutation
+    /// Every order in which one round's messages can arrive at n = 3,
+    /// crossed with which ranks' images fail to land. A rank's own
+    /// messages are ordered by the protocol — it reports after `Go`, and
+    /// again only after the reply to its previous drain report — which
+    /// makes a round a sequence of all-rank waves: every permutation
     /// within every wave is an order, and there are no others.
     #[test]
     fn every_arrival_order_of_one_round_at_n3() {
@@ -1419,6 +1644,8 @@ mod tests {
 
     #[test]
     fn ckpt_failed_aborts_round_and_all_ranks_resume() {
+        // Exit mode: the flush runs before the verdict, so every rank
+        // hears AbortRound.
         let s = Script {
             exit: true,
             failed: vec![false, true, false],
@@ -1427,10 +1654,44 @@ mod tests {
         let played = play(&s, bare());
         let aborted = &played.report.aborted_rounds[0];
         assert_eq!(aborted.failures.len(), 1);
-        assert!(aborted.failures[0]
-            .1
-            .contains("injected storage write error"));
+        assert!(aborted.failures[0].1.contains("injected put failure"));
         assert!(!played.ledger.has("put", "MANIFEST"));
+    }
+
+    #[test]
+    fn a_manifest_that_fails_after_release_aborts_the_round() {
+        // Resume mode: every rank was released at Frozen and is not told;
+        // the report records the round under `usize::MAX`.
+        let ledger = Ledger::failing(vec!["MANIFEST".into()]);
+        let setup = CoordSetup {
+            ckpt_store: Some((sim_store(Path::new("/mana2_sim"), ledger.clone()), 2)),
+            ..bare()
+        };
+        let mut sim = Sim::new(2, setup);
+        sim.quiet(RankMsg::RequestCkpt);
+        sim.quiet(RankMsg::Ready {
+            rank: 0,
+            in_collective: None,
+        });
+        let ready = RankMsg::Ready {
+            rank: 1,
+            in_collective: None,
+        };
+        sim.tells_all(ready, |_| CoordMsg::Go { round: 0 });
+        let image = frozen(100);
+        sim.quiet(RankMsg::Frozen { rank: 1, image });
+        let image = frozen(100);
+        sim.tells_all(RankMsg::Frozen { rank: 0, image }, |_| CoordMsg::Resume);
+        sim.c.join_flush();
+        let report = &sim.c.report;
+        assert!(report.rounds.is_empty());
+        assert_eq!(report.aborted_rounds.len(), 1);
+        let failures = &report.aborted_rounds[0].failures;
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0].0, usize::MAX);
+        assert!(failures[0].1.contains("manifest write failed"));
+        assert!(ledger.has("put", "gen_00000/ckpt_rank_00001"));
+        assert!(ledger.has("rm", "gen_00000"), "the generation is scrapped");
     }
 
     #[test]
@@ -1460,11 +1721,9 @@ mod tests {
 
     #[test]
     fn disallowed_messages_change_nothing_and_are_reported() {
-        let done = |rank| RankMsg::CkptDone {
+        let done = |rank| RankMsg::Frozen {
             rank,
-            image_bytes: 1,
-            image_crc: 0,
-            logical_bytes: 1,
+            image: frozen(80),
         };
         let ready = |rank| RankMsg::Ready {
             rank,
@@ -1489,6 +1748,7 @@ mod tests {
         sim.quiet(RankMsg::Finishing { rank: 1 });
         sim.quiet(done(0));
         sim.tells_all(done(1), |_| CoordMsg::Resume);
+        sim.c.join_flush();
         let report = &sim.c.report;
         assert_eq!(
             report.rounds[0].coord_msgs, 8,
@@ -1497,7 +1757,7 @@ mod tests {
         let v = &report.invariant_violations;
         assert_eq!(v.len(), 6, "{v:#?}");
         assert!(v[0].contains("Ready") && v[0].contains("outside a round"));
-        assert!(v[2].contains("CkptDone") && v[2].contains("during quiesce"));
+        assert!(v[2].contains("Frozen") && v[2].contains("during quiesce"));
         assert!(v[5].contains("Finishing") && v[5].contains("during write"));
     }
 
@@ -1539,8 +1799,6 @@ mod tests {
         let n = 2;
         let root = std::env::temp_dir().join(format!("mana2_coord_store_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        // Pre-write the images the ranks will claim, so the manifest the
-        // coordinator commits validates against real files.
         let ckpts = || store::Store::open(&root, store::StoreConfig::default());
         let setup = CoordSetup {
             ckpt_store: Some((Arc::new(ckpts()), 2)),
@@ -1554,29 +1812,192 @@ mod tests {
                 in_collective: None,
             });
         }
+        let mut kept = Vec::new();
         for rank in 0..n {
-            let img = splitproc::CkptImage {
-                rank,
-                world_size: n,
-                round: 0,
-                upper: vec![7; 32],
-                meta: vec![1; 8],
-            };
-            let out = ckpts().write_image(&img).unwrap();
-            sim.on(RankMsg::CkptDone {
-                rank,
-                image_bytes: out.bytes as u64,
-                image_crc: out.crc,
-                logical_bytes: out.bytes as u64,
-            });
+            let image = freeze(Vec::new(), rank, 0, 32);
+            kept.push((image.buf.as_ptr(), image.buf.capacity()));
+            sim.on(RankMsg::Frozen { rank, image });
         }
-        assert!(sim.c.gc.is_some(), "GC is handed to a helper");
-        sim.c.join_gc();
+        assert!(sim.c.flush.is_some(), "the flush is handed to a helper");
+        sim.c.join_flush();
         assert_eq!(sim.c.report.rounds.len(), 1);
         assert!(sim.c.report.invariant_violations.is_empty());
         // The generation is now committed and selectable.
         let sel = ckpts().select(Some(n), None).unwrap();
         assert_eq!(sel.round, 0);
+        // Every buffer is back in its rank's slot, as it was lent.
+        for (rank, kept) in kept.into_iter().enumerate() {
+            let buf = sim.c.buffers[rank].lock().unwrap();
+            assert_eq!((buf.as_ptr(), buf.capacity()), kept, "rank {rank}");
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// [`store::LocalFs`] that logs `put <path>` / `rm <path>`, sleeps in
+    /// every put, and can refuse every remove.
+    #[derive(Clone)]
+    struct Slow {
+        log: Arc<Mutex<Vec<String>>>,
+        put_delay: Duration,
+        refuse_removes: bool,
+    }
+
+    impl Slow {
+        fn new(put_delay: Duration, refuse_removes: bool) -> Slow {
+            Slow {
+                log: Arc::default(),
+                put_delay,
+                refuse_removes,
+            }
+        }
+    }
+
+    impl store::Blobs for Slow {
+        fn put_atomic(
+            &self,
+            path: &Path,
+            bytes: &[u8],
+            mode: PutMode,
+        ) -> (PutCost, io::Result<()>) {
+            std::thread::sleep(self.put_delay);
+            let put = store::LocalFs.put_atomic(path, bytes, mode);
+            self.log
+                .lock()
+                .unwrap()
+                .push(format!("put {}", path.display()));
+            put
+        }
+        fn get(&self, path: &Path, into: Option<&mut Vec<u8>>) -> io::Result<u64> {
+            store::LocalFs.get(path, into)
+        }
+        fn list(&self, dir: &Path) -> io::Result<Vec<BlobEntry>> {
+            store::LocalFs.list(dir)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            if self.refuse_removes {
+                return Err(io::Error::other("remove refused"));
+            }
+            self.log
+                .lock()
+                .unwrap()
+                .push(format!("rm {}", path.display()));
+            store::LocalFs.remove(path)
+        }
+        fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+            store::LocalFs.sync_dir(dir)
+        }
+    }
+
+    /// Run `rounds` back-to-back resume-mode rounds of two ranks, each
+    /// rank encoding into whatever its slot holds — what a rank does.
+    /// Returns each round's `(pointer, capacity)` of every rank's buffer.
+    fn back_to_back(sim: &mut Sim, rounds: u64) -> Vec<Vec<(*const u8, usize)>> {
+        let mut lent = Vec::new();
+        for round in 0..rounds {
+            sim.quiet(RankMsg::RequestCkpt);
+            for rank in 0..2 {
+                sim.on(RankMsg::Ready {
+                    rank,
+                    in_collective: None,
+                });
+            }
+            let mut bufs = Vec::new();
+            for rank in 0..2 {
+                let buf = std::mem::take(&mut *sim.c.buffers[rank].lock().unwrap());
+                let image = freeze(buf, rank, round, 64 << 10);
+                bufs.push((image.buf.as_ptr(), image.buf.capacity()));
+                sim.on(RankMsg::Frozen { rank, image });
+            }
+            lent.push(bufs);
+        }
+        sim.c.join_flush();
+        lent
+    }
+
+    #[test]
+    fn a_request_waits_for_the_previous_flush_and_buffers_come_back() {
+        let root = std::env::temp_dir().join(format!("mana2_coord_bp_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let blobs = Slow::new(Duration::from_millis(5), false);
+        let reg = met::MetricsRegistry::deterministic(2);
+        let setup = CoordSetup {
+            ckpt_store: Some((sim_store(&root, blobs.clone()), 1)),
+            metrics: Some(reg.clone()),
+            ..bare()
+        };
+        let mut sim = Sim::new(2, setup);
+        let lent = back_to_back(&mut sim, 3);
+        assert_eq!(sim.c.report.rounds.len(), 3);
+        let log = blobs.log.lock().unwrap().clone();
+        let at = |what: &str| log.iter().position(|l| l.contains(what));
+        let first_put = |g: u64| {
+            at(&format!(
+                "put {}",
+                root.join(format!("gen_{g:05}")).display()
+            ))
+        };
+        for g in 0..2u64 {
+            let manifest = at(&format!("gen_{g:05}/MANIFEST")).expect("manifest landed");
+            let next = first_put(g + 1).expect("next generation written");
+            assert!(
+                manifest < next,
+                "gen {g}'s manifest after gen {}: {log:#?}",
+                g + 1
+            );
+            // Retaining one, committing gen g collects gen g − 1.
+            if let Some(old) = g.checked_sub(1) {
+                let rm = at(&format!(
+                    "rm {}",
+                    root.join(format!("gen_{old:05}")).display()
+                ));
+                assert!(rm.expect("GC removed it") < next, "{log:#?}");
+            }
+        }
+        // A rank's buffer after round 2 is the allocation it encoded
+        // round 1 into: nothing fresh, nothing grown.
+        for (rank, slot) in sim.c.buffers.iter().enumerate() {
+            let buf = slot.lock().unwrap();
+            assert_eq!((buf.as_ptr(), buf.capacity()), lent[1][rank], "rank {rank}");
+            assert_eq!(lent[2][rank], lent[1][rank], "rank {rank}");
+        }
+        // Two requests found a flush to join.
+        let waits = reg
+            .snapshot()
+            .hist("mana2_ckpt_flush_wait_ns")
+            .unwrap()
+            .count;
+        assert_eq!(waits, 2);
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_failed_gc_is_counted_and_traced_and_the_rounds_go_on() {
+        let root = std::env::temp_dir().join(format!("mana2_coord_gcfail_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let reg = met::MetricsRegistry::deterministic(2);
+        let sink = obs::TraceSink::deterministic(2, 256);
+        let setup = CoordSetup {
+            ckpt_store: Some((sim_store(&root, Slow::new(Duration::ZERO, true)), 1)),
+            metrics: Some(reg.clone()),
+            trace: Some(sink.clone()),
+            ..bare()
+        };
+        let mut sim = Sim::new(2, setup);
+        // Round 0's GC has nothing to remove; round 1's cannot remove
+        // generation 0.
+        back_to_back(&mut sim, 2);
+        assert_eq!(sim.c.report.rounds.len(), 2);
+        assert!(sim.c.report.invariant_violations.is_empty());
+        let snap = reg.snapshot();
+        assert_eq!(snap.value("mana2_store_gc_failures_total"), Some(1));
+        assert_eq!(snap.value("mana2_rounds_committed_total"), Some(2));
+        let failed: Vec<i64> = (sink.ring_events(obs::COORD_ACTOR).iter())
+            .filter(|e| e.kind == EventKind::StoreGcFailed)
+            .map(|e| e.round)
+            .collect();
+        assert_eq!(failed, [1]);
+        let sel = store::Store::open(&root, store::StoreConfig::default());
+        assert_eq!(sel.select(Some(2), None).unwrap().round, 1);
         std::fs::remove_dir_all(&root).ok();
     }
 
@@ -1610,11 +2031,9 @@ mod tests {
                     in_collective: None,
                 })?;
                 assert_eq!(h.recv()?, CoordMsg::Go { round: 0 });
-                h.send(RankMsg::CkptDone {
+                h.send(RankMsg::Frozen {
                     rank: proc.rank(),
-                    image_bytes: 10,
-                    image_crc: 0,
-                    logical_bytes: 10,
+                    image: frozen(80),
                 })?;
                 assert_eq!(h.recv()?, CoordMsg::Resume);
                 assert!(!h.intent(), "intent cleared after resume");

@@ -10,7 +10,7 @@
 //! that replays wrong.
 //!
 //! The coordinator runs a complementary *global* check at the commit point
-//! (all `CkptDone` received, no rank resumed): user-class in-flight
+//! (every image frozen, no rank resumed): user-class in-flight
 //! traffic across the whole fabric must be `(0, 0)`. See
 //! [`crate::coordinator::CommitCheck`].
 

@@ -38,10 +38,14 @@ pub struct ManaStats {
     pub emu_collectives: u64,
     /// 2PC barriers executed.
     pub tpc_barriers: u64,
-    /// Checkpoints taken by this rank.
+    /// Checkpoints taken by this rank: images it froze and lent to the
+    /// coordinator, whether or not their round went on to commit.
     pub ckpts: u64,
-    /// Checkpoint rounds that ended in `AbortRound` (some rank's image
-    /// write failed; partial generation discarded, execution resumed).
+    /// Checkpoint rounds that ended in `AbortRound` (exit mode: an image
+    /// or the manifest failed to land before the verdict; partial
+    /// generation discarded, execution resumed). A resume-mode round that
+    /// fails after the ranks' release is not seen by any rank; it is in
+    /// `CoordReport::aborted_rounds`.
     pub ckpt_aborts: u64,
     /// Messages captured by the drain.
     pub drained_msgs: u64,
@@ -145,11 +149,6 @@ pub struct Mana<'p> {
     pub(crate) lh: LowerHalf<'p>,
     pub(crate) cfg: ManaConfig,
     pub(crate) upper: UpperHalf,
-    /// This rank's image file buffer, kept for its lifetime: every
-    /// checkpoint encodes into it ([`splitproc::ImageHead::encode_into`])
-    /// and the store seals and writes it in place, so a round after the
-    /// first allocates no payload-sized memory.
-    pub(crate) image_buf: Vec<u8>,
     pub(crate) comms: CommManager,
     pub(crate) wins: WinManager,
     pub(crate) reqs: RequestManager,
@@ -185,7 +184,6 @@ impl<'p> Mana<'p> {
             p2p: P2pLog::new(n),
             drain_buf: DrainBuffer::new(),
             upper: UpperHalf::new(),
-            image_buf: Vec::new(),
             coord,
             commit: CommitState::new(),
             in_ckpt: false,

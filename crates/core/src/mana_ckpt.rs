@@ -10,9 +10,11 @@
 //!    still-owed bytes out of the network — `iprobe`+`recv` for unmatched
 //!    messages, `MPI_Test` on recorded pending `irecv`s for messages the
 //!    library already claimed (the exact §III-B fallback).
-//! 3. Serialize upper-half memory + MANA metadata into a per-rank image.
-//! 4. Wait for `Resume` (continue running) or `Exit` (checkpoint-and-kill;
-//!    restart will rebuild a fresh lower half).
+//! 3. Freeze: serialize upper-half memory + MANA metadata into the rank's
+//!    kept image buffer and lend it to the coordinator (`Frozen`).
+//! 4. Wait for `Resume` (continue running while the coordinator's flush
+//!    lands the images) or `Exit` (checkpoint-and-kill, once the round
+//!    committed; restart will rebuild a fresh lower half).
 //!
 //! Restart rebuilds communicators from the **active list** — group
 //! membership alone suffices (§III-C) — or, in the ablation baseline,
@@ -21,7 +23,7 @@
 use crate::collective_emu::CollOpMeta;
 use crate::comm_mgr::{CommManager, CommMeta};
 use crate::config::{CommRestore, ManaConfig};
-use crate::coordinator::{CoordHandle, CoordMsg, RankMsg};
+use crate::coordinator::{CoordHandle, CoordMsg, FrozenImage, RankMsg};
 use crate::error::{ManaError, Result};
 use crate::ids::{VComm, VCOMM_WORLD};
 use crate::mana::Mana;
@@ -30,7 +32,6 @@ use crate::requests::{Binding, RequestManager, RequestMeta, StoredCompletion, VR
 use mpisim::{fnv1a_usizes, Comm, Group, Proc, RReq, SrcSel, TagSel};
 use obs::metrics as met;
 use obs::{EventKind, FaultKind, Phase};
-use splitproc::store;
 use splitproc::{CkptImage, Decode, Encode, ImageHead, LowerHalf, Reader, UpperHalf};
 
 /// Everything MANA saves alongside the upper half.
@@ -146,8 +147,8 @@ impl<'p> Mana<'p> {
         res
     }
 
-    /// Drain + serialize + write + await resume/exit. The coordinator has
-    /// already confirmed every rank is parked.
+    /// Drain + freeze + await the verdict. The coordinator has already
+    /// confirmed every rank is parked.
     pub(crate) fn checkpoint_body(&mut self, round: u64) -> Result<()> {
         // `self.round` counts *completed* rounds (so `Mana::round()` is
         // also "which pass is this" after a restart).
@@ -163,43 +164,14 @@ impl<'p> Mana<'p> {
         // of poisoning the image.
         self.check_ckpt_invariants()?;
         // Window regions are read through the lower half, which can fail;
-        // everything after is infallible up to the write, so the
-        // ImageWrite span opens here and covers encoding the image (upper
-        // half and metadata, into this rank's kept buffer) as well as
-        // landing it.
+        // nothing after it can, so the ImageWrite span opens here. It is
+        // the freeze: the upper half and metadata encoded into this rank's
+        // kept buffer, which is lent to the coordinator — its flush lands
+        // the image (and any seeded storage fault with it) once the ranks
+        // are released (DESIGN §7).
         let r = round as i64;
         let wins = self.wins_to_meta()?;
-        let write = self.tel.begin(r, Phase::ImageWrite);
-        // Durable write into this round's generation directory. A seeded
-        // storage fault (chaos) wraps the store's backend: write errors
-        // surface here as CkptFailed; torn writes and bit flips corrupt
-        // a file *after* the apparent success, so the rank honestly
-        // reports Done and only restart-time validation can catch them —
-        // exactly the failure mode the manifest CRCs exist for.
-        let write_fault = self
-            .cfg
-            .fault
-            .as_ref()
-            .and_then(|fp| fp.storage_fault(self.rank(), round))
-            .map(|f| match f.kind {
-                mpisim::StorageFaultKind::WriteError => {
-                    store::WriteFault::Error { attempts: u32::MAX }
-                }
-                mpisim::StorageFaultKind::TornWrite => store::WriteFault::Torn { offset: f.offset },
-                mpisim::StorageFaultKind::BitFlip => {
-                    store::WriteFault::BitFlip { offset: f.offset }
-                }
-            });
-        let mut blobs: Box<dyn store::Blobs> = Box::new(store::LocalFs);
-        if let Some(fault) = write_fault {
-            blobs = Box::new(store::FaultyBlobs::new(blobs, fault, self.tel.clone(), r));
-        }
-        let store = store::Store::new(
-            &self.cfg.ckpt_dir,
-            self.cfg.store.clone(),
-            self.tel.clone(),
-            blobs,
-        );
+        let freeze = self.tel.begin(r, Phase::ImageWrite);
         let head = ImageHead {
             rank: self.rank(),
             world_size: self.world_size(),
@@ -215,40 +187,26 @@ impl<'p> Mana<'p> {
             drain_buf: std::mem::take(&mut self.drain_buf),
             wins,
         };
-        let image = head.encode_into(&mut self.image_buf, &self.upper, &meta);
+        let mut buf = self.coord.image_buf();
+        let upper_len = head.encode_into(&mut buf, &self.upper, &meta).upper_len();
         self.drain_buf = meta.drain_buf;
-        let wrote = store.write_encoded(image);
-        self.tel.end(write);
-        let mut commit = None;
-        match wrote {
-            Ok(out) => {
-                self.stats.ckpts += 1;
-                self.coord.send(RankMsg::CkptDone {
-                    rank: self.rank(),
-                    image_bytes: out.bytes as u64,
-                    image_crc: out.crc,
-                    logical_bytes: out.logical_bytes as u64,
-                })?;
-                // The rank's half of the 2PC vote is in: everything from
-                // here to the coordinator's verdict is commit latency.
-                commit = Some(self.tel.begin(r, Phase::Commit));
-            }
-            Err(e) => {
-                self.coord.send(RankMsg::CkptFailed {
-                    rank: self.rank(),
-                    reason: e.to_string(),
-                })?;
-            }
-        }
+        self.stats.ckpts += 1;
+        self.tel.end(freeze);
+        // Frozen: everything from here to the coordinator's verdict is
+        // waiting for release.
+        let release = self.tel.begin(r, Phase::Commit);
+        let image = FrozenImage { buf, upper_len };
+        self.coord.send(RankMsg::Frozen {
+            rank: self.rank(),
+            image,
+        })?;
         let verdict = self
             .coord
             .await_reply("Resume, Exit or AbortRound", |m| match m {
                 CoordMsg::Resume | CoordMsg::Exit | CoordMsg::AbortRound { .. } => Ok(m),
                 other => Err(other),
             });
-        if let Some(span) = commit {
-            self.tel.end(span);
-        }
+        self.tel.end(release);
         match verdict? {
             CoordMsg::Resume => {
                 // Network empty + both sides agreed: counters restart from
@@ -261,11 +219,11 @@ impl<'p> Mana<'p> {
                 Err(ManaError::CkptExit)
             }
             CoordMsg::AbortRound { .. } => {
-                // Some rank's image write failed: the round did not
-                // commit, the coordinator already scrapped the partial
-                // generation. State is exactly as after Resume — the
-                // drain completed globally before any rank reported, so
-                // resetting p2p counters stays consistent on every rank.
+                // Exit mode: an image or the manifest failed to land, so
+                // the round did not commit and the flush already scrapped
+                // the partial generation. State is exactly as after Resume
+                // — the drain completed globally before any rank froze,
+                // so resetting p2p counters stays consistent on every rank.
                 let abort = self.tel.begin(r, Phase::AbortRound);
                 self.tel.end(abort);
                 self.stats.ckpt_aborts += 1;
@@ -541,7 +499,6 @@ impl<'p> Mana<'p> {
             p2p: P2pLog::new(proc.world_size()),
             drain_buf,
             upper,
-            image_buf: Vec::new(),
             coord,
             commit: crate::callbacks::CommitState::new(),
             in_ckpt: false,

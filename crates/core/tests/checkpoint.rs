@@ -1015,6 +1015,65 @@ fn round1_write_failure_aborts_and_restart_uses_round0() {
 }
 
 #[test]
+fn resume_mode_write_failure_after_release_aborts_only_its_round() {
+    // Resume mode releases the ranks once their images are frozen; the
+    // coordinator's flush lands them afterwards. A dead disk on rank 1 in
+    // round 1 fails that flush after every rank is running again: the
+    // round is scrapped and reported, no rank is told, and the rounds
+    // around it commit as usual.
+    let n = 3;
+    let total = 7u64;
+    let config = cfg("resume_fail_after_release");
+    let dir = config.ckpt_dir.clone();
+    let mut spec = mpisim::FaultSpec::quiet();
+    spec.storage = Some(mpisim::StorageFaultSpec {
+        rank: 1,
+        round: 1,
+        kind: mpisim::StorageFaultKind::WriteError,
+    });
+    let config = ManaConfig {
+        fault: Some(std::sync::Arc::new(mpisim::FaultPlan::new(0xF1A5, spec))),
+        ..config
+    };
+    let report = ManaRuntime::new(n, config)
+        .with_world_cfg(wcfg())
+        .run_fresh(|m| {
+            let w = m.comm_world();
+            let mut acc = 0u64;
+            for step in 0..total {
+                // Rounds 0, 1, 2 at steps 1, 3, 5.
+                if m.rank() == 0 && step % 2 == 1 && m.round() == step / 2 {
+                    m.request_checkpoint()?;
+                }
+                let s = m.allreduce_t(w, ReduceOp::Sum, &[step * 10 + m.rank() as u64])?;
+                acc += s[0];
+            }
+            Ok(acc)
+        })
+        .unwrap();
+    let committed: Vec<u64> = report.coord.rounds.iter().map(|r| r.round).collect();
+    assert_eq!(committed, [0, 2]);
+    let aborted = &report.coord.aborted_rounds;
+    assert_eq!(aborted.len(), 1);
+    assert_eq!(aborted[0].round, 1);
+    assert_eq!(aborted[0].failures.len(), 1);
+    assert_eq!(aborted[0].failures[0].0, 1);
+    for (r, s) in report.rank_stats.iter().enumerate() {
+        assert_eq!(s.ckpt_aborts, 0, "rank {r} was released before the failure");
+    }
+    let native: u64 = (0..total)
+        .map(|step| (0..n as u64).map(|r| step * 10 + r).sum::<u64>())
+        .sum();
+    assert_eq!(report.values(), vec![native; n]);
+    // On disk: no trace of round 1; restart selects round 2.
+    assert!(!splitproc::store::generation_dir(&dir, 1).exists());
+    let sel = splitproc::store::select_generation(&dir, Some(n)).unwrap();
+    assert_eq!(sel.round, 2);
+    assert!(sel.rejected.is_empty(), "{:?}", sel.rejected);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn restart_falls_back_past_corrupt_newest_generation() {
     // A bit flip lands in the newest committed generation after the job
     // exits; restart must reject it by manifest CRC and fall back to the

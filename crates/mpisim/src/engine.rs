@@ -740,7 +740,7 @@ mod tests {
 
     #[test]
     fn parker_wakes_on_unpark_from_a_foreign_thread() {
-        // The deadlock monitor and the GC helper are not ranks; their
+        // The deadlock monitor and the flush helper are not ranks; their
         // unparks must still reach a parked rank.
         let eng = engine(1, 1, 0, SchedulePolicy::Seeded);
         let waker = eng.unparker(0);

@@ -5,13 +5,13 @@
 //! render a committed fixture dump and compare byte-for-byte.
 
 use crate::dump::DumpMeta;
-use crate::event::{EventKind, TraceEvent, COORD_ACTOR};
+use crate::event::{EventKind, Phase, TraceEvent, COORD_ACTOR};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
 /// Fixed row order for the phase table.
-const PHASE_ORDER: [&str; 12] = [
+const PHASE_ORDER: [&str; 13] = [
     "intent",
     "tpc_barrier",
     "emu_collective",
@@ -20,6 +20,7 @@ const PHASE_ORDER: [&str; 12] = [
     "drain",
     "image_write",
     "commit",
+    "flush",
     "abort_round",
     "restart_validate",
     "restore_comms",
@@ -202,8 +203,21 @@ fn store_breakdown(events: &[TraceEvent], out: &mut String) {
         faults: [u64; 3],
     }
     let mut per: BTreeMap<i32, PerActor> = BTreeMap::new();
+    // A flush records every rank's write on the coordinator's ring, each
+    // behind a `FlushRank` naming the rank: those rows are the rank's.
+    let mut landing: BTreeMap<i32, i32> = BTreeMap::new();
     for ev in events {
-        let e = per.entry(ev.actor).or_insert(PerActor {
+        match ev.kind {
+            EventKind::FlushRank { rank } => {
+                landing.insert(ev.actor, rank as i32);
+            }
+            EventKind::End(Phase::Flush) => {
+                landing.remove(&ev.actor);
+            }
+            _ => {}
+        }
+        let writer = landing.get(&ev.actor).copied().unwrap_or(ev.actor);
+        let e = per.entry(writer).or_insert(PerActor {
             writes: 0,
             bytes: 0,
             retries: 0,
@@ -483,6 +497,35 @@ mod tests {
             config: crate::ConfigRecord::default(),
             rank_errors: Vec::new(),
         }
+    }
+
+    #[test]
+    fn flushed_writes_are_counted_under_the_rank_they_name() {
+        let write = |bytes| EventKind::StoreWrite {
+            bytes,
+            retries: 0,
+            crc: 0,
+        };
+        let c = COORD_ACTOR;
+        let events = vec![
+            ev(c, 0, 10, 0, EventKind::Begin(Phase::Flush)),
+            ev(c, 1, 20, 0, EventKind::FlushRank { rank: 0 }),
+            ev(c, 2, 30, 0, write(111)),
+            ev(c, 3, 40, 0, EventKind::FlushRank { rank: 1 }),
+            ev(c, 4, 50, 0, write(222)),
+            ev(c, 5, 60, 0, EventKind::End(Phase::Flush)),
+            ev(c, 6, 70, 1, write(333)),
+        ];
+        let mut out = String::new();
+        store_breakdown(&events, &mut out);
+        let row = |who: &str| {
+            let line = out.lines().find(|l| l.trim_start().starts_with(who));
+            line.unwrap_or_else(|| panic!("no {who} row: {out}"))
+                .to_string()
+        };
+        assert!(row("rank 0").contains(" 111 "), "{out}");
+        assert!(row("rank 1").contains(" 222 "), "{out}");
+        assert!(row("coord").contains(" 333 "), "{out}");
     }
 
     #[test]

@@ -375,6 +375,7 @@ mod tests {
             EventKind::Begin(Phase::EmuCollective),
             EventKind::Begin(Phase::ImageWrite),
             EventKind::Begin(Phase::Commit),
+            EventKind::Begin(Phase::Flush),
             EventKind::Begin(Phase::AbortRound),
             EventKind::Begin(Phase::RestartValidate),
             EventKind::Begin(Phase::RestoreComms),
@@ -403,6 +404,8 @@ mod tests {
             EventKind::StoreFault {
                 fault: InjectedFault::BitFlip,
             },
+            EventKind::FlushRank { rank: 5 },
+            EventKind::StoreGcFailed,
             EventKind::NetSend {
                 dst: 3,
                 bytes: 64,

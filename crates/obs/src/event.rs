@@ -39,6 +39,10 @@ pub enum Phase {
     ImageWrite,
     /// Commit: manifest write on the coordinator, resume-wait on ranks.
     Commit,
+    /// The coordinator's flush of a released round: every frozen image
+    /// landed, the manifest committed and the store collected, behind the
+    /// running application (inline before the verdict in exit mode).
+    Flush,
     /// A round being aborted and rolled back.
     AbortRound,
     /// Restart-time generation selection and validation.
@@ -61,6 +65,7 @@ impl Phase {
             Phase::DrainPlan => "drain_plan",
             Phase::ImageWrite => "image_write",
             Phase::Commit => "commit",
+            Phase::Flush => "flush",
             Phase::AbortRound => "abort_round",
             Phase::RestartValidate => "restart_validate",
             Phase::RestoreComms => "restore_comms",
@@ -80,6 +85,7 @@ impl Phase {
             "drain_plan" => Phase::DrainPlan,
             "image_write" => Phase::ImageWrite,
             "commit" => Phase::Commit,
+            "flush" => Phase::Flush,
             "abort_round" => Phase::AbortRound,
             "restart_validate" => Phase::RestartValidate,
             "restore_comms" => Phase::RestoreComms,
@@ -290,6 +296,16 @@ pub enum EventKind {
         /// Which fault was injected.
         fault: InjectedFault,
     },
+    /// The flush is landing this rank's image: the store events after it
+    /// on the same ring, up to the next `FlushRank` or the end of the
+    /// flush, are that rank's write.
+    FlushRank {
+        /// World rank whose image is being landed.
+        rank: u32,
+    },
+    /// Generation / chunk GC failed; the store was not collected this
+    /// round (the job goes on).
+    StoreGcFailed,
     /// A message was deposited into the fabric.
     NetSend {
         /// Destination world rank.
@@ -366,6 +382,8 @@ impl EventKind {
             EventKind::StoreAttempt { .. } => "store_attempt",
             EventKind::StoreWrite { .. } => "store_write",
             EventKind::StoreFault { .. } => "store_fault",
+            EventKind::FlushRank { .. } => "flush_rank",
+            EventKind::StoreGcFailed => "store_gc_failed",
             EventKind::NetSend { .. } => "net_send",
             EventKind::NetMatch { .. } => "net_match",
             EventKind::NetHold { .. } => "net_hold",
@@ -439,6 +457,10 @@ impl TraceEvent {
             EventKind::StoreFault { fault } => {
                 let _ = write!(s, ",\"fault\":\"{}\"", fault.name());
             }
+            EventKind::FlushRank { rank } => {
+                let _ = write!(s, ",\"rank\":{rank}");
+            }
+            EventKind::StoreGcFailed => {}
             EventKind::NetSend { dst, bytes, user } => {
                 let _ = write!(s, ",\"dst\":{dst},\"bytes\":{bytes},\"user\":{user}");
             }
@@ -546,6 +568,10 @@ impl TraceEvent {
                         .ok_or_else(|| format!("unknown store fault {name:?}"))?,
                 }
             }
+            "flush_rank" => EventKind::FlushRank {
+                rank: need_u64("rank")? as u32,
+            },
+            "store_gc_failed" => EventKind::StoreGcFailed,
             "net_send" => EventKind::NetSend {
                 dst: need_u64("dst")? as u32,
                 bytes: need_u64("bytes")?,

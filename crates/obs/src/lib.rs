@@ -11,9 +11,9 @@
 //! * one recording handle per actor ([`Telemetry`]) with a **span API**
 //!   over the checkpoint phases ([`Phase`]): `Intent`, `TpcBarrier`,
 //!   `EmuCollective`, `Drain { sweep }`, `ImageWrite`,
-//!   `Commit`/`AbortRound`, `RestartValidate`, `RestoreComms` — a span
-//!   emits the `Begin`/`End` pair, feeds the phase's latency histogram
-//!   in the [`metrics`] plane and returns the duration;
+//!   `Commit`/`AbortRound`, `Flush`, `RestartValidate`, `RestoreComms`
+//!   — a span emits the `Begin`/`End` pair, feeds the phase's latency
+//!   histogram in the [`metrics`] plane and returns the duration;
 //! * point events ([`EventKind`]) for network sends/matches, drain
 //!   captures, store write attempts (per-attempt write/fsync/rename
 //!   timings), retries, and injected faults;

@@ -194,20 +194,21 @@ std_set! {
     /// Trace-ring events overwritten (lost) so far.
     TRACE_DROPPED_EVENTS = "mana2_trace_dropped_events", Gauge,
         "Flight-recorder ring events overwritten so far";
-    /// End-to-end checkpoint round latency.
+    /// End-to-end checkpoint round latency: intent to the manifest landed.
     ROUND_LATENCY_NS = "mana2_round_latency_ns", Histogram,
         "End-to-end checkpoint round latency (intent to commit)";
     /// Quiesce leg of the round (intent to all-ranks-ready).
     ROUND_QUIESCE_NS = "mana2_round_quiesce_ns", Histogram,
         "Checkpoint round quiesce phase latency";
-    /// Image-write leg of the round.
+    /// Image-write leg of the round: `Go` to the last rank's image frozen.
     ROUND_WRITE_NS = "mana2_round_write_ns", Histogram,
         "Checkpoint round image-write phase latency";
     /// Commit leg of the round: the coordinator's `Commit` span, i.e. the
-    /// manifest write (the resume fan-out follows it).
+    /// manifest write inside the flush (after the ranks were released,
+    /// except in exit mode).
     ROUND_COMMIT_NS = "mana2_round_commit_ns", Histogram,
         "Checkpoint round commit phase latency";
-    /// Coordinator fan-in spread (first to last CkptDone per round).
+    /// Coordinator fan-in spread (first to last frozen image per round).
     COORD_FANIN_NS = "mana2_coord_fanin_ns", Histogram,
         "Per-round coordinator fan-in spread (first to last rank report)";
     /// Rank wait inside the 2PC barrier.
@@ -216,10 +217,10 @@ std_set! {
     /// One drain sweep, per rank.
     DRAIN_SWEEP_NS = "mana2_drain_sweep_ns", Histogram,
         "Per-rank drain sweep latency";
-    /// One image serialized and durably written, per rank (a rank's
-    /// `ImageWrite` span).
+    /// One image frozen — encoded into the rank's kept buffer — per rank
+    /// (a rank's `ImageWrite` span; the coordinator's flush lands it).
     STORE_WRITE_NS = "mana2_store_write_ns", Histogram,
-        "Per-rank durable image write latency";
+        "Per-rank image freeze latency (encode into the kept buffer)";
     /// Full-restart duration (validate + restore + replay).
     RESTART_FULL_NS = "mana2_restart_full_ns", Histogram,
         "Full restart duration";
@@ -274,6 +275,14 @@ std_set! {
     /// Chunks deleted by the refcounted pool sweep.
     STORE_GC_CHUNKS = "mana2_store_gc_chunks_total", Counter,
         "Unreferenced chunks collected from the pool";
+    /// GC passes that failed (the store was left uncollected that round;
+    /// the job went on).
+    STORE_GC_FAILURES = "mana2_store_gc_failures_total", Counter,
+        "Generation/chunk GC passes that failed";
+    /// How long a new checkpoint request waited for the previous round's
+    /// flush (image writes, manifest, GC) to finish.
+    CKPT_FLUSH_WAIT_NS = "mana2_ckpt_flush_wait_ns", Histogram,
+        "Wait of a checkpoint request for the previous round's flush";
 }
 
 // ---- log-linear histogram --------------------------------------------------

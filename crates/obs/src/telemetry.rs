@@ -12,11 +12,16 @@
 //! Cost, with both halves absent: a branch per call. A span reads the
 //! wall clock only for phases that own a histogram (see [`phase_hist`]);
 //! the sink stamps its events through its own [`crate::Clock`].
+//!
+//! Work fanned out over helper threads records through
+//! [`Telemetry::deferred`] handles: their counters land at once, their
+//! events wait until [`Telemetry::replay`] records them, so a ring's
+//! order does not depend on which helper finished first.
 
 use crate::event::{EventKind, FaultKind, Phase, COORD_ACTOR};
 use crate::metrics::{self as met, MetricId, MetricsRegistry};
 use crate::sink::TraceSink;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The latency histogram a span of `phase` feeds when `actor` closes it.
@@ -49,15 +54,24 @@ fn phase_hist(actor: i32, phase: Phase) -> Option<MetricId> {
 #[derive(Clone)]
 pub struct Telemetry {
     actor: i32,
-    sink: Option<Arc<TraceSink>>,
+    events: Events,
     reg: Option<Arc<MetricsRegistry>>,
+}
+
+/// Where a handle's events go.
+#[derive(Clone)]
+enum Events {
+    Off,
+    Sink(Arc<TraceSink>),
+    /// Held, in order, for [`Telemetry::replay`].
+    Held(Arc<Mutex<Vec<(i64, EventKind)>>>),
 }
 
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
             .field("actor", &self.actor)
-            .field("tracing", &self.sink.is_some())
+            .field("tracing", &self.tracing())
             .field("metered", &self.reg.is_some())
             .finish()
     }
@@ -83,7 +97,8 @@ impl Telemetry {
         sink: Option<Arc<TraceSink>>,
         reg: Option<Arc<MetricsRegistry>>,
     ) -> Telemetry {
-        Telemetry { actor, sink, reg }
+        let events = sink.map_or(Events::Off, Events::Sink);
+        Telemetry { actor, events, reg }
     }
 
     /// A handle that records nothing.
@@ -95,14 +110,45 @@ impl Telemetry {
     /// to build with this; scalar payloads need no guard.
     #[inline]
     pub fn tracing(&self) -> bool {
-        self.sink.is_some()
+        !matches!(self.events, Events::Off)
     }
 
     /// Record a point event.
     #[inline]
     pub fn event(&self, round: i64, kind: EventKind) {
-        if let Some(s) = &self.sink {
-            s.record(self.actor, round, kind);
+        match &self.events {
+            Events::Off => {}
+            Events::Sink(s) => s.record(self.actor, round, kind),
+            Events::Held(held) => held
+                .lock()
+                .expect("held events poisoned by a panic")
+                .push((round, kind)),
+        }
+    }
+
+    /// A handle for work on a helper thread: it counts into this one's
+    /// metrics shard as it goes, and holds its events until
+    /// [`Telemetry::replay`] records them here. Holds nothing when this
+    /// handle traces nothing.
+    pub fn deferred(&self) -> Telemetry {
+        let events = match self.events {
+            Events::Off => Events::Off,
+            _ => Events::Held(Arc::default()),
+        };
+        Telemetry {
+            actor: self.actor,
+            events,
+            reg: self.reg.clone(),
+        }
+    }
+
+    /// Record here, in the order they were recorded, the events a
+    /// [`Telemetry::deferred`] handle has held since the last replay.
+    pub fn replay(&self, deferred: &Telemetry) {
+        if let Events::Held(held) = &deferred.events {
+            let held = std::mem::take(&mut *held.lock().expect("held events poisoned by a panic"));
+            held.into_iter()
+                .for_each(|(round, kind)| self.event(round, kind));
         }
     }
 
@@ -168,6 +214,35 @@ mod tests {
         t.fault_fired(0, FaultKind::Trigger);
         let s = t.begin(0, Phase::EmuCollective);
         assert_eq!(t.end(s), Duration::ZERO);
+    }
+
+    #[test]
+    fn deferred_events_wait_for_replay_and_counters_do_not() {
+        let sink = TraceSink::deterministic(1, 16);
+        let reg = MetricsRegistry::deterministic(1);
+        let coord = Telemetry::new(COORD_ACTOR, Some(sink.clone()), Some(reg.clone()));
+        let (a, b) = (coord.deferred(), coord.deferred());
+        // Recorded b first, a second; replayed a first.
+        b.event(1, EventKind::FlushRank { rank: 1 });
+        a.event(1, EventKind::FlushRank { rank: 0 });
+        a.add(met::STORE_FSYNCS, 2);
+        assert!(sink.ring_events(COORD_ACTOR).is_empty());
+        assert_eq!(reg.snapshot().value("mana2_store_fsyncs_total"), Some(2));
+        coord.replay(&a);
+        coord.replay(&b);
+        coord.replay(&a);
+        let kinds: Vec<EventKind> = (sink.ring_events(COORD_ACTOR).iter())
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                EventKind::FlushRank { rank: 0 },
+                EventKind::FlushRank { rank: 1 }
+            ]
+        );
+        let off = Telemetry::off().deferred();
+        assert!(!off.tracing());
     }
 
     #[test]

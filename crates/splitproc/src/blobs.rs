@@ -80,6 +80,29 @@ pub trait Blobs: Send + Sync {
     fn sync_dir(&self, dir: &Path) -> io::Result<()>;
 }
 
+/// A shared backend: several stores over one set of blobs.
+impl Blobs for std::sync::Arc<dyn Blobs> {
+    fn put_atomic(&self, path: &Path, bytes: &[u8], mode: PutMode) -> (PutCost, io::Result<()>) {
+        (**self).put_atomic(path, bytes, mode)
+    }
+
+    fn get(&self, path: &Path, into: Option<&mut Vec<u8>>) -> io::Result<u64> {
+        (**self).get(path, into)
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<BlobEntry>> {
+        (**self).list(dir)
+    }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        (**self).remove(path)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        (**self).sync_dir(dir)
+    }
+}
+
 // ---- the local filesystem --------------------------------------------------
 
 /// [`Blobs`] on the local filesystem — the one real backend.

@@ -149,6 +149,31 @@ impl Encode for Raw<'_> {
 }
 
 impl<'a> EncodedImage<'a> {
+    /// The image [`ImageHead::encode_into`] left in `buf`, taken up again
+    /// from the length of its upper section ([`EncodedImage::upper_len`])
+    /// — how an encoded buffer travels without its borrow: a rank freezes
+    /// its image and lends the buffer to the writer that seals it.
+    ///
+    /// # Panics
+    ///
+    /// If `buf` is too short to hold a header and `upper_len` bytes.
+    pub fn in_buffer(head: ImageHead, buf: &'a mut Vec<u8>, upper_len: usize) -> EncodedImage<'a> {
+        assert!(
+            buf.len() >= HEADER_LEN + upper_len,
+            "{} bytes cannot hold an image with a {upper_len}-byte upper half",
+            buf.len()
+        );
+        EncodedImage {
+            head,
+            sections: Sections::InBuffer { buf, upper_len },
+        }
+    }
+
+    /// Length of the serialized upper half.
+    pub fn upper_len(&self) -> usize {
+        self.sections().0.len()
+    }
+
     /// The image's header fields.
     pub(crate) fn head(&self) -> ImageHead {
         self.head
@@ -471,6 +496,21 @@ mod tests {
         let (file, _) = image.head().encode_into(&mut buf, &upper, &meta).seal();
         assert_eq!(file, image.to_bytes());
         assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap));
+    }
+
+    #[test]
+    fn an_image_taken_up_again_from_its_buffer_seals_as_encoded() {
+        let (upper, meta, image) = state(3 << 10, 2);
+        let mut buf = Vec::new();
+        let upper_len = image
+            .head()
+            .encode_into(&mut buf, &upper, &meta)
+            .upper_len();
+        assert_eq!(upper_len, image.upper.len());
+        let ptr = buf.as_ptr();
+        let (file, crc) = EncodedImage::in_buffer(image.head(), &mut buf, upper_len).seal();
+        assert_eq!((&file[..], crc), (&image.to_bytes()[..], crc32(&file)));
+        assert_eq!(file.as_ptr(), ptr, "sealed where it was encoded");
     }
 
     #[test]

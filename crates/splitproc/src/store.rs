@@ -48,6 +48,7 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Manifest file name inside a generation directory.
@@ -503,12 +504,13 @@ fn fan_out<T: Send, E: Send>(
 /// One checkpoint store: root directory, write policy, the writing
 /// actor's telemetry, and the [`Blobs`] backend every operation goes
 /// through.
-/// Cheap to build: ranks build one per image write.
+/// Cheap to build: a flush takes one view per image write
+/// ([`Store::for_write`]).
 pub struct Store {
     root: PathBuf,
     cfg: StoreConfig,
     tel: obs::Telemetry,
-    blobs: Box<dyn Blobs>,
+    blobs: Arc<dyn Blobs>,
 }
 
 impl Store {
@@ -530,8 +532,19 @@ impl Store {
             root: root.into(),
             cfg,
             tel,
-            blobs,
+            blobs: Arc::from(blobs),
         }
+    }
+
+    /// This store as one image write of `round` sees it: the same root,
+    /// policy and backend, recording on `tel`, with `fault` — if any —
+    /// armed over the backend for that write alone ([`FaultyBlobs`]).
+    pub fn for_write(&self, round: u64, tel: obs::Telemetry, fault: Option<WriteFault>) -> Store {
+        let mut blobs: Box<dyn Blobs> = Box::new(Arc::clone(&self.blobs));
+        if let Some(fault) = fault {
+            blobs = Box::new(FaultyBlobs::new(blobs, fault, tel.clone(), round as i64));
+        }
+        Store::new(&self.root, self.cfg.clone(), tel, blobs)
     }
 
     /// The store root.
@@ -1349,23 +1362,16 @@ pub fn load_image(dir: &Path, rank: usize) -> Result<CkptImage, StoreError> {
 }
 
 /// [`Store::write_image`] into the store under `root`, over a
-/// [`FaultyBlobs`] when `fault` is given.
+/// [`FaultyBlobs`] when `fault` is given ([`Store::for_write`]).
 pub fn write_image(
     root: &Path,
     image: &CkptImage,
     cfg: &StoreConfig,
     fault: Option<&WriteFault>,
 ) -> Result<WriteOutcome, StoreError> {
-    let blobs: Box<dyn Blobs> = match fault {
-        Some(f) => Box::new(FaultyBlobs::new(
-            Box::new(LocalFs),
-            *f,
-            obs::Telemetry::off(),
-            image.round as i64,
-        )),
-        None => Box::new(LocalFs),
-    };
-    Store::new(root, cfg.clone(), obs::Telemetry::off(), blobs).write_image(image)
+    let store = Store::open(root, cfg.clone());
+    let fault = fault.copied();
+    (store.for_write(image.round, obs::Telemetry::off(), fault)).write_image(image)
 }
 
 /// [`Store::commit`] into the store under `root`.
