@@ -12,11 +12,14 @@
 //! experiments all       # everything except `scale` (minutes at 4096 ranks)
 //! ```
 //!
-//! Environment: `MANA2_RANKS=2,4,8,16` overrides sweeps;
-//! `MANA2_SCALE=0.5` scales workload sizes ([`Knobs`]). Engine, drain,
-//! store layout, trace directory and live metrics export come from
-//! `mana_core::from_env` wherever an experiment does not pin its own. Both
-//! are read once in `main`: a value that does not parse exits 2 before
+//! Flags, after the experiment ([`Knobs`]): `--ranks 2,4,8,16` overrides
+//! the figure sweeps, `--scale-ranks 64,256` and `--drain-inflight 4,64`
+//! the `scale` / `drain` sweeps, `--scale 0.5` scales workload sizes, and
+//! `--json-dir DIR` says where the JSON artifacts go (default
+//! `<temp>/mana2_experiments`). Engine, drain, store layout, trace
+//! directory and live metrics export come from `mana_core::from_env`
+//! wherever an experiment does not pin its own. Both are read once in
+//! `main`: an unknown flag or a value that does not parse exits 2 before
 //! any rank starts.
 
 use mana_bench::*;
@@ -105,6 +108,7 @@ fn fig2(env: &EnvConfig, k: &Knobs) {
         ));
     }
     write_json_artifact(
+        &k.json_dir,
         "fig2",
         &format!(
             "{{\"experiment\":\"fig2\",\"panels\":[{}]}}\n",
@@ -162,6 +166,7 @@ fn fig3(env: &EnvConfig, k: &Knobs) {
         })
         .collect();
     write_json_artifact(
+        &k.json_dir,
         "fig3",
         &format!(
             "{{\"experiment\":\"fig3\",\"ranks\":{ranks},\"rounds\":[{}],\"rank0_stats\":{},\"world_stats\":{}}}\n",
@@ -219,6 +224,7 @@ fn fig4(env: &EnvConfig, k: &Knobs) {
         ));
     }
     write_json_artifact(
+        &k.json_dir,
         "fig4",
         &format!(
             "{{\"experiment\":\"fig4\",\"rows\":[{}]}}\n",
@@ -227,7 +233,7 @@ fn fig4(env: &EnvConfig, k: &Knobs) {
     );
 }
 
-fn table1(env: &EnvConfig) {
+fn table1(env: &EnvConfig, k: &Knobs) {
     println!("== Table I: VASP robustness matrix (C/R transparency) ==");
     println!(
         "{:<12} {:>9} {:>6} {:>10} {:>8} {:>12} {:>6}",
@@ -276,6 +282,7 @@ fn table1(env: &EnvConfig) {
         let _ = std::fs::remove_dir_all(&dir);
     }
     write_json_artifact(
+        &k.json_dir,
         "table1",
         &format!(
             "{{\"experiment\":\"table1\",\"rows\":[{}]}}\n",
@@ -340,6 +347,7 @@ fn table2(env: &EnvConfig, k: &Knobs) {
     }
     println!("\nexpected shape: master ≥ feature/2pc ≥ native; overheads drop with hybrid 2PC");
     write_json_artifact(
+        &k.json_dir,
         "table2",
         &format!(
             "{{\"experiment\":\"table2\",\"ranks\":{ranks},\"rows\":[{}]}}\n",
@@ -393,7 +401,7 @@ fn trace(env: &EnvConfig, k: &Knobs) {
 
 fn scale_exp(env: &EnvConfig, k: &Knobs) {
     println!("== Scale: checkpoint-round latency vs rank count (CoopEngine) ==");
-    println!("(rank counts past the thread-per-rank ceiling; MANA2_SCALE_RANKS=... overrides)");
+    println!("(rank counts past the thread-per-rank ceiling; --scale-ranks ... overrides)");
     println!(
         "{:>6} {:>12} {:>12} {:>12} {:>12} {:>10}",
         "ranks", "ckpt leg", "quiesce", "write", "restart leg", "image MB"
@@ -468,6 +476,7 @@ fn scale_exp(env: &EnvConfig, k: &Knobs) {
         ));
     }
     write_json_artifact(
+        &k.json_dir,
         "scale",
         &format!(
             "{{\"experiment\":\"scale\",\"engine\":\"coop\",\"rows\":[{}]}}\n",
@@ -490,7 +499,7 @@ fn scale_exp(env: &EnvConfig, k: &Knobs) {
 fn drain_exp(env: &EnvConfig, k: &Knobs) {
     use mpisim::{SrcSel, TagSel};
     println!("== Drain: quiesce time, alltoall vs toposort (CoopEngine) ==");
-    println!("(same workload per cell; MANA2_SCALE_RANKS / MANA2_DRAIN_INFLIGHT override)");
+    println!("(same workload per cell; --scale-ranks / --drain-inflight override)");
     println!(
         "{:>6} {:>6} {:>12} {:>12} {:>14} {:>14} {:>11}",
         "ranks", "burst", "strategy", "quiesce", "in-flight msgs", "in-flight MB", "coord msgs"
@@ -578,6 +587,7 @@ fn drain_exp(env: &EnvConfig, k: &Knobs) {
         }
     }
     write_json_artifact(
+        &k.json_dir,
         "BENCH_drain_quiesce",
         &format!(
             "{{\"experiment\":\"drain\",\"engine\":\"coop\",\"rows\":[{}]}}\n",
@@ -587,14 +597,18 @@ fn drain_exp(env: &EnvConfig, k: &Knobs) {
 }
 
 fn main() {
-    let what = std::env::args().nth(1).unwrap_or_else(|| "all".into());
-    let (env, k) = (env_or_exit(), knobs_or_exit());
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let what = match args.first() {
+        Some(a) if !a.starts_with("--") => args.remove(0),
+        _ => "all".into(),
+    };
+    let (env, k) = (env_or_exit(), knobs_or_exit(&args));
     let t = Instant::now();
     match what.as_str() {
         "fig2" => fig2(&env, &k),
         "fig3" => fig3(&env, &k),
         "fig4" => fig4(&env, &k),
-        "table1" => table1(&env),
+        "table1" => table1(&env, &k),
         "table2" => table2(&env, &k),
         "trace" | "--trace" => trace(&env, &k),
         "scale" => scale_exp(&env, &k),
@@ -606,7 +620,7 @@ fn main() {
             println!();
             fig4(&env, &k);
             println!();
-            table1(&env);
+            table1(&env, &k);
             println!();
             table2(&env, &k);
         }

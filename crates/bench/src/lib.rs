@@ -15,8 +15,7 @@
 
 use mana_core::{ConfigError, EnvConfig, ManaConfig, ManaRuntime};
 use mpisim::{MachineProfile, StatsSnapshot, World, WorldCfg};
-use std::ffi::OsString;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 use workloads::{Kernel, Launch};
 
@@ -71,22 +70,24 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// The `experiments` binary's sizing variables, read once at its edge
-/// beside [`env_or_exit`]. Unset means the default; a value that does not
-/// parse is a [`ConfigError`], never the default in disguise.
+/// The `experiments` binary's arguments, parsed once at its edge beside
+/// [`env_or_exit`]. An unset flag means the default; a value that does not
+/// parse is a [`ConfigError`] naming the flag, never the default in
+/// disguise.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Knobs {
-    /// `MANA2_SCALE`: workload-size multiplier.
+    /// `--scale`: workload-size multiplier.
     pub scale: f64,
-    /// `MANA2_RANKS`: rank counts of the `fig2` / `fig3` / `fig4` sweeps,
+    /// `--ranks`: rank counts of the `fig2` / `fig3` / `fig4` sweeps,
     /// sized for a small container (the paper sweeps 32…2048 on Cori —
     /// shapes, not absolute scale, are reproduced; see EXPERIMENTS.md).
     pub ranks: Vec<usize>,
-    /// `MANA2_SCALE_RANKS`: rank counts of `scale` and `drain`.
+    /// `--scale-ranks`: rank counts of `scale` and `drain`.
     pub scale_ranks: Vec<usize>,
-    /// `MANA2_DRAIN_INFLIGHT`: per-rank in-flight message counts of
-    /// `drain`.
+    /// `--drain-inflight`: per-rank in-flight message counts of `drain`.
     pub drain_inflight: Vec<usize>,
+    /// `--json-dir`: where the JSON artifacts go.
+    pub json_dir: PathBuf,
 }
 
 impl Default for Knobs {
@@ -96,53 +97,62 @@ impl Default for Knobs {
             ranks: vec![2, 4, 8, 16, 32],
             scale_ranks: vec![64, 256, 1024, 4096],
             drain_inflight: vec![4, 64],
+            json_dir: std::env::temp_dir().join("mana2_experiments"),
         }
     }
 }
 
-/// [`Knobs`] from the process environment; a malformed value ends the
-/// process (status 2) before anything runs.
-pub fn knobs_or_exit() -> Knobs {
-    knobs_from_lookup(|var| std::env::var_os(var)).unwrap_or_else(|e| {
+/// [`Knobs`] from the `--flag value` pairs of `args`; a malformed value
+/// ends the process (status 2) before anything runs.
+pub fn knobs_or_exit(args: &[String]) -> Knobs {
+    knobs_from_args(args).unwrap_or_else(|e| {
         eprintln!("mana2: {e}");
         std::process::exit(2);
     })
 }
 
-/// [`Knobs`] over an injected lookup, as `mana_core`'s `from_lookup`
-/// reads the run configuration.
-pub fn knobs_from_lookup(get: impl Fn(&str) -> Option<OsString>) -> Result<Knobs, ConfigError> {
-    let bad = |var, value, expected| ConfigError {
+/// [`Knobs`] from the `--flag value` pairs of `args`. An unknown flag, a
+/// flag without its value and a value that does not parse are each a
+/// [`ConfigError`] naming the flag and the value as given.
+pub fn knobs_from_args(args: &[String]) -> Result<Knobs, ConfigError> {
+    let bad = |var, value: &str, expected| ConfigError {
         var,
-        value,
+        value: value.to_owned(),
         expected,
     };
-    // The value as found, if set (a non-UTF-8 one is already wrong).
-    let raw = |var: &'static str, expected| match get(var).map(OsString::into_string) {
-        None => Ok(None),
-        Some(Ok(s)) => Ok(Some(s)),
-        Some(Err(os)) => Err(bad(var, os.to_string_lossy().into_owned(), expected)),
+    const SCALE: &str = "a positive number";
+    const LIST: &str = "a comma-separated list of positive integers";
+    const DIR: &str = "a directory";
+    const FLAGS: &str = "--scale | --ranks | --scale-ranks | --drain-inflight | --json-dir";
+    let list = |var, s: &str| {
+        let list: Option<Vec<usize>> = s
+            .split(',')
+            .map(|x| x.trim().parse().ok().filter(|&n| n > 0))
+            .collect();
+        list.ok_or_else(|| bad(var, s, LIST))
     };
     let mut k = Knobs::default();
-    const SCALE: &str = "a positive number";
-    if let Some(s) = raw("MANA2_SCALE", SCALE)? {
-        match s.trim().parse::<f64>() {
-            Ok(x) if x.is_finite() && x > 0.0 => k.scale = x,
-            _ => return Err(bad("MANA2_SCALE", s, SCALE)),
-        }
-    }
-    const LIST: &str = "a comma-separated list of positive integers";
-    for (var, slot) in [
-        ("MANA2_RANKS", &mut k.ranks),
-        ("MANA2_SCALE_RANKS", &mut k.scale_ranks),
-        ("MANA2_DRAIN_INFLIGHT", &mut k.drain_inflight),
-    ] {
-        if let Some(s) = raw(var, LIST)? {
-            let list: Option<Vec<usize>> = s
-                .split(',')
-                .map(|x| x.trim().parse().ok().filter(|&n| n > 0))
-                .collect();
-            *slot = list.ok_or_else(|| bad(var, s, LIST))?;
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let Some(var) = FLAGS.split(" | ").find(|f| f == flag) else {
+            return Err(bad("flag", flag, FLAGS));
+        };
+        let expected = match var {
+            "--scale" => SCALE,
+            "--json-dir" => DIR,
+            _ => LIST,
+        };
+        let s = it.next().ok_or_else(|| bad(var, "", expected))?;
+        match var {
+            "--scale" => match s.trim().parse::<f64>() {
+                Ok(x) if x.is_finite() && x > 0.0 => k.scale = x,
+                _ => return Err(bad(var, s, SCALE)),
+            },
+            "--json-dir" if s.is_empty() => return Err(bad(var, s, DIR)),
+            "--json-dir" => k.json_dir = s.into(),
+            "--ranks" => k.ranks = list(var, s)?,
+            "--scale-ranks" => k.scale_ranks = list(var, s)?,
+            _ => k.drain_inflight = list(var, s)?,
         }
     }
     Ok(k)
@@ -191,23 +201,13 @@ pub fn overhead_pct(baseline: Duration, measured: Duration) -> f64 {
     (measured.as_secs_f64() / baseline.as_secs_f64() - 1.0) * 100.0
 }
 
-/// Where the experiments binary writes machine-readable JSON artifacts:
-/// `MANA2_JSON_DIR` if set, else `<temp>/mana2_experiments`. The text
-/// tables stay the human interface; the JSON files are the same numbers
-/// for scripts.
-pub fn json_out_dir() -> PathBuf {
-    match std::env::var_os("MANA2_JSON_DIR") {
-        Some(d) => PathBuf::from(d),
-        None => std::env::temp_dir().join("mana2_experiments"),
-    }
-}
-
-/// Write one experiment's JSON artifact as `<json_out_dir>/<name>.json`,
-/// returning the path. Best effort: an unwritable artifact dir must not
-/// fail the experiment, so errors are reported to stderr and swallowed.
-pub fn write_json_artifact(name: &str, json: &str) -> Option<PathBuf> {
-    let dir = json_out_dir();
-    if let Err(e) = std::fs::create_dir_all(&dir) {
+/// Write one experiment's JSON artifact as `<dir>/<name>.json` (`dir` is
+/// [`Knobs::json_dir`]), returning the path. The text tables stay the
+/// human interface; the JSON files are the same numbers for scripts. Best
+/// effort: an unwritable artifact dir must not fail the experiment, so
+/// errors are reported to stderr and swallowed.
+pub fn write_json_artifact(dir: &Path, name: &str, json: &str) -> Option<PathBuf> {
+    if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!(
             "mana2: cannot create json artifact dir {}: {e}",
             dir.display()
@@ -238,11 +238,8 @@ mod tests {
         assert!(overhead_pct(base, base).abs() < 1e-9);
     }
 
-    fn knobs(vars: &[(&str, &str)]) -> Result<Knobs, ConfigError> {
-        knobs_from_lookup(|k| {
-            let found = vars.iter().find(|(name, _)| *name == k);
-            found.map(|(_, v)| OsString::from(v))
-        })
+    fn knobs(args: &[&str]) -> Result<Knobs, ConfigError> {
+        knobs_from_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
@@ -256,22 +253,34 @@ mod tests {
     }
 
     #[test]
-    fn knobs_parse_or_name_the_variable_and_value() {
-        let k = knobs(&[("MANA2_SCALE", "0.5"), ("MANA2_SCALE_RANKS", " 64, 128 ")]).unwrap();
-        assert_eq!((k.scale, k.scale_ranks), (0.5, vec![64, 128]));
-        // A typo used to run the default sweep (4096 ranks for this one).
-        let cases = [
-            ("MANA2_SCALE_RANKS", "64;256"),
-            ("MANA2_SCALE_RANKS", "64x"),
-            ("MANA2_RANKS", ""),
-            ("MANA2_RANKS", "2,,4"),
-            ("MANA2_DRAIN_INFLIGHT", "0"),
-            ("MANA2_SCALE", "half"),
-            ("MANA2_SCALE", "-1"),
+    fn knobs_parse_or_name_the_flag_and_value() {
+        let args = [
+            "--scale",
+            "0.5",
+            "--scale-ranks",
+            " 64, 128 ",
+            "--json-dir",
+            "/x",
         ];
-        for (var, value) in cases {
-            let e = knobs(&[(var, value)]).unwrap_err();
-            assert_eq!((e.var, e.value.as_str()), (var, value));
+        let k = knobs(&args).unwrap();
+        assert_eq!((k.scale, k.scale_ranks), (0.5, vec![64, 128]));
+        assert_eq!(k.json_dir, PathBuf::from("/x"));
+        // A typo used to run the default sweep (4096 ranks for this one).
+        let cases: [(&[&str], &str, &str); 10] = [
+            (&["--scale-ranks", "64;256"], "--scale-ranks", "64;256"),
+            (&["--scale-ranks", "64x"], "--scale-ranks", "64x"),
+            (&["--ranks", ""], "--ranks", ""),
+            (&["--ranks", "2,,4"], "--ranks", "2,,4"),
+            (&["--drain-inflight", "0"], "--drain-inflight", "0"),
+            (&["--scale", "half"], "--scale", "half"),
+            (&["--scale", "-1"], "--scale", "-1"),
+            (&["--ranks", "4", "--scale"], "--scale", ""),
+            (&["--json-dir", ""], "--json-dir", ""),
+            (&["--scale-rank", "64"], "flag", "--scale-rank"),
+        ];
+        for (args, var, value) in cases {
+            let e = knobs(args).unwrap_err();
+            assert_eq!((e.var, e.value.as_str()), (var, value), "{args:?}");
             let shown = e.to_string();
             assert!(shown.starts_with(&format!("{var}=")), "{shown}");
             assert!(shown.contains("expected"), "{shown}");

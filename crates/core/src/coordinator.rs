@@ -12,18 +12,12 @@
 //! message arrived", so [`CoordHandle::send`] runs the one transition
 //! function [`Coordinator::on`] in place, on the sending rank's thread,
 //! under one mutex. The transition pushes the replies into per-rank inboxes
-//! and unparks their owners; [`CoordHandle::recv`] is the only place
-//! anything waits. DESIGN.md §5.9 has the phase × message table.
+//! and unparks their owners; [`CoordHandle::recv`] is the only place a
+//! rank waits. DESIGN.md §5.9 has the phase × message table.
 //!
-//! Ranks pay for the snapshot, not the write. A rank drains, encodes its
-//! image into the buffer it keeps and lends that buffer to the
-//! coordinator ([`RankMsg::Frozen`]); the last image in releases every
-//! rank, and the coordinator's one helper thread — the *flush* — lands
-//! every image, commits the manifest, collects the store and hands each
-//! buffer back, behind the running application. The next round's intent
-//! joins that helper first, so generations never interleave. Exit mode
-//! runs the same flush inline, before the verdict: a rank must not exit
-//! before its image is durable.
+//! Ranks pay for the snapshot, not the write: a rank lends its encoded
+//! image to the coordinator ([`RankMsg::Frozen`]), and the last one in
+//! concludes the round as a [`FlushJob`] that [`crate::flush`] performs.
 //!
 //! MANA-2.0's lesson §III-M — "additional communication by MANA should be
 //! minimized … use MPI calls instead of the centralized coordinator" — is
@@ -33,20 +27,19 @@
 //! count reports.
 
 use crate::error::{ManaError, Result};
+use crate::flush::{Driver, FlushJob, Flushed};
 use mpisim::{Parker, UnparkerRef};
 use obs::metrics as met;
-use obs::{EventKind, Phase};
-use splitproc::store::{self, Store, StoreError, WriteOutcome};
-use splitproc::{EncodedImage, ImageHead};
+use obs::Phase;
+use splitproc::store::Store;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A rank's image, frozen: encoded into the buffer the rank keeps, behind
-/// the header gap ([`ImageHead::encode_into`]), and lent to the
+/// the header gap ([`splitproc::ImageHead::encode_into`]), and lent to the
 /// coordinator until the flush has landed it and handed the buffer back.
 pub struct FrozenImage {
     /// Header gap, serialized upper half, serialized MANA metadata.
@@ -190,13 +183,7 @@ type Inbox = Mutex<VecDeque<CoordMsg>>;
 /// One rank's image buffer between checkpoints: the flush puts it back
 /// here once the image it holds has landed, and the rank takes it again
 /// for its next encode.
-type Slot = Mutex<Vec<u8>>;
-
-/// Writer threads a flush splits the ranks' images over, its own thread
-/// being one. The flush competes with the resumed ranks for the cores and
-/// the next request waits for it: on two cores one writer left that wait
-/// longer than the write it replaced, and eight did no better than four.
-const FLUSH_WRITERS: usize = 4;
+pub(crate) type Slot = Mutex<Vec<u8>>;
 
 /// Longest a rank waits in [`CoordHandle::recv`] for the coordinator's next
 /// message. Nothing else in the protocol waits, so this is its one
@@ -211,7 +198,7 @@ pub struct CoordHandle {
     rank: usize,
     intent: Arc<AtomicBool>,
     round: Arc<AtomicU64>,
-    coord: Arc<Mutex<Coordinator>>,
+    coord: Arc<Mutex<Driver>>,
     inboxes: Arc<[Inbox]>,
     buffers: Arc<[Slot]>,
     /// Fault plan injecting latency into rank→coordinator messages.
@@ -282,10 +269,10 @@ impl CoordHandle {
                 self.stall(d);
             }
         }
-        // Poisoned: a peer panicked inside a transition (commit check,
-        // manifest commit). Its panic fails the run; this rank is collateral.
-        let mut coord = self.coord.lock().map_err(|_| ManaError::CoordinatorGone)?;
-        coord.on(msg);
+        // Poisoned: a peer panicked inside a transition (the commit
+        // check). Its panic fails the run; this rank is collateral.
+        let mut driver = self.coord.lock().map_err(|_| ManaError::CoordinatorGone)?;
+        driver.send(msg, &self.tel);
         Ok(())
     }
 
@@ -328,8 +315,8 @@ impl CoordHandle {
 
     /// Take this rank's image buffer for an encode: empty before its
     /// first checkpoint, afterwards the buffer its last image was frozen
-    /// in. Taken after `Go`, it is always back: the round's intent joined
-    /// the previous flush.
+    /// in. Taken after `Go`, it is always back: the round's request waited
+    /// out the previous flush.
     pub fn image_buf(&self) -> Vec<u8> {
         std::mem::take(
             &mut *self.buffers[self.rank]
@@ -519,7 +506,9 @@ enum Stage {
 }
 
 /// The coordinator: protocol state plus one total transition,
-/// [`Coordinator::on`]. It owns no thread and never waits.
+/// [`Coordinator::on`], and one more input, [`Coordinator::flushed`]. It
+/// owns no thread and never waits: the flush it concludes a round with is
+/// a value it returns, and someone else performs it.
 pub struct Coordinator {
     setup: CoordSetup,
     tel: obs::Telemetry,
@@ -538,8 +527,9 @@ pub struct Coordinator {
     finished: usize,
     /// An `Exit` verdict went out: no further round can run.
     exited: bool,
-    /// The flush of the last released round, in flight on its helper.
-    flush: Option<JoinHandle<Flushed>>,
+    /// The round whose [`FlushJob`] is out and whose outcome is not yet
+    /// posted.
+    flushing: Option<u64>,
     report: CoordReport,
 }
 
@@ -556,7 +546,7 @@ impl Coordinator {
             stage: Stage::Idle,
             finished: 0,
             exited: false,
-            flush: None,
+            flushing: None,
             report: CoordReport::default(),
             setup,
             wakers,
@@ -577,19 +567,29 @@ impl Coordinator {
         self.wakers.len() as u64
     }
 
+    /// The round the next intent runs, or the one in progress.
+    pub fn round(&self) -> u64 {
+        self.round_ctr.load(Ordering::Acquire)
+    }
+
     /// The transition function: advance the protocol by one rank message.
-    /// Total — a `(stage, message)` pair the protocol does not allow
-    /// changes nothing and is recorded in
-    /// [`CoordReport::invariant_violations`], which fails the run.
-    pub fn on(&mut self, msg: RankMsg) {
+    /// The last `Frozen` of a round returns the round's [`FlushJob`]; its
+    /// outcome must be posted to [`Coordinator::flushed`] before the next
+    /// request. Total — a `(stage, message)` pair the protocol does not
+    /// allow (a request with a flush outstanding is one) changes nothing
+    /// and is recorded in [`CoordReport::invariant_violations`], which
+    /// fails the run.
+    pub fn on(&mut self, msg: RankMsg) -> Option<FlushJob> {
         use {RankMsg::*, Stage::*};
+        let mut job = None;
+        let flushing = self.flushing.is_some();
         self.stage = match (std::mem::replace(&mut self.stage, Idle), msg) {
-            (Idle, RequestCkpt) if !self.exited && self.finished == 0 => {
+            (Idle, RequestCkpt) if !flushing && !self.exited && self.finished == 0 => {
                 Quiesce(self.raise_intent())
             }
             // Coalesced into the running round, or too late: ranks have
             // already finished.
-            (stage, RequestCkpt) => {
+            (stage, RequestCkpt) if !flushing => {
                 self.report.skipped_requests += 1;
                 stage
             }
@@ -611,10 +611,17 @@ impl Coordinator {
             (Write(mut r), Frozen { rank, image }) => {
                 r.tally.total_bytes += image.buf.len() as u64;
                 r.tally.images.push((rank, image));
-                self.frozen(r)
+                r.tally.first_report.get_or_insert_with(Instant::now);
+                if !r.tally.hear(self.wakers.len()) {
+                    Write(r)
+                } else {
+                    job = Some(self.conclude(r));
+                    Idle
+                }
             }
             (stage, msg) => {
                 let at = match stage {
+                    Idle if flushing => "during a flush",
                     Idle => "outside a round",
                     Quiesce(_) => "during quiesce",
                     Write(_) => "during write",
@@ -625,21 +632,12 @@ impl Coordinator {
                 stage
             }
         };
+        job
     }
 
     /// `RequestCkpt` while idle: one checkpoint round begins.
     fn raise_intent(&mut self) -> Round {
-        // The previous round's flush lands before this round freezes
-        // anything: generations never interleave, GC never overlaps an
-        // image write, a chunked write finds the previous recipe to guide
-        // it, and every rank's buffer is back in its slot before `Go`.
-        // This wait is the back-pressure of a closed checkpoint loop.
-        if self.flush.is_some() {
-            let waited = Instant::now();
-            self.join_flush();
-            self.tel.observe(met::CKPT_FLUSH_WAIT_NS, waited.elapsed());
-        }
-        let round = self.round_ctr.load(Ordering::Acquire);
+        let round = self.round();
         let r = Round {
             round,
             started: Instant::now(),
@@ -715,29 +713,23 @@ impl Coordinator {
         r
     }
 
-    /// A rank's image is frozen; the last one concludes the round.
-    fn frozen(&mut self, mut r: Round) -> Stage {
-        r.tally.first_report.get_or_insert_with(Instant::now);
-        if !r.tally.hear(self.wakers.len()) {
-            return Stage::Write(r);
-        }
-        self.conclude(r);
-        Stage::Idle
-    }
-
-    /// Every rank has drained and frozen its image, none has resumed.
-    /// Resume mode releases the ranks now and hands the images to the
-    /// flush helper; exit mode flushes inline and exits only a committed
-    /// round — a rank must not exit before its image is durable.
-    fn conclude(&mut self, r: Round) {
+    /// Every rank has drained and frozen its image, none has resumed: the
+    /// round becomes its flush job. Resume mode releases the ranks before
+    /// the job runs; exit mode waits for its outcome.
+    fn conclude(&mut self, r: Round) -> FlushJob {
         let (round, mut t) = (r.round, r.tally);
         let write = self.tel.end(r.span);
         if let Some(first) = t.first_report {
             self.tel.observe(met::COORD_FANIN_NS, first.elapsed());
         }
         t.images.sort_by_key(|(rank, _)| *rank);
-        let exit = self.setup.exit_after_ckpt;
-        let flush = Flush {
+        let ranks_wait = self.setup.exit_after_ckpt;
+        if !ranks_wait {
+            self.check(round);
+            self.release(round, CoordMsg::Resume);
+        }
+        self.flushing = Some(round);
+        FlushJob {
             images: t.images,
             stats: CkptRoundStats {
                 round,
@@ -749,28 +741,43 @@ impl Coordinator {
                 coord_msgs: t.msgs + self.wakers.len() as u64,
             },
             started: r.started,
+            ranks_wait,
             store: self.setup.ckpt_store.clone(),
             fault: self.setup.fault.clone(),
             tel: self.tel.clone(),
             buffers: self.buffers.clone(),
-        };
-        if !exit {
-            self.check(round);
-            self.release(round, CoordMsg::Resume);
-            self.flush = Some(std::thread::spawn(move || flush.run()));
-            return;
         }
-        match flush.run() {
-            Err(aborted) => {
-                self.release(round, CoordMsg::AbortRound { round });
-                self.report.aborted_rounds.push(aborted);
+    }
+
+    /// The outcome of the outstanding [`FlushJob`] (`None`: it panicked).
+    /// Exit mode sends the verdict on it: `Exit` only for a committed
+    /// round, after the commit check; `AbortRound` otherwise — every rank
+    /// discards and resumes.
+    pub fn flushed(&mut self, flushed: Option<Flushed>) {
+        let round = (self.flushing.take()).expect("an outcome answers the job of the last Frozen");
+        let verdict = match flushed {
+            Some(Ok(stats)) => {
+                self.report.rounds.push(stats);
+                CoordMsg::Exit
             }
-            Ok(stats) => {
+            Some(Err(aborted)) => {
+                self.report.aborted_rounds.push(aborted);
+                CoordMsg::AbortRound { round }
+            }
+            // A flush that blew up fails the run like any broken
+            // invariant: it must not read as a success.
+            None => {
+                let violation = "checkpoint flush panicked".to_string();
+                self.report.invariant_violations.push(violation);
+                CoordMsg::AbortRound { round }
+            }
+        };
+        if self.setup.exit_after_ckpt {
+            if verdict == CoordMsg::Exit {
                 self.check(round);
                 self.exited = true;
-                self.release(round, CoordMsg::Exit);
-                self.report.rounds.push(stats);
             }
+            self.release(round, verdict);
         }
     }
 
@@ -793,186 +800,6 @@ impl Coordinator {
         self.round_ctr.store(round + 1, Ordering::Release);
         self.tell_all(verdict);
     }
-
-    /// Wait out the flush helper, if one is running, and account for its
-    /// round. Called before the next round raises intent and at teardown.
-    fn join_flush(&mut self) {
-        match self.flush.take().map(JoinHandle::join) {
-            Some(Ok(Ok(stats))) => self.report.rounds.push(stats),
-            Some(Ok(Err(aborted))) => self.report.aborted_rounds.push(aborted),
-            None => {}
-            // A flush that blew up (the panic hook has printed why) fails
-            // the run like any broken invariant: it must not read as a
-            // success.
-            Some(Err(_)) => {
-                let violation = "checkpoint flush panicked".to_string();
-                self.report.invariant_violations.push(violation);
-            }
-        }
-    }
-}
-
-/// How a flush ended: the committed round's final stats, or — when
-/// something failed to land and the generation was scrapped — why.
-type Flushed = std::result::Result<CkptRoundStats, AbortedRound>;
-
-/// A concluded round's frozen images on their way to the store, and what
-/// landing them takes. [`Flush::run`] is the one place images are written.
-struct Flush {
-    /// `(rank, image)`, in rank order.
-    images: Vec<(usize, FrozenImage)>,
-    /// The round's stats but the flush's own duration.
-    stats: CkptRoundStats,
-    /// When the round raised intent.
-    started: Instant,
-    store: Option<(Arc<Store>, usize)>,
-    fault: Option<Arc<mpisim::FaultPlan>>,
-    /// The coordinator's telemetry: the flush records as the coordinator.
-    tel: obs::Telemetry,
-    /// Every rank's buffer slot (one per rank of the world).
-    buffers: Arc<[Slot]>,
-}
-
-impl Flush {
-    /// Land every image, then commit the manifest and collect the store,
-    /// or — if anything failed to land — scrap the generation; either way
-    /// hand every buffer back to its rank's slot.
-    fn run(mut self) -> Flushed {
-        let flushing = Instant::now();
-        let (round, rnd) = (self.stats.round, self.stats.round as i64);
-        let span = self.tel.begin(rnd, Phase::Flush);
-        let mut failures = Vec::new();
-        if let Some((store, retain)) = self.store.clone() {
-            let mut entries = Vec::with_capacity(self.images.len());
-            for (rank, landed) in self.land(&store) {
-                match landed {
-                    Ok(out) => entries.push(store::ManifestEntry {
-                        rank: rank as u64,
-                        bytes: out.bytes as u64,
-                        crc: out.crc,
-                    }),
-                    Err(e) => failures.push((rank, e.to_string())),
-                }
-            }
-            if failures.is_empty() {
-                let committing = self.tel.begin(rnd, Phase::Commit);
-                let manifest = store::Manifest {
-                    round,
-                    world_size: self.buffers.len() as u64,
-                    entries,
-                };
-                if let Err(e) = store.commit(&manifest) {
-                    let failure = format!("manifest write failed: {e}");
-                    failures.push((usize::MAX, failure));
-                }
-                self.tel.end(committing);
-            }
-            match failures.is_empty() {
-                true => self.collect(&store, retain),
-                // Scrap the partial generation. Prior committed
-                // generations are untouched — round N's failure never
-                // costs round N−1.
-                false => {
-                    let aborting = self.tel.begin(rnd, Phase::AbortRound);
-                    let _ = store.abort(round);
-                    self.tel.end(aborting);
-                }
-            }
-        }
-        for (rank, image) in self.images.drain(..) {
-            *self.buffers[rank]
-                .lock()
-                .expect("buffer slot poisoned by a panic") = image.buf;
-        }
-        self.tel.end(span);
-        if !failures.is_empty() {
-            self.tel.add(met::ROUNDS_ABORTED, 1);
-            return Err(AbortedRound { round, failures });
-        }
-        self.tel.add(met::ROUNDS_COMMITTED, 1);
-        self.tel
-            .observe(met::ROUND_LATENCY_NS, self.started.elapsed());
-        self.stats.flush = flushing.elapsed();
-        Ok(self.stats)
-    }
-
-    /// Write every rank's image, split over at most [`FLUSH_WRITERS`]
-    /// threads; each rank's seeded storage fault, if any, is armed over
-    /// its write alone. Every image is written whatever happens to the
-    /// others, and each write records on a deferred handle that is
-    /// replayed here in rank order, behind a `FlushRank` naming the rank,
-    /// once all have joined — so what the coordinator's ring holds does
-    /// not depend on which writer finished first. Returns `(rank,
-    /// outcome)` in rank order.
-    fn land(
-        &mut self,
-        store: &Store,
-    ) -> Vec<(usize, std::result::Result<WriteOutcome, StoreError>)> {
-        let (round, world_size) = (self.stats.round, self.buffers.len());
-        let (tel, fault) = (&self.tel, &self.fault);
-        let write = |(rank, image): &mut (usize, FrozenImage)| {
-            let deferred = tel.deferred();
-            let fault = fault.as_ref().and_then(|fp| fp.storage_fault(*rank, round));
-            let store = store.for_write(round, deferred.clone(), fault.map(write_fault));
-            let head = ImageHead {
-                rank: *rank,
-                world_size,
-                round,
-            };
-            let image = EncodedImage::in_buffer(head, &mut image.buf, image.upper_len);
-            (*rank, deferred, store.write_encoded(image))
-        };
-        let write_all = |part: &mut [(usize, FrozenImage)]| part.iter_mut().map(write).collect();
-        let per_writer = self.images.len().div_ceil(FLUSH_WRITERS).max(1);
-        let mut parts = self.images.chunks_mut(per_writer);
-        let first = parts.next();
-        let landed: Vec<_> = std::thread::scope(|s| {
-            let spawned: Vec<_> = parts.map(|part| s.spawn(|| write_all(part))).collect();
-            let mut landed: Vec<_> = first.map_or_else(Vec::new, write_all);
-            for h in spawned {
-                landed.extend(h.join().expect("image writer panicked"));
-            }
-            landed
-        });
-        (landed.into_iter())
-            .map(|(rank, deferred, outcome)| {
-                let flush_rank = EventKind::FlushRank { rank: rank as u32 };
-                self.tel.event(round as i64, flush_rank);
-                self.tel.replay(&deferred);
-                (rank, outcome)
-            })
-            .collect()
-    }
-
-    /// GC after a commit: generations beyond the retention window, the
-    /// chunks only they referenced, finished restart-journal epochs.
-    /// Generations pinned by an open restart-journal epoch are exempt — a
-    /// restart in flight must never have its source collected out from
-    /// under it. Best-effort: a failed pass is counted and traced, leaves
-    /// the store for the next round's pass, and never fails the job.
-    fn collect(&self, store: &Store, retain: usize) {
-        match store.gc(retain) {
-            Ok(gc) => {
-                self.tel
-                    .add(met::STORE_GC_GENERATIONS, gc.generations.len() as u64);
-                self.tel.add(met::STORE_GC_CHUNKS, gc.chunks.removed);
-            }
-            Err(_) => {
-                self.tel.add(met::STORE_GC_FAILURES, 1);
-                let round = self.stats.round as i64;
-                self.tel.event(round, EventKind::StoreGcFailed);
-            }
-        }
-    }
-}
-
-/// The store-level damage a seeded storage fault does to one image write.
-fn write_fault(f: mpisim::StorageFault) -> store::WriteFault {
-    match f.kind {
-        mpisim::StorageFaultKind::WriteError => store::WriteFault::Error { attempts: u32::MAX },
-        mpisim::StorageFaultKind::TornWrite => store::WriteFault::Torn { offset: f.offset },
-        mpisim::StorageFaultKind::BitFlip => store::WriteFault::BitFlip { offset: f.offset },
-    }
 }
 
 /// Build the coordinator of `world` and hand out its per-rank handles.
@@ -991,7 +818,7 @@ pub fn connect(world: &mpisim::World, setup: CoordSetup) -> Vec<CoordHandle> {
         coord.inboxes.clone(),
         coord.buffers.clone(),
     );
-    let coord = Arc::new(Mutex::new(coord));
+    let coord = Arc::new(Mutex::new(Driver::new(coord)));
     (0..world.size())
         .map(|rank| CoordHandle {
             rank,
@@ -1009,21 +836,25 @@ pub fn connect(world: &mpisim::World, setup: CoordSetup) -> Vec<CoordHandle> {
         .collect()
 }
 
-/// Teardown, once every rank is done with its handle: join the flush
-/// helper and take the coordinator's report.
+/// Teardown, once every rank is done with its handle: post the last
+/// flush's outcome and take the coordinator's report.
 pub fn finish(handles: Vec<CoordHandle>) -> CoordReport {
     // A poisoned lock means a rank panicked inside a transition; the
-    // launch already failed on that panic, and the helper still needs
+    // launch already failed on that panic, and the flush still needs
     // joining. Report pushes are each complete, so what is there is valid.
-    let mut coord = (handles[0].coord.lock()).unwrap_or_else(PoisonError::into_inner);
-    coord.join_flush();
-    std::mem::take(&mut coord.report)
+    let mut driver = (handles[0].coord.lock()).unwrap_or_else(PoisonError::into_inner);
+    driver.join();
+    std::mem::take(&mut driver.coord.report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flush;
+    use obs::EventKind;
     use splitproc::blobs::{BlobEntry, PutCost, PutMode};
+    use splitproc::store;
+    use splitproc::ImageHead;
     use std::io;
     use std::path::Path;
 
@@ -1157,11 +988,18 @@ mod tests {
     }
 
     /// A coordinator driven directly — no threads, no handles, no waiting —
-    /// that checks on every transition what must hold on every transition.
+    /// that checks on every transition what must hold on every transition,
+    /// and runs each flush job inline with one writer where the driver
+    /// would join its helper: before the next request, at once in exit
+    /// mode, and at [`Sim::settle`].
     struct Sim {
         c: Coordinator,
         /// Ranks whose `Finishing` was acknowledged: told nothing since.
         acked: Vec<bool>,
+        /// The job the last `Frozen` returned, not yet run.
+        pending: Option<FlushJob>,
+        /// The requesting rank's telemetry, for its `flush_wait` spans.
+        tel: obs::Telemetry,
     }
 
     impl Sim {
@@ -1171,6 +1009,7 @@ mod tests {
                 .map(|rank| Arc::new(Probe { rank, wire: wire() }))
                 .collect();
             let wakers = probes.iter().map(|p| p.clone() as UnparkerRef).collect();
+            let tel = obs::Telemetry::new(0, setup.trace.clone(), setup.metrics.clone());
             let c = Coordinator::new(setup, wakers);
             for p in probes {
                 let _ = p.wire.set((c.intent.clone(), c.inboxes.clone()));
@@ -1178,6 +1017,8 @@ mod tests {
             Sim {
                 c,
                 acked: vec![false; n],
+                pending: None,
+                tel,
             }
         }
 
@@ -1186,13 +1027,37 @@ mod tests {
         }
 
         fn round(&self) -> u64 {
-            self.c.round_ctr.load(Ordering::Acquire)
+            self.c.round()
         }
 
-        /// One transition; returns what it told each rank.
+        /// One transition and the flush it concludes, as the driver
+        /// performs them; returns what they told each rank.
         fn on(&mut self, msg: RankMsg) -> Vec<Vec<CoordMsg>> {
             let what = format!("{msg:?}");
-            self.c.on(msg);
+            if matches!(msg, RankMsg::RequestCkpt) && self.pending.is_some() {
+                let waiting = self.tel.begin(self.round() as i64, Phase::FlushWait);
+                self.settle();
+                self.tel.end(waiting);
+            }
+            if let Some(job) = self.c.on(msg) {
+                let ranks_wait = job.ranks_wait;
+                self.pending = Some(job);
+                if ranks_wait {
+                    self.settle();
+                }
+            }
+            self.told(&what)
+        }
+
+        /// Run the pending flush job, if any, and post its outcome.
+        fn settle(&mut self) {
+            if let Some(job) = self.pending.take() {
+                self.c.flushed(Some(flush::run(job, 1)));
+            }
+        }
+
+        /// What each rank was told since the last look.
+        fn told(&mut self, what: &str) -> Vec<Vec<CoordMsg>> {
             let told: Vec<Vec<CoordMsg>> = (self.c.inboxes.iter())
                 .map(|q| q.lock().unwrap().drain(..).collect())
                 .collect();
@@ -1447,7 +1312,7 @@ mod tests {
             skipped += 1;
             assert!(!sim.intent(), "nobody left to checkpoint");
         }
-        sim.c.join_flush();
+        sim.settle();
         let report = std::mem::take(&mut sim.c.report);
         assert_eq!(report.skipped_requests, skipped);
         let manifest = format!("gen_{r0:05}/MANIFEST");
@@ -1626,7 +1491,7 @@ mod tests {
         };
         let played = play(&s, bare());
         // Topo drain costs exactly 2 extra messages per rank on top of
-        // the base Ready/Go/Done/Resume four.
+        // the base Ready/Go/Frozen/Resume four.
         assert_eq!(played.report.rounds[0].coord_msgs, 6 * n as u64);
     }
 
@@ -1659,6 +1524,58 @@ mod tests {
     }
 
     #[test]
+    fn exit_mode_sends_its_verdict_on_the_posted_flush_outcome() {
+        let n = 3;
+        let fail = |ranks: &[usize]| ranks.iter().map(|r| format!("ckpt_rank_{r:05}")).collect();
+        // Committed, two images failed to land, the flush panicked.
+        for (case, failing) in [(0, vec![]), (1, fail(&[0, 2])), (2, vec![])] {
+            let ledger = Ledger::failing(failing);
+            let setup = CoordSetup {
+                exit_after_ckpt: true,
+                ckpt_store: Some((sim_store(Path::new("/mana2_sim"), ledger), 2)),
+                ..bare()
+            };
+            let mut sim = Sim::new(n, setup);
+            sim.quiet(RankMsg::RequestCkpt);
+            for rank in 0..n {
+                sim.on(RankMsg::Ready {
+                    rank,
+                    in_collective: None,
+                });
+            }
+            for rank in 1..n {
+                let image = frozen(100);
+                sim.quiet(RankMsg::Frozen { rank, image });
+            }
+            let image = frozen(100);
+            let job = (sim.c.on(RankMsg::Frozen { rank: 0, image })).expect("the round's job");
+            let told = sim.told("the last Frozen");
+            assert!(told.iter().all(Vec::is_empty), "case {case}: {told:?}");
+            assert!(sim.intent(), "case {case}: nobody released yet");
+            sim.c.flushed((case != 2).then(|| flush::run(job, 1)));
+            let verdict = match case {
+                0 => CoordMsg::Exit,
+                _ => CoordMsg::AbortRound { round: 0 },
+            };
+            assert_eq!(
+                sim.told("the outcome"),
+                vec![vec![verdict]; n],
+                "case {case}"
+            );
+            assert!(!sim.intent() && sim.round() == 1, "case {case}");
+            let report = &sim.c.report;
+            assert_eq!(report.rounds.len(), usize::from(case == 0), "case {case}");
+            let failed: Vec<Vec<usize>> = (report.aborted_rounds.iter())
+                .map(|a| a.failures.iter().map(|f| f.0).collect())
+                .collect();
+            let want = if case == 1 { vec![vec![0, 2]] } else { vec![] };
+            assert_eq!(failed, want, "case {case}");
+            let panicked = (case == 2).then_some("checkpoint flush panicked");
+            assert_eq!(report.invariant_violations, Vec::from_iter(panicked));
+        }
+    }
+
+    #[test]
     fn a_manifest_that_fails_after_release_aborts_the_round() {
         // Resume mode: every rank was released at Frozen and is not told;
         // the report records the round under `usize::MAX`.
@@ -1682,7 +1599,7 @@ mod tests {
         sim.quiet(RankMsg::Frozen { rank: 1, image });
         let image = frozen(100);
         sim.tells_all(RankMsg::Frozen { rank: 0, image }, |_| CoordMsg::Resume);
-        sim.c.join_flush();
+        sim.settle();
         let report = &sim.c.report;
         assert!(report.rounds.is_empty());
         assert_eq!(report.aborted_rounds.len(), 1);
@@ -1748,17 +1665,22 @@ mod tests {
         sim.quiet(RankMsg::Finishing { rank: 1 });
         sim.quiet(done(0));
         sim.tells_all(done(1), |_| CoordMsg::Resume);
-        sim.c.join_flush();
+        // Released, its flush not yet posted: a request (the driver joins
+        // the flush before any request runs).
+        assert!(sim.c.on(RankMsg::RequestCkpt).is_none());
+        assert!(!sim.intent(), "no round starts over an outstanding flush");
+        sim.settle();
         let report = &sim.c.report;
         assert_eq!(
             report.rounds[0].coord_msgs, 8,
             "refused messages are not counted"
         );
         let v = &report.invariant_violations;
-        assert_eq!(v.len(), 6, "{v:#?}");
+        assert_eq!(v.len(), 7, "{v:#?}");
         assert!(v[0].contains("Ready") && v[0].contains("outside a round"));
         assert!(v[2].contains("Frozen") && v[2].contains("during quiesce"));
         assert!(v[5].contains("Finishing") && v[5].contains("during write"));
+        assert!(v[6].contains("RequestCkpt") && v[6].contains("during a flush"));
     }
 
     #[test]
@@ -1818,8 +1740,8 @@ mod tests {
             kept.push((image.buf.as_ptr(), image.buf.capacity()));
             sim.on(RankMsg::Frozen { rank, image });
         }
-        assert!(sim.c.flush.is_some(), "the flush is handed to a helper");
-        sim.c.join_flush();
+        assert!(sim.pending.is_some(), "the last Frozen returned a job");
+        sim.settle();
         assert_eq!(sim.c.report.rounds.len(), 1);
         assert!(sim.c.report.invariant_violations.is_empty());
         // The generation is now committed and selectable.
@@ -1888,21 +1810,22 @@ mod tests {
         }
     }
 
-    /// Run `rounds` back-to-back resume-mode rounds of two ranks, each
+    /// Run `rounds` back-to-back resume-mode rounds of every rank, each
     /// rank encoding into whatever its slot holds — what a rank does.
     /// Returns each round's `(pointer, capacity)` of every rank's buffer.
     fn back_to_back(sim: &mut Sim, rounds: u64) -> Vec<Vec<(*const u8, usize)>> {
+        let n = sim.acked.len();
         let mut lent = Vec::new();
         for round in 0..rounds {
             sim.quiet(RankMsg::RequestCkpt);
-            for rank in 0..2 {
+            for rank in 0..n {
                 sim.on(RankMsg::Ready {
                     rank,
                     in_collective: None,
                 });
             }
             let mut bufs = Vec::new();
-            for rank in 0..2 {
+            for rank in 0..n {
                 let buf = std::mem::take(&mut *sim.c.buffers[rank].lock().unwrap());
                 let image = freeze(buf, rank, round, 64 << 10);
                 bufs.push((image.buf.as_ptr(), image.buf.capacity()));
@@ -1910,7 +1833,7 @@ mod tests {
             }
             lent.push(bufs);
         }
-        sim.c.join_flush();
+        sim.settle();
         lent
     }
 
@@ -2001,6 +1924,52 @@ mod tests {
         std::fs::remove_dir_all(&root).ok();
     }
 
+    /// The flush's durability sequence with one writer, as one list:
+    /// every rank's image in rank order, then the manifest, then what GC
+    /// removes; a failed image means no manifest and the generation
+    /// scrapped. Every buffer comes back as it was lent.
+    #[test]
+    fn one_writer_puts_images_in_rank_order_then_the_manifest_then_gc() {
+        let root = std::env::temp_dir().join(format!("mana2_coord_order_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let blobs = Slow::new(Duration::ZERO, false);
+        let setup = CoordSetup {
+            ckpt_store: Some((sim_store(&root, blobs.clone()), 1)),
+            ..bare()
+        };
+        let mut sim = Sim::new(3, setup);
+        let lent = back_to_back(&mut sim, 2);
+        let op = |op: &str, rel: &str| format!("{op} {}", root.join(rel).display());
+        let image = |rank| op("put", &format!("gen_00001/ckpt_rank_{rank:05}.mana"));
+        let mut want: Vec<String> = (0..3).map(image).collect();
+        want.push(op("put", "gen_00001/MANIFEST"));
+        want.push(op("rm", "gen_00000"));
+        let log = blobs.log.lock().unwrap().clone();
+        assert_eq!(log[log.len() - 5..], want[..], "{log:#?}");
+        for (rank, slot) in sim.c.buffers.iter().enumerate() {
+            let buf = slot.lock().unwrap();
+            assert_eq!((buf.as_ptr(), buf.capacity()), lent[1][rank], "rank {rank}");
+        }
+        std::fs::remove_dir_all(&root).ok();
+
+        let ledger = Ledger::failing(vec!["ckpt_rank_00001".into()]);
+        let setup = CoordSetup {
+            ckpt_store: Some((sim_store(Path::new("/mana2_sim"), ledger.clone()), 1)),
+            ..bare()
+        };
+        let mut sim = Sim::new(3, setup);
+        let lent = back_to_back(&mut sim, 1);
+        let image = |rank| format!("put /mana2_sim/gen_00000/ckpt_rank_{rank:05}.mana");
+        let mut want: Vec<String> = (0..3).map(image).collect();
+        want.push("rm /mana2_sim/gen_00000".into());
+        assert_eq!(*ledger.log.lock().unwrap(), want);
+        assert_eq!(sim.c.report.aborted_rounds.len(), 1);
+        for (rank, slot) in sim.c.buffers.iter().enumerate() {
+            let buf = slot.lock().unwrap();
+            assert_eq!((buf.as_ptr(), buf.capacity()), lent[0][rank], "rank {rank}");
+        }
+    }
+
     fn world(n: usize, engine: &str) -> mpisim::World {
         let cfg = mpisim::WorldCfg {
             engine: mpisim::EngineKind::parse(engine).expect("engine spec"),
@@ -2012,7 +1981,7 @@ mod tests {
     /// One round through real handles, each rank on its engine thread,
     /// ungated (a token per rank) and gated to two tokens.
     #[test]
-    fn one_round_through_real_handles_on_both_engines() {
+    fn one_round_through_real_handles_ungated_and_gated() {
         for engine in ["coop:3", "coop:2:7"] {
             let n = 3;
             let world = world(n, engine);
@@ -2051,6 +2020,122 @@ mod tests {
             assert_eq!(report.rounds.len(), 1, "{engine}");
             assert_eq!(report.rounds[0].coord_msgs, 4 * n as u64, "{engine}");
         }
+    }
+
+    /// A blob backend whose every put panics.
+    struct Panicking;
+
+    impl store::Blobs for Panicking {
+        fn put_atomic(&self, path: &Path, _: &[u8], _: PutMode) -> (PutCost, io::Result<()>) {
+            panic!("injected panic putting {}", path.display())
+        }
+        fn get(&self, _: &Path, _: Option<&mut Vec<u8>>) -> io::Result<u64> {
+            Err(io::ErrorKind::NotFound.into())
+        }
+        fn list(&self, _: &Path) -> io::Result<Vec<BlobEntry>> {
+            Ok(Vec::new())
+        }
+        fn remove(&self, _: &Path) -> io::Result<()> {
+            Ok(())
+        }
+        fn sync_dir(&self, _: &Path) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// An exit-mode flush that panics still reaches the state machine:
+    /// every rank hears `AbortRound` at once instead of waiting out
+    /// `RECV_CAP`, and the run is failed by the recorded violation.
+    #[test]
+    fn a_panicking_exit_mode_flush_releases_every_rank() {
+        let n = 3;
+        let world = world(n, "coop:2:7");
+        let setup = CoordSetup {
+            exit_after_ckpt: true,
+            ckpt_store: Some((sim_store(Path::new("/mana2_sim"), Panicking), 2)),
+            ..bare()
+        };
+        let handles = connect(&world, setup);
+        let t = Instant::now();
+        let ranks = world.launch(|proc| -> Result<CoordMsg> {
+            let (h, rank) = (handles[proc.rank()].clone(), proc.rank());
+            if rank == 0 {
+                h.request_checkpoint()?;
+            }
+            while !h.intent() {
+                proc.park(Duration::from_millis(1))?;
+            }
+            h.send(RankMsg::Ready {
+                rank,
+                in_collective: None,
+            })?;
+            assert_eq!(h.recv()?, CoordMsg::Go { round: 0 });
+            let image = frozen(80);
+            h.send(RankMsg::Frozen { rank, image })?;
+            let verdict = h.recv()?;
+            h.send(RankMsg::Finishing { rank })?;
+            assert_eq!(h.recv()?, CoordMsg::FinishAck);
+            Ok(verdict)
+        });
+        for r in ranks.expect("no rank panicked") {
+            assert_eq!(r.unwrap(), CoordMsg::AbortRound { round: 0 });
+        }
+        assert!(t.elapsed() < Duration::from_secs(5), "{:?}", t.elapsed());
+        let report = finish(handles);
+        assert_eq!(report.invariant_violations, ["checkpoint flush panicked"]);
+    }
+
+    /// The driver times a request's wait for the previous round's flush
+    /// on the requesting rank's ring, labelled with the round about to
+    /// run, and feeds `mana2_ckpt_flush_wait_ns`; a request with no flush
+    /// before it waits for nothing.
+    #[test]
+    fn a_request_records_its_flush_wait_on_its_own_ring() {
+        let n = 2;
+        let world = world(n, "coop:2:7");
+        let sink = obs::TraceSink::deterministic(n, 256);
+        let reg = met::MetricsRegistry::deterministic(n);
+        let setup = CoordSetup {
+            trace: Some(sink.clone()),
+            metrics: Some(reg.clone()),
+            ..bare()
+        };
+        let handles = connect(&world, setup);
+        let ranks = world.launch(|proc| -> Result<()> {
+            let (h, rank) = (handles[proc.rank()].clone(), proc.rank());
+            for round in 0..2 {
+                if rank == 0 {
+                    h.request_checkpoint()?;
+                }
+                while !h.intent() {
+                    proc.park(Duration::from_millis(1))?;
+                }
+                h.send(RankMsg::Ready {
+                    rank,
+                    in_collective: None,
+                })?;
+                assert_eq!(h.recv()?, CoordMsg::Go { round });
+                let image = frozen(80);
+                h.send(RankMsg::Frozen { rank, image })?;
+                assert_eq!(h.recv()?, CoordMsg::Resume);
+            }
+            h.send(RankMsg::Finishing { rank })?;
+            assert_eq!(h.recv()?, CoordMsg::FinishAck);
+            Ok(())
+        });
+        for r in ranks.expect("no rank panicked") {
+            r.unwrap();
+        }
+        assert_eq!(finish(handles).rounds.len(), 2);
+        let waits = |rank| -> Vec<i64> {
+            (sink.ring_events(rank).iter())
+                .filter(|e| matches!(e.kind, EventKind::Begin(p) | EventKind::End(p) if p == Phase::FlushWait))
+                .map(|e| e.round)
+                .collect()
+        };
+        assert_eq!((waits(0), waits(1)), (vec![1, 1], vec![]));
+        let snap = reg.snapshot();
+        assert_eq!(snap.hist("mana2_ckpt_flush_wait_ns").unwrap().count, 1);
     }
 
     /// A rank deaf to intent never parks, so `Go` never comes: the waiting

@@ -27,7 +27,7 @@
 //! | §III-H lambda vs prepare/finish wrappers | [`callbacks`] |
 //! | §III-I.1 vtable backends | [`vtable`] |
 //! | §III-K globally-unique communicator IDs | [`comm_mgr::global_comm_id`] |
-//! | coordinator protocol | [`coordinator`] |
+//! | coordinator protocol | [`coordinator`], its flush [`flush`] |
 //!
 //! ## Quick start
 //!
@@ -57,6 +57,7 @@ pub mod coordinator;
 mod drain_strategy;
 pub mod env;
 pub mod error;
+pub mod flush;
 pub mod fortran;
 pub mod fxhash;
 pub mod ids;

@@ -11,7 +11,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 /// Fixed row order for the phase table.
-const PHASE_ORDER: [&str; 13] = [
+const PHASE_ORDER: [&str; 14] = [
     "intent",
     "tpc_barrier",
     "emu_collective",
@@ -21,6 +21,7 @@ const PHASE_ORDER: [&str; 13] = [
     "image_write",
     "commit",
     "flush",
+    "flush_wait",
     "abort_round",
     "restart_validate",
     "restore_comms",

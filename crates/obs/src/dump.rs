@@ -376,6 +376,7 @@ mod tests {
             EventKind::Begin(Phase::ImageWrite),
             EventKind::Begin(Phase::Commit),
             EventKind::Begin(Phase::Flush),
+            EventKind::Begin(Phase::FlushWait),
             EventKind::Begin(Phase::AbortRound),
             EventKind::Begin(Phase::RestartValidate),
             EventKind::Begin(Phase::RestoreComms),

@@ -41,8 +41,13 @@ pub enum Phase {
     Commit,
     /// The coordinator's flush of a released round: every frozen image
     /// landed, the manifest committed and the store collected, behind the
-    /// running application (inline before the verdict in exit mode).
+    /// running application in resume mode, before the verdict in exit
+    /// mode.
     Flush,
+    /// A checkpoint request waiting for the previous round's flush to
+    /// finish, on the requesting rank (labelled with the round about to
+    /// run).
+    FlushWait,
     /// A round being aborted and rolled back.
     AbortRound,
     /// Restart-time generation selection and validation.
@@ -66,6 +71,7 @@ impl Phase {
             Phase::ImageWrite => "image_write",
             Phase::Commit => "commit",
             Phase::Flush => "flush",
+            Phase::FlushWait => "flush_wait",
             Phase::AbortRound => "abort_round",
             Phase::RestartValidate => "restart_validate",
             Phase::RestoreComms => "restore_comms",
@@ -86,6 +92,7 @@ impl Phase {
             "image_write" => Phase::ImageWrite,
             "commit" => Phase::Commit,
             "flush" => Phase::Flush,
+            "flush_wait" => Phase::FlushWait,
             "abort_round" => Phase::AbortRound,
             "restart_validate" => Phase::RestartValidate,
             "restore_comms" => Phase::RestoreComms,

@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 /// | rank        | `ImageWrite`  | `STORE_WRITE_NS`      |
 /// | rank        | `TpcBarrier`  | `TPC_BARRIER_WAIT_NS` |
 /// | rank        | `Drain{..}`   | `DRAIN_SWEEP_NS`      |
+/// | rank        | `FlushWait`   | `CKPT_FLUSH_WAIT_NS`  |
 ///
 /// Every other phase is trace-only and never reads the wall clock.
 fn phase_hist(actor: i32, phase: Phase) -> Option<MetricId> {
@@ -45,6 +46,7 @@ fn phase_hist(actor: i32, phase: Phase) -> Option<MetricId> {
         Phase::ImageWrite => Some(met::STORE_WRITE_NS),
         Phase::TpcBarrier => Some(met::TPC_BARRIER_WAIT_NS),
         Phase::Drain { .. } => Some(met::DRAIN_SWEEP_NS),
+        Phase::FlushWait => Some(met::CKPT_FLUSH_WAIT_NS),
         _ => None,
     }
 }
