@@ -8,7 +8,7 @@
 //! * `chunk::chunk_id` (the content address of every chunk the store
 //!   writes and verifies), `chunk::split` (gear-hash content-defined
 //!   chunking) and `chunk::chunk_payload` (the chunked write path's one
-//!   pass: split, key and payload CRC per chunk), unguided and — as
+//!   pass: split and key per chunk), unguided and — as
 //!   `chunk_payload_guided` — with 2 % of the buffer rewritten and the
 //!   unedited buffer's refs as the guide, which is what a `narrow_static`
 //!   round does;
@@ -17,8 +17,13 @@
 //! * `image_to_bytes` / `image_from_bytes` — the flat image file built and
 //!   parsed with its whole-file CRC (one CRC pass and one copy each);
 //! * `image_encode_into` — what a rank does instead of `image_to_bytes`:
-//!   the `UpperHalf` and a metadata value encoded straight into a file
-//!   buffer kept across iterations and sealed there.
+//!   the `UpperHalf` and a metadata value written over the image a kept
+//!   buffer holds (one compare-or-copy pass) and sealed there, checksumming
+//!   only the blocks that changed — here none, as in a round that rewrote
+//!   nothing;
+//! * `image_encode_into_edit` — the same with a different 2 % window of
+//!   the 2 MiB section rewritten before each iteration, which is what a
+//!   `narrow_flat` round does.
 //!
 //! `crc32_combine` is reported as time per call, at 1 KiB and 2 MiB: it is
 //! what the whole-file CRC costs now that no pass is made for it.
@@ -30,13 +35,18 @@
 //! (`upper_encode`) — beyond that a second pass has crept back in; and
 //! `crc32` at 2 MiB reading under 1.8 × `crc32_1k` means the lanes are
 //! gone (one lane is latency-bound at the `crc32_1k` rate, four overlap);
-//! and `image_encode_into` within 1.1 × of `image_to_bytes` — the rank's
-//! path is one copy and one CRC; and `chunk_payload_guided` at least
+//! and `image_encode_into` at least `image_to_bytes`' rate and
+//! `image_encode_into_edit` at least 2 × it — the rank's path is one
+//! compare-or-copy pass and the seal checksums only the changed blocks, so
+//! below that the block table is being missed; and `chunk_payload_guided`
+//! at least
 //! 2.5 × `chunk_payload` — a guided pass gear-hashes only the changed
 //! chunks, below that the guide is being missed.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use splitproc::{chunk, crc32, crc32_combine, ChunkParams, CkptImage, Decode, Encode, UpperHalf};
+use splitproc::{
+    chunk, crc32, crc32_combine, ChunkParams, CkptImage, Decode, Encode, ImageBuf, UpperHalf,
+};
 use std::hint::black_box;
 
 const LEN: usize = 2 << 20;
@@ -70,7 +80,11 @@ fn bench(c: &mut Criterion) {
         b.iter(|| chunk::split(black_box(&buf), params).len())
     });
     g.bench_function("chunk_payload", |b| {
-        b.iter(|| chunk::chunk_payload(black_box(&buf), params, &[]).crc)
+        b.iter(|| {
+            chunk::chunk_payload(black_box(&buf), params, &[])
+                .chunks
+                .len()
+        })
     });
     // A `narrow_static` round: 2 % of the buffer rewritten, the previous
     // recipe's refs as the guide.
@@ -84,7 +98,11 @@ fn bench(c: &mut Criterion) {
         *b ^= 0x5a;
     }
     g.bench_function("chunk_payload_guided", |b| {
-        b.iter(|| chunk::chunk_payload(black_box(&edited), params, &guide).crc)
+        b.iter(|| {
+            chunk::chunk_payload(black_box(&edited), params, &guide)
+                .chunks
+                .len()
+        })
     });
     let mut upper = UpperHalf::new();
     upper.write_segment("state", buf.clone());
@@ -110,9 +128,24 @@ fn bench(c: &mut Criterion) {
         b.iter(|| CkptImage::from_bytes_with_crc(black_box(&file)).map(|(_, crc)| crc))
     });
     let meta = buf[..1024].to_vec();
-    let mut kept = Vec::new();
+    let mut kept = ImageBuf::default();
     g.bench_function("image_encode_into", |b| {
         b.iter(|| {
+            let encoded = image
+                .head()
+                .encode_into(&mut kept, black_box(&upper), &meta);
+            encoded.seal().1
+        })
+    });
+    // Fifty 2 % windows, a different one flipped before each iteration.
+    let (window, mut next) = (LEN / 50, 0);
+    g.bench_function("image_encode_into_edit", |b| {
+        b.iter(|| {
+            let at = next % 50 * window;
+            next += 7;
+            for byte in &mut upper.segment_mut("state")[at..at + window] {
+                *byte ^= 0x5a;
+            }
             let encoded = image
                 .head()
                 .encode_into(&mut kept, black_box(&upper), &meta);

@@ -32,30 +32,11 @@ use mpisim::{Parker, UnparkerRef};
 use obs::metrics as met;
 use obs::Phase;
 use splitproc::store::Store;
+use splitproc::ImageBuf;
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-/// A rank's image, frozen: encoded into the buffer the rank keeps, behind
-/// the header gap ([`splitproc::ImageHead::encode_into`]), and lent to the
-/// coordinator until the flush has landed it and handed the buffer back.
-pub struct FrozenImage {
-    /// Header gap, serialized upper half, serialized MANA metadata.
-    pub buf: Vec<u8>,
-    /// Length of the upper-half section.
-    pub upper_len: usize,
-}
-
-impl fmt::Debug for FrozenImage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FrozenImage")
-            .field("bytes", &self.buf.len())
-            .field("upper_len", &self.upper_len)
-            .finish()
-    }
-}
 
 /// Rank → coordinator messages.
 #[derive(Debug)]
@@ -92,13 +73,16 @@ pub enum RankMsg {
         /// Bytes received from each peer (world-rank indexed).
         recvd: Vec<u64>,
     },
-    /// Drained and encoded: the rank lends its frozen image to the
-    /// coordinator and waits only for the verdict.
+    /// Drained and encoded: the rank lends its frozen image — encoded
+    /// into the buffer it keeps across rounds, behind the header gap
+    /// ([`splitproc::ImageHead::encode_into`]) — to the coordinator until
+    /// the flush has landed it and handed the buffer back, and waits only
+    /// for the verdict.
     Frozen {
         /// Reporting rank.
         rank: usize,
         /// The image, in the rank's kept buffer.
-        image: FrozenImage,
+        image: ImageBuf,
     },
     /// The application closure wants to finish; the rank blocks until the
     /// coordinator acknowledges (so a concurrent checkpoint round cannot
@@ -183,7 +167,7 @@ type Inbox = Mutex<VecDeque<CoordMsg>>;
 /// One rank's image buffer between checkpoints: the flush puts it back
 /// here once the image it holds has landed, and the rank takes it again
 /// for its next encode.
-pub(crate) type Slot = Mutex<Vec<u8>>;
+pub(crate) type Slot = Mutex<ImageBuf>;
 
 /// Longest a rank waits in [`CoordHandle::recv`] for the coordinator's next
 /// message. Nothing else in the protocol waits, so this is its one
@@ -317,7 +301,7 @@ impl CoordHandle {
     /// first checkpoint, afterwards the buffer its last image was frozen
     /// in. Taken after `Go`, it is always back: the round's request waited
     /// out the previous flush.
-    pub fn image_buf(&self) -> Vec<u8> {
+    pub fn image_buf(&self) -> ImageBuf {
         std::mem::take(
             &mut *self.buffers[self.rank]
                 .lock()
@@ -475,7 +459,7 @@ struct Tally {
     gids: Vec<u64>,
     quiesce: Duration,
     total_bytes: u64,
-    images: Vec<(usize, FrozenImage)>,
+    images: Vec<(usize, ImageBuf)>,
     /// Legacy drain: the totals reported since the last verdict.
     totals: Vec<(u64, u64)>,
     /// Topo-sort drain: `(rank, sent, recvd)` rows, in arrival order.
@@ -609,7 +593,7 @@ impl Coordinator {
                 Write(self.drain_rows(r, rank, sent, recvd))
             }
             (Write(mut r), Frozen { rank, image }) => {
-                r.tally.total_bytes += image.buf.len() as u64;
+                r.tally.total_bytes += image.len() as u64;
                 r.tally.images.push((rank, image));
                 r.tally.first_report.get_or_insert_with(Instant::now);
                 if !r.tally.hear(self.wakers.len()) {
@@ -854,9 +838,9 @@ mod tests {
     use obs::EventKind;
     use splitproc::blobs::{BlobEntry, PutCost, PutMode};
     use splitproc::store;
-    use splitproc::ImageHead;
+    use splitproc::{Encode, ImageHead, UpperHalf};
     use std::io;
-    use std::path::Path;
+    use std::path::{Path, PathBuf};
 
     /// Resume mode from round 0: nothing checked, stored, injected or
     /// recorded.
@@ -968,23 +952,30 @@ mod tests {
 
     /// A rank's frozen image: `upper` bytes of upper half and 8 of
     /// metadata, encoded for real into `buf`.
-    fn freeze(mut buf: Vec<u8>, rank: usize, round: u64, upper: usize) -> FrozenImage {
+    fn freeze(mut buf: ImageBuf, rank: usize, round: u64, upper: usize) -> ImageBuf {
         let head = ImageHead {
             rank,
             world_size: 2,
             round,
         };
-        let meta = vec![rank as u8; 8];
-        let upper_len = (head.encode_into(&mut buf, &vec![7u8; upper], &meta)).upper_len();
-        FrozenImage { buf, upper_len }
+        let mut state = UpperHalf::new();
+        state.write_segment("state", vec![7u8; upper]);
+        head.encode_into(&mut buf, &state, &vec![rank as u8; 8]);
+        buf
     }
 
-    /// A frozen image of `bytes` bytes in all, its sections never read.
-    fn frozen(bytes: usize) -> FrozenImage {
-        FrozenImage {
-            buf: vec![0; bytes],
-            upper_len: 10,
-        }
+    /// A frozen image of `bytes` bytes in all: an empty upper half and
+    /// metadata to fill it up (76 bytes are header and framing).
+    fn frozen(bytes: usize) -> ImageBuf {
+        let mut buf = ImageBuf::default();
+        let head = ImageHead {
+            rank: 0,
+            world_size: 2,
+            round: 0,
+        };
+        head.encode_into(&mut buf, &UpperHalf::new(), &vec![0u8; bytes - 76]);
+        assert_eq!(buf.len(), bytes);
+        buf
     }
 
     /// A coordinator driven directly — no threads, no handles, no waiting —
@@ -1736,8 +1727,8 @@ mod tests {
         }
         let mut kept = Vec::new();
         for rank in 0..n {
-            let image = freeze(Vec::new(), rank, 0, 32);
-            kept.push((image.buf.as_ptr(), image.buf.capacity()));
+            let image = freeze(ImageBuf::default(), rank, 0, 32);
+            kept.push((image.bytes().as_ptr(), image.capacity()));
             sim.on(RankMsg::Frozen { rank, image });
         }
         assert!(sim.pending.is_some(), "the last Frozen returned a job");
@@ -1750,7 +1741,7 @@ mod tests {
         // Every buffer is back in its rank's slot, as it was lent.
         for (rank, kept) in kept.into_iter().enumerate() {
             let buf = sim.c.buffers[rank].lock().unwrap();
-            assert_eq!((buf.as_ptr(), buf.capacity()), kept, "rank {rank}");
+            assert_eq!((buf.bytes().as_ptr(), buf.capacity()), kept, "rank {rank}");
         }
         std::fs::remove_dir_all(&root).ok();
     }
@@ -1828,7 +1819,7 @@ mod tests {
             for rank in 0..n {
                 let buf = std::mem::take(&mut *sim.c.buffers[rank].lock().unwrap());
                 let image = freeze(buf, rank, round, 64 << 10);
-                bufs.push((image.buf.as_ptr(), image.buf.capacity()));
+                bufs.push((image.bytes().as_ptr(), image.capacity()));
                 sim.on(RankMsg::Frozen { rank, image });
             }
             lent.push(bufs);
@@ -1880,7 +1871,11 @@ mod tests {
         // round 1 into: nothing fresh, nothing grown.
         for (rank, slot) in sim.c.buffers.iter().enumerate() {
             let buf = slot.lock().unwrap();
-            assert_eq!((buf.as_ptr(), buf.capacity()), lent[1][rank], "rank {rank}");
+            assert_eq!(
+                (buf.bytes().as_ptr(), buf.capacity()),
+                lent[1][rank],
+                "rank {rank}"
+            );
             assert_eq!(lent[2][rank], lent[1][rank], "rank {rank}");
         }
         // Two requests found a flush to join.
@@ -1948,7 +1943,11 @@ mod tests {
         assert_eq!(log[log.len() - 5..], want[..], "{log:#?}");
         for (rank, slot) in sim.c.buffers.iter().enumerate() {
             let buf = slot.lock().unwrap();
-            assert_eq!((buf.as_ptr(), buf.capacity()), lent[1][rank], "rank {rank}");
+            assert_eq!(
+                (buf.bytes().as_ptr(), buf.capacity()),
+                lent[1][rank],
+                "rank {rank}"
+            );
         }
         std::fs::remove_dir_all(&root).ok();
 
@@ -1966,7 +1965,134 @@ mod tests {
         assert_eq!(sim.c.report.aborted_rounds.len(), 1);
         for (rank, slot) in sim.c.buffers.iter().enumerate() {
             let buf = slot.lock().unwrap();
-            assert_eq!((buf.as_ptr(), buf.capacity()), lent[0][rank], "rank {rank}");
+            assert_eq!(
+                (buf.bytes().as_ptr(), buf.capacity()),
+                lent[0][rank],
+                "rank {rank}"
+            );
+        }
+    }
+
+    /// Every file under `root`, by path relative to it, with its bytes.
+    fn tree(root: &Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+        let mut files = std::collections::BTreeMap::new();
+        let mut dirs = vec![root.to_path_buf()];
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.is_dir() {
+                    dirs.push(path);
+                } else {
+                    let bytes = std::fs::read(&path).unwrap();
+                    files.insert(path.strip_prefix(root).unwrap().to_path_buf(), bytes);
+                }
+            }
+        }
+        files
+    }
+
+    /// Five rounds of two ranks — a first round, a window edit, no edit,
+    /// a segment ahead of the slab grown by a byte, the slab shrunk and
+    /// edited — flushed from the ranks' kept buffers, land in either
+    /// layout the very files, recipes, manifests and pool chunks that
+    /// writing the same images through `Store::write_image` lands: the
+    /// block table changes what is checksummed, never a byte on disk.
+    #[test]
+    fn kept_buffers_land_the_store_write_image_lands() {
+        let (n, retain) = (2, 2);
+        for mode in [store::StoreMode::Flat, store::StoreMode::Chunked] {
+            let dir = |side: &str| {
+                let name = format!(
+                    "mana2_coord_same_{side}_{}_{}",
+                    mode.name(),
+                    std::process::id()
+                );
+                let root = std::env::temp_dir().join(name);
+                let _ = std::fs::remove_dir_all(&root);
+                root
+            };
+            let (kept_root, ref_root) = (dir("kept"), dir("ref"));
+            let cfg = store::StoreConfig {
+                mode,
+                ..store::StoreConfig::default()
+            };
+            let reference = Store::open(&ref_root, cfg.clone());
+            let setup = CoordSetup {
+                ckpt_store: Some((Arc::new(Store::open(&kept_root, cfg)), retain)),
+                ..bare()
+            };
+            let mut sim = Sim::new(n, setup);
+            let mut uppers: Vec<UpperHalf> = (0..n)
+                .map(|rank| {
+                    let mut upper = UpperHalf::new();
+                    upper.write_segment("head", vec![rank as u8; 100]);
+                    let slab = (0..300_000u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8);
+                    upper.write_segment("slab", slab.collect());
+                    upper
+                })
+                .collect();
+            for round in 0..5u64 {
+                for (rank, upper) in uppers.iter_mut().enumerate() {
+                    let slab = upper.segment_mut("slab");
+                    match round {
+                        1 => slab[70_000 + rank..80_000].fill(0xEE),
+                        3 => upper.segment_mut("head").push(1),
+                        4 => {
+                            slab.truncate(200_000);
+                            slab[150_000] ^= 0xFF;
+                        }
+                        _ => {}
+                    }
+                }
+                sim.quiet(RankMsg::RequestCkpt);
+                for rank in 0..n {
+                    sim.on(RankMsg::Ready {
+                        rank,
+                        in_collective: None,
+                    });
+                }
+                let mut entries = Vec::new();
+                for (rank, upper) in uppers.iter().enumerate() {
+                    let head = ImageHead {
+                        rank,
+                        world_size: n,
+                        round,
+                    };
+                    let meta = vec![round as u8 ^ rank as u8; 40];
+                    let mut image = std::mem::take(&mut *sim.c.buffers[rank].lock().unwrap());
+                    head.encode_into(&mut image, upper, &meta);
+                    sim.on(RankMsg::Frozen { rank, image });
+                    let out = reference
+                        .write_image(&splitproc::CkptImage {
+                            rank,
+                            world_size: n,
+                            round,
+                            upper: upper.to_bytes(),
+                            meta: meta.to_bytes(),
+                        })
+                        .unwrap();
+                    entries.push(store::ManifestEntry {
+                        rank: rank as u64,
+                        bytes: out.bytes as u64,
+                        crc: out.crc,
+                    });
+                }
+                let world_size = n as u64;
+                let manifest = store::Manifest {
+                    round,
+                    world_size,
+                    entries,
+                };
+                reference.commit(&manifest).unwrap();
+                reference.gc(retain).unwrap();
+            }
+            sim.settle();
+            assert_eq!(sim.c.report.rounds.len(), 5, "{mode:?}");
+            let kept = tree(&kept_root);
+            assert!(kept.len() > 2 * retain, "{mode:?}: {:?}", kept.keys());
+            assert!(kept == tree(&ref_root), "{mode:?}: the trees differ");
+            std::fs::remove_dir_all(&kept_root).ok();
+            std::fs::remove_dir_all(&ref_root).ok();
         }
     }
 

@@ -10,14 +10,14 @@
 //! the application; exit mode sends its verdict on the outcome, since a
 //! rank must not exit before its image is durable.
 
-use crate::coordinator::{AbortedRound, CkptRoundStats, Coordinator, FrozenImage, RankMsg, Slot};
+use crate::coordinator::{AbortedRound, CkptRoundStats, Coordinator, RankMsg, Slot};
 use obs::metrics as met;
 use obs::{EventKind, Phase};
 use splitproc::store::{self, Store, StoreError, WriteOutcome};
-use splitproc::{EncodedImage, ImageHead};
+use splitproc::{EncodedImage, ImageBuf, ImageHead};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Writer threads a production flush splits the ranks' images over, its
 /// own thread being one. The flush competes with the resumed ranks for the
@@ -35,7 +35,7 @@ pub type Flushed = std::result::Result<CkptRoundStats, AbortedRound>;
 /// return.
 pub struct FlushJob {
     /// `(rank, image)`, in rank order.
-    pub(crate) images: Vec<(usize, FrozenImage)>,
+    pub(crate) images: Vec<(usize, ImageBuf)>,
     /// The round's stats but the flush's own duration.
     pub(crate) stats: CkptRoundStats,
     /// When the round raised intent.
@@ -55,15 +55,20 @@ pub struct FlushJob {
 /// caller's own being one), then commit the manifest and collect the
 /// store, or — if anything failed to land — scrap the generation; either
 /// way hand every buffer back to its rank's slot. The one place images are
-/// written.
+/// written. The on-CPU time of the calling thread and of every writer it
+/// spawned is observed into `mana2_ckpt_flush_cpu_ns`.
 pub fn run(mut job: FlushJob, writers: usize) -> Flushed {
     let flushing = Instant::now();
+    let on_cpu = on_cpu_ns(&job.tel);
+    let mut writers_cpu = 0;
     let (round, rnd) = (job.stats.round, job.stats.round as i64);
     let span = job.tel.begin(rnd, Phase::Flush);
     let mut failures = Vec::new();
     if let Some((store, retain)) = job.store.clone() {
         let mut entries = Vec::with_capacity(job.images.len());
-        for (rank, landed) in land(&mut job, &store, writers) {
+        let (landed, cpu) = land(&mut job, &store, writers);
+        writers_cpu = cpu;
+        for (rank, landed) in landed {
             match landed {
                 Ok(out) => entries.push(store::ManifestEntry {
                     rank: rank as u64,
@@ -100,9 +105,14 @@ pub fn run(mut job: FlushJob, writers: usize) -> Flushed {
     for (rank, image) in job.images.drain(..) {
         *job.buffers[rank]
             .lock()
-            .expect("buffer slot poisoned by a panic") = image.buf;
+            .expect("buffer slot poisoned by a panic") = image;
     }
     job.tel.end(span);
+    if on_cpu.is_some() {
+        let ns = writers_cpu + cpu_since(&job.tel, on_cpu);
+        job.tel
+            .observe(met::CKPT_FLUSH_CPU_NS, Duration::from_nanos(ns));
+    }
     if !failures.is_empty() {
         job.tel.add(met::ROUNDS_ABORTED, 1);
         return Err(AbortedRound { round, failures });
@@ -120,15 +130,12 @@ pub fn run(mut job: FlushJob, writers: usize) -> Flushed {
 /// records on a deferred handle that is replayed here in rank order,
 /// behind a `FlushRank` naming the rank, once all have joined — so what
 /// the coordinator's ring holds does not depend on which writer finished
-/// first. Returns `(rank, outcome)` in rank order.
-fn land(
-    job: &mut FlushJob,
-    store: &Store,
-    writers: usize,
-) -> Vec<(usize, std::result::Result<WriteOutcome, StoreError>)> {
+/// first. Returns `(rank, outcome)` in rank order, and the on-CPU
+/// nanoseconds of the writers it spawned.
+fn land(job: &mut FlushJob, store: &Store, writers: usize) -> (Landed, u64) {
     let (round, world_size) = (job.stats.round, job.buffers.len());
     let (tel, fault) = (&job.tel, &job.fault);
-    let write = |(rank, image): &mut (usize, FrozenImage)| {
+    let write = |(rank, image): &mut (usize, ImageBuf)| {
         let deferred = tel.deferred();
         let fault = fault.as_ref().and_then(|fp| fp.storage_fault(*rank, round));
         let store = store.for_write(round, deferred.clone(), fault.map(write_fault));
@@ -137,29 +144,64 @@ fn land(
             world_size,
             round,
         };
-        let image = EncodedImage::in_buffer(head, &mut image.buf, image.upper_len);
+        let image = EncodedImage::in_buffer(head, image);
         (*rank, deferred, store.write_encoded(image))
     };
-    let write_all = |part: &mut [(usize, FrozenImage)]| part.iter_mut().map(write).collect();
+    let write_all = |part: &mut [(usize, ImageBuf)]| part.iter_mut().map(write).collect();
     let per_writer = job.images.len().div_ceil(writers).max(1);
     let mut parts = job.images.chunks_mut(per_writer);
     let first = parts.next();
-    let landed: Vec<_> = std::thread::scope(|s| {
-        let spawned: Vec<_> = parts.map(|part| s.spawn(|| write_all(part))).collect();
+    let (landed, cpu): (Vec<_>, _) = std::thread::scope(|s| {
+        let spawned: Vec<_> = (parts)
+            .map(|part| {
+                s.spawn(|| {
+                    let start = on_cpu_ns(tel);
+                    let landed: Vec<_> = write_all(part);
+                    (landed, cpu_since(tel, start))
+                })
+            })
+            .collect();
         let mut landed: Vec<_> = first.map_or_else(Vec::new, write_all);
+        let mut cpu = 0;
         for h in spawned {
-            landed.extend(h.join().expect("image writer panicked"));
+            let (part, part_cpu) = h.join().expect("image writer panicked");
+            landed.extend(part);
+            cpu += part_cpu;
         }
-        landed
+        (landed, cpu)
     });
-    (landed.into_iter())
+    let landed = (landed.into_iter())
         .map(|(rank, deferred, outcome)| {
             let flush_rank = EventKind::FlushRank { rank: rank as u32 };
             job.tel.event(round as i64, flush_rank);
             job.tel.replay(&deferred);
             (rank, outcome)
         })
-        .collect()
+        .collect();
+    (landed, cpu)
+}
+
+/// `(rank, outcome)` of each image write, in rank order.
+type Landed = Vec<(usize, std::result::Result<WriteOutcome, StoreError>)>;
+
+/// Nanoseconds the calling thread has run on a CPU, from the first field
+/// of `/proc/thread-self/schedstat`; `None` where that file is absent
+/// (not Linux) or unreadable, and — sparing the read — when `tel` records
+/// no metrics.
+fn on_cpu_ns(tel: &obs::Telemetry) -> Option<u64> {
+    if !tel.metered() {
+        return None;
+    }
+    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+    stat.split_whitespace().next()?.parse().ok()
+}
+
+/// On-CPU nanoseconds of the calling thread since it read `start`
+/// ([`on_cpu_ns`]); 0 if either read came back empty.
+fn cpu_since(tel: &obs::Telemetry, start: Option<u64>) -> u64 {
+    start
+        .zip(on_cpu_ns(tel))
+        .map_or(0, |(start, end)| end.saturating_sub(start))
 }
 
 /// GC after a commit: generations beyond the retention window, the chunks

@@ -81,7 +81,7 @@ pub use comm_mgr::{global_comm_id, CommManager, CommRecord};
 pub use config::{CommRestore, DrainMode, ManaConfig, TpcMode};
 pub use coordinator::{
     topo_order, AbortedRound, CkptRoundStats, CommitCheck, CoordHandle, CoordReport, CoordSetup,
-    Coordinator, FrozenImage, TopoPlan,
+    Coordinator, TopoPlan,
 };
 pub use env::{from_env, ConfigError, EnvConfig};
 pub use error::{ManaError, Result};

@@ -23,7 +23,7 @@
 use crate::collective_emu::CollOpMeta;
 use crate::comm_mgr::{CommManager, CommMeta};
 use crate::config::{CommRestore, ManaConfig};
-use crate::coordinator::{CoordHandle, CoordMsg, FrozenImage, RankMsg};
+use crate::coordinator::{CoordHandle, CoordMsg, RankMsg};
 use crate::error::{ManaError, Result};
 use crate::ids::{VComm, VCOMM_WORLD};
 use crate::mana::Mana;
@@ -188,17 +188,16 @@ impl<'p> Mana<'p> {
             wins,
         };
         let mut buf = self.coord.image_buf();
-        let upper_len = head.encode_into(&mut buf, &self.upper, &meta).upper_len();
+        head.encode_into(&mut buf, &self.upper, &meta);
         self.drain_buf = meta.drain_buf;
         self.stats.ckpts += 1;
         self.tel.end(freeze);
         // Frozen: everything from here to the coordinator's verdict is
         // waiting for release.
         let release = self.tel.begin(r, Phase::Commit);
-        let image = FrozenImage { buf, upper_len };
         self.coord.send(RankMsg::Frozen {
             rank: self.rank(),
-            image,
+            image: buf,
         })?;
         let verdict = self
             .coord

@@ -283,6 +283,15 @@ std_set! {
     /// flush (image writes, manifest, GC) to finish.
     CKPT_FLUSH_WAIT_NS = "mana2_ckpt_flush_wait_ns", Histogram,
         "Wait of a checkpoint request for the previous round's flush";
+    /// Image payload bytes a store write checksummed for its section
+    /// CRCs: every byte written, less the blocks of a rank's kept buffer
+    /// that no encode has changed since they were last checksummed.
+    STORE_CRC_BYTES = "mana2_store_crc_bytes_total", Counter,
+        "Image payload bytes checksummed by store writes";
+    /// On-CPU time of one flush: its helper's and its writers' threads,
+    /// from `/proc/thread-self/schedstat` (no observation where absent).
+    CKPT_FLUSH_CPU_NS = "mana2_ckpt_flush_cpu_ns", Histogram,
+        "On-CPU time of one checkpoint flush's helper and writer threads";
 }
 
 // ---- log-linear histogram --------------------------------------------------

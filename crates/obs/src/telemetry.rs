@@ -115,6 +115,13 @@ impl Telemetry {
         !matches!(self.events, Events::Off)
     }
 
+    /// Is a metrics registry armed? Guard a sample that costs a system
+    /// call to take with this.
+    #[inline]
+    pub fn metered(&self) -> bool {
+        self.reg.is_some()
+    }
+
     /// Record a point event.
     #[inline]
     pub fn event(&self, round: i64, kind: EventKind) {

@@ -47,7 +47,7 @@
 
 use std::fmt;
 
-use crate::codec::{crc32, CodecError, Crc32, Decode, Reader};
+use crate::codec::{crc32, CodecError, Decode, Reader};
 use mpisim::splitmix64;
 
 /// Errors decoding a recipe file.
@@ -488,15 +488,15 @@ pub struct Chunked<'a> {
     /// Each chunk's ref beside its bytes (borrowed, nothing is copied),
     /// in order, covering the payload exactly.
     pub chunks: Vec<(ChunkRef, &'a [u8])>,
-    /// `crc32` of the whole payload.
-    pub crc: u32,
     /// Cuts taken from the guide instead of the gear hash.
     pub guided: usize,
 }
 
-/// One pass over a payload: cut it as [`split`] does and, for each chunk
-/// while the cut has just pulled it through the cache, key it and fold it
-/// into the payload's CRC-32.
+/// One pass over a payload: cut it as [`split`] does and key each chunk
+/// while the cut has just pulled it through the cache. It takes no CRC:
+/// the payload's CRC-32 comes from the image's block table
+/// (`EncodedImage::checksum`), which reads only the blocks the rank
+/// rewrote.
 ///
 /// `guide` is the same section's refs in an earlier recipe (empty: no
 /// guide). Where one of its chunks starts at the current offset, the
@@ -506,14 +506,14 @@ pub struct Chunked<'a> {
 /// its section, a cut a longer payload would not make, so it is reused
 /// only if `data` ends with it. Anywhere else the gear hash cuts, and the
 /// walk picks the guide up again at the next cut that lands on one of its
-/// boundaries. Ids, lengths and the CRC always come from `data` itself: a
+/// boundaries. Ids and lengths always come from `data` itself: a
 /// guide from other bytes or other params can cost speed or give valid
 /// but differently placed cuts, never a wrong ref.
 pub fn chunk_payload<'a>(data: &'a [u8], params: ChunkParams, guide: &[ChunkRef]) -> Chunked<'a> {
     let chunker = Chunker::new(data, params);
     let p = chunker.params;
     let guide_end = guide.iter().fold(0u64, |end, r| end.saturating_add(r.len));
-    let (mut chunks, mut crc, mut guided) = (Vec::new(), Crc32::new(), 0);
+    let (mut chunks, mut guided) = (Vec::new(), 0);
     // `old` is where `guide[g]` starts in the guide's payload.
     let (mut start, mut g, mut old) = (0usize, 0usize, 0u64);
     while start < data.len() {
@@ -546,7 +546,6 @@ pub fn chunk_payload<'a>(data: &'a [u8], params: ChunkParams, guide: &[ChunkRef]
             }
         };
         let slice = &data[start..end];
-        crc.update(slice);
         let cref = ChunkRef {
             id,
             len: slice.len() as u64,
@@ -554,11 +553,7 @@ pub fn chunk_payload<'a>(data: &'a [u8], params: ChunkParams, guide: &[ChunkRef]
         chunks.push((cref, slice));
         start = end;
     }
-    Chunked {
-        chunks,
-        crc: crc.finish(),
-        guided,
-    }
+    Chunked { chunks, guided }
 }
 
 #[cfg(test)]
@@ -668,14 +663,14 @@ mod tests {
     }
 
     fn recipe_of(data: &[u8]) -> Recipe {
-        let Chunked { chunks, crc, .. } = chunk_payload(data, ChunkParams::default(), &[]);
+        let chunks = chunk_payload(data, ChunkParams::default(), &[]).chunks;
         Recipe {
             rank: 3,
             world_size: 8,
             round: 2,
             upper_len: data.len() as u64,
             meta_len: 0,
-            upper_crc: crc,
+            upper_crc: crc32(data),
             meta_crc: crc32(&[]),
             upper_chunks: chunks.iter().map(|(r, _)| *r).collect(),
             meta_chunks: Vec::new(),

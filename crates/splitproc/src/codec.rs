@@ -528,7 +528,26 @@ static X_POW_2K: [u32; 32] = {
 /// plus one, a few dozen nanoseconds at any length — which is what lets an
 /// image's whole-file checksum fall out of its section checksums.
 pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
-    mul_mod_p(x_pow_8n(len_b), crc_a) ^ crc_b
+    CrcShift::of(len_b).join(crc_a, crc_b)
+}
+
+/// [`crc32_combine`] for any number of appended pieces of one length: the
+/// shift x^(8·len) mod P is computed once, so each join is one multiply —
+/// how an image's section CRC is joined from its block CRCs.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CrcShift(u32);
+
+impl CrcShift {
+    /// The shift that appending `len` bytes applies.
+    pub(crate) fn of(len: u64) -> CrcShift {
+        CrcShift(x_pow_8n(len))
+    }
+
+    /// The CRC-32 of `a ‖ b` from `crc32(a)` and `crc32(b)`, `b` being as
+    /// long as the shift says.
+    pub(crate) fn join(self, crc_a: u32, crc_b: u32) -> u32 {
+        mul_mod_p(self.0, crc_a) ^ crc_b
+    }
 }
 
 /// x^(8·`n`) mod P: the shift that appending `n` bytes applies to a CRC.

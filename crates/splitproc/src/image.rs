@@ -20,14 +20,32 @@
 //! ```
 //!
 //! The format has one writer and one reader. [`ImageHead::encode_into`]
-//! encodes the two sections into a caller's buffer behind a header gap and
-//! [`EncodedImage::seal`] fills the gap in; a rank keeps that buffer across
-//! rounds, and [`CkptImage::to_bytes_with_crc`] is the same encoder on a
-//! fresh one. `verify` checks a file, and the sections it vouches for are
+//! writes the two sections into a rank's kept [`ImageBuf`] behind a
+//! header gap and [`EncodedImage::seal`] fills the gap in;
+//! [`CkptImage::to_bytes_with_crc`] seals already-encoded sections into a
+//! fresh file. `verify` checks a file, and the sections it vouches for are
 //! then copied out ([`CkptImage::from_bytes_with_crc`]) or, by the store's
 //! reader, carved out of the file buffer itself (`Verified::carve`).
+//!
+//! **The block table.** An [`ImageBuf`] keeps, beside its bytes, a
+//! CRC-32 for each 64 KiB block (`CRC_BLOCK`) of the upper section (counted
+//! from the section's start; the last block may be short). A block's CRC
+//! is trusted only while it was computed from the bytes the block holds
+//! now, and nothing but the writer can change those bytes: the buffer
+//! hands out no `&mut` to them, and [`ImageHead::encode_into`] writes the
+//! new upper section over the previous one, comparing block by block and
+//! copying — and marking stale — only the blocks whose bytes differ. A
+//! block whose extent changes (the section now ends inside it, or ended
+//! inside it before) is stale too. Sealing checksums the stale blocks alone and joins
+//! all block CRCs into the section's ([`crc32_combine`]), so a round that
+//! rewrote 2 % of a 2 MiB image checksums about that much, and a table
+//! that is empty — a rank's first round, a restored rank — is checksummed
+//! in full. The metadata section has no table: it is encoded afresh every
+//! round (it holds the drain buffers and request tables of that round),
+//! so it is checksummed whole at every seal.
 
-use crate::codec::{crc32, crc32_combine, Encode};
+use crate::codec::{crc32, crc32_combine, CrcShift, Encode};
+use crate::UpperHalf;
 use std::borrow::Cow;
 use std::fmt;
 use std::io;
@@ -36,6 +54,11 @@ use std::path::{Path, PathBuf};
 const MAGIC: &[u8; 8] = b"MANA2CKP";
 const VERSION: u32 = 2;
 pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 * 5 + 4 * 2;
+
+/// Block size of an [`ImageBuf`]'s CRC table: a constant, not a knob. A
+/// 2 MiB upper section has 32 blocks, so a 2 % edit stales one or two,
+/// and the table costs 4 bytes and a bit per block.
+pub(crate) const CRC_BLOCK: usize = 64 << 10;
 
 /// Errors reading or writing checkpoint images.
 #[derive(Debug)]
@@ -87,91 +110,257 @@ pub struct ImageHead {
 }
 
 impl ImageHead {
-    /// The one encoder of the image format: clear `buf` (its capacity is
-    /// kept), leave a header-sized gap, and append the encodings of
-    /// `upper` and `meta` behind it — straight from the values, so a
-    /// buffer a rank keeps across rounds allocates nothing once it has
-    /// grown. The header is written by [`EncodedImage::seal`].
+    /// The one encoder of the image format: write the encodings of `upper`
+    /// and `meta` into `buf` behind a header-sized gap, over the image the
+    /// buffer held before — straight from the values, so a buffer a rank
+    /// keeps across rounds allocates nothing once it has grown. The upper
+    /// section is compared block by block as it is written — one pass,
+    /// which costs what the plain copy did — and only the blocks whose
+    /// bytes differ are copied and marked stale; the metadata section is
+    /// encoded afresh. The header is written by [`EncodedImage::seal`].
     ///
     /// The buffer never keeps more than twice what it holds: an image that
     /// fills less than half the capacity shrinks the buffer to fit.
     pub fn encode_into<'a>(
         self,
-        buf: &'a mut Vec<u8>,
-        upper: &impl Encode,
+        buf: &'a mut ImageBuf,
+        upper: &UpperHalf,
         meta: &impl Encode,
     ) -> EncodedImage<'a> {
-        buf.clear();
-        buf.resize(HEADER_LEN, 0);
-        upper.encode(buf);
-        let upper_len = buf.len() - HEADER_LEN;
-        meta.encode(buf);
-        if buf.len() < buf.capacity() / 2 {
-            buf.shrink_to_fit();
+        let bytes = &mut buf.bytes;
+        if bytes.len() < HEADER_LEN {
+            bytes.resize(HEADER_LEN, 0);
+        }
+        let mut w = Overwrite {
+            start: HEADER_LEN,
+            at: HEADER_LEN,
+            old: bytes.len(),
+            buf: bytes,
+            table: Some(&mut buf.blocks),
+        };
+        upper.write(&mut w);
+        let end = w.at;
+        buf.upper_len = end - HEADER_LEN;
+        buf.blocks.refit(buf.upper_len);
+        bytes.truncate(end);
+        meta.encode(bytes);
+        if bytes.len() < bytes.capacity() / 2 {
+            bytes.shrink_to_fit();
         }
         EncodedImage {
             head: self,
-            sections: Sections::InBuffer { buf, upper_len },
+            sections: Sections::InBuffer(buf),
+            crcs: None,
         }
+    }
+}
+
+/// A rank's kept image buffer: the bytes of the image last encoded into
+/// it (header gap, upper section, metadata section) and the CRC-32 of each
+/// 64 KiB block of its upper section, trusted block by block
+/// only while computed from the bytes the block holds now (see the module
+/// doc). Only [`ImageHead::encode_into`] writes the sections and only
+/// [`EncodedImage::seal`] the header; everyone else reads.
+#[derive(Default)]
+pub struct ImageBuf {
+    bytes: Vec<u8>,
+    upper_len: usize,
+    blocks: BlockCrcs,
+}
+
+impl ImageBuf {
+    /// Size of the image it holds (header + payloads); 0 before the first
+    /// encode.
+    pub fn len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// True before the first encode.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// The bytes it holds: the header (a gap until sealed) and both
+    /// sections.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The allocation's capacity.
+    pub fn capacity(&self) -> usize {
+        self.bytes.capacity()
+    }
+}
+
+impl fmt::Debug for ImageBuf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ImageBuf")
+            .field("bytes", &self.bytes.len())
+            .field("upper_len", &self.upper_len)
+            .finish()
+    }
+}
+
+/// The CRC-32s of an upper section's `CRC_BLOCK`-byte blocks.
+#[derive(Debug, Default)]
+struct BlockCrcs {
+    /// Length of the section the table is fitted to.
+    len: usize,
+    /// Block `k`'s CRC-32, trusted only if bit `k` of `fresh` is set.
+    crc: Vec<u32>,
+    fresh: Vec<u64>,
+}
+
+impl BlockCrcs {
+    fn is_fresh(&self, k: usize) -> bool {
+        self.fresh[k / 64] >> (k % 64) & 1 == 1
+    }
+
+    /// Block `k`'s bytes changed (a block past the table is no-one's).
+    fn stale(&mut self, k: usize) {
+        if let Some(word) = self.fresh.get_mut(k / 64) {
+            *word &= !(1 << (k % 64));
+        }
+    }
+
+    /// Fit the table to a section of `len` bytes. A block keeps its CRC
+    /// only if it covers the same bytes as before: the blocks both lengths
+    /// fill do; from the first block either leaves short, none does.
+    fn refit(&mut self, len: usize) {
+        let blocks = len.div_ceil(CRC_BLOCK);
+        self.crc.resize(blocks, 0);
+        self.fresh.resize(blocks.div_ceil(64), 0);
+        if len != self.len {
+            (len.min(self.len) / CRC_BLOCK..blocks).for_each(|k| self.stale(k));
+            self.len = len;
+        }
+    }
+
+    /// The CRC-32 of `section` (the `len` bytes the table is fitted to):
+    /// each stale block checksummed and marked fresh, then every block's
+    /// CRC joined in order, one multiply per full block. Returns it with
+    /// the bytes checksummed.
+    fn checksum(&mut self, section: &[u8]) -> (u32, usize) {
+        assert_eq!(section.len(), self.len, "table fitted to another section");
+        let full = CrcShift::of(CRC_BLOCK as u64);
+        let (mut crc, mut read) = (0, 0);
+        for (k, block) in section.chunks(CRC_BLOCK).enumerate() {
+            if !self.is_fresh(k) {
+                self.crc[k] = crc32(block);
+                self.fresh[k / 64] |= 1 << (k % 64);
+                read += block.len();
+            }
+            crc = match block.len() {
+                CRC_BLOCK => full.join(crc, self.crc[k]),
+                short => crc32_combine(crc, self.crc[k], short as u64),
+            };
+        }
+        (crc, read)
+    }
+}
+
+/// The writer of an upper section: appends an encoding to a buffer, or —
+/// over bytes the buffer already holds — compares it with them, copying
+/// and staling in the section's block table only the blocks that differ.
+/// What [`UpperHalf`] encodes through, into a rank's [`ImageBuf`] or
+/// (with no table and nothing to compare) onto any `Vec<u8>`.
+pub(crate) struct Overwrite<'a> {
+    buf: &'a mut Vec<u8>,
+    /// Where the section starts (its block 0's first byte).
+    start: usize,
+    /// Where the next byte goes.
+    at: usize,
+    /// End of the bytes held before: the writer compares below it and
+    /// appends at or above it.
+    old: usize,
+    table: Option<&'a mut BlockCrcs>,
+}
+
+impl<'a> Overwrite<'a> {
+    /// A writer that appends to `out`.
+    pub(crate) fn append(out: &'a mut Vec<u8>) -> Overwrite<'a> {
+        let end = out.len();
+        Overwrite {
+            buf: out,
+            start: end,
+            at: end,
+            old: end,
+            table: None,
+        }
+    }
+
+    /// Make room for `len` more bytes at the cursor.
+    pub(crate) fn reserve(&mut self, len: usize) {
+        let short = (self.at + len).saturating_sub(self.buf.len());
+        self.buf.reserve(short);
+    }
+
+    /// Write `bytes` at the cursor.
+    pub(crate) fn put(&mut self, mut bytes: &[u8]) {
+        while self.at < self.old && !bytes.is_empty() {
+            let off = self.at - self.start;
+            let n = (CRC_BLOCK - off % CRC_BLOCK)
+                .min(self.old - self.at)
+                .min(bytes.len());
+            let (now, rest) = bytes.split_at(n);
+            let held = &mut self.buf[self.at..self.at + n];
+            if held != now {
+                held.copy_from_slice(now);
+                if let Some(table) = self.table.as_deref_mut() {
+                    table.stale(off / CRC_BLOCK);
+                }
+            }
+            self.at += n;
+            bytes = rest;
+        }
+        self.buf.extend_from_slice(bytes);
+        self.at += bytes.len();
     }
 }
 
 /// An encoded image not yet sealed: its header fields and its two
-/// sections, either in a buffer behind a header gap
+/// sections, either in a rank's [`ImageBuf`] behind a header gap
 /// ([`ImageHead::encode_into`]) or borrowed from a [`CkptImage`]
 /// ([`CkptImage::encoded`]). It is what the store's one write routine
 /// takes: a flat write seals it, a chunked write reads its sections where
-/// they lie.
+/// they lie; both take the section CRCs from `EncodedImage::checksum`.
 pub struct EncodedImage<'a> {
     head: ImageHead,
     sections: Sections<'a>,
+    /// What `EncodedImage::checksum` found, once it has run.
+    crcs: Option<SectionCrcs>,
 }
 
 enum Sections<'a> {
-    InBuffer {
-        buf: &'a mut Vec<u8>,
-        upper_len: usize,
-    },
-    Borrowed {
-        upper: &'a [u8],
-        meta: &'a [u8],
-    },
+    InBuffer(&'a mut ImageBuf),
+    Borrowed { upper: &'a [u8], meta: &'a [u8] },
 }
 
-/// Raw section bytes, appended as they are (a `Vec<u8>`'s encoding would
-/// prefix the length).
-struct Raw<'a>(&'a [u8]);
-
-impl Encode for Raw<'_> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self.0);
-    }
+/// Both section CRCs of an image, and the payload bytes read to get them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SectionCrcs {
+    pub(crate) upper: u32,
+    pub(crate) meta: u32,
+    /// Payload bytes checksummed: every byte of borrowed sections; the
+    /// metadata and the stale upper blocks of a kept buffer.
+    pub(crate) read: usize,
 }
 
 impl<'a> EncodedImage<'a> {
     /// The image [`ImageHead::encode_into`] left in `buf`, taken up again
-    /// from the length of its upper section ([`EncodedImage::upper_len`])
     /// — how an encoded buffer travels without its borrow: a rank freezes
     /// its image and lends the buffer to the writer that seals it.
     ///
     /// # Panics
     ///
-    /// If `buf` is too short to hold a header and `upper_len` bytes.
-    pub fn in_buffer(head: ImageHead, buf: &'a mut Vec<u8>, upper_len: usize) -> EncodedImage<'a> {
-        assert!(
-            buf.len() >= HEADER_LEN + upper_len,
-            "{} bytes cannot hold an image with a {upper_len}-byte upper half",
-            buf.len()
-        );
+    /// If `buf` holds no image.
+    pub fn in_buffer(head: ImageHead, buf: &'a mut ImageBuf) -> EncodedImage<'a> {
+        assert!(!buf.is_empty(), "no image was encoded into this buffer");
         EncodedImage {
             head,
-            sections: Sections::InBuffer { buf, upper_len },
+            sections: Sections::InBuffer(buf),
+            crcs: None,
         }
-    }
-
-    /// Length of the serialized upper half.
-    pub fn upper_len(&self) -> usize {
-        self.sections().0.len()
     }
 
     /// The image's header fields.
@@ -182,7 +371,7 @@ impl<'a> EncodedImage<'a> {
     /// The serialized upper half and MANA metadata.
     pub(crate) fn sections(&self) -> (&[u8], &[u8]) {
         match &self.sections {
-            Sections::InBuffer { buf, upper_len } => buf[HEADER_LEN..].split_at(*upper_len),
+            Sections::InBuffer(buf) => buf.bytes[HEADER_LEN..].split_at(buf.upper_len),
             Sections::Borrowed { upper, meta } => (*upper, *meta),
         }
     }
@@ -193,45 +382,87 @@ impl<'a> EncodedImage<'a> {
         HEADER_LEN + upper.len() + meta.len()
     }
 
-    /// The image file and its CRC-32. A buffered image is sealed in
-    /// place: one CRC pass per section, then the header (which stores
-    /// both) into the gap; the file's CRC is combined from the header's
-    /// and the sections' ([`crc32_combine`]), so no payload byte is read
-    /// for it. Borrowed sections are first encoded into a fresh buffer.
-    pub fn seal(self) -> (Cow<'a, [u8]>, u32) {
-        let (buf, upper_len) = match self.sections {
-            Sections::InBuffer { buf, upper_len } => (buf, upper_len),
-            Sections::Borrowed { upper, meta } => {
-                let mut file = Vec::with_capacity(HEADER_LEN + upper.len() + meta.len());
-                let crc = self
-                    .head
-                    .encode_into(&mut file, &Raw(upper), &Raw(meta))
-                    .seal()
-                    .1;
-                return (Cow::Owned(file), crc);
+    /// Both section CRCs: a kept buffer's upper section's from its block
+    /// table, reading only the stale blocks; its metadata and borrowed
+    /// sections by one full pass each.
+    /// Computed once per image; a debug build checks the table's against a
+    /// full pass.
+    pub(crate) fn checksum(&mut self) -> SectionCrcs {
+        if let Some(crcs) = self.crcs {
+            return crcs;
+        }
+        let crcs = match &mut self.sections {
+            Sections::InBuffer(buf) => {
+                let (upper, meta) = buf.bytes[HEADER_LEN..].split_at(buf.upper_len);
+                let (upper, read) = buf.blocks.checksum(upper);
+                SectionCrcs {
+                    upper,
+                    meta: crc32(meta),
+                    read: read + meta.len(),
+                }
             }
+            Sections::Borrowed { upper, meta } => SectionCrcs {
+                upper: crc32(upper),
+                meta: crc32(meta),
+                read: upper.len() + meta.len(),
+            },
         };
-        let (upper, meta) = buf[HEADER_LEN..].split_at(upper_len);
-        let upper = (crc32(upper), upper.len());
-        let meta = (crc32(meta), meta.len());
-        let head = self.head;
-        let mut at = 0;
-        let mut put = |field: &[u8]| {
-            buf[at..at + field.len()].copy_from_slice(field);
-            at += field.len();
-        };
-        put(MAGIC);
-        put(&VERSION.to_le_bytes());
-        put(&(head.rank as u64).to_le_bytes());
-        put(&(head.world_size as u64).to_le_bytes());
-        put(&head.round.to_le_bytes());
-        put(&(upper.1 as u64).to_le_bytes());
-        put(&(meta.1 as u64).to_le_bytes());
-        put(&upper.0.to_le_bytes());
-        put(&meta.0.to_le_bytes());
-        let crc = file_crc(&buf[..HEADER_LEN], upper, meta);
-        (Cow::Borrowed(buf), crc)
+        #[cfg(debug_assertions)]
+        {
+            let (upper, meta) = self.sections();
+            let full = (crc32(upper), crc32(meta));
+            assert_eq!((crcs.upper, crcs.meta), full, "block CRC table out of date");
+        }
+        self.crcs = Some(crcs);
+        crcs
     }
+
+    /// The image file and its CRC-32. A buffered image is sealed in
+    /// place: the section CRCs from `EncodedImage::checksum`, then the
+    /// header (which stores both) into the gap; borrowed sections are
+    /// copied behind a header in a fresh buffer. The file's CRC is
+    /// combined from the header's and the sections' ([`crc32_combine`]),
+    /// so no payload byte is read for it.
+    pub fn seal(mut self) -> (Cow<'a, [u8]>, u32) {
+        let crcs = self.checksum();
+        let (upper_len, meta_len) = {
+            let (upper, meta) = self.sections();
+            (upper.len(), meta.len())
+        };
+        let header = header(self.head, (crcs.upper, upper_len), (crcs.meta, meta_len));
+        let crc = file_crc(&header, (crcs.upper, upper_len), (crcs.meta, meta_len));
+        let file = match self.sections {
+            Sections::InBuffer(buf) => {
+                buf.bytes[..HEADER_LEN].copy_from_slice(&header);
+                Cow::Borrowed(&buf.bytes[..])
+            }
+            Sections::Borrowed { upper, meta } => Cow::Owned([&header[..], upper, meta].concat()),
+        };
+        (file, crc)
+    }
+}
+
+/// The header of an image of `head` whose sections have these
+/// `(checksum, length)`s.
+fn header(head: ImageHead, upper: (u32, usize), meta: (u32, usize)) -> [u8; HEADER_LEN] {
+    let mut out = [0; HEADER_LEN];
+    let fields: [&[u8]; 9] = [
+        MAGIC,
+        &VERSION.to_le_bytes(),
+        &(head.rank as u64).to_le_bytes(),
+        &(head.world_size as u64).to_le_bytes(),
+        &head.round.to_le_bytes(),
+        &(upper.1 as u64).to_le_bytes(),
+        &(meta.1 as u64).to_le_bytes(),
+        &upper.0.to_le_bytes(),
+        &meta.0.to_le_bytes(),
+    ];
+    let mut at = 0;
+    for field in fields {
+        out[at..at + field.len()].copy_from_slice(field);
+        at += field.len();
+    }
+    out
 }
 
 /// One rank's checkpoint image.
@@ -279,6 +510,7 @@ impl CkptImage {
                 upper: &self.upper,
                 meta: &self.meta,
             },
+            crcs: None,
         }
     }
 
@@ -288,8 +520,8 @@ impl CkptImage {
     }
 
     /// Serialize to bytes, and return the file's CRC-32 with them: the
-    /// one encoder ([`ImageHead::encode_into`]) writing into a fresh
-    /// buffer, sealed ([`EncodedImage::seal`]).
+    /// sections behind their header in a fresh buffer
+    /// ([`EncodedImage::seal`]).
     pub fn to_bytes_with_crc(&self) -> (Vec<u8>, u32) {
         let (file, crc) = self.encoded().seal();
         (file.into_owned(), crc)
@@ -400,7 +632,6 @@ fn file_crc(header: &[u8], upper: (u32, usize), meta: (u32, usize)) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::UpperHalf;
 
     fn sample() -> CkptImage {
         CkptImage {
@@ -467,14 +698,14 @@ mod tests {
     #[test]
     fn encode_into_is_the_fresh_encoding_in_a_fresh_or_reused_buffer() {
         let sizes = [0, 1 << 10, (2 << 20) + 37];
-        let mut kept = Vec::new();
+        let mut kept = ImageBuf::default();
         // Largest first, so every later encode reuses a buffer with room
         // to spare (and must leave none of the earlier image behind).
         for (round, &len) in sizes.iter().rev().enumerate() {
             let (upper, meta, want) = state(len, round as u64);
             let (want_file, want_crc) = want.to_bytes_with_crc();
             for reused in [false, true] {
-                let mut fresh = Vec::new();
+                let mut fresh = ImageBuf::default();
                 let buf = if reused { &mut kept } else { &mut fresh };
                 let encoded = want.head().encode_into(buf, &upper, &meta);
                 assert_eq!(encoded.sections(), (&want.upper[..], &want.meta[..]));
@@ -483,32 +714,28 @@ mod tests {
                 assert_eq!((&file[..], crc), (&want_file[..], want_crc), "{len} B");
                 assert_eq!(crc, crc32(&file));
             }
-            assert_eq!(kept, want_file, "no stale tail after {len} B");
+            assert_eq!(kept.bytes(), want_file, "no stale tail after {len} B");
         }
     }
 
     #[test]
     fn a_same_size_encode_reuses_the_buffer_in_place() {
         let (upper, meta, image) = state((2 << 20) + 37, 1);
-        let mut buf = Vec::new();
+        let mut buf = ImageBuf::default();
         image.head().encode_into(&mut buf, &upper, &meta).seal();
-        let (ptr, cap) = (buf.as_ptr(), buf.capacity());
+        let (ptr, cap) = (buf.bytes().as_ptr(), buf.capacity());
         let (file, _) = image.head().encode_into(&mut buf, &upper, &meta).seal();
         assert_eq!(file, image.to_bytes());
-        assert_eq!((buf.as_ptr(), buf.capacity()), (ptr, cap));
+        assert_eq!((buf.bytes().as_ptr(), buf.capacity()), (ptr, cap));
     }
 
     #[test]
     fn an_image_taken_up_again_from_its_buffer_seals_as_encoded() {
         let (upper, meta, image) = state(3 << 10, 2);
-        let mut buf = Vec::new();
-        let upper_len = image
-            .head()
-            .encode_into(&mut buf, &upper, &meta)
-            .upper_len();
-        assert_eq!(upper_len, image.upper.len());
-        let ptr = buf.as_ptr();
-        let (file, crc) = EncodedImage::in_buffer(image.head(), &mut buf, upper_len).seal();
+        let mut buf = ImageBuf::default();
+        image.head().encode_into(&mut buf, &upper, &meta);
+        let ptr = buf.bytes().as_ptr();
+        let (file, crc) = EncodedImage::in_buffer(image.head(), &mut buf).seal();
         assert_eq!((&file[..], crc), (&image.to_bytes()[..], crc32(&file)));
         assert_eq!(file.as_ptr(), ptr, "sealed where it was encoded");
     }
@@ -516,7 +743,7 @@ mod tests {
     #[test]
     fn an_image_under_half_the_capacity_shrinks_the_buffer() {
         let (big_upper, big_meta, big) = state(64 << 10, 0);
-        let mut buf = Vec::new();
+        let mut buf = ImageBuf::default();
         big.head().encode_into(&mut buf, &big_upper, &big_meta);
         let cap = buf.capacity();
         // Above half the capacity: kept as it is.
@@ -533,6 +760,40 @@ mod tests {
         assert!(buf.len() >= buf.capacity() / 2);
     }
 
+    /// The payload bytes the next seal of `buf` checksums, and the file.
+    fn seal_read(buf: &mut ImageBuf, head: ImageHead, upper: &UpperHalf) -> (usize, Vec<u8>) {
+        let mut image = head.encode_into(buf, upper, &7u64);
+        let read = image.checksum().read;
+        (read, image.seal().0.into_owned())
+    }
+
+    #[test]
+    fn only_the_blocks_an_encode_rewrote_are_checksummed_again() {
+        let (mut upper, _, image) = state(4 * CRC_BLOCK, 0);
+        let head = image.head();
+        let mut buf = ImageBuf::default();
+        let meta = 8;
+        let all = image.upper.len() + meta;
+        assert_eq!(seal_read(&mut buf, head, &upper).0, all, "first round");
+        assert_eq!(seal_read(&mut buf, head, &upper).0, meta, "unchanged");
+        // One byte in the section's third block (the segment's payload
+        // starts 29 bytes into it: count, name length, name, length).
+        upper.segment_mut("state")[2 * CRC_BLOCK] ^= 1;
+        let (read, file) = seal_read(&mut buf, head, &upper);
+        assert_eq!(read, CRC_BLOCK + meta, "one block");
+        assert_eq!(file, CkptImage::from_bytes(&file).unwrap().to_bytes());
+        // One byte more: the last block now ends elsewhere.
+        upper.segment_mut("state").push(0);
+        let (read, _) = seal_read(&mut buf, head, &upper);
+        // The segment's length field (block 0) and the last block.
+        assert_eq!(read, CRC_BLOCK + 30 + meta, "the length and the last block");
+        // An encode that was never sealed leaves its blocks stale.
+        upper.segment_mut("state")[10] ^= 1;
+        head.encode_into(&mut buf, &upper, &7u64);
+        upper.segment_mut("state")[3 * CRC_BLOCK] ^= 1;
+        assert_eq!(seal_read(&mut buf, head, &upper).0, 2 * CRC_BLOCK + meta);
+    }
+
     #[test]
     fn carving_gives_what_the_copying_parse_gives() {
         for len in [0, 1 << 10, (2 << 20) + 37] {
@@ -543,6 +804,73 @@ mod tests {
             let carved = (verified.crc, verified.carve(file));
             assert_eq!((carved.1, carved.0), copied);
             assert_eq!(copied, (image, crc));
+        }
+    }
+
+    use proptest::prelude::*;
+
+    /// One step of a rank's life between two encodes (see
+    /// `the_block_table_never_lies`), decoded from four numbers.
+    fn step(upper: &mut UpperHalf, buf: &mut ImageBuf, (op, a, b, v): (u8, u32, u32, u8)) {
+        let slab_len = upper.segment("slab").map_or(0, <[u8]>::len);
+        let ahead = format!("a{}", a % 4);
+        match op {
+            // Rewrite a range of the slab.
+            0 | 1 => {
+                let start = a as usize % slab_len.max(1);
+                let end = (start + b as usize % (2 * CRC_BLOCK)).min(slab_len);
+                upper.segment_mut("slab")[start..end].fill(v);
+            }
+            // Grow or shrink the slab, or a segment ahead of it.
+            2 => upper
+                .segment_mut("slab")
+                .resize(a as usize % (4 * CRC_BLOCK), v),
+            3 => upper.segment_mut(&ahead).resize(b as usize % 300, v),
+            // Insert or remove a segment ahead of the slab.
+            4 => upper.write_segment(&ahead, vec![v; b as usize % 100]),
+            5 => {
+                upper.remove_segment(&ahead);
+            }
+            // A restore: the rank starts over with an empty buffer.
+            _ => *buf = ImageBuf::default(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// After any sequence of edits, resizes, segment inserts and
+        /// removals ahead of the slab, buffer drops and skipped seals,
+        /// every seal's section CRCs and file CRC are those of its bytes.
+        #[test]
+        fn the_block_table_never_lies(
+            steps in proptest::collection::vec(
+                ((0u8..7, any::<u32>(), any::<u32>(), any::<u8>()), any::<bool>()),
+                1..10,
+            ),
+        ) {
+            let mut upper = UpperHalf::new();
+            let slab = (0..3 * CRC_BLOCK as u32 + 77).map(|i| (i.wrapping_mul(31) >> 3) as u8);
+            upper.write_segment("slab", slab.collect());
+            let mut buf = ImageBuf::default();
+            for (round, (op, sealed)) in steps.into_iter().enumerate() {
+                step(&mut upper, &mut buf, op);
+                let head = ImageHead { rank: 1, world_size: 2, round: round as u64 };
+                let meta = vec![op.3; op.1 as usize % 70];
+                let image = head.encode_into(&mut buf, &upper, &meta);
+                // A store-less job never seals.
+                if !sealed {
+                    continue;
+                }
+                let (file, crc) = image.seal();
+                let (upper_len, meta_len) = (upper.to_bytes().len(), meta.to_bytes().len());
+                let (u, m) = file[HEADER_LEN..].split_at(upper_len);
+                prop_assert_eq!(m.len(), meta_len);
+                prop_assert_eq!(&file[52..56], &crc32(u).to_le_bytes()[..]);
+                prop_assert_eq!(&file[56..60], &crc32(m).to_le_bytes()[..]);
+                prop_assert_eq!(crc, crc32(&file));
+                prop_assert_eq!(u, &upper.to_bytes()[..]);
+            }
         }
     }
 

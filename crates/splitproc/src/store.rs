@@ -40,7 +40,7 @@ use crate::blobs::PutMode;
 pub use crate::blobs::{Blobs, FaultyBlobs, LocalFs, WriteFault};
 use crate::chunk::{self, ChunkId, ChunkParams, ChunkRef, Recipe};
 use crate::codec::{crc32, Crc32};
-use crate::image::{self, CkptImage, EncodedImage, ImageHead};
+use crate::image::{self, CkptImage, EncodedImage, ImageHead, SectionCrcs};
 use obs::metrics as met;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -263,6 +263,10 @@ pub struct WriteOutcome {
     /// Batched directory-fsync rounds for the chunk pool (0 or 1 per
     /// image write; 0 in flat mode).
     pub fsync_batches: u32,
+    /// Payload bytes checksummed for the section CRCs: all of them for a
+    /// borrowed image, only the blocks its rank rewrote for one in a kept
+    /// buffer ([`crate::ImageBuf`]).
+    pub crc_bytes: usize,
 }
 
 /// One generation as found on disk.
@@ -574,18 +578,22 @@ impl Store {
     // ---- writes ------------------------------------------------------------
 
     /// Durably write `image` into its generation directory: the store's
-    /// one rank-write routine. Flat mode seals the image
+    /// one rank-write routine. Both layouts take the section CRCs from
+    /// the image (`EncodedImage::checksum`: a rank's kept buffer reads
+    /// only the blocks it rewrote). Flat mode seals the image
     /// ([`EncodedImage::seal`] — in place when it was encoded into a
     /// rank's buffer) and lands it as one self-contained file; chunked
     /// mode cuts its two sections where they lie, lands the chunks the
     /// pool does not hold yet, then a recipe. Either way the rank's file
     /// is its commit point and lands last, and the outcome reports that
     /// file's intended bytes and CRC — what the coordinator is told.
-    pub fn write_encoded(&self, image: EncodedImage<'_>) -> Result<WriteOutcome, StoreError> {
+    pub fn write_encoded(&self, mut image: EncodedImage<'_>) -> Result<WriteOutcome, StoreError> {
         let head = image.head();
         let dir = generation_dir(&self.root, head.round);
+        let crcs = image.checksum();
         let mut out = WriteOutcome {
             logical_bytes: image.size_bytes(),
+            crc_bytes: crcs.read,
             ..WriteOutcome::default()
         };
         // The flat file's checksum comes with its bytes, combined from the
@@ -599,7 +607,7 @@ impl Store {
             }
             StoreMode::Chunked => {
                 let bytes = self
-                    .write_chunks(head, image.sections(), &mut out)?
+                    .write_chunks(head, image.sections(), crcs, &mut out)?
                     .to_bytes();
                 out.crc = crc32(&bytes);
                 (recipe_path_for(&dir, head.rank), Cow::Owned(bytes))
@@ -628,6 +636,7 @@ impl Store {
         // the dedup win.
         self.tel
             .add(met::STORE_BYTES_WRITTEN, out.logical_bytes as u64);
+        self.tel.add(met::STORE_CRC_BYTES, out.crc_bytes as u64);
         self.tel
             .add(met::STORE_PHYSICAL_BYTES, out.physical_bytes as u64);
         self.tel.add(met::STORE_WRITE_RETRIES, out.retries as u64);
@@ -652,16 +661,17 @@ impl Store {
     }
 
     /// The pool half of a chunked write: one pass over each section cuts
-    /// it at content-defined boundaries, keys each chunk and takes the
-    /// section's CRC ([`chunk::chunk_payload`], guided by the rank's
-    /// previous recipe — [`Store::guide`]); then land the chunks the
-    /// pool does not hold (bounded parallel writers, then one directory
-    /// sync per touched shard and one for the pool), and return the recipe
-    /// naming them.
+    /// it at content-defined boundaries and keys each chunk
+    /// ([`chunk::chunk_payload`], guided by the rank's previous recipe —
+    /// [`Store::guide`]); then land the chunks the pool does not hold
+    /// (bounded parallel writers, then one directory sync per touched
+    /// shard and one for the pool), and return the recipe naming them and
+    /// carrying the section CRCs `crcs`.
     fn write_chunks(
         &self,
         head: ImageHead,
         (upper, meta): (&[u8], &[u8]),
+        crcs: SectionCrcs,
         out: &mut WriteOutcome,
     ) -> Result<Recipe, StoreError> {
         let (upper_len, meta_len) = (upper.len() as u64, meta.len() as u64);
@@ -717,8 +727,8 @@ impl Store {
             round: head.round,
             upper_len,
             meta_len,
-            upper_crc: upper.crc,
-            meta_crc: meta.crc,
+            upper_crc: crcs.upper,
+            meta_crc: crcs.meta,
             upper_chunks: ids(&upper.chunks),
             meta_chunks: ids(&meta.chunks),
         })
@@ -2175,8 +2185,8 @@ mod tests {
             round: image.round,
             upper_len: image.upper.len() as u64,
             meta_len: image.meta.len() as u64,
-            upper_crc: upper.crc,
-            meta_crc: meta.crc,
+            upper_crc: crc32(&image.upper),
+            meta_crc: crc32(&image.meta),
             upper_chunks: refs(&upper),
             meta_chunks: refs(&meta),
         }
@@ -2215,6 +2225,71 @@ mod tests {
             &new.meta_chunks,
             new.meta_len,
         )
+    }
+
+    /// One rank's 2 MiB image written from its kept buffer, round after
+    /// round, in either layout: `mana2_store_crc_bytes_total` grows by
+    /// every payload byte in the first round, by at most the two blocks a
+    /// 42 KiB edit touches (plus the metadata) in the next, by the
+    /// metadata alone in an unchanged round, and by every block from a
+    /// grown segment's offset on when a segment ahead of the slab grows by
+    /// one byte.
+    #[test]
+    fn seal_checksums_only_rewritten_blocks() {
+        use crate::image::CRC_BLOCK;
+        use crate::{Encode, ImageBuf, UpperHalf};
+        for mode in [StoreMode::Flat, StoreMode::Chunked] {
+            let root = tdir(&format!("crc_bytes_{}", mode.name()));
+            let reg = obs::metrics::MetricsRegistry::deterministic(1);
+            let tel = obs::Telemetry::new(0, None, Some(reg.clone()));
+            let cfg = StoreConfig {
+                mode,
+                ..StoreConfig::default()
+            };
+            let store = Store::new(&root, cfg, tel, Box::new(LocalFs));
+            let mut upper = UpperHalf::new();
+            upper.write_segment("a_lead", vec![1; 300 << 10]);
+            upper.write_segment("b_grows", vec![2; 100]);
+            let slab = (0..2u32 << 20).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8);
+            upper.write_segment("slab", slab.collect());
+            let meta = vec![3u8; 500];
+            let mut buf = ImageBuf::default();
+            let mut last = 0;
+            let mut round = |upper: &UpperHalf, round: u64| {
+                let head = ImageHead {
+                    rank: 0,
+                    world_size: 1,
+                    round,
+                };
+                let out = store
+                    .write_encoded(head.encode_into(&mut buf, upper, &meta))
+                    .unwrap();
+                let total = reg.snapshot().value("mana2_store_crc_bytes_total").unwrap();
+                assert_eq!(total - last, out.crc_bytes as u64);
+                last = total;
+                out.crc_bytes
+            };
+            let (upper_len, meta_len) = (upper.to_bytes().len(), meta.to_bytes().len());
+            assert_eq!(
+                round(&upper, 0),
+                upper_len + meta_len,
+                "{mode:?}: first round"
+            );
+            upper.segment_mut("slab")[1 << 20..(1 << 20) + (42 << 10)].fill(0xEE);
+            let edited = round(&upper, 1);
+            assert!(edited > meta_len, "{mode:?}: the edit was seen");
+            assert!(edited <= 2 * CRC_BLOCK + meta_len, "{mode:?}: {edited} B");
+            assert_eq!(round(&upper, 2), meta_len, "{mode:?}: unchanged");
+            // `b_grows`'s length field sits behind the count, `a_lead`'s
+            // framing and payload, and its own name.
+            let at = 8 + (8 + 6 + 8 + (300 << 10)) + 8 + 7;
+            upper.segment_mut("b_grows").push(2);
+            let from = at / CRC_BLOCK * CRC_BLOCK;
+            assert!(from > 0);
+            let grown = round(&upper, 3);
+            assert_eq!(grown, upper_len + 1 - from + meta_len, "{mode:?}: grown");
+            fs::remove_dir_all(&root).ok();
+        }
     }
 
     /// Resume-mode chunked rounds with window edits, an aborted round, a

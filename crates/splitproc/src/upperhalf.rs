@@ -10,6 +10,7 @@
 //! endpoint) is ever saved.
 
 use crate::codec::{CodecError, Decode, Encode, Reader};
+use crate::image::Overwrite;
 use std::collections::BTreeMap;
 
 /// Checkpointable application memory: named segments of bytes.
@@ -76,15 +77,31 @@ impl UpperHalf {
     }
 }
 
-impl Encode for UpperHalf {
-    fn encode(&self, out: &mut Vec<u8>) {
-        // Exactly what the map encodes to (a count, then a length-prefixed
-        // name and a length-prefixed payload per segment), reserved up
-        // front: one allocation instead of doubling through megabytes.
+impl UpperHalf {
+    /// The one encoder of an upper half, through the image writer: onto a
+    /// `Vec<u8>` ([`Encode`]) or over the image a rank's kept buffer
+    /// holds ([`crate::ImageHead::encode_into`]). The bytes are what the
+    /// map encodes to — a count, then a length-prefixed name and a
+    /// length-prefixed payload per segment — with the exact length
+    /// reserved up front: one allocation instead of doubling through
+    /// megabytes.
+    pub(crate) fn write(&self, w: &mut Overwrite<'_>) {
         let framing = 8 + 16 * self.segments.len();
         let names: usize = self.segments.keys().map(|k| k.len()).sum();
-        out.reserve(framing + names + self.total_bytes());
-        self.segments.encode(out);
+        w.reserve(framing + names + self.total_bytes());
+        w.put(&(self.segments.len() as u64).to_le_bytes());
+        for (name, payload) in &self.segments {
+            w.put(&(name.len() as u64).to_le_bytes());
+            w.put(name.as_bytes());
+            w.put(&(payload.len() as u64).to_le_bytes());
+            w.put(payload);
+        }
+    }
+}
+
+impl Encode for UpperHalf {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.write(&mut Overwrite::append(out));
     }
 }
 

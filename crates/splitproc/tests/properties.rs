@@ -204,19 +204,18 @@ proptest! {
     }
 
     #[test]
-    fn fused_chunk_payload_equals_split_then_key_then_crc(
+    fn fused_chunk_payload_equals_split_then_key(
         data in proptest::collection::vec(any::<u8>(), 0..8192),
         min_size in 0usize..600,
         avg_size in 0usize..2000,
         max_size in 0usize..5000,
     ) {
         // Arbitrary (also unordered, also tiny) params: the one pass must
-        // agree with the three it replaced, whatever `normalized` makes of
+        // agree with the two it replaced, whatever `normalized` makes of
         // them.
         let params = ChunkParams { min_size, avg_size, max_size };
-        let chunk::Chunked { chunks, crc, guided } = chunk::chunk_payload(&data, params, &[]);
+        let chunk::Chunked { chunks, guided } = chunk::chunk_payload(&data, params, &[]);
         prop_assert_eq!(guided, 0);
-        prop_assert_eq!(crc, crc32(&data));
         let ranges = chunk::split(&data, params);
         prop_assert_eq!(chunks.len(), ranges.len());
         for ((cref, bytes), range) in chunks.iter().zip(ranges) {
@@ -246,7 +245,7 @@ fn params_from((min_size, avg_size, max_size): (usize, usize, usize)) -> ChunkPa
 
 /// What any chunking of `data` must be, guided or not: refs in order that
 /// cover `data` exactly, each the id and length of its own bytes, shaped
-/// as the chunker shapes them, and the CRC of the whole payload.
+/// as the chunker shapes them.
 fn assert_recipe_of(
     data: &[u8],
     params: ChunkParams,
@@ -273,7 +272,6 @@ fn assert_recipe_of(
         pos += len;
     }
     prop_assert_eq!(pos, data.len());
-    prop_assert_eq!(out.crc, crc32(data));
     prop_assert!(out.guided <= out.chunks.len());
     Ok(())
 }
@@ -283,7 +281,7 @@ proptest! {
 
     /// (a) Same params, same length, 0–3 rewritten windows plus optional
     /// edits of the first and the last byte: the guided pass is the
-    /// unguided pass, ref for ref and CRC for CRC — only faster.
+    /// unguided pass, ref for ref — only faster.
     #[test]
     fn guided_chunking_equals_unguided_after_window_edits(
         old in proptest::collection::vec(any::<u8>(), 1..6000),
@@ -311,7 +309,6 @@ proptest! {
         let guided = chunk::chunk_payload(&new, params, &guide);
         let unguided = chunk::chunk_payload(&new, params, &[]);
         prop_assert_eq!(&guided.chunks, &unguided.chunks);
-        prop_assert_eq!(guided.crc, unguided.crc);
         assert_recipe_of(&new, params, &guided)?;
         if new == old {
             prop_assert_eq!(guided.guided, guided.chunks.len(), "an unchanged payload re-cuts nothing");
