@@ -15,7 +15,10 @@
 //! * `upper_encode` / `upper_decode` — an `UpperHalf` of one 2 MiB segment
 //!   through the codec's byte path (a copy);
 //! * `image_to_bytes` / `image_from_bytes` — the flat image file built and
-//!   parsed with its whole-file CRC (one CRC pass and one copy each);
+//!   parsed with its whole-file CRC (one CRC pass and one copy each): a
+//!   decoded image's sections copied into a fresh `ImageBuf`, every block
+//!   of it stale, and sealed there — the routine a rank's kept buffer
+//!   goes through — and the file verified and copied out;
 //! * `image_encode_into` — what a rank does instead of `image_to_bytes`:
 //!   the `UpperHalf` and a metadata value written over the image a kept
 //!   buffer holds (one compare-or-copy pass) and sealed there, checksumming
@@ -131,10 +134,10 @@ fn bench(c: &mut Criterion) {
     let mut kept = ImageBuf::default();
     g.bench_function("image_encode_into", |b| {
         b.iter(|| {
-            let encoded = image
-                .head()
-                .encode_into(&mut kept, black_box(&upper), &meta);
-            encoded.seal().1
+            let head = image.head();
+            head.encode_into(&mut kept, black_box(&upper), &meta)
+                .seal()
+                .1
         })
     });
     // Fifty 2 % windows, a different one flipped before each iteration.
@@ -146,10 +149,10 @@ fn bench(c: &mut Criterion) {
             for byte in &mut upper.segment_mut("state")[at..at + window] {
                 *byte ^= 0x5a;
             }
-            let encoded = image
-                .head()
-                .encode_into(&mut kept, black_box(&upper), &meta);
-            encoded.seal().1
+            let head = image.head();
+            head.encode_into(&mut kept, black_box(&upper), &meta)
+                .seal()
+                .1
         })
     });
     g.finish();

@@ -500,9 +500,10 @@ fn damaged_generation(
 /// Run one storage-fault scenario end to end and check the durability
 /// contract for its (kind, mode) cell:
 ///
-/// - `WriteError` — the round must abort via `AbortRound`, every rank must
-///   resume and finish with native-identical results, and (in restart
-///   mode) the previously committed generation must survive untouched.
+/// - `WriteError` — the round must abort (recorded in
+///   `CoordReport::aborted_rounds`), every rank must resume and finish
+///   with native-identical results, and (in restart mode) the previously
+///   committed generation must survive untouched.
 /// - `TornWrite` / `BitFlip` — the damage is silent at commit time, so the
 ///   round commits; restart-time validation must reject the damaged
 ///   generation, falling back to the older committed one when there is
@@ -601,8 +602,12 @@ fn storage_legs(
             "protocol: round 1 should abort, round 0 stay"
         );
         ensure!(
-            leg2.report.rank_stats.iter().all(|s| s.ckpt_aborts == 1),
-            "protocol: every rank must observe the abort"
+            coord.aborted_rounds[0].round == 1,
+            "protocol: the aborted round must be round 1"
+        );
+        ensure!(
+            leg2.report.rank_stats.iter().all(|s| s.ckpts == 1),
+            "protocol: every rank must freeze round 1 and resume"
         );
         leg2.expect_values(&native)?;
         let got = sel.round;

@@ -18,6 +18,9 @@
 //! Ranks pay for the snapshot, not the write: a rank lends its encoded
 //! image to the coordinator ([`RankMsg::Frozen`]), and the last one in
 //! concludes the round as a [`FlushJob`] that [`crate::flush`] performs.
+//! A round ends for the ranks in `Resume` or, in exit mode once it has
+//! committed, `Exit`; a round whose flush failed is recorded in
+//! [`CoordReport::aborted_rounds`] and nowhere else.
 //!
 //! MANA-2.0's lesson §III-M — "additional communication by MANA should be
 //! minimized … use MPI calls instead of the centralized coordinator" — is
@@ -121,20 +124,14 @@ pub enum CoordMsg {
         /// expected columns are exact).
         cyclic: bool,
     },
-    /// Every image frozen; continue executing. The flush lands the
-    /// images behind the application, and a failure there is recorded in
-    /// [`CoordReport::aborted_rounds`] — no rank is told.
+    /// Continue executing: sent once every image is frozen (the flush
+    /// lands them behind the application) or, in exit mode, once the
+    /// flush failed. A failed flush is recorded in
+    /// [`CoordReport::aborted_rounds`]; no rank is told.
     Resume,
     /// Every image landed and the round committed; exit
     /// (checkpoint-and-kill).
     Exit,
-    /// Exit mode only: an image or the manifest failed to land, so the
-    /// round did not commit. Every rank discards its partial image state
-    /// and resumes; prior committed generations are untouched.
-    AbortRound {
-        /// The round that failed to commit.
-        round: u64,
-    },
     /// Acknowledge a `Finishing` rank: it may leave.
     FinishAck,
 }
@@ -325,7 +322,8 @@ pub struct AbortedRound {
 pub struct CoordReport {
     /// One entry per completed (committed) checkpoint round.
     pub rounds: Vec<CkptRoundStats>,
-    /// Rounds that ended in `AbortRound` instead of committing.
+    /// Rounds whose flush failed (or panicked) instead of committing: the
+    /// one record of an aborted round, in either mode.
     pub aborted_rounds: Vec<AbortedRound>,
     /// Checkpoint requests ignored because ranks had already finished.
     pub skipped_requests: u64,
@@ -733,31 +731,33 @@ impl Coordinator {
         }
     }
 
-    /// The outcome of the outstanding [`FlushJob`] (`None`: it panicked).
-    /// Exit mode sends the verdict on it: `Exit` only for a committed
-    /// round, after the commit check; `AbortRound` otherwise — every rank
-    /// discards and resumes.
+    /// The outcome of the outstanding [`FlushJob`] (`None`: it panicked),
+    /// recorded in the report and the round counters: a committed round
+    /// in `rounds`, any other in `aborted_rounds`. Exit mode sends the
+    /// verdict on it: `Exit` only for a committed round, after the commit
+    /// check; `Resume` otherwise, as resume mode does.
     pub fn flushed(&mut self, flushed: Option<Flushed>) {
         let round = (self.flushing.take()).expect("an outcome answers the job of the last Frozen");
-        let verdict = match flushed {
-            Some(Ok(stats)) => {
-                self.report.rounds.push(stats);
-                CoordMsg::Exit
-            }
-            Some(Err(aborted)) => {
-                self.report.aborted_rounds.push(aborted);
-                CoordMsg::AbortRound { round }
-            }
-            // A flush that blew up fails the run like any broken
-            // invariant: it must not read as a success.
-            None => {
-                let violation = "checkpoint flush panicked".to_string();
-                self.report.invariant_violations.push(violation);
-                CoordMsg::AbortRound { round }
-            }
+        // A flush that blew up fails the run like any broken invariant:
+        // it must not read as a success.
+        let flushed = flushed.unwrap_or_else(|| {
+            let violation = "checkpoint flush panicked".to_string();
+            self.report.invariant_violations.push(violation.clone());
+            let failures = vec![(usize::MAX, violation)];
+            Err(AbortedRound { round, failures })
+        });
+        let committed = flushed.is_ok();
+        let (counter, verdict) = match committed {
+            true => (met::ROUNDS_COMMITTED, CoordMsg::Exit),
+            false => (met::ROUNDS_ABORTED, CoordMsg::Resume),
         };
+        self.tel.add(counter, 1);
+        match flushed {
+            Ok(stats) => self.report.rounds.push(stats),
+            Err(aborted) => self.report.aborted_rounds.push(aborted),
+        }
         if self.setup.exit_after_ckpt {
-            if verdict == CoordMsg::Exit {
+            if committed {
                 self.check(round);
                 self.exited = true;
             }
@@ -872,7 +872,7 @@ mod tests {
             };
             let verdict = matches!(
                 inboxes[self.rank].lock().unwrap().back(),
-                Some(CoordMsg::Resume | CoordMsg::Exit | CoordMsg::AbortRound { .. })
+                Some(CoordMsg::Resume | CoordMsg::Exit)
             );
             assert!(
                 !verdict || !intent.load(Ordering::Acquire),
@@ -964,14 +964,15 @@ mod tests {
         buf
     }
 
-    /// A frozen image of `bytes` bytes in all: an empty upper half and
-    /// metadata to fill it up (76 bytes are header and framing).
-    fn frozen(bytes: usize) -> ImageBuf {
+    /// `rank`'s frozen image of `round`, `bytes` bytes in all: an empty
+    /// upper half and metadata to fill it up (76 bytes are header and
+    /// framing).
+    fn frozen(rank: usize, round: u64, bytes: usize) -> ImageBuf {
         let mut buf = ImageBuf::default();
         let head = ImageHead {
-            rank: 0,
+            rank,
             world_size: 2,
-            round: 0,
+            round,
         };
         head.encode_into(&mut buf, &UpperHalf::new(), &vec![0u8; bytes - 76]);
         assert_eq!(buf.len(), bytes);
@@ -1253,7 +1254,7 @@ mod tests {
                     }
                 }
                 Ev::Report { rank, last } => {
-                    let image = frozen(100);
+                    let image = frozen(rank, r0, 100);
                     let msg = RankMsg::Frozen { rank, image };
                     if !last {
                         sim.quiet(msg);
@@ -1262,12 +1263,11 @@ mod tests {
                     }
                     // Resume mode releases every rank before any image
                     // lands. Exit mode lands them first, and a failed
-                    // round must NOT exit: the job resumes and may
-                    // checkpoint again later.
-                    sim.tells_all(msg, |_| match (s.exit, aborted) {
-                        (false, _) => CoordMsg::Resume,
-                        (true, true) => CoordMsg::AbortRound { round: r0 },
-                        (true, false) => CoordMsg::Exit,
+                    // round must NOT exit: the job resumes, as in resume
+                    // mode, and may checkpoint again later.
+                    sim.tells_all(msg, |_| match s.exit && !aborted {
+                        true => CoordMsg::Exit,
+                        false => CoordMsg::Resume,
                     });
                     assert!(!sim.intent(), "intent cleared by the verdict");
                     assert_eq!(sim.round(), r0 + 1, "one round, one count");
@@ -1500,8 +1500,8 @@ mod tests {
 
     #[test]
     fn ckpt_failed_aborts_round_and_all_ranks_resume() {
-        // Exit mode: the flush runs before the verdict, so every rank
-        // hears AbortRound.
+        // Exit mode: the flush runs before the verdict, and every rank
+        // hears Resume (the play harness checks it).
         let s = Script {
             exit: true,
             failed: vec![false, true, false],
@@ -1535,10 +1535,10 @@ mod tests {
                 });
             }
             for rank in 1..n {
-                let image = frozen(100);
+                let image = frozen(rank, 0, 100);
                 sim.quiet(RankMsg::Frozen { rank, image });
             }
-            let image = frozen(100);
+            let image = frozen(0, 0, 100);
             let job = (sim.c.on(RankMsg::Frozen { rank: 0, image })).expect("the round's job");
             let told = sim.told("the last Frozen");
             assert!(told.iter().all(Vec::is_empty), "case {case}: {told:?}");
@@ -1546,7 +1546,7 @@ mod tests {
             sim.c.flushed((case != 2).then(|| flush::run(job, 1)));
             let verdict = match case {
                 0 => CoordMsg::Exit,
-                _ => CoordMsg::AbortRound { round: 0 },
+                _ => CoordMsg::Resume,
             };
             assert_eq!(
                 sim.told("the outcome"),
@@ -1559,7 +1559,11 @@ mod tests {
             let failed: Vec<Vec<usize>> = (report.aborted_rounds.iter())
                 .map(|a| a.failures.iter().map(|f| f.0).collect())
                 .collect();
-            let want = if case == 1 { vec![vec![0, 2]] } else { vec![] };
+            let want = match case {
+                0 => vec![],
+                1 => vec![vec![0, 2]],
+                _ => vec![vec![usize::MAX]],
+            };
             assert_eq!(failed, want, "case {case}");
             let panicked = (case == 2).then_some("checkpoint flush panicked");
             assert_eq!(report.invariant_violations, Vec::from_iter(panicked));
@@ -1586,9 +1590,9 @@ mod tests {
             in_collective: None,
         };
         sim.tells_all(ready, |_| CoordMsg::Go { round: 0 });
-        let image = frozen(100);
+        let image = frozen(1, 0, 100);
         sim.quiet(RankMsg::Frozen { rank: 1, image });
-        let image = frozen(100);
+        let image = frozen(0, 0, 100);
         sim.tells_all(RankMsg::Frozen { rank: 0, image }, |_| CoordMsg::Resume);
         sim.settle();
         let report = &sim.c.report;
@@ -1631,7 +1635,7 @@ mod tests {
     fn disallowed_messages_change_nothing_and_are_reported() {
         let done = |rank| RankMsg::Frozen {
             rank,
-            image: frozen(80),
+            image: frozen(rank, 0, 80),
         };
         let ready = |rank| RankMsg::Ready {
             rank,
@@ -2128,7 +2132,7 @@ mod tests {
                 assert_eq!(h.recv()?, CoordMsg::Go { round: 0 });
                 h.send(RankMsg::Frozen {
                     rank: proc.rank(),
-                    image: frozen(80),
+                    image: frozen(proc.rank(), 0, 80),
                 })?;
                 assert_eq!(h.recv()?, CoordMsg::Resume);
                 assert!(!h.intent(), "intent cleared after resume");
@@ -2170,8 +2174,9 @@ mod tests {
     }
 
     /// An exit-mode flush that panics still reaches the state machine:
-    /// every rank hears `AbortRound` at once instead of waiting out
-    /// `RECV_CAP`, and the run is failed by the recorded violation.
+    /// every rank hears `Resume` at once instead of waiting out
+    /// `RECV_CAP`, the round is recorded as aborted, and the run is failed
+    /// by the recorded violation.
     #[test]
     fn a_panicking_exit_mode_flush_releases_every_rank() {
         let n = 3;
@@ -2196,7 +2201,7 @@ mod tests {
                 in_collective: None,
             })?;
             assert_eq!(h.recv()?, CoordMsg::Go { round: 0 });
-            let image = frozen(80);
+            let image = frozen(rank, 0, 80);
             h.send(RankMsg::Frozen { rank, image })?;
             let verdict = h.recv()?;
             h.send(RankMsg::Finishing { rank })?;
@@ -2204,11 +2209,17 @@ mod tests {
             Ok(verdict)
         });
         for r in ranks.expect("no rank panicked") {
-            assert_eq!(r.unwrap(), CoordMsg::AbortRound { round: 0 });
+            assert_eq!(r.unwrap(), CoordMsg::Resume);
         }
         assert!(t.elapsed() < Duration::from_secs(5), "{:?}", t.elapsed());
         let report = finish(handles);
         assert_eq!(report.invariant_violations, ["checkpoint flush panicked"]);
+        assert!(report.rounds.is_empty());
+        let aborted = &report.aborted_rounds;
+        assert_eq!(aborted.len(), 1);
+        assert_eq!(aborted[0].round, 0);
+        let failure = (usize::MAX, "checkpoint flush panicked".to_string());
+        assert_eq!(aborted[0].failures, [failure]);
     }
 
     /// The driver times a request's wait for the previous round's flush
@@ -2241,7 +2252,7 @@ mod tests {
                     in_collective: None,
                 })?;
                 assert_eq!(h.recv()?, CoordMsg::Go { round });
-                let image = frozen(80);
+                let image = frozen(rank, round, 80);
                 h.send(RankMsg::Frozen { rank, image })?;
                 assert_eq!(h.recv()?, CoordMsg::Resume);
             }

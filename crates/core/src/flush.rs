@@ -8,13 +8,19 @@
 //! its one caller and the only place the protocol spawns or joins a
 //! thread. Resume mode releases every rank before the job runs, behind
 //! the application; exit mode sends its verdict on the outcome, since a
-//! rank must not exit before its image is durable.
+//! rank must not exit before its image is durable: `Exit` for a committed
+//! round, `Resume` otherwise. Either way a failed flush is told to no
+//! rank; it is recorded in `CoordReport::aborted_rounds`.
+//!
+//! Each image lands as its rank froze it: the kept [`ImageBuf`] carries
+//! the header fields it was encoded for, and goes to
+//! [`Store::write_encoded`] as it is.
 
 use crate::coordinator::{AbortedRound, CkptRoundStats, Coordinator, RankMsg, Slot};
 use obs::metrics as met;
 use obs::{EventKind, Phase};
 use splitproc::store::{self, Store, StoreError, WriteOutcome};
-use splitproc::{EncodedImage, ImageBuf, ImageHead};
+use splitproc::ImageBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -114,10 +120,8 @@ pub fn run(mut job: FlushJob, writers: usize) -> Flushed {
             .observe(met::CKPT_FLUSH_CPU_NS, Duration::from_nanos(ns));
     }
     if !failures.is_empty() {
-        job.tel.add(met::ROUNDS_ABORTED, 1);
         return Err(AbortedRound { round, failures });
     }
-    job.tel.add(met::ROUNDS_COMMITTED, 1);
     job.tel
         .observe(met::ROUND_LATENCY_NS, job.started.elapsed());
     job.stats.flush = flushing.elapsed();
@@ -133,18 +137,12 @@ pub fn run(mut job: FlushJob, writers: usize) -> Flushed {
 /// first. Returns `(rank, outcome)` in rank order, and the on-CPU
 /// nanoseconds of the writers it spawned.
 fn land(job: &mut FlushJob, store: &Store, writers: usize) -> (Landed, u64) {
-    let (round, world_size) = (job.stats.round, job.buffers.len());
+    let round = job.stats.round;
     let (tel, fault) = (&job.tel, &job.fault);
     let write = |(rank, image): &mut (usize, ImageBuf)| {
         let deferred = tel.deferred();
         let fault = fault.as_ref().and_then(|fp| fp.storage_fault(*rank, round));
         let store = store.for_write(round, deferred.clone(), fault.map(write_fault));
-        let head = ImageHead {
-            rank: *rank,
-            world_size,
-            round,
-        };
-        let image = EncodedImage::in_buffer(head, image);
         (*rank, deferred, store.write_encoded(image))
     };
     let write_all = |part: &mut [(usize, ImageBuf)]| part.iter_mut().map(write).collect();

@@ -39,14 +39,9 @@ pub struct ManaStats {
     /// 2PC barriers executed.
     pub tpc_barriers: u64,
     /// Checkpoints taken by this rank: images it froze and lent to the
-    /// coordinator, whether or not their round went on to commit.
+    /// coordinator, whether or not their round went on to commit (a round
+    /// that did not is in `CoordReport::aborted_rounds`).
     pub ckpts: u64,
-    /// Checkpoint rounds that ended in `AbortRound` (exit mode: an image
-    /// or the manifest failed to land before the verdict; partial
-    /// generation discarded, execution resumed). A resume-mode round that
-    /// fails after the ranks' release is not seen by any rank; it is in
-    /// `CoordReport::aborted_rounds`.
-    pub ckpt_aborts: u64,
     /// Messages captured by the drain.
     pub drained_msgs: u64,
     /// Bytes captured by the drain.
@@ -83,7 +78,7 @@ impl ManaStats {
     /// a non-trigger rank's call stream is itself schedule-dependent, so
     /// only the *sum* of this projection across the checkpoint leg and the
     /// restart leg is invariant, not each leg alone.
-    pub fn schedule_invariant(&self) -> [(&'static str, u64); 9] {
+    pub fn schedule_invariant(&self) -> [(&'static str, u64); 8] {
         [
             ("sends", self.sends),
             ("recvs", self.recvs),
@@ -91,7 +86,6 @@ impl ManaStats {
             ("emu_collectives", self.emu_collectives),
             ("tpc_barriers", self.tpc_barriers),
             ("ckpts", self.ckpts),
-            ("ckpt_aborts", self.ckpt_aborts),
             ("restored_comms", self.restored_comms),
             ("replayed_calls", self.replayed_calls),
         ]
@@ -105,7 +99,7 @@ impl ManaStats {
         let mut s = String::with_capacity(512);
         let _ = write!(
             s,
-            "{{\"wrapper_calls\":{},\"sends\":{},\"recvs\":{},\"collectives\":{},\"emu_collectives\":{},\"tpc_barriers\":{},\"ckpts\":{},\"ckpt_aborts\":{},\"drained_msgs\":{},\"drained_bytes\":{},\"drain_sweeps\":{},\"restored_comms\":{},\"replayed_calls\":{},\"fs_switch_ns\":{},\"lh_jumps\":{},\"drain_sweeps_by_round\":[",
+            "{{\"wrapper_calls\":{},\"sends\":{},\"recvs\":{},\"collectives\":{},\"emu_collectives\":{},\"tpc_barriers\":{},\"ckpts\":{},\"drained_msgs\":{},\"drained_bytes\":{},\"drain_sweeps\":{},\"restored_comms\":{},\"replayed_calls\":{},\"fs_switch_ns\":{},\"lh_jumps\":{},\"drain_sweeps_by_round\":[",
             self.wrapper_calls,
             self.sends,
             self.recvs,
@@ -113,7 +107,6 @@ impl ManaStats {
             self.emu_collectives,
             self.tpc_barriers,
             self.ckpts,
-            self.ckpt_aborts,
             self.drained_msgs,
             self.drained_bytes,
             self.drain_sweeps,

@@ -199,38 +199,21 @@ impl<'p> Mana<'p> {
             rank: self.rank(),
             image: buf,
         })?;
-        let verdict = self
-            .coord
-            .await_reply("Resume, Exit or AbortRound", |m| match m {
-                CoordMsg::Resume | CoordMsg::Exit | CoordMsg::AbortRound { .. } => Ok(m),
-                other => Err(other),
-            });
+        let exit = self.coord.await_reply("Resume or Exit", |m| match m {
+            CoordMsg::Resume => Ok(false),
+            CoordMsg::Exit => Ok(true),
+            other => Err(other),
+        });
         self.tel.end(release);
-        match verdict? {
-            CoordMsg::Resume => {
-                // Network empty + both sides agreed: counters restart from
-                // zero consistently on every rank.
-                self.p2p.reset();
-                Ok(())
-            }
-            CoordMsg::Exit => {
-                self.exited = true;
-                Err(ManaError::CkptExit)
-            }
-            CoordMsg::AbortRound { .. } => {
-                // Exit mode: an image or the manifest failed to land, so
-                // the round did not commit and the flush already scrapped
-                // the partial generation. State is exactly as after Resume
-                // — the drain completed globally before any rank froze,
-                // so resetting p2p counters stays consistent on every rank.
-                let abort = self.tel.begin(r, Phase::AbortRound);
-                self.tel.end(abort);
-                self.stats.ckpt_aborts += 1;
-                self.p2p.reset();
-                Ok(())
-            }
-            other => unreachable!("await_reply let {other:?} through as a verdict"),
+        if exit? {
+            self.exited = true;
+            return Err(ManaError::CkptExit);
         }
+        // Network empty + both sides agreed: counters restart from zero
+        // consistently on every rank — whether or not the round's flush
+        // lands, since the drain completed globally before any rank froze.
+        self.p2p.reset();
+        Ok(())
     }
 
     // ---- drain -------------------------------------------------------------

@@ -178,14 +178,12 @@ impl From<RuntimeError> for Failure {
     }
 }
 
-/// Map a [`JournalStep`] to its flight-recorder payload.
-fn obs_step(step: &JournalStep) -> (obs::RestartStep, i64) {
+/// The rank a [`JournalStep`]'s flight-recorder payload names: the
+/// restored rank, else `-1`.
+fn obs_rank(step: &JournalStep) -> i64 {
     match step {
-        JournalStep::RestartIntent { .. } => (obs::RestartStep::Intent, -1),
-        JournalStep::GenValidated { .. } => (obs::RestartStep::Validated, -1),
-        JournalStep::RankRestored { rank } => (obs::RestartStep::RankRestored, *rank as i64),
-        JournalStep::CommsRebuilt => (obs::RestartStep::CommsRebuilt, -1),
-        JournalStep::RestartCommitted => (obs::RestartStep::Committed, -1),
+        JournalStep::RankRestored { rank } => *rank as i64,
+        _ => -1,
     }
 }
 
@@ -261,13 +259,12 @@ impl RestartGuard {
             }
             _ => {}
         }
-        let (st, rank) = obs_step(&step);
         tel.event(
             obs::NO_ROUND,
             obs::EventKind::JournalAppend {
                 epoch: self.epoch,
-                step: st,
-                rank,
+                step: step.trace_step(),
+                rank: obs_rank(&step),
                 fresh,
             },
         );

@@ -10,24 +10,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 
-/// Fixed row order for the phase table.
-const PHASE_ORDER: [&str; 14] = [
-    "intent",
-    "tpc_barrier",
-    "emu_collective",
-    "drain_exchange",
-    "drain_plan",
-    "drain",
-    "image_write",
-    "commit",
-    "flush",
-    "flush_wait",
-    "abort_round",
-    "restart_validate",
-    "restore_comms",
-    "journal_replay",
-];
-
 fn us(ns: u64) -> f64 {
     ns as f64 / 1000.0
 }
@@ -99,7 +81,7 @@ fn phase_table(spans: &[Span], out: &mut String) {
     let mut rounds: Vec<i64> = agg.keys().map(|(r, _)| *r).collect();
     rounds.dedup();
     for round in rounds {
-        for phase in PHASE_ORDER {
+        for (_, phase) in Phase::NAMES {
             if let Some((n, total, max)) = agg.get(&(round, phase)) {
                 let _ = writeln!(
                     out,

@@ -59,47 +59,54 @@ pub enum Phase {
 }
 
 impl Phase {
+    /// Every phase and its stable schema name, in the order reports list
+    /// them (`Drain` stands for every sweep).
+    pub(crate) const NAMES: [(Phase, &'static str); 14] = [
+        (Phase::Intent, "intent"),
+        (Phase::TpcBarrier, "tpc_barrier"),
+        (Phase::EmuCollective, "emu_collective"),
+        (Phase::DrainExchange, "drain_exchange"),
+        (Phase::DrainPlan, "drain_plan"),
+        (Phase::Drain { sweep: 0 }, "drain"),
+        (Phase::ImageWrite, "image_write"),
+        (Phase::Commit, "commit"),
+        (Phase::Flush, "flush"),
+        (Phase::FlushWait, "flush_wait"),
+        (Phase::AbortRound, "abort_round"),
+        (Phase::RestartValidate, "restart_validate"),
+        (Phase::RestoreComms, "restore_comms"),
+        (Phase::JournalReplay, "journal_replay"),
+    ];
+
     /// Stable schema name of the phase.
     pub fn name(&self) -> &'static str {
-        match self {
-            Phase::Intent => "intent",
-            Phase::TpcBarrier => "tpc_barrier",
-            Phase::EmuCollective => "emu_collective",
-            Phase::Drain { .. } => "drain",
-            Phase::DrainExchange => "drain_exchange",
-            Phase::DrainPlan => "drain_plan",
-            Phase::ImageWrite => "image_write",
-            Phase::Commit => "commit",
-            Phase::Flush => "flush",
-            Phase::FlushWait => "flush_wait",
-            Phase::AbortRound => "abort_round",
-            Phase::RestartValidate => "restart_validate",
-            Phase::RestoreComms => "restore_comms",
-            Phase::JournalReplay => "journal_replay",
-        }
+        name_in(&Self::NAMES, self)
     }
+}
 
-    fn from_parts(name: &str, sweep: Option<u64>) -> Option<Phase> {
-        Some(match name {
-            "intent" => Phase::Intent,
-            "tpc_barrier" => Phase::TpcBarrier,
-            "emu_collective" => Phase::EmuCollective,
-            "drain" => Phase::Drain {
-                sweep: sweep.unwrap_or(0) as u32,
-            },
-            "drain_exchange" => Phase::DrainExchange,
-            "drain_plan" => Phase::DrainPlan,
-            "image_write" => Phase::ImageWrite,
-            "commit" => Phase::Commit,
-            "flush" => Phase::Flush,
-            "flush_wait" => Phase::FlushWait,
-            "abort_round" => Phase::AbortRound,
-            "restart_validate" => Phase::RestartValidate,
-            "restore_comms" => Phase::RestoreComms,
-            "journal_replay" => Phase::JournalReplay,
-            _ => return None,
-        })
-    }
+/// The name `table` gives `value`'s variant (whatever its fields hold).
+fn name_in<T>(table: &[(T, &'static str)], value: &T) -> &'static str {
+    let variant = std::mem::discriminant(value);
+    let entry = table
+        .iter()
+        .find(|(t, _)| std::mem::discriminant(t) == variant);
+    entry.expect("every variant is in its name table").1
+}
+
+/// The value of `table` that the string field `key` of `v` names; `what`
+/// says what it names in the error.
+fn named_in<T: Copy>(
+    table: &[(T, &'static str)],
+    v: &Json,
+    key: &str,
+    what: &str,
+) -> Result<T, String> {
+    let name =
+        (v.get(key).and_then(Json::as_str)).ok_or_else(|| format!("missing field {key:?}"))?;
+    let entry = table.iter().find(|(_, n)| *n == name);
+    entry
+        .map(|e| e.0)
+        .ok_or_else(|| format!("unknown {what} {name:?}"))
 }
 
 /// An injected storage fault observed by the store layer.
@@ -114,22 +121,15 @@ pub enum InjectedFault {
 }
 
 impl InjectedFault {
+    const NAMES: [(InjectedFault, &'static str); 3] = [
+        (InjectedFault::WriteError, "write_error"),
+        (InjectedFault::Torn, "torn"),
+        (InjectedFault::BitFlip, "bit_flip"),
+    ];
+
     /// Stable schema name.
     pub fn name(&self) -> &'static str {
-        match self {
-            InjectedFault::WriteError => "write_error",
-            InjectedFault::Torn => "torn",
-            InjectedFault::BitFlip => "bit_flip",
-        }
-    }
-
-    fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "write_error" => InjectedFault::WriteError,
-            "torn" => InjectedFault::Torn,
-            "bit_flip" => InjectedFault::BitFlip,
-            _ => return None,
-        })
+        name_in(&Self::NAMES, self)
     }
 }
 
@@ -157,32 +157,20 @@ pub enum RejectCode {
 }
 
 impl RejectCode {
+    const NAMES: [(RejectCode, &'static str); 8] = [
+        (RejectCode::Uncommitted, "uncommitted"),
+        (RejectCode::BadManifest, "bad_manifest"),
+        (RejectCode::RoundMismatch, "round_mismatch"),
+        (RejectCode::WorldMismatch, "world_mismatch"),
+        (RejectCode::MissingImage, "missing_image"),
+        (RejectCode::TornImage, "torn_image"),
+        (RejectCode::CorruptImage, "corrupt_image"),
+        (RejectCode::BadImage, "bad_image"),
+    ];
+
     /// Stable schema name.
     pub fn name(&self) -> &'static str {
-        match self {
-            RejectCode::Uncommitted => "uncommitted",
-            RejectCode::BadManifest => "bad_manifest",
-            RejectCode::RoundMismatch => "round_mismatch",
-            RejectCode::WorldMismatch => "world_mismatch",
-            RejectCode::MissingImage => "missing_image",
-            RejectCode::TornImage => "torn_image",
-            RejectCode::CorruptImage => "corrupt_image",
-            RejectCode::BadImage => "bad_image",
-        }
-    }
-
-    fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "uncommitted" => RejectCode::Uncommitted,
-            "bad_manifest" => RejectCode::BadManifest,
-            "round_mismatch" => RejectCode::RoundMismatch,
-            "world_mismatch" => RejectCode::WorldMismatch,
-            "missing_image" => RejectCode::MissingImage,
-            "torn_image" => RejectCode::TornImage,
-            "corrupt_image" => RejectCode::CorruptImage,
-            "bad_image" => RejectCode::BadImage,
-            _ => return None,
-        })
+        name_in(&Self::NAMES, self)
     }
 }
 
@@ -203,26 +191,17 @@ pub enum RestartStep {
 }
 
 impl RestartStep {
-    /// Stable schema name (matches the journal's step names).
-    pub fn name(&self) -> &'static str {
-        match self {
-            RestartStep::Intent => "restart_intent",
-            RestartStep::Validated => "gen_validated",
-            RestartStep::RankRestored => "rank_restored",
-            RestartStep::CommsRebuilt => "comms_rebuilt",
-            RestartStep::Committed => "restart_committed",
-        }
-    }
+    const NAMES: [(RestartStep, &'static str); 5] = [
+        (RestartStep::Intent, "restart_intent"),
+        (RestartStep::Validated, "gen_validated"),
+        (RestartStep::RankRestored, "rank_restored"),
+        (RestartStep::CommsRebuilt, "comms_rebuilt"),
+        (RestartStep::Committed, "restart_committed"),
+    ];
 
-    fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "restart_intent" => RestartStep::Intent,
-            "gen_validated" => RestartStep::Validated,
-            "rank_restored" => RestartStep::RankRestored,
-            "comms_rebuilt" => RestartStep::CommsRebuilt,
-            "restart_committed" => RestartStep::Committed,
-            _ => return None,
-        })
+    /// Stable schema name (also the journal's blob-name kind).
+    pub fn name(&self) -> &'static str {
+        name_in(&Self::NAMES, self)
     }
 }
 
@@ -240,24 +219,16 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    const NAMES: [(FaultKind, &'static str); 4] = [
+        (FaultKind::ReadyStall, "ready_stall"),
+        (FaultKind::CoordDelay, "coord_delay"),
+        (FaultKind::Trigger, "trigger"),
+        (FaultKind::RestartKill, "restart_kill"),
+    ];
+
     /// Stable schema name.
     pub fn name(&self) -> &'static str {
-        match self {
-            FaultKind::ReadyStall => "ready_stall",
-            FaultKind::CoordDelay => "coord_delay",
-            FaultKind::Trigger => "trigger",
-            FaultKind::RestartKill => "restart_kill",
-        }
-    }
-
-    fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "ready_stall" => FaultKind::ReadyStall,
-            "coord_delay" => FaultKind::CoordDelay,
-            "trigger" => FaultKind::Trigger,
-            "restart_kill" => FaultKind::RestartKill,
-            _ => return None,
-        })
+        name_in(&Self::NAMES, self)
     }
 }
 
@@ -536,13 +507,10 @@ impl TraceEvent {
             .ok_or_else(|| "missing field \"ev\"".to_string())?;
         let kind = match ev {
             "begin" | "end" => {
-                let name = v
-                    .get("phase")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "missing field \"phase\"".to_string())?;
-                let sweep = v.get("sweep").and_then(Json::as_u64);
-                let phase = Phase::from_parts(name, sweep)
-                    .ok_or_else(|| format!("unknown phase {name:?}"))?;
+                let mut phase = named_in(&Phase::NAMES, v, "phase", "phase")?;
+                if let Phase::Drain { sweep } = &mut phase {
+                    *sweep = v.get("sweep").and_then(Json::as_u64).unwrap_or(0) as u32;
+                }
                 if ev == "begin" {
                     EventKind::Begin(phase)
                 } else {
@@ -565,16 +533,9 @@ impl TraceEvent {
                 retries: need_u64("retries")? as u32,
                 crc: need_u64("crc")? as u32,
             },
-            "store_fault" => {
-                let name = v
-                    .get("fault")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "missing field \"fault\"".to_string())?;
-                EventKind::StoreFault {
-                    fault: InjectedFault::from_name(name)
-                        .ok_or_else(|| format!("unknown store fault {name:?}"))?,
-                }
-            }
+            "store_fault" => EventKind::StoreFault {
+                fault: named_in(&InjectedFault::NAMES, v, "fault", "store fault")?,
+            },
             "flush_rank" => EventKind::FlushRank {
                 rank: need_u64("rank")? as u32,
             },
@@ -601,40 +562,19 @@ impl TraceEvent {
                 edges: need_u64("edges")?,
                 cyclic: need_bool("cyclic")?,
             },
-            "fault_fired" => {
-                let name = v
-                    .get("fault")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "missing field \"fault\"".to_string())?;
-                EventKind::FaultFired {
-                    fault: FaultKind::from_name(name)
-                        .ok_or_else(|| format!("unknown fault kind {name:?}"))?,
-                }
-            }
-            "restart_skip" => {
-                let name = v
-                    .get("code")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "missing field \"code\"".to_string())?;
-                EventKind::RestartSkip {
-                    gen: need_u64("gen")?,
-                    code: RejectCode::from_name(name)
-                        .ok_or_else(|| format!("unknown reject code {name:?}"))?,
-                }
-            }
-            "journal_append" => {
-                let name = v
-                    .get("step")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "missing field \"step\"".to_string())?;
-                EventKind::JournalAppend {
-                    epoch: need_u64("epoch")?,
-                    step: RestartStep::from_name(name)
-                        .ok_or_else(|| format!("unknown restart step {name:?}"))?,
-                    rank: need_i64("rank")?,
-                    fresh: need_bool("fresh")?,
-                }
-            }
+            "fault_fired" => EventKind::FaultFired {
+                fault: named_in(&FaultKind::NAMES, v, "fault", "fault kind")?,
+            },
+            "restart_skip" => EventKind::RestartSkip {
+                gen: need_u64("gen")?,
+                code: named_in(&RejectCode::NAMES, v, "code", "reject code")?,
+            },
+            "journal_append" => EventKind::JournalAppend {
+                epoch: need_u64("epoch")?,
+                step: named_in(&RestartStep::NAMES, v, "step", "restart step")?,
+                rank: need_i64("rank")?,
+                fresh: need_bool("fresh")?,
+            },
             other => return Err(format!("unknown event kind {other:?}")),
         };
         Ok(TraceEvent {

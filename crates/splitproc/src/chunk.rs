@@ -495,7 +495,7 @@ pub struct Chunked<'a> {
 /// One pass over a payload: cut it as [`split`] does and key each chunk
 /// while the cut has just pulled it through the cache. It takes no CRC:
 /// the payload's CRC-32 comes from the image's block table
-/// (`EncodedImage::checksum`), which reads only the blocks the rank
+/// (`ImageBuf::checksum`), which reads only the blocks the rank
 /// rewrote.
 ///
 /// `guide` is the same section's refs in an earlier recipe (empty: no

@@ -19,12 +19,14 @@
 //!                           drain buffers)
 //! ```
 //!
-//! The format has one writer and one reader. [`ImageHead::encode_into`]
-//! writes the two sections into a rank's kept [`ImageBuf`] behind a
-//! header gap and [`EncodedImage::seal`] fills the gap in;
-//! [`CkptImage::to_bytes_with_crc`] seals already-encoded sections into a
-//! fresh file. `verify` checks a file, and the sections it vouches for are
-//! then copied out ([`CkptImage::from_bytes_with_crc`]) or, by the store's
+//! The format has one writer and one reader, and one shape in between:
+//! an [`ImageBuf`]. [`ImageHead::encode_into`] writes the two sections
+//! into a rank's kept buffer behind a header gap, and [`ImageBuf::seal`]
+//! fills the gap in. A decoded [`CkptImage`] is written the same way: its
+//! sections are copied into a fresh buffer (`CkptImage::buf`, what
+//! [`CkptImage::to_bytes_with_crc`] and the store's `write_image` seal).
+//! `verify` checks a file, and the sections it vouches for are then
+//! copied out ([`CkptImage::from_bytes_with_crc`]) or, by the store's
 //! reader, carved out of the file buffer itself (`Verified::carve`).
 //!
 //! **The block table.** An [`ImageBuf`] keeps, beside its bytes, a
@@ -39,14 +41,15 @@
 //! inside it before) is stale too. Sealing checksums the stale blocks alone and joins
 //! all block CRCs into the section's ([`crc32_combine`]), so a round that
 //! rewrote 2 % of a 2 MiB image checksums about that much, and a table
-//! that is empty — a rank's first round, a restored rank — is checksummed
-//! in full. The metadata section has no table: it is encoded afresh every
-//! round (it holds the drain buffers and request tables of that round),
-//! so it is checksummed whole at every seal.
+//! that is empty — a rank's first round, a restored rank, a decoded
+//! image's fresh buffer — is checksummed in full. The metadata section has
+//! no table: it is encoded afresh every round (it holds the drain buffers
+//! and request tables of that round), so it is checksummed whole at every
+//! seal. The section CRCs are kept with the buffer until the next encode,
+//! so the store's write and the seal it makes share one checksum.
 
 use crate::codec::{crc32, crc32_combine, CrcShift, Encode};
 use crate::UpperHalf;
-use std::borrow::Cow;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -99,7 +102,7 @@ impl From<io::Error> for ImageError {
 }
 
 /// The header fields of an image that are not about its payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ImageHead {
     /// World rank the image belongs to.
     pub rank: usize,
@@ -117,7 +120,8 @@ impl ImageHead {
     /// section is compared block by block as it is written — one pass,
     /// which costs what the plain copy did — and only the blocks whose
     /// bytes differ are copied and marked stale; the metadata section is
-    /// encoded afresh. The header is written by [`EncodedImage::seal`].
+    /// encoded afresh. The buffer records `self` for the header, which
+    /// [`ImageBuf::seal`] writes.
     ///
     /// The buffer never keeps more than twice what it holds: an image that
     /// fills less than half the capacity shrinks the buffer to fit.
@@ -126,7 +130,7 @@ impl ImageHead {
         buf: &'a mut ImageBuf,
         upper: &UpperHalf,
         meta: &impl Encode,
-    ) -> EncodedImage<'a> {
+    ) -> &'a mut ImageBuf {
         let bytes = &mut buf.bytes;
         if bytes.len() < HEADER_LEN {
             bytes.resize(HEADER_LEN, 0);
@@ -147,25 +151,30 @@ impl ImageHead {
         if bytes.len() < bytes.capacity() / 2 {
             bytes.shrink_to_fit();
         }
-        EncodedImage {
-            head: self,
-            sections: Sections::InBuffer(buf),
-            crcs: None,
-        }
+        buf.head = self;
+        buf.crcs = None;
+        buf
     }
 }
 
 /// A rank's kept image buffer: the bytes of the image last encoded into
-/// it (header gap, upper section, metadata section) and the CRC-32 of each
-/// 64 KiB block of its upper section, trusted block by block
-/// only while computed from the bytes the block holds now (see the module
-/// doc). Only [`ImageHead::encode_into`] writes the sections and only
-/// [`EncodedImage::seal`] the header; everyone else reads.
+/// it (header gap, upper section, metadata section), the [`ImageHead`] it
+/// was encoded for, and the CRC-32 of each 64 KiB block of its upper
+/// section, trusted block by block only while computed from the bytes the
+/// block holds now (see the module doc). Only [`ImageHead::encode_into`]
+/// (or, for a decoded image, `CkptImage::buf`) writes the sections and
+/// only [`ImageBuf::seal`] the header; everyone else reads. It is the one
+/// shape the store's write routine takes: a flat write seals it in place,
+/// a chunked write reads its sections where they lie.
 #[derive(Default)]
 pub struct ImageBuf {
     bytes: Vec<u8>,
+    head: ImageHead,
     upper_len: usize,
     blocks: BlockCrcs,
+    /// What `ImageBuf::checksum` found for the image encoded last, once it
+    /// has run.
+    crcs: Option<SectionCrcs>,
 }
 
 impl ImageBuf {
@@ -189,6 +198,59 @@ impl ImageBuf {
     /// The allocation's capacity.
     pub fn capacity(&self) -> usize {
         self.bytes.capacity()
+    }
+
+    /// The header fields the image was encoded for.
+    pub(crate) fn head(&self) -> ImageHead {
+        self.head
+    }
+
+    /// The serialized upper half and MANA metadata.
+    pub(crate) fn sections(&self) -> (&[u8], &[u8]) {
+        self.bytes[HEADER_LEN..].split_at(self.upper_len)
+    }
+
+    /// Both section CRCs: the upper section's from the block table,
+    /// reading only the stale blocks, the metadata's by one full pass.
+    /// Computed once per encode; a debug build checks the table's against
+    /// a full pass.
+    ///
+    /// # Panics
+    ///
+    /// If no image was encoded into the buffer.
+    pub(crate) fn checksum(&mut self) -> SectionCrcs {
+        assert!(!self.is_empty(), "no image was encoded into this buffer");
+        if let Some(crcs) = self.crcs {
+            return crcs;
+        }
+        let (upper, meta) = self.bytes[HEADER_LEN..].split_at(self.upper_len);
+        let (upper_crc, read) = self.blocks.checksum(upper);
+        let crcs = SectionCrcs {
+            upper: upper_crc,
+            meta: crc32(meta),
+            read: read + meta.len(),
+        };
+        #[cfg(debug_assertions)]
+        {
+            let full = (crc32(upper), crc32(meta));
+            assert_eq!((crcs.upper, crcs.meta), full, "block CRC table out of date");
+        }
+        self.crcs = Some(crcs);
+        crcs
+    }
+
+    /// Seal the image in place — the section CRCs from
+    /// `ImageBuf::checksum`, then the header (which stores both) into the
+    /// gap — and return the file and its CRC-32, combined from the
+    /// header's and the sections' ([`crc32_combine`]), so no payload byte
+    /// is read for it.
+    pub fn seal(&mut self) -> (&[u8], u32) {
+        let crcs = self.checksum();
+        let (upper_len, meta_len) = (self.upper_len, self.len() - HEADER_LEN - self.upper_len);
+        let header = header(self.head, (crcs.upper, upper_len), (crcs.meta, meta_len));
+        let crc = file_crc(&header, (crcs.upper, upper_len), (crcs.meta, meta_len));
+        self.bytes[..HEADER_LEN].copy_from_slice(&header);
+        (&self.bytes, crc)
     }
 }
 
@@ -318,128 +380,14 @@ impl<'a> Overwrite<'a> {
     }
 }
 
-/// An encoded image not yet sealed: its header fields and its two
-/// sections, either in a rank's [`ImageBuf`] behind a header gap
-/// ([`ImageHead::encode_into`]) or borrowed from a [`CkptImage`]
-/// ([`CkptImage::encoded`]). It is what the store's one write routine
-/// takes: a flat write seals it, a chunked write reads its sections where
-/// they lie; both take the section CRCs from `EncodedImage::checksum`.
-pub struct EncodedImage<'a> {
-    head: ImageHead,
-    sections: Sections<'a>,
-    /// What `EncodedImage::checksum` found, once it has run.
-    crcs: Option<SectionCrcs>,
-}
-
-enum Sections<'a> {
-    InBuffer(&'a mut ImageBuf),
-    Borrowed { upper: &'a [u8], meta: &'a [u8] },
-}
-
 /// Both section CRCs of an image, and the payload bytes read to get them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SectionCrcs {
     pub(crate) upper: u32,
     pub(crate) meta: u32,
-    /// Payload bytes checksummed: every byte of borrowed sections; the
-    /// metadata and the stale upper blocks of a kept buffer.
+    /// Payload bytes checksummed: the metadata and the stale upper
+    /// blocks (every block of a fresh buffer).
     pub(crate) read: usize,
-}
-
-impl<'a> EncodedImage<'a> {
-    /// The image [`ImageHead::encode_into`] left in `buf`, taken up again
-    /// — how an encoded buffer travels without its borrow: a rank freezes
-    /// its image and lends the buffer to the writer that seals it.
-    ///
-    /// # Panics
-    ///
-    /// If `buf` holds no image.
-    pub fn in_buffer(head: ImageHead, buf: &'a mut ImageBuf) -> EncodedImage<'a> {
-        assert!(!buf.is_empty(), "no image was encoded into this buffer");
-        EncodedImage {
-            head,
-            sections: Sections::InBuffer(buf),
-            crcs: None,
-        }
-    }
-
-    /// The image's header fields.
-    pub(crate) fn head(&self) -> ImageHead {
-        self.head
-    }
-
-    /// The serialized upper half and MANA metadata.
-    pub(crate) fn sections(&self) -> (&[u8], &[u8]) {
-        match &self.sections {
-            Sections::InBuffer(buf) => buf.bytes[HEADER_LEN..].split_at(buf.upper_len),
-            Sections::Borrowed { upper, meta } => (*upper, *meta),
-        }
-    }
-
-    /// Size of the image file (header + payloads).
-    pub(crate) fn size_bytes(&self) -> usize {
-        let (upper, meta) = self.sections();
-        HEADER_LEN + upper.len() + meta.len()
-    }
-
-    /// Both section CRCs: a kept buffer's upper section's from its block
-    /// table, reading only the stale blocks; its metadata and borrowed
-    /// sections by one full pass each.
-    /// Computed once per image; a debug build checks the table's against a
-    /// full pass.
-    pub(crate) fn checksum(&mut self) -> SectionCrcs {
-        if let Some(crcs) = self.crcs {
-            return crcs;
-        }
-        let crcs = match &mut self.sections {
-            Sections::InBuffer(buf) => {
-                let (upper, meta) = buf.bytes[HEADER_LEN..].split_at(buf.upper_len);
-                let (upper, read) = buf.blocks.checksum(upper);
-                SectionCrcs {
-                    upper,
-                    meta: crc32(meta),
-                    read: read + meta.len(),
-                }
-            }
-            Sections::Borrowed { upper, meta } => SectionCrcs {
-                upper: crc32(upper),
-                meta: crc32(meta),
-                read: upper.len() + meta.len(),
-            },
-        };
-        #[cfg(debug_assertions)]
-        {
-            let (upper, meta) = self.sections();
-            let full = (crc32(upper), crc32(meta));
-            assert_eq!((crcs.upper, crcs.meta), full, "block CRC table out of date");
-        }
-        self.crcs = Some(crcs);
-        crcs
-    }
-
-    /// The image file and its CRC-32. A buffered image is sealed in
-    /// place: the section CRCs from `EncodedImage::checksum`, then the
-    /// header (which stores both) into the gap; borrowed sections are
-    /// copied behind a header in a fresh buffer. The file's CRC is
-    /// combined from the header's and the sections' ([`crc32_combine`]),
-    /// so no payload byte is read for it.
-    pub fn seal(mut self) -> (Cow<'a, [u8]>, u32) {
-        let crcs = self.checksum();
-        let (upper_len, meta_len) = {
-            let (upper, meta) = self.sections();
-            (upper.len(), meta.len())
-        };
-        let header = header(self.head, (crcs.upper, upper_len), (crcs.meta, meta_len));
-        let crc = file_crc(&header, (crcs.upper, upper_len), (crcs.meta, meta_len));
-        let file = match self.sections {
-            Sections::InBuffer(buf) => {
-                buf.bytes[..HEADER_LEN].copy_from_slice(&header);
-                Cow::Borrowed(&buf.bytes[..])
-            }
-            Sections::Borrowed { upper, meta } => Cow::Owned([&header[..], upper, meta].concat()),
-        };
-        (file, crc)
-    }
 }
 
 /// The header of an image of `head` whose sections have these
@@ -501,15 +449,21 @@ impl CkptImage {
         }
     }
 
-    /// This image as the store's write routine takes it, its sections
-    /// borrowed where they lie.
-    pub(crate) fn encoded(&self) -> EncodedImage<'_> {
-        EncodedImage {
+    /// This image as the store's write routine takes it: its two sections
+    /// copied behind a header gap into a fresh [`ImageBuf`], whose empty
+    /// block table leaves every block stale.
+    pub(crate) fn buf(&self) -> ImageBuf {
+        let mut bytes = Vec::with_capacity(self.size_bytes());
+        bytes.resize(HEADER_LEN, 0);
+        bytes.extend_from_slice(&self.upper);
+        bytes.extend_from_slice(&self.meta);
+        let mut blocks = BlockCrcs::default();
+        blocks.refit(self.upper.len());
+        ImageBuf {
+            bytes,
             head: self.head(),
-            sections: Sections::Borrowed {
-                upper: &self.upper,
-                meta: &self.meta,
-            },
+            upper_len: self.upper.len(),
+            blocks,
             crcs: None,
         }
     }
@@ -520,11 +474,12 @@ impl CkptImage {
     }
 
     /// Serialize to bytes, and return the file's CRC-32 with them: the
-    /// sections behind their header in a fresh buffer
-    /// ([`EncodedImage::seal`]).
+    /// image in a fresh buffer (`CkptImage::buf`), sealed in place
+    /// ([`ImageBuf::seal`]).
     pub fn to_bytes_with_crc(&self) -> (Vec<u8>, u32) {
-        let (file, crc) = self.encoded().seal();
-        (file.into_owned(), crc)
+        let mut buf = self.buf();
+        let crc = buf.seal().1;
+        (buf.bytes, crc)
     }
 
     /// Parse from bytes, verifying magic, version, sizes, and CRCs.
@@ -709,10 +664,10 @@ mod tests {
                 let buf = if reused { &mut kept } else { &mut fresh };
                 let encoded = want.head().encode_into(buf, &upper, &meta);
                 assert_eq!(encoded.sections(), (&want.upper[..], &want.meta[..]));
-                assert_eq!(encoded.size_bytes(), want.size_bytes());
+                assert_eq!(encoded.len(), want.size_bytes());
                 let (file, crc) = encoded.seal();
-                assert_eq!((&file[..], crc), (&want_file[..], want_crc), "{len} B");
-                assert_eq!(crc, crc32(&file));
+                assert_eq!((file, crc), (&want_file[..], want_crc), "{len} B");
+                assert_eq!(crc, crc32(file));
             }
             assert_eq!(kept.bytes(), want_file, "no stale tail after {len} B");
         }
@@ -727,17 +682,6 @@ mod tests {
         let (file, _) = image.head().encode_into(&mut buf, &upper, &meta).seal();
         assert_eq!(file, image.to_bytes());
         assert_eq!((buf.bytes().as_ptr(), buf.capacity()), (ptr, cap));
-    }
-
-    #[test]
-    fn an_image_taken_up_again_from_its_buffer_seals_as_encoded() {
-        let (upper, meta, image) = state(3 << 10, 2);
-        let mut buf = ImageBuf::default();
-        image.head().encode_into(&mut buf, &upper, &meta);
-        let ptr = buf.bytes().as_ptr();
-        let (file, crc) = EncodedImage::in_buffer(image.head(), &mut buf).seal();
-        assert_eq!((&file[..], crc), (&image.to_bytes()[..], crc32(&file)));
-        assert_eq!(file.as_ptr(), ptr, "sealed where it was encoded");
     }
 
     #[test]
@@ -762,9 +706,9 @@ mod tests {
 
     /// The payload bytes the next seal of `buf` checksums, and the file.
     fn seal_read(buf: &mut ImageBuf, head: ImageHead, upper: &UpperHalf) -> (usize, Vec<u8>) {
-        let mut image = head.encode_into(buf, upper, &7u64);
+        let image = head.encode_into(buf, upper, &7u64);
         let read = image.checksum().read;
-        (read, image.seal().0.into_owned())
+        (read, image.seal().0.to_vec())
     }
 
     #[test]
@@ -868,7 +812,7 @@ mod tests {
                 prop_assert_eq!(m.len(), meta_len);
                 prop_assert_eq!(&file[52..56], &crc32(u).to_le_bytes()[..]);
                 prop_assert_eq!(&file[56..60], &crc32(m).to_le_bytes()[..]);
-                prop_assert_eq!(crc, crc32(&file));
+                prop_assert_eq!(crc, crc32(file));
                 prop_assert_eq!(u, &upper.to_bytes()[..]);
             }
         }

@@ -87,16 +87,21 @@ impl JournalStep {
         }
     }
 
-    /// Stable lowercase name (used in blob names, by `mana2-inspect` and
-    /// traces).
-    pub fn name(&self) -> &'static str {
+    /// The trace vocabulary's name for this step (payload-free).
+    pub fn trace_step(&self) -> obs::RestartStep {
         match self {
-            JournalStep::RestartIntent { .. } => "restart_intent",
-            JournalStep::GenValidated { .. } => "gen_validated",
-            JournalStep::RankRestored { .. } => "rank_restored",
-            JournalStep::CommsRebuilt => "comms_rebuilt",
-            JournalStep::RestartCommitted => "restart_committed",
+            JournalStep::RestartIntent { .. } => obs::RestartStep::Intent,
+            JournalStep::GenValidated { .. } => obs::RestartStep::Validated,
+            JournalStep::RankRestored { .. } => obs::RestartStep::RankRestored,
+            JournalStep::CommsRebuilt => obs::RestartStep::CommsRebuilt,
+            JournalStep::RestartCommitted => obs::RestartStep::Committed,
         }
+    }
+
+    /// Stable lowercase name (used in blob names, by `mana2-inspect` and
+    /// traces): its trace step's.
+    pub fn name(&self) -> &'static str {
+        self.trace_step().name()
     }
 
     /// The rank component of the idempotency key (0 for rank-less steps).
@@ -581,6 +586,31 @@ mod tests {
 
     fn epoch_dirs(root: &Path) -> usize {
         fs::read_dir(journal_dir(root)).unwrap().count()
+    }
+
+    /// Every step kind's blob name, as a full epoch lands them: the names
+    /// are on-disk format (a committed epoch is recognised by one), so
+    /// each is pinned, not just the first.
+    #[test]
+    fn every_step_kind_lands_under_its_pinned_blob_name() {
+        let root = tdir("blob_names");
+        let mut j = Journal::open(&root).unwrap();
+        full_epoch(&mut j, 2, 4, 2);
+        let mut names: Vec<String> = fs::read_dir(epoch_dir(&root, 2))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        let want = [
+            "00000-restart_intent-0",
+            "00001-gen_validated-0",
+            "00002-rank_restored-0",
+            "00003-rank_restored-1",
+            "00004-comms_rebuilt-0",
+            "00005-restart_committed-0",
+        ];
+        assert_eq!(names, want);
+        fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod upperhalf;
 pub use chunk::{ChunkId, ChunkParams, ChunkRef, Recipe, RecipeError};
 pub use codec::{crc32, crc32_combine, CodecError, Crc32, Decode, Encode, Reader};
 pub use fsreg::{ContextSwitcher, FsMode};
-pub use image::{CkptImage, EncodedImage, ImageBuf, ImageError, ImageHead};
+pub use image::{CkptImage, ImageBuf, ImageError, ImageHead};
 pub use journal::{EpochState, Journal, JournalRecord, JournalStep};
 pub use lowerhalf::LowerHalf;
 pub use store::{

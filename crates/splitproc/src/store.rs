@@ -18,6 +18,9 @@
 //! through the five operations of [`Blobs`]: this file never touches the
 //! filesystem itself. Invariants:
 //!
+//! * Every rank file is written by one routine, [`Store::write_encoded`],
+//!   from an [`ImageBuf`]: a rank's kept buffer as it froze it, or a
+//!   decoded image copied into a fresh one ([`Store::write_image`]).
 //! * Every rank file and manifest lands via [`Blobs::put_atomic`] (tmp
 //!   file, sync, atomic rename, parent-directory sync), retried with
 //!   bounded backoff on transient errors. A reader never observes a
@@ -40,9 +43,8 @@ use crate::blobs::PutMode;
 pub use crate::blobs::{Blobs, FaultyBlobs, LocalFs, WriteFault};
 use crate::chunk::{self, ChunkId, ChunkParams, ChunkRef, Recipe};
 use crate::codec::{crc32, Crc32};
-use crate::image::{self, CkptImage, EncodedImage, ImageHead, SectionCrcs};
+use crate::image::{self, CkptImage, ImageBuf, ImageHead, SectionCrcs};
 use obs::metrics as met;
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
@@ -577,28 +579,28 @@ impl Store {
 
     // ---- writes ------------------------------------------------------------
 
-    /// Durably write `image` into its generation directory: the store's
-    /// one rank-write routine. Both layouts take the section CRCs from
-    /// the image (`EncodedImage::checksum`: a rank's kept buffer reads
-    /// only the blocks it rewrote). Flat mode seals the image
-    /// ([`EncodedImage::seal`] — in place when it was encoded into a
-    /// rank's buffer) and lands it as one self-contained file; chunked
+    /// Durably write the image `image` holds into its generation directory.
+    /// Both layouts take the section CRCs from the buffer
+    /// (`ImageBuf::checksum`: a rank's kept buffer reads only the blocks
+    /// it rewrote). Flat mode seals the image in place
+    /// ([`ImageBuf::seal`]) and lands the buffer as one file; chunked
     /// mode cuts its two sections where they lie, lands the chunks the
     /// pool does not hold yet, then a recipe. Either way the rank's file
     /// is its commit point and lands last, and the outcome reports that
     /// file's intended bytes and CRC — what the coordinator is told.
-    pub fn write_encoded(&self, mut image: EncodedImage<'_>) -> Result<WriteOutcome, StoreError> {
+    pub fn write_encoded(&self, image: &mut ImageBuf) -> Result<WriteOutcome, StoreError> {
         let head = image.head();
         let dir = generation_dir(&self.root, head.round);
         let crcs = image.checksum();
         let mut out = WriteOutcome {
-            logical_bytes: image.size_bytes(),
+            logical_bytes: image.len(),
             crc_bytes: crcs.read,
             ..WriteOutcome::default()
         };
         // The flat file's checksum comes with its bytes, combined from the
         // section checksums its header carries; a recipe is a few hundred
         // bytes and is simply read.
+        let recipe;
         let (path, bytes) = match self.cfg.mode {
             StoreMode::Flat => {
                 let (bytes, crc) = image.seal();
@@ -606,17 +608,15 @@ impl Store {
                 (CkptImage::path_for(&dir, head.rank), bytes)
             }
             StoreMode::Chunked => {
-                let bytes = self
-                    .write_chunks(head, image.sections(), crcs, &mut out)?
-                    .to_bytes();
-                out.crc = crc32(&bytes);
-                (recipe_path_for(&dir, head.rank), Cow::Owned(bytes))
+                recipe = (self.write_chunks(head, image.sections(), crcs, &mut out)?).to_bytes();
+                out.crc = crc32(&recipe);
+                (recipe_path_for(&dir, head.rank), &recipe[..])
             }
         };
         out.bytes = bytes.len();
         out.physical_bytes += bytes.len();
         let round = head.round as i64;
-        let (retries, fsyncs) = self.put_commit(&path, &bytes, round)?;
+        let (retries, fsyncs) = self.put_commit(&path, bytes, round)?;
         out.retries = retries;
         // The generation directory and the pool are names in the root; a
         // write that created either is durable only once the root is.
@@ -652,12 +652,12 @@ impl Store {
         Ok(out)
     }
 
-    /// [`Store::write_encoded`] of a decoded image, its sections borrowed
-    /// ([`CkptImage::encoded`]): a flat write encodes them into a fresh
-    /// file buffer (the one copy a flat file needs), a chunked write
-    /// reads them where they lie.
+    /// [`Store::write_encoded`] of a decoded image: its sections copied
+    /// into a fresh [`ImageBuf`] (`CkptImage::buf` — the one copy a flat
+    /// file needs; a chunked write pays it too), then checksummed, sealed
+    /// and written as a rank's kept buffer is.
     pub fn write_image(&self, image: &CkptImage) -> Result<WriteOutcome, StoreError> {
-        self.write_encoded(image.encoded())
+        self.write_encoded(&mut image.buf())
     }
 
     /// The pool half of a chunked write: one pass over each section cuts
@@ -2229,7 +2229,9 @@ mod tests {
 
     /// One rank's 2 MiB image written from its kept buffer, round after
     /// round, in either layout: `mana2_store_crc_bytes_total` grows by
-    /// every payload byte in the first round, by at most the two blocks a
+    /// every payload byte in the first round (as it does for the same
+    /// image decoded and written by `write_image`, which lands the same
+    /// rank file), by at most the two blocks a
     /// 42 KiB edit touches (plus the metadata) in the next, by the
     /// metadata alone in an unchanged round, and by every block from a
     /// grown segment's offset on when a segment ahead of the slab grows by
@@ -2275,6 +2277,33 @@ mod tests {
                 upper_len + meta_len,
                 "{mode:?}: first round"
             );
+            // The round-0 image decoded and written again: `write_image`
+            // copies it into a fresh buffer, checksums every payload byte
+            // and lands the rank file the kept buffer landed.
+            let decoded = CkptImage {
+                rank: 0,
+                world_size: 1,
+                round: 0,
+                upper: upper.to_bytes(),
+                meta: meta.to_bytes(),
+            };
+            let again = tdir(&format!("crc_bytes_decoded_{}", mode.name()));
+            let cfg = StoreConfig {
+                mode,
+                ..StoreConfig::default()
+            };
+            let out = Store::open(&again, cfg).write_image(&decoded).unwrap();
+            assert_eq!(out.crc_bytes, upper_len + meta_len, "{mode:?}: decoded");
+            let rank_file = |root: &Path| {
+                let dir = generation_dir(root, 0);
+                fs::read(match mode {
+                    StoreMode::Flat => CkptImage::path_for(&dir, 0),
+                    StoreMode::Chunked => recipe_path_for(&dir, 0),
+                })
+                .unwrap()
+            };
+            assert_eq!(rank_file(&again), rank_file(&root), "{mode:?}: decoded");
+            fs::remove_dir_all(&again).ok();
             upper.segment_mut("slab")[1 << 20..(1 << 20) + (42 << 10)].fill(0xEE);
             let edited = round(&upper, 1);
             assert!(edited > meta_len, "{mode:?}: the edit was seen");

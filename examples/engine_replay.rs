@@ -75,7 +75,7 @@ fn run_app_under(
     env: &EnvConfig,
     engine: EngineKind,
     dir: &std::path::Path,
-) -> Vec<[(&'static str, u64); 9]> {
+) -> Vec<[(&'static str, u64); 8]> {
     let _ = std::fs::remove_dir_all(dir);
     let cfg = ManaConfig {
         ckpt_dir: dir.to_path_buf(),
