@@ -6,25 +6,23 @@
 //!               [--workload gromacs|cg] [--drain alltoall|coordinator|toposort]
 //!               [--budget-secs N] [--max-schedules N] [--max-depth N]
 //!               [--keep-going] [--no-minimize] [--json PATH]
-//!               [--replay HEX]
+//!               [--emit-corpus N]
 //! ```
 //!
-//! Default mode runs the bounded random-walk search ([`chaos::explore`])
-//! and prints the one-line summary plus, for every failure, the minimized
-//! choice vector and its `CHAOS_CASE='schedule …'` repro command.
-//! `--replay HEX` skips the search and replays one explicit choice vector
-//! (the CLI face of the repro line). Exit status 1 when any schedule
-//! failed.
+//! Runs the bounded random-walk search ([`chaos::explore`]) and prints the
+//! one-line summary plus, for every failure, the minimized choice vector
+//! and its `CHAOS_CASE='schedule …'` repro command — the one way to replay
+//! a schedule. `--emit-corpus N` prints up to N corpus lines (`schedule …`
+//! specs). Exit status 1 when any schedule failed.
 
-use chaos::explore::{check_schedule, decode_choices, explore, ExploreCfg, ScheduleFixture};
-use chaos::{parse_drain, Workload};
+use chaos::explore::{explore, ExploreCfg, ScheduleFixture};
+use chaos::{parse_drain, Scenario, Workload};
 use mana_core::DrainMode;
 use std::time::Duration;
 
 struct Args {
-    /// The target's shape; `--replay`'s choices ride in it.
+    /// The target's shape.
     shape: ScheduleFixture,
-    replay: bool,
     cfg: ExploreCfg,
     json: Option<std::path::PathBuf>,
     emit_corpus: usize,
@@ -35,7 +33,7 @@ fn usage() -> ! {
         "usage: mana2-explore [--seed N] [--ranks N] [--workers N] \
          [--workload gromacs|cg] [--drain alltoall|coordinator|toposort] \
          [--budget-secs N] [--max-schedules N] [--max-depth N] \
-         [--keep-going] [--no-minimize] [--json PATH] [--replay HEX]"
+         [--keep-going] [--no-minimize] [--json PATH] [--emit-corpus N]"
     );
     std::process::exit(2);
 }
@@ -50,7 +48,6 @@ fn parse_args() -> Args {
             drain: DrainMode::Alltoall,
             choices: Vec::new(),
         },
-        replay: false,
         cfg: ExploreCfg::default(),
         json: None,
         emit_corpus: 0,
@@ -72,10 +69,6 @@ fn parse_args() -> Args {
             "--keep-going" => a.cfg.stop_on_first_failure = false,
             "--no-minimize" => a.cfg.minimize = false,
             "--json" => a.json = Some(val(&flag).into()),
-            "--replay" => {
-                a.replay = true;
-                a.shape.choices = decode_choices(&val(&flag)).unwrap_or_else(|e| die(&flag, &e));
-            }
             "--emit-corpus" => a.emit_corpus = parse(&flag, &val(&flag)),
             "--help" | "-h" => usage(),
             other => die(other, "unknown flag"),
@@ -106,18 +99,6 @@ fn main() {
         eprintln!("mana2-explore: {e}");
         std::process::exit(2);
     }
-    if a.replay {
-        // The CLI face of a repro line: same oracle stack, same summary
-        // (decision count, fingerprint) as `case_replay`.
-        match check_schedule(&a.shape) {
-            Ok(summary) => println!("replay {}: {summary}\nok", a.shape.to_line()),
-            Err(report) => {
-                eprintln!("FAIL: {report}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
     let target = a.shape.target().unwrap_or_else(|e| {
         eprintln!("mana2-explore: {e}");
         std::process::exit(2);
@@ -126,10 +107,10 @@ fn main() {
     let report = explore(&target, &a.cfg);
     println!("{}", report.summary());
     if a.emit_corpus > 0 {
-        // Fixture lines for crates/chaos/tests/fixtures/: prefixes that
-        // reached fingerprints no other visited schedule produced.
+        // Specs for crates/chaos/tests/fixtures/: prefixes that reached
+        // fingerprints no other visited schedule produced.
         for p in report.distinct_prefixes.iter().take(a.emit_corpus) {
-            println!("corpus: {}", target.fixture(p).to_line());
+            println!("corpus: {}", Scenario::Schedule(target.fixture(p)));
         }
     }
     if let Some(path) = &a.json {

@@ -34,12 +34,12 @@
 //!    through the `chaos_suite::case_replay` test.
 
 use crate::legs::{ensure, flight_dump, leg, run_scenario, Leg, Scratch};
-use crate::{case_token_rings, kernel, parse_drain, Scenario, WlValue, Workload};
+use crate::{case_token_rings, kernel, Scenario, WlValue, Workload};
 use mana_core::obs;
 use mana_core::DrainMode;
 use mpisim::{
-    splitmix64, EngineKind, SchedDecision, ScheduleDivergence, SchedulePolicy, ScheduleScript,
-    World, WorldCfg,
+    splitmix64, EngineKind, Fnv1a, SchedDecision, ScheduleDivergence, SchedulePolicy,
+    ScheduleScript, World, WorldCfg,
 };
 use std::collections::HashSet;
 use std::path::Path;
@@ -49,8 +49,8 @@ use workloads::Launch;
 
 // ---- choice-vector codecs ---------------------------------------------------
 
-/// Encode a choice vector as the hex string of a spec's `choices=` field
-/// and of a corpus line: two hex digits per choice. Ready queues are tiny (≤ world size), so a byte per
+/// Encode a choice vector as the hex string of a spec's `choices=` field:
+/// two hex digits per choice. Ready queues are tiny (≤ world size), so a byte per
 /// decision is plenty; choices above 255 are a usage error.
 pub fn encode_choices(choices: &[u32]) -> String {
     let mut s = String::with_capacity(choices.len() * 2);
@@ -239,13 +239,13 @@ impl ExploreTarget {
         });
         let error = verdict.err();
         let det_rings = case_token_rings(sink, self.shape.ranks);
-        let fingerprint = Fnv::of_rings(&interleaving_rings(sink, self.shape.ranks)).finish();
+        let fingerprint = of_rings(&interleaving_rings(sink, self.shape.ranks)).finish();
         let equiv_key = {
-            let mut h = Fnv::of_rings(&det_rings);
+            let mut h = of_rings(&det_rings);
             for rank in &invariant {
                 for (name, v) in rank {
-                    h.write_bytes(name.as_bytes());
-                    h.write_u64(*v);
+                    field(&mut h, name.as_bytes());
+                    field(&mut h, &v.to_le_bytes());
                 }
             }
             h.finish()
@@ -401,40 +401,22 @@ pub fn interleaving_rings(sink: &obs::TraceSink, ranks: usize) -> Vec<(i32, Vec<
     crate::token_rings(sink, ranks, |ev| Some(interleaving_token(ev)))
 }
 
-/// FNV-1a over explicitly-fed bytes: a stable, dependency-free hash for
-/// fingerprints and equivalence keys (unlike `DefaultHasher`, its value is
-/// pinned by this code, not by the standard library's hasher choice).
-struct Fnv(u64);
+/// Feed one field to `h`, closed by a `0xFF` byte so ("ab","c") and
+/// ("a","bc") hash apart.
+fn field(h: &mut Fnv1a, bytes: &[u8]) {
+    h.write(bytes).write(&[0xFF]);
+}
 
-impl Fnv {
-    fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn of_rings(rings: &[(i32, Vec<String>)]) -> Fnv {
-        let mut h = Fnv::new();
-        for (actor, ring) in rings {
-            h.write_u64(*actor as u64);
-            for t in ring {
-                h.write_bytes(t.as_bytes());
-            }
+/// The hash of every actor's token ring, fed field by field.
+fn of_rings(rings: &[(i32, Vec<String>)]) -> Fnv1a {
+    let mut h = Fnv1a::default();
+    for (actor, ring) in rings {
+        field(&mut h, &(*actor as u64).to_le_bytes());
+        for t in ring {
+            field(&mut h, t.as_bytes());
         }
-        h
     }
-    fn write_bytes(&mut self, b: &[u8]) {
-        for &x in b {
-            self.0 ^= x as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        // Separate fields so ("ab","c") and ("a","bc") hash apart.
-        self.0 ^= 0xFF;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    h
 }
 
 /// The sterile-context key: a deviation is `(ready set, chosen rank)`;
@@ -443,11 +425,11 @@ impl Fnv {
 fn sterile_key(ready: &[usize], chosen: usize) -> u64 {
     let mut sorted = ready.to_vec();
     sorted.sort_unstable();
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::default();
     for r in sorted {
-        h.write_u64(r as u64);
+        field(&mut h, &(r as u64).to_le_bytes());
     }
-    h.write_u64(0xDEAD_0000 ^ chosen as u64);
+    field(&mut h, &(0xDEAD_0000 ^ chosen as u64).to_le_bytes());
     h.finish()
 }
 
@@ -884,9 +866,10 @@ pub fn explore(target: &ExploreTarget, cfg: &ExploreCfg) -> ExploreReport {
 
 // ---- fixture corpus ---------------------------------------------------------
 
-/// One line of the adversarial-schedule corpus:
-/// `seed ranks workers workload drain choices_hex` (`#` comments, blank
-/// lines skipped).
+/// One explicit coop schedule of a checkpoint round: the shape of the run
+/// and the choice prefix that drives it. Spelled, in the corpus and in
+/// every repro line, as its `schedule seed=… ranks=… drain=… workers=…
+/// workload=… choices=…` [`Scenario`] spec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleFixture {
     /// Scheduler seed.
@@ -904,39 +887,6 @@ pub struct ScheduleFixture {
 }
 
 impl ScheduleFixture {
-    /// Parse one corpus line; `Ok(None)` for comments and blank lines.
-    pub fn parse(line: &str) -> Result<Option<ScheduleFixture>, String> {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            return Ok(None);
-        }
-        let f: Vec<&str> = line.split_whitespace().collect();
-        if f.len() != 6 {
-            return Err(format!("want 6 fields, got {}: {line:?}", f.len()));
-        }
-        Ok(Some(ScheduleFixture {
-            seed: f[0].parse().map_err(|e| format!("seed: {e}"))?,
-            ranks: f[1].parse().map_err(|e| format!("ranks: {e}"))?,
-            workers: f[2].parse().map_err(|e| format!("workers: {e}"))?,
-            workload: f[3].parse()?,
-            drain: parse_drain(f[4])?,
-            choices: decode_choices(f[5])?,
-        }))
-    }
-
-    /// Render as a corpus line.
-    pub fn to_line(&self) -> String {
-        format!(
-            "{} {} {} {} {} {}",
-            self.seed,
-            self.ranks,
-            self.workers,
-            self.workload,
-            self.drain.name(),
-            encode_choices(&self.choices)
-        )
-    }
-
     /// Build the live target this fixture replays against, running the
     /// fault-free native reference (default engine, no checkpoint) once to
     /// cache the expected results.
@@ -962,18 +912,19 @@ impl ScheduleFixture {
     }
 }
 
-/// Load a corpus file.
-pub fn load_fixtures(path: &std::path::Path) -> Result<Vec<ScheduleFixture>, String> {
+/// Load a corpus file: one `schedule …` spec per line (`#` comments and
+/// blank lines skipped). A line that is not a schedule spec is an error.
+pub fn load_fixtures(path: &Path) -> Result<Vec<ScheduleFixture>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if let Some(fx) =
-            ScheduleFixture::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?
-        {
-            out.push(fx);
-        }
-    }
-    Ok(out)
+    let lines = text.lines().enumerate();
+    let specs = lines.filter(|(_, l)| !l.trim().is_empty() && !l.trim().starts_with('#'));
+    specs
+        .map(|(i, line)| match line.parse() {
+            Ok(Scenario::Schedule(fx)) => Ok(fx),
+            Ok(other) => Err(format!("line {}: not a schedule spec: {other}", i + 1)),
+            Err(e) => Err(format!("line {}: {e}", i + 1)),
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -988,24 +939,6 @@ mod tests {
         assert!(decode_choices("abc").is_err()); // odd length
         assert!(decode_choices("zz").is_err()); // bad digit
         assert_eq!(decode_choices("  0102 ").unwrap(), vec![1, 2]);
-    }
-
-    #[test]
-    fn fixture_line_round_trips() {
-        let fx = ScheduleFixture {
-            seed: 42,
-            ranks: 4,
-            workers: 1,
-            workload: Workload::Gromacs,
-            drain: DrainMode::Coordinator,
-            choices: vec![3, 0, 2],
-        };
-        let line = fx.to_line();
-        assert_eq!(ScheduleFixture::parse(&line).unwrap().unwrap(), fx);
-        assert_eq!(ScheduleFixture::parse("# comment").unwrap(), None);
-        assert_eq!(ScheduleFixture::parse("   ").unwrap(), None);
-        assert!(ScheduleFixture::parse("1 2 3").is_err());
-        assert!(ScheduleFixture::parse("1 2 3 vasp alltoall 00").is_err());
     }
 
     #[test]
@@ -1048,12 +981,12 @@ mod tests {
 
     #[test]
     fn fnv_separates_field_boundaries() {
-        let mut a = Fnv::new();
-        a.write_bytes(b"ab");
-        a.write_bytes(b"c");
-        let mut b = Fnv::new();
-        b.write_bytes(b"a");
-        b.write_bytes(b"bc");
+        let mut a = Fnv1a::default();
+        field(&mut a, b"ab");
+        field(&mut a, b"c");
+        let mut b = Fnv1a::default();
+        field(&mut b, b"a");
+        field(&mut b, b"bc");
         assert_ne!(a.finish(), b.finish());
     }
 

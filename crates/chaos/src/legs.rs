@@ -3,7 +3,7 @@
 //! inside [`run_scenario`], which gives the legs a scratch directory and
 //! turns a failure into a [`CaseFailure`] with its flight dump attached.
 
-use crate::{env, Scenario};
+use crate::{env, Knobs, Scenario};
 use mana_core::{obs, AppOutcome, ManaRuntime, RunReport};
 use std::fmt::{self, Debug};
 use std::path::{Path, PathBuf};
@@ -94,9 +94,9 @@ impl<T: PartialEq + Debug> Leg<T> {
 
 /// A scratch directory of a scenario's own: unique per call (tests run in
 /// parallel, and one seed may run twice in a process), removed on drop
-/// unless `CHAOS_KEEP_STORES` asks for the stores — and the restart
+/// unless `CHAOS_KEEP_STORES=1` asks for the stores — and the restart
 /// journals in them — to be left for `mana2-inspect`.
-pub(crate) struct Scratch(pub(crate) PathBuf);
+pub(crate) struct Scratch(pub(crate) PathBuf, bool);
 
 impl Scratch {
     pub(crate) fn new(family: &str, seed: u64) -> Scratch {
@@ -107,13 +107,13 @@ impl Scratch {
             NEXT.fetch_add(1, Ordering::Relaxed)
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        Scratch(dir)
+        Scratch(dir, Knobs::from_env().keep_stores)
     }
 }
 
 impl Drop for Scratch {
     fn drop(&mut self) {
-        if std::env::var("CHAOS_KEEP_STORES").is_ok_and(|v| v != "0") {
+        if self.1 {
             eprintln!("chaos: keeping stores: {}", self.0.display());
         } else {
             let _ = std::fs::remove_dir_all(&self.0);
@@ -179,7 +179,7 @@ pub(crate) fn flight_dump(
 /// (one sink across all legs, so a single dump shows the whole story).
 /// With `dump`, a failure's flight recorder is dumped and the path
 /// attached to the [`CaseFailure`], and a passing case is dumped too when
-/// `MANA2_TRACE` is set (CI's artifact hook); without, the sink is the
+/// `MANA2_TRACE=1` (CI's artifact hook); without, the sink is the
 /// caller's to read.
 pub(crate) fn run_scenario<R>(
     scenario: &Scenario,
@@ -193,7 +193,7 @@ pub(crate) fn run_scenario<R>(
     drop(scratch);
     match result {
         Ok(report) => {
-            if dump && std::env::var("MANA2_TRACE").is_ok() {
+            if dump && Knobs::from_env().trace {
                 if let Some(p) = flight_dump(scenario, sink, "pass") {
                     eprintln!("mana2: chaos trace dump: {}", p.display());
                 }

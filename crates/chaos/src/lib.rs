@@ -18,11 +18,10 @@
 //! CHAOS_CASE='<spec>' cargo test -p chaos --test chaos_suite case_replay -- --exact --nocapture
 //! ```
 //!
-//! (`CHAOS_SEED=<seed> … seed_replay` derives a whole message-fault case
-//! from a seed instead.) When a message-fault case fails, [`check_case`]
-//! also shrinks it by disarming one fault feature at a time and keeping
-//! each disarm that still fails, producing the minimal [`FaultSpec`] that
-//! reproduces the failure.
+//! When a message-fault case fails, [`check_case`] also shrinks it by
+//! disarming one fault feature at a time and keeping each disarm that
+//! still fails, producing the minimal [`FaultSpec`] that reproduces the
+//! failure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -794,25 +793,53 @@ pub fn env_case() -> Option<Result<Scenario, String>> {
     )
 }
 
-fn env_u64(var: &str) -> Option<u64> {
-    std::env::var(var).ok()?.trim().parse().ok()
+/// The harness's own knobs. Each is strict: a value that does not parse,
+/// or a zero sweep count, is an error naming the variable and the value —
+/// never a silent default.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Knobs {
+    /// `CHAOS_BASE_SEED`: the first seed of the fresh sweeps (CI's nightly
+    /// job passes its run id, so every night sweeps fresh seeds).
+    pub base_seed: u64,
+    /// `CHAOS_SWEEP_COUNT`: seeds per fresh sweep, at least 1 (2 by
+    /// default so routine runs stay fast; CI asks for 32).
+    pub sweep_count: u64,
+    /// `CHAOS_KEEP_STORES=1`: keep every scenario's scratch directory.
+    pub keep_stores: bool,
+    /// `MANA2_TRACE=1`: dump the flight recorder of passing cases too.
+    pub trace: bool,
 }
 
-/// `CHAOS_SEED` env var, if set (derive a whole message-fault case).
-pub fn env_seed() -> Option<u64> {
-    env_u64("CHAOS_SEED")
-}
+impl Knobs {
+    /// Read the four variables through `get` (tests pass a closure over a
+    /// map); an unset variable keeps its default. Booleans are `0` or `1`.
+    pub fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Result<Knobs, String> {
+        let knob = |var: &str, want: &str, parse: &dyn Fn(&str) -> Option<u64>| match get(var) {
+            None => Ok(None),
+            Some(v) => parse(v.trim())
+                .map(Some)
+                .ok_or_else(|| format!("{var}={v:?} is not valid: expected {want}")),
+        };
+        let num = |s: &str| s.parse().ok();
+        let bit = |s: &str| ["0", "1"].iter().position(|&b| b == s).map(|b| b as u64);
+        let flag = |var| knob(var, "0 | 1", &bit).map(|b| b == Some(1));
+        Ok(Knobs {
+            base_seed: knob("CHAOS_BASE_SEED", "a whole number", &num)?.unwrap_or(0xC0FF_EE00),
+            sweep_count: knob("CHAOS_SWEEP_COUNT", "a whole number >= 1", &|s| {
+                num(s).filter(|&n| n >= 1)
+            })?
+            .unwrap_or(2),
+            keep_stores: flag("CHAOS_KEEP_STORES")?,
+            trace: flag("MANA2_TRACE")?,
+        })
+    }
 
-/// `CHAOS_BASE_SEED` env var, or a fixed default. CI's nightly job passes
-/// its run id here so every night sweeps fresh seeds.
-pub fn env_base_seed() -> u64 {
-    env_u64("CHAOS_BASE_SEED").unwrap_or(0xC0FF_EE00)
-}
-
-/// `CHAOS_SWEEP_COUNT` env var, or a small default so routine test runs
-/// stay fast while CI can ask for 32+.
-pub fn env_sweep_count() -> u64 {
-    env_u64("CHAOS_SWEEP_COUNT").unwrap_or(2)
+    /// [`Knobs::from_lookup`] over the process environment; a bad value
+    /// panics with the error.
+    pub fn from_env() -> Knobs {
+        let get = |var: &str| std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+        Knobs::from_lookup(get).unwrap_or_else(|e| panic!("chaos: {e}"))
+    }
 }
 
 #[cfg(test)]
@@ -849,6 +876,51 @@ mod tests {
         let cmd = scenario.repro();
         assert!(cmd.starts_with("CHAOS_CASE='faults seed=12345 "), "{cmd}");
         assert!(cmd.contains("case_replay"));
+    }
+
+    #[test]
+    fn knobs_are_strict() {
+        let with = |pairs: &[(&str, &str)]| {
+            let map: std::collections::HashMap<String, String> = pairs
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect();
+            Knobs::from_lookup(|var| map.get(var).cloned())
+        };
+        let defaults = Knobs {
+            base_seed: 0xC0FF_EE00,
+            sweep_count: 2,
+            keep_stores: false,
+            trace: false,
+        };
+        assert_eq!(with(&[]), Ok(defaults));
+        let set = with(&[
+            ("CHAOS_BASE_SEED", "7"),
+            ("CHAOS_SWEEP_COUNT", " 32 "),
+            ("CHAOS_KEEP_STORES", "1"),
+            ("MANA2_TRACE", "1"),
+        ]);
+        let want = Knobs {
+            base_seed: 7,
+            sweep_count: 32,
+            keep_stores: true,
+            trace: true,
+        };
+        assert_eq!(set, Ok(want));
+        assert!(!with(&[("MANA2_TRACE", "0")]).unwrap().trace);
+        for (var, value) in [
+            ("CHAOS_BASE_SEED", "abc"),
+            ("CHAOS_BASE_SEED", "-1"),
+            ("CHAOS_SWEEP_COUNT", "0"),
+            ("CHAOS_SWEEP_COUNT", "many"),
+            ("CHAOS_KEEP_STORES", "yes"),
+            ("CHAOS_KEEP_STORES", "2"),
+            ("MANA2_TRACE", ""),
+            ("MANA2_TRACE", "true"),
+        ] {
+            let err = with(&[(var, value)]).expect_err(value);
+            assert!(err.starts_with(&format!("{var}={value:?} ")), "{err}");
+        }
     }
 
     #[test]

@@ -125,7 +125,7 @@ impl ChaosCase {
     }
 
     /// Derive *everything* from the seed, workload and drain included.
-    /// Used by `CHAOS_SEED` replay and the CI fresh sweep.
+    /// Used by the fresh sweep and the engine seed matrix.
     pub fn from_seed(seed: u64) -> Self {
         let d = Derive(seed);
         ChaosCase::derive(seed, d.workload(), d.drain())

@@ -10,10 +10,7 @@
 //! CHAOS_CASE='<spec>' cargo test -p chaos --test chaos_suite case_replay -- --exact --nocapture
 //! ```
 
-use chaos::{
-    check_case, env_base_seed, env_case, env_seed, env_sweep_count, ChaosCase, Scenario,
-    StorageCase, Workload,
-};
+use chaos::{check_case, env_case, ChaosCase, Knobs, Scenario, StorageCase, Workload};
 use mana_core::DrainMode;
 use mpisim::StorageFaultKind;
 use splitproc::StoreMode;
@@ -229,8 +226,9 @@ fn storage_torn_chunk_costs_only_its_own_generation() {
 /// seeds.
 #[test]
 fn fresh_storage_sweep() {
-    let base = env_base_seed() ^ 0x57A6_57A6;
-    for i in 0..env_sweep_count() {
+    let knobs = Knobs::from_env();
+    let base = knobs.base_seed ^ 0x57A6_57A6;
+    for i in 0..knobs.sweep_count {
         let kind = KINDS[(i % 3) as usize];
         let mut case = StorageCase::derive(base.wrapping_add(i), kind, (i / 3) % 2 == 0);
         for store in [StoreMode::Flat, StoreMode::Chunked] {
@@ -246,8 +244,9 @@ fn fresh_storage_sweep() {
 /// per night; this test pins each in turn.
 #[test]
 fn fresh_drain_sweep() {
-    let base = env_base_seed() ^ 0xD4A1_D4A1;
-    for i in 0..env_sweep_count() {
+    let knobs = Knobs::from_env();
+    let base = knobs.base_seed ^ 0xD4A1_D4A1;
+    for i in 0..knobs.sweep_count {
         let seed = base.wrapping_add(i);
         let workload = if i % 2 == 0 {
             Workload::Gromacs
@@ -267,34 +266,29 @@ fn fresh_drain_sweep() {
     }
 }
 
-/// `CHAOS_SEED=<seed>` derives a whole message-fault case from the seed
-/// (workload, drain mode, world size, restart mode, and every per-message
-/// decision are all functions of it) and runs it — what `fresh_sweep` does
-/// per seed.
-#[test]
-fn seed_replay() {
-    let seed = env_seed().unwrap_or(0x00C0_FFEE);
-    let case = ChaosCase::from_seed(seed);
-    eprintln!("seed_replay: {case:?}");
-    check(&case);
-}
-
 /// Replay hook: `CHAOS_CASE='<spec>'` reruns exactly the scenario a
 /// failure report named, of any family. A spec that does not parse fails
-/// the test; unset, one fixed schedule replays as a smoke test so the
-/// hook itself stays exercised.
+/// the test; unset, two committed specs replay — one fixed schedule, so
+/// the hook itself stays exercised, and the message-fault case derived
+/// from seed `0x00C0FFEE`.
 #[test]
 fn case_replay() {
-    let smoke = "schedule seed=13655789 ranks=4 drain=alltoall workers=1 workload=gromacs \
-                 choices=020001";
-    let scenario: Scenario = match env_case() {
-        Some(parsed) => parsed.unwrap_or_else(|e| panic!("{e}")),
-        None => smoke.parse().expect("smoke spec"),
+    let committed = [
+        "schedule seed=13655789 ranks=4 drain=alltoall workers=1 workload=gromacs choices=020001",
+        "faults seed=12648430 ranks=2 drain=alltoall workload=cg restart=true",
+    ];
+    let scenarios: Vec<Scenario> = match env_case() {
+        Some(parsed) => vec![parsed.unwrap_or_else(|e| panic!("{e}"))],
+        None => committed
+            .map(|spec| spec.parse().expect("committed spec"))
+            .to_vec(),
     };
-    eprintln!("case_replay: {scenario}");
-    match scenario.check() {
-        Ok(summary) => eprintln!("case_replay: {summary}"),
-        Err(msg) => panic!("{msg}"),
+    for scenario in scenarios {
+        eprintln!("case_replay: {scenario}");
+        match scenario.check() {
+            Ok(summary) => eprintln!("case_replay: {summary}"),
+            Err(msg) => panic!("{msg}"),
+        }
     }
 }
 
@@ -303,8 +297,8 @@ fn case_replay() {
 /// Defaults keep routine runs fast; nightly asks for 32.
 #[test]
 fn fresh_sweep() {
-    let base = env_base_seed();
-    for i in 0..env_sweep_count() {
-        check(&ChaosCase::from_seed(base.wrapping_add(i)));
+    let knobs = Knobs::from_env();
+    for i in 0..knobs.sweep_count {
+        check(&ChaosCase::from_seed(knobs.base_seed.wrapping_add(i)));
     }
 }

@@ -20,7 +20,7 @@
 //! Result correctness against the fault-free native reference is already
 //! asserted inside [`chaos::run_compared`] for every leg.
 
-use chaos::{assert_equivalent, run_compared, trigger_plan, ChaosCase, Workload};
+use chaos::{assert_equivalent, run_compared, trigger_plan, ChaosCase, Scenario, Workload};
 use mana_core::DrainMode;
 use mpisim::{CoopCfg, EngineKind};
 
@@ -130,14 +130,15 @@ fn adversarial_schedule_corpus_equivalent_across_engines() {
     let fixtures = chaos::explore::load_fixtures(&path).expect("corpus parses");
     assert!(!fixtures.is_empty(), "corpus is empty");
     for fx in &fixtures {
+        let spec = Scenario::Schedule(fx.clone());
         let target = fx
             .target()
-            .unwrap_or_else(|e| panic!("fixture {}: {e}", fx.to_line()));
+            .unwrap_or_else(|e| panic!("fixture {}: {e}", spec));
         let scripted = target.run_schedule(&fx.choices);
         assert!(
             scripted.error.is_none(),
             "fixture {} failed under replay: {:?}\n  repro: {}",
-            fx.to_line(),
+            spec,
             scripted.error,
             target.repro_command(&fx.choices)
         );
@@ -145,20 +146,18 @@ fn adversarial_schedule_corpus_equivalent_across_engines() {
         assert!(
             ungated.error.is_none(),
             "fixture {} failed ungated: {:?}",
-            fx.to_line(),
+            spec,
             ungated.error
         );
         assert_eq!(
-            scripted.invariant,
-            ungated.invariant,
+            scripted.invariant, ungated.invariant,
             "fixture {}: schedule-invariant ManaStats diverged from the ungated run",
-            fx.to_line()
+            spec
         );
         assert_eq!(
-            scripted.det_rings,
-            ungated.det_rings,
+            scripted.det_rings, ungated.det_rings,
             "fixture {}: determinism-token rings diverged from the ungated run",
-            fx.to_line()
+            spec
         );
     }
 }

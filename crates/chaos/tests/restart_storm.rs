@@ -9,7 +9,7 @@
 //! Sweep sizes respect `CHAOS_BASE_SEED` / `CHAOS_SWEEP_COUNT` so the
 //! nightly `restart-storm` job can run fresh seeds at higher volume.
 
-use chaos::{env_base_seed, env_sweep_count, run_restart_kill_case, RestartKillCase};
+use chaos::{run_restart_kill_case, Knobs, RestartKillCase};
 use mana_core::{obs, DrainMode, ManaConfig, RuntimeError};
 use mpisim::{CoopCfg, EngineKind, StorageFaultKind, WorldCfg};
 use splitproc::{journal, store};
@@ -126,8 +126,8 @@ fn restart_kill_storage_cross_matrix() {
 /// engines, cycling storage-fault crosses.
 #[test]
 fn seeded_restart_kill_sweep() {
-    let base = env_base_seed();
-    let count = env_sweep_count();
+    let knobs = Knobs::from_env();
+    let (base, count) = (knobs.base_seed, knobs.sweep_count);
     let kinds = [
         None,
         Some(StorageFaultKind::TornWrite),

@@ -471,7 +471,7 @@ impl ManaRuntime {
         // Live export is opt-in (`Outputs::metrics_dir`); the registry
         // itself is always on.
         let exporter = self.outputs.metrics_dir.as_ref().and_then(|dir| {
-            let meta = met::SeriesMeta {
+            let meta = obs::JsonlHeader {
                 label: obs::unique_label(if restart.is_some() {
                     "mana2_restart"
                 } else {

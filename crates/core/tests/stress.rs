@@ -5,9 +5,7 @@ mod common;
 
 use common::env;
 use mana_core::{ManaConfig, ManaRuntime};
-use mpisim::{ReduceOp, SrcSel, TagSel, WorldCfg};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mpisim::{splitmix64, ReduceOp, SrcSel, TagSel, WorldCfg};
 use std::time::Duration;
 
 fn rt(name: &str, n: usize) -> ManaRuntime {
@@ -25,6 +23,17 @@ fn rt(name: &str, n: usize) -> ManaRuntime {
     })
 }
 
+/// `plan[i][j]`: how many messages rank `i` sends rank `j` (0..5), drawn
+/// from `seed`.
+fn plan(seed: u64, n: usize) -> Vec<Vec<u64>> {
+    let mut x = seed;
+    let mut draw = || {
+        x = splitmix64(x);
+        x % 5
+    };
+    (0..n).map(|_| (0..n).map(|_| draw()).collect()).collect()
+}
+
 #[test]
 fn randomized_traffic_conserved_across_checkpoint() {
     // Every rank sends a deterministic-random plan of messages, a
@@ -36,10 +45,7 @@ fn randomized_traffic_conserved_across_checkpoint() {
             .run_fresh(move |m| {
                 let w = m.comm_world();
                 let me = m.rank();
-                let mut rng = StdRng::seed_from_u64(seed);
-                let plan: Vec<Vec<u64>> = (0..n)
-                    .map(|_| (0..n).map(|_| rng.gen_range(0..5u64)).collect())
-                    .collect();
+                let plan = plan(seed, n);
                 // Phase 1: fire all sends.
                 for (dst, &planned) in plan[me].iter().enumerate() {
                     if dst == me {
@@ -77,10 +83,7 @@ fn randomized_traffic_conserved_across_checkpoint() {
         let vals = report.values();
         let total: u64 = vals.iter().sum();
         // Recompute the plan to know the expected total.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let plan: Vec<Vec<u64>> = (0..n)
-            .map(|_| (0..n).map(|_| rng.gen_range(0..5u64)).collect())
-            .collect();
+        let plan = plan(seed, n);
         let expected: u64 = (0..n)
             .flat_map(|i| (0..n).map(move |j| (i, j)))
             .filter(|(i, j)| i != j)

@@ -203,16 +203,11 @@ impl Group {
 /// FNV-1a over a sequence of usizes; stable across platforms (values are
 /// hashed as u64 little-endian).
 pub fn fnv1a_usizes(vals: &[usize]) -> u64 {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x00000100000001B3;
-    let mut h = OFFSET;
+    let mut h = crate::Fnv1a::default();
     for &v in vals {
-        for b in (v as u64).to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
+        h.write(&(v as u64).to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

@@ -82,7 +82,8 @@ pub use engine::{
 pub use envelope::{Envelope, MatchSpec, MsgClass, SrcSel, TagSel, INTERNAL_TAG_BIT, MAX_USER_TAG};
 pub use error::{MpiError, Result};
 pub use fault::{
-    splitmix64, FaultPlan, FaultSpec, Perturb, StorageFault, StorageFaultKind, StorageFaultSpec,
+    splitmix64, FaultPlan, FaultSpec, Fnv1a, Perturb, StorageFault, StorageFaultKind,
+    StorageFaultSpec,
 };
 pub use group::{fnv1a_usizes, Group, GroupRelation};
 pub use network::{Mailbox, Network};

@@ -5,9 +5,7 @@
 mod common;
 
 use common::env_cfg;
-use mpisim::{run, Datatype, ReduceOp, SrcSel, TagSel, World, WorldCfg};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use mpisim::{run, splitmix64, Datatype, ReduceOp, SrcSel, TagSel, World, WorldCfg};
 use std::time::Duration;
 
 fn cfg() -> WorldCfg {
@@ -171,6 +169,17 @@ fn sendrecv_replace_ring() {
     assert_eq!(out, vec![3, 0, 1, 2]);
 }
 
+/// `plan[i][j]`: how many messages rank `i` sends rank `j` (0..6), drawn
+/// from `seed`.
+fn plan(seed: u64, n: usize) -> Vec<Vec<u64>> {
+    let mut x = seed;
+    let mut draw = || {
+        x = splitmix64(x);
+        x % 6
+    };
+    (0..n).map(|_| (0..n).map(|_| draw()).collect()).collect()
+}
+
 #[test]
 fn randomized_p2p_conservation() {
     // Stress: every rank sends a random number of random-size messages to
@@ -185,10 +194,7 @@ fn randomized_p2p_conservation() {
             let w = p.comm_world();
             let me = p.rank();
             // Deterministic shared plan: plan[i][j] = messages i sends to j.
-            let mut rng = StdRng::seed_from_u64(seed);
-            let plan: Vec<Vec<u64>> = (0..n)
-                .map(|_| (0..n).map(|_| rng.gen_range(0..6u64)).collect())
-                .collect();
+            let plan = plan(seed, n);
             // Sends.
             for (dst, &planned) in plan[me].iter().enumerate() {
                 if dst == me {
@@ -217,11 +223,7 @@ fn randomized_p2p_conservation() {
     assert_eq!(world.in_flight(), (0, 0), "network fully drained");
     let stats = world.stats();
     // Per-pair user bytes are nonzero exactly where the plan says.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plan: Vec<Vec<u64>> = (0..n)
-        .map(|_| (0..n).map(|_| rng.gen_range(0..6u64)).collect())
-        .collect();
-    for (i, row) in plan.iter().enumerate() {
+    for (i, row) in plan(seed, n).iter().enumerate() {
         for (j, &planned) in row.iter().enumerate() {
             if i != j {
                 assert_eq!(stats.pair(i, j) > 0, planned > 0, "pair {i}->{j}");

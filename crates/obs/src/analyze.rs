@@ -472,12 +472,13 @@ mod tests {
 
     fn meta(ranks: usize, dropped: u64) -> DumpMeta {
         DumpMeta {
-            label: "t".into(),
-            ranks,
-            seed: None,
+            head: crate::JsonlHeader {
+                label: "t".into(),
+                ranks,
+                ..Default::default()
+            },
             dropped,
             dropped_by_ring: Vec::new(),
-            config: crate::ConfigRecord::default(),
             rank_errors: Vec::new(),
         }
     }

@@ -42,36 +42,6 @@ impl ConfigRecord {
                 .collect(),
         )
     }
-
-    /// Append `,"config":{…}` to a header under construction (nothing
-    /// for an empty record, so headers without one stay as they were).
-    pub(crate) fn write_header_field(&self, out: &mut String) {
-        if !self.0.is_empty() {
-            let field = |(k, v): &(String, String)| format!("\"{}\":\"{}\"", escape(k), escape(v));
-            let fields: Vec<String> = self.0.iter().map(field).collect();
-            let _ = write!(out, ",\"config\":{{{}}}", fields.join(","));
-        }
-    }
-
-    /// Read the `config` field of a parsed header. Absent means empty
-    /// (dumps written before the field existed); present must be an
-    /// object whose values are all strings.
-    pub(crate) fn from_header(header: &Json) -> Result<ConfigRecord, String> {
-        let fields = match header.get("config") {
-            None => return Ok(ConfigRecord::default()),
-            Some(Json::Obj(fields)) => fields,
-            Some(_) => return Err("header \"config\" is not an object".to_string()),
-        };
-        let pair = |(k, v): &(String, Json)| match v.as_str() {
-            Some(s) => Ok((k.clone(), s.to_string())),
-            None => Err(format!("header \"config\".{k:?} is not a string")),
-        };
-        fields
-            .iter()
-            .map(pair)
-            .collect::<Result<_, _>>()
-            .map(ConfigRecord)
-    }
 }
 
 impl std::fmt::Display for ConfigRecord {
@@ -82,64 +52,137 @@ impl std::fmt::Display for ConfigRecord {
     }
 }
 
-/// Dump header metadata.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DumpMeta {
+/// The header line every JSONL artifact starts with — a flight dump
+/// (`mana2-trace/1`) and a metrics series (`mana2-metrics/1`) alike —
+/// before one JSON record per line.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct JsonlHeader {
     /// Free-form label (chaos seed tag, bench name, …).
     pub label: String,
-    /// Number of rank rings merged into the dump.
+    /// Number of ranks the run had.
     pub ranks: usize,
     /// Fault-plan seed of the run, when one was armed.
     pub seed: Option<u64>,
+    /// The configuration the run resolved to. Empty in artifacts written
+    /// before this field existed.
+    pub config: ConfigRecord,
+}
+
+impl JsonlHeader {
+    /// The header line of a `schema` artifact, without its newline: the
+    /// four shared fields, with `mid` and `tail` — the schema's own
+    /// pre-rendered `,"key":value` fields — before and after `config`
+    /// (which is left out when empty).
+    pub(crate) fn line(&self, schema: &str, mid: &str, tail: &str) -> String {
+        let seed = self.seed.map_or("null".to_string(), |s| s.to_string());
+        let mut out = format!(
+            "{{\"schema\":\"{schema}\",\"label\":\"{}\",\"ranks\":{},\"seed\":{seed}{mid}",
+            escape(&self.label),
+            self.ranks
+        );
+        if !self.config.0.is_empty() {
+            let field = |(k, v): &(String, String)| format!("\"{}\":\"{}\"", escape(k), escape(v));
+            let fields: Vec<String> = self.config.0.iter().map(field).collect();
+            let _ = write!(out, ",\"config\":{{{}}}", fields.join(","));
+        }
+        out.push_str(tail);
+        out.push('}');
+        out
+    }
+}
+
+/// A read artifact: its header, the header's JSON object (for the
+/// schema's own fields), and every record line as `(line number, value)`.
+pub(crate) type Artifact = (JsonlHeader, Json, Vec<(usize, Json)>);
+
+/// Read a `schema` artifact. An absent label, rank count, seed or config
+/// reads as empty, 0, `None` and empty; a present `config` must be an
+/// object of strings; blank lines are skipped.
+pub(crate) fn read_jsonl(text: &str, schema: &str) -> Result<Artifact, String> {
+    let mut lines = text
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| !l.trim().is_empty());
+    let (_, header) = lines.next().ok_or(format!("empty {schema} file"))?;
+    let hv = json::parse(header).map_err(|e| format!("header: {e}"))?;
+    let found = hv
+        .get("schema")
+        .and_then(Json::as_str)
+        .ok_or("header missing \"schema\"".to_string())?;
+    if found != schema {
+        return Err(format!("unsupported schema {found:?} (want {schema:?})"));
+    }
+    let config = match hv.get("config") {
+        None => Vec::new(),
+        Some(Json::Obj(fields)) => fields
+            .iter()
+            .map(|(k, v)| match v.as_str() {
+                Some(s) => Ok((k.clone(), s.to_string())),
+                None => Err(format!("header \"config\".{k:?} is not a string")),
+            })
+            .collect::<Result<_, _>>()?,
+        Some(_) => return Err("header \"config\" is not an object".to_string()),
+    };
+    let head = JsonlHeader {
+        label: hv
+            .get("label")
+            .and_then(Json::as_str)
+            .unwrap_or("")
+            .to_string(),
+        ranks: hv.get("ranks").and_then(Json::as_u64).unwrap_or(0) as usize,
+        seed: hv.get("seed").and_then(Json::as_u64),
+        config: ConfigRecord(config),
+    };
+    let records = lines
+        .map(|(i, line)| match json::parse(line) {
+            Ok(v) => Ok((i + 1, v)),
+            Err(e) => Err(format!("line {}: {e}", i + 1)),
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((head, hv, records))
+}
+
+/// Dump header metadata: the shared header and the dump's own fields.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DumpMeta {
+    /// Label, ranks, seed and config.
+    pub head: JsonlHeader,
     /// Events overwritten (lost) across all rings before the dump.
     pub dropped: u64,
     /// Events overwritten per ring (ranks `0..n`, then the coordinator).
     /// Empty in dumps written before this field existed.
     pub dropped_by_ring: Vec<u64>,
-    /// The configuration the run resolved to. Empty in dumps written
-    /// before this field existed.
-    pub config: ConfigRecord,
     /// `(rank, error)` for every rank that failed *besides* the one the
     /// run's error names: the collateral of a poisoned world. Empty for
     /// dumps of runs that did not fail that way.
     pub rank_errors: Vec<(usize, String)>,
 }
 
+impl std::ops::Deref for DumpMeta {
+    type Target = JsonlHeader;
+
+    fn deref(&self) -> &JsonlHeader {
+        &self.head
+    }
+}
+
 /// Serialize `events` (pre-merged, any order preserved) as a JSONL dump.
 pub fn events_to_jsonl(meta: &DumpMeta, events: &[TraceEvent]) -> String {
-    let mut out = String::with_capacity(64 + events.len() * 96);
-    let _ = write!(
-        out,
-        "{{\"schema\":\"{}\",\"label\":\"{}\",\"ranks\":{},\"seed\":",
-        SCHEMA,
-        escape(&meta.label),
-        meta.ranks
-    );
-    match meta.seed {
-        Some(s) => {
-            let _ = write!(out, "{s}");
-        }
-        None => out.push_str("null"),
-    }
-    let _ = write!(out, ",\"dropped\":{}", meta.dropped);
+    let mut mid = format!(",\"dropped\":{}", meta.dropped);
     if !meta.dropped_by_ring.is_empty() {
-        out.push_str(",\"dropped_by_ring\":[");
-        for (i, d) in meta.dropped_by_ring.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{d}");
-        }
-        out.push(']');
+        let rings: Vec<String> = meta.dropped_by_ring.iter().map(u64::to_string).collect();
+        let _ = write!(mid, ",\"dropped_by_ring\":[{}]", rings.join(","));
     }
-    meta.config.write_header_field(&mut out);
-    if !meta.rank_errors.is_empty() {
-        let one =
-            |(r, e): &(usize, String)| format!("{{\"rank\":{r},\"error\":\"{}\"}}", escape(e));
-        let all: Vec<String> = meta.rank_errors.iter().map(one).collect();
-        let _ = write!(out, ",\"rank_errors\":[{}]", all.join(","));
-    }
-    out.push_str("}\n");
+    let one = |(r, e): &(usize, String)| format!("{{\"rank\":{r},\"error\":\"{}\"}}", escape(e));
+    let errors: Vec<String> = meta.rank_errors.iter().map(one).collect();
+    let tail = if errors.is_empty() {
+        String::new()
+    } else {
+        format!(",\"rank_errors\":[{}]", errors.join(","))
+    };
+    let mut out = meta.head.line(SCHEMA, &mid, &tail);
+    out.reserve(1 + events.len() * 96);
+    out.push('\n');
     for ev in events {
         out.push_str(&ev.to_json_line());
         out.push('\n');
@@ -149,33 +192,14 @@ pub fn events_to_jsonl(meta: &DumpMeta, events: &[TraceEvent]) -> String {
 
 /// Parse a JSONL dump back into its header and events.
 pub fn parse_jsonl(text: &str) -> Result<(DumpMeta, Vec<TraceEvent>), String> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let (_, header) = lines.next().ok_or("empty dump".to_string())?;
-    let hv = json::parse(header).map_err(|e| format!("header: {e}"))?;
-    let schema = hv
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("header missing \"schema\"".to_string())?;
-    if schema != SCHEMA {
-        return Err(format!("unsupported schema {schema:?} (want {SCHEMA:?})"));
-    }
+    let (head, hv, records) = read_jsonl(text, SCHEMA)?;
     let meta = DumpMeta {
-        label: hv
-            .get("label")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string(),
-        ranks: hv.get("ranks").and_then(Json::as_u64).unwrap_or(0) as usize,
-        seed: hv.get("seed").and_then(Json::as_u64),
+        head,
         dropped: hv.get("dropped").and_then(Json::as_u64).unwrap_or(0),
         dropped_by_ring: match hv.get("dropped_by_ring") {
             Some(Json::Arr(items)) => items.iter().filter_map(Json::as_u64).collect(),
             _ => Vec::new(),
         },
-        config: ConfigRecord::from_header(&hv)?,
         rank_errors: match hv.get("rank_errors") {
             Some(Json::Arr(items)) => items
                 .iter()
@@ -187,12 +211,10 @@ pub fn parse_jsonl(text: &str) -> Result<(DumpMeta, Vec<TraceEvent>), String> {
             _ => Vec::new(),
         },
     };
-    let mut events = Vec::new();
-    for (lineno, line) in lines {
-        let v = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let ev = TraceEvent::from_json(&v).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        events.push(ev);
-    }
+    let events = records
+        .iter()
+        .map(|(n, v)| TraceEvent::from_json(v).map_err(|e| format!("line {n}: {e}")))
+        .collect::<Result<_, _>>()?;
     Ok((meta, events))
 }
 
@@ -308,12 +330,14 @@ impl DumpMeta {
     /// counters read now, no `rank_errors`.
     pub fn of(sink: &TraceSink, label: &str, seed: Option<u64>, config: &ConfigRecord) -> Self {
         DumpMeta {
-            label: label.to_string(),
-            ranks: sink.n_ranks(),
-            seed,
+            head: JsonlHeader {
+                label: label.to_string(),
+                ranks: sink.n_ranks(),
+                seed,
+                config: config.clone(),
+            },
             dropped: sink.dropped(),
             dropped_by_ring: sink.dropped_by_ring(),
-            config: config.clone(),
             rank_errors: Vec::new(),
         }
     }
@@ -340,13 +364,7 @@ pub fn flight_record(
     let metrics_path = match metrics {
         Some(snap) => {
             let p = dir.join(format!("{label}.metrics.json"));
-            let smeta = crate::metrics::SeriesMeta {
-                label: label.clone(),
-                ranks: meta.ranks,
-                seed: meta.seed,
-                config: meta.config.clone(),
-            };
-            crate::metrics::write_snapshot_file(&p, &smeta, snap)?;
+            crate::metrics::write_snapshot_file(&p, &meta.head, snap)?;
             Some(p)
         }
         None => None,
@@ -445,16 +463,57 @@ mod tests {
             .collect()
     }
 
+    /// A dump header with nothing dropped and no collateral errors.
+    fn plain(head: JsonlHeader) -> DumpMeta {
+        DumpMeta {
+            head,
+            dropped: 0,
+            dropped_by_ring: Vec::new(),
+            rank_errors: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn header_round_trips_in_both_schemas() {
+        use crate::metrics::{parse_series, series_to_jsonl};
+        let config = ConfigRecord::new([("engine", "coop:2:7"), ("dr\\ain", "topo\"sort")]);
+        for (seed, config) in [(None, ConfigRecord::default()), (Some(u64::MAX), config)] {
+            let head = JsonlHeader {
+                label: "tab\there \"quoted\" \\ \u{1}".into(),
+                ranks: 5,
+                seed,
+                config,
+            };
+            let dump = events_to_jsonl(&plain(head.clone()), &[]);
+            assert_eq!(parse_jsonl(&dump).unwrap().0.head, head, "{dump}");
+            let series = series_to_jsonl(&head, &[]);
+            assert_eq!(parse_series(&series).unwrap().0, head, "{series}");
+            // Each reader refuses the other's schema.
+            let err = parse_series(&dump).unwrap_err();
+            assert!(
+                err.contains("unsupported schema \"mana2-trace/1\""),
+                "{err}"
+            );
+            let err = parse_jsonl(&series).unwrap_err();
+            assert!(
+                err.contains("unsupported schema \"mana2-metrics/1\""),
+                "{err}"
+            );
+        }
+    }
+
     #[test]
     fn jsonl_round_trip_is_exact() {
         let events = all_kinds();
         let meta = DumpMeta {
-            label: "round\"trip".to_string(),
-            ranks: 3,
-            seed: Some(0xC0FF_EE00),
+            head: JsonlHeader {
+                label: "round\"trip".to_string(),
+                ranks: 3,
+                seed: Some(0xC0FF_EE00),
+                config: ConfigRecord::new([("engine", "coop:2:7"), ("drain", "topo\"sort")]),
+            },
             dropped: 5,
             dropped_by_ring: vec![2, 3, 0, 0],
-            config: ConfigRecord::new([("engine", "coop:2:7"), ("drain", "topo\"sort")]),
             rank_errors: vec![
                 (0, "world \"poisoned\"".to_string()),
                 (3, "gone".to_string()),
@@ -468,15 +527,11 @@ mod tests {
 
     #[test]
     fn missing_seed_round_trips_as_none() {
-        let meta = DumpMeta {
+        let meta = plain(JsonlHeader {
             label: "x".into(),
             ranks: 1,
-            seed: None,
-            dropped: 0,
-            dropped_by_ring: Vec::new(),
-            config: ConfigRecord::default(),
-            rank_errors: Vec::new(),
-        };
+            ..JsonlHeader::default()
+        });
         let text = events_to_jsonl(&meta, &[]);
         let (meta2, events2) = parse_jsonl(&text).unwrap();
         assert_eq!(meta2.seed, None);
@@ -501,15 +556,11 @@ mod tests {
     #[test]
     fn chrome_export_is_valid_json() {
         let events = all_kinds();
-        let meta = DumpMeta {
+        let meta = plain(JsonlHeader {
             label: "chrome".into(),
             ranks: 3,
-            seed: None,
-            dropped: 0,
-            dropped_by_ring: Vec::new(),
-            config: ConfigRecord::default(),
-            rank_errors: Vec::new(),
-        };
+            ..JsonlHeader::default()
+        });
         let doc = chrome_trace(&meta, &events);
         let v = json::parse(&doc).expect("chrome export must parse as JSON");
         let Some(Json::Arr(items)) = v.get("traceEvents") else {

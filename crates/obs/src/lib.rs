@@ -58,7 +58,7 @@ mod telemetry;
 pub use clock::{Clock, TestClock, WallClock};
 pub use dump::{
     chrome_trace, events_to_jsonl, flight_record, parse_jsonl, unique_label, ConfigRecord,
-    DumpMeta, FlightDump, SCHEMA,
+    DumpMeta, FlightDump, JsonlHeader, SCHEMA,
 };
 pub use event::{
     EventKind, FaultKind, InjectedFault, Phase, RejectCode, RestartStep, TraceEvent, COORD_ACTOR,

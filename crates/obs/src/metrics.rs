@@ -33,7 +33,8 @@
 //! else was recorded — the property tests pin this down.
 
 use crate::clock::{Clock, TestClock, WallClock};
-use crate::json::{self, escape, Json};
+use crate::dump::{read_jsonl, JsonlHeader};
+use crate::json::{escape, Json};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -837,41 +838,9 @@ impl MetricsSnapshot {
 
 // ---- series (JSONL) --------------------------------------------------------
 
-/// Series header metadata (`mana2-metrics/1` first line).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeriesMeta {
-    /// Free-form label (run tag, bench name, …).
-    pub label: String,
-    /// World size the registry was built for.
-    pub ranks: usize,
-    /// Fault-plan seed, when one was armed.
-    pub seed: Option<u64>,
-    /// The configuration the run resolved to (empty in series written
-    /// before this field existed).
-    pub config: crate::ConfigRecord,
-}
-
-fn series_header(meta: &SeriesMeta) -> String {
-    let mut out = format!(
-        "{{\"schema\":\"{}\",\"label\":\"{}\",\"ranks\":{},\"seed\":",
-        METRICS_SCHEMA,
-        escape(&meta.label),
-        meta.ranks
-    );
-    match meta.seed {
-        Some(s) => {
-            let _ = write!(out, "{s}");
-        }
-        None => out.push_str("null"),
-    }
-    meta.config.write_header_field(&mut out);
-    out.push('}');
-    out
-}
-
 /// Serialize a full series (header + one line per snapshot).
-pub fn series_to_jsonl(meta: &SeriesMeta, snaps: &[MetricsSnapshot]) -> String {
-    let mut out = series_header(meta);
+pub fn series_to_jsonl(meta: &JsonlHeader, snaps: &[MetricsSnapshot]) -> String {
+    let mut out = meta.line(METRICS_SCHEMA, "", "");
     out.push('\n');
     for s in snaps {
         out.push_str(&s.to_json_line());
@@ -881,39 +850,13 @@ pub fn series_to_jsonl(meta: &SeriesMeta, snaps: &[MetricsSnapshot]) -> String {
 }
 
 /// Parse a series back into its header and snapshots.
-pub fn parse_series(text: &str) -> Result<(SeriesMeta, Vec<MetricsSnapshot>), String> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let (_, header) = lines.next().ok_or("empty series".to_string())?;
-    let hv = json::parse(header).map_err(|e| format!("header: {e}"))?;
-    let schema = hv
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("header missing \"schema\"".to_string())?;
-    if schema != METRICS_SCHEMA {
-        return Err(format!(
-            "unsupported schema {schema:?} (want {METRICS_SCHEMA:?})"
-        ));
-    }
-    let meta = SeriesMeta {
-        label: hv
-            .get("label")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string(),
-        ranks: hv.get("ranks").and_then(Json::as_u64).unwrap_or(0) as usize,
-        seed: hv.get("seed").and_then(Json::as_u64),
-        config: crate::ConfigRecord::from_header(&hv)?,
-    };
-    let mut snaps = Vec::new();
-    for (lineno, line) in lines {
-        let v = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let s = MetricsSnapshot::from_json(&v).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        snaps.push(s);
-    }
-    Ok((meta, snaps))
+pub fn parse_series(text: &str) -> Result<(JsonlHeader, Vec<MetricsSnapshot>), String> {
+    let (head, _, records) = read_jsonl(text, METRICS_SCHEMA)?;
+    let snaps = records
+        .iter()
+        .map(|(n, v)| MetricsSnapshot::from_json(v).map_err(|e| format!("line {n}: {e}")))
+        .collect::<Result<_, _>>()?;
+    Ok((head, snaps))
 }
 
 /// Result of a successful [`check_series`].
@@ -1015,7 +958,7 @@ pub fn check_series(text: &str) -> Result<SeriesCheck, String> {
 /// Write a single-snapshot series file (the flight-recorder sidecar).
 pub fn write_snapshot_file(
     path: &Path,
-    meta: &SeriesMeta,
+    meta: &JsonlHeader,
     snap: &MetricsSnapshot,
 ) -> io::Result<()> {
     std::fs::write(path, series_to_jsonl(meta, std::slice::from_ref(snap)))
@@ -1031,7 +974,7 @@ pub type Collector = Box<dyn Fn(&MetricsRegistry) + Send + Sync>;
 /// and rewriting a Prometheus text-exposition file.
 pub struct MetricsExporter {
     reg: Arc<MetricsRegistry>,
-    meta: SeriesMeta,
+    meta: JsonlHeader,
     collect: Arc<Vec<Collector>>,
     stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
@@ -1070,14 +1013,14 @@ impl MetricsExporter {
     pub fn spawn(
         reg: Arc<MetricsRegistry>,
         dir: &Path,
-        meta: SeriesMeta,
+        meta: JsonlHeader,
         interval: Duration,
         collect: Vec<Collector>,
     ) -> io::Result<MetricsExporter> {
         std::fs::create_dir_all(dir)?;
         let jsonl = dir.join(format!("{}.metrics.jsonl", meta.label));
         let prom = dir.join(format!("{}.prom", meta.label));
-        std::fs::write(&jsonl, format!("{}\n", series_header(&meta)))?;
+        std::fs::write(&jsonl, series_to_jsonl(&meta, &[]))?;
         let stop = Arc::new(AtomicBool::new(false));
         let collect = Arc::new(collect);
         let thread = {
@@ -1127,7 +1070,7 @@ impl MetricsExporter {
     }
 
     /// Series metadata this exporter writes under.
-    pub fn meta(&self) -> &SeriesMeta {
+    pub fn meta(&self) -> &JsonlHeader {
         &self.meta
     }
 }
@@ -1220,7 +1163,7 @@ mod tests {
         reg.observe(1, STORE_WRITE_NS, 4567);
         let snap = reg.snapshot();
         let line = snap.to_json_line();
-        let v = json::parse(&line).unwrap();
+        let v = crate::json::parse(&line).unwrap();
         let back = MetricsSnapshot::from_json(&v).unwrap();
         assert_eq!(snap, back);
     }
@@ -1237,7 +1180,7 @@ mod tests {
                 e.value = MetricValue::Scalar(2);
             }
         }
-        let meta = SeriesMeta {
+        let meta = JsonlHeader {
             label: "t".into(),
             ranks: 1,
             seed: None,
@@ -1269,7 +1212,7 @@ mod tests {
         let reg = MetricsRegistry::deterministic(1);
         let dir = std::env::temp_dir().join(format!("obs_metrics_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let meta = SeriesMeta {
+        let meta = JsonlHeader {
             label: "exp1".into(),
             ranks: 1,
             seed: Some(3),

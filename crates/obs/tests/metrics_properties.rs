@@ -147,7 +147,7 @@ proptest! {
 #[test]
 fn empty_histogram_series_roundtrip() {
     let reg = MetricsRegistry::deterministic(2);
-    let meta = met::SeriesMeta {
+    let meta = obs::JsonlHeader {
         label: "empty".into(),
         ranks: 2,
         seed: None,

@@ -76,7 +76,7 @@ fn render_hist_row(name: &str, h: &HistSnapshot) -> String {
     )
 }
 
-fn render_summary(path: &str, meta: &met::SeriesMeta, snaps: &[MetricsSnapshot]) {
+fn render_summary(path: &str, meta: &obs::JsonlHeader, snaps: &[MetricsSnapshot]) {
     out!("== {path}");
     out!(
         "   label {:?}  ranks {}  seed {}  snapshots {}",

@@ -17,7 +17,7 @@
 //! real).
 
 use crate::face::{CommH, MpiFace, ReqH, WlError, WlResult, COMM_WORLD};
-use mpisim::ReduceOp;
+use mpisim::{Fnv1a, ReduceOp};
 use splitproc::{Decode, Encode, Reader};
 
 /// MD workload configuration.
@@ -111,12 +111,11 @@ fn init_positions(rank: usize, n: usize) -> Vec<f64> {
 }
 
 fn checksum(positions: &[f64]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &p in positions {
-        h ^= p.to_bits();
-        h = h.wrapping_mul(0x100000001B3);
+    let mut h = Fnv1a::default();
+    for p in positions {
+        h.write(&p.to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 fn post_halo_recvs<M: MpiFace>(m: &mut M, step: u64) -> WlResult<(ReqH, ReqH)> {
