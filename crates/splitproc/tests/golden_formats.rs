@@ -16,10 +16,16 @@
 //! `CHUNKED_V2_RANK_FILE` is the same image as the commit that replaced
 //! the chunk key wrote it (recipe version 2); a change to the key
 //! function's constants, rounds or byte order breaks it.
+//!
+//! The fixtures after `JOURNAL_BLOB` were written by the commit before
+//! the store's four file grammars moved onto the codec, so that move is
+//! checked against bytes the hand-rolled writers produced: a recipe with
+//! two refs in each list, a three-rank manifest, and one record blob of
+//! each journal step kind `JOURNAL_BLOB` does not cover.
 
 use splitproc::journal::{self, Journal, JournalRecord, JournalStep};
 use splitproc::store::{self, Manifest, Store, StoreConfig, StoreError, StoreMode};
-use splitproc::{chunk, crc32, ChunkId, CkptImage, Recipe, RecipeError};
+use splitproc::{chunk, crc32, ChunkId, ChunkRef, CkptImage, Recipe, RecipeError};
 use std::fs;
 use std::path::PathBuf;
 
@@ -94,6 +100,51 @@ const JOURNAL_BLOB: &[u8] = &[
     0x01, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
     0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
     0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x6c, 0xfe, 0x50, 0xab,
+];
+
+/// `UPPER` cut at 20 and `META` at 2: two refs per list, version 2.
+const RECIPE_FOUR_REFS: &[u8] = &[
+    0x4d, 0x41, 0x4e, 0x41, 0x32, 0x43, 0x52, 0x46, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0xa2, 0x82, 0x66, 0xff, 0xf3, 0xd5, 0xa3, 0xd1, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0xe4, 0x32, 0x78, 0x47, 0xfa, 0x25, 0x21, 0x1e, 0x47, 0xbd, 0xca, 0xca,
+    0x31, 0xa5, 0x8e, 0x75, 0x1d, 0x2e, 0x56, 0x80, 0x82, 0xa1, 0x04, 0x7a, 0xa5, 0x40, 0x1e, 0x88,
+    0x4b, 0x75, 0xa4, 0x73, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x17, 0xc1, 0x39, 0x8f,
+    0xad, 0xb6, 0xfb, 0x2d, 0xb6, 0x59, 0xb8, 0x41, 0xcb, 0xd6, 0x05, 0x16, 0x67, 0x33, 0x75, 0x4d,
+    0x49, 0xd9, 0x3f, 0x02, 0x9d, 0xf6, 0xf1, 0x1d, 0xec, 0x3d, 0xc1, 0x15, 0x1c, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4c, 0x10, 0xdd, 0xe6,
+    0x6d, 0xd1, 0xa8, 0x2d, 0x47, 0xd4, 0xac, 0x56, 0x5e, 0xf3, 0x52, 0xce, 0x30, 0x7d, 0xe0, 0xfa,
+    0x59, 0x73, 0xf0, 0x71, 0xf8, 0x25, 0xf8, 0xec, 0x47, 0x9b, 0x08, 0xde, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x92, 0xf9, 0x4d, 0xae, 0x8d, 0x74, 0xc9, 0x64, 0x47, 0x86, 0x18, 0xcc,
+    0x1a, 0x8c, 0xf1, 0xd5, 0xe6, 0xbf, 0x53, 0xe8, 0x0f, 0xc8, 0xa0, 0x83, 0x1c, 0xcf, 0x8b, 0xc8,
+    0x6d, 0xae, 0x24, 0x9c, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x9a, 0xf2, 0xa1, 0xd0,
+];
+/// Round 7 of a three-rank world (`three_rank_manifest`).
+const MANIFEST_THREE_RANKS: &[u8] = &[
+    0x4d, 0x41, 0x4e, 0x41, 0x32, 0x4d, 0x41, 0x4e, 0x01, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x71, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x43, 0x77, 0x02, 0x0b, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xad, 0xde, 0x02, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x78, 0x56, 0x34, 0x12,
+    0xbf, 0x2c, 0x0c, 0xe6,
+];
+/// Epoch 3's later steps, as `Journal::append` lands them after
+/// `JOURNAL_BLOB`: each blob's name and bytes.
+const BLOB_VALIDATED: &[u8] = &[
+    0x02, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xf5, 0xd2, 0x3e, 0x76,
+];
+const BLOB_RESTORED: &[u8] = &[
+    0x03, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xaf, 0x10, 0x5d, 0xfb,
+];
+const BLOB_REBUILT: &[u8] = &[
+    0x04, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x41, 0x42, 0x6a, 0x35,
+];
+const BLOB_COMMITTED: &[u8] = &[
+    0x05, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x56, 0x11, 0x22,
 ];
 
 /// The pool names `CHUNKED_RANK_FILE` gives `UPPER` and `META`: their
@@ -381,5 +432,114 @@ fn golden_large_payload_checksums_and_store_roundtrip() {
     assert!(sel.rejected.is_empty());
     assert_eq!(sel.images, vec![Some(image.clone())]);
     assert_eq!(handle.load_image(2, 0).unwrap(), image);
+    fs::remove_dir_all(&root).ok();
+}
+
+/// The recipe `RECIPE_FOUR_REFS` holds.
+fn four_ref_recipe() -> Recipe {
+    let refs = |pieces: [&[u8]; 2]| -> Vec<ChunkRef> {
+        let each = pieces.map(|p| ChunkRef {
+            id: chunk::chunk_id(p),
+            len: p.len() as u64,
+        });
+        each.to_vec()
+    };
+    Recipe {
+        rank: 0,
+        world_size: 1,
+        round: 2,
+        upper_len: 48,
+        meta_len: 5,
+        upper_crc: crc32(UPPER),
+        meta_crc: crc32(META),
+        upper_chunks: refs([&UPPER[..20], &UPPER[20..]]),
+        meta_chunks: refs([&META[..2], &META[2..]]),
+    }
+}
+
+#[test]
+fn golden_recipe_with_several_refs_per_list() {
+    let recipe = four_ref_recipe();
+    assert_eq!(Recipe::from_bytes(RECIPE_FOUR_REFS).unwrap(), recipe);
+    assert_eq!(recipe.to_bytes(), RECIPE_FOUR_REFS);
+}
+
+/// The manifest `MANIFEST_THREE_RANKS` holds.
+fn three_rank_manifest() -> Manifest {
+    let entry = |rank, bytes, crc| store::ManifestEntry { rank, bytes, crc };
+    Manifest {
+        round: 7,
+        world_size: 3,
+        entries: vec![
+            entry(0, 113, 0x0b02_7743),
+            entry(1, 4096, 0xdead_beef),
+            entry(2, 1 << 33, 0x1234_5678),
+        ],
+    }
+}
+
+#[test]
+fn golden_manifest_with_three_entries() {
+    let manifest = three_rank_manifest();
+    assert_eq!(
+        Manifest::from_bytes(MANIFEST_THREE_RANKS).unwrap(),
+        manifest
+    );
+    assert_eq!(manifest.to_bytes(), MANIFEST_THREE_RANKS);
+}
+
+/// Every step kind of epoch 3 after its intent: blob name, step, bytes.
+fn later_steps() -> [(&'static str, JournalStep, &'static [u8]); 4] {
+    [
+        (
+            "restart/e00003/00001-gen_validated-0",
+            JournalStep::GenValidated { gen: 2 },
+            BLOB_VALIDATED,
+        ),
+        (
+            "restart/e00003/00002-rank_restored-5",
+            JournalStep::RankRestored { rank: 5 },
+            BLOB_RESTORED,
+        ),
+        (
+            "restart/e00003/00003-comms_rebuilt-0",
+            JournalStep::CommsRebuilt,
+            BLOB_REBUILT,
+        ),
+        (
+            "restart/e00003/00004-restart_committed-0",
+            JournalStep::RestartCommitted,
+            BLOB_COMMITTED,
+        ),
+    ]
+}
+
+#[test]
+fn golden_journal_blobs_of_every_step_kind() {
+    let intent = JournalStep::RestartIntent {
+        gen: 2,
+        failed: vec![1, 5],
+    };
+    let record = |step| JournalRecord { epoch: 3, step };
+    let mut want = vec![record(intent.clone())];
+    want.extend(later_steps().map(|(_, step, _)| record(step)));
+    // Read: the five blobs under their names replay as the five records.
+    let root = tdir("journal_kinds");
+    let mut blobs = vec![(JOURNAL_BLOB_NAME, JOURNAL_BLOB)];
+    blobs.extend(later_steps().map(|(name, _, bytes)| (name, bytes)));
+    for (name, bytes) in &blobs {
+        let path = root.join(name);
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, bytes).unwrap();
+    }
+    assert_eq!(journal::read_records(&root).unwrap(), want);
+    fs::remove_dir_all(&root).ok();
+    // Write: appending the same steps lands exactly these blobs.
+    let mut j = Journal::open(&root).unwrap();
+    for (rec, (name, bytes)) in want.iter().zip(&blobs) {
+        assert!(j.append(3, rec.step.clone()).unwrap());
+        assert_eq!(fs::read(root.join(name)).unwrap(), *bytes, "{name}");
+        assert_eq!(rec.to_bytes(), *bytes, "{name}");
+    }
     fs::remove_dir_all(&root).ok();
 }
