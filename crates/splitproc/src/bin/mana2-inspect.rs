@@ -355,21 +355,19 @@ fn journal_cmd(root: &Path, do_verify: bool) -> i32 {
     i32::from(do_verify && !report.unreadable.is_empty())
 }
 
-/// One human line per journal record.
+/// One human line per journal record: the step's name, then its fields.
 fn describe_step(rec: &journal::JournalRecord) -> String {
     use journal::JournalStep as S;
-    match &rec.step {
+    let fields = match &rec.step {
         S::RestartIntent { gen, failed } if failed.is_empty() => {
-            format!("restart_intent     gen {gen} (full restart)")
+            format!("gen {gen} (full restart)")
         }
-        S::RestartIntent { gen, failed } => {
-            format!("restart_intent     gen {gen} (partial, failed {failed:?})")
-        }
-        S::GenValidated { gen } => format!("gen_validated      gen {gen}"),
-        S::RankRestored { rank } => format!("rank_restored      rank {rank}"),
-        S::CommsRebuilt => "comms_rebuilt".into(),
-        S::RestartCommitted => "restart_committed".into(),
-    }
+        S::RestartIntent { gen, failed } => format!("gen {gen} (partial, failed {failed:?})"),
+        S::GenValidated { gen } => format!("gen {gen}"),
+        S::RankRestored { rank } => format!("rank {rank}"),
+        S::CommsRebuilt | S::RestartCommitted => return rec.step.name().into(),
+    };
+    format!("{:<18} {fields}", rec.step.name())
 }
 
 fn main() {

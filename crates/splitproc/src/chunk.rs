@@ -34,11 +34,13 @@
 //! key, so the cost is that generation being rejected at restart
 //! validation, never a silently wrong restore (DESIGN §14).
 //!
-//! A recipe is read only at [`RECIPE_VERSION`], the version whose refs
-//! [`chunk_id`] keyed; a version 1 recipe (keyed by SHA-256, which this
-//! build no longer carries) is [`RecipeError::BadVersion`], so its
-//! generation is rejected at restart, never misread, and GC collects its
-//! chunks.
+//! A recipe is the image's header (`image::ImageHeader`) and both
+//! sections' chunk refs behind the [`RECIPE`] prefix, inside a CRC-32
+//! trailer, all through the codec (DESIGN §7, "Files on disk"). It is read
+//! only at [`RECIPE_VERSION`], the version whose refs [`chunk_id`] keyed;
+//! a version 1 recipe (keyed by SHA-256, which this build no longer
+//! carries) is a [`FormatError::BadVersion`], so its generation is
+//! rejected at restart, never misread, and GC collects its chunks.
 //!
 //! Everything here is safe Rust with no dependency outside the workspace:
 //! the key is hand-rolled (same spirit as the table CRC-32 in `codec`),
@@ -47,40 +49,9 @@
 
 use std::fmt;
 
-use crate::codec::{crc32, CodecError, Decode, Reader};
+use crate::codec::{CodecError, Decode, Encode, Format, FormatError, Reader};
+use crate::image::ImageHeader;
 use mpisim::splitmix64;
-
-/// Errors decoding a recipe file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecipeError {
-    /// The file does not start with [`RECIPE_MAGIC`].
-    BadMagic,
-    /// Unsupported recipe version.
-    BadVersion(u32),
-    /// Whole-file CRC mismatch (corrupt or torn recipe).
-    BadChecksum,
-    /// Header or chunk list inconsistent with file size.
-    Truncated,
-}
-
-impl fmt::Display for RecipeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecipeError::BadMagic => write!(f, "not a MANA-2.0 chunk recipe"),
-            RecipeError::BadVersion(v) => write!(f, "unsupported recipe version {v}"),
-            RecipeError::BadChecksum => write!(f, "recipe CRC mismatch"),
-            RecipeError::Truncated => write!(f, "recipe truncated"),
-        }
-    }
-}
-
-impl std::error::Error for RecipeError {}
-
-impl From<CodecError> for RecipeError {
-    fn from(_: CodecError) -> Self {
-        RecipeError::Truncated
-    }
-}
 
 /// 256-bit content hash of a chunk. Displayed as 64 lowercase hex chars.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -125,6 +96,21 @@ impl fmt::Display for ChunkId {
 impl fmt::Debug for ChunkId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "ChunkId({})", self.to_hex())
+    }
+}
+
+/// An id is written raw: its 32 bytes, no length prefix.
+impl Encode for ChunkId {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0);
+    }
+}
+
+impl Decode for ChunkId {
+    const MIN_LEN: usize = 32;
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(ChunkId(r.take(32)?.try_into().expect("took 32 bytes")))
     }
 }
 
@@ -341,13 +327,16 @@ pub fn split(data: &[u8], params: ChunkParams) -> Vec<std::ops::Range<usize>> {
 // Recipe: the chunked-mode replacement for a flat image file.
 // ---------------------------------------------------------------------------
 
-/// Magic prefixing every recipe file ("MANA2 Chunk ReF").
-pub const RECIPE_MAGIC: &[u8; 8] = b"MANA2CRF";
 /// The one recipe version this build reads and writes: refs keyed by
-/// [`chunk_id`]. Any other number is [`RecipeError::BadVersion`].
+/// [`chunk_id`]. Any other number is a [`FormatError::BadVersion`].
 pub const RECIPE_VERSION: u32 = 2;
-/// On-disk size of one chunk ref: a 32-byte id and a `u64` length.
-const REF_BYTES: usize = 32 + 8;
+
+/// The recipe's framing: magic `MANA2CRF` ("MANA2 Chunk ReF"),
+/// [`RECIPE_VERSION`], and a CRC-32 trailer.
+pub const RECIPE: Format = Format {
+    file: "recipe",
+    prefix: Some((*b"MANA2CRF", RECIPE_VERSION)),
+};
 
 /// Reference to one chunk of a payload: its content id plus its length
 /// (the length is redundant with the pool file but lets validation detect
@@ -360,26 +349,30 @@ pub struct ChunkRef {
     pub len: u64,
 }
 
+impl Encode for ChunkRef {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.id, self.len).encode(out);
+    }
+}
+
+impl Decode for ChunkRef {
+    const MIN_LEN: usize = ChunkId::MIN_LEN + u64::MIN_LEN;
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (id, len) = Decode::decode(r)?;
+        Ok(ChunkRef { id, len })
+    }
+}
+
 /// Per-rank recipe stored as `ckpt_rank_%05d.cref` inside a chunked
-/// generation directory. Mirrors the flat image header (rank/world/round +
-/// payload CRCs) so the restart path can cross-check the reassembled image
-/// against the manifest without decoding chunks twice.
+/// generation directory. Opens with the flat image's header (rank, world,
+/// round, section lengths and CRCs) so the restart path can cross-check
+/// the reassembled image against the manifest without decoding chunks
+/// twice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recipe {
-    /// World rank this recipe belongs to.
-    pub rank: u64,
-    /// World size at checkpoint time.
-    pub world_size: u64,
-    /// Checkpoint round.
-    pub round: u64,
-    /// Reassembled upper-payload length in bytes.
-    pub upper_len: u64,
-    /// Reassembled meta-payload length in bytes.
-    pub meta_len: u64,
-    /// CRC32 of the reassembled upper payload.
-    pub upper_crc: u32,
-    /// CRC32 of the reassembled meta payload.
-    pub meta_crc: u32,
+    /// The header a flat file of the image would carry.
+    pub header: ImageHeader,
     /// Chunks of the upper payload, in order.
     pub upper_chunks: Vec<ChunkRef>,
     /// Chunks of the meta payload, in order.
@@ -387,97 +380,33 @@ pub struct Recipe {
 }
 
 impl Recipe {
-    /// Serialize (self-checksummed) as a [`RECIPE_VERSION`] recipe.
+    /// The recipe file: [`RECIPE`]'s prefix and the recipe, inside its
+    /// CRC-32 trailer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            8 + 4
-                + 8 * 5
-                + 4 * 2
-                + 8 * 2
-                + REF_BYTES * (self.upper_chunks.len() + self.meta_chunks.len())
-                + 4,
-        );
-        out.extend_from_slice(RECIPE_MAGIC);
-        out.extend_from_slice(&RECIPE_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.rank.to_le_bytes());
-        out.extend_from_slice(&self.world_size.to_le_bytes());
-        out.extend_from_slice(&self.round.to_le_bytes());
-        out.extend_from_slice(&self.upper_len.to_le_bytes());
-        out.extend_from_slice(&self.meta_len.to_le_bytes());
-        out.extend_from_slice(&self.upper_crc.to_le_bytes());
-        out.extend_from_slice(&self.meta_crc.to_le_bytes());
-        for list in [&self.upper_chunks, &self.meta_chunks] {
-            out.extend_from_slice(&(list.len() as u64).to_le_bytes());
-            for c in list.iter() {
-                out.extend_from_slice(&c.id.0);
-                out.extend_from_slice(&c.len.to_le_bytes());
-            }
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        RECIPE.seal(self)
     }
 
-    /// Parse and verify a serialized recipe. Only [`RECIPE_VERSION`] is
-    /// read: its refs are the ones [`chunk_id`] can vouch for.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Recipe, RecipeError> {
-        if bytes.len() < 4 {
-            return Err(RecipeError::Truncated);
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 4);
-        let stored = u32::from_le_bytes(tail.try_into().unwrap());
-        if crc32(body) != stored {
-            return Err(RecipeError::BadChecksum);
-        }
-        let mut r = Reader::new(body);
-        let magic = r.take(8)?;
-        if magic != RECIPE_MAGIC {
-            return Err(RecipeError::BadMagic);
-        }
-        let version = u32::decode(&mut r)?;
-        if version != RECIPE_VERSION {
-            return Err(RecipeError::BadVersion(version));
-        }
-        let rank = u64::decode(&mut r)?;
-        let world_size = u64::decode(&mut r)?;
-        let round = u64::decode(&mut r)?;
-        let upper_len = u64::decode(&mut r)?;
-        let meta_len = u64::decode(&mut r)?;
-        let upper_crc = u32::decode(&mut r)?;
-        let meta_crc = u32::decode(&mut r)?;
-        let mut lists = [Vec::new(), Vec::new()];
-        for list in lists.iter_mut() {
-            let n = u64::decode(&mut r)?;
-            // Each ref is an id and a length on disk: a count the remaining
-            // bytes cannot hold is refused before anything is reserved.
-            if n > (r.remaining() / REF_BYTES) as u64 {
-                return Err(RecipeError::Truncated);
-            }
-            let mut v = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let raw = r.take(32)?;
-                let mut id = [0u8; 32];
-                id.copy_from_slice(raw);
-                let len = u64::decode(&mut r)?;
-                v.push(ChunkRef {
-                    id: ChunkId(id),
-                    len,
-                });
-            }
-            *list = v;
-        }
-        r.finish()?;
-        let [upper_chunks, meta_chunks] = lists;
+    /// Parse and verify a recipe file. Only [`RECIPE_VERSION`] is read:
+    /// its refs are the ones [`chunk_id`] can vouch for.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Recipe, FormatError> {
+        RECIPE.open(bytes)
+    }
+}
+
+impl Encode for Recipe {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.header.encode(out);
+        self.upper_chunks.encode(out);
+        self.meta_chunks.encode(out);
+    }
+}
+
+impl Decode for Recipe {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(Recipe {
-            rank,
-            world_size,
-            round,
-            upper_len,
-            meta_len,
-            upper_crc,
-            meta_crc,
-            upper_chunks,
-            meta_chunks,
+            header: ImageHeader::decode(r)?,
+            upper_chunks: Vec::decode(r)?,
+            meta_chunks: Vec::decode(r)?,
         })
     }
 }
@@ -559,6 +488,7 @@ pub fn chunk_payload<'a>(data: &'a [u8], params: ChunkParams, guide: &[ChunkRef]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::crc32;
 
     #[test]
     fn chunk_id_hex_round_trips() {
@@ -664,18 +594,25 @@ mod tests {
 
     fn recipe_of(data: &[u8]) -> Recipe {
         let chunks = chunk_payload(data, ChunkParams::default(), &[]).chunks;
-        Recipe {
+        let head = crate::ImageHead {
             rank: 3,
             world_size: 8,
             round: 2,
-            upper_len: data.len() as u64,
-            meta_len: 0,
-            upper_crc: crc32(data),
-            meta_crc: crc32(&[]),
+        };
+        Recipe {
+            header: ImageHeader {
+                head,
+                upper_len: data.len(),
+                meta_len: 0,
+                upper_crc: crc32(data),
+                meta_crc: crc32(&[]),
+            },
             upper_chunks: chunks.iter().map(|(r, _)| *r).collect(),
             meta_chunks: Vec::new(),
         }
     }
+
+    const REF_BYTES: usize = ChunkRef::MIN_LEN;
 
     #[test]
     fn recipe_round_trips() {
@@ -690,7 +627,10 @@ mod tests {
         bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
         let crc = crc32(&bytes[..body]);
         bytes[body..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(Recipe::from_bytes(&bytes), Err(RecipeError::BadVersion(1)));
+        assert_eq!(
+            Recipe::from_bytes(&bytes),
+            Err(FormatError::BadVersion("recipe", 1))
+        );
     }
 
     #[test]
@@ -700,7 +640,7 @@ mod tests {
         bytes[20] ^= 0x40;
         assert!(matches!(
             Recipe::from_bytes(&bytes),
-            Err(RecipeError::BadChecksum)
+            Err(FormatError::BadChecksum(_))
         ));
         let short = &recipe.to_bytes()[..10];
         assert!(Recipe::from_bytes(short).is_err());
@@ -723,7 +663,7 @@ mod tests {
             forged[body..].copy_from_slice(&crc.to_le_bytes());
             assert_eq!(
                 Recipe::from_bytes(&forged),
-                Err(RecipeError::Truncated),
+                Err(RECIPE.malformed(CodecError::BadLength(claim))),
                 "claim {claim}"
             );
         }
@@ -742,7 +682,7 @@ mod tests {
             bytes[body..].copy_from_slice(&crc.to_le_bytes());
             assert_eq!(
                 Recipe::from_bytes(&bytes),
-                Err(RecipeError::BadVersion(unknown))
+                Err(FormatError::BadVersion("recipe", unknown))
             );
         }
         assert_eq!(RECIPE_VERSION, 2);

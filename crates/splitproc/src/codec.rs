@@ -1,9 +1,14 @@
-//! Versioned binary serialization for checkpoint images.
+//! The one binary grammar of everything the checkpoint writes.
 //!
 //! The offline dependency set has no serde *format* crate, so checkpoint
 //! serialization is a small hand-rolled codec: little-endian, length-
 //! prefixed, no self-description. Every MANA table that must survive the
-//! checkpoint-restart barrier implements [`Encode`]/[`Decode`].
+//! checkpoint-restart barrier implements [`Encode`]/[`Decode`], and so
+//! does every file the store writes (DESIGN §7, "Files on disk"): each is
+//! one [`Format`] — a fixed prefix (magic and version, so a format bump is
+//! one constant per file) and, but for the flat image, a CRC-32 trailer
+//! checked before anything is decoded — and refused with one
+//! [`FormatError`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -115,6 +120,11 @@ pub trait Encode {
 
 /// A value that can be deserialized from a checkpoint image.
 pub trait Decode: Sized {
+    /// The fewest bytes one encoded value takes (at least 1). A `Vec<T>`
+    /// refuses a count that the bytes left cannot hold at this size
+    /// before it reserves anything.
+    const MIN_LEN: usize = 1;
+
     /// Read one value from the cursor.
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError>;
 
@@ -146,6 +156,8 @@ macro_rules! impl_codec_int {
             }
         }
         impl Decode for $t {
+            const MIN_LEN: usize = std::mem::size_of::<$t>();
+
             fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
                 Ok(<$t>::from_le_bytes(
                     r.take(std::mem::size_of::<$t>())?.try_into().unwrap(),
@@ -190,6 +202,8 @@ impl Encode for usize {
     }
 }
 impl Decode for usize {
+    const MIN_LEN: usize = u64::MIN_LEN;
+
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(u64::decode(r)? as usize)
     }
@@ -237,8 +251,7 @@ impl<T: Encode> Encode for Vec<T> {
 impl<T: Decode> Decode for Vec<T> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let len = u64::decode(r)?;
-        // Each element needs ≥1 byte; reject absurd lengths early.
-        if len as usize > r.remaining() && len > 0 {
+        if len > (r.remaining() / T::MIN_LEN) as u64 {
             return Err(CodecError::BadLength(len));
         }
         T::decode_vec(r, len as usize)
@@ -313,6 +326,101 @@ impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
             out.insert(k, v);
         }
         Ok(out)
+    }
+}
+
+/// Why a file the store writes was refused: the one error of every
+/// parser of those files (flat image header, recipe, manifest, journal
+/// record). Each variant names the file ([`Format::file`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FormatError {
+    /// It does not start with its magic.
+    BadMagic(&'static str),
+    /// Its version (the `u32`) is not the one this build reads.
+    BadVersion(&'static str, u32),
+    /// Its CRC-32 trailer does not match its body: a torn or rotted file
+    /// (every truncation of a trailered file lands here).
+    BadChecksum(&'static str),
+    /// It does not decode to exactly one value: it ends early, holds a
+    /// count or tag it cannot, or runs on past the value.
+    Malformed(&'static str, CodecError),
+}
+
+impl fmt::Display for FormatError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FormatError::BadMagic(file) => write!(f, "not a MANA-2.0 {file}"),
+            FormatError::BadVersion(file, v) => write!(f, "unsupported {file} version {v}"),
+            FormatError::BadChecksum(file) => write!(f, "{file} CRC mismatch"),
+            FormatError::Malformed(file, cause) => write!(f, "{file} malformed: {cause}"),
+        }
+    }
+}
+
+impl std::error::Error for FormatError {}
+
+/// One kind of file the store writes: the name its errors give it, and
+/// the fixed prefix it opens with — an 8-byte magic, then the one `u32`
+/// version this build reads and writes (none for a journal record, whose
+/// blob name says what it is).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Format {
+    /// Name of the file kind in errors.
+    pub file: &'static str,
+    /// Its magic and version, written ahead of the value.
+    pub prefix: Option<([u8; 8], u32)>,
+}
+
+impl Format {
+    /// Append the prefix, then `value`.
+    pub fn encode(&self, value: &impl Encode, out: &mut Vec<u8>) {
+        if let Some((magic, version)) = self.prefix {
+            out.extend_from_slice(&magic);
+            version.encode(out);
+        }
+        value.encode(out);
+    }
+
+    /// Check the prefix, then decode one value.
+    pub fn decode<T: Decode>(&self, r: &mut Reader<'_>) -> Result<T, FormatError> {
+        if let Some((magic, version)) = self.prefix {
+            if r.take(8).map_err(|e| self.malformed(e))? != magic {
+                return Err(FormatError::BadMagic(self.file));
+            }
+            let found = u32::decode(r).map_err(|e| self.malformed(e))?;
+            if found != version {
+                return Err(FormatError::BadVersion(self.file, found));
+            }
+        }
+        T::decode(r).map_err(|e| self.malformed(e))
+    }
+
+    /// The whole file of `value` under a CRC-32 trailer:
+    /// `body ‖ crc32(body)`, the body being the prefix and the value.
+    pub fn seal(&self, value: &impl Encode) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode(value, &mut out);
+        crc32(&out).encode(&mut out);
+        out
+    }
+
+    /// Open a file [`Format::seal`] wrote: its length and CRC-32 are
+    /// checked before anything is decoded, then the prefix and the value,
+    /// which must take the whole body.
+    pub fn open<T: Decode>(&self, bytes: &[u8]) -> Result<T, FormatError> {
+        let (body, crc) = bytes.split_at(bytes.len().saturating_sub(4));
+        if crc32(body) != u32::from_bytes(crc).map_err(|e| self.malformed(e))? {
+            return Err(FormatError::BadChecksum(self.file));
+        }
+        let mut r = Reader::new(body);
+        let value = self.decode(&mut r)?;
+        r.finish().map_err(|e| self.malformed(e))?;
+        Ok(value)
+    }
+
+    /// This file's [`FormatError::Malformed`].
+    pub fn malformed(&self, cause: CodecError) -> FormatError {
+        FormatError::Malformed(self.file, cause)
     }
 }
 

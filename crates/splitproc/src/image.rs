@@ -1,23 +1,15 @@
 //! Checkpoint image files.
 //!
 //! One image per rank, exactly as MANA writes one image per MPI process.
-//! Layout (all integers little-endian):
-//!
-//! ```text
-//! magic      [8]  b"MANA2CKP"
-//! version    u32
-//! rank       u64
-//! world      u64
-//! round      u64   (checkpoint round number, for Fig. 3's repeated C/R)
-//! upper_len  u64
-//! meta_len   u64
-//! upper_crc  u32
-//! meta_crc   u32
-//! upper      [upper_len]   (serialized UpperHalf — application memory)
-//! meta       [meta_len]    (serialized MANA metadata: virtual-ID tables,
-//!                           active communicator list, pending requests,
-//!                           drain buffers)
-//! ```
+//! A flat image file is an [`ImageHeader`] behind the [`IMAGE`] prefix
+//! (magic `MANA2CKP`, version 2), written and read through the codec,
+//! then the two sections the header measures: the serialized
+//! [`UpperHalf`] (application memory) and the serialized MANA metadata
+//! (virtual-ID tables, active communicators, pending requests, drain
+//! buffers). A chunked generation's recipe opens with the same header.
+//! The file has no trailer: the section CRCs vouch for the sections and
+//! the manifest's whole-file CRC for the rest (DESIGN §7, "Files on
+//! disk").
 //!
 //! The format has one writer and one reader, and one shape in between:
 //! an [`ImageBuf`]. [`ImageHead::encode_into`] writes the two sections
@@ -48,14 +40,21 @@
 //! seal. The section CRCs are kept with the buffer until the next encode,
 //! so the store's write and the seal it makes share one checksum.
 
-use crate::codec::{crc32, crc32_combine, CrcShift, Encode};
+use crate::codec::{
+    crc32, crc32_combine, CodecError, CrcShift, Decode, Encode, Format, FormatError, Reader,
+};
 use crate::UpperHalf;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 
-const MAGIC: &[u8; 8] = b"MANA2CKP";
-const VERSION: u32 = 2;
+/// The flat image's framing: its header behind this prefix.
+pub(crate) const IMAGE: Format = Format {
+    file: "image",
+    prefix: Some((*b"MANA2CKP", 2)),
+};
+
+/// Bytes ahead of the upper section: the prefix and the header.
 pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 * 5 + 4 * 2;
 
 /// Block size of an [`ImageBuf`]'s CRC table: a constant, not a knob. A
@@ -68,36 +67,31 @@ pub(crate) const CRC_BLOCK: usize = 64 << 10;
 pub enum ImageError {
     /// Underlying filesystem error.
     Io(io::Error),
-    /// The file does not start with the image magic.
-    BadMagic,
-    /// Unsupported image version.
-    BadVersion(u32),
     /// Payload CRC mismatch (corrupt or truncated image).
     BadCrc {
         /// Which section failed ("upper" or "meta").
         section: &'static str,
     },
-    /// Header fields inconsistent with file size.
-    Truncated,
+    /// Not an image header (magic, version), or its section lengths
+    /// disagree with the file's size.
+    Format(FormatError),
 }
 
 impl fmt::Display for ImageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ImageError::Io(e) => write!(f, "image I/O error: {e}"),
-            ImageError::BadMagic => write!(f, "not a MANA-2.0 checkpoint image"),
-            ImageError::BadVersion(v) => write!(f, "unsupported image version {v}"),
             ImageError::BadCrc { section } => write!(f, "CRC mismatch in {section} section"),
-            ImageError::Truncated => write!(f, "image truncated"),
+            ImageError::Format(e) => e.fmt(f),
         }
     }
 }
 
 impl std::error::Error for ImageError {}
 
-impl From<io::Error> for ImageError {
-    fn from(e: io::Error) -> Self {
-        ImageError::Io(e)
+impl From<FormatError> for ImageError {
+    fn from(e: FormatError) -> Self {
+        ImageError::Format(e)
     }
 }
 
@@ -113,6 +107,17 @@ pub struct ImageHead {
 }
 
 impl ImageHead {
+    /// The image of this head with these sections.
+    pub fn image(self, upper: Vec<u8>, meta: Vec<u8>) -> CkptImage {
+        CkptImage {
+            rank: self.rank,
+            world_size: self.world_size,
+            round: self.round,
+            upper,
+            meta,
+        }
+    }
+
     /// The one encoder of the image format: write the encodings of `upper`
     /// and `meta` into `buf` behind a header-sized gap, over the image the
     /// buffer held before — straight from the values, so a buffer a rank
@@ -152,8 +157,63 @@ impl ImageHead {
             bytes.shrink_to_fit();
         }
         buf.head = self;
-        buf.crcs = None;
+        buf.checksummed = None;
         buf
+    }
+}
+
+/// What an image's header records: whose image of which round
+/// ([`ImageHead`]), and each section's length and CRC-32. Behind the
+/// [`IMAGE`] prefix it is a flat file's header; behind the recipe prefix
+/// it opens a recipe (`chunk::Recipe`). Every field is a `u64` on disk
+/// but the CRCs, which are `u32`s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ImageHeader {
+    /// Rank, world size and round.
+    pub head: ImageHead,
+    /// Length of the upper section.
+    pub upper_len: usize,
+    /// Length of the metadata section.
+    pub meta_len: usize,
+    /// CRC-32 of the upper section.
+    pub upper_crc: u32,
+    /// CRC-32 of the metadata section.
+    pub meta_crc: u32,
+}
+
+impl ImageHeader {
+    /// CRC-32 of the flat file `header ‖ upper ‖ meta`, from the encoded
+    /// header and the section CRCs it carries: no payload byte is read.
+    fn file_crc(&self, header: &[u8]) -> u32 {
+        let crc = crc32_combine(crc32(header), self.upper_crc, self.upper_len as u64);
+        crc32_combine(crc, self.meta_crc, self.meta_len as u64)
+    }
+}
+
+impl Encode for ImageHeader {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let h = self.head;
+        (h.rank, h.world_size, h.round).encode(out);
+        (self.upper_len, self.meta_len).encode(out);
+        (self.upper_crc, self.meta_crc).encode(out);
+    }
+}
+
+impl Decode for ImageHeader {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (rank, world_size, round) = Decode::decode(r)?;
+        let ((upper_len, meta_len), (upper_crc, meta_crc)) = Decode::decode(r)?;
+        Ok(ImageHeader {
+            head: ImageHead {
+                rank,
+                world_size,
+                round,
+            },
+            upper_len,
+            meta_len,
+            upper_crc,
+            meta_crc,
+        })
     }
 }
 
@@ -174,7 +234,7 @@ pub struct ImageBuf {
     blocks: BlockCrcs,
     /// What `ImageBuf::checksum` found for the image encoded last, once it
     /// has run.
-    crcs: Option<SectionCrcs>,
+    checksummed: Option<(ImageHeader, usize)>,
 }
 
 impl ImageBuf {
@@ -200,57 +260,58 @@ impl ImageBuf {
         self.bytes.capacity()
     }
 
-    /// The header fields the image was encoded for.
-    pub(crate) fn head(&self) -> ImageHead {
-        self.head
-    }
-
     /// The serialized upper half and MANA metadata.
     pub(crate) fn sections(&self) -> (&[u8], &[u8]) {
         self.bytes[HEADER_LEN..].split_at(self.upper_len)
     }
 
-    /// Both section CRCs: the upper section's from the block table,
-    /// reading only the stale blocks, the metadata's by one full pass.
-    /// Computed once per encode; a debug build checks the table's against
-    /// a full pass.
+    /// The image's header — the fields it was encoded for, and both
+    /// sections' lengths and CRCs — with the payload bytes read for the
+    /// CRCs: the upper section's comes from the block table, reading only
+    /// the stale blocks, the metadata's from one full pass. Computed once
+    /// per encode; a debug build checks the table's against a full pass.
     ///
     /// # Panics
     ///
     /// If no image was encoded into the buffer.
-    pub(crate) fn checksum(&mut self) -> SectionCrcs {
+    pub(crate) fn checksum(&mut self) -> (ImageHeader, usize) {
         assert!(!self.is_empty(), "no image was encoded into this buffer");
-        if let Some(crcs) = self.crcs {
-            return crcs;
+        if let Some(done) = self.checksummed {
+            return done;
         }
         let (upper, meta) = self.bytes[HEADER_LEN..].split_at(self.upper_len);
         let (upper_crc, read) = self.blocks.checksum(upper);
-        let crcs = SectionCrcs {
-            upper: upper_crc,
-            meta: crc32(meta),
-            read: read + meta.len(),
+        let header = ImageHeader {
+            head: self.head,
+            upper_len: upper.len(),
+            meta_len: meta.len(),
+            upper_crc,
+            meta_crc: crc32(meta),
         };
         #[cfg(debug_assertions)]
         {
-            let full = (crc32(upper), crc32(meta));
-            assert_eq!((crcs.upper, crcs.meta), full, "block CRC table out of date");
+            let crcs = (header.upper_crc, header.meta_crc);
+            assert_eq!(
+                crcs,
+                (crc32(upper), crc32(meta)),
+                "block CRC table out of date"
+            );
         }
-        self.crcs = Some(crcs);
-        crcs
+        let done = (header, read + meta.len());
+        self.checksummed = Some(done);
+        done
     }
 
-    /// Seal the image in place — the section CRCs from
-    /// `ImageBuf::checksum`, then the header (which stores both) into the
-    /// gap — and return the file and its CRC-32, combined from the
-    /// header's and the sections' ([`crc32_combine`]), so no payload byte
-    /// is read for it.
+    /// Seal the image in place — the header from `ImageBuf::checksum`
+    /// behind the prefix, into the gap — and return the file and its
+    /// CRC-32, combined from the header's and the sections'
+    /// ([`crc32_combine`]), so no payload byte is read for it.
     pub fn seal(&mut self) -> (&[u8], u32) {
-        let crcs = self.checksum();
-        let (upper_len, meta_len) = (self.upper_len, self.len() - HEADER_LEN - self.upper_len);
-        let header = header(self.head, (crcs.upper, upper_len), (crcs.meta, meta_len));
-        let crc = file_crc(&header, (crcs.upper, upper_len), (crcs.meta, meta_len));
-        self.bytes[..HEADER_LEN].copy_from_slice(&header);
-        (&self.bytes, crc)
+        let (header, _) = self.checksum();
+        let mut encoded = Vec::with_capacity(HEADER_LEN);
+        IMAGE.encode(&header, &mut encoded);
+        self.bytes[..HEADER_LEN].copy_from_slice(&encoded);
+        (&self.bytes, header.file_crc(&encoded))
     }
 }
 
@@ -380,39 +441,6 @@ impl<'a> Overwrite<'a> {
     }
 }
 
-/// Both section CRCs of an image, and the payload bytes read to get them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SectionCrcs {
-    pub(crate) upper: u32,
-    pub(crate) meta: u32,
-    /// Payload bytes checksummed: the metadata and the stale upper
-    /// blocks (every block of a fresh buffer).
-    pub(crate) read: usize,
-}
-
-/// The header of an image of `head` whose sections have these
-/// `(checksum, length)`s.
-fn header(head: ImageHead, upper: (u32, usize), meta: (u32, usize)) -> [u8; HEADER_LEN] {
-    let mut out = [0; HEADER_LEN];
-    let fields: [&[u8]; 9] = [
-        MAGIC,
-        &VERSION.to_le_bytes(),
-        &(head.rank as u64).to_le_bytes(),
-        &(head.world_size as u64).to_le_bytes(),
-        &head.round.to_le_bytes(),
-        &(upper.1 as u64).to_le_bytes(),
-        &(meta.1 as u64).to_le_bytes(),
-        &upper.0.to_le_bytes(),
-        &meta.0.to_le_bytes(),
-    ];
-    let mut at = 0;
-    for field in fields {
-        out[at..at + field.len()].copy_from_slice(field);
-        at += field.len();
-    }
-    out
-}
-
 /// One rank's checkpoint image.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CkptImage {
@@ -464,7 +492,7 @@ impl CkptImage {
             head: self.head(),
             upper_len: self.upper.len(),
             blocks,
-            crcs: None,
+            checksummed: None,
         }
     }
 
@@ -495,93 +523,51 @@ impl CkptImage {
     /// pass, so a corrupt image costs only the CRC pass that exposes it.
     pub fn from_bytes_with_crc(buf: &[u8]) -> Result<(Self, u32), ImageError> {
         let file = verify(buf)?;
-        let (upper, meta) = buf[HEADER_LEN..].split_at(file.upper_len);
-        Ok((file.image(upper.to_vec(), meta.to_vec()), file.crc))
+        let (upper, meta) = buf[HEADER_LEN..].split_at(file.header.upper_len);
+        let image = file.header.head.image(upper.to_vec(), meta.to_vec());
+        Ok((image, file.crc))
     }
 }
 
-/// What [`verify`] found in a file whose magic, version, sizes and section
-/// CRCs all check out.
+/// What [`verify`] found in a file whose prefix, sizes and section CRCs
+/// all check out.
 pub(crate) struct Verified {
-    head: ImageHead,
-    upper_len: usize,
+    header: ImageHeader,
     /// CRC-32 of the whole file, combined from the verified sections'.
     pub(crate) crc: u32,
 }
 
 impl Verified {
-    fn image(&self, upper: Vec<u8>, meta: Vec<u8>) -> CkptImage {
-        CkptImage {
-            rank: self.head.rank,
-            world_size: self.head.world_size,
-            round: self.head.round,
-            upper,
-            meta,
-        }
-    }
-
     /// The image, carved out of the verified file `buf` instead of copied
     /// out of it: the meta section is split off and the header moved out
     /// in place, so what is left of the buffer is the upper section and
     /// it needs no allocation of its own.
     pub(crate) fn carve(self, mut buf: Vec<u8>) -> CkptImage {
-        let meta = buf.split_off(HEADER_LEN + self.upper_len);
+        let meta = buf.split_off(HEADER_LEN + self.header.upper_len);
         buf.drain(..HEADER_LEN);
-        self.image(buf, meta)
+        self.header.head.image(buf, meta)
     }
 }
 
-/// The one parser of the image format: check magic, version, sizes and
-/// both section CRCs of the file `buf`, reading each payload byte once.
+/// The one parser of the image format: decode the prefix and the header
+/// ([`IMAGE`]), take both sections and nothing more, and check both
+/// section CRCs of the file `buf`, reading each payload byte once.
 pub(crate) fn verify(buf: &[u8]) -> Result<Verified, ImageError> {
-    if buf.len() < HEADER_LEN {
-        return Err(ImageError::Truncated);
-    }
-    if &buf[0..8] != MAGIC {
-        return Err(ImageError::BadMagic);
-    }
-    let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-    if version != VERSION {
-        return Err(ImageError::BadVersion(version));
-    }
-    let rd_u64 = |off: usize| u64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
-    let (upper_len, meta_len) = (rd_u64(36) as usize, rd_u64(44) as usize);
-    let upper_crc = u32::from_le_bytes(buf[52..56].try_into().unwrap());
-    let meta_crc = u32::from_le_bytes(buf[56..60].try_into().unwrap());
-    // checked_add: a corrupt header can claim lengths whose sum wraps
-    // usize, which would otherwise pass the size check in release
-    // builds and panic (or worse) on the slices below.
-    let expected = HEADER_LEN
-        .checked_add(upper_len)
-        .and_then(|n| n.checked_add(meta_len))
-        .ok_or(ImageError::Truncated)?;
-    if buf.len() != expected {
-        return Err(ImageError::Truncated);
-    }
-    let (upper, meta) = buf[HEADER_LEN..].split_at(upper_len);
-    if crc32(upper) != upper_crc {
+    let mut r = Reader::new(buf);
+    let header: ImageHeader = IMAGE.decode(&mut r)?;
+    // Each section is taken from what is left, so a claimed length can
+    // neither overflow the size arithmetic nor reach past the file.
+    let mut section = |len| r.take(len).map_err(|e| IMAGE.malformed(e));
+    let (upper, meta) = (section(header.upper_len)?, section(header.meta_len)?);
+    r.finish().map_err(|e| IMAGE.malformed(e))?;
+    if crc32(upper) != header.upper_crc {
         return Err(ImageError::BadCrc { section: "upper" });
     }
-    if crc32(meta) != meta_crc {
+    if crc32(meta) != header.meta_crc {
         return Err(ImageError::BadCrc { section: "meta" });
     }
-    let header = &buf[..HEADER_LEN];
-    Ok(Verified {
-        head: ImageHead {
-            rank: rd_u64(12) as usize,
-            world_size: rd_u64(20) as usize,
-            round: rd_u64(28),
-        },
-        upper_len,
-        crc: file_crc(header, (upper_crc, upper_len), (meta_crc, meta_len)),
-    })
-}
-
-/// CRC-32 of the file `header ‖ upper ‖ meta`, from the header's bytes and
-/// each section's `(checksum, length)`.
-fn file_crc(header: &[u8], upper: (u32, usize), meta: (u32, usize)) -> u32 {
-    let crc = crc32_combine(crc32(header), upper.0, upper.1 as u64);
-    crc32_combine(crc, meta.0, meta.1 as u64)
+    let crc = header.file_crc(&buf[..HEADER_LEN]);
+    Ok(Verified { header, crc })
 }
 
 #[cfg(test)]
@@ -707,7 +693,7 @@ mod tests {
     /// The payload bytes the next seal of `buf` checksums, and the file.
     fn seal_read(buf: &mut ImageBuf, head: ImageHead, upper: &UpperHalf) -> (usize, Vec<u8>) {
         let image = head.encode_into(buf, upper, &7u64);
-        let read = image.checksum().read;
+        let read = image.checksum().1;
         (read, image.seal().0.to_vec())
     }
 
@@ -841,29 +827,29 @@ mod tests {
         bytes[0] = b'X';
         assert!(matches!(
             CkptImage::from_bytes(&bytes),
-            Err(ImageError::BadMagic)
+            Err(ImageError::Format(FormatError::BadMagic(_)))
         ));
         let bytes = sample().to_bytes();
         assert!(matches!(
             CkptImage::from_bytes(&bytes[..bytes.len() - 1]),
-            Err(ImageError::Truncated)
+            Err(ImageError::Format(FormatError::Malformed(..)))
         ));
         assert!(matches!(
             CkptImage::from_bytes(&bytes[..10]),
-            Err(ImageError::Truncated)
+            Err(ImageError::Format(FormatError::Malformed(..)))
         ));
     }
 
     #[test]
     fn overflowing_header_lengths_rejected() {
         // Adversarial header whose claimed lengths wrap usize: must come
-        // back Truncated, not overflow the size arithmetic.
+        // back malformed, not overflow the size arithmetic.
         let mut bytes = sample().to_bytes();
         bytes[36..44].copy_from_slice(&u64::MAX.to_le_bytes()); // upper_len
         bytes[44..52].copy_from_slice(&u64::MAX.to_le_bytes()); // meta_len
         assert!(matches!(
             CkptImage::from_bytes(&bytes),
-            Err(ImageError::Truncated)
+            Err(ImageError::Format(FormatError::Malformed(..)))
         ));
     }
 }

@@ -14,6 +14,9 @@
 //! <root>/restart/e<epoch>/<seq>-<kind>-<rank>    [record][crc32(record) u32]
 //! ```
 //!
+//! The record is encoded through the codec — `kind: u8`, `epoch: u64`,
+//! the step's fields — with no prefix: the blob's name says what it is.
+//!
 //! * Appending a key `(epoch, kind, rank)` already present is a no-op: a
 //!   resumed coordinator re-drives the protocol ([`JournalStep`], in
 //!   order within one **epoch**, one logical restart attempt) and
@@ -35,13 +38,19 @@
 //! reading it.
 
 use crate::blobs::{Blobs, LocalFs, PutMode};
-use crate::codec::crc32;
+use crate::codec::{CodecError, Decode, Encode, Format, FormatError, Reader};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
 /// Journal directory under a store root.
 const JOURNAL_DIR: &str = "restart";
+
+/// A record blob's framing: no prefix, a CRC-32 trailer.
+const RECORD: Format = Format {
+    file: "record",
+    prefix: None,
+};
 
 /// The single-file journal of earlier releases: ignored, and removed by
 /// `Store::gc` once an epoch of the blob layout commits.
@@ -131,68 +140,61 @@ impl JournalRecord {
         (self.epoch, self.step.kind(), self.step.key_arg())
     }
 
-    /// The record blob's bytes: the encoded record, then its CRC-32.
+    /// The record blob's bytes: the record inside a CRC-32 trailer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = vec![self.step.kind()];
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        match &self.step {
-            JournalStep::RestartIntent { gen, failed } => {
-                out.extend_from_slice(&gen.to_le_bytes());
-                out.extend_from_slice(&(failed.len() as u64).to_le_bytes());
-                for r in failed {
-                    out.extend_from_slice(&r.to_le_bytes());
-                }
-            }
-            JournalStep::GenValidated { gen } => out.extend_from_slice(&gen.to_le_bytes()),
-            JournalStep::RankRestored { rank } => out.extend_from_slice(&rank.to_le_bytes()),
-            JournalStep::CommsRebuilt | JournalStep::RestartCommitted => {}
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        RECORD.seal(self)
     }
 
-    /// Parse a record blob: its CRC must hold and its bytes must be
-    /// exactly what [`JournalRecord::to_bytes`] makes of the record.
-    fn from_bytes(blob: &[u8]) -> Result<Self, String> {
-        let Some((buf, crc)) = blob.split_last_chunk::<4>() else {
-            return Err("record blob truncated".into());
-        };
-        if crc32(buf) != u32::from_le_bytes(*crc) {
-            return Err("record CRC mismatch".into());
-        }
-        let rd = |off: usize| -> Result<u64, String> {
-            buf.get(off..off + 8)
-                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-                .ok_or_else(|| "record payload truncated".into())
-        };
-        let step = match buf.first() {
-            Some(1) => JournalStep::RestartIntent {
-                gen: rd(9)?,
-                failed: (0..rd(17)? as usize)
-                    .map(|i| rd(25 + i * 8))
-                    .collect::<Result<_, _>>()?,
-            },
-            Some(2) => JournalStep::GenValidated { gen: rd(9)? },
-            Some(3) => JournalStep::RankRestored { rank: rd(9)? },
-            Some(4) => JournalStep::CommsRebuilt,
-            Some(5) => JournalStep::RestartCommitted,
-            other => return Err(format!("unknown record kind {other:?}")),
-        };
-        let rec = JournalRecord {
-            epoch: rd(1)?,
-            step,
-        };
-        match rec.to_bytes().len() {
-            n if n == blob.len() => Ok(rec),
-            n => Err(format!("record has {} bytes, expected {n}", blob.len())),
-        }
+    /// Parse a record blob: its CRC must hold and its body must decode to
+    /// exactly one record.
+    pub fn from_bytes(blob: &[u8]) -> Result<Self, FormatError> {
+        RECORD.open(blob)
     }
 
     /// The record's blob under a store root: `restart/e<epoch>/<seq>-<kind>-<rank>`.
     fn path_in(&self, root: &Path, seq: u64) -> PathBuf {
         let (kind, rank) = (self.step.name(), self.step.key_arg());
         epoch_dir(root, self.epoch).join(format!("{seq:05}-{kind}-{rank}"))
+    }
+}
+
+/// The step's kind code, then the epoch, then the step's fields.
+impl Encode for JournalRecord {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.step.kind().encode(out);
+        self.epoch.encode(out);
+        match &self.step {
+            JournalStep::RestartIntent { gen, failed } => {
+                gen.encode(out);
+                failed.encode(out);
+            }
+            JournalStep::GenValidated { gen } => gen.encode(out),
+            JournalStep::RankRestored { rank } => rank.encode(out),
+            JournalStep::CommsRebuilt | JournalStep::RestartCommitted => {}
+        }
+    }
+}
+
+impl Decode for JournalRecord {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let kind = u8::decode(r)?;
+        let epoch = u64::decode(r)?;
+        let step = match kind {
+            1 => JournalStep::RestartIntent {
+                gen: u64::decode(r)?,
+                failed: Vec::decode(r)?,
+            },
+            2 => JournalStep::GenValidated {
+                gen: u64::decode(r)?,
+            },
+            3 => JournalStep::RankRestored {
+                rank: u64::decode(r)?,
+            },
+            4 => JournalStep::CommsRebuilt,
+            5 => JournalStep::RestartCommitted,
+            other => return Err(CodecError::InvalidTag(other)),
+        };
+        Ok(JournalRecord { epoch, step })
     }
 }
 
@@ -304,23 +306,23 @@ fn list_records(blobs: &dyn Blobs, root: &Path, epoch: u64) -> io::Result<Vec<Bl
     Ok(names)
 }
 
-/// Read one record blob, which must be the record its name says.
+/// Read one record blob, which must be the record its name says. A blob
+/// that does not parse is `InvalidData` carrying its [`FormatError`].
 fn read_record(
     blobs: &dyn Blobs,
     root: &Path,
     epoch: u64,
     b: &BlobName,
-) -> Result<JournalRecord, String> {
+) -> io::Result<JournalRecord> {
     let path = epoch_dir(root, epoch).join(&b.name);
     let mut bytes = Vec::new();
-    blobs
-        .get(&path, Some(&mut bytes))
-        .map_err(|e| e.to_string())?;
-    let rec = JournalRecord::from_bytes(&bytes)?;
+    blobs.get(&path, Some(&mut bytes))?;
+    let invalid = io::ErrorKind::InvalidData;
+    let rec = JournalRecord::from_bytes(&bytes).map_err(|e| io::Error::new(invalid, e))?;
     let named = rec.path_in(root, b.seq) == path;
     named
         .then_some(rec)
-        .ok_or_else(|| "record is not the step its name says".into())
+        .ok_or_else(|| io::Error::new(invalid, "record is not the step its name says"))
 }
 
 /// A record blob that cannot be used.
@@ -330,7 +332,8 @@ pub struct BadRecord {
     pub epoch: u64,
     /// Its `seq` within the epoch.
     pub seq: u64,
-    /// Why it is unusable (CRC mismatch, undecodable, unreadable).
+    /// Why it is unusable: the read error, or the [`FormatError`] of a
+    /// blob that does not parse, as text.
     pub reason: String,
 }
 
@@ -537,10 +540,10 @@ pub fn verify(root: &Path) -> io::Result<VerifyReport> {
         for b in list_records(&LocalFs, root, epoch)? {
             match read_record(&LocalFs, root, epoch, &b) {
                 Ok(rec) => report.records.push(rec),
-                Err(reason) => report.unreadable.push(BadRecord {
+                Err(e) => report.unreadable.push(BadRecord {
                     epoch,
                     seq: b.seq,
-                    reason,
+                    reason: e.to_string(),
                 }),
             }
         }

@@ -9,8 +9,9 @@
 //!   only through a charged FS-register context switch and never saved.
 //! * [`FsMode`]/[`ContextSwitcher`] — the §III-G cost model for the
 //!   upper↔lower transition (kernel call vs workaround vs FSGSBASE).
-//! * [`codec`] — versioned binary serialization used by all checkpoint
-//!   metadata.
+//! * [`codec`] — the binary grammar of all checkpoint metadata and of
+//!   every file the store writes: one prefix, one CRC-32 trailer, one
+//!   [`FormatError`].
 //! * [`CkptImage`] — per-rank checkpoint image files with CRC'd sections.
 //! * [`store`] — durable generational checkpoint store: one [`Store`]
 //!   handle for atomic image writes, committed-round `MANIFEST`s,
@@ -36,10 +37,12 @@ mod lowerhalf;
 pub mod store;
 mod upperhalf;
 
-pub use chunk::{ChunkId, ChunkParams, ChunkRef, Recipe, RecipeError};
-pub use codec::{crc32, crc32_combine, CodecError, Crc32, Decode, Encode, Reader};
+pub use chunk::{ChunkId, ChunkParams, ChunkRef, Recipe};
+pub use codec::{
+    crc32, crc32_combine, CodecError, Crc32, Decode, Encode, Format, FormatError, Reader,
+};
 pub use fsreg::{ContextSwitcher, FsMode};
-pub use image::{CkptImage, ImageBuf, ImageError, ImageHead};
+pub use image::{CkptImage, ImageBuf, ImageError, ImageHead, ImageHeader};
 pub use journal::{EpochState, Journal, JournalRecord, JournalStep};
 pub use lowerhalf::LowerHalf;
 pub use store::{

@@ -21,6 +21,9 @@
 //! * Every rank file is written by one routine, [`Store::write_encoded`],
 //!   from an [`ImageBuf`]: a rank's kept buffer as it froze it, or a
 //!   decoded image copied into a fresh one ([`Store::write_image`]).
+//! * Every file the store writes — flat image, recipe, manifest, journal
+//!   record — is written and read through the codec: one prefix, one
+//!   CRC-32 trailer, one [`FormatError`] (DESIGN §7, "Files on disk").
 //! * Every rank file and manifest lands via [`Blobs::put_atomic`] (tmp
 //!   file, sync, atomic rename, parent-directory sync), retried with
 //!   bounded backoff on transient errors. A reader never observes a
@@ -42,8 +45,8 @@
 use crate::blobs::PutMode;
 pub use crate::blobs::{Blobs, FaultyBlobs, LocalFs, WriteFault};
 use crate::chunk::{self, ChunkId, ChunkParams, ChunkRef, Recipe};
-use crate::codec::{crc32, Crc32};
-use crate::image::{self, CkptImage, ImageBuf, ImageHead, SectionCrcs};
+use crate::codec::{crc32, CodecError, Crc32, Decode, Encode, Format, FormatError, Reader};
+use crate::image::{self, CkptImage, ImageBuf, ImageHeader};
 use obs::metrics as met;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -56,8 +59,12 @@ use std::time::Duration;
 /// Manifest file name inside a generation directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
-const MANIFEST_MAGIC: &[u8; 8] = b"MANA2MAN";
-const MANIFEST_VERSION: u32 = 1;
+/// The manifest's framing: magic `MANA2MAN`, version 1, and a CRC-32
+/// trailer.
+pub const MANIFEST: Format = Format {
+    file: "manifest",
+    prefix: Some((*b"MANA2MAN", 1)),
+};
 
 // ---- errors ----------------------------------------------------------------
 
@@ -101,12 +108,12 @@ impl Rejection {
 pub enum StoreError {
     /// Underlying filesystem error.
     Io(io::Error),
-    /// A manifest file exists but is unreadable or inconsistent.
+    /// A manifest file exists but does not parse.
     BadManifest {
         /// The manifest path.
         path: PathBuf,
         /// What was wrong with it.
-        reason: String,
+        error: FormatError,
     },
     /// [`Store::load_image`] refused one rank's image — a survivor of a
     /// partial restart whose image rotted; validation skipped it.
@@ -133,8 +140,8 @@ impl fmt::Display for StoreError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StoreError::Io(e) => write!(f, "checkpoint store I/O error: {e}"),
-            StoreError::BadManifest { path, reason } => {
-                write!(f, "bad manifest {}: {reason}", path.display())
+            StoreError::BadManifest { path, error } => {
+                write!(f, "bad manifest {}: {error}", path.display())
             }
             StoreError::Rejected { code, reason, .. } => {
                 write!(f, "image rejected ({}): {reason}", code.name())
@@ -298,7 +305,7 @@ pub struct PoolShard {
 
 /// One generation's `.cref` files ([`Store::recipes`]): each path with
 /// its recipe, or why it has none (a read error, or `InvalidData`
-/// carrying the [`chunk::RecipeError`]).
+/// carrying the [`FormatError`]).
 #[derive(Debug)]
 pub struct GenRecipes {
     /// The generation.
@@ -364,6 +371,21 @@ pub struct ManifestEntry {
     pub crc: u32,
 }
 
+impl Encode for ManifestEntry {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.rank, self.bytes, self.crc).encode(out);
+    }
+}
+
+impl Decode for ManifestEntry {
+    const MIN_LEN: usize = 8 + 8 + 4;
+
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (rank, bytes, crc) = Decode::decode(r)?;
+        Ok(ManifestEntry { rank, bytes, crc })
+    }
+}
+
 /// The commit record of one checkpoint generation. Written by the
 /// coordinator only after every rank reported a durable image write;
 /// its presence is what marks a generation committed.
@@ -388,60 +410,29 @@ impl Manifest {
         self.entries.iter().map(|e| e.bytes).sum()
     }
 
-    /// Serialize (self-checksummed).
+    /// The manifest file: [`MANIFEST`]'s prefix and the manifest, inside
+    /// its CRC-32 trailer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + 4 + 8 * 3 + self.entries.len() * 20 + 4);
-        out.extend_from_slice(MANIFEST_MAGIC);
-        out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.round.to_le_bytes());
-        out.extend_from_slice(&self.world_size.to_le_bytes());
-        out.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
-        for e in &self.entries {
-            out.extend_from_slice(&e.rank.to_le_bytes());
-            out.extend_from_slice(&e.bytes.to_le_bytes());
-            out.extend_from_slice(&e.crc.to_le_bytes());
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        MANIFEST.seal(self)
     }
 
-    /// Parse and verify a serialized manifest.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, String> {
-        let header = 8 + 4 + 8 * 3;
-        if buf.len() < header + 4 {
-            return Err("manifest truncated".into());
-        }
-        if &buf[0..8] != MANIFEST_MAGIC {
-            return Err("not a MANA-2.0 manifest".into());
-        }
-        let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-        if version != MANIFEST_VERSION {
-            return Err(format!("unsupported manifest version {version}"));
-        }
-        let rd_u64 = |off: usize| u64::from_le_bytes(buf[off..off + 8].try_into().unwrap());
-        let round = rd_u64(12);
-        let world_size = rd_u64(20);
-        let nent = rd_u64(28) as usize;
-        let body_len = header
-            .checked_add(nent.checked_mul(20).ok_or("entry count overflows")?)
-            .ok_or("entry count overflows")?;
-        if buf.len() != body_len + 4 {
-            return Err("manifest truncated".into());
-        }
-        let stored_crc = u32::from_le_bytes(buf[body_len..body_len + 4].try_into().unwrap());
-        if crc32(&buf[..body_len]) != stored_crc {
-            return Err("manifest CRC mismatch".into());
-        }
-        let mut entries = Vec::with_capacity(nent);
-        for i in 0..nent {
-            let off = header + i * 20;
-            entries.push(ManifestEntry {
-                rank: rd_u64(off),
-                bytes: rd_u64(off + 8),
-                crc: u32::from_le_bytes(buf[off + 16..off + 20].try_into().unwrap()),
-            });
-        }
+    /// Parse and verify a manifest file.
+    pub fn from_bytes(buf: &[u8]) -> Result<Self, FormatError> {
+        MANIFEST.open(buf)
+    }
+}
+
+impl Encode for Manifest {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.round, self.world_size).encode(out);
+        self.entries.encode(out);
+    }
+}
+
+impl Decode for Manifest {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let (round, world_size) = Decode::decode(r)?;
+        let entries = Vec::decode(r)?;
         Ok(Manifest {
             round,
             world_size,
@@ -589,12 +580,12 @@ impl Store {
     /// is its commit point and lands last, and the outcome reports that
     /// file's intended bytes and CRC — what the coordinator is told.
     pub fn write_encoded(&self, image: &mut ImageBuf) -> Result<WriteOutcome, StoreError> {
-        let head = image.head();
+        let (header, crc_bytes) = image.checksum();
+        let head = header.head;
         let dir = generation_dir(&self.root, head.round);
-        let crcs = image.checksum();
         let mut out = WriteOutcome {
             logical_bytes: image.len(),
-            crc_bytes: crcs.read,
+            crc_bytes,
             ..WriteOutcome::default()
         };
         // The flat file's checksum comes with its bytes, combined from the
@@ -608,7 +599,7 @@ impl Store {
                 (CkptImage::path_for(&dir, head.rank), bytes)
             }
             StoreMode::Chunked => {
-                recipe = (self.write_chunks(head, image.sections(), crcs, &mut out)?).to_bytes();
+                recipe = (self.write_chunks(header, image.sections(), &mut out)?).to_bytes();
                 out.crc = crc32(&recipe);
                 (recipe_path_for(&dir, head.rank), &recipe[..])
             }
@@ -665,16 +656,15 @@ impl Store {
     /// ([`chunk::chunk_payload`], guided by the rank's previous recipe —
     /// [`Store::guide`]); then land the chunks the pool does not hold
     /// (bounded parallel writers, then one directory sync per touched
-    /// shard and one for the pool), and return the recipe naming them and
-    /// carrying the section CRCs `crcs`.
+    /// shard and one for the pool), and return the recipe naming them
+    /// behind the image's `header`.
     fn write_chunks(
         &self,
-        head: ImageHead,
+        header: ImageHeader,
         (upper, meta): (&[u8], &[u8]),
-        crcs: SectionCrcs,
         out: &mut WriteOutcome,
     ) -> Result<Recipe, StoreError> {
-        let (upper_len, meta_len) = (upper.len() as u64, meta.len() as u64);
+        let head = header.head;
         let guide = self.guide(head);
         let (old_upper, old_meta) = guide.as_ref().map_or((&[][..], &[][..]), |r| {
             (&r.upper_chunks[..], &r.meta_chunks[..])
@@ -722,13 +712,7 @@ impl Store {
         }
         let ids = |chunks: &[(ChunkRef, &[u8])]| chunks.iter().map(|(c, _)| *c).collect();
         Ok(Recipe {
-            rank: head.rank as u64,
-            world_size: head.world_size as u64,
-            round: head.round,
-            upper_len,
-            meta_len,
-            upper_crc: crcs.upper,
-            meta_crc: crcs.meta,
+            header,
             upper_chunks: ids(&upper.chunks),
             meta_chunks: ids(&meta.chunks),
         })
@@ -739,7 +723,7 @@ impl Store {
     /// Anything else — a first round, an aborted predecessor, a torn or
     /// foreign recipe — is no guide, which costs the write the gear hash
     /// and nothing else.
-    fn guide(&self, head: ImageHead) -> Option<Recipe> {
+    fn guide(&self, head: image::ImageHead) -> Option<Recipe> {
         let round = head.round.checked_sub(1)?;
         let mut bytes = Vec::new();
         self.blobs
@@ -805,7 +789,7 @@ impl Store {
         let path = Manifest::path_in(&generation_dir(&self.root, round));
         let mut buf = Vec::new();
         self.blobs.get(&path, Some(&mut buf))?;
-        Manifest::from_bytes(&buf).map_err(|reason| StoreError::BadManifest { path, reason })
+        Manifest::from_bytes(&buf).map_err(|error| StoreError::BadManifest { path, error })
     }
 
     /// All generations, oldest first. A missing root is an empty store.
@@ -1263,27 +1247,14 @@ impl Store {
             .map_err(|e| Rejection::new(C::BadImage, format!("rank {rank} recipe invalid: {e}")))?;
         // A damaged chunk rejects the image just like a damaged flat file
         // would.
-        let payload = |refs: &[ChunkRef], len: u64, crc: u32, section: &str| {
+        let payload = |refs: &[ChunkRef], len: usize, crc: u32, section: &str| {
             self.assemble(refs, len, crc, section)
                 .map_err(|rej| Rejection::new(rej.code, format!("rank {rank}: {}", rej.reason)))
         };
-        Ok(CkptImage {
-            rank: recipe.rank as usize,
-            world_size: recipe.world_size as usize,
-            round: recipe.round,
-            upper: payload(
-                &recipe.upper_chunks,
-                recipe.upper_len,
-                recipe.upper_crc,
-                "upper",
-            )?,
-            meta: payload(
-                &recipe.meta_chunks,
-                recipe.meta_len,
-                recipe.meta_crc,
-                "meta",
-            )?,
-        })
+        let h = recipe.header;
+        let upper = payload(&recipe.upper_chunks, h.upper_len, h.upper_crc, "upper")?;
+        let meta = payload(&recipe.meta_chunks, h.meta_len, h.meta_crc, "meta")?;
+        Ok(h.head.image(upper, meta))
     }
 
     /// Read, verify and concatenate every chunk of one payload list from
@@ -1294,12 +1265,12 @@ impl Store {
     fn assemble(
         &self,
         refs: &[ChunkRef],
-        expected_len: u64,
+        expected_len: usize,
         expected_crc: u32,
         section: &str,
     ) -> Result<Vec<u8>, Rejection> {
         use obs::RejectCode as C;
-        let mut out = Vec::with_capacity(expected_len.min(1 << 30) as usize);
+        let mut out = Vec::with_capacity(expected_len.min(1 << 30));
         let mut crc = Crc32::new();
         for cref in refs {
             let start = out.len();
@@ -1331,7 +1302,7 @@ impl Store {
             }
             crc.update(data);
         }
-        if out.len() as u64 != expected_len {
+        if out.len() != expected_len {
             return Err(Rejection::new(
                 C::TornImage,
                 format!(
@@ -1406,7 +1377,7 @@ pub fn gc_chunks(root: &Path) -> io::Result<ChunkGcOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::image::HEADER_LEN;
+    use crate::image::{ImageHead, HEADER_LEN};
     use std::fs;
 
     /// A read-side handle on the store under `root`.
@@ -1476,10 +1447,14 @@ mod tests {
         assert_eq!(Manifest::from_bytes(&bytes).unwrap(), m);
         let mut bad = bytes.clone();
         bad[14] ^= 0xFF;
-        assert!(Manifest::from_bytes(&bad).unwrap_err().contains("CRC"));
-        assert!(Manifest::from_bytes(&bytes[..bytes.len() - 1])
-            .unwrap_err()
-            .contains("truncated"));
+        let err = Manifest::from_bytes(&bad).unwrap_err();
+        assert!(err.to_string().contains("CRC"), "{err}");
+        // The trailer is checked before anything is decoded: a short file
+        // fails its CRC.
+        assert_eq!(
+            Manifest::from_bytes(&bytes[..bytes.len() - 1]),
+            Err(FormatError::BadChecksum("manifest"))
+        );
     }
 
     #[test]
@@ -2180,13 +2155,13 @@ mod tests {
         let meta = chunk::chunk_payload(&image.meta, cfg.chunk, &[]);
         let refs = |c: &chunk::Chunked<'_>| c.chunks.iter().map(|(r, _)| *r).collect();
         Recipe {
-            rank: image.rank as u64,
-            world_size: image.world_size as u64,
-            round: image.round,
-            upper_len: image.upper.len() as u64,
-            meta_len: image.meta.len() as u64,
-            upper_crc: crc32(&image.upper),
-            meta_crc: crc32(&image.meta),
+            header: ImageHeader {
+                head: image.head(),
+                upper_len: image.upper.len(),
+                meta_len: image.meta.len(),
+                upper_crc: crc32(&image.upper),
+                meta_crc: crc32(&image.meta),
+            },
             upper_chunks: refs(&upper),
             meta_chunks: refs(&meta),
         }
@@ -2197,7 +2172,8 @@ mod tests {
     /// where one of `old`'s starts and carry its id — unless that old ref
     /// ended its section and the section changed length.
     fn reusable_cuts(old: &Recipe, new: &Recipe) -> u32 {
-        let section = |old: &[ChunkRef], old_len: u64, new: &[ChunkRef], new_len: u64| {
+        let section = |old: &[ChunkRef], old_len: usize, new: &[ChunkRef], new_len: usize| {
+            let (old_len, new_len) = (old_len as u64, new_len as u64);
             let starts = |refs: &[ChunkRef]| -> BTreeMap<u64, ChunkRef> {
                 let mut at = 0;
                 refs.iter()
@@ -2214,17 +2190,13 @@ mod tests {
             };
             starts(new).iter().filter(|&e| reusable(e)).count() as u32
         };
+        let (o, n) = (old.header, new.header);
         section(
             &old.upper_chunks,
-            old.upper_len,
+            o.upper_len,
             &new.upper_chunks,
-            new.upper_len,
-        ) + section(
-            &old.meta_chunks,
-            old.meta_len,
-            &new.meta_chunks,
-            new.meta_len,
-        )
+            n.upper_len,
+        ) + section(&old.meta_chunks, o.meta_len, &new.meta_chunks, n.meta_len)
     }
 
     /// One rank's 2 MiB image written from its kept buffer, round after

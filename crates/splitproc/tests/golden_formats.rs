@@ -25,7 +25,9 @@
 
 use splitproc::journal::{self, Journal, JournalRecord, JournalStep};
 use splitproc::store::{self, Manifest, Store, StoreConfig, StoreError, StoreMode};
-use splitproc::{chunk, crc32, ChunkId, ChunkRef, CkptImage, Recipe, RecipeError};
+use splitproc::{
+    chunk, crc32, ChunkId, ChunkRef, CkptImage, FormatError, ImageHead, ImageHeader, Recipe,
+};
 use std::fs;
 use std::path::PathBuf;
 
@@ -190,9 +192,10 @@ fn golden_flat_image_and_manifest_parse() {
 #[test]
 fn golden_recipe_parses() {
     let r = Recipe::from_bytes(CHUNKED_V2_RANK_FILE).unwrap();
-    assert_eq!((r.rank, r.world_size, r.round), (0, 1, 2));
-    assert_eq!((r.upper_len, r.meta_len), (48, 5));
-    assert_eq!((r.upper_crc, r.meta_crc), (crc32(UPPER), crc32(META)));
+    let h = r.header;
+    assert_eq!((h.head.rank, h.head.world_size, h.head.round), (0, 1, 2));
+    assert_eq!((h.upper_len, h.meta_len), (48, 5));
+    assert_eq!((h.upper_crc, h.meta_crc), (crc32(UPPER), crc32(META)));
     assert_eq!((r.upper_chunks.len(), r.meta_chunks.len()), (1, 1));
     assert_eq!(r.upper_chunks[0].id, chunk::chunk_id(UPPER));
     assert_eq!(r.meta_chunks[0].id, chunk::chunk_id(META));
@@ -201,7 +204,7 @@ fn golden_recipe_parses() {
     // chunks by SHA-256) but no longer read.
     assert_eq!(
         Recipe::from_bytes(CHUNKED_RANK_FILE),
-        Err(RecipeError::BadVersion(1))
+        Err(FormatError::BadVersion("recipe", 1))
     );
     for (id, at) in v1_chunk_ids().into_iter().zip([68, 116]) {
         assert_eq!(id.0, CHUNKED_RANK_FILE[at..at + 32]);
@@ -444,14 +447,19 @@ fn four_ref_recipe() -> Recipe {
         });
         each.to_vec()
     };
-    Recipe {
+    let head = ImageHead {
         rank: 0,
         world_size: 1,
         round: 2,
-        upper_len: 48,
-        meta_len: 5,
-        upper_crc: crc32(UPPER),
-        meta_crc: crc32(META),
+    };
+    Recipe {
+        header: ImageHeader {
+            head,
+            upper_len: 48,
+            meta_len: 5,
+            upper_crc: crc32(UPPER),
+            meta_crc: crc32(META),
+        },
         upper_chunks: refs([&UPPER[..20], &UPPER[20..]]),
         meta_chunks: refs([&META[..2], &META[2..]]),
     }
