@@ -24,7 +24,7 @@
 
 use mana_bench::*;
 use mana_core::{obs, DrainMode, EnvConfig, ManaConfig};
-use mpisim::{CoopCfg, EngineKind, MachineProfile, WorldCfg};
+use mpisim::{CoopCfg, EngineKind, MachineProfile, Named, WorldCfg};
 use std::time::Instant;
 use workloads::{gromacs, under_mana, vasp, Launch};
 

@@ -115,10 +115,10 @@ pub fn knobs_or_exit(args: &[String]) -> Knobs {
 /// flag without its value and a value that does not parse are each a
 /// [`ConfigError`] naming the flag and the value as given.
 pub fn knobs_from_args(args: &[String]) -> Result<Knobs, ConfigError> {
-    let bad = |var, value: &str, expected| ConfigError {
+    let bad = |var, value: &str, expected: &str| ConfigError {
         var,
         value: value.to_owned(),
-        expected,
+        expected: expected.to_owned(),
     };
     const SCALE: &str = "a positive number";
     const LIST: &str = "a comma-separated list of positive integers";

@@ -38,7 +38,7 @@ use crate::{case_token_rings, kernel, Scenario, WlValue, Workload};
 use mana_core::obs;
 use mana_core::DrainMode;
 use mpisim::{
-    splitmix64, EngineKind, Fnv1a, SchedDecision, ScheduleDivergence, SchedulePolicy,
+    splitmix64, EngineKind, Fnv1a, Named, SchedDecision, ScheduleDivergence, SchedulePolicy,
     ScheduleScript, World, WorldCfg,
 };
 use std::collections::HashSet;

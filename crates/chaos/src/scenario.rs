@@ -4,7 +4,7 @@
 
 use crate::explore::{decode_choices, encode_choices, ScheduleFixture};
 use mana_core::DrainMode;
-use mpisim::{splitmix64, CoopCfg, EngineKind, StorageFaultKind};
+use mpisim::{splitmix64, CoopCfg, EngineKind, Named, StorageFaultKind};
 use splitproc::StoreMode;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -20,39 +20,37 @@ pub enum Workload {
     Cg,
 }
 
+/// The names `Display` and `FromStr` spell a workload with.
+impl Named for Workload {
+    const NAMES: &'static [(Self, &'static str)] =
+        &[(Workload::Gromacs, "gromacs"), (Workload::Cg, "cg")];
+}
+
 impl fmt::Display for Workload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Workload::Gromacs => "gromacs",
-            Workload::Cg => "cg",
-        })
+        f.write_str(self.name())
     }
 }
 
 impl FromStr for Workload {
     type Err = String;
     fn from_str(s: &str) -> Result<Workload, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "gromacs" => Ok(Workload::Gromacs),
-            "cg" => Ok(Workload::Cg),
-            other => Err(format!("unknown workload {other:?} (want gromacs|cg)")),
-        }
+        let s = s.trim().to_ascii_lowercase();
+        let want = Workload::names("|");
+        Workload::named(&s).ok_or_else(|| format!("unknown workload {s:?} (want {want})"))
     }
 }
 
 /// A `parse` of another crate that answers `None`, as a field parser
 /// whose error names what it wanted.
-fn named<T>(
-    parse: fn(&str) -> Option<T>,
-    want: &'static str,
-) -> impl Fn(&str) -> Result<T, String> {
+fn named<T>(parse: fn(&str) -> Option<T>, want: String) -> impl Fn(&str) -> Result<T, String> {
     move |s| parse(s).ok_or_else(|| format!("{:?} (want {want})", s.trim()))
 }
 
 /// Parse a drain-mode name ([`DrainMode::parse`], with the error line the
 /// CLI, the spec and the fixture reader all print).
 pub fn parse_drain(s: &str) -> Result<DrainMode, String> {
-    named(DrainMode::parse, "alltoall|coordinator|toposort")(s)
+    named(DrainMode::parse, DrainMode::names("|"))(s)
 }
 
 /// The per-field hash every family derives its shape from: splitmix64 —
@@ -296,14 +294,6 @@ pub enum Scenario {
     Schedule(ScheduleFixture),
 }
 
-/// A storage-fault kind is spelled as its variant name.
-fn parse_kind(s: &str) -> Option<StorageFaultKind> {
-    use StorageFaultKind::{BitFlip, TornWrite, WriteError};
-    [WriteError, TornWrite, BitFlip]
-        .into_iter()
-        .find(|kind| format!("{kind:?}") == s)
-}
-
 fn join<T: ToString>(items: &[T]) -> String {
     let items: Vec<String> = items.iter().map(T::to_string).collect();
     items.join(",")
@@ -367,9 +357,9 @@ impl fmt::Display for Scenario {
             }
             Scenario::Storage(c) => write!(
                 f,
-                " store={} kind={:?} restart={} victim={}",
+                " store={} kind={} restart={} victim={}",
                 c.store.name(),
-                c.kind,
+                c.kind.name(),
                 c.restart,
                 c.victim
             )?,
@@ -382,7 +372,7 @@ impl fmt::Display for Scenario {
                     write!(f, " partial={}", join(failed))?;
                 }
                 if let Some(kind) = c.storage {
-                    write!(f, " storage={kind:?}")?;
+                    write!(f, " storage={}", kind.name())?;
                 }
             }
             Scenario::Schedule(c) => {
@@ -452,8 +442,8 @@ impl FromStr for Scenario {
                 return Err(format!("{key}= given twice"));
             }
         }
-        let engine = named(EngineKind::parse, EngineKind::SPELLINGS);
-        let kind = named(parse_kind, "WriteError|TornWrite|BitFlip");
+        let engine = named(EngineKind::parse, EngineKind::SPELLINGS.into());
+        let kind = named(StorageFaultKind::named, StorageFaultKind::names("|"));
         let seed = fields.req("seed", num)?;
         let ranks = fields.req("ranks", num)?;
         let drain = fields.req("drain", parse_drain)?;
@@ -475,7 +465,7 @@ impl FromStr for Scenario {
                 restart: fields.req("restart", num)?,
                 victim: fields.req("victim", num)?,
                 drain,
-                store: fields.req("store", named(StoreMode::parse, "flat|chunked"))?,
+                store: fields.req("store", named(StoreMode::parse, StoreMode::names("|")))?,
             }),
             "restart_kill" => Scenario::RestartKill(RestartKillCase {
                 seed,

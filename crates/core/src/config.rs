@@ -3,6 +3,7 @@
 
 use crate::callbacks::CallbackStyle;
 use crate::vtable::VtBackend;
+use mpisim::Named;
 use splitproc::FsMode;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -38,26 +39,21 @@ pub enum DrainMode {
     TopoSort,
 }
 
-impl DrainMode {
-    /// Parse a `MANA2_DRAIN` spec. Accepts `alltoall`, `toposort`, and
-    /// `coordinator` (case-insensitive, surrounding whitespace ignored).
-    /// Anything else — including an empty string — is `None`.
-    pub fn parse(spec: &str) -> Option<DrainMode> {
-        match spec.trim().to_ascii_lowercase().as_str() {
-            "alltoall" => Some(DrainMode::Alltoall),
-            "coordinator" => Some(DrainMode::Coordinator),
-            "toposort" => Some(DrainMode::TopoSort),
-            _ => None,
-        }
-    }
+/// Short stable names, used in `MANA2_DRAIN`, metrics and artifacts.
+impl Named for DrainMode {
+    const NAMES: &'static [(Self, &'static str)] = &[
+        (DrainMode::Alltoall, "alltoall"),
+        (DrainMode::Coordinator, "coordinator"),
+        (DrainMode::TopoSort, "toposort"),
+    ];
+}
 
-    /// Short stable name, used in metrics and artifacts.
-    pub fn name(self) -> &'static str {
-        match self {
-            DrainMode::Alltoall => "alltoall",
-            DrainMode::Coordinator => "coordinator",
-            DrainMode::TopoSort => "toposort",
-        }
+impl DrainMode {
+    /// Parse a `MANA2_DRAIN` spec: a name, case-insensitive, surrounding
+    /// whitespace ignored. Anything else — including an empty string — is
+    /// `None`.
+    pub fn parse(spec: &str) -> Option<DrainMode> {
+        Self::named(&spec.trim().to_ascii_lowercase())
     }
 }
 

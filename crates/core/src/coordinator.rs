@@ -835,6 +835,7 @@ pub fn finish(handles: Vec<CoordHandle>) -> CoordReport {
 mod tests {
     use super::*;
     use crate::flush;
+    use mpisim::Named;
     use obs::EventKind;
     use splitproc::blobs::{BlobEntry, PutCost, PutMode};
     use splitproc::store;

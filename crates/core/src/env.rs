@@ -13,7 +13,7 @@
 
 use crate::config::{DrainMode, ManaConfig};
 use crate::runtime::{ManaRuntime, Outputs};
-use mpisim::{EngineKind, WorldCfg};
+use mpisim::{EngineKind, Named, WorldCfg};
 use splitproc::StoreMode;
 use std::ffi::OsString;
 use std::fmt;
@@ -28,7 +28,7 @@ pub struct ConfigError {
     /// Its value as found (lossily decoded if it was not UTF-8).
     pub value: String,
     /// What would have been accepted.
-    pub expected: &'static str,
+    pub expected: String,
 }
 
 impl fmt::Display for ConfigError {
@@ -82,7 +82,7 @@ pub fn from_lookup<V: Into<OsString>>(
         Some(os) if os.is_empty() => Err(ConfigError {
             var,
             value: String::new(),
-            expected: "a directory path",
+            expected: "a directory path".into(),
         }),
         other => Ok(other.map(PathBuf::from)),
     };
@@ -90,34 +90,26 @@ pub fn from_lookup<V: Into<OsString>>(
     let mut world = WorldCfg::default();
     let mut outputs = Outputs::default();
     if let Some(engine) = knob(
-        get("MANA2_ENGINE"),
+        get,
         "MANA2_ENGINE",
         EngineKind::SPELLINGS,
         EngineKind::parse,
     )? {
         world.engine = engine;
     }
-    if let Some(drain) = knob(
-        get("MANA2_DRAIN"),
-        "MANA2_DRAIN",
-        "alltoall | coordinator | toposort",
-        DrainMode::parse,
-    )? {
+    let drains = DrainMode::names(" | ");
+    if let Some(drain) = knob(get, "MANA2_DRAIN", &drains, DrainMode::parse)? {
         mana.drain = drain;
     }
-    if let Some(mode) = knob(
-        get("MANA2_STORE"),
-        "MANA2_STORE",
-        "flat | chunked",
-        StoreMode::parse,
-    )? {
+    let layouts = StoreMode::names(" | ");
+    if let Some(mode) = knob(get, "MANA2_STORE", &layouts, StoreMode::parse)? {
         mana.store.mode = mode;
     }
     if let Some(d) = dir("MANA2_TRACE_DIR")? {
         outputs.trace_dir = d;
     }
     if let Some(ms) = knob(
-        get("MANA2_METRICS_INTERVAL_MS"),
+        get,
         "MANA2_METRICS_INTERVAL_MS",
         "a whole number of milliseconds >= 1",
         |s| s.trim().parse::<u64>().ok().filter(|&ms| ms >= 1),
@@ -132,15 +124,15 @@ pub fn from_lookup<V: Into<OsString>>(
     })
 }
 
-/// Parse one enumerated or numeric variable: unset is `None`; set must be
-/// UTF-8 that `parse` accepts.
+/// Parse one enumerated or numeric variable `var` of `get`: unset is
+/// `None`; set must be UTF-8 that `parse` accepts.
 fn knob<T>(
-    raw: Option<OsString>,
+    get: impl Fn(&str) -> Option<OsString>,
     var: &'static str,
-    expected: &'static str,
+    expected: &str,
     parse: impl Fn(&str) -> Option<T>,
 ) -> Result<Option<T>, ConfigError> {
-    let Some(os) = raw else {
+    let Some(os) = get(var) else {
         return Ok(None);
     };
     match os.to_str().and_then(parse) {
@@ -148,7 +140,7 @@ fn knob<T>(
         None => Err(ConfigError {
             var,
             value: os.to_string_lossy().into_owned(),
-            expected,
+            expected: expected.into(),
         }),
     }
 }

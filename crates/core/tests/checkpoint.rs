@@ -7,7 +7,7 @@ use mana_core::{
     CallbackStyle, CommRestore, DrainMode, ManaConfig, ManaRuntime, RuntimeError, TpcMode, VReq,
     VtBackend,
 };
-use mpisim::{ReduceOp, SrcSel, TagSel, WorldCfg};
+use mpisim::{Named, ReduceOp, SrcSel, TagSel, WorldCfg};
 use splitproc::FsMode;
 use std::path::PathBuf;
 use std::time::Duration;

@@ -3,7 +3,7 @@
 //! dump must be well-formed and contain the recorded events.
 
 use mana_core::{obs, ManaConfig, ManaError, Outputs, RuntimeError, TpcMode};
-use mpisim::{ReduceOp, SrcSel, TagSel};
+use mpisim::{Named, ReduceOp, SrcSel, TagSel};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 

@@ -95,6 +95,15 @@ pub enum StorageFaultKind {
     BitFlip,
 }
 
+/// A kind is named as its variant, as a chaos spec spells it.
+impl crate::Named for StorageFaultKind {
+    const NAMES: &'static [(Self, &'static str)] = &[
+        (StorageFaultKind::WriteError, "WriteError"),
+        (StorageFaultKind::TornWrite, "TornWrite"),
+        (StorageFaultKind::BitFlip, "BitFlip"),
+    ];
+}
+
 /// One armed storage fault: which rank's image, at which checkpoint
 /// round, and what happens to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -60,6 +60,7 @@ mod envelope;
 mod error;
 mod fault;
 mod group;
+mod names;
 mod network;
 mod onesided;
 mod op;
@@ -86,6 +87,7 @@ pub use fault::{
     StorageFaultSpec,
 };
 pub use group::{fnv1a_usizes, Group, GroupRelation};
+pub use names::Named;
 pub use network::{Mailbox, Network};
 pub use onesided::{Win, WinRegistry};
 pub use op::{reduce_bytes, ReduceOp};

@@ -47,6 +47,7 @@ pub use crate::blobs::{Blobs, FaultyBlobs, LocalFs, WriteFault};
 use crate::chunk::{self, ChunkId, ChunkParams, ChunkRef, Recipe};
 use crate::codec::{crc32, CodecError, Crc32, Decode, Encode, Format, FormatError, Reader};
 use crate::image::{self, CkptImage, ImageBuf, ImageHeader};
+use mpisim::Named;
 use obs::metrics as met;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -189,22 +190,17 @@ pub enum StoreMode {
     Chunked,
 }
 
-impl StoreMode {
-    /// Parse a `MANA2_STORE` value.
-    pub fn parse(spec: &str) -> Option<StoreMode> {
-        match spec.trim().to_ascii_lowercase().as_str() {
-            "flat" => Some(StoreMode::Flat),
-            "chunked" => Some(StoreMode::Chunked),
-            _ => None,
-        }
-    }
+/// Short stable names, used in `MANA2_STORE`, metrics and artifacts.
+impl Named for StoreMode {
+    const NAMES: &'static [(Self, &'static str)] =
+        &[(StoreMode::Flat, "flat"), (StoreMode::Chunked, "chunked")];
+}
 
-    /// Short stable name, used in metrics and artifacts.
-    pub fn name(self) -> &'static str {
-        match self {
-            StoreMode::Flat => "flat",
-            StoreMode::Chunked => "chunked",
-        }
+impl StoreMode {
+    /// Parse a `MANA2_STORE` value: a name, case-insensitive, surrounding
+    /// whitespace ignored.
+    pub fn parse(spec: &str) -> Option<StoreMode> {
+        Self::named(&spec.trim().to_ascii_lowercase())
     }
 }
 

@@ -1,8 +1,12 @@
 //! Property-based tests for the checkpoint codec and image format.
 
 use proptest::prelude::*;
+use splitproc::journal::{JournalRecord, JournalStep};
+use splitproc::store::{Manifest, ManifestEntry};
 use splitproc::{crc32, CkptImage, Decode, Encode, ImageError, UpperHalf};
+use splitproc::{FormatError, ImageHead, ImageHeader, Recipe};
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -50,6 +54,15 @@ proptest! {
         let _ = Vec::<(u64, Vec<u8>)>::from_bytes(&bytes);
         let _ = UpperHalf::from_bytes(&bytes);
         let _ = CkptImage::from_bytes(&bytes);
+        // The store's trailered files, once as they come (almost always a
+        // checksum mismatch) and once under a trailer that holds, so the
+        // random bytes reach the body decoders.
+        let sealed = [&bytes[..], &crc32(&bytes).to_le_bytes()].concat();
+        for file in [&bytes, &sealed] {
+            let _ = Manifest::from_bytes(file);
+            let _ = Recipe::from_bytes(file);
+            let _ = JournalRecord::from_bytes(file);
+        }
     }
 
     #[test]
@@ -112,6 +125,99 @@ proptest! {
         // Appending a byte changes the CRC (always true for CRC-32 with
         // nonzero init).
         prop_assert_ne!(a, crc32(&d2));
+    }
+}
+
+// ---- damaged store files are refused, typed ----------------------------------
+
+/// Every proper prefix and every single-bit flip of `file` is refused by
+/// `parse` with a [`FormatError`] — never read as some other value.
+fn damage_is_refused<T: Debug>(
+    file: &[u8],
+    parse: impl Fn(&[u8]) -> Result<T, FormatError>,
+) -> Result<(), TestCaseError> {
+    for cut in 0..file.len() {
+        let got = parse(&file[..cut]);
+        prop_assert!(got.is_err(), "a {}-byte prefix parsed: {:?}", cut, got);
+    }
+    let mut flipped = file.to_vec();
+    for bit in 0..file.len() * 8 {
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let got = parse(&flipped);
+        prop_assert!(got.is_err(), "bit {} flipped parsed: {:?}", bit, got);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A manifest, a recipe and one record of each journal step kind: each
+    /// parses back, and no truncation or bit flip of it parses at all. A
+    /// flat image is held to the truncation half only: a flip in its rank,
+    /// world or round field leaves a well-formed image that no check of
+    /// its own can tell from the original — the manifest's whole-file CRC
+    /// catches it at selection, not `CkptImage::from_bytes`.
+    #[test]
+    fn damaged_store_files_are_refused_with_the_format_error(
+        counts in (any::<u64>(), any::<u64>()),
+        entries in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<u32>()), 0..4),
+        head in (any::<usize>(), any::<usize>(), any::<u64>()),
+        sections in (any::<usize>(), any::<usize>(), any::<u32>(), any::<u32>()),
+        refs in proptest::collection::vec((any::<u64>(), any::<u64>(), any::<bool>()), 0..5),
+        steps in (any::<u64>(), any::<u64>(), any::<u64>()),
+        failed in proptest::collection::vec(any::<u64>(), 0..4),
+        upper in proptest::collection::vec(any::<u8>(), 0..48),
+        meta in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let entries = entries.into_iter().map(|(rank, bytes, crc)| ManifestEntry { rank, bytes, crc });
+        let (round, world_size) = counts;
+        let manifest = Manifest { round, world_size, entries: entries.collect() };
+        let file = manifest.to_bytes();
+        prop_assert_eq!(Manifest::from_bytes(&file), Ok(manifest));
+        damage_is_refused(&file, Manifest::from_bytes)?;
+
+        let head = ImageHead { rank: head.0, world_size: head.1, round: head.2 };
+        let (upper_len, meta_len, upper_crc, meta_crc) = sections;
+        let chunk_ref = |&(seed, len, _): &(u64, u64, bool)| splitproc::ChunkRef {
+            id: splitproc::chunk::chunk_id(&seed.to_le_bytes()),
+            len,
+        };
+        let recipe = Recipe {
+            header: ImageHeader {
+                head,
+                upper_len,
+                meta_len,
+                upper_crc,
+                meta_crc,
+            },
+            upper_chunks: refs.iter().filter(|r| r.2).map(chunk_ref).collect(),
+            meta_chunks: refs.iter().filter(|r| !r.2).map(chunk_ref).collect(),
+        };
+        let file = recipe.to_bytes();
+        prop_assert_eq!(Recipe::from_bytes(&file), Ok(recipe));
+        damage_is_refused(&file, Recipe::from_bytes)?;
+
+        let (epoch, gen, rank) = steps;
+        for step in [
+            JournalStep::RestartIntent { gen, failed },
+            JournalStep::GenValidated { gen },
+            JournalStep::RankRestored { rank },
+            JournalStep::CommsRebuilt,
+            JournalStep::RestartCommitted,
+        ] {
+            let record = JournalRecord { epoch, step };
+            let file = record.to_bytes();
+            prop_assert_eq!(JournalRecord::from_bytes(&file), Ok(record));
+            damage_is_refused(&file, JournalRecord::from_bytes)?;
+        }
+
+        let file = head.image(upper, meta).to_bytes();
+        for cut in 0..file.len() {
+            let got = CkptImage::from_bytes(&file[..cut]);
+            prop_assert!(matches!(got, Err(ImageError::Format(_))), "{}-byte prefix: {:?}", cut, got);
+        }
     }
 }
 

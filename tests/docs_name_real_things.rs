@@ -9,6 +9,8 @@
 //!   any, one of) must match an `obs::metrics::standard_defs()` name;
 //! - a `MANA2_*` / `CHAOS_*` name must be read somewhere in code (a string
 //!   literal in a library or binary source, outside its tests);
+//! - a span that is a whole dotted layer name (`core.*`, `splitproc.*`,
+//!   `mpisim.*`, `obs.*`) must be a `per_layer` name of `BENCHMARK.json`;
 //! - a test must exist: `cargo test` commands (`--test <target>`, and each
 //!   filter as cargo applies it: a substring of a test's path, the whole
 //!   path under `--exact`), spans of the form `<target>::<test>` or
@@ -17,6 +19,7 @@
 //!
 //! A failure names `doc:line` and what is missing.
 
+use mana2::mana_core::obs::json::{self, Json};
 use mana2::mana_core::obs::metrics::standard_defs;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -36,6 +39,8 @@ struct Tree {
     /// `(target, path)`: a test's path inside its test binary, with its
     /// target (`None` for a library's unit tests).
     tests: Vec<(Option<String>, String)>,
+    /// The benchmark's `per_layer` metric names (`BENCHMARK.json`).
+    layers: BTreeSet<String>,
 }
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -93,11 +98,21 @@ impl Tree {
         for dir in ["src", "tests", "examples", "crates", "benchmark"] {
             walk(&root.join(dir), &mut paths);
         }
+        let bench = std::fs::read_to_string(root.join("BENCHMARK.json")).expect("BENCHMARK.json");
+        let bench = json::parse(&bench).expect("BENCHMARK.json parses");
+        let rows = match bench.get("per_layer") {
+            Some(Json::Arr(rows)) => rows.as_slice(),
+            _ => panic!("BENCHMARK.json has no per_layer list"),
+        };
         let mut tree = Tree {
             files: Vec::new(),
             env: BTreeSet::new(),
             targets: BTreeSet::new(),
             tests: Vec::new(),
+            layers: rows
+                .iter()
+                .filter_map(|row| row.get("name").and_then(Json::as_str).map(str::to_string))
+                .collect(),
         };
         for path in paths {
             let rel = path
@@ -365,6 +380,16 @@ fn check_doc(tree: &Tree, metrics: &[&str], doc: &str, text: &str) -> Vec<String
         if metric_like && !metrics.iter().any(|m| glob(body, m)) {
             bad.push(format!("{at}: no metric `{body}`"));
         }
+        // Per-layer benchmark names.
+        let layer_like = ["core.", "splitproc.", "mpisim.", "obs."]
+            .iter()
+            .any(|p| body.starts_with(p))
+            && body
+                .chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "._".contains(c));
+        if layer_like && !tree.layers.contains(body) {
+            bad.push(format!("{at}: no per-layer metric `{body}`"));
+        }
         // Qualified test paths.
         if is_ident_path(body) && body.contains("::") {
             let (first, rest) = body.split_once("::").unwrap();
@@ -428,8 +453,10 @@ fn each_class_of_missing_name_is_caught() {
     assert!(tree.env.contains("MANA2_ENGINE") && tree.env.contains("CHAOS_CASE"));
     assert!(tree.filter_matches(Some("chaos_suite"), "case_replay", true));
     let metrics = ["mana2_round_latency_ns", "mana2_drain_alltoall_quiesce_ns"];
+    assert!(tree.layers.contains("core.phase.intent_ms"));
     let good = "See `crates/chaos/src/legs.rs`, `mana2_round_latency_ns`,\n\
                 `mana2_drain_<strategy>_quiesce_ns`, `MANA2_ENGINE`, test `case_replay`,\n\
+                `core.phase.intent_ms`, `splitproc.codec.crc32_ms`,\n\
                 `chaos_suite::case_replay` and `cargo test -p chaos --test chaos_suite case_replay`.\n";
     assert_eq!(
         check_doc(&tree, &metrics, "good", good),
@@ -439,6 +466,7 @@ fn each_class_of_missing_name_is_caught() {
         ("the file `crates/chaos/src/nowhere.rs`.", "no file"),
         ("the counter `mana2_rounds_vanished_total`.", "no metric"),
         ("set `CHAOS_NOWHERE=1`.", "no code reads"),
+        ("the row `core.phase.freeze_ms`.", "no per-layer metric"),
         ("run test `no_such_test_anywhere`.", "no test"),
         ("see `chaos_suite::no_such_case`.", "no test"),
         (
