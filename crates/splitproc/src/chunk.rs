@@ -35,7 +35,7 @@
 //! validation, never a silently wrong restore (DESIGN §14).
 //!
 //! A recipe is the image's header (`image::ImageHeader`) and both
-//! sections' chunk refs behind the [`RECIPE`] prefix, inside a CRC-32
+//! sections' chunk refs behind the `RECIPE` prefix, inside a CRC-32
 //! trailer, all through the codec (DESIGN §7, "Files on disk"). It is read
 //! only at [`RECIPE_VERSION`], the version whose refs [`chunk_id`] keyed;
 //! a version 1 recipe (keyed by SHA-256, which this build no longer
@@ -333,7 +333,7 @@ pub const RECIPE_VERSION: u32 = 2;
 
 /// The recipe's framing: magic `MANA2CRF` ("MANA2 Chunk ReF"),
 /// [`RECIPE_VERSION`], and a CRC-32 trailer.
-pub const RECIPE: Format = Format {
+pub(crate) const RECIPE: Format = Format {
     file: "recipe",
     prefix: Some((*b"MANA2CRF", RECIPE_VERSION)),
 };
@@ -380,7 +380,7 @@ pub struct Recipe {
 }
 
 impl Recipe {
-    /// The recipe file: [`RECIPE`]'s prefix and the recipe, inside its
+    /// The recipe file: the `RECIPE` prefix and the recipe, inside its
     /// CRC-32 trailer.
     pub fn to_bytes(&self) -> Vec<u8> {
         RECIPE.seal(self)

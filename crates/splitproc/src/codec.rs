@@ -5,7 +5,7 @@
 //! prefixed, no self-description. Every MANA table that must survive the
 //! checkpoint-restart barrier implements [`Encode`]/[`Decode`], and so
 //! does every file the store writes (DESIGN §7, "Files on disk"): each is
-//! one [`Format`] — a fixed prefix (magic and version, so a format bump is
+//! one `Format` — a fixed prefix (magic and version, so a format bump is
 //! one constant per file) and, but for the flat image, a CRC-32 trailer
 //! checked before anything is decoded — and refused with one
 //! [`FormatError`].
@@ -331,7 +331,7 @@ impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
 
 /// Why a file the store writes was refused: the one error of every
 /// parser of those files (flat image header, recipe, manifest, journal
-/// record). Each variant names the file ([`Format::file`]).
+/// record). Each variant names the file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FormatError {
     /// It does not start with its magic.
@@ -364,16 +364,16 @@ impl std::error::Error for FormatError {}
 /// version this build reads and writes (none for a journal record, whose
 /// blob name says what it is).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Format {
+pub(crate) struct Format {
     /// Name of the file kind in errors.
-    pub file: &'static str,
+    pub(crate) file: &'static str,
     /// Its magic and version, written ahead of the value.
-    pub prefix: Option<([u8; 8], u32)>,
+    pub(crate) prefix: Option<([u8; 8], u32)>,
 }
 
 impl Format {
     /// Append the prefix, then `value`.
-    pub fn encode(&self, value: &impl Encode, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, value: &impl Encode, out: &mut Vec<u8>) {
         if let Some((magic, version)) = self.prefix {
             out.extend_from_slice(&magic);
             version.encode(out);
@@ -382,7 +382,7 @@ impl Format {
     }
 
     /// Check the prefix, then decode one value.
-    pub fn decode<T: Decode>(&self, r: &mut Reader<'_>) -> Result<T, FormatError> {
+    pub(crate) fn decode<T: Decode>(&self, r: &mut Reader<'_>) -> Result<T, FormatError> {
         if let Some((magic, version)) = self.prefix {
             if r.take(8).map_err(|e| self.malformed(e))? != magic {
                 return Err(FormatError::BadMagic(self.file));
@@ -397,7 +397,7 @@ impl Format {
 
     /// The whole file of `value` under a CRC-32 trailer:
     /// `body ‖ crc32(body)`, the body being the prefix and the value.
-    pub fn seal(&self, value: &impl Encode) -> Vec<u8> {
+    pub(crate) fn seal(&self, value: &impl Encode) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode(value, &mut out);
         crc32(&out).encode(&mut out);
@@ -407,7 +407,7 @@ impl Format {
     /// Open a file [`Format::seal`] wrote: its length and CRC-32 are
     /// checked before anything is decoded, then the prefix and the value,
     /// which must take the whole body.
-    pub fn open<T: Decode>(&self, bytes: &[u8]) -> Result<T, FormatError> {
+    pub(crate) fn open<T: Decode>(&self, bytes: &[u8]) -> Result<T, FormatError> {
         let (body, crc) = bytes.split_at(bytes.len().saturating_sub(4));
         if crc32(body) != u32::from_bytes(crc).map_err(|e| self.malformed(e))? {
             return Err(FormatError::BadChecksum(self.file));
@@ -419,7 +419,7 @@ impl Format {
     }
 
     /// This file's [`FormatError::Malformed`].
-    pub fn malformed(&self, cause: CodecError) -> FormatError {
+    pub(crate) fn malformed(&self, cause: CodecError) -> FormatError {
         FormatError::Malformed(self.file, cause)
     }
 }

@@ -108,7 +108,7 @@ pub struct ImageHead {
 
 impl ImageHead {
     /// The image of this head with these sections.
-    pub fn image(self, upper: Vec<u8>, meta: Vec<u8>) -> CkptImage {
+    pub(crate) fn image(self, upper: Vec<u8>, meta: Vec<u8>) -> CkptImage {
         CkptImage {
             rank: self.rank,
             world_size: self.world_size,
@@ -164,7 +164,7 @@ impl ImageHead {
 
 /// What an image's header records: whose image of which round
 /// ([`ImageHead`]), and each section's length and CRC-32. Behind the
-/// [`IMAGE`] prefix it is a flat file's header; behind the recipe prefix
+/// image prefix (`IMAGE`) it is a flat file's header; behind the recipe prefix
 /// it opens a recipe (`chunk::Recipe`). Every field is a `u64` on disk
 /// but the CRCs, which are `u32`s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

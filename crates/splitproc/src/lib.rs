@@ -38,9 +38,7 @@ pub mod store;
 mod upperhalf;
 
 pub use chunk::{ChunkId, ChunkParams, ChunkRef, Recipe};
-pub use codec::{
-    crc32, crc32_combine, CodecError, Crc32, Decode, Encode, Format, FormatError, Reader,
-};
+pub use codec::{crc32, crc32_combine, CodecError, Crc32, Decode, Encode, FormatError, Reader};
 pub use fsreg::{ContextSwitcher, FsMode};
 pub use image::{CkptImage, ImageBuf, ImageError, ImageHead, ImageHeader};
 pub use journal::{EpochState, Journal, JournalRecord, JournalStep};

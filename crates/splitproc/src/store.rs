@@ -62,7 +62,7 @@ pub const MANIFEST_FILE: &str = "MANIFEST";
 
 /// The manifest's framing: magic `MANA2MAN`, version 1, and a CRC-32
 /// trailer.
-pub const MANIFEST: Format = Format {
+pub(crate) const MANIFEST: Format = Format {
     file: "manifest",
     prefix: Some((*b"MANA2MAN", 1)),
 };
@@ -406,7 +406,7 @@ impl Manifest {
         self.entries.iter().map(|e| e.bytes).sum()
     }
 
-    /// The manifest file: [`MANIFEST`]'s prefix and the manifest, inside
+    /// The manifest file: the `MANIFEST` prefix and the manifest, inside
     /// its CRC-32 trailer.
     pub fn to_bytes(&self) -> Vec<u8> {
         MANIFEST.seal(self)

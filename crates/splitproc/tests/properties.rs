@@ -213,7 +213,14 @@ proptest! {
             damage_is_refused(&file, JournalRecord::from_bytes)?;
         }
 
-        let file = head.image(upper, meta).to_bytes();
+        let image = CkptImage {
+            rank: head.rank,
+            world_size: head.world_size,
+            round: head.round,
+            upper,
+            meta,
+        };
+        let file = image.to_bytes();
         for cut in 0..file.len() {
             let got = CkptImage::from_bytes(&file[..cut]);
             prop_assert!(matches!(got, Err(ImageError::Format(_))), "{}-byte prefix: {:?}", cut, got);
