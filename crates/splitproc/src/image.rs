@@ -164,9 +164,9 @@ impl ImageHead {
 
 /// What an image's header records: whose image of which round
 /// ([`ImageHead`]), and each section's length and CRC-32. Behind the
-/// image prefix (`IMAGE`) it is a flat file's header; behind the recipe prefix
-/// it opens a recipe (`chunk::Recipe`). Every field is a `u64` on disk
-/// but the CRCs, which are `u32`s.
+/// image prefix (`IMAGE`) it is a flat file's header; behind the recipe
+/// prefix it opens a recipe (`chunk::Recipe`). Every field is a `u64` on
+/// disk but the CRCs, which are `u32`s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImageHeader {
     /// Rank, world size and round.
@@ -202,7 +202,8 @@ impl Encode for ImageHeader {
 impl Decode for ImageHeader {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let (rank, world_size, round) = Decode::decode(r)?;
-        let ((upper_len, meta_len), (upper_crc, meta_crc)) = Decode::decode(r)?;
+        let (upper_len, meta_len) = Decode::decode(r)?;
+        let (upper_crc, meta_crc) = Decode::decode(r)?;
         Ok(ImageHeader {
             head: ImageHead {
                 rank,
