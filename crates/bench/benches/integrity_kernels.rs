@@ -11,7 +11,10 @@
 //!   pass: split and key per chunk), unguided and — as
 //!   `chunk_payload_guided` — with 2 % of the buffer rewritten and the
 //!   unedited buffer's refs as the guide, which is what a `narrow_static`
-//!   round does;
+//!   round did before chunk keys were reused — and, as
+//!   `chunk_payload_reused`, the same pass told which 64 KiB blocks the
+//!   edit left alone, whose guided spans take the guide's keys unkeyed:
+//!   what a `narrow_static` round does from a rank's kept buffer;
 //! * `upper_encode` / `upper_decode` — an `UpperHalf` of one 2 MiB segment
 //!   through the codec's byte path (a copy);
 //! * `image_to_bytes` / `image_from_bytes` — the flat image file built and
@@ -44,7 +47,11 @@
 //! below that the block table is being missed; and `chunk_payload_guided`
 //! at least
 //! 2.5 × `chunk_payload` — a guided pass gear-hashes only the changed
-//! chunks, below that the guide is being missed.
+//! chunks, below that the guide is being missed; and
+//! `chunk_payload_reused` at least 3 × `chunk_payload_guided` — it keys
+//! only the chunks touching the two rewritten blocks, about a tenth of the
+//! bytes the guided pass keys, so below that the clean blocks are being
+//! keyed again.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use splitproc::{
@@ -84,14 +91,14 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("chunk_payload", |b| {
         b.iter(|| {
-            chunk::chunk_payload(black_box(&buf), params, &[])
+            chunk::chunk_payload(black_box(&buf), params, &[], |_| false)
                 .chunks
                 .len()
         })
     });
     // A `narrow_static` round: 2 % of the buffer rewritten, the previous
     // recipe's refs as the guide.
-    let guide: Vec<chunk::ChunkRef> = chunk::chunk_payload(&buf, params, &[])
+    let guide: Vec<chunk::ChunkRef> = chunk::chunk_payload(&buf, params, &[], |_| false)
         .chunks
         .iter()
         .map(|(cref, _)| *cref)
@@ -102,7 +109,20 @@ fn bench(c: &mut Criterion) {
     }
     g.bench_function("chunk_payload_guided", |b| {
         b.iter(|| {
-            chunk::chunk_payload(black_box(&edited), params, &guide)
+            chunk::chunk_payload(black_box(&edited), params, &guide, |_| false)
+                .chunks
+                .len()
+        })
+    });
+    // The same round from a rank's kept buffer: spans in the 64 KiB blocks
+    // the edit left alone take the guide's keys.
+    let block = 64 << 10;
+    let stale = LEN / 2 / block * block..(LEN / 2 + LEN / 50).div_ceil(block) * block;
+    let unchanged =
+        |span: std::ops::Range<usize>| span.end <= stale.start || span.start >= stale.end;
+    g.bench_function("chunk_payload_reused", |b| {
+        b.iter(|| {
+            chunk::chunk_payload(black_box(&edited), params, &guide, unchanged)
                 .chunks
                 .len()
         })

@@ -42,6 +42,8 @@ pub enum ManaError {
     },
     /// Restart-time inconsistency (e.g. image world size mismatch).
     RestartMismatch(String),
+    /// A restart step could not be made durable in the restart journal.
+    Journal(std::io::Error),
     /// An injected `RestartKill` fault killed the restart at journal-step
     /// boundary `k`. Models the coordinator dying mid-restart: the
     /// journal is left exactly as the crash would leave it and a
@@ -79,6 +81,7 @@ impl fmt::Display for ManaError {
                 write!(f, "coordinator protocol: awaiting {awaiting}, got {got:?}")
             }
             ManaError::RestartMismatch(s) => write!(f, "restart mismatch: {s}"),
+            ManaError::Journal(e) => write!(f, "restart journal append failed: {e}"),
             ManaError::RestartKilled { step } => {
                 write!(
                     f,

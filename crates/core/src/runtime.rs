@@ -237,7 +237,7 @@ impl RestartGuard {
             .lock()
             .expect("restart journal lock poisoned")
             .append(self.epoch, step.clone())
-            .map_err(|e| ManaError::Image(splitproc::ImageError::Io(e)))?;
+            .map_err(ManaError::Journal)?;
         if fresh {
             tel.add(met::JOURNAL_APPENDS, 1);
         }
@@ -846,9 +846,7 @@ impl ManaRuntime {
         ] {
             guard.step(tel, step).map_err(|e| match e {
                 ManaError::RestartKilled { step } => RuntimeError::RestartKilled { step },
-                ManaError::Image(splitproc::ImageError::Io(io)) => {
-                    RuntimeError::Store(store::StoreError::Io(io))
-                }
+                ManaError::Journal(io) => RuntimeError::Store(store::StoreError::Io(io)),
                 other => RuntimeError::Rank(0, other),
             })?;
         }
@@ -1089,6 +1087,61 @@ mod tests {
         match rt.run_restart(body) {
             Err(RuntimeError::Store(store::StoreError::Io(_))) => {}
             other => panic!("want a store I/O error, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `rank_restored` step the journal cannot make durable, after the
+    /// preamble's two steps landed, fails the restart as that rank's
+    /// journal error — not as an image error.
+    #[test]
+    fn unwritable_rank_step_fails_restart_as_a_journal_error() {
+        let cfg = ManaConfig {
+            ckpt_dir: std::env::temp_dir()
+                .join(format!("mana2_unit_journal_rank_{}", std::process::id())),
+            exit_after_ckpt: true,
+            ..ManaConfig::default()
+        };
+        let dir = cfg.ckpt_dir.clone();
+        std::fs::remove_dir_all(&dir).ok();
+        let body = |m: &mut Mana<'_>| -> Result<()> {
+            if m.upper().read_value::<u64>("step").transpose()?.is_none() && m.rank() == 0 {
+                m.request_checkpoint()?;
+            }
+            m.upper_mut().write_value("step", &1u64);
+            m.barrier(m.comm_world())?;
+            m.step_commit()
+        };
+        assert!(ManaRuntime::new(2, cfg.clone())
+            .run_fresh(body)
+            .expect("checkpoint run")
+            .all_checkpointed());
+        // Killed at boundary 4 — after `RestartIntent` and `GenValidated`
+        // (boundaries 0–3), before the first rank's step — the restart
+        // leaves epoch 0 open with those two records.
+        let kill = mpisim::FaultSpec {
+            restart_kill: Some(4),
+            ..mpisim::FaultSpec::quiet()
+        };
+        let killed = ManaConfig {
+            fault: Some(Arc::new(mpisim::FaultPlan::new(1, kill))),
+            ..cfg.clone()
+        };
+        assert!(ManaRuntime::new(2, killed).run_restart(body).is_err());
+        // The resumed epoch's rank records go at seq 2 or 3 (the kill may
+        // have let the other rank's land): a directory where each one's
+        // tmp file would go fails its put, and is no record to replay.
+        let epoch = dir.join("restart").join("e00000");
+        for (seq, rank) in [(2, 0), (2, 1), (3, 0), (3, 1)] {
+            let tmp = format!(".tmp-{seq:05}-rank_restored-{rank}");
+            std::fs::create_dir_all(epoch.join(tmp)).unwrap();
+        }
+        match ManaRuntime::new(2, cfg).run_restart(body) {
+            Err(e @ RuntimeError::Rank(_, ManaError::Journal(_))) => {
+                let msg = e.to_string();
+                assert!(msg.contains("journal") && !msg.contains("image"), "{msg}");
+            }
+            other => panic!("want a rank's journal error, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
     }

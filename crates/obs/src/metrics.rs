@@ -289,6 +289,12 @@ std_set! {
     /// that no encode has changed since they were last checksummed.
     STORE_CRC_BYTES = "mana2_store_crc_bytes_total", Counter,
         "Image payload bytes checksummed by store writes";
+    /// Image payload bytes a chunked store write ran through the chunk
+    /// key: every byte written, less the guided chunks of a rank's kept
+    /// buffer that lie in blocks no encode has changed since the recipe
+    /// guiding the write.
+    STORE_KEY_BYTES = "mana2_store_key_bytes_total", Counter,
+        "Image payload bytes run through the chunk key by store writes";
     /// On-CPU time of one flush: its helper's and its writers' threads,
     /// from `/proc/thread-self/schedstat` (no observation where absent).
     CKPT_FLUSH_CPU_NS = "mana2_ckpt_flush_cpu_ns", Histogram,

@@ -48,6 +48,7 @@
 //! splitmix64 so boundaries are deterministic across builds and platforms.
 
 use std::fmt;
+use std::ops::Range;
 
 use crate::codec::{CodecError, Decode, Encode, Format, FormatError, Reader};
 use crate::image::ImageHeader;
@@ -419,6 +420,8 @@ pub struct Chunked<'a> {
     pub chunks: Vec<(ChunkRef, &'a [u8])>,
     /// Cuts taken from the guide instead of the gear hash.
     pub guided: usize,
+    /// Bytes run through [`chunk_id`] (a span twice if a guess missed).
+    pub keyed: usize,
 }
 
 /// One pass over a payload: cut it as [`split`] does and key each chunk
@@ -438,11 +441,25 @@ pub struct Chunked<'a> {
 /// boundaries. Ids and lengths always come from `data` itself: a
 /// guide from other bytes or other params can cost speed or give valid
 /// but differently placed cuts, never a wrong ref.
-pub fn chunk_payload<'a>(data: &'a [u8], params: ChunkParams, guide: &[ChunkRef]) -> Chunked<'a> {
+///
+/// But one: a guided span for which `unchanged` vouches — it holds the
+/// bytes the guide was keyed from — takes the guide's id unkeyed, trusted
+/// from the caller's state (a debug build keys it and panics on a
+/// difference). `|_| false` vouches for none.
+pub fn chunk_payload<'a>(
+    data: &'a [u8],
+    params: ChunkParams,
+    guide: &[ChunkRef],
+    unchanged: impl Fn(Range<usize>) -> bool,
+) -> Chunked<'a> {
     let chunker = Chunker::new(data, params);
     let p = chunker.params;
     let guide_end = guide.iter().fold(0u64, |end, r| end.saturating_add(r.len));
-    let (mut chunks, mut guided) = (Vec::new(), 0);
+    let (mut chunks, mut guided, mut keyed) = (Vec::new(), 0, 0);
+    let mut key = |span: Range<usize>| {
+        keyed += span.len();
+        chunk_id(&data[span])
+    };
     // `old` is where `guide[g]` starts in the guide's payload.
     let (mut start, mut g, mut old) = (0usize, 0usize, 0u64);
     while start < data.len() {
@@ -458,7 +475,11 @@ pub fn chunk_payload<'a>(data: &'a [u8], params: ChunkParams, guide: &[ChunkRef]
             let shaped =
                 (1..=p.max_size).contains(&len) && (len >= p.min_size || end == data.len());
             let ended_guide = end as u64 == guide_end && end != data.len();
-            (shaped && !ended_guide).then_some((end, r.id, chunk_id(&data[start..end])))
+            (shaped && !ended_guide).then(|| {
+                let reused = unchanged(start..end);
+                debug_assert!(!reused || chunk_id(&data[start..end]) == r.id, "bad reuse");
+                (end, r.id, if reused { r.id } else { key(start..end) })
+            })
         });
         let (end, id) = match guess {
             Some((end, want, id)) if id == want => {
@@ -470,7 +491,7 @@ pub fn chunk_payload<'a>(data: &'a [u8], params: ChunkParams, guide: &[ChunkRef]
                 let end = chunker.cut(start);
                 match missed {
                     Some((keyed_end, _, id)) if keyed_end == end => (end, id),
-                    _ => (end, chunk_id(&data[start..end])),
+                    _ => (end, key(start..end)),
                 }
             }
         };
@@ -482,7 +503,11 @@ pub fn chunk_payload<'a>(data: &'a [u8], params: ChunkParams, guide: &[ChunkRef]
         chunks.push((cref, slice));
         start = end;
     }
-    Chunked { chunks, guided }
+    Chunked {
+        chunks,
+        guided,
+        keyed,
+    }
 }
 
 #[cfg(test)]
@@ -580,7 +605,7 @@ mod tests {
         let mut b = a.clone();
         b[70_000] ^= 0xff;
         let ids = |d: &[u8]| -> std::collections::HashSet<ChunkId> {
-            let chunks = chunk_payload(d, params, &[]).chunks;
+            let chunks = chunk_payload(d, params, &[], |_| false).chunks;
             chunks.into_iter().map(|(r, _)| r.id).collect()
         };
         let ia = ids(&a);
@@ -593,7 +618,7 @@ mod tests {
     }
 
     fn recipe_of(data: &[u8]) -> Recipe {
-        let chunks = chunk_payload(data, ChunkParams::default(), &[]).chunks;
+        let chunks = chunk_payload(data, ChunkParams::default(), &[], |_| false).chunks;
         let head = crate::ImageHead {
             rank: 3,
             world_size: 8,

@@ -39,13 +39,17 @@
 //! and request tables of that round), so it is checksummed whole at every
 //! seal. The section CRCs are kept with the buffer until the next encode,
 //! so the store's write and the seal it makes share one checksum.
+//! A checksum also notes which blocks were fresh when it began (unchanged
+//! since the checksum before, whose header the buffer keeps), so a chunked
+//! write can take those blocks' chunk keys from that checksum's recipe
+//! (`ImageBuf::unchanged`; DESIGN §7).
 
 use crate::codec::{
     crc32, crc32_combine, CodecError, CrcShift, Decode, Encode, Format, FormatError, Reader,
 };
 use crate::UpperHalf;
 use std::fmt;
-use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// The flat image's framing: its header behind this prefix.
@@ -59,14 +63,12 @@ pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 * 5 + 4 * 2;
 
 /// Block size of an [`ImageBuf`]'s CRC table: a constant, not a knob. A
 /// 2 MiB upper section has 32 blocks, so a 2 % edit stales one or two,
-/// and the table costs 4 bytes and a bit per block.
+/// and the table costs 8 bytes per block.
 pub(crate) const CRC_BLOCK: usize = 64 << 10;
 
-/// Errors reading or writing checkpoint images.
+/// Errors reading checkpoint images.
 #[derive(Debug)]
 pub enum ImageError {
-    /// Underlying filesystem error.
-    Io(io::Error),
     /// Payload CRC mismatch (corrupt or truncated image).
     BadCrc {
         /// Which section failed ("upper" or "meta").
@@ -80,7 +82,6 @@ pub enum ImageError {
 impl fmt::Display for ImageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ImageError::Io(e) => write!(f, "image I/O error: {e}"),
             ImageError::BadCrc { section } => write!(f, "CRC mismatch in {section} section"),
             ImageError::Format(e) => e.fmt(f),
         }
@@ -157,7 +158,7 @@ impl ImageHead {
             bytes.shrink_to_fit();
         }
         buf.head = self;
-        buf.checksummed = None;
+        buf.previous = buf.checksummed.take().map_or(buf.previous, |c| Some(c.0));
         buf
     }
 }
@@ -236,6 +237,8 @@ pub struct ImageBuf {
     /// What `ImageBuf::checksum` found for the image encoded last, once it
     /// has run.
     checksummed: Option<(ImageHeader, usize)>,
+    /// What it found for the last image checksummed before that one.
+    previous: Option<ImageHeader>,
 }
 
 impl ImageBuf {
@@ -314,6 +317,20 @@ impl ImageBuf {
         self.bytes[..HEADER_LEN].copy_from_slice(&encoded);
         (&self.bytes, header.file_crc(&encoded))
     }
+
+    /// Once this image is checksummed, the header of the one checksummed
+    /// before it: what [`ImageBuf::unchanged`] is measured from.
+    pub(crate) fn previous(&self) -> Option<ImageHeader> {
+        self.checksummed.and(self.previous)
+    }
+
+    /// Whether the upper-section bytes `span` are as they were at the
+    /// [`ImageBuf::previous`] checksum (every block it touches was fresh).
+    pub(crate) fn unchanged(&self, span: Range<usize>) -> bool {
+        let was = |k: usize| self.blocks.each.get(k).is_some_and(|block| block.was);
+        let mut blocks = span.start / CRC_BLOCK..span.end.div_ceil(CRC_BLOCK);
+        self.previous().is_some() && !span.is_empty() && blocks.all(was)
+    }
 }
 
 impl fmt::Debug for ImageBuf {
@@ -330,20 +347,23 @@ impl fmt::Debug for ImageBuf {
 struct BlockCrcs {
     /// Length of the section the table is fitted to.
     len: usize,
-    /// Block `k`'s CRC-32, trusted only if bit `k` of `fresh` is set.
-    crc: Vec<u32>,
-    fresh: Vec<u64>,
+    each: Vec<Block>,
+}
+
+/// One block's CRC-32, trusted only while `fresh`.
+#[derive(Debug, Default, Clone, Copy)]
+struct Block {
+    crc: u32,
+    fresh: bool,
+    /// `fresh` as the last `checksum` found it.
+    was: bool,
 }
 
 impl BlockCrcs {
-    fn is_fresh(&self, k: usize) -> bool {
-        self.fresh[k / 64] >> (k % 64) & 1 == 1
-    }
-
     /// Block `k`'s bytes changed (a block past the table is no-one's).
     fn stale(&mut self, k: usize) {
-        if let Some(word) = self.fresh.get_mut(k / 64) {
-            *word &= !(1 << (k % 64));
+        if let Some(block) = self.each.get_mut(k) {
+            block.fresh = false;
         }
     }
 
@@ -352,8 +372,7 @@ impl BlockCrcs {
     /// fill do; from the first block either leaves short, none does.
     fn refit(&mut self, len: usize) {
         let blocks = len.div_ceil(CRC_BLOCK);
-        self.crc.resize(blocks, 0);
-        self.fresh.resize(blocks.div_ceil(64), 0);
+        self.each.resize(blocks, Block::default());
         if len != self.len {
             (len.min(self.len) / CRC_BLOCK..blocks).for_each(|k| self.stale(k));
             self.len = len;
@@ -368,15 +387,15 @@ impl BlockCrcs {
         assert_eq!(section.len(), self.len, "table fitted to another section");
         let full = CrcShift::of(CRC_BLOCK as u64);
         let (mut crc, mut read) = (0, 0);
-        for (k, block) in section.chunks(CRC_BLOCK).enumerate() {
-            if !self.is_fresh(k) {
-                self.crc[k] = crc32(block);
-                self.fresh[k / 64] |= 1 << (k % 64);
-                read += block.len();
+        for (block, bytes) in self.each.iter_mut().zip(section.chunks(CRC_BLOCK)) {
+            block.was = block.fresh;
+            if !block.fresh {
+                (block.crc, block.fresh) = (crc32(bytes), true);
+                read += bytes.len();
             }
-            crc = match block.len() {
-                CRC_BLOCK => full.join(crc, self.crc[k]),
-                short => crc32_combine(crc, self.crc[k], short as u64),
+            crc = match bytes.len() {
+                CRC_BLOCK => full.join(crc, block.crc),
+                short => crc32_combine(crc, block.crc, short as u64),
             };
         }
         (crc, read)
@@ -494,6 +513,7 @@ impl CkptImage {
             upper_len: self.upper.len(),
             blocks,
             checksummed: None,
+            previous: None,
         }
     }
 

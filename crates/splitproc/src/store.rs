@@ -272,6 +272,10 @@ pub struct WriteOutcome {
     /// borrowed image, only the blocks its rank rewrote for one in a kept
     /// buffer ([`crate::ImageBuf`]).
     pub crc_bytes: usize,
+    /// Payload bytes run through the chunk key (0 in flat mode): for a
+    /// kept buffer guided by its own last recipe, only the chunks that
+    /// touch blocks it rewrote.
+    pub key_bytes: usize,
 }
 
 /// One generation as found on disk.
@@ -595,7 +599,7 @@ impl Store {
                 (CkptImage::path_for(&dir, head.rank), bytes)
             }
             StoreMode::Chunked => {
-                recipe = (self.write_chunks(header, image.sections(), &mut out)?).to_bytes();
+                recipe = (self.write_chunks(header, image, &mut out)?).to_bytes();
                 out.crc = crc32(&recipe);
                 (recipe_path_for(&dir, head.rank), &recipe[..])
             }
@@ -624,6 +628,7 @@ impl Store {
         self.tel
             .add(met::STORE_BYTES_WRITTEN, out.logical_bytes as u64);
         self.tel.add(met::STORE_CRC_BYTES, out.crc_bytes as u64);
+        self.tel.add(met::STORE_KEY_BYTES, out.key_bytes as u64);
         self.tel
             .add(met::STORE_PHYSICAL_BYTES, out.physical_bytes as u64);
         self.tel.add(met::STORE_WRITE_RETRIES, out.retries as u64);
@@ -647,17 +652,21 @@ impl Store {
         self.write_encoded(&mut image.buf())
     }
 
-    /// The pool half of a chunked write: one pass over each section cuts
-    /// it at content-defined boundaries and keys each chunk
+    /// The pool half of a chunked write: one pass over each section of
+    /// `image` cuts it at content-defined boundaries and keys each chunk
     /// ([`chunk::chunk_payload`], guided by the rank's previous recipe —
     /// [`Store::guide`]); then land the chunks the pool does not hold
     /// (bounded parallel writers, then one directory sync per touched
     /// shard and one for the pool), and return the recipe naming them
     /// behind the image's `header`.
+    ///
+    /// A guide whose header equals the buffer's previous checksum's, field
+    /// for field, is that checksum's recipe: its keys are taken for guided
+    /// upper chunks in blocks unchanged since. Any other guide is keyed.
     fn write_chunks(
         &self,
         header: ImageHeader,
-        (upper, meta): (&[u8], &[u8]),
+        image: &ImageBuf,
         out: &mut WriteOutcome,
     ) -> Result<Recipe, StoreError> {
         let head = header.head;
@@ -665,9 +674,13 @@ impl Store {
         let (old_upper, old_meta) = guide.as_ref().map_or((&[][..], &[][..]), |r| {
             (&r.upper_chunks[..], &r.meta_chunks[..])
         });
-        let upper = chunk::chunk_payload(upper, self.cfg.chunk, old_upper);
-        let meta = chunk::chunk_payload(meta, self.cfg.chunk, old_meta);
+        let bound = image.previous() == guide.as_ref().map(|r| r.header);
+        let (upper, meta) = image.sections();
+        let unchanged = |span| bound && image.unchanged(span);
+        let upper = chunk::chunk_payload(upper, self.cfg.chunk, old_upper, unchanged);
+        let meta = chunk::chunk_payload(meta, self.cfg.chunk, old_meta, |_| false);
         out.chunks_guided = (upper.guided + meta.guided) as u32;
+        out.key_bytes = upper.keyed + meta.keyed;
         // Dedup: a chunk already in the pool (from any generation, or
         // another rank of this round) is not rewritten — if what is there
         // has the chunk's length. A shorter file is a torn write an
@@ -2147,8 +2160,8 @@ mod tests {
 
     /// The `.cref` bytes an unguided chunked write of `image` lands.
     fn unguided_recipe(image: &CkptImage, cfg: &StoreConfig) -> Vec<u8> {
-        let upper = chunk::chunk_payload(&image.upper, cfg.chunk, &[]);
-        let meta = chunk::chunk_payload(&image.meta, cfg.chunk, &[]);
+        let upper = chunk::chunk_payload(&image.upper, cfg.chunk, &[], |_| false);
+        let meta = chunk::chunk_payload(&image.meta, cfg.chunk, &[], |_| false);
         let refs = |c: &chunk::Chunked<'_>| c.chunks.iter().map(|(r, _)| *r).collect();
         Recipe {
             header: ImageHeader {
@@ -2289,14 +2302,93 @@ mod tests {
         }
     }
 
+    /// The chunk-key twin of `seal_checksums_only_rewritten_blocks`: one
+    /// rank's 2 MiB image written chunked from its kept buffer, round after
+    /// round. `mana2_store_key_bytes_total` grows by every payload byte in
+    /// the first round; by at most the stale blocks' bytes (what the seal
+    /// checksummed, less the metadata), two maximum chunks around them and
+    /// the metadata after a 42 KiB edit; by the metadata alone in an
+    /// unchanged round; and by every byte again once the guide is not the
+    /// buffer's previous recipe: after an aborted round, and from a fresh
+    /// buffer.
+    #[test]
+    fn chunk_keys_only_rewritten_blocks() {
+        use crate::{ImageBuf, UpperHalf};
+        let root = tdir("key_bytes");
+        let reg = obs::metrics::MetricsRegistry::deterministic(1);
+        let tel = obs::Telemetry::new(0, None, Some(reg.clone()));
+        let cfg = StoreConfig {
+            mode: StoreMode::Chunked,
+            ..StoreConfig::default()
+        };
+        let max = cfg.chunk.max_size;
+        let store = Store::new(&root, cfg, tel, Box::new(LocalFs));
+        let mut upper = UpperHalf::new();
+        let slab = (0..2u32 << 20).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8);
+        upper.write_segment("slab", slab.collect());
+        let meta = vec![3u8; 500];
+        let mut last = 0;
+        let mut round = |buf: &mut ImageBuf, upper: &UpperHalf, round: u64| {
+            let head = ImageHead {
+                rank: 0,
+                world_size: 1,
+                round,
+            };
+            let out = store
+                .write_encoded(head.encode_into(buf, upper, &meta))
+                .unwrap();
+            let total = reg.snapshot().value("mana2_store_key_bytes_total").unwrap();
+            assert_eq!(total - last, out.key_bytes as u64);
+            last = total;
+            out
+        };
+        let (upper_len, meta_len) = (upper.to_bytes().len(), meta.to_bytes().len());
+        let all = upper_len + meta_len;
+        let mut buf = ImageBuf::default();
+        assert_eq!(round(&mut buf, &upper, 0).key_bytes, all, "first round");
+        upper.segment_mut("slab")[1 << 20..(1 << 20) + (42 << 10)].fill(0xEE);
+        let edited = round(&mut buf, &upper, 1);
+        let stale = edited.crc_bytes - meta_len;
+        assert!(
+            stale > 0 && edited.key_bytes > meta_len,
+            "the edit was seen"
+        );
+        assert!(
+            edited.key_bytes <= stale + 2 * max + meta_len,
+            "{} B keyed, {stale} B stale",
+            edited.key_bytes
+        );
+        assert_eq!(round(&mut buf, &upper, 2).key_bytes, meta_len, "unchanged");
+        // Round 3 is written and aborted: round 4 has no guide.
+        round(&mut buf, &upper, 3);
+        store.abort(3).unwrap();
+        assert_eq!(round(&mut buf, &upper, 4).key_bytes, all, "after an abort");
+        // A restored rank's fresh buffer: guided by round 4, but by no
+        // recipe of its own, so every guided span is keyed.
+        let out = round(&mut ImageBuf::default(), &upper, 5);
+        assert_eq!(out.key_bytes, all, "a fresh buffer");
+        assert_eq!(out.chunks_guided, out.chunks_deduped, "every cut guided");
+        fs::remove_dir_all(&root).ok();
+    }
+
     /// Resume-mode chunked rounds with window edits, an aborted round, a
-    /// torn predecessor recipe and a restart in between: every write is
-    /// guided by whatever generation `round − 1` holds, every generation's
-    /// recipes are byte for byte what an unguided write lands, and the
-    /// guided-cut counter says which writes had a guide.
+    /// torn predecessor recipe and a restart in between, written as
+    /// decoded images (`write_image`) and from each rank's kept buffer
+    /// (`write_encoded`): every write is guided by whatever generation
+    /// `round − 1` holds, every generation's recipes are byte for byte what
+    /// an unguided write lands, and the guided-cut counter says which
+    /// writes had a guide. The key-byte count says which took keys from
+    /// it: only a kept buffer's writes guided by its own previous recipe.
     #[test]
     fn guided_rounds_land_the_recipes_an_unguided_write_would() {
-        let root = tdir("guided_rounds");
+        guided_rounds(false);
+        guided_rounds(true);
+    }
+
+    fn guided_rounds(kept: bool) {
+        use crate::{ImageBuf, UpperHalf};
+        use std::cell::RefCell;
+        let root = tdir(&format!("guided_rounds_{kept}"));
         let cfg = chunked_cfg();
         let world = 2;
         let reg = obs::metrics::MetricsRegistry::deterministic(world);
@@ -2312,12 +2404,34 @@ mod tests {
         let recipe = |round: u64, rank: usize| {
             Recipe::from_bytes(&fs::read(at(&root).recipe_path(round, rank)).unwrap()).unwrap()
         };
+        // A kept buffer holds the image's upper bytes as one segment and
+        // its metadata as a byte vector, so its sections are their
+        // encodings.
+        let segment = |image: &CkptImage| {
+            let mut upper = UpperHalf::new();
+            upper.write_segment("s", image.upper.clone());
+            upper
+        };
+        let on_disk = |image: &CkptImage| match kept {
+            false => image.clone(),
+            true => CkptImage {
+                upper: segment(image).to_bytes(),
+                meta: image.meta.to_bytes(),
+                ..image.clone()
+            },
+        };
+        let bufs = RefCell::new(Vec::from_iter((0..world).map(|_| ImageBuf::default())));
+        let write = |image: &CkptImage| match kept {
+            false => store(image.rank).write_image(image),
+            true => {
+                let buf = &mut bufs.borrow_mut()[image.rank];
+                let buf = image.head().encode_into(buf, &segment(image), &image.meta);
+                store(image.rank).write_encoded(buf)
+            }
+        };
         // Write `images` as one round; commit it unless told to abort.
         let round_of = |images: &[CkptImage], commit: bool| -> Vec<WriteOutcome> {
-            let outs: Vec<WriteOutcome> = images
-                .iter()
-                .map(|image| store(image.rank).write_image(image).unwrap())
-                .collect();
+            let outs: Vec<WriteOutcome> = images.iter().map(|i| write(i).unwrap()).collect();
             let round = images[0].round;
             if commit {
                 let entries = outs
@@ -2358,29 +2472,52 @@ mod tests {
                 assert_eq!(out.chunks_guided, refs - fresh, "round {round} rank {rank}");
             }
         };
+        // Every payload byte was keyed, or — `reused`, a kept buffer's
+        // write guided by its own last recipe — under a quarter of them:
+        // the edits touch one of the five upper blocks.
+        let assert_keyed = |outs: &[WriteOutcome], reused: bool| {
+            for out in outs {
+                let payload = out.logical_bytes - HEADER_LEN;
+                match kept && reused {
+                    true => assert!(out.key_bytes < payload / 4, "{out:?}"),
+                    false => assert!(out.key_bytes >= payload, "{out:?}"),
+                }
+            }
+        };
 
-        let mut images: Vec<CkptImage> = (0..world).map(|r| slow_image(r, world, 0)).collect();
+        // Five 64 KiB blocks of upper section.
+        let mut images: Vec<CkptImage> = (0..world)
+            .map(|r| {
+                let image = slow_image(r, world, 0);
+                let upper = image.upper.repeat(16);
+                CkptImage { upper, ..image }
+            })
+            .collect();
         let outs = round_of(&images, true);
         assert!(
             outs.iter().all(|o| o.chunks_guided == 0),
             "round 0 has no predecessor"
         );
+        assert_keyed(&outs, false);
         let mut total = 0;
         for round in 1..=2 {
             images = advance(&images, round);
             let outs = round_of(&images, true);
             assert_guided(round, &outs);
+            assert_keyed(&outs, true);
             total += outs.iter().map(|o| u64::from(o.chunks_guided)).sum::<u64>();
             assert_eq!(guided_total(), total);
         }
         // Round 3 is written (guided by round 2) and aborted: its
         // generation is gone, so round 4 has no guide.
         let outs = round_of(&advance(&images, 3), false);
+        assert_keyed(&outs, true);
         total += outs.iter().map(|o| u64::from(o.chunks_guided)).sum::<u64>();
         assert_eq!(guided_total(), total);
         images = advance(&images, 4);
         let outs = round_of(&images, true);
         assert!(outs.iter().all(|o| o.chunks_guided == 0), "{outs:?}");
+        assert_keyed(&outs, false);
         assert_eq!(guided_total(), total, "nothing is guided after an abort");
         // Rank 1's round-4 recipe is torn: round 5 rank 1 cuts unguided,
         // rank 0 is guided as ever.
@@ -2391,14 +2528,19 @@ mod tests {
         let outs = round_of(&images, true);
         assert_eq!(outs[1].chunks_guided, 0);
         assert_guided(5, &outs[..1]);
+        assert_keyed(&outs[..1], true);
+        assert_keyed(&outs[1..], false);
         fs::write(&torn, &pristine).unwrap();
-        // A restart between rounds: the restored generation is the guide.
+        // A restart between rounds into fresh buffers: the restored
+        // generation is the guide, but no buffer's own recipe.
         let sel = at(&root).select(Some(world), None).unwrap();
         assert_eq!(sel.round, 5);
         let restored: Vec<CkptImage> = sel.images.into_iter().map(Option::unwrap).collect();
-        assert_eq!(restored, images);
-        let outs = round_of(&advance(&restored, 6), true);
+        assert_eq!(restored, Vec::from_iter(images.iter().map(on_disk)));
+        bufs.borrow_mut().fill_with(ImageBuf::default);
+        let outs = round_of(&advance(&images, 6), true);
         assert_guided(6, &outs);
+        assert_keyed(&outs, false);
         // Whatever guided them, the generations hold the recipes an
         // unguided write of their images lands, and restore those images.
         for round in [0, 1, 2, 4, 5, 6] {

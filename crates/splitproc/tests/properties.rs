@@ -258,7 +258,7 @@ proptest! {
         }
         prop_assert_eq!(pos, data.len());
         // Reassembling the chunk contents reproduces the input exactly.
-        let rebuilt: Vec<u8> = chunk::chunk_payload(&data, tiny_params(), &[])
+        let rebuilt: Vec<u8> = chunk::chunk_payload(&data, tiny_params(), &[], |_| false)
             .chunks
             .iter()
             .flat_map(|(_, bytes)| bytes.iter().copied())
@@ -296,7 +296,7 @@ proptest! {
         edited[at] ^= xor;
 
         let ids = |d: &[u8]| -> Vec<chunk::ChunkId> {
-            chunk::chunk_payload(d, p, &[]).chunks.iter().map(|(r, _)| r.id).collect()
+            chunk::chunk_payload(d, p, &[], |_| false).chunks.iter().map(|(r, _)| r.id).collect()
         };
         let before = ids(&data);
         let after = ids(&edited);
@@ -327,8 +327,10 @@ proptest! {
         // agree with the two it replaced, whatever `normalized` makes of
         // them.
         let params = ChunkParams { min_size, avg_size, max_size };
-        let chunk::Chunked { chunks, guided } = chunk::chunk_payload(&data, params, &[]);
+        let chunk::Chunked { chunks, guided, keyed } =
+            chunk::chunk_payload(&data, params, &[], |_| false);
         prop_assert_eq!(guided, 0);
+        prop_assert_eq!(keyed, data.len(), "an unguided pass keys every byte once");
         let ranges = chunk::split(&data, params);
         prop_assert_eq!(chunks.len(), ranges.len());
         for ((cref, bytes), range) in chunks.iter().zip(ranges) {
@@ -343,7 +345,7 @@ proptest! {
 
 /// The refs of `data` as an unguided pass cuts them: what a recipe holds.
 fn refs_of(data: &[u8], params: ChunkParams) -> Vec<ChunkRef> {
-    let chunks = chunk::chunk_payload(data, params, &[]).chunks;
+    let chunks = chunk::chunk_payload(data, params, &[], |_| false).chunks;
     chunks.iter().map(|(cref, _)| *cref).collect()
 }
 
@@ -419,8 +421,8 @@ proptest! {
         if last {
             new[n - 1] ^= 0x01;
         }
-        let guided = chunk::chunk_payload(&new, params, &guide);
-        let unguided = chunk::chunk_payload(&new, params, &[]);
+        let guided = chunk::chunk_payload(&new, params, &guide, |_| false);
+        let unguided = chunk::chunk_payload(&new, params, &[], |_| false);
         prop_assert_eq!(&guided.chunks, &unguided.chunks);
         assert_recipe_of(&new, params, &guided)?;
         if new == old {
@@ -473,7 +475,153 @@ proptest! {
             6 => refs_of(&data[..at], params),
             _ => refs_of(&[&data[..at], &other[..], &data[at..]].concat(), params),
         };
-        let out = chunk::chunk_payload(&data, params, &guide);
+        let out = chunk::chunk_payload(&data, params, &guide, |_| false);
         assert_recipe_of(&data, params, &out)?;
+    }
+}
+
+// ---- key reuse: chunked writes from a kept buffer ---------------------------
+
+use splitproc::blobs::{BlobEntry, PutCost, PutMode};
+use splitproc::{Blobs, ImageBuf, LocalFs, Store, StoreConfig, StoreMode};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+
+/// The local filesystem, but `remove` fails while `refuse` is set: an
+/// aborted round whose generation stays behind.
+struct StuckRemove {
+    refuse: Arc<AtomicBool>,
+}
+
+impl Blobs for StuckRemove {
+    fn put_atomic(
+        &self,
+        path: &Path,
+        bytes: &[u8],
+        mode: PutMode,
+    ) -> (PutCost, std::io::Result<()>) {
+        LocalFs.put_atomic(path, bytes, mode)
+    }
+
+    fn get(&self, path: &Path, into: Option<&mut Vec<u8>>) -> std::io::Result<u64> {
+        LocalFs.get(path, into)
+    }
+
+    fn list(&self, dir: &Path) -> std::io::Result<Vec<BlobEntry>> {
+        LocalFs.list(dir)
+    }
+
+    fn remove(&self, path: &Path) -> std::io::Result<()> {
+        if self.refuse.load(Ordering::Relaxed) {
+            return Err(std::io::Error::other("removal refused"));
+        }
+        LocalFs.remove(path)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        LocalFs.sync_dir(dir)
+    }
+}
+
+/// Upper-section blocks of a kept buffer's CRC table.
+const BLOCK: usize = 64 << 10;
+
+/// Every ref is the key of the bytes it covers in `section`, and the refs
+/// are the ones an unguided pass cuts.
+fn assert_keys_of(
+    section: &[u8],
+    refs: &[ChunkRef],
+    params: ChunkParams,
+) -> Result<(), TestCaseError> {
+    let mut at = 0;
+    for r in refs {
+        let end = at + r.len as usize;
+        prop_assert_eq!(r.id, chunk::chunk_id(&section[at..end]), "ref at {}", at);
+        at = end;
+    }
+    prop_assert_eq!(at, section.len());
+    prop_assert_eq!(refs, &refs_of(section, params)[..]);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One rank's kept buffer written to a chunked store over any sequence
+    /// of window edits, resizes, rounds encoded but never written, writes
+    /// committed or aborted (their generation removed or, the removal
+    /// failing, left behind), restarts into a fresh buffer, and foreign
+    /// guides — a recipe of a round the rank skipped that carries its last
+    /// write's header, but that round, and wrong ids. After every write
+    /// every ref is the key of its bytes, and the recipe is the one an
+    /// unguided write lands.
+    #[test]
+    fn reused_keys_are_the_keys_of_the_bytes(
+        steps in proptest::collection::vec((0u8..10, any::<u32>(), any::<u32>(), any::<u8>()), 1..14),
+    ) {
+        let root = std::env::temp_dir()
+            .join(format!("mana2_prop_key_reuse_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let params = ChunkParams { min_size: 1 << 10, avg_size: 4 << 10, max_size: 16 << 10 };
+        let cfg = StoreConfig { mode: StoreMode::Chunked, chunk: params, ..StoreConfig::default() };
+        let refuse = Arc::new(AtomicBool::new(false));
+        let blobs = Box::new(StuckRemove { refuse: refuse.clone() });
+        let store = Store::new(&root, cfg, obs::Telemetry::off(), blobs);
+        let mut upper = UpperHalf::new();
+        let slab = (0..5 * BLOCK as u32 + 77).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8);
+        upper.write_segment("slab", slab.collect());
+        let mut buf = ImageBuf::default();
+        let (mut round, mut last) = (0u64, None::<Recipe>);
+        for (op, a, b, v) in steps {
+            let len = upper.segment("slab").map_or(0, <[u8]>::len);
+            let head = ImageHead { rank: 0, world_size: 1, round };
+            let meta = vec![v; a as usize % 70];
+            match op {
+                // Rewrite a window of the slab, up to a block wide.
+                0..=2 => {
+                    let start = a as usize % len.max(1);
+                    let end = (start + b as usize % BLOCK).min(len);
+                    upper.segment_mut("slab")[start..end].fill(v);
+                }
+                3 => upper.segment_mut("slab").resize(b as usize % (6 * BLOCK), v),
+                // A restore: the rank starts over with an empty buffer.
+                4 => buf = ImageBuf::default(),
+                // A round encoded but never written, with (6) or without a
+                // foreign recipe in its generation.
+                5 | 6 => {
+                    head.encode_into(&mut buf, &upper, &meta);
+                    if let Some(mut foreign) = last.clone().filter(|_| op == 6) {
+                        foreign.header.head.round = round;
+                        let refs = foreign.upper_chunks.iter_mut().chain(&mut foreign.meta_chunks);
+                        refs.for_each(|r| r.id = chunk::chunk_id(&r.id.0));
+                        let path = store.recipe_path(round, 0);
+                        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+                        std::fs::write(path, foreign.to_bytes()).unwrap();
+                    }
+                    round += 1;
+                }
+                // A write, committed (7) or aborted, its removal failing (9).
+                _ => {
+                    let out = store.write_encoded(head.encode_into(&mut buf, &upper, &meta)).unwrap();
+                    let file = std::fs::read(store.recipe_path(round, 0)).unwrap();
+                    let recipe = Recipe::from_bytes(&file).unwrap();
+                    assert_keys_of(&upper.to_bytes(), &recipe.upper_chunks, params)?;
+                    assert_keys_of(&meta.to_bytes(), &recipe.meta_chunks, params)?;
+                    prop_assert_eq!(recipe.header.upper_crc, crc32(&upper.to_bytes()));
+                    if op == 7 {
+                        let entries = vec![ManifestEntry { rank: 0, bytes: out.bytes as u64, crc: out.crc }];
+                        store.commit(&Manifest { round, world_size: 1, entries }).unwrap();
+                    } else {
+                        refuse.store(op == 9, Ordering::Relaxed);
+                        prop_assert_eq!(store.abort(round).is_err(), op == 9);
+                        refuse.store(false, Ordering::Relaxed);
+                    }
+                    last = Some(recipe);
+                    round += 1;
+                }
+            }
+        }
+        std::fs::remove_dir_all(&root).ok();
     }
 }
