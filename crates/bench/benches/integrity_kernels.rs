@@ -18,10 +18,13 @@
 //! * `upper_encode` / `upper_decode` — an `UpperHalf` of one 2 MiB segment
 //!   through the codec's byte path (a copy);
 //! * `image_to_bytes` / `image_from_bytes` — the flat image file built and
-//!   parsed with its whole-file CRC (one CRC pass and one copy each): a
-//!   decoded image's sections copied into a fresh `ImageBuf`, every block
-//!   of it stale, and sealed there — the routine a rank's kept buffer
-//!   goes through — and the file verified and copied out;
+//!   read back (one CRC pass and one copy each): a decoded image's
+//!   sections copied into a fresh `ImageBuf`, every block of it stale, and
+//!   sealed there — the routine a rank's kept buffer goes through — and
+//!   the file read into the buffer a restarted rank restores from
+//!   (`ImageBuf::try_from` over a copy of the file, the copy standing in
+//!   for the read): its header decoded in place, every block checksummed
+//!   in one pass, nothing carved out or copied;
 //! * `image_encode_into` — what a rank does instead of `image_to_bytes`:
 //!   the `UpperHalf` and a metadata value written over the image a kept
 //!   buffer holds (one compare-or-copy pass) and sealed there, checksumming
@@ -148,7 +151,7 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(&image).to_bytes_with_crc().1)
     });
     g.bench_function("image_from_bytes", |b| {
-        b.iter(|| CkptImage::from_bytes_with_crc(black_box(&file)).map(|(_, crc)| crc))
+        b.iter(|| ImageBuf::try_from(black_box(&file).clone()).map(|image| image.len()))
     });
     let meta = buf[..1024].to_vec();
     let mut kept = ImageBuf::default();

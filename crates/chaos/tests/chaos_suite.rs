@@ -213,8 +213,8 @@ fn storage_torn_chunk_costs_only_its_own_generation() {
         sel.rejected
     );
     for rank in 0..ranks {
-        let image = sel.images[rank].as_ref().expect("full selection");
-        assert_eq!((image.rank, image.round), (rank, 1));
+        let head = sel.images[rank].as_ref().expect("full selection").head();
+        assert_eq!((head.rank, head.round), (rank, 1));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -38,7 +38,7 @@ use splitproc::store::Store;
 use splitproc::ImageBuf;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Rank → coordinator messages.
@@ -161,9 +161,9 @@ pub struct CkptRoundStats {
 /// One rank's inbox: the coordinator's replies to it, in order.
 type Inbox = Mutex<VecDeque<CoordMsg>>;
 
-/// One rank's image buffer between checkpoints: the flush puts it back
-/// here once the image it holds has landed, and the rank takes it again
-/// for its next encode.
+/// One rank's image buffer between checkpoints (at first, a restarted
+/// rank's image): the flush puts it back here once its image has landed,
+/// and the rank takes it again for its next encode.
 pub(crate) type Slot = Mutex<ImageBuf>;
 
 /// Longest a rank waits in [`CoordHandle::recv`] for the coordinator's next
@@ -294,16 +294,16 @@ impl CoordHandle {
         self.send(RankMsg::RequestCkpt)
     }
 
-    /// Take this rank's image buffer for an encode: empty before its
-    /// first checkpoint, afterwards the buffer its last image was frozen
-    /// in. Taken after `Go`, it is always back: the round's request waited
-    /// out the previous flush.
+    /// Take this rank's image buffer for an encode (see `Slot`). Taken
+    /// after `Go`, it is always back: the round's request waited out the
+    /// previous flush.
     pub fn image_buf(&self) -> ImageBuf {
-        std::mem::take(
-            &mut *self.buffers[self.rank]
-                .lock()
-                .expect("buffer slot poisoned by a panic"),
-        )
+        std::mem::take(&mut *self.slot())
+    }
+
+    /// This rank's image buffer, where it lies between checkpoints.
+    pub(crate) fn slot(&self) -> MutexGuard<'_, ImageBuf> {
+        (self.buffers[self.rank].lock()).expect("buffer slot poisoned by a panic")
     }
 }
 

@@ -32,7 +32,7 @@ use crate::requests::{Binding, RequestManager, RequestMeta, StoredCompletion, VR
 use mpisim::{fnv1a_usizes, Comm, Group, Proc, RReq, SrcSel, TagSel};
 use obs::metrics as met;
 use obs::{EventKind, FaultKind, Phase};
-use splitproc::{CkptImage, Decode, Encode, ImageHead, LowerHalf, Reader, UpperHalf};
+use splitproc::{Decode, Encode, ImageHead, LowerHalf, Reader, UpperHalf};
 
 /// Everything MANA saves alongside the upper half.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -387,28 +387,30 @@ impl<'p> Mana<'p> {
 
     // ---- restart -------------------------------------------------------------
 
-    /// Rebuild a rank from its checkpoint image on a fresh lower half.
-    pub fn restore(
-        proc: &'p Proc,
-        cfg: ManaConfig,
-        coord: CoordHandle,
-        image: &CkptImage,
-    ) -> Result<Self> {
-        if image.world_size != proc.world_size() {
+    /// Rebuild a rank from the image restart put in its buffer slot, on a
+    /// fresh lower half. The buffer is taken and dropped once decoded, so a
+    /// restart holds each image's bytes once: kept beside the decoded upper
+    /// half it would double them, and the rank's first checkpoint encodes
+    /// into a fresh buffer as a fresh rank's does (DESIGN §11).
+    pub fn restore(proc: &'p Proc, cfg: ManaConfig, coord: CoordHandle) -> Result<Self> {
+        let image = coord.image_buf();
+        let head = image.head();
+        if head.world_size != proc.world_size() {
             return Err(ManaError::RestartMismatch(format!(
                 "image world size {} vs runtime {}",
-                image.world_size,
+                head.world_size,
                 proc.world_size()
             )));
         }
-        if image.rank != proc.rank() {
+        if head.rank != proc.rank() {
             return Err(ManaError::RestartMismatch(format!(
                 "image rank {} vs runtime {}",
-                image.rank,
+                head.rank,
                 proc.rank()
             )));
         }
-        let upper = UpperHalf::from_bytes(&image.upper)?;
+        let (upper, meta) = image.sections();
+        let upper = UpperHalf::from_bytes(upper)?;
         // Taken apart so the drained payloads move into the rank rather
         // than being copied out of the decoded metadata.
         let ManaMeta {
@@ -417,12 +419,13 @@ impl<'p> Mana<'p> {
             collops,
             drain_buf,
             wins,
-        } = ManaMeta::from_bytes(&image.meta)?;
+        } = ManaMeta::from_bytes(meta)?;
+        drop(image);
         let lh = LowerHalf::new(proc, cfg.fs_mode);
         let mut comms = CommManager::from_meta(&comm, cfg.vtable);
         let mut stats = crate::mana::ManaStats::default();
         let tel = Self::telemetry(proc, &cfg);
-        let restoring = tel.begin(image.round as i64, Phase::RestoreComms);
+        let restoring = tel.begin(head.round as i64, Phase::RestoreComms);
 
         // World first.
         comms.rebind(VCOMM_WORLD.0, Comm::WORLD);
@@ -438,7 +441,7 @@ impl<'p> Mana<'p> {
                     }
                     let group = Group::new(rec.world_ranks.clone())?;
                     let tag =
-                        fnv1a_usizes(&[0x7E57A7_usize, rec.gid as usize, image.round as usize]);
+                        fnv1a_usizes(&[0x7E57A7_usize, rec.gid as usize, head.round as usize]);
                     let real = lh.call(|p| p.comm_create_from_group(&group, tag))?;
                     comms.rebind(rec.vid, real);
                     stats.restored_comms += 1;
@@ -456,7 +459,7 @@ impl<'p> Mana<'p> {
                             let group = Group::new(world_ranks.clone())?;
                             let gid = crate::comm_mgr::global_comm_id(world_ranks);
                             let tag =
-                                fnv1a_usizes(&[0x7E57A7_usize, gid as usize, image.round as usize]);
+                                fnv1a_usizes(&[0x7E57A7_usize, gid as usize, head.round as usize]);
                             let real = lh.call(|p| p.comm_create_from_group(&group, tag))?;
                             comms.rebind(*vid, real);
                             stats.replayed_calls += 1;
@@ -486,7 +489,7 @@ impl<'p> Mana<'p> {
             in_ckpt: false,
             exited: false,
             cur_collective_gid: None,
-            round: image.round + 1,
+            round: head.round + 1,
             stats,
             fault_triggered: false,
             tel,

@@ -15,7 +15,6 @@ use mpisim::{StatsSnapshot, World, WorldCfg};
 use obs::metrics as met;
 use splitproc::journal::{Journal, JournalStep};
 use splitproc::store;
-use splitproc::CkptImage;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -549,20 +548,10 @@ impl ManaRuntime {
         T: Send + 'static,
         F: Fn(&mut Mana<'_>) -> Result<T> + Send + Sync,
     {
-        let (mut selected, guard) = match prepared {
+        let (selected, guard) = match prepared {
             Some((sel, g)) => (Some(sel), Some(g)),
             None => (None, None),
         };
-        // The restart preamble read and verified every rank's image; each
-        // rank takes its own from here (and drops it once restored)
-        // instead of loading it again.
-        let verified: Vec<Mutex<Option<CkptImage>>> = selected
-            .as_mut()
-            .map(|sel| std::mem::take(&mut sel.images))
-            .unwrap_or_default()
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
         let restored_round = selected.as_ref().map(|s| s.round);
         let restored_ranks = restart.as_ref().map(|m| match m {
             RestartMode::Full => (0..self.n).collect::<Vec<_>>(),
@@ -583,6 +572,12 @@ impl ManaRuntime {
                 metrics: Some(reg.clone()),
             },
         );
+        // Each rank's verified image starts in its slot, where the rank
+        // restores from it.
+        let restored = selected.into_iter().flat_map(|sel| sel.images);
+        for (handle, image) in handles.iter().zip(restored) {
+            *handle.slot() = image.expect("every rank's image is loaded before launch");
+        }
         // Optional tools-interface deadlock detector (paper conclusion).
         let detector = self.cfg.deadlock_timeout.map(|window| {
             let intro = world.introspect();
@@ -602,19 +597,13 @@ impl ManaRuntime {
         let cfg = &eff_cfg;
         let f = &f;
         let handles_ref = &handles;
-        let verified_ref = &verified;
         let guard_ref = &guard;
         let restored_ranks_ref = &restored_ranks;
         let launched = world.launch(move |proc| -> Result<(AppOutcome<T>, ManaStats)> {
             let coord = handles_ref[proc.rank()].clone();
             let mut mana = if restored_round.is_some() {
                 let rank = proc.rank();
-                let image = verified_ref[rank]
-                    .lock()
-                    .expect("verified image slot lock poisoned")
-                    .take()
-                    .expect("every rank's image is loaded before launch");
-                let mana = Mana::restore(proc, cfg.clone(), coord, &image)?;
+                let mana = Mana::restore(proc, cfg.clone(), coord)?;
                 if let Some(g) = guard_ref {
                     // Journal this rank's restore (only ranks in the
                     // restart scope — survivors of a partial restart are

@@ -892,7 +892,7 @@ fn kept_image_buffer_writes_what_a_fresh_encoding_would() {
         for round in 0..2u64 {
             let manifest = store.read_manifest(round).unwrap();
             for rank in 0..n {
-                let image = store.load_image(round, rank).unwrap();
+                let image = CkptImage::from(&store.load_image(round, rank).unwrap());
                 let upper = UpperHalf::from_bytes(&image.upper).unwrap();
                 lens.push(upper.segment("state").unwrap().len());
                 let fresh = CkptImage {

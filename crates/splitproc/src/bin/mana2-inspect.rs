@@ -47,16 +47,17 @@ fn inspect(store: &Store, round: u64, rank: usize) -> Result<(), String> {
     // recipes are reassembled from the chunk pool with per-chunk hash
     // verification.
     let img = store.load_image(round, rank).map_err(|e| e.to_string())?;
+    let (head, (upper, meta)) = (img.head(), img.sections());
     out!(
         "rank {:>5}: world {:>5}  round {:>3}  upper {:>9} B  meta {:>9} B  total {:>9} B",
-        img.rank,
-        img.world_size,
-        img.round,
-        img.upper.len(),
-        img.meta.len(),
-        img.size_bytes()
+        head.rank,
+        head.world_size,
+        head.round,
+        upper.len(),
+        meta.len(),
+        img.len()
     );
-    match UpperHalf::from_bytes(&img.upper) {
+    match UpperHalf::from_bytes(upper) {
         Err(e) => {
             out!("    upper half: UNPARSEABLE ({e})");
         }

@@ -11,15 +11,15 @@
 //! the manifest's whole-file CRC for the rest (DESIGN §7, "Files on
 //! disk").
 //!
-//! The format has one writer and one reader, and one shape in between:
-//! an [`ImageBuf`]. [`ImageHead::encode_into`] writes the two sections
-//! into a rank's kept buffer behind a header gap, and [`ImageBuf::seal`]
-//! fills the gap in. A decoded [`CkptImage`] is written the same way: its
-//! sections are copied into a fresh buffer (`CkptImage::buf`, what
-//! [`CkptImage::to_bytes_with_crc`] and the store's `write_image` seal).
-//! `verify` checks a file, and the sections it vouches for are then
-//! copied out ([`CkptImage::from_bytes_with_crc`]) or, by the store's
-//! reader, carved out of the file buffer itself (`Verified::carve`).
+//! The format has one writer and one reader, and one shape both ways: an
+//! [`ImageBuf`]. [`ImageHead::encode_into`] writes the sections into a
+//! rank's kept buffer behind a header gap, and [`ImageBuf::seal`] fills the
+//! gap in. Restart reads a flat file as the buffer it lies in, or assembles
+//! a chunked image behind a zero gap, and `ImageBuf::verified` checksums
+//! every block and holds both section CRCs against the header, leaving the
+//! buffer as a sealed one is. [`CkptImage`], the
+//! decoded form tools and the benchmark replay use, is copied out of a
+//! buffer or into a fresh one (`CkptImage::buf`).
 //!
 //! **The block table.** An [`ImageBuf`] keeps, beside its bytes, a
 //! CRC-32 for each 64 KiB block (`CRC_BLOCK`) of the upper section (counted
@@ -108,17 +108,6 @@ pub struct ImageHead {
 }
 
 impl ImageHead {
-    /// The image of this head with these sections.
-    pub(crate) fn image(self, upper: Vec<u8>, meta: Vec<u8>) -> CkptImage {
-        CkptImage {
-            rank: self.rank,
-            world_size: self.world_size,
-            round: self.round,
-            upper,
-            meta,
-        }
-    }
-
     /// The one encoder of the image format: write the encodings of `upper`
     /// and `meta` into `buf` behind a header-sized gap, over the image the
     /// buffer held before — straight from the values, so a buffer a rank
@@ -183,9 +172,23 @@ pub struct ImageHeader {
 }
 
 impl ImageHeader {
+    /// The header of the flat image file `file`, whose sections must be
+    /// exactly the rest of the file. No payload byte is read.
+    pub(crate) fn of_file(file: &[u8]) -> Result<ImageHeader, ImageError> {
+        let mut r = Reader::new(file);
+        let header: ImageHeader = IMAGE.decode(&mut r)?;
+        // Each section is taken from what is left, so a claimed length can
+        // neither overflow the size arithmetic nor reach past the file.
+        for len in [header.upper_len, header.meta_len] {
+            r.take(len).map_err(|e| IMAGE.malformed(e))?;
+        }
+        r.finish().map_err(|e| IMAGE.malformed(e))?;
+        Ok(header)
+    }
+
     /// CRC-32 of the flat file `header ‖ upper ‖ meta`, from the encoded
     /// header and the section CRCs it carries: no payload byte is read.
-    fn file_crc(&self, header: &[u8]) -> u32 {
+    pub(crate) fn file_crc(&self, header: &[u8]) -> u32 {
         let crc = crc32_combine(crc32(header), self.upper_crc, self.upper_len as u64);
         crc32_combine(crc, self.meta_crc, self.meta_len as u64)
     }
@@ -224,10 +227,9 @@ impl Decode for ImageHeader {
 /// was encoded for, and the CRC-32 of each 64 KiB block of its upper
 /// section, trusted block by block only while computed from the bytes the
 /// block holds now (see the module doc). Only [`ImageHead::encode_into`]
-/// (or, for a decoded image, `CkptImage::buf`) writes the sections and
-/// only [`ImageBuf::seal`] the header; everyone else reads. It is the one
-/// shape the store's write routine takes: a flat write seals it in place,
-/// a chunked write reads its sections where they lie.
+/// (or restart's reader, or `CkptImage::buf`) writes the sections and only
+/// [`ImageBuf::seal`] the header; everyone else reads. The store's write
+/// routine takes this shape and its reader returns it.
 #[derive(Default)]
 pub struct ImageBuf {
     bytes: Vec<u8>,
@@ -264,9 +266,43 @@ impl ImageBuf {
         self.bytes.capacity()
     }
 
+    /// Whose image of which round it holds.
+    pub fn head(&self) -> ImageHead {
+        self.head
+    }
+
     /// The serialized upper half and MANA metadata.
-    pub(crate) fn sections(&self) -> (&[u8], &[u8]) {
-        self.bytes[HEADER_LEN..].split_at(self.upper_len)
+    pub fn sections(&self) -> (&[u8], &[u8]) {
+        (self.bytes.get(HEADER_LEN..).unwrap_or_default()).split_at(self.upper_len)
+    }
+
+    /// `bytes` (a header gap and two sections) with every block stale.
+    fn holding(head: ImageHead, upper_len: usize, bytes: Vec<u8>) -> ImageBuf {
+        let mut blocks = BlockCrcs::default();
+        blocks.refit(upper_len);
+        ImageBuf {
+            bytes,
+            head,
+            upper_len,
+            blocks,
+            ..ImageBuf::default()
+        }
+    }
+
+    /// `bytes` — a header gap and the sections `header` measures — as a
+    /// sealed buffer holds them: one pass fills every block CRC, and both
+    /// section CRCs must be `header`'s. It stays checksummed, so the next
+    /// encode records `header` as [`ImageBuf::previous`].
+    pub(crate) fn verified(header: ImageHeader, bytes: Vec<u8>) -> Result<ImageBuf, ImageError> {
+        assert_eq!(bytes.len(), HEADER_LEN + header.upper_len + header.meta_len);
+        let mut buf = ImageBuf::holding(header.head, header.upper_len, bytes);
+        let (found, _) = buf.checksum();
+        let section = match found {
+            _ if found.upper_crc != header.upper_crc => "upper",
+            _ if found.meta_crc != header.meta_crc => "meta",
+            _ => return Ok(buf),
+        };
+        Err(ImageError::BadCrc { section })
     }
 
     /// The image's header — the fields it was encoded for, and both
@@ -330,6 +366,15 @@ impl ImageBuf {
         let was = |k: usize| self.blocks.each.get(k).is_some_and(|block| block.was);
         let mut blocks = span.start / CRC_BLOCK..span.end.div_ceil(CRC_BLOCK);
         self.previous().is_some() && !span.is_empty() && blocks.all(was)
+    }
+}
+
+/// The one reader of a flat image file: the file itself is the buffer.
+impl TryFrom<Vec<u8>> for ImageBuf {
+    type Error = ImageError;
+
+    fn try_from(file: Vec<u8>) -> Result<ImageBuf, ImageError> {
+        ImageBuf::verified(ImageHeader::of_file(&file)?, file)
     }
 }
 
@@ -505,16 +550,7 @@ impl CkptImage {
         bytes.resize(HEADER_LEN, 0);
         bytes.extend_from_slice(&self.upper);
         bytes.extend_from_slice(&self.meta);
-        let mut blocks = BlockCrcs::default();
-        blocks.refit(self.upper.len());
-        ImageBuf {
-            bytes,
-            head: self.head(),
-            upper_len: self.upper.len(),
-            blocks,
-            checksummed: None,
-            previous: None,
-        }
+        ImageBuf::holding(self.head(), self.upper.len(), bytes)
     }
 
     /// Serialize to bytes.
@@ -533,62 +569,23 @@ impl CkptImage {
 
     /// Parse from bytes, verifying magic, version, sizes, and CRCs.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, ImageError> {
-        Self::from_bytes_with_crc(buf).map(|(image, _)| image)
-    }
-
-    /// Parse from bytes, verifying magic, version, sizes, and CRCs, and
-    /// return the CRC-32 of all of `buf` with the image: combined from the
-    /// section checksums just verified, so a caller holding the file's
-    /// expected checksum (the store, from the manifest) need not read the
-    /// payloads again. The payloads are copied out only after both CRCs
-    /// pass, so a corrupt image costs only the CRC pass that exposes it.
-    pub fn from_bytes_with_crc(buf: &[u8]) -> Result<(Self, u32), ImageError> {
-        let file = verify(buf)?;
-        let (upper, meta) = buf[HEADER_LEN..].split_at(file.header.upper_len);
-        let image = file.header.head.image(upper.to_vec(), meta.to_vec());
-        Ok((image, file.crc))
+        ImageBuf::try_from(buf.to_vec()).map(|image| CkptImage::from(&image))
     }
 }
 
-/// What [`verify`] found in a file whose prefix, sizes and section CRCs
-/// all check out.
-pub(crate) struct Verified {
-    header: ImageHeader,
-    /// CRC-32 of the whole file, combined from the verified sections'.
-    pub(crate) crc: u32,
-}
-
-impl Verified {
-    /// The image, carved out of the verified file `buf` instead of copied
-    /// out of it: the meta section is split off and the header moved out
-    /// in place, so what is left of the buffer is the upper section and
-    /// it needs no allocation of its own.
-    pub(crate) fn carve(self, mut buf: Vec<u8>) -> CkptImage {
-        let meta = buf.split_off(HEADER_LEN + self.header.upper_len);
-        buf.drain(..HEADER_LEN);
-        self.header.head.image(buf, meta)
+/// The image a buffer holds, copied out of it.
+impl From<&ImageBuf> for CkptImage {
+    fn from(buf: &ImageBuf) -> CkptImage {
+        let (upper, meta) = buf.sections();
+        let head = buf.head;
+        CkptImage {
+            rank: head.rank,
+            world_size: head.world_size,
+            round: head.round,
+            upper: upper.to_vec(),
+            meta: meta.to_vec(),
+        }
     }
-}
-
-/// The one parser of the image format: decode the prefix and the header
-/// ([`IMAGE`]), take both sections and nothing more, and check both
-/// section CRCs of the file `buf`, reading each payload byte once.
-pub(crate) fn verify(buf: &[u8]) -> Result<Verified, ImageError> {
-    let mut r = Reader::new(buf);
-    let header: ImageHeader = IMAGE.decode(&mut r)?;
-    // Each section is taken from what is left, so a claimed length can
-    // neither overflow the size arithmetic nor reach past the file.
-    let mut section = |len| r.take(len).map_err(|e| IMAGE.malformed(e));
-    let (upper, meta) = (section(header.upper_len)?, section(header.meta_len)?);
-    r.finish().map_err(|e| IMAGE.malformed(e))?;
-    if crc32(upper) != header.upper_crc {
-        return Err(ImageError::BadCrc { section: "upper" });
-    }
-    if crc32(meta) != header.meta_crc {
-        return Err(ImageError::BadCrc { section: "meta" });
-    }
-    let crc = header.file_crc(&buf[..HEADER_LEN]);
-    Ok(Verified { header, crc })
 }
 
 #[cfg(test)]
@@ -634,9 +631,10 @@ mod tests {
             let (bytes, crc) = img.to_bytes_with_crc();
             assert_eq!(crc, crc32(&bytes), "write side, upper {upper_len}");
             assert_eq!(bytes, img.to_bytes());
-            let (back, read_crc) = CkptImage::from_bytes_with_crc(&bytes).unwrap();
-            assert_eq!(read_crc, crc, "read side, upper {upper_len}");
-            assert_eq!(back, img);
+            let header = ImageHeader::of_file(&bytes).unwrap();
+            assert_eq!(header.file_crc(&bytes[..HEADER_LEN]), crc, "read side");
+            let back = ImageBuf::verified(header, bytes).unwrap();
+            assert_eq!(CkptImage::from(&back), img);
         }
     }
 
@@ -746,15 +744,35 @@ mod tests {
     }
 
     #[test]
-    fn carving_gives_what_the_copying_parse_gives() {
-        for len in [0, 1 << 10, (2 << 20) + 37] {
-            let (_, _, image) = state(len, 3);
+    fn a_buffer_read_back_is_the_sealed_buffer_it_was_written_from() {
+        for (len, flat) in [(0, true), (1 << 10, false), ((2 << 20) + 37, true)] {
+            let (upper, meta, image) = state(len, 3);
             let (file, crc) = image.to_bytes_with_crc();
-            let copied = CkptImage::from_bytes_with_crc(&file).unwrap();
-            let verified = verify(&file).unwrap();
-            let carved = (verified.crc, verified.carve(file));
-            assert_eq!((carved.1, carved.0), copied);
-            assert_eq!(copied, (image, crc));
+            let header = ImageHeader::of_file(&file).unwrap();
+            let mut back = match flat {
+                true => ImageBuf::try_from(file.clone()).unwrap(),
+                // A chunked image is assembled behind a zero gap.
+                false => {
+                    let mut bytes = file.clone();
+                    bytes[..HEADER_LEN].fill(0);
+                    ImageBuf::verified(header, bytes).unwrap()
+                }
+            };
+            assert_eq!(CkptImage::from(&back), image);
+            assert_eq!(
+                back.checksum(),
+                (header, image.upper.len() + image.meta.len())
+            );
+            // The next encode of the same state rewrites nothing: its seal
+            // reads the metadata alone, in the same allocation, and the
+            // image read back is the previous checksum's.
+            let (ptr, cap) = (back.bytes().as_ptr(), back.capacity());
+            let next = image.head().encode_into(&mut back, &upper, &meta);
+            assert_eq!(next.checksum().1, image.meta.len(), "{len} B");
+            assert_eq!(next.previous(), Some(header));
+            assert!(next.unchanged(0..image.upper.len()));
+            assert_eq!(next.seal(), (&file[..], crc));
+            assert_eq!((back.bytes().as_ptr(), back.capacity()), (ptr, cap));
         }
     }
 
@@ -782,8 +800,30 @@ mod tests {
             5 => {
                 upper.remove_segment(&ahead);
             }
-            // A restore: the rank starts over with an empty buffer.
-            _ => *buf = ImageBuf::default(),
+            // A restore into an empty buffer.
+            6 => *buf = ImageBuf::default(),
+            // A restart: the buffer is what the reader makes of a sealed
+            // image of the rank's state — the flat file itself (7), or its
+            // sections assembled behind a zero gap (8).
+            _ => {
+                let head = ImageHead {
+                    rank: 1,
+                    world_size: 2,
+                    round: 0,
+                };
+                let meta = vec![v; b as usize % 70];
+                let mut sealed = ImageBuf::default();
+                let file = head.encode_into(&mut sealed, upper, &meta).seal().0;
+                let mut file = file.to_vec();
+                *buf = match op {
+                    7 => ImageBuf::try_from(file).unwrap(),
+                    _ => {
+                        let header = ImageHeader::of_file(&file).unwrap();
+                        file[..HEADER_LEN].fill(0);
+                        ImageBuf::verified(header, file).unwrap()
+                    }
+                };
+            }
         }
     }
 
@@ -791,12 +831,14 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// After any sequence of edits, resizes, segment inserts and
-        /// removals ahead of the slab, buffer drops and skipped seals,
-        /// every seal's section CRCs and file CRC are those of its bytes.
+        /// removals ahead of the slab, buffer drops, restarts into a buffer
+        /// read back from a flat file or an assembled recipe, and skipped
+        /// seals, every seal's section CRCs and file CRC are those of its
+        /// bytes.
         #[test]
         fn the_block_table_never_lies(
             steps in proptest::collection::vec(
-                ((0u8..7, any::<u32>(), any::<u32>(), any::<u8>()), any::<bool>()),
+                ((0u8..9, any::<u32>(), any::<u32>(), any::<u8>()), any::<bool>()),
                 1..10,
             ),
         ) {

@@ -24,7 +24,7 @@
 //! each journal step kind `JOURNAL_BLOB` does not cover.
 
 use splitproc::journal::{self, Journal, JournalRecord, JournalStep};
-use splitproc::store::{self, Manifest, Store, StoreConfig, StoreError, StoreMode};
+use splitproc::store::{self, Manifest, Selected, Store, StoreConfig, StoreError, StoreMode};
 use splitproc::{
     chunk, crc32, ChunkId, ChunkRef, CkptImage, FormatError, ImageHead, ImageHeader, Recipe,
 };
@@ -175,6 +175,12 @@ fn tdir(name: &str) -> PathBuf {
     d
 }
 
+/// The images a selection holds, each copied out of its buffer.
+fn copied(sel: &Selected) -> Vec<Option<CkptImage>> {
+    let copy = |image: &Option<_>| image.as_ref().map(CkptImage::from);
+    sel.images.iter().map(copy).collect()
+}
+
 #[test]
 fn golden_flat_image_and_manifest_parse() {
     assert_eq!(
@@ -287,8 +293,9 @@ fn golden_stores_validate_and_select_in_both_layouts() {
         let sel = handle.select(Some(1), None).unwrap();
         assert_eq!(sel.round, 2);
         assert!(sel.rejected.is_empty());
-        assert_eq!(sel.images, vec![Some(expected_image())]);
-        assert_eq!(handle.load_image(2, 0).unwrap(), expected_image());
+        assert_eq!(copied(&sel), vec![Some(expected_image())]);
+        let loaded = handle.load_image(2, 0).unwrap();
+        assert_eq!(CkptImage::from(&loaded), expected_image());
         fs::remove_dir_all(root).ok();
     }
 }
@@ -433,8 +440,9 @@ fn golden_large_payload_checksums_and_store_roundtrip() {
     let sel = handle.select(Some(1), None).unwrap();
     assert_eq!(sel.round, 2);
     assert!(sel.rejected.is_empty());
-    assert_eq!(sel.images, vec![Some(image.clone())]);
-    assert_eq!(handle.load_image(2, 0).unwrap(), image);
+    assert_eq!(copied(&sel), vec![Some(image.clone())]);
+    let loaded = handle.load_image(2, 0).unwrap();
+    assert_eq!(CkptImage::from(&loaded), image);
     fs::remove_dir_all(&root).ok();
 }
 

@@ -92,9 +92,8 @@ proptest! {
         prop_assert_eq!(&file, &img.to_bytes());
         // The combined checksum is the one a pass over the file gives.
         prop_assert_eq!(crc, crc32(&file));
-        let (back, read_crc) = CkptImage::from_bytes_with_crc(&file).unwrap();
-        prop_assert_eq!(read_crc, crc);
-        prop_assert_eq!(&back, &img);
+        let back = ImageBuf::try_from(file.clone()).unwrap();
+        prop_assert_eq!(CkptImage::from(&back), img.clone());
         prop_assert_eq!(CkptImage::from_bytes(&file).unwrap(), img);
     }
 
@@ -551,14 +550,15 @@ proptest! {
     /// One rank's kept buffer written to a chunked store over any sequence
     /// of window edits, resizes, rounds encoded but never written, writes
     /// committed or aborted (their generation removed or, the removal
-    /// failing, left behind), restarts into a fresh buffer, and foreign
-    /// guides — a recipe of a round the rank skipped that carries its last
-    /// write's header, but that round, and wrong ids. After every write
-    /// every ref is the key of its bytes, and the recipe is the one an
-    /// unguided write lands.
+    /// failing, left behind), restarts into a fresh buffer or into the
+    /// buffer restart reads the last committed round back into, and
+    /// foreign guides — a recipe of a round the rank skipped that carries
+    /// its last write's header, but that round, and wrong ids. After every
+    /// write every ref is the key of its bytes, and the recipe is the one
+    /// an unguided write lands.
     #[test]
     fn reused_keys_are_the_keys_of_the_bytes(
-        steps in proptest::collection::vec((0u8..10, any::<u32>(), any::<u32>(), any::<u8>()), 1..14),
+        steps in proptest::collection::vec((0u8..11, any::<u32>(), any::<u32>(), any::<u8>()), 1..14),
     ) {
         let root = std::env::temp_dir()
             .join(format!("mana2_prop_key_reuse_{}", std::process::id()));
@@ -572,7 +572,7 @@ proptest! {
         let slab = (0..5 * BLOCK as u32 + 77).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8);
         upper.write_segment("slab", slab.collect());
         let mut buf = ImageBuf::default();
-        let (mut round, mut last) = (0u64, None::<Recipe>);
+        let (mut round, mut last, mut committed) = (0u64, None::<Recipe>, None);
         for (op, a, b, v) in steps {
             let len = upper.segment("slab").map_or(0, <[u8]>::len);
             let head = ImageHead { rank: 0, world_size: 1, round };
@@ -585,8 +585,17 @@ proptest! {
                     upper.segment_mut("slab")[start..end].fill(v);
                 }
                 3 => upper.segment_mut("slab").resize(b as usize % (6 * BLOCK), v),
-                // A restore: the rank starts over with an empty buffer.
+                // A restore into an empty buffer.
                 4 => buf = ImageBuf::default(),
+                // A restart from the last committed round: the rank's
+                // state and buffer are what restart read back, and rounds
+                // go on from the one after it.
+                10 => {
+                    let Some(at) = committed else { continue };
+                    buf = store.load_image(at, 0).unwrap();
+                    upper = UpperHalf::from_bytes(buf.sections().0).unwrap();
+                    round = at + 1;
+                }
                 // A round encoded but never written, with (6) or without a
                 // foreign recipe in its generation.
                 5 | 6 => {
@@ -612,6 +621,7 @@ proptest! {
                     if op == 7 {
                         let entries = vec![ManifestEntry { rank: 0, bytes: out.bytes as u64, crc: out.crc }];
                         store.commit(&Manifest { round, world_size: 1, entries }).unwrap();
+                        committed = Some(round);
                     } else {
                         refuse.store(op == 9, Ordering::Relaxed);
                         prop_assert_eq!(store.abort(round).is_err(), op == 9);

@@ -3,16 +3,18 @@
 //! `BENCHMARK.json`'s command on one host. This test reads it and checks
 //! that it says only what it can:
 //!
-//! - every session names its PR, parent, host, command and claim, and
-//!   the claim is one of its cells;
+//! - every session names its PR, parent, host and command; a
+//!   `[perf_opt]` entry's session claims one of its cells, any other
+//!   session claims nothing (`null`);
 //! - every workload and metric it names is one `BENCHMARK.json` declares
 //!   (read only);
 //! - a cell's change-lower count fits its pairs, and the parent's median
 //!   lies inside its quartiles where they are given;
 //! - a held-out seed lists every pair, so its change-lower count is
 //!   recounted here;
-//! - every `[perf_opt]` entry of `CHANGES.md` from `COMPLETE_FROM` on has
-//!   a session.
+//! - every `perf_opt` entry of `CHANGES.md` from `COMPLETE_FROM` on, and
+//!   every other entry that gives a ten-pair table (`TEN_PAIR_TABLES`),
+//!   has a session.
 //!
 //! A failure names the session and the field.
 
@@ -21,8 +23,36 @@ use std::collections::BTreeSet;
 use std::path::Path;
 
 /// The entry number of `CHANGES.md` from which the history is complete:
-/// every `[perf_opt]` entry from it on has a session.
-const COMPLETE_FROM: u64 = 36;
+/// every `perf_opt` entry from it on has a session. PR 11, the benchmark's
+/// own, measured no parent.
+const COMPLETE_FROM: u64 = 12;
+
+/// Entries other than `perf_opt` ones whose `CHANGES.md` text gives a
+/// ten-pair table of the benchmark: each has a session too.
+const TEN_PAIR_TABLES: [u64; 7] = [19, 21, 23, 28, 32, 34, 43];
+
+/// Each `CHANGES.md` entry's PR number and archetype, read from its
+/// opening — `- PR 12 (perf_opt, …)`, `PR 35: [perf_opt] …` or
+/// `- **PR 37 [perf_opt] …`.
+fn entries(changes: &str) -> Vec<(u64, String)> {
+    let mut out = Vec::new();
+    for line in changes.lines() {
+        let line = line.trim_start_matches("- ").trim_start_matches("**");
+        let Some(rest) = line.strip_prefix("PR ") else {
+            continue;
+        };
+        let digits = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        let Ok(pr) = rest[..digits].parse::<u64>() else {
+            continue;
+        };
+        let tail = rest[digits..].trim_start_matches([':', ' ', '(', '[']);
+        let kind = tail.split([',', ']', ')', ' ']).next().unwrap_or_default();
+        out.push((pr, kind.to_string()));
+    }
+    out
+}
 
 fn read_json(name: &str) -> Json {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(name);
@@ -91,6 +121,14 @@ fn bench_history_names_real_workloads_and_counts_its_pairs() {
     let (workloads, metrics) = (names(&bench, "workloads"), names(&bench, "end_to_end"));
     let history = read_json("BENCH_history.json");
     text(&history, "about", "BENCH_history.json");
+    let changes = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("CHANGES.md"))
+        .expect("CHANGES.md");
+    let entries = entries(&changes);
+    let perf = |pr: u64| {
+        entries
+            .iter()
+            .any(|(p, kind)| *p == pr && kind == "perf_opt")
+    };
     let sessions = arr(&history, "sessions", "BENCH_history.json");
     assert!(!sessions.is_empty(), "no session");
     let mut prs = Vec::new();
@@ -109,15 +147,24 @@ fn bench_history_names_real_workloads_and_counts_its_pairs() {
         text(host, "store", &at);
         text(s, "command", &at);
         let claim = s.get("claim").unwrap_or_else(|| panic!("{at}: no claim"));
-        check_names(claim, &at, &workloads, &metrics);
         let cells = arr(s, "cells", &at);
-        let same = |c: &Json, k: &str| c.get(k) == claim.get(k);
-        assert!(
-            cells
-                .iter()
-                .any(|c| same(c, "workload") && same(c, "metric")),
-            "{at}: the claim is no cell"
-        );
+        if perf(pr) {
+            check_names(claim, &at, &workloads, &metrics);
+            let same = |c: &Json, k: &str| c.get(k) == claim.get(k);
+            assert!(
+                cells
+                    .iter()
+                    .any(|c| same(c, "workload") && same(c, "metric")),
+                "{at}: the claim is no cell"
+            );
+        } else {
+            assert_eq!(
+                claim,
+                &Json::Null,
+                "{at}: claims a gain, but is no perf_opt entry"
+            );
+        }
+        assert!(!cells.is_empty(), "{at}: no cell");
         for c in cells {
             let at = format!("{at} {:?} {:?}", c.get("workload"), c.get("metric"));
             check_names(c, &at, &workloads, &metrics);
@@ -162,22 +209,20 @@ fn bench_history_names_real_workloads_and_counts_its_pairs() {
         prs.windows(2).all(|w| w[0] < w[1]),
         "sessions out of PR order: {prs:?}"
     );
-    let changes = std::fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("CHANGES.md"))
-        .expect("CHANGES.md");
-    for line in changes.lines() {
-        let Some((head, _)) = line.split_once(" [perf_opt]") else {
-            continue;
-        };
-        let Some(pr) = head
-            .rsplit("PR ")
-            .next()
-            .and_then(|n| n.parse::<u64>().ok())
-        else {
-            continue;
-        };
+    for &(pr, _) in entries.iter().filter(|(pr, _)| perf(*pr)) {
         assert!(
             pr < COMPLETE_FROM || prs.contains(&pr),
             "PR {pr} is a perf PR with no session"
+        );
+    }
+    for pr in TEN_PAIR_TABLES {
+        assert!(
+            entries.iter().any(|(p, _)| *p == pr),
+            "no CHANGES.md entry for PR {pr}"
+        );
+        assert!(
+            prs.contains(&pr),
+            "PR {pr} gives a ten-pair table but has no session"
         );
     }
 }
