@@ -187,6 +187,28 @@ pub fn run<M: MpiFace>(m: &mut M, cfg: &CgConfig) -> WlResult<CgResult> {
 mod tests {
     use super::*;
 
+    #[test]
+    fn state_golden_bytes() {
+        let state = CgState {
+            iter: 11,
+            x: vec![1.0, -0.5],
+            r: vec![0.125],
+            p: vec![],
+            rsold: 6.25,
+        };
+        // As the hand-paired `Encode` impl wrote it, before the state's
+        // layout became one declaration.
+        const BYTES: &[u8] = &[
+            0x0b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0xe0, 0xbf, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x19, 0x40,
+        ];
+        assert_eq!(state.to_bytes(), BYTES);
+        assert_eq!(CgState::from_bytes(BYTES).unwrap(), state);
+    }
+
     fn native(n: usize, cfg: CgConfig) -> Vec<CgResult> {
         crate::native(&mpisim::World::new(n, crate::test_world()), &cfg).unwrap()
     }

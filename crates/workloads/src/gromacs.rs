@@ -253,6 +253,27 @@ impl crate::Kernel for Periodic {
 mod tests {
     use super::*;
 
+    #[test]
+    fn state_golden_bytes() {
+        let state = MdState {
+            step: 7,
+            energy: -1.5,
+            positions: vec![0.25, 2.0, -3.125],
+            pending: Some((3, 4)),
+        };
+        // As the hand-paired `Encode` impl wrote it, before the state's
+        // layout became one declaration.
+        const BYTES: &[u8] = &[
+            0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0xf8, 0xbf, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0xd0, 0x3f, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x09, 0xc0, 0x01, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        ];
+        assert_eq!(state.to_bytes(), BYTES);
+        assert_eq!(MdState::from_bytes(BYTES).unwrap(), state);
+    }
+
     fn native(n: usize, cfg: GromacsConfig) -> Vec<GromacsResult> {
         crate::native(&mpisim::World::new(n, crate::test_world()), &cfg).unwrap()
     }

@@ -382,6 +382,28 @@ pub fn run<M: MpiFace>(m: &mut M, cfg: &VaspConfig) -> WlResult<VaspResult> {
 mod tests {
     use super::*;
 
+    #[test]
+    fn state_golden_bytes() {
+        let state = ScfState {
+            step: 3,
+            energy: -42.75,
+            coll_calls: 19,
+            bands: vec![1.5, 0.0625],
+            kgroup_comm: Some(5),
+        };
+        // As the hand-paired `Encode` impl wrote it, before the state's
+        // layout became one declaration.
+        const BYTES: &[u8] = &[
+            0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x60,
+            0x45, 0xc0, 0x13, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0xb0, 0x3f, 0x01, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00,
+        ];
+        assert_eq!(state.to_bytes(), BYTES);
+        assert_eq!(ScfState::from_bytes(BYTES).unwrap(), state);
+    }
+
     fn native(n: usize, cfg: VaspConfig) -> Vec<VaspResult> {
         crate::native(&mpisim::World::new(n, crate::test_world()), &cfg).unwrap()
     }
