@@ -51,20 +51,15 @@ pub enum EmuKind {
     Allgather = 6,
 }
 
-impl EmuKind {
-    fn from_code(c: u8) -> Result<EmuKind> {
-        Ok(match c {
-            0 => EmuKind::Barrier,
-            1 => EmuKind::Bcast,
-            2 => EmuKind::Reduce,
-            3 => EmuKind::Allreduce,
-            4 => EmuKind::Gather,
-            5 => EmuKind::Alltoall,
-            6 => EmuKind::Allgather,
-            t => return Err(CodecError::InvalidTag(t).into()),
-        })
-    }
-}
+splitproc::wire!(EmuKind {
+    Barrier = 0,
+    Bcast = 1,
+    Reduce = 2,
+    Allreduce = 3,
+    Gather = 4,
+    Alltoall = 5,
+    Allgather = 6,
+});
 
 /// Tag for one stage of an emulated collective: band base + kind + stage +
 /// per-communicator sequence number. The real communicator context
@@ -622,66 +617,12 @@ pub struct CollOpMeta {
     pub completed: u64,
 }
 
-// ---- codec -------------------------------------------------------------
-
-fn dt_code(dt: Datatype) -> u8 {
-    match dt {
-        Datatype::U8 => 0,
-        Datatype::I32 => 1,
-        Datatype::I64 => 2,
-        Datatype::U64 => 3,
-        Datatype::F32 => 4,
-        Datatype::F64 => 5,
-    }
-}
-
-fn dt_from(c: u8) -> Result<Datatype> {
-    Ok(match c {
-        0 => Datatype::U8,
-        1 => Datatype::I32,
-        2 => Datatype::I64,
-        3 => Datatype::U64,
-        4 => Datatype::F32,
-        5 => Datatype::F64,
-        t => return Err(CodecError::InvalidTag(t).into()),
-    })
-}
-
-fn op_code(op: ReduceOp) -> u8 {
-    match op {
-        ReduceOp::Sum => 0,
-        ReduceOp::Prod => 1,
-        ReduceOp::Max => 2,
-        ReduceOp::Min => 3,
-        ReduceOp::Band => 4,
-        ReduceOp::Bor => 5,
-        ReduceOp::Bxor => 6,
-        ReduceOp::Land => 7,
-        ReduceOp::Lor => 8,
-    }
-}
-
-fn op_from(c: u8) -> Result<ReduceOp> {
-    Ok(match c {
-        0 => ReduceOp::Sum,
-        1 => ReduceOp::Prod,
-        2 => ReduceOp::Max,
-        3 => ReduceOp::Min,
-        4 => ReduceOp::Band,
-        5 => ReduceOp::Bor,
-        6 => ReduceOp::Bxor,
-        7 => ReduceOp::Land,
-        8 => ReduceOp::Lor,
-        t => return Err(CodecError::InvalidTag(t).into()),
-    })
-}
-
+/// Hand-written: `real` is never on the wire (a lower-half handle dies
+/// with the lower half), so it decodes as `None`.
 impl Encode for IRecvSlot {
     fn encode(&self, out: &mut Vec<u8>) {
         self.src_local.encode(out);
         self.tag.encode(out);
-        // `real` is intentionally dropped: lower-half handles die with the
-        // lower half (split-process rule).
         self.data.encode(out);
     }
 }
@@ -697,67 +638,29 @@ impl Decode for IRecvSlot {
     }
 }
 
-impl Encode for CollOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.vcomm.encode(out);
-        (self.kind as u8).encode(out);
-        self.seq.encode(out);
-        self.root.encode(out);
-        dt_code(self.dt).encode(out);
-        op_code(self.op).encode(out);
-        self.stage.encode(out);
-        self.phase.encode(out);
-        self.sent_phase.encode(out);
-        self.acc.encode(out);
-        self.inputs.encode(out);
-        self.collected.encode(out);
-        self.slots.encode(out);
-        self.done.encode(out);
-        self.out.encode(out);
-    }
-}
-
-impl Decode for CollOp {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        Ok(CollOp {
-            id: u64::decode(r)?,
-            vcomm: VComm::decode(r)?,
-            kind: EmuKind::from_code(u8::decode(r)?).map_err(|_| CodecError::InvalidTag(255))?,
-            seq: u64::decode(r)?,
-            root: usize::decode(r)?,
-            dt: dt_from(u8::decode(r)?).map_err(|_| CodecError::InvalidTag(254))?,
-            op: op_from(u8::decode(r)?).map_err(|_| CodecError::InvalidTag(253))?,
-            stage: u8::decode(r)?,
-            phase: u32::decode(r)?,
-            sent_phase: bool::decode(r)?,
-            acc: Vec::decode(r)?,
-            inputs: Vec::decode(r)?,
-            collected: Vec::decode(r)?,
-            slots: Vec::decode(r)?,
-            done: bool::decode(r)?,
-            out: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Encode for CollOpMeta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.ops.encode(out);
-        self.next_id.encode(out);
-        self.completed.encode(out);
-    }
-}
-
-impl Decode for CollOpMeta {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        Ok(CollOpMeta {
-            ops: Vec::decode(r)?,
-            next_id: u64::decode(r)?,
-            completed: u64::decode(r)?,
-        })
-    }
-}
+splitproc::wire!(CollOp {
+    id,
+    vcomm,
+    kind,
+    seq,
+    root,
+    dt,
+    op,
+    stage,
+    phase,
+    sent_phase,
+    acc,
+    inputs,
+    collected,
+    slots,
+    done,
+    out
+});
+splitproc::wire!(CollOpMeta {
+    ops,
+    next_id,
+    completed
+});
 
 #[cfg(test)]
 mod tests {
@@ -1062,6 +965,30 @@ mod tests {
         let t2 = CollOpTable::from_meta(&back);
         assert_eq!(t2.live(), 1);
         assert_eq!(t2.get(id).unwrap().seq, 9);
+    }
+
+    #[test]
+    fn a_bad_code_is_reported_as_the_byte_read() {
+        let op = CollOp::allreduce(
+            1,
+            VCOMM_WORLD,
+            2,
+            Datatype::I64,
+            ReduceOp::Max,
+            encode_slice(&[3i64]),
+        );
+        let bytes = op.to_bytes();
+        // id and vcomm (8 + 8), then the kind; seq and root (8 + 8), then
+        // the datatype and the op.
+        for (at, bad) in [(16, 7u8), (33, 0xC6), (34, 9)] {
+            let mut corrupt = bytes.clone();
+            corrupt[at] = bad;
+            assert_eq!(
+                CollOp::from_bytes(&corrupt),
+                Err(CodecError::InvalidTag(bad)),
+                "byte {at}"
+            );
+        }
     }
 
     #[test]

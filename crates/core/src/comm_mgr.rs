@@ -11,7 +11,6 @@
 use crate::ids::{VComm, VCOMM_WORLD};
 use crate::vtable::{VirtualTable, VtBackend};
 use mpisim::{fnv1a_usizes, Comm};
-use splitproc::{CodecError, Decode, Encode, Reader};
 use std::collections::HashMap;
 
 /// Globally-unique communicator ID (§III-K): a hash of the group's image
@@ -54,32 +53,12 @@ impl CommRecord {
     }
 }
 
-impl Encode for CommRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.vid.encode(out);
-        self.world_ranks
-            .iter()
-            .map(|&r| r as u64)
-            .collect::<Vec<u64>>()
-            .encode(out);
-        self.gid.encode(out);
-        self.freed.encode(out);
-    }
-}
-
-impl Decode for CommRecord {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(CommRecord {
-            vid: u64::decode(r)?,
-            world_ranks: Vec::<u64>::decode(r)?
-                .into_iter()
-                .map(|v| v as usize)
-                .collect(),
-            gid: u64::decode(r)?,
-            freed: bool::decode(r)?,
-        })
-    }
-}
+splitproc::wire!(CommRecord {
+    vid,
+    world_ranks,
+    gid,
+    freed
+});
 
 /// One entry of the legacy constructor replay log (`CommRestore::ReplayLog`
 /// baseline): enough to re-execute the construction at restart.
@@ -101,43 +80,10 @@ pub enum CommCall {
     },
 }
 
-impl Encode for CommCall {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CommCall::Create { vid, world_ranks } => {
-                1u8.encode(out);
-                vid.encode(out);
-                world_ranks
-                    .iter()
-                    .map(|&r| r as u64)
-                    .collect::<Vec<u64>>()
-                    .encode(out);
-            }
-            CommCall::Free { vid } => {
-                2u8.encode(out);
-                vid.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for CommCall {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(r)? {
-            1 => Ok(CommCall::Create {
-                vid: u64::decode(r)?,
-                world_ranks: Vec::<u64>::decode(r)?
-                    .into_iter()
-                    .map(|v| v as usize)
-                    .collect(),
-            }),
-            2 => Ok(CommCall::Free {
-                vid: u64::decode(r)?,
-            }),
-            t => Err(CodecError::InvalidTag(t)),
-        }
-    }
-}
+splitproc::wire!(CommCall {
+    1 => Create { vid, world_ranks },
+    2 => Free { vid },
+});
 
 /// Serializable communicator state (goes into the checkpoint image).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -151,23 +97,11 @@ pub struct CommMeta {
     pub emu_seqs: Vec<(u64, u64)>,
 }
 
-impl Encode for CommMeta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.records.encode(out);
-        self.replay_log.encode(out);
-        self.emu_seqs.encode(out);
-    }
-}
-
-impl Decode for CommMeta {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(CommMeta {
-            records: Vec::decode(r)?,
-            replay_log: Vec::decode(r)?,
-            emu_seqs: Vec::decode(r)?,
-        })
-    }
-}
+splitproc::wire!(CommMeta {
+    records,
+    replay_log,
+    emu_seqs
+});
 
 /// Per-rank communicator manager.
 pub struct CommManager {
@@ -347,6 +281,7 @@ impl CommManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use splitproc::{Decode, Encode};
 
     fn mgr() -> CommManager {
         CommManager::new(VtBackend::FxHash, 4)

@@ -262,7 +262,7 @@ impl CoordHandle {
     /// queues, and aborting the world unparks everyone — so the 50 ms park
     /// slice is only a safety net. Ends with [`ManaError::CoordinatorGone`]
     /// as soon as the world is poisoned, and with
-    /// [`ManaError::CoordinatorTimeout`] after [`RECV_CAP`].
+    /// [`ManaError::CoordinatorTimeout`] after `RECV_CAP`.
     pub fn recv(&self) -> Result<CoordMsg> {
         self.recv_within(RECV_CAP)
     }

@@ -4,7 +4,7 @@
 //! The coordinator decides; it does not perform. The last `Frozen` of a
 //! round makes [`Coordinator::on`] return a [`FlushJob`], whose outcome
 //! comes back as one more input, [`Coordinator::flushed`]. [`run`] is the
-//! flush, a plain function of the job and a writer count. [`Driver`] is
+//! flush, a plain function of the job and a writer count. `Driver` is
 //! its one caller and the only place the protocol spawns or joins a
 //! thread. Resume mode releases every rank before the job runs, behind
 //! the application; exit mode sends its verdict on the outcome, since a

@@ -6,8 +6,6 @@
 //! MANA simply rebinds them. Virtual IDs are therefore plain integers with
 //! stable, serializable values.
 
-use splitproc::{CodecError, Decode, Encode, Reader};
-
 /// Virtual communicator handle stored in application memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VComm(pub u64);
@@ -42,31 +40,13 @@ impl VReq {
     }
 }
 
-impl Encode for VComm {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-impl Decode for VComm {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(VComm(u64::decode(r)?))
-    }
-}
-
-impl Encode for VReq {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-impl Decode for VReq {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(VReq(u64::decode(r)?))
-    }
-}
+splitproc::wire!(VComm { 0 });
+splitproc::wire!(VReq { 0 });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use splitproc::{Decode, Encode};
 
     #[test]
     fn null_predicates() {

@@ -32,7 +32,7 @@ use crate::requests::{Binding, RequestManager, RequestMeta, StoredCompletion, VR
 use mpisim::{fnv1a_usizes, Comm, Group, Proc, RReq, SrcSel, TagSel};
 use obs::metrics as met;
 use obs::{EventKind, FaultKind, Phase};
-use splitproc::{Decode, Encode, ImageHead, LowerHalf, Reader, UpperHalf};
+use splitproc::{Decode, ImageHead, LowerHalf, UpperHalf};
 
 /// Everything MANA saves alongside the upper half.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -49,27 +49,13 @@ pub struct ManaMeta {
     pub wins: crate::mana_win::WinMeta,
 }
 
-impl Encode for ManaMeta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.comm.encode(out);
-        self.reqs.encode(out);
-        self.collops.encode(out);
-        self.drain_buf.encode(out);
-        self.wins.encode(out);
-    }
-}
-
-impl Decode for ManaMeta {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, splitproc::CodecError> {
-        Ok(ManaMeta {
-            comm: CommMeta::decode(r)?,
-            reqs: RequestMeta::decode(r)?,
-            collops: CollOpMeta::decode(r)?,
-            drain_buf: DrainBuffer::decode(r)?,
-            wins: crate::mana_win::WinMeta::decode(r)?,
-        })
-    }
-}
+splitproc::wire!(ManaMeta {
+    comm,
+    reqs,
+    collops,
+    drain_buf,
+    wins
+});
 
 impl<'p> Mana<'p> {
     /// The universal safe point. `at_step` marks an application step

@@ -20,23 +20,12 @@ use crate::ids::VComm;
 use crate::mana::{Mana, SafePoint};
 use crate::vtable::{VirtualTable, VtBackend};
 use mpisim::{Datatype, ReduceOp, Win};
-use splitproc::{CodecError, Decode, Encode, Reader};
 
 /// Virtual window handle stored in application memory (restart-stable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VWin(pub u64);
 
-impl Encode for VWin {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.0.encode(out);
-    }
-}
-
-impl Decode for VWin {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        Ok(VWin(u64::decode(r)?))
-    }
-}
+splitproc::wire!(VWin { 0 });
 
 /// What MANA remembers about one window.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,25 +40,12 @@ pub struct WinRecord {
     pub freed: bool,
 }
 
-impl Encode for WinRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.vid.encode(out);
-        self.vcomm.encode(out);
-        self.local_size.encode(out);
-        self.freed.encode(out);
-    }
-}
-
-impl Decode for WinRecord {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        Ok(WinRecord {
-            vid: u64::decode(r)?,
-            vcomm: VComm::decode(r)?,
-            local_size: usize::decode(r)?,
-            freed: bool::decode(r)?,
-        })
-    }
-}
+splitproc::wire!(WinRecord {
+    vid,
+    vcomm,
+    local_size,
+    freed
+});
 
 /// Serializable window state: records plus this rank's region contents.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -80,21 +56,7 @@ pub struct WinMeta {
     pub contents: Vec<(u64, Vec<u8>)>,
 }
 
-impl Encode for WinMeta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.records.encode(out);
-        self.contents.encode(out);
-    }
-}
-
-impl Decode for WinMeta {
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        Ok(WinMeta {
-            records: Vec::decode(r)?,
-            contents: Vec::decode(r)?,
-        })
-    }
-}
+splitproc::wire!(WinMeta { records, contents });
 
 /// Per-rank window manager.
 pub struct WinManager {
@@ -288,6 +250,7 @@ impl Mana<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use splitproc::{Decode, Encode};
 
     #[test]
     fn manager_lifecycle() {

@@ -124,25 +124,12 @@ pub struct DrainedMsg {
     pub payload: Vec<u8>,
 }
 
-impl Encode for DrainedMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.vcomm.encode(out);
-        self.src_world.encode(out);
-        self.tag.encode(out);
-        self.payload.encode(out);
-    }
-}
-
-impl Decode for DrainedMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(DrainedMsg {
-            vcomm: VComm::decode(r)?,
-            src_world: usize::decode(r)?,
-            tag: i32::decode(r)?,
-            payload: Vec::decode(r)?,
-        })
-    }
-}
+splitproc::wire!(DrainedMsg {
+    vcomm,
+    src_world,
+    tag,
+    payload
+});
 
 /// FIFO buffer of drained messages. Receive wrappers consult it *before*
 /// touching the lower half; after a restart it is the only place a
@@ -219,10 +206,10 @@ impl DrainBuffer {
     }
 }
 
+/// A `Vec<DrainedMsg>` on the wire. Hand-written: it writes the ring's
+/// two halves with no copy, where a declaration would clone every message.
 impl Encode for DrainBuffer {
     fn encode(&self, out: &mut Vec<u8>) {
-        // A `Vec<DrainedMsg>` on the wire, straight from the ring's two
-        // halves: no message is cloned to be serialized.
         (self.msgs.len() as u64).encode(out);
         let (front, back) = self.msgs.as_slices();
         DrainedMsg::encode_slice(front, out);

@@ -20,7 +20,6 @@
 use crate::ids::{VComm, VReq};
 use crate::vtable::{VirtualTable, VtBackend};
 use mpisim::TagSel;
-use splitproc::{CodecError, Decode, Encode, Reader};
 
 /// What kind of operation a virtual request stands for.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -273,166 +272,33 @@ pub struct RequestMeta {
     pub retired: u64,
 }
 
-// ---- codec impls ------------------------------------------------------
-
-fn encode_tagsel(t: TagSel, out: &mut Vec<u8>) {
-    match t {
-        TagSel::Tag(v) => {
-            0u8.encode(out);
-            v.encode(out);
-        }
-        TagSel::Any => 1u8.encode(out),
-        TagSel::Below(v) => {
-            2u8.encode(out);
-            v.encode(out);
-        }
-    }
-}
-
-fn decode_tagsel(r: &mut Reader<'_>) -> Result<TagSel, CodecError> {
-    match u8::decode(r)? {
-        0 => Ok(TagSel::Tag(i32::decode(r)?)),
-        1 => Ok(TagSel::Any),
-        2 => Ok(TagSel::Below(i32::decode(r)?)),
-        t => Err(CodecError::InvalidTag(t)),
-    }
-}
-
-impl Encode for VReqKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            VReqKind::SendP2p {
-                dst_world,
-                tag,
-                len,
-            } => {
-                0u8.encode(out);
-                dst_world.encode(out);
-                tag.encode(out);
-                len.encode(out);
-            }
-            VReqKind::RecvP2p {
-                vcomm,
-                src_world,
-                tag,
-            } => {
-                1u8.encode(out);
-                vcomm.encode(out);
-                src_world.map(|v| v as u64).encode(out);
-                encode_tagsel(*tag, out);
-            }
-            VReqKind::Coll { op_id } => {
-                2u8.encode(out);
-                op_id.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for VReqKind {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(r)? {
-            0 => Ok(VReqKind::SendP2p {
-                dst_world: usize::decode(r)?,
-                tag: i32::decode(r)?,
-                len: usize::decode(r)?,
-            }),
-            1 => Ok(VReqKind::RecvP2p {
-                vcomm: VComm::decode(r)?,
-                src_world: Option::<u64>::decode(r)?.map(|v| v as usize),
-                tag: decode_tagsel(r)?,
-            }),
-            2 => Ok(VReqKind::Coll {
-                op_id: u64::decode(r)?,
-            }),
-            t => Err(CodecError::InvalidTag(t)),
-        }
-    }
-}
-
-impl Encode for StoredCompletion {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.src_world.encode(out);
-        self.tag.encode(out);
-        self.payload.encode(out);
-    }
-}
-
-impl Decode for StoredCompletion {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(StoredCompletion {
-            src_world: usize::decode(r)?,
-            tag: i32::decode(r)?,
-            payload: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Encode for Binding {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Binding::Real(v) => {
-                0u8.encode(out);
-                v.encode(out);
-            }
-            Binding::Unbound => 1u8.encode(out),
-            Binding::NullPending(c) => {
-                2u8.encode(out);
-                c.encode(out);
-            }
-        }
-    }
-}
-
-impl Decode for Binding {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match u8::decode(r)? {
-            0 => Ok(Binding::Real(u64::decode(r)?)),
-            1 => Ok(Binding::Unbound),
-            2 => Ok(Binding::NullPending(Option::decode(r)?)),
-            t => Err(CodecError::InvalidTag(t)),
-        }
-    }
-}
-
-impl Encode for VReqEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.kind.encode(out);
-        self.binding.encode(out);
-    }
-}
-
-impl Decode for VReqEntry {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(VReqEntry {
-            kind: VReqKind::decode(r)?,
-            binding: Binding::decode(r)?,
-        })
-    }
-}
-
-impl Encode for RequestMeta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.entries.encode(out);
-        self.created.encode(out);
-        self.retired.encode(out);
-    }
-}
-
-impl Decode for RequestMeta {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(RequestMeta {
-            entries: Vec::decode(r)?,
-            created: u64::decode(r)?,
-            retired: u64::decode(r)?,
-        })
-    }
-}
+splitproc::wire!(VReqKind {
+    0 => SendP2p { dst_world, tag, len },
+    1 => RecvP2p { vcomm, src_world, tag },
+    2 => Coll { op_id },
+});
+splitproc::wire!(StoredCompletion {
+    src_world,
+    tag,
+    payload
+});
+splitproc::wire!(Binding {
+    0 => Real(id),
+    1 => Unbound,
+    2 => NullPending(completion),
+});
+splitproc::wire!(VReqEntry { kind, binding });
+splitproc::wire!(RequestMeta {
+    entries,
+    created,
+    retired
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ids::VCOMM_WORLD;
+    use splitproc::{Decode, Encode};
 
     fn recv_kind() -> VReqKind {
         VReqKind::RecvP2p {

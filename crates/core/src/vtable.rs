@@ -1,7 +1,7 @@
 //! Virtual-to-real ID tables with pluggable backends.
 //!
 //! The table is the heart of process virtualization (paper §II-C, ref
-//! [16]): the application holds virtual IDs, MANA holds the mapping, and a
+//! \[16\]): the application holds virtual IDs, MANA holds the mapping, and a
 //! restart rebinds virtual IDs to fresh real objects without touching
 //! application memory. Paper §III-I(1) observes that the *backend* of this
 //! table matters — the original MANA used `std::map` (ordered tree) plus

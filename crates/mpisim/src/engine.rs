@@ -254,7 +254,7 @@ impl ScheduleScript {
     }
 }
 
-/// How the [`CoopEngine`] picks which ready rank gets a freed run token.
+/// How the `CoopEngine` picks which ready rank gets a freed run token.
 ///
 /// The policy only *selects among ready ranks*; liveness (every parked
 /// rank eventually reconsidered) is the scheduler's own contract and
@@ -299,7 +299,7 @@ impl PartialEq for SchedulePolicy {
 
 impl Eq for SchedulePolicy {}
 
-/// Configuration of the [`CoopEngine`].
+/// Configuration of the `CoopEngine`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CoopCfg {
     /// Maximum ranks runnable at once (run tokens). `0` = auto (the
@@ -314,7 +314,7 @@ pub struct CoopCfg {
 }
 
 /// How a world's ranks are executed. There is one engine, the
-/// token-gated [`CoopEngine`]; this value is its configuration.
+/// token-gated `CoopEngine`; this value is its configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// Token-gated cooperative scheduling over per-rank threads.

@@ -252,7 +252,7 @@ impl Network {
     /// check and park.
     ///
     /// A poisoned fabric returns without parking. Under a fault plan the
-    /// park is capped at [`FAULT_PUMP_SLICE`] so wall-clock limbo deadlines
+    /// park is capped at `FAULT_PUMP_SLICE` so wall-clock limbo deadlines
     /// are pumped promptly (the re-lock goes through [`Network::lock_box`],
     /// which flushes due limbo entries).
     pub fn wait_on<'a>(

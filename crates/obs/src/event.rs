@@ -496,6 +496,16 @@ impl TraceEvent {
                 .and_then(Json::as_i64)
                 .ok_or_else(|| format!("missing or non-integer field {k:?}"))
         };
+        // Dump lines come from outside the program: a value too wide for
+        // its field is an error naming the field, never a truncation.
+        let need_u32 = |k: &str| {
+            let n = need_u64(k)?;
+            u32::try_from(n).map_err(|_| format!("field {k:?} out of range: {n}"))
+        };
+        let need_i32 = |k: &str| {
+            let n = need_i64(k)?;
+            i32::try_from(n).map_err(|_| format!("field {k:?} out of range: {n}"))
+        };
         let need_bool = |k: &str| {
             v.get(k)
                 .and_then(Json::as_bool)
@@ -509,7 +519,9 @@ impl TraceEvent {
             "begin" | "end" => {
                 let mut phase = named_in(&Phase::NAMES, v, "phase", "phase")?;
                 if let Phase::Drain { sweep } = &mut phase {
-                    *sweep = v.get("sweep").and_then(Json::as_u64).unwrap_or(0) as u32;
+                    if v.get("sweep").is_some() {
+                        *sweep = need_u32("sweep")?;
+                    }
                 }
                 if ev == "begin" {
                     EventKind::Begin(phase)
@@ -522,7 +534,7 @@ impl TraceEvent {
                 coll_seq: need_u64("coll_seq")?,
             },
             "store_attempt" => EventKind::StoreAttempt {
-                attempt: need_u64("attempt")? as u32,
+                attempt: need_u32("attempt")?,
                 write_ns: need_u64("write_ns")?,
                 fsync_ns: need_u64("fsync_ns")?,
                 rename_ns: need_u64("rename_ns")?,
@@ -530,35 +542,35 @@ impl TraceEvent {
             },
             "store_write" => EventKind::StoreWrite {
                 bytes: need_u64("bytes")?,
-                retries: need_u64("retries")? as u32,
-                crc: need_u64("crc")? as u32,
+                retries: need_u32("retries")?,
+                crc: need_u32("crc")?,
             },
             "store_fault" => EventKind::StoreFault {
                 fault: named_in(&InjectedFault::NAMES, v, "fault", "store fault")?,
             },
             "flush_rank" => EventKind::FlushRank {
-                rank: need_u64("rank")? as u32,
+                rank: need_u32("rank")?,
             },
             "store_gc_failed" => EventKind::StoreGcFailed,
             "net_send" => EventKind::NetSend {
-                dst: need_u64("dst")? as u32,
+                dst: need_u32("dst")?,
                 bytes: need_u64("bytes")?,
                 user: need_bool("user")?,
             },
             "net_match" => EventKind::NetMatch {
-                src: need_u64("src")? as u32,
+                src: need_u32("src")?,
                 bytes: need_u64("bytes")?,
             },
             "net_hold" => EventKind::NetHold {
-                src: need_u64("src")? as u32,
+                src: need_u32("src")?,
                 reorder: need_bool("reorder")?,
             },
             "drain_capture" => EventKind::DrainCapture {
-                src: need_u64("src")? as u32,
+                src: need_u32("src")?,
                 bytes: need_u64("bytes")?,
             },
             "drain_schedule" => EventKind::DrainSchedule {
-                order: need_u64("order")? as u32,
+                order: need_u32("order")?,
                 edges: need_u64("edges")?,
                 cyclic: need_bool("cyclic")?,
             },
@@ -579,10 +591,59 @@ impl TraceEvent {
         };
         Ok(TraceEvent {
             ts_ns: need_u64("ts")?,
-            actor: need_i64("actor")? as i32,
+            actor: need_i32("actor")?,
             seq: need_u64("seq")?,
             round: need_i64("round")?,
             kind,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::json::parse;
+
+    /// `line` with the value of `"key":` replaced by `value`, parsed back.
+    fn with_field(line: &str, key: &str, value: &str) -> Result<TraceEvent, String> {
+        let at = line.find(&format!("\"{key}\":")).expect("key present") + key.len() + 3;
+        let end = at + line[at..].find([',', '}']).expect("value ends");
+        let edited = format!("{}{value}{}", &line[..at], &line[end..]);
+        TraceEvent::from_json(&parse(&edited)?)
+    }
+
+    #[test]
+    fn a_value_too_wide_for_its_field_is_refused_by_name() {
+        let ev = TraceEvent {
+            ts_ns: 10,
+            actor: 2,
+            seq: 1,
+            round: 0,
+            kind: EventKind::StoreWrite {
+                bytes: 4096,
+                retries: 1,
+                crc: 7,
+            },
+        };
+        let line = ev.to_json_line();
+        assert_eq!(TraceEvent::from_json(&parse(&line).unwrap()), Ok(ev));
+
+        let max = with_field(&line, "crc", "4294967295").unwrap();
+        assert!(matches!(
+            max.kind,
+            EventKind::StoreWrite { crc: u32::MAX, .. }
+        ));
+        let err = with_field(&line, "crc", "4294967296").unwrap_err();
+        assert!(
+            err.contains("\"crc\"") && err.contains("out of range"),
+            "{err}"
+        );
+
+        assert_eq!(with_field(&line, "actor", "-1").unwrap().actor, -1);
+        let err = with_field(&line, "actor", "2147483648").unwrap_err();
+        assert!(
+            err.contains("\"actor\"") && err.contains("out of range"),
+            "{err}"
+        );
     }
 }

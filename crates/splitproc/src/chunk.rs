@@ -350,20 +350,7 @@ pub struct ChunkRef {
     pub len: u64,
 }
 
-impl Encode for ChunkRef {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.id, self.len).encode(out);
-    }
-}
-
-impl Decode for ChunkRef {
-    const MIN_LEN: usize = ChunkId::MIN_LEN + u64::MIN_LEN;
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let (id, len) = Decode::decode(r)?;
-        Ok(ChunkRef { id, len })
-    }
-}
+crate::wire!(ChunkRef { id, len });
 
 /// Per-rank recipe stored as `ckpt_rank_%05d.cref` inside a chunked
 /// generation directory. Opens with the flat image's header (rank, world,
@@ -394,23 +381,11 @@ impl Recipe {
     }
 }
 
-impl Encode for Recipe {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.header.encode(out);
-        self.upper_chunks.encode(out);
-        self.meta_chunks.encode(out);
-    }
-}
-
-impl Decode for Recipe {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(Recipe {
-            header: ImageHeader::decode(r)?,
-            upper_chunks: Vec::decode(r)?,
-            meta_chunks: Vec::decode(r)?,
-        })
-    }
-}
+crate::wire!(Recipe {
+    header,
+    upper_chunks,
+    meta_chunks
+});
 
 /// What [`chunk_payload`] made of one payload.
 #[derive(Debug, Clone, PartialEq, Eq)]

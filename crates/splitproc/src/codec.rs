@@ -3,13 +3,15 @@
 //! The offline dependency set has no serde *format* crate, so checkpoint
 //! serialization is a small hand-rolled codec: little-endian, length-
 //! prefixed, no self-description. Every MANA table that must survive the
-//! checkpoint-restart barrier implements [`Encode`]/[`Decode`], and so
-//! does every file the store writes (DESIGN §7, "Files on disk"): each is
+//! checkpoint-restart barrier implements [`Encode`]/[`Decode`], most by
+//! declaring their layout once with [`wire!`](crate::wire), and so does
+//! every file the store writes (DESIGN §7, "Files on disk"): each is
 //! one `Format` — a fixed prefix (magic and version, so a format bump is
 //! one constant per file) and, but for the flat image, a CRC-32 trailer
 //! checked before anything is decoded — and refused with one
 //! [`FormatError`].
 
+use mpisim::{Datatype, ReduceOp, TagSel};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -146,6 +148,99 @@ pub trait Decode: Sized {
         r.finish()?;
         Ok(v)
     }
+}
+
+/// Declare a type's wire layout once; both [`Encode`] and [`Decode`] are
+/// derived from the declaration, so the two directions cannot disagree.
+/// Three shapes:
+///
+/// - a record, its fields in wire order — `wire!(ChunkRef { id, len })`,
+///   a tuple struct's by index (`wire!(VComm { 0 })`): the fields'
+///   encodings back to back, and a `MIN_LEN` that is the sum of theirs;
+/// - a tagged enum, `tag => variant` with its fields in wire order —
+///   `wire!(TagSel { 0 => Tag(tag), 1 => Any, 2 => Below(bound) })`: the
+///   tag byte, then the fields;
+/// - a code table, `variant = code` — `wire!(Datatype { U8 = 0, I32 = 1 })`:
+///   the code byte alone.
+///
+/// A tag or code the declaration does not name decodes to
+/// [`CodecError::InvalidTag`] of the byte read.
+#[macro_export]
+macro_rules! wire {
+    // A record: its fields in wire order.
+    ($ty:ident { $($field:tt),+ $(,)? }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::Encode::encode(&self.$field, out);)+
+            }
+        }
+        impl $crate::Decode for $ty {
+            const MIN_LEN: usize = 0 $(+ $crate::codec::min_len(|v: $ty| v.$field))+;
+
+            fn decode(
+                r: &mut $crate::Reader<'_>,
+            ) -> ::std::result::Result<Self, $crate::CodecError> {
+                Ok($ty { $($field: $crate::Decode::decode(r)?),+ })
+            }
+        }
+    };
+    // A tagged enum: each variant's tag byte, then its fields in order.
+    ($ty:ident {
+        $($tag:literal => $variant:ident $({ $($field:ident),* })? $(($($pos:ident),*))?),+
+        $(,)?
+    }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $({ $($field),* })? $(($($pos),*))? => {
+                        out.push($tag);
+                        $($($crate::Encode::encode($field, out);)*)?
+                        $($($crate::Encode::encode($pos, out);)*)?
+                    })+
+                }
+            }
+        }
+        impl $crate::Decode for $ty {
+            fn decode(
+                r: &mut $crate::Reader<'_>,
+            ) -> ::std::result::Result<Self, $crate::CodecError> {
+                match r.take(1)?[0] {
+                    $($tag => {
+                        $($(let $field = $crate::Decode::decode(r)?;)*)?
+                        $($(let $pos = $crate::Decode::decode(r)?;)*)?
+                        Ok($ty::$variant $({ $($field),* })? $(($($pos),*))?)
+                    })+
+                    t => Err($crate::CodecError::InvalidTag(t)),
+                }
+            }
+        }
+    };
+    // A code table: one byte per variant.
+    ($ty:ident { $($variant:ident = $code:literal),+ $(,)? }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.push(match self { $($ty::$variant => $code,)+ });
+            }
+        }
+        impl $crate::Decode for $ty {
+            fn decode(
+                r: &mut $crate::Reader<'_>,
+            ) -> ::std::result::Result<Self, $crate::CodecError> {
+                match r.take(1)?[0] {
+                    $($code => Ok($ty::$variant),)+
+                    t => Err($crate::CodecError::InvalidTag(t)),
+                }
+            }
+        }
+    };
+}
+
+/// The `MIN_LEN` of the type `field` returns: [`wire!`] sums it over a
+/// record's fields, each named by a closure that moves it out, so the
+/// declaration need not repeat the field types.
+#[doc(hidden)]
+pub const fn min_len<R, T: Decode>(_field: fn(R) -> T) -> usize {
+    T::MIN_LEN
 }
 
 macro_rules! impl_codec_int {
@@ -328,6 +423,14 @@ impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
         Ok(out)
     }
 }
+
+// The simulator's vocabulary that MANA's records carry (declared here,
+// beside the traits, as the simulator does not know the codec).
+wire!(Datatype { U8 = 0, I32 = 1, I64 = 2, U64 = 3, F32 = 4, F64 = 5 });
+wire!(ReduceOp {
+    Sum = 0, Prod = 1, Max = 2, Min = 3, Band = 4, Bor = 5, Bxor = 6, Land = 7, Lor = 8,
+});
+wire!(TagSel { 0 => Tag(tag), 1 => Any, 2 => Below(bound) });
 
 /// Why a file the store writes was refused: the one error of every
 /// parser of those files (flat image header, recipe, manifest, journal
@@ -709,6 +812,24 @@ mod tests {
         m.insert(String::from("a"), vec![1u8, 2]);
         m.insert(String::from("b"), vec![]);
         roundtrip(m);
+    }
+
+    #[test]
+    fn declared_layouts() {
+        // A tagged enum: the tag, then the fields.
+        assert_eq!(TagSel::Any.to_bytes(), [1]);
+        assert_eq!(TagSel::Below(-2).to_bytes(), [2, 0xfe, 0xff, 0xff, 0xff]);
+        roundtrip(TagSel::Tag(7));
+        // A code table: the code alone.
+        assert_eq!(ReduceOp::Lor.to_bytes(), [8]);
+        assert_eq!(Datatype::from_bytes(&[5]), Ok(Datatype::F64));
+        // An unknown tag or code is refused as the byte read.
+        assert_eq!(TagSel::from_bytes(&[3]), Err(CodecError::InvalidTag(3)));
+        assert_eq!(Datatype::from_bytes(&[6]), Err(CodecError::InvalidTag(6)));
+        assert_eq!(ReduceOp::from_bytes(&[9]), Err(CodecError::InvalidTag(9)));
+        // A record's fewest bytes are the sum of its fields'.
+        assert_eq!(crate::ChunkRef::MIN_LEN, 32 + 8);
+        assert_eq!(crate::store::ManifestEntry::MIN_LEN, 8 + 8 + 4);
     }
 
     #[test]

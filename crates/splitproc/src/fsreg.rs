@@ -19,7 +19,7 @@ pub enum FsMode {
     /// on pre-5.9 kernels (µs-scale).
     KernelCall,
     /// MANA-2.0's user-space workaround for kernels without FSGSBASE
-    /// (see paper ref [19]).
+    /// (see paper ref \[19\]).
     Workaround,
     /// Unprivileged FSGSBASE instructions (Linux ≥ 5.9).
     Fsgsbase,

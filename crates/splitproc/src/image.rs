@@ -44,9 +44,7 @@
 //! write can take those blocks' chunk keys from that checksum's recipe
 //! (`ImageBuf::unchanged`; DESIGN §7).
 
-use crate::codec::{
-    crc32, crc32_combine, CodecError, CrcShift, Decode, Encode, Format, FormatError, Reader,
-};
+use crate::codec::{crc32, crc32_combine, CrcShift, Decode, Encode, Format, FormatError, Reader};
 use crate::UpperHalf;
 use std::fmt;
 use std::ops::Range;
@@ -58,8 +56,9 @@ pub(crate) const IMAGE: Format = Format {
     prefix: Some((*b"MANA2CKP", 2)),
 };
 
-/// Bytes ahead of the upper section: the prefix and the header.
-pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 * 5 + 4 * 2;
+/// Bytes ahead of the upper section: the prefix and the header, whose
+/// fields all have a fixed width, so its fewest bytes are all of them.
+pub(crate) const HEADER_LEN: usize = 8 + 4 + <ImageHeader as Decode>::MIN_LEN;
 
 /// Block size of an [`ImageBuf`]'s CRC table: a constant, not a knob. A
 /// 2 MiB upper section has 32 blocks, so a 2 % edit stales one or two,
@@ -106,6 +105,12 @@ pub struct ImageHead {
     /// Checkpoint round.
     pub round: u64,
 }
+
+crate::wire!(ImageHead {
+    rank,
+    world_size,
+    round
+});
 
 impl ImageHead {
     /// The one encoder of the image format: write the encodings of `upper`
@@ -194,33 +199,13 @@ impl ImageHeader {
     }
 }
 
-impl Encode for ImageHeader {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let h = self.head;
-        (h.rank, h.world_size, h.round).encode(out);
-        (self.upper_len, self.meta_len).encode(out);
-        (self.upper_crc, self.meta_crc).encode(out);
-    }
-}
-
-impl Decode for ImageHeader {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let (rank, world_size, round) = Decode::decode(r)?;
-        let (upper_len, meta_len) = Decode::decode(r)?;
-        let (upper_crc, meta_crc) = Decode::decode(r)?;
-        Ok(ImageHeader {
-            head: ImageHead {
-                rank,
-                world_size,
-                round,
-            },
-            upper_len,
-            meta_len,
-            upper_crc,
-            meta_crc,
-        })
-    }
-}
+crate::wire!(ImageHeader {
+    head,
+    upper_len,
+    meta_len,
+    upper_crc,
+    meta_crc
+});
 
 /// A rank's kept image buffer: the bytes of the image last encoded into
 /// it (header gap, upper section, metadata section), the [`ImageHead`] it

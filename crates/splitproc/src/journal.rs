@@ -159,6 +159,7 @@ impl JournalRecord {
 }
 
 /// The step's kind code, then the epoch, then the step's fields.
+/// Hand-written: the kind code comes before the epoch, outside the step.
 impl Encode for JournalRecord {
     fn encode(&self, out: &mut Vec<u8>) {
         self.step.kind().encode(out);

@@ -45,7 +45,7 @@
 use crate::blobs::PutMode;
 pub use crate::blobs::{Blobs, FaultyBlobs, LocalFs, WriteFault};
 use crate::chunk::{self, ChunkId, ChunkParams, ChunkRef, Recipe};
-use crate::codec::{crc32, CodecError, Decode, Encode, Format, FormatError, Reader};
+use crate::codec::{crc32, Format, FormatError};
 use crate::image::{self, CkptImage, ImageBuf, ImageError, ImageHeader, HEADER_LEN};
 use mpisim::Named;
 use obs::metrics as met;
@@ -371,20 +371,7 @@ pub struct ManifestEntry {
     pub crc: u32,
 }
 
-impl Encode for ManifestEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.rank, self.bytes, self.crc).encode(out);
-    }
-}
-
-impl Decode for ManifestEntry {
-    const MIN_LEN: usize = 8 + 8 + 4;
-
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let (rank, bytes, crc) = Decode::decode(r)?;
-        Ok(ManifestEntry { rank, bytes, crc })
-    }
-}
+crate::wire!(ManifestEntry { rank, bytes, crc });
 
 /// The commit record of one checkpoint generation. Written by the
 /// coordinator only after every rank reported a durable image write;
@@ -422,24 +409,11 @@ impl Manifest {
     }
 }
 
-impl Encode for Manifest {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.round, self.world_size).encode(out);
-        self.entries.encode(out);
-    }
-}
-
-impl Decode for Manifest {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let (round, world_size) = Decode::decode(r)?;
-        let entries = Vec::decode(r)?;
-        Ok(Manifest {
-            round,
-            world_size,
-            entries,
-        })
-    }
-}
+crate::wire!(Manifest {
+    round,
+    world_size,
+    entries
+});
 
 // ---- layout ----------------------------------------------------------------
 
@@ -1388,6 +1362,7 @@ pub fn gc_chunks(root: &Path) -> io::Result<ChunkGcOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{Encode, Reader};
     use crate::image::ImageHead;
     use std::fs;
 

@@ -99,6 +99,7 @@ impl UpperHalf {
     }
 }
 
+/// Hand-written: it writes raw bytes through the image writer.
 impl Encode for UpperHalf {
     fn encode(&self, out: &mut Vec<u8>) {
         self.write(&mut Overwrite::append(out));

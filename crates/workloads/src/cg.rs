@@ -10,7 +10,7 @@
 
 use crate::face::{MpiFace, WlError, WlResult, COMM_WORLD};
 use mpisim::ReduceOp;
-use splitproc::{Decode, Encode, Reader};
+use splitproc::{Decode, Encode};
 
 /// CG configuration.
 #[derive(Debug, Clone)]
@@ -60,27 +60,13 @@ struct CgState {
     rsold: f64,
 }
 
-impl Encode for CgState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.iter.encode(out);
-        self.x.encode(out);
-        self.r.encode(out);
-        self.p.encode(out);
-        self.rsold.encode(out);
-    }
-}
-
-impl Decode for CgState {
-    fn decode(rd: &mut Reader<'_>) -> Result<Self, splitproc::CodecError> {
-        Ok(CgState {
-            iter: u64::decode(rd)?,
-            x: Vec::decode(rd)?,
-            r: Vec::decode(rd)?,
-            p: Vec::decode(rd)?,
-            rsold: f64::decode(rd)?,
-        })
-    }
-}
+splitproc::wire!(CgState {
+    iter,
+    x,
+    r,
+    p,
+    rsold
+});
 
 const STATE_KEY: &str = "cg_state";
 const TAG_UP: i32 = 300;

@@ -18,7 +18,7 @@
 
 use crate::face::{CommH, MpiFace, ReqH, WlError, WlResult, COMM_WORLD};
 use mpisim::{Fnv1a, ReduceOp};
-use splitproc::{Decode, Encode, Reader};
+use splitproc::{Decode, Encode};
 
 /// MD workload configuration.
 #[derive(Debug, Clone)]
@@ -76,25 +76,12 @@ struct MdState {
     pending: Option<(u64, u64)>,
 }
 
-impl Encode for MdState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.step.encode(out);
-        self.energy.encode(out);
-        self.positions.encode(out);
-        self.pending.encode(out);
-    }
-}
-
-impl Decode for MdState {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, splitproc::CodecError> {
-        Ok(MdState {
-            step: u64::decode(r)?,
-            energy: f64::decode(r)?,
-            positions: Vec::decode(r)?,
-            pending: Option::<(u64, u64)>::decode(r)?,
-        })
-    }
-}
+splitproc::wire!(MdState {
+    step,
+    energy,
+    positions,
+    pending
+});
 
 const STATE_KEY: &str = "gromacs_state";
 const TAG_RIGHTWARD: i32 = 100; // payload travelling left→right

@@ -19,7 +19,7 @@
 
 use crate::face::{CommH, MpiFace, WlError, WlResult, COMM_WORLD};
 use mpisim::ReduceOp;
-use splitproc::{Decode, Encode, Reader};
+use splitproc::{Decode, Encode};
 
 /// Exchange-correlation treatment (Table I row "Functional").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,27 +213,13 @@ struct ScfState {
     kgroup_comm: Option<u64>,
 }
 
-impl Encode for ScfState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.step.encode(out);
-        self.energy.encode(out);
-        self.coll_calls.encode(out);
-        self.bands.encode(out);
-        self.kgroup_comm.encode(out);
-    }
-}
-
-impl Decode for ScfState {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, splitproc::CodecError> {
-        Ok(ScfState {
-            step: u64::decode(r)?,
-            energy: f64::decode(r)?,
-            coll_calls: u64::decode(r)?,
-            bands: Vec::decode(r)?,
-            kgroup_comm: Option::decode(r)?,
-        })
-    }
-}
+splitproc::wire!(ScfState {
+    step,
+    energy,
+    coll_calls,
+    bands,
+    kgroup_comm
+});
 
 const STATE_KEY: &str = "vasp_state";
 
