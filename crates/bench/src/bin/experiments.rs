@@ -492,17 +492,27 @@ fn scale_exp(env: &EnvConfig, k: &Knobs) {
 /// its right neighbor and only posts the receives *after* the checkpoint
 /// window, so the drain must capture exactly `ranks × burst` unexpected
 /// messages — the in-flight axis is under direct control. The alltoall's
-/// count exchange is a real pairwise O(n²) fabric collective; the
-/// topo-sort protocol replaces it with two coordinator messages per
-/// rank, so its quiesce time should pull ahead as ranks grow. Emits
+/// count exchange is a real fabric collective (rows gathered at local
+/// rank 0, columns scattered back: 2(n − 1) messages); the topo-sort
+/// protocol replaces it with two coordinator messages per rank. Both run
+/// after `Go`, so the count exchange shows in the `drain+freeze` column
+/// (`CkptRoundStats::write`: `Go` to the last image frozen), not in
+/// `quiesce` (intent to every rank parked). Emits
 /// `BENCH_drain_quiesce.json`.
 fn drain_exp(env: &EnvConfig, k: &Knobs) {
     use mpisim::{SrcSel, TagSel};
     println!("== Drain: quiesce time, alltoall vs toposort (CoopEngine) ==");
     println!("(same workload per cell; --scale-ranks / --drain-inflight override)");
     println!(
-        "{:>6} {:>6} {:>12} {:>12} {:>14} {:>14} {:>11}",
-        "ranks", "burst", "strategy", "quiesce", "in-flight msgs", "in-flight MB", "coord msgs"
+        "{:>6} {:>6} {:>12} {:>12} {:>12} {:>14} {:>14} {:>11}",
+        "ranks",
+        "burst",
+        "strategy",
+        "quiesce",
+        "drain+freeze",
+        "in-flight msgs",
+        "in-flight MB",
+        "coord msgs"
     );
     let mut rows = Vec::new();
     for &ranks in &k.scale_ranks {
@@ -568,19 +578,21 @@ fn drain_exp(env: &EnvConfig, k: &Knobs) {
                     drain.name()
                 );
                 println!(
-                    "{:>6} {:>6} {:>12} {:>12.2?} {:>14} {:>14.3} {:>11}",
+                    "{:>6} {:>6} {:>12} {:>12.2?} {:>12.2?} {:>14} {:>14.3} {:>11}",
                     ranks,
                     burst,
                     drain.name(),
                     round.quiesce,
+                    round.write,
                     drained_msgs,
                     drained_bytes as f64 / (1024.0 * 1024.0),
                     round.coord_msgs
                 );
                 rows.push(format!(
-                    "{{\"ranks\":{ranks},\"burst\":{burst},\"strategy\":\"{}\",\"quiesce_s\":{:.6},\"drained_msgs\":{drained_msgs},\"drained_bytes\":{drained_bytes},\"coord_msgs\":{}}}",
+                    "{{\"ranks\":{ranks},\"burst\":{burst},\"strategy\":\"{}\",\"quiesce_s\":{:.6},\"write_s\":{:.6},\"drained_msgs\":{drained_msgs},\"drained_bytes\":{drained_bytes},\"coord_msgs\":{}}}",
                     drain.name(),
                     round.quiesce.as_secs_f64(),
+                    round.write.as_secs_f64(),
                     round.coord_msgs
                 ));
             }

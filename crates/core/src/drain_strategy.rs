@@ -14,8 +14,8 @@
 //!   topologically orders the in-flight send→receive dependency graph and
 //!   answers with each rank's exact expected-bytes column. The count
 //!   exchange costs two coordinator messages per rank instead of the
-//!   alltoall's O(n²) fabric traffic, and the quiesce never runs a
-//!   collective.
+//!   alltoall's 2(n − 1) fabric messages through local rank 0, and the
+//!   quiesce never runs a collective.
 //!
 //! The protocol decides how in-flight traffic is counted, nothing else:
 //! whether a barrier precedes every collective is

@@ -26,10 +26,18 @@ fn itag(kind: CollKind, seq: u64) -> i32 {
 /// Frame a list of chunks into one buffer: `[count][len_0..len_{k-1}][bytes…]`,
 /// all lengths little-endian u64.
 pub fn frame_chunks(chunks: &[Vec<u8>]) -> Vec<u8> {
-    let total: usize = chunks.iter().map(|c| c.len()).sum();
-    let mut out = Vec::with_capacity(8 * (1 + chunks.len()) + total);
-    out.extend_from_slice(&(chunks.len() as u64).to_le_bytes());
-    for c in chunks {
+    frame(chunks.iter().map(Vec::as_slice))
+}
+
+/// [`frame_chunks`] over borrowed chunks, so a frame can be built from
+/// slices of other frames without copying each chunk out first.
+fn frame<'a>(chunks: impl Iterator<Item = &'a [u8]> + Clone) -> Vec<u8> {
+    let (count, total) = chunks
+        .clone()
+        .fold((0usize, 0usize), |(k, t), c| (k + 1, t + c.len()));
+    let mut out = Vec::with_capacity(8 * (1 + count) + total);
+    out.extend_from_slice(&(count as u64).to_le_bytes());
+    for c in chunks.clone() {
         out.extend_from_slice(&(c.len() as u64).to_le_bytes());
     }
     for c in chunks {
@@ -40,30 +48,36 @@ pub fn frame_chunks(chunks: &[Vec<u8>]) -> Vec<u8> {
 
 /// Inverse of [`frame_chunks`].
 pub fn unframe_chunks(buf: &[u8]) -> Result<Vec<Vec<u8>>> {
+    Ok(unframe(buf)?.into_iter().map(<[u8]>::to_vec).collect())
+}
+
+/// [`unframe_chunks`] as slices of `buf`. The count and every length come
+/// from the buffer itself, so each is checked against the bytes present
+/// before it is used: every chunk needs its 8-byte length word, which
+/// bounds the count by `(len − 8) / 8` before anything is reserved.
+fn unframe(buf: &[u8]) -> Result<Vec<&[u8]>> {
     let fail = || MpiError::LengthMismatch {
         expected: 8,
         got: buf.len(),
     };
+    let word = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
     if buf.len() < 8 {
         return Err(fail());
     }
-    let count = u64::from_le_bytes(buf[0..8].try_into().unwrap()) as usize;
-    let mut lens = Vec::with_capacity(count);
-    let mut off = 8;
-    for _ in 0..count {
-        if off + 8 > buf.len() {
-            return Err(fail());
-        }
-        lens.push(u64::from_le_bytes(buf[off..off + 8].try_into().unwrap()) as usize);
-        off += 8;
-    }
+    let count = usize::try_from(word(0))
+        .ok()
+        .filter(|&c| c <= (buf.len() - 8) / 8)
+        .ok_or_else(fail)?;
     let mut out = Vec::with_capacity(count);
-    for l in lens {
-        if off + l > buf.len() {
-            return Err(fail());
-        }
-        out.push(buf[off..off + l].to_vec());
-        off += l;
+    let mut off = 8 + 8 * count;
+    for i in 0..count {
+        let end = usize::try_from(word(8 + 8 * i))
+            .ok()
+            .and_then(|l| off.checked_add(l))
+            .filter(|&end| end <= buf.len())
+            .ok_or_else(fail)?;
+        out.push(&buf[off..end]);
+        off = end;
     }
     Ok(out)
 }
@@ -96,7 +110,7 @@ impl Proc {
 
     fn coll_recv(&self, comm: Comm, group: &Group, src_local: usize, tag: i32) -> Result<Vec<u8>> {
         let src_world = group.world_rank(src_local)?;
-        let req = self.irecv_internal(comm.ctx(), src_world, tag);
+        let req = self.irecv_internal(comm.ctx(), Some(src_world), tag);
         Ok(self.wait(req)?.data)
     }
 
@@ -249,34 +263,51 @@ impl Proc {
     /// local rank `i`; the result's `out[j]` came from local rank `j`).
     /// This is the call MANA-2.0's drain uses to exchange per-pair send
     /// counts at checkpoint time (§III-B).
+    ///
+    /// Gather/scatter through local rank 0: every other rank sends its
+    /// framed row once and waits once for its framed column, and rank 0
+    /// takes the rows in arrival order and frames each column from slices
+    /// of them: 2(n − 1) messages, and one park per non-root rank.
     pub fn alltoall(&self, comm: Comm, chunks: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
         let (group, me, n) = self.coll_ctx(comm)?;
         self.record(CollKind::Alltoall);
         let seq = self.next_coll_seq(comm.ctx());
-        if chunks.len() != n {
-            return Err(MpiError::LengthMismatch {
-                expected: n,
-                got: chunks.len(),
-            });
-        }
+        let sized = |got: usize| {
+            if got == n {
+                Ok(())
+            } else {
+                Err(MpiError::LengthMismatch { expected: n, got })
+            }
+        };
+        sized(chunks.len())?;
         let tag = itag(CollKind::Alltoall, seq);
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
-        out[me] = chunks[me].clone();
-        // Internal sends are eager (the wait inside `coll_send` never
-        // blocks), so post all n − 1 before the first receive. Interleaving
-        // send k with receive k made every receive wait in lock-step on one
-        // specific peer that had itself only got as far as its own k-th
-        // send: ≈ 0.6 n parks per rank, n² token hand-offs per call on the
-        // coop engine.
-        for k in 1..n {
-            let dst = (me + k) % n;
-            self.coll_send(comm, &group, dst, tag, &chunks[dst])?;
+        if me != 0 {
+            self.coll_send(comm, &group, 0, tag, &frame_chunks(chunks))?;
+            let out = unframe_chunks(&self.coll_recv(comm, &group, 0, tag)?)?;
+            sized(out.len())?;
+            return Ok(out);
         }
-        for k in 1..n {
-            let src = (me + n - k) % n;
-            out[src] = self.coll_recv(comm, &group, src, tag)?;
+        // Any source, but only this call's tag: internal tags never match
+        // a user wildcard receive, and the sequence number in the tag keeps
+        // a later alltoall's rows on this communicator apart.
+        let mut framed = vec![Vec::new(); n];
+        for _ in 1..n {
+            let req = self.irecv_internal(comm.ctx(), None, tag);
+            let got = self.wait(req)?;
+            framed[got.status.source] = got.data;
         }
-        Ok(out)
+        let mut rows = Vec::with_capacity(n);
+        rows.push(chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
+        for buf in &framed[1..] {
+            let row = unframe(buf)?;
+            sized(row.len())?;
+            rows.push(row);
+        }
+        for dst in 1..n {
+            let column = frame(rows.iter().map(|row| row[dst]));
+            self.coll_send(comm, &group, dst, tag, &column)?;
+        }
+        Ok(rows.iter().map(|row| row[0].to_vec()).collect())
     }
 
     /// `MPI_Gather`: returns `Some(vec of per-rank chunks)` on the root.
@@ -563,6 +594,21 @@ mod tests {
         bad.extend_from_slice(&1u64.to_le_bytes());
         bad.extend_from_slice(&1000u64.to_le_bytes());
         assert!(unframe_chunks(&bad).is_err());
+        // A count the buffer cannot hold the length words of is refused
+        // before anything is reserved.
+        assert!(unframe_chunks(&u64::MAX.to_le_bytes()).is_err());
+        let mut many = 3u64.to_le_bytes().to_vec();
+        many.extend_from_slice(&0u64.to_le_bytes());
+        many.extend_from_slice(&0u64.to_le_bytes());
+        assert!(unframe_chunks(&many).is_err());
+        many.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(unframe_chunks(&many).unwrap(), vec![Vec::<u8>::new(); 3]);
+        // A length that overflows the offset is refused, not wrapped.
+        let mut wrap = 2u64.to_le_bytes().to_vec();
+        wrap.extend_from_slice(&1u64.to_le_bytes());
+        wrap.extend_from_slice(&u64::MAX.to_le_bytes());
+        wrap.push(7);
+        assert!(unframe_chunks(&wrap).is_err());
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   `MPI_Request_get_status`-style non-destructive completion checks.
 //! * **Collectives**: dissemination barrier, binomial-tree bcast (the root
 //!   returns before receivers arrive — the semantics §III-D/E revolve
-//!   around), binomial reduce, allreduce, pairwise alltoall,
-//!   gather/scatter/allgather, inclusive scan, and `comm_split`.
+//!   around), binomial reduce, allreduce, alltoall (rows gathered at
+//!   local rank 0, columns scattered back), gather/scatter/allgather,
+//!   inclusive scan, and `comm_split`.
 //! * **Communicators & groups**: full group algebra
 //!   (incl/excl/union/intersection/difference/translate_ranks), `comm_dup`,
 //!   `comm_create_group`, `comm_free`, context-id agreement via a

@@ -236,10 +236,12 @@ impl Proc {
             .alloc(ReqState::RecvPending { spec, comm, cap }))
     }
 
-    pub(crate) fn irecv_internal(&self, ctx: u64, src_world: usize, tag: i32) -> RReq {
+    /// A receive of collective plumbing: `tag` is an internal tag, and
+    /// `src_world` is `None` for any source of the communicator.
+    pub(crate) fn irecv_internal(&self, ctx: u64, src_world: Option<usize>, tag: i32) -> RReq {
         let spec = MatchSpec {
             ctx,
-            src_world: Some(src_world),
+            src_world,
             tag: TagSel::Tag(tag),
         };
         self.slab.borrow_mut().alloc(ReqState::RecvPending {

@@ -6,7 +6,7 @@
 use crate::comm::Comm;
 use crate::datatype::{decode_slice, encode_slice, Scalar};
 use crate::envelope::{SrcSel, TagSel};
-use crate::error::Result;
+use crate::error::{MpiError, Result};
 use crate::op::ReduceOp;
 use crate::proc_::Proc;
 use crate::request::{RReq, Status};
@@ -81,12 +81,12 @@ impl Proc {
         let out = self.alltoall(comm, &chunks)?;
         out.into_iter()
             .map(|c| {
-                Ok(u64::from_le_bytes(c[..8].try_into().map_err(|_| {
-                    crate::error::MpiError::LengthMismatch {
+                <[u8; 8]>::try_from(c.as_slice())
+                    .map(u64::from_le_bytes)
+                    .map_err(|_| MpiError::LengthMismatch {
                         expected: 8,
                         got: c.len(),
-                    }
-                })?))
+                    })
             })
             .collect()
     }

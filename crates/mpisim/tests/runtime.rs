@@ -256,29 +256,136 @@ fn reduce_and_allreduce() {
     assert_eq!(out, vec![6; n]);
 }
 
+/// The chunk world rank `src` sends world rank `dst` in call `call`:
+/// 0, 1 or 17 bytes, so one frame mixes empty, short and long chunks.
+fn a2a_chunk(src: usize, dst: usize, call: usize) -> Vec<u8> {
+    let len = [0, 1, 17][(src + 2 * dst + call) % 3];
+    (0..len)
+        .map(|k| (src * 31 + dst * 7 + call + k) as u8)
+        .collect()
+}
+
 #[test]
 fn alltoall_exchanges_pairwise() {
-    let n = 5;
-    let (out, _) = run(n, cfg(), |p| {
-        let w = p.comm_world();
-        let vals: Vec<u64> = (0..n).map(|j| (p.rank() * 100 + j) as u64).collect();
-        p.alltoall_u64(w, &vals).unwrap()
-    })
-    .unwrap();
-    for (me, row) in out.iter().enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            assert_eq!(v, (j * 100 + me) as u64);
+    for n in [1, 2, 3, 64] {
+        let (out, _) = run(n, cfg(), |p| {
+            let w = p.comm_world();
+            let chunks: Vec<Vec<u8>> = (0..n).map(|j| a2a_chunk(p.rank(), j, 0)).collect();
+            let vals: Vec<u64> = (0..n).map(|j| (p.rank() * 100 + j) as u64).collect();
+            (
+                p.alltoall(w, &chunks).unwrap(),
+                p.alltoall_u64(w, &vals).unwrap(),
+            )
+        })
+        .unwrap();
+        for (me, (bytes, vals)) in out.iter().enumerate() {
+            for j in 0..n {
+                assert_eq!(bytes[j], a2a_chunk(j, me, 0), "n={n}: {j} -> {me}");
+                assert_eq!(vals[j], (j * 100 + me) as u64);
+            }
         }
     }
 }
 
 #[test]
+fn alltoall_on_a_split_communicator_rooted_away_from_world_rank_0() {
+    // Reversed keys make local rank 0 the highest world rank of each half:
+    // world 4 for the evens, world 3 for the odds. Two calls back to back
+    // on one communicator must not take each other's rows.
+    let n = 5;
+    let (out, _) = run(n, cfg(), |p| {
+        let me = p.rank();
+        let sub = p
+            .comm_split(p.comm_world(), (me % 2) as i32, -(me as i32))
+            .unwrap()
+            .unwrap();
+        let members = p.group_of(sub).unwrap();
+        let world_of = |l: usize| members.world_rank(l).unwrap();
+        let m = members.size();
+        let calls: Vec<Vec<Vec<u8>>> = (0..2)
+            .map(|call| {
+                let chunks: Vec<Vec<u8>> =
+                    (0..m).map(|l| a2a_chunk(me, world_of(l), call)).collect();
+                p.alltoall(sub, &chunks).unwrap()
+            })
+            .collect();
+        (world_of(0), (0..m).map(world_of).collect::<Vec<_>>(), calls)
+    })
+    .unwrap();
+    for (me, (root, members, calls)) in out.iter().enumerate() {
+        assert_eq!(*root, if me % 2 == 0 { 4 } else { 3 });
+        for (call, got) in calls.iter().enumerate() {
+            for (l, &src) in members.iter().enumerate() {
+                assert_eq!(
+                    got[l],
+                    a2a_chunk(src, me, call),
+                    "call {call}: {src} -> {me}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn alltoall_leaves_a_pending_user_wildcard_receive_alone() {
+    // The root's any-source receive of rows must neither satisfy nor be
+    // satisfied by the application's ANY_SOURCE / ANY_TAG receive.
+    let n = 4;
+    let (out, _) = run(n, cfg(), |p| {
+        let w = p.comm_world();
+        let me = p.rank();
+        let user = (me == 0).then(|| p.irecv(w, SrcSel::Any, TagSel::Any).unwrap());
+        let vals: Vec<u64> = (0..n).map(|j| (me * 100 + j) as u64).collect();
+        let got = p.alltoall_u64(w, &vals).unwrap();
+        let untouched = user.map(|r| p.test(r).unwrap().is_none());
+        p.barrier(w).unwrap();
+        if me == 1 {
+            p.send(w, 0, 7, b"user").unwrap();
+        }
+        let delivered = user.map(|r| {
+            let c = p.wait(r).unwrap();
+            (c.status.source, c.status.tag, c.data)
+        });
+        (got, untouched, delivered)
+    })
+    .unwrap();
+    for (me, (got, _, _)) in out.iter().enumerate() {
+        for (j, &v) in got.iter().enumerate() {
+            assert_eq!(v, (j * 100 + me) as u64);
+        }
+    }
+    assert_eq!(out[0].1, Some(true));
+    assert_eq!(out[0].2, Some((1, 7, b"user".to_vec())));
+}
+
+#[test]
+fn alltoall_u64_refuses_a_chunk_that_is_not_eight_bytes() {
+    // Ranks 1 and 2 feed the same collective raw chunks of 3 and 9 bytes.
+    let (out, _) = run(3, cfg(), |p| {
+        let w = p.comm_world();
+        match p.rank() {
+            0 => p.alltoall_u64(w, &[0, 1, 2]).map(|_| ()),
+            r => p.alltoall(w, &vec![vec![0u8; 6 * r - 3]; 3]).map(|_| ()),
+        }
+    })
+    .unwrap();
+    assert_eq!(
+        out[0],
+        Err(MpiError::LengthMismatch {
+            expected: 8,
+            got: 3
+        })
+    );
+    assert_eq!(out[1..], [Ok(()), Ok(())]);
+}
+
+#[test]
 fn alltoall_hands_the_run_token_over_a_bounded_number_of_times_per_rank() {
-    // Posting all n − 1 eager sends before the first receive leaves a rank
-    // parking only while a message it needs is still unsent: ≈ 4 token
-    // hand-offs per rank (230–310 decisions at n = 64). The lock-step
-    // send-one / receive-one exchange this replaced took ≈ 0.6 n per rank
-    // (≈ 2600). One worker, so the count is a pure function of the seed.
+    // Rows gathered at local rank 0 and columns scattered back: each
+    // non-root rank parks once, waiting for its column, so a call takes
+    // ≈ 2 n decisions (129–131 at n = 64) in 2 (n − 1) messages. The
+    // pairwise exchange this replaced took 234–308 decisions in n (n − 1)
+    // messages. One worker, so the count is a pure function of the seed.
     let n = 64;
     for seed in 1..=4u64 {
         let rec = ScheduleRecorder::new();
@@ -291,7 +398,7 @@ fn alltoall_hands_the_run_token_over_a_bounded_number_of_times_per_rank() {
             schedule: SchedulePolicy::Record(rec.clone()),
             ..WorldCfg::default()
         };
-        let (out, _) = run(n, world_cfg, |p| {
+        let (out, stats) = run(n, world_cfg, |p| {
             let vals: Vec<u64> = (0..n).map(|j| (p.rank() * 100 + j) as u64).collect();
             p.alltoall_u64(p.comm_world(), &vals).unwrap()
         })
@@ -301,10 +408,11 @@ fn alltoall_hands_the_run_token_over_a_bounded_number_of_times_per_rank() {
                 assert_eq!(v, (j * 100 + me) as u64);
             }
         }
+        assert_eq!(stats.internal_msgs, 2 * (n as u64 - 1), "seed {seed}");
         // Decisions are token grants: n at the start barrier, then one per
         // resumption of a parked rank.
         assert!(
-            rec.len() <= 8 * n,
+            rec.len() <= 2 * n + 8,
             "seed {seed}: {} scheduling decisions for one {n}-rank alltoall",
             rec.len()
         );
