@@ -219,6 +219,96 @@ fn storage_torn_chunk_costs_only_its_own_generation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Chunked layout, a faulted round that lands flat. A GROMACS image's
+/// upper section fits in one 64 KiB block, which every step rewrites, so a
+/// rank's second round shares no block with its first and its kept buffer
+/// lands as one flat file in the chunked generation: the damage lands on
+/// that file. Resume mode, two rounds, the victim's round-1 write faulted,
+/// each fault kind: the job still finishes with the native values; a write
+/// error aborts round 1 and silent damage commits it, and either way
+/// restart's selection falls back to round 0, whose images were cut into
+/// chunks.
+#[test]
+fn storage_fault_on_a_flat_round_of_a_chunked_store_falls_back() {
+    use mana_core::ManaConfig;
+    use mpisim::{FaultPlan, FaultSpec, StorageFaultSpec};
+    use splitproc::{Store, StoreConfig};
+    use workloads::gromacs::{GromacsConfig, Periodic};
+    let (ranks, victim) = (3, 1);
+    let env = mana_core::from_env().expect("MANA2_* environment");
+    let periodic = Periodic {
+        md: GromacsConfig {
+            atoms_per_rank: 96,
+            steps: 8,
+            compute_per_step: 0,
+            energy_interval: 2,
+            halo: 8,
+            ckpt_at_step: None,
+            ckpt_round: 0,
+        },
+        rounds: 2,
+        stride: 3,
+    };
+    let world = mpisim::World::new(ranks, env.world.clone());
+    let native = workloads::native(&world, &periodic).expect("native reference");
+    for (seed, kind) in (5_700..).zip(KINDS) {
+        let dir =
+            std::env::temp_dir().join(format!("mana2_flat_fault_{seed}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut spec = FaultSpec::quiet();
+        spec.storage = Some(StorageFaultSpec {
+            rank: victim,
+            round: 1,
+            kind,
+        });
+        let cfg = ManaConfig {
+            ckpt_dir: dir.clone(),
+            store: StoreConfig {
+                mode: StoreMode::Chunked,
+                ..StoreConfig::default()
+            },
+            fault: Some(std::sync::Arc::new(FaultPlan::new(seed, spec))),
+            ..env.mana.clone()
+        };
+        let rt = env.runtime(ranks, cfg.clone());
+        let run = chaos::leg(
+            format!("{kind:?} run"),
+            &rt,
+            workloads::Launch::Fresh,
+            &periodic,
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        run.expect_finished().unwrap_or_else(|e| panic!("{e}"));
+        run.expect_values(&native).unwrap_or_else(|e| panic!("{e}"));
+        let coord = &run.report.coord;
+        let metrics = run.report.metrics.as_ref().expect("metrics snapshot");
+        let flat = metrics.value("mana2_store_images_flat_total").unwrap();
+        let gen1 = splitproc::store::generation_dir(&dir, 1);
+        if kind == StorageFaultKind::WriteError {
+            assert_eq!((coord.rounds.len(), coord.aborted_rounds.len()), (1, 1));
+            assert!(flat < ranks as u64, "{kind:?}: {flat} flat images");
+            assert!(!gen1.exists(), "{kind:?}: the aborted round was removed");
+        } else {
+            assert_eq!((coord.rounds.len(), coord.aborted_rounds.len()), (2, 0));
+            assert_eq!(flat, ranks as u64, "{kind:?}: round 1 landed flat");
+            for rank in 0..ranks {
+                assert!(splitproc::CkptImage::path_for(&gen1, rank).is_file());
+            }
+        }
+        let store = Store::open(&dir, cfg.store.clone());
+        let sel = store.select(Some(ranks), None).expect("round 0 is usable");
+        assert_eq!(sel.round, 0, "{kind:?}: {:?}", sel.rejected);
+        let refused: Vec<u64> = sel.rejected.iter().map(|r| r.round).collect();
+        let want = if kind == StorageFaultKind::WriteError {
+            vec![]
+        } else {
+            vec![1]
+        };
+        assert_eq!(refused, want, "{kind:?}: {:?}", sel.rejected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// CI fresh-seed storage sweep: like `fresh_sweep`, but cycling through
 /// every (fault kind × mode) cell, each seed under both store layouts, so
 /// each night's window exercises the whole durability matrix — every

@@ -2001,7 +2001,9 @@ mod tests {
     /// edited — flushed from the ranks' kept buffers, land in either
     /// layout the very files, recipes, manifests and pool chunks that
     /// writing the same images through `Store::write_image` lands: the
-    /// block table changes what is checksummed, never a byte on disk.
+    /// block table changes what is checksummed, never a byte on disk. A
+    /// chunked store lands the grown segment's round, which shifts every
+    /// block, flat; the reference writes that round through a flat store.
     #[test]
     fn kept_buffers_land_the_store_write_image_lands() {
         let (n, retain) = (2, 2);
@@ -2022,6 +2024,12 @@ mod tests {
                 ..store::StoreConfig::default()
             };
             let reference = Store::open(&ref_root, cfg.clone());
+            let flat_cfg = store::StoreConfig {
+                mode: store::StoreMode::Flat,
+                ..cfg.clone()
+            };
+            let flat_reference = Store::open(&ref_root, flat_cfg);
+            let mut landed_flat = Vec::new();
             let setup = CoordSetup {
                 ckpt_store: Some((Arc::new(Store::open(&kept_root, cfg)), retain)),
                 ..bare()
@@ -2056,24 +2064,34 @@ mod tests {
                         in_collective: None,
                     });
                 }
-                let mut entries = Vec::new();
+                let meta = |rank: usize| vec![round as u8 ^ rank as u8; 40];
                 for (rank, upper) in uppers.iter().enumerate() {
                     let head = ImageHead {
                         rank,
                         world_size: n,
                         round,
                     };
-                    let meta = vec![round as u8 ^ rank as u8; 40];
                     let mut image = std::mem::take(&mut *sim.c.buffers[rank].lock().unwrap());
-                    head.encode_into(&mut image, upper, &meta);
+                    head.encode_into(&mut image, upper, &meta(rank));
                     sim.on(RankMsg::Frozen { rank, image });
-                    let out = reference
+                }
+                // Land the round, to see which layout each rank's image took.
+                sim.settle();
+                let mut entries = Vec::new();
+                for (rank, upper) in uppers.iter().enumerate() {
+                    let dir = store::generation_dir(&kept_root, round);
+                    let flat = splitproc::CkptImage::path_for(&dir, rank).exists();
+                    if flat {
+                        landed_flat.push((round, rank));
+                    }
+                    let same_layout = if flat { &flat_reference } else { &reference };
+                    let out = same_layout
                         .write_image(&splitproc::CkptImage {
                             rank,
                             world_size: n,
                             round,
                             upper: upper.to_bytes(),
-                            meta: meta.to_bytes(),
+                            meta: meta(rank).to_bytes(),
                         })
                         .unwrap();
                     entries.push(store::ManifestEntry {
@@ -2093,6 +2111,12 @@ mod tests {
             }
             sim.settle();
             assert_eq!(sim.c.report.rounds.len(), 5, "{mode:?}");
+            let flat_rounds: Vec<u64> = match mode {
+                store::StoreMode::Flat => (0..5).collect(),
+                store::StoreMode::Chunked => vec![3],
+            };
+            let want: Vec<_> = flat_rounds.iter().flat_map(|&r| [(r, 0), (r, 1)]).collect();
+            assert_eq!(landed_flat, want, "{mode:?}: the rounds that landed flat");
             let kept = tree(&kept_root);
             assert!(kept.len() > 2 * retain, "{mode:?}: {:?}", kept.keys());
             assert!(kept == tree(&ref_root), "{mode:?}: the trees differ");

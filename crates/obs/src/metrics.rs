@@ -292,13 +292,18 @@ std_set! {
     /// Image payload bytes a chunked store write ran through the chunk
     /// key: every byte written, less the guided chunks of a rank's kept
     /// buffer that lie in blocks no encode has changed since the recipe
-    /// guiding the write.
+    /// guiding the write; none for an image landed flat.
     STORE_KEY_BYTES = "mana2_store_key_bytes_total", Counter,
         "Image payload bytes run through the chunk key by store writes";
     /// On-CPU time of one flush: its helper's and its writers' threads,
     /// from `/proc/thread-self/schedstat` (no observation where absent).
     CKPT_FLUSH_CPU_NS = "mana2_ckpt_flush_cpu_ns", Histogram,
         "On-CPU time of one checkpoint flush's helper and writer threads";
+    /// Images a chunked store landed as one flat file: a rank's kept
+    /// buffer rewritten in every upper block since its previous checksum,
+    /// so neither cut, keyed nor deduplicated.
+    STORE_IMAGES_FLAT = "mana2_store_images_flat_total", Counter,
+        "Images a chunked store landed flat (rewritten since the last write)";
 }
 
 // ---- log-linear histogram --------------------------------------------------

@@ -42,7 +42,8 @@
 //! A checksum also notes which blocks were fresh when it began (unchanged
 //! since the checksum before, whose header the buffer keeps), so a chunked
 //! write can take those blocks' chunk keys from that checksum's recipe
-//! (`ImageBuf::unchanged`; DESIGN §7).
+//! (`ImageBuf::unchanged`; DESIGN §7), and a chunked store lands an image
+//! none of whose blocks were fresh as one flat file (`ImageBuf::rewritten`).
 
 use crate::codec::{crc32, crc32_combine, CrcShift, Decode, Encode, Format, FormatError, Reader};
 use crate::UpperHalf;
@@ -351,6 +352,13 @@ impl ImageBuf {
         let was = |k: usize| self.blocks.each.get(k).is_some_and(|block| block.was);
         let mut blocks = span.start / CRC_BLOCK..span.end.div_ceil(CRC_BLOCK);
         self.previous().is_some() && !span.is_empty() && blocks.all(was)
+    }
+
+    /// Whether no upper-section block is as it was at the
+    /// [`ImageBuf::previous`] checksum: an image rewritten since it, which
+    /// shares no block with the image before.
+    pub(crate) fn rewritten(&self) -> bool {
+        self.previous().is_some() && self.blocks.each.iter().all(|block| !block.was)
     }
 }
 

@@ -186,7 +186,10 @@ pub enum StoreMode {
     /// content-defined boundaries into a shared `chunks/` pool keyed by
     /// content hash, and each rank stores a `.cref` recipe instead of a flat
     /// image. A chunk already in the pool is never rewritten, so a
-    /// slowly-mutating workload pays only for changed bytes per round.
+    /// slowly-mutating workload pays only for changed bytes per round. A
+    /// rank's image that shares no block with its previous one lands as a
+    /// flat `.mana` file in the chunked generation instead (see
+    /// [`Store::write_encoded`]).
     Chunked,
 }
 
@@ -550,9 +553,15 @@ impl Store {
     /// it rewrote). Flat mode seals the image in place
     /// ([`ImageBuf::seal`]) and lands the buffer as one file; chunked
     /// mode cuts its two sections where they lie, lands the chunks the
-    /// pool does not hold yet, then a recipe. Either way the rank's file
-    /// is its commit point and lands last, and the outcome reports that
-    /// file's intended bytes and CRC — what the coordinator is told.
+    /// pool does not hold yet, then a recipe — unless the buffer was
+    /// rewritten since its previous checksum (`ImageBuf::rewritten`):
+    /// no chunk of such an image was in the previous one, so it lands flat,
+    /// one file, as in flat mode; and the rank's file of the other layout,
+    /// if one is there, is removed first (a stale one, left by a crashed
+    /// flush of this round, would shadow or pin what the manifest vouches
+    /// for). Either way the rank's file is its commit point and lands
+    /// last, and the outcome reports that file's intended bytes and CRC —
+    /// what the coordinator is told.
     pub fn write_encoded(&self, image: &mut ImageBuf) -> Result<WriteOutcome, StoreError> {
         let (header, crc_bytes) = image.checksum();
         let head = header.head;
@@ -562,22 +571,31 @@ impl Store {
             crc_bytes,
             ..WriteOutcome::default()
         };
+        let flat = self.cfg.mode == StoreMode::Flat || image.rewritten();
         // The flat file's checksum comes with its bytes, combined from the
         // section checksums its header carries; a recipe is a few hundred
         // bytes and is simply read.
         let recipe;
-        let (path, bytes) = match self.cfg.mode {
-            StoreMode::Flat => {
-                let (bytes, crc) = image.seal();
-                out.crc = crc;
-                (CkptImage::path_for(&dir, head.rank), bytes)
-            }
-            StoreMode::Chunked => {
-                recipe = (self.write_chunks(header, image, &mut out)?).to_bytes();
-                out.crc = crc32(&recipe);
-                (recipe_path_for(&dir, head.rank), &recipe[..])
-            }
+        let (image_path, recipe_path) = (
+            CkptImage::path_for(&dir, head.rank),
+            recipe_path_for(&dir, head.rank),
+        );
+        let (path, other, bytes) = if flat {
+            let (bytes, crc) = image.seal();
+            out.crc = crc;
+            (image_path, recipe_path, bytes)
+        } else {
+            recipe = (self.write_chunks(header, image, &mut out)?).to_bytes();
+            out.crc = crc32(&recipe);
+            (recipe_path, image_path, &recipe[..])
         };
+        // Only a chunked store lands both layouts, so only its rerun of a
+        // round can find a stale sibling that the reader would prefer to
+        // the rank's new file. The commit put's directory sync makes the
+        // removal durable too.
+        if self.cfg.mode == StoreMode::Chunked && self.blobs.get(&other, None).is_ok() {
+            self.blobs.remove(&other)?;
+        }
         out.bytes = bytes.len();
         out.physical_bytes += bytes.len();
         let round = head.round as i64;
@@ -615,6 +633,9 @@ impl Store {
             .add(met::STORE_CHUNKS_GUIDED, out.chunks_guided as u64);
         self.tel
             .add(met::STORE_FSYNC_BATCHES, out.fsync_batches as u64);
+        if flat && self.cfg.mode == StoreMode::Chunked {
+            self.tel.add(met::STORE_IMAGES_FLAT, 1);
+        }
         Ok(out)
     }
 
@@ -2903,6 +2924,227 @@ mod tests {
         assert_eq!(load_image(&dir, 0).unwrap(), slow_image(0, 3, 0));
         let err = load_image(&dir, 2).unwrap_err().to_string();
         assert!(err.contains("content hash mismatch"), "{err}");
+        fs::remove_dir_all(&root).ok();
+    }
+
+    // ---- flat images in a chunked generation --------------------------------
+
+    /// Encode round `round` of `rank`'s state into its kept buffer: a
+    /// 200 000-byte slab (four 64 KiB blocks) whose every byte changes each
+    /// round when `churn`, else one 300-byte window. Returns the image.
+    fn kept_round(
+        buf: &mut ImageBuf,
+        rank: usize,
+        world: usize,
+        round: u64,
+        churn: bool,
+    ) -> CkptImage {
+        let mut state = 0x5eed_0000u64 + rank as u64;
+        let mut slab: Vec<u8> = (0..200_000)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (state >> 33) as u8
+            })
+            .collect();
+        let at = round as usize * 7_919 % 150_000;
+        let span = if churn { 0..slab.len() } else { at..at + 300 };
+        slab[span].iter_mut().for_each(|b| *b ^= round as u8 + 1);
+        let mut upper = crate::UpperHalf::new();
+        upper.write_segment("slab", slab);
+        let head = ImageHead {
+            rank,
+            world_size: world,
+            round,
+        };
+        head.encode_into(buf, &upper, &vec![round as u8; 30]);
+        CkptImage::from(&*buf)
+    }
+
+    /// Write every rank's kept buffer as round `round` (rank 0 churning,
+    /// the rest not) and commit it. Returns the images and the outcomes.
+    fn land_kept(
+        store: &Store,
+        bufs: &mut [ImageBuf],
+        round: u64,
+    ) -> (Vec<CkptImage>, Vec<WriteOutcome>) {
+        let world = bufs.len();
+        let mut images = Vec::new();
+        let mut outs = Vec::new();
+        for (rank, buf) in bufs.iter_mut().enumerate() {
+            images.push(kept_round(buf, rank, world, round, rank == 0));
+            outs.push(store.write_encoded(buf).unwrap());
+        }
+        let entries = (outs.iter().enumerate())
+            .map(|(rank, out)| ManifestEntry {
+                rank: rank as u64,
+                bytes: out.bytes as u64,
+                crc: out.crc,
+            })
+            .collect();
+        let world_size = world as u64;
+        store
+            .commit(&Manifest {
+                round,
+                world_size,
+                entries,
+            })
+            .unwrap();
+        (images, outs)
+    }
+
+    /// Every chunk id in the pool.
+    fn pool_ids(store: &Store) -> BTreeSet<ChunkId> {
+        let shards = store.pool_inventory().unwrap();
+        shards
+            .iter()
+            .flat_map(|s| s.chunks.iter().map(|(id, _)| *id))
+            .collect()
+    }
+
+    /// Every chunk id the recipes of generation `round` name.
+    fn recipe_ids(store: &Store, round: u64) -> BTreeSet<ChunkId> {
+        let gens = store.recipes().unwrap();
+        let gen = gens.iter().find(|g| g.gen.round == round).unwrap();
+        gen.refs().map(|c| c.id).collect()
+    }
+
+    /// A chunked generation whose churning rank landed flat and whose
+    /// other rank landed a recipe restores byte-identically through
+    /// `select`, `load_image` and a partial `validate`; GC keeps exactly
+    /// the recipe's chunks; a bit flip in the flat file is `CorruptImage`
+    /// and restart falls back a generation.
+    #[test]
+    fn a_rewritten_image_lands_flat_beside_a_recipe() {
+        let root = tdir("mixed_layouts");
+        let reg = obs::metrics::MetricsRegistry::deterministic(1);
+        let tel = obs::Telemetry::new(0, None, Some(reg.clone()));
+        let cfg = StoreConfig {
+            mode: StoreMode::Chunked,
+            ..StoreConfig::default()
+        };
+        let store = Store::new(&root, cfg, tel, Box::new(LocalFs));
+        let mut bufs: Vec<ImageBuf> = (0..2).map(|_| ImageBuf::default()).collect();
+        let flat_total = || {
+            reg.snapshot()
+                .value("mana2_store_images_flat_total")
+                .unwrap()
+        };
+        // A first image is cut however much it differs from nothing.
+        let (_, outs) = land_kept(&store, &mut bufs, 0);
+        assert!(outs.iter().all(|o| o.chunks_written > 0));
+        assert_eq!(flat_total(), 0);
+        for round in 1..3 {
+            let (images, outs) = land_kept(&store, &mut bufs, round);
+            let dir = generation_dir(&root, round);
+            assert!(CkptImage::path_for(&dir, 0).is_file());
+            assert!(!recipe_path_for(&dir, 0).exists());
+            assert!(recipe_path_for(&dir, 1).is_file());
+            assert!(!CkptImage::path_for(&dir, 1).exists());
+            let flat = outs[0];
+            assert_eq!((flat.chunks_written, flat.chunks_deduped), (0, 0));
+            assert_eq!((flat.key_bytes, flat.bytes), (0, images[0].size_bytes()));
+            assert_eq!(flat.crc, crc32(&images[0].to_bytes()));
+            assert_eq!(flat_total(), round);
+            let sel = store.select(Some(2), None).unwrap();
+            assert_eq!((sel.round, sel.rejected.len()), (round, 0));
+            assert_eq!(
+                copied(&sel),
+                images.iter().cloned().map(Some).collect::<Vec<_>>()
+            );
+            for (rank, image) in images.iter().enumerate() {
+                assert_eq!(
+                    CkptImage::from(&store.load_image(round, rank).unwrap()),
+                    *image
+                );
+                store
+                    .validate(round, Some(2), Some(&[rank as u64]))
+                    .unwrap();
+                let part = store.select(Some(2), Some(&[rank as u64])).unwrap();
+                assert_eq!(copied(&part)[rank].as_ref(), Some(image));
+            }
+        }
+        // Retain the two flat-and-chunked generations: the pool holds
+        // what rank 1's recipes name and nothing of rank 0's first round.
+        let before = pool_ids(&store);
+        let out = store.gc(2).unwrap();
+        assert_eq!(out.generations, vec![0]);
+        let live: BTreeSet<ChunkId> = &recipe_ids(&store, 1) | &recipe_ids(&store, 2);
+        assert_eq!(pool_ids(&store), live);
+        assert_eq!(out.chunks.removed as usize, before.len() - live.len());
+        // The flat file rots: generation 2 is refused, 1 restores.
+        rot(&CkptImage::path_for(&generation_dir(&root, 2), 0));
+        let rej = store.validate(2, Some(2), None).unwrap_err();
+        assert_eq!(rej.code, obs::RejectCode::CorruptImage);
+        let sel = store.select(Some(2), None).unwrap();
+        assert_eq!(sel.round, 1);
+        assert_eq!(sel.rejected[0].code, obs::RejectCode::CorruptImage);
+        fs::remove_dir_all(&root).ok();
+    }
+
+    /// A round re-run into the directory a crashed flush left: the stale
+    /// flat file of a rank whose rerun lands a recipe is removed, not read
+    /// ahead of the recipe the manifest vouches for, and the rerun's
+    /// generation is the one selected.
+    #[test]
+    fn a_stale_flat_file_does_not_shadow_the_rerun_recipe() {
+        let root = tdir("stale_flat");
+        let store = Store::open(&root, chunked_cfg());
+        let mut bufs: Vec<ImageBuf> = (0..2).map(|_| ImageBuf::default()).collect();
+        land_kept(&store, &mut bufs, 0);
+        // Round 1 lands rank 0 flat, then the flush dies before the
+        // manifest.
+        kept_round(&mut bufs[0], 0, 2, 1, true);
+        store.write_encoded(&mut bufs[0]).unwrap();
+        let stale = CkptImage::path_for(&generation_dir(&root, 1), 0);
+        assert!(stale.is_file());
+        // A restart from round 0 runs round 1 again from fresh buffers,
+        // which land recipes.
+        let mut bufs: Vec<ImageBuf> = (0..2).map(|_| ImageBuf::default()).collect();
+        let (images, _) = land_kept(&store, &mut bufs, 1);
+        let sel = store.select(Some(2), None).unwrap();
+        assert_eq!((sel.round, &sel.rejected[..]), (1, &[][..]));
+        assert_eq!(
+            copied(&sel),
+            images.into_iter().map(Some).collect::<Vec<_>>()
+        );
+        assert!(!stale.exists());
+        assert!(recipe_path_for(&generation_dir(&root, 1), 0).is_file());
+        fs::remove_dir_all(&root).ok();
+    }
+
+    /// The other direction: a stale recipe of a rank whose rerun lands
+    /// flat is removed, so it neither stands beside the flat file nor
+    /// keeps its chunks alive through GC.
+    #[test]
+    fn a_stale_recipe_is_removed_when_the_rerun_lands_flat() {
+        let root = tdir("stale_recipe");
+        let store = Store::open(&root, chunked_cfg());
+        let mut bufs: Vec<ImageBuf> = (0..2).map(|_| ImageBuf::default()).collect();
+        land_kept(&store, &mut bufs, 0);
+        // A crashed flush of round 1 left rank 0's recipe of other bytes.
+        store.write_image(&slow_image(0, 2, 1)).unwrap();
+        let stale = recipe_path_for(&generation_dir(&root, 1), 0);
+        let stale_ids: BTreeSet<ChunkId> = {
+            let recipe = Recipe::from_bytes(&fs::read(&stale).unwrap()).unwrap();
+            recipe
+                .upper_chunks
+                .iter()
+                .chain(&recipe.meta_chunks)
+                .map(|c| c.id)
+                .collect()
+        };
+        let (images, _) = land_kept(&store, &mut bufs, 1);
+        assert!(!stale.exists());
+        assert!(CkptImage::path_for(&generation_dir(&root, 1), 0).is_file());
+        let sel = store.select(Some(2), None).unwrap();
+        assert_eq!((sel.round, sel.rejected.len()), (1, 0));
+        assert_eq!(
+            copied(&sel),
+            images.into_iter().map(Some).collect::<Vec<_>>()
+        );
+        store.gc(1).unwrap();
+        assert!(pool_ids(&store).is_disjoint(&stale_ids));
+        assert_eq!(pool_ids(&store), recipe_ids(&store, 1));
         fs::remove_dir_all(&root).ok();
     }
 

@@ -289,3 +289,71 @@ fn chunks_on_flat_store_is_a_noop() {
     assert!(text.contains("no chunk pool"), "{text}");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A chunked store whose generations mix layouts: rank 0 rewrites its
+/// whole state every round, so from its second round on its kept buffer
+/// lands flat beside rank 1's recipe. Restart validation and the pool
+/// walk both read it cleanly.
+#[test]
+fn verify_reads_a_chunked_store_with_flat_ranks_cleanly() {
+    use splitproc::{ImageBuf, ImageHead, UpperHalf};
+    let root = temp_store("mixed_layouts");
+    let handle = Store::open(&root, chunked_cfg());
+    let mut bufs = [ImageBuf::default(), ImageBuf::default()];
+    for round in 0..3u64 {
+        let mut entries = Vec::new();
+        for (rank, buf) in bufs.iter_mut().enumerate() {
+            let mut slab = image(rank, 2, 0).upper;
+            if rank == 0 {
+                slab.iter_mut().for_each(|b| *b ^= round as u8 + 1);
+            }
+            let mut upper = UpperHalf::new();
+            upper.write_segment("slab", slab);
+            let head = ImageHead {
+                rank,
+                world_size: 2,
+                round,
+            };
+            head.encode_into(buf, &upper, &vec![round as u8; 40]);
+            let out = handle.write_encoded(buf).unwrap();
+            entries.push(store::ManifestEntry {
+                rank: rank as u64,
+                bytes: out.bytes as u64,
+                crc: out.crc,
+            });
+        }
+        let manifest = store::Manifest {
+            round,
+            world_size: 2,
+            entries,
+        };
+        handle.commit(&manifest).unwrap();
+    }
+    handle.gc(2).unwrap();
+    for round in [1, 2] {
+        let dir = store::generation_dir(&root, round);
+        assert!(CkptImage::path_for(&dir, 0).is_file(), "round {round}");
+        assert!(handle.recipe_path(round, 1).is_file(), "round {round}");
+        assert!(!handle.recipe_path(round, 0).exists(), "round {round}");
+    }
+
+    let (code, text) = inspect(&root, &["--verify"]);
+    assert_eq!(code, 0, "{text}");
+    assert_eq!(
+        text.matches(": OK (world 2, 2 rank image(s)").count(),
+        2,
+        "{text}"
+    );
+    assert!(text.contains("restart would use generation 2"), "{text}");
+    let (code, text) = inspect(&root, &["chunks", "--verify"]);
+    assert_eq!(code, 0, "{text}");
+    assert!(text.contains("orphans: 0"), "{text}");
+    assert!(
+        text.contains("0 damaged, 0 missing, 0 bad recipe(s)"),
+        "{text}"
+    );
+    let (code, text) = inspect(&root, &["0"]);
+    assert_eq!(code, 0, "{text}");
+    assert_eq!(text.matches("segment slab").count(), 1, "{text}");
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -482,6 +482,7 @@ proptest! {
 // ---- key reuse: chunked writes from a kept buffer ---------------------------
 
 use splitproc::blobs::{BlobEntry, PutCost, PutMode};
+use splitproc::store::generation_dir;
 use splitproc::{Blobs, ImageBuf, LocalFs, Store, StoreConfig, StoreMode};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -548,17 +549,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// One rank's kept buffer written to a chunked store over any sequence
-    /// of window edits, resizes, rounds encoded but never written, writes
-    /// committed or aborted (their generation removed or, the removal
-    /// failing, left behind), restarts into a fresh buffer or into the
-    /// buffer restart reads the last committed round back into, and
-    /// foreign guides — a recipe of a round the rank skipped that carries
-    /// its last write's header, but that round, and wrong ids. After every
-    /// write every ref is the key of its bytes, and the recipe is the one
-    /// an unguided write lands.
+    /// of window edits, whole-slab rewrites, resizes, rounds encoded but
+    /// never written, writes committed or aborted (their generation removed
+    /// or, the removal failing, left behind), restarts into a fresh buffer
+    /// or into the buffer restart reads the last committed round back
+    /// into, and foreign guides — a recipe of a round the rank skipped that
+    /// carries its last write's header, but that round, and wrong ids.
+    /// After every write that lands a recipe every ref is the key of its
+    /// bytes, and the recipe is the one an unguided write lands. A write
+    /// that lands flat is the image's file and CRC, from a buffer
+    /// checksummed before whose every block was stale (every payload byte
+    /// checksummed, none keyed).
     #[test]
     fn reused_keys_are_the_keys_of_the_bytes(
-        steps in proptest::collection::vec((0u8..11, any::<u32>(), any::<u32>(), any::<u8>()), 1..14),
+        steps in proptest::collection::vec((0u8..12, any::<u32>(), any::<u32>(), any::<u8>()), 1..14),
     ) {
         let root = std::env::temp_dir()
             .join(format!("mana2_prop_key_reuse_{}", std::process::id()));
@@ -573,6 +577,9 @@ proptest! {
         upper.write_segment("slab", slab.collect());
         let mut buf = ImageBuf::default();
         let (mut round, mut last, mut committed) = (0u64, None::<Recipe>, None);
+        // Has the buffer been checksummed (written, or read back) since it
+        // was fresh?
+        let mut checksummed = false;
         for (op, a, b, v) in steps {
             let len = upper.segment("slab").map_or(0, <[u8]>::len);
             let head = ImageHead { rank: 0, world_size: 1, round };
@@ -585,8 +592,10 @@ proptest! {
                     upper.segment_mut("slab")[start..end].fill(v);
                 }
                 3 => upper.segment_mut("slab").resize(b as usize % (6 * BLOCK), v),
+                // Rewrite every byte of the slab.
+                11 => upper.segment_mut("slab").iter_mut().for_each(|x| *x ^= v | 1),
                 // A restore into an empty buffer.
-                4 => buf = ImageBuf::default(),
+                4 => (buf, checksummed) = (ImageBuf::default(), false),
                 // A restart from the last committed round: the rank's
                 // state and buffer are what restart read back, and rounds
                 // go on from the one after it.
@@ -594,7 +603,7 @@ proptest! {
                     let Some(at) = committed else { continue };
                     buf = store.load_image(at, 0).unwrap();
                     upper = UpperHalf::from_bytes(buf.sections().0).unwrap();
-                    round = at + 1;
+                    (round, checksummed) = (at + 1, true);
                 }
                 // A round encoded but never written, with (6) or without a
                 // foreign recipe in its generation.
@@ -613,11 +622,45 @@ proptest! {
                 // A write, committed (7) or aborted, its removal failing (9).
                 _ => {
                     let out = store.write_encoded(head.encode_into(&mut buf, &upper, &meta)).unwrap();
-                    let file = std::fs::read(store.recipe_path(round, 0)).unwrap();
-                    let recipe = Recipe::from_bytes(&file).unwrap();
-                    assert_keys_of(&upper.to_bytes(), &recipe.upper_chunks, params)?;
-                    assert_keys_of(&meta.to_bytes(), &recipe.meta_chunks, params)?;
-                    prop_assert_eq!(recipe.header.upper_crc, crc32(&upper.to_bytes()));
+                    let (upper_bytes, meta_bytes) = (upper.to_bytes(), meta.to_bytes());
+                    let flat = CkptImage::path_for(&generation_dir(&root, round), 0);
+                    let recipe = match std::fs::read(&flat) {
+                        Ok(file) => {
+                            let payload = upper_bytes.len() + meta_bytes.len();
+                            prop_assert!(checksummed, "a first image landed flat");
+                            prop_assert_eq!((out.crc_bytes, out.key_bytes), (payload, 0));
+                            prop_assert!(!store.recipe_path(round, 0).exists());
+                            let image = CkptImage {
+                                rank: 0,
+                                world_size: 1,
+                                round,
+                                upper: upper_bytes.clone(),
+                                meta: meta_bytes.clone(),
+                            };
+                            prop_assert_eq!((file, out.crc), image.to_bytes_with_crc());
+                            // What a recipe of this write would have been:
+                            // a later foreign guide carries its header.
+                            let header = ImageHeader {
+                                head,
+                                upper_len: upper_bytes.len(),
+                                meta_len: meta_bytes.len(),
+                                upper_crc: crc32(&upper_bytes),
+                                meta_crc: crc32(&meta_bytes),
+                            };
+                            let upper_chunks = refs_of(&upper_bytes, params);
+                            let meta_chunks = refs_of(&meta_bytes, params);
+                            Recipe { header, upper_chunks, meta_chunks }
+                        }
+                        Err(_) => {
+                            let file = std::fs::read(store.recipe_path(round, 0)).unwrap();
+                            let recipe = Recipe::from_bytes(&file).unwrap();
+                            assert_keys_of(&upper_bytes, &recipe.upper_chunks, params)?;
+                            assert_keys_of(&meta_bytes, &recipe.meta_chunks, params)?;
+                            prop_assert_eq!(recipe.header.upper_crc, crc32(&upper_bytes));
+                            recipe
+                        }
+                    };
+                    checksummed = true;
                     if op == 7 {
                         let entries = vec![ManifestEntry { rank: 0, bytes: out.bytes as u64, crc: out.crc }];
                         store.commit(&Manifest { round, world_size: 1, entries }).unwrap();
