@@ -142,13 +142,13 @@ fn fig3(env: &EnvConfig, k: &Knobs) {
     let report = under_mana(&rt, Launch::Fresh, &periodic).expect("fig3 run");
     println!("\n{ranks} ranks, {rounds} checkpoint rounds (resume mode):");
     println!(
-        "{:>6} {:>12} {:>12} {:>14}",
-        "round", "quiesce", "write", "image bytes"
+        "{:>6} {:>12} {:>12} {:>12} {:>14}",
+        "round", "quiesce", "write", "flush", "image bytes"
     );
     for r in &report.coord.rounds {
         println!(
-            "{:>6} {:>12.2?} {:>12.2?} {:>14}",
-            r.round, r.quiesce, r.write, r.total_image_bytes
+            "{:>6} {:>12.2?} {:>12.2?} {:>12.2?} {:>14}",
+            r.round, r.quiesce, r.write, r.flush, r.total_image_bytes
         );
     }
     let round_rows: Vec<String> = report
@@ -157,10 +157,11 @@ fn fig3(env: &EnvConfig, k: &Knobs) {
         .iter()
         .map(|r| {
             format!(
-                "{{\"round\":{},\"quiesce_us\":{},\"write_us\":{},\"image_bytes\":{}}}",
+                "{{\"round\":{},\"quiesce_us\":{},\"write_us\":{},\"flush_us\":{},\"image_bytes\":{}}}",
                 r.round,
                 r.quiesce.as_micros(),
                 r.write.as_micros(),
+                r.flush.as_micros(),
                 r.total_image_bytes
             )
         })

@@ -496,6 +496,21 @@ fn damaged_generation(
     Ok(leg2)
 }
 
+/// A chunked store's pool once a round after the fault has committed:
+/// its GC left nothing that a whole-pool sweep would remove.
+fn expect_pool_swept(case: &StorageCase, dir: &Path) -> Result<(), String> {
+    if case.store != splitproc::StoreMode::Chunked {
+        return Ok(());
+    }
+    let swept = splitproc::store::gc_chunks(dir).map_err(|e| format!("store: {e}"))?;
+    let removed = swept.removed;
+    ensure!(
+        removed == 0,
+        "store: a whole-pool sweep found {removed} chunks GC left behind"
+    );
+    Ok(())
+}
+
 /// Run one storage-fault scenario end to end and check the durability
 /// contract for its (kind, mode) cell:
 ///
@@ -507,6 +522,11 @@ fn damaged_generation(
 ///   round commits; restart-time validation must reject the damaged
 ///   generation, falling back to the older committed one when there is
 ///   one.
+///
+/// A chunked store's pool must end with nothing a whole-pool sweep could
+/// remove once a round after the fault has committed; a write error's
+/// cell runs one clean round more for that, so the aborted round's chunks
+/// are collected.
 ///
 /// `Ok` says what the passing cell demonstrated.
 pub fn run_storage_case(case: &StorageCase) -> Result<&'static str, CaseFailure> {
@@ -564,6 +584,17 @@ fn storage_legs(
                 store.select(Some(n), None).is_err(),
                 "store: aborted round left a selectable generation"
             );
+            if case.store == splitproc::StoreMode::Chunked {
+                let rt = runtime(n, base, wcfg(None));
+                let clean = leg("clean run", &rt, Launch::Fresh, &md)?;
+                clean.expect_finished()?;
+                let committed = clean.report.coord.rounds.len();
+                ensure!(
+                    committed == 1,
+                    "protocol: the clean run committed {committed} rounds"
+                );
+                expect_pool_swept(case, dir)?;
+            }
             return Ok("the round aborted and left nothing durable");
         }
         // Silent damage: the round commits, but restart-time validation
@@ -572,6 +603,7 @@ fn storage_legs(
             committed == 1,
             "protocol: expected 1 committed round, got {committed}"
         );
+        expect_pool_swept(case, dir)?;
         return match store.select(Some(n), None) {
             Ok(sel) => Err(format!(
                 "store: damaged generation {} passed validation",
@@ -611,6 +643,22 @@ fn storage_legs(
         leg2.expect_values(&native)?;
         let got = sel.round;
         ensure!(got == 0, "store: expected round 0 to survive, got {got}");
+        if case.store == splitproc::StoreMode::Chunked {
+            let exit_cfg = ManaConfig {
+                exit_after_ckpt: true,
+                ..base
+            };
+            let md = kernel(Workload::Gromacs, false, Some((5, 1)));
+            let leg3 = leg(
+                "clean leg 3",
+                &runtime(n, exit_cfg, wc),
+                Launch::Restart,
+                &md,
+            )?;
+            leg3.expect_restored(0)?;
+            leg3.expect_checkpointed()?;
+            expect_pool_swept(case, dir)?;
+        }
         return Ok("round 1 aborted; round 0 survived untouched");
     }
     // Round 1 committed over a damaged image and the job exited; the next
@@ -627,6 +675,7 @@ fn storage_legs(
     leg3.expect_restored(0)?;
     leg3.expect_finished()?;
     leg3.expect_values(&native)?;
+    expect_pool_swept(case, dir)?;
     Ok("round 1 committed damaged; the restart fell back to round 0")
 }
 

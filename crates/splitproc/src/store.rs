@@ -40,9 +40,11 @@
 //!
 //! This is the SCR/VeloC-style multi-level retention idea reduced to one
 //! storage tier: `retain` committed generations are kept, older ones are
-//! garbage-collected ([`Store::gc`]).
+//! garbage-collected ([`Store::gc`]) with the pool chunks only they named,
+//! found through their recipes; the whole pool is swept only where no
+//! recipe can name the garbage.
 
-use crate::blobs::PutMode;
+use crate::blobs::{BlobEntry, PutMode};
 pub use crate::blobs::{Blobs, FaultyBlobs, LocalFs, WriteFault};
 use crate::chunk::{self, ChunkId, ChunkParams, ChunkRef, Recipe};
 use crate::codec::{crc32, Format, FormatError};
@@ -53,7 +55,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -420,6 +422,9 @@ crate::wire!(Manifest {
 
 // ---- layout ----------------------------------------------------------------
 
+/// The chunk pool's directory name under a store root.
+const CHUNKS_DIR: &str = "chunks";
+
 /// Directory of generation `round` under `root`.
 pub fn generation_dir(root: &Path, round: u64) -> PathBuf {
     root.join(format!("gen_{round:05}"))
@@ -427,6 +432,12 @@ pub fn generation_dir(root: &Path, round: u64) -> PathBuf {
 
 fn parse_generation_name(name: &str) -> Option<u64> {
     name.strip_prefix("gen_")?.parse().ok()
+}
+
+/// Shard directory and file name of one pool chunk.
+fn chunk_name(id: ChunkId) -> (String, String) {
+    let hex = id.to_hex();
+    (hex[..2].to_string(), format!("{hex}.chunk"))
 }
 
 fn recipe_path_for(dir: &Path, rank: usize) -> PathBuf {
@@ -485,6 +496,11 @@ pub struct Store {
     cfg: StoreConfig,
     tel: obs::Telemetry,
     blobs: Arc<dyn Blobs>,
+    /// Must the next [`Store::gc`] sweep the whole pool? True on a new
+    /// handle; set again by what may leave chunks that no recipe names:
+    /// [`Store::abort`], a failed GC pass, a chunked write that replaces
+    /// a recipe. Shared with the handle's [`Store::for_write`] views.
+    sweep_due: Arc<AtomicBool>,
 }
 
 impl Store {
@@ -507,6 +523,7 @@ impl Store {
             cfg,
             tel,
             blobs: Arc::from(blobs),
+            sweep_due: Arc::new(AtomicBool::new(true)),
         }
     }
 
@@ -518,7 +535,10 @@ impl Store {
         if let Some(fault) = fault {
             blobs = Box::new(FaultyBlobs::new(blobs, fault, tel.clone(), round as i64));
         }
-        Store::new(&self.root, self.cfg.clone(), tel, blobs)
+        Store {
+            sweep_due: Arc::clone(&self.sweep_due),
+            ..Store::new(&self.root, self.cfg.clone(), tel, blobs)
+        }
     }
 
     /// The store root.
@@ -528,16 +548,14 @@ impl Store {
 
     /// The shared chunk pool directory.
     pub fn chunks_dir(&self) -> PathBuf {
-        self.root.join("chunks")
+        self.root.join(CHUNKS_DIR)
     }
 
     /// Pool path of one chunk: `chunks/<first-two-hex>/<64-hex>.chunk`
     /// (the shard keeps any one directory from holding the whole pool).
     pub fn chunk_path(&self, id: ChunkId) -> PathBuf {
-        let hex = id.to_hex();
-        self.chunks_dir()
-            .join(&hex[..2])
-            .join(format!("{hex}.chunk"))
+        let (shard, name) = chunk_name(id);
+        self.chunks_dir().join(shard).join(name)
     }
 
     /// Recipe file (`.cref`) of `rank` in chunked generation `round`.
@@ -559,7 +577,9 @@ impl Store {
     /// one file, as in flat mode; and the rank's file of the other layout,
     /// if one is there, is removed first (a stale one, left by a crashed
     /// flush of this round, would shadow or pin what the manifest vouches
-    /// for). Either way the rank's file is its commit point and lands
+    /// for; a recipe so replaced, or overwritten, makes the handle's next
+    /// [`Store::gc`] sweep the whole pool). Either way the rank's file is
+    /// its commit point and lands
     /// last, and the outcome reports that file's intended bytes and CRC —
     /// what the coordinator is told.
     pub fn write_encoded(&self, image: &mut ImageBuf) -> Result<WriteOutcome, StoreError> {
@@ -593,8 +613,21 @@ impl Store {
         // round can find a stale sibling that the reader would prefer to
         // the rank's new file. The commit put's directory sync makes the
         // removal durable too.
-        if self.cfg.mode == StoreMode::Chunked && self.blobs.get(&other, None).is_ok() {
-            self.blobs.remove(&other)?;
+        if self.cfg.mode == StoreMode::Chunked {
+            let stale = self.blobs.get(&other, None).is_ok();
+            // A recipe this write replaces, removed here or overwritten by
+            // the put, may have named chunks no other recipe does.
+            let replaced = if flat {
+                stale
+            } else {
+                self.blobs.get(&path, None).is_ok()
+            };
+            if replaced {
+                self.sweep_due.store(true, Ordering::Relaxed);
+            }
+            if stale {
+                self.blobs.remove(&other)?;
+            }
         }
         out.bytes = bytes.len();
         out.physical_bytes += bytes.len();
@@ -777,8 +810,11 @@ impl Store {
     }
 
     /// Remove generation `round` entirely (partial images of an aborted
-    /// round). A missing generation is fine.
+    /// round). A missing generation is fine. The chunks the round landed
+    /// are named by no recipe that survives, so the handle's next
+    /// [`Store::gc`] sweeps the whole pool.
     pub fn abort(&self, round: u64) -> io::Result<()> {
+        self.sweep_due.store(true, Ordering::Relaxed);
         match self.blobs.remove(&generation_dir(&self.root, round)) {
             Ok(()) => self.blobs.sync_dir(&self.root),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
@@ -798,8 +834,14 @@ impl Store {
 
     /// All generations, oldest first. A missing root is an empty store.
     pub fn list(&self) -> io::Result<Vec<GenInfo>> {
+        Ok(self.generations(self.blobs.list(&self.root)?))
+    }
+
+    /// The generations among `entries` — a listing of the root — oldest
+    /// first.
+    fn generations(&self, entries: Vec<BlobEntry>) -> Vec<GenInfo> {
         let mut gens = Vec::new();
-        for entry in self.blobs.list(&self.root)? {
+        for entry in entries {
             let Some(round) = parse_generation_name(&entry.name).filter(|_| entry.is_dir) else {
                 continue;
             };
@@ -811,7 +853,7 @@ impl Store {
             });
         }
         gens.sort_by_key(|g| g.round);
-        Ok(gens)
+        gens
     }
 
     /// Garbage-collect: old generations first, then the pool chunks only
@@ -819,80 +861,157 @@ impl Store {
     /// newest committed one (and a legacy journal file, once one has
     /// committed). Must not run concurrently with image writes; the
     /// coordinator runs it between rounds.
+    ///
+    /// The root is listed once. Without a pool in it, no recipe is read.
+    /// Otherwise the retired generations' recipes are read before their
+    /// directories go, and only the chunks they name are swept — a few
+    /// removals, no listing of the pool. The whole pool is swept instead
+    /// when the garbage may be named by no recipe: on the handle's first
+    /// pass (litter and orphans of a killed process or an interrupted
+    /// pass), on the first after [`Store::abort`] or after a failed pass,
+    /// after a chunked write replaced a recipe, and when a retired
+    /// generation is uncommitted or one of its recipes does not read.
     pub fn gc(&self, retain: usize) -> io::Result<GcOutcome> {
+        let gc = self.collect(retain);
+        if gc.is_err() {
+            self.sweep_due.store(true, Ordering::Relaxed);
+        }
+        gc
+    }
+
+    /// One [`Store::gc`] pass.
+    fn collect(&self, retain: usize) -> io::Result<GcOutcome> {
+        let entries = self.blobs.list(&self.root)?;
+        let pooled = (entries.iter()).any(|e| e.is_dir && e.name == CHUNKS_DIR);
+        let (retired, kept) = self.retire(self.generations(entries), retain);
+        // Taken on by this pass; `gc` sets it again if the pass fails.
+        let mut whole = pooled && self.sweep_due.swap(false, Ordering::Relaxed);
+        let mut named = BTreeSet::new();
+        if pooled {
+            for gen in &retired {
+                if whole {
+                    break;
+                }
+                let recipes = self.gen_recipes(gen.clone())?;
+                whole = !gen.committed || recipes.recipes.iter().any(|(_, r)| r.is_err());
+                named.extend(recipes.refs().map(|c| c.id));
+            }
+        }
+        let generations = self.remove_generations(&retired)?;
+        let chunks = if pooled && (whole || !named.is_empty()) {
+            let live = self.live(kept)?;
+            let shards = match whole {
+                true => self.pool_inventory()?,
+                false => self.shards_of(named.difference(&live).copied()),
+            };
+            self.sweep(&shards, &live)?
+        } else {
+            ChunkGcOutcome::default()
+        };
         Ok(GcOutcome {
-            generations: self.gc_generations(retain)?,
-            chunks: self.gc_chunks()?,
+            generations,
+            chunks,
             journal_epochs: crate::journal::gc(self.blobs.as_ref(), &self.root)?,
         })
     }
 
-    /// Keep the newest `retain` committed generations (floor 1 — GC never
-    /// deletes the only good checkpoint) and drop everything older,
-    /// stale uncommitted directories of aborted rounds included. A
+    /// Split `gens` into the ones GC retires and the ones it keeps. Kept:
+    /// the newest `retain` committed generations (floor 1 — GC never
+    /// deletes the only good checkpoint), whatever is newer, and any
     /// generation pinned by an open restart-journal epoch
-    /// ([`crate::journal::pinned_in`]) is never removed: GC must
-    /// not collect what a restart is reading. Returns the removed rounds.
-    fn gc_generations(&self, retain: usize) -> io::Result<Vec<u64>> {
-        let gens = self.list()?;
+    /// ([`crate::journal::pinned_in`]): GC must not collect what a
+    /// restart is reading. Retired: everything older, stale uncommitted
+    /// directories of aborted rounds included.
+    fn retire(&self, gens: Vec<GenInfo>, retain: usize) -> (Vec<GenInfo>, Vec<GenInfo>) {
         let committed: Vec<u64> = gens
             .iter()
             .filter(|g| g.committed)
             .map(|g| g.round)
             .collect();
         let Some(&newest) = committed.last() else {
-            return Ok(Vec::new());
+            return (Vec::new(), gens);
         };
         // Oldest committed round we keep.
         let keep_from = committed[committed.len().saturating_sub(retain.max(1))];
         let pinned = crate::journal::pinned_in(self.blobs.as_ref(), &self.root);
-        let mut removed = Vec::new();
-        for g in &gens {
+        gens.into_iter().partition(|g| {
             let stale = if g.committed {
                 g.round < keep_from
             } else {
                 g.round < newest
             };
-            if stale && !pinned.contains(&g.round) {
-                self.blobs.remove(&g.dir)?;
-                removed.push(g.round);
-            }
-        }
-        if !removed.is_empty() {
-            self.blobs.sync_dir(&self.root)?;
-        }
-        Ok(removed)
+            stale && !pinned.contains(&g.round)
+        })
     }
 
-    /// Mark-and-sweep the chunk pool: a chunk survives iff a parsed recipe
-    /// of a surviving generation ([`Store::recipes`]; journal-pinned ones
-    /// survived [`Store::gc_generations`]) references it; tmp litter goes.
-    /// A chunk landed for a recipe not yet written has no reference, which
-    /// is why GC and image writes must not overlap.
+    /// Remove the generation directories of `retired`, then sync the
+    /// root once. Returns their rounds.
+    fn remove_generations(&self, retired: &[GenInfo]) -> io::Result<Vec<u64>> {
+        for g in retired {
+            self.blobs.remove(&g.dir)?;
+        }
+        if !retired.is_empty() {
+            self.blobs.sync_dir(&self.root)?;
+        }
+        Ok(retired.iter().map(|g| g.round).collect())
+    }
+
+    /// The generation half of [`Store::gc`]: [`Store::retire`] applied.
+    fn gc_generations(&self, retain: usize) -> io::Result<Vec<u64>> {
+        let (retired, _) = self.retire(self.list()?, retain);
+        self.remove_generations(&retired)
+    }
+
+    /// Mark-and-sweep the whole chunk pool against every generation's
+    /// recipes: what [`Store::gc`] does on a handle's first pass.
     fn gc_chunks(&self) -> io::Result<ChunkGcOutcome> {
         let shards = self.pool_inventory()?;
-        let mut outcome = ChunkGcOutcome::default();
         if shards.is_empty() {
-            return Ok(outcome);
+            return Ok(ChunkGcOutcome::default());
         }
-        let gens = self.recipes()?;
-        let live: BTreeSet<ChunkId> = gens.iter().flat_map(|g| g.refs().map(|c| c.id)).collect();
+        self.sweep(&shards, &self.live(self.list()?)?)
+    }
+
+    /// GC's mark phase: every chunk a parsed recipe of `gens` names.
+    fn live(&self, gens: Vec<GenInfo>) -> io::Result<BTreeSet<ChunkId>> {
+        let mut live = BTreeSet::new();
+        for gen in gens {
+            live.extend(self.gen_recipes(gen)?.refs().map(|c| c.id));
+        }
+        Ok(live)
+    }
+
+    /// GC's one sweep, over candidates by shard — the whole pool
+    /// ([`Store::pool_inventory`]) or the chunks the retired generations'
+    /// recipes named ([`Store::shards_of`]): remove every candidate chunk
+    /// not `live`, and all tmp litter; then sync each touched shard once,
+    /// then the pool. A chunk landed for a recipe not yet written is not
+    /// live, which is why GC and image writes must not overlap.
+    fn sweep(&self, shards: &[PoolShard], live: &BTreeSet<ChunkId>) -> io::Result<ChunkGcOutcome> {
+        let mut outcome = ChunkGcOutcome::default();
         // Every removal first, then the syncs: the first commits all the
         // removals at once on a journaling filesystem, the rest are cheap.
+        // A candidate already gone is no error.
         let mut touched = Vec::new();
-        for shard in &shards {
-            let dead: Vec<&String> = shard
-                .chunks
-                .iter()
-                .filter_map(|(id, name)| (!live.contains(id)).then_some(name))
-                .collect();
-            for name in dead.iter().copied().chain(&shard.tmp) {
-                self.blobs.remove(&shard.dir.join(name))?;
+        for shard in shards {
+            let remove = |name: &String| match self.blobs.remove(&shard.dir.join(name)) {
+                Ok(()) => Ok(1),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
+                Err(e) => Err(e),
+            };
+            let (mut chunks, mut tmp) = (0, 0);
+            for (id, name) in &shard.chunks {
+                if !live.contains(id) {
+                    chunks += remove(name)?;
+                }
             }
-            if !dead.is_empty() || !shard.tmp.is_empty() {
+            for name in &shard.tmp {
+                tmp += remove(name)?;
+            }
+            if chunks + tmp > 0 {
                 touched.push(&shard.dir);
             }
-            outcome.removed += dead.len() as u64;
+            outcome.removed += chunks;
         }
         for dir in &touched {
             self.blobs.sync_dir(dir)?;
@@ -904,8 +1023,9 @@ impl Store {
     }
 
     /// The chunk pool's shard directories, their files classified by name
-    /// alone ([`PoolShard`]). GC sweeps from it on the coordinator's helper
-    /// thread every round, so it reads no chunk. No shard: no pool.
+    /// alone ([`PoolShard`]), so it reads no chunk. [`Store::gc`] sweeps
+    /// from it only when recipes cannot name the garbage; `mana2-inspect
+    /// chunks` prints from it. No shard: no pool.
     pub fn pool_inventory(&self) -> io::Result<Vec<PoolShard>> {
         let mut shards = Vec::new();
         let dirs = self.blobs.list(&self.chunks_dir())?.into_iter();
@@ -930,9 +1050,30 @@ impl Store {
         Ok(shards)
     }
 
-    /// GC's mark phase: every surviving generation ([`Store::list`],
-    /// oldest first) with each of its `.cref` files read and parsed.
+    /// The chunks `ids` by shard, named without listing anything.
+    fn shards_of(&self, ids: impl Iterator<Item = ChunkId>) -> Vec<PoolShard> {
+        let mut shards: BTreeMap<String, PoolShard> = BTreeMap::new();
+        for id in ids {
+            let (shard, name) = chunk_name(id);
+            let entry = shards.entry(shard.clone()).or_insert_with(|| PoolShard {
+                dir: self.chunks_dir().join(&shard),
+                ..PoolShard::default()
+            });
+            entry.chunks.push((id, name));
+        }
+        shards.into_values().collect()
+    }
+
+    /// Every surviving generation ([`Store::list`], oldest first) with
+    /// each of its `.cref` files read and parsed: what a whole-pool sweep
+    /// marks from.
     pub fn recipes(&self) -> io::Result<Vec<GenRecipes>> {
+        let gens = self.list()?.into_iter();
+        gens.map(|gen| self.gen_recipes(gen)).collect()
+    }
+
+    /// Generation `gen` with each of its `.cref` files read and parsed.
+    fn gen_recipes(&self, gen: GenInfo) -> io::Result<GenRecipes> {
         let read = |path: PathBuf| {
             let mut bytes = Vec::new();
             let recipe = self.blobs.get(&path, Some(&mut bytes)).and_then(|_| {
@@ -941,14 +1082,10 @@ impl Store {
             });
             (path, recipe)
         };
-        let mut out = Vec::new();
-        for gen in self.list()? {
-            let names = self.blobs.list(&gen.dir)?.into_iter().map(|e| e.name);
-            let crefs = names.filter(|name| name.ends_with(".cref"));
-            let recipes = crefs.map(|name| read(gen.dir.join(name))).collect();
-            out.push(GenRecipes { gen, recipes });
-        }
-        Ok(out)
+        let names = self.blobs.list(&gen.dir)?.into_iter().map(|e| e.name);
+        let crefs = names.filter(|name| name.ends_with(".cref"));
+        let recipes = crefs.map(|name| read(gen.dir.join(name))).collect();
+        Ok(GenRecipes { gen, recipes })
     }
 
     // ---- validation & selection --------------------------------------------
@@ -1370,12 +1507,14 @@ pub fn commit_generation(
     Store::open(root, cfg.clone()).commit(manifest)
 }
 
-/// The generation half of [`Store::gc`]. Returns the removed rounds.
+/// The generation half of [`Store::gc`], on a fresh handle. Returns the
+/// removed rounds.
 pub fn gc_generations(root: &Path, retain: usize) -> io::Result<Vec<u64>> {
     Store::open(root, StoreConfig::default()).gc_generations(retain)
 }
 
-/// The chunk-pool half of [`Store::gc`].
+/// The chunk-pool half of [`Store::gc`] as a fresh handle's first pass
+/// runs it: the whole pool swept against every generation's recipes.
 pub fn gc_chunks(root: &Path) -> io::Result<ChunkGcOutcome> {
     Store::open(root, StoreConfig::default()).gc_chunks()
 }
@@ -2706,8 +2845,9 @@ mod tests {
 
     #[test]
     fn chunk_gc_names_chunks_without_reading_them() {
-        // GC runs beside the ranks every round: it classifies the pool by
-        // name and reads recipes, never a chunk.
+        // GC runs beside the ranks every round: a whole sweep (a fresh
+        // handle's first) classifies the pool by name and reads recipes,
+        // never a chunk.
         let root = tdir("chunk_gc_reads");
         let cfg = chunked_cfg();
         for round in 0..3u64 {
@@ -2715,13 +2855,18 @@ mod tests {
         }
         let gets = std::sync::Arc::default();
         let blobs = Box::new(RecordGets(std::sync::Arc::clone(&gets)));
-        let store = Store::new(&root, cfg, obs::Telemetry::off(), blobs);
-        assert!(store.gc(1).unwrap().chunks.removed > 0);
-        let gets = gets.lock().unwrap();
-        assert!(gets
-            .iter()
-            .any(|p| p.extension().is_some_and(|x| x == "cref")));
-        assert!(!gets.iter().any(|p| p.starts_with(store.chunks_dir())));
+        let store = Store::new(&root, cfg.clone(), obs::Telemetry::off(), blobs);
+        // The first pass sweeps the whole pool, the next the chunks the
+        // retired recipes named.
+        for round in 3..5u64 {
+            assert!(store.gc(1).unwrap().chunks.removed > 0);
+            let gets = std::mem::take(&mut *gets.lock().unwrap());
+            assert!(gets
+                .iter()
+                .any(|p| p.extension().is_some_and(|x| x == "cref")));
+            assert!(!gets.iter().any(|p| p.starts_with(store.chunks_dir())));
+            commit_round_with(&root, 2, round, &cfg, &[]);
+        }
         fs::remove_dir_all(&root).ok();
     }
 
