@@ -354,45 +354,18 @@ impl ScheduleRun {
 /// [`crate::determinism_token`] — which *excludes* everything that
 /// legitimately varies with scheduling — this keeps the schedule-sensitive
 /// payload (net traffic order, drain sweeps and captures, intent landing
-/// positions) and drops only wall-clock noise (timestamps, per-stage store
-/// timings) and the global `seq` counter (an artifact of ring merge
-/// order). Two runs with equal token rings made the same observable moves
-/// in the same per-actor order.
+/// positions) and drops only the timestamp, the global `seq` counter (an
+/// artifact of ring merge order) and the payload fields the event's
+/// declaration marks `@no_token` (per-stage store timings, a journal
+/// append's `fresh`). Two runs with equal token rings made the same
+/// observable moves in the same per-actor order.
 pub fn interleaving_token(ev: &obs::TraceEvent) -> String {
-    use obs::EventKind;
-    let mut s = format!("{}:{}", ev.round, ev.kind.name());
-    match &ev.kind {
-        EventKind::Begin(p) | EventKind::End(p) => {
-            s.push_str(&format!(":{}", p.name()));
-            if let obs::Phase::Drain { sweep } = p {
-                s.push_str(&format!(":{sweep}"));
-            }
+    let mut s = ev.round.to_string();
+    ev.kind.fields(|_, value, in_token| {
+        if in_token {
+            s.push_str(&format!(":{value}"));
         }
-        EventKind::BarrierArrive { gid, coll_seq } => s.push_str(&format!(":{gid}:{coll_seq}")),
-        EventKind::StoreAttempt { attempt, ok, .. } => s.push_str(&format!(":{attempt}:{ok}")),
-        EventKind::StoreWrite {
-            bytes,
-            retries,
-            crc,
-        } => s.push_str(&format!(":{bytes}:{retries}:{crc}")),
-        EventKind::StoreFault { fault } => s.push_str(&format!(":{}", fault.name())),
-        EventKind::FlushRank { rank } => s.push_str(&format!(":{rank}")),
-        EventKind::StoreGcFailed => {}
-        EventKind::NetSend { dst, bytes, user } => s.push_str(&format!(":{dst}:{bytes}:{user}")),
-        EventKind::NetMatch { src, bytes } => s.push_str(&format!(":{src}:{bytes}")),
-        EventKind::NetHold { src, reorder } => s.push_str(&format!(":{src}:{reorder}")),
-        EventKind::DrainCapture { src, bytes } => s.push_str(&format!(":{src}:{bytes}")),
-        EventKind::DrainSchedule {
-            order,
-            edges,
-            cyclic,
-        } => s.push_str(&format!(":{order}:{edges}:{cyclic}")),
-        EventKind::FaultFired { fault } => s.push_str(&format!(":{}", fault.name())),
-        EventKind::RestartSkip { gen, code } => s.push_str(&format!(":{gen}:{}", code.name())),
-        EventKind::JournalAppend {
-            epoch, step, rank, ..
-        } => s.push_str(&format!(":{epoch}:{}:{rank}", step.name())),
-    }
+    });
     s
 }
 

@@ -5,7 +5,7 @@
 //! render a committed fixture dump and compare byte-for-byte.
 
 use crate::dump::DumpMeta;
-use crate::event::{EventKind, Phase, TraceEvent, COORD_ACTOR};
+use crate::event::{EventKind, Field, Phase, TraceEvent, COORD_ACTOR};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -81,7 +81,7 @@ fn phase_table(spans: &[Span], out: &mut String) {
     let mut rounds: Vec<i64> = agg.keys().map(|(r, _)| *r).collect();
     rounds.dedup();
     for round in rounds {
-        for (_, phase) in Phase::NAMES {
+        for phase in Phase::VARIANTS.iter().map(|v| v.name) {
             if let Some((n, total, max)) = agg.get(&(round, phase)) {
                 let _ = writeln!(
                     out,

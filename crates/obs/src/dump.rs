@@ -95,9 +95,27 @@ impl JsonlHeader {
 /// schema's own fields), and every record line as `(line number, value)`.
 pub(crate) type Artifact = (JsonlHeader, Json, Vec<(usize, Json)>);
 
+/// The header field `key` of `hv` as `read` takes it, `None` when the
+/// header has no such field. A present value `read` refuses is an error
+/// naming the field and what it should be (`want`), never a default.
+fn header_field<'a, T>(
+    hv: &'a Json,
+    key: &str,
+    want: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match hv.get(key) {
+        None => Ok(None),
+        Some(v) => read(v)
+            .map(Some)
+            .ok_or_else(|| format!("header {key:?} is not {want}")),
+    }
+}
+
 /// Read a `schema` artifact. An absent label, rank count, seed or config
-/// reads as empty, 0, `None` and empty; a present `config` must be an
-/// object of strings; blank lines are skipped.
+/// reads as empty, 0, `None` and empty, and so does a `null` seed; a
+/// present one of the wrong type is an error naming it (`config` must be
+/// an object of strings); blank lines are skipped.
 pub(crate) fn read_jsonl(text: &str, schema: &str) -> Result<Artifact, String> {
     let mut lines = text
         .lines()
@@ -123,14 +141,19 @@ pub(crate) fn read_jsonl(text: &str, schema: &str) -> Result<Artifact, String> {
             .collect::<Result<_, _>>()?,
         Some(_) => return Err("header \"config\" is not an object".to_string()),
     };
+    let seed = |v: &Json| match v {
+        Json::Null => Some(None),
+        v => v.as_u64().map(Some),
+    };
     let head = JsonlHeader {
-        label: hv
-            .get("label")
-            .and_then(Json::as_str)
+        label: header_field(&hv, "label", "a string", Json::as_str)?
             .unwrap_or("")
             .to_string(),
-        ranks: hv.get("ranks").and_then(Json::as_u64).unwrap_or(0) as usize,
-        seed: hv.get("seed").and_then(Json::as_u64),
+        ranks: header_field(&hv, "ranks", "a non-negative integer", |v| {
+            usize::try_from(v.as_u64()?).ok()
+        })?
+        .unwrap_or(0),
+        seed: header_field(&hv, "seed", "a non-negative integer or null", seed)?.flatten(),
         config: ConfigRecord(config),
     };
     let records = lines
@@ -193,23 +216,27 @@ pub fn events_to_jsonl(meta: &DumpMeta, events: &[TraceEvent]) -> String {
 /// Parse a JSONL dump back into its header and events.
 pub fn parse_jsonl(text: &str) -> Result<(DumpMeta, Vec<TraceEvent>), String> {
     let (head, hv, records) = read_jsonl(text, SCHEMA)?;
+    let rank_error = |it: &Json| {
+        let rank = usize::try_from(it.get("rank")?.as_u64()?).ok()?;
+        Some((rank, it.get("error")?.as_str()?.to_string()))
+    };
     let meta = DumpMeta {
         head,
-        dropped: hv.get("dropped").and_then(Json::as_u64).unwrap_or(0),
-        dropped_by_ring: match hv.get("dropped_by_ring") {
-            Some(Json::Arr(items)) => items.iter().filter_map(Json::as_u64).collect(),
-            _ => Vec::new(),
-        },
-        rank_errors: match hv.get("rank_errors") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .filter_map(|it| {
-                    let rank = it.get("rank").and_then(Json::as_u64)? as usize;
-                    Some((rank, it.get("error").and_then(Json::as_str)?.to_string()))
-                })
-                .collect(),
-            _ => Vec::new(),
-        },
+        dropped: header_field(&hv, "dropped", "a non-negative integer", Json::as_u64)?.unwrap_or(0),
+        dropped_by_ring: header_field(
+            &hv,
+            "dropped_by_ring",
+            "an array of non-negative integers",
+            |v| v.as_array()?.iter().map(Json::as_u64).collect(),
+        )?
+        .unwrap_or_default(),
+        rank_errors: header_field(
+            &hv,
+            "rank_errors",
+            "an array of {\"rank\",\"error\"} objects",
+            |v| v.as_array()?.iter().map(rank_error).collect(),
+        )?
+        .unwrap_or_default(),
     };
     let events = records
         .iter()
@@ -545,6 +572,105 @@ mod tests {
         assert!(err.contains("not a string"), "{err}");
         let err = parse_jsonl(&format!("{head}[]}}\n")).unwrap_err();
         assert!(err.contains("not an object"), "{err}");
+    }
+
+    /// A dump header in the writer's field order, with `key`'s value
+    /// replaced by `value` (or left out when `value` is `None`), and one
+    /// event after it.
+    fn header_with(key: &str, value: Option<&str>) -> String {
+        let fields = [
+            ("label", "\"h\""),
+            ("ranks", "2"),
+            ("seed", "3"),
+            ("dropped", "1"),
+            ("dropped_by_ring", "[0,1,0]"),
+            ("config", "{\"drain\":\"alltoall\"}"),
+            ("rank_errors", "[{\"rank\":1,\"error\":\"gone\"}]"),
+        ];
+        let body: Vec<String> = fields
+            .iter()
+            .filter_map(|&(k, v)| {
+                let v = if k == key { value? } else { v };
+                Some(format!("\"{k}\":{v}"))
+            })
+            .collect();
+        format!(
+            "{{\"schema\":\"mana2-trace/1\",{}}}\n{}\n",
+            body.join(","),
+            r#"{"ts":1,"actor":0,"seq":0,"round":0,"ev":"store_gc_failed"}"#
+        )
+    }
+
+    #[test]
+    fn a_header_field_of_the_wrong_type_is_refused_by_name() {
+        let (meta, _) = parse_jsonl(&header_with("", None)).unwrap();
+        assert_eq!(
+            meta,
+            DumpMeta {
+                head: JsonlHeader {
+                    label: "h".into(),
+                    ranks: 2,
+                    seed: Some(3),
+                    config: ConfigRecord::new([("drain", "alltoall")]),
+                },
+                dropped: 1,
+                dropped_by_ring: vec![0, 1, 0],
+                rank_errors: vec![(1, "gone".into())],
+            }
+        );
+        crate::analyze::check(&header_with("", None)).unwrap();
+        for (key, value) in [
+            ("label", "7"),
+            ("ranks", "-1"),
+            ("ranks", "\"2\""),
+            ("seed", "\"3\""),
+            ("seed", "-3"),
+            ("dropped", "true"),
+            ("dropped", "1.5"),
+            ("dropped_by_ring", "[1,\"x\",3]"),
+            ("dropped_by_ring", "3"),
+            ("rank_errors", "[{\"rank\":1}]"),
+            ("rank_errors", "[{\"rank\":-1,\"error\":\"e\"}]"),
+            ("rank_errors", "{}"),
+        ] {
+            let hostile = header_with(key, Some(value));
+            let errors = [
+                parse_jsonl(&hostile).unwrap_err(),
+                crate::analyze::check(&hostile).unwrap_err(),
+            ];
+            for err in errors {
+                assert!(
+                    err.starts_with(&format!("header \"{key}\" is not ")),
+                    "{key}:{value}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_absent_header_field_or_a_null_seed_reads_as_its_default() {
+        for key in [
+            "label",
+            "ranks",
+            "seed",
+            "dropped",
+            "dropped_by_ring",
+            "rank_errors",
+        ] {
+            let (meta, events) = parse_jsonl(&header_with(key, None)).unwrap();
+            assert_eq!(events.len(), 1);
+            let want = match key {
+                "label" => meta.label.is_empty(),
+                "ranks" => meta.ranks == 0,
+                "seed" => meta.seed.is_none(),
+                "dropped" => meta.dropped == 0,
+                "dropped_by_ring" => meta.dropped_by_ring.is_empty(),
+                _ => meta.rank_errors.is_empty(),
+            };
+            assert!(want, "{key}: {meta:?}");
+        }
+        let (meta, _) = parse_jsonl(&header_with("seed", Some("null"))).unwrap();
+        assert_eq!(meta.seed, None);
     }
 
     #[test]

@@ -63,6 +63,14 @@ impl Json {
         }
     }
 
+    /// Value as a slice of items, if it is an array.
+    pub fn as_array(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
     /// Value as `bool`, if it is a boolean.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

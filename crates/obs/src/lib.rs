@@ -9,14 +9,16 @@
 //!   capacity, overwrite-oldest, zero allocation on the hot path after
 //!   setup;
 //! * one recording handle per actor ([`Telemetry`]) with a **span API**
-//!   over the checkpoint phases ([`Phase`]): `Intent`, `TpcBarrier`,
-//!   `EmuCollective`, `Drain { sweep }`, `ImageWrite`,
-//!   `Commit`/`AbortRound`, `Flush`, `RestartValidate`, `RestoreComms`
-//!   — a span emits the `Begin`/`End` pair, feeds the phase's latency
-//!   histogram in the [`metrics`] plane and returns the duration;
+//!   over the checkpoint phases ([`Phase`]: intent, drain exchange and
+//!   sweeps, image write, commit, flush, restart validation, journal
+//!   replay, …) — a span emits the `Begin`/`End` pair, feeds the phase's
+//!   latency histogram in the [`metrics`] plane and returns the duration;
 //! * point events ([`EventKind`]) for network sends/matches, drain
-//!   captures, store write attempts (per-attempt write/fsync/rename
-//!   timings), retries, and injected faults;
+//!   captures and schedules, store write attempts (per-attempt
+//!   write/fsync/rename timings), retries, injected faults, and restart
+//!   skips and journal appends — each enum of the schema declared once,
+//!   its names, fields, writer, reader and visitor ([`Field`]) derived
+//!   from that declaration;
 //! * a monotonic [`Clock`] trait — [`WallClock`] under benches,
 //!   [`TestClock`] for deterministic traces under test;
 //! * a **flight recorder** ([`flight_record`]): merge every ring into one
@@ -61,8 +63,8 @@ pub use dump::{
     DumpMeta, FlightDump, JsonlHeader, SCHEMA,
 };
 pub use event::{
-    EventKind, FaultKind, InjectedFault, Phase, RejectCode, RestartStep, TraceEvent, COORD_ACTOR,
-    NO_ROUND,
+    EventKind, FaultKind, Field, FieldDecl, InjectedFault, Phase, RejectCode, RestartStep,
+    TraceEvent, Value, VariantDecl, COORD_ACTOR, NO_ROUND,
 };
 pub use ring::Ring;
 pub use sink::TraceSink;

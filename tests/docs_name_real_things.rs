@@ -18,9 +18,15 @@
 //!   `x`", "tests `x`, `y`", "`x` test").
 //!
 //! A failure names `doc:line` and what is missing.
+//!
+//! DESIGN §8's event table and phase list must also state the trace
+//! schema as `obs` declares it: the same `ev` names in declaration order,
+//! each with its payload field names and every value of a named field,
+//! and the same phases in report order.
 
 use mana2::mana_core::obs::json::{self, Json};
 use mana2::mana_core::obs::metrics::standard_defs;
+use mana2::mana_core::obs::{EventKind, Field, FieldDecl, Phase};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
@@ -482,6 +488,145 @@ fn each_class_of_missing_name_is_caught() {
         assert!(
             found.len() == 1 && found[0].contains(what),
             "{doc:?}: {found:?}"
+        );
+    }
+}
+
+/// The backticked spans of `text` outside parentheses, each with the spans
+/// of the parenthesized text after it (`` `fault` (`torn`/`bit_flip`) ``).
+fn spans_with_values(text: &str) -> Vec<(String, Vec<String>)> {
+    let mut out: Vec<(String, Vec<String>)> = Vec::new();
+    let mut depth = 0i32;
+    for (i, part) in text.split('`').enumerate() {
+        if i % 2 == 0 {
+            depth += part.matches('(').count() as i32 - part.matches(')').count() as i32;
+        } else if depth == 0 {
+            out.push((part.to_string(), Vec::new()));
+        } else if let Some((_, values)) = out.last_mut() {
+            values.push(part.to_string());
+        }
+    }
+    out
+}
+
+/// Every key a line of these fields may carry, in order: each field's, then
+/// those of its variants' own fields (`phase`, then `sweep`).
+fn declared_keys(fields: &[FieldDecl], out: &mut Vec<&'static str>) {
+    for field in fields {
+        out.push(field.key);
+        let mut nested = Vec::new();
+        for variant in field.variants {
+            declared_keys(variant.fields, &mut nested);
+        }
+        for key in nested {
+            if !out.contains(&key) {
+                out.push(key);
+            }
+        }
+    }
+}
+
+/// Where DESIGN §8's event table and phase list differ from the schema
+/// `obs` declares.
+fn check_event_schema(design: &str) -> Vec<String> {
+    let mut bad = Vec::new();
+    let at = design
+        .find("**Event schema**")
+        .expect("DESIGN §8 has the event schema");
+    let section = &design[at..];
+    let rows = section
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .skip(2);
+    let mut listed = Vec::new();
+    for row in rows {
+        let cells: Vec<&str> = row.split('|').collect();
+        let payload = spans_with_values(cells[2]);
+        for (ev, _) in spans_with_values(cells[1]) {
+            let Some(decl) = EventKind::VARIANTS.iter().find(|v| v.name == ev) else {
+                bad.push(format!("event table: `{ev}` is not a declared event kind"));
+                continue;
+            };
+            let mut want = Vec::new();
+            declared_keys(decl.fields, &mut want);
+            let got: Vec<&str> = payload.iter().map(|(key, _)| key.as_str()).collect();
+            if got != want {
+                bad.push(format!(
+                    "event table: `{ev}` lists {got:?}, declared {want:?}"
+                ));
+            }
+            // A named field lists its values; the phases have their own list.
+            for field in decl.fields.iter().filter(|f| !f.variants.is_empty()) {
+                let names: Vec<&str> = field.variants.iter().map(|v| v.name).collect();
+                let values = payload.iter().find(|(key, _)| key == field.key);
+                let values: Vec<&str> = values.map_or(Vec::new(), |(_, vs)| {
+                    vs.iter().map(String::as_str).collect()
+                });
+                if field.key != "phase" && values != names {
+                    bad.push(format!(
+                        "event table: `{ev}`'s `{}` lists {values:?}, declared {names:?}",
+                        field.key
+                    ));
+                }
+            }
+            listed.push(ev);
+        }
+    }
+    let declared: Vec<&str> = EventKind::VARIANTS.iter().map(|v| v.name).collect();
+    if listed != declared {
+        bad.push(format!(
+            "event table lists {listed:?}, declared {declared:?}"
+        ));
+    }
+    let phases = section.find("\nPhases").map(|p| &section[p..]);
+    let sentence = phases.map_or("", |p| &p[..p.find(". ").unwrap_or(p.len())]);
+    let listed: Vec<String> = spans_with_values(sentence)
+        .into_iter()
+        .map(|s| s.0)
+        .collect();
+    let declared: Vec<&str> = Phase::VARIANTS.iter().map(|v| v.name).collect();
+    if listed != declared {
+        bad.push(format!(
+            "phase list names {listed:?}, declared {declared:?}"
+        ));
+    }
+    bad
+}
+
+#[test]
+fn design_states_the_declared_trace_schema() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let bad = check_event_schema(&design);
+    assert!(
+        bad.is_empty(),
+        "DESIGN §8 drifted from obs's declaration:\n{}",
+        bad.join("\n")
+    );
+    for (from, to, what) in [
+        (
+            "| `drain_schedule` | `order`, `edges`, `cyclic` ",
+            "| `drain_schedule` | `order`, `edges` ",
+            "`drain_schedule` lists",
+        ),
+        (
+            "`trigger`/`restart_kill`",
+            "`trigger`",
+            "`fault_fired`'s `fault` lists",
+        ),
+        (
+            "`restore_comms`, `journal_replay`.",
+            "`restore_comms`.",
+            "phase list",
+        ),
+        ("| `net_hold` ", "| `net_held` ", "`net_held` is not"),
+    ] {
+        assert!(design.contains(from), "{from:?}");
+        let found = check_event_schema(&design.replacen(from, to, 1));
+        assert!(
+            found.iter().any(|b| b.contains(what)),
+            "{from:?}: {found:?}"
         );
     }
 }
