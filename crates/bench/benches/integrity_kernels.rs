@@ -31,8 +31,12 @@
 //!   only the blocks that changed — here none, as in a round that rewrote
 //!   nothing;
 //! * `image_encode_into_edit` — the same with a different 2 % window of
-//!   the 2 MiB section rewritten before each iteration, which is what a
-//!   `narrow_flat` round does.
+//!   the 2 MiB section rewritten through `segment_mut` before each
+//!   iteration: the freeze's compare path, which compares every block;
+//! * `image_encode_saved_edit` — the same edit arriving as a save
+//!   (`UpperHalf::write_segment`, untimed: its compare is application
+//!   time), then the rank's tracked freeze, which skips the windows no save
+//!   changed: what a `narrow_flat` round's freeze does.
 //!
 //! `crc32_combine` is reported as time per call, at 1 KiB and 2 MiB: it is
 //! what the whole-file CRC costs now that no pass is made for it.
@@ -47,7 +51,11 @@
 //! and `image_encode_into` at least `image_to_bytes`' rate and
 //! `image_encode_into_edit` at least 2 × it — the rank's path is one
 //! compare-or-copy pass and the seal checksums only the changed blocks, so
-//! below that the block table is being missed; and `chunk_payload_guided`
+//! below that the block table is being missed; and `image_encode_saved_edit`
+//! at least 3 × `image_encode_into_edit` (3.6–4.4 × in four runs on a
+//! 2-vCPU host: ≈ 50–70 µs against ≈ 195–260 µs) — the tracked freeze
+//! compares only the one or two windows the save changed, so below that
+//! it is comparing clean windows again; and `chunk_payload_guided`
 //! at least
 //! 2.5 × `chunk_payload` — a guided pass gear-hashes only the changed
 //! chunks, below that the guide is being missed; and
@@ -56,7 +64,7 @@
 //! bytes the guided pass keys, so below that the clean blocks are being
 //! keyed again.
 
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use splitproc::{
     chunk, crc32, crc32_combine, ChunkParams, CkptImage, Decode, Encode, ImageBuf, UpperHalf,
 };
@@ -177,6 +185,33 @@ fn bench(c: &mut Criterion) {
                 .seal()
                 .1
         })
+    });
+    // The same edits as saves: the application's copy of the segment, a
+    // window rewritten, saved back (untimed); then the tracked freeze. The
+    // untimed warm-up call is the first tracked freeze, which turns the
+    // tracking on.
+    let upper = std::cell::RefCell::new(upper);
+    g.bench_function("image_encode_saved_edit", |b| {
+        b.iter_batched(
+            || {
+                let at = next % 50 * window;
+                next += 7;
+                let mut upper = upper.borrow_mut();
+                let mut saved = upper.segment("state").unwrap_or_default().to_vec();
+                for byte in &mut saved[at..at + window] {
+                    *byte ^= 0x5a;
+                }
+                upper.write_segment("state", saved);
+            },
+            |()| {
+                let head = image.head();
+                let mut upper = upper.borrow_mut();
+                head.encode_into(&mut kept, black_box(&mut *upper), &meta)
+                    .seal()
+                    .1
+            },
+            BatchSize::LargeInput,
+        )
     });
     g.finish();
 

@@ -174,7 +174,7 @@ impl<'p> Mana<'p> {
             wins,
         };
         let mut buf = self.coord.image_buf();
-        head.encode_into(&mut buf, &self.upper, &meta);
+        head.encode_into(&mut buf, &mut self.upper, &meta);
         self.drain_buf = meta.drain_buf;
         self.stats.ckpts += 1;
         self.tel.end(freeze);

@@ -802,11 +802,18 @@ impl MetricsSnapshot {
                         };
                         buckets.push((lb, n));
                     }
+                    // Absent reads as 0; present, it must be a u64.
+                    let field = |key: &str| match it.get(key) {
+                        None => Ok(0),
+                        Some(v) => v
+                            .as_u64()
+                            .ok_or_else(|| format!("metric {name:?}: \"{key}\" is not a u64")),
+                    };
                     MetricValue::Hist(HistSnapshot {
-                        count: it.get("count").and_then(Json::as_u64).unwrap_or(0),
-                        sum: it.get("sum").and_then(Json::as_u64).unwrap_or(0),
-                        min: it.get("min").and_then(Json::as_u64).unwrap_or(0),
-                        max: it.get("max").and_then(Json::as_u64).unwrap_or(0),
+                        count: field("count")?,
+                        sum: field("sum")?,
+                        min: field("min")?,
+                        max: field("max")?,
                         buckets,
                     })
                 }
@@ -1177,6 +1184,36 @@ mod tests {
         let v = crate::json::parse(&line).unwrap();
         let back = MetricsSnapshot::from_json(&v).unwrap();
         assert_eq!(snap, back);
+    }
+
+    #[test]
+    fn a_histogram_field_of_the_wrong_type_is_an_error() {
+        let reg = MetricsRegistry::deterministic(1);
+        reg.observe(0, STORE_WRITE_NS, 4567);
+        let line = reg.snapshot().to_json_line();
+        // `key`'s value in the `mana2_store_write_ns` entry replaced by
+        // `value`, the old one kept under another key.
+        let edit = |key: &str, value: &str| {
+            let at = line.find("\"name\":\"mana2_store_write_ns\"").unwrap();
+            let (head, tail) = line.split_at(at);
+            let key = format!("\"{key}\":");
+            let tail = tail.replacen(&key, &format!("{key}{value},\"was\":"), 1);
+            crate::json::parse(&format!("{head}{tail}")).unwrap()
+        };
+        for key in ["count", "sum", "min", "max"] {
+            for bad in ["\"oops\"", "-1", "1.5", "null", "[1]"] {
+                let err = MetricsSnapshot::from_json(&edit(key, bad)).unwrap_err();
+                let want = format!("metric \"mana2_store_write_ns\": \"{key}\" is not a u64");
+                assert!(err.contains(&want), "{key}={bad}: {err}");
+            }
+        }
+        // The same field absent still reads as 0.
+        let at = line.find("\"name\":\"mana2_store_write_ns\"").unwrap();
+        let (head, tail) = line.split_at(at);
+        let absent = format!("{head}{}", tail.replacen("\"sum\":", "\"was\":", 1));
+        let snap = MetricsSnapshot::from_json(&crate::json::parse(&absent).unwrap()).unwrap();
+        assert_eq!(snap.hist("mana2_store_write_ns").unwrap().sum, 0);
+        assert_eq!(snap.hist("mana2_store_write_ns").unwrap().count, 1);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //!
 //! The build container has no crates.io access, so the workspace vendors
 //! the API subset its one bench (`integrity_kernels`) uses: `Criterion`,
-//! `benchmark_group`, `bench_function`, `Throughput`, and the
+//! `benchmark_group`, `bench_function`, `Throughput`, `Bencher::iter`,
+//! `Bencher::iter_batched` with `BatchSize`, and the
 //! `criterion_group!` / `criterion_main!` macros.
 //! Measurement is a simple wall-clock mean over `sample_size` iterations
 //! printed as plain text (plus MB/s when a group declares its
@@ -85,6 +86,18 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
+/// How many inputs `Bencher::iter_batched` sets up at a time. Accepted for
+/// criterion compatibility; this harness sets up one input per iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// Inputs that are cheap to hold many of.
+    SmallInput,
+    /// Inputs too large to hold many of.
+    LargeInput,
+    /// One input per iteration.
+    PerIteration,
+}
+
 /// Timing harness handed to benchmark closures.
 pub struct Bencher {
     samples: usize,
@@ -105,6 +118,24 @@ impl Bencher {
             black_box(f());
         }
         self.total += start.elapsed();
+        self.iters += self.samples as u64;
+    }
+
+    /// Time `samples` calls of `routine`, each on a fresh input from
+    /// `setup`, which is not timed.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        // One untimed call to warm caches and lazy state.
+        black_box(routine(setup()));
+        for _ in 0..self.samples {
+            let input = setup();
+            let start = Instant::now();
+            black_box(routine(input));
+            self.total += start.elapsed();
+        }
         self.iters += self.samples as u64;
     }
 }
@@ -153,4 +184,28 @@ macro_rules! criterion_main {
             $($group();)+
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn iter_batched_hands_each_call_its_own_input_and_times_only_the_routine() {
+        let mut b = Bencher {
+            samples: 3,
+            total: Duration::ZERO,
+            iters: 0,
+        };
+        let (mut made, mut seen) = (0, Vec::new());
+        let setup = || {
+            made += 1;
+            std::thread::sleep(Duration::from_millis(20));
+            made
+        };
+        b.iter_batched(setup, |input| seen.push(input), BatchSize::PerIteration);
+        assert_eq!(seen, [1, 2, 3, 4], "a warm-up call, then the samples");
+        assert_eq!(b.iters, 3);
+        assert!(b.total < Duration::from_millis(20), "{:?}", b.total);
+    }
 }

@@ -4,9 +4,9 @@
 //! A flat image file is an [`ImageHeader`] behind the [`IMAGE`] prefix
 //! (magic `MANA2CKP`, version 2), written and read through the codec,
 //! then the two sections the header measures: the serialized
-//! [`UpperHalf`] (application memory) and the serialized MANA metadata
-//! (virtual-ID tables, active communicators, pending requests, drain
-//! buffers). A chunked generation's recipe opens with the same header.
+//! [`UpperHalf`](crate::UpperHalf) (application memory) and the
+//! serialized MANA metadata (virtual-ID tables, active communicators,
+//! pending requests, drain buffers). A chunked generation's recipe opens with the same header.
 //! The file has no trailer: the section CRCs vouch for the sections and
 //! the manifest's whole-file CRC for the rest (DESIGN §7, "Files on
 //! disk").
@@ -27,12 +27,21 @@
 //! is trusted only while it was computed from the bytes the block holds
 //! now, and nothing but the writer can change those bytes: the buffer
 //! hands out no `&mut` to them, and [`ImageHead::encode_into`] writes the
-//! new upper section over the previous one, comparing block by block and
-//! copying — and marking stale — only the blocks whose bytes differ. A
-//! block whose extent changes (the section now ends inside it, or ended
-//! inside it before) is stale too. Sealing checksums the stale blocks alone and joins
-//! all block CRCs into the section's ([`crc32_combine`]), so a round that
-//! rewrote 2 % of a 2 MiB image checksums about that much, and a table
+//! new upper section over the previous one, copying — and marking stale —
+//! only the blocks whose bytes differ. It finds them by comparing block by
+//! block, except where the upper half vouches for them: a rank's tracked
+//! freeze (the upper half lent as `&mut`) skips the 64 KiB windows no save
+//! changed since that upper half's previous freeze, when the buffer's
+//! stamp says that freeze wrote it and the segments' names and lengths are
+//! as it wrote them ([`UpperHalf`](crate::UpperHalf)'s doc says what makes
+//! a segment unknown and what the tracking costs). A skipped window holds
+//! the bytes the compare would have found, so the image and its stale
+//! blocks are what the compare gives; a debug build makes the compare
+//! anyway and asserts it. A block whose extent changes (the section now
+//! ends inside it, or ended inside it before) is stale too. Sealing
+//! checksums the stale blocks alone and joins all block CRCs into the
+//! section's ([`crc32_combine`]), so a round that rewrote 2 % of a 2 MiB
+//! image checksums about that much, and a table
 //! that is empty — a rank's first round, a restored rank, a decoded
 //! image's fresh buffer — is checksummed in full. The metadata section has
 //! no table: it is encoded afresh every round (it holds the drain buffers
@@ -46,7 +55,8 @@
 //! none of whose blocks were fresh as one flat file (`ImageBuf::rewritten`).
 
 use crate::codec::{crc32, crc32_combine, CrcShift, Decode, Encode, Format, FormatError, Reader};
-use crate::UpperHalf;
+use crate::upperhalf::Stamp;
+use crate::UpperRef;
 use std::fmt;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -121,15 +131,18 @@ impl ImageHead {
     /// section is compared block by block as it is written — one pass,
     /// which costs what the plain copy did — and only the blocks whose
     /// bytes differ are copied and marked stale; the metadata section is
-    /// encoded afresh. The buffer records `self` for the header, which
-    /// [`ImageBuf::seal`] writes.
+    /// encoded afresh. An upper half lent as `&mut` is a rank's tracked
+    /// freeze: where the buffer holds its previous freeze's image, the
+    /// windows no save changed since are skipped, not compared (see the
+    /// module doc). The buffer records `self` for the header, which
+    /// [`ImageBuf::seal`] writes, and which freeze, if any, wrote it.
     ///
     /// The buffer never keeps more than twice what it holds: an image that
     /// fills less than half the capacity shrinks the buffer to fit.
-    pub fn encode_into<'a>(
+    pub fn encode_into<'a, 'u>(
         self,
         buf: &'a mut ImageBuf,
-        upper: &UpperHalf,
+        upper: impl Into<UpperRef<'u>>,
         meta: &impl Encode,
     ) -> &'a mut ImageBuf {
         let bytes = &mut buf.bytes;
@@ -143,7 +156,7 @@ impl ImageHead {
             buf: bytes,
             table: Some(&mut buf.blocks),
         };
-        upper.write(&mut w);
+        buf.written_by = upper.into().write(&mut w, buf.written_by);
         let end = w.at;
         buf.upper_len = end - HEADER_LEN;
         buf.blocks.refit(buf.upper_len);
@@ -217,6 +230,7 @@ crate::wire!(ImageHeader {
 /// [`ImageBuf::seal`] the header; everyone else reads. The store's write
 /// routine takes this shape and its reader returns it.
 #[derive(Default)]
+#[cfg_attr(test, derive(Clone))]
 pub struct ImageBuf {
     bytes: Vec<u8>,
     head: ImageHead,
@@ -227,6 +241,8 @@ pub struct ImageBuf {
     checksummed: Option<(ImageHeader, usize)>,
     /// What it found for the last image checksummed before that one.
     previous: Option<ImageHeader>,
+    /// The tracked freeze whose encode wrote the sections, if one did.
+    written_by: Option<Stamp>,
 }
 
 impl ImageBuf {
@@ -382,6 +398,7 @@ impl fmt::Debug for ImageBuf {
 
 /// The CRC-32s of an upper section's `CRC_BLOCK`-byte blocks.
 #[derive(Debug, Default)]
+#[cfg_attr(test, derive(Clone))]
 struct BlockCrcs {
     /// Length of the section the table is fitted to.
     len: usize,
@@ -443,8 +460,9 @@ impl BlockCrcs {
 /// The writer of an upper section: appends an encoding to a buffer, or —
 /// over bytes the buffer already holds — compares it with them, copying
 /// and staling in the section's block table only the blocks that differ.
-/// What [`UpperHalf`] encodes through, into a rank's [`ImageBuf`] or
-/// (with no table and nothing to compare) onto any `Vec<u8>`.
+/// What [`UpperHalf`](crate::UpperHalf) encodes through, into a rank's
+/// [`ImageBuf`] or (with no table and nothing to compare) onto any
+/// `Vec<u8>`.
 pub(crate) struct Overwrite<'a> {
     buf: &'a mut Vec<u8>,
     /// Where the section starts (its block 0's first byte).
@@ -496,6 +514,20 @@ impl<'a> Overwrite<'a> {
         }
         self.buf.extend_from_slice(bytes);
         self.at += bytes.len();
+    }
+
+    /// Move the cursor over `bytes`, which the buffer already holds at it:
+    /// no compare, no copy, no block staled. A debug build makes the
+    /// compare [`Overwrite::put`] would have made, so every skipping encode
+    /// is checked against a full one.
+    pub(crate) fn skip(&mut self, bytes: &[u8]) {
+        let end = self.at + bytes.len();
+        debug_assert!(end <= self.old, "skipped past the bytes held");
+        debug_assert!(
+            self.buf[self.at..end] == *bytes,
+            "skipped a window that changed"
+        );
+        self.at = end;
     }
 }
 
@@ -584,6 +616,7 @@ impl From<&ImageBuf> for CkptImage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::UpperHalf;
 
     fn sample() -> CkptImage {
         CkptImage {
@@ -795,6 +828,17 @@ mod tests {
             }
             // A restore into an empty buffer.
             6 => *buf = ImageBuf::default(),
+            // A save through `write_segment`, as the application makes
+            // one: a range of the slab rewritten, or a segment ahead of it
+            // replaced.
+            9 => {
+                let mut slab = upper.segment("slab").unwrap_or_default().to_vec();
+                let start = a as usize % slab_len.max(1);
+                let end = (start + b as usize % (2 * CRC_BLOCK)).min(slab_len);
+                slab[start..end].fill(v);
+                upper.write_segment("slab", slab);
+            }
+            10 => upper.write_segment(&ahead, vec![v; b as usize % 100]),
             // A restart: the buffer is what the reader makes of a sealed
             // image of the rank's state — the flat file itself (7), or its
             // sections assembled behind a zero gap (8).
@@ -824,14 +868,15 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// After any sequence of edits, resizes, segment inserts and
-        /// removals ahead of the slab, buffer drops, restarts into a buffer
-        /// read back from a flat file or an assembled recipe, and skipped
-        /// seals, every seal's section CRCs and file CRC are those of its
-        /// bytes.
+        /// removals ahead of the slab, saves through `write_segment`,
+        /// buffer drops, restarts into a buffer read back from a flat file
+        /// or an assembled recipe, and skipped seals, every seal's section
+        /// CRCs and file CRC are those of its bytes — whether the encode
+        /// compared every block or was a rank's tracked freeze.
         #[test]
         fn the_block_table_never_lies(
             steps in proptest::collection::vec(
-                ((0u8..9, any::<u32>(), any::<u32>(), any::<u8>()), any::<bool>()),
+                ((0u8..11, any::<u32>(), any::<u32>(), any::<u8>()), any::<bool>(), any::<bool>()),
                 1..10,
             ),
         ) {
@@ -839,11 +884,14 @@ mod tests {
             let slab = (0..3 * CRC_BLOCK as u32 + 77).map(|i| (i.wrapping_mul(31) >> 3) as u8);
             upper.write_segment("slab", slab.collect());
             let mut buf = ImageBuf::default();
-            for (round, (op, sealed)) in steps.into_iter().enumerate() {
+            for (round, (op, sealed, tracked)) in steps.into_iter().enumerate() {
                 step(&mut upper, &mut buf, op);
                 let head = ImageHead { rank: 1, world_size: 2, round: round as u64 };
                 let meta = vec![op.3; op.1 as usize % 70];
-                let image = head.encode_into(&mut buf, &upper, &meta);
+                let image = match tracked {
+                    true => head.encode_into(&mut buf, &mut upper, &meta),
+                    false => head.encode_into(&mut buf, &upper, &meta),
+                };
                 // A store-less job never seals.
                 if !sealed {
                     continue;
@@ -856,6 +904,149 @@ mod tests {
                 prop_assert_eq!(&file[56..60], &crc32(m).to_le_bytes()[..]);
                 prop_assert_eq!(crc, crc32(file));
                 prop_assert_eq!(u, &upper.to_bytes()[..]);
+            }
+        }
+    }
+
+    /// Which upper blocks of `buf` are stale.
+    fn stale(buf: &ImageBuf) -> Vec<bool> {
+        buf.blocks.each.iter().map(|block| !block.fresh).collect()
+    }
+
+    /// One step of a rank's life between two tracked freezes (see
+    /// `a_tracked_freeze_is_a_full_encode`), decoded from four numbers.
+    /// Returns whether the next freeze must skip the windows no save
+    /// changed (`Some(true)`), must compare every block (`Some(false)`),
+    /// or either may be right (`None`).
+    fn save_step(
+        upper: &mut UpperHalf,
+        others: &mut (UpperHalf, ImageBuf),
+        buf: &mut ImageBuf,
+        (op, a, b, v): (u8, u32, u32, u8),
+    ) -> Option<bool> {
+        let head = ImageHead {
+            rank: 1,
+            world_size: 2,
+            round: 9,
+        };
+        let name = ["a_head", "slab", "z_tail"][b as usize % 3];
+        let mut bytes = upper.segment(name).unwrap_or_default().to_vec();
+        let at = a as usize % bytes.len().max(1);
+        let window = at..(at + b as usize % CRC_BLOCK).min(bytes.len());
+        match op {
+            // Same-length saves that change nothing, a window, every window.
+            0 => upper.write_segment(name, bytes),
+            1 => {
+                bytes[window].fill(v);
+                upper.write_segment(name, bytes);
+            }
+            2 => {
+                bytes.iter_mut().for_each(|x| *x ^= v | 1);
+                upper.write_segment(name, bytes);
+            }
+            // A change and then its revert.
+            3 => {
+                let mut changed = bytes.clone();
+                changed[window].iter_mut().for_each(|x| *x ^= 1);
+                upper.write_segment(name, changed);
+                upper.write_segment(name, bytes);
+            }
+            // A write nobody sees, the segment's length kept.
+            4 => {
+                if let Some(x) = upper.segment_mut(name).get_mut(at) {
+                    *x ^= v | 1;
+                }
+            }
+            // A resize; a segment inserted or removed.
+            5 => {
+                bytes.resize(bytes.len() + 1 + a as usize % 300, v);
+                upper.write_segment(name, bytes);
+                return Some(false);
+            }
+            6 => {
+                bytes.truncate(bytes.len().saturating_sub(1 + a as usize % 300));
+                upper.segment_mut(name).clone_from(&bytes);
+            }
+            7 => upper.write_value(&format!("n{}", a % 3), &u64::from(v)),
+            8 => {
+                upper.remove_segment(&format!("n{}", a % 3));
+            }
+            // A clone; a restart: a decoded upper half and the buffer the
+            // reader verified.
+            9 => *upper = upper.clone(),
+            10 => {
+                let mut sealed = ImageBuf::default();
+                let file = head.encode_into(&mut sealed, &*upper, &7u64).seal().0;
+                *buf = ImageBuf::try_from(file.to_vec()).unwrap();
+                *upper = UpperHalf::from_bytes(buf.sections().0).unwrap();
+            }
+            // A buffer last written by another upper half's freeze, or by
+            // an encode that compared.
+            11 => {
+                let (other, _) = others;
+                other.write_segment("slab", vec![v; a as usize % (2 * CRC_BLOCK)]);
+                head.encode_into(buf, other, &7u64).seal();
+            }
+            12 => {
+                head.encode_into(buf, &*upper, &7u64).seal();
+            }
+            // This upper half's last freeze went to another buffer.
+            13 => {
+                let (_, spare) = others;
+                head.encode_into(spare, &mut *upper, &7u64);
+                bytes[window].fill(v);
+                upper.write_segment(name, bytes);
+            }
+            // An empty buffer: a flush that panicked lends none back.
+            _ => *buf = ImageBuf::default(),
+        }
+        match op {
+            0..=4 => Some(true),
+            9.. => Some(false),
+            _ => None,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A rank's tracked freeze writes what an encode comparing every
+        /// block writes into the same buffer: the upper half's bytes, and
+        /// exactly the stale blocks the compare marks. It skips the
+        /// unchanged windows exactly when the buffer holds its previous
+        /// freeze's image in the same layout.
+        #[test]
+        fn a_tracked_freeze_is_a_full_encode(
+            steps in proptest::collection::vec(
+                ((0u8..15, any::<u32>(), any::<u32>(), any::<u8>()), any::<bool>()),
+                1..12,
+            ),
+        ) {
+            let fill = |len: u32, salt: u32| -> Vec<u8> {
+                (0..len).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8 ^ salt as u8).collect()
+            };
+            let mut upper = UpperHalf::new();
+            upper.write_segment("a_head", fill(100, 1));
+            upper.write_segment("slab", fill(3 * CRC_BLOCK as u32 + 77, 2));
+            upper.write_segment("z_tail", fill(CRC_BLOCK as u32 + 5, 3));
+            let mut others = (upper.clone(), ImageBuf::default());
+            let mut buf = ImageBuf::default();
+            let head = ImageHead { rank: 1, world_size: 2, round: 0 };
+            head.encode_into(&mut buf, &mut upper, &7u64).seal();
+            for (op, sealed) in steps {
+                let skips = save_step(&mut upper, &mut others, &mut buf, op);
+                if let Some(skips) = skips {
+                    prop_assert_eq!(upper.skips(buf.written_by), skips, "op {}", op.0);
+                }
+                let mut compared = buf.clone();
+                head.encode_into(&mut compared, &upper, &7u64);
+                let frozen = head.encode_into(&mut buf, &mut upper, &7u64);
+                prop_assert_eq!(frozen.sections().0, &upper.to_bytes()[..]);
+                prop_assert_eq!(frozen.bytes(), compared.bytes());
+                prop_assert_eq!(stale(frozen), stale(&compared));
+                if sealed {
+                    prop_assert_eq!(frozen.seal(), compared.seal());
+                }
             }
         }
     }

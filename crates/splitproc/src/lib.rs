@@ -48,4 +48,4 @@ pub use store::{
     RejectedGeneration, Rejection, Selected, Store, StoreConfig, StoreError, StoreMode, WriteFault,
     WriteOutcome,
 };
-pub use upperhalf::UpperHalf;
+pub use upperhalf::{UpperHalf, UpperRef};

@@ -8,16 +8,136 @@
 //! (plus MANA's own metadata) and nothing else. The essential split-process
 //! property is preserved: nothing of the lower half (the live `mpisim`
 //! endpoint) is ever saved.
+//!
+//! **Change tracking.** A checkpoint writes the upper half over the image
+//! the rank's kept buffer holds (`ImageHead::encode_into`), and only the
+//! bytes that differ from it are copied and staled. Finding them by
+//! comparing every byte at the freeze would put a pass over the whole
+//! upper half inside the stop-the-world window, so the upper half finds
+//! them when the application saves them instead. Once it has been frozen
+//! through `&mut` (a rank's checkpoint), each [`UpperHalf::write_segment`]
+//! of a segment's same length compares the new bytes with the ones they
+//! replace and records which 64 KiB windows of the segment differ. A
+//! length change, a new or removed segment, [`UpperHalf::segment_mut`] (whose
+//! writes nobody sees) and [`UpperHalf::remove_segment`] make what is known
+//! of that segment unknown, and the next freeze compares it whole. The
+//! trade: once tracking is on, every same-length save pays one compare of
+//! what it replaces, in application time, so that the freeze compares only
+//! the windows a save changed. Before a rank's first checkpoint nothing is
+//! tracked and a save costs what it always did. A clone or a decoded upper
+//! half has never frozen, so it starts untracked too.
 
 use crate::codec::{CodecError, Decode, Encode, Reader};
-use crate::image::Overwrite;
+use crate::image::{Overwrite, CRC_BLOCK};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The size of a tracked window: a segment's bytes are tracked in windows
+/// of this many bytes from the segment's start, the size of a block of the
+/// image's CRC table.
+const WINDOW: usize = CRC_BLOCK;
 
 /// Checkpointable application memory: named segments of bytes.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Two upper halves are equal when their segments are; what one has
+/// tracked since its last freeze (see the module doc) is not part of it.
+#[derive(Debug, Default)]
 pub struct UpperHalf {
     segments: BTreeMap<String, Vec<u8>>,
+    /// What was saved since the last tracked freeze; `None` until the
+    /// first.
+    since: Option<Since>,
 }
+
+/// Names one tracked freeze: which upper half (a number no other upper half
+/// takes) and which of its freezes. A kept `ImageBuf` records the stamp of
+/// the tracked freeze that wrote it last, and no stamp when anything else
+/// did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stamp {
+    upper: u64,
+    freeze: u64,
+}
+
+impl Stamp {
+    /// The first freeze of an upper half no stamp has named yet.
+    fn first() -> Stamp {
+        static UPPERS: AtomicU64 = AtomicU64::new(0);
+        Stamp {
+            upper: UPPERS.fetch_add(1, Ordering::Relaxed),
+            freeze: 0,
+        }
+    }
+}
+
+/// What the saves since a tracked freeze changed, segment by segment.
+#[derive(Debug)]
+struct Since {
+    /// The freeze it is counted from.
+    stamp: Stamp,
+    /// Each segment as that freeze wrote it: its length, and which windows
+    /// of it a save has changed since (`None`: unknown).
+    seen: BTreeMap<String, Seen>,
+}
+
+#[derive(Debug)]
+struct Seen {
+    len: usize,
+    changed: Option<Vec<bool>>,
+}
+
+impl Since {
+    /// The segment `name` was saved as `new` over `old` (`None`: it did
+    /// not exist). A save of the same length marks the windows whose bytes
+    /// differ; any other makes the segment unknown.
+    fn saved(&mut self, name: &str, old: Option<&[u8]>, new: &[u8]) {
+        let Some(seen) = self.seen.get_mut(name) else {
+            return; // not in the frozen layout: the next freeze compares all
+        };
+        match (&mut seen.changed, old) {
+            (Some(changed), Some(old)) if old.len() == new.len() => {
+                let windows = old.chunks(WINDOW).zip(new.chunks(WINDOW));
+                for (flag, (was, now)) in changed.iter_mut().zip(windows) {
+                    *flag = *flag || was != now;
+                }
+            }
+            (changed, _) => *changed = None,
+        }
+    }
+
+    /// The segment `name` may have changed in any way.
+    fn unknown(&mut self, name: &str) {
+        if let Some(seen) = self.seen.get_mut(name) {
+            seen.changed = None;
+        }
+    }
+
+    /// Whether `segments` have the names and lengths the freeze wrote, so
+    /// that each segment's bytes lie where they lay in its image.
+    fn same_layout(&self, segments: &BTreeMap<String, Vec<u8>>) -> bool {
+        self.seen.len() == segments.len()
+            && (self.seen.iter().zip(segments))
+                .all(|((name, seen), (now, bytes))| name == now && seen.len == bytes.len())
+    }
+}
+
+impl Clone for UpperHalf {
+    /// The same segments, untracked: a clone has never frozen.
+    fn clone(&self) -> Self {
+        UpperHalf {
+            segments: self.segments.clone(),
+            since: None,
+        }
+    }
+}
+
+impl PartialEq for UpperHalf {
+    fn eq(&self, other: &Self) -> bool {
+        self.segments == other.segments
+    }
+}
+
+impl Eq for UpperHalf {}
 
 impl UpperHalf {
     /// Empty upper half.
@@ -25,14 +145,25 @@ impl UpperHalf {
         Self::default()
     }
 
-    /// Replace (or create) a segment wholesale.
+    /// Replace (or create) a segment wholesale. Once tracking is on (see
+    /// the module doc), a save of the segment's length compares `bytes`
+    /// with the bytes they replace.
     pub fn write_segment(&mut self, name: &str, bytes: Vec<u8>) {
-        self.segments.insert(name.to_owned(), bytes);
+        let held = self.segments.get_mut(name);
+        if let Some(since) = &mut self.since {
+            since.saved(name, held.as_deref().map(Vec::as_slice), &bytes);
+        }
+        match held {
+            Some(held) => *held = bytes,
+            None => {
+                self.segments.insert(name.to_owned(), bytes);
+            }
+        }
     }
 
     /// Store any `Encode`-able value as a segment.
     pub fn write_value<T: Encode>(&mut self, name: &str, value: &T) {
-        self.segments.insert(name.to_owned(), value.to_bytes());
+        self.write_segment(name, value.to_bytes());
     }
 
     /// Read a segment's raw bytes.
@@ -40,8 +171,13 @@ impl UpperHalf {
         self.segments.get(name).map(|v| v.as_slice())
     }
 
-    /// Mutable access to a segment, creating it if absent.
+    /// Mutable access to a segment, creating it if absent. What is written
+    /// through it is not tracked: the next freeze compares the segment
+    /// whole.
     pub fn segment_mut(&mut self, name: &str) -> &mut Vec<u8> {
+        if let Some(since) = &mut self.since {
+            since.unknown(name);
+        }
         self.segments.entry(name.to_owned()).or_default()
     }
 
@@ -52,6 +188,9 @@ impl UpperHalf {
 
     /// Drop a segment, returning whether it existed.
     pub fn remove_segment(&mut self, name: &str) -> bool {
+        if let Some(since) = &mut self.since {
+            since.unknown(name);
+        }
         self.segments.remove(name).is_some()
     }
 
@@ -77,6 +216,46 @@ impl UpperHalf {
     }
 }
 
+/// The upper half an encode reads ([`crate::ImageHead::encode_into`]):
+/// borrowed, it is compared with the buffer's image block by block; lent
+/// mutably — a rank's freeze — its change tracking is turned on (see the
+/// module doc), and the windows no save changed since its previous freeze
+/// are skipped when the buffer still holds that freeze's image.
+#[derive(Debug)]
+pub enum UpperRef<'u> {
+    /// Encoded by comparing every block.
+    Compared(&'u UpperHalf),
+    /// Frozen with its changes tracked.
+    Tracked(&'u mut UpperHalf),
+}
+
+impl<'u> From<&'u UpperHalf> for UpperRef<'u> {
+    fn from(upper: &'u UpperHalf) -> Self {
+        UpperRef::Compared(upper)
+    }
+}
+
+impl<'u> From<&'u mut UpperHalf> for UpperRef<'u> {
+    fn from(upper: &'u mut UpperHalf) -> Self {
+        UpperRef::Tracked(upper)
+    }
+}
+
+impl UpperRef<'_> {
+    /// Write the upper half through `w`, whose buffer was last written by
+    /// the tracked freeze `held` names (`None`: by anything else); returns
+    /// the stamp the buffer records now.
+    pub(crate) fn write(self, w: &mut Overwrite<'_>, held: Option<Stamp>) -> Option<Stamp> {
+        match self {
+            UpperRef::Compared(upper) => {
+                upper.write(w, None);
+                None
+            }
+            UpperRef::Tracked(upper) => Some(upper.freeze(w, held)),
+        }
+    }
+}
+
 impl UpperHalf {
     /// The one encoder of an upper half, through the image writer: onto a
     /// `Vec<u8>` ([`Encode`]) or over the image a rank's kept buffer
@@ -84,8 +263,9 @@ impl UpperHalf {
     /// map encodes to — a count, then a length-prefixed name and a
     /// length-prefixed payload per segment — with the exact length
     /// reserved up front: one allocation instead of doubling through
-    /// megabytes.
-    pub(crate) fn write(&self, w: &mut Overwrite<'_>) {
+    /// megabytes. Given what changed since the freeze whose image the
+    /// writer holds, a window no save changed is skipped, not compared.
+    fn write(&self, w: &mut Overwrite<'_>, since: Option<&Since>) {
         let framing = 8 + 16 * self.segments.len();
         let names: usize = self.segments.keys().map(|k| k.len()).sum();
         w.reserve(framing + names + self.total_bytes());
@@ -94,15 +274,80 @@ impl UpperHalf {
             w.put(&(name.len() as u64).to_le_bytes());
             w.put(name.as_bytes());
             w.put(&(payload.len() as u64).to_le_bytes());
-            w.put(payload);
+            let changed = since.and_then(|s| s.seen.get(name)?.changed.as_deref());
+            match changed {
+                Some(changed) => {
+                    for (window, &dirty) in payload.chunks(WINDOW).zip(changed) {
+                        match dirty {
+                            true => w.put(window),
+                            false => w.skip(window),
+                        }
+                    }
+                }
+                None => w.put(payload),
+            }
         }
+    }
+
+    /// What changed since the freeze `held` names, when that is this upper
+    /// half's previous freeze and the segments' names and lengths are as
+    /// it wrote them.
+    fn clean_since(&self, held: Option<Stamp>) -> Option<&Since> {
+        (self.since.as_ref())
+            .filter(|since| Some(since.stamp) == held && since.same_layout(&self.segments))
+    }
+
+    /// Whether a tracked freeze over a buffer `held` wrote skips the
+    /// windows no save changed.
+    #[cfg(test)]
+    pub(crate) fn skips(&self, held: Option<Stamp>) -> bool {
+        self.clean_since(held).is_some()
+    }
+
+    /// A tracked freeze: the upper half written through `w`, skipping the
+    /// windows no save changed when the buffer was last written by this
+    /// upper half's previous freeze (`held`) and the segments' names and
+    /// lengths are as it wrote them; changes are counted from here on.
+    fn freeze(&mut self, w: &mut Overwrite<'_>, held: Option<Stamp>) -> Stamp {
+        self.write(w, self.clean_since(held));
+        let stamp = match &self.since {
+            Some(since) => Stamp {
+                freeze: since.stamp.freeze + 1,
+                ..since.stamp
+            },
+            None => Stamp::first(),
+        };
+        match &mut self.since {
+            // The same layout: every window marked clean in place, so a
+            // rank's freeze allocates nothing once it has frozen.
+            Some(since) if since.same_layout(&self.segments) => {
+                since.stamp = stamp;
+                for seen in since.seen.values_mut() {
+                    let changed = seen.changed.get_or_insert_with(Vec::new);
+                    changed.clear();
+                    changed.resize(seen.len.div_ceil(WINDOW), false);
+                }
+            }
+            since => {
+                let seen = (self.segments.iter()).map(|(name, bytes)| {
+                    let changed = Some(vec![false; bytes.len().div_ceil(WINDOW)]);
+                    let len = bytes.len();
+                    (name.clone(), Seen { len, changed })
+                });
+                *since = Some(Since {
+                    stamp,
+                    seen: seen.collect(),
+                });
+            }
+        }
+        stamp
     }
 }
 
 /// Hand-written: it writes raw bytes through the image writer.
 impl Encode for UpperHalf {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.write(&mut Overwrite::append(out));
+        self.write(&mut Overwrite::append(out), None);
     }
 }
 
@@ -110,6 +355,7 @@ impl Decode for UpperHalf {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(UpperHalf {
             segments: BTreeMap::decode(r)?,
+            since: None,
         })
     }
 }
@@ -159,6 +405,46 @@ mod tests {
             "the exact length is reserved up front: one allocation, no slack"
         );
         assert_eq!(UpperHalf::from_bytes(&bytes).unwrap(), uh);
+    }
+
+    /// Which windows of `name` a save changed since the last freeze
+    /// (`None`: unknown, or not tracked).
+    fn changed(uh: &UpperHalf, name: &str) -> Option<Vec<bool>> {
+        uh.since.as_ref()?.seen.get(name)?.changed.clone()
+    }
+
+    #[test]
+    fn saves_after_a_freeze_mark_the_windows_they_change() {
+        let mut uh = UpperHalf::new();
+        uh.write_segment("s", vec![0; 3 * WINDOW + 1]);
+        assert!(uh.since.is_none(), "nothing is tracked before a freeze");
+        uh.freeze(&mut Overwrite::append(&mut Vec::new()), None);
+        assert_eq!(changed(&uh, "s"), Some(vec![false; 4]));
+        let mut bytes = vec![0; 3 * WINDOW + 1];
+        bytes[WINDOW + 5] = 1;
+        bytes[3 * WINDOW] = 1;
+        uh.write_segment("s", bytes);
+        // Changed back: the window stays marked.
+        uh.write_segment("s", vec![0; 3 * WINDOW + 1]);
+        assert_eq!(changed(&uh, "s"), Some(vec![false, true, false, true]));
+        // A clone or a decoded upper half has never frozen.
+        assert!(uh.clone().since.is_none());
+        assert!(UpperHalf::from_bytes(&uh.to_bytes())
+            .unwrap()
+            .since
+            .is_none());
+        // A length change, `segment_mut` and a removal make it unknown.
+        for edit in [0, 1, 2] {
+            let mut uh = UpperHalf::new();
+            uh.write_segment("s", vec![0; 10]);
+            uh.freeze(&mut Overwrite::append(&mut Vec::new()), None);
+            match edit {
+                0 => uh.write_segment("s", vec![0; 11]),
+                1 => uh.segment_mut("s")[0] = 1,
+                _ => assert!(uh.remove_segment("s")),
+            }
+            assert_eq!(changed(&uh, "s"), None, "edit {edit}");
+        }
     }
 
     #[test]
