@@ -36,7 +36,10 @@
 //! * `image_encode_saved_edit` — the same edit arriving as a save
 //!   (`UpperHalf::write_segment`, untimed: its compare is application
 //!   time), then the rank's tracked freeze, which skips the windows no save
-//!   changed: what a `narrow_flat` round's freeze does.
+//!   changed: what a `narrow_flat` round's freeze does;
+//! * `image_save_encode_edit` — the same round with the save timed too:
+//!   what the round costs the rank in all, its compare moved from the
+//!   freeze to the save.
 //!
 //! `crc32_combine` is reported as time per call, at 1 KiB and 2 MiB: it is
 //! what the whole-file CRC costs now that no pass is made for it.
@@ -55,8 +58,11 @@
 //! at least 3 × `image_encode_into_edit` (3.6–4.4 × in four runs on a
 //! 2-vCPU host: ≈ 50–70 µs against ≈ 195–260 µs) — the tracked freeze
 //! compares only the one or two windows the save changed, so below that
-//! it is comparing clean windows again; and `chunk_payload_guided`
-//! at least
+//! it is comparing clean windows again; and `image_save_encode_edit`
+//! at least 0.8 × `image_encode_into_edit` (0.93–1.07 × in four runs on
+//! the same host: the save's compare is the one the freeze no longer
+//! makes, moved, not added), so below that the save is comparing more than
+//! the freeze used to; and `chunk_payload_guided` at least
 //! 2.5 × `chunk_payload` — a guided pass gear-hashes only the changed
 //! chunks, below that the guide is being missed; and
 //! `chunk_payload_reused` at least 3 × `chunk_payload_guided` — it keys
@@ -206,6 +212,31 @@ fn bench(c: &mut Criterion) {
             |()| {
                 let head = image.head();
                 let mut upper = upper.borrow_mut();
+                head.encode_into(&mut kept, black_box(&mut *upper), &meta)
+                    .seal()
+                    .1
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    // The same round with the save timed too: its compare is the work the
+    // freeze no longer does, so this against `image_encode_into_edit` is
+    // the total a round costs the rank, save and freeze.
+    g.bench_function("image_save_encode_edit", |b| {
+        b.iter_batched(
+            || {
+                let at = next % 50 * window;
+                next += 7;
+                let mut saved = upper.borrow().segment("state").unwrap_or_default().to_vec();
+                for byte in &mut saved[at..at + window] {
+                    *byte ^= 0x5a;
+                }
+                saved
+            },
+            |saved| {
+                let head = image.head();
+                let mut upper = upper.borrow_mut();
+                upper.write_segment("state", saved);
                 head.encode_into(&mut kept, black_box(&mut *upper), &meta)
                     .seal()
                     .1

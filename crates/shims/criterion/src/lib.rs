@@ -90,8 +90,6 @@ impl BenchmarkGroup<'_> {
 /// criterion compatibility; this harness sets up one input per iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchSize {
-    /// Inputs that are cheap to hold many of.
-    SmallInput,
     /// Inputs too large to hold many of.
     LargeInput,
     /// One input per iteration.
