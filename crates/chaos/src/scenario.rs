@@ -35,9 +35,8 @@ impl fmt::Display for Workload {
 impl FromStr for Workload {
     type Err = String;
     fn from_str(s: &str) -> Result<Workload, String> {
-        let s = s.trim().to_ascii_lowercase();
         let want = Workload::names("|");
-        Workload::named(&s).ok_or_else(|| format!("unknown workload {s:?} (want {want})"))
+        Workload::parse(s).ok_or_else(|| format!("unknown workload {:?} (want {want})", s.trim()))
     }
 }
 
@@ -47,7 +46,7 @@ fn named<T>(parse: fn(&str) -> Option<T>, want: String) -> impl Fn(&str) -> Resu
     move |s| parse(s).ok_or_else(|| format!("{:?} (want {want})", s.trim()))
 }
 
-/// Parse a drain-mode name ([`DrainMode::parse`], with the error line the
+/// Parse a drain-mode name ([`Named::parse`], with the error line the
 /// CLI, the spec and the fixture reader all print).
 pub fn parse_drain(s: &str) -> Result<DrainMode, String> {
     named(DrainMode::parse, DrainMode::names("|"))(s)

@@ -48,15 +48,6 @@ impl Named for DrainMode {
     ];
 }
 
-impl DrainMode {
-    /// Parse a `MANA2_DRAIN` spec: a name, case-insensitive, surrounding
-    /// whitespace ignored. Anything else — including an empty string — is
-    /// `None`.
-    pub fn parse(spec: &str) -> Option<DrainMode> {
-        Self::named(&spec.trim().to_ascii_lowercase())
-    }
-}
-
 /// Communicator-restoration strategy at restart (paper §III-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommRestore {

@@ -4,21 +4,22 @@
 //! by value; their `Default`s are pure. A binary, example or test harness
 //! that wants the `MANA2_*` variables to steer a run calls [`from_env`]
 //! once, at its edge, and passes the result down. It reads
-//! `MANA2_ENGINE`, `MANA2_DRAIN`, `MANA2_STORE`, `MANA2_TRACE_DIR`,
-//! `MANA2_METRICS_DIR` and `MANA2_METRICS_INTERVAL_MS` (accepted values:
-//! README, "Configuration").
+//! `MANA2_ENGINE`, `MANA2_DRAIN`, `MANA2_STORE`, `MANA2_TRACE_DIR` and
+//! `MANA2_METRICS_DIR` (accepted values: README, "Configuration").
 //!
 //! Anything else is a [`ConfigError`] naming the variable and the value —
-//! never a warning followed by a different protocol, layout or engine.
+//! never a warning followed by a different protocol, layout or engine. So
+//! is any other `MANA2_*` variable but `MANA2_TRACE` (the chaos harness
+//! reads that one): a misspelt name would otherwise be ignored.
 
 use crate::config::{DrainMode, ManaConfig};
 use crate::runtime::{ManaRuntime, Outputs};
 use mpisim::{EngineKind, Named, WorldCfg};
 use splitproc::StoreMode;
+use std::collections::BTreeMap;
 use std::ffi::OsString;
 use std::fmt;
 use std::path::PathBuf;
-use std::time::Duration;
 
 /// A `MANA2_*` variable holds a value [`from_env`] cannot use.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,7 +53,7 @@ pub struct EnvConfig {
     pub mana: ManaConfig,
     /// [`WorldCfg::default`] with `MANA2_ENGINE` applied.
     pub world: WorldCfg,
-    /// `MANA2_TRACE_DIR`, `MANA2_METRICS_DIR`, `MANA2_METRICS_INTERVAL_MS`.
+    /// `MANA2_TRACE_DIR`, `MANA2_METRICS_DIR`.
     pub outputs: Outputs,
 }
 
@@ -66,18 +67,43 @@ impl EnvConfig {
     }
 }
 
-/// Read the six `MANA2_*` configuration variables from the process
-/// environment, once each. Unset variables leave the pure defaults.
+/// Every `MANA2_*` name a process may set: the five [`from_env`] reads,
+/// and `MANA2_TRACE`, which the chaos harness reads.
+const ACCEPTED: [&str; 6] = [
+    "MANA2_ENGINE",
+    "MANA2_DRAIN",
+    "MANA2_STORE",
+    "MANA2_TRACE_DIR",
+    "MANA2_METRICS_DIR",
+    "MANA2_TRACE",
+];
+
+/// Read the five `MANA2_*` configuration variables from the process
+/// environment. Unset variables leave the pure defaults; a `MANA2_*`
+/// name outside them and `MANA2_TRACE` is an error.
 pub fn from_env() -> Result<EnvConfig, ConfigError> {
-    from_lookup(|var| std::env::var_os(var))
+    from_vars(std::env::vars_os())
 }
 
-/// [`from_env`] over an injected lookup (tests pass a closure over a map
+/// [`from_env`] over an injected list of variables (tests pass a list
 /// instead of mutating the process environment).
-pub fn from_lookup<V: Into<OsString>>(
-    get: impl Fn(&str) -> Option<V>,
+fn from_vars<K: Into<OsString>, V: Into<OsString>>(
+    vars: impl IntoIterator<Item = (K, V)>,
 ) -> Result<EnvConfig, ConfigError> {
-    let get = |var: &str| get(var).map(Into::into);
+    let vars: BTreeMap<OsString, OsString> = vars
+        .into_iter()
+        .map(|(k, v)| (k.into(), v.into()))
+        .collect();
+    for name in vars.keys().map(|k| k.to_string_lossy()) {
+        if name.starts_with("MANA2_") && !ACCEPTED.contains(&&*name) {
+            return Err(ConfigError {
+                var: "MANA2_*",
+                value: name.into_owned(),
+                expected: ACCEPTED.join(" | "),
+            });
+        }
+    }
+    let get = |var: &str| vars.get(std::ffi::OsStr::new(var)).cloned();
     let dir = |var: &'static str| match get(var) {
         Some(os) if os.is_empty() => Err(ConfigError {
             var,
@@ -108,14 +134,6 @@ pub fn from_lookup<V: Into<OsString>>(
     if let Some(d) = dir("MANA2_TRACE_DIR")? {
         outputs.trace_dir = d;
     }
-    if let Some(ms) = knob(
-        get,
-        "MANA2_METRICS_INTERVAL_MS",
-        "a whole number of milliseconds >= 1",
-        |s| s.trim().parse::<u64>().ok().filter(|&ms| ms >= 1),
-    )? {
-        outputs.metrics_interval = Duration::from_millis(ms);
-    }
     outputs.metrics_dir = dir("MANA2_METRICS_DIR")?;
     Ok(EnvConfig {
         mana,
@@ -124,8 +142,8 @@ pub fn from_lookup<V: Into<OsString>>(
     })
 }
 
-/// Parse one enumerated or numeric variable `var` of `get`: unset is
-/// `None`; set must be UTF-8 that `parse` accepts.
+/// Parse one enumerated variable `var` of `get`: unset is `None`; set
+/// must be UTF-8 that `parse` accepts.
 fn knob<T>(
     get: impl Fn(&str) -> Option<OsString>,
     var: &'static str,
@@ -151,11 +169,7 @@ mod tests {
     use mpisim::CoopCfg;
 
     fn with(vars: &[(&str, &str)]) -> Result<EnvConfig, ConfigError> {
-        from_lookup(|k| {
-            vars.iter()
-                .find(|(name, _)| *name == k)
-                .map(|(_, v)| v.to_string())
-        })
+        from_vars(vars.iter().copied())
     }
 
     #[test]
@@ -210,21 +224,51 @@ mod tests {
         let env = with(&[
             ("MANA2_TRACE_DIR", "/tmp/t"),
             ("MANA2_METRICS_DIR", "/tmp/m"),
-            ("MANA2_METRICS_INTERVAL_MS", " 50 "),
         ])
         .unwrap();
         let want = Outputs {
             trace_dir: PathBuf::from("/tmp/t"),
             metrics_dir: Some(PathBuf::from("/tmp/m")),
-            metrics_interval: Duration::from_millis(50),
         };
         assert_eq!(env.outputs, want);
-        // The exporter is armed by the directory alone (200 ms default);
-        // an interval without a directory arms nothing.
-        let env = with(&[("MANA2_METRICS_DIR", "/tmp/m")]).unwrap();
-        assert_eq!(env.outputs.metrics_interval, Duration::from_millis(200));
-        let env = with(&[("MANA2_METRICS_INTERVAL_MS", "7")]).unwrap();
-        assert_eq!(env.outputs.metrics_dir, None);
+    }
+
+    #[test]
+    fn a_misspelt_name_is_refused_with_the_accepted_names() {
+        let err = with(&[("MANA2_DRIAN", "toposort")]).unwrap_err();
+        assert_eq!(err.value, "MANA2_DRIAN");
+        let msg = err.to_string();
+        assert!(msg.contains("MANA2_DRIAN"), "{msg}");
+        for name in ACCEPTED {
+            assert!(msg.contains(name), "{msg}");
+        }
+        // Only the `MANA2_` prefix is ours; other variables pass.
+        with(&[("MANA2", "1"), ("CHAOS_CASE", "x"), ("PATH", "/bin")]).unwrap();
+    }
+
+    #[test]
+    fn the_retired_interval_name_is_refused() {
+        let err = with(&[
+            ("MANA2_METRICS_DIR", "/tmp/m"),
+            ("MANA2_METRICS_INTERVAL_MS", "50"),
+        ])
+        .unwrap_err();
+        assert_eq!(err.value, "MANA2_METRICS_INTERVAL_MS");
+    }
+
+    #[test]
+    fn every_accepted_name_passes() {
+        let vars = [
+            ("MANA2_ENGINE", "coop:2:20260806"),
+            ("MANA2_DRAIN", "toposort"),
+            ("MANA2_STORE", "chunked"),
+            ("MANA2_TRACE_DIR", "/tmp/t"),
+            ("MANA2_METRICS_DIR", "/tmp/m"),
+            ("MANA2_TRACE", "1"),
+        ];
+        assert_eq!(vars.map(|(name, _)| name), ACCEPTED);
+        let env = with(&vars).unwrap();
+        assert_eq!(env.mana.drain, DrainMode::TopoSort);
     }
 
     #[test]
@@ -237,8 +281,6 @@ mod tests {
             ("MANA2_ENGINE", "thread"),
             ("MANA2_ENGINE", "fiber"),
             ("MANA2_ENGINE", "coop:2:x"),
-            ("MANA2_METRICS_INTERVAL_MS", "abc"),
-            ("MANA2_METRICS_INTERVAL_MS", "0"),
             ("MANA2_METRICS_DIR", ""),
             ("MANA2_TRACE_DIR", ""),
         ] {
@@ -260,9 +302,9 @@ mod tests {
     fn non_utf8_values_are_errors_for_knobs_and_kept_for_paths() {
         use std::os::unix::ffi::OsStringExt;
         let bad = OsString::from_vec(vec![b'a', 0xFF]);
-        let err = from_lookup(|k| (k == "MANA2_DRAIN").then(|| bad.clone())).unwrap_err();
+        let err = from_vars([("MANA2_DRAIN", bad.clone())]).unwrap_err();
         assert_eq!(err.var, "MANA2_DRAIN");
-        let env = from_lookup(|k| (k == "MANA2_TRACE_DIR").then(|| bad.clone())).unwrap();
+        let env = from_vars([("MANA2_TRACE_DIR", bad.clone())]).unwrap();
         assert_eq!(env.outputs.trace_dir, PathBuf::from(bad));
     }
 }

@@ -279,21 +279,19 @@ pub struct Outputs {
     /// [`RuntimeError`] when [`ManaConfig::trace`] is armed).
     pub trace_dir: PathBuf,
     /// Live metrics export: when set, a background thread appends one
-    /// registry snapshot per [`Outputs::metrics_interval`] to a JSONL
-    /// series (plus a Prometheus text file) in this directory. `None`
-    /// (the default) streams nothing; the registry itself is always on.
+    /// registry snapshot every [`obs::metrics::EXPORT_INTERVAL`] to a
+    /// JSONL series in this directory, and writes nothing else there.
+    /// `None` (the default) streams nothing; the registry itself is
+    /// always on.
     pub metrics_dir: Option<PathBuf>,
-    /// Time between exported snapshots.
-    pub metrics_interval: Duration,
 }
 
 impl Default for Outputs {
-    /// Dumps under `<tmp>/mana2_traces`, no live export (200 ms if armed).
+    /// Dumps under `<tmp>/mana2_traces`, no live export.
     fn default() -> Self {
         Outputs {
             trace_dir: std::env::temp_dir().join("mana2_traces"),
             metrics_dir: None,
-            metrics_interval: Duration::from_millis(200),
         }
     }
 }
@@ -480,19 +478,9 @@ impl ManaRuntime {
                 seed: self.cfg.fault.as_ref().map(|f| f.seed()),
                 config: self.cfg.record(&self.world_cfg.engine),
             };
-            let collect: Vec<met::Collector> = vec![Box::new({
-                let s = sample.clone();
-                move |r: &met::MetricsRegistry| s(r)
-            })];
-            met::MetricsExporter::spawn(
-                reg.clone(),
-                dir,
-                meta,
-                self.outputs.metrics_interval,
-                collect,
-            )
-            .map_err(|e| eprintln!("mana2: metrics exporter failed to start: {e}"))
-            .ok()
+            met::MetricsExporter::spawn(reg.clone(), dir, meta, sample.clone())
+                .map_err(|e| eprintln!("mana2: metrics exporter failed to start: {e}"))
+                .ok()
         });
         // The commit-time invariant checker reads the world through an
         // introspection handle: a round must not commit with user traffic

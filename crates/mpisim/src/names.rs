@@ -18,6 +18,13 @@ pub trait Named: Copy + PartialEq + 'static {
         Self::NAMES.iter().find(|e| e.1 == name).map(|e| e.0)
     }
 
+    /// Parse a spelled value (an env variable, a spec field): a name,
+    /// case-insensitive, surrounding whitespace ignored. Anything else —
+    /// an empty string included — is `None`.
+    fn parse(spec: &str) -> Option<Self> {
+        Self::named(&spec.trim().to_ascii_lowercase())
+    }
+
     /// Every name, joined by `sep`: what an error says was accepted.
     fn names(sep: &str) -> String {
         let names: Vec<&str> = Self::NAMES.iter().map(|e| e.1).collect();

@@ -40,8 +40,8 @@ use std::fmt;
 use std::fmt::Write as _;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
 
 /// Schema identifier written in every metrics series header.
@@ -984,20 +984,18 @@ pub fn write_snapshot_file(
 
 // ---- periodic exporter -----------------------------------------------------
 
-/// A pre-snapshot callback: sample external sources (engine counters,
-/// ring drop counts) into the registry before each export tick.
-pub type Collector = Box<dyn Fn(&MetricsRegistry) + Send + Sync>;
+/// Time between the exporter's snapshots.
+pub const EXPORT_INTERVAL: Duration = Duration::from_millis(200);
 
-/// Background thread appending one snapshot per tick to a JSONL series
-/// and rewriting a Prometheus text-exposition file.
+/// Background thread appending one snapshot every [`EXPORT_INTERVAL`] to
+/// a JSONL series, the one file it writes; `mana2-metrics --prom` renders
+/// a series' last snapshot as Prometheus text on demand.
 pub struct MetricsExporter {
     reg: Arc<MetricsRegistry>,
-    meta: JsonlHeader,
-    collect: Arc<Vec<Collector>>,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
+    sample: Arc<dyn Fn(&MetricsRegistry) + Send + Sync>,
+    /// The thread and the sender whose drop ends its wait.
+    running: Option<(mpsc::Sender<()>, std::thread::JoinHandle<()>)>,
     jsonl: PathBuf,
-    prom: PathBuf,
 }
 
 impl fmt::Debug for MetricsExporter {
@@ -1010,95 +1008,69 @@ impl fmt::Debug for MetricsExporter {
 
 fn export_tick(
     reg: &MetricsRegistry,
-    collect: &[Collector],
+    sample: &(dyn Fn(&MetricsRegistry) + Send + Sync),
     jsonl: &Path,
-    prom: &Path,
 ) -> io::Result<()> {
-    for c in collect {
-        c(reg);
-    }
-    let snap = reg.snapshot();
+    sample(reg);
     let mut f = std::fs::OpenOptions::new().append(true).open(jsonl)?;
-    writeln!(f, "{}", snap.to_json_line())?;
-    std::fs::write(prom, snap.render_prometheus())?;
-    Ok(())
+    writeln!(f, "{}", reg.snapshot().to_json_line())
 }
 
 impl MetricsExporter {
-    /// Start exporting `reg` every `interval` into
-    /// `<dir>/<label>.metrics.jsonl` (+ `<dir>/<label>.prom`). Creates
-    /// `dir` and writes the series header before returning.
+    /// Start exporting `reg` into `<dir>/<label>.metrics.jsonl`, calling
+    /// `sample` (which pulls external sources into the registry) before
+    /// each snapshot. Creates `dir` and writes the series header before
+    /// returning.
     pub fn spawn(
         reg: Arc<MetricsRegistry>,
         dir: &Path,
         meta: JsonlHeader,
-        interval: Duration,
-        collect: Vec<Collector>,
+        sample: Arc<dyn Fn(&MetricsRegistry) + Send + Sync>,
     ) -> io::Result<MetricsExporter> {
         std::fs::create_dir_all(dir)?;
         let jsonl = dir.join(format!("{}.metrics.jsonl", meta.label));
-        let prom = dir.join(format!("{}.prom", meta.label));
         std::fs::write(&jsonl, series_to_jsonl(&meta, &[]))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let collect = Arc::new(collect);
+        let (stop, stopped) = mpsc::channel::<()>();
         let thread = {
-            let (reg, stop, collect) = (reg.clone(), stop.clone(), collect.clone());
-            let (jsonl, prom) = (jsonl.clone(), prom.clone());
+            let (reg, sample, jsonl) = (reg.clone(), sample.clone(), jsonl.clone());
             std::thread::Builder::new()
                 .name("mana2-metrics".into())
-                .spawn(move || {
-                    let slice = Duration::from_millis(10).min(interval);
-                    let mut elapsed = interval; // first tick immediately
-                    while !stop.load(Ordering::Relaxed) {
-                        if elapsed >= interval {
-                            elapsed = Duration::ZERO;
-                            let _ = export_tick(&reg, &collect, &jsonl, &prom);
-                        }
-                        std::thread::sleep(slice);
-                        elapsed += slice;
+                .spawn(move || loop {
+                    let _ = export_tick(&reg, &*sample, &jsonl);
+                    let wait = stopped.recv_timeout(EXPORT_INTERVAL);
+                    if wait != Err(mpsc::RecvTimeoutError::Timeout) {
+                        break;
                     }
                 })
                 .expect("failed to spawn metrics exporter")
         };
         Ok(MetricsExporter {
             reg,
-            meta,
-            collect,
-            stop,
-            thread: Some(thread),
+            sample,
+            running: Some((stop, thread)),
             jsonl,
-            prom,
         })
-    }
-
-    /// Path of the Prometheus exposition file.
-    pub fn prom_path(&self) -> &Path {
-        &self.prom
     }
 
     /// Stop the thread, append one final snapshot, and return the series
     /// path.
     pub fn finish(mut self) -> io::Result<PathBuf> {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        export_tick(&self.reg, &self.collect, &self.jsonl, &self.prom)?;
+        self.halt();
+        export_tick(&self.reg, &*self.sample, &self.jsonl)?;
         Ok(self.jsonl.clone())
     }
 
-    /// Series metadata this exporter writes under.
-    pub fn meta(&self) -> &JsonlHeader {
-        &self.meta
+    fn halt(&mut self) {
+        if let Some((stop, thread)) = self.running.take() {
+            drop(stop);
+            let _ = thread.join();
+        }
     }
 }
 
 impl Drop for MetricsExporter {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.halt();
     }
 }
 
@@ -1256,7 +1228,7 @@ mod tests {
     }
 
     #[test]
-    fn exporter_writes_series_and_prom() {
+    fn exporter_writes_one_series() {
         let reg = MetricsRegistry::deterministic(1);
         let dir = std::env::temp_dir().join(format!("obs_metrics_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1270,16 +1242,18 @@ mod tests {
             reg.clone(),
             &dir,
             meta,
-            Duration::from_millis(5),
-            vec![Box::new(|r: &MetricsRegistry| {
+            Arc::new(|r: &MetricsRegistry| {
                 r.gauge_set(PROCESS_ACTOR, TRACE_DROPPED_EVENTS, 1);
-            })],
+            }),
         )
         .unwrap();
         reg.add(0, DRAIN_SWEEPS, 1);
-        std::thread::sleep(Duration::from_millis(30));
-        let prom = exp.prom_path().to_path_buf();
         let jsonl = exp.finish().unwrap();
+        let files: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(files, ["exp1.metrics.jsonl"]);
         let text = std::fs::read_to_string(&jsonl).unwrap();
         let report = check_series(&text).unwrap();
         assert!(report.snapshots >= 1);
@@ -1287,8 +1261,8 @@ mod tests {
         assert_eq!(meta.config.to_string(), "store=chunked");
         let last = snaps.last().unwrap();
         assert_eq!(last.value("mana2_trace_dropped_events"), Some(1));
-        assert!(std::fs::read_to_string(&prom)
-            .unwrap()
+        assert!(last
+            .render_prometheus()
             .contains("mana2_drain_sweeps_total 1"));
         let _ = std::fs::remove_dir_all(&dir);
     }

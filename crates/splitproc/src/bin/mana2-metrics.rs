@@ -11,7 +11,9 @@
 //!                                       consistent histograms); exit 0
 //!                                       iff every series is well-formed
 //! mana2-metrics --prom <series.jsonl>   render the last snapshot in
-//!                                       Prometheus text exposition
+//!                                       Prometheus text exposition (the
+//!                                       one Prometheus path: the
+//!                                       exporter writes only the series)
 //! mana2-metrics --watch [--interval-ms <n>] [--ticks <n>] <series.jsonl>
 //!                                       live-tail a series being written
 //!                                       by a running world (exporter
@@ -226,7 +228,7 @@ fn prom(path: &str) -> i32 {
     match met::parse_series(&text) {
         Ok((_, snaps)) => match snaps.last() {
             Some(s) => {
-                out!("{}", s.render_prometheus());
+                let _ = write!(std::io::stdout(), "{}", s.render_prometheus());
                 0
             }
             None => {

@@ -201,14 +201,6 @@ impl Named for StoreMode {
         &[(StoreMode::Flat, "flat"), (StoreMode::Chunked, "chunked")];
 }
 
-impl StoreMode {
-    /// Parse a `MANA2_STORE` value: a name, case-insensitive, surrounding
-    /// whitespace ignored.
-    pub fn parse(spec: &str) -> Option<StoreMode> {
-        Self::named(&spec.trim().to_ascii_lowercase())
-    }
-}
-
 /// Retry policy and layout for image and manifest writes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreConfig {

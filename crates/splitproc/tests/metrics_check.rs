@@ -1,17 +1,23 @@
 //! `mana2-metrics --check` refuses a metrics sidecar whose histogram
-//! fields are present but of the wrong type, instead of reading them as 0.
+//! fields are present but of the wrong type, instead of reading them as 0,
+//! and `mana2-metrics --prom` prints exactly the Prometheus exposition of
+//! a series' last snapshot.
 
 use obs::metrics::{self as met, MetricsRegistry};
 use obs::{ConfigRecord, JsonlHeader};
 use std::path::Path;
 use std::process::Command;
 
-fn check(path: &Path) -> (i32, String) {
-    let out = Command::new(env!("CARGO_BIN_EXE_mana2-metrics"))
-        .arg("--check")
+fn run(flag: &str, path: &Path) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_mana2-metrics"))
+        .arg(flag)
         .arg(path)
         .output()
-        .expect("run mana2-metrics");
+        .expect("run mana2-metrics")
+}
+
+fn check(path: &Path) -> (i32, String) {
+    let out = run("--check", path);
     let text = format!(
         "{}{}",
         String::from_utf8_lossy(&out.stdout),
@@ -35,9 +41,17 @@ fn check_refuses_a_sidecar_whose_histogram_sum_is_not_a_number() {
         config: ConfigRecord::default(),
     };
     let sidecar = dir.join("restart.metrics.json");
-    met::write_snapshot_file(&sidecar, &head, &reg.snapshot()).unwrap();
+    let snap = reg.snapshot();
+    met::write_snapshot_file(&sidecar, &head, &snap).unwrap();
     let (code, text) = check(&sidecar);
     assert_eq!(code, 0, "{text}");
+    // No exporter writes Prometheus text; `--prom` renders it from a series.
+    let prom = run("--prom", &sidecar);
+    assert_eq!(prom.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8(prom.stdout).unwrap(),
+        snap.render_prometheus()
+    );
 
     let good = std::fs::read_to_string(&sidecar).unwrap();
     let entry = good.find("\"name\":\"mana2_restart_full_ns\"").unwrap();
